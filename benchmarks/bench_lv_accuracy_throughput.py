@@ -10,14 +10,11 @@ sampler removes that fallback; this bench holds the receipt.
 
 Measured task: ``majority_accuracy`` -- M independent majority
 selections at a 60/40 split, run to convergence, accuracy over decided
-trials -- three ways:
+trials -- two ways:
 
 * **serial** -- ``majority_accuracy_serial``: the pre-batch-engine
   idiom, a Python loop over M seeded ``LVMajority`` instances;
-* **lockstep** -- ``LVEnsemble(mode="lockstep")``: shared recording,
-  per-trial engines (bitwise identical to serial runs with the same
-  spawned seeds; the correctness bridge);
-* **batch** -- ``LVEnsemble(mode="batch")``: the vectorized path.
+* **batch** -- ``LVEnsemble``: the vectorized path.
 
 The acceptance bar (ISSUE 4, raised from ISSUE 2's 3x): batch >= 8x
 over the serial loop at paper scale, with both paths agreeing on the
@@ -56,13 +53,12 @@ def run_comparison():
         n, zeros, TRIALS, max_periods=max_periods, seed=seed
     )
     timings["serial"] = time.perf_counter() - started
-    for mode in ("lockstep", "batch"):
-        started = time.perf_counter()
-        outcome = LVEnsemble(
-            n, zeros, n - zeros, trials=TRIALS, seed=seed, mode=mode
-        ).run(max_periods)
-        timings[mode] = time.perf_counter() - started
-        accuracies[mode] = outcome.accuracy()
+    started = time.perf_counter()
+    outcome = LVEnsemble(
+        n, zeros, n - zeros, trials=TRIALS, seed=seed
+    ).run(max_periods)
+    timings["batch"] = time.perf_counter() - started
+    accuracies["batch"] = outcome.accuracy()
     return n, max_periods, timings, accuracies
 
 
@@ -70,12 +66,12 @@ def test_lv_accuracy_throughput(run_once):
     n, max_periods, timings, accuracies = run_once(run_comparison)
     speedup = {
         mode: timings["serial"] / timings[mode]
-        for mode in ("serial", "lockstep", "batch")
+        for mode in ("serial", "batch")
     }
     rows = [
         (mode, f"{timings[mode]:.3f}", f"{accuracies[mode]:.3f}",
          f"{speedup[mode]:.2f}x")
-        for mode in ("serial", "lockstep", "batch")
+        for mode in ("serial", "batch")
     ]
     report("lv_accuracy_throughput", "\n".join([
         f"M={TRIALS} majority selections, N={n}, {int(SPLIT * 100)}/"
@@ -87,15 +83,13 @@ def test_lv_accuracy_throughput(run_once):
             rows,
         ),
         "",
-        "lockstep reproduces the serial runs bit for bit (same spawned "
-        "trial seeds); batch is distributionally equivalent "
+        "batch is distributionally equivalent to the serial loop "
         "(tests/test_lv.py::TestEnsemble).",
     ]))
 
     # Correctness alongside the timing: at a 60/40 split every decided
     # trial picks the majority, in every engine.
     assert accuracies["serial"] == 1.0
-    assert accuracies["lockstep"] == 1.0
     assert accuracies["batch"] == 1.0
     # The acceptance bar (ISSUE 4): the batched accuracy ensemble is
     # at least 8x faster than the serial LV accuracy loop at paper

@@ -5,7 +5,7 @@ Usage::
     python -m repro run       equations.txt|protocol-name --n 10000
                                --trials 16 [--periods 200] [--param ...]
                                [--scenario massive-failure]
-                               [--engine auto|serial|batch|lockstep|agent]
+                               [--engine auto|serial|batch|agent]
                                [--workers 4]
                                [--seed 42] [--loss-rate 0.05] [--plot]
     python -m repro classify  equations.txt [--param beta=4 ...]
@@ -270,7 +270,7 @@ def cmd_run(args) -> int:
           f"periods={args.periods}  seed={experiment.seed}"
           + ((f"  workers={args.workers}"
               + (f" (shards={result.shards})"
-                 if result.engine in ("batch", "lockstep") else ""))
+                 if result.engine == "batch" else ""))
              if args.workers > 1 else "")
           + (f"  scenario={args.scenario}"
              if args.scenario not in (None, "none") else "")
@@ -416,9 +416,13 @@ def cmd_analyze_campaign(args) -> int:
               f"`python -m repro campaign --resume {directory}`")
     import numpy as np
 
+    def tensor_of(entry):
+        # Done entries store the point once, as its embedded result.
+        return (entry.get("result") or {}).get("tensor_path")
+
     failures = 0
     for entry in points:
-        tensor_name = entry.get("tensor")
+        tensor_name = tensor_of(entry)
         label = entry.get("label", f"point {entry.get('index', '?')}")
         status = entry.get("status", "done")
         print()
@@ -474,8 +478,7 @@ def cmd_analyze_campaign(args) -> int:
         _print_message_check(
             point_json, counts, periods, states, measured_messages,
         )
-    referenced = {entry.get("tensor") for entry in points
-                  if entry.get("tensor")}
+    referenced = {tensor_of(entry) for entry in points}
     orphans = sorted(path.name for path in directory.glob("*.npz")
                      if path.name not in referenced)
     if orphans:
@@ -521,8 +524,6 @@ def _campaign_spec_from_args(args) -> CampaignSpec:
             spec.base_seed = args.seed
         if args.stride is not None:
             spec.stride = args.stride
-        if args.mode is not None:
-            spec.mode = args.mode
         if args.shards is not None:
             spec.shards = args.shards
         return spec
@@ -537,7 +538,6 @@ def _campaign_spec_from_args(args) -> CampaignSpec:
         periods=args.periods if args.periods is not None else 100,
         base_seed=args.seed if args.seed is not None else 0,
         stride=args.stride if args.stride is not None else 1,
-        mode=args.mode if args.mode is not None else "batch",
         shards=args.shards if args.shards is not None else 1,
     )
 
@@ -622,7 +622,6 @@ def cmd_campaign(args) -> int:
                 ("--periods", args.periods is not None),
                 ("--seed", args.seed is not None),
                 ("--stride", args.stride is not None),
-                ("--mode", args.mode is not None),
                 ("--shards", args.shards is not None),
                 ("--workers", args.workers != 1),
                 ("--out", bool(args.out)),
@@ -688,7 +687,6 @@ def cmd_campaign(args) -> int:
                 ("--periods", args.periods is not None),
                 ("--seed", args.seed is not None),
                 ("--stride", args.stride is not None),
-                ("--mode", args.mode is not None),
                 ("--shards", args.shards is not None),
                 ("--save-tensors", bool(args.save_tensors)),
                 ("--dry-run", args.dry_run),
@@ -750,8 +748,7 @@ def cmd_campaign(args) -> int:
         print(f"invalid campaign: {exc}", file=sys.stderr)
         return 1
     print(f"campaign {spec.name!r}: {len(points)} points x "
-          f"{spec.trials} trials x {spec.periods} periods "
-          f"(engine mode: {spec.mode})")
+          f"{spec.trials} trials x {spec.periods} periods")
     if args.dry_run:
         print()
         print(format_table(
@@ -1111,7 +1108,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="record every stride-th period")
     p_run.add_argument("--workers", type=int, default=1,
                        help="processes to fan the trial axis across "
-                            "(batch/lockstep: trials split into "
+                            "(batch: trials split into "
                             "min(workers, trials) campaign-style shards, "
                             "and the shard count is part of the run's "
                             "stream identity; agent: whole trials fan "
@@ -1119,7 +1116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--on-error", choices=ON_ERROR_MODES,
                        default="raise",
                        help="work-unit fault policy on the execution "
-                            "layer (agent tier, or --workers > 1): "
+                            "layer (agent and batch tiers): "
                             "raise aborts on the first unit failure, "
                             "retry re-runs the same payload with "
                             "capped backoff (bitwise identical), skip "
@@ -1217,9 +1214,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="campaign base seed (default 0)")
     p_camp.add_argument("--stride", type=int, default=None,
                         help="record every stride-th period (default 1)")
-    p_camp.add_argument("--mode", choices=("batch", "lockstep"),
-                        default=None,
-                        help="batch engine RNG mode (default batch)")
     p_camp.add_argument("--shards", type=int, default=None,
                         help="split each point's trial axis into this "
                              "many independently seeded sub-ensembles "

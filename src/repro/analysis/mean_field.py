@@ -100,7 +100,6 @@ def measure_equilibrium_batch(
     seed: Optional[int] = None,
     initial: Optional[Mapping[str, float]] = None,
     states: Optional[Iterable[str]] = None,
-    mode: str = "batch",
 ) -> Dict[str, EquilibriumMeasurement]:
     """Batched :func:`measure_equilibrium`: M trials, pooled window stats.
 
@@ -113,7 +112,7 @@ def measure_equilibrium_batch(
     """
     start = dict(initial) if initial is not None else dict(analytic)
     engine = BatchRoundEngine(
-        spec, n=n, trials=trials, initial=start, seed=seed, mode=mode
+        spec, n=n, trials=trials, initial=start, seed=seed
     )
     # The warmup is burn-in: run it with a recorder that keeps nothing
     # (stride past the horizon) instead of storing per-period tensors

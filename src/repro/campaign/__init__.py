@@ -33,7 +33,6 @@ from .grid import CampaignPoint, CampaignSpec
 from .registry import (
     available_protocols,
     available_scenarios,
-    build_protocol,
     protocol_builder,
     register_protocol,
     register_scenario,
@@ -64,7 +63,6 @@ __all__ = [
     "verify_replay",
     "load_manifest",
     "MANIFEST_NAME",
-    "build_protocol",
     "resolve_protocol",
     "protocol_builder",
     "register_protocol",

@@ -23,6 +23,26 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..experiment.protocol import Protocol
 
 
+def _without_legacy_mode(data: Dict) -> Dict:
+    """Drop the ``mode`` key that specs and points used to serialize.
+
+    Older spec files, result JSON, manifests and ``.npz``
+    ``point_json`` carry ``"mode": "batch"``, which selected the only
+    engine that remains.  Any other value named an engine that is
+    gone; running batch instead would change every number the file
+    promises, so it is an error.
+    """
+    if "mode" not in data:
+        return data
+    if data["mode"] != "batch":
+        raise ValueError(
+            f"campaign mode {data['mode']!r} is no longer supported (the "
+            f"lockstep mode was removed); for bit-identical seeded trials "
+            f"use `python -m repro run --engine serial`"
+        )
+    return {key: value for key, value in data.items() if key != "mode"}
+
+
 @dataclass(frozen=True)
 class CampaignPoint:
     """One cell of a campaign grid: a fully-determined experiment."""
@@ -35,7 +55,6 @@ class CampaignPoint:
     periods: int
     seed: int
     stride: int = 1
-    mode: str = "batch"
     #: Trial-axis sharding: the point's M trials split into this many
     #: independently seeded sub-ensembles, which the campaign runner can
     #: fan out across workers.  Part of the point's identity: replays
@@ -54,7 +73,7 @@ class CampaignPoint:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "CampaignPoint":
-        return cls(**data)
+        return cls(**_without_legacy_mode(data))
 
 
 @dataclass
@@ -81,7 +100,6 @@ class CampaignSpec:
     periods: int = 200
     base_seed: int = 0
     stride: int = 1
-    mode: str = "batch"
     shards: int = 1
 
     def validate(self) -> None:
@@ -126,8 +144,6 @@ class CampaignSpec:
         for rate in self.loss_rates:
             if not 0.0 <= rate < 1.0:
                 raise ValueError(f"loss rate must lie in [0, 1), got {rate}")
-        if self.mode not in ("batch", "lockstep"):
-            raise ValueError(f"mode must be 'batch' or 'lockstep', got {self.mode!r}")
         if not 1 <= self.shards <= self.trials:
             raise ValueError(
                 f"shards must lie in [1, trials={self.trials}], "
@@ -197,7 +213,6 @@ class CampaignSpec:
                 periods=self.periods,
                 seed=seed,
                 stride=self.stride,
-                mode=self.mode,
                 shards=self.shards,
             )
             for (protocol, n, loss_rate, scenario), seed in zip(cells, seeds)
@@ -219,7 +234,7 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "CampaignSpec":
-        return cls(**data)
+        return cls(**_without_legacy_mode(data))
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)

@@ -9,7 +9,6 @@ before a campaign is run.
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Tuple, Union
 
@@ -155,24 +154,6 @@ class ProtocolHandleBuilder:
     def __call__(self, n: int) -> Tuple[ProtocolSpec, Mapping[str, float]]:
         resolved = self.handle.resolve(n)
         return resolved.spec, resolved.initial
-
-
-def build_protocol(name: str, n: int) -> Tuple[ProtocolSpec, Mapping[str, float]]:
-    """Deprecated: resolve a name to a raw (spec, initial) builder tuple.
-
-    Kept as a shim for pre-facade call sites.  Use
-    :func:`resolve_protocol` (a :class:`~repro.experiment.Protocol`
-    handle) or :class:`repro.experiment.Experiment` instead.
-    """
-    warnings.warn(
-        "build_protocol() is deprecated; use "
-        "repro.campaign.resolve_protocol(name) / "
-        "repro.experiment.Protocol.named(name) and .resolve(n) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    resolved = resolve_protocol(name).resolve(n)
-    return resolved.spec, resolved.initial
 
 
 # ----------------------------------------------------------------------

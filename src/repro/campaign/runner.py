@@ -45,7 +45,7 @@ from ..runtime.exec import (
     run_plan,
 )
 from ..runtime.parallel import shard_layout
-from .grid import CampaignPoint, CampaignSpec
+from .grid import CampaignPoint, CampaignSpec, _without_legacy_mode
 from .registry import custom_entries, install_entries, resolve_protocol
 
 #: Quantiles reported in point summaries.
@@ -157,7 +157,6 @@ def _make_engine(point: CampaignPoint) -> BatchRoundEngine:
         initial=resolved.initial,
         seed=point.seed,
         connection_failure_rate=point.loss_rate,
-        mode=point.mode,
     )
 
 
@@ -374,21 +373,15 @@ def _pending_entry(index: int, point: CampaignPoint) -> Dict:
 def _done_entry(index: int, result: PointResult) -> Dict:
     """A completed point's manifest entry.
 
-    Keeps the legacy top-level keys (``tensor``, ``states``,
-    ``trial_seeds``, ...) for offline consumers, and additionally
-    embeds the full :meth:`PointResult.to_dict` so ``--resume`` can
-    restore the point without re-running it.
+    Everything about the point -- its parameters, seeds, tensor file
+    and summaries -- is stored once, under ``result``
+    (:meth:`PointResult.to_dict`), which is also what ``--resume``
+    restores from.
     """
     return {
         "index": index,
         "label": result.point.label,
-        "point": result.point.to_dict(),
         "status": "done",
-        "tensor": result.tensor_path,
-        "states": list(result.states),
-        "trial_seeds": list(result.trial_seeds),
-        "recorded_periods": list(result.recorded_periods),
-        "elapsed_seconds": result.elapsed_seconds,
         "result": result.to_dict(),
     }
 
@@ -431,7 +424,8 @@ def _restore_completed(
 
     Verifies spec identity first: resuming under a different spec
     would splice points from two different campaigns into one result,
-    so anything but an exact ``spec.to_dict()`` match is an error.
+    so anything but an exact ``spec.to_dict()`` match (after dropping
+    the ``mode`` key older manifests carry) is an error.
     Entries count as restorable only when they are ``done``, embed
     their ``result``, match the re-expanded point exactly, and their
     tensor file (when one was recorded) still exists -- anything else
@@ -445,7 +439,10 @@ def _restore_completed(
             f"{resume_dir} has no {MANIFEST_NAME}; only campaigns run "
             f"with save_tensors (--save-tensors) are resumable"
         )
-    if manifest.get("spec") != spec.to_dict():
+    recorded = manifest.get("spec")
+    if isinstance(recorded, dict):
+        recorded = _without_legacy_mode(recorded)
+    if recorded != spec.to_dict():
         raise ValueError(
             f"resume spec mismatch: the manifest in {resume_dir} was "
             f"written by a different campaign spec; --resume re-runs "
@@ -711,7 +708,7 @@ def replay_point(point: CampaignPoint) -> np.ndarray:
     """Re-run a point and return its full ``(M, periods, S)`` count tensor.
 
     Campaign seeds are recorded in specs and results, so the same point
-    always reproduces the same tensor (same numpy version and mode);
+    always reproduces the same tensor (same numpy version);
     trial rows follow the merged shard order, i.e. the recorded
     ``trial_seeds``.
     """

@@ -13,7 +13,7 @@ tier the runtime provides:
   contract normalized across the engines' divergent hook conventions.
 * :class:`~repro.experiment.experiment.Experiment` -- the runner:
   selects the engine tier (serial for ``trials == 1``, batch
-  otherwise, lockstep on demand) and executes.
+  otherwise) and executes.
 * :class:`~repro.experiment.result.ExperimentResult` -- one result
   surface subsuming ``RunResult`` / ``BatchRunResult`` /
   ``BatchMetricsRecorder`` access: count tensors, reducers, transition

@@ -12,15 +12,16 @@ Engine auto-selection (``engine="auto"``):
 
 * ``trials == 1`` -> the **serial** :class:`RoundEngine` (single-run
   studies, and anything whose hooks must see a real engine);
-* ``trials > 1`` -> the **batch** :class:`BatchRoundEngine` in its
-  vectorized mode (ensembles: means, quantile bands, frequencies).
+* ``trials > 1`` -> the vectorized **batch**
+  :class:`BatchRoundEngine` (ensembles: means, quantile bands,
+  frequencies).
 
 Explicit tiers: ``engine="serial"`` runs ``trials`` seeded
 :class:`RoundEngine` instances (seeds from
-:func:`~repro.runtime.rng.spawn_seeds`); ``engine="lockstep"`` runs
-the batch engine's lockstep mode, which is *bit-identical* to the
-serial tier trial for trial (the validation bridge);
-``engine="batch"`` forces the vectorized mode (statistically
+:func:`~repro.runtime.rng.spawn_seeds`), so trial ``m`` is
+*bit-identical* to ``RoundEngine(..., seed=spawn_seeds(seed, M)[m])``
+-- the tier to replay a single ensemble member on;
+``engine="batch"`` forces the vectorized engine (statistically
 equivalent, not draw-for-draw); ``engine="agent"`` runs ``trials``
 seeded :class:`AgentSimulation` instances -- the asynchronous DES tier
 (arbitrary period phases, latency, drift), as an ensemble with the
@@ -35,17 +36,16 @@ import secrets
 import time
 from typing import Mapping, Optional, Union
 
-from ..runtime.batch_engine import BatchMetricsRecorder, BatchRoundEngine
 from ..runtime.exec import BACKENDS, FaultPolicy
 from ..runtime.metrics import MetricsRecorder
 from ..runtime.parallel import AgentEnsemble, ShardedBatchExecutor
-from ..runtime.round_engine import RoundEngine
+from ..runtime.round_engine import RoundEngine, initial_state_vector
 from ..runtime.rng import spawn_seeds
 from .protocol import Protocol
 from .result import ExperimentResult
 from .scenario import RunContext, Scenario
 
-ENGINES = ("auto", "serial", "batch", "lockstep", "agent")
+ENGINES = ("auto", "serial", "batch", "agent")
 
 
 class Experiment:
@@ -65,15 +65,15 @@ class Experiment:
         Fault injection: ``None``, a registry scenario name, a
         :class:`Scenario`, or a per-trial hook factory.
     seed:
-        Root seed.  Serial and lockstep engines spawn per-trial seeds
-        from it, so their trials agree bit for bit; scenario seeds come
-        from a domain-separated family (campaign-compatible).  ``None``
+        Root seed.  The serial and agent tiers spawn per-trial seeds
+        from it; scenario seeds come from a domain-separated family
+        (campaign-compatible).  ``None``
         draws a fresh root seed, recorded on :attr:`seed`, so every
         run -- including its fault injection -- remains reproducible
         after the fact.
     engine:
         ``"auto"`` (default), ``"serial"``, ``"batch"`` or
-        ``"lockstep"``; see the module docstring.
+        ``"agent"``; see the module docstring.
     loss_rate:
         Per-connection failure probability (Section 3's ``f``).
     stride:
@@ -86,25 +86,26 @@ class Experiment:
         Override the protocol handle's initial distribution (counts
         summing to ``n`` or fractions summing to 1).
     workers:
-        Processes to fan the trial axis across (default 1).  With
-        ``workers > 1`` the batch/lockstep tiers run through
+        Processes to fan the trial axis across (default 1).  The
+        batch tier always runs through
         :class:`~repro.runtime.parallel.ShardedBatchExecutor`: the
         trials split into ``min(workers, trials)`` campaign-style
-        shards (seed family spawned from ``(seed, SHARD_DOMAIN)``) and
-        the recorders merge integer-exactly, so a sharded run is
-        bitwise reproducible for a fixed ``(seed, workers)`` and
-        identical whether the shards actually ran pooled or serially.
-        Note the *shard count* is part of the stream identity: results
-        differ from the unsharded ``workers=1`` run (exactly as
-        campaign ``--shards`` documents).  The agent tier fans whole
+        shards (seed family spawned from ``(seed, SHARD_DOMAIN)``; one
+        shard keeps the root seed) and the recorders merge
+        integer-exactly, so a run is bitwise reproducible for a fixed
+        ``(seed, workers)`` and identical whether the shards actually
+        ran pooled or serially.  Note the *shard count* is part of the
+        stream identity: results differ from the unsharded
+        ``workers=1`` run (exactly as campaign ``--shards``
+        documents).  The agent tier fans whole
         trials across the pool (each trial owns its RNG stream, so the
         result is bitwise independent of ``workers``, clamped to
         ``trials``).  The serial tier ignores it.
     on_error, retries, unit_timeout:
         The execution layer's fault policy
         (:class:`~repro.runtime.exec.FaultPolicy`), applied wherever
-        the run decomposes into work units (the agent tier, and the
-        batch/lockstep tiers with ``workers > 1``).  ``on_error``:
+        the run decomposes into work units (the agent and batch
+        tiers).  ``on_error``:
         ``"raise"`` (default) aborts on the first unit failure,
         ``"retry"`` re-runs a failed unit's exact payload up to
         ``retries`` times with capped backoff (retries cannot perturb
@@ -123,11 +124,7 @@ class Experiment:
         keeps the local process pool; ``"cluster"`` runs socket-
         connected worker processes with heartbeats, dead-worker
         re-dispatch and elastic worker counts -- results are bitwise
-        identical either way (plan contract clause 5).  With
-        ``backend="cluster"`` the batch/lockstep tiers route through
-        the sharded executor even at ``workers=1`` (a single shard
-        keeps the root seed, so results still match the unsharded
-        run bit for bit).
+        identical either way (plan contract clause 5).
     """
 
     def __init__(
@@ -234,7 +231,6 @@ class Experiment:
             periods=self.periods,
             seed=self.seed,
             stride=self.stride,
-            mode=self.chosen_engine,
         )
 
     # ------------------------------------------------------------------
@@ -285,6 +281,8 @@ class Experiment:
         resolved = self.protocol.resolve(self.n)
         self.protocol.verify(self.n, mode=self.check)
         initial = self.initial if self.initial is not None else resolved.initial
+        # A bad start is the caller's ValueError, not a failed work unit.
+        initial_state_vector(resolved.spec.states, self.n, initial)
         engine_name = self.chosen_engine
         started = time.perf_counter()
         if engine_name == "serial":
@@ -292,7 +290,7 @@ class Experiment:
         elif engine_name == "agent":
             result = self._run_agent(resolved.spec, initial)
         else:
-            result = self._run_batched(resolved.spec, initial, engine_name)
+            result = self._run_batched(resolved.spec, initial)
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
@@ -372,65 +370,42 @@ class Experiment:
             failures=outcome.failures,
         )
 
-    def _run_batched(self, spec, initial, engine_name: str) -> ExperimentResult:
+    def _run_batched(self, spec, initial) -> ExperimentResult:
+        """The batch tier: the sharded executor at any worker count.
+
+        A single shard keeps the root seed, bitwise-equal to the bare
+        engine.
+        """
         context = self.context()
-        mode = engine_name if engine_name == "lockstep" else "batch"
         hook_factories = (
             [self.scenario.hook_factory(context)] if self.scenario else ()
         )
         shards = min(self.workers, self.trials)
-        # The cluster backend always routes through the sharded
-        # executor (even at shards == 1, which keeps the root seed and
-        # is bitwise-equal to the unsharded engine), so process
-        # isolation and re-dispatch apply at any worker count.
-        if shards > 1 or self.backend != "pool":
-            executor = ShardedBatchExecutor(
-                spec, n=self.n, trials=self.trials, initial=initial,
-                seed=self.seed,
-                connection_failure_rate=self.loss_rate,
-                mode=mode, shards=shards, workers=self.workers,
-                backend=self.backend,
-            )
-            outcome = executor.run(
-                self.periods,
-                stride=self.stride,
-                track_transitions=self.record_transitions,
-                member_log_state=self.member_log_state,
-                hook_factories=hook_factories,
-                fault_policy=self.fault_policy,
-            )
-            return ExperimentResult(
-                spec=spec, n=self.n, trials=len(outcome.trial_seeds),
-                periods=self.periods,
-                engine=engine_name, trial_seeds=list(outcome.trial_seeds),
-                elapsed_seconds=0.0,
-                protocol=self.protocol,
-                scenario=self.scenario.label if self.scenario else None,
-                recorder=outcome.recorder,
-                shards=shards,
-                failures=outcome.failures,
-            )
-        engine = BatchRoundEngine(
+        executor = ShardedBatchExecutor(
             spec, n=self.n, trials=self.trials, initial=initial,
-            seed=self.seed, connection_failure_rate=self.loss_rate,
-            mode=mode,
+            seed=self.seed,
+            connection_failure_rate=self.loss_rate,
+            shards=shards, workers=self.workers,
+            backend=self.backend,
         )
-        recorder = BatchMetricsRecorder(
-            spec.states, self.trials,
+        outcome = executor.run(
+            self.periods,
+            stride=self.stride,
             track_transitions=self.record_transitions,
             member_log_state=self.member_log_state,
-            stride=self.stride,
-        )
-        engine.run(
-            self.periods, recorder=recorder, hook_factories=hook_factories
+            hook_factories=hook_factories,
+            fault_policy=self.fault_policy,
         )
         return ExperimentResult(
-            spec=spec, n=self.n, trials=self.trials, periods=self.periods,
-            engine=engine_name, trial_seeds=list(engine.trial_seeds),
+            spec=spec, n=self.n, trials=len(outcome.trial_seeds),
+            periods=self.periods,
+            engine="batch", trial_seeds=list(outcome.trial_seeds),
             elapsed_seconds=0.0,
             protocol=self.protocol,
             scenario=self.scenario.label if self.scenario else None,
-            recorder=recorder,
+            recorder=outcome.recorder,
+            shards=shards,
+            failures=outcome.failures,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

@@ -134,7 +134,7 @@ class ExperimentResult:
     recorder: ``(M, periods)`` per-state count series, ``(M, periods,
     S)`` tensors, trial-axis reducers, per-trial final counts and
     transition tensors.  ``recorder`` exposes the underlying
-    :class:`BatchMetricsRecorder` (batch/lockstep engines) and
+    :class:`BatchMetricsRecorder` (batch engine) and
     ``trial_recorders`` the per-trial :class:`MetricsRecorder` list
     (serial engine); both remain available for code written against the
     old surfaces.

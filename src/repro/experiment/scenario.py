@@ -42,7 +42,6 @@ class RunContext:
     periods: int
     seed: int
     stride: int = 1
-    mode: str = "batch"
 
     @property
     def label(self) -> str:

@@ -227,10 +227,9 @@ class LVEnsemble:
     untraceability claims of the paper's Section 4.2 experiments are
     ensemble frequencies, so the M trials run as one
     :class:`~repro.runtime.batch_engine.BatchRoundEngine` tensor
-    instead of a Python loop over seeded engines.  ``mode="lockstep"``
-    makes trial ``m`` bit-identical to
-    ``LVMajority(..., seed=trial_seeds[m])``, which is the regression
-    anchor for the vectorized path (see ``tests/test_lv.py``).
+    instead of a Python loop over seeded engines.  The vectorized path
+    is anchored in distribution against :func:`majority_accuracy_serial`
+    (see ``tests/test_lv.py``).
     """
 
     def __init__(
@@ -243,7 +242,6 @@ class LVEnsemble:
         p: float = 0.01,
         seed: Optional[int] = None,
         undecided: int = 0,
-        mode: str = "batch",
     ):
         if zeros + ones + undecided != n:
             raise ValueError(
@@ -260,7 +258,6 @@ class LVEnsemble:
             trials=trials,
             initial={ZERO: zeros, ONE: ones, UNDECIDED: undecided},
             seed=seed,
-            mode=mode,
         )
         self.trial_seeds = self.engine.trial_seeds
 
@@ -337,7 +334,6 @@ def majority_accuracy(
     p: float = 0.01,
     max_periods: int = 4000,
     seed: int = 0,
-    mode: str = "batch",
 ) -> float:
     """Empirical probability that the initial majority wins.
 
@@ -348,7 +344,7 @@ def majority_accuracy(
     equivalence baseline.
     """
     outcome = LVEnsemble(
-        n, zeros, n - zeros, trials=trials, p=p, seed=seed, mode=mode
+        n, zeros, n - zeros, trials=trials, p=p, seed=seed
     ).run(max_periods)
     return outcome.accuracy()
 

@@ -12,8 +12,8 @@ ordered from most faithful to fastest:
   reproduction of the paper's C simulator, fast enough for
   100,000-host, 10,000-period experiments.
 * :class:`~repro.runtime.batch_engine.BatchRoundEngine` -- M independent
-  trials in one ``(M, N)`` state array with per-trial or batched RNG
-  streams; the substrate for every ensemble measurement (means,
+  trials in one ``(M, N)`` state array drawing from one batched RNG
+  stream; the substrate for every ensemble measurement (means,
   quantile bands, extinction frequencies) and for the campaign runner
   (:mod:`repro.campaign`).
 
@@ -31,7 +31,6 @@ from .batch_engine import (
     BatchRoundEngine,
     BatchRunResult,
     BatchTrialView,
-    segmented_choice,
     serial_ensemble,
 )
 from .churn import ChurnEvent, ChurnReplayer, ChurnTrace, generate_trace
@@ -64,6 +63,7 @@ from .parallel import (
 from .planner import ActionPlanner, PlannedAction, TrialMemberPools
 from .rng import RandomSource, make_generator, sample_other, spawn_seeds
 from .round_engine import RoundEngine, RunResult, initial_state_vector
+from .sampling import segmented_choice
 
 __all__ = [
     "RoundEngine",

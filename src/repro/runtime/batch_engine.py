@@ -15,38 +15,32 @@ or frequency (extinction, accuracy); drop to :class:`RoundEngine` to
 study one run, and to :class:`~repro.runtime.agent_sim.AgentSimulation`
 to check synchrony artifacts.
 
-Two RNG modes trade speed against bitwise reproducibility:
+All trials draw from one root stream and every per-action step (actor
+selection, target sampling, connection-failure masking, token routing)
+is vectorized across the whole batch.  Each period is *planned* first
+(:class:`~repro.runtime.planner.ActionPlanner`): one broadcast
+multinomial draw splits every (trial, state) occupancy across that
+state's actions plus the no-op remainder, one selection pass per state
+picks the winning actors (dense states share a single rejection-probe
+loop over host ids; sparse regimes like the endemic protocol's
+alpha ~ 1e-6 coin keep per-trial scans; exact per-trial draw counts go
+through :func:`~repro.runtime.sampling.segmented_choice`, a segmented
+without-replacement sampler), and the selection is partitioned across
+the state's actions.  Peer-target sampling is fused into one
+``integers`` draw per period covering every action.  Per-state member
+lists are maintained *incrementally* for sparse-population states (the
+population-protocol simulation idiom).  Trials are statistically
+independent, with per-action marginals identical to M serial runs;
+actors fire at most one action of their state per period (the paper's
+multi-way coin), where the serial engine flips independent per-action
+coins -- the two agree to the ``O((p c)^2)`` conflict order the
+normalizing constant bounds.
 
-* ``mode="batch"`` (default) -- all trials draw from one root stream
-  and every per-action step (actor selection, target sampling,
-  connection-failure masking, token routing) is vectorized across the
-  whole batch.  Each period is *planned* first
-  (:class:`~repro.runtime.planner.ActionPlanner`): one broadcast
-  multinomial draw splits every (trial, state) occupancy across that
-  state's actions plus the no-op remainder, one selection pass per
-  state picks the winning actors (dense states share a single
-  rejection-probe loop over host ids; sparse regimes like the endemic
-  protocol's alpha ~ 1e-6 coin keep per-trial scans; exact per-trial
-  draw counts go through :func:`segmented_choice`, a segmented
-  without-replacement sampler), and the selection is partitioned
-  across the state's actions.  Peer-target sampling is fused into one
-  ``integers`` draw per period covering every action.  Per-state
-  member lists are maintained *incrementally* for sparse-population
-  states (the population-protocol simulation idiom).  Trials are
-  statistically independent, with per-action marginals identical to M
-  serial runs; actors fire at most one action of their state per
-  period (the paper's multi-way coin), where the serial engine flips
-  independent per-action coins -- the two agree to the ``O((p c)^2)``
-  conflict order the normalizing constant bounds.
-* ``mode="lockstep"`` -- M embedded :class:`RoundEngine` instances
-  seeded with :func:`~repro.runtime.rng.spawn_seeds` trial seeds.
-  Each trial is *bitwise identical* to a serial ``RoundEngine`` run
-  with the same seed; the speedup is limited to shared recording
-  overhead.  This is the validation bridge (see
-  ``tests/test_batch_engine.py``) and the replay mode for debugging a
-  single ensemble member.
+The engine is therefore validated *in distribution* against
+:func:`serial_ensemble` and the mean-field ODEs (see
+``tests/test_batch_engine.py``), not draw for draw.
 
-Both modes record into a :class:`BatchMetricsRecorder`, which stores
+Runs record into a :class:`BatchMetricsRecorder`, which stores
 ``(M, periods, states)`` count tensors and provides the mean/quantile
 reducers the figure benches aggregate with.
 """
@@ -69,9 +63,10 @@ import numpy as np
 
 from ..synthesis.protocol import ProtocolSpec
 from .metrics import MetricsRecorder
-from .planner import ActionPlanner, TrialMemberPools, _action_width
+from .planner import ActionPlanner, TrialMemberPools
 from .round_engine import RoundEngine, _compile, initial_state_vector
 from .rng import RandomSource, spawn_seeds
+from .sampling import _action_width, segmented_choice
 
 #: A per-trial hook factory: called with the trial index, returns a hook
 #: ``hook(view)`` where ``view`` offers the RoundEngine mutation surface
@@ -82,115 +77,6 @@ from .rng import RandomSource, spawn_seeds
 HookFactory = Callable[[int], Callable[[object], None]]
 
 Edge = Tuple[str, str]
-
-
-def segmented_choice(
-    rng: np.random.Generator,
-    pool: np.ndarray,
-    bounds: np.ndarray,
-    take: np.ndarray,
-) -> np.ndarray:
-    """Without-replacement draws from every segment of a flat pool at once.
-
-    ``pool`` is a flat array whose segment ``s`` occupies
-    ``pool[bounds[s]:bounds[s + 1]]`` (``bounds`` has ``S + 1`` entries
-    with ``bounds[0] == 0``); ``take[s]`` elements are chosen uniformly
-    without replacement from segment ``s``.  Returns the chosen elements
-    grouped by segment, in ascending pool order within each segment
-    (set semantics: every ``take[s]``-subset is equally likely).
-
-    This is the sampler that removes the batch engine's per-trial
-    ``Generator.choice`` loops: actor selection for sub-1.0-probability
-    actions on dense states (the LV hot path) and token routing both
-    need ``take[m]`` distinct members from each trial's segment, and a
-    Python loop over trials costs O(M) interpreter round trips per
-    action per period.  Two vectorized strategies, chosen by the take
-    fraction:
-
-    * **rejection** (every ``take[s] <= sizes[s] / 4``): draw one
-      candidate position per requested element across all segments at
-      once, keep the non-colliding ones, redraw the rest.  Acceptance
-      is >= 3/4 per round, so the loop terminates in O(log) rounds and
-      the number of random draws is proportional to ``take.sum()`` --
-      not the pool size -- which is what makes dense-state sampling
-      cheap (a 3% coin on a state holding 60% of an (M, N) batch draws
-      ~0.02 * M * N values instead of 0.6 * M * N keys).
-    * **top-k keys** (some segment wants more than a quarter of its
-      pool): one uniform key per candidate, padded to a
-      ``(segments, max_size)`` matrix; the ``take[s]`` smallest keys
-      per row (an axis-1 ``argpartition``) are the sample.
-    """
-    pool = np.asarray(pool)
-    bounds = np.asarray(bounds, dtype=np.int64)
-    take = np.asarray(take, dtype=np.int64)
-    sizes = np.diff(bounds)
-    if take.shape != sizes.shape:
-        raise ValueError(
-            f"take has shape {take.shape}, expected {sizes.shape}"
-        )
-    if np.any(take < 0) or np.any(take > sizes):
-        bad = int(np.flatnonzero((take < 0) | (take > sizes))[0])
-        raise ValueError(
-            f"segment {bad}: cannot take {int(take[bad])} of "
-            f"{int(sizes[bad])} elements without replacement"
-        )
-    total_take = int(take.sum())
-    if total_take == 0:
-        return np.empty(0, dtype=pool.dtype)
-    if total_take == pool.size:
-        return pool
-
-    if np.all(take * 4 <= sizes):
-        # Rejection: candidate positions are global pool coordinates,
-        # so collisions (within a round or against earlier rounds) are
-        # plain duplicate values.
-        accepted = np.empty(0, dtype=np.int64)
-        pending_base = np.repeat(bounds[:-1], take)
-        pending_size = np.repeat(sizes, take)
-        while pending_base.size:
-            candidates = pending_base + rng.integers(
-                0, pending_size, dtype=np.int64
-            )
-            merged = np.concatenate([accepted, candidates])
-            order = np.argsort(merged, kind="stable")
-            sorted_values = merged[order]
-            duplicate_sorted = np.zeros(merged.size, dtype=bool)
-            duplicate_sorted[1:] = sorted_values[1:] == sorted_values[:-1]
-            duplicate = np.empty(merged.size, dtype=bool)
-            duplicate[order] = duplicate_sorted
-            # The stable sort keeps previously accepted values ahead of
-            # equal new candidates, so only the new ones re-enter.
-            redraw = duplicate[accepted.size:]
-            accepted = np.concatenate([accepted, candidates[~redraw]])
-            pending_base = pending_base[redraw]
-            pending_size = pending_size[redraw]
-        return pool[np.sort(accepted)]
-
-    # Top-k random keys, padded so the extraction is one axis-1
-    # partition; padding keys are +inf and can never be drawn because
-    # take[s] <= sizes[s].
-    n_segments = sizes.size
-    max_size = int(sizes.max())
-    k_max = int(take.max())
-    keys = rng.random((n_segments, max_size))
-    keys[np.arange(max_size)[None, :] >= sizes[:, None]] = np.inf
-    if k_max < max_size:
-        block = np.argpartition(keys, k_max - 1, axis=1)[:, :k_max]
-        # Order the block so row s's first take[s] entries are exactly
-        # its take[s] *smallest* keys -- a manifestly uniform subset
-        # (argpartition's internal order is not).
-        block_keys = np.take_along_axis(keys, block, axis=1)
-        block = np.take_along_axis(
-            block, np.argsort(block_keys, axis=1), axis=1
-        )
-    else:
-        block = np.argsort(keys, axis=1)
-    chosen = block[np.arange(block.shape[1])[None, :] < take[:, None]]
-    starts = np.repeat(bounds[:-1], take)
-    # Segments are disjoint ascending position ranges, so one global
-    # sort yields the documented segment-grouped, ascending-pool-order
-    # layout (matching the rejection branch).
-    return pool[np.sort(starts + chosen)]
 
 
 class BatchMetricsRecorder:
@@ -287,6 +173,8 @@ class BatchMetricsRecorder:
         """
         if not parts:
             raise ValueError("cannot merge zero recorders")
+        if len(parts) == 1:
+            return parts[0]  # nothing to concatenate (the unsharded run)
         first = parts[0]
         for other in parts[1:]:
             if other.states != first.states:
@@ -460,7 +348,7 @@ class BatchRunResult:
 
 
 class BatchTrialView:
-    """One trial of a batch-mode engine, quacking like a RoundEngine.
+    """One trial of a batch engine, quacking like a RoundEngine.
 
     Hooks written against :class:`RoundEngine` (failure injectors, churn
     replayers) receive one of these per trial.  All *mutations* must go
@@ -538,15 +426,12 @@ class BatchRoundEngine:
         trial starts from the same counts with its own placement
         shuffle.
     seed:
-        Root seed.  In lockstep mode the trial seeds are
-        ``spawn_seeds(seed, trials)`` (also exposed as
-        :attr:`trial_seeds`), so trial ``m`` reproduces
-        ``RoundEngine(..., seed=trial_seeds[m])`` draw for draw.
+        Root seed of the batch stream; :attr:`trial_seeds` labels the
+        trials with the serial tier's ``spawn_seeds(seed, trials)``.
     connection_failure_rate:
         Per-connection failure probability, as for :class:`RoundEngine`.
     mode:
-        ``"batch"`` (vectorized, default) or ``"lockstep"`` (bitwise
-        serial-equivalent); see the module docstring.
+        Only ``"batch"`` exists; kept for callers that spell it out.
     """
 
     def __init__(
@@ -564,8 +449,12 @@ class BatchRoundEngine:
             raise ValueError(f"group size must be >= 2, got {n}")
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
-        if mode not in ("batch", "lockstep"):
-            raise ValueError(f"mode must be 'batch' or 'lockstep', got {mode!r}")
+        if mode != "batch":
+            raise ValueError(
+                f"mode must be 'batch', got {mode!r} (the lockstep mode "
+                f"was removed: Experiment(..., engine=\"serial\") runs the "
+                f"same seeded RoundEngine trials)"
+            )
         if not 0.0 <= connection_failure_rate < 1.0:
             raise ValueError(
                 f"connection failure rate must lie in [0, 1), got "
@@ -575,7 +464,6 @@ class BatchRoundEngine:
         self.n = n
         self.trials = trials
         self.seed = seed
-        self.mode = mode
         self.connection_failure_rate = connection_failure_rate
         self.state_names = spec.states
         self._index = {name: i for i, name in enumerate(spec.states)}
@@ -584,17 +472,6 @@ class BatchRoundEngine:
         self.last_transitions: Dict[Edge, np.ndarray] = {}
         self.recovery_state = spec.states[0]
         self.trial_seeds = spawn_seeds(seed, trials)
-
-        if mode == "lockstep":
-            self._engines = [
-                RoundEngine(
-                    spec, n=n, initial=initial, seed=trial_seed,
-                    connection_failure_rate=connection_failure_rate,
-                    shuffle=shuffle,
-                )
-                for trial_seed in self.trial_seeds
-            ]
-            return
 
         n_states = len(self.state_names)
         source = RandomSource(seed)
@@ -641,34 +518,21 @@ class BatchRoundEngine:
         )
 
     # ------------------------------------------------------------------
-    # Introspection (both modes)
+    # Introspection
     # ------------------------------------------------------------------
     @property
     def states(self) -> np.ndarray:
-        """The ``(M, N)`` state array.
-
-        In batch mode this is the live backing array (mutate only via
-        views); in lockstep mode it is a stacked *snapshot* of the
-        embedded engines' state vectors.
-        """
-        if self.mode == "lockstep":
-            return np.stack([e.states for e in self._engines])
+        """The live ``(M, N)`` state array (mutate only via views)."""
         return self._states_arr
 
     @property
     def alive(self) -> np.ndarray:
-        """The ``(M, N)`` alive flags (see :attr:`states` for semantics)."""
-        if self.mode == "lockstep":
-            return np.stack([e.alive for e in self._engines])
+        """The live ``(M, N)`` alive flags (mutate only via views)."""
         return self._alive_arr
 
     @property
     def total_messages(self) -> np.ndarray:
-        """Per-trial messages sent so far, shape ``(M,)`` (both modes)."""
-        if self.mode == "lockstep":
-            return np.array(
-                [e.total_messages for e in self._engines], dtype=np.int64
-            )
+        """Per-trial messages sent so far, shape ``(M,)``."""
         return self._total_messages
 
     def state_id(self, name: str) -> int:
@@ -676,13 +540,6 @@ class BatchRoundEngine:
 
     def counts_matrix(self) -> np.ndarray:
         """Alive counts per state, shape ``(M, S)``."""
-        if self.mode == "lockstep":
-            return np.stack([
-                np.bincount(
-                    e.states[e.alive], minlength=len(self.state_names)
-                ).astype(np.int64)
-                for e in self._engines
-            ])
         return self._counts.copy()
 
     def counts(self, state: str) -> np.ndarray:
@@ -699,8 +556,6 @@ class BatchRoundEngine:
 
     def alive_counts(self) -> np.ndarray:
         """Alive population per trial, shape ``(M,)``."""
-        if self.mode == "lockstep":
-            return np.array([e.alive_count() for e in self._engines])
         return self._alive_counts.copy()
 
     def elapsed_time(self) -> float:
@@ -709,12 +564,10 @@ class BatchRoundEngine:
 
     def trial_views(self) -> List:
         """Per-trial hook targets (RoundEngine-compatible)."""
-        if self.mode == "lockstep":
-            return list(self._engines)
         return [BatchTrialView(self, m) for m in range(self.trials)]
 
     # ------------------------------------------------------------------
-    # Fault injection (batch mode; lockstep delegates to its engines)
+    # Fault injection
     # ------------------------------------------------------------------
     def _crash(self, trial: int, hosts: np.ndarray) -> None:
         hosts = np.unique(hosts)
@@ -796,8 +649,6 @@ class BatchRoundEngine:
 
     def _validate_consistency(self) -> None:
         """Debug invariant check: counts and members match the arrays."""
-        if self.mode == "lockstep":
-            return
         n_states = len(self.state_names)
         for m in range(self.trials):
             expected = np.bincount(
@@ -841,8 +692,6 @@ class BatchRoundEngine:
     # ------------------------------------------------------------------
     def step(self) -> Dict[Edge, np.ndarray]:
         """One period for every trial; returns per-edge ``(M,)`` counts."""
-        if self.mode == "lockstep":
-            return self._step_lockstep()
         m_trials, n = self.trials, self.n
         # All period reads (peer checks, member lookups) must observe
         # the start-of-period state; state writes are deferred to the
@@ -939,8 +788,9 @@ class BatchRoundEngine:
         # (the ROADMAP's ``_sample_other_flat`` fusion).  Slices are
         # handed out in declaration order, so the draw layout is a
         # deterministic function of the plan.
+        # The planner's message accounting sizes with _action_width too.
         widths = [
-            0 if entry.prefired else self._target_width(entry.action)
+            0 if entry.prefired else _action_width(entry.action)
             for entry in plans
         ]
         needs = [
@@ -1006,16 +856,6 @@ class BatchRoundEngine:
         self.period += 1
         self.last_transitions = transitions
         return transitions
-
-    @staticmethod
-    def _target_width(action) -> int:
-        """Peer draws per actor for one action (0 = no peer sampling).
-
-        The same rule the planner's message accounting uses -- one
-        definition, so the fused target-draw sizing can never
-        desynchronize from the per-period message tally.
-        """
-        return _action_width(action)
 
     def _execute_batch(
         self,
@@ -1186,17 +1026,6 @@ class BatchRoundEngine:
         targets += targets >= hosts[:, None]
         return (actors - hosts)[:, None] + targets
 
-    def _step_lockstep(self) -> Dict[Edge, np.ndarray]:
-        transitions: Dict[Edge, np.ndarray] = {}
-        for m, engine in enumerate(self._engines):
-            for edge, count in engine.step().items():
-                if edge not in transitions:
-                    transitions[edge] = np.zeros(self.trials, dtype=np.int64)
-                transitions[edge][m] = count
-        self.period += 1
-        self.last_transitions = transitions
-        return transitions
-
     # ------------------------------------------------------------------
     # Run loop
     # ------------------------------------------------------------------
@@ -1256,19 +1085,10 @@ class BatchRoundEngine:
             members=members,
         )
 
-    # ------------------------------------------------------------------
-    # Lockstep conveniences
-    # ------------------------------------------------------------------
-    def trial_engine(self, trial: int) -> RoundEngine:
-        """The embedded RoundEngine of one lockstep trial."""
-        if self.mode != "lockstep":
-            raise RuntimeError("trial_engine is only available in lockstep mode")
-        return self._engines[trial]
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
             f"BatchRoundEngine({self.spec.name!r}, n={self.n}, "
-            f"trials={self.trials}, mode={self.mode!r}, period={self.period})"
+            f"trials={self.trials}, period={self.period})"
         )
 
 

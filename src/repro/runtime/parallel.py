@@ -23,7 +23,7 @@ execution layer (:mod:`repro.runtime.exec`).  Two executors live here:
   :class:`~repro.runtime.agent_sim.AgentSimulation` trials (the DES
   tier), one work unit per trial, with per-trial seeds from
   ``spawn_seeds(seed, M)`` -- the *same* trial-seed discipline the
-  serial and lockstep tiers use.  The merge collects the per-trial
+  serial tier uses.  The merge collects the per-trial
   recorders in trial order, so an agent ensemble is bitwise
   reproducible and schedule-independent by construction (each trial
   owns its whole RNG stream).
@@ -130,7 +130,6 @@ class _ShardJob:
     initial: Dict[str, float]
     seed: Optional[int]
     connection_failure_rate: float
-    mode: str
     periods: int
     stride: int
     track_transitions: bool
@@ -166,7 +165,6 @@ def _run_shard(job: _ShardJob):
         initial=job.initial,
         seed=job.seed,
         connection_failure_rate=job.connection_failure_rate,
-        mode=job.mode,
     )
     recorder = BatchMetricsRecorder(
         engine.state_names,
@@ -228,7 +226,7 @@ class ShardedBatchExecutor:
 
     Parameters
     ----------
-    spec, n, trials, initial, seed, connection_failure_rate, mode:
+    spec, n, trials, initial, seed, connection_failure_rate:
         As for :class:`~repro.runtime.batch_engine.BatchRoundEngine`.
     shards:
         Number of independently seeded sub-ensembles (defaults to
@@ -260,17 +258,12 @@ class ShardedBatchExecutor:
         initial: Mapping[str, float],
         seed: Optional[int] = None,
         connection_failure_rate: float = 0.0,
-        mode: str = "batch",
         shards: Optional[int] = None,
         workers: int = 1,
         backend: str = "pool",
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if mode not in ("batch", "lockstep"):
-            raise ValueError(
-                f"mode must be 'batch' or 'lockstep', got {mode!r}"
-            )
         if backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {backend!r}"
@@ -282,7 +275,6 @@ class ShardedBatchExecutor:
         self.initial = dict(initial)
         self.seed = seed
         self.connection_failure_rate = connection_failure_rate
-        self.mode = mode
         self.workers = workers
         self.shards = shards if shards is not None else min(workers, trials)
         #: The deterministic decomposition (validates ``shards`` too).
@@ -320,7 +312,6 @@ class ShardedBatchExecutor:
                 initial=self.initial,
                 seed=shard_seed,
                 connection_failure_rate=self.connection_failure_rate,
-                mode=self.mode,
                 periods=periods,
                 stride=stride,
                 track_transitions=track_transitions,
@@ -372,7 +363,7 @@ class ShardedBatchExecutor:
         return (
             f"ShardedBatchExecutor({self.spec.name!r}, n={self.n}, "
             f"trials={self.trials}, shards={self.shards}, "
-            f"workers={self.workers}, mode={self.mode!r})"
+            f"workers={self.workers})"
         )
 
 
@@ -451,7 +442,7 @@ class AgentEnsemble:
 
     The DES tier's ensemble driver: trial ``m`` runs
     ``AgentSimulation(..., seed=spawn_seeds(seed, M)[m])`` -- the exact
-    trial-seed family the serial and lockstep tiers use -- so an agent
+    trial-seed family the serial tier uses -- so an agent
     ensemble shares the repository-wide seed discipline, and re-running
     any single trial serially reproduces it bit for bit.  Each trial is
     one work unit of an :class:`~repro.runtime.exec.ExecutionPlan`;

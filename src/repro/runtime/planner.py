@@ -56,6 +56,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .sampling import _action_width, segmented_choice
+
 __all__ = ["ActionPlanner", "PlannedAction"]
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -257,55 +259,20 @@ class TrialMemberPools:
     # ------------------------------------------------------------------
     # Mutations (O(edited) each)
     # ------------------------------------------------------------------
-    def remove(
-        self, sid: int, gone: np.ndarray, sorted_by_trial: bool = False
-    ) -> None:
+    def remove(self, sid: int, gone: np.ndarray) -> None:
         """Swap-delete ``gone`` (duplicate-free, all pooled) from ``sid``.
 
         Surviving tail elements of each trial's row fill the holes the
         removed elements leave below the new row size, so the edit
-        touches O(len(gone)) slots however large the rows are.  Pass
-        ``sorted_by_trial=True`` when ``gone`` is already trial-grouped
-        (the engine's per-period mover batches are) to skip the sort.
+        touches O(len(gone)) slots however large the rows are.
         """
         slot = self.slots.get(sid)
         if slot is None or gone.size == 0:
             return
         self._grouped_cache.pop(sid, None)
-        n, pos, flag = self.n, self.pos, self._flag
-        trials_of = gone // n
-        if not sorted_by_trial:
-            order = np.argsort(trials_of, kind="stable")
-            gone = gone[order]
-            trials_of = trials_of[order]
-        removed = np.bincount(trials_of, minlength=self.trials)
-        sizes = self.sizes[slot]
-        new_sizes = sizes - removed
-        cols = pos[gone]
-        flag[gone] = True
-        # Tail regions [new_size, size) of the touched rows, trial-major
-        # -- the same order the trial-sorted ``gone`` induces on holes.
-        active = np.flatnonzero(removed)
-        tail_counts = removed[active]
-        tail_rank = (
-            np.arange(int(tail_counts.sum()))
-            - np.repeat(
-                np.concatenate([[0], np.cumsum(tail_counts)[:-1]]),
-                tail_counts,
-            )
-        )
-        row_flat = self.pool[slot].reshape(-1)
-        tail = row_flat[
-            np.repeat(active * n + new_sizes[active], tail_counts)
-            + tail_rank
-        ]
-        keep_tail = tail[~flag[tail]]
-        hole_mask = cols < new_sizes[trials_of]
-        holes = cols[hole_mask]
-        row_flat[trials_of[hole_mask] * n + holes] = keep_tail
-        pos[keep_tail] = holes
-        flag[gone] = False
-        self.sizes[slot] = new_sizes
+        seg = slot * self.trials + gone // self.n
+        order = np.argsort(seg, kind="stable")
+        self._remove_segments(gone[order], seg[order])
 
     def apply_deltas(self, removes, adds) -> None:
         """Apply one period's membership deltas in two fused passes."""
@@ -362,6 +329,10 @@ class TrialMemberPools:
             order = np.argsort(seg, kind="stable")
             gone = gone[order]
             seg = seg[order]
+        self._remove_segments(gone, seg)
+
+    def _remove_segments(self, gone: np.ndarray, seg: np.ndarray) -> None:
+        """Swap-delete segment-sorted ``gone``; ``seg`` = row * M + trial."""
         n, pos, flag = self.n, self.pos, self._flag
         sizes_flat = self.sizes.reshape(-1)
         removed = np.bincount(seg, minlength=sizes_flat.size)
@@ -426,6 +397,10 @@ class TrialMemberPools:
             order = np.argsort(seg, kind="stable")
             gids = gids[order]
             seg = seg[order]
+        self._add_segments(gids, seg)
+
+    def _add_segments(self, gids: np.ndarray, seg: np.ndarray) -> None:
+        """Append segment-sorted ``gids``; ``seg`` = row * M + trial."""
         n = self.n
         sizes_flat = self.sizes.reshape(-1)
         added = np.bincount(seg, minlength=sizes_flat.size)
@@ -438,32 +413,15 @@ class TrialMemberPools:
         self.pos[gids] = cols
         sizes_flat += added
 
-    def add(
-        self, sid: int, gids: np.ndarray, sorted_by_trial: bool = False
-    ) -> None:
+    def add(self, sid: int, gids: np.ndarray) -> None:
         """Append ``gids`` (not currently pooled in ``sid``) to its rows."""
         if sid not in self.tracked or gids.size == 0:
             return
         slot = self.slot(sid)
         self._grouped_cache.pop(sid, None)
-        n = self.n
-        trials_of = gids // n
-        if not sorted_by_trial:
-            order = np.argsort(trials_of, kind="stable")
-            gids = gids[order]
-            trials_of = trials_of[order]
-        added = np.bincount(trials_of, minlength=self.trials)
-        sizes = self.sizes[slot]
-        # Rank within the trial-sorted batch, offset by each row's
-        # current size, yields the append columns.
-        rank = (
-            np.arange(gids.size)
-            - np.repeat(np.concatenate([[0], np.cumsum(added)[:-1]]), added)
-        )
-        cols = sizes[trials_of] + rank
-        self.pool[slot].reshape(-1)[trials_of * n + cols] = gids
-        self.pos[gids] = cols
-        self.sizes[slot] = sizes + added
+        seg = slot * self.trials + gids // self.n
+        order = np.argsort(seg, kind="stable")
+        self._add_segments(gids[order], seg[order])
 
 
 @dataclass
@@ -798,31 +756,18 @@ class ActionPlanner:
                 if total_take == 0:
                     continue
                 take = splits.sum(axis=1, dtype=np.int64)
-                actor_counts = counts0[:, group.sid]
-                total = int(actor_counts.sum())
-                if group.psum * total >= self._dense_threshold:
-                    if self._probe_viable(take, actor_counts, group.sid,
-                                          pools):
-                        dense.append((group, splits, take))
-                        continue
-                    grouped, bounds = segments(group.sid)
-                    actors = _segmented_choice(rng, grouped, bounds, take)
-                    self._partition(
-                        plans, rng, group, actors, take, splits,
-                        pre_shuffled=False,
-                    )
+                selected = self._select_actors(
+                    rng, group.sid, take, group.psum, counts0[:, group.sid],
+                    pools, segments, trial_members,
+                )
+                if selected is None:
+                    dense.append((group, splits, take))
                     continue
-                active = np.flatnonzero(take)
-                if active.size == 0:
-                    continue
-                actors = np.concatenate([
-                    rng.choice(
-                        trial_members(int(trial), group.sid),
-                        size=int(take[trial]), replace=False,
-                    )
-                    for trial in active
-                ])
-                self._partition(plans, rng, group, actors, take, splits)
+                actors, pre_shuffled = selected
+                self._partition(
+                    plans, rng, group, actors, take, splits,
+                    pre_shuffled=pre_shuffled,
+                )
             if dense:
                 self._plan_dense(plans, rng, dense, pools)
 
@@ -836,6 +781,42 @@ class ActionPlanner:
     # ------------------------------------------------------------------
     # Probe-vs-materialize strategy gate
     # ------------------------------------------------------------------
+    def _select_actors(
+        self,
+        rng: np.random.Generator,
+        sid: int,
+        take: np.ndarray,
+        probability: float,
+        actor_counts: np.ndarray,
+        pools: TrialMemberPools,
+        segments: Segments,
+        trial_members: TrialMembers,
+    ) -> Optional[Tuple[np.ndarray, bool]]:
+        """Pick ``take[m]`` distinct members of state ``sid`` per trial.
+
+        Returns ``None`` when the state belongs in the dense probe
+        (the caller owns that pass: coin groups fuse theirs into one
+        loop), else ``(actors, pre_shuffled)``: sorted
+        :func:`segmented_choice` picks where a trial wants over a
+        quarter of its state, per-trial ``Generator.choice`` scans
+        where fewer than the dense threshold are expected to fire.
+        """
+        if probability * int(actor_counts.sum()) >= self._dense_threshold:
+            if self._probe_viable(take, actor_counts, sid, pools):
+                return None
+            grouped, bounds = segments(sid)
+            return segmented_choice(rng, grouped, bounds, take), False
+        active = np.flatnonzero(take)
+        if active.size == 0:
+            return _EMPTY, True
+        return np.concatenate([
+            rng.choice(
+                trial_members(int(trial), sid),
+                size=int(take[trial]), replace=False,
+            )
+            for trial in active
+        ]), True
+
     def _probe_viable(
         self,
         take: np.ndarray,
@@ -1190,8 +1171,7 @@ class ActionPlanner:
         rule (``disjoint_movers`` is False whenever this path exists).
         """
         actor_counts = counts0[:, group.sid]
-        total = int(actor_counts.sum())
-        if total == 0:
+        if not actor_counts.any():
             return
         for index, action in zip(group.indices, group.actions):
             probability = action.probability
@@ -1217,48 +1197,21 @@ class ActionPlanner:
                 continue
             if not heads.any():
                 continue
-            if probability * total >= self._dense_threshold:
-                if self._probe_viable(heads, actor_counts, group.sid, pools):
-                    pseudo = _CoinGroup(
-                        sid=group.sid, indices=[index], actions=[action],
-                        probabilities=np.array([probability]),
-                    )
-                    self._plan_dense(
-                        plans, rng,
-                        [(pseudo, heads[:, None], heads.astype(np.int64))],
-                        pools,
-                    )
-                    continue
-                grouped, bounds = segments(group.sid)
-                actors = _segmented_choice(rng, grouped, bounds, heads)
-            else:
-                active = np.flatnonzero(heads)
-                if active.size == 0:
-                    continue
-                actors = np.concatenate([
-                    rng.choice(
-                        trial_members(int(trial), group.sid),
-                        size=int(heads[trial]), replace=False,
-                    )
-                    for trial in active
-                ])
-            if actors.size:
-                plans[index] = PlannedAction(
-                    action, actors, prefired=self._prefired[index]
+            # A one-action group: partitioning it is a plain forward.
+            single = _CoinGroup(
+                sid=group.sid, indices=[index], actions=[action],
+                probabilities=np.array([probability]),
+            )
+            take = heads.astype(np.int64)
+            selected = self._select_actors(
+                rng, group.sid, take, probability, actor_counts, pools,
+                segments, trial_members,
+            )
+            if selected is None:
+                self._plan_dense(
+                    plans, rng, [(single, heads[:, None], take)], pools
                 )
-
-
-def _action_width(action) -> int:
-    """Peer contacts per actor for one action (0 = no peer sampling)."""
-    if action.kind in ("sample", "tokenize"):
-        return len(action.required)
-    if action.kind in ("anyof", "push"):
-        return action.fanout
-    return 0
-
-
-def _segmented_choice(rng, pool, bounds, take):
-    """Late import indirection (batch_engine defines segmented_choice)."""
-    from .batch_engine import segmented_choice
-
-    return segmented_choice(rng, pool, bounds, take)
+            else:
+                self._partition(
+                    plans, rng, single, selected[0], take, heads[:, None]
+                )

@@ -29,8 +29,8 @@ def spawn_seeds(seed, m: int) -> List[int]:
     independent of the family for the bare root seed, which is how the
     campaign runner keeps scenario randomness out of protocol streams.
 
-    The multi-trial machinery (``BatchRoundEngine`` in lockstep mode,
-    the campaign runner, batched extinction measurement) runs ensembles
+    The multi-trial machinery (the serial and agent ensembles, the
+    campaign runner, batched extinction measurement) runs ensembles
     of simulations whose per-trial engines each need their own seed.
     These are produced by hashing the root seed through numpy's
     ``SeedSequence`` -- the derived 64-bit words are deterministic and

@@ -19,8 +19,8 @@ This is the middle tier of the repository's three-engine hierarchy:
 * :class:`~repro.runtime.batch_engine.BatchRoundEngine` -- M
   independent trials in one ``(M, N)`` state array.  Use it whenever a
   claim is about an *ensemble* (means, spreads, extinction
-  frequencies): it amortizes per-period overhead across trials and its
-  lockstep mode reproduces M seeded :class:`RoundEngine` runs exactly.
+  frequencies): it amortizes per-period overhead across trials and
+  agrees with M seeded :class:`RoundEngine` runs in distribution.
 
 Semantics (matching the paper's system model):
 

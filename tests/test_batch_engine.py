@@ -2,13 +2,15 @@
 
 The two pillars:
 
-* **Exactness** -- lockstep mode must reproduce M serial RoundEngine
-  runs with the same spawned seeds bit for bit (count tensors equal
-  elementwise, hence per-period means equal exactly).
-* **Distributional equivalence** -- batch mode draws differently but
-  must agree with the serial ensemble in distribution, checked against
-  serial means (z-tests, see statutil) and against the mean-field
-  ``integrate`` trajectories at N = 2000.
+* **Exactness** -- the serial tier is the bit-identity anchor: trial
+  ``m`` of ``Experiment(engine="serial")`` must equal
+  :func:`serial_ensemble` and a hand loop over
+  ``RoundEngine(seed=spawn_seeds(seed, M)[m])`` bit for bit (count
+  tensors equal elementwise, hence per-period means equal exactly).
+* **Distributional equivalence** -- the batch engine draws differently
+  but must agree with the serial ensemble in distribution, checked
+  against serial means (z-tests, see statutil) and against the
+  mean-field ``integrate`` trajectories at N = 2000.
 """
 
 import zlib
@@ -18,6 +20,7 @@ import pytest
 
 import statutil
 
+from repro.experiment import Experiment, Protocol
 from repro.odes import library
 from repro.odes.integrate import integrate
 from repro.protocols.endemic import EndemicParams, figure1_protocol
@@ -28,10 +31,10 @@ from repro.runtime import (
     BatchRoundEngine,
     MetricsRecorder,
     RoundEngine,
+    segmented_choice,
     serial_ensemble,
     spawn_seeds,
 )
-from repro.runtime.batch_engine import segmented_choice
 from repro.runtime.failures import CrashRecoveryNoise, MassiveFailure
 from repro.runtime.rng import make_generator
 from repro.synthesis import FlipAction, ProtocolSpec, TokenizeAction, synthesize
@@ -65,10 +68,18 @@ def serial_tensor(spec, n, trials, initial, periods, seed, **kwargs):
     return tensor, seeds
 
 
+def serial_facade(spec, n, trials, initial, periods, seed, **kwargs):
+    """The same ensemble through ``Experiment(engine="serial")``."""
+    return Experiment(
+        Protocol.from_spec(spec, initial), n, trials=trials,
+        periods=periods, seed=seed, engine="serial", check="off", **kwargs,
+    ).run()
+
+
 # ----------------------------------------------------------------------
-# Exact seed-for-seed agreement (lockstep mode)
+# Exact seed-for-seed agreement (the serial tier)
 # ----------------------------------------------------------------------
-class TestLockstepExactness:
+class TestSerialExactness:
     CASES = [
         # (spec factory, n, initial factory, periods) for three protocol
         # families covering flip, sample, anyof and push actions.
@@ -95,7 +106,8 @@ class TestLockstepExactness:
         ),
         (
             # Token routing: the delivery path (exact per-trial draw
-            # counts) must stay bit-identical to serial as well.
+            # counts) must stay bit-identical across the serial
+            # entry points as well.
             "token",
             token_spec,
             300,
@@ -116,44 +128,35 @@ class TestLockstepExactness:
         # crc32, not hash(): str hashes are randomized per process, and
         # a seed-dependent failure must be reproducible on rerun.
         trials, seed = 6, 20240 + zlib.crc32(name.encode()) % 1000
-        batch = BatchRoundEngine(
-            spec, n=n, trials=trials, initial=initial, seed=seed,
-            mode="lockstep",
-        )
-        result = batch.run(periods)
+        result = serial_facade(spec, n, trials, initial, periods, seed)
         reference, seeds = serial_tensor(
             spec, n, trials, initial, periods, seed
         )
-        assert batch.trial_seeds == seeds
-        assert np.array_equal(result.recorder.count_tensor(), reference)
+        assert result.trial_seeds == seeds
+        assert np.array_equal(result.count_tensor(), reference)
         # Per-period means therefore agree exactly, not just within
         # tolerance.
         assert np.array_equal(
-            result.recorder.mean_counts(spec.states[0]),
+            result.mean_counts(spec.states[0]),
             reference[:, :, 0].mean(axis=0),
         )
 
     def test_exact_with_connection_failures(self):
         spec = pull_protocol()
         initial = {"x": 280, "y": 20}
-        batch = BatchRoundEngine(
-            spec, n=300, trials=4, initial=initial, seed=77,
-            connection_failure_rate=0.3, mode="lockstep",
-        )
-        result = batch.run(20)
+        result = serial_facade(spec, 300, 4, initial, 20, 77, loss_rate=0.3)
         reference, _ = serial_tensor(
             spec, 300, 4, initial, 20, 77, connection_failure_rate=0.3
         )
-        assert np.array_equal(result.recorder.count_tensor(), reference)
+        assert np.array_equal(result.count_tensor(), reference)
 
     def test_exact_with_hooks(self):
         spec = pull_protocol()
         initial = {"x": 480, "y": 20}
         make_failure = lambda m: MassiveFailure(at_period=8, fraction=0.5)
-        batch = BatchRoundEngine(
-            spec, n=500, trials=4, initial=initial, seed=11, mode="lockstep",
+        result = serial_facade(
+            spec, 500, 4, initial, 20, 11, scenario=make_failure
         )
-        recorder = batch.run(20, hook_factories=[make_failure]).recorder
         for m, trial_seed in enumerate(spawn_seeds(11, 4)):
             engine = RoundEngine(spec, n=500, initial=initial, seed=trial_seed)
             serial = MetricsRecorder(spec.states)
@@ -161,50 +164,53 @@ class TestLockstepExactness:
             expected = np.stack(
                 [serial.counts(s) for s in spec.states], axis=1
             )
-            assert np.array_equal(recorder.count_tensor()[m], expected)
+            assert np.array_equal(result.count_tensor()[m], expected)
 
-    def test_total_messages_matches_serial(self):
-        # total_messages is part of the RoundEngine-compatible surface
-        # and must work in both modes: lockstep aggregates the embedded
-        # engines' counters.
+    def test_total_messages_exact_in_both_engines(self):
+        # The pull epidemic fires every susceptible once per period
+        # with one peer contact, so both engines' message counters are
+        # an exact function of their own recorded trajectories.
         spec = pull_protocol()
         initial = {"x": 280, "y": 20}
-        batch = BatchRoundEngine(
-            spec, n=300, trials=3, initial=initial, seed=21, mode="lockstep",
-        )
-        batch.run(15)
-        expected = []
-        for trial_seed in batch.trial_seeds:
+        for trial_seed in spawn_seeds(21, 3):
             engine = RoundEngine(spec, n=300, initial=initial, seed=trial_seed)
-            engine.run(15)
-            expected.append(engine.total_messages)
-        assert np.array_equal(batch.total_messages, expected)
+            serial = MetricsRecorder(spec.states)
+            engine.run(15, recorder=serial)
+            assert engine.total_messages == serial.counts("x")[:-1].sum()
 
         vectorized = BatchRoundEngine(
             spec, n=300, trials=3, initial=initial, seed=21, mode="batch",
         )
-        vectorized.run(15)
+        susceptible = vectorized.run(15).recorder.counts("x")
         assert vectorized.total_messages.shape == (3,)
         assert np.all(vectorized.total_messages > 0)
+        assert np.array_equal(
+            vectorized.total_messages, susceptible[:, :-1].sum(axis=1)
+        )
+
+    def test_removed_mode_is_rejected_by_name(self):
+        # The keyword survives with one legal value; the error tells
+        # callers of the old mode where its guarantee lives now.
+        with pytest.raises(ValueError, match='engine="serial"'):
+            BatchRoundEngine(
+                pull_protocol(), n=300, trials=3,
+                initial={"x": 280, "y": 20}, seed=21, mode="lockstep",
+            )
 
     def test_transition_tensor_matches_serial(self):
         spec = figure1_protocol(EndemicParams(alpha=0.01, gamma=0.1, b=2))
         initial = {"x": 350, "y": 50, "z": 0}
-        batch = BatchRoundEngine(
-            spec, n=400, trials=3, initial=initial, seed=5, mode="lockstep",
-        )
-        recorder = batch.run(30).recorder
+        result = serial_facade(spec, 400, 3, initial, 30, 5)
         recorders, _ = serial_ensemble(
             spec, n=400, trials=3, initial=initial, periods=30, seed=5
         )
-        for edge in recorder.edges_seen():
-            expected = np.stack([
-                # Serial recorders log transitions from period 1 on; the
-                # batch recorder records a zero row at period 0.
-                np.concatenate([[0], r.transition_series(edge)[1:]])
-                for r in recorders
-            ])
-            assert np.array_equal(recorder.transition_tensor(edge), expected)
+        edges = result.edges_seen()
+        assert edges
+        for edge in edges:
+            expected = np.stack(
+                [r.transition_series(edge) for r in recorders]
+            )
+            assert np.array_equal(result.transition_tensor(edge), expected)
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,6 @@ from repro.campaign import (
     CampaignSpec,
     available_protocols,
     available_scenarios,
-    build_protocol,
     register_protocol,
     register_scenario,
     replay_point,
@@ -78,17 +77,6 @@ class TestGridExpansion:
         assert "lv" in available_protocols()
         assert "massive-failure" in available_scenarios()
         assert "churn" in available_scenarios()
-
-    def test_build_protocol_resolves(self):
-        # The legacy builder-tuple entry point: shimmed onto Protocol
-        # handles, still green, but deprecated.
-        with pytest.warns(DeprecationWarning, match="build_protocol"):
-            spec, initial = build_protocol("lv", 500)
-        assert spec.states == ("x", "y", "z")
-        assert sum(initial.values()) == 500
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(KeyError):
-                build_protocol("nope", 10)
 
     def test_resolve_protocol_handle(self):
         from repro.campaign import resolve_protocol
@@ -160,9 +148,22 @@ class TestReplay:
         result.final_counts["y"][0] += 1
         assert not verify_replay(result)
 
-    def test_lockstep_mode_replays_too(self):
-        point = tiny_spec(mode="lockstep", trials=2, periods=10).expand()[0]
-        assert np.array_equal(replay_point(point), replay_point(point))
+    def test_serialized_mode_key_is_dropped_or_named(self):
+        # Spec files, result JSON and .npz point_json written while the
+        # engine still had an RNG mode carry "mode": it loads when it
+        # selected the engine that remains, and fails by name otherwise.
+        spec = tiny_spec()
+        point = spec.expand()[0]
+        old_spec = {**spec.to_dict(), "mode": "batch"}
+        old_point = {**point.to_dict(), "mode": "batch"}
+        assert CampaignSpec.from_dict(old_spec).to_dict() == spec.to_dict()
+        assert CampaignPoint.from_dict(old_point) == point
+        for loader, data in (
+            (CampaignSpec.from_dict, old_spec),
+            (CampaignPoint.from_dict, old_point),
+        ):
+            with pytest.raises(ValueError, match="run --engine serial"):
+                loader({**data, "mode": "lockstep"})
 
 
 class TestFanOut:
@@ -323,17 +324,20 @@ class TestSaveTensors:
         assert len(manifest["points"]) == len(result.results)
         for entry, point_result in zip(manifest["points"], result.results):
             assert entry["label"] == point_result.point.label
-            assert entry["point"] == point_result.point.to_dict()
-            assert entry["tensor"] == point_result.tensor_path
-            assert (tmp_path / entry["tensor"]).is_file()
-            assert entry["trial_seeds"] == point_result.trial_seeds
-            assert entry["states"] == point_result.states
+            # Each point is stored once, as its embedded result.
+            assert set(entry) == {"index", "label", "status", "result"}
+            stored = entry["result"]
+            assert stored["point"] == point_result.point.to_dict()
+            assert stored["tensor_path"] == point_result.tensor_path
+            assert (tmp_path / stored["tensor_path"]).is_file()
+            assert stored["trial_seeds"] == point_result.trial_seeds
+            assert stored["states"] == point_result.states
             # The manifest alone suffices to reload and replay a point:
             # no globbing of per-point npz metadata required.
             replayed = replay_point(
-                CampaignPoint.from_dict(entry["point"])
+                CampaignPoint.from_dict(stored["point"])
             )
-            with np.load(tmp_path / entry["tensor"]) as data:
+            with np.load(tmp_path / stored["tensor_path"]) as data:
                 assert np.array_equal(data["counts"], replayed)
         assert {"created", "python", "numpy"} <= set(manifest["provenance"])
 

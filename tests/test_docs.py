@@ -42,7 +42,7 @@ class TestDocsPresence:
         text = (REPO_ROOT / "docs" / "architecture.md").read_text()
         for needle in (
             "AgentSimulation", "RoundEngine", "BatchRoundEngine",
-            "lockstep", "spawn_seeds",
+            "serial_ensemble", "spawn_seeds",
         ):
             assert needle in text, f"architecture.md should mention {needle!r}"
 

@@ -2,8 +2,9 @@
 
 The load-bearing guarantees:
 
-* serial and lockstep engines are *bit-identical* on the regression
-  pair (endemic, LV) at small N, with and without scenarios;
+* the serial engine is *bit-identical* to a hand loop over seeded
+  ``RoundEngine`` runs on the regression pair (endemic, LV) at small
+  N, with and without scenarios;
 * ``engine="auto"`` selects serial for one trial and batch for
   ensembles;
 * the three Protocol constructors resolve to runnable (spec, initial)
@@ -21,8 +22,8 @@ import pytest
 from repro.__main__ import main
 from repro.campaign import (
     CampaignPoint,
-    build_protocol,
     resolve_protocol,
+    scenario_hook_factory,
     scenario_seeds,
 )
 from repro.experiment import (
@@ -153,13 +154,6 @@ class TestEngineSelection:
         assert exp.chosen_engine == "batch"
         assert exp.run().engine == "batch"
 
-    def test_explicit_lockstep(self):
-        exp = Experiment(
-            Protocol.named("lv"), n=100, trials=2, periods=5,
-            engine="lockstep",
-        )
-        assert exp.run().engine == "lockstep"
-
     def test_registry_name_accepted_directly(self):
         result = Experiment("endemic", n=200, trials=2, periods=5).run()
         assert result.engine == "batch"
@@ -187,26 +181,39 @@ class TestEngineSelection:
         )
 
 
-class TestSerialLockstepBitIdentical:
+class TestSerialBitIdentical:
     """The acceptance regression pair: endemic and LV at small N."""
 
     @pytest.mark.parametrize("name", ["endemic", "lv"])
     @pytest.mark.parametrize("scenario", [None, "massive-failure"])
     def test_bit_identical(self, name, scenario):
-        kwargs = dict(n=300, trials=4, periods=40, seed=3, scenario=scenario)
+        n, trials, periods, seed = 300, 4, 40, 3
+        protocol = Protocol.named(name)
         serial = Experiment(
-            Protocol.named(name), engine="serial", **kwargs
+            protocol, n=n, trials=trials, periods=periods, seed=seed,
+            scenario=scenario, engine="serial",
         ).run()
-        lockstep = Experiment(
-            Protocol.named(name), engine="lockstep", **kwargs
-        ).run()
-        assert serial.trial_seeds == lockstep.trial_seeds
-        assert np.array_equal(
-            serial.count_tensor(), lockstep.count_tensor()
-        )
-        assert np.array_equal(
-            serial.alive_tensor(), lockstep.alive_tensor()
-        )
+        resolved = protocol.resolve(n)
+        states = resolved.spec.states
+        hooks_for = scenario_hook_factory(CampaignPoint(
+            protocol=name, n=n, loss_rate=0.0, scenario=scenario or "none",
+            trials=trials, periods=periods, seed=seed,
+        ))
+        seeds = spawn_seeds(seed, trials)
+        assert serial.trial_seeds == list(seeds)
+        for trial, trial_seed in enumerate(seeds):
+            engine = RoundEngine(
+                resolved.spec, n=n, initial=resolved.initial, seed=trial_seed
+            )
+            recorder = MetricsRecorder(states)
+            engine.run(periods, recorder=recorder, hooks=hooks_for(trial))
+            assert np.array_equal(
+                serial.count_tensor()[trial],
+                np.stack([recorder.counts(s) for s in states], axis=1),
+            )
+            assert np.array_equal(
+                serial.alive_tensor()[trial], recorder.alive_series()
+            )
 
     def test_serial_trial_matches_standalone_round_engine(self):
         """Trial m of the serial tier is a plain seeded RoundEngine run."""
@@ -364,12 +371,6 @@ class TestEquilibriumCheck:
 
 
 class TestDeprecationShims:
-    def test_build_protocol_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="build_protocol"):
-            spec, initial = build_protocol("endemic", 400)
-        assert spec.states == ("x", "y", "z")
-        assert sum(initial.values()) == pytest.approx(400)
-
     def test_campaign_run_point_stays_green(self):
         """Old builder-tuple consumers (run_point) still work, warning-free."""
         from repro.campaign import run_point
@@ -512,7 +513,7 @@ class TestResultConstruction:
             )
 
     def test_engines_constant(self):
-        assert ENGINES == ("auto", "serial", "batch", "lockstep", "agent")
+        assert ENGINES == ("auto", "serial", "batch", "agent")
 
 
 def _benign_scenario(trial):

@@ -104,24 +104,6 @@ class TestAccuracy:
 
 
 class TestEnsemble:
-    def test_lockstep_reproduces_serial_lvmajority_exactly(self):
-        # The correctness anchor for the batched LV port: in lockstep
-        # mode trial m must be bit-identical to a serial LVMajority run
-        # seeded with trial_seeds[m] -- same winner, same convergence
-        # period.  (Converged trials keep stepping while stragglers
-        # finish, which is safe because unanimity is absorbing.)
-        ensemble = LVEnsemble(
-            500, zeros=330, ones=170, trials=5, seed=42, mode="lockstep"
-        )
-        outcome = ensemble.run(2000)
-        assert outcome.converged.all(), "horizon too short for the test"
-        for m, trial_seed in enumerate(ensemble.trial_seeds):
-            serial = LVMajority(
-                500, zeros=330, ones=170, seed=trial_seed
-            ).run(2000)
-            assert outcome.winners[m] == serial.winner, m
-            assert outcome.convergence_periods[m] == serial.convergence_period, m
-
     def test_batch_accuracy_matches_serial_loop(self):
         # Distributional equivalence of the two implementations on a
         # lopsided split where both must be exact.

@@ -59,17 +59,6 @@ class TestEquilibriumMeasurement:
         assert stash.relative_error < 0.15
         assert stash.stats.minimum <= stash.analytic <= stash.stats.maximum
 
-    def test_batched_supports_lockstep_mode(self, fig8_params):
-        n = 1500
-        spec = figure1_protocol(fig8_params)
-        batched = measure_equilibrium_batch(
-            spec, n, fig8_params.equilibrium_counts(n),
-            trials=2, warmup_periods=100, window_periods=150, seed=5,
-            mode="lockstep",
-        )
-        stash = batched["y"]
-        assert stash.stats.minimum <= stash.analytic <= stash.stats.maximum
-
 
 class TestTrajectoryComparison:
     def test_epidemic_tracks_discrete_map(self):

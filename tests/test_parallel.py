@@ -134,19 +134,6 @@ class TestBitwiseEquality:
         outcome = executor.run(10)
         assert outcome.recorder.count_tensor().shape[0] == 2
 
-    def test_lockstep_shards(self):
-        serial = ShardedBatchExecutor(
-            SPEC, n=200, trials=5, initial=INITIAL, seed=3,
-            mode="lockstep", shards=2, workers=1,
-        ).run(10)
-        pooled = ShardedBatchExecutor(
-            SPEC, n=200, trials=5, initial=INITIAL, seed=3,
-            mode="lockstep", shards=2, workers=2,
-        ).run(10)
-        assert np.array_equal(
-            serial.recorder.count_tensor(), pooled.recorder.count_tensor()
-        )
-
 
 class TestHooksAcrossShards:
     def test_global_trial_indexing(self):

@@ -537,8 +537,9 @@ class TestAnalyticPushLaw:
             context="fallback push conversions",
         )
 
-    def test_lockstep_push_is_bit_identical_to_serial(self):
-        """The analytic law is batch-mode only; lockstep must not move."""
+    def test_serial_push_is_bit_identical_to_round_engine(self):
+        """The analytic law is batch-only; the serial tier must not move."""
+        from repro.experiment import Experiment, Protocol
         from repro.protocols.epidemic import push_protocol
         from repro.runtime import serial_ensemble
 
@@ -547,19 +548,15 @@ class TestAnalyticPushLaw:
         recorders, seeds = serial_ensemble(
             spec, n=400, trials=3, initial=initial, periods=15, seed=38
         )
-        engine = BatchRoundEngine(
-            spec, n=400, trials=3, initial=initial, seed=38,
-            mode="lockstep",
-        )
-        from repro.runtime import BatchMetricsRecorder
-
-        recorder = BatchMetricsRecorder(spec.states, 3)
-        engine.run(15, recorder=recorder)
-        assert list(engine.trial_seeds) == list(seeds)
+        result = Experiment(
+            Protocol.from_spec(spec, initial), 400, trials=3, periods=15,
+            seed=38, engine="serial", check="off",
+        ).run()
+        assert result.trial_seeds == list(seeds)
         for trial, serial_recorder in enumerate(recorders):
-            for index, state in enumerate(spec.states):
+            for state in spec.states:
                 assert np.array_equal(
-                    recorder.counts(state)[trial],
+                    result.counts(state)[trial],
                     serial_recorder.counts(state),
                 )
 

@@ -12,13 +12,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.experiment import Experiment, Protocol
 from repro.odes import is_complete, make_complete, normalize, denormalize
 from repro.odes.parser import parse_system
 from repro.odes.partition import partition_terms, reconstruct_system
 from repro.odes.system import EquationSystem
 from repro.odes.term import Term, combine_like_terms
 from repro.runtime import (
-    BatchRoundEngine,
     MetricsRecorder,
     RoundEngine,
     spawn_seeds,
@@ -240,25 +240,24 @@ class TestParserRoundTrip:
         assert np.array_equal(direct, parsed)
 
 
-class TestSerialBatchLockstep:
+class TestSerialFacade:
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(
         system=pair_systems(restricted=True),
         seed=st.integers(min_value=0, max_value=2**31),
     )
-    def test_lockstep_matches_serial_bitwise(self, system, seed):
-        # Lockstep batch mode promises M serial runs bit for bit, for
-        # *every* synthesizable protocol -- not just the three families
-        # test_batch_engine enumerates by hand.
+    def test_serial_facade_matches_round_engine_bitwise(self, system, seed):
+        # The serial tier promises M seeded RoundEngine runs bit for
+        # bit, for *every* synthesizable protocol -- not just the
+        # families test_batch_engine enumerates by hand.
         spec = synthesize(system)
         n, trials, periods = 60, 3, 6
         initial = {system.variables[0]: n}
-        batch = BatchRoundEngine(
-            spec, n=n, trials=trials, initial=initial, seed=seed,
-            mode="lockstep",
-        )
-        tensor = batch.run(periods).recorder.count_tensor()
+        tensor = Experiment(
+            Protocol.from_spec(spec, initial), n, trials=trials,
+            periods=periods, seed=seed, engine="serial", check="off",
+        ).run().count_tensor()
         for m, trial_seed in enumerate(spawn_seeds(seed, trials)):
             expected = count_trajectory(spec, n, initial, periods, trial_seed)
             assert np.array_equal(tensor[m], expected)

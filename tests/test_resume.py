@@ -113,7 +113,7 @@ class TestCheckpoint:
         # The done entry embeds the full result (that is what makes it
         # restorable) and its tensor file exists.
         assert done["result"]["point"] == spec.expand()[0].to_dict()
-        assert (tmp_path / done["tensor"]).is_file()
+        assert (tmp_path / done["result"]["tensor_path"]).is_file()
         # No torn temp files linger.
         assert list(tmp_path.glob("*.tmp")) == []
 
@@ -199,6 +199,42 @@ class TestResume:
                 save_tensors=str(tmp_path / "elsewhere"),
             )
 
+    def test_parent_format_manifest_resumes_as_a_noop(self, tmp_path):
+        # A manifest as the previous release wrote it: "mode" in the
+        # spec, in every point and in the .npz provenance, and each
+        # done entry repeating its result's fields at the top level.
+        spec = tiny_spec(group_sizes=[200])
+        first = run_campaign(spec, save_tensors=str(tmp_path))
+        path = tmp_path / MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        manifest["spec"]["mode"] = "batch"
+        for entry in manifest["points"]:
+            stored = entry["result"]
+            stored["point"]["mode"] = "batch"
+            entry.update(
+                point=stored["point"], tensor=stored["tensor_path"],
+                states=stored["states"], trial_seeds=stored["trial_seeds"],
+                recorded_periods=stored["recorded_periods"],
+                elapsed_seconds=stored["elapsed_seconds"],
+            )
+        path.write_text(json.dumps(manifest))
+
+        def fail_if_run(result):
+            raise AssertionError("a restored point must not re-run")
+
+        # progress fires only for points that execute.
+        resumed = run_campaign(
+            spec, resume=str(tmp_path), progress=fail_if_run
+        )
+        assert resumed.to_dict() == first.to_dict()
+        assert load_manifest(tmp_path)["complete"] is True
+
+        manifest["spec"]["mode"] = "lockstep"
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="run --engine serial"):
+            run_campaign(spec, resume=str(tmp_path))
+        assert cli_main(["campaign", "--resume", str(tmp_path)]) == 1
+
     def test_tampered_entry_point_is_rejected(self, tmp_path):
         spec = tiny_spec(group_sizes=[200])
         run_campaign(spec, save_tensors=str(tmp_path))
@@ -259,8 +295,10 @@ class TestFailureIsolation:
             assert "injected campaign fault" in partial.failures[0]["error"]
             manifest = load_manifest(run_dir)
             assert manifest["complete"] is False
+            # Done entries hold their point under "result"; unfinished
+            # ones (pending/failed) at the top level.
             statuses = {
-                e["point"]["protocol"]: e["status"]
+                e.get("result", e)["point"]["protocol"]: e["status"]
                 for e in manifest["points"]
             }
             assert statuses == {

@@ -42,6 +42,7 @@ CHECKED_FOR_LINKS = REQUIRED_DOCS + (
 #: match against heading lines, so retitling around the key phrase is
 #: fine; deleting the section is not.
 REQUIRED_SECTIONS = (
+    ("docs/architecture.md", "The serial-vs-batch contract"),
     ("docs/architecture.md", "The distributed backend"),
     ("docs/architecture.md", "The execution layer"),
     ("docs/campaigns.md", "The cluster backend"),
