@@ -16,19 +16,20 @@ study one run, and to :class:`~repro.runtime.agent_sim.AgentSimulation`
 to check synchrony artifacts.
 
 All trials draw from one root stream and every per-action step (actor
-selection, target sampling, connection-failure masking, token routing)
-is vectorized across the whole batch.  Each period is *planned* first
+selection, condition thinning, token routing) is vectorized across the
+whole batch.  Each period is *planned* first
 (:class:`~repro.runtime.planner.ActionPlanner`): one broadcast
 multinomial draw splits every (trial, state) occupancy across that
-state's actions plus the no-op remainder, one selection pass per state
-picks the winning actors (dense states share a single rejection-probe
-loop over host ids; sparse regimes like the endemic protocol's
-alpha ~ 1e-6 coin keep per-trial scans; exact per-trial draw counts go
-through :func:`~repro.runtime.sampling.segmented_choice`, a segmented
+state's actions plus the no-op remainder, the exact peer-match law
+thins the splits to the movers, one selection pass per state picks them
+(dense states share a single rejection-probe loop over pool positions;
+sparse regimes like the endemic protocol's alpha ~ 1e-6 coin keep
+per-trial scans; exact per-trial draw counts go through
+:func:`~repro.runtime.sampling.segmented_choice`, a segmented
 without-replacement sampler), and the selection is partitioned across
-the state's actions.  Peer-target sampling is fused into one
-``integers`` draw per period covering every action.  Per-state member
-lists are maintained *incrementally* for sparse-population states (the
+the state's actions.  No peer target is ever drawn, at any action
+probability, except for a push into its own actor state.  Member pools
+are maintained *incrementally* for the states plans select from (the
 population-protocol simulation idiom).  Trials are statistically
 independent, with per-action marginals identical to M serial runs;
 actors fire at most one action of their state per period (the paper's
@@ -66,7 +67,7 @@ from .metrics import MetricsRecorder
 from .planner import ActionPlanner, TrialMemberPools
 from .round_engine import RoundEngine, _compile, initial_state_vector
 from .rng import RandomSource, spawn_seeds
-from .sampling import _action_width, segmented_choice
+from .sampling import segmented_choice
 
 #: A per-trial hook factory: called with the trial index, returns a hook
 #: ``hook(view)`` where ``view`` offers the RoundEngine mutation surface
@@ -504,17 +505,13 @@ class BatchRoundEngine:
         )
         self._moved_buf: Optional[np.ndarray] = None
         self._counts0_buf = np.empty_like(self._counts)
-        # Incremental membership: every state whose members actions can
-        # ask for (actor states, token states) keeps per-trial member
-        # pools with O(movers) swap-delete maintenance -- the planner
-        # probes them directly and the segment lookups read them
-        # without re-scanning the batch.
-        self._referenced = {a.actor for a in self._compiled}
-        self._referenced.update(
-            a.token_state for a in self._compiled if a.kind == "tokenize"
-        )
+        # Incremental membership: every state whose members a plan
+        # selects or probes keeps per-trial member pools with O(movers)
+        # swap-delete maintenance.  A state that is only ever counted
+        # (the actor state of an analytic push) keeps none.
         self._pools = TrialMemberPools(
-            sorted(self._referenced), trials, n, self._states_flat
+            sorted(self._planner.selected_states), trials, n,
+            self._states_flat,
         )
 
     # ------------------------------------------------------------------
@@ -694,11 +691,9 @@ class BatchRoundEngine:
         """One period for every trial; returns per-edge ``(M,)`` counts."""
         m_trials, n = self.trials, self.n
         # All period reads (peer checks, member lookups) must observe
-        # the start-of-period state; state writes are deferred to the
-        # end of the period, so the live array IS that snapshot and no
-        # O(M * N) copy is needed.
-        snapshot = self._states_flat
-        alive_flat = self._alive_flat
+        # the start-of-period state; state writes and pool deltas are
+        # deferred to the end of the period, so the live arrays ARE
+        # that snapshot and no O(M * N) copy is needed.
         if self._planner.disjoint_movers:
             # Every planned mover is a distinct actor (see
             # ActionPlanner.disjoint_movers), so the at-most-one-move
@@ -715,104 +710,30 @@ class BatchRoundEngine:
         transitions: Dict[Edge, np.ndarray] = {}
         member_adds: Dict[int, List[np.ndarray]] = {}
         member_removes: Dict[int, List[np.ndarray]] = {}
-        segment_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        scan_cache: Dict[Tuple[int, int], np.ndarray] = {}
-
-        def segments(sid: int) -> Tuple[np.ndarray, np.ndarray]:
-            """Period-start alive members of one state, grouped by trial.
-
-            Returns ``(grouped, bounds)``: global ids grouped by trial
-            (within-trial order arbitrary) and the ``(M + 1,)`` offsets
-            of each trial's slice -- the layout ``segmented_choice``
-            consumes.  Pooled states (every state actions reference)
-            gather their member pools in O(members); the scan fallback
-            exists only for non-referenced states.
-            """
-            got = segment_cache.get(sid)
-            if got is None:
-                if sid in self._pools.tracked:
-                    got = self._pools.grouped(sid)
-                else:
-                    mask = snapshot == sid
-                    if self._any_dead:
-                        mask &= alive_flat
-                    grouped = np.flatnonzero(mask)
-                    got = (
-                        grouped,
-                        np.searchsorted(
-                            grouped, np.arange(m_trials + 1) * n
-                        ),
-                    )
-                segment_cache[sid] = got
-            return got
-
-        def trial_members(trial: int, sid: int) -> np.ndarray:
-            """Period-start alive members of one trial, as global ids.
-
-            The sparse-regime lookup: pooled states return their pool
-            row view in O(1); non-referenced states scan only this
-            trial's row, so a period with one or two active trials
-            never touches the full ``(M, N)`` array.
-            """
-            if sid in self._pools.tracked:
-                return self._pools.members(sid, trial)
-            key = (trial, sid)
-            got = scan_cache.get(key)
-            if got is None:
-                lo = trial * n
-                mask = snapshot[lo:lo + n] == sid
-                if self._any_dead:
-                    mask &= self.alive[trial]
-                got = np.flatnonzero(mask) + lo
-                scan_cache[key] = got
-            return got
 
         # Phase 1 -- actor selection for every action, via the fused
         # per-state multinomial planner (repro.runtime.planner): one
-        # multinomial split per state across its actions, one selection
-        # pass per state (dense states share a single rejection-probe
-        # loop), partitioned across the winning actions.  All
-        # selections observe the start-of-period snapshot (RoundEngine
-        # semantics), so no action's actors depend on another's
-        # execution; strategy switches depend only on period-start
-        # counts and prior draws, so replays are deterministic.
+        # multinomial split per state across its actions, thinned by
+        # the exact peer-match law, one selection pass per state (dense
+        # states share a single rejection-probe loop), partitioned
+        # across the winning actions.  All selections observe the
+        # start-of-period pools (RoundEngine semantics), so no action's
+        # actors depend on another's execution; strategy switches
+        # depend only on period-start counts and prior draws, so
+        # replays are deterministic.
         plans, period_messages = self._planner.plan(
-            self._rng, counts0, self._pools, segments, trial_members,
+            self._rng, counts0, self._pools
         )
         self._total_messages += period_messages
 
-        # Phase 2 -- one fused target draw for the whole period.  Every
-        # action's peer sampling needs ``actors.size * width`` uniform
-        # draws from [0, n-1); drawing them in one ``integers`` call
-        # replaces one RNG invocation per action with one per period
-        # (the ROADMAP's ``_sample_other_flat`` fusion).  Slices are
-        # handed out in declaration order, so the draw layout is a
-        # deterministic function of the plan.
-        # The planner's message accounting sizes with _action_width too.
-        widths = [
-            0 if entry.prefired else _action_width(entry.action)
-            for entry in plans
-        ]
-        needs = [
-            entry.actors.size * width
-            for entry, width in zip(plans, widths)
-        ]
-        raw_targets = (
-            self._rng.integers(0, n - 1, size=sum(needs))
-            if any(needs) else None
-        )
-
-        # Phase 3 -- execution, in action declaration order (token
+        # Phase 2 -- execution, in action declaration order (token
         # delivery and the at-most-one-move rule stay sequential).
         deferred_writes: List[Tuple[np.ndarray, int]] = []
-        offset = 0
-        for entry, need in zip(plans, needs):
+        for entry in plans:
             action = entry.action
-            raw = raw_targets[offset:offset + need] if need else None
-            offset += need
             if entry.tokens is not None:
                 movers, edge_from = self._deliver_tokens_counts(
-                    action, entry.tokens, moved, segments, trial_members
+                    action, entry.tokens, moved
                 )
             elif entry.prefired:
                 # The planner already applied the action's interaction
@@ -820,8 +741,7 @@ class BatchRoundEngine:
                 movers, edge_from = entry.actors, action.edge_from
             else:
                 movers, edge_from = self._execute_batch(
-                    action, entry.actors, snapshot, alive_flat, moved,
-                    segments, trial_members, raw,
+                    action, entry.actors
                 )
             if movers.size == 0:
                 continue
@@ -858,116 +778,60 @@ class BatchRoundEngine:
         return transitions
 
     def _execute_batch(
-        self,
-        action,
-        actors: np.ndarray,
-        snapshot: np.ndarray,
-        alive_flat: np.ndarray,
-        moved: Optional[np.ndarray],
-        segments: Callable[[int], Tuple[np.ndarray, np.ndarray]],
-        trial_members: Callable[[int, int], np.ndarray],
-        raw: Optional[np.ndarray] = None,
+        self, action, actors: np.ndarray
     ) -> Tuple[np.ndarray, int]:
-        """Run one action's sampling for the whole batch at once.
+        """Explicit peer draws for a self-match push's ``actors``.
 
-        Message accounting happens once per period from the planner's
-        split counts (see :meth:`ActionPlanner.plan`), not here.
+        The one action the planner cannot reduce to a count law: a push
+        whose match state is its own actor state (each actor excludes
+        itself from its peers, so no single match probability serves
+        every contact).  Every other kind arrives prefired.  State
+        writes are deferred to the end of the period, so the live
+        arrays are the period-start snapshot.
         """
-        failure = self.connection_failure_rate
-        if action.kind == "flip":
-            return actors, action.edge_from
-
-        if action.kind in ("sample", "tokenize"):
-            width = len(action.required)
-            if width == 0:
-                fired = actors
-            elif width == 1 and failure == 0.0:
-                # Flat fast path: one peer, no loss -- skip the 2D
-                # reshape and the axis reduction.
-                targets = self._sample_other_flat(actors, 1, raw).reshape(-1)
-                ok = snapshot[targets] == action.required[0]
-                if self._any_dead:
-                    ok &= alive_flat[targets]
-                fired = actors[ok]
-            else:
-                targets = self._sample_other_flat(actors, width, raw)
-                ok = snapshot[targets] == action.required[None, :]
-                if self._any_dead:
-                    ok &= alive_flat[targets]
-                if failure > 0.0:
-                    ok &= self._rng.random(targets.shape) >= failure
-                fired = actors[ok.all(axis=1)]
-            if action.kind == "sample":
-                return fired, action.edge_from
-            return self._deliver_tokens_batch(
-                action, fired, moved, segments, trial_members
+        if action.kind != "push":
+            raise AssertionError(
+                f"{action.kind} actions are planned analytically"
             )
-
-        if action.kind == "anyof":
-            targets = self._sample_other_flat(actors, action.fanout, raw)
-            ok = snapshot[targets] == action.match
-            if self._any_dead:
-                ok &= alive_flat[targets]
-            if failure > 0.0:
-                ok &= self._rng.random(targets.shape) >= failure
-            return actors[ok.any(axis=1)], action.edge_from
-
-        if action.kind == "push":
-            targets = self._sample_other_flat(actors, action.fanout, raw)
-            ok = snapshot[targets] == action.match
-            if self._any_dead:
-                ok &= alive_flat[targets]
-            if failure > 0.0:
-                ok &= self._rng.random(targets.shape) >= failure
-            converted = np.unique(targets[ok])
-            return converted, action.edge_from
-
-        raise AssertionError(f"unknown compiled kind {action.kind}")
-
-    def _deliver_tokens_batch(
-        self,
-        action,
-        fired: np.ndarray,
-        moved: np.ndarray,
-        segments: Callable[[int], Tuple[np.ndarray, np.ndarray]],
-        trial_members: Callable[[int, int], np.ndarray],
-    ) -> Tuple[np.ndarray, int]:
-        """Route fired tokens per trial (same semantics as RoundEngine).
-
-        Token delivery needs *exact* per-trial draw counts (trial ``m``
-        delivers ``min(tokens[m], pool[m])`` tokens), so the dense path
-        runs through :func:`segmented_choice`.  When only a handful of
-        trials fired a token, the per-trial loop is kept instead: it
-        reads just those trials' pool rows, which is cheaper than
-        gathering the token state's full batch-wide grouping.
-        """
-        if fired.size == 0:
-            return np.empty(0, dtype=np.int64), action.edge_from
-        tokens = np.bincount(fired // self.n, minlength=self.trials)
-        return self._deliver_tokens_counts(
-            action, tokens, moved, segments, trial_members
+        # Uniform non-self peers within each actor's own trial row (the
+        # flat-global-id form of repro.runtime.rng.sample_other).
+        hosts = actors % self.n
+        targets = self._rng.integers(
+            0, self.n - 1, size=(actors.size, action.fanout)
         )
+        targets += targets >= hosts[:, None]
+        targets += (actors - hosts)[:, None]
+        ok = self._states_flat[targets] == action.match
+        if self._any_dead:
+            ok &= self._alive_flat[targets]
+        if self.connection_failure_rate > 0.0:
+            ok &= self._rng.random(targets.shape) \
+                >= self.connection_failure_rate
+        return np.unique(targets[ok]), action.edge_from
 
     def _deliver_tokens_counts(
         self,
         action,
         tokens: np.ndarray,
-        moved: Optional[np.ndarray],
-        segments: Callable[[int], Tuple[np.ndarray, np.ndarray]],
-        trial_members: Callable[[int, int], np.ndarray],
+        moved: np.ndarray,
     ) -> Tuple[np.ndarray, int]:
-        """Route ``tokens[m]`` fired tokens per trial to the token state.
+        """Route ``tokens[m]`` fired tokens per trial (RoundEngine semantics).
 
-        The counts-based core of :meth:`_deliver_tokens_batch`: the
-        planner's thinned tokenize path lands here directly, since
-        token routing never needs the firing actors' identities.
+        Token routing never needs the firing actors' identities, so the
+        planner hands over thinned per-trial counts.  Delivery needs
+        *exact* per-trial draw counts (trial ``m`` delivers
+        ``min(tokens[m], pool[m])`` tokens), so the dense path runs
+        through :func:`segmented_choice`.  When only a handful of
+        trials fired a token, the per-trial loop is kept instead: it
+        reads just those trials' pool rows, which is cheaper than
+        gathering the token state's full batch-wide grouping.
         """
         empty = np.empty(0, dtype=np.int64)
         active = np.flatnonzero(tokens)
         if active.size <= max(1, self.trials // 4):
             chunks: List[np.ndarray] = []
             for trial in active:
-                pool = trial_members(int(trial), action.token_state)
+                pool = self._pools.members(action.token_state, int(trial))
                 pool = pool[~moved[pool]]
                 if pool.size == 0:
                     continue
@@ -987,7 +851,7 @@ class BatchRoundEngine:
                 return empty, action.edge_from
             return np.concatenate(chunks), action.edge_from
 
-        grouped, _ = segments(action.token_state)
+        grouped, _ = self._pools.grouped(action.token_state)
         pool = grouped[~moved[grouped]]
         if pool.size == 0:
             return empty, action.edge_from
@@ -1006,25 +870,6 @@ class BatchRoundEngine:
             return empty, action.edge_from
         bounds = np.concatenate([[0], np.cumsum(sizes)])
         return segmented_choice(self._rng, pool, bounds, take), action.edge_from
-
-    def _sample_other_flat(
-        self, actors: np.ndarray, k: int, raw: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Uniform non-self targets for actors from any trial.
-
-        Flat-global-id variant of :func:`repro.runtime.rng.sample_other`:
-        one draw covers every trial's actors, and targets stay within
-        each actor's own trial row.  ``raw`` is this action's slice of
-        the period's fused ``integers(0, n - 1)`` draw (see
-        :meth:`step` phase 2); without it the draw happens here.
-        """
-        hosts = actors % self.n
-        if raw is None:
-            targets = self._rng.integers(0, self.n - 1, size=(actors.size, k))
-        else:
-            targets = raw.reshape(actors.size, k)
-        targets += targets >= hosts[:, None]
-        return (actors - hosts)[:, None] + targets
 
     # ------------------------------------------------------------------
     # Run loop

@@ -1,8 +1,9 @@
 """Fused per-state multinomial action planning for the batch engine.
 
-Every sub-1.0-probability action of a :class:`~repro.synthesis.protocol.ProtocolSpec`
-is a biased coin flipped independently by each member of its actor
-state.  The paper's system model (Section 3) actually specifies one
+Every action of a :class:`~repro.synthesis.protocol.ProtocolSpec` is a
+biased coin flipped independently by each member of its actor state
+(a ``probability >= 1.0`` action is the coin that always lands heads).
+The paper's system model (Section 3) actually specifies one
 *multi-way* coin per actor per period: an actor in state ``s`` picks
 among ``s``'s actions with their respective probabilities or does
 nothing, so the number of actors firing each action is exactly a
@@ -52,7 +53,7 @@ remain deterministic for a fixed seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,11 +84,6 @@ class PlannedAction:
     actors: np.ndarray
     prefired: bool = False
     tokens: Optional[np.ndarray] = None
-
-#: Segment lookup callbacks supplied by the engine (period-start
-#: snapshot semantics; see ``BatchRoundEngine.step``).
-Segments = Callable[[int], Tuple[np.ndarray, np.ndarray]]
-TrialMembers = Callable[[int, int], np.ndarray]
 
 
 class TrialMemberPools:
@@ -426,7 +422,7 @@ class TrialMemberPools:
 
 @dataclass
 class _CoinGroup:
-    """One actor state's sub-1.0-probability actions, fused."""
+    """One actor state's coin-flipped and condition-thinned actions, fused."""
 
     sid: int
     indices: List[int]            # declaration indices, ascending
@@ -454,12 +450,16 @@ class ActionPlanner:
 
     The planner partitions the compiled actions statically:
 
-    * ``probability >= 1.0`` actions fire every member of their state
-      (planned from the engine's segment grouping, as before);
-    * each state's ``0 < probability < 1`` actions form one
-      :class:`_CoinGroup` handled by the multinomial split -- unless
-      the state's probabilities sum above 1 (impossible for synthesized
-      specs, whose normalizing constant bounds the per-state total, but
+    * ``probability >= 1.0`` actions with no per-actor condition to
+      thin (flips, condition-less samples, pushes) involve every member
+      of their state: the members are the movers, or -- for a push --
+      the heads are the counts;
+    * every other action joins its state's :class:`_CoinGroup`, handled
+      by the multinomial split and thinned by the count law (a
+      ``probability >= 1.0`` ``sample``/``anyof``/``tokenize`` is a
+      group whose no-op remainder is 0) -- unless the state's
+      probabilities sum above 1 (impossible for synthesized specs,
+      whose normalizing constant bounds the per-state total, but
       expressible by hand-built specs), in which case that state falls
       back to independent per-action binomials.
 
@@ -492,7 +492,11 @@ class ActionPlanner:
             probability = action.probability
             if probability <= 0.0:
                 continue
-            if probability >= 1.0:
+            thinned = (
+                action.kind in ("anyof", "tokenize")
+                or len(action.required) > 0
+            )
+            if probability >= 1.0 and not thinned:
                 self.full_actions.append((index, action))
                 continue
             group = by_state.get(action.actor)
@@ -534,29 +538,6 @@ class ActionPlanner:
 
         self.disjoint_movers = self._movers_disjoint(compiled)
 
-        # Absorbing-state short-circuit: per action, the states that
-        # must be non-empty in a trial for the action to be observable
-        # there (condition targets; token pools).  A trial where one of
-        # them is empty cannot produce a mover, so its actors need not
-        # be selected at all -- message accounting still charges them
-        # (their sends happen regardless), keeping parity with the
-        # serial engine.  This is what makes converged LV trials (the
-        # minority camp extinct) essentially free while stragglers
-        # finish.
-        self._needs: Dict[int, Optional[np.ndarray]] = {}
-        for index, action in enumerate(compiled):
-            needed: List[int] = []
-            if action.kind in ("sample", "tokenize"):
-                needed.extend(int(sid) for sid in action.required)
-                if action.kind == "tokenize":
-                    needed.append(int(action.token_state))
-            elif action.kind in ("anyof", "push"):
-                needed.append(int(action.match))
-            unique = sorted(set(needed))
-            self._needs[index] = (
-                np.array(unique, dtype=np.int64) if unique else None
-            )
-
         # Peer-contact widths: messages an actor of each action sends
         # per period (0 for flips).  Summed once per period from the
         # multinomial splits, message accounting stays exact even for
@@ -586,6 +567,17 @@ class ActionPlanner:
             index: action.kind == "push" and action.match != action.actor
             for index, action in enumerate(compiled)
         }
+        #: States whose *members* a plan selects or probes -- the only
+        #: states the engine keeps member pools for.  An analytic push
+        #: draws from its match pool and a tokenize from its token pool;
+        #: of their actor states both need only the counts.
+        self.selected_states = frozenset(
+            int(action.match) if self._push_analytic[index]
+            else int(action.token_state) if action.kind == "tokenize"
+            else int(action.actor)
+            for index, action in enumerate(compiled)
+            if action.probability > 0.0
+        )
         # Columns lifted out of the actor-selection pass entirely:
         # tokenize (token routing needs counts, not actor identities)
         # and analytic push (movers come from the match pool).
@@ -604,7 +596,9 @@ class ActionPlanner:
         # Thinning the splits by it (``movers | heads ~ Binomial(heads,
         # q)``, the serial engine's own conditional law) means only the
         # *movers* are ever selected; peer draws and state checks for
-        # these kinds disappear from the batch hot path entirely.
+        # these kinds disappear from the batch hot path entirely, at
+        # every probability: a ``probability >= 1.0`` action is a coin
+        # group whose heads are the whole state.
         # ``push`` movers are *targets*, handled by their own analytic
         # law (``_plan_push``) whenever the match state differs from
         # the actor state; protocols whose coins are all flips skip
@@ -623,13 +617,23 @@ class ActionPlanner:
         }
         self._q_buf: Optional[np.ndarray] = None
 
-        # Dense-probe scratch (lazy: sparse-regime protocols never pay
-        # the 9 bytes per host).  ``_taken`` is kept all-False between
-        # calls; ``_slot`` is always written before it is read; the
-        # extra final slot is the dummy that absorbs out-of-row probes.
+        # Dense-probe and push-dedupe scratch (lazy: sparse-regime
+        # protocols never pay the 5 bytes per host).  ``_taken`` is
+        # kept all-False between calls; ``_slot`` is always written
+        # before it is read.
         self._taken: Optional[np.ndarray] = None
         self._slot: Optional[np.ndarray] = None
         self._arange: Optional[np.ndarray] = None
+
+    def _taken_mask(self) -> np.ndarray:
+        """The all-False ``(M * n + 1,)`` scratch mask (callers reset it).
+
+        The extra trailing slot is the dummy position that absorbs
+        dense probes landing beyond a row's live size.
+        """
+        if self._taken is None:
+            self._taken = np.zeros(self._batch + 1, dtype=bool)
+        return self._taken
 
     def _movers_disjoint(self, compiled: Sequence) -> bool:
         """Can the planned movers of one period ever collide?
@@ -665,25 +669,20 @@ class ActionPlanner:
         rng: np.random.Generator,
         counts0: np.ndarray,
         pools: TrialMemberPools,
-        segments: Segments,
-        trial_members: TrialMembers,
     ) -> Tuple[List[PlannedAction], np.ndarray]:
         """Select the actors of every action for one period.
 
-        ``counts0`` is the period-start ``(M, S)`` count matrix,
-        ``pools`` the period-start membership pools, and
-        ``segments``/``trial_members`` the engine's cached member
-        lookups.  Returns ``(plans, messages)``: ``(action, actors)``
-        pairs in action declaration order (empty selections omitted)
-        plus the period's exact per-trial peer-contact counts --
-        charged from the splits, so short-circuited trials still pay
-        for the sends their unobservable actors make.
+        ``counts0`` is the period-start ``(M, S)`` count matrix and
+        ``pools`` the period-start membership pools of
+        :attr:`selected_states`.  Returns ``(plans, messages)``:
+        ``(action, actors)`` pairs in action declaration order (empty
+        selections omitted) plus the period's exact per-trial
+        peer-contact counts -- charged from the splits, so trials whose
+        selection was thinned away still pay for the sends their
+        unobservable actors make.
         """
         plans: Dict[int, PlannedAction] = {}
         messages = np.zeros(self.trials, dtype=np.int64)
-        # One cheap period-wide gate: when no (trial, state) cell is
-        # empty, every per-action fireability mask is trivially None.
-        any_empty = bool((counts0 == 0).any())
         for index, action in self.full_actions:
             actor_counts = counts0[:, action.actor]
             if not actor_counts.any():
@@ -695,17 +694,13 @@ class ActionPlanner:
                 # Every member fires, so the heads are the counts; the
                 # movers come straight from the analytic conversion law.
                 self._plan_push(
-                    plans, rng, index, action, actor_counts, counts0,
-                    segments,
+                    plans, rng, index, action, actor_counts, counts0, pools,
                 )
                 continue
-            actors = segments(action.actor)[0]
-            if any_empty:
-                fireable = self._fireable(counts0, index)
-                if fireable is not None:
-                    actors = actors[fireable[actors // self.n]]
-            if actors.size:
-                plans[index] = PlannedAction(action, actors)
+            plans[index] = PlannedAction(
+                action, pools.grouped(action.actor)[0],
+                prefired=self._prefired[index],
+            )
 
         if self.coin_groups:
             occupancy = counts0[:, self._group_sids].T  # (G, M)
@@ -749,7 +744,7 @@ class ActionPlanner:
                             if heads.any():
                                 self._plan_push(
                                     plans, rng, index, action, heads,
-                                    counts0, segments,
+                                    counts0, pools,
                                 )
                             splits[:, a] = 0
                 total_take = int(splits.sum())
@@ -758,7 +753,7 @@ class ActionPlanner:
                 take = splits.sum(axis=1, dtype=np.int64)
                 selected = self._select_actors(
                     rng, group.sid, take, group.psum, counts0[:, group.sid],
-                    pools, segments, trial_members,
+                    pools,
                 )
                 if selected is None:
                     dense.append((group, splits, take))
@@ -772,10 +767,7 @@ class ActionPlanner:
                 self._plan_dense(plans, rng, dense, pools)
 
         for group in self.fallback_groups:
-            self._plan_fallback(
-                plans, rng, group, counts0, pools, segments, trial_members,
-                messages,
-            )
+            self._plan_fallback(plans, rng, group, counts0, pools, messages)
         return [plans[index] for index in sorted(plans)], messages
 
     # ------------------------------------------------------------------
@@ -789,8 +781,6 @@ class ActionPlanner:
         probability: float,
         actor_counts: np.ndarray,
         pools: TrialMemberPools,
-        segments: Segments,
-        trial_members: TrialMembers,
     ) -> Optional[Tuple[np.ndarray, bool]]:
         """Pick ``take[m]`` distinct members of state ``sid`` per trial.
 
@@ -802,38 +792,33 @@ class ActionPlanner:
         where fewer than the dense threshold are expected to fire.
         """
         if probability * int(actor_counts.sum()) >= self._dense_threshold:
-            if self._probe_viable(take, actor_counts, sid, pools):
+            if self._probe_viable(take, actor_counts):
                 return None
-            grouped, bounds = segments(sid)
+            grouped, bounds = pools.grouped(sid)
             return segmented_choice(rng, grouped, bounds, take), False
         active = np.flatnonzero(take)
         if active.size == 0:
             return _EMPTY, True
         return np.concatenate([
             rng.choice(
-                trial_members(int(trial), sid),
+                pools.members(sid, int(trial)),
                 size=int(take[trial]), replace=False,
             )
             for trial in active
         ]), True
 
     def _probe_viable(
-        self,
-        take: np.ndarray,
-        actor_counts: np.ndarray,
-        sid: int,
-        pools: TrialMemberPools,
+        self, take: np.ndarray, actor_counts: np.ndarray
     ) -> bool:
         """Should this state's selection join the fused probe pass?
 
         Pool-position probing costs ``take * size / (size - take)``
         draws per trial -- only same-period duplicates reject -- so it
         is viable whenever no trial wants more than a quarter of its
-        state (which would collapse the acceptance rate) and the state
-        has pools to probe.  Inputs are period-start quantities, so the
-        decision is replay-deterministic.
+        state (which would collapse the acceptance rate).  Inputs are
+        period-start quantities, so the decision is replay-deterministic.
         """
-        return sid in pools.tracked and bool(np.all(take * 4 <= actor_counts))
+        return bool(np.all(take * 4 <= actor_counts))
 
     def _match_probability(
         self, counts0: np.ndarray, action
@@ -882,10 +867,12 @@ class ActionPlanner:
                 (len(self.coin_groups), self.trials, width)
             )
         q = self._q_buf
+        # Cells of unconditioned actions (and padding) stay at their 1.0.
         for g, group in enumerate(self.coin_groups):
             for a, action in enumerate(group.actions):
                 probability = self._match_probability(counts0, action)
-                q[g, :, a] = 1.0 if probability is None else probability
+                if probability is not None:
+                    q[g, :, a] = probability
         return q
 
     def _plan_push(
@@ -896,7 +883,7 @@ class ActionPlanner:
         action,
         heads: np.ndarray,
         counts0: np.ndarray,
-        segments: Segments,
+        pools: TrialMemberPools,
     ) -> None:
         """Select a push action's movers directly: targets, not actors.
 
@@ -925,33 +912,17 @@ class ActionPlanner:
         hits = rng.binomial(heads * action.fanout, q)
         if not hits.any():
             return
-        grouped, bounds = segments(action.match)
-        sizes = np.diff(bounds)
-        positions = rng.integers(0, np.repeat(sizes, hits))
-        movers = np.unique(
-            grouped[np.repeat(bounds[:-1], hits) + positions]
-        )
+        slot = pools.slot(action.match)
+        positions = rng.integers(0, np.repeat(pools.sizes[slot], hits))
+        rows = (slot * self.trials + np.arange(self.trials)) * self.n
+        # Dedupe through the probe's mask: scatter the hit members, read
+        # them back in id order (the sorted set ``np.unique`` returns,
+        # without hashing or sorting up to heads x fanout ids).
+        taken = self._taken_mask()
+        taken[pools.pool.reshape(-1)[np.repeat(rows, hits) + positions]] = True
+        movers = np.flatnonzero(taken)
+        taken[movers] = False
         plans[index] = PlannedAction(action, movers, prefired=True)
-
-    def _fireable(
-        self, counts0: np.ndarray, index: int
-    ) -> Optional[np.ndarray]:
-        """Per-trial mask of trials where action ``index`` can fire.
-
-        ``None`` means every trial can (the common case, returned
-        without allocating).  Depends only on period-start counts, so
-        replays stay deterministic.
-        """
-        needed = self._needs[index]
-        if needed is None:
-            return None
-        if needed.size == 1:
-            mask = counts0[:, int(needed[0])] > 0
-        else:
-            mask = np.all(counts0[:, needed] > 0, axis=1)
-        if mask.all():
-            return None
-        return mask
 
     # ------------------------------------------------------------------
     # Partitioning a state's selection across its actions
@@ -1031,12 +1002,9 @@ class ActionPlanner:
         """
         n = self.n
         trials = self.trials
-        if self._taken is None:
-            # One extra trailing slot: the dummy position that absorbs
-            # probes landing beyond a row's live size.
-            self._taken = np.zeros(self._batch + 1, dtype=bool)
+        if self._slot is None:
             self._slot = np.zeros(self._batch + 1, dtype=np.int32)
-        taken, slot = self._taken, self._slot
+        taken, slot = self._taken_mask(), self._slot
         dummy = self._batch
 
         n_segments = len(batch_groups) * trials
@@ -1158,8 +1126,6 @@ class ActionPlanner:
         group: _CoinGroup,
         counts0: np.ndarray,
         pools: TrialMemberPools,
-        segments: Segments,
-        trial_members: TrialMembers,
         messages: np.ndarray,
     ) -> None:
         """Legacy semantics for a state whose coin probabilities exceed 1.
@@ -1182,7 +1148,7 @@ class ActionPlanner:
             if self._push_analytic[index]:
                 if heads.any():
                     self._plan_push(
-                        plans, rng, index, action, heads, counts0, segments,
+                        plans, rng, index, action, heads, counts0, pools,
                     )
                 continue
             match_probability = self._match_probability(counts0, action)
@@ -1205,7 +1171,6 @@ class ActionPlanner:
             take = heads.astype(np.int64)
             selected = self._select_actors(
                 rng, group.sid, take, probability, actor_counts, pools,
-                segments, trial_members,
             )
             if selected is None:
                 self._plan_dense(

@@ -267,10 +267,17 @@ class RoundEngine:
 
     def counts(self) -> Dict[str, int]:
         """Alive process count per state."""
-        raw = np.bincount(
-            self.states[self.alive], minlength=len(self.state_names)
-        )
-        return {s: int(raw[i]) for i, s in enumerate(self.state_names)}
+        # One compare + popcount per state: ``bincount`` over
+        # ``states[alive]`` would copy N bytes through the mask and
+        # widen int8 to intp on every call.
+        states, alive = self.states, self.alive
+        masked = not alive.all()
+        return {
+            s: int(np.count_nonzero(
+                (states == i) & alive if masked else states == i
+            ))
+            for i, s in enumerate(self.state_names)
+        }
 
     def fractions(self) -> Dict[str, float]:
         """State fractions among alive processes."""

@@ -126,3 +126,80 @@ def assert_mean_close(
         f"trials vs expected {expected:.3f}: z = {z:.2f} exceeds "
         f"+/-{bound:.2f}"
     )
+
+
+def assert_binomial_law(
+    observed: Sequence[float],
+    n: Sequence[int],
+    p: Sequence[float],
+    context: str = "",
+) -> None:
+    """Assert independent counts follow ``Binomial(n_i, p_i)``: mean and variance.
+
+    Two z-tests, one Bonferroni family.  The pooled sum is tested
+    against the summed means with the summed variances (the cells need
+    not share ``n`` or ``p``), and the dispersion ``sum(z_i^2)`` against
+    its null mean ``K`` with the exact binomial fourth moment, so a
+    sampler with the right mean but the wrong spread (a deterministic
+    rounding, a doubled draw) fails too.  Cells whose law is a point
+    mass (``p`` of 0 or 1, ``n`` of 0) must hit it exactly.  Keep K in
+    the hundreds: both statistics are treated as normal.
+    """
+    observed = np.asarray(observed, dtype=float).ravel()
+    n = np.broadcast_to(np.asarray(n, dtype=float), observed.shape).ravel()
+    p = np.broadcast_to(np.asarray(p, dtype=float), observed.shape).ravel()
+    variance = n * p * (1.0 - p)
+    certain = variance <= 0.0
+    assert np.array_equal(observed[certain], (n * p)[certain]), (
+        f"{context or 'counts'}: a cell whose law is a point mass missed it"
+    )
+    observed, n, p, variance = (
+        a[~certain] for a in (observed, n, p, variance)
+    )
+    if observed.size == 0:
+        raise ValueError("no cell has a non-degenerate binomial law")
+    bound = z_bound(2)
+    z_mean = float((observed - n * p).sum() / math.sqrt(variance.sum()))
+    assert abs(z_mean) <= bound, (
+        f"{context or 'counts'}: pooled sum {observed.sum():.0f} vs "
+        f"expected {(n * p).sum():.1f}: z = {z_mean:.2f} exceeds "
+        f"+/-{bound:.2f}"
+    )
+    squares = (observed - n * p) ** 2 / variance
+    # Var(z^2) = kurtosis - 1, with the binomial's exact kurtosis.
+    spread = 2.0 + (1.0 - 6.0 * p * (1.0 - p)) / variance
+    z_var = float((squares.sum() - squares.size) / math.sqrt(spread.sum()))
+    assert abs(z_var) <= bound, (
+        f"{context or 'counts'}: dispersion {squares.mean():.3f} x the "
+        f"binomial variance over {squares.size} cells: z = {z_var:.2f} "
+        f"exceeds +/-{bound:.2f}"
+    )
+
+
+def assert_means_agree(
+    first: Sequence[float],
+    second: Sequence[float],
+    comparisons: int = 1,
+    context: str = "",
+) -> None:
+    """Assert two independent ensembles share a mean (Welch z-test)."""
+    first = np.asarray(first, dtype=float)
+    second = np.asarray(second, dtype=float)
+    if first.size < 2 or second.size < 2:
+        raise ValueError("need at least two samples per ensemble")
+    difference = float(first.mean() - second.mean())
+    stderr = math.sqrt(
+        first.var(ddof=1) / first.size + second.var(ddof=1) / second.size
+    )
+    bound = z_bound(comparisons)
+    if stderr == 0.0:
+        assert difference == 0.0, (
+            f"{context or 'means'}: degenerate ensembles differ by "
+            f"{difference}"
+        )
+        return
+    z = difference / stderr
+    assert abs(z) <= bound, (
+        f"{context or 'means'}: ensemble means {first.mean():.3f} vs "
+        f"{second.mean():.3f}: z = {z:.2f} exceeds +/-{bound:.2f}"
+    )

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import statutil
+from test_planner import CONDITIONS, FULL_PROBABILITY_CASES
 
 from repro.experiment import Experiment, Protocol
 from repro.odes import library
@@ -545,6 +546,44 @@ class TestBatchModeDistribution:
         )
         batch._validate_consistency()
         assert np.all(batch.alive_counts() < 500)
+
+
+class TestFullProbabilityTrajectories:
+    """Probability-1 sample/anyof/tokenize: batch law == serial runs.
+
+    The batch engine thins these actions by the count law; the serial
+    engine (``Experiment(engine="serial")`` is :func:`serial_ensemble`
+    bit for bit, see TestSerialExactness) draws every peer.  Whole
+    trajectories must agree in distribution, under loss and through a
+    mid-run massive failure as well.
+    """
+
+    @pytest.mark.parametrize("condition", sorted(CONDITIONS))
+    @pytest.mark.parametrize("name", sorted(FULL_PROBABILITY_CASES))
+    def test_batch_matches_serial_ensemble(self, name, condition):
+        spec, layout, edge, _ = FULL_PROBABILITY_CASES[name]
+        loss, kill = CONDITIONS[condition]
+        initial = dict(layout)
+        n, trials, periods = sum(initial.values()), 32, 8
+        options = dict(
+            loss_rate=loss, scenario="massive-failure" if kill else None
+        )
+        serial = serial_facade(
+            spec, n, trials, initial, periods, 71, **options
+        ).count_tensor()
+        batch = Experiment(
+            Protocol.from_spec(spec, initial), n, trials=trials,
+            periods=periods, seed=72, engine="batch", check="off", **options,
+        ).run().count_tensor()
+        source = spec.states.index(edge[0])
+        # Early, just past the kill (period 4) and at the horizon.
+        checkpoints = (2, 5, periods)
+        for period in checkpoints:
+            statutil.assert_means_agree(
+                batch[:, period, source], serial[:, period, source],
+                comparisons=len(checkpoints),
+                context=f"{name} ({condition}) '{edge[0]}' at {period}",
+            )
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,7 @@ from repro.check import (
     self_moving_mass,
     verify_spec,
 )
+from repro.check.spec_checks import MASS_TOLERANCE
 from repro.experiment import Experiment, Protocol
 from repro.odes import parse_system
 from repro.synthesis.actions import FlipAction, SampleAction
@@ -391,7 +392,7 @@ def test_generated_mass_mutants_flagged(spec, extra):
         target_state=spec.states[-1],
     )
     mutant = dataclasses.replace(spec, actions=spec.actions + (bump,))
-    if self_moving_mass(mutant, victim) <= 1.0:
+    if self_moving_mass(mutant, victim) <= 1.0 + MASS_TOLERANCE:
         return  # mutation did not push the state over the edge
     assert "mass" in rules_of(error_findings(check_spec(mutant)))
 

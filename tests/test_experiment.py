@@ -418,9 +418,15 @@ class TestRunCLI:
             "--periods", "20", "--seed", "3", "--param", "gamma=0.4",
             "--plot", "--show-protocol",
         ])
-        assert code == 0
+        # Two 400-host trials sit within noise of the WARN/FAIL line, so
+        # the equilibrium verdict (the exit code) is one draw stream's
+        # coin toss; only the flags' plumbing is under test here.
+        assert code in (0, 1)
         out = capsys.readouterr().out
-        assert "protocol" in out
+        # --param: gamma=0.4 (not the file's 0.5) times p = 0.25.
+        assert "flip coin (heads prob 0.1)" in out
+        assert "state x:" in out  # --show-protocol
+        assert "ensemble mean of 2 trial(s)" in out  # --plot
 
     def test_unknown_target_fails_cleanly(self, capsys):
         code = main(["run", "no-such-thing", "--n", "100"])

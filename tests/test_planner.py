@@ -9,16 +9,27 @@ multinomial split).  All stochastic assertions are z-tests per
 ``tests/statutil.py``.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
-from statutil import assert_binomial_count
+from statutil import assert_binomial_count, assert_binomial_law
 
+from repro.campaign.registry import available_protocols
+from repro.experiment import Protocol
 from repro.protocols.lv import lv_protocol
 from repro.runtime import BatchRoundEngine, RoundEngine, TrialMemberPools
+from repro.runtime.failures import MassiveFailure
 from repro.runtime.planner import ActionPlanner
 from repro.runtime.round_engine import _compile
-from repro.synthesis.actions import FlipAction, PushAction, SampleAction
+from repro.synthesis.actions import (
+    AnyOfSampleAction,
+    FlipAction,
+    PushAction,
+    SampleAction,
+    TokenizeAction,
+)
 from repro.synthesis.protocol import ProtocolSpec
 
 
@@ -664,3 +675,223 @@ class TestPlannerStatics:
         counts0 = np.array([[60, 41], [101, 0]], dtype=np.int64)
         q = planner._match_probability(counts0, compiled[0])
         assert q == pytest.approx([41 / 100, 0.0])
+
+
+# ----------------------------------------------------------------------
+# Probability-1 sample / anyof / tokenize: thinned by the count law
+# ----------------------------------------------------------------------
+#: name -> (spec, layout, mover edge, law); ``law(c, others, survive)``
+#: maps a trial's alive counts by state name to ``(heads, q)``: movers
+#: over one period are exactly ``Binomial(heads, q)``.  Shared with the
+#: serial-trajectory comparisons in tests/test_batch_engine.py.
+FULL_PROBABILITY_CASES = {
+    "pull": (
+        ProtocolSpec(
+            name="full-pull", states=("x", "y"),
+            actions=(SampleAction(
+                probability=1.0, actor_state="x", target_state="y",
+                required_states=("y",),
+            ),),
+        ),
+        [("x", 950), ("y", 50)], ("x", "y"),
+        lambda c, others, survive: (c["x"], survive * c["y"] / others),
+    ),
+    "self-required": (
+        ProtocolSpec(
+            name="full-self", states=("a", "t"),
+            actions=(SampleAction(
+                probability=1.0, actor_state="a", target_state="t",
+                required_states=("a",),
+            ),),
+        ),
+        # A tiny group: the actor's absence from its own peers moves q
+        # by 1/(n - 1), which only a small n makes visible.
+        [("a", 12), ("t", 8)], ("a", "t"),
+        lambda c, others, survive: (c["a"], survive * (c["a"] - 1) / others),
+    ),
+    "anyof": (
+        ProtocolSpec(
+            name="full-anyof", states=("x", "y"),
+            actions=(AnyOfSampleAction(
+                probability=1.0, actor_state="x", target_state="y",
+                match_state="y", fanout=2,
+            ),),
+        ),
+        [("x", 960), ("y", 40)], ("x", "y"),
+        lambda c, others, survive: (
+            c["x"], 1.0 - (1.0 - survive * c["y"] / others) ** 2
+        ),
+    ),
+    "tokenize": (
+        # The token pool always outnumbers the tokens, so every fired
+        # token moves one pool member: movers == fired tokens.
+        ProtocolSpec(
+            name="full-token", states=("w", "y", "x", "t"),
+            actions=(TokenizeAction(
+                probability=1.0, actor_state="w", target_state="t",
+                required_states=("y",), token_state="x",
+            ),),
+        ),
+        [("w", 200), ("y", 300), ("x", 500), ("t", 0)], ("x", "t"),
+        lambda c, others, survive: (c["w"], survive * c["y"] / others),
+    ),
+}
+
+#: condition -> (connection failure rate, kill half the hosts first)
+CONDITIONS = {"clean": (0.0, False), "lossy": (0.2, False),
+              "killed": (0.0, True)}
+
+
+class TestFullProbabilityThinning:
+    @pytest.mark.parametrize("condition", sorted(CONDITIONS))
+    @pytest.mark.parametrize("name", sorted(FULL_PROBABILITY_CASES))
+    def test_one_period_movers_are_exactly_binomial(self, name, condition):
+        """Mean *and* variance of Binomial(c, q), per trial and period."""
+        spec, layout, edge, law = FULL_PROBABILITY_CASES[name]
+        loss, kill = CONDITIONS[condition]
+        n, trials, periods = sum(c for _, c in layout), 6, 60
+        engine = BatchRoundEngine(
+            spec, n=n, trials=trials, initial=dict(layout), seed=61,
+            connection_failure_rate=loss,
+        )
+        if kill:
+            for view in engine.trial_views():
+                MassiveFailure(at_period=0, fraction=0.5)(view)
+        observed, heads, q = [], [], []
+        for _ in range(periods):
+            reset_all(engine, layout)
+            # Dead hosts keep their slot: the law runs on alive counts
+            # over all n - 1 peers.
+            matrix = engine.counts_matrix()
+            transitions = engine.step()
+            observed.append(transitions.get(edge, np.zeros(trials)))
+            for row in matrix:
+                c = dict(zip(spec.states, row.tolist()))
+                cell_heads, cell_q = law(c, n - 1, 1.0 - loss)
+                heads.append(cell_heads)
+                q.append(cell_q)
+        engine._validate_consistency()
+        assert_binomial_law(
+            np.concatenate(observed), heads, q,
+            context=f"{name} movers ({condition})",
+        )
+
+    @pytest.mark.parametrize("name", sorted(FULL_PROBABILITY_CASES))
+    def test_no_action_stays_on_the_flip_all_path(self, name):
+        planner = ActionPlanner(
+            _compile(FULL_PROBABILITY_CASES[name][0]), trials=2, n=50
+        )
+        assert not planner.full_actions
+        (group,) = planner.coin_groups
+        assert group.psum == 1.0
+        assert planner._thinning
+
+    def test_probability_one_mixed_with_a_coin_falls_back(self):
+        """psum > 1 on one state: independent coins, as before."""
+        spec, _, _, _ = FULL_PROBABILITY_CASES["pull"]
+        mixed = ProtocolSpec(
+            name="mixed", states=spec.states,
+            actions=spec.actions + (
+                FlipAction(actor_state="x", probability=0.1,
+                           target_state="y"),
+            ),
+        )
+        planner = ActionPlanner(_compile(mixed), trials=2, n=50)
+        assert not planner.coin_groups and not planner.full_actions
+        assert not planner.disjoint_movers
+        engine = BatchRoundEngine(
+            mixed, n=400, trials=3, initial={"x": 300, "y": 100}, seed=62
+        )
+        engine.run(6)
+        engine._validate_consistency()
+        assert np.array_equal(
+            engine.counts_matrix().sum(axis=1), np.full(3, 400)
+        )
+
+
+class TestPushDedupe:
+    def test_mask_dedupe_equals_unique_bitwise(self):
+        """Scatter + flatnonzero returns np.unique's sorted set."""
+        trials, n = 5, 200
+        spec = push_spec(probability=1.0, fanout=3)
+        compiled = _compile(spec)
+        planner = ActionPlanner(compiled, trials=trials, n=n)
+        rng = np.random.Generator(np.random.MT19937(9))
+        states = rng.integers(0, 3, size=trials * n).astype(np.int8)
+        match = int(compiled[0].match)
+        pools = TrialMemberPools([match], trials, n, states)
+        counts0 = np.stack([
+            np.bincount(row, minlength=3)
+            for row in states.reshape(trials, n)
+        ]).astype(np.int64)
+        heads = counts0[:, int(compiled[0].actor)]
+        reference_rng = copy.deepcopy(rng)
+        plans = {}
+        planner._plan_push(plans, rng, 0, compiled[0], heads, counts0, pools)
+        # The same draws, deduplicated the old way.
+        q = counts0[:, match] / (n - 1)
+        hits = reference_rng.binomial(heads * 3, q)
+        grouped, bounds = pools.grouped(match)
+        positions = reference_rng.integers(
+            0, np.repeat(np.diff(bounds), hits)
+        )
+        expected = np.unique(
+            grouped[np.repeat(bounds[:-1], hits) + positions]
+        )
+        assert hits.sum() > expected.size > 0  # duplicates did occur
+        assert np.array_equal(plans[0].actors, expected)
+        assert not planner._taken.any()  # scratch handed back clean
+
+
+class TestExplicitPathIsSelfMatchPushOnly:
+    @pytest.mark.parametrize("name", available_protocols())
+    def test_registry_protocols_never_draw_peer_targets(
+        self, name, monkeypatch
+    ):
+        def refuse(self, action, actors):
+            if action.kind == "push" and action.match == action.actor:
+                return original(self, action, actors)
+            raise AssertionError(
+                f"{name}: {action.kind} action reached the explicit path"
+            )
+
+        original = BatchRoundEngine._execute_batch
+        monkeypatch.setattr(BatchRoundEngine, "_execute_batch", refuse)
+        resolved = Protocol.named(name).resolve(600)
+        engine = BatchRoundEngine(
+            resolved.spec, n=600, trials=3, initial=resolved.initial,
+            seed=63, connection_failure_rate=0.1,
+        )
+        engine.run(
+            12, hook_factories=[
+                lambda m: MassiveFailure(at_period=6, fraction=0.3)
+            ],
+        )
+        engine._validate_consistency()
+
+
+class TestCountedOnlyStatesKeepNoPool:
+    def test_analytic_push_actor_state_is_unpooled_through_faults(self):
+        """Kill and revive hosts of a state that has no pool row."""
+        spec = push_spec(probability=1.0, fanout=2)
+        engine = BatchRoundEngine(
+            spec, n=400, trials=3, initial={"a": 150, "m": 250}, seed=64
+        )
+        match = engine.state_id("m")
+        assert engine._planner.selected_states == {match}
+        assert engine._pools.tracked == {match}
+        engine.run(2)
+        engine._validate_consistency()
+        victims = []
+        for view in engine.trial_views():
+            victims.append(view.crash_fraction(0.5))
+        engine._validate_consistency()
+        engine.run(2)
+        for view, dead in zip(engine.trial_views(), victims):
+            view.recover(dead[::2], "a")
+            view.set_states(dead[1::2][:20], "m")
+            view.set_states(view.members_in("m")[:10], "a")
+        engine._validate_consistency()
+        engine.run(2)
+        engine._validate_consistency()
+        assert set(engine._pools.slots) == {match}
