@@ -1,5 +1,17 @@
-"""Setup shim: enables legacy editable installs (`pip install -e .`)
-on environments without the `wheel` package (PEP 660 requires it)."""
-from setuptools import setup
+"""Packaging metadata (legacy setup.py on purpose: `pip install -e .`
+must work without the `wheel` package, which PEP 660 requires).
 
-setup()
+The dependency split is the one the import contract enforces
+(docs/architecture.md, "Import policy"): numpy and scipy are needed to
+run anything; sympy only by `repro.check`'s symbolic paths and networkx
+only by the overlay builders, each imported on first use.
+"""
+from setuptools import find_packages, setup
+
+setup(
+    name="repro",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy", "scipy"],
+    extras_require={"check": ["sympy"], "overlay": ["networkx"]},
+)

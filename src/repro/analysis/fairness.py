@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats
 
 def _member_log_of(source) -> List[Tuple[int, np.ndarray]]:
     """Accept a recorder or a raw ``[(period, member ids), ...]`` list.
@@ -164,6 +163,8 @@ def analyze_member_log(
         dtype=float,
     )
     if total_stints > 0:
+        from scipy import stats  # on first use: docs/architecture.md
+
         _, pvalue = stats.chisquare(bucket_counts)
     else:
         pvalue = float("nan")

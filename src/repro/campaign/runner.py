@@ -664,6 +664,16 @@ def run_campaign(
         }
         checkpoint()
 
+    if workers > 1 and backend == "pool":
+        # Warm before you fork (docs/architecture.md, "Import policy"):
+        # resolving each protocol here loads what its units will load
+        # (an equations file's start point imports scipy.optimize).
+        for point in {p.protocol: p for p in points}.values():
+            try:
+                resolve_protocol(point.protocol).resolve(point.n)
+            except Exception:
+                pass  # fails again in its unit, under the fault policy
+
     checkpoint()
     run_plan(
         ExecutionPlan(

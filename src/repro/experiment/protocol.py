@@ -295,17 +295,20 @@ class Protocol:
         """
         if self._equilibrium_known:
             return self._equilibrium
-        self._equilibrium_known = True
         system = self.system(n)
         if system is not None:
             try:
                 stable = [e for e in find_equilibria(system) if e.is_stable]
-            except Exception:
+            except (ArithmeticError, ValueError):
+                # A solve that blows up numerically (LinAlgError is a
+                # ValueError) means "no reference point"; a missing
+                # scipy.optimize must not read as that, so it propagates.
                 stable = []
             if stable:
                 self._equilibrium = {
                     k: float(v) for k, v in stable[0].point.items()
                 }
+        self._equilibrium_known = True
         return self._equilibrium
 
     def equilibrium_counts(self, n: int) -> Optional[Dict[str, float]]:

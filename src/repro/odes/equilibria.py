@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .system import EquationSystem
 
@@ -177,6 +176,8 @@ def find_equilibria(
     deduplicated within ``merge_distance``.  Points with any coordinate
     below ``-domain_tol`` (outside the physical domain) are dropped.
     """
+    from scipy import optimize  # on first use: docs/architecture.md
+
     from .classify import is_complete  # local import avoids a cycle
 
     dimension = system.dimension

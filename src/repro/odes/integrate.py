@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .system import EquationSystem, SystemError
 
@@ -117,6 +116,8 @@ def integrate(
         drops below ``equilibrium_tol`` (useful for convergence-time
         measurements).
     """
+    from scipy.integrate import solve_ivp  # on first use: docs/architecture.md
+
     missing = set(system.variables) - set(initial)
     if missing:
         raise SystemError(f"initial state missing variables {sorted(missing)}")

@@ -16,8 +16,19 @@ from __future__ import annotations
 import math
 from typing import List, Optional
 
-import networkx as nx
 import numpy as np
+
+
+def _networkx():
+    """networkx, imported by the first overlay built (docs/architecture.md)."""
+    try:
+        import networkx
+    except ImportError as exc:
+        raise ImportError(
+            "repro.runtime.overlay builds its graphs with networkx, which is "
+            "not installed; `pip install networkx` (the 'overlay' extra)"
+        ) from exc
+    return networkx
 
 
 def log_degree(n: int, factor: float = 2.0, minimum: int = 3) -> int:
@@ -35,6 +46,7 @@ def random_regular_overlay(
     uniform sampling over the group well -- which is why the protocols
     tolerate partial views.
     """
+    nx = _networkx()
     degree = degree if degree is not None else log_degree(n)
     if degree >= n:
         raise ValueError(f"degree {degree} must be < n={n}")
@@ -53,6 +65,7 @@ def erdos_renyi_overlay(
     them to a uniformly random peer, so the result is usable as a
     membership view.
     """
+    nx = _networkx()
     mean_degree = mean_degree if mean_degree is not None else float(log_degree(n))
     probability = min(1.0, mean_degree / max(1, n - 1))
     graph = nx.fast_gnp_random_graph(n, probability, seed=seed)
@@ -67,6 +80,7 @@ def erdos_renyi_overlay(
 
 def overlay_stats(neighbors: List[np.ndarray]) -> dict:
     """Connectivity diagnostics of an overlay (degree stats, diameter)."""
+    nx = _networkx()
     graph = nx.Graph()
     graph.add_nodes_from(range(len(neighbors)))
     for node, peers in enumerate(neighbors):
@@ -83,7 +97,7 @@ def overlay_stats(neighbors: List[np.ndarray]) -> dict:
     }
 
 
-def _neighbor_arrays(graph: nx.Graph, n: int) -> List[np.ndarray]:
+def _neighbor_arrays(graph, n: int) -> List[np.ndarray]:
     return [
         np.fromiter((int(p) for p in graph.neighbors(node)), dtype=np.int64)
         for node in range(n)

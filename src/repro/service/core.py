@@ -114,6 +114,10 @@ class ServiceCore:
         """Log the construction recipe; must be the first log record."""
         if self._started:
             raise RuntimeError("service core already started")
+        # Warm before you serve: the first resolution imports
+        # scipy.optimize and runs the multi-start solve; the Protocol
+        # memoizes it, so no `equilibrium` query ever stalls the loop.
+        self.live.equilibrium_fractions()
         self._started = True
         event = self.log.append("init", self.live.period, {
             "config": self.live.config.to_dict(),

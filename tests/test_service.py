@@ -391,6 +391,36 @@ class TestProtocolService:
 
         run(body())
 
+    def test_start_resolves_the_equilibrium_before_serving(self, monkeypatch):
+        # Warm before you serve: the first resolution imports
+        # scipy.optimize and runs the multi-start solve, so it belongs
+        # to start(), never to a query answered on the event loop.
+        from repro.experiment import protocol as protocol_module
+
+        calls = []
+        solve = protocol_module.find_equilibria
+
+        def counting(system):
+            calls.append(system)
+            return solve(system)
+
+        monkeypatch.setattr(protocol_module, "find_equilibria", counting)
+
+        async def body():
+            clock = VirtualClock()
+            core = make_core(n=60)
+            service = ProtocolService(core, clock=clock, tick_seconds=1.0)
+            assert not calls
+            await service.start()
+            assert len(calls) == 1
+            await clock.advance(2.0)
+            answer = await service.query("equilibrium")
+            assert answer["expected"] is not None
+            assert len(calls) == 1
+            await service.stop()
+
+        run(body())
+
 
 # ----------------------------------------------------------------------
 # TCP endpoint

@@ -45,6 +45,7 @@ REQUIRED_SECTIONS = (
     ("docs/architecture.md", "The serial-vs-batch contract"),
     ("docs/architecture.md", "The distributed backend"),
     ("docs/architecture.md", "The execution layer"),
+    ("docs/architecture.md", "Import policy"),
     ("docs/campaigns.md", "The cluster backend"),
     ("docs/campaigns.md", "Checkpointing and resume"),
     ("docs/campaigns.md", "Fault policy"),
