@@ -11,10 +11,16 @@ property suite drive the core directly, with no event loop at all.
 The state *stream* is the replay contract's unit of comparison: one
 :class:`StreamRow` per logged mutation, carrying the post-event census.
 Replaying the log must reproduce the stream bit for bit.
+
+The core counts its hosts when they change, not when they are read:
+every mutation recounts the engine's arrays once, before its log
+record is written, and the record, the stream row and every query read
+that one census (docs/service.md, "Cost of a read").
 """
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -98,6 +104,7 @@ class ServiceCore:
         self._last_snapshot_period: Optional[int] = None
         self._started = False
         self._closed = False
+        self._recount()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -119,11 +126,12 @@ class ServiceCore:
         # memoizes it, so no `equilibrium` query ever stalls the loop.
         self.live.equilibrium_fractions()
         self._started = True
+        counts, alive = self._recount()
         event = self.log.append("init", self.live.period, {
             "config": self.live.config.to_dict(),
             "states": list(self.live.state_names),
-            "counts": self.live.counts(),
-            "alive": self.live.alive_count(),
+            "counts": dict(counts),
+            "alive": alive,
         })
         self._observe(event.seq)
         return event
@@ -132,9 +140,10 @@ class ServiceCore:
         """Log an orderly shutdown with the final census."""
         self._require_open()
         self._closed = True
+        counts, alive = self._recount()
         event = self.log.append("close", self.live.period, {
-            "counts": self.live.counts(),
-            "alive": self.live.alive_count(),
+            "counts": dict(counts),
+            "alive": alive,
             "total_messages": self.live.engine.total_messages,
         })
         self.log.close()
@@ -153,6 +162,7 @@ class ServiceCore:
         """Apply a membership event and log it with its effect."""
         self._require_open()
         effect = self.live.apply(kind, data)
+        self._recount()
         event = self.log.append(
             kind, self.live.period, {**dict(data), "effect": effect},
         )
@@ -170,10 +180,11 @@ class ServiceCore:
         if periods < 1:
             raise ValueError(f"periods must be >= 1, got {periods}")
         self.live.advance(periods)
+        counts, alive = self._recount()
         event = self.log.append("tick", self.live.period, {
             "periods": int(periods),
-            "counts": self.live.counts(),
-            "alive": self.live.alive_count(),
+            "counts": dict(counts),
+            "alive": alive,
             "total_messages": self.live.engine.total_messages,
         })
         self._observe(event.seq)
@@ -247,13 +258,26 @@ class ServiceCore:
         core._started = True
         return core
 
+    def _recount(self) -> Tuple[Dict[str, int], int]:
+        """Count the engine's arrays; the only place the core does.
+
+        Every mutation calls this once, after the engine changed and
+        before the log record is written.  It is a recount, never
+        bookkeeping carried from one event to the next, so the censuses
+        the log holds stay an independent check of the engine.
+        """
+        self._census = (self.live.counts(), self.live.alive_count())
+        self._answers = {}
+        self._answers_seq = self.log.next_seq
+        return self._census
+
     def _observe(self, seq: int) -> None:
-        counts = self.live.counts()
+        counts, alive = self._census
         row = StreamRow(
             seq=seq,
             period=self.live.period,
             counts=tuple(counts[s] for s in self.live.state_names),
-            alive=self.live.alive_count(),
+            alive=alive,
             total_messages=self.live.engine.total_messages,
         )
         self.history.append(row)
@@ -266,42 +290,65 @@ class ServiceCore:
     def query(
         self, op: str, params: Optional[Mapping[str, Any]] = None
     ) -> Dict[str, Any]:
-        params = dict(params or {})
+        """Answer ``op`` from the census; O(states), never O(hosts).
+
+        An answer without ``params`` is worked out once per log
+        sequence number (a ``snapshot`` record moves ``status`` without
+        a recount) and forgotten at the next mutation; one with
+        ``params`` is never remembered, so clients cannot make the core
+        grow.  The caller owns what it gets back.
+        """
         if op not in QUERY_OPS:
             raise ValueError(
                 f"unknown query op {op!r}; expected one of {QUERY_OPS}"
             )
-        return getattr(self, f"_query_{op}")(params)
+        if params is not None and not isinstance(params, Mapping):
+            raise ValueError(
+                f"params must be a JSON object, got {type(params).__name__}"
+            )
+        answer_for = getattr(self, f"_query_{op}")
+        if params:
+            return _owned(answer_for(params))
+        if self._answers_seq != self.log.next_seq:
+            self._answers = {}
+            self._answers_seq = self.log.next_seq
+        answer = self._answers.get(op)
+        if answer is None:
+            answer = self._answers[op] = answer_for({})
+        return _owned(answer)
+
+    def _fractions(self) -> Dict[str, float]:
+        counts, alive = self._census
+        if alive == 0:
+            return {s: 0.0 for s in counts}
+        return {s: c / alive for s, c in counts.items()}
 
     def _query_status(self, params) -> Dict[str, Any]:
         return {
             "protocol": self.live.config.protocol,
             "n": self.live.config.n,
             "period": self.live.period,
-            "alive": self.live.alive_count(),
+            "alive": self._census[1],
             "events": self.log.next_seq,
             "snapshots": self.snapshots_written,
             "closed": self._closed,
         }
 
     def _query_counts(self, params) -> Dict[str, Any]:
-        return {
-            "period": self.live.period,
-            "counts": self.live.counts(),
-            "alive": self.live.alive_count(),
-        }
+        counts, alive = self._census
+        return {"period": self.live.period, "counts": counts, "alive": alive}
 
     def _query_fractions(self, params) -> Dict[str, Any]:
         return {
             "period": self.live.period,
-            "fractions": self.live.fractions(),
-            "alive": self.live.alive_count(),
+            "fractions": self._fractions(),
+            "alive": self._census[1],
         }
 
     def _query_equilibrium(self, params) -> Dict[str, Any]:
         """Distance of the live census from the analytic equilibrium."""
         expected = self.live.equilibrium_fractions()
-        observed = self.live.fractions()
+        observed = self._fractions()
         result: Dict[str, Any] = {
             "period": self.live.period,
             "fractions": observed,
@@ -317,8 +364,7 @@ class ServiceCore:
 
     def _query_majority(self, params) -> Dict[str, Any]:
         """Current dominant state and its margin (LV-style accuracy)."""
-        counts = self.live.counts()
-        alive = self.live.alive_count()
+        counts, alive = self._census
         ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
         top_state, top = ranked[0]
         second = ranked[1][1] if len(ranked) > 1 else 0
@@ -332,8 +378,17 @@ class ServiceCore:
 
     def _query_convergence(self, params) -> Dict[str, Any]:
         """Has the census settled over the recent history window?"""
-        window = int(params.get("window", self.history_window))
+        window = self.history_window
+        if "window" in params:
+            # -0 slices to everything and -k drops the *oldest* k rows.
+            window = int(params["window"])
+            if window < 1:
+                raise ValueError(f"window must be >= 1, got {window}")
         tol = float(params.get("tol", 0.02))
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise ValueError(
+                f"tol must be a finite number >= 0, got {params['tol']!r}"
+            )
         rows = [r for r in list(self.history)[-window:] if r.alive > 0]
         if len(rows) < 2:
             return {
@@ -352,3 +407,15 @@ class ServiceCore:
             "max_delta_fraction": max_delta,
             "settled": max_delta <= tol,
         }
+
+
+def _owned(answer: Dict[str, Any]) -> Dict[str, Any]:
+    """A copy the caller may change (answers nest dicts one level deep).
+
+    What the core holds -- the census, a remembered answer, the
+    protocol's memoized equilibrium -- is never handed out itself.
+    """
+    return {
+        key: dict(value) if isinstance(value, dict) else value
+        for key, value in answer.items()
+    }

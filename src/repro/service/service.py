@@ -202,14 +202,42 @@ class ProtocolService:
 # ----------------------------------------------------------------------
 # Newline-JSON TCP endpoint
 # ----------------------------------------------------------------------
+async def _read_request(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next request line; ``None`` for one longer than the reader's limit.
+
+    ``readline`` raises on such a line from wherever the scan stopped.
+    Here the line is read to its newline and dropped first: closing a
+    socket with unread bytes resets the connection, and the peer would
+    lose the error reply with it.
+    """
+    too_long = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial  # end of stream, as readline reports it
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)
+            too_long = True
+            continue
+        return None if too_long else line
+
+
 async def _handle_client(
     service: ProtocolService,
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
 ) -> None:
+    async def send(response: Dict[str, Any]) -> None:
+        writer.write(json.dumps(response).encode("utf-8") + b"\n")
+        await writer.drain()
+
     try:
         while True:
-            line = await reader.readline()
+            line = await _read_request(reader)
+            if line is None:
+                await send({"ok": False, "error": "request line too long"})
+                break
             if not line:
                 break
             try:
@@ -220,8 +248,7 @@ async def _handle_client(
                 }
             except Exception as exc:  # protocol surface: report, don't die
                 response = {"ok": False, "error": str(exc)}
-            writer.write(json.dumps(response).encode("utf-8") + b"\n")
-            await writer.drain()
+            await send(response)
             if response.get("result") == "stopping":
                 break
     finally:

@@ -9,6 +9,8 @@ the state stream bit for bit, including query answers at logged points.
 """
 
 import asyncio
+import json
+import math
 
 import numpy as np
 import pytest
@@ -25,8 +27,16 @@ from repro.service import (
     replay_events,
     serve_tcp,
 )
+from repro.runtime.round_engine import RoundEngine
+from repro.service.core import QUERY_OPS
 from repro.service.service import ScriptedEvent
-from repro.store import EVENTS_NAME, MemoryEventLog, read_events
+from repro.store import EVENTS_NAME, MemoryEventLog, load_snapshot, read_events
+
+from service_helpers import (
+    assert_answers_match_arrays,
+    census_from_scratch,
+    scribble,
+)
 
 
 def run(coro):
@@ -229,6 +239,137 @@ class TestServiceCore:
             core.apply_event("leave", {"hosts": [99]})  # out of range
         with pytest.raises(ValueError):
             core.apply_event("shrug", {})  # unknown kind
+
+    @pytest.mark.parametrize("params, named", [
+        ({"window": 0}, "window"),    # rows[-0:] is the whole history
+        ({"window": -2}, "window"),   # rows[2:] drops the oldest rows
+        ({"tol": -0.5}, "tol"),
+        ({"tol": math.nan}, "tol"),
+        ({"tol": math.inf}, "tol"),
+        ([("window", 3)], "params"),
+    ])
+    def test_bad_query_params_are_refused_by_name(self, params, named):
+        core = make_core(n=50)
+        core.start()
+        for _ in range(10):
+            core.tick()
+        with pytest.raises(ValueError, match=named):
+            core.query("convergence", params)
+        assert core.query("convergence", {"window": 1})["window"] == 1
+        assert core.query("convergence", {"tol": 0})["window"] == 11
+
+
+# ----------------------------------------------------------------------
+# The read contract: one recount per mutation, none per read
+# ----------------------------------------------------------------------
+class TestReadContract:
+    @pytest.fixture
+    def recounts(self, monkeypatch):
+        """Calls of the engine's two O(N) counting methods, by name."""
+        calls = {"counts": 0, "alive_count": 0}
+        for name in calls:
+            inner = getattr(RoundEngine, name)
+
+            def counting(engine, _inner=inner, _name=name):
+                calls[_name] += 1
+                return _inner(engine)
+
+            monkeypatch.setattr(RoundEngine, name, counting)
+        return calls
+
+    def query_everything(self, core, times=3):
+        for _ in range(times):
+            for op in QUERY_OPS:
+                core.query(op)
+            core.query("convergence", {"window": 4, "tol": 0.5})
+
+    def test_each_mutation_recounts_once_and_reads_never(self, recounts):
+        core = make_core(n=200)
+        mutations = [
+            core.start,
+            lambda: core.tick(3),
+            lambda: core.apply_event("fail", {"fraction": 0.1}),
+            lambda: core.apply_event("leave", {"hosts": [0, 1, 2]}),
+            lambda: core.apply_event("join", {"hosts": [1, 2]}),
+            core.tick,
+        ]
+        for mutate in mutations:
+            before = dict(recounts)
+            mutate()
+            assert recounts == {k: v + 1 for k, v in before.items()}
+            self.query_everything(core)
+            core.snapshot_now()  # a record, not a change of population
+            self.query_everything(core)
+            assert recounts == {k: v + 1 for k, v in before.items()}
+            assert_answers_match_arrays(core)
+
+    def test_snapshot_record_moves_status_without_a_recount(self, recounts):
+        core = make_core(n=50)
+        core.start()
+        before = core.query("status")
+        counted = dict(recounts)
+        core.snapshot_now()
+        after = core.query("status")
+        assert after["events"] == before["events"] + 1
+        assert after["snapshots"] == before["snapshots"] + 1
+        assert recounts == counted
+
+    def test_close_logs_a_recount(self):
+        # The benchmark harness steps the engine under the core and
+        # then closes it; the close record is the engine's census.
+        core = make_core(n=200)
+        core.start()
+        core.live.engine.crash(np.arange(50))
+        closed = core.close()
+        counts, alive = census_from_scratch(core)
+        assert closed.data["alive"] == alive == 150
+        assert closed.data["counts"] == counts
+
+    def test_restored_core_answers_its_first_query(self, tmp_path):
+        core = ServiceCore(
+            LiveEngine(LiveConfig(protocol="endemic", n=200, seed=3)),
+            directory=tmp_path,
+        )
+        core.start()
+        core.tick(5)
+        core.apply_event("fail", {"fraction": 0.3})
+        path = core.snapshot_now()
+        expected = {op: core.query(op) for op in QUERY_OPS}
+        restored = ServiceCore.from_snapshot(
+            *load_snapshot(path),
+            log=MemoryEventLog(start_seq=core.log.next_seq),
+        )
+        core.close()
+        for op in QUERY_OPS:
+            answer = restored.query(op)
+            if op == "status":  # checkpoints written by *this* process
+                answer["snapshots"] = expected[op]["snapshots"]
+            assert answer == expected[op]
+        assert_answers_match_arrays(restored)
+
+    def test_answers_belong_to_the_caller(self):
+        core = make_core(n=100)
+        core.start()
+        core.tick(2)
+        pristine = {op: core.query(op) for op in QUERY_OPS}
+        for op in QUERY_OPS:
+            scribble(core.query(op))
+        assert {op: core.query(op) for op in QUERY_OPS} == pristine
+        row = core.stream[-1]
+        assert row.counts_dict(core.live.state_names) == (
+            pristine["counts"]["counts"]
+        )
+        assert core.log.events[-1].data["counts"] == (
+            pristine["counts"]["counts"]
+        )
+
+    def test_params_answers_are_not_remembered(self):
+        core = make_core(n=50)
+        core.start()
+        for window in range(1, 200):
+            core.query("convergence", {"window": window})
+        assert set(core._answers) <= set(QUERY_OPS)
+
 
 
 # ----------------------------------------------------------------------
@@ -465,6 +606,61 @@ class TestTcpEndpoint:
                 await client.request({"op": "wat"})
             # The connection survives protocol errors.
             assert (await client.query("status"))["protocol"] == "endemic"
+            await client.close()
+            server.close()
+            await server.wait_closed()
+            await service.stop()
+
+        run(body())
+
+    def test_oversized_line_is_answered_and_only_that_connection_ends(self):
+        async def body():
+            clock = VirtualClock()
+            service, server, port = await self.start_service(clock)
+            bystander = await ServiceClient.connect("127.0.0.1", port)
+            # Past the StreamReader limit (64 KiB), with and without
+            # the newline landing in the same buffer as the overrun.
+            for size in (70_000, 100_000, 300_000):
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+                writer.write(
+                    b'{"op": "query", "q": "' + b"x" * size + b'"}\n'
+                )
+                await writer.drain()
+                reply = json.loads(await reader.readline())
+                assert reply == {
+                    "ok": False, "error": "request line too long",
+                }
+                assert await reader.read() == b""  # closed, not reset
+                writer.close()
+                await writer.wait_closed()
+            assert (await bystander.query("status"))["protocol"] == "endemic"
+            await bystander.close()
+            fresh = await ServiceClient.connect("127.0.0.1", port)
+            assert (await fresh.query("status"))["events"] == 1
+            await fresh.close()
+            server.close()
+            await server.wait_closed()
+            await service.stop()
+
+        run(body())
+
+    def test_bad_params_get_an_error_reply_that_names_them(self):
+        async def body():
+            clock = VirtualClock()
+            service, server, port = await self.start_service(clock)
+            client = await ServiceClient.connect("127.0.0.1", port)
+            for params, named in (
+                ({"window": 0}, "window"),
+                ({"tol": -1}, "tol"),
+                ([1, 2], "params must be a JSON object"),
+                ("window", "params must be a JSON object"),
+            ):
+                with pytest.raises(RuntimeError, match=named):
+                    await client.query("convergence", params)
+            answer = await client.query("convergence", {"window": 8})
+            assert answer["settled"] is False
             await client.close()
             server.close()
             await server.wait_closed()

@@ -9,7 +9,11 @@ asserts the two contracts the live tier is built on:
   effects exactly;
 * **query-snapshot consistency** -- queries are pure reads: they agree
   with the last stream row at every point and never perturb the
-  history (interleaving them anywhere changes nothing).
+  history (interleaving them anywhere changes nothing);
+* **the read contract** -- the core answers from the census of its last
+  mutation, so after every step every answer must equal one recomputed
+  from ``engine.states`` / ``engine.alive`` from scratch, and a caller
+  that scribbles on an answer must not change the next one.
 """
 
 import numpy as np
@@ -17,7 +21,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.service import LiveConfig, LiveEngine, ServiceCore, replay_events
+from repro.service.core import QUERY_OPS
 from repro.store import MemoryEventLog
+
+from service_helpers import (
+    assert_answers_match_arrays,
+    census_from_scratch,
+    scribble,
+)
 
 N = 80
 
@@ -35,9 +46,7 @@ operations = st.lists(
         st.tuples(st.just("leave"), hosts),
         st.tuples(st.just("join"), hosts),
         st.tuples(st.just("snapshot"), st.none()),
-        st.tuples(st.just("query"), st.sampled_from(
-            ("counts", "fractions", "majority", "convergence", "status")
-        )),
+        st.tuples(st.just("query"), st.sampled_from(QUERY_OPS)),
     ),
     min_size=1, max_size=12,
 )
@@ -140,3 +149,57 @@ class TestQuerySnapshotConsistency:
         mutations = [e for e in with_queries.log.events]
         assert mutations == without_queries.log.events
         assert with_queries.stream == without_queries.stream
+
+
+def convergence_from_stream(core, tol=0.02):
+    """The convergence answer from the retained stream's last rows."""
+    rows = [r for r in core.stream[-core.history_window:] if r.alive > 0]
+    if len(rows) < 2:
+        return {"window": len(rows), "max_delta_fraction": None,
+                "settled": False}
+    deltas = [
+        max(r.counts[i] / r.alive for r in rows)
+        - min(r.counts[i] / r.alive for r in rows)
+        for i in range(len(core.live.state_names))
+    ]
+    return {"window": len(rows), "max_delta_fraction": max(deltas),
+            "settled": max(deltas) <= tol}
+
+
+class TestReadContract:
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(ops=operations, seed=st.integers(min_value=0, max_value=2**31))
+    def test_every_answer_is_the_arrays_answer(self, ops, seed):
+        core = build_core(seed)
+        core.start()
+        for op, arg in ops:
+            apply_operation(core, op, arg)
+            # The stream row first: convergence is judged from rows
+            # that were each checked against the arrays when written.
+            counts, alive = census_from_scratch(core)
+            tail = core.stream[-1]
+            assert tail.counts_dict(core.live.state_names) == counts
+            assert tail.alive == alive
+            assert_answers_match_arrays(core)
+            expected = convergence_from_stream(core)
+            answer = core.query("convergence")
+            assert {k: answer[k] for k in expected} == expected
+            assert core.query("convergence", {"tol": 0.02}) == answer
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(ops=operations, seed=st.integers(min_value=0, max_value=2**31))
+    def test_scribbling_on_an_answer_changes_nothing(self, ops, seed):
+        scribbled = build_core(seed)
+        scribbled.start()
+        untouched = build_core(seed)
+        untouched.start()
+        for op, arg in ops:
+            apply_operation(scribbled, op, arg)
+            apply_operation(untouched, op, arg)
+            for q in QUERY_OPS:
+                scribble(scribbled.query(q))
+                assert scribbled.query(q) == untouched.query(q)
+        assert scribbled.log.events == untouched.log.events
+        assert scribbled.stream == untouched.stream
