@@ -11,10 +11,7 @@ import numpy as np
 
 from repro.viz import format_table
 
-__all__ = [
-    "acceptance_speedup", "bench_scale", "scaled", "format_table",
-    "provenance", "report",
-]
+__all__ = ["bench_scale", "scaled", "format_table", "provenance", "report"]
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -38,19 +35,6 @@ def bench_scale() -> float:
 def scaled(quantity: float, minimum: int = 1) -> int:
     """Scale an N/periods quantity by the global bench scale."""
     return max(minimum, int(round(quantity * bench_scale())))
-
-
-def acceptance_speedup(full_scale_bar: float) -> float:
-    """The speedup bar a perf bench must clear at the current scale.
-
-    Paper-scale runs (``REPRO_BENCH_SCALE=1``) enforce the full
-    acceptance bar; reduced-scale runs (the CI perf smoke) only assert
-    that batch is not *slower* than serial -- small-N speedups shrink
-    with the vectorization payload, and a timing-flaky threshold would
-    make the smoke useless.  A hot-path regression that drops batch
-    below serial still fails fast at any scale.
-    """
-    return full_scale_bar if bench_scale() >= 1.0 else 1.0
 
 
 def provenance() -> str:

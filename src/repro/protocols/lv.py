@@ -221,7 +221,7 @@ class MajorityEnsembleOutcome:
 
 
 class LVEnsemble:
-    """M majority-selection trials in one ``(M, N)`` batched engine.
+    """M majority-selection trials in one batched engine.
 
     The ensemble sibling of :class:`LVMajority`: the accuracy and
     untraceability claims of the paper's Section 4.2 experiments are
@@ -281,8 +281,9 @@ class LVEnsemble:
         """Advance up to ``max_periods``, tracking per-trial convergence.
 
         Convergence is absorbing (an unanimous group has nobody left to
-        meet a dissenter), so converged trials keep stepping at no
-        statistical cost while stragglers finish; with
+        meet a dissenter), so a converged trial rides along while
+        stragglers finish: its thinning probability is 0, its census
+        row draws all zeros and no host of it is ever selected.  With
         ``stop_when_all_converged`` the run ends as soon as every trial
         has converged.
         """
@@ -361,9 +362,8 @@ def majority_accuracy_serial(
     """Reference implementation: a Python loop over M serial runs.
 
     The pre-batch-engine idiom (one seeded :class:`LVMajority` per
-    trial).  Kept as the baseline for
-    ``benchmarks/bench_lv_accuracy_throughput.py`` and the
-    distributional-equivalence tests.
+    trial).  Kept as the baseline of the distributional-equivalence
+    tests.
     """
     wins = 0
     decided = 0

@@ -60,7 +60,7 @@ from .parallel import (
     ShardedRunResult,
     shard_layout,
 )
-from .planner import ActionPlanner, PlannedAction, TrialMemberPools
+from .planner import ActionPlanner, TrialMemberPools
 from .rng import RandomSource, make_generator, sample_other, spawn_seeds
 from .round_engine import RoundEngine, RunResult, initial_state_vector
 from .sampling import segmented_choice
@@ -75,7 +75,6 @@ __all__ = [
     "segmented_choice",
     "serial_ensemble",
     "ActionPlanner",
-    "PlannedAction",
     "TrialMemberPools",
     "BACKENDS",
     "ChaosSchedule",

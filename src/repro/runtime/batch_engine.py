@@ -1,12 +1,11 @@
-"""Batched multi-trial execution: M protocol instances in one array.
+"""Batched multi-trial execution: M protocol instances, one census.
 
 Every experimental claim in the paper (Figures 5-12) is an *ensemble*
 statement -- means and spreads over many independent runs of N-process
-groups -- and mean-field results of the Bournez et al. kind only hold
-in expectation.  Running the trial axis one :class:`RoundEngine` at a
-time therefore wastes both wall clock and statistical power.  This
-module runs M independent trials in a single ``(M, N)`` int8 state
-array.
+groups -- and mean-field results of the Bournez et al. kind are
+statements about the census Markov chain, the per-state counts.  This
+module runs M independent trials as one ``(M, S)`` count matrix and
+puts hosts under it only when somebody asks which hosts.
 
 This is the top tier of the three-engine hierarchy (agent sim -> round
 engine -> batch engine; see :mod:`repro.runtime.round_engine`).  Use it
@@ -15,29 +14,32 @@ or frequency (extinction, accuracy); drop to :class:`RoundEngine` to
 study one run, and to :class:`~repro.runtime.agent_sim.AgentSimulation`
 to check synchrony artifacts.
 
-All trials draw from one root stream and every per-action step (actor
-selection, condition thinning, token routing) is vectorized across the
-whole batch.  Each period is *planned* first
-(:class:`~repro.runtime.planner.ActionPlanner`): one broadcast
-multinomial draw splits every (trial, state) occupancy across that
-state's actions plus the no-op remainder, the exact peer-match law
-thins the splits to the movers, one selection pass per state picks them
-(dense states share a single rejection-probe loop over pool positions;
-sparse regimes like the endemic protocol's alpha ~ 1e-6 coin keep
-per-trial scans; exact per-trial draw counts go through
-:func:`~repro.runtime.sampling.segmented_choice`, a segmented
-without-replacement sampler), and the selection is partitioned across
-the state's actions.  No peer target is ever drawn, at any action
-probability, except for a push into its own actor state.  Member pools
-are maintained *incrementally* for the states plans select from (the
-population-protocol simulation idiom).  Trials are statistically
-independent, with per-action marginals identical to M serial runs;
-actors fire at most one action of their state per period (the paper's
-multi-way coin), where the serial engine flips independent per-action
-coins -- the two agree to the ``O((p c)^2)`` conflict order the
-normalizing constant bounds.
+Each period is planned in two passes
+(:class:`~repro.runtime.planner.ActionPlanner`).  The **census pass**
+draws *how many* hosts every action moves, per trial, from the
+period-start counts alone: one broadcast multinomial splits every
+(trial, state) occupancy across that state's actions plus the no-op
+remainder, the exact peer-match law thins the splits, a push converts
+the distinct bins its surviving contacts hit, a tokenize delivers its
+tokens while unmoved members last, and the at-most-one-move rule is a
+hypergeometric overlap.  Counts, transitions and message totals advance
+from that pass alone, so a run nobody looks inside costs
+``O(periods x M x S + push contacts)`` whatever ``N`` is.  The **who
+pass** exists only once identities do: the ``(M, N)`` state and alive
+arrays and the member pools are built -- as a uniform placement of the
+current census -- the first time something asks *which* hosts
+(``.states`` / ``.alive``, a view accessor or mutator a hook calls, a
+member log, ``_validate_consistency``, or ``shuffle=False``), and from
+then on every period's movers are placed on hosts with incremental
+O(movers) pool maintenance.  The two passes draw from separate streams:
+**observation cannot perturb the census**.
 
-The engine is therefore validated *in distribution* against
+Trials are statistically independent, with per-action marginals
+identical to M serial runs; actors fire at most one action of their
+state per period (the paper's multi-way coin), where the serial engine
+flips independent per-action coins -- the two agree to the
+``O((p c)^2)`` conflict order the normalizing constant bounds.  The
+engine is therefore validated *in distribution* against
 :func:`serial_ensemble` and the mean-field ODEs (see
 ``tests/test_batch_engine.py``), not draw for draw.
 
@@ -67,7 +69,6 @@ from .metrics import MetricsRecorder
 from .planner import ActionPlanner, TrialMemberPools
 from .round_engine import RoundEngine, _compile, initial_state_vector
 from .rng import RandomSource, spawn_seeds
-from .sampling import segmented_choice
 
 #: A per-trial hook factory: called with the trial index, returns a hook
 #: ``hook(view)`` where ``view`` offers the RoundEngine mutation surface
@@ -355,7 +356,9 @@ class BatchTrialView:
     replayers) receive one of these per trial.  All *mutations* must go
     through the methods below -- they keep the engine's incremental
     count and membership bookkeeping consistent; writing directly to the
-    ``alive`` / ``states`` row views would corrupt it.
+    ``alive`` / ``states`` row views would corrupt it.  ``period``,
+    :meth:`counts` and :meth:`alive_count` read the census; everything
+    else is a question about hosts and makes the engine place them.
     """
 
     def __init__(self, engine: "BatchRoundEngine", trial: int):
@@ -381,11 +384,11 @@ class BatchTrialView:
         return self._engine.state_id(name)
 
     def counts(self) -> Dict[str, int]:
-        row = self._engine.counts_matrix()[self.trial]
-        return {s: int(row[i]) for i, s in enumerate(self._engine.state_names)}
+        row = self._engine._counts[self.trial].tolist()
+        return dict(zip(self._engine.state_names, row))
 
     def alive_count(self) -> int:
-        return int(self._engine.alive_counts()[self.trial])
+        return int(self._engine._alive_counts[self.trial])
 
     def members_in(self, state: str) -> np.ndarray:
         sid = self._engine.state_id(state)
@@ -411,7 +414,7 @@ class BatchTrialView:
 
 
 class BatchRoundEngine:
-    """M independent synchronous-round trials in one ``(M, N)`` array.
+    """M independent synchronous-round trials, stepped by their census.
 
     Parameters
     ----------
@@ -425,7 +428,8 @@ class BatchRoundEngine:
         Initial distribution, counts or fractions (resolved identically
         to :class:`RoundEngine` via ``initial_state_vector``); every
         trial starts from the same counts with its own placement
-        shuffle.
+        shuffle (``shuffle=False`` pins hosts to the unshuffled layout,
+        and so builds the host arrays at construction).
     seed:
         Root seed of the batch stream; :attr:`trial_seeds` labels the
         trials with the serial tier's ``spawn_seeds(seed, trials)``.
@@ -474,41 +478,64 @@ class BatchRoundEngine:
         self.recovery_state = spec.states[0]
         self.trial_seeds = spawn_seeds(seed, trials)
 
-        n_states = len(self.state_names)
         source = RandomSource(seed)
+        # One stream per pass (spawned in this order; labels are
+        # documentation): the census draws *how many* hosts move on
+        # ``batch-protocol``, identities are placed on ``batch-shuffle``
+        # and followed on ``batch-who``, so looking at hosts can never
+        # shift a census draw.
         self._rng = source.stream("batch-protocol")
         self._fault_rngs = [
             source.stream(f"batch-faults-{m}") for m in range(trials)
         ]
+        self._shuffle_rng = source.stream("batch-shuffle") if shuffle else None
+        self._who_rng = source.stream("batch-who")
         base = initial_state_vector(self.state_names, n, initial)
-        self._states_arr = np.tile(base, (trials, 1))
-        if shuffle:
-            source.stream("batch-shuffle").permuted(
-                self._states_arr, axis=1, out=self._states_arr
-            )
-        self._alive_arr = np.ones((trials, n), dtype=bool)
-        self._states_flat = self._states_arr.reshape(-1)
-        self._alive_flat = self._alive_arr.reshape(-1)
-        self._any_dead = False
-        base_counts = np.bincount(base, minlength=n_states).astype(np.int64)
+        base_counts = np.bincount(
+            base, minlength=len(self.state_names)
+        ).astype(np.int64)
+        # The census IS the state: (M, S) alive counts per state.
         self._counts = np.tile(base_counts, (trials, 1))
         self._alive_counts = np.full(trials, n, dtype=np.int64)
         self._total_messages = np.zeros(trials, dtype=np.int64)
-
-        # The per-period action planner (one multinomial split per
-        # state, fused dense probing; see repro.runtime.planner) plus
-        # the period-scoped scratch buffers it and step() reuse -- the
-        # hot path makes no per-period O(M * N) allocations.
+        self._counts0_buf = np.empty_like(self._counts)
         self._planner = ActionPlanner(
             self._compiled, trials, n,
             connection_failure_rate=connection_failure_rate,
         )
-        self._moved_buf: Optional[np.ndarray] = None
-        self._counts0_buf = np.empty_like(self._counts)
-        # Incremental membership: every state whose members a plan
-        # selects or probes keeps per-trial member pools with O(movers)
-        # swap-delete maintenance.  A state that is only ever counted
-        # (the actor state of an analytic push) keeps none.
+        # Identities -- the (M, N) state/alive arrays and the member
+        # pools of the states movers leave -- exist only once something
+        # asks *which* hosts (see _materialise).  An unshuffled start
+        # is such a question: it says who is where.
+        self._states_arr: Optional[np.ndarray] = None
+        self._alive_arr: Optional[np.ndarray] = None
+        self._states_flat: Optional[np.ndarray] = None
+        self._pools: Optional[TrialMemberPools] = None
+        if not shuffle:
+            self._materialise()
+
+    def _materialise(self) -> None:
+        """Place the current census on hosts, uniformly at random.
+
+        Hosts in one state are exchangeable and the start is shuffled,
+        so given the census every placement is equally likely: laying
+        each trial's counts out in state order and permuting the row
+        (on the ``batch-shuffle`` stream) is a draw from exactly the
+        law an engine that tracked hosts from period 0 would be in.
+        Nobody can be dead yet -- crashing is itself a question about
+        identities.  From here on step() runs the planner's who pass
+        after every census.
+        """
+        trials, n = self.trials, self.n
+        layout = np.repeat(
+            np.tile(np.arange(len(self.state_names), dtype=np.int8), trials),
+            self._counts.ravel(),
+        ).reshape(trials, n)
+        if self._shuffle_rng is not None:
+            self._shuffle_rng.permuted(layout, axis=1, out=layout)
+        self._states_arr = layout
+        self._states_flat = layout.reshape(-1)
+        self._alive_arr = np.ones((trials, n), dtype=bool)
         self._pools = TrialMemberPools(
             sorted(self._planner.selected_states), trials, n,
             self._states_flat,
@@ -519,12 +546,19 @@ class BatchRoundEngine:
     # ------------------------------------------------------------------
     @property
     def states(self) -> np.ndarray:
-        """The live ``(M, N)`` state array (mutate only via views)."""
+        """The live ``(M, N)`` state array (mutate only via views).
+
+        Reading it is what brings host identities into being.
+        """
+        if self._states_arr is None:
+            self._materialise()
         return self._states_arr
 
     @property
     def alive(self) -> np.ndarray:
         """The live ``(M, N)`` alive flags (mutate only via views)."""
+        if self._alive_arr is None:
+            self._materialise()
         return self._alive_arr
 
     @property
@@ -541,7 +575,7 @@ class BatchRoundEngine:
 
     def counts(self, state: str) -> np.ndarray:
         """Alive counts of one state across trials, shape ``(M,)``."""
-        return self.counts_matrix()[:, self._index[state]]
+        return self._counts[:, self._index[state]].copy()
 
     def mean_counts(self) -> Dict[str, float]:
         """Ensemble-mean alive count per state."""
@@ -572,7 +606,6 @@ class BatchRoundEngine:
         if newly.size == 0:
             return
         self.alive[trial, newly] = False
-        self._any_dead = True
         old_states = self.states[trial, newly]
         self._counts[trial] -= np.bincount(
             old_states, minlength=len(self.state_names)
@@ -585,11 +618,21 @@ class BatchRoundEngine:
     def _crash_fraction(self, trial: int, fraction: float) -> np.ndarray:
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
-        alive_ids = np.flatnonzero(self.alive[trial])
-        count = int(round(fraction * alive_ids.size))
-        victims = self._fault_rngs[trial].choice(
-            alive_ids, size=count, replace=False
+        # How many of each state first -- a uniform sample of the alive
+        # hosts is multivariate hypergeometric in the census -- then
+        # who, so hosts read earlier cannot change what a failure costs.
+        per_state = self._fault_rngs[trial].multivariate_hypergeometric(
+            self._counts[trial],
+            int(round(fraction * self._alive_counts[trial])),
         )
+        alive, states = self.alive[trial], self.states[trial]
+        victims = np.concatenate([
+            self._who_rng.choice(
+                np.flatnonzero(alive & (states == sid)),
+                size=count, replace=False,
+            )
+            for sid, count in enumerate(per_state) if count
+        ] or [np.empty(0, dtype=np.int64)])
         self._crash(trial, victims)
         return victims
 
@@ -611,8 +654,6 @@ class BatchRoundEngine:
         self._counts[trial, sid] += revived.size
         self._alive_counts[trial] += revived.size
         self._pools.add(sid, revived.astype(np.int64) + trial * self.n)
-        if self._alive_counts.sum() == self.alive.size:
-            self._any_dead = False
 
     def _set_states(self, trial: int, hosts: np.ndarray, state: str) -> None:
         self._set_states_by_id(trial, hosts, self._index[state])
@@ -645,8 +686,15 @@ class BatchRoundEngine:
         self.states[trial, hosts] = sid
 
     def _validate_consistency(self) -> None:
-        """Debug invariant check: counts and members match the arrays."""
+        """Cross-check the two passes: the census against the hosts.
+
+        The census pass advances the counts and the who pass the
+        arrays and pools, on separate streams; they must describe the
+        same population.  (Asking is a question about identities, so
+        this materialises them.)
+        """
         n_states = len(self.state_names)
+        alive_flat = self.alive.reshape(-1)
         for m in range(self.trials):
             expected = np.bincount(
                 self.states[m][self.alive[m]], minlength=n_states
@@ -662,14 +710,14 @@ class BatchRoundEngine:
             # The lazy-allocation invariant: a tracked state without a
             # row has no alive members (gains always go through add()).
             mask = self._states_flat == sid
-            mask &= self._alive_flat
+            mask &= alive_flat
             if mask.any():
                 raise AssertionError(
                     f"state {sid} has members but no allocated pool row"
                 )
         for sid in list(self._pools.slots):
             mask = self._states_flat == sid
-            mask &= self._alive_flat
+            mask &= alive_flat
             expected_ids = np.flatnonzero(mask)
             grouped, bounds = self._pools.grouped(sid)
             if not np.array_equal(np.sort(grouped), expected_ids):
@@ -688,188 +736,47 @@ class BatchRoundEngine:
     # The batched synchronous round
     # ------------------------------------------------------------------
     def step(self) -> Dict[Edge, np.ndarray]:
-        """One period for every trial; returns per-edge ``(M,)`` counts."""
-        m_trials, n = self.trials, self.n
-        # All period reads (peer checks, member lookups) must observe
-        # the start-of-period state; state writes and pool deltas are
-        # deferred to the end of the period, so the live arrays ARE
-        # that snapshot and no O(M * N) copy is needed.
-        if self._planner.disjoint_movers:
-            # Every planned mover is a distinct actor (see
-            # ActionPlanner.disjoint_movers), so the at-most-one-move
-            # mask would never filter anything: skip it entirely.
-            moved = None
-        else:
-            if self._moved_buf is None:
-                self._moved_buf = np.zeros(m_trials * n, dtype=bool)
-            # Kept all-False between periods: the touched entries are
-            # reset from the mover batches at the end of the period.
-            moved = self._moved_buf
+        """One period for every trial; returns per-edge ``(M,)`` counts.
+
+        How many first: the planner's census pass turns the period-start
+        counts into every action's new movers (all reads observe the
+        start of the period, RoundEngine semantics), and counts,
+        transitions and messages advance from that alone.  Who second,
+        and only if identities exist: the who pass places those movers
+        on hosts, on its own stream.
+        """
         counts0 = self._counts0_buf
         np.copyto(counts0, self._counts)
-        transitions: Dict[Edge, np.ndarray] = {}
-        member_adds: Dict[int, List[np.ndarray]] = {}
-        member_removes: Dict[int, List[np.ndarray]] = {}
-
-        # Phase 1 -- actor selection for every action, via the fused
-        # per-state multinomial planner (repro.runtime.planner): one
-        # multinomial split per state across its actions, thinned by
-        # the exact peer-match law, one selection pass per state (dense
-        # states share a single rejection-probe loop), partitioned
-        # across the winning actions.  All selections observe the
-        # start-of-period pools (RoundEngine semantics), so no action's
-        # actors depend on another's execution; strategy switches
-        # depend only on period-start counts and prior draws, so
-        # replays are deterministic.
-        plans, period_messages = self._planner.plan(
-            self._rng, counts0, self._pools
+        moves, messages = self._planner.census(
+            self._rng, counts0, self._alive_counts
         )
-        self._total_messages += period_messages
-
-        # Phase 2 -- execution, in action declaration order (token
-        # delivery and the at-most-one-move rule stay sequential).
-        deferred_writes: List[Tuple[np.ndarray, int]] = []
-        for entry in plans:
-            action = entry.action
-            if entry.tokens is not None:
-                movers, edge_from = self._deliver_tokens_counts(
-                    action, entry.tokens, moved
-                )
-            elif entry.prefired:
-                # The planner already applied the action's interaction
-                # condition analytically: the actors ARE the movers.
-                movers, edge_from = entry.actors, action.edge_from
-            else:
-                movers, edge_from = self._execute_batch(
-                    action, entry.actors
-                )
-            if movers.size == 0:
-                continue
-            if moved is not None:
-                movers = movers[~moved[movers]]
-                if movers.size == 0:
-                    continue
-                moved[movers] = True
-            deferred_writes.append((movers, action.target))
-            per_trial = np.bincount(movers // n, minlength=m_trials)
-            self._counts[:, edge_from] -= per_trial
-            self._counts[:, action.target] += per_trial
+        self._total_messages += messages
+        transitions: Dict[Edge, np.ndarray] = {}
+        for action, new in moves:
+            self._counts[:, action.edge_from] -= new
+            self._counts[:, action.target] += new
             edge = (
-                self.state_names[edge_from], self.state_names[action.target]
+                self.state_names[action.edge_from],
+                self.state_names[action.target],
             )
-            if edge in transitions:
-                transitions[edge] += per_trial
-            else:
-                transitions[edge] = per_trial
-            member_removes.setdefault(edge_from, []).append(movers)
-            member_adds.setdefault(action.target, []).append(movers)
-
-        # State writes, the moved-mask reset and the membership deltas
-        # are applied only now: during the period every lookup must
-        # observe the start-of-period snapshot, matching RoundEngine's
-        # semantics.
-        for movers, target in deferred_writes:
-            self._states_flat[movers] = target
-            if moved is not None:
-                moved[movers] = False
-        self._pools.apply_deltas(member_removes, member_adds)
+            transitions[edge] = (
+                transitions[edge] + new if edge in transitions else new
+            )
+        if self._pools is not None and moves:
+            # Selections read the period-start pools; writes and pool
+            # deltas land after every action has chosen.
+            removes: Dict[int, List[np.ndarray]] = {}
+            adds: Dict[int, List[np.ndarray]] = {}
+            for action, hosts in self._planner.who(
+                self._who_rng, moves, self._pools
+            ):
+                self._states_flat[hosts] = action.target
+                removes.setdefault(action.edge_from, []).append(hosts)
+                adds.setdefault(action.target, []).append(hosts)
+            self._pools.apply_deltas(removes, adds)
         self.period += 1
         self.last_transitions = transitions
         return transitions
-
-    def _execute_batch(
-        self, action, actors: np.ndarray
-    ) -> Tuple[np.ndarray, int]:
-        """Explicit peer draws for a self-match push's ``actors``.
-
-        The one action the planner cannot reduce to a count law: a push
-        whose match state is its own actor state (each actor excludes
-        itself from its peers, so no single match probability serves
-        every contact).  Every other kind arrives prefired.  State
-        writes are deferred to the end of the period, so the live
-        arrays are the period-start snapshot.
-        """
-        if action.kind != "push":
-            raise AssertionError(
-                f"{action.kind} actions are planned analytically"
-            )
-        # Uniform non-self peers within each actor's own trial row (the
-        # flat-global-id form of repro.runtime.rng.sample_other).
-        hosts = actors % self.n
-        targets = self._rng.integers(
-            0, self.n - 1, size=(actors.size, action.fanout)
-        )
-        targets += targets >= hosts[:, None]
-        targets += (actors - hosts)[:, None]
-        ok = self._states_flat[targets] == action.match
-        if self._any_dead:
-            ok &= self._alive_flat[targets]
-        if self.connection_failure_rate > 0.0:
-            ok &= self._rng.random(targets.shape) \
-                >= self.connection_failure_rate
-        return np.unique(targets[ok]), action.edge_from
-
-    def _deliver_tokens_counts(
-        self,
-        action,
-        tokens: np.ndarray,
-        moved: np.ndarray,
-    ) -> Tuple[np.ndarray, int]:
-        """Route ``tokens[m]`` fired tokens per trial (RoundEngine semantics).
-
-        Token routing never needs the firing actors' identities, so the
-        planner hands over thinned per-trial counts.  Delivery needs
-        *exact* per-trial draw counts (trial ``m`` delivers
-        ``min(tokens[m], pool[m])`` tokens), so the dense path runs
-        through :func:`segmented_choice`.  When only a handful of
-        trials fired a token, the per-trial loop is kept instead: it
-        reads just those trials' pool rows, which is cheaper than
-        gathering the token state's full batch-wide grouping.
-        """
-        empty = np.empty(0, dtype=np.int64)
-        active = np.flatnonzero(tokens)
-        if active.size <= max(1, self.trials // 4):
-            chunks: List[np.ndarray] = []
-            for trial in active:
-                pool = self._pools.members(action.token_state, int(trial))
-                pool = pool[~moved[pool]]
-                if pool.size == 0:
-                    continue
-                count = int(tokens[trial])
-                if action.ttl is not None:
-                    alive_total = int(self._alive_counts[trial])
-                    fraction = pool.size / alive_total if alive_total else 0.0
-                    reach = 1.0 - (1.0 - fraction) ** action.ttl
-                    count = int(self._rng.binomial(count, reach))
-                    if count == 0:
-                        continue
-                take = min(count, pool.size)
-                chunks.append(
-                    self._rng.choice(pool, size=take, replace=False)
-                )
-            if not chunks:
-                return empty, action.edge_from
-            return np.concatenate(chunks), action.edge_from
-
-        grouped, _ = self._pools.grouped(action.token_state)
-        pool = grouped[~moved[grouped]]
-        if pool.size == 0:
-            return empty, action.edge_from
-        # Filtering preserves within-trial grouping, so the filtered
-        # pool's segment bounds are one bincount + cumsum away.
-        sizes = np.bincount(pool // self.n, minlength=self.trials)
-        if action.ttl is not None:
-            fractions = np.divide(
-                sizes, self._alive_counts,
-                out=np.zeros(self.trials), where=self._alive_counts > 0,
-            )
-            reach = 1.0 - (1.0 - fractions) ** action.ttl
-            tokens = self._rng.binomial(tokens, reach)
-        take = np.minimum(tokens, sizes)
-        if not take.any():
-            return empty, action.edge_from
-        bounds = np.concatenate([[0], np.cumsum(sizes)])
-        return segmented_choice(self._rng, pool, bounds, take), action.edge_from
 
     # ------------------------------------------------------------------
     # Run loop
@@ -922,12 +829,9 @@ class BatchRoundEngine:
             sid = self.state_id(recorder.member_log_state)
             mask = (self.states == sid) & self.alive
             members = [np.flatnonzero(mask[m]) for m in range(self.trials)]
-        recorder.record(
-            self.period,
-            self.counts_matrix(),
-            self.alive_counts(),
-            transitions=self.last_transitions,
-            members=members,
+        recorder.record(  # copies what it keeps
+            self.period, self._counts, self._alive_counts,
+            transitions=self.last_transitions, members=members,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
@@ -951,9 +855,8 @@ def serial_ensemble(
 
     Runs the trial loop the way the benches did before the batch engine
     existed, with the same spawned trial seeds the batch engine uses.
-    Kept as the baseline for ``benchmarks/bench_batch_throughput.py``
-    and the equivalence tests; returns the per-trial recorders and the
-    trial seeds.
+    Kept as the baseline of the equivalence tests; returns the
+    per-trial recorders and the trial seeds.
     """
     seeds = spawn_seeds(seed, trials)
     recorders = []

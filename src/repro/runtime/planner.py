@@ -1,53 +1,52 @@
-"""Fused per-state multinomial action planning for the batch engine.
+"""Per-period planning for the batch engine: *how many*, then *who*.
 
 Every action of a :class:`~repro.synthesis.protocol.ProtocolSpec` is a
 biased coin flipped independently by each member of its actor state
 (a ``probability >= 1.0`` action is the coin that always lands heads).
-The paper's system model (Section 3) actually specifies one
-*multi-way* coin per actor per period: an actor in state ``s`` picks
-among ``s``'s actions with their respective probabilities or does
-nothing, so the number of actors firing each action is exactly a
-**multinomial split** of the state's occupancy -- the same aggregation
-that makes mean-field analysis of population protocols tractable
-(Chatzigiannakis & Spirakis) and that batch simulation of huge
-populations exploits (Kosowski & Uznanski, "Population Protocols Are
-Fast").
+The paper's system model (Section 3) specifies one *multi-way* coin per
+actor per period: an actor in state ``s`` picks among ``s``'s actions
+with their respective probabilities or does nothing, so the number of
+actors firing each action is a **multinomial split** of the state's
+occupancy.  Hosts in one state are exchangeable, so the whole period is
+a step of the *census* Markov chain -- the ``(M, S)`` count matrix --
+the object mean-field analysis of population protocols is about
+(Bournez et al.; Chatzigiannakis & Spirakis) and that simulation of
+huge populations steps directly (Kosowski & Uznanski, "Population
+Protocols Are Fast").  :class:`ActionPlanner` plans a period in two
+passes that never share a random stream:
 
-:class:`ActionPlanner` plans one period's actor selections for every
-action at once:
+1. :meth:`ActionPlanner.census` -- **how many**.  From the period-start
+   counts alone it draws every action's new movers per trial, in
+   declaration order, with count laws (table in docs/architecture.md):
+   one broadcast multinomial over every (group, trial); binomial
+   condition thinning by the exact peer-match probability; for a push,
+   the number of *distinct* bins hit by its surviving contacts thrown
+   at the match state's members (drawn as positions, never through a
+   pool); for a tokenize, the tokens capped by the unmoved token-state
+   members; and the at-most-one-move rule as a hypergeometric overlap
+   with the hosts that already left the state this period.  No host
+   array exists on this path, so its cost is independent of ``N``.
+2. :meth:`ActionPlanner.who` -- **which hosts**, run only once the
+   engine has materialised identities.  Per source state it selects the
+   sum of that state's new movers uniformly from its member pool (dense
+   states share one rejection-probe loop over pool positions, sparse
+   ones keep per-trial scans, exact big draws go through
+   :func:`~repro.runtime.sampling.segmented_choice`) and hands out
+   consecutive runs of the uniformly ordered selection to the state's
+   actions -- sequential uniform sampling from what is left, which is
+   exactly the law of "each action's new movers are uniform among the
+   hosts that have not moved yet".
 
-1. **One multinomial draw for the whole period.**  The per-state splits
-   of every (trial, state) occupancy across that state's actions (plus
-   the no-op remainder) come from a single broadcast
-   ``rng.multinomial`` call over a ``(groups, trials, actions + 1)``
-   probability tensor -- replacing one ``rng.binomial`` call per action
-   with one RNG call per period.
-2. **One selection pass per state, fused across dense states.**  A
-   state's total firing count is drawn once and the winning actors are
-   selected once (instead of once per action); all states in the dense
-   probing regime share a single rejection-probe loop over global host
-   ids (a (state, trial) segment generalization of the former
-   per-action ``_sample_dense_actors``), so a multi-action protocol
-   like LV pays for one probe pass per period, not four.
-3. **Partition, not re-draw.**  A state's selected actors arrive in
-   uniform-random order (probe draw order, or an explicit segmented
-   shuffle for sorted selections); splitting that permutation into
-   consecutive runs of the multinomial counts assigns each actor to
-   exactly one action with the correct joint distribution.  Per-action
-   marginals are unchanged -- ``Binomial(count, p_a)`` actors, uniform
-   without replacement -- but actors now fire *at most one* action of
-   their state per period, which is the paper's own actor model.  (The
-   serial engine keeps independent per-action coins with
-   declaration-order conflict resolution; the two agree to the
-   ``O((p c)^2)`` order the normalizing constant already bounds.)
+Per-action marginals match the serial engine's -- ``Binomial(count,
+p * q)`` movers, uniform without replacement -- but actors fire *at
+most one* action of their state per period, the paper's own actor model
+(the serial engine keeps independent per-action coins with
+declaration-order conflict resolution; the two agree to the
+``O((p c)^2)`` order the normalizing constant already bounds).
 
-Scratch buffers (the probe ``taken`` mask and last-writer ``slot``
-array, both ``(trials * n,)``) are allocated once and reused across
-periods, so the planner makes no per-period ``O(M * N)`` allocations.
-
-Planner decisions (selection strategy per state) depend only on
-period-start counts and the draws made so far, so batch-mode replays
-remain deterministic for a fixed seed.
+Census decisions depend only on period-start counts and earlier census
+draws, never on pools or host arrays, so the count trajectory of a
+seed is the same whether or not anybody ever looks at a host.
 """
 
 from __future__ import annotations
@@ -57,33 +56,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .sampling import _action_width, segmented_choice
+from .sampling import _action_width, distinct_per_segment, segmented_choice
 
-__all__ = ["ActionPlanner", "PlannedAction"]
+__all__ = ["ActionPlanner", "TrialMemberPools"]
 
-_EMPTY = np.empty(0, dtype=np.int64)
-
-
-@dataclass
-class PlannedAction:
-    """One action's planned work for a period.
-
-    ``actors`` holds global ids in uniform-random order within each
-    trial's segment (consumers must not rely on sorted ids).  When
-    ``prefired`` is True the planner has already applied the action's
-    interaction condition analytically (see
-    ``ActionPlanner._match_probability`` and
-    ``ActionPlanner._plan_push``), so ``actors`` ARE the movers -- no
-    peer sampling or state checks remain; for a ``push`` plan they are
-    the converted *targets*, drawn from the match pool.  ``tokens``
-    carries a tokenize action's per-trial fired-token counts instead of
-    actor ids (token routing never needs the actors' identities).
-    """
-
-    action: object
-    actors: np.ndarray
-    prefired: bool = False
-    tokens: Optional[np.ndarray] = None
+#: One action's new movers: ``(compiled action, (M,) counts)`` out of
+#: the census pass, ``(compiled action, global host ids)`` out of the
+#: who pass.
+Move = Tuple[object, np.ndarray]
 
 
 class TrialMemberPools:
@@ -421,25 +401,28 @@ class TrialMemberPools:
 
 
 @dataclass
-class _CoinGroup:
-    """One actor state's coin-flipped and condition-thinned actions, fused."""
+class _StateGroup:
+    """Some of one state's actions, in declaration order."""
 
     sid: int
-    indices: List[int]            # declaration indices, ascending
-    actions: List[object]         # compiled actions, same order
-    probabilities: np.ndarray     # (A,) float
-    psum: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.psum = float(self.probabilities.sum())
+    indices: List[int] = field(default_factory=list)
+    actions: List[object] = field(default_factory=list)
 
     @property
     def width(self) -> int:
         return len(self.actions)
 
+    @property
+    def probabilities(self) -> np.ndarray:
+        return np.array([a.probability for a in self.actions], dtype=float)
+
+    @property
+    def psum(self) -> float:
+        return float(self.probabilities.sum())
+
 
 class ActionPlanner:
-    """Plans per-period actor selections for a compiled protocol.
+    """Plans one period of a compiled protocol: how many move, then who.
 
     Parameters
     ----------
@@ -452,21 +435,16 @@ class ActionPlanner:
 
     * ``probability >= 1.0`` actions with no per-actor condition to
       thin (flips, condition-less samples, pushes) involve every member
-      of their state: the members are the movers, or -- for a push --
-      the heads are the counts;
-    * every other action joins its state's :class:`_CoinGroup`, handled
-      by the multinomial split and thinned by the count law (a
-      ``probability >= 1.0`` ``sample``/``anyof``/``tokenize`` is a
-      group whose no-op remainder is 0) -- unless the state's
-      probabilities sum above 1 (impossible for synthesized specs,
-      whose normalizing constant bounds the per-state total, but
-      expressible by hand-built specs), in which case that state falls
-      back to independent per-action binomials.
-
-    :attr:`disjoint_movers` is True when the plan structure alone
-    guarantees that no host can be moved twice in one period (all
-    kinds move their *actors*, every actor fires at most one action),
-    letting the engine skip its at-most-one-move bookkeeping.
+      of their state: their heads are the counts;
+    * every other action joins its state's coin group, split by the
+      multinomial and thinned by the count law (a ``probability >=
+      1.0`` ``sample``/``anyof``/``tokenize`` is a group whose no-op
+      remainder is 0) -- unless the state's probabilities sum above 1
+      (impossible for synthesized specs, whose normalizing constant
+      bounds the per-state total, but expressible by hand-built specs),
+      in which case that state's actions keep independent
+      ``Binomial(count, p)`` coins and may pick the same host twice,
+      which the collision law then resolves like any other overlap.
     """
 
     def __init__(
@@ -480,345 +458,191 @@ class ActionPlanner:
         self.n = n
         self._batch = trials * n
         self._failure = connection_failure_rate
-        # Matches the former per-action threshold: below ~max(4, M/4)
-        # expected firings, per-trial scans beat batch-wide passes.
+        self._compiled = list(compiled)
+        # Below ~max(4, M/4) movers of a state, per-trial scans beat
+        # batch-wide passes.
         self._dense_threshold = max(4.0, trials / 4.0)
 
         self.full_actions: List[Tuple[int, object]] = []
-        self.coin_groups: List[_CoinGroup] = []
-        self.fallback_groups: List[_CoinGroup] = []
-        by_state: Dict[int, _CoinGroup] = {}
+        self.coin_groups: List[_StateGroup] = []
+        self.fallback_groups: List[_StateGroup] = []
+        by_state: Dict[int, _StateGroup] = {}
         for index, action in enumerate(compiled):
-            probability = action.probability
-            if probability <= 0.0:
+            if action.probability <= 0.0:
                 continue
             thinned = (
                 action.kind in ("anyof", "tokenize")
                 or len(action.required) > 0
             )
-            if probability >= 1.0 and not thinned:
+            if action.probability >= 1.0 and not thinned:
                 self.full_actions.append((index, action))
                 continue
-            group = by_state.get(action.actor)
-            if group is None:
-                group = _CoinGroup(
-                    sid=action.actor, indices=[], actions=[],
-                    probabilities=np.empty(0),
-                )
-                by_state[action.actor] = group
+            group = by_state.setdefault(
+                action.actor, _StateGroup(sid=action.actor)
+            )
             group.indices.append(index)
             group.actions.append(action)
         for sid in sorted(by_state):
             group = by_state[sid]
-            group.probabilities = np.array(
-                [a.probability for a in group.actions], dtype=float
-            )
-            group.__post_init__()
-            if group.psum <= 1.0:
-                self.coin_groups.append(group)
-            else:
-                self.fallback_groups.append(group)
+            (self.coin_groups if group.psum <= 1.0
+             else self.fallback_groups).append(group)
 
         # The fused (G, 1, K) probability tensor: row g holds group g's
         # action probabilities, zero padding, and the no-op remainder
         # last, so one broadcast multinomial call serves every group.
+        self._pvals: Optional[np.ndarray] = None
         if self.coin_groups:
             width = max(g.width for g in self.coin_groups)
-            pvals = np.zeros((len(self.coin_groups), 1, width + 1))
+            self._pvals = np.zeros((len(self.coin_groups), 1, width + 1))
             for g, group in enumerate(self.coin_groups):
-                pvals[g, 0, :group.width] = group.probabilities
-                pvals[g, 0, -1] = 1.0 - group.psum
-            self._pvals = pvals
-            self._group_sids = np.array(
-                [g.sid for g in self.coin_groups], dtype=np.int64
-            )
-        else:
-            self._pvals = None
-            self._group_sids = np.empty(0, dtype=np.int64)
-
-        self.disjoint_movers = self._movers_disjoint(compiled)
+                self._pvals[g, 0, :group.width] = group.probabilities
+                self._pvals[g, 0, -1] = 1.0 - group.psum
+        self._group_sids = np.array(
+            [g.sid for g in self.coin_groups], dtype=np.int64
+        )
 
         # Peer-contact widths: messages an actor of each action sends
-        # per period (0 for flips).  Summed once per period from the
-        # multinomial splits, message accounting stays exact even for
-        # trials whose selection was thinned away -- their actors still
-        # send, they just cannot convert anyone.
-        self._msg_width = {
-            index: _action_width(action)
-            for index, action in enumerate(compiled)
-        }
+        # per period (0 for flips).  Charged from the unthinned heads,
+        # message accounting stays exact for trials whose movers were
+        # thinned away -- their actors still send, they just cannot
+        # convert anyone.
+        self._msg_width = [_action_width(action) for action in compiled]
         self._group_widths = [
             np.array([self._msg_width[i] for i in g.indices], dtype=np.int64)
             for g in self.coin_groups
         ]
-        self._group_has_width = [
-            bool(w.any()) for w in self._group_widths
-        ]
-        # Analytic push eligibility: a push action's movers are its
-        # *targets*, drawn by every firing actor as iid uniform peers.
-        # With the match state disjoint from the actor state, all
-        # actors see the same match mass, so the surviving matched
-        # contacts follow one exact binomial law and the movers can be
-        # sampled straight from the match pool (see _plan_push) -- no
-        # per-actor target draws, no batch-wide state checks.  A push
-        # whose match state IS its actor state keeps the explicit path
-        # (each actor excludes itself, breaking the single-q symmetry).
-        self._push_analytic = {
-            index: action.kind == "push" and action.match != action.actor
-            for index, action in enumerate(compiled)
-        }
-        #: States whose *members* a plan selects or probes -- the only
-        #: states the engine keeps member pools for.  An analytic push
-        #: draws from its match pool and a tokenize from its token pool;
-        #: of their actor states both need only the counts.
+        #: States the who pass selects members of -- every state some
+        #: action's movers *leave* -- and so the only states the engine
+        #: keeps member pools for.  A push moves members of its match
+        #: state and a tokenize members of its token state; of their
+        #: actor states both need only the counts.
         self.selected_states = frozenset(
-            int(action.match) if self._push_analytic[index]
-            else int(action.token_state) if action.kind == "tokenize"
-            else int(action.actor)
-            for index, action in enumerate(compiled)
+            int(action.edge_from) for action in compiled
             if action.probability > 0.0
         )
-        # Columns lifted out of the actor-selection pass entirely:
-        # tokenize (token routing needs counts, not actor identities)
-        # and analytic push (movers come from the match pool).
-        self._group_lifted = [
-            any(
-                a.kind == "tokenize" or self._push_analytic[i]
-                for i, a in zip(g.indices, g.actions)
-            )
-            for g in self.coin_groups
-        ]
-
-        # Analytic condition thinning: a selected actor of a sample /
-        # anyof / tokenize action fires iff its uniformly-drawn peers
-        # match the required states -- an independent Bernoulli whose
-        # probability is an exact function of the period-start counts.
-        # Thinning the splits by it (``movers | heads ~ Binomial(heads,
-        # q)``, the serial engine's own conditional law) means only the
-        # *movers* are ever selected; peer draws and state checks for
-        # these kinds disappear from the batch hot path entirely, at
-        # every probability: a ``probability >= 1.0`` action is a coin
-        # group whose heads are the whole state.
-        # ``push`` movers are *targets*, handled by their own analytic
-        # law (``_plan_push``) whenever the match state differs from
-        # the actor state; protocols whose coins are all flips skip
-        # thinning statically, leaving their draw stream untouched.
-        coin_kinds = {
-            a.kind
-            for grp in (self.coin_groups + self.fallback_groups)
-            for a in grp.actions
-        }
-        self._thinning = bool(
-            coin_kinds & {"sample", "anyof", "tokenize"}
+        # Protocols whose coins are all flips or pushes skip the
+        # thinning draw statically.
+        self._thinning = any(
+            a.kind in ("sample", "anyof", "tokenize")
+            for g in self.coin_groups for a in g.actions
         )
-        self._prefired = {
-            index: action.kind in ("flip", "sample", "anyof")
-            for index, action in enumerate(compiled)
-        }
         self._q_buf: Optional[np.ndarray] = None
 
-        # Dense-probe and push-dedupe scratch (lazy: sparse-regime
-        # protocols never pay the 5 bytes per host).  ``_taken`` is
-        # kept all-False between calls; ``_slot`` is always written
-        # before it is read.
+        # Dense-probe scratch of the who pass (lazy: a count-only run
+        # and sparse-regime protocols never pay the 5 bytes per host).
+        # ``_taken`` is kept all-False between calls; ``_slot`` is
+        # always written before it is read.
         self._taken: Optional[np.ndarray] = None
         self._slot: Optional[np.ndarray] = None
         self._arange: Optional[np.ndarray] = None
 
-    def _taken_mask(self) -> np.ndarray:
-        """The all-False ``(M * n + 1,)`` scratch mask (callers reset it).
-
-        The extra trailing slot is the dummy position that absorbs
-        dense probes landing beyond a row's live size.
-        """
-        if self._taken is None:
-            self._taken = np.zeros(self._batch + 1, dtype=bool)
-        return self._taken
-
-    def _movers_disjoint(self, compiled: Sequence) -> bool:
-        """Can the planned movers of one period ever collide?
-
-        ``push`` moves its *targets* and ``tokenize`` moves members of
-        the token state, so those kinds can collide with anything.  For
-        actor-moving kinds (flip/sample/anyof), actors of different
-        states are disjoint by definition and the multinomial split
-        makes actors within a state fire at most one action -- unless a
-        state mixes a ``probability >= 1.0`` action (which fires every
-        member) with any other action, or needed the independent-coin
-        fallback.
-        """
-        if self.fallback_groups:
-            return False
-        if any(
-            action.kind not in ("flip", "sample", "anyof")
-            for action in compiled if action.probability > 0.0
-        ):
-            return False
-        full_sids = [action.actor for _, action in self.full_actions]
-        if len(set(full_sids)) != len(full_sids):
-            return False  # two all-member actions on one state
-        if {g.sid for g in self.coin_groups} & set(full_sids):
-            return False  # all-member action overlaps a coin group
-        return True
-
     # ------------------------------------------------------------------
-    # Per-period planning
+    # How many: the census pass
     # ------------------------------------------------------------------
-    def plan(
+    def census(
         self,
         rng: np.random.Generator,
         counts0: np.ndarray,
-        pools: TrialMemberPools,
-    ) -> Tuple[List[PlannedAction], np.ndarray]:
-        """Select the actors of every action for one period.
+        alive_counts: np.ndarray,
+    ) -> Tuple[List[Move], np.ndarray]:
+        """Draw every action's new movers per trial from the counts alone.
 
-        ``counts0`` is the period-start ``(M, S)`` count matrix and
-        ``pools`` the period-start membership pools of
-        :attr:`selected_states`.  Returns ``(plans, messages)``:
-        ``(action, actors)`` pairs in action declaration order (empty
-        selections omitted) plus the period's exact per-trial
-        peer-contact counts -- charged from the splits, so trials whose
-        selection was thinned away still pay for the sends their
-        unobservable actors make.
+        ``counts0`` is the period-start ``(M, S)`` alive-count matrix
+        (read, never written).  Returns ``(moves, messages)``:
+        ``(action, new)`` pairs in declaration order, ``new[m]`` hosts
+        leaving ``action.edge_from`` for ``action.target`` in trial
+        ``m`` (all-zero entries omitted), plus the period's exact
+        per-trial peer-contact counts.
+
+        *Proposals* come first -- the hosts each action would move on
+        its own: multinomial heads thinned by the peer-match binomial,
+        a push's distinct targets, a tokenize's fired tokens.  The
+        at-most-one-move rule then runs in declaration order on counts:
+        a proposal is a uniform subset of its source state, so the
+        number of proposed hosts that already left the state this
+        period is hypergeometric, and only the rest are new.  The picks
+        of one multinomial are disjoint by construction, so a coin
+        group's own earlier picks are excluded from that population.
         """
-        plans: Dict[int, PlannedAction] = {}
         messages = np.zeros(self.trials, dtype=np.int64)
+        proposals: Dict[int, np.ndarray] = {}
+        own: Dict[int, np.ndarray] = {}
         for index, action in self.full_actions:
-            actor_counts = counts0[:, action.actor]
-            if not actor_counts.any():
-                continue
-            width = self._msg_width[index]
-            if width:
-                messages += width * actor_counts
-            if self._push_analytic[index]:
-                # Every member fires, so the heads are the counts; the
-                # movers come straight from the analytic conversion law.
-                self._plan_push(
-                    plans, rng, index, action, actor_counts, counts0, pools,
-                )
-                continue
-            plans[index] = PlannedAction(
-                action, pools.grouped(action.actor)[0],
-                prefired=self._prefired[index],
-            )
-
+            # Copied: ``new`` outlives the engine's counts0 buffer.
+            proposals[index] = counts0[:, action.actor].copy()
+            if self._msg_width[index]:
+                messages += self._msg_width[index] * proposals[index]
         if self.coin_groups:
             occupancy = counts0[:, self._group_sids].T  # (G, M)
-            splits_all = rng.multinomial(occupancy, self._pvals)
-            if self._thinning:
-                movers_all = rng.binomial(
-                    splits_all[:, :, :-1], self._q_tensor(counts0)
-                )
-            else:
-                movers_all = splits_all[:, :, :-1]
-            dense: List[Tuple[_CoinGroup, np.ndarray, np.ndarray]] = []
-            for g, group in enumerate(self.coin_groups):
-                if self._group_has_width[g]:
-                    # Messages charge the unthinned coin counts: every
-                    # head sends, whether or not its peers matched.
-                    messages += (
-                        splits_all[g][:, :group.width]
-                        @ self._group_widths[g]
-                    )
-                splits = movers_all[g][:, :group.width]  # (M, A)
-                if self._group_lifted[g]:
-                    splits = splits.copy()
-                    for a, (index, action) in enumerate(
-                        zip(group.indices, group.actions)
-                    ):
-                        if action.kind == "tokenize":
-                            # Token routing needs fired counts, not
-                            # actors: lift the column out of the
-                            # selection entirely.
-                            fired = splits[:, a]
-                            if fired.any():
-                                plans[index] = PlannedAction(
-                                    action, _EMPTY, prefired=True,
-                                    tokens=fired.astype(np.int64),
-                                )
-                            splits[:, a] = 0
-                        elif self._push_analytic[index]:
-                            # Push movers are targets: plan them from
-                            # the match pool, never selecting actors.
-                            heads = splits[:, a]
-                            if heads.any():
-                                self._plan_push(
-                                    plans, rng, index, action, heads,
-                                    counts0, pools,
-                                )
-                            splits[:, a] = 0
-                total_take = int(splits.sum())
-                if total_take == 0:
-                    continue
-                take = splits.sum(axis=1, dtype=np.int64)
-                selected = self._select_actors(
-                    rng, group.sid, take, group.psum, counts0[:, group.sid],
-                    pools,
-                )
-                if selected is None:
-                    dense.append((group, splits, take))
-                    continue
-                actors, pre_shuffled = selected
-                self._partition(
-                    plans, rng, group, actors, take, splits,
-                    pre_shuffled=pre_shuffled,
-                )
-            if dense:
-                self._plan_dense(plans, rng, dense, pools)
-
-        for group in self.fallback_groups:
-            self._plan_fallback(plans, rng, group, counts0, pools, messages)
-        return [plans[index] for index in sorted(plans)], messages
-
-    # ------------------------------------------------------------------
-    # Probe-vs-materialize strategy gate
-    # ------------------------------------------------------------------
-    def _select_actors(
-        self,
-        rng: np.random.Generator,
-        sid: int,
-        take: np.ndarray,
-        probability: float,
-        actor_counts: np.ndarray,
-        pools: TrialMemberPools,
-    ) -> Optional[Tuple[np.ndarray, bool]]:
-        """Pick ``take[m]`` distinct members of state ``sid`` per trial.
-
-        Returns ``None`` when the state belongs in the dense probe
-        (the caller owns that pass: coin groups fuse theirs into one
-        loop), else ``(actors, pre_shuffled)``: sorted
-        :func:`segmented_choice` picks where a trial wants over a
-        quarter of its state, per-trial ``Generator.choice`` scans
-        where fewer than the dense threshold are expected to fire.
-        """
-        if probability * int(actor_counts.sum()) >= self._dense_threshold:
-            if self._probe_viable(take, actor_counts):
-                return None
-            grouped, bounds = pools.grouped(sid)
-            return segmented_choice(rng, grouped, bounds, take), False
-        active = np.flatnonzero(take)
-        if active.size == 0:
-            return _EMPTY, True
-        return np.concatenate([
-            rng.choice(
-                pools.members(sid, int(trial)),
-                size=int(take[trial]), replace=False,
+            heads = rng.multinomial(occupancy, self._pvals)[:, :, :-1]
+            thinned = (
+                rng.binomial(heads, self._q_tensor(counts0))
+                if self._thinning else heads
             )
-            for trial in active
-        ]), True
+            for g, group in enumerate(self.coin_groups):
+                if self._group_widths[g].any():
+                    messages += (
+                        heads[g][:, :group.width] @ self._group_widths[g]
+                    )
+                picked = None  # this multinomial's actor picks so far
+                for a, (index, action) in enumerate(
+                    zip(group.indices, group.actions)
+                ):
+                    proposals[index] = thinned[g, :, a]
+                    if action.kind in ("flip", "sample", "anyof"):
+                        if picked is None:
+                            picked = proposals[index]
+                        else:
+                            own[index] = picked
+                            picked = picked + proposals[index]
+        for group in self.fallback_groups:
+            for index, action in zip(group.indices, group.actions):
+                coins = rng.binomial(
+                    counts0[:, group.sid], action.probability
+                )
+                messages += self._msg_width[index] * coins
+                q = self._match_probability(counts0, action)
+                proposals[index] = (
+                    coins if q is None else rng.binomial(coins, q)
+                )
 
-    def _probe_viable(
-        self, take: np.ndarray, actor_counts: np.ndarray
-    ) -> bool:
-        """Should this state's selection join the fused probe pass?
-
-        Pool-position probing costs ``take * size / (size - take)``
-        draws per trial -- only same-period duplicates reject -- so it
-        is viable whenever no trial wants more than a quarter of its
-        state (which would collapse the acceptance rate).  Inputs are
-        period-start quantities, so the decision is replay-deterministic.
-        """
-        return bool(np.all(take * 4 <= actor_counts))
+        moves: List[Move] = []
+        left: Dict[int, np.ndarray] = {}  # source state -> moved so far
+        for index in sorted(proposals):
+            take = proposals[index]
+            if not take.any():
+                continue
+            action = self._compiled[index]
+            source = action.edge_from
+            members = counts0[:, source]
+            gone = left.get(source)
+            if action.kind == "push":
+                take = self._push_targets(rng, action, take, members)
+            if action.kind == "tokenize":
+                unmoved = members if gone is None else members - gone
+                if action.ttl is not None:
+                    fraction = np.divide(
+                        unmoved, alive_counts,
+                        out=np.zeros(self.trials), where=alive_counts > 0,
+                    )
+                    take = rng.binomial(
+                        take, 1.0 - (1.0 - fraction) ** action.ttl
+                    )
+                # Tokens route to unmoved members only; excess drops.
+                new = np.minimum(take, unmoved)
+            else:
+                new = take
+                if gone is not None:
+                    # Earlier movers this pick could land on.
+                    taken = gone - own[index] if index in own else gone
+                    if taken.any():
+                        new = take - rng.hypergeometric(
+                            taken, members - gone, take
+                        )
+            if new.any():
+                left[source] = new if gone is None else gone + new
+                moves.append((action, new))
+        return moves, messages
 
     def _match_probability(
         self, counts0: np.ndarray, action
@@ -862,9 +686,8 @@ class ActionPlanner:
     def _q_tensor(self, counts0: np.ndarray) -> np.ndarray:
         """The ``(G, M, A_max)`` thinning probabilities for this period."""
         if self._q_buf is None:
-            width = self._pvals.shape[2] - 1
             self._q_buf = np.ones(
-                (len(self.coin_groups), self.trials, width)
+                (len(self.coin_groups), self.trials, self._pvals.shape[2] - 1)
             )
         q = self._q_buf
         # Cells of unconditioned actions (and padding) stay at their 1.0.
@@ -875,116 +698,186 @@ class ActionPlanner:
                     q[g, :, a] = probability
         return q
 
-    def _plan_push(
+    def _push_targets(
         self,
-        plans: Dict[int, PlannedAction],
         rng: np.random.Generator,
-        index: int,
         action,
         heads: np.ndarray,
-        counts0: np.ndarray,
-        pools: TrialMemberPools,
-    ) -> None:
-        """Select a push action's movers directly: targets, not actors.
+        members: np.ndarray,
+    ) -> np.ndarray:
+        """How many distinct match-state members a push's contacts hit.
 
         A firing push actor's ``fanout`` contacts are iid uniform over
         its ``n - 1`` peers, each independently surviving the
         connection-failure coin; a contact *converts* its target iff
-        the target is an alive member of the match state.  With the
-        match state disjoint from the actor state (the eligibility
-        condition), every contact hits a match member with the same
-        exact probability ``q = (1 - f) * c_match / (n - 1)`` (dead
-        hosts keep their slot and fail the check, so ``c_match`` is the
-        alive count), and conditional on hitting, the hit member is iid
-        uniform over the match pool.  The period's surviving matched
-        contacts are therefore ``K ~ Binomial(heads * fanout, q)`` and
-        the movers are the distinct members among ``K`` uniform pool
-        positions -- the serial engine's own conversion law
-        (``unique(targets[ok])``), reached without drawing a single
-        per-actor target or scanning a single state array.  A trial
-        whose match state is empty draws nothing at all, and message
-        accounting still charges every head's contacts upstream.
+        the target is an alive member of the match state (``members``
+        of them per trial; dead hosts keep their slot and fail the
+        check).  With the match state disjoint from the actor state
+        every contact hits with the same exact probability ``q = (1 -
+        f) * c_match / (n - 1)``, so the surviving matched contacts are
+        ``K ~ Binomial(heads * fanout, q)``, each landing on a uniform
+        member: the movers are the distinct bins among ``K`` uniform
+        positions ``< c_match`` -- the occupancy law, the serial
+        engine's ``unique(targets[ok])`` without a host in sight.  A
+        trial whose match state is empty draws nothing at all.
         """
-        survive = 1.0 - self._failure
+        if action.match == action.actor:
+            return self._self_push_targets(rng, action, heads, members)
         q = np.clip(
-            counts0[:, action.match] * (survive / (self.n - 1)), 0.0, 1.0
+            members * ((1.0 - self._failure) / (self.n - 1)), 0.0, 1.0
         )
         hits = rng.binomial(heads * action.fanout, q)
         if not hits.any():
-            return
-        slot = pools.slot(action.match)
-        positions = rng.integers(0, np.repeat(pools.sizes[slot], hits))
-        rows = (slot * self.trials + np.arange(self.trials)) * self.n
-        # Dedupe through the probe's mask: scatter the hit members, read
-        # them back in id order (the sorted set ``np.unique`` returns,
-        # without hashing or sorting up to heads x fanout ids).
-        taken = self._taken_mask()
-        taken[pools.pool.reshape(-1)[np.repeat(rows, hits) + positions]] = True
-        movers = np.flatnonzero(taken)
-        taken[movers] = False
-        plans[index] = PlannedAction(action, movers, prefired=True)
+            return hits
+        trial = np.repeat(np.arange(self.trials), hits)
+        return distinct_per_segment(
+            trial, rng.integers(0, members[trial]), self.trials,
+            int(members.max()),
+        )
+
+    def _self_push_targets(
+        self,
+        rng: np.random.Generator,
+        action,
+        heads: np.ndarray,
+        members: np.ndarray,
+    ) -> np.ndarray:
+        """The push law when the match state IS the actor state.
+
+        Each actor excludes itself from its peers, so no single ``q``
+        serves every contact (hand-built specs only; no registry
+        protocol has one).  The contacts are drawn one by one instead,
+        still in position space: the firing actors are bins ``0 ..
+        heads - 1`` (any labelling will do, members are exchangeable),
+        a contact lands on one of its thrower's ``c - 1`` fellow
+        members when its peer slot is below ``c - 1``, and the bin
+        skips the thrower.  Treating the hit set as a uniform subset
+        afterwards is exact unless the push shares a multinomial with
+        actor-moving actions of the same state, where it ignores an
+        ``O(1 / heads)`` tilt of the targets away from the firing
+        actors.
+        """
+        contacts = heads * action.fanout
+        trial = np.repeat(np.arange(self.trials), contacts)
+        thrower = (
+            np.arange(trial.size)
+            - np.repeat(np.cumsum(contacts) - contacts, contacts)
+        ) // action.fanout
+        slots = rng.integers(0, self.n - 1, size=trial.size)
+        ok = slots < members[trial] - 1
+        if self._failure > 0.0:
+            ok &= rng.random(trial.size) >= self._failure
+        trial, slots, thrower = trial[ok], slots[ok], thrower[ok]
+        return distinct_per_segment(
+            trial, slots + (slots >= thrower), self.trials,
+            int(members.max()),
+        )
 
     # ------------------------------------------------------------------
-    # Partitioning a state's selection across its actions
+    # Who: placing the census's movers on hosts
     # ------------------------------------------------------------------
+    def who(
+        self,
+        rng: np.random.Generator,
+        moves: Sequence[Move],
+        pools: TrialMemberPools,
+    ) -> List[Move]:
+        """Choose which hosts make the census's ``moves``.
+
+        ``pools`` are the period-start member pools of
+        :attr:`selected_states`.  Per source state, the sum of its
+        actions' new movers is selected uniformly without replacement
+        and partitioned across the actions in declaration order.
+        Returns ``(action, global host ids)`` pairs.
+        """
+        by_source: Dict[int, List[Move]] = {}
+        for move in moves:
+            by_source.setdefault(move[0].edge_from, []).append(move)
+        placed: List[Move] = []
+        dense: List[Tuple[int, List[Move], np.ndarray]] = []
+        for sid, entries in by_source.items():
+            take = sum(new for _, new in entries)
+            selected = self._select(rng, sid, take, pools)
+            if selected is None:
+                dense.append((sid, entries, take))
+            else:
+                self._partition(placed, rng, entries, take, *selected)
+        if dense:
+            self._select_dense(placed, rng, dense, pools)
+        return placed
+
+    def _select(
+        self,
+        rng: np.random.Generator,
+        sid: int,
+        take: np.ndarray,
+        pools: TrialMemberPools,
+    ) -> Optional[Tuple[np.ndarray, bool]]:
+        """Pick ``take[m]`` distinct members of state ``sid`` per trial.
+
+        Returns ``None`` when the state belongs in the dense probe (the
+        caller fuses those into one loop), else ``(hosts,
+        pre_shuffled)``: sorted :func:`segmented_choice` picks where a
+        trial wants over a quarter of its state (probing would collapse
+        the acceptance rate), per-trial ``Generator.choice`` scans
+        where fewer than the dense threshold move.  Inputs are census
+        quantities, so the decision is replay-deterministic.
+        """
+        if take.sum() >= self._dense_threshold:
+            if np.all(take * 4 <= pools.sizes[pools.slot(sid)]):
+                return None
+            grouped, bounds = pools.grouped(sid)
+            return segmented_choice(rng, grouped, bounds, take), False
+        return np.concatenate([
+            rng.choice(
+                pools.members(sid, int(trial)),
+                size=int(take[trial]), replace=False,
+            )
+            for trial in np.flatnonzero(take)
+        ]), True
+
     def _partition(
         self,
-        plans: Dict[int, PlannedAction],
+        placed: List[Move],
         rng: np.random.Generator,
-        group: _CoinGroup,
-        actors: np.ndarray,
+        entries: List[Move],
         take: np.ndarray,
-        splits: np.ndarray,
+        hosts: np.ndarray,
         pre_shuffled: bool = True,
     ) -> None:
-        """Assign a state's selected actors to its actions.
+        """Assign a state's selected hosts to its actions.
 
-        ``actors`` is trial-segment-major with ``take[m]`` entries per
-        trial.  Single-action groups forward the selection unchanged.
-        Multi-action groups hand out consecutive runs of
-        ``splits[m, a]`` actors per action -- the multinomial's
-        exclusive assignment -- which requires the order within each
-        trial segment to be uniform.  Probe draw order and
-        ``Generator.choice`` order already are (``pre_shuffled``);
-        sorted selections (``segmented_choice``) get an explicit
-        segmented shuffle first.
+        ``hosts`` is trial-segment-major with ``take[m]`` entries per
+        trial.  A single action takes the selection unchanged.  Several
+        get consecutive runs of ``new[m]`` hosts each, in declaration
+        order, which requires the order within each trial segment to be
+        uniform.  Probe draw order and ``Generator.choice`` order
+        already are (``pre_shuffled``); sorted selections
+        (``segmented_choice``) get an explicit segmented shuffle first.
         """
-        if actors.size == 0:
-            return
-        if group.width == 1:
-            index = group.indices[0]
-            plans[index] = PlannedAction(
-                group.actions[0], actors, prefired=self._prefired[index]
-            )
+        if len(entries) == 1:
+            placed.append((entries[0][0], hosts))
             return
         if not pre_shuffled:
             # One fused sort key: integer segment id + uniform [0, 1)
             # jitter sorts by segment with a uniform shuffle inside it.
             seg = np.repeat(np.arange(self.trials), take)
-            actors = actors[np.argsort(seg + rng.random(actors.size))]
+            hosts = hosts[np.argsort(seg + rng.random(hosts.size))]
+        splits = np.stack([new for _, new in entries], axis=1)
         assignment = np.repeat(
-            np.tile(np.arange(group.width), self.trials), splits.ravel()
+            np.tile(np.arange(len(entries)), self.trials), splits.ravel()
         )
-        for a, (index, action) in enumerate(
-            zip(group.indices, group.actions)
-        ):
-            chosen = actors[assignment == a]
-            if chosen.size:
-                plans[index] = PlannedAction(
-                    action, chosen, prefired=self._prefired[index]
-                )
+        for a, (action, _) in enumerate(entries):
+            placed.append((action, hosts[assignment == a]))
 
-    # ------------------------------------------------------------------
-    # The fused dense rejection probe
-    # ------------------------------------------------------------------
-    def _plan_dense(
+    def _select_dense(
         self,
-        plans: Dict[int, PlannedAction],
+        placed: List[Move],
         rng: np.random.Generator,
-        batch_groups: List[Tuple[_CoinGroup, np.ndarray, np.ndarray]],
+        dense: List[Tuple[int, List[Move], np.ndarray]],
         pools: TrialMemberPools,
     ) -> None:
-        """Select actors for every dense state in one probe loop.
+        """Select the movers of every dense state in one probe loop.
 
         Pool-position rejection sampling, fused across every dense
         (state, trial) segment: each segment probes uniform *positions*
@@ -994,7 +887,7 @@ class ActionPlanner:
         probing, by contrast, pays the inverse of the state's density).
         Pool rows of different states hold disjoint gid sets, so one
         shared ``taken`` mask deduplicates the whole pass, and the
-        number of random draws stays proportional to the total firing
+        number of random draws stays proportional to the total mover
         count.  Keeping each segment's first ``need`` valid probes in
         draw order is sequential uniform sampling without replacement,
         so the per-segment order is itself uniform (what the partition
@@ -1003,13 +896,16 @@ class ActionPlanner:
         n = self.n
         trials = self.trials
         if self._slot is None:
+            # The extra trailing slot is the dummy position that
+            # absorbs probes landing beyond a row's live size.
+            self._taken = np.zeros(self._batch + 1, dtype=bool)
             self._slot = np.zeros(self._batch + 1, dtype=np.int32)
-        taken, slot = self._taken_mask(), self._slot
+        taken, slot = self._taken, self._slot
         dummy = self._batch
 
-        n_segments = len(batch_groups) * trials
-        need = np.concatenate([take for _, _, take in batch_groups])
-        slots = [pools.slot(group.sid) for group, _, _ in batch_groups]
+        n_segments = len(dense) * trials
+        need = np.concatenate([take for _, _, take in dense])
+        slots = [pools.slot(sid) for sid, _, _ in dense]
         seg_sizes = np.concatenate([pools.sizes[s] for s in slots])
         group_max = np.array(
             [int(pools.sizes[s].max()) for s in slots], dtype=np.int64
@@ -1026,7 +922,7 @@ class ActionPlanner:
             seg_sizes - need, 1
         )
         need = need.astype(np.int64).copy()
-        actor_chunks: List[np.ndarray] = []
+        host_chunks: List[np.ndarray] = []
         seg_chunks: List[np.ndarray] = []
         first_round = True
         while True:
@@ -1090,93 +986,25 @@ class ActionPlanner:
             kept = winners[keep]
             kept_seg = winner_seg[keep]
             taken[kept] = True
-            actor_chunks.append(kept)
+            host_chunks.append(kept)
             seg_chunks.append(kept_seg)
             need -= np.bincount(kept_seg, minlength=n_segments)
-        if not actor_chunks:
-            return
-        if len(actor_chunks) == 1:
+        if len(host_chunks) == 1:
             # Single-round fast path (the overwhelmingly common case):
             # winners are already segment-grouped in draw order.
-            actors = actor_chunks[0]
+            hosts = host_chunks[0]
         else:
-            actors = np.concatenate(actor_chunks)
+            hosts = np.concatenate(host_chunks)
             seg = np.concatenate(seg_chunks)
             # Group by segment; the stable sort preserves draw order
             # within each segment, keeping the per-segment ordering
             # uniform (later rounds simply continue the probe stream).
-            actors = actors[np.argsort(seg, kind="stable")]
-        taken[actors] = False
+            hosts = hosts[np.argsort(seg, kind="stable")]
+        taken[hosts] = False
         offset = 0
-        for group, splits, take in batch_groups:
+        for _, entries, take in dense:
             count = int(take.sum())
             self._partition(
-                plans, rng, group, actors[offset:offset + count],
-                take, splits,
+                placed, rng, entries, take, hosts[offset:offset + count]
             )
             offset += count
-
-    # ------------------------------------------------------------------
-    # Independent-coin fallback (per-state probabilities summing > 1)
-    # ------------------------------------------------------------------
-    def _plan_fallback(
-        self,
-        plans: Dict[int, PlannedAction],
-        rng: np.random.Generator,
-        group: _CoinGroup,
-        counts0: np.ndarray,
-        pools: TrialMemberPools,
-        messages: np.ndarray,
-    ) -> None:
-        """Legacy semantics for a state whose coin probabilities exceed 1.
-
-        Such a state cannot be a multinomial split (the no-op remainder
-        would be negative), so its actions keep fully independent
-        ``Binomial(count, p)`` coins -- the pre-planner behavior, with
-        possible actor overlap resolved by the engine's at-most-one-move
-        rule (``disjoint_movers`` is False whenever this path exists).
-        """
-        actor_counts = counts0[:, group.sid]
-        if not actor_counts.any():
-            return
-        for index, action in zip(group.indices, group.actions):
-            probability = action.probability
-            heads = rng.binomial(actor_counts, probability)
-            width = self._msg_width[index]
-            if width:
-                messages += width * heads
-            if self._push_analytic[index]:
-                if heads.any():
-                    self._plan_push(
-                        plans, rng, index, action, heads, counts0, pools,
-                    )
-                continue
-            match_probability = self._match_probability(counts0, action)
-            if match_probability is not None:
-                heads = rng.binomial(heads, match_probability)
-            if action.kind == "tokenize":
-                if heads.any():
-                    plans[index] = PlannedAction(
-                        action, _EMPTY, prefired=True,
-                        tokens=heads.astype(np.int64),
-                    )
-                continue
-            if not heads.any():
-                continue
-            # A one-action group: partitioning it is a plain forward.
-            single = _CoinGroup(
-                sid=group.sid, indices=[index], actions=[action],
-                probabilities=np.array([probability]),
-            )
-            take = heads.astype(np.int64)
-            selected = self._select_actors(
-                rng, group.sid, take, probability, actor_counts, pools,
-            )
-            if selected is None:
-                self._plan_dense(
-                    plans, rng, [(single, heads[:, None], take)], pools
-                )
-            else:
-                self._partition(
-                    plans, rng, single, selected[0], take, heads[:, None]
-                )

@@ -366,9 +366,17 @@ class RoundEngine:
         for the endemic protocol is *receptive*: a recovered host has
         lost its replicas and must re-acquire responsibility.
         """
+        state = state or self.recovery_state
+        # Look the state up before touching an array: a bad name must
+        # not leave the hosts revived but stateless.
+        if state not in self._index:
+            raise ValueError(
+                f"unknown recovery state {state!r}; protocol states are "
+                f"{list(self.state_names)}"
+            )
         hosts = np.asarray(hosts, dtype=np.int64)
         self.alive[hosts] = True
-        self.states[hosts] = self._index[state or self.recovery_state]
+        self.states[hosts] = self._index[state]
 
     def set_states(self, hosts: np.ndarray, state: str) -> None:
         """Force hosts into a state (test and application hook)."""

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["segmented_choice"]
+__all__ = ["distinct_per_segment", "segmented_choice"]
 
 
 def segmented_choice(
@@ -118,6 +118,25 @@ def segmented_choice(
     # sort yields the documented segment-grouped, ascending-pool-order
     # layout (matching the rejection branch).
     return pool[np.sort(starts + chosen)]
+
+
+def distinct_per_segment(
+    segment: np.ndarray, bins: np.ndarray, segments: int, width: int
+) -> np.ndarray:
+    """How many distinct ``bins`` (each ``< width``) every segment holds.
+
+    The occupancy count behind the census pass's push law: balls
+    ``(segment[i], bins[i])``, answer ``(segments,)``.  Few balls are
+    sorted; many are scattered into a ``segments x width`` mask, which
+    costs the same however often a bin is hit.  Both branches return
+    the same numbers and neither draws.
+    """
+    keys = segment * width + bins
+    if keys.size * 16 < segments * width:
+        return np.bincount(np.unique(keys) // width, minlength=segments)
+    mask = np.zeros(segments * width, dtype=bool)
+    mask[keys] = True
+    return np.count_nonzero(mask.reshape(segments, width), axis=1)
 
 
 def _action_width(action) -> int:

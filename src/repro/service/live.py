@@ -131,10 +131,18 @@ class LiveEngine:
         own fault stream, so the effect is a pure function of the
         engine state -- replaying the same event at the same state
         kills the same hosts.
+
+        Every field is validated before any array is touched: a
+        rejected event leaves the engine exactly as it was.
         """
         if kind == "join":
             hosts = self._hosts(data)
             state = data.get("state")
+            if state is not None and state not in self.engine.state_names:
+                raise ValueError(
+                    f"unknown join state {state!r}; protocol states are "
+                    f"{list(self.engine.state_names)}"
+                )
             self.engine.recover(hosts, state=state)
             return {"joined": len(hosts)}
         if kind == "leave":

@@ -8,6 +8,12 @@ token routing) at a fixed seed.  A mismatch means batch-mode results
 changed for every seeded user -- either revert, or re-capture the
 goldens and say so in CHANGES.md.
 
+Those four never place a host, so they pin the census stream alone
+(``batch-protocol``).  ``endemic-hosts`` reads ``engine.states`` before
+period 0 and hashes the final ``(M, N)`` state array after the count
+tensor, which pins the placement and who streams as well -- and its
+count tensor is, by contract, the ``endemic`` one.
+
 numpy does not promise ``Generator`` stream stability across feature
 releases, so the goldens are keyed by numpy ``major.minor`` and an
 unknown numpy skips instead of failing.
@@ -45,29 +51,47 @@ CASES = {
     ),
 }
 
-#: numpy "major.minor" -> case name -> crc32 of the int64 count tensor.
+#: numpy "major.minor" -> case name -> crc32 of the int64 count tensor
+#: (``endemic-hosts``: continued over the final int8 state array).
 GOLDENS = {
     "2.4": {
-        "endemic": 3408519738,
-        "lv": 1592184942,
-        "epidemic-push-pull": 4166030207,
-        "token": 1202621660,
+        "endemic": 829222868,
+        "lv": 149629386,
+        "epidemic-push-pull": 2693238901,
+        "token": 4180697466,
+        "endemic-hosts": 1421704116,
     },
 }
 
 
-def count_tensor_crc(name: str) -> int:
+def count_tensor_crc(name: str, hosts: bool = False) -> int:
     factory, n, trials, initial, periods, seed = CASES[name]
     engine = BatchRoundEngine(
         factory(), n=n, trials=trials, initial=initial, seed=seed
     )
+    if hosts:
+        engine.states  # place the hosts before period 0
     tensor = engine.run(periods).recorder.count_tensor()
-    return zlib.crc32(np.ascontiguousarray(tensor, dtype=np.int64).tobytes())
+    crc = zlib.crc32(np.ascontiguousarray(tensor, dtype=np.int64).tobytes())
+    if hosts:
+        engine._validate_consistency()
+        crc = zlib.crc32(np.ascontiguousarray(engine.states).tobytes(), crc)
+    else:
+        assert engine._pools is None
+    return crc
+
+
+def golden(name: str) -> int:
+    version = ".".join(np.__version__.split(".")[:2])
+    if version not in GOLDENS:
+        pytest.skip(f"no batch-stream goldens for numpy {version}")
+    return GOLDENS[version][name]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_batch_stream_is_pinned(name):
-    version = ".".join(np.__version__.split(".")[:2])
-    if version not in GOLDENS:
-        pytest.skip(f"no batch-stream goldens for numpy {version}")
-    assert count_tensor_crc(name) == GOLDENS[version][name]
+    assert count_tensor_crc(name) == golden(name)
+
+
+def test_who_stream_is_pinned():
+    assert count_tensor_crc("endemic", hosts=True) == golden("endemic-hosts")

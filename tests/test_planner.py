@@ -9,8 +9,6 @@ multinomial split).  All stochastic assertions are z-tests per
 ``tests/statutil.py``.
 """
 
-import copy
-
 import numpy as np
 import pytest
 
@@ -23,6 +21,7 @@ from repro.runtime import BatchRoundEngine, RoundEngine, TrialMemberPools
 from repro.runtime.failures import MassiveFailure
 from repro.runtime.planner import ActionPlanner
 from repro.runtime.round_engine import _compile
+from repro.runtime.sampling import distinct_per_segment
 from repro.synthesis.actions import (
     AnyOfSampleAction,
     FlipAction,
@@ -96,14 +95,36 @@ class TestMultinomialSplit:
             assert np.all(per_trial <= n)
             engine._validate_consistency()
 
-    def test_disjoint_movers_flag(self):
-        assert BatchRoundEngine(
-            flip_spec(), n=100, trials=2, initial={"a": 100}, seed=0
-        )._planner.disjoint_movers
-        assert BatchRoundEngine(
-            lv_protocol(), n=100, trials=2,
-            initial={"x": 60, "y": 40, "z": 0}, seed=0,
-        )._planner.disjoint_movers
+    def test_one_multinomial_never_draws_a_collision(self):
+        """A coin group's own picks are disjoint: no overlap to draw.
+
+        The collision law excludes a multinomial's own earlier picks
+        from its population, so protocols whose movers are all actors
+        (flips, LV) never reach the hypergeometric -- the successor of
+        the old ``disjoint_movers`` flag, now a property of the law.
+        """
+        class Spy:
+            def __init__(self, rng):
+                self.rng, self.collisions = rng, 0
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+            def hypergeometric(self, *args):
+                self.collisions += 1
+                return self.rng.hypergeometric(*args)
+
+        for spec, initial in (
+            (flip_spec((0.4, 0.4)), {"a": 100}),
+            (lv_protocol(p=0.1), {"x": 40, "y": 30, "z": 30}),
+        ):
+            engine = BatchRoundEngine(
+                spec, n=100, trials=2, initial=initial, seed=0
+            )
+            engine._rng = spy = Spy(engine._rng)
+            engine.run(20)
+            engine._validate_consistency()
+            assert spy.collisions == 0
 
 
 class TestConditionThinning:
@@ -223,7 +244,6 @@ class TestIndependentCoinFallback:
         engine = BatchRoundEngine(
             self.spec(), n=n, trials=trials, initial={"a": n}, seed=13
         )
-        assert not engine._planner.disjoint_movers
         assert len(engine._planner.fallback_groups) == 1
         first = 0
         for _ in range(periods):
@@ -506,8 +526,9 @@ class TestAnalyticPushLaw:
             engine.total_messages, np.full(trials, 2 * n, dtype=np.int64)
         )
 
-    def test_self_match_push_keeps_explicit_path(self):
-        """match == actor breaks the single-q symmetry: no analytic plan."""
+    def test_self_match_push_keeps_explicit_path(self, monkeypatch):
+        """match == actor breaks the single-q symmetry: contacts are
+        drawn one by one (in position space, still without hosts)."""
         actions = (
             PushAction(
                 actor_state="a", probability=1.0, target_state="t",
@@ -517,11 +538,20 @@ class TestAnalyticPushLaw:
         spec = ProtocolSpec(
             name="self-push", states=("a", "t"), actions=actions
         )
+        calls = []
+        original = ActionPlanner._self_push_targets
+
+        def spy(self, rng, action, heads, members):
+            calls.append(int(heads.sum()))
+            return original(self, rng, action, heads, members)
+
+        monkeypatch.setattr(ActionPlanner, "_self_push_targets", spy)
         engine = BatchRoundEngine(
             spec, n=400, trials=3, initial={"a": 300, "t": 100}, seed=36
         )
-        assert not any(engine._planner._push_analytic.values())
         engine.run(5)
+        assert len(calls) == 5 and calls[0] == 3 * 300
+        assert engine._pools is None  # counted, never placed
         engine._validate_consistency()
 
     def test_fallback_group_push(self):
@@ -637,6 +667,7 @@ class TestLazyPoolRows:
         engine = BatchRoundEngine(
             spec, n=200, trials=3, initial={"s0": 200}, seed=40
         )
+        engine.states  # place the hosts: pools exist from here on
         assert set(engine._pools.slots) == {0}
         engine.run(2)
         engine._validate_consistency()
@@ -798,7 +829,6 @@ class TestFullProbabilityThinning:
         )
         planner = ActionPlanner(_compile(mixed), trials=2, n=50)
         assert not planner.coin_groups and not planner.full_actions
-        assert not planner.disjoint_movers
         engine = BatchRoundEngine(
             mixed, n=400, trials=3, initial={"x": 300, "y": 100}, seed=62
         )
@@ -810,37 +840,22 @@ class TestFullProbabilityThinning:
 
 
 class TestPushDedupe:
-    def test_mask_dedupe_equals_unique_bitwise(self):
-        """Scatter + flatnonzero returns np.unique's sorted set."""
-        trials, n = 5, 200
-        spec = push_spec(probability=1.0, fanout=3)
-        compiled = _compile(spec)
-        planner = ActionPlanner(compiled, trials=trials, n=n)
+    def test_distinct_counts_match_unique_in_both_branches(self):
+        """Sorting few balls and masking many count the same bins."""
         rng = np.random.Generator(np.random.MT19937(9))
-        states = rng.integers(0, 3, size=trials * n).astype(np.int8)
-        match = int(compiled[0].match)
-        pools = TrialMemberPools([match], trials, n, states)
-        counts0 = np.stack([
-            np.bincount(row, minlength=3)
-            for row in states.reshape(trials, n)
-        ]).astype(np.int64)
-        heads = counts0[:, int(compiled[0].actor)]
-        reference_rng = copy.deepcopy(rng)
-        plans = {}
-        planner._plan_push(plans, rng, 0, compiled[0], heads, counts0, pools)
-        # The same draws, deduplicated the old way.
-        q = counts0[:, match] / (n - 1)
-        hits = reference_rng.binomial(heads * 3, q)
-        grouped, bounds = pools.grouped(match)
-        positions = reference_rng.integers(
-            0, np.repeat(np.diff(bounds), hits)
-        )
-        expected = np.unique(
-            grouped[np.repeat(bounds[:-1], hits) + positions]
-        )
-        assert hits.sum() > expected.size > 0  # duplicates did occur
-        assert np.array_equal(plans[0].actors, expected)
-        assert not planner._taken.any()  # scratch handed back clean
+        segments, width = 5, 200
+        for balls in (3, 40, 5_000):  # sort branch ... mask branch
+            segment = np.sort(rng.integers(0, segments, size=balls))
+            bins = rng.integers(0, width, size=balls)
+            expected = np.array([
+                np.unique(bins[segment == s]).size for s in range(segments)
+            ])
+            assert np.array_equal(
+                distinct_per_segment(segment, bins, segments, width),
+                expected,
+            )
+        empty = np.empty(0, dtype=np.int64)
+        assert not distinct_per_segment(empty, empty, segments, width).any()
 
 
 class TestExplicitPathIsSelfMatchPushOnly:
@@ -848,15 +863,12 @@ class TestExplicitPathIsSelfMatchPushOnly:
     def test_registry_protocols_never_draw_peer_targets(
         self, name, monkeypatch
     ):
-        def refuse(self, action, actors):
-            if action.kind == "push" and action.match == action.actor:
-                return original(self, action, actors)
+        def refuse(self, rng, action, heads, members):
             raise AssertionError(
-                f"{name}: {action.kind} action reached the explicit path"
+                f"{name}: {action.kind} action drew its contacts one by one"
             )
 
-        original = BatchRoundEngine._execute_batch
-        monkeypatch.setattr(BatchRoundEngine, "_execute_batch", refuse)
+        monkeypatch.setattr(ActionPlanner, "_self_push_targets", refuse)
         resolved = Protocol.named(name).resolve(600)
         engine = BatchRoundEngine(
             resolved.spec, n=600, trials=3, initial=resolved.initial,
@@ -879,9 +891,9 @@ class TestCountedOnlyStatesKeepNoPool:
         )
         match = engine.state_id("m")
         assert engine._planner.selected_states == {match}
-        assert engine._pools.tracked == {match}
         engine.run(2)
         engine._validate_consistency()
+        assert engine._pools.tracked == {match}
         victims = []
         for view in engine.trial_views():
             victims.append(view.crash_fraction(0.5))

@@ -646,6 +646,57 @@ class TestTcpEndpoint:
 
         run(body())
 
+    def test_join_with_unknown_state_is_rejected_whole(self, tmp_path):
+        """A bad ``state`` must not revive the hosts before it raises.
+
+        ``RoundEngine.recover`` used to set ``alive`` first and look
+        the state up second, so the rejected join half-applied, logged
+        nothing, and replay diverged at the next tick.
+        """
+        async def body():
+            core = ServiceCore(
+                LiveEngine(LiveConfig(protocol="endemic", n=100, seed=9)),
+                directory=tmp_path, retain_stream=True,
+            )
+            service = ProtocolService(
+                core, clock=VirtualClock(), tick_seconds=1.0
+            )
+            await service.start()
+            server = await serve_tcp(service)
+            port = server.sockets[0].getsockname()[1]
+            core.apply_event("leave", {"hosts": [1, 2, 3]})
+            engine = core.live.engine
+            alive, states = engine.alive.copy(), engine.states.copy()
+            logged = (tmp_path / EVENTS_NAME).read_bytes()
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(json.dumps({
+                "op": "event", "kind": "join",
+                "data": {"hosts": [1, 2], "state": "nope"},
+            }).encode() + b"\n")
+            await writer.drain()
+            reply = json.loads(await reader.readline())
+            assert reply["ok"] is False and "nope" in reply["error"]
+            writer.close()
+            await writer.wait_closed()
+            assert np.array_equal(engine.alive, alive)
+            assert np.array_equal(engine.states, states)
+            assert (tmp_path / EVENTS_NAME).read_bytes() == logged
+            core.tick()
+            server.close()
+            await server.wait_closed()
+            await service.stop()
+
+        run(body())
+        assert replay_directory(tmp_path).ok
+        # The engine refuses it on its own, too, before touching arrays.
+        engine = LiveEngine(
+            LiveConfig(protocol="endemic", n=20, seed=0)
+        ).engine
+        engine.crash(np.array([4]))
+        with pytest.raises(ValueError, match="nope"):
+            engine.recover(np.array([4]), state="nope")
+        assert not engine.alive[4]
+
     def test_bad_params_get_an_error_reply_that_names_them(self):
         async def body():
             clock = VirtualClock()
