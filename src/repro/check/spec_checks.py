@@ -26,6 +26,9 @@ preconditions that used to be discovered at runtime (or not at all):
   ``symbolic=True`` the comparison runs through sympy (expand the
   polynomial difference, require every coefficient to vanish);
   otherwise the framework's own monomial-keyed comparison is used.
+* **engine** -- the spec must lower to the engines' integer action
+  form (``round_engine._compile``), which refuses more states than an
+  int8 id can name.
 
 Everything here is pure and static: no engine runs, no RNG.
 """
@@ -190,6 +193,17 @@ def _check_mass(spec: ProtocolSpec) -> List[Finding]:
                 f"fallback path for this state",
             ))
     return findings
+
+
+def _check_compiles(spec: ProtocolSpec) -> List[Finding]:
+    """What the engines refuse at construction is an ERROR here too."""
+    from ..runtime.round_engine import _compile
+
+    try:
+        _compile(spec)
+    except ValueError as exc:
+        return [Finding(Severity.ERROR, "engine", "spec", str(exc))]
+    return []
 
 
 def _check_conservation(
@@ -453,6 +467,7 @@ def check_spec(
     findings.extend(_check_conservation(spec, reference))
     findings.extend(_check_graph(spec, reference))
     findings.extend(_check_mean_field(spec, reference, symbolic, rtol))
+    findings.extend(_check_compiles(spec))
     return findings
 
 

@@ -63,7 +63,6 @@ from .parallel import (
 from .planner import ActionPlanner, TrialMemberPools
 from .rng import RandomSource, make_generator, sample_other, spawn_seeds
 from .round_engine import RoundEngine, RunResult, initial_state_vector
-from .sampling import segmented_choice
 
 __all__ = [
     "RoundEngine",
@@ -72,7 +71,6 @@ __all__ = [
     "BatchRunResult",
     "BatchMetricsRecorder",
     "BatchTrialView",
-    "segmented_choice",
     "serial_ensemble",
     "ActionPlanner",
     "TrialMemberPools",

@@ -30,9 +30,12 @@ arrays and the member pools are built -- as a uniform placement of the
 current census -- the first time something asks *which* hosts
 (``.states`` / ``.alive``, a view accessor or mutator a hook calls, a
 member log, ``_validate_consistency``, or ``shuffle=False``), and from
-then on every period's movers are placed on hosts with incremental
-O(movers) pool maintenance.  The two passes draw from separate streams:
-**observation cannot perturb the census**.
+then on every period's movers are placed on hosts -- a uniform subset
+of each source state's members, from the one sampler a massive failure
+picks its victims with too
+(:func:`~repro.runtime.sampling.distinct_positions`) -- with
+incremental O(movers) pool maintenance.  The two passes draw from
+separate streams: **observation cannot perturb the census**.
 
 Trials are statistically independent, with per-action marginals
 identical to M serial runs; actors fire at most one action of their
@@ -69,6 +72,7 @@ from .metrics import MetricsRecorder
 from .planner import ActionPlanner, TrialMemberPools
 from .round_engine import RoundEngine, _compile, initial_state_vector
 from .rng import RandomSource, spawn_seeds
+from .sampling import distinct_positions
 
 #: A per-trial hook factory: called with the trial index, returns a hook
 #: ``hook(view)`` where ``view`` offers the RoundEngine mutation surface
@@ -625,14 +629,15 @@ class BatchRoundEngine:
             self._counts[trial],
             int(round(fraction * self._alive_counts[trial])),
         )
-        alive, states = self.alive[trial], self.states[trial]
-        victims = np.concatenate([
-            self._who_rng.choice(
-                np.flatnonzero(alive & (states == sid)),
-                size=count, replace=False,
-            )
-            for sid, count in enumerate(per_state) if count
-        ] or [np.empty(0, dtype=np.int64)])
+        # Alive hosts grouped by state, so the census row is the
+        # segment sizes and a victim is a position in its state's run.
+        census = self._counts[trial]
+        hosts = np.flatnonzero(self.alive[trial])
+        hosts = hosts[np.argsort(self.states[trial, hosts], kind="stable")]
+        victims = hosts[
+            np.repeat(np.cumsum(census) - census, per_state)
+            + distinct_positions(self._who_rng, census, per_state)
+        ]
         self._crash(trial, victims)
         return victims
 
@@ -773,7 +778,8 @@ class BatchRoundEngine:
                 self._states_flat[hosts] = action.target
                 removes.setdefault(action.edge_from, []).append(hosts)
                 adds.setdefault(action.target, []).append(hosts)
-            self._pools.apply_deltas(removes, adds)
+            self._pools.remove_many(removes.items())
+            self._pools.add_many(adds.items())
         self.period += 1
         self.last_transitions = transitions
         return transitions

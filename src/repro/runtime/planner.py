@@ -27,15 +27,11 @@ passes that never share a random stream:
    with the hosts that already left the state this period.  No host
    array exists on this path, so its cost is independent of ``N``.
 2. :meth:`ActionPlanner.who` -- **which hosts**, run only once the
-   engine has materialised identities.  Per source state it selects the
-   sum of that state's new movers uniformly from its member pool (dense
-   states share one rejection-probe loop over pool positions, sparse
-   ones keep per-trial scans, exact big draws go through
-   :func:`~repro.runtime.sampling.segmented_choice`) and hands out
-   consecutive runs of the uniformly ordered selection to the state's
-   actions -- sequential uniform sampling from what is left, which is
-   exactly the law of "each action's new movers are uniform among the
-   hosts that have not moved yet".
+   engine has materialised identities.  Per source state the sum of
+   that state's new movers is a uniform subset of its member pool --
+   one :func:`~repro.runtime.sampling.distinct_positions` call over
+   every moving (state, trial), whatever fraction each wants -- which
+   actions sharing the state split in declaration order.
 
 Per-action marginals match the serial engine's -- ``Binomial(count,
 p * q)`` movers, uniform without replacement -- but actors fire *at
@@ -56,7 +52,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .sampling import _action_width, distinct_per_segment, segmented_choice
+from .sampling import (
+    _action_width,
+    distinct_per_segment,
+    distinct_positions,
+    segment_ranks,
+)
 
 __all__ = ["ActionPlanner", "TrialMemberPools"]
 
@@ -79,11 +80,10 @@ class TrialMemberPools:
     population cap, no per-period re-grouping sorts, no O(M * N) mask
     scans once the simulation is running.
 
-    The pools are what the planner's dense probe samples from: probing
-    uniform *pool positions* instead of uniform host ids makes the
-    acceptance rate at least 3/4 independent of how dense the state is
-    (only same-period duplicates reject), where host-id probing pays
-    the inverse of the state's density.
+    The pools are what the planner's who pass samples from: a uniform
+    subset of a row's *positions* is a uniform subset of the state's
+    members however dense or sparse the state is in the batch, where
+    host-id probing would pay the inverse of that density.
 
     Mutations must keep the engine's period discipline: the engine
     applies the period's membership deltas *after* executing every
@@ -95,7 +95,7 @@ class TrialMemberPools:
     the batch decides which), and a state that starts empty gets its
     ``(M, n)`` row -- zero-filled, no batch scan -- the first time it
     is referenced: the first :meth:`add` of members, or a
-    :meth:`members`/:meth:`grouped` lookup.  Memory is therefore
+    :meth:`slot`/:meth:`grouped` lookup.  Memory is therefore
     ``O(occupied_states * M * n)`` int32 (~6 MB per occupied state at
     the paper scales M=64, n=10k; ~25 MB at M=64, n=100k) instead of
     ``O(referenced_states * M * n)``, so a wide synthesized system with
@@ -117,7 +117,6 @@ class TrialMemberPools:
         trials: int,
         n: int,
         states_flat: np.ndarray,
-        alive_flat: Optional[np.ndarray] = None,
     ):
         self.trials = trials
         self.n = n
@@ -126,8 +125,8 @@ class TrialMemberPools:
         #: on first reference.
         self.tracked = frozenset(int(sid) for sid in sids)
         self.slots: Dict[int, int] = {}
-        # int32 gids: half the gather/scatter traffic of the planner's
-        # probe; batches are bounded far below 2**31 positions.
+        # int32 gids: half the gather/scatter traffic of the who pass;
+        # batches are bounded far below 2**31 positions.
         self.pool = np.zeros((0, trials, n), dtype=np.int32)
         self._pool_flat = self.pool.reshape(-1)
         self.sizes = np.zeros((0, trials), dtype=np.int64)
@@ -135,22 +134,16 @@ class TrialMemberPools:
         #: gids not currently pooled are stale and never read.
         self.pos = np.zeros(trials * n, dtype=np.int64)
         self._flag = np.zeros(trials * n, dtype=bool)
-        #: Memoized grouped() layouts, invalidated when a state's rows
-        #: change -- near-stationary states (the endemic receptive
-        #: pool) then serve their full-prob actions without a rebuild.
-        self._grouped_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         if self.tracked:
             # One batch-wide occupancy count decides which states get
             # rows now; empty ones wait for their first reference.
-            counted = states_flat if alive_flat is None \
-                else states_flat[alive_flat]
             occupied = np.bincount(
-                counted, minlength=max(self.tracked) + 1
+                states_flat, minlength=max(self.tracked) + 1
             )
             for sid in sorted(self.tracked):
                 if occupied[sid]:
                     self._allocate(sid)
-                    self._build(sid, states_flat, alive_flat)
+                    self._build(sid, states_flat)
 
     def _allocate(self, sid: int) -> int:
         """Assign (and zero) a row for ``sid``, growing the tensor."""
@@ -183,54 +176,36 @@ class TrialMemberPools:
             got = self._allocate(sid)
         return got
 
-    def _build(
-        self,
-        sid: int,
-        states_flat: np.ndarray,
-        alive_flat: Optional[np.ndarray],
-    ) -> None:
-        mask = states_flat == sid
-        if alive_flat is not None:
-            mask &= alive_flat
-        members = np.flatnonzero(mask)
+    def _build(self, sid: int, states_flat: np.ndarray) -> None:
+        members = np.flatnonzero(states_flat == sid)
         slot = self.slots[sid]
         trials_of = members // self.n
         counts = np.bincount(trials_of, minlength=self.trials)
-        starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        cols = np.arange(members.size) - starts[trials_of]
+        cols = segment_ranks(counts)
         self.pool[slot].reshape(-1)[trials_of * self.n + cols] = members
         self.pos[members] = cols
         self.sizes[slot] = counts
-        self._grouped_cache.pop(sid, None)
 
     # ------------------------------------------------------------------
     # Lookups
     # ------------------------------------------------------------------
-    def members(self, sid: int, trial: int) -> np.ndarray:
-        """One trial's members of one state (a read-only view)."""
-        slot = self.slot(sid)
-        return self.pool[slot, trial, :self.sizes[slot, trial]]
-
     def grouped(self, sid: int) -> Tuple[np.ndarray, np.ndarray]:
         """All members of one state, flat and trial-grouped.
 
-        Returns ``(grouped, bounds)`` in the :func:`segmented_choice`
-        layout: trial ``m``'s members occupy
+        Returns ``(grouped, bounds)``: trial ``m``'s members occupy
         ``grouped[bounds[m]:bounds[m + 1]]`` (within-trial order is the
-        pool's arbitrary order).  Costs one O(members) gather, memoized
-        until the state's rows next change.
+        pool's arbitrary order).  One O(members) gather per call -- an
+        inspection aid (consistency checks, tests, the perf harness);
+        no period of a run reads it.
         """
-        got = self._grouped_cache.get(sid)
-        if got is None:
-            slot = self.slot(sid)
-            sizes = self.sizes[slot]
-            bounds = np.concatenate([[0], np.cumsum(sizes)])
-            total = int(bounds[-1])
-            rank = np.arange(total) - np.repeat(bounds[:-1], sizes)
-            flat = np.repeat(np.arange(self.trials) * self.n, sizes) + rank
-            got = (self.pool[slot].reshape(-1)[flat], bounds)
-            self._grouped_cache[sid] = got
-        return got
+        slot = self.slot(sid)
+        sizes = self.sizes[slot]
+        flat = np.repeat(np.arange(self.trials) * self.n, sizes)
+        flat += segment_ranks(sizes)
+        return (
+            self.pool[slot].reshape(-1)[flat],
+            np.concatenate([[0], np.cumsum(sizes)]),
+        )
 
     # ------------------------------------------------------------------
     # Mutations (O(edited) each)
@@ -245,17 +220,9 @@ class TrialMemberPools:
         slot = self.slots.get(sid)
         if slot is None or gone.size == 0:
             return
-        self._grouped_cache.pop(sid, None)
         seg = slot * self.trials + gone // self.n
         order = np.argsort(seg, kind="stable")
         self._remove_segments(gone[order], seg[order])
-
-    def apply_deltas(self, removes, adds) -> None:
-        """Apply one period's membership deltas in two fused passes."""
-        if removes:
-            self.remove_many(removes.items())
-        if adds:
-            self.add_many(adds.items())
 
     def remove_many(
         self, items: Sequence[Tuple[int, Sequence[np.ndarray]]]
@@ -277,7 +244,6 @@ class TrialMemberPools:
                 continue
             for chunk in chs:
                 if chunk.size:
-                    self._grouped_cache.pop(sid, None)
                     total += chunk.size
                     chunks.append(chunk)
                     seg_chunks.append(
@@ -317,16 +283,9 @@ class TrialMemberPools:
         flag[gone] = True
         active = np.flatnonzero(removed)
         tail_counts = removed[active]
-        tail_rank = (
-            np.arange(int(tail_counts.sum()))
-            - np.repeat(
-                np.concatenate([[0], np.cumsum(tail_counts)[:-1]]),
-                tail_counts,
-            )
-        )
         tail = self._pool_flat[
             np.repeat(active * n + new_sizes[active], tail_counts)
-            + tail_rank
+            + segment_ranks(tail_counts)
         ]
         keep_tail = tail[~flag[tail]]
         hole_mask = cols < new_sizes[seg]
@@ -349,7 +308,6 @@ class TrialMemberPools:
             slot = self.slot(sid)
             for chunk in chs:
                 if chunk.size:
-                    self._grouped_cache.pop(sid, None)
                     total += chunk.size
                     chunks.append(chunk)
                     seg_chunks.append(
@@ -380,11 +338,7 @@ class TrialMemberPools:
         n = self.n
         sizes_flat = self.sizes.reshape(-1)
         added = np.bincount(seg, minlength=sizes_flat.size)
-        rank = (
-            np.arange(gids.size)
-            - np.repeat(np.concatenate([[0], np.cumsum(added)[:-1]]), added)
-        )
-        cols = sizes_flat[seg] + rank
+        cols = sizes_flat[seg] + segment_ranks(added)
         self._pool_flat[seg * n + cols] = gids
         self.pos[gids] = cols
         sizes_flat += added
@@ -394,7 +348,6 @@ class TrialMemberPools:
         if sid not in self.tracked or gids.size == 0:
             return
         slot = self.slot(sid)
-        self._grouped_cache.pop(sid, None)
         seg = slot * self.trials + gids // self.n
         order = np.argsort(seg, kind="stable")
         self._add_segments(gids[order], seg[order])
@@ -456,12 +409,8 @@ class ActionPlanner:
     ):
         self.trials = trials
         self.n = n
-        self._batch = trials * n
         self._failure = connection_failure_rate
         self._compiled = list(compiled)
-        # Below ~max(4, M/4) movers of a state, per-trial scans beat
-        # batch-wide passes.
-        self._dense_threshold = max(4.0, trials / 4.0)
 
         self.full_actions: List[Tuple[int, object]] = []
         self.coin_groups: List[_StateGroup] = []
@@ -527,14 +476,6 @@ class ActionPlanner:
             for g in self.coin_groups for a in g.actions
         )
         self._q_buf: Optional[np.ndarray] = None
-
-        # Dense-probe scratch of the who pass (lazy: a count-only run
-        # and sparse-regime protocols never pay the 5 bytes per host).
-        # ``_taken`` is kept all-False between calls; ``_slot`` is
-        # always written before it is read.
-        self._taken: Optional[np.ndarray] = None
-        self._slot: Optional[np.ndarray] = None
-        self._arange: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # How many: the census pass
@@ -759,10 +700,7 @@ class ActionPlanner:
         """
         contacts = heads * action.fanout
         trial = np.repeat(np.arange(self.trials), contacts)
-        thrower = (
-            np.arange(trial.size)
-            - np.repeat(np.cumsum(contacts) - contacts, contacts)
-        ) // action.fanout
+        thrower = segment_ranks(contacts) // action.fanout
         slots = rng.integers(0, self.n - 1, size=trial.size)
         ok = slots < members[trial] - 1
         if self._failure > 0.0:
@@ -785,56 +723,38 @@ class ActionPlanner:
         """Choose which hosts make the census's ``moves``.
 
         ``pools`` are the period-start member pools of
-        :attr:`selected_states`.  Per source state, the sum of its
-        actions' new movers is selected uniformly without replacement
-        and partitioned across the actions in declaration order.
+        :attr:`selected_states`.  Per (source state, trial), the sum of
+        the state's new movers is one
+        :func:`~repro.runtime.sampling.distinct_positions` subset of
+        that pool row -- a single call covers every moving state -- and
+        one gather turns positions into hosts.  Each state's selection
+        is then partitioned across its actions in declaration order.
         Returns ``(action, global host ids)`` pairs.
         """
         by_source: Dict[int, List[Move]] = {}
         for move in moves:
             by_source.setdefault(move[0].edge_from, []).append(move)
+        rows = np.array([pools.slot(sid) for sid in by_source])
+        take = np.array([
+            sum(new for _, new in entries) for entries in by_source.values()
+        ])  # (sources, M)
+        positions = distinct_positions(
+            rng, pools.sizes[rows].ravel(), take.ravel()
+        )
+        row_start = np.add.outer(
+            rows * self.trials, np.arange(self.trials)
+        ) * self.n
+        hosts = pools.pool.reshape(-1)[
+            np.repeat(row_start.ravel(), take.ravel()) + positions
+        ]
         placed: List[Move] = []
-        dense: List[Tuple[int, List[Move], np.ndarray]] = []
-        for sid, entries in by_source.items():
-            take = sum(new for _, new in entries)
-            selected = self._select(rng, sid, take, pools)
-            if selected is None:
-                dense.append((sid, entries, take))
-            else:
-                self._partition(placed, rng, entries, take, *selected)
-        if dense:
-            self._select_dense(placed, rng, dense, pools)
-        return placed
-
-    def _select(
-        self,
-        rng: np.random.Generator,
-        sid: int,
-        take: np.ndarray,
-        pools: TrialMemberPools,
-    ) -> Optional[Tuple[np.ndarray, bool]]:
-        """Pick ``take[m]`` distinct members of state ``sid`` per trial.
-
-        Returns ``None`` when the state belongs in the dense probe (the
-        caller fuses those into one loop), else ``(hosts,
-        pre_shuffled)``: sorted :func:`segmented_choice` picks where a
-        trial wants over a quarter of its state (probing would collapse
-        the acceptance rate), per-trial ``Generator.choice`` scans
-        where fewer than the dense threshold move.  Inputs are census
-        quantities, so the decision is replay-deterministic.
-        """
-        if take.sum() >= self._dense_threshold:
-            if np.all(take * 4 <= pools.sizes[pools.slot(sid)]):
-                return None
-            grouped, bounds = pools.grouped(sid)
-            return segmented_choice(rng, grouped, bounds, take), False
-        return np.concatenate([
-            rng.choice(
-                pools.members(sid, int(trial)),
-                size=int(take[trial]), replace=False,
+        stop = 0
+        for entries, per_trial in zip(by_source.values(), take):
+            start, stop = stop, stop + int(per_trial.sum())
+            self._partition(
+                placed, rng, entries, per_trial, hosts[start:stop]
             )
-            for trial in np.flatnonzero(take)
-        ]), True
+        return placed
 
     def _partition(
         self,
@@ -843,168 +763,28 @@ class ActionPlanner:
         entries: List[Move],
         take: np.ndarray,
         hosts: np.ndarray,
-        pre_shuffled: bool = True,
     ) -> None:
         """Assign a state's selected hosts to its actions.
 
         ``hosts`` is trial-segment-major with ``take[m]`` entries per
-        trial.  A single action takes the selection unchanged.  Several
-        get consecutive runs of ``new[m]`` hosts each, in declaration
-        order, which requires the order within each trial segment to be
-        uniform.  Probe draw order and ``Generator.choice`` order
-        already are (``pre_shuffled``); sorted selections
-        (``segmented_choice``) get an explicit segmented shuffle first.
+        trial, a uniform *subset* in no particular order.  A single
+        action takes it as it is.  Several share it as consecutive runs
+        of ``new[m]`` hosts each, in declaration order, so the segments
+        are shuffled first: runs of a uniformly ordered uniform subset
+        are sequential uniform sampling from what is left, the law of
+        "each action's new movers are uniform among the hosts that have
+        not moved yet".
         """
         if len(entries) == 1:
             placed.append((entries[0][0], hosts))
             return
-        if not pre_shuffled:
-            # One fused sort key: integer segment id + uniform [0, 1)
-            # jitter sorts by segment with a uniform shuffle inside it.
-            seg = np.repeat(np.arange(self.trials), take)
-            hosts = hosts[np.argsort(seg + rng.random(hosts.size))]
+        # One fused sort key: integer segment id + uniform [0, 1)
+        # jitter sorts by segment with a uniform shuffle inside it.
+        seg = np.repeat(np.arange(self.trials), take)
+        hosts = hosts[np.argsort(seg + rng.random(hosts.size))]
         splits = np.stack([new for _, new in entries], axis=1)
         assignment = np.repeat(
             np.tile(np.arange(len(entries)), self.trials), splits.ravel()
         )
         for a, (action, _) in enumerate(entries):
             placed.append((action, hosts[assignment == a]))
-
-    def _select_dense(
-        self,
-        placed: List[Move],
-        rng: np.random.Generator,
-        dense: List[Tuple[int, List[Move], np.ndarray]],
-        pools: TrialMemberPools,
-    ) -> None:
-        """Select the movers of every dense state in one probe loop.
-
-        Pool-position rejection sampling, fused across every dense
-        (state, trial) segment: each segment probes uniform *positions*
-        of its own member-pool row, so every probe lands on a valid
-        member and only same-period duplicates reject -- acceptance is
-        at least 3/4 however dense or sparse the state is (host-id
-        probing, by contrast, pays the inverse of the state's density).
-        Pool rows of different states hold disjoint gid sets, so one
-        shared ``taken`` mask deduplicates the whole pass, and the
-        number of random draws stays proportional to the total mover
-        count.  Keeping each segment's first ``need`` valid probes in
-        draw order is sequential uniform sampling without replacement,
-        so the per-segment order is itself uniform (what the partition
-        step relies on).
-        """
-        n = self.n
-        trials = self.trials
-        if self._slot is None:
-            # The extra trailing slot is the dummy position that
-            # absorbs probes landing beyond a row's live size.
-            self._taken = np.zeros(self._batch + 1, dtype=bool)
-            self._slot = np.zeros(self._batch + 1, dtype=np.int32)
-        taken, slot = self._taken, self._slot
-        dummy = self._batch
-
-        n_segments = len(dense) * trials
-        need = np.concatenate([take for _, _, take in dense])
-        slots = [pools.slot(sid) for sid, _, _ in dense]
-        seg_sizes = np.concatenate([pools.sizes[s] for s in slots])
-        group_max = np.array(
-            [int(pools.sizes[s].max()) for s in slots], dtype=np.int64
-        )
-        trial_arange = np.arange(trials, dtype=np.int64)
-        seg_base = np.concatenate([
-            (s * trials + trial_arange) * n for s in slots
-        ])
-        pool_flat = pools.pool.reshape(-1)
-        # Acceptance per probe: lands inside the row's live size
-        # (scalar per-group draws use the group's max row size) and is
-        # not a same-period duplicate.
-        acceptance = group_max.repeat(trials) / np.maximum(
-            seg_sizes - need, 1
-        )
-        need = need.astype(np.int64).copy()
-        host_chunks: List[np.ndarray] = []
-        seg_chunks: List[np.ndarray] = []
-        first_round = True
-        while True:
-            active = np.flatnonzero(need)
-            if active.size == 0:
-                break
-            # Oversample by the inverse acceptance plus a four-sigma
-            # binomial margin, so virtually every period resolves in a
-            # single round (the redraw is the rare tail).
-            expected = need[active] * acceptance[active]
-            draws = (
-                expected + 4.0 * np.sqrt(expected) + 8.0
-            ).astype(np.int64)
-            candidate_seg = np.repeat(active, draws)
-            total = int(draws.sum())
-            # One scalar-bound draw per group (a scalar bound is ~3x
-            # faster than per-element bounds); probes at positions
-            # beyond their own row's size are parked on the dummy.
-            positions = np.empty(total, dtype=np.int64)
-            offset = 0
-            for gi in range(len(slots)):
-                lo = np.searchsorted(active, gi * trials)
-                hi = np.searchsorted(active, (gi + 1) * trials)
-                count = int(draws[lo:hi].sum())
-                if count:
-                    positions[offset:offset + count] = rng.integers(
-                        0, group_max[gi], size=count
-                    )
-                offset += count
-            inside = positions < seg_sizes[candidate_seg]
-            all_inside = bool(inside.all())
-            gids = pool_flat[seg_base[candidate_seg] + positions]
-            if not all_inside:
-                gids = np.where(inside, gids, dummy)
-            if self._arange is None or self._arange.size < total:
-                grown = max(total, 2 * (0 if self._arange is None
-                                        else self._arange.size))
-                self._arange = np.arange(grown, dtype=np.int32)
-            index = self._arange[:total]
-            # Duplicate probes of one member within this round: the
-            # last writer wins, the rest are dropped (they are surplus
-            # -- the deficit recount below redraws if needed).  Probes
-            # of members kept in an earlier round (``taken``; empty in
-            # round one) and out-of-row probes (the dummy, whose
-            # ``taken`` stays False) are masked out afterwards.
-            slot[gids] = index
-            winner_mask = slot[gids] == index
-            if not all_inside:
-                winner_mask &= inside
-            if not first_round:
-                winner_mask &= ~taken[gids]
-            first_round = False
-            winners = gids[winner_mask]
-            winner_seg = candidate_seg[winner_mask]
-            # Winners are in draw order and therefore segment-grouped;
-            # keep each segment's first need[s] of them.
-            winner_counts = np.bincount(winner_seg, minlength=n_segments)
-            starts = np.concatenate([[0], np.cumsum(winner_counts)[:-1]])
-            rank = np.arange(winners.size) - starts[winner_seg]
-            keep = rank < need[winner_seg]
-            kept = winners[keep]
-            kept_seg = winner_seg[keep]
-            taken[kept] = True
-            host_chunks.append(kept)
-            seg_chunks.append(kept_seg)
-            need -= np.bincount(kept_seg, minlength=n_segments)
-        if len(host_chunks) == 1:
-            # Single-round fast path (the overwhelmingly common case):
-            # winners are already segment-grouped in draw order.
-            hosts = host_chunks[0]
-        else:
-            hosts = np.concatenate(host_chunks)
-            seg = np.concatenate(seg_chunks)
-            # Group by segment; the stable sort preserves draw order
-            # within each segment, keeping the per-segment ordering
-            # uniform (later rounds simply continue the probe stream).
-            hosts = hosts[np.argsort(seg, kind="stable")]
-        taken[hosts] = False
-        offset = 0
-        for _, entries, take in dense:
-            count = int(take.sum())
-            self._partition(
-                placed, rng, entries, take, hosts[offset:offset + count]
-            )
-            offset += count

@@ -83,7 +83,16 @@ class _Compiled:
     edge_from: int = -1  # state the moving process leaves
 
 
+#: Host arrays store state ids as int8.
+_MAX_STATES = int(np.iinfo(np.int8).max) + 1
+
+
 def _compile(spec: ProtocolSpec) -> List[_Compiled]:
+    if len(spec.states) > _MAX_STATES:
+        raise ValueError(
+            f"protocol {spec.name!r} has {len(spec.states)} states; the "
+            f"engines store state ids as int8 and run at most {_MAX_STATES}"
+        )
     index = {name: i for i, name in enumerate(spec.states)}
     compiled = []
     for action in spec.actions:

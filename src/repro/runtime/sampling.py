@@ -2,122 +2,92 @@
 
 They live below both :mod:`repro.runtime.batch_engine` and
 :mod:`repro.runtime.planner` so neither has to import the other's.
+:func:`distinct_positions` is the one law of *who*: the hosts of a
+state are exchangeable (the paper's system model, Section 3), so "which
+``k`` of these ``c`` members" is a uniform ``k``-subset wherever it is
+asked -- the planner's who pass and the engine's massive failure both
+ask it here.  :func:`distinct_per_segment` is the occupancy count
+behind the census pass's push law; it draws nothing.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["distinct_per_segment", "segmented_choice"]
+__all__ = ["distinct_per_segment", "distinct_positions", "segment_ranks"]
 
 
-def segmented_choice(
-    rng: np.random.Generator,
-    pool: np.ndarray,
-    bounds: np.ndarray,
-    take: np.ndarray,
+def segment_ranks(counts: np.ndarray) -> np.ndarray:
+    """``0 .. counts[s] - 1`` for every segment ``s``, concatenated."""
+    return np.arange(int(counts.sum())) - np.repeat(
+        np.cumsum(counts) - counts, counts
+    )
+
+
+def distinct_positions(
+    rng: np.random.Generator, sizes: np.ndarray, take: np.ndarray
 ) -> np.ndarray:
-    """Without-replacement draws from every segment of a flat pool at once.
+    """A uniform ``take[s]``-subset of ``range(sizes[s])``, per segment.
 
-    ``pool`` is a flat array whose segment ``s`` occupies
-    ``pool[bounds[s]:bounds[s + 1]]`` (``bounds`` has ``S + 1`` entries
-    with ``bounds[0] == 0``); ``take[s]`` elements are chosen uniformly
-    without replacement from segment ``s``.  Returns the chosen elements
-    grouped by segment, in ascending pool order within each segment
-    (set semantics: every ``take[s]``-subset is equally likely).
+    Returns the chosen positions segment by segment (``take[s]``
+    entries for segment ``s``, in no promised order): every subset of
+    that size is equally likely and segments are independent.
 
-    This is the sampler that removes the batch engine's per-trial
-    ``Generator.choice`` loops: actor selection for sub-1.0-probability
-    actions on dense states (the LV hot path) and token routing both
-    need ``take[m]`` distinct members from each trial's segment, and a
-    Python loop over trials costs O(M) interpreter round trips per
-    action per period.  Two vectorized strategies, chosen by the take
-    fraction:
-
-    * **rejection** (every ``take[s] <= sizes[s] / 4``): draw one
-      candidate position per requested element across all segments at
-      once, keep the non-colliding ones, redraw the rest.  Acceptance
-      is >= 3/4 per round, so the loop terminates in O(log) rounds and
-      the number of random draws is proportional to ``take.sum()`` --
-      not the pool size -- which is what makes dense-state sampling
-      cheap (a 3% coin on a state holding 60% of an (M, N) batch draws
-      ~0.02 * M * N values instead of 0.6 * M * N keys).
-    * **top-k keys** (some segment wants more than a quarter of its
-      pool): one uniform key per candidate, padded to a
-      ``(segments, max_size)`` matrix; the ``take[s]`` smallest keys
-      per row (an axis-1 ``argpartition``) are the sample.
+    Rejection with a scatter mask: each round draws one uniform
+    position per element still wanted, across all segments at once,
+    and marks it; draws that land on a marked position (or on each
+    other) are redrawn.  A segment that wants over half of itself marks
+    the positions it leaves *out* instead and returns the rest, so at
+    most half of any segment is ever marked: every draw is accepted
+    with probability >= 1/2 at every take fraction, the loop ends in
+    ``O(log)`` rounds, and the draws number ``O(min(take, size -
+    take))``.  A round never draws more than is still wanted, so a
+    segment cannot overshoot, and relabelling positions leaves the
+    procedure unchanged -- which is why the marked set is uniform.
     """
-    pool = np.asarray(pool)
-    bounds = np.asarray(bounds, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
     take = np.asarray(take, dtype=np.int64)
-    sizes = np.diff(bounds)
     if take.shape != sizes.shape:
         raise ValueError(
             f"take has shape {take.shape}, expected {sizes.shape}"
         )
-    if np.any(take < 0) or np.any(take > sizes):
-        bad = int(np.flatnonzero((take < 0) | (take > sizes))[0])
+    bad = np.flatnonzero((take < 0) | (take > sizes))
+    if bad.size:
         raise ValueError(
-            f"segment {bad}: cannot take {int(take[bad])} of "
-            f"{int(sizes[bad])} elements without replacement"
+            f"segment {bad[0]}: cannot take {take[bad[0]]} of "
+            f"{sizes[bad[0]]} elements without replacement"
         )
-    total_take = int(take.sum())
-    if total_take == 0:
-        return np.empty(0, dtype=pool.dtype)
-    if total_take == pool.size:
-        return pool
-
-    if np.all(take * 4 <= sizes):
-        # Rejection: candidate positions are global pool coordinates,
-        # so collisions (within a round or against earlier rounds) are
-        # plain duplicate values.
-        accepted = np.empty(0, dtype=np.int64)
-        pending_base = np.repeat(bounds[:-1], take)
-        pending_size = np.repeat(sizes, take)
-        while pending_base.size:
-            candidates = pending_base + rng.integers(
-                0, pending_size, dtype=np.int64
-            )
-            merged = np.concatenate([accepted, candidates])
-            order = np.argsort(merged, kind="stable")
-            sorted_values = merged[order]
-            duplicate_sorted = np.zeros(merged.size, dtype=bool)
-            duplicate_sorted[1:] = sorted_values[1:] == sorted_values[:-1]
-            duplicate = np.empty(merged.size, dtype=bool)
-            duplicate[order] = duplicate_sorted
-            # The stable sort keeps previously accepted values ahead of
-            # equal new candidates, so only the new ones re-enter.
-            redraw = duplicate[accepted.size:]
-            accepted = np.concatenate([accepted, candidates[~redraw]])
-            pending_base = pending_base[redraw]
-            pending_size = pending_size[redraw]
-        return pool[np.sort(accepted)]
-
-    # Top-k random keys, padded so the extraction is one axis-1
-    # partition; padding keys are +inf and can never be drawn because
-    # take[s] <= sizes[s].
-    n_segments = sizes.size
-    max_size = int(sizes.max())
-    k_max = int(take.max())
-    keys = rng.random((n_segments, max_size))
-    keys[np.arange(max_size)[None, :] >= sizes[:, None]] = np.inf
-    if k_max < max_size:
-        block = np.argpartition(keys, k_max - 1, axis=1)[:, :k_max]
-        # Order the block so row s's first take[s] entries are exactly
-        # its take[s] *smallest* keys -- a manifestly uniform subset
-        # (argpartition's internal order is not).
-        block_keys = np.take_along_axis(keys, block, axis=1)
-        block = np.take_along_axis(
-            block, np.argsort(block_keys, axis=1), axis=1
-        )
-    else:
-        block = np.argsort(keys, axis=1)
-    chosen = block[np.arange(block.shape[1])[None, :] < take[:, None]]
-    starts = np.repeat(bounds[:-1], take)
-    # Segments are disjoint ascending position ranges, so one global
-    # sort yields the documented segment-grouped, ascending-pool-order
-    # layout (matching the rejection branch).
-    return pool[np.sort(starts + chosen)]
+    flip = take * 2 > sizes
+    # Segment s owns base[s] .. base[s] + sizes[s] of one flat space.
+    base = np.cumsum(sizes) - sizes
+    marked = np.zeros(int(sizes.sum()), dtype=bool)
+    last = np.empty(marked.size, dtype=np.int32)  # written before read
+    # One pending draw per position still to mark.
+    seg = np.repeat(np.arange(sizes.size), np.where(flip, sizes - take, take))
+    segs, picks = [], []
+    while True:
+        pick = rng.integers(0, sizes[seg])
+        spot = base[seg] + pick
+        draw = np.arange(seg.size, dtype=np.int32)
+        last[spot] = draw  # of equal draws, the last one stands
+        fresh = (last[spot] == draw) & ~marked[spot]
+        marked[spot[fresh]] = True
+        segs.append(seg[fresh])
+        picks.append(pick[fresh])
+        seg = seg[~fresh]
+        if not seg.size:
+            break
+    seg, pick = np.concatenate(segs), np.concatenate(picks)
+    if flip.any():
+        # Complemented segments return everything they did not mark.
+        keep = ~flip[seg]
+        rest = np.flatnonzero(flip)
+        rest = np.repeat(rest, take[rest])
+        spot = np.flatnonzero(np.repeat(flip, sizes) & ~marked)
+        seg = np.concatenate([seg[keep], rest])
+        pick = np.concatenate([pick[keep], spot - base[rest]])
+    # Every chunk is segment-ordered, so the stable sort is a merge.
+    return pick[np.argsort(seg, kind="stable")]
 
 
 def distinct_per_segment(

@@ -17,6 +17,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import statutil
 from test_planner import CONDITIONS, FULL_PROBABILITY_CASES
@@ -32,12 +34,12 @@ from repro.runtime import (
     BatchRoundEngine,
     MetricsRecorder,
     RoundEngine,
-    segmented_choice,
     serial_ensemble,
     spawn_seeds,
 )
 from repro.runtime.failures import CrashRecoveryNoise, MassiveFailure
 from repro.runtime.rng import make_generator
+from repro.runtime.sampling import distinct_positions
 from repro.synthesis import FlipAction, ProtocolSpec, TokenizeAction, synthesize
 
 
@@ -215,80 +217,67 @@ class TestSerialExactness:
 
 
 # ----------------------------------------------------------------------
-# The segmented without-replacement sampler
+# The one sampler of "who": uniform subsets of pool positions
 # ----------------------------------------------------------------------
-class TestSegmentedChoice:
-    """Both strategies (rejection for take <= size/4, top-k keys above)
-    must produce valid, uniform without-replacement segment samples."""
-
-    def draw(self, sizes, take, seed=0):
-        bounds = np.concatenate([[0], np.cumsum(sizes)])
-        pool = np.arange(bounds[-1]) * 10  # distinct recognizable values
-        rng = make_generator(seed)
-        return pool, bounds, segmented_choice(
-            rng, pool, bounds, np.asarray(take)
-        )
-
-    @pytest.mark.parametrize(
-        "sizes,take",
-        [
-            ([40, 40, 40], [2, 0, 5]),     # rejection strategy
-            ([40, 40, 40], [30, 40, 0]),   # top-k strategy
-            ([7, 1, 0, 12], [1, 1, 0, 3]),
-        ],
+@st.composite
+def segments(draw):
+    """Arbitrary ``(sizes, take)``, zero-size segments included; the
+    boundary fractions 0.0 and 1.0, which hypothesis favours, are
+    ``take == 0`` and ``take == size``."""
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, 40), st.floats(0.0, 1.0)), max_size=12
+    ))
+    sizes = np.array([size for size, _ in pairs], dtype=np.int64)
+    take = np.array(
+        [round(size * fraction) for size, fraction in pairs], dtype=np.int64
     )
-    def test_counts_containment_uniqueness(self, sizes, take):
-        for seed in range(20):
-            pool, bounds, got = self.draw(sizes, take, seed=seed)
-            assert got.size == sum(take)
-            offset = 0
-            for s, (size, k) in enumerate(zip(sizes, take)):
-                segment = got[offset:offset + k]
-                offset += k
-                # Within the right segment, all distinct.
-                assert len(set(segment.tolist())) == k
-                valid = set(pool[bounds[s]:bounds[s + 1]].tolist())
-                assert set(segment.tolist()) <= valid
+    return sizes, take
 
-    def test_take_everything_returns_pool(self):
-        pool, bounds, got = self.draw([5, 3], [5, 3])
-        assert np.array_equal(np.sort(got), pool)
 
-    def test_rejects_overdraw_and_shape_mismatch(self):
-        rng = make_generator(0)
-        pool = np.arange(10)
-        bounds = np.array([0, 6, 10])
-        with pytest.raises(ValueError):
-            segmented_choice(rng, pool, bounds, np.array([7, 0]))
-        with pytest.raises(ValueError):
-            segmented_choice(rng, pool, bounds, np.array([1, 1, 1]))
+class TestDistinctPositions:
+    """``distinct_positions`` is every without-replacement pick of the
+    batch engine: it must return valid positions and a uniform subset
+    on both sides of its half-way complement flip."""
 
-    @pytest.mark.parametrize(
-        "sizes,take",
-        [
-            ([24, 16], [2, 1]),    # rejection strategy
-            ([24, 16], [12, 10]),  # top-k strategy
-        ],
-    )
-    def test_inclusion_marginals_uniform(self, sizes, take):
-        # Element e of segment s is included with probability
-        # take[s] / sizes[s]; check every element's inclusion count
-        # over repeated draws as one Bonferroni family.
-        rounds = 3000
-        bounds = np.concatenate([[0], np.cumsum(sizes)])
-        pool = np.arange(bounds[-1])
+    @given(segments(), st.integers(0, 2**32 - 1))
+    def test_counts_containment_uniqueness(self, segs, seed):
+        sizes, take = segs
+        got = distinct_positions(make_generator(seed), sizes, take)
+        assert got.size == take.sum()
+        bounds = np.concatenate([[0], np.cumsum(take)])
+        for s, size in enumerate(sizes):
+            segment = got[bounds[s]:bounds[s + 1]]
+            assert np.unique(segment).size == take[s]
+            assert np.all((0 <= segment) & (segment < size))
+
+    def test_inclusion_marginals_across_the_complement_flip(self):
+        # One call mixes segments below half (marks its picks), exactly
+        # half, one past half and far above it (marks what it leaves
+        # out), all and nothing: position e of segment s is included
+        # with probability take[s] / sizes[s] in every one of them.
+        sizes = np.array([60, 60, 60, 61, 60, 80, 5, 0])
+        take = np.array([6, 30, 31, 31, 54, 80, 0, 0])
+        base = np.cumsum(sizes) - sizes
+        rounds = 2000
         rng = make_generator(123)
-        counts = np.zeros(pool.size, dtype=np.int64)
+        included = np.zeros(sizes.sum(), dtype=np.int64)
         for _ in range(rounds):
-            got = segmented_choice(rng, pool, bounds, np.asarray(take))
-            counts[got] += 1
-        expected = np.concatenate([
-            np.full(size, k / size) for size, k in zip(sizes, take)
-        ])
-        statutil.assert_binomial_cells(
-            counts, rounds, expected,
-            context=f"segmented_choice inclusion (take={take})",
+            got = distinct_positions(rng, sizes, take)
+            included[np.repeat(base, take) + got] += 1
+        statutil.assert_binomial_law(
+            included, rounds, np.repeat(take / np.maximum(sizes, 1), sizes),
+            context="distinct_positions inclusion",
         )
+
+    def test_rejects_overdraw_negative_take_and_shape_mismatch(self):
+        rng = make_generator(0)
+        sizes = np.array([6, 4])
+        with pytest.raises(ValueError, match="segment 0: cannot take 7 of 6"):
+            distinct_positions(rng, sizes, np.array([7, 0]))
+        with pytest.raises(ValueError, match="segment 1: cannot take -1 of 4"):
+            distinct_positions(rng, sizes, np.array([2, -1]))
+        with pytest.raises(ValueError, match="shape"):
+            distinct_positions(rng, sizes, np.array([1, 1, 1]))
 
 
 class TestDenseActorSampling:

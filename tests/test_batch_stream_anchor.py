@@ -59,7 +59,7 @@ GOLDENS = {
         "lv": 149629386,
         "epidemic-push-pull": 2693238901,
         "token": 4180697466,
-        "endemic-hosts": 1421704116,
+        "endemic-hosts": 2703442953,
     },
 }
 

@@ -290,7 +290,7 @@ def engines(monkeypatch):
 def holds_no_identities(engine) -> bool:
     return (
         engine._states_arr is None and engine._alive_arr is None
-        and engine._pools is None and engine._planner._taken is None
+        and engine._pools is None
     )
 
 

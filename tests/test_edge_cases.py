@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.__main__ import main
 from repro.odes import (
     classify,
     find_equilibria,
@@ -13,7 +14,7 @@ from repro.odes import (
 )
 from repro.odes.system import EquationSystem, build_system
 from repro.odes.term import Term
-from repro.runtime import MetricsRecorder, RoundEngine
+from repro.runtime import BatchRoundEngine, MetricsRecorder, RoundEngine
 from repro.synthesis import FlipAction, ProtocolSpec, synthesize
 
 
@@ -125,6 +126,41 @@ class TestEngineBoundaries:
         engine.run(6, recorder=recorder)
         # Records at periods 0 (initial), 2, 4, 6.
         assert [p for p, _ in recorder.member_log] == [0, 2, 4, 6]
+
+    def ring(self, k):
+        states = tuple(f"s{i}" for i in range(k))
+        return ProtocolSpec(
+            name=f"ring-{k}", states=states, actions=tuple(
+                FlipAction(states[i], 0.5, states[(i + 1) % k])
+                for i in range(k)
+            ),
+        )
+
+    @pytest.mark.parametrize("engine", ["serial", "batch"])
+    def test_state_ids_must_fit_int8(self, engine):
+        # Host arrays hold state ids as int8: 128 states run, and 130
+        # used to construct with ids wrapped to -128..127 and die in a
+        # later bincount.
+        def build(k):
+            kwargs = dict(n=260, initial={"s0": 130, f"s{k - 1}": 130}, seed=0)
+            if engine == "serial":
+                return RoundEngine(self.ring(k), **kwargs)
+            return BatchRoundEngine(self.ring(k), trials=2, **kwargs)
+
+        widest = build(128)
+        for _ in range(3):
+            widest.step()
+        assert widest.states.min() >= 0 and widest.states.max() == 127
+        with pytest.raises(ValueError, match="'ring-130' has 130 states.*128"):
+            build(130)
+
+    def test_check_spec_reports_the_state_limit(self, tmp_path, capsys):
+        path = tmp_path / "ring.txt"
+        path.write_text("\n".join(
+            f"x{i}' = -0.5*x{i} + 0.5*x{(i - 1) % 130}" for i in range(130)
+        ))
+        assert main(["check", "spec", str(path)]) == 1
+        assert "130 states" in capsys.readouterr().out
 
 
 class TestProtocolSpecBoundaries:
