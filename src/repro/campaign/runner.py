@@ -353,10 +353,10 @@ def _created_stamp() -> str:
     return datetime.datetime.now(tz=datetime.timezone.utc).isoformat()
 
 
-def _write_json_atomic(path: Path, data: Dict) -> None:
-    """Write JSON via tmp + rename, so readers never see a torn file."""
+def _write_text_atomic(path: Path, text: str) -> None:
+    """Write via tmp + rename, so readers never see a torn file."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(data, indent=2))
+    tmp.write_text(text)
     os.replace(tmp, path)
 
 
@@ -410,6 +410,55 @@ def _manifest_data(spec: CampaignSpec, entries: List[Dict]) -> Dict:
             "numpy": np.__version__,
         },
     }
+
+
+def _encode_entry(entry: Dict) -> str:
+    """One entry as it reads inside the manifest's ``points`` list."""
+    return "    " + json.dumps(entry, indent=2).replace("\n", "\n    ")
+
+
+class _Checkpoint:
+    """The manifest file, rewritten whenever a point lands.
+
+    The file's bytes are ``json.dumps(_manifest_data(spec, entries),
+    indent=2)``, but an ``indent`` runs on the pure-Python encoder, so
+    each entry is encoded once after it is set and every later write
+    assembles the file from the kept pieces (a campaign's checkpoints
+    cost O(points) encodes, not O(points^2)).  With no ``path`` (the
+    campaign keeps no tensors directory) nothing is encoded or written.
+    """
+
+    def __init__(
+        self, path: Optional[Path], spec: CampaignSpec, entries: List[Dict]
+    ):
+        self.path = path
+        self.spec = spec
+        self.entries = entries
+        self._pieces: List[Optional[str]] = [None] * len(entries)
+
+    def set(self, index: int, entry: Dict) -> None:
+        self.entries[index] = entry
+        self._pieces[index] = None
+
+    def text(self) -> str:
+        for index, piece in enumerate(self._pieces):
+            if piece is None:
+                self._pieces[index] = _encode_entry(self.entries[index])
+        shell = _manifest_data(self.spec, self.entries)
+        if not self._pieces:
+            return json.dumps(shell, indent=2)
+        shell["points"] = []
+        head, tail = json.dumps(shell, indent=2).split(
+            '\n  "points": [],\n'
+        )
+        return (
+            f'{head}\n  "points": [\n' + ",\n".join(self._pieces)
+            + f"\n  ],\n{tail}"
+        )
+
+    def write(self) -> None:
+        if self.path is not None:
+            _write_text_atomic(self.path, self.text())
 
 
 def load_manifest(directory) -> Dict:
@@ -557,17 +606,15 @@ def run_campaign(
 
     # The checkpoint state: one manifest entry per planned point,
     # rewritten atomically whenever a point lands.
-    entries: List[Dict] = [
-        _done_entry(index, restored[index]) if index in restored
-        else _pending_entry(index, point)
-        for index, point in enumerate(points)
-    ]
-
-    def checkpoint() -> None:
-        if tensors_dir is not None:
-            _write_json_atomic(
-                tensors_dir / MANIFEST_NAME, _manifest_data(spec, entries)
-            )
+    checkpoint = _Checkpoint(
+        None if tensors_dir is None else tensors_dir / MANIFEST_NAME,
+        spec,
+        [
+            _done_entry(index, restored[index]) if index in restored
+            else _pending_entry(index, point)
+            for index, point in enumerate(points)
+        ],
+    )
 
     # The campaign as one ExecutionPlan: both parallelism levels --
     # independent grid points, and the trial-axis shards of each point
@@ -645,8 +692,8 @@ def run_campaign(
                 messages,
             )
         results[point_index] = result
-        entries[point_index] = _done_entry(point_index, result)
-        checkpoint()
+        checkpoint.set(point_index, _done_entry(point_index, result))
+        checkpoint.write()
         if progress is not None:
             progress(result)
 
@@ -657,24 +704,14 @@ def run_campaign(
         point_index, _ = unit_keys[failure.index]
         bucket = failures_by_point.setdefault(point_index, [])
         bucket.append(failure)
-        entries[point_index] = {
+        checkpoint.set(point_index, {
             **_pending_entry(point_index, points[point_index]),
             "status": "failed",
             "failures": [f.to_dict() for f in bucket],
-        }
-        checkpoint()
+        })
+        checkpoint.write()
 
-    if workers > 1 and backend == "pool":
-        # Warm before you fork (docs/architecture.md, "Import policy"):
-        # resolving each protocol here loads what its units will load
-        # (an equations file's start point imports scipy.optimize).
-        for point in {p.protocol: p for p in points}.values():
-            try:
-                resolve_protocol(point.protocol).resolve(point.n)
-            except Exception:
-                pass  # fails again in its unit, under the fault policy
-
-    checkpoint()
+    checkpoint.write()
     run_plan(
         ExecutionPlan(
             units=units,
@@ -690,7 +727,7 @@ def run_campaign(
         backend=backend,
     )
 
-    checkpoint()
+    checkpoint.write()
     ordered = [
         results[i] for i in range(len(points)) if i in results
     ]

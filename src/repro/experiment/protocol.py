@@ -301,8 +301,7 @@ class Protocol:
                 stable = [e for e in find_equilibria(system) if e.is_stable]
             except (ArithmeticError, ValueError):
                 # A solve that blows up numerically (LinAlgError is a
-                # ValueError) means "no reference point"; a missing
-                # scipy.optimize must not read as that, so it propagates.
+                # ValueError) means "no reference point".
                 stable = []
             if stable:
                 self._equilibrium = {

@@ -136,8 +136,9 @@ class Scenario:
     def hook_factory(self, context: RunContext) -> Callable[[int], Callable]:
         """A batch-engine ``hook_factories`` entry for this scenario.
 
-        Returns one composite hook per trial, so multi-hook scenarios
-        fit the single-factory slot.  The factory is a plain object
+        Returns one composite hook per trial (``None`` for a trial the
+        scenario gives no hooks), so multi-hook scenarios fit the
+        single-factory slot.  The factory is a plain object
         (not a closure), so named scenarios can cross process
         boundaries -- :class:`~repro.runtime.parallel.ShardedBatchExecutor`
         ships it to pool workers whenever the underlying builder
@@ -171,9 +172,8 @@ class ScenarioHookFactory:
         self._context = context
         self._seeds = scenario.trial_seeds(context)
 
-    def __call__(self, trial: int) -> Callable:
-        return _CompositeHook(
-            self._scenario.hooks_for(
-                self._context, trial, self._seeds[trial]
-            )
+    def __call__(self, trial: int) -> Optional[Callable]:
+        hooks = self._scenario.hooks_for(
+            self._context, trial, self._seeds[trial]
         )
+        return _CompositeHook(hooks) if hooks else None

@@ -6,6 +6,12 @@ operating points of the protocol (paper Section 4).  This module finds
 equilibria numerically (multi-start root solving on the unit simplex)
 and classifies their stability from the Jacobian.
 
+The solve is numpy only: the system is compiled into arrays once
+(:class:`~repro.odes.system.CompiledSystem`) and every start advances
+together in one damped Newton iteration on the stacked analytic
+Jacobians, so finding the operating point of a run costs a few
+milliseconds and imports nothing (docs/architecture.md, "Equilibria").
+
 For *complete* systems the Jacobian always has a zero eigenvalue along
 the conserved direction ``(1, 1, ..., 1)`` (total mass).  Stability on
 the physically meaningful set -- the simplex -- is therefore judged from
@@ -22,7 +28,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .system import EquationSystem
+from .system import CompiledSystem, EquationSystem
 
 
 @dataclass
@@ -155,6 +161,89 @@ def _initial_guesses(dimension: int, extra: int, seed: int) -> List[np.ndarray]:
     return guesses
 
 
+#: Newton iterations after which a start that is still moving is dropped
+#: (a double root converges linearly, halving its error: ~35 to 1e-10).
+_MAX_ITERATIONS = 100
+
+#: Halvings of a step that does not reduce ``|F|`` before the start stalls.
+_MAX_HALVINGS = 40
+
+
+def _newton_roots(residual, jacobian, starts: np.ndarray, tol: float):
+    """Damped Newton from every row of ``starts`` at once.
+
+    ``residual`` and ``jacobian`` map a ``(G, d)`` block to ``(G, d)``
+    and ``(G, d, d)``.  The step is ``-pinv(J) F``: the Newton step
+    where ``J`` is regular and the minimum-norm least-squares step
+    where it is singular (the simplex corners the guess list starts
+    from), halved until ``|F|`` decreases.  A start has converged when
+    its full step is within ``tol`` of its own size; it drops out then,
+    or when no halving reduces ``|F|``, so late iterations work on the
+    few starts still moving.  Returns the points and the converged mask.
+    """
+    points = np.array(starts, dtype=float)
+    converged = np.zeros(len(points), dtype=bool)
+    active = np.arange(len(points))
+    value = residual(points)
+    norm = np.linalg.norm(value, axis=1)
+    for _ in range(_MAX_ITERATIONS):
+        if active.size == 0:
+            break
+        x = points[active]
+        step = -(np.linalg.pinv(jacobian(x)) @ value[active, :, None])[:, :, 0]
+        small = np.max(np.abs(step), axis=1) <= tol * np.maximum(
+            1.0, np.max(np.abs(x), axis=1)
+        )
+        points[active[small]] += step[small]
+        converged[active[small]] = True
+        active, x, step = active[~small], x[~small], step[~small]
+        # Backtrack per start: `pending` indexes the starts of `active`
+        # whose current damping has not yet reduced |F|.
+        damping = np.ones(active.size)
+        pending = np.arange(active.size)
+        for _ in range(_MAX_HALVINGS):
+            if pending.size == 0:
+                break
+            trial = x[pending] + damping[pending, None] * step[pending]
+            trial_value = residual(trial)
+            trial_norm = np.linalg.norm(trial_value, axis=1)
+            # Armijo: a fraction of the decrease the step predicts.
+            accepted = trial_norm <= (
+                (1.0 - 1e-4 * damping[pending]) * norm[active[pending]]
+            )
+            moved = active[pending[accepted]]
+            points[moved] = trial[accepted]
+            value[moved] = trial_value[accepted]
+            norm[moved] = trial_norm[accepted]
+            pending = pending[~accepted]
+            damping[pending] *= 0.5
+        active = np.delete(active, pending)
+    return points, converged
+
+
+def _root_problem(system: EquationSystem, simplex_row: bool):
+    """``F`` and its Jacobian on ``(G, d)`` blocks of points.
+
+    With ``simplex_row`` the last equation (redundant in a complete
+    system) is replaced by ``sum(x) - 1``, whose Jacobian row is ones.
+    """
+    compiled = CompiledSystem(system)
+
+    def residual(points: np.ndarray) -> np.ndarray:
+        values = compiled.rhs(points)
+        if simplex_row:
+            values[:, -1] = np.sum(points, axis=1) - 1.0
+        return values
+
+    def jacobian(points: np.ndarray) -> np.ndarray:
+        matrices = compiled.jacobian(points)
+        if simplex_row:
+            matrices[:, -1, :] = 1.0
+        return matrices
+
+    return residual, jacobian
+
+
 def find_equilibria(
     system: EquationSystem,
     *,
@@ -170,32 +259,24 @@ def find_equilibria(
     For complete systems one equation is redundant (the rows of ``f``
     sum to zero), so the last component of the residual is replaced by
     the simplex constraint ``sum(x) - 1``; this makes the root problem
-    square and well-posed.
+    square and well-posed.  ``tol`` bounds the last Newton step of a
+    root relative to the root's size (its estimated distance from the
+    exact root).
 
     Returns equilibria sorted by distance from the simplex barycenter,
     deduplicated within ``merge_distance``.  Points with any coordinate
     below ``-domain_tol`` (outside the physical domain) are dropped.
     """
-    from scipy import optimize  # on first use: docs/architecture.md
-
     from .classify import is_complete  # local import avoids a cycle
 
     dimension = system.dimension
     complete = is_complete(system)
-
-    def residual(x: np.ndarray) -> np.ndarray:
-        fx = system.rhs(x)
-        if complete and on_simplex:
-            fx = fx.copy()
-            fx[-1] = np.sum(x) - 1.0
-        return fx
+    residual, jacobian = _root_problem(system, complete and on_simplex)
+    starts = np.array(_initial_guesses(dimension, restarts, seed))
+    points, converged = _newton_roots(residual, jacobian, starts, tol)
 
     found: List[np.ndarray] = []
-    for guess in _initial_guesses(dimension, restarts, seed):
-        solution = optimize.root(residual, guess, method="hybr", tol=tol)
-        if not solution.success:
-            continue
-        x = solution.x
+    for x in points[converged]:
         if np.any(x < -domain_tol):
             continue
         if np.max(np.abs(system.rhs(x))) > 1e-7:

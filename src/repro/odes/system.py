@@ -252,6 +252,53 @@ class EquationSystem:
         return True
 
 
+class CompiledSystem:
+    """A system's right-hand sides as arrays, evaluated on blocks of points.
+
+    The right-hand sides are sums of monomials, so the whole system is
+    three arrays over its ``K`` terms in declaration order -- the signed
+    coefficient, the ``(K, d)`` exponent row and the equation that owns
+    the term -- and ``f`` and its exact Jacobian at ``G`` points at once
+    are a handful of numpy calls.  :meth:`EquationSystem.rhs` and
+    :meth:`EquationSystem.jacobian` stay the one-point reference the
+    tests compare against.
+    """
+
+    def __init__(self, system: EquationSystem):
+        pairs = system.all_terms()
+        dimension = system.dimension
+        column = {name: j for j, name in enumerate(system.variables)}
+        self.coefficients = np.array([term.coefficient for _, term in pairs])
+        self.exponents = np.zeros((len(pairs), dimension), dtype=np.int64)
+        self.owner = np.array([column[var] for var, _ in pairs], dtype=np.intp)
+        for k, (_, term) in enumerate(pairs):
+            for name, power in term.exponents:
+                self.exponents[k, column[name]] = power
+        # (K, d): term k adds its coefficient to its owner's equation.
+        self._scatter = np.zeros((len(pairs), dimension))
+        self._scatter[np.arange(len(pairs)), self.owner] = self.coefficients
+        # (d, K, d): the exponent rows after d/dx_j; the factor
+        # exponents[k, j] zeroes every term x_j does not appear in.
+        self._lowered = np.maximum(
+            self.exponents[None, :, :]
+            - np.eye(dimension, dtype=np.int64)[:, None, :],
+            0,
+        )
+        self._factors = self.exponents.T.astype(float)
+
+    def rhs(self, points: np.ndarray) -> np.ndarray:
+        """``f`` at a ``(G, d)`` block of points, as ``(G, d)``."""
+        monomials = np.prod(points[:, None, :] ** self.exponents, axis=2)
+        return monomials @ self._scatter
+
+    def jacobian(self, points: np.ndarray) -> np.ndarray:
+        """``J[g, i, j] = d f_i / d x_j`` at a ``(G, d)`` block of points."""
+        partials = self._factors * np.prod(
+            points[:, None, None, :] ** self._lowered, axis=3
+        )
+        return (partials @ self._scatter).transpose(0, 2, 1)
+
+
 def build_system(
     name: str,
     variables: Sequence[str],

@@ -71,7 +71,7 @@ from ..synthesis.protocol import ProtocolSpec
 from .metrics import MetricsRecorder
 from .planner import ActionPlanner, TrialMemberPools
 from .round_engine import RoundEngine, _compile, initial_state_vector
-from .rng import RandomSource, spawn_seeds
+from .rng import RandomSource, make_generator, spawn_seeds
 from .sampling import distinct_positions
 
 #: A per-trial hook factory: called with the trial index, returns a hook
@@ -79,8 +79,9 @@ from .sampling import distinct_positions
 #: (``period``, ``crash``, ``crash_fraction``, ``recover``,
 #: ``members_in``, ...).  Stock hooks from :mod:`repro.runtime.failures`
 #: and :mod:`repro.runtime.churn` work unchanged:
-#: ``lambda m: MassiveFailure(at_period=500, fraction=0.5)``.
-HookFactory = Callable[[int], Callable[[object], None]]
+#: ``lambda m: MassiveFailure(at_period=500, fraction=0.5)``.  A factory
+#: returns ``None`` for a trial it has no hook for.
+HookFactory = Callable[[int], Optional[Callable[[object], None]]]
 
 Edge = Tuple[str, str]
 
@@ -489,9 +490,12 @@ class BatchRoundEngine:
         # and followed on ``batch-who``, so looking at hosts can never
         # shift a census draw.
         self._rng = source.stream("batch-protocol")
-        self._fault_rngs = [
-            source.stream(f"batch-faults-{m}") for m in range(trials)
+        # A trial's fault generator is built at its first failure (most
+        # runs have none); spawning its seed here is what fixes it.
+        self._fault_seeds = [
+            source.child(f"batch-faults-{m}") for m in range(trials)
         ]
+        self._fault_rngs: Dict[int, np.random.Generator] = {}
         self._shuffle_rng = source.stream("batch-shuffle") if shuffle else None
         self._who_rng = source.stream("batch-who")
         base = initial_state_vector(self.state_names, n, initial)
@@ -625,6 +629,8 @@ class BatchRoundEngine:
         # How many of each state first -- a uniform sample of the alive
         # hosts is multivariate hypergeometric in the census -- then
         # who, so hosts read earlier cannot change what a failure costs.
+        if trial not in self._fault_rngs:
+            self._fault_rngs[trial] = make_generator(self._fault_seeds[trial])
         per_state = self._fault_rngs[trial].multivariate_hypergeometric(
             self._counts[trial],
             int(round(fraction * self._alive_counts[trial])),
@@ -798,9 +804,10 @@ class BatchRoundEngine:
         """Run ``periods`` rounds of every trial.
 
         ``hook_factories`` are called once per trial index and must
-        return fresh hook instances (stock hooks are stateful); each
-        trial's hooks fire against its own view before every period,
-        exactly as in :meth:`RoundEngine.run`.
+        return fresh hook instances (stock hooks are stateful), or
+        ``None`` for a trial they leave alone; each trial's hooks fire
+        against its own view before every period, exactly as in
+        :meth:`RoundEngine.run`.
 
         ``stop`` is an optional early-exit predicate, called with the
         engine after each period is stepped and recorded; returning
@@ -811,16 +818,20 @@ class BatchRoundEngine:
         if recorder is None:
             recorder = BatchMetricsRecorder(self.state_names, self.trials)
         factories = list(hook_factories)
-        views = self.trial_views() if factories else []
-        trial_hooks = [
-            [factory(m) for factory in factories]
-            for m in range(self.trials if factories else 0)
-        ]
+        # Only trials that have a hook are walked each period.
+        hooked = []
+        for m in range(self.trials):
+            hooks = [
+                hook for factory in factories
+                if (hook := factory(m)) is not None
+            ]
+            if hooks:
+                hooked.append((BatchTrialView(self, m), hooks))
         if record_initial and self.period == 0:
             self._record(recorder)
         for _ in range(periods):
-            for m, view in enumerate(views):
-                for hook in trial_hooks[m]:
+            for view, hooks in hooked:
+                for hook in hooks:
                     hook(view)
             self.step()
             self._record(recorder)

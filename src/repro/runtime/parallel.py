@@ -410,7 +410,10 @@ def _run_agent_trial(job: _AgentTrialJob) -> MetricsRecorder:
         job.periods,
         recorder=recorder,
         sample_every=job.sample_every,
-        hooks=[factory(job.trial) for factory in job.hook_factories],
+        hooks=[
+            hook for factory in job.hook_factories
+            if (hook := factory(job.trial)) is not None
+        ],
         record_initial=job.record_initial,
     )
     return recorder

@@ -10,13 +10,19 @@ perturb the protocol's sampling sequence).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Union
 
 import numpy as np
 
 
-def make_generator(seed: Optional[int] = None) -> np.random.Generator:
-    """A Mersenne Twister backed numpy Generator."""
+def make_generator(
+    seed: Union[None, int, np.random.SeedSequence] = None,
+) -> np.random.Generator:
+    """A Mersenne Twister backed numpy Generator.
+
+    ``seed`` is anything ``MT19937`` accepts: an int, ``None`` or a
+    ``SeedSequence``.
+    """
     return np.random.Generator(np.random.MT19937(seed))
 
 
@@ -66,11 +72,19 @@ class RandomSource:
         self.root = np.random.Generator(np.random.MT19937(self._sequence))
         self._spawned = 0
 
+    def child(self, label: str = "") -> np.random.SeedSequence:
+        """Spawn the seed of a new independent stream.
+
+        Spawning is what fixes a stream (its place in the spawn order);
+        building the generator with :func:`make_generator` can wait for
+        the stream's first draw.
+        """
+        self._spawned += 1
+        return self._sequence.spawn(1)[0]
+
     def stream(self, label: str = "") -> np.random.Generator:
         """Spawn a new independent generator (label is documentation)."""
-        child = self._sequence.spawn(1)[0]
-        self._spawned += 1
-        return np.random.Generator(np.random.MT19937(child))
+        return make_generator(self.child(label))
 
     def spawn(self, m: int) -> List[int]:
         """``m`` trial seeds for independent child simulations.

@@ -121,9 +121,9 @@ class ServiceCore:
         """Log the construction recipe; must be the first log record."""
         if self._started:
             raise RuntimeError("service core already started")
-        # Warm before you serve: the first resolution imports
-        # scipy.optimize and runs the multi-start solve; the Protocol
-        # memoizes it, so no `equilibrium` query ever stalls the loop.
+        # Warm before you serve: the first resolution runs the
+        # multi-start solve; the Protocol memoizes it, so no
+        # `equilibrium` query ever computes on the event loop.
         self.live.equilibrium_fractions()
         self._started = True
         counts, alive = self._recount()

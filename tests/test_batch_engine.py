@@ -693,3 +693,60 @@ class TestBatchRunResult:
         assert means["y"] == pytest.approx(float(finals["y"].mean()))
         # The epidemic takes over in every trial.
         assert np.all(finals["y"] == 400)
+
+
+class TestRunFixedCosts:
+    """What a run nobody perturbs no longer pays for."""
+
+    def test_fault_streams_are_built_on_first_use_and_unmoved(self):
+        # The per-trial fault generators are spawned at construction
+        # (that fixes every stream) and built at a trial's first
+        # failure.  Goldens captured on the commit that built all of
+        # them eagerly: the victims of trials 0 and 5, and the count
+        # tensor that follows from them.
+        if not np.__version__.startswith("2.4."):
+            pytest.skip(f"no fault-stream goldens for numpy {np.__version__}")
+        params = EndemicParams(alpha=0.01, gamma=0.1, b=2)
+        engine = BatchRoundEngine(
+            figure1_protocol(params), n=400, trials=6,
+            initial=params.equilibrium_counts(400), seed=101,
+        )
+        assert engine._fault_rngs == {}
+        hooks = [MassiveFailure(at_period=10, fraction=0.5) for _ in range(6)]
+        result = engine.run(20, hook_factories=[lambda m: hooks[m]])
+        assert sorted(engine._fault_rngs) == list(range(6))
+        crc = 0
+        for m in (0, 5):
+            victims = np.ascontiguousarray(hooks[m].victims, dtype=np.int64)
+            crc = zlib.crc32(victims.tobytes(), crc)
+        assert crc == 1614142141
+        tensor = np.ascontiguousarray(
+            result.recorder.count_tensor(), dtype=np.int64
+        )
+        assert zlib.crc32(tensor.tobytes()) == 1185499212
+
+    def test_only_hooked_trials_are_walked(self):
+        spec = pull_protocol()
+        batch = BatchRoundEngine(
+            spec, n=200, trials=4, initial={"x": 190, "y": 10}, seed=1
+        )
+        seen = []
+
+        def factory(m):
+            return (lambda view: seen.append(view.trial)) if m == 2 else None
+
+        batch.run(3, hook_factories=[factory])
+        assert seen == [2, 2, 2]
+
+    def test_scenario_none_gives_no_hooks(self):
+        from repro.experiment.scenario import Scenario
+
+        experiment = Experiment(
+            Protocol.named("endemic"), n=300, trials=4, periods=5, seed=1,
+        )
+        context = experiment.context()
+        assert [
+            Scenario.named("none").hook_factory(context)(m) for m in range(4)
+        ] == [None] * 4
+        hook = Scenario.named("massive-failure").hook_factory(context)(0)
+        assert callable(hook)

@@ -1,15 +1,15 @@
 """The import contract: a ``repro`` process imports what it runs.
 
-``scipy.optimize``/``scipy.stats``/``scipy.integrate``, ``networkx`` and
-``sympy`` are imported by the first function that needs them (see
-"Import policy" in docs/architecture.md), never by ``import repro``.
-The pytest process has long since loaded all of them, so every case
-runs in a fresh interpreter and asserts on ``sys.modules`` -- a
-statement about *what* loads, which a timing could only hint at.
+``scipy.stats``/``scipy.integrate``, ``networkx`` and ``sympy`` are
+imported by the first function that needs them (see "Import policy" in
+docs/architecture.md), never by ``import repro``.  The pytest process
+has long since loaded all of them, so every case runs in a fresh
+interpreter and asserts on ``sys.modules`` -- a statement about *what*
+loads, which a timing could only hint at.
 
-The second half pins where the deferred cost may land -- **warm before
-you fork or serve**: the process that builds a plan has loaded what
-its units need before ``run_plan`` forks the pool.
+The second half pins the run journeys: the equilibrium solve is numpy
+only, so an equations-file run -- library, CLI, service or campaign --
+never loads scipy at all, and works where scipy cannot be imported.
 """
 
 import json
@@ -39,16 +39,8 @@ def loaded():
 def report(**fields):
     print(json.dumps(fields))
 
-def watch_run_plan(module):
-    # Was the solver loaded each time module.run_plan was entered?
-    at_fork, run_plan = [], module.run_plan
-
-    def recording(*args, **kwargs):
-        at_fork.append("scipy.optimize" in sys.modules)
-        return run_plan(*args, **kwargs)
-
-    module.run_plan = recording
-    return at_fork
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 """
 
 
@@ -123,26 +115,6 @@ class TestStartLoadsNoDeferredModule:
 # Each deferred module is loaded by its own first call
 # ----------------------------------------------------------------------
 class TestFirstCallLoadsItsModule:
-    def test_find_equilibria_loads_scipy_optimize(self):
-        out = fresh("""
-            from repro.odes import find_equilibria, library
-
-            before = loaded()
-            found = find_equilibria(library.endemic(alpha=0.01, gamma=1.0, beta=4.0))
-            report(
-                before=before, after=loaded(),
-                labels=[e.classification for e in found],
-                stable=found[0].point,
-            )
-        """)
-        assert out["before"] == []
-        assert "scipy.optimize" in out["after"]
-        assert not {"scipy.stats", "networkx", "sympy"} & set(out["after"])
-        assert out["labels"] == ["stable spiral", "saddle point"]
-        assert out["stable"] == pytest.approx(
-            {"x": 0.25, "y": 0.75 / 101, "z": 75 / 101}, abs=1e-9
-        )
-
     def test_integrate_loads_scipy_integrate(self):
         out = fresh("""
             from repro.odes import integrate, library
@@ -219,64 +191,108 @@ class TestMissingPackages:
             with pytest.raises(ImportError, match="pip install networkx"):
                 build()
 
-    def test_unimportable_solver_is_not_no_equilibrium(self):
-        # With the solver imported inside find_equilibria, a blanket
-        # `except Exception` around it would turn a broken scipy into
-        # "this system has no stable equilibrium" and every
-        # equilibrium check would silently skip.
-        out = fresh("""
-            from repro.experiment import Protocol
 
-            sys.modules["scipy.optimize"] = None
-            try:
-                Protocol.named("endemic").equilibrium_fractions(1000)
-            except ImportError as exc:
-                report(raised=type(exc).__name__)
-            else:
-                report(raised=None)
+# ----------------------------------------------------------------------
+# No run journey loads scipy
+# ----------------------------------------------------------------------
+class TestRunJourneysLoadNoScipy:
+    def test_find_equilibria(self):
+        out = fresh("""
+            from repro.odes import find_equilibria, library
+
+            found = find_equilibria(library.endemic(alpha=0.01, gamma=1.0, beta=4.0))
+            report(
+                scipy=scipy_loaded(),
+                labels=[e.classification for e in found],
+                stable=found[0].point,
+            )
         """)
-        assert out["raised"] in ("ImportError", "ModuleNotFoundError")
+        assert out["scipy"] == []
+        assert out["labels"] == ["stable spiral", "saddle point"]
+        assert out["stable"] == pytest.approx(
+            {"x": 0.25, "y": 0.75 / 101, "z": 75 / 101}, abs=1e-9
+        )
 
-
-# ----------------------------------------------------------------------
-# Warm before you fork
-# ----------------------------------------------------------------------
-class TestWarmBeforeFork:
-    def test_experiment_has_the_solver_loaded_when_the_pool_forks(self):
-        # Today Protocol.resolve's equilibrium start point loads it; a
-        # change that moves that behind the fork would make every pool
-        # worker of every run_plan call import scipy.optimize itself.
+    def test_equations_file_experiment(self):
+        # The pool forks from a parent that never loaded a solver:
+        # there is nothing left to warm before the fork.
         out = fresh("""
-            import repro.runtime.parallel as parallel
             from repro.experiment import Experiment, Protocol
 
-            at_fork = watch_run_plan(parallel)
-            protocol = Protocol.from_equations(
-                "x' = -0.5*x*y + 0.1*y\\ny' = 0.5*x*y - 0.1*y"
-            )
-            before = loaded()
+            protocol = Protocol.from_equations("examples/endemic.txt")
             result = Experiment(
-                protocol, n=400, trials=4, periods=20, seed=1, workers=2,
+                protocol, n=2000, trials=4, periods=100, seed=1, workers=2,
             ).run()
-            report(before=before, at_fork=at_fork, trials=result.trials)
+            check = result.equilibrium_check()
+            summary = result.render_summary()
+            report(
+                scipy=scipy_loaded(), trials=result.trials,
+                gated=sorted(r.state for r in check.rows if r.gated),
+                lines=len(summary.splitlines()),
+            )
         """)
-        assert out == {"before": [], "at_fork": [True], "trials": 4}
+        assert out["scipy"] == []
+        assert out["trials"] == 4
+        assert out["gated"] == ["x", "y", "z"]
+        assert out["lines"] >= 5
 
-    def test_equations_file_campaign_resolves_before_the_pool_forks(self):
-        # The campaign's units re-resolve their protocol by name; for
-        # an equations file that solves for the equilibrium start
-        # point, so the parent resolves once before forking.
+    @pytest.mark.parametrize("scipy_importable", [True, False])
+    def test_quickstart_cli(self, scipy_importable):
+        # `python -m repro run examples/endemic.txt`, also on a box
+        # whose scipy is missing or broken.
+        out = fresh(f"""
+            import runpy
+            if not {scipy_importable}:
+                sys.modules["scipy"] = None
+            sys.argv = ["repro", "run", "examples/endemic.txt", "--n", "2000",
+                        "--trials", "4", "--periods", "100", "--seed", "5"]
+            try:
+                runpy.run_module("repro", run_name="__main__", alter_sys=True)
+            except SystemExit as stop:
+                code = stop.code
+            print()
+            report(code=code, scipy=scipy_loaded())
+        """)
+        assert out == {
+            "code": 0, "scipy": [] if scipy_importable else ["scipy"],
+        }
+
+    def test_service_start_and_equilibrium_query(self):
         out = fresh("""
-            import repro.campaign.runner as runner
-            from repro.campaign import CampaignSpec, run_campaign
+            from repro.service import LiveConfig, LiveEngine, ServiceCore
+            from repro.store import MemoryEventLog
 
-            at_fork = watch_run_plan(runner)
+            core = ServiceCore(
+                LiveEngine(LiveConfig(protocol="endemic", n=300, seed=42)),
+                log=MemoryEventLog(),
+            )
+            core.start()
+            answer = core.query("equilibrium")
+            report(scipy=scipy_loaded(), expected=sorted(answer["expected"]))
+        """)
+        assert out == {"scipy": [], "expected": ["x", "y", "z"]}
+
+    def test_equations_file_campaign(self):
+        # Parent: plans, forks two workers, checkpoints.  Unit: what a
+        # worker runs -- it re-resolves the file and solves for its
+        # start point itself.
+        out = fresh("""
+            from repro.campaign import CampaignSpec, run_campaign
+            from repro.campaign.runner import _run_shard, _shard_points
+
             spec = CampaignSpec(
                 protocols=["examples/endemic.txt"], group_sizes=[300],
                 trials=4, periods=10, base_seed=1, shards=2,
             )
-            before = loaded()
             campaign = run_campaign(spec, workers=2)
-            report(before=before, at_fork=at_fork, points=len(campaign.results))
+            parent = scipy_loaded()
+            unit = _run_shard(_shard_points(spec.expand()[0])[0])
+            report(
+                parent=parent, unit=scipy_loaded(),
+                points=len(campaign.results),
+                totals=unit.final_counts.sum(axis=1).tolist(),
+            )
         """)
-        assert out == {"before": [], "at_fork": [True], "points": 1}
+        assert out == {
+            "parent": [], "unit": [], "points": 1, "totals": [300, 300],
+        }

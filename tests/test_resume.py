@@ -351,6 +351,90 @@ class TestFailureIsolation:
             registry._PROTOCOLS.pop("flag-pull")
 
 
+class TestCheckpointEncoding:
+    """The manifest is assembled from per-entry pieces, each encoded once."""
+
+    def test_every_checkpoint_is_the_plain_json_dump(
+        self, tmp_path, monkeypatch
+    ):
+        # Three points; the second run restores point 0 from the first
+        # run's manifest, fails point 1 and completes point 2.
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+        from repro.campaign import registry, runner
+
+        written = []
+        write = runner._Checkpoint.write
+
+        def checked_write(checkpoint):
+            write(checkpoint)
+            written.append([e["status"] for e in checkpoint.entries])
+            assert checkpoint.path.read_text() == json.dumps(
+                runner._manifest_data(checkpoint.spec, checkpoint.entries),
+                indent=2,
+            )
+
+        monkeypatch.setattr(runner._Checkpoint, "write", checked_write)
+        flag = tmp_path / "fault-active"
+        flag.touch()
+        register_protocol("flag-pull", FlagBuilder(str(flag)))
+        try:
+            spec = tiny_spec(
+                protocols=["epidemic-pull", "flag-pull", "epidemic-push"],
+                group_sizes=[200],
+            )
+            run_dir = tmp_path / "run"
+            with pytest.raises(Bomb):
+                run_campaign(
+                    spec, save_tensors=str(run_dir), progress=bomb_after(1)
+                )
+            assert written == [["pending"] * 3, ["done", "pending", "pending"]]
+            del written[:]
+            run_campaign(
+                spec, resume=str(run_dir),
+                fault_policy=FaultPolicy(
+                    on_error="skip", retries=0, backoff_seconds=0.0
+                ),
+            )
+            assert written == [
+                ["done", "pending", "pending"],
+                ["done", "failed", "pending"],
+                ["done", "failed", "done"],
+                ["done", "failed", "done"],
+            ]
+        finally:
+            registry._PROTOCOLS.pop("flag-pull")
+
+    def test_an_entry_is_encoded_once_per_status(self, tmp_path, monkeypatch):
+        # Counted, not timed: six points make eight checkpoints, and no
+        # finished point is encoded again by the checkpoints after it.
+        from collections import Counter
+
+        from repro.campaign import runner
+
+        encodes = Counter()
+        writes = []
+        encode, write = runner._encode_entry, runner._Checkpoint.write
+
+        def counting_encode(entry):
+            encodes[entry["index"], entry["status"]] += 1
+            return encode(entry)
+
+        def counting_write(checkpoint):
+            writes.append(None)
+            write(checkpoint)
+
+        monkeypatch.setattr(runner, "_encode_entry", counting_encode)
+        monkeypatch.setattr(runner._Checkpoint, "write", counting_write)
+        spec = tiny_spec(group_sizes=[100, 150, 200, 250, 300, 350])
+        run_campaign(spec, save_tensors=str(tmp_path))
+        assert len(writes) == 8
+        assert encodes == {
+            (index, status): 1
+            for index in range(6) for status in ("pending", "done")
+        }
+        assert load_manifest(tmp_path)["complete"] is True
+
+
 class TestResumeCli:
     def _interrupt(self, tmp_path):
         spec = tiny_spec()

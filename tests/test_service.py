@@ -533,9 +533,9 @@ class TestProtocolService:
         run(body())
 
     def test_start_resolves_the_equilibrium_before_serving(self, monkeypatch):
-        # Warm before you serve: the first resolution imports
-        # scipy.optimize and runs the multi-start solve, so it belongs
-        # to start(), never to a query answered on the event loop.
+        # Warm before you serve: the first resolution runs the
+        # multi-start solve, so it belongs to start(), never to a
+        # query answered on the event loop.
         from repro.experiment import protocol as protocol_module
 
         calls = []
