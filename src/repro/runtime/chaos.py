@@ -8,8 +8,9 @@ This module is the harness that injects them, deterministically:
 
 * a :class:`WorkerFault` is one scripted fault (``kill``, ``hang``,
   ``delay`` or ``slow-start``) with an explicit trigger point -- the
-  n-th unit the worker *receives* (so a kill/hang loses that unit and
-  forces a re-dispatch), or process start for ``slow-start``;
+  n-th unit the worker *starts*, wherever in a frame it sits (so a
+  kill/hang loses that unit's whole frame and forces its re-dispatch),
+  or process start for ``slow-start``;
 * a :class:`ChaosSchedule` maps worker *launch indices* to fault lists.
   Launch indices are assigned in spawn order by the coordinator, and a
   replacement worker spawned after a death gets a fresh index, so a
@@ -66,8 +67,9 @@ class WorkerFault:
     ``kind``:
 
     * ``"kill"`` -- ``SIGKILL`` the worker process the moment it
-      receives its ``after_units``-th unit (before running it): the
-      unit is lost and must be re-dispatched.
+      starts its ``after_units``-th unit (before running it): the
+      unit is lost, with the rest of its frame, and must be
+      re-dispatched.
     * ``"hang"`` -- ``SIGSTOP`` the whole process at the same trigger
       point (heartbeats stop too, exactly like a truly wedged
       process); the coordinator must detect it by heartbeat misses.
@@ -77,7 +79,7 @@ class WorkerFault:
       worker joins a plan that is already running (elastic join).
 
     ``after_units`` is 1-based: ``after_units=2`` fires on the second
-    unit the worker receives.  It is ignored by ``slow-start``.
+    unit the worker starts.  It is ignored by ``slow-start``.
     """
 
     kind: str

@@ -20,9 +20,16 @@ Robustness model
   A worker silent for ``heartbeat_seconds * heartbeat_misses`` is
   *fenced*: its socket is closed, its process (if locally spawned) is
   SIGKILLed -- a fenced worker can never land a stale result.
-* **Re-dispatch.**  A fenced or dead worker's in-flight unit goes back
-  to the front of the queue and is re-dispatched to a survivor.  The
-  dispatch payload is the *same* pre-pickled blob
+* **Frames.**  Units travel in *frames*: one ``frame`` message carries
+  a list of ``(index, blob, label)`` jobs, the worker runs them with
+  :func:`~repro.runtime.exec._run_frame` and answers with one
+  ``results`` message.  The coordinator sizes the next frame from how
+  long the last ones ran (:func:`~repro.runtime.exec._next_frame_size`:
+  units of tens of milliseconds travel alone, do-nothing units by the
+  hundred) and keeps one frame in flight per worker.
+* **Re-dispatch.**  A fenced or dead worker's in-flight frame goes back
+  to the front of the queue, in order, and is re-dispatched to a
+  survivor.  The dispatch payload is the *same* pre-pickled blob
   (:func:`~repro.runtime.exec._encode_units` serializes once per
   plan), and unit seeds never depend on workers, so a re-dispatched
   run is bitwise identical to an undisturbed one -- plan contract
@@ -76,9 +83,13 @@ from repro.runtime.chaos import (
 )
 from repro.runtime.exec import (
     FaultPolicy,
+    Job,
     UnitFailure,
-    _attempt_unit,
+    UnitResult,
+    _log_frames,
+    _next_frame_size,
     _normalize_traceback,
+    _run_frame,
 )
 
 __all__ = [
@@ -185,8 +196,10 @@ class _Connection:
     last_seen: float
     worker_id: str = ""
     launch_index: Optional[int] = None
-    unit: Optional[int] = None
+    #: Unit indices of the frame in flight on this worker, in order.
+    frame: List[int] = field(default_factory=list)
     ready: bool = False
+    fenced: bool = False
     buffer: MessageBuffer = field(default_factory=MessageBuffer)
     outbox: bytearray = field(default_factory=bytearray)
 
@@ -198,7 +211,6 @@ class _UnitState:
     dispatches: int = 0
     misses: int = 0
     last_worker: str = ""
-    done: bool = False
 
 
 class ClusterCoordinator:
@@ -240,6 +252,7 @@ class ClusterCoordinator:
         self._spawned = 0
         self._next_worker_id = 0
         self._done_count = 0
+        self._frame_size = 1
         self._draining = False
         self._selector: Optional[selectors.BaseSelector] = None
         self._listener: Optional[socket.socket] = None
@@ -250,6 +263,8 @@ class ClusterCoordinator:
             "workers_lost": 0,
             "redispatches": 0,
             "dispatches": 0,
+            "frames": 0,
+            "largest_frame": 0,
         }
         # A worker that dies instantly on every unit must not spawn
         # replacements forever: the budget covers every allowed
@@ -261,6 +276,7 @@ class ClusterCoordinator:
     def run(self, land: Callable[[int, Any, Optional[UnitFailure]], None]):
         """Execute the plan, landing every unit through ``land``."""
         total = len(self._blobs)
+        started = time.monotonic()
         previous_sigterm = None
         in_main_thread = (
             threading.current_thread() is threading.main_thread()
@@ -288,6 +304,11 @@ class ClusterCoordinator:
             self._cleanup()
             if previous_sigterm is not None:
                 signal.signal(signal.SIGTERM, previous_sigterm)
+        _log_frames(
+            self.label, self._done_count, self.stats["frames"],
+            self.stats["largest_frame"], self._workers,
+            time.monotonic() - started,
+        )
         if self._draining and self._done_count < total:
             raise ClusterDrained(self.label, self._done_count, total)
 
@@ -310,12 +331,9 @@ class ClusterCoordinator:
             self._scan_heartbeats(land)
             self._stall_guard()
 
-    def _in_flight(self) -> List[int]:
-        return [
-            conn.unit
-            for conn in self._connections.values()
-            if conn.unit is not None
-        ]
+    def _in_flight(self) -> int:
+        """How many units are out with workers."""
+        return sum(len(conn.frame) for conn in self._connections.values())
 
     def _stall_guard(self) -> None:
         if self._draining or self._done_count >= len(self._blobs):
@@ -381,7 +399,7 @@ class ClusterCoordinator:
     def _maintain_workers(self) -> None:
         if self._draining:
             return
-        remaining = len(self._pending) + len(self._in_flight())
+        remaining = len(self._pending) + self._in_flight()
         if remaining == 0:
             return
         capacity = len(self._connections) + len(self._live_spawns())
@@ -479,7 +497,7 @@ class ClusterCoordinator:
                 return
             conn.buffer.feed(chunk)
         conn.last_seen = time.monotonic()
-        while True:
+        while not conn.fenced:
             try:
                 message = conn.buffer.pop()
             except Exception:
@@ -489,8 +507,15 @@ class ClusterCoordinator:
                 return
             self._handle_message(conn, message, land)
 
-    def _handle_message(self, conn: _Connection, message: Tuple, land):
-        kind = message[0]
+    def _handle_message(self, conn: _Connection, message: Any, land):
+        """Act on one decoded message; a malformed one fences its sender.
+
+        The bytes come from another process, so nothing about their
+        shape is assumed: whatever is not one of the four worker
+        messages, well formed, costs the worker its connection and
+        sends its frame back to the queue.
+        """
+        kind = message[0] if isinstance(message, tuple) and message else None
         if kind == "hello":
             info = message[1] if len(message) > 1 else {}
             conn.worker_id = f"w{self._next_worker_id}"
@@ -502,7 +527,7 @@ class ClusterCoordinator:
             self._queue_send(conn, (
                 "setup",
                 conn.worker_id,
-                self._policy.heartbeat_seconds,
+                self._policy,
                 self._initializer,
                 self._initargs,
             ))
@@ -510,22 +535,57 @@ class ClusterCoordinator:
             self._dispatch(conn)
         elif kind == "heartbeat":
             pass  # liveness already recorded in _read
-        elif kind == "result":
-            _, index, output, failure = message
-            if conn.unit == index:
-                conn.unit = None
-            state = self._states[index]
-            if not state.done:
-                state.done = True
+        elif kind == "results":
+            reply = self._frame_reply(conn, message)
+            if reply is None:
+                self._lose_worker(conn, land, reason="protocol error")
+                return
+            results, seconds = reply
+            conn.frame = []
+            self._frame_size = _next_frame_size(
+                self._frame_size, len(results), seconds
+            )
+            for index, output, failure in results:
                 self._done_count += 1
                 if failure is not None:
-                    failure = self._stamp_provenance(failure, conn, state)
+                    failure = self._stamp_provenance(
+                        failure, conn, self._states[index]
+                    )
                 land(index, output, failure)
             self._dispatch(conn)
         elif kind == "fatal":
-            self._lose_worker(
-                conn, land, reason=f"worker fatal: {message[1]}"
-            )
+            detail = message[1] if len(message) > 1 else ""
+            self._lose_worker(conn, land, reason=f"worker fatal: {detail}")
+        else:
+            self._lose_worker(conn, land, reason="protocol error")
+
+    @staticmethod
+    def _frame_reply(
+        conn: _Connection, message: Tuple
+    ) -> Optional[Tuple[List[UnitResult], float]]:
+        """``(results, seconds)`` of ``conn``'s in-flight frame, or None.
+
+        A ``results`` message is taken only if it answers exactly the
+        frame this connection was sent -- the same units in the same
+        order -- so no worker can land a unit it was not dispatched, a
+        unit twice, or an index outside the plan.
+        """
+        if len(message) != 3 or not conn.frame:
+            return None
+        _, results, seconds = message
+        if not isinstance(results, list) or len(results) != len(conn.frame):
+            return None
+        if isinstance(seconds, bool) or not isinstance(seconds, (int, float)):
+            return None
+        for expected, result in zip(conn.frame, results):
+            if not isinstance(result, tuple) or len(result) != 3:
+                return None
+            index, _output, failure = result
+            if type(index) is not int or index != expected:
+                return None
+            if failure is not None and not isinstance(failure, UnitFailure):
+                return None
+        return results, seconds
 
     def _stamp_provenance(
         self, failure: UnitFailure, conn: _Connection, state: _UnitState
@@ -545,25 +605,26 @@ class ClusterCoordinator:
         if (
             self._draining
             or not conn.ready
-            or conn.unit is not None
+            or conn.frame
             or not self._pending
         ):
             return
-        index = self._pending.popleft()
-        state = self._states[index]
-        state.dispatches += 1
-        state.last_worker = conn.worker_id
-        if state.dispatches > 1:
-            self.stats["redispatches"] += 1
-        conn.unit = index
-        self._queue_send(conn, (
-            "unit",
-            index,
-            self._blobs[index],
-            self._labels[index],
-            self._policy,
-        ))
-        self.stats["dispatches"] += 1
+        take = min(self._frame_size, len(self._pending))
+        frame = [self._pending.popleft() for _ in range(take)]
+        for index in frame:
+            state = self._states[index]
+            state.dispatches += 1
+            state.last_worker = conn.worker_id
+            if state.dispatches > 1:
+                self.stats["redispatches"] += 1
+        conn.frame = frame
+        self._queue_send(conn, ("frame", [
+            (index, self._blobs[index], self._labels[index])
+            for index in frame
+        ]))
+        self.stats["dispatches"] += take
+        self.stats["frames"] += 1
+        self.stats["largest_frame"] = max(self.stats["largest_frame"], take)
 
     # -- failure detection ---------------------------------------------
 
@@ -587,7 +648,8 @@ class ClusterCoordinator:
     def _lose_worker(
         self, conn: _Connection, land, reason: str, misses: int = 0
     ) -> None:
-        """Fence a dead/hung worker and requeue its in-flight unit."""
+        """Fence a dead/hung worker and requeue its in-flight frame."""
+        conn.fenced = True
         fileno = conn.sock.fileno()
         if fileno in self._connections:
             del self._connections[fileno]
@@ -610,15 +672,15 @@ class ClusterCoordinator:
                 self._fenced[conn.launch_index] = proc
         if conn.ready:
             self.stats["workers_lost"] += 1
-        if conn.unit is None:
-            return
-        index = conn.unit
-        conn.unit = None
-        state = self._states[index]
-        state.misses += misses
-        state.last_worker = conn.worker_id or state.last_worker
-        if state.dispatches >= self._policy.max_dispatches:
-            state.done = True
+        frame, conn.frame = conn.frame, []
+        requeue = []
+        for index in frame:
+            state = self._states[index]
+            state.misses += misses
+            state.last_worker = conn.worker_id or state.last_worker
+            if state.dispatches < self._policy.max_dispatches:
+                requeue.append(index)
+                continue
             self._done_count += 1
             land(index, None, UnitFailure(
                 index=index,
@@ -634,14 +696,12 @@ class ClusterCoordinator:
                 redispatches=max(0, state.dispatches - 1),
                 heartbeat_misses=state.misses,
             ))
-            return
-        self._pending.appendleft(index)
-        # Offer the requeued unit to an idle survivor immediately.
+        # Back to the front, in order, and straight to idle survivors.
+        self._pending.extendleft(reversed(requeue))
         for survivor in self._connections.values():
-            if survivor.ready and survivor.unit is None:
-                self._dispatch(survivor)
-                if not self._pending:
-                    break
+            if not self._pending:
+                break
+            self._dispatch(survivor)
 
 
 # -- worker side -------------------------------------------------------
@@ -667,7 +727,7 @@ class WorkerSession:
         self.worker_id = ""
         self._send_lock = threading.Lock()
         self._heartbeat_seconds = 0.5
-        self._units_received = 0
+        self._units_started = 0
         self._stop = threading.Event()
 
     def _send(self, message: Tuple) -> None:
@@ -686,7 +746,7 @@ class WorkerSession:
         for fault in self.faults:
             if fault.kind == "slow-start":
                 continue
-            if fault.after_units != self._units_received:
+            if fault.after_units != self._units_started:
                 continue
             if fault.kind == "kill":
                 os.kill(os.getpid(), signal.SIGKILL)
@@ -695,14 +755,38 @@ class WorkerSession:
             elif fault.kind == "delay":
                 time.sleep(fault.seconds)
 
-    def _send_result(
-        self, index: int, label: str, output: Any,
-        failure: Optional[UnitFailure],
+    def _starting(self, jobs: Sequence[Job]):
+        """Yield a frame's jobs, counting each as the worker starts it.
+
+        Chaos triggers are ordinals of units *started*, so a scripted
+        kill can fall in the middle of a frame.
+        """
+        for job in jobs:
+            self._units_started += 1
+            self._apply_faults()
+            yield job
+
+    def _send_results(
+        self, jobs: Sequence[Job], results: List[UnitResult], seconds: float
     ) -> None:
         try:
-            payload = encode_message(("result", index, output, failure))
+            payload = encode_message(("results", results, seconds))
+        except Exception:
+            # Some output will not pickle: that unit fails, alone.
+            results = [
+                self._picklable(label, result)
+                for (_index, _blob, label), result in zip(jobs, results)
+            ]
+            payload = encode_message(("results", results, seconds))
+        with self._send_lock:
+            self.sock.sendall(payload)
+
+    def _picklable(self, label: str, result: UnitResult) -> UnitResult:
+        index = result[0]
+        try:
+            pickle.dumps(result)
         except Exception as exc:
-            fallback = UnitFailure(
+            return index, None, UnitFailure(
                 index=index,
                 label=label,
                 error=(
@@ -715,9 +799,7 @@ class WorkerSession:
                 attempts=1,
                 worker=self.worker_id,
             )
-            payload = encode_message(("result", index, None, fallback))
-        with self._send_lock:
-            self.sock.sendall(payload)
+        return result
 
     def run(self) -> int:
         self._send(("hello", {
@@ -727,9 +809,9 @@ class WorkerSession:
         message = recv_message(self.sock)
         if message is None or message[0] != "setup":
             return 1
-        _, worker_id, heartbeat_seconds, initializer, initargs = message
+        _, worker_id, policy, initializer, initargs = message
         self.worker_id = worker_id
-        self._heartbeat_seconds = heartbeat_seconds
+        self._heartbeat_seconds = policy.heartbeat_seconds
         if initializer is not None:
             try:
                 initializer(*initargs)
@@ -751,16 +833,11 @@ class WorkerSession:
                 kind = message[0]
                 if kind == "shutdown":
                     return 0
-                if kind != "unit":
+                if kind != "frame":
                     continue
-                _, index, blob, label, policy = message
-                self._units_received += 1
-                self._apply_faults()
-                runner, payload = pickle.loads(blob)
-                _index, output, failure = _attempt_unit(
-                    index, runner, payload, label, policy
-                )
-                self._send_result(index, label, output, failure)
+                jobs = message[1]
+                results, seconds = _run_frame(self._starting(jobs), policy)
+                self._send_results(jobs, results, seconds)
         finally:
             self._stop.set()
             heartbeat.join(timeout=2.0)

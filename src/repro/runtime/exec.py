@@ -45,10 +45,11 @@ The reproducibility contract, shared by every caller:
    traceback instead of an opaque pool blow-up.
 5. **Worker loss cannot perturb results.**  Under the ``cluster``
    backend (:mod:`repro.runtime.cluster`), a worker that dies or stops
-   heartbeating mid-unit is fenced and its unit re-dispatched to a
-   survivor -- the *same* pre-pickled payload bytes from
-   :func:`_encode_units`, landing in the same merge slot -- so a run
-   that lost two workers is bitwise identical to one that lost none.
+   heartbeating mid-unit is fenced and its in-flight frame
+   re-dispatched to a survivor -- each unit the *same* pre-pickled
+   payload bytes from :func:`_encode_units`, landing in the same merge
+   slot -- so a run that lost two workers is bitwise identical to one
+   that lost none.
    Units that out-live ``FaultPolicy.max_dispatches`` workers flow
    into the same :class:`UnitFailure` machinery as clause 4.
 
@@ -72,7 +73,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path, PurePath
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "BACKENDS",
@@ -145,7 +146,7 @@ class FaultPolicy:
     The heartbeat/dispatch fields only matter to the ``cluster``
     backend of :func:`run_plan`: a worker that sends no message for
     ``heartbeat_seconds * heartbeat_misses`` is declared dead and its
-    in-flight unit is re-dispatched (same pre-pickled payload, so
+    in-flight frame is re-dispatched (same pre-pickled payloads, so
     results cannot change); a unit that out-lives ``max_dispatches``
     workers is treated as the unit's own fault and follows
     ``on_error``.
@@ -330,7 +331,7 @@ class UnitTimeout(Exception):
 
 
 @contextmanager
-def _attempt_deadline(seconds: Optional[float]):
+def _attempt_deadline(seconds: float):
     """Arm a wall-clock bound for one attempt: ``SIGALRM`` or watchdog.
 
     On POSIX main threads, an interval timer + ``SIGALRM`` raises
@@ -345,9 +346,6 @@ def _attempt_deadline(seconds: Optional[float]):
     C call -- a weaker guarantee than ``SIGALRM``, and far stronger
     than the silent no-op it replaces.
     """
-    if seconds is None:
-        yield
-        return
     if (
         hasattr(signal, "SIGALRM")
         and threading.current_thread() is threading.main_thread()
@@ -452,29 +450,116 @@ def _attempt_unit(
     """
     error = ""
     trace = ""
-    for attempt in range(policy.attempts):
+    attempts = policy.attempts
+    timeout = policy.timeout_seconds
+    for attempt in range(attempts):
         try:
-            with _attempt_deadline(policy.timeout_seconds):
+            if timeout is None:
+                return index, runner(payload), None
+            with _attempt_deadline(timeout):
                 return index, runner(payload), None
         except Exception as exc:
             error = repr(exc)
             trace = _normalize_traceback(traceback_module.format_exc())
-            if attempt + 1 < policy.attempts:
+            if attempt + 1 < attempts:
                 time.sleep(policy.backoff_for(attempt, unit_index=index))
     return index, None, UnitFailure(
         index=index,
         label=label,
         error=error,
         traceback=trace,
-        attempts=policy.attempts,
+        attempts=attempts,
     )
 
 
-def _run_encoded_unit(job) -> Tuple[int, Any, Optional[UnitFailure]]:
-    """Pool worker entry point: decode the once-pickled unit and run it."""
-    index, blob, label, policy = job
-    runner, payload = pickle.loads(blob)
-    return _attempt_unit(index, runner, payload, label, policy)
+#: Units travel to workers in *frames*: one message carries a list of
+#: ``(index, blob, label)`` jobs and one message brings their results
+#: back.  Sending a frame costs some 40 us on the pool and 100 us on
+#: the cluster whatever it holds, so a frame should run for at least
+#: ~2 ms (dispatch <= ~2 % of it) -- and for at most ~20 ms, which is
+#: what a lost frame costs to redo, how long a unit's result can wait
+#: on its frame-mates before it is checkpointed, and how unevenly the
+#: last frames of a plan can split between workers.  Units that take
+#: longer than the floor on their own therefore travel alone, forever.
+_FRAME_FLOOR_SECONDS = 0.002
+_FRAME_CEILING_SECONDS = 0.020
+
+#: Frames the pool keeps queued per worker process, so that a worker
+#: finishing one finds the next already in the pipe.  The pool's queue
+#: is shared (a frame belongs to no worker until one takes it), so the
+#: spare frame costs no balance; the cluster assigns frames to
+#: connections and keeps one in flight each.
+_POOL_FRAMES_PER_WORKER = 2
+
+Job = Tuple[int, bytes, str]
+UnitResult = Tuple[int, Any, Optional[UnitFailure]]
+
+
+def _next_frame_size(size: int, units: int, seconds: float) -> int:
+    """The frame-size rule: how many units the next frame carries.
+
+    ``size`` is the current size and ``(units, seconds)`` what a frame
+    that just came back held and took in its worker.  A *full* frame
+    under the floor doubles the size, any frame over the ceiling halves
+    what it held, and the size never drops below 1.  Frames sent before
+    the last change still report in; a short one proves nothing about
+    the current size and a long one cannot halve twice.
+    """
+    if seconds > _FRAME_CEILING_SECONDS:
+        return max(1, min(size, units // 2))
+    if units >= size and seconds < _FRAME_FLOOR_SECONDS:
+        return size * 2
+    return size
+
+
+def _run_frame(
+    jobs: Iterable[Job], policy: FaultPolicy
+) -> Tuple[List[UnitResult], float]:
+    """Worker side of a frame: run its units in order, time the lot.
+
+    Each unit goes through :func:`_attempt_unit`, so the timeout,
+    retries and backoff are per unit exactly as if it had travelled
+    alone, and a unit that fails leaves its frame-mates untouched.
+    ``jobs`` is consumed one unit at a time, as each is started (the
+    cluster worker counts units for its chaos triggers that way).
+    """
+    started = time.perf_counter()
+    results = []
+    for index, blob, label in jobs:
+        runner, payload = pickle.loads(blob)
+        results.append(_attempt_unit(index, runner, payload, label, policy))
+    return results, time.perf_counter() - started
+
+
+def _log_frames(
+    label: str, units: int, frames: int, largest: int, workers: int,
+    seconds: float,
+) -> None:
+    """One debug line per fanned-out plan: how its units were framed."""
+    import logging  # only a plan that fanned out pays for the import
+
+    logging.getLogger(__name__).debug(
+        "%s: %d units in %d frames (largest %d) on %d workers, %.3fs",
+        label, units, frames, largest, workers, seconds,
+    )
+
+
+#: The plan's fault policy inside a pool worker process, installed once
+#: by the pool initializer instead of travelling with every frame.
+_pool_policy: Optional[FaultPolicy] = None
+
+
+def _init_pool_worker(
+    policy: FaultPolicy, initializer: Optional[Callable], initargs: Tuple
+) -> None:
+    global _pool_policy
+    _pool_policy = policy
+    if initializer is not None:
+        initializer(*initargs)
+
+
+def _run_pool_frame(jobs: List[Job]) -> Tuple[List[UnitResult], float]:
+    return _run_frame(jobs, _pool_policy)
 
 
 @dataclass
@@ -526,6 +611,61 @@ def _encode_units(plan: ExecutionPlan) -> Optional[List[bytes]]:
         return None
 
 
+def _run_pool(
+    plan: ExecutionPlan,
+    jobs: List[Job],
+    policy: FaultPolicy,
+    workers: int,
+    land: Callable[[int, Any, Optional[UnitFailure]], None],
+) -> None:
+    """Run ``jobs`` on a local process pool, a frame per message.
+
+    Frames are cut from ``jobs`` in order at the current frame size and
+    landed here, in the calling thread, as they come back; a frame that
+    could not be run or returned at all (an output that will not
+    pickle, say) raises here as it did when units travelled alone.
+    """
+    import queue  # multiprocessing.pool loads it anyway
+
+    started = time.perf_counter()
+    processes = min(workers, len(jobs))
+    replies: queue.SimpleQueue = queue.SimpleQueue()
+    size, frames, largest, cursor, outstanding = 1, 0, 0, 0, 0
+    with multiprocessing.Pool(
+        processes=processes,
+        initializer=_init_pool_worker,
+        initargs=(policy, plan.initializer, plan.initargs),
+    ) as pool:
+        while True:
+            while (
+                cursor < len(jobs)
+                and outstanding < _POOL_FRAMES_PER_WORKER * processes
+            ):
+                frame = jobs[cursor:cursor + size]
+                cursor += len(frame)
+                pool.apply_async(
+                    _run_pool_frame, (frame,),
+                    callback=replies.put, error_callback=replies.put,
+                )
+                outstanding += 1
+                frames += 1
+                largest = max(largest, len(frame))
+            if not outstanding:
+                break
+            reply = replies.get()
+            outstanding -= 1
+            if isinstance(reply, BaseException):
+                raise reply
+            results, seconds = reply
+            size = _next_frame_size(size, len(results), seconds)
+            for result in results:
+                land(*result)
+    _log_frames(
+        plan.label, len(jobs), frames, largest, processes,
+        time.perf_counter() - started,
+    )
+
+
 def run_plan(
     plan: ExecutionPlan,
     workers: int = 1,
@@ -538,9 +678,10 @@ def run_plan(
     """Execute every unit of ``plan`` and return its merged result.
 
     ``workers > 1`` fans the units across that many processes (capped
-    at the unit count); ``on_unit(index, output)`` fires as each unit
-    lands, in *completion* order -- streaming consumers use it to free
-    outputs early.  ``merge`` (when set) always receives outputs in
+    at the unit count), several to a message when they are small (see
+    :func:`_next_frame_size`); ``on_unit(index, output)`` fires as each
+    unit lands, in *completion* order -- streaming consumers use it to
+    free outputs early.  ``merge`` (when set) always receives outputs in
     unit order.  Unpicklable plans degrade to a serial in-process run
     with a :class:`RuntimeWarning`; the results are bitwise identical
     either way, which is exactly the plan contract.
@@ -556,8 +697,8 @@ def run_plan(
     (default) is the local ``multiprocessing.Pool``.  ``"cluster"``
     runs a socket coordinator that spawns ``workers`` worker
     *processes* which dial in, heartbeat, and can join/leave mid-plan;
-    a dead or hung worker's in-flight unit is re-dispatched (the same
-    pre-pickled payload) to a survivor, so results remain bitwise
+    a dead or hung worker's in-flight frame is re-dispatched (the same
+    pre-pickled payloads) to a survivor, so results remain bitwise
     identical to pool and serial runs -- the plan contract, clause 5.
     ``chaos`` (cluster only) is a
     :class:`~repro.runtime.chaos.ChaosSchedule` of scripted worker
@@ -622,19 +763,11 @@ def run_plan(
         )
         coordinator.run(land)
     elif fan_out:
-        with multiprocessing.Pool(
-            processes=min(workers, len(units)),
-            initializer=plan.initializer,
-            initargs=plan.initargs,
-        ) as pool:
-            jobs = [
-                (index, blob, unit.label, policy)
-                for (index, unit), blob in zip(enumerate(units), blobs)
-            ]
-            for index, output, failure in pool.imap_unordered(
-                _run_encoded_unit, jobs
-            ):
-                land(index, output, failure)
+        jobs = [
+            (index, blob, unit.label)
+            for (index, unit), blob in zip(enumerate(units), blobs)
+        ]
+        _run_pool(plan, jobs, policy, workers, land)
     else:
         for index, unit in enumerate(units):
             land(*_attempt_unit(

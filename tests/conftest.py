@@ -13,6 +13,7 @@ Also wires two suite-wide policies:
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -32,6 +33,22 @@ def pytest_configure(config):
         "markers",
         "slow: simulates many protocol periods (>~1s); "
         "deselect with -m 'not slow'",
+    )
+
+
+@pytest.fixture
+def worker_path(monkeypatch):
+    """Make this tests directory importable from spawned cluster workers.
+
+    The coordinator prepends the repro ``src`` root to each spawned
+    worker's ``PYTHONPATH``; the runners in ``cluster_helpers`` need
+    the tests directory too, or unpickling them in the worker fails.
+    """
+    tests_dir = str(Path(__file__).resolve().parent)
+    existing = os.environ.get("PYTHONPATH", "")
+    monkeypatch.setenv(
+        "PYTHONPATH",
+        tests_dir + (os.pathsep + existing if existing else ""),
     )
 
 

@@ -1,0 +1,118 @@
+"""The benchmark trajectory gate (tools/check_bench.py).
+
+The same check runs in CI's ``bench-smoke`` job; keeping it in the
+tier-1 suite means a ``BENCH_<pr>.json`` whose sides did different work,
+or whose numbers regress past a bound, fails locally too -- and the
+checker itself is shown able to fail.
+"""
+
+import copy
+import importlib.util
+import json
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+BENCHMARK = {
+    "workloads": [{"name": "fast"}, {"name": "heavy"}],
+    "end_to_end": [
+        {"name": "work_per_s", "unit": "1/s", "better": "higher",
+         "bound": 0.25},
+        {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+    ],
+    "per_layer": [{"name": "exec.pool_us_per_unit"}],
+}
+
+
+def load_checker():
+    spec = importlib.util.spec_from_file_location(
+        "check_bench", REPO_ROOT / "tools" / "check_bench.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run(workload, work_per_s, setup_s=0.3, ledger=None):
+    return {
+        "workload": workload,
+        "ledger": ledger if ledger is not None else {"bytes": 7},
+        "metrics": {
+            "work_per_s": {"value": work_per_s, "unit": "1/s"},
+            "setup_s": {"value": setup_s, "unit": "s"},
+        },
+    }
+
+
+def bench():
+    return {
+        "claim": {"workload": "fast", "metric": "work_per_s"},
+        "parent": {"runs": [run("fast", 100.0), run("heavy", 40.0)]},
+        "change": {"runs": [run("fast", 500.0), run("heavy", 38.0)]},
+    }
+
+
+class TestProblems:
+    def test_a_sound_file_has_none(self):
+        assert load_checker().problems(bench(), BENCHMARK) == []
+
+    def test_a_per_layer_metric_may_be_claimed(self):
+        data = bench()
+        data["claim"]["metric"] = "exec.pool_us_per_unit"
+        assert load_checker().problems(data, BENCHMARK) == []
+
+    def test_the_claim_must_name_declared_things(self):
+        data = bench()
+        data["claim"] = {"workload": "nope", "metric": "speed"}
+        found = load_checker().problems(data, BENCHMARK)
+        assert len(found) == 2
+        assert "'nope'" in found[0] and "'speed'" in found[1]
+        del data["claim"]
+        assert len(load_checker().problems(data, BENCHMARK)) == 2
+
+    def test_ledgers_must_be_equal(self):
+        data = bench()
+        data["change"]["runs"][1]["ledger"] = {"bytes": 8}
+        (line,) = load_checker().problems(data, BENCHMARK)
+        assert line.startswith("heavy: ledger differs")
+
+    def test_a_regression_past_the_bound_fails_either_direction(self):
+        data = bench()
+        data["change"]["runs"][1] = run("heavy", 29.0, setup_s=0.5)
+        found = load_checker().problems(data, BENCHMARK)
+        assert [line.split(":")[1].split()[0] for line in found] == [
+            "work_per_s", "setup_s",
+        ]
+        # Inside the bound is not a finding, whichever side of it.
+        data["change"]["runs"][1] = run("heavy", 31.0, setup_s=0.37)
+        assert load_checker().problems(data, BENCHMARK) == []
+
+    def test_a_workload_missing_on_one_side_fails(self):
+        data = bench()
+        del data["change"]["runs"][0]
+        (line,) = load_checker().problems(data, BENCHMARK)
+        assert line == "fast: not measured on both sides"
+
+
+class TestNewest:
+    def test_the_highest_pr_number_wins(self, tmp_path):
+        for number in (9, 16, 100):
+            (tmp_path / f"BENCH_{number}.json").write_text("{}")
+        (tmp_path / "BENCH_notes.json").write_text("{}")
+        checker = load_checker()
+        assert checker.newest_bench(tmp_path).name == "BENCH_100.json"
+        assert checker.newest_bench(tmp_path / "nowhere") is None
+
+    def test_the_committed_trajectory_passes(self, capsys):
+        checker = load_checker()
+        assert checker.main([]) == 0
+        assert "bench ok" in capsys.readouterr().out
+
+    def test_the_cli_fails_on_a_bad_file(self, tmp_path, capsys):
+        newest = json.loads(load_checker().newest_bench().read_text())
+        bad = copy.deepcopy(newest)
+        bad["change"]["runs"][0]["ledger"] = {"tampered": 1}
+        path = tmp_path / "BENCH_0.json"
+        path.write_text(json.dumps(bad))
+        assert load_checker().main([str(path)]) == 1
+        assert "ledger differs" in capsys.readouterr().out

@@ -1,11 +1,14 @@
 """Tests for the cluster backend (repro.runtime.cluster).
 
-Three layers, cheapest first: pure framing (no sockets beyond a
+Four layers, cheapest first: pure framing (no sockets beyond a
 ``socketpair``), a :class:`WorkerSession` driven in-process against a
-scripted coordinator stub, and full ``run_plan(backend="cluster")``
-runs with real spawned worker processes -- including scripted chaos
-(kill/hang), dispatch-exhaustion provenance, SIGTERM drain, and an
-elastic standalone ``python -m repro worker`` joining mid-plan.
+scripted coordinator stub, a real coordinator driven by scripted
+workers (``cluster_helpers.CoordinatorStub`` -- frames, requeueing and
+what a lying worker can and cannot do), and full
+``run_plan(backend="cluster")`` runs with real spawned worker
+processes -- including scripted chaos (kill/hang), dispatch-exhaustion
+provenance, SIGTERM drain, and an elastic standalone
+``python -m repro worker`` joining mid-plan.
 """
 
 import os
@@ -46,21 +49,6 @@ TESTS_DIR = Path(__file__).resolve().parent
 SRC_DIR = TESTS_DIR.parent / "src"
 
 
-@pytest.fixture
-def worker_path(monkeypatch):
-    """Make this tests directory importable from spawned workers.
-
-    The coordinator prepends the repro ``src`` root to each spawned
-    worker's ``PYTHONPATH``; the runners in ``cluster_helpers`` need
-    the tests directory too, or unpickling them in the worker fails.
-    """
-    existing = os.environ.get("PYTHONPATH", "")
-    monkeypatch.setenv(
-        "PYTHONPATH",
-        str(TESTS_DIR) + (os.pathsep + existing if existing else ""),
-    )
-
-
 def fast_policy(**overrides):
     """A fault policy tuned so failure detection takes ~0.3s, not 2s."""
     base = dict(heartbeat_seconds=0.1, heartbeat_misses=3)
@@ -86,7 +74,7 @@ class TestFraming:
     def test_socket_round_trip(self):
         a, b = socket.socketpair()
         try:
-            message = ("result", 3, {"value": [1, 2, 3]}, None)
+            message = ("results", [(3, {"value": [1, 2, 3]}, None)], 0.5)
             a.sendall(encode_message(message))
             assert recv_message(b) == message
         finally:
@@ -102,7 +90,7 @@ class TestFraming:
             b.close()
 
     def test_buffer_reassembles_byte_by_byte(self):
-        message = ("unit", 7, b"payload-blob", "label", None)
+        message = ("frame", [(7, b"payload-blob", "label")])
         frame = encode_message(message)
         buffer = MessageBuffer()
         for i, byte in enumerate(frame):
@@ -112,7 +100,9 @@ class TestFraming:
         assert buffer.pop() is None
 
     def test_buffer_pops_coalesced_messages_in_order(self):
-        messages = [("heartbeat",), ("result", 0, 42, None), ("hello", {})]
+        messages = [
+            ("heartbeat",), ("results", [(0, 42, None)], 0.0), ("hello", {}),
+        ]
         buffer = MessageBuffer()
         buffer.feed(b"".join(encode_message(m) for m in messages))
         assert [buffer.pop() for _ in messages] == messages
@@ -128,10 +118,6 @@ class TestFraming:
 # ----------------------------------------------------------------------
 # WorkerSession over a socketpair (no subprocesses)
 # ----------------------------------------------------------------------
-def make_unpicklable(payload):
-    return lambda: payload  # a lambda output is deliberately unpicklable
-
-
 def boom_runner(payload):
     raise RuntimeError(f"unit {payload} exploded")
 
@@ -162,9 +148,16 @@ def expect(sock, kind, timeout=5.0):
             return message
 
 
-def unit_message(index, runner, payload, label="u", policy=None):
-    blob = pickle.dumps((runner, payload))
-    return ("unit", index, blob, label, policy or FaultPolicy())
+def job(index, runner, payload, label="u"):
+    return (index, pickle.dumps((runner, payload)), label)
+
+
+def setup_message(worker_id, policy=None, initializer=None):
+    return ("setup", worker_id, policy or FaultPolicy(), initializer, ())
+
+
+def frame_message(*jobs):
+    return ("frame", list(jobs))
 
 
 class TestWorkerSession:
@@ -175,11 +168,13 @@ class TestWorkerSession:
             hello = expect(coord, "hello")
             assert hello[1]["pid"] == os.getpid()
             assert hello[1]["launch"] == 4
-            coord.sendall(encode_message(("setup", "w9", 0.5, None, ())))
+            coord.sendall(encode_message(setup_message("w9")))
             coord.sendall(encode_message(
-                unit_message(0, helpers.double_unit, 21)
+                frame_message(job(0, helpers.double_unit, 21))
             ))
-            assert expect(coord, "result") == ("result", 0, 42, None)
+            _, results, seconds = expect(coord, "results")
+            assert results == [(0, 42, None)]
+            assert seconds >= 0.0
             assert session.worker_id == "w9"
             coord.sendall(encode_message(("shutdown",)))
             thread.join(timeout=5)
@@ -193,7 +188,9 @@ class TestWorkerSession:
         try:
             _, thread, _ = start_session(worker)
             expect(coord, "hello")
-            coord.sendall(encode_message(("setup", "w0", 0.02, None, ())))
+            coord.sendall(encode_message(
+                setup_message("w0", FaultPolicy(heartbeat_seconds=0.02))
+            ))
             assert expect(coord, "heartbeat") == ("heartbeat",)
             coord.sendall(encode_message(("shutdown",)))
             thread.join(timeout=5)
@@ -206,12 +203,18 @@ class TestWorkerSession:
         try:
             _, thread, _ = start_session(worker)
             expect(coord, "hello")
-            coord.sendall(encode_message(("setup", "w0", 0.5, None, ())))
             policy = FaultPolicy(on_error="skip", retries=0)
-            coord.sendall(encode_message(
-                unit_message(2, boom_runner, 5, label="bad", policy=policy)
-            ))
-            _, index, output, failure = expect(coord, "result")
+            coord.sendall(encode_message(setup_message("w0", policy)))
+            coord.sendall(encode_message(frame_message(
+                job(1, helpers.double_unit, 4),
+                job(2, boom_runner, 5, label="bad"),
+                job(3, helpers.double_unit, 6),
+            )))
+            _, results, _seconds = expect(coord, "results")
+            # The failure sits in its own slot; its frame-mates land.
+            assert results[0] == (1, 8, None)
+            assert results[2] == (3, 12, None)
+            index, output, failure = results[1]
             assert (index, output) == (2, None)
             assert isinstance(failure, UnitFailure)
             assert failure.label == "bad"
@@ -228,11 +231,15 @@ class TestWorkerSession:
         try:
             _, thread, _ = start_session(worker)
             expect(coord, "hello")
-            coord.sendall(encode_message(("setup", "w3", 0.5, None, ())))
-            coord.sendall(encode_message(
-                unit_message(1, make_unpicklable, 9, label="lambda-out")
-            ))
-            _, index, output, failure = expect(coord, "result")
+            coord.sendall(encode_message(setup_message("w3")))
+            coord.sendall(encode_message(frame_message(
+                job(0, helpers.double_unit, 4),
+                job(1, helpers.make_unpicklable, 9, label="lambda-out"),
+            )))
+            _, results, _seconds = expect(coord, "results")
+            # Only the unit whose output will not pickle fails.
+            assert results[0] == (0, 8, None)
+            index, output, failure = results[1]
             assert (index, output) == (1, None)
             assert isinstance(failure, UnitFailure)
             assert "pickled" in failure.error
@@ -248,7 +255,9 @@ class TestWorkerSession:
         try:
             _, thread, box = start_session(worker)
             expect(coord, "hello")
-            coord.sendall(encode_message(("setup", "w0", 0.5, boom_init, ())))
+            coord.sendall(encode_message(
+                setup_message("w0", initializer=boom_init)
+            ))
             fatal = expect(coord, "fatal")
             assert "initializer exploded" in fatal[1]
             thread.join(timeout=5)
@@ -262,12 +271,146 @@ class TestWorkerSession:
         try:
             _, thread, box = start_session(worker)
             expect(coord, "hello")
-            coord.sendall(encode_message(("setup", "w0", 0.5, None, ())))
+            coord.sendall(encode_message(setup_message("w0")))
             coord.close()
             thread.join(timeout=5)
             assert box["status"] == 0
         finally:
             worker.close()
+
+
+# ----------------------------------------------------------------------
+# A real coordinator, scripted workers (no subprocesses)
+# ----------------------------------------------------------------------
+@pytest.fixture
+def stub():
+    stub = helpers.CoordinatorStub(units=8)
+    yield stub
+    stub.close()
+
+
+class TestCoordinatorFrames:
+    def test_setup_carries_the_policy_and_frames_do_not(self, stub):
+        _far, setup, frame = stub.join()
+        kind, worker_id, policy, initializer, initargs = setup
+        assert (kind, worker_id) == ("setup", "w0")
+        assert policy == stub.coordinator._policy
+        assert frame == [0]
+
+    def test_results_land_and_the_next_frame_doubles(self, stub):
+        far, _setup, frame = stub.join()
+        stub.say(far, ("results", [(0, 0, None)], 0.0001))
+        assert stub.landed == [(0, 0, None)]
+        assert stub.frame(far) == [1, 2]
+        stub.say(far, ("results", [(1, 2, None), (2, 4, None)], 0.0001))
+        assert stub.frame(far) == [3, 4, 5, 6]
+        stats = stub.coordinator.stats
+        assert (stats["frames"], stats["largest_frame"]) == (3, 4)
+        assert (stats["dispatches"], stats["redispatches"]) == (7, 0)
+
+    def test_slow_units_never_share_a_frame(self, stub):
+        far, _setup, frame = stub.join()
+        for index in range(4):
+            assert frame == [index]
+            stub.say(far, ("results", [(index, 2 * index, None)], 0.030))
+            frame = stub.frame(far)
+        assert stub.coordinator.stats["largest_frame"] == 1
+
+    def test_a_lost_frame_is_requeued_whole_in_order(self, stub):
+        stub.coordinator._frame_size = 4
+        far, _setup, frame = stub.join()
+        assert frame == [0, 1, 2, 3]
+        assert stub.pending() == [4, 5, 6, 7]
+        stub.hang_up(far)
+        assert stub.pending() == list(range(8))
+        assert stub.landed == []
+        _far, _setup, frame = stub.join()
+        assert frame == [0, 1, 2, 3]
+        # redispatches counts units, not frames.
+        assert stub.coordinator.stats["redispatches"] == 4
+        assert stub.coordinator.stats["workers_lost"] == 1
+
+    def test_dispatch_exhaustion_is_per_unit(self):
+        stub = helpers.CoordinatorStub(
+            units=4, policy=FaultPolicy(on_error="skip", max_dispatches=2)
+        )
+        try:
+            far, _setup, frame = stub.join()
+            assert frame == [0]
+            stub.hang_up(far)
+            stub.coordinator._frame_size = 3
+            far, _setup, frame = stub.join()
+            assert frame == [0, 1, 2]
+            stub.hang_up(far)
+            # Unit 0 has now out-lived two workers; 1 and 2 only one.
+            assert [index for index, _, _ in stub.landed] == [0]
+            failure = stub.landed[0][2]
+            assert failure.redispatches == 1 and failure.attempts == 2
+            assert stub.pending() == [1, 2, 3]
+        finally:
+            stub.close()
+
+
+class TestHostileInput:
+    """Whatever a worker sends, the plan neither aborts nor lands junk."""
+
+    @pytest.mark.parametrize("message", [
+        ("results", [(0, 0)], 0.0),                # wrong arity, inside
+        ("results", [(0, 0, None)]),               # wrong arity, outside
+        ("results", [(99, 0, None)], 0.0),         # index out of range
+        ("results", [(-1, 0, None)], 0.0),
+        ("results", [(1, 2, None)], 0.0),          # never dispatched
+        ("results", [(0, 0, None), (1, 2, None)], 0.0),
+        ("results", [], 0.0),
+        ("results", [(0, 0, "failed")], 0.0),
+        ("results", [(0, 0, None)], "fast"),
+        ("results", ((0, 0, None),), 0.0),
+        ("result", 0, 0, None),                    # the old protocol
+        ("unit", 0, b"", "", None),
+        ("no-such-kind",),
+        (),
+        42,
+    ])
+    def test_malformed_message_fences_the_worker(self, stub, message):
+        far, _setup, frame = stub.join()
+        assert frame == [0]
+        stub.say(far, message)
+        assert stub.landed == []
+        assert stub.coordinator._connections == {}
+        assert stub.coordinator.stats["workers_lost"] == 1
+        # The frame is back at the front for the next worker.
+        assert stub.pending() == list(range(8))
+
+    def test_a_unit_in_flight_elsewhere_is_refused(self, stub):
+        honest, _setup, honest_frame = stub.join()
+        liar, _setup, liar_frame = stub.join()
+        assert (honest_frame, liar_frame) == ([0], [1])
+        stub.say(liar, ("results", [(0, "forged", None)], 0.0))
+        assert stub.landed == []
+        assert stub.coordinator.stats["workers_lost"] == 1
+        # The liar's own unit went straight back out; the honest
+        # worker's frame is still its own to answer.
+        assert stub.pending() == [1, 2, 3, 4, 5, 6, 7]
+        stub.say(honest, ("results", [(0, 0, None)], 0.030))
+        assert stub.landed == [(0, 0, None)]
+        assert stub.frame(honest) == [1]
+
+    def test_nothing_is_read_from_a_fenced_worker(self, stub):
+        far, _setup, _frame = stub.join()
+        stub.say(
+            far,
+            ("no-such-kind",),
+            ("results", [(0, "late", None)], 0.0),
+            ("fatal", "again"),
+        )
+        assert stub.landed == []
+        assert stub.coordinator.stats["workers_lost"] == 1
+
+    def test_a_bare_fatal_is_a_lost_worker_not_a_crash(self, stub):
+        far, _setup, _frame = stub.join()
+        stub.say(far, ("fatal",))
+        assert stub.coordinator.stats["workers_lost"] == 1
+        assert stub.pending() == list(range(8))
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,10 @@ pool backend, and on the cluster backend at ``workers`` in {1, 3}
 with scripted kill/hang faults -- and assert the manifests and saved
 tensors are *bitwise* identical (wall-clock provenance aside).  The
 drain test additionally interrupts a chaos campaign mid-flight with
-SIGTERM and proves ``resume`` restores bitwise equality.
+SIGTERM and proves ``resume`` restores bitwise equality.  The campaign's
+units take tens of milliseconds and travel one to a frame; the last
+class runs plans whose units are small enough to share frames, and
+loses a worker in the middle of one.
 """
 
 import os
@@ -15,10 +18,19 @@ import signal
 import numpy as np
 import pytest
 
+import cluster_helpers as helpers
 from repro.campaign import CampaignSpec, load_manifest, run_campaign
-from repro.runtime import ChaosSchedule, FaultPolicy, WorkerFault
+from repro.runtime import (
+    ChaosSchedule,
+    ExecutionPlan,
+    FaultPolicy,
+    WorkerFault,
+    WorkUnit,
+    run_plan,
+)
 from repro.runtime.chaos import SCHEDULE_ENV
-from repro.runtime.cluster import ClusterDrained
+from repro.runtime.cluster import ClusterCoordinator, ClusterDrained
+from repro.runtime.exec import _encode_units
 
 pytestmark = pytest.mark.slow
 
@@ -150,3 +162,63 @@ class TestClusterBitwise:
         assert load_manifest(out_dir)["complete"] is True
         serial_dir, _pool_dir = reference_dirs
         assert_campaign_dirs_equal(out_dir, serial_dir)
+
+
+class TestFramesBitwise:
+    def test_mixed_plan_serial_pool_cluster(self, worker_path, caplog):
+        caplog.set_level("DEBUG", logger="repro.runtime.exec")
+        serial = run_plan(helpers.mixed_plan())
+        assert caplog.records == []
+        for backend in ("pool", "cluster"):
+            landed = []
+            result = run_plan(
+                helpers.mixed_plan(), workers=2, backend=backend,
+                fault_policy=cluster_policy(),
+                on_unit=lambda index, output: landed.append(index),
+            )
+            assert result == serial, backend
+            assert sorted(landed) == list(range(1000)), backend
+            units, frames, largest = helpers.framing(caplog)
+            # Frames of many and (around the 30 ms units) of few.
+            assert units == 1000, backend
+            assert largest > 1 and frames < units, backend
+            caplog.clear()
+
+    def test_a_kill_mid_frame_redispatches_the_whole_frame(
+        self, worker_path
+    ):
+        plan = ExecutionPlan(
+            units=[
+                WorkUnit(runner=helpers.double_unit, payload=v)
+                for v in range(400)
+            ],
+            merge=list,
+        )
+        undisturbed = run_plan(plan)
+        # One worker, so the frames it is sent are 1, 2, 4, ... units
+        # and the 40th unit it starts sits inside a frame of many.
+        coordinator = ClusterCoordinator(
+            label="mid-frame",
+            blobs=_encode_units(plan),
+            labels=[unit.label for unit in plan.units],
+            policy=cluster_policy(),
+            workers=1,
+            chaos=ChaosSchedule(faults={
+                0: (WorkerFault(kind="kill", after_units=40),),
+            }),
+        )
+        landed = []
+
+        def land(index, output, failure):
+            assert failure is None
+            landed.append((index, output))
+
+        coordinator.run(land)
+        # Every unit exactly once, and bitwise the undisturbed values.
+        assert sorted(landed) == list(enumerate(undisturbed))
+        stats = coordinator.stats
+        assert stats["workers_lost"] == 1
+        # redispatches counts the lost frame's units, not the frame.
+        assert 1 < stats["redispatches"] <= stats["largest_frame"]
+        assert stats["dispatches"] == 400 + stats["redispatches"]
+        assert stats["frames"] < 400

@@ -6,6 +6,12 @@ import time
 
 import pytest
 
+from cluster_helpers import (
+    framing,
+    make_unpicklable,
+    mixed_plan,
+    mixed_unit,
+)
 from repro.runtime import (
     ExecutionPlan,
     FaultPolicy,
@@ -20,6 +26,8 @@ from repro.runtime.exec import (
     _attempt_unit,
     _encode_units,
     _jitter_fraction,
+    _next_frame_size,
+    _run_frame,
 )
 
 
@@ -540,4 +548,218 @@ class TestSerialFallback:
             label="my-campaign",
         )
         with pytest.warns(RuntimeWarning, match="my-campaign"):
+            run_plan(plan, workers=2)
+
+
+# ----------------------------------------------------------------------
+# Frames: several units per message, sized from what the units take
+# ----------------------------------------------------------------------
+STARTED = []
+
+
+def started_so_far(payload):
+    return list(STARTED)
+
+
+@pytest.fixture
+def frame_log(caplog):
+    caplog.set_level("DEBUG", logger="repro.runtime.exec")
+    return caplog
+
+
+class TestFrameSize:
+    def test_a_full_fast_frame_doubles(self):
+        assert _next_frame_size(1, 1, 0.0001) == 2
+        assert _next_frame_size(64, 64, 0.0019) == 128
+
+    def test_a_short_fast_frame_proves_nothing(self):
+        # Sent before the size last grew (or the plan's last few).
+        assert _next_frame_size(64, 32, 0.0001) == 64
+
+    def test_between_the_thresholds_the_size_stays(self):
+        assert _next_frame_size(64, 64, 0.005) == 64
+        assert _next_frame_size(1, 1, 0.005) == 1
+
+    def test_a_slow_frame_halves_what_it_held(self):
+        assert _next_frame_size(64, 64, 0.050) == 32
+        # ... once: the frame-mates it was sent with change nothing.
+        assert _next_frame_size(32, 64, 0.050) == 32
+        assert _next_frame_size(8, 64, 0.050) == 8
+
+    def test_never_below_one(self):
+        # A 30 ms unit travels alone, forever.
+        assert _next_frame_size(1, 1, 0.030) == 1
+        assert _next_frame_size(2, 2, 60.0) == 1
+        assert _next_frame_size(1, 3, 60.0) == 1
+
+
+class TestRunFrame:
+    """The worker side of a frame, in-process."""
+
+    def jobs(self, *units):
+        return [
+            (index, pickle.dumps((runner, payload)), f"job-{index}")
+            for index, (runner, payload) in enumerate(units)
+        ]
+
+    def test_results_come_back_in_job_order_with_the_seconds(self):
+        results, seconds = _run_frame(
+            self.jobs((double, 1), (double, 2), (sleepy, 0.01)),
+            FaultPolicy(),
+        )
+        assert results == [(0, 2, None), (1, 4, None), (2, "done", None)]
+        assert seconds >= 0.01
+
+    def test_a_failure_lands_in_its_own_slot(self):
+        results, _ = _run_frame(
+            self.jobs((double, 1), (boom, 2), (double, 3)),
+            FaultPolicy(on_error="skip", retries=0),
+        )
+        assert results[0] == (0, 2, None) and results[2] == (2, 6, None)
+        index, output, failure = results[1]
+        assert (index, output) == (1, None)
+        assert failure.label == "job-1" and "exploded" in failure.error
+
+    def test_a_flaky_unit_is_retried_in_place(self, tmp_path):
+        flag = tmp_path / "attempts"
+        results, _ = _run_frame(
+            self.jobs((double, 1), (flaky, (str(flag), 1, 2)), (double, 3)),
+            retry_policy(),
+        )
+        assert results == [(0, 2, None), (1, 4, None), (2, 6, None)]
+        assert len(flag.read_text()) == 2
+
+    def test_the_timeout_is_per_unit_not_per_frame(self):
+        # Three 0.06 s units outlast a 0.15 s bound together, never
+        # alone; the 30 s one is cut off and its frame-mates are not.
+        results, seconds = _run_frame(
+            self.jobs(
+                (sleepy, 0.06), (sleepy, 0.06), (sleepy, 30.0), (sleepy, 0.06)
+            ),
+            FaultPolicy(on_error="skip", retries=0, timeout_seconds=0.15),
+        )
+        assert [output for _, output, _ in results] == [
+            "done", "done", None, "done",
+        ]
+        assert "UnitTimeout" in results[2][2].error
+        assert seconds < 5.0
+
+    def test_jobs_are_taken_one_at_a_time(self):
+        # The cluster worker's chaos triggers count units as they are
+        # started, so the loop must not drain the iterable up front.
+        STARTED.clear()
+
+        def counted():
+            for job in self.jobs((started_so_far, None), (started_so_far, None)):
+                STARTED.append(job[0])
+                yield job
+
+        results, _ = _run_frame(counted(), FaultPolicy())
+        assert [output for _, output, _ in results] == [[0], [0, 1]]
+
+
+class TestPoolFrames:
+    def test_mixed_plan_matches_serial_bitwise(self, frame_log):
+        serial = run_plan(mixed_plan())
+        assert serial == [2 * v for v in range(1000)]
+        landed = []
+        pooled = run_plan(
+            mixed_plan(), workers=2,
+            on_unit=lambda index, output: landed.append(index),
+        )
+        assert pooled == serial
+        # Every unit landed exactly once, whatever frame carried it.
+        assert sorted(landed) == list(range(1000))
+        units, frames, largest = framing(frame_log)
+        # Frames of one and of many both occurred.
+        assert units == 1000
+        assert largest > 1
+        assert frames < units
+
+    def test_sleeping_units_never_share_a_frame(self, frame_log):
+        plan = ExecutionPlan(
+            units=[WorkUnit(runner=mixed_unit, payload=(v, 0.03))
+                   for v in range(8)],
+            merge=list,
+        )
+        assert run_plan(plan, workers=2) == [2 * v for v in range(8)]
+        assert framing(frame_log) == (8, 8, 1)
+
+    def test_trivial_units_travel_by_the_hundred(self, frame_log):
+        plan = ExecutionPlan(
+            units=[WorkUnit(runner=abs, payload=-v) for v in range(4096)],
+            merge=list,
+        )
+        assert run_plan(plan, workers=2) == list(range(4096))
+        units, frames, largest = framing(frame_log)
+        assert units == 4096
+        assert frames < 4096 // 8
+        assert largest >= 64
+
+    def test_serial_runs_log_no_framing(self, frame_log):
+        run_plan(plan_of([1, 2, 3]))
+        assert frame_log.records == []
+
+    def test_skip_inside_a_frame_isolates_the_unit(self):
+        units = [WorkUnit(runner=double, payload=v) for v in range(600)]
+        units[300] = WorkUnit(runner=boom, payload=300, label="doomed")
+        failures = []
+        outputs = run_plan(
+            ExecutionPlan(units=units, merge=list), workers=2,
+            fault_policy=FaultPolicy(
+                on_error="skip", retries=1, backoff_seconds=0.0
+            ),
+            on_failure=failures.append,
+        )
+        assert isinstance(outputs[300], UnitFailure)
+        assert outputs[:300] == [2 * v for v in range(300)]
+        assert outputs[301:] == [2 * v for v in range(301, 600)]
+        assert [(f.index, f.label, f.attempts) for f in failures] == [
+            (300, "doomed", 2)
+        ]
+
+    def test_raise_inside_a_frame_aborts_the_plan(self):
+        units = [WorkUnit(runner=double, payload=v) for v in range(600)]
+        units[300] = WorkUnit(runner=boom, payload=300, label="doomed")
+        with pytest.raises(UnitExecutionError) as excinfo:
+            run_plan(
+                ExecutionPlan(units=units, merge=list, label="framed"),
+                workers=2,
+            )
+        assert excinfo.value.failure.index == 300
+        assert "framed" in str(excinfo.value)
+
+    def test_retry_inside_a_frame_is_bitwise_the_clean_run(self, tmp_path):
+        flag = tmp_path / "attempts"
+        units = [WorkUnit(runner=double, payload=v) for v in range(600)]
+        units[300] = WorkUnit(runner=flaky, payload=(str(flag), 1, 300))
+        assert run_plan(
+            ExecutionPlan(units=units, merge=list), workers=2,
+            fault_policy=retry_policy(),
+        ) == [2 * v for v in range(600)]
+        assert len(flag.read_text()) == 2
+
+    def test_timeout_inside_a_frame_fails_only_its_unit(self):
+        units = [WorkUnit(runner=sleepy, payload=0.0) for _ in range(400)]
+        units[350] = WorkUnit(runner=sleepy, payload=30.0, label="hung")
+        failures = []
+        outputs = run_plan(
+            ExecutionPlan(units=units, merge=list), workers=2,
+            fault_policy=FaultPolicy(
+                on_error="skip", retries=0, timeout_seconds=0.2
+            ),
+            on_failure=failures.append,
+        )
+        assert [f.label for f in failures] == ["hung"]
+        assert "UnitTimeout" in failures[0].error
+        assert outputs[:350] + outputs[351:] == ["done"] * 399
+
+    def test_a_frame_that_cannot_come_back_raises(self):
+        # The pool cannot return an output that will not pickle; that
+        # reaches the caller as an exception, not as a plan that hangs.
+        plan = ExecutionPlan(
+            units=[WorkUnit(runner=make_unpicklable, payload=v) for v in range(3)],
+            merge=list,
+        )
+        with pytest.raises(Exception, match="Error sending result"):
             run_plan(plan, workers=2)

@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Benchmark trajectory check (CI gate, stdlib only).
+
+Every PR that claims a performance gain commits a ``BENCH_<pr>.json``:
+the parent commit and the change measured side by side with
+``benchmarks/perf/run.py --seed 1 --out``.  This loads the newest one
+and fails unless
+
+* its ``claim`` names a workload and a metric ``BENCHMARK.json``
+  declares;
+* every workload's exact-count ledger is equal on the ``parent`` and
+  ``change`` sides (the two sides did the same work);
+* no end-to-end median on the ``change`` side is worse than the
+  parent's by more than the ``bound`` ``BENCHMARK.json`` fixes for
+  that metric.
+
+It reads numbers that were measured where the PR was written; it runs
+nothing, so it is as fast and as deterministic as the file it reads.
+
+Run from anywhere:  python tools/check_bench.py [BENCH_<pr>.json]
+Exit status 0 = all good, 1 = a problem (each printed on its own line).
+"""
+
+from __future__ import annotations
+
+import json
+import re
+import sys
+from pathlib import Path
+from typing import Dict, List, Optional
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+
+_BENCH_NAME = re.compile(r"BENCH_(\d+)\.json$")
+
+
+def newest_bench(root: Path = REPO_ROOT) -> Optional[Path]:
+    """The ``BENCH_<pr>.json`` with the highest PR number, if any."""
+    numbered = [
+        (int(match.group(1)), path)
+        for path in root.glob("BENCH_*.json")
+        if (match := _BENCH_NAME.search(path.name))
+    ]
+    return max(numbered)[1] if numbered else None
+
+
+def _runs_by_workload(side: dict) -> Dict[str, dict]:
+    return {run["workload"]: run for run in side.get("runs", [])}
+
+
+def problems(bench: dict, benchmark: dict) -> List[str]:
+    """Everything wrong with one trajectory file, one line each."""
+    found: List[str] = []
+    workloads = [entry["name"] for entry in benchmark["workloads"]]
+    end_to_end = {entry["name"]: entry for entry in benchmark["end_to_end"]}
+    declared = set(end_to_end) | {
+        entry["name"] for entry in benchmark["per_layer"]
+    }
+
+    claim = bench.get("claim") or {}
+    if claim.get("workload") not in workloads:
+        found.append(
+            f"claim names workload {claim.get('workload')!r}, which "
+            f"BENCHMARK.json does not declare"
+        )
+    if claim.get("metric") not in declared:
+        found.append(
+            f"claim names metric {claim.get('metric')!r}, which "
+            f"BENCHMARK.json does not declare"
+        )
+
+    parent = _runs_by_workload(bench.get("parent", {}))
+    change = _runs_by_workload(bench.get("change", {}))
+    for name in workloads:
+        if name not in parent or name not in change:
+            found.append(f"{name}: not measured on both sides")
+            continue
+        if parent[name].get("ledger") != change[name].get("ledger"):
+            found.append(
+                f"{name}: ledger differs, parent "
+                f"{parent[name].get('ledger')} vs change "
+                f"{change[name].get('ledger')}"
+            )
+        for metric, entry in end_to_end.items():
+            try:
+                before = float(parent[name]["metrics"][metric]["value"])
+                after = float(change[name]["metrics"][metric]["value"])
+            except (KeyError, TypeError, ValueError):
+                found.append(f"{name}: {metric} missing on one side")
+                continue
+            bound = float(entry["bound"])
+            if entry["better"] == "higher":
+                worse = after < before * (1.0 - bound)
+            else:
+                worse = after > before * (1.0 + bound)
+            if worse:
+                found.append(
+                    f"{name}: {metric} {before:.6g} -> {after:.6g} "
+                    f"{entry['unit']} is worse than the parent by more "
+                    f"than the bound ({bound:.0%}, {entry['better']} is "
+                    f"better)"
+                )
+    return found
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    path = Path(args[0]) if args else newest_bench()
+    if path is None:
+        print("no BENCH_<pr>.json at the repository root")
+        return 1
+    bench = json.loads(path.read_text())
+    benchmark = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    found = problems(bench, benchmark)
+    for line in found:
+        print(f"{path.name}: {line}")
+    if found:
+        print(f"{len(found)} benchmark trajectory problem(s)")
+        return 1
+    claim = bench["claim"]
+    print(
+        f"bench ok: {path.name} claims {claim['metric']} on "
+        f"{claim['workload']}; {len(benchmark['workloads'])} ledgers equal, "
+        f"{len(benchmark['workloads']) * len(benchmark['end_to_end'])} "
+        f"end-to-end medians within their bounds"
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
