@@ -49,6 +49,7 @@ from .exec import (
     UnitExecutionError,
     UnitFailure,
     UnitTimeout,
+    WorkerLost,
     WorkUnit,
     run_plan,
 )
@@ -83,6 +84,7 @@ __all__ = [
     "UnitTimeout",
     "WorkUnit",
     "WorkerFault",
+    "WorkerLost",
     "run_plan",
     "ShardedBatchExecutor",
     "ShardedRunResult",

@@ -1,10 +1,11 @@
 """The cluster backend: process-isolated workers with re-dispatch.
 
-:func:`~repro.runtime.exec.run_plan`'s default ``pool`` backend is a
-local ``multiprocessing.Pool`` -- fast, but brittle exactly where the
-paper's protocols are robust: one SIGKILLed worker poisons the pool,
-one hung worker stalls the plan forever, and the worker count is fixed
-at fork time.  This module is the ``backend="cluster"`` alternative: a
+:func:`~repro.runtime.exec.run_plan`'s default ``pool`` backend is
+forked children on pipes -- fast, but it stops where the paper's
+protocols carry on: a SIGKILLed child ends the plan (promptly and by
+name, :class:`~repro.runtime.exec.WorkerLost`, but it ends), a hung
+one stalls it, and the worker count is fixed at fork time.  This
+module is the ``backend="cluster"`` alternative: a
 **coordinator** (in the calling process) and **workers** that are fully
 independent OS processes speaking a length-prefixed pickle protocol
 over TCP sockets.  Workers are spawned locally today and dial in over
@@ -31,7 +32,8 @@ Robustness model
   to the front of the queue, in order, and is re-dispatched to a
   survivor.  The dispatch payload is the *same* pre-pickled blob
   (:func:`~repro.runtime.exec._encode_units` serializes once per
-  plan), and unit seeds never depend on workers, so a re-dispatched
+  plan; the worker decodes a unit as it starts it), and unit seeds
+  never depend on workers, so a re-dispatched
   run is bitwise identical to an undisturbed one -- plan contract
   clause 5.  A unit that out-lives ``FaultPolicy.max_dispatches``
   workers is treated as the unit's own fault and becomes a
@@ -83,9 +85,9 @@ from repro.runtime.chaos import (
 )
 from repro.runtime.exec import (
     FaultPolicy,
-    Job,
     UnitFailure,
     UnitResult,
+    _encode_results,
     _log_frames,
     _next_frame_size,
     _normalize_traceback,
@@ -110,6 +112,10 @@ PORT_ENV = "REPRO_CLUSTER_PORT"
 LAUNCH_ENV = "REPRO_CLUSTER_LAUNCH"
 
 _HEADER = struct.Struct("!Q")
+
+#: A unit on the wire: ``(index, blob, label)``, the blob a pickled
+#: ``(runner, payload)`` pair from ``exec._encode_units``.
+WireJob = Tuple[int, bytes, str]
 
 #: Refuse to decode a frame longer than this (a corrupt or hostile
 #: length prefix must not trigger a multi-GiB allocation).
@@ -253,6 +259,7 @@ class ClusterCoordinator:
         self._next_worker_id = 0
         self._done_count = 0
         self._frame_size = 1
+        self._first_frame_at: Optional[float] = None
         self._draining = False
         self._selector: Optional[selectors.BaseSelector] = None
         self._listener: Optional[socket.socket] = None
@@ -304,10 +311,11 @@ class ClusterCoordinator:
             self._cleanup()
             if previous_sigterm is not None:
                 signal.signal(signal.SIGTERM, previous_sigterm)
+        ended = time.monotonic()
         _log_frames(
             self.label, self._done_count, self.stats["frames"],
-            self.stats["largest_frame"], self._workers,
-            time.monotonic() - started,
+            self.stats["largest_frame"], self._workers, ended - started,
+            (self._first_frame_at or ended) - started,
         )
         if self._draining and self._done_count < total:
             raise ClusterDrained(self.label, self._done_count, total)
@@ -618,6 +626,8 @@ class ClusterCoordinator:
             if state.dispatches > 1:
                 self.stats["redispatches"] += 1
         conn.frame = frame
+        if self._first_frame_at is None:
+            self._first_frame_at = time.monotonic()
         self._queue_send(conn, ("frame", [
             (index, self._blobs[index], self._labels[index])
             for index in frame
@@ -755,51 +765,29 @@ class WorkerSession:
             elif fault.kind == "delay":
                 time.sleep(fault.seconds)
 
-    def _starting(self, jobs: Sequence[Job]):
-        """Yield a frame's jobs, counting each as the worker starts it.
+    def _starting(self, jobs: Sequence[WireJob]):
+        """Yield a frame's jobs decoded, counting each as it is started.
 
         Chaos triggers are ordinals of units *started*, so a scripted
         kill can fall in the middle of a frame.
         """
-        for job in jobs:
+        for index, blob, label in jobs:
             self._units_started += 1
             self._apply_faults()
-            yield job
+            runner, payload = pickle.loads(blob)
+            yield index, runner, payload, label
 
     def _send_results(
-        self, jobs: Sequence[Job], results: List[UnitResult], seconds: float
+        self, jobs: Sequence[WireJob], results: List[UnitResult],
+        seconds: float,
     ) -> None:
-        try:
-            payload = encode_message(("results", results, seconds))
-        except Exception:
-            # Some output will not pickle: that unit fails, alone.
-            results = [
-                self._picklable(label, result)
-                for (_index, _blob, label), result in zip(jobs, results)
-            ]
-            payload = encode_message(("results", results, seconds))
+        payload = _encode_results(
+            results, jobs,
+            lambda sendable: encode_message(("results", sendable, seconds)),
+            worker=self.worker_id,
+        )
         with self._send_lock:
             self.sock.sendall(payload)
-
-    def _picklable(self, label: str, result: UnitResult) -> UnitResult:
-        index = result[0]
-        try:
-            pickle.dumps(result)
-        except Exception as exc:
-            return index, None, UnitFailure(
-                index=index,
-                label=label,
-                error=(
-                    f"unit output could not be pickled for the "
-                    f"coordinator: {exc!r}"
-                ),
-                traceback=_normalize_traceback(
-                    traceback_module.format_exc()
-                ),
-                attempts=1,
-                worker=self.worker_id,
-            )
-        return result
 
     def run(self) -> int:
         self._send(("hello", {

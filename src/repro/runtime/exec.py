@@ -34,7 +34,9 @@ The reproducibility contract, shared by every caller:
 3. **Serial execution is always a correct fallback.**  When the units
    do not survive :mod:`pickle` (closure or lambda hooks, runtime
    registrations), :func:`run_plan` warns and runs them in-process --
-   same bits, no pool.
+   same bits, no pool.  The probe is one :mod:`pickle` pass over the
+   whole plan before any unit runs; after it the pool reads a payload
+   when its frame is cut, as the in-process path always did.
 4. **Failure handling cannot perturb results.**  A unit fails as a
    whole or not at all: an exception (or timeout) anywhere in a unit
    discards that attempt's entire output, and a retry re-runs the
@@ -42,7 +44,8 @@ The reproducibility contract, shared by every caller:
    merge slot -- so a run that needed three attempts on one unit is
    bitwise identical to a run that needed one.  Failures surface as
    :class:`UnitFailure` records carrying the unit's index, label and
-   traceback instead of an opaque pool blow-up.
+   traceback instead of an opaque pool blow-up -- an output that will
+   not pickle for the trip back included, on both backends.
 5. **Worker loss cannot perturb results.**  Under the ``cluster``
    backend (:mod:`repro.runtime.cluster`), a worker that dies or stops
    heartbeating mid-unit is fenced and its in-flight frame
@@ -51,7 +54,9 @@ The reproducibility contract, shared by every caller:
    slot -- so a run that lost two workers is bitwise identical to one
    that lost none.
    Units that out-live ``FaultPolicy.max_dispatches`` workers flow
-   into the same :class:`UnitFailure` machinery as clause 4.
+   into the same :class:`UnitFailure` machinery as clause 4.  The
+   ``pool`` backend re-dispatches nothing: a child that dies with a
+   frame in flight ends the plan at once with :class:`WorkerLost`.
 
 ``workers`` is therefore pure *scheduling budget*: callers that nest
 (a campaign point expanding into trial shards) flatten their levels
@@ -63,6 +68,7 @@ without either level re-deciding the decomposition.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import pickle
 import re
 import signal
@@ -83,14 +89,15 @@ __all__ = [
     "UnitFailure",
     "UnitTimeout",
     "WorkUnit",
+    "WorkerLost",
     "run_plan",
 ]
 
 #: The ``on_error`` modes a :class:`FaultPolicy` accepts.
 ON_ERROR_MODES = ("raise", "skip", "retry")
 
-#: The executor backends :func:`run_plan` accepts.  ``"pool"`` is the
-#: local ``multiprocessing.Pool``; ``"cluster"`` is the socket-based
+#: The executor backends :func:`run_plan` accepts.  ``"pool"`` is local
+#: forked children, a pipe each; ``"cluster"`` is the socket-based
 #: process-isolated coordinator/worker backend
 #: (:mod:`repro.runtime.cluster`) with heartbeats, dead-worker
 #: re-dispatch and elastic worker counts.
@@ -330,6 +337,29 @@ class UnitTimeout(Exception):
     """An attempt exceeded the fault policy's per-unit timeout."""
 
 
+class WorkerLost(RuntimeError):
+    """A pool worker process died with a frame in flight.
+
+    ``units`` are the ``(index, label)`` pairs it held.  The pool
+    re-dispatches nothing (clause 5 is the cluster's): the plan ends
+    here, every other child stopped and joined first.
+    """
+
+    def __init__(
+        self, plan_label: str, pid: Optional[int], exitcode: Optional[int],
+        units: Sequence[Tuple[int, str]],
+    ):
+        self.pid, self.exitcode, self.units = pid, exitcode, list(units)
+        died = f"exit code {exitcode}"
+        if exitcode is not None and exitcode < 0:  # -9: the OOM killer's
+            died = f"signal {-exitcode}, {signal.strsignal(-exitcode)}"
+        super().__init__(
+            f"{plan_label}: pool worker pid {pid} lost ({died}) holding "
+            f"{len(self.units)} unit(s): {self.units[:8]}"
+            + ("" if len(self.units) <= 8 else " and more")
+        )
+
+
 @contextmanager
 def _attempt_deadline(seconds: float):
     """Arm a wall-clock bound for one attempt: ``SIGALRM`` or watchdog.
@@ -473,25 +503,20 @@ def _attempt_unit(
 
 
 #: Units travel to workers in *frames*: one message carries a list of
-#: ``(index, blob, label)`` jobs and one message brings their results
-#: back.  Sending a frame costs some 40 us on the pool and 100 us on
-#: the cluster whatever it holds, so a frame should run for at least
-#: ~2 ms (dispatch <= ~2 % of it) -- and for at most ~20 ms, which is
+#: jobs and one message brings their results back.  Sending a frame
+#: costs some 40 us on the pool and 100 us on the cluster whatever it
+#: holds, so a frame should run for at least ~2 ms (dispatch <= ~2 %
+#: of it) -- and for at most ~20 ms, which is
 #: what a lost frame costs to redo, how long a unit's result can wait
 #: on its frame-mates before it is checkpointed, and how unevenly the
 #: last frames of a plan can split between workers.  Units that take
 #: longer than the floor on their own therefore travel alone, forever.
+#: Both backends keep ONE frame in flight per worker: a spare one
+#: queued behind a 40 ms unit would wait while another worker idles.
 _FRAME_FLOOR_SECONDS = 0.002
 _FRAME_CEILING_SECONDS = 0.020
 
-#: Frames the pool keeps queued per worker process, so that a worker
-#: finishing one finds the next already in the pipe.  The pool's queue
-#: is shared (a frame belongs to no worker until one takes it), so the
-#: spare frame costs no balance; the cluster assigns frames to
-#: connections and keeps one in flight each.
-_POOL_FRAMES_PER_WORKER = 2
-
-Job = Tuple[int, bytes, str]
+Job = Tuple[int, Callable[[Any], Any], Any, str]
 UnitResult = Tuple[int, Any, Optional[UnitFailure]]
 
 
@@ -521,45 +546,59 @@ def _run_frame(
     retries and backoff are per unit exactly as if it had travelled
     alone, and a unit that fails leaves its frame-mates untouched.
     ``jobs`` is consumed one unit at a time, as each is started (the
-    cluster worker counts units for its chaos triggers that way).
+    cluster worker decodes and counts units for its chaos triggers so).
     """
     started = time.perf_counter()
-    results = []
-    for index, blob, label in jobs:
-        runner, payload = pickle.loads(blob)
-        results.append(_attempt_unit(index, runner, payload, label, policy))
+    results = [_attempt_unit(*job, policy) for job in jobs]
     return results, time.perf_counter() - started
+
+
+def _encode_results(
+    results: List[UnitResult],
+    jobs: Sequence[Tuple],
+    encode: Callable[[List[UnitResult]], bytes],
+    worker: str = "",
+) -> bytes:
+    """``encode(results)``, an output that will not pickle failing alone.
+
+    The trip back, on both backends (``jobs`` are the frame's, label
+    last): when the list will not encode, each result is tried on its
+    own and the offender becomes a :class:`UnitFailure` naming the
+    pickling error, which follows ``on_error`` like any other; its
+    frame-mates land untouched.
+    """
+    try:
+        return encode(results)
+    except Exception:
+        results = list(results)
+    for slot, (index, _output, _failure) in enumerate(results):
+        try:
+            pickle.dumps(results[slot])
+        except Exception as exc:
+            results[slot] = index, None, UnitFailure(
+                index=index,
+                label=jobs[slot][-1],
+                error=f"unit output could not be pickled: {exc!r}",
+                traceback=_normalize_traceback(traceback_module.format_exc()),
+                attempts=1,
+                worker=worker,
+            )
+    return encode(results)
 
 
 def _log_frames(
     label: str, units: int, frames: int, largest: int, workers: int,
-    seconds: float,
+    seconds: float, start_seconds: float,
 ) -> None:
-    """One debug line per fanned-out plan: how its units were framed."""
+    """One debug line per fanned-out plan: how its units were framed,
+    and how long it took to its first frame sent (forks, or dial-ins)."""
     import logging  # only a plan that fanned out pays for the import
 
     logging.getLogger(__name__).debug(
-        "%s: %d units in %d frames (largest %d) on %d workers, %.3fs",
-        label, units, frames, largest, workers, seconds,
+        "%s: %d units in %d frames (largest %d) on %d workers, %.3fs "
+        "(start %.1f ms)",
+        label, units, frames, largest, workers, seconds, start_seconds * 1e3,
     )
-
-
-#: The plan's fault policy inside a pool worker process, installed once
-#: by the pool initializer instead of travelling with every frame.
-_pool_policy: Optional[FaultPolicy] = None
-
-
-def _init_pool_worker(
-    policy: FaultPolicy, initializer: Optional[Callable], initargs: Tuple
-) -> None:
-    global _pool_policy
-    _pool_policy = policy
-    if initializer is not None:
-        initializer(*initargs)
-
-
-def _run_pool_frame(jobs: List[Job]) -> Tuple[List[UnitResult], float]:
-    return _run_frame(jobs, _pool_policy)
 
 
 @dataclass
@@ -595,12 +634,11 @@ class ExecutionPlan:
 
 
 def _encode_units(plan: ExecutionPlan) -> Optional[List[bytes]]:
-    """Serialize every unit exactly once, or None if the plan can't pool.
+    """Serialize every unit once for the cluster, or None if it can't.
 
-    The byte blobs double as the picklability probe *and* the pool
-    submission format: workers receive the pre-pickled ``(runner,
-    payload)`` pair, so a unit's payload graph is traversed by pickle
-    once per plan, not once for the probe and again at submission.
+    The blobs are the cluster's picklability probe, its wire format
+    *and* what makes a re-dispatched unit the same unit: it goes out
+    again as the very bytes it went out as the first time.
     """
     try:
         pickle.dumps((plan.initializer, plan.initargs))
@@ -611,59 +649,141 @@ def _encode_units(plan: ExecutionPlan) -> Optional[List[bytes]]:
         return None
 
 
+class _Discard:
+    """A file that keeps nothing: the pool's probe only asks whether."""
+
+    def write(self, data: bytes) -> int:
+        return len(data)
+
+
+def _plan_pickles(plan: ExecutionPlan) -> bool:
+    """The pool's probe: one pass over all a child may be sent (what a
+    pickle costs is the call, not the bytes), before any unit runs."""
+    try:
+        pickle.Pickler(_Discard()).dump((
+            plan.initializer, plan.initargs,
+            [(unit.runner, unit.payload) for unit in plan.units],
+        ))
+    except Exception:
+        return False
+    return True
+
+
+def _pool_worker(
+    pipe: Any, inherited: Sequence[Any], policy: FaultPolicy,
+    initializer: Optional[Callable], initargs: Tuple,
+) -> None:
+    """A pool child: run the frames its pipe brings until it closes."""
+    for parent_end in inherited:
+        # A forked copy of the parent's ends (this child's included)
+        # would hold the pipes open after the parent closed or died.
+        parent_end.close()
+    if initializer is not None:
+        initializer(*initargs)
+    while True:
+        try:
+            jobs = pickle.loads(pipe.recv_bytes())
+        except (EOFError, OSError):  # closed; reset if with a reply unread
+            return
+        results, seconds = _run_frame(jobs, policy)
+        pipe.send_bytes(_encode_results(
+            results, jobs, lambda sendable: pickle.dumps((sendable, seconds))
+        ))
+
+
 def _run_pool(
     plan: ExecutionPlan,
-    jobs: List[Job],
+    units: Sequence[WorkUnit],
     policy: FaultPolicy,
     workers: int,
     land: Callable[[int, Any, Optional[UnitFailure]], None],
 ) -> None:
-    """Run ``jobs`` on a local process pool, a frame per message.
+    """Run ``units`` on forked children, one pipe and one frame each.
 
-    Frames are cut from ``jobs`` in order at the current frame size and
-    landed here, in the calling thread, as they come back; a frame that
-    could not be run or returned at all (an output that will not
-    pickle, say) raises here as it did when units travelled alone.
+    Frames are cut from ``units`` in order at the current frame size,
+    pickled once as they are cut, and landed here, in the calling
+    thread.  A child is only ever sent a frame while it waits in
+    ``recv_bytes``, so a parent with no helper thread moves payloads
+    and results of any size without deadlock.  A child that dies ends
+    the plan (:class:`WorkerLost`); no child outlives it, however it ends.
     """
-    import queue  # multiprocessing.pool loads it anyway
-
     started = time.perf_counter()
-    processes = min(workers, len(jobs))
-    replies: queue.SimpleQueue = queue.SimpleQueue()
-    size, frames, largest, cursor, outstanding = 1, 0, 0, 0, 0
-    with multiprocessing.Pool(
-        processes=processes,
-        initializer=_init_pool_worker,
-        initargs=(policy, plan.initializer, plan.initargs),
-    ) as pool:
+    children: dict = {}  # the parent's end of each pipe -> its process
+    in_flight: dict = {}  # the parent's end of a pipe -> the frame out
+    size, frames, largest, cursor = 1, 0, 0, 0
+    try:
+        for _ in range(min(workers, len(units))):
+            pipe, child_end = multiprocessing.Pipe()
+            process = multiprocessing.Process(
+                target=_pool_worker, daemon=True,
+                args=(child_end, (*children, pipe), policy,
+                      plan.initializer, plan.initargs),
+            )
+            process.start()
+            child_end.close()
+            children[pipe] = process
+        start_seconds = time.perf_counter() - started
+        idle = list(children)
+        landing: List[UnitResult] = []
         while True:
-            while (
-                cursor < len(jobs)
-                and outstanding < _POOL_FRAMES_PER_WORKER * processes
-            ):
-                frame = jobs[cursor:cursor + size]
+            while idle and cursor < len(units):
+                frame = [
+                    (index, unit.runner, unit.payload, unit.label)
+                    for index, unit in
+                    enumerate(units[cursor:cursor + size], cursor)
+                ]
                 cursor += len(frame)
-                pool.apply_async(
-                    _run_pool_frame, (frame,),
-                    callback=replies.put, error_callback=replies.put,
-                )
-                outstanding += 1
                 frames += 1
                 largest = max(largest, len(frame))
-            if not outstanding:
-                break
-            reply = replies.get()
-            outstanding -= 1
-            if isinstance(reply, BaseException):
-                raise reply
-            results, seconds = reply
-            size = _next_frame_size(size, len(results), seconds)
-            for result in results:
+                pipe = idle.pop()
+                in_flight[pipe] = frame
+                try:
+                    pipe.send_bytes(pickle.dumps(frame))
+                except OSError:
+                    pass  # already dead: the wait below reads its EOF
+            for result in landing:  # the children are busy again by now
                 land(*result)
+            if not in_flight:
+                break
+            landing = []
+            for pipe in multiprocessing.connection.wait(list(in_flight)):
+                try:
+                    results, seconds = pickle.loads(pipe.recv_bytes())
+                except (EOFError, OSError):
+                    raise _lost(
+                        plan.label, children[pipe], in_flight[pipe]
+                    ) from None
+                del in_flight[pipe]
+                idle.append(pipe)
+                size = _next_frame_size(size, len(results), seconds)
+                landing += results
+    finally:
+        for pipe, process in children.items():
+            pipe.close()
+            if pipe in in_flight:
+                process.kill()  # mid-frame, and nobody is listening
+        for process in children.values():
+            process.join(5.0)  # its pipe closed, so its loop has ended
+            if process.is_alive():
+                process.kill()
+                process.join()
     _log_frames(
-        plan.label, len(jobs), frames, largest, processes,
-        time.perf_counter() - started,
+        plan.label, len(units), frames, largest, len(children),
+        time.perf_counter() - started, start_seconds,
     )
+
+
+def _lost(plan_label: str, process: Any, frame: List[Job]) -> WorkerLost:
+    """Name a pool child that hung up and what it held; log it once."""
+    import logging
+
+    process.join(1.0)  # it is dying: wait for its exit code
+    lost = WorkerLost(
+        plan_label, process.pid, process.exitcode,
+        [(index, label) for index, _, _, label in frame],
+    )
+    logging.getLogger(__name__).warning("%s", lost)
+    return lost
 
 
 def run_plan(
@@ -694,7 +814,8 @@ def run_plan(
     :class:`UnitExecutionError`.
 
     ``backend`` selects the executor (:data:`BACKENDS`).  ``"pool"``
-    (default) is the local ``multiprocessing.Pool``.  ``"cluster"``
+    (default) is forked children on pipes; one that dies mid-plan ends
+    it with :class:`WorkerLost`.  ``"cluster"``
     runs a socket coordinator that spawns ``workers`` worker
     *processes* which dial in, heartbeat, and can join/leave mid-plan;
     a dead or hung worker's in-flight frame is re-dispatched (the same
@@ -714,21 +835,19 @@ def run_plan(
     units = list(plan.units)
     cluster = backend == "cluster" and len(units) > 0
     fan_out = cluster or (workers > 1 and len(units) > 1)
-    blobs: Optional[List[bytes]] = None
-    if fan_out:
-        blobs = _encode_units(plan)
-        if blobs is None:
-            warnings.warn(
-                f"{plan.label}: work units are unpicklable (closure or "
-                f"lambda hooks, runtime registrations?); running the "
-                f"{len(units)} units serially in-process instead of on "
-                f"{workers} workers (results are bitwise identical either "
-                f"way)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            fan_out = False
-            cluster = False
+    blobs = _encode_units(plan) if cluster else None
+    if fan_out and (blobs is None if cluster else not _plan_pickles(plan)):
+        warnings.warn(
+            f"{plan.label}: work units are unpicklable (closure or "
+            f"lambda hooks, runtime registrations?); running the "
+            f"{len(units)} units serially in-process instead of on "
+            f"{workers} workers (results are bitwise identical either "
+            f"way)",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        fan_out = False
+        cluster = False
 
     outputs: Optional[List[Any]] = (
         [None] * len(units) if plan.merge is not None else None
@@ -763,11 +882,7 @@ def run_plan(
         )
         coordinator.run(land)
     elif fan_out:
-        jobs = [
-            (index, blob, unit.label)
-            for (index, unit), blob in zip(enumerate(units), blobs)
-        ]
-        _run_pool(plan, jobs, policy, workers, land)
+        _run_pool(plan, units, policy, workers, land)
     else:
         for index, unit in enumerate(units):
             land(*_attempt_unit(

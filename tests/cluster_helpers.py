@@ -76,7 +76,7 @@ def framing(caplog):
     Needs ``caplog.set_level("DEBUG", logger="repro.runtime.exec")``.
     """
     (record,) = [r for r in caplog.records if r.name == "repro.runtime.exec"]
-    _label, units, frames, largest, _workers, _seconds = record.args
+    _label, units, frames, largest, _workers, _seconds, _start_ms = record.args
     return units, frames, largest
 
 

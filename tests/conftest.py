@@ -12,6 +12,7 @@ Also wires two suite-wide policies:
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from pathlib import Path
 
@@ -34,6 +35,14 @@ def pytest_configure(config):
         "slow: simulates many protocol periods (>~1s); "
         "deselect with -m 'not slow'",
     )
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_its_plan(request):
+    """However a pooled plan ends, its forked children are gone."""
+    yield
+    if request.module.__name__ in ("test_exec", "test_parallel", "test_campaign"):
+        assert multiprocessing.active_children() == []
 
 
 @pytest.fixture

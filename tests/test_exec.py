@@ -1,16 +1,20 @@
 """Tests for the unified execution layer (repro.runtime.exec)."""
 
+import os
 import pickle
+import signal
 import threading
 import time
 
 import pytest
 
+import repro.runtime.exec as exec_module
 from cluster_helpers import (
     framing,
     make_unpicklable,
     mixed_plan,
     mixed_unit,
+    unit_pid,
 )
 from repro.runtime import (
     ExecutionPlan,
@@ -22,6 +26,7 @@ from repro.runtime import (
 )
 from repro.runtime.exec import (
     UnitTimeout,
+    WorkerLost,
     _attempt_deadline,
     _attempt_unit,
     _encode_units,
@@ -489,9 +494,8 @@ class TestTimeout:
 
 class TestPickleOnce:
     def test_payloads_are_serialized_exactly_once(self):
-        # Regression: the picklability probe used to serialize every
-        # payload once to check and again at pool submission.  The
-        # encoded blobs now *are* the submission format.
+        # The cluster's blobs are its probe, its wire format and its
+        # re-dispatch format at once: one pickle per unit per plan.
         payloads = [CountingPayload(v) for v in (1, 2, 3)]
         plan = ExecutionPlan(
             units=[WorkUnit(runner=unwrap, payload=p) for p in payloads],
@@ -504,14 +508,43 @@ class TestPickleOnce:
         runner, payload = pickle.loads(blobs[1])
         assert runner is unwrap and payload.value == 2
 
-    def test_pooled_run_uses_the_encoded_blobs(self):
+    def test_a_pooled_payload_is_pickled_for_the_probe_and_its_frame(self):
+        # The pool keeps no blobs: one pass to ask whether, then each
+        # payload once more inside the frame that carries it.
         payloads = [CountingPayload(v) for v in (1, 2, 3)]
         plan = ExecutionPlan(
             units=[WorkUnit(runner=unwrap, payload=p) for p in payloads],
             merge=list,
         )
         assert run_plan(plan, workers=3) == [2, 4, 6]
-        assert [p.pickled for p in payloads] == [1, 1, 1]
+        assert [p.pickled for p in payloads] == [2, 2, 2]
+
+    def test_the_parent_pickles_by_the_frame_not_by_the_unit(
+        self, monkeypatch
+    ):
+        # What a pickle costs is the call, not the bytes: the probe is
+        # one call and every frame one more, however many units it has.
+        class CountingPickle:
+            calls = 0
+            loads = staticmethod(pickle.loads)
+
+            def dumps(self, obj):
+                self.calls += 1
+                return pickle.dumps(obj)
+
+            def Pickler(self, file):
+                self.calls += 1
+                return pickle.Pickler(file)
+
+        counting = CountingPickle()
+        monkeypatch.setattr(exec_module, "pickle", counting)
+        plan = ExecutionPlan(
+            units=[WorkUnit(runner=abs, payload=-v) for v in range(4096)],
+            merge=list,
+        )
+        assert run_plan(plan, workers=2) == list(range(4096))
+        # Children are forks: what they count stays with them.
+        assert 0 < counting.calls < 100
 
 
 class TestSerialFallback:
@@ -540,6 +573,16 @@ class TestSerialFallback:
         )
         with pytest.warns(RuntimeWarning, match="unpicklable"):
             assert run_plan(plan, workers=2) == [2, 4, 6]
+
+    def test_a_late_unpicklable_unit_keeps_every_unit_in_process(self):
+        # The probe is all-or-nothing and comes first: no unit may have
+        # run in a child by the time the last one turns out unpicklable.
+        units = [WorkUnit(runner=unit_pid, payload=v) for v in range(300)]
+        units.append(WorkUnit(runner=unit_pid, payload=lambda: None))
+        plan = ExecutionPlan(units=units, merge=list)
+        with pytest.warns(RuntimeWarning, match="unpicklable"):
+            outputs = run_plan(plan, workers=2)
+        assert {pid for _payload, pid in outputs} == {os.getpid()}
 
     def test_fallback_warning_names_the_plan(self):
         plan = ExecutionPlan(
@@ -598,7 +641,7 @@ class TestRunFrame:
 
     def jobs(self, *units):
         return [
-            (index, pickle.dumps((runner, payload)), f"job-{index}")
+            (index, runner, payload, f"job-{index}")
             for index, (runner, payload) in enumerate(units)
         ]
 
@@ -755,11 +798,118 @@ class TestPoolFrames:
         assert outputs[:350] + outputs[351:] == ["done"] * 399
 
     def test_a_frame_that_cannot_come_back_raises(self):
-        # The pool cannot return an output that will not pickle; that
-        # reaches the caller as an exception, not as a plan that hangs.
+        # An output that will not pickle fails its own unit, as on the
+        # cluster: the policy decides what that means for the plan.
         plan = ExecutionPlan(
-            units=[WorkUnit(runner=make_unpicklable, payload=v) for v in range(3)],
+            units=[WorkUnit(runner=unpicklable_at_300, payload=v)
+                   for v in range(600)],
             merge=list,
         )
-        with pytest.raises(Exception, match="Error sending result"):
+        with pytest.raises(UnitExecutionError, match="pickled") as excinfo:
             run_plan(plan, workers=2)
+        assert excinfo.value.failure.index == 300
+        failures = []
+        outputs = run_plan(
+            plan, workers=2, fault_policy=FaultPolicy(on_error="skip"),
+            on_failure=failures.append,
+        )
+        assert [f.index for f in failures] == [300]
+        assert "pickled" in failures[0].error
+        # Its frame-mates landed.
+        assert outputs[:300] + outputs[301:] == [
+            v for v in range(600) if v != 300
+        ]
+
+    def test_the_debug_line_says_what_starting_cost(self, frame_log):
+        run_plan(plan_of(list(range(64))), workers=2)
+        (record,) = frame_log.records
+        *_, seconds, start_ms = record.args
+        assert 0.0 < start_ms <= seconds * 1e3
+        assert "start" in record.getMessage()
+
+
+def unpicklable_at_300(payload):
+    return make_unpicklable(payload) if payload == 300 else payload
+
+
+def echo(payload):
+    return bytes(payload)
+
+
+def die_at_5(payload):
+    if payload == 5:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return payload
+
+
+def failing_initializer():
+    raise RuntimeError("initializer exploded")
+
+
+class TestPoolTransport:
+    """The pipes can neither perturb results nor leak.
+
+    That no child outlives its plan -- after success, an abort, a lost
+    worker, an exception out of ``on_unit`` -- is asserted after every
+    test of this module by ``conftest.no_child_outlives_its_plan``.
+    """
+
+    def test_payloads_larger_than_a_pipe_buffer_go_both_ways(self):
+        # 1 MB down and 1 MB up per unit, 8 units, 2 workers, and no
+        # thread in the parent to drain one pipe while it fills another.
+        payloads = [bytes([v]) * (1 << 20) for v in range(8)]
+        plan = ExecutionPlan(
+            units=[WorkUnit(runner=echo, payload=p) for p in payloads],
+            merge=list,
+        )
+        assert run_plan(plan, workers=2) == run_plan(plan) == payloads
+
+    def test_the_parent_starts_no_thread(self):
+        before = threading.active_count()
+        during = []
+        run_plan(
+            plan_of(list(range(500))), workers=2,
+            on_unit=lambda index, output: during.append(
+                threading.active_count()
+            ),
+        )
+        assert set(during) == {before}
+
+    def test_an_exception_from_on_unit_reaches_the_caller(self):
+        def on_unit(index, output):
+            raise KeyError("the caller's own bug")
+
+        with pytest.raises(KeyError, match="own bug"):
+            run_plan(mixed_plan(), workers=2, on_unit=on_unit)
+
+
+class TestWorkerLost:
+    @pytest.mark.parametrize("on_error", ["raise", "skip"])
+    def test_a_killed_worker_ends_the_plan_by_name(self, on_error, caplog):
+        plan = ExecutionPlan(
+            units=[WorkUnit(runner=die_at_5, payload=v, label=f"u{v}")
+                   for v in range(16)],
+            merge=list, label="doomed-plan",
+        )
+        started = time.perf_counter()
+        with pytest.raises(WorkerLost, match="doomed-plan") as excinfo:
+            run_plan(
+                plan, workers=2,
+                fault_policy=FaultPolicy(on_error=on_error, retries=0),
+            )
+        assert time.perf_counter() - started < 5.0
+        lost = excinfo.value
+        assert lost.exitcode == -signal.SIGKILL
+        assert (5, "u5") in lost.units
+        assert str(lost.pid) in str(lost) and "u5" in str(lost)
+        # Logged once, at WARNING, with the same provenance.
+        (record,) = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert record.name == "repro.runtime.exec"
+        assert record.getMessage() == str(lost)
+
+    def test_a_failing_initializer_is_an_error_not_a_stall(self):
+        plan = plan_of([1, 2, 3, 4], initializer=failing_initializer)
+        started = time.perf_counter()
+        with pytest.raises(WorkerLost, match="exit code 1"):
+            run_plan(plan, workers=2)
+        assert time.perf_counter() - started < 5.0
