@@ -274,30 +274,34 @@ class RoundEngine:
     def state_id(self, name: str) -> int:
         return self._index[name]
 
-    def counts(self) -> Dict[str, int]:
-        """Alive process count per state."""
+    def _alive_in_each(self, states: np.ndarray) -> List[int]:
+        """Alive hosts per state id of ``states``; the engine's one count."""
         # One compare + popcount per state: ``bincount`` over
         # ``states[alive]`` would copy N bytes through the mask and
         # widen int8 to intp on every call.
-        states, alive = self.states, self.alive
+        alive = self.alive
         masked = not alive.all()
-        return {
-            s: int(np.count_nonzero(
+        return [
+            int(np.count_nonzero(
                 (states == i) & alive if masked else states == i
             ))
-            for i, s in enumerate(self.state_names)
-        }
+            for i in range(len(self.state_names))
+        ]
+
+    def counts(self) -> Dict[str, int]:
+        """Alive process count per state."""
+        return dict(zip(self.state_names, self._alive_in_each(self.states)))
 
     def fractions(self) -> Dict[str, float]:
         """State fractions among alive processes."""
-        alive = int(self.alive.sum())
+        alive = self.alive_count()
         if alive == 0:
             return {s: 0.0 for s in self.state_names}
         counts = self.counts()
         return {s: counts[s] / alive for s in self.state_names}
 
     def alive_count(self) -> int:
-        return int(self.alive.sum())
+        return int(np.count_nonzero(self.alive))
 
     def members_in(self, state: str) -> np.ndarray:
         """Ids of alive processes currently in ``state``."""
@@ -409,12 +413,10 @@ class RoundEngine:
                 members_cache[sid] = cached
             return cached
 
-        counts = np.bincount(
-            snapshot[alive], minlength=len(self.state_names)
-        )
+        counts = self._alive_in_each(snapshot)
 
         for action in self._compiled:
-            actor_count = int(counts[action.actor])
+            actor_count = counts[action.actor]
             if actor_count == 0:
                 continue
             if action.probability <= 0.0:
@@ -520,7 +522,7 @@ class RoundEngine:
         if len(pool) == 0:
             return np.empty(0, dtype=np.int64), action.edge_from
         if action.ttl is not None:
-            alive_total = int(alive.sum())
+            alive_total = int(np.count_nonzero(alive))
             fraction = len(pool) / alive_total if alive_total else 0.0
             reach = 1.0 - (1.0 - fraction) ** action.ttl
             token_count = self._rng.binomial(token_count, reach)

@@ -13,18 +13,29 @@ The TCP endpoint speaks newline-delimited JSON, one request per line:
     {"op": "query", "q": "counts"}
     {"op": "event", "kind": "fail", "data": {"fraction": 0.2}}
     {"op": "what-if", "trials": 8, "periods": 200, "seed": 7}
+    {"op": "metrics"}
     {"op": "stop"}
 
 Responses mirror the shape: ``{"ok": true, "result": ...}`` or
 ``{"ok": false, "error": "..."}``.
+
+Both ends of the socket are one line-framing ``asyncio.Protocol``
+(:class:`_LineProtocol`).  The service's end answers inside
+``data_received`` -- no task and no future per request; ``what-if``
+alone is a task, and holds its connection so replies keep the order of
+their requests -- and stops reading a peer that stops reading it.  A
+reply is bytes: the line of a query without ``params`` is encoded once
+per log sequence number and written as it is from then on
+(docs/service.md, "Cost of a read" and "Wire protocol").
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence
 
 from ..experiment.experiment import Experiment
 from .clock import WallClock
@@ -84,7 +95,22 @@ class ProtocolService:
         self.max_periods = max_periods
         self._task: Optional[asyncio.Task] = None
         self._stop: Optional[asyncio.Event] = None
+        self._stopping: Optional[asyncio.Future] = None  # a client's stop
         self.finished: Optional[asyncio.Event] = None
+        # What the ``metrics`` op reports: plain counters, no history.
+        self.clients = 0
+        self.requests = dict.fromkeys(
+            ("query", "event", "what-if", "metrics", "stop"), 0
+        )
+        self.errors = 0
+        self.replies_from_memo = 0
+        self.replies_encoded = 0
+        self.ticks = 0
+        self.tick_lag = 0.0
+        self.tick_lag_max = 0.0
+        # Encoded reply lines of param-less queries, per log.next_seq.
+        self._lines: Dict[str, bytes] = {}
+        self._lines_seq = -1
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -100,10 +126,18 @@ class ProtocolService:
 
     async def _run(self) -> None:
         try:
+            due = self.clock.time() + self.tick_seconds
             while not self._stop.is_set():
                 if await self._sleep_or_stop(self.tick_seconds):
                     break
+                # Lag: how much more than tick_seconds after the last
+                # tick began this one does (0.0 on a virtual clock).
+                woke = self.clock.time()
+                self.tick_lag = woke - due
+                self.tick_lag_max = max(self.tick_lag_max, self.tick_lag)
+                due = woke + self.tick_seconds
                 self.core.tick(self.periods_per_tick)
+                self.ticks += 1
                 self._apply_due_script()
                 if (
                     self.max_periods is not None
@@ -198,121 +232,333 @@ class ProtocolService:
             "summary": result.summary(),
         }
 
+    # ------------------------------------------------------------------
+    # What the TCP endpoint writes (bytes, one line per reply)
+    # ------------------------------------------------------------------
+    def _encode(self, response: Dict[str, Any]) -> bytes:
+        self.replies_encoded += 1
+        return json.dumps(response).encode("utf-8") + b"\n"
+
+    def _refusal(self, error: Exception) -> bytes:
+        self.errors += 1
+        return self._encode({"ok": False, "error": str(error)})
+
+    def _query_line(self, op: Any, params: Any) -> bytes:
+        """The reply line of a query, encoded at most once per census.
+
+        The line of a query without ``params`` is remembered under the
+        core's own rule for answers (:meth:`ServiceCore.query`): keyed
+        on ``log.next_seq``, dropped at the next record, at most one
+        per query op.  Anything else goes to the core, which validates
+        it, and is never remembered.  Bytes are immutable, so what is
+        remembered can be written to every client as it is.
+        """
+        if not (params is None or params == {}):
+            return self._encode(
+                {"ok": True, "result": self.core.query(op, params)}
+            )
+        seq = self.core.log.next_seq
+        if self._lines_seq != seq:
+            self._lines = {}
+            self._lines_seq = seq
+        line = self._lines.get(op) if isinstance(op, str) else None
+        if line is None:
+            line = self._encode({"ok": True, "result": self.core.query(op)})
+            self._lines[op] = line
+        else:
+            self.replies_from_memo += 1
+        return line
+
+    def metrics(self) -> Dict[str, Any]:
+        """The shell's counters, the ``{"op": "metrics"}`` reply.
+
+        O(1) and pure: it reads no host, asks the core nothing and
+        appends no record.  ``requests`` counts requests answered
+        ``ok`` by op and ``errors`` the refused ones; every reply line
+        was either ``encoded`` for that reply or served from the
+        ``memo`` of reply lines; ``tick_lag_seconds`` is how much
+        later than ``tick_seconds`` after its predecessor a tick began,
+        on the service clock.  `repro.obs` (ROADMAP item 1) adopts
+        these counters when it lands.
+        """
+        return {
+            "clients": self.clients,
+            "requests": dict(self.requests),
+            "errors": self.errors,
+            "replies": {
+                "memo": self.replies_from_memo,
+                "encoded": self.replies_encoded,
+            },
+            "ticks": self.ticks,
+            "tick_lag_seconds": {
+                "last": self.tick_lag, "max": self.tick_lag_max,
+            },
+        }
+
 
 # ----------------------------------------------------------------------
 # Newline-JSON TCP endpoint
 # ----------------------------------------------------------------------
-async def _read_request(reader: asyncio.StreamReader) -> Optional[bytes]:
-    """The next request line; ``None`` for one longer than the reader's limit.
+#: Most bytes a line may hold before its newline.  A line of exactly
+#: this many is taken; one byte more is "request line too long".
+LINE_LIMIT = 2 ** 16
 
-    ``readline`` raises on such a line from wherever the scan stopped.
-    Here the line is read to its newline and dropped first: closing a
-    socket with unread bytes resets the connection, and the peer would
-    lose the error reply with it.
+
+class _LineProtocol(asyncio.Protocol):
+    """Newline framing, the one wire format of both ends of the socket.
+
+    A subclass gets ``line_received(line)`` for each line in turn (its
+    newline included, so JSON error positions read as the peer sent
+    them) and ``line_too_long()`` for one past :data:`LINE_LIMIT`.
+    Lines are taken only while nothing holds the connection: a hold
+    also pauses reading, so what a held connection buffers is bounded
+    by the segment that was being parsed when the hold began.
     """
-    too_long = False
-    while True:
-        try:
-            line = await reader.readuntil(b"\n")
-        except asyncio.IncompleteReadError as exc:
-            line = exc.partial  # end of stream, as readline reports it
-        except asyncio.LimitOverrunError as exc:
-            await reader.readexactly(exc.consumed)
-            too_long = True
-            continue
-        return None if too_long else line
+
+    def __init__(self) -> None:
+        self.transport: Optional[asyncio.Transport] = None
+        self._buffer = bytearray()
+        self._scanned = 0  # leading bytes of the buffer with no newline
+        self._overlong = False  # dropping a line that outgrew the limit
+        self._holds = 0  # reasons not to take the next line
+        self._eof = False
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        self._take_lines()
+
+    def eof_received(self) -> bool:
+        """The peer sent its last byte; what is unterminated is a line."""
+        self._eof = True
+        if not self._holds:
+            rest = bytes(self._buffer)
+            self._buffer.clear()
+            if self._overlong:
+                self.line_too_long()
+            elif rest:
+                self.line_received(rest)
+        # Stay open for a reply still owed; release() closes after it.
+        return self._holds > 0
+
+    def _take_lines(self) -> None:
+        buffer = self._buffer
+        while not self._holds:
+            end = buffer.find(b"\n", self._scanned)
+            if end < 0:
+                self._scanned = len(buffer)
+                if self._scanned > LINE_LIMIT:
+                    # Drop an oversized line as it arrives, up to its
+                    # newline, and only then refuse it: closing a
+                    # socket with unread bytes resets the connection,
+                    # and the peer would lose the error reply with it.
+                    self._overlong = True
+                    buffer.clear()
+                    self._scanned = 0
+                return
+            line = bytes(buffer[:end + 1])
+            del buffer[:end + 1]
+            self._scanned = 0
+            if self._overlong or end > LINE_LIMIT:
+                self._overlong = False
+                self.line_too_long()
+            else:
+                self.line_received(line)
+
+    def hold(self) -> None:
+        """Stop reading and taking lines until the matching release."""
+        self._holds += 1
+        self.transport.pause_reading()
+
+    def release(self) -> None:
+        self._holds -= 1
+        if not self._holds:
+            self.transport.resume_reading()
+            self._take_lines()
+            if self._eof and not self._holds:
+                self.transport.close()
+
+    def finish(self) -> None:
+        """Close once what was written is flushed; take no further line."""
+        self._holds += 1  # a hold nothing releases
+        self.transport.close()
+
+    def line_received(self, line: bytes) -> None:
+        raise NotImplementedError
+
+    def line_too_long(self) -> None:
+        raise NotImplementedError
 
 
-async def _handle_client(
-    service: ProtocolService,
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-) -> None:
-    async def send(response: Dict[str, Any]) -> None:
-        writer.write(json.dumps(response).encode("utf-8") + b"\n")
-        await writer.drain()
+class _Connection(_LineProtocol):
+    """The service's end of one client connection.
 
-    try:
-        while True:
-            line = await _read_request(reader)
-            if line is None:
-                await send({"ok": False, "error": "request line too long"})
-                break
-            if not line:
-                break
-            try:
-                request = json.loads(line)
-                response = {
-                    "ok": True,
-                    "result": await _dispatch(service, request),
-                }
-            except Exception as exc:  # protocol surface: report, don't die
-                response = {"ok": False, "error": str(exc)}
-            await send(response)
-            if response.get("result") == "stopping":
-                break
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+    ``query``, ``event``, ``metrics`` and ``stop`` are answered inside
+    ``data_received``: the core is synchronous, so a request costs no
+    task and no future.  ``what-if`` is the connection's one pending
+    task, and holds the connection until it is answered so replies
+    leave in the order their requests arrived.  A peer that stops
+    reading its replies is held the same way.
+    """
 
+    def __init__(self, service: ProtocolService) -> None:
+        super().__init__()
+        self.service = service
+        self._task: Optional[asyncio.Task] = None
 
-async def _dispatch(service: ProtocolService, request: Any) -> Any:
-    if not isinstance(request, dict):
-        raise ValueError("request must be a JSON object")
-    op = request.get("op")
-    if op == "query":
-        return await service.query(request["q"], request.get("params"))
-    if op == "event":
-        return await service.submit(request["kind"], request.get("data", {}))
-    if op == "what-if":
-        return await service.what_if(
-            trials=int(request.get("trials", 4)),
-            periods=int(request.get("periods", 100)),
-            seed=request.get("seed"),
-            workers=int(request.get("workers", 1)),
-            backend=str(request.get("backend", "pool")),
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        super().connection_made(transport)
+        self.service.clients += 1
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.service.clients -= 1
+        if self._task is not None:
+            self._task.cancel()
+
+    def pause_writing(self) -> None:
+        self.hold()
+
+    def resume_writing(self) -> None:
+        self.release()
+
+    def line_too_long(self) -> None:
+        self.transport.write(
+            self.service._refusal(ValueError("request line too long"))
         )
-    if op == "stop":
-        # Stop after this response is flushed: the handler sees the
-        # sentinel and closes; the caller awaits the service's end.
-        asyncio.get_running_loop().call_soon(
-            lambda: asyncio.ensure_future(service.stop())
-        )
-        return "stopping"
-    raise ValueError(f"unknown op {op!r}")
+        self.finish()
+
+    def line_received(self, line: bytes) -> None:
+        service = self.service
+        try:
+            request = json.loads(line)
+            if not isinstance(request, dict):
+                raise ValueError("request must be a JSON object")
+            op = request.get("op")
+            if op == "query":
+                reply = service._query_line(
+                    request["q"], request.get("params")
+                )
+            elif op == "event":
+                reply = service._encode({"ok": True, "result": (
+                    service.core.apply_event(
+                        request["kind"], request.get("data", {})
+                    ).to_dict()
+                )})
+            elif op == "what-if":
+                self.hold()
+                self._task = asyncio.ensure_future(self._what_if(request))
+                return
+            elif op == "metrics":
+                reply = service._encode(
+                    {"ok": True, "result": service.metrics()}
+                )
+            elif op == "stop":
+                reply = service._encode({"ok": True, "result": "stopping"})
+            else:
+                raise ValueError(f"unknown op {op!r}")
+            service.requests[op] += 1
+        except Exception as exc:  # protocol surface: report, don't die
+            self.transport.write(service._refusal(exc))
+            return
+        self.transport.write(reply)
+        if op == "stop":
+            # The reply is on its way: close this connection and halt
+            # the ticks; the caller awaits the service's end.
+            self.finish()
+            service._stopping = asyncio.ensure_future(service.stop())
+
+    async def _what_if(self, request: Dict[str, Any]) -> None:
+        service = self.service
+        try:
+            result = await service.what_if(
+                trials=int(request.get("trials", 4)),
+                periods=int(request.get("periods", 100)),
+                seed=request.get("seed"),
+                workers=int(request.get("workers", 1)),
+                backend=str(request.get("backend", "pool")),
+            )
+            reply = service._encode({"ok": True, "result": result})
+            service.requests["what-if"] += 1
+        except Exception as exc:  # protocol surface: report, don't die
+            reply = service._refusal(exc)
+        self._task = None
+        self.transport.write(reply)
+        self.release()
 
 
 async def serve_tcp(
     service: ProtocolService, host: str = "127.0.0.1", port: int = 0
 ) -> asyncio.AbstractServer:
     """Expose a service over newline-JSON TCP; port 0 = ephemeral."""
-    return await asyncio.start_server(
-        lambda r, w: _handle_client(service, r, w), host, port
+    return await asyncio.get_running_loop().create_server(
+        lambda: _Connection(service), host, port
     )
 
 
-class ServiceClient:
-    """Minimal line-JSON client for tests and the CLI smoke."""
+class ServiceClient(_LineProtocol):
+    """Minimal line-JSON client for tests and the CLI smoke.
 
-    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter):
-        self._reader = reader
-        self._writer = writer
+    Replies come back in the order requests were written, so any
+    number of coroutines may share one client: each request joins a
+    FIFO of waiters and takes the reply that is its turn.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._waiters: Deque[asyncio.Future] = deque()
+        self._writable: Optional[asyncio.Future] = None  # set: buffer full
+        self._lost = asyncio.Event()
 
     @classmethod
     async def connect(cls, host: str, port: int) -> "ServiceClient":
-        reader, writer = await asyncio.open_connection(host, port)
-        return cls(reader, writer)
+        loop = asyncio.get_running_loop()
+        _, client = await loop.create_connection(cls, host, port)
+        return client
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._fail(ConnectionError("service closed the connection"))
+        if self._writable is not None:
+            self.resume_writing()
+        self._lost.set()
+
+    def _fail(self, error: Exception) -> None:
+        while self._waiters:
+            waiter = self._waiters.popleft()
+            if not waiter.done():
+                waiter.set_exception(error)
+
+    def pause_writing(self) -> None:
+        self._writable = asyncio.get_running_loop().create_future()
+
+    def resume_writing(self) -> None:
+        writable, self._writable = self._writable, None
+        if not writable.done():
+            writable.set_result(None)
+
+    def line_received(self, line: bytes) -> None:
+        # A reply nobody asked for has no waiter; one whose asker was
+        # cancelled still takes its turn, so later replies stay aligned.
+        if self._waiters:
+            waiter = self._waiters.popleft()
+            if not waiter.done():
+                waiter.set_result(line)
+
+    def line_too_long(self) -> None:
+        self._fail(ValueError("reply line too long"))
+        self.finish()
 
     async def request(self, payload: Dict[str, Any]) -> Any:
-        self._writer.write(json.dumps(payload).encode("utf-8") + b"\n")
-        await self._writer.drain()
-        line = await self._reader.readline()
-        if not line:
+        line = json.dumps(payload).encode("utf-8") + b"\n"
+        while self._writable is not None:  # what drain() waited for
+            await self._writable
+        if self.transport.is_closing():
             raise ConnectionError("service closed the connection")
-        response = json.loads(line)
+        waiter = asyncio.get_running_loop().create_future()
+        self._waiters.append(waiter)
+        self.transport.write(line)
+        response = json.loads(await waiter)
         if not response.get("ok"):
             raise RuntimeError(f"service error: {response.get('error')}")
         return response["result"]
@@ -332,8 +578,6 @@ class ServiceClient:
         return await self.request({"op": "stop"})
 
     async def close(self) -> None:
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+        """Close the connection and wait until it is gone; idempotent."""
+        self.transport.close()
+        await self._lost.wait()

@@ -260,6 +260,46 @@ class TestFaultInjection:
         assert engine.counts()["b"] == 2
 
 
+class TestCounting:
+    """One idiom for every count; ``bincount`` through the mask is the
+    reference it replaced (``step`` took its period-start counts so)."""
+
+    def reference(self, engine):
+        per_state = np.bincount(
+            engine.states[engine.alive], minlength=len(engine.state_names)
+        )
+        return dict(zip(engine.state_names, per_state.tolist()))
+
+    def test_counts_equal_bincount_through_the_mask(self, fig8_params):
+        spec = figure1_protocol(fig8_params)
+        engine = RoundEngine(
+            spec, n=400, initial={"x": 300, "y": 60, "z": 40}, seed=21
+        )
+        for crashed in (0, 1, 137, 400):
+            engine.alive[:] = True
+            engine.crash(np.arange(crashed))
+            for _ in range(3):
+                counts = engine.counts()
+                assert counts == self.reference(engine)
+                assert all(type(c) is int for c in counts.values())
+                alive = engine.alive_count()
+                assert type(alive) is int and alive == 400 - crashed
+                assert sum(counts.values()) == alive
+                engine.step()
+
+    def test_step_counts_privately(self, monkeypatch):
+        # The live service counts calls of the two public counters
+        # (one recount per mutation); a period must not add to them.
+        def forbidden(engine):
+            raise AssertionError("step() called a public counter")
+
+        engine = RoundEngine(flip_spec(), n=100, initial={"a": 100}, seed=22)
+        engine.crash(np.arange(10))
+        monkeypatch.setattr(RoundEngine, "counts", forbidden)
+        monkeypatch.setattr(RoundEngine, "alive_count", forbidden)
+        assert engine.step()[("a", "b")] > 0
+
+
 class TestRunLoop:
     def test_run_records_series(self):
         engine = RoundEngine(flip_spec(0.1), n=100, initial={"a": 100}, seed=16)
