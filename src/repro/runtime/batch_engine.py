@@ -53,6 +53,7 @@ reducers the figure benches aggregate with.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -532,7 +533,9 @@ class BatchRoundEngine:
         law an engine that tracked hosts from period 0 would be in.
         Nobody can be dead yet -- crashing is itself a question about
         identities.  From here on step() runs the planner's who pass
-        after every census.
+        after every census, which is several times the cost of a
+        count-only period: one DEBUG record says when that began, and
+        for whom.
         """
         trials, n = self.trials, self.n
         layout = np.repeat(
@@ -548,6 +551,27 @@ class BatchRoundEngine:
             sorted(self._planner.selected_states), trials, n,
             self._states_flat,
         )
+        import logging  # only an engine that places hosts pays for it
+
+        log = logging.getLogger(__name__)
+        if log.isEnabledFor(logging.DEBUG):
+            # Who asked: the nearest caller that is neither this method
+            # nor the states/alive properties it sits behind.
+            own = {
+                type(self)._materialise.__code__,
+                type(self).states.fget.__code__,
+                type(self).alive.fget.__code__,
+            }
+            frame = sys._getframe(1)
+            while frame.f_code in own and frame.f_back is not None:
+                frame = frame.f_back
+            code = frame.f_code
+            log.debug(
+                "identities placed at period %d for (trials, n) = (%d, %d): "
+                "asked by %s (%s:%d)", self.period, trials, n,
+                getattr(code, "co_qualname", code.co_name),
+                code.co_filename, frame.f_lineno,
+            )
 
     # ------------------------------------------------------------------
     # Introspection

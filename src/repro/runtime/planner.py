@@ -56,6 +56,7 @@ from .sampling import (
     _action_width,
     distinct_per_segment,
     distinct_positions,
+    distinct_throws,
     segment_ranks,
 )
 
@@ -670,11 +671,7 @@ class ActionPlanner:
         hits = rng.binomial(heads * action.fanout, q)
         if not hits.any():
             return hits
-        trial = np.repeat(np.arange(self.trials), hits)
-        return distinct_per_segment(
-            trial, rng.integers(0, members[trial]), self.trials,
-            int(members.max()),
-        )
+        return distinct_throws(rng, members, hits)
 
     def _self_push_targets(
         self,

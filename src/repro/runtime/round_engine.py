@@ -62,6 +62,7 @@ from ..synthesis.actions import (
 from ..synthesis.protocol import ProtocolSpec
 from .metrics import MetricsRecorder
 from .rng import RandomSource, sample_other
+from .sampling import sorted_distinct
 
 #: Hook signature: called once per period, before actions execute.
 Hook = Callable[["RoundEngine"], None]
@@ -493,7 +494,7 @@ class RoundEngine:
             ok = alive[targets] & (snapshot[targets] == action.match)
             if failure > 0.0:
                 ok &= self._rng.random(targets.shape) >= failure
-            converted = np.unique(targets[ok])
+            converted = sorted_distinct(targets[ok])
             return converted, action.edge_from
 
         raise AssertionError(f"unknown compiled kind {action.kind}")

@@ -6,15 +6,30 @@ They live below both :mod:`repro.runtime.batch_engine` and
 state are exchangeable (the paper's system model, Section 3), so "which
 ``k`` of these ``c`` members" is a uniform ``k``-subset wherever it is
 asked -- the planner's who pass and the engine's massive failure both
-ask it here.  :func:`distinct_per_segment` is the occupancy count
-behind the census pass's push law; it draws nothing.
+ask it here.  :func:`uniform_throws` is the one definition of "so many
+uniform throws at each segment's range", which the who law's rejection
+rounds and the census pass's push law (:func:`distinct_throws`, the
+occupancy count of such throws) both draw through.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["distinct_per_segment", "distinct_positions", "segment_ranks"]
+__all__ = [
+    "distinct_per_segment", "distinct_positions", "distinct_throws",
+    "segment_ranks", "sorted_distinct", "uniform_throws",
+]
+
+# Throws per drawing segment above which each segment is handled alone
+# (one scalar-bound fill, one mask row) and not in one flat call.  An
+# array-bound ``integers`` costs 10-14 ns a draw where a scalar-bound
+# fill costs ~3 (MT19937), and a throw is marked in a row for less than
+# its key sorts or scatters, but a segment handled alone pays 7-15 us
+# of calls and row scans: measured at widths 2,000 to 100,000 the
+# regimes cross at 400-900 throws per segment, and ``epidemic_spread``
+# reads the same for any value from 16 to 4096.
+_FULL_SEGMENT = 512
 
 
 def segment_ranks(counts: np.ndarray) -> np.ndarray:
@@ -66,7 +81,9 @@ def distinct_positions(
     seg = np.repeat(np.arange(sizes.size), np.where(flip, sizes - take, take))
     segs, picks = [], []
     while True:
-        pick = rng.integers(0, sizes[seg])
+        pick = uniform_throws(
+            rng, sizes, np.bincount(seg, minlength=sizes.size)
+        )
         spot = base[seg] + pick
         draw = np.arange(seg.size, dtype=np.int32)
         last[spot] = draw  # of equal draws, the last one stands
@@ -90,6 +107,44 @@ def distinct_positions(
     return pick[np.argsort(seg, kind="stable")]
 
 
+def _fills(rng: np.random.Generator, bounds: np.ndarray, counts: np.ndarray):
+    """``(s, throws)``, one scalar-bound fill per drawing segment when
+    segments are few and full; None when one flat call serves them."""
+    if np.count_nonzero(counts[bounds < 1]):
+        s = np.flatnonzero((counts > 0) & (bounds < 1))[0]
+        raise ValueError(f"segment {s}: {counts[s]} throws at an empty range")
+    if int(counts.sum()) <= _FULL_SEGMENT * np.count_nonzero(counts):
+        return None
+    return (
+        (s, rng.integers(0, bounds[s], size=counts[s]))
+        for s in np.flatnonzero(counts)
+    )
+
+
+def uniform_throws(
+    rng: np.random.Generator, bounds: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """``counts[s]`` uniform throws at ``range(bounds[s])``, per segment.
+
+    Concatenated in segment order.  numpy runs one bounded-integer
+    routine over the same bits for a scalar bound and an array of
+    bounds, so both regimes return the same numbers and leave ``rng``
+    in the same state (``tests/test_sampling.py`` holds numpy to it).
+    """
+    fills = _fills(rng, bounds, counts)
+    if fills is None:
+        return rng.integers(0, np.repeat(bounds, counts))
+    return np.concatenate([throws for _, throws in fills])
+
+
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct ``values``, ascending: ``np.unique`` by plain sort."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def distinct_per_segment(
     segment: np.ndarray, bins: np.ndarray, segments: int, width: int
 ) -> np.ndarray:
@@ -103,10 +158,35 @@ def distinct_per_segment(
     """
     keys = segment * width + bins
     if keys.size * 16 < segments * width:
-        return np.bincount(np.unique(keys) // width, minlength=segments)
+        return np.bincount(sorted_distinct(keys) // width, minlength=segments)
     mask = np.zeros(segments * width, dtype=bool)
     mask[keys] = True
     return np.count_nonzero(mask.reshape(segments, width), axis=1)
+
+
+def distinct_throws(
+    rng: np.random.Generator, bounds: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """Distinct positions among :func:`uniform_throws`, per segment.
+
+    The census pass's push law: the same draws in the same regimes,
+    but few, full segments are counted fill by fill in one reused mask
+    row, so neither their throws nor a ``segments x width`` mask ever
+    exist side by side.
+    """
+    width = int(bounds.max())
+    fills = _fills(rng, bounds, counts)
+    if fills is None:
+        segment = np.repeat(np.arange(counts.size), counts)
+        throws = rng.integers(0, bounds[segment])
+        return distinct_per_segment(segment, throws, counts.size, width)
+    out = np.zeros(counts.size, dtype=np.int64)
+    row = np.zeros(width, dtype=bool)
+    for s, throws in fills:
+        row[throws] = True
+        out[s] = np.count_nonzero(row)
+        row[:] = False  # a memset: cheaper than un-marking the throws
+    return out
 
 
 def _action_width(action) -> int:

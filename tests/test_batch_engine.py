@@ -695,6 +695,70 @@ class TestBatchRunResult:
         assert np.all(finals["y"] == 400)
 
 
+class TestPlacementIsLogged:
+    """Placing hosts multiplies the cost of every later period; the one
+    DEBUG record of ``_materialise`` says when it happened and who asked."""
+
+    LOGGER = "repro.runtime.batch_engine"
+
+    def engine(self, **kwargs):
+        return BatchRoundEngine(
+            pull_protocol(), n=200, trials=3, initial={"x": 190, "y": 10},
+            seed=5, **kwargs,
+        )
+
+    def test_count_only_run_logs_nothing(self, caplog):
+        caplog.set_level("DEBUG", logger=self.LOGGER)
+        self.engine().run(5)
+        assert not caplog.records
+
+    @pytest.mark.parametrize("ask, asker, period", [
+        (lambda engine: engine.states, "test_batch_engine.py", 4),
+        (lambda engine: engine.alive, "test_batch_engine.py", 4),
+        (lambda engine: engine.trial_views()[1].members_in("x"),
+         "states (", 4),  # the view's accessor (qualified from 3.11)
+        (lambda engine: engine.trial_views()[2].crash_fraction(0.5),
+         "_crash_fraction (", 4),
+    ])
+    def test_one_record_names_period_shape_and_asker(
+        self, caplog, ask, asker, period
+    ):
+        caplog.set_level("DEBUG", logger=self.LOGGER)
+        engine = self.engine()
+        engine.run(period)
+        ask(engine)
+        ask(engine)  # hosts are placed once
+        engine.run(2)
+        (record,) = caplog.records
+        message = record.getMessage()
+        assert record.levelname == "DEBUG" and record.name == self.LOGGER
+        assert f"period {period} for (trials, n) = (3, 200)" in message
+        assert asker in message
+
+    def test_unshuffled_start_and_member_log_are_named(self, caplog):
+        caplog.set_level("DEBUG", logger=self.LOGGER)
+        self.engine(shuffle=False)
+        recorder = BatchMetricsRecorder(("x", "y"), 3, member_log_state="y")
+        self.engine().run(2, recorder=recorder)
+        first, second = (record.getMessage() for record in caplog.records)
+        assert "period 0" in first and "period 0" in second
+        assert "__init__" in first and "_record" in second
+
+    def test_the_record_draws_nothing(self, caplog):
+        quiet = self.engine()
+        quiet.run(3)
+        quiet.states
+        quiet.run(3)
+        caplog.set_level("DEBUG", logger=self.LOGGER)
+        logged = self.engine()
+        logged.run(3)
+        logged.states
+        logged.run(3)
+        assert len(caplog.records) == 1
+        assert np.array_equal(logged.states, quiet.states)
+        assert np.array_equal(logged.counts_matrix(), quiet.counts_matrix())
+
+
 class TestRunFixedCosts:
     """What a run nobody perturbs no longer pays for."""
 
