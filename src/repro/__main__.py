@@ -1019,6 +1019,35 @@ def cmd_check_lint(args) -> int:
     return 1 if has_errors(findings) else 0
 
 
+def _render_period_program(spec, n: int) -> str:
+    """What a batch-engine period of ``spec`` draws, action by action."""
+    from .runtime.planner import ActionPlanner
+    from .runtime.round_engine import _compile
+
+    rows = ActionPlanner(_compile(spec), trials=1, n=n).describe()
+
+    def edge(row) -> str:
+        source, target = row["edge"]
+        return f"{spec.states[source]}->{spec.states[target]}"
+
+    def overlap(row) -> str:
+        if not row["overlap"]:
+            return "never"
+        return "with " + ", ".join(
+            f"{i} ({rows[i]['kind']} {edge(rows[i])})" for i in row["overlap"]
+        )
+
+    table = format_table(
+        ["action", "kind", "edge", "laws", "overlap"],
+        [
+            (row["index"], row["kind"], edge(row),
+             ", ".join(row["laws"]) or "-", overlap(row))
+            for row in rows
+        ],
+    )
+    return f"batch period program (draws per action, in census order)\n{table}"
+
+
 def cmd_check_complexity(args) -> int:
     """Print the symbolic message-complexity model for a protocol."""
     from .check import message_model, symbolic_message_model
@@ -1046,6 +1075,7 @@ def cmd_check_complexity(args) -> int:
         ["state", "messages/process/period"],
         [(s, f"{c:g}") for s, c in model.per_state_cost().items()],
     ))
+    print(_render_period_program(spec, args.n))
     fractions = _parse_bindings(args.fraction, "fraction")
     if fractions:
         expected = model.expected_messages(fractions, args.n)

@@ -282,8 +282,11 @@ class LVEnsemble:
 
         Convergence is absorbing (an unanimous group has nobody left to
         meet a dissenter), so a converged trial rides along while
-        stragglers finish: its thinning probability is 0, its census
-        row draws all zeros and no host of it is ever selected.  With
+        stragglers finish: its thinning probability is 0, so it moves
+        nobody and no host of it is ever selected -- but its unanimous
+        state still draws its heads ``Binomial(n, p)`` every period
+        (its actors sample, and are charged for it), which is why the
+        stream cannot skip it: only its thinning is free.  With
         ``stop_when_all_converged`` the run ends as soon as every trial
         has converged.
         """

@@ -86,6 +86,17 @@ HookFactory = Callable[[int], Optional[Callable[[object], None]]]
 
 Edge = Tuple[str, str]
 
+#: Bytes of counts a recorder's first slab holds when nobody said how
+#: many periods are coming; slabs double from there.  Capacity nobody
+#: has written is never resident, so a roomy start costs address space
+#: only, and a run of a few hundred periods never reallocates (each
+#: reallocation copies every slab).
+_FIRST_SLAB = 1 << 20
+#: The most bytes of counts :meth:`BatchMetricsRecorder.reserve` asks
+#: for in one go: a run told to stop "within 10**9 periods" must not
+#: try to map them.
+_RESERVE_CAP = 64 << 20
+
 
 class BatchMetricsRecorder:
     """Per-period ensemble observations as ``(M, periods, states)`` tensors.
@@ -93,7 +104,12 @@ class BatchMetricsRecorder:
     The batched sibling of :class:`~repro.runtime.metrics.MetricsRecorder`:
     one :meth:`record` call stores a full ``(M, S)`` count matrix, and the
     accessors return count tensors plus mean/quantile reducers over the
-    trial axis.
+    trial axis.  Observations are written into period-major slabs --
+    one ``(periods, M, S)`` for the counts, one ``(periods, M)`` for
+    the alive populations and one per edge that ever carried a mover,
+    cut to a run's length by :meth:`reserve` or else doubled -- so a
+    recorded period is a few row writes, a merge one concatenate per
+    slab, and a pickled recorder its slabs cut to length.
     """
 
     def __init__(
@@ -118,9 +134,13 @@ class BatchMetricsRecorder:
         self.member_log_state = member_log_state
         self.stride = stride
         self.periods: List[int] = []
-        self._counts: List[np.ndarray] = []      # each (M, S)
-        self._alive: List[np.ndarray] = []       # each (M,)
-        self._transitions: List[Dict[Edge, np.ndarray]] = []
+        # Rows past len(self.periods) are capacity, never read.
+        self._shape = (trials, len(self.states))
+        self._counts = np.empty((0,) + self._shape, dtype=np.int64)
+        self._alive = np.empty((0, trials), dtype=np.int64)
+        #: Per edge seen so far: its (capacity, M) movers, zero where
+        #: a recorded period did not report the edge.
+        self._transitions: Dict[Edge, np.ndarray] = {}
         #: Per recorded period: (period, [per-trial member id arrays]).
         self.member_log: List[Tuple[int, List[np.ndarray]]] = []
 
@@ -135,23 +155,38 @@ class BatchMetricsRecorder:
         transitions: Optional[Mapping[Edge, np.ndarray]] = None,
         members: Optional[List[np.ndarray]] = None,
     ) -> None:
-        """Store one period's ``(M, S)`` counts (subject to the stride)."""
+        """Store one period's ``(M, S)`` counts (subject to the stride).
+
+        Everything handed in is copied into the recorder's own slabs.
+        """
         if period % self.stride != 0:
             return
-        counts = np.asarray(counts)
-        if counts.shape != (self.trials, len(self.states)):
+        counts, alive = np.asarray(counts), np.asarray(alive)
+        # A slab row would broadcast a scalar and truncate a float.
+        if (counts.shape != self._shape or alive.shape != self._shape[:1]
+                or counts.dtype.kind not in "iu"
+                or alive.dtype.kind not in "iu"):
             raise ValueError(
-                f"counts shape {counts.shape} != "
-                f"({self.trials}, {len(self.states)})"
+                f"counts shape {counts.shape} dtype {counts.dtype} and "
+                f"alive shape {alive.shape} dtype {alive.dtype}: need "
+                f"integers of shape {self._shape} and {self._shape[:1]}"
             )
+        row = len(self.periods)
+        if row == len(self._counts):
+            self._grow(2 * row or max(16, _FIRST_SLAB // counts.nbytes))
         self.periods.append(period)
-        self._counts.append(np.array(counts, dtype=np.int64, copy=True))
-        self._alive.append(np.array(alive, dtype=np.int64, copy=True))
-        if self.track_transitions:
-            self._transitions.append(
-                {e: np.array(v, dtype=np.int64, copy=True)
-                 for e, v in (transitions or {}).items()}
-            )
+        self._counts[row] = counts
+        self._alive[row] = alive
+        if self.track_transitions and transitions:
+            slabs = self._transitions
+            for edge, moved in transitions.items():
+                try:
+                    slab = slabs[edge]
+                except KeyError:
+                    slab = slabs[edge] = np.zeros(
+                        self._alive.shape, dtype=np.int64
+                    )
+                slab[row] = moved
         if self.member_log_state is not None and members is not None:
             if len(members) != self.trials:
                 raise ValueError(
@@ -161,6 +196,45 @@ class BatchMetricsRecorder:
             self.member_log.append(
                 (period, [np.array(m, copy=True) for m in members])
             )
+
+    def reserve(self, rows: int) -> None:
+        """Make room for ``rows`` more recorded periods, in one piece.
+
+        What :meth:`BatchRoundEngine.run` knows and a bare
+        :meth:`record` cannot: slabs cut to the run's length are never
+        reallocated and hold no spare capacity at its end.  Bounded, so
+        a far-off horizon with an early ``stop`` maps no more than
+        ``_RESERVE_CAP`` bytes of counts; past that the slabs double.
+        """
+        row_bytes = 8 * self.trials * len(self.states)
+        capacity = len(self.periods) + min(rows, _RESERVE_CAP // row_bytes)
+        if capacity > len(self._counts):
+            self._grow(capacity)
+
+    def _grow(self, capacity: int) -> None:
+        """Reallocate every slab with room for ``capacity`` periods."""
+        def grown(slab: np.ndarray, fill) -> np.ndarray:
+            out = fill((capacity,) + slab.shape[1:], dtype=np.int64)
+            out[:len(self.periods)] = slab[:len(self.periods)]
+            return out
+
+        self._counts = grown(self._counts, np.empty)
+        self._alive = grown(self._alive, np.empty)
+        self._transitions = {
+            edge: grown(slab, np.zeros)
+            for edge, slab in self._transitions.items()
+        }
+
+    def __getstate__(self) -> Dict[str, object]:
+        """Pickle the recorded rows, not the slabs' spare capacity."""
+        state = dict(self.__dict__)
+        rows = len(self.periods)
+        state["_counts"] = self._counts[:rows]
+        state["_alive"] = self._alive[:rows]
+        state["_transitions"] = {
+            edge: slab[:rows] for edge, slab in self._transitions.items()
+        }
+        return state
 
     # ------------------------------------------------------------------
     # Merging (trial-sharded execution)
@@ -172,12 +246,12 @@ class BatchMetricsRecorder:
         """Concatenate shard recorders along the trial axis, exactly.
 
         The merge behind :class:`repro.runtime.parallel.ShardedBatchExecutor`:
-        per recorded period the shards' ``(M_k, S)`` count matrices (and
-        alive vectors, transition matrices, member logs) concatenate in
-        shard order -- integer concatenation, no arithmetic -- so the
-        merged recorder is bitwise independent of how the shards were
-        scheduled.  All parts must agree on states, stride, recording
-        schedule and tracking configuration.
+        the shards' ``(periods, M_k, S)`` count slabs (and alive slabs,
+        transition slabs, member logs) concatenate in shard order --
+        integer concatenation, no arithmetic -- so the merged recorder
+        is bitwise independent of how the shards were scheduled.  All
+        parts must agree on states, stride, recording schedule and
+        tracking configuration.
         """
         if not parts:
             raise ValueError("cannot merge zero recorders")
@@ -204,30 +278,21 @@ class BatchMetricsRecorder:
             member_log_state=first.member_log_state,
             stride=first.stride,
         )
+        rows = len(first.periods)
         merged.periods = list(first.periods)
-        merged._counts = [
-            np.concatenate([p._counts[i] for p in parts], axis=0)
-            for i in range(len(first.periods))
-        ]
-        merged._alive = [
-            np.concatenate([p._alive[i] for p in parts])
-            for i in range(len(first.periods))
-        ]
-        if first.track_transitions:
-            zeros = [np.zeros(p.trials, dtype=np.int64) for p in parts]
-            for i in range(len(first.periods)):
-                edges: List[Edge] = []
-                for p in parts:
-                    for edge in p._transitions[i]:
-                        if edge not in edges:
-                            edges.append(edge)
-                merged._transitions.append({
-                    edge: np.concatenate([
-                        p._transitions[i].get(edge, zeros[k])
-                        for k, p in enumerate(parts)
-                    ])
-                    for edge in edges
-                })
+        merged._counts = np.concatenate(
+            [p._counts[:rows] for p in parts], axis=1
+        )
+        merged._alive = np.concatenate(
+            [p._alive[:rows] for p in parts], axis=1
+        )
+        zeros = [np.zeros((rows, p.trials), dtype=np.int64) for p in parts]
+        for edge in dict.fromkeys(e for p in parts for e in p._transitions):
+            merged._transitions[edge] = np.concatenate([
+                p._transitions[edge][:rows] if edge in p._transitions
+                else zeros[k]
+                for k, p in enumerate(parts)
+            ], axis=1)
         if first.member_log_state is not None:
             for i, (period, _) in enumerate(first.member_log):
                 merged.member_log.append((
@@ -244,23 +309,17 @@ class BatchMetricsRecorder:
         return np.array(self.periods, dtype=np.int64)
 
     def count_tensor(self) -> np.ndarray:
-        """All counts as one ``(M, periods, S)`` tensor."""
-        if not self._counts:
-            return np.empty((self.trials, 0, len(self.states)), dtype=np.int64)
-        return np.stack(self._counts, axis=1)
+        """All counts as one ``(M, periods, S)`` tensor (a copy)."""
+        return self._counts[:len(self.periods)].transpose(1, 0, 2).copy()
 
     def counts(self, state: str) -> np.ndarray:
         """Count series of one state, shape ``(M, periods)``."""
         index = self.states.index(state)
-        if not self._counts:
-            return np.empty((self.trials, 0), dtype=np.int64)
-        return np.stack([c[:, index] for c in self._counts], axis=1)
+        return self._counts[:len(self.periods), :, index].T.copy()
 
     def alive_tensor(self) -> np.ndarray:
         """Alive population per trial and period, shape ``(M, periods)``."""
-        if not self._alive:
-            return np.empty((self.trials, 0), dtype=np.int64)
-        return np.stack(self._alive, axis=1)
+        return self._alive[:len(self.periods)].T.copy()
 
     def fractions(self, state: str) -> np.ndarray:
         """Per-trial state fractions among alive, shape ``(M, periods)``."""
@@ -272,12 +331,11 @@ class BatchMetricsRecorder:
         """Per-trial transitions along one edge, shape ``(M, periods)``."""
         if not self.track_transitions:
             raise RuntimeError("transition tracking is disabled")
-        zero = np.zeros(self.trials, dtype=np.int64)
-        if not self._transitions:
-            return np.empty((self.trials, 0), dtype=np.int64)
-        return np.stack(
-            [t.get(edge, zero) for t in self._transitions], axis=1
-        )
+        rows = len(self.periods)
+        slab = self._transitions.get(edge)
+        if slab is None:
+            return np.zeros((self.trials, rows), dtype=np.int64)
+        return slab[:rows].T.copy()
 
     def trial_member_log(self, trial: int) -> List[Tuple[int, np.ndarray]]:
         """One trial's member log, in :class:`MetricsRecorder` layout.
@@ -294,12 +352,11 @@ class BatchMetricsRecorder:
 
     def edges_seen(self) -> List[Edge]:
         """Every edge that carried at least one transition in any trial."""
-        seen: List[Edge] = []
-        for period_transitions in self._transitions:
-            for edge, counts in period_transitions.items():
-                if counts.any() and edge not in seen:
-                    seen.append(edge)
-        return sorted(seen)
+        rows = len(self.periods)
+        return sorted(
+            edge for edge, slab in self._transitions.items()
+            if slab[:rows].any()
+        )
 
     # ------------------------------------------------------------------
     # Reducers over the trial axis
@@ -330,9 +387,9 @@ class BatchMetricsRecorder:
 
     def last_counts(self) -> np.ndarray:
         """Counts at the most recent recorded period, shape ``(M, S)``."""
-        if not self._counts:
+        if not self.periods:
             return np.zeros((self.trials, len(self.states)), dtype=np.int64)
-        return self._counts[-1].copy()
+        return self._counts[len(self.periods) - 1].copy()
 
 
 @dataclass
@@ -507,11 +564,21 @@ class BatchRoundEngine:
         self._counts = np.tile(base_counts, (trials, 1))
         self._alive_counts = np.full(trials, n, dtype=np.int64)
         self._total_messages = np.zeros(trials, dtype=np.int64)
-        self._counts0_buf = np.empty_like(self._counts)
         self._planner = ActionPlanner(
             self._compiled, trials, n,
             connection_failure_rate=connection_failure_rate,
         )
+        # Per compiled action: the count columns its movers leave and
+        # join, and the edge's name.  ``_counts`` is never rebound, so
+        # the views are cut once.
+        self._edges = [
+            (
+                self._counts[:, action.edge_from],
+                self._counts[:, action.target],
+                (spec.states[action.edge_from], spec.states[action.target]),
+            )
+            for action in self._compiled
+        ]
         # Identities -- the (M, N) state/alive arrays and the member
         # pools of the states movers leave -- exist only once something
         # asks *which* hosts (see _materialise).  An unshuffled start
@@ -780,20 +847,17 @@ class BatchRoundEngine:
         and only if identities exist: the who pass places those movers
         on hosts, on its own stream.
         """
-        counts0 = self._counts0_buf
-        np.copyto(counts0, self._counts)
+        # The census reads the live counts: nothing writes them until
+        # it has returned every action's movers.
         moves, messages = self._planner.census(
-            self._rng, counts0, self._alive_counts
+            self._rng, self._counts, self._alive_counts
         )
         self._total_messages += messages
         transitions: Dict[Edge, np.ndarray] = {}
         for action, new in moves:
-            self._counts[:, action.edge_from] -= new
-            self._counts[:, action.target] += new
-            edge = (
-                self.state_names[action.edge_from],
-                self.state_names[action.target],
-            )
+            source, target, edge = self._edges[action.index]
+            source -= new  # in place, on the kept column views
+            target += new
             transitions[edge] = (
                 transitions[edge] + new if edge in transitions else new
             )
@@ -851,6 +915,7 @@ class BatchRoundEngine:
             ]
             if hooks:
                 hooked.append((BatchTrialView(self, m), hooks))
+        recorder.reserve(periods // recorder.stride + 2)
         if record_initial and self.period == 0:
             self._record(recorder)
         for _ in range(periods):

@@ -375,6 +375,28 @@ class _StateGroup:
         return float(self.probabilities.sum())
 
 
+@dataclass
+class _Step:
+    """One action's row of the period program: plain data, built once."""
+
+    action: object
+    #: ``(group, column)`` of its multinomial heads; None for an action
+    #: that fires every actor, and for an independent-coin fallback.
+    cell: Optional[Tuple[int, int]] = None
+    #: Columns of the same multinomial's earlier actor picks, which are
+    #: disjoint from this one by construction.
+    own: Tuple[int, ...] = ()
+    #: Earlier actions whose movers this pick can land on: a different
+    #: draw leaving the same state.  Empty: it never draws an overlap.
+    overlaps: Tuple[int, ...] = ()
+    #: Where its peer-match probabilities are kept (a view into the
+    #: planner's ``q`` buffer for a cell), if it has a condition to thin.
+    q: Optional[np.ndarray] = None
+    #: An actor's own move that nothing overlaps and no later action of
+    #: its state reads: its thinned heads are its movers.
+    plain: bool = False
+
+
 class ActionPlanner:
     """Plans one period of a compiled protocol: how many move, then who.
 
@@ -399,6 +421,12 @@ class ActionPlanner:
       in which case that state's actions keep independent
       ``Binomial(count, p)`` coins and may pick the same host twice,
       which the collision law then resolves like any other overlap.
+
+    and lowers them, once, to a **period program** -- the thinning
+    terms with kept views into the ``q`` buffer, the message-bearing
+    cells, and one :class:`_Step` per action -- so that a period is its
+    draws plus a fixed run of array operations (:meth:`describe` shows
+    the program; docs/experiment.md says what a period of it costs).
     """
 
     def __init__(
@@ -441,8 +469,8 @@ class ActionPlanner:
         # action probabilities, zero padding, and the no-op remainder
         # last, so one broadcast multinomial call serves every group.
         self._pvals: Optional[np.ndarray] = None
+        width = max((g.width for g in self.coin_groups), default=0)
         if self.coin_groups:
-            width = max(g.width for g in self.coin_groups)
             self._pvals = np.zeros((len(self.coin_groups), 1, width + 1))
             for g, group in enumerate(self.coin_groups):
                 self._pvals[g, 0, :group.width] = group.probabilities
@@ -450,17 +478,12 @@ class ActionPlanner:
         self._group_sids = np.array(
             [g.sid for g in self.coin_groups], dtype=np.int64
         )
-
         # Peer-contact widths: messages an actor of each action sends
         # per period (0 for flips).  Charged from the unthinned heads,
         # message accounting stays exact for trials whose movers were
         # thinned away -- their actors still send, they just cannot
         # convert anyone.
         self._msg_width = [_action_width(action) for action in compiled]
-        self._group_widths = [
-            np.array([self._msg_width[i] for i in g.indices], dtype=np.int64)
-            for g in self.coin_groups
-        ]
         #: States the who pass selects members of -- every state some
         #: action's movers *leave* -- and so the only states the engine
         #: keeps member pools for.  A push moves members of its match
@@ -476,7 +499,126 @@ class ActionPlanner:
             a.kind in ("sample", "anyof", "tokenize")
             for g in self.coin_groups for a in g.actions
         )
-        self._q_buf: Optional[np.ndarray] = None
+        self._lower(width)
+
+    def _lower(self, width: int) -> None:
+        """Build the period program :meth:`census` runs."""
+        #: A surviving contact lands on one given peer with this chance.
+        self._contact = (1.0 - self._failure) / (self.n - 1)
+        # The (G, M, A) thinning probabilities, rewritten in place each
+        # period; cells of unconditioned actions and padding stay 1.0.
+        self._q = np.ones((len(self.coin_groups), self.trials, width))
+        self._scratch = np.empty(self.trials)
+        #: Per thinning cell ``(view into q, [(count column, minus
+        #: self)], fan-out)``: the cell's exact peer-match probability
+        #: is the product over its required states of
+        #: ``clip((count - self) * contact, 0, 1)``, or for an any-of
+        #: ``1 - (1 - that) ** fanout``.
+        self._terms: List[Tuple[np.ndarray, list, int]] = []
+        #: Per message-bearing cell ``(group, column, contacts)``.
+        self._charges: List[Tuple[int, int, int]] = []
+        steps: Dict[int, _Step] = {
+            index: _Step(action) for index, action in self.full_actions
+        }
+        for g, group in enumerate(self.coin_groups):
+            picked: Tuple[int, ...] = ()
+            for a, (index, action) in enumerate(
+                zip(group.indices, group.actions)
+            ):
+                steps[index] = step = _Step(
+                    action, cell=(g, a),
+                    q=self._term(self._q[g, :, a], action),
+                )
+                if self._msg_width[index]:
+                    self._charges.append((g, a, self._msg_width[index]))
+                if action.kind in ("flip", "sample", "anyof"):
+                    step.own = picked
+                    picked += (a,)
+        for group in self.fallback_groups:
+            for index, action in zip(group.indices, group.actions):
+                steps[index] = _Step(
+                    action, q=self._term(np.empty(self.trials), action)
+                )
+        self._steps = [steps[index] for index in sorted(steps)]
+        self._fallback = [
+            steps[i] for g in self.fallback_groups for i in g.indices
+        ]
+        # Who can land on whom: two different draws leaving one state
+        # (a push or tokenize beside the state's own actions, a full
+        # action beside a coin group, a fallback group).
+        for step in self._steps:
+            step.plain = step.action.kind in ("flip", "sample", "anyof")
+        for at, step in enumerate(self._steps):
+            earlier = [
+                s for s in self._steps[:at]
+                if s.action.edge_from == step.action.edge_from
+            ]
+            if step.action.kind != "tokenize":
+                own = {(step.cell[0], a) for a in step.own}
+                step.overlaps = tuple(
+                    s.action.index for s in earlier if s.cell not in own
+                )
+            if step.overlaps or step.action.kind == "tokenize":
+                # It reads what has left the state: they all report.
+                for s in earlier + [step]:
+                    s.plain = False
+
+    def _term(self, out: np.ndarray, action) -> Optional[np.ndarray]:
+        """Lower one action's peer-match probability, kept in ``out``.
+
+        Exact, not mean-field: peers are drawn uniformly from the
+        ``n - 1`` other hosts (dead ones keep their slot but fail the
+        alive check, so the matching mass is the *alive* count of each
+        required state, minus the actor itself when it sits in that
+        state), and every contact independently survives the
+        connection-failure coin.  None means probability 1 (flips,
+        condition-less samples) or an unthinnable kind (push).
+        """
+        if action.kind in ("sample", "tokenize"):
+            states, fanout = [int(r) for r in action.required], 0
+        elif action.kind == "anyof":
+            states, fanout = [int(action.match)], action.fanout
+        else:
+            return None
+        if not states:
+            return None
+        self._terms.append(
+            (out, [(s, s == action.actor) for s in states], fanout)
+        )
+        return out
+
+    def describe(self) -> List[Dict[str, object]]:
+        """The period program as data: one row per compiled action.
+
+        ``laws`` names the draws the action takes each period, in the
+        order :meth:`census` makes them, and ``overlap`` the earlier
+        actions whose movers its pick can land on -- empty when it can
+        never reach the hypergeometric.
+        """
+        steps = {step.action.index: step for step in self._steps}
+        rows = []
+        for index, action in enumerate(self._compiled):
+            step, laws = steps.get(index), []
+            if step is not None:
+                if step.cell is not None:
+                    laws.append("multinomial split")
+                elif step in self._fallback:
+                    laws.append("independent-coin fallback")
+                if step.q is not None:
+                    laws.append("binomial thinning")
+                if action.kind == "push":
+                    laws.append("distinct-bin push")
+                if action.kind == "tokenize":
+                    if action.ttl is not None:
+                        laws.append("ttl binomial")
+                    laws.append("token cap")
+            rows.append({
+                "index": index, "kind": action.kind,
+                "edge": (int(action.edge_from), int(action.target)),
+                "laws": tuple(laws),
+                "overlap": step.overlaps if step is not None else (),
+            })
+        return rows
 
     # ------------------------------------------------------------------
     # How many: the census pass
@@ -504,59 +646,80 @@ class ActionPlanner:
         number of proposed hosts that already left the state this
         period is hypergeometric, and only the rest are new.  The picks
         of one multinomial are disjoint by construction, so a coin
-        group's own earlier picks are excluded from that population.
+        group's own earlier picks are excluded from that population --
+        and an action the program knows nothing else can overlap
+        (:attr:`_Step.plain`) moves its thinned heads as they are.
         """
+        cols = counts0.T  # cols[s]: state s's (M,) column
+        contact, scratch = self._contact, self._scratch
+        for out, factors, fanout in self._terms:
+            into = out
+            for state, minus_self in factors:
+                # Clipped into [0, 1]: a trial whose actor state is
+                # empty can carry matching == -1 or n (no actor to
+                # subtract), and its q is never exercised (zero heads
+                # to thin).  A count that subtracts nobody is >= 0.
+                if minus_self:
+                    np.subtract(cols[state], 1, out=into)
+                    np.multiply(into, contact, out=into)
+                    np.maximum(into, 0.0, out=into)
+                else:
+                    np.multiply(cols[state], contact, out=into)
+                np.minimum(into, 1.0, out=into)
+                if into is scratch:
+                    np.multiply(out, scratch, out=out)
+                into = scratch
+            if fanout:
+                np.subtract(1.0, out, out=out)
+                out **= fanout
+                np.subtract(1.0, out, out=out)
+
         messages = np.zeros(self.trials, dtype=np.int64)
-        proposals: Dict[int, np.ndarray] = {}
-        own: Dict[int, np.ndarray] = {}
+        fired: Dict[int, np.ndarray] = {}  # heads drawn outside the cells
         for index, action in self.full_actions:
-            # Copied: ``new`` outlives the engine's counts0 buffer.
-            proposals[index] = counts0[:, action.actor].copy()
+            # Copied: ``new`` outlives this read of the caller's counts.
+            fired[index] = heads = cols[action.actor].copy()
             if self._msg_width[index]:
-                messages += self._msg_width[index] * proposals[index]
-        if self.coin_groups:
-            occupancy = counts0[:, self._group_sids].T  # (G, M)
-            heads = rng.multinomial(occupancy, self._pvals)[:, :, :-1]
+                messages += self._msg_width[index] * heads
+        if self._pvals is not None:
+            heads = rng.multinomial(
+                cols.take(self._group_sids, axis=0), self._pvals
+            )[:, :, :-1]
             thinned = (
-                rng.binomial(heads, self._q_tensor(counts0))
-                if self._thinning else heads
+                rng.binomial(heads, self._q) if self._thinning else heads
             )
-            for g, group in enumerate(self.coin_groups):
-                if self._group_widths[g].any():
-                    messages += (
-                        heads[g][:, :group.width] @ self._group_widths[g]
-                    )
-                picked = None  # this multinomial's actor picks so far
-                for a, (index, action) in enumerate(
-                    zip(group.indices, group.actions)
-                ):
-                    proposals[index] = thinned[g, :, a]
-                    if action.kind in ("flip", "sample", "anyof"):
-                        if picked is None:
-                            picked = proposals[index]
-                        else:
-                            own[index] = picked
-                            picked = picked + proposals[index]
-        for group in self.fallback_groups:
-            for index, action in zip(group.indices, group.actions):
-                coins = rng.binomial(
-                    counts0[:, group.sid], action.probability
-                )
-                messages += self._msg_width[index] * coins
-                q = self._match_probability(counts0, action)
-                proposals[index] = (
-                    coins if q is None else rng.binomial(coins, q)
-                )
+            for g, a, width in self._charges:
+                sent = heads[g, :, a]
+                messages += sent if width == 1 else width * sent
+            # One reduction answers every cell's "does anyone move".
+            moved = np.logical_or.reduce(thinned, axis=1).tolist()
+        for step in self._fallback:
+            action = step.action
+            coins = rng.binomial(cols[action.actor], action.probability)
+            messages += self._msg_width[action.index] * coins
+            fired[action.index] = (
+                coins if step.q is None else rng.binomial(coins, step.q)
+            )
 
         moves: List[Move] = []
         left: Dict[int, np.ndarray] = {}  # source state -> moved so far
-        for index in sorted(proposals):
-            take = proposals[index]
-            if not take.any():
+        for step in self._steps:
+            action = step.action
+            if step.cell is None:
+                take = fired[action.index]
+                if not np.count_nonzero(take):
+                    continue
+            else:
+                g, a = step.cell
+                if not moved[g][a]:
+                    continue
+                take = thinned[g, :, a]
+            if step.plain:
+                moves.append((action, take))
                 continue
-            action = self._compiled[index]
+            proposal = take  # known to move somebody
             source = action.edge_from
-            members = counts0[:, source]
+            members = cols[source]
             gone = left.get(source)
             if action.kind == "push":
                 take = self._push_targets(rng, action, take, members)
@@ -574,71 +737,19 @@ class ActionPlanner:
                 new = np.minimum(take, unmoved)
             else:
                 new = take
-                if gone is not None:
+                if step.overlaps and gone is not None:
                     # Earlier movers this pick could land on.
-                    taken = gone - own[index] if index in own else gone
-                    if taken.any():
+                    taken = gone
+                    for a in step.own:
+                        taken = taken - thinned[g, :, a]
+                    if np.count_nonzero(taken):
                         new = take - rng.hypergeometric(
                             taken, members - gone, take
                         )
-            if new.any():
+            if new is proposal or np.count_nonzero(new):
                 left[source] = new if gone is None else gone + new
                 moves.append((action, new))
         return moves, messages
-
-    def _match_probability(
-        self, counts0: np.ndarray, action
-    ) -> Optional[np.ndarray]:
-        """Per-trial probability that one selected actor's condition holds.
-
-        Exact, not mean-field: peers are drawn uniformly from the
-        ``n - 1`` other hosts (dead ones keep their slot but fail the
-        alive check, so the matching mass is the *alive* count of each
-        required state, minus the actor itself when it sits in that
-        state), and every contact independently survives the
-        connection-failure coin.  ``None`` means probability 1 (flips)
-        or an unthinnable kind (push).
-        """
-        others = self.n - 1
-        survive = 1.0 - self._failure
-        if action.kind in ("sample", "tokenize"):
-            if len(action.required) == 0:
-                return None
-            q: Optional[np.ndarray] = None
-            for required in action.required:
-                required = int(required)
-                matching = counts0[:, required] - (
-                    1 if required == action.actor else 0
-                )
-                # Clip into [0, 1]: a trial whose actor state is empty
-                # can carry matching == n (no actor to subtract), and
-                # its q is never exercised (zero heads to thin).
-                term = np.clip(matching * (survive / others), 0.0, 1.0)
-                q = term if q is None else q * term
-            return q
-        if action.kind == "anyof":
-            match = int(action.match)
-            matching = counts0[:, match] - (
-                1 if match == action.actor else 0
-            )
-            per_contact = np.clip(matching * (survive / others), 0.0, 1.0)
-            return 1.0 - (1.0 - per_contact) ** action.fanout
-        return None
-
-    def _q_tensor(self, counts0: np.ndarray) -> np.ndarray:
-        """The ``(G, M, A_max)`` thinning probabilities for this period."""
-        if self._q_buf is None:
-            self._q_buf = np.ones(
-                (len(self.coin_groups), self.trials, self._pvals.shape[2] - 1)
-            )
-        q = self._q_buf
-        # Cells of unconditioned actions (and padding) stay at their 1.0.
-        for g, group in enumerate(self.coin_groups):
-            for a, action in enumerate(group.actions):
-                probability = self._match_probability(counts0, action)
-                if probability is not None:
-                    q[g, :, a] = probability
-        return q
 
     def _push_targets(
         self,
@@ -665,11 +776,10 @@ class ActionPlanner:
         """
         if action.match == action.actor:
             return self._self_push_targets(rng, action, heads, members)
-        q = np.clip(
-            members * ((1.0 - self._failure) / (self.n - 1)), 0.0, 1.0
-        )
+        q = members * self._contact  # >= 0: clipped from above only
+        np.minimum(q, 1.0, out=q)
         hits = rng.binomial(heads * action.fanout, q)
-        if not hits.any():
+        if not np.count_nonzero(hits):
             return hits
         return distinct_throws(rng, members, hits)
 

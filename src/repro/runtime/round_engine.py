@@ -82,6 +82,7 @@ class _Compiled:
     token_state: int = -1
     ttl: Optional[int] = None
     edge_from: int = -1  # state the moving process leaves
+    index: int = -1  # place in the spec's declaration order
 
 
 #: Host arrays store state ids as int8.
@@ -152,6 +153,7 @@ def _compile(spec: ProtocolSpec) -> List[_Compiled]:
             )
         else:  # pragma: no cover - future kinds
             raise TypeError(f"cannot compile action kind {action.kind}")
+        compiled[-1].index = len(compiled) - 1
     return compiled
 
 

@@ -677,6 +677,225 @@ class TestBatchMetricsRecorder:
             assert result.periods_observed == 61
 
 
+class ListRecorder(BatchMetricsRecorder):
+    """The recorder as it was before the slabs: lists, stacked on read.
+
+    Records into the slabs *and* into per-period lists of copies, the
+    reference the slab-built tensors must equal bit for bit.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.listed = []
+
+    def record(self, period, counts, alive, transitions=None, members=None):
+        super().record(period, counts, alive, transitions, members)
+        if period % self.stride == 0:
+            self.listed.append((
+                np.array(counts, dtype=np.int64), np.array(alive, dtype=np.int64),
+                {e: np.array(v, dtype=np.int64)
+                 for e, v in (transitions or {}).items()},
+            ))
+
+    def check(self):
+        assert len(self.listed) == len(self.periods)
+        assert np.array_equal(
+            self.count_tensor(), np.stack([c for c, _, _ in self.listed], axis=1)
+        )
+        assert self.count_tensor().flags.c_contiguous
+        assert np.array_equal(
+            self.alive_tensor(), np.stack([a for _, a, _ in self.listed], axis=1)
+        )
+        for index, state in enumerate(self.states):
+            assert np.array_equal(
+                self.counts(state),
+                np.stack([c[:, index] for c, _, _ in self.listed], axis=1),
+            )
+        assert np.array_equal(self.last_counts(), self.listed[-1][0])
+        zero = np.zeros(self.trials, dtype=np.int64)
+        edges = sorted({
+            e for _, _, t in self.listed for e, v in t.items() if v.any()
+        })
+        assert self.edges_seen() == edges
+        for edge in edges + [("nobody", "moved")]:
+            assert np.array_equal(
+                self.transition_tensor(edge),
+                np.stack([t.get(edge, zero) for _, _, t in self.listed], axis=1),
+            )
+
+
+class TestRecorderSlabs:
+    """The slabs grow by doubling and read back what the lists held."""
+
+    @pytest.fixture(autouse=True)
+    def small_slabs(self, monkeypatch):
+        """Nothing reserved and a first slab of 16 rows, so these runs
+        outgrow their slabs."""
+        from repro.runtime import batch_engine
+
+        monkeypatch.setattr(batch_engine, "_FIRST_SLAB", 1)
+        monkeypatch.setattr(batch_engine, "_RESERVE_CAP", 1)
+
+    def run(self, periods, calls=1, **kwargs):
+        run_kwargs = {
+            k: kwargs.pop(k) for k in ("record_initial",) if k in kwargs
+        }
+        params = EndemicParams(alpha=0.01, gamma=0.1, b=2)
+        spec = figure1_protocol(params)
+        engine = BatchRoundEngine(
+            spec, n=200, trials=3, initial=params.equilibrium_counts(200),
+            seed=19,
+        )
+        recorder = ListRecorder(spec.states, 3, **kwargs)
+        for _ in range(calls):
+            engine.run(periods, recorder=recorder, **run_kwargs)
+        return recorder
+
+    def test_outgrowing_the_first_slab_many_times(self):
+        recorder = self.run(8_000)
+        assert recorder.times.tolist() == list(range(8_001))
+        assert len(recorder._counts) == 8_192  # 16 rows, doubled 9 times
+        recorder.check()
+
+    def test_the_first_slab_is_sized_in_bytes(self, monkeypatch):
+        from repro.runtime import batch_engine
+
+        monkeypatch.setattr(batch_engine, "_FIRST_SLAB", 1 << 20)
+        recorder = self.run(5)
+        assert len(recorder._counts) == (1 << 20) // (3 * 3 * 8)
+        assert len(recorder._alive) == len(recorder._counts)
+        recorder.check()
+
+    def test_a_run_reserves_its_own_length(self, monkeypatch):
+        from repro.runtime import batch_engine
+
+        monkeypatch.setattr(batch_engine, "_RESERVE_CAP", 64 << 20)
+        recorder = self.run(300, calls=2)
+        # Cut once per run() to what it can record; never doubled.
+        assert len(recorder.periods) == 601
+        assert len(recorder._counts) == 301 + 302
+        assert all(len(s) == 603 for s in recorder._transitions.values())
+        recorder.check()
+
+    def test_a_far_horizon_is_not_mapped(self, monkeypatch):
+        from repro.runtime import batch_engine
+
+        monkeypatch.setattr(batch_engine, "_RESERVE_CAP", 40 * 3 * 3 * 8)
+        params = EndemicParams(alpha=0.01, gamma=0.1, b=2)
+        spec = figure1_protocol(params)
+        engine = BatchRoundEngine(
+            spec, n=200, trials=3, initial=params.equilibrium_counts(200),
+            seed=19,
+        )
+        recorder = ListRecorder(spec.states, 3)
+        engine.run(10**12, recorder=recorder, stop=lambda e: e.period == 100)
+        assert len(recorder.periods) == 101
+        assert len(recorder._counts) == 160  # 40 reserved, doubled twice
+        recorder.check()
+
+    def test_stride_seven(self):
+        recorder = self.run(500, stride=7)
+        assert recorder.times.tolist() == list(range(0, 501, 7))
+        recorder.check()
+
+    def test_without_the_initial_record(self):
+        recorder = self.run(100, record_initial=False)
+        assert recorder.times.tolist() == list(range(1, 101))
+        recorder.check()
+
+    def test_run_called_twice_on_one_recorder(self):
+        recorder = self.run(40, calls=2)
+        assert recorder.times.tolist() == list(range(81))
+        recorder.check()
+
+    def test_tensors_are_copies(self):
+        recorder = self.run(20)
+        recorder.count_tensor()[:] = -1
+        recorder.alive_tensor()[:] = -1
+        recorder.counts("x")[:] = -1
+        recorder.transition_tensor(recorder.edges_seen()[0])[:] = -1
+        recorder.check()
+
+    def test_pickle_carries_the_rows_not_the_capacity(self):
+        import pickle
+
+        recorder = self.run(100)  # 101 rows in slabs of 128
+        assert len(recorder._counts) == 128
+        rows = len(recorder.periods)
+        assert len(recorder._counts) > rows
+        clone = pickle.loads(pickle.dumps(recorder))
+        assert len(clone._counts) == len(clone._alive) == rows
+        assert all(len(s) == rows for s in clone._transitions.values())
+        assert np.array_equal(clone.count_tensor(), recorder.count_tensor())
+        # ... and goes on recording where it stopped.
+        clone.record(101, recorder.last_counts(), np.full(3, 200))
+        assert clone.count_tensor().shape == (3, rows + 1, 3)
+        assert np.array_equal(
+            clone.count_tensor()[:, :rows], recorder.count_tensor()
+        )
+
+    def test_merge_is_one_concatenate_per_slab(self):
+        parts = [self.run(30), self.run(30), self.run(30)]
+        merged = BatchMetricsRecorder.merge(parts)
+        assert merged.trials == 9 and merged.periods == parts[0].periods
+        assert np.array_equal(
+            merged.count_tensor(),
+            np.concatenate([p.count_tensor() for p in parts], axis=0),
+        )
+        assert np.array_equal(
+            merged.alive_tensor(),
+            np.concatenate([p.alive_tensor() for p in parts], axis=0),
+        )
+        for edge in parts[0].edges_seen():
+            assert np.array_equal(
+                merged.transition_tensor(edge),
+                np.concatenate([p.transition_tensor(edge) for p in parts]),
+            )
+        # The merged recorder is a recorder: it records on.
+        merged.record(31, merged.last_counts(), np.full(9, 200))
+        assert merged.count_tensor().shape == (9, 32, 3)
+
+    def test_merge_fills_an_edge_one_part_never_saw(self):
+        a = BatchMetricsRecorder(("a", "b"), 2)
+        b = BatchMetricsRecorder(("a", "b"), 1)
+        for period in range(3):
+            a.record(period, np.zeros((2, 2), dtype=int), np.zeros(2, dtype=int),
+                     transitions={("a", "b"): np.array([period, 1])})
+            b.record(period, np.zeros((1, 2), dtype=int), np.zeros(1, dtype=int))
+        merged = BatchMetricsRecorder.merge([a, b])
+        assert merged.transition_tensor(("a", "b")).tolist() == [
+            [0, 1, 2], [1, 1, 1], [0, 0, 0],
+        ]
+
+    def test_merge_refuses_parts_of_different_recorded_length(self):
+        longer, shorter = self.run(12), self.run(11)
+        with pytest.raises(ValueError, match="recording schedule"):
+            BatchMetricsRecorder.merge([longer, shorter])
+
+    @pytest.mark.parametrize("alive", [
+        10, np.int64(10), np.full((3, 1), 10), np.full(2, 10), [[10, 10, 10]],
+    ])
+    def test_misshapen_alive_is_refused(self, alive):
+        recorder = BatchMetricsRecorder(("a", "b"), trials=3)
+        with pytest.raises(
+            ValueError, match=r"alive shape .* need .* \(3, 2\) and \(3,\)"
+        ):
+            recorder.record(0, np.zeros((3, 2), dtype=np.int64), alive)
+        assert recorder.periods == []
+
+    def test_float_observations_are_refused(self):
+        recorder = BatchMetricsRecorder(("a", "b"), trials=3)
+        counts, alive = np.full((3, 2), 5), np.full(3, 10)
+        with pytest.raises(ValueError, match=r"counts shape \(3, 2\) dtype float64"):
+            recorder.record(0, counts + 0.5, alive)
+        with pytest.raises(ValueError, match=r"alive shape \(3,\) dtype float64"):
+            recorder.record(0, counts, alive / 1.0)
+        assert recorder.periods == []
+        recorder.record(0, counts.astype(np.int32), alive.tolist())
+        assert recorder.count_tensor().dtype == np.int64
+        assert recorder.alive_tensor().tolist() == [[10], [10], [10]]
+
+
 class TestBatchRunResult:
     def test_final_counts_and_means(self):
         spec = pull_protocol()

@@ -692,8 +692,13 @@ class TestPlannerStatics:
         compiled = _compile(spec)
         planner = ActionPlanner(compiled, trials=2, n=101)
         counts0 = np.array([[60, 41], [101, 0]], dtype=np.int64)
-        q = planner._match_probability(counts0, compiled[0])
-        assert q == pytest.approx([41 / 100, 0.0])
+        # The program keeps each conditioned action's q where the
+        # thinning draw reads it; a census writes it from the counts.
+        planner.census(
+            np.random.default_rng(0), counts0, counts0.sum(axis=1)
+        )
+        (step,) = planner._steps
+        assert step.q == pytest.approx([41 / 100, 0.0])
 
 
 # ----------------------------------------------------------------------
