@@ -237,6 +237,26 @@ def _run_shard(
     )
 
 
+def summarize_final_counts(series: np.ndarray) -> Dict[str, float]:
+    """One state's final counts over the trial axis, as summary numbers.
+
+    ``mean`` / ``std`` / ``min`` / ``max`` plus one ``q<percent>`` per
+    :data:`SUMMARY_QUANTILES` entry: what ``PointResult.summary`` stores
+    per state and what ``analyze-campaign`` tabulates from a tensor.
+    """
+    stats = {
+        "mean": float(series.mean()),
+        "std": float(series.std()),
+        "min": float(series.min()),
+        "max": float(series.max()),
+    }
+    for q, value in zip(
+        SUMMARY_QUANTILES, np.quantile(series, SUMMARY_QUANTILES)
+    ):
+        stats[f"q{int(q * 100)}"] = float(value)
+    return stats
+
+
 def _merge_shards(
     point: CampaignPoint, outputs: List[_ShardOutput]
 ) -> PointResult:
@@ -261,17 +281,7 @@ def _merge_shards(
     mean_trajectory: Dict[str, List[float]] = {}
     for index, state in enumerate(states):
         series = finals[:, index]
-        stats = {
-            "mean": float(series.mean()),
-            "std": float(series.std()),
-            "min": float(series.min()),
-            "max": float(series.max()),
-        }
-        for q, value in zip(
-            SUMMARY_QUANTILES, np.quantile(series, SUMMARY_QUANTILES)
-        ):
-            stats[f"q{int(q * 100)}"] = float(value)
-        summary[state] = stats
+        summary[state] = summarize_final_counts(series)
         final_counts[state] = [int(v) for v in series]
         mean_trajectory[state] = [
             float(v) for v in count_sums[:, index] / total_trials

@@ -37,7 +37,12 @@ Command line::
 """
 
 from .experiment import ENGINES, Experiment
-from .protocol import Protocol, ResolvedProtocol, parse_param_directives
+from .protocol import (
+    Protocol,
+    ResolvedProtocol,
+    load_equations,
+    parse_param_directives,
+)
 from .result import EquilibriumCheck, EquilibriumCheckRow, ExperimentResult
 from .scenario import RunContext, Scenario
 
@@ -51,5 +56,6 @@ __all__ = [
     "EquilibriumCheck",
     "EquilibriumCheckRow",
     "ENGINES",
+    "load_equations",
     "parse_param_directives",
 ]

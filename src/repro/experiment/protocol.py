@@ -74,6 +74,36 @@ def parse_param_directives(text: str) -> Dict[str, float]:
     return out
 
 
+def load_equations(
+    source: Union[str, Path],
+    *,
+    parameters: Optional[Mapping[str, float]] = None,
+    name: Optional[str] = None,
+) -> EquationSystem:
+    """Parse an equations text or file: the directive-aware loader.
+
+    ``source`` is equation text or a path to an equations file.
+    ``# param:`` directives supply default rate bindings, ``parameters``
+    override them, and the system is named ``name``, else the file's
+    stem, else ``"equations"``.  Every front door (the CLI commands,
+    :meth:`Protocol.from_equations`) reads a file through here.
+    """
+    path: Optional[Path] = None
+    if isinstance(source, Path):
+        path = source
+    elif "\n" not in source and "'" not in source:
+        try:
+            if Path(source).is_file():
+                path = Path(source)
+        except (OSError, ValueError):
+            path = None
+    text = path.read_text() if path is not None else str(source)
+    bound = parse_param_directives(text)
+    bound.update(parameters or {})
+    label = name or (path.stem if path is not None else "equations")
+    return parse_system(text, parameters=bound, name=label)
+
+
 @dataclass(frozen=True)
 class ResolvedProtocol:
     """A protocol pinned to a concrete group size: ready to run."""
@@ -152,20 +182,8 @@ class Protocol:
         ``ProtocolCheckWarning`` on ERROR-severity findings,
         ``"strict"`` raises ``SpecCheckError``, ``"off"`` skips it.
         """
-        path: Optional[Path] = None
-        if isinstance(source, Path):
-            path = source
-        elif "\n" not in source and "'" not in source:
-            try:
-                if Path(source).is_file():
-                    path = Path(source)
-            except (OSError, ValueError):
-                path = None
-        text = path.read_text() if path is not None else str(source)
-        bound = parse_param_directives(text)
-        bound.update(parameters or {})
-        label = name or (path.stem if path is not None else "equations")
-        system = parse_system(text, parameters=bound, name=label)
+        system = load_equations(source, parameters=parameters, name=name)
+        label = system.name
         if rewrite and not classify(system).mappable:
             system = auto_rewrite(system)
         spec = synthesize(

@@ -36,13 +36,15 @@ class TestClassify:
         assert "flip+sample" in out
         assert "complete" in out
 
-    def test_unbound_symbol_fails(self, equations_file):
-        with pytest.raises(Exception):
-            main(["classify", equations_file])
+    def test_unbound_symbol_fails(self, equations_file, capsys):
+        assert main(["classify", equations_file]) == 1
+        err = capsys.readouterr().err
+        assert "endemic.txt: unbound symbols" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
 
-    def test_bad_param_format(self, equations_file):
-        with pytest.raises(SystemExit):
-            main(["classify", equations_file, "--param", "beta"])
+    def test_bad_param_format(self, equations_file, capsys):
+        assert main(["classify", equations_file, "--param", "beta"]) == 1
+        assert "--param expects name=value" in capsys.readouterr().err
 
 
 class TestSynthesize:
@@ -183,7 +185,9 @@ class TestRunClusterBackend:
 
 class TestFailureProvenanceRendering:
     def test_cluster_failure_renders_provenance(self):
-        from repro.__main__ import _render_failure_provenance
+        from repro.cli.common import (
+            render_failure_provenance as _render_failure_provenance,
+        )
 
         line = _render_failure_provenance({
             "label": "lv/n=200/f=0/none",
@@ -200,7 +204,9 @@ class TestFailureProvenanceRendering:
         assert "3 heartbeat miss(es)" in line
 
     def test_legacy_record_renders_without_provenance(self):
-        from repro.__main__ import _render_failure_provenance
+        from repro.cli.common import (
+            render_failure_provenance as _render_failure_provenance,
+        )
 
         line = _render_failure_provenance({
             "label": "pt", "error": "boom", "attempts": 1,
@@ -242,3 +248,102 @@ class TestCampaignEquationsAxis:
             "--equations", equations_file,
         ]) == 1
         assert "--equations" in capsys.readouterr().err
+
+
+class TestOneErrorConvention:
+    """Bad input is exit 1 and one stderr line on every command."""
+
+    @pytest.mark.parametrize(
+        "command", ["classify", "synthesize", "analyze", "simulate"]
+    )
+    def test_missing_and_unparsable_files(self, command, tmp_path, capsys):
+        garbage = tmp_path / "garbage.txt"
+        garbage.write_text("x' = = 3\n")
+        for target, message in (
+            (str(tmp_path / "nope.txt"), "cannot read"),
+            (str(garbage), "garbage.txt: expected a number or name"),
+        ):
+            assert main([command, target]) == 1
+            err = capsys.readouterr().err
+            assert message in err
+            assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv", [["run"], ["check", "spec"], ["check", "complexity"]]
+    )
+    def test_unknown_target_is_never_parsed_as_equations(self, argv, capsys):
+        assert main([*argv, "nope.txt"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "'nope.txt' is neither an equations file nor a registered "
+            "protocol; available: "
+        )
+        assert len(captured.err.splitlines()) == 1
+
+    def test_existing_file_wins_over_registry_name(
+        self, equations_file, tmp_path, monkeypatch, capsys
+    ):
+        # A file in the working directory called 'endemic' is an
+        # equations file to every command that takes a target.
+        from pathlib import Path
+
+        (tmp_path / "endemic").write_text(
+            "# param: beta = 2 gamma = 0.5 alpha = 0.125\n"
+            + Path(equations_file).read_text()
+        )
+        monkeypatch.chdir(tmp_path)
+        assert main(["check", "complexity", "endemic", "--n", "100"]) == 0
+        from_file = capsys.readouterr().out
+        assert main(["check", "complexity", "endemic.txt", "--n", "100",
+                     "--param", "beta=2", "--param", "gamma=0.5",
+                     "--param", "alpha=0.125"]) == 0
+        assert capsys.readouterr().out == from_file.replace(
+            "endemic:", "endemic.txt:", 1
+        )
+        assert main(["check", "spec", "endemic", "--param", "beta=x"]) == 1
+        assert "--param beta" in capsys.readouterr().err
+        assert main(["run", "endemic", "--n", "200", "--trials", "2",
+                     "--periods", "2", "--seed", "1"]) == 0
+        assert "protocol 'endemic' (endemic):" in capsys.readouterr().out
+
+
+class TestCampaignModeConflicts:
+    """--replay and --resume refuse flags from one table."""
+
+    EXECUTION = [
+        ["--on-error", "skip"], ["--retries", "7"], ["--unit-timeout", "5"],
+        ["--backend", "cluster"], ["--heartbeat", "9"],
+        ["--heartbeat-misses", "2"], ["--max-dispatches", "5"],
+    ]
+
+    @pytest.fixture
+    def tensors(self, tmp_path):
+        directory = tmp_path / "tensors"
+        assert main([
+            "campaign", "--protocol", "lv", "--n", "200", "--trials", "2",
+            "--periods", "3", "--seed", "6", "--save-tensors", str(directory),
+            "--out", str(tmp_path / "results.json"),
+        ]) == 0
+        return directory
+
+    def test_replay_refuses_every_execution_flag(self, tensors, capsys):
+        results = str(tensors.parent / "results.json")
+        capsys.readouterr()
+        for flag in self.EXECUTION + [["--workers", "2"]]:
+            assert main(["campaign", "--replay", results, *flag]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{flag[0]} cannot be combined with --replay" in captured.err
+        assert main(["campaign", "--replay", results]) == 0
+
+    def test_resume_keeps_allowing_them(self, tensors, capsys):
+        flags = [token for flag in self.EXECUTION[:3] for token in flag]
+        assert main(["campaign", "--resume", str(tensors), *flags,
+                     "--workers", "2", "--heartbeat", "9",
+                     "--out", str(tensors.parent / "again.json")]) == 0
+        capsys.readouterr()
+        assert main(["campaign", "--resume", str(tensors),
+                     "--retries", "7", "--trials", "4", "--dry-run"]) == 1
+        assert ("--trials, --dry-run cannot be combined with --resume"
+                in capsys.readouterr().err)

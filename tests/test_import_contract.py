@@ -56,6 +56,34 @@ def fresh(body: str) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+#: Every parser of ``python -m repro`` that runs something.
+LEAF_COMMANDS = [
+    path for path in json.loads(
+        (REPO / "tests" / "data" / "cli_surface.json").read_text()
+    ) if path not in ("(top)", "check")
+]
+
+
+@pytest.fixture(scope="module")
+def command_help_rows():
+    """``python -m repro <cmd> --help`` for every leaf command, in one
+    fresh interpreter: exit status and deferred modules loaded so far."""
+    return fresh(f"""
+        import contextlib, io
+        from repro.__main__ import main
+
+        rows = {{}}
+        for command in {LEAF_COMMANDS!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    code = main(command.split() + ["--help"])
+                except SystemExit as stop:
+                    code = stop.code
+            rows[command] = {{"code": code, "loaded": loaded()}}
+        report(rows=rows)
+    """)["rows"]
+
+
 # ----------------------------------------------------------------------
 # Nothing deferred is loaded by starting
 # ----------------------------------------------------------------------
@@ -89,6 +117,14 @@ class TestStartLoadsNoDeferredModule:
             report(code=code, loaded=loaded())
         """)
         assert out == {"code": 0, "loaded": []}
+
+    @pytest.mark.parametrize("command", LEAF_COMMANDS)
+    def test_command_help(self, command, command_help_rows):
+        # One module per command, all imported to build the parser: a
+        # command that imports a deferred package at module level
+        # fails here by name (loading is cumulative, so the first
+        # failing row in LEAF_COMMANDS order is the culprit).
+        assert command_help_rows[command] == {"code": 0, "loaded": []}
 
     def test_registry_campaign_shard_unit(self):
         # What a pool or cluster worker executes for a campaign: the

@@ -46,6 +46,7 @@ REQUIRED_SECTIONS = (
     ("docs/architecture.md", "The distributed backend"),
     ("docs/architecture.md", "The execution layer"),
     ("docs/architecture.md", "Import policy"),
+    ("docs/architecture.md", "Command line"),
     ("docs/campaigns.md", "The cluster backend"),
     ("docs/campaigns.md", "Checkpointing and resume"),
     ("docs/campaigns.md", "Fault policy"),
