@@ -295,12 +295,23 @@ class LVEnsemble:
             recorder = BatchMetricsRecorder(
                 self.spec.states, self.trials, track_transitions=False
             )
+        # The per-period test reads the live census as integers (the
+        # engine never rebinds its count arrays, so views stay live): a
+        # trial has converged when one camp holds all of its alive
+        # processes -- converged_winners() without building strings.
+        zero = engine._counts[:, engine.state_id(ZERO)]
+        one = engine._counts[:, engine.state_id(ONE)]
+        alive = engine._alive_counts
+
+        def agreed() -> np.ndarray:
+            return ((zero == alive) | (one == alive)) & (alive > 0)
+
         convergence = np.full(self.trials, -1, dtype=np.int64)
-        done = self.converged_winners() != ""
+        done = agreed()
         convergence[done] = engine.period
 
         def note_convergence(running: BatchRoundEngine) -> bool:
-            newly = (self.converged_winners() != "") & ~done
+            newly = agreed() & ~done
             convergence[newly] = running.period
             done[newly] = True
             return stop_when_all_converged and bool(done.all())

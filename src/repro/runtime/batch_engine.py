@@ -157,7 +157,8 @@ class BatchMetricsRecorder:
     ) -> None:
         """Store one period's ``(M, S)`` counts (subject to the stride).
 
-        Everything handed in is copied into the recorder's own slabs.
+        Everything handed in is checked, then copied into the
+        recorder's own slabs.
         """
         if period % self.stride != 0:
             return
@@ -171,6 +172,28 @@ class BatchMetricsRecorder:
                 f"alive shape {alive.shape} dtype {alive.dtype}: need "
                 f"integers of shape {self._shape} and {self._shape[:1]}"
             )
+        if (self.member_log_state is not None and members is not None
+                and len(members) != self.trials):
+            raise ValueError(
+                f"got member lists for {len(members)} trials, "
+                f"expected {self.trials}"
+            )
+        self._append(period, counts, alive, transitions, members)
+
+    def _append(
+        self,
+        period: int,
+        counts: np.ndarray,
+        alive: np.ndarray,
+        transitions: Optional[Mapping[Edge, np.ndarray]],
+        members: Optional[List[np.ndarray]] = None,
+    ) -> None:
+        """Write one period's rows: :meth:`record` past its checks.
+
+        For a caller whose ``counts`` and ``alive`` are already integer
+        arrays of the recorder's shapes and whose period is on the
+        stride -- :meth:`BatchRoundEngine._record`, every period.
+        """
         row = len(self.periods)
         if row == len(self._counts):
             self._grow(2 * row or max(16, _FIRST_SLAB // counts.nbytes))
@@ -188,11 +211,6 @@ class BatchMetricsRecorder:
                     )
                 slab[row] = moved
         if self.member_log_state is not None and members is not None:
-            if len(members) != self.trials:
-                raise ValueError(
-                    f"got member lists for {len(members)} trials, "
-                    f"expected {self.trials}"
-                )
             self.member_log.append(
                 (period, [np.array(m, copy=True) for m in members])
             )
@@ -929,15 +947,22 @@ class BatchRoundEngine:
         return BatchRunResult(engine=self, recorder=recorder)
 
     def _record(self, recorder: BatchMetricsRecorder) -> None:
-        members = None
-        if (recorder.member_log_state is not None
-                and self.period % recorder.stride == 0):
-            sid = self.state_id(recorder.member_log_state)
-            mask = (self.states == sid) & self.alive
-            members = [np.flatnonzero(mask[m]) for m in range(self.trials)]
-        recorder.record(  # copies what it keeps
+        if self.period % recorder.stride:
+            return
+        if recorder.member_log_state is None:
+            # The engine's own arrays pass record's checks by
+            # construction: write the rows (copies) without them.
+            recorder._append(
+                self.period, self._counts, self._alive_counts,
+                self.last_transitions,
+            )
+            return
+        sid = self.state_id(recorder.member_log_state)
+        mask = (self.states == sid) & self.alive
+        recorder.record(
             self.period, self._counts, self._alive_counts,
-            transitions=self.last_transitions, members=members,
+            transitions=self.last_transitions,
+            members=[np.flatnonzero(mask[m]) for m in range(self.trials)],
         )
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

@@ -18,7 +18,8 @@ passes that never share a random stream:
 1. :meth:`ActionPlanner.census` -- **how many**.  From the period-start
    counts alone it draws every action's new movers per trial, in
    declaration order, with count laws (table in docs/architecture.md):
-   one broadcast multinomial over every (group, trial); binomial
+   one broadcast multinomial over every (group, trial) -- a binomial
+   when every coin has two sides; binomial
    condition thinning by the exact peer-match probability; for a push,
    the number of *distinct* bins hit by its surviving contacts thrown
    at the match state's members (drawn as positions, never through a
@@ -395,6 +396,8 @@ class _Step:
     #: An actor's own move that nothing overlaps and no later action of
     #: its state reads: its thinned heads are its movers.
     plain: bool = False
+    #: A full push whose contact binomial is drawn in the thinning call.
+    rides: bool = False
 
 
 class ActionPlanner:
@@ -427,6 +430,11 @@ class ActionPlanner:
     cells, and one :class:`_Step` per action -- so that a period is its
     draws plus a fixed run of array operations (:meth:`describe` shows
     the program; docs/experiment.md says what a period of it costs).
+    Lowering also picks the generator call each law is drawn by, from
+    the program alone: a split whose coins all have two sides is a
+    ``binomial``, and the first full push's contacts may be drawn in
+    the thinning call.  Either way the same bits are consumed in the
+    same order.
     """
 
     def __init__(
@@ -505,9 +513,22 @@ class ActionPlanner:
         """Build the period program :meth:`census` runs."""
         #: A surviving contact lands on one given peer with this chance.
         self._contact = (1.0 - self._failure) / (self.n - 1)
+        #: When every group has one action each coin has two sides, and
+        #: numpy's two-category multinomial is one ``binomial`` per row,
+        #: row-major: a plain ``binomial`` over the ``(G, 1)`` heads
+        #: probabilities gives the same numbers and generator state.
+        #: (Contiguous: numpy checks a strided ``p`` in more calls.)
+        self._binomial_split = (
+            self._pvals[:, :, 0].copy() if width == 1 else None
+        )
         # The (G, M, A) thinning probabilities, rewritten in place each
         # period; cells of unconditioned actions and padding stay 1.0.
-        self._q = np.ones((len(self.coin_groups), self.trials, width))
+        # They head a flat buffer whose last M slots hold a riding
+        # push's contact probabilities (see the end of this method).
+        shape = (len(self.coin_groups), self.trials, width)
+        cells = shape[0] * shape[1] * shape[2]
+        self._ride_p = np.ones(cells + self.trials)
+        self._q = self._ride_p[:cells].reshape(shape)
         self._scratch = np.empty(self.trials)
         #: Per thinning cell ``(view into q, [(count column, minus
         #: self)], fan-out)``: the cell's exact peer-match probability
@@ -562,6 +583,30 @@ class ActionPlanner:
                 # It reads what has left the state: they all report.
                 for s in earlier + [step]:
                     s.plain = False
+        # A full push's contact binomial reads period-start counts only.
+        # When it is the first draw after the thinning call -- no
+        # fallback coins between them, no earlier step that can draw --
+        # its elements are appended to that call's: ``binomial`` draws
+        # element by element, row-major, so one call over both consumes
+        # the same bits in the same order (a trial that fired nobody,
+        # ``n = 0``, draws nothing in either).
+        self._ride: Optional[_Step] = None
+        if self._thinning and not self._fallback:
+            for step in self._steps:
+                action = step.action
+                if (action.kind == "push" and step.cell is None
+                        and action.match != action.actor):
+                    step.rides, self._ride = True, step
+                    self._ride_n = np.empty(cells + self.trials, np.int64)
+                    self._ride_heads = self._ride_n[:cells].reshape(shape)
+                    #: Where the push's ``(M,)`` contacts and their
+                    #: per-contact hit chance are written.
+                    self._ride_tail = (
+                        self._ride_n[cells:], self._ride_p[cells:]
+                    )
+                    break
+                if action.kind in ("push", "tokenize") or step.overlaps:
+                    break
 
     def _term(self, out: np.ndarray, action) -> Optional[np.ndarray]:
         """Lower one action's peer-match probability, kept in ``out``.
@@ -591,22 +636,31 @@ class ActionPlanner:
         """The period program as data: one row per compiled action.
 
         ``laws`` names the draws the action takes each period, in the
-        order :meth:`census` makes them, and ``overlap`` the earlier
-        actions whose movers its pick can land on -- empty when it can
-        never reach the hypergeometric.
+        order :meth:`census` makes them, by the generator call that
+        draws them, and ``overlap`` the earlier actions whose movers its
+        pick can land on -- empty when it can never reach the
+        hypergeometric.
         """
         steps = {step.action.index: step for step in self._steps}
+        split = (
+            "multinomial split" if self._binomial_split is None
+            else "binomial split"
+        )
         rows = []
         for index, action in enumerate(self._compiled):
             step, laws = steps.get(index), []
             if step is not None:
                 if step.cell is not None:
-                    laws.append("multinomial split")
+                    laws.append(split)
                 elif step in self._fallback:
                     laws.append("independent-coin fallback")
                 if step.q is not None:
                     laws.append("binomial thinning")
-                if action.kind == "push":
+                if step.rides:
+                    laws.append(
+                        "distinct-bin push (contacts in the thinning call)"
+                    )
+                elif action.kind == "push":
                     laws.append("distinct-bin push")
                 if action.kind == "tokenize":
                     if action.ttl is not None:
@@ -681,13 +735,31 @@ class ActionPlanner:
             fired[index] = heads = cols[action.actor].copy()
             if self._msg_width[index]:
                 messages += self._msg_width[index] * heads
+        ride, hits = self._ride, None
         if self._pvals is not None:
-            heads = rng.multinomial(
-                cols.take(self._group_sids, axis=0), self._pvals
-            )[:, :, :-1]
-            thinned = (
-                rng.binomial(heads, self._q) if self._thinning else heads
-            )
+            occupancy = cols.take(self._group_sids, axis=0)
+            if self._binomial_split is None:
+                heads = rng.multinomial(occupancy, self._pvals)[:, :, :-1]
+            else:
+                heads = rng.binomial(
+                    occupancy, self._binomial_split
+                )[:, :, None]
+            if ride is not None:
+                # The thinning cells, then the riding push's contacts:
+                # ``Binomial(fired * fanout, min(c_match * contact, 1))``.
+                action = ride.action
+                contacts, push_q = self._ride_tail
+                np.copyto(self._ride_heads, heads)
+                np.multiply(fired[action.index], action.fanout, out=contacts)
+                np.multiply(cols[action.edge_from], contact, out=push_q)
+                np.minimum(push_q, 1.0, out=push_q)
+                drawn = rng.binomial(self._ride_n, self._ride_p)
+                thinned = drawn[:self._q.size].reshape(self._q.shape)
+                hits = drawn[self._q.size:]
+            elif self._thinning:
+                thinned = rng.binomial(heads, self._q)
+            else:
+                thinned = heads
             for g, a, width in self._charges:
                 sent = heads[g, :, a]
                 messages += sent if width == 1 else width * sent
@@ -722,7 +794,9 @@ class ActionPlanner:
             members = cols[source]
             gone = left.get(source)
             if action.kind == "push":
-                take = self._push_targets(rng, action, take, members)
+                take = self._push_targets(
+                    rng, action, take, members, hits if step.rides else None
+                )
             if action.kind == "tokenize":
                 unmoved = members if gone is None else members - gone
                 if action.ttl is not None:
@@ -757,6 +831,7 @@ class ActionPlanner:
         action,
         heads: np.ndarray,
         members: np.ndarray,
+        hits: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """How many distinct match-state members a push's contacts hit.
 
@@ -772,13 +847,16 @@ class ActionPlanner:
         member: the movers are the distinct bins among ``K`` uniform
         positions ``< c_match`` -- the occupancy law, the serial
         engine's ``unique(targets[ok])`` without a host in sight.  A
-        trial whose match state is empty draws nothing at all.
+        trial whose match state is empty draws nothing at all.  A
+        riding push (:attr:`_Step.rides`) hands in ``hits``, ``K`` as
+        the thinning call drew it.
         """
         if action.match == action.actor:
             return self._self_push_targets(rng, action, heads, members)
-        q = members * self._contact  # >= 0: clipped from above only
-        np.minimum(q, 1.0, out=q)
-        hits = rng.binomial(heads * action.fanout, q)
+        if hits is None:
+            q = members * self._contact  # >= 0: clipped from above only
+            np.minimum(q, 1.0, out=q)
+            hits = rng.binomial(heads * action.fanout, q)
         if not np.count_nonzero(hits):
             return hits
         return distinct_throws(rng, members, hits)

@@ -321,10 +321,12 @@ class RoundEngine:
     def state_snapshot(self) -> Dict[str, object]:
         """Capture everything that evolves after construction.
 
-        The RNGs are serialized with pickle rather than
-        ``bit_generator.state`` because a Generator also buffers partial
-        output (MT19937 keeps a spare uint32 between 32-bit draws);
-        dropping that buffer would silently fork the stream.  An engine
+        The RNGs are serialized with pickle, which carries their
+        ``bit_generator.state`` and nothing more -- MT19937's is ``{key,
+        pos}``, with no spare word between 32-bit draws, so the state
+        dict alone would restore the stream just as exactly
+        (``tests/test_sampling.py``,
+        ``test_a_state_round_trip_reproduces_the_stream``).  An engine
         built with the same ``(spec, n, connection_failure_rate)`` and
         then ``restore_state``-d continues bit-identically.
         """

@@ -120,11 +120,14 @@ def load_snapshot(
 def generator_to_array(rng: np.random.Generator) -> np.ndarray:
     """Serialize a Generator to a uint8 array for snapshot storage.
 
-    Pickle round-trips the *entire* generator -- bit-generator state
-    plus any buffered output (e.g. the spare uint32 MT19937 keeps
-    between 32-bit draws) -- which raw ``bit_generator.state`` dicts do
-    not, and that buffered word is exactly the kind of hidden state
-    that breaks bit-reproducible replay.
+    A Generator's pickle carries its ``bit_generator.state`` and
+    nothing beyond it: MT19937's state is ``{key, pos}`` with no spare
+    word between 32-bit draws, and a generator that buffers one
+    (PCG64's ``has_uint32``/``uinteger``) keeps it in that dict.  So
+    the state dict alone restores the stream exactly
+    (``tests/test_sampling.py``,
+    ``test_a_state_round_trip_reproduces_the_stream``); the pickle is
+    this snapshot format's encoding of it, not a requirement.
     """
     return np.frombuffer(
         pickle.dumps(rng, protocol=pickle.HIGHEST_PROTOCOL), dtype=np.uint8

@@ -681,21 +681,22 @@ class ListRecorder(BatchMetricsRecorder):
     """The recorder as it was before the slabs: lists, stacked on read.
 
     Records into the slabs *and* into per-period lists of copies, the
-    reference the slab-built tensors must equal bit for bit.
+    reference the slab-built tensors must equal bit for bit.  It taps
+    ``_append``, where ``record`` (past its checks) and the engine's own
+    recording both write.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.listed = []
 
-    def record(self, period, counts, alive, transitions=None, members=None):
-        super().record(period, counts, alive, transitions, members)
-        if period % self.stride == 0:
-            self.listed.append((
-                np.array(counts, dtype=np.int64), np.array(alive, dtype=np.int64),
-                {e: np.array(v, dtype=np.int64)
-                 for e, v in (transitions or {}).items()},
-            ))
+    def _append(self, period, counts, alive, transitions, members=None):
+        super()._append(period, counts, alive, transitions, members)
+        self.listed.append((
+            np.array(counts, dtype=np.int64), np.array(alive, dtype=np.int64),
+            {e: np.array(v, dtype=np.int64)
+             for e, v in (transitions or {}).items()},
+        ))
 
     def check(self):
         assert len(self.listed) == len(self.periods)
@@ -802,6 +803,26 @@ class TestRecorderSlabs:
         recorder = self.run(100, record_initial=False)
         assert recorder.times.tolist() == list(range(1, 101))
         recorder.check()
+
+    def test_the_engine_writes_its_own_rows(self, monkeypatch):
+        """``run`` appends its known-good arrays past ``record``'s
+        checks; only a member log still goes through ``record``."""
+        checked = []
+        record = BatchMetricsRecorder.record
+
+        def spy(recorder, period, *args, **kwargs):
+            checked.append(period)
+            record(recorder, period, *args, **kwargs)
+
+        monkeypatch.setattr(BatchMetricsRecorder, "record", spy)
+        recorder = self.run(30, stride=3)
+        assert checked == []
+        assert recorder.times.tolist() == list(range(0, 31, 3))
+        recorder.check()
+        logged = self.run(30, stride=3, member_log_state="y")
+        assert checked == logged.times.tolist() == list(range(0, 31, 3))
+        assert [period for period, _ in logged.member_log] == checked
+        logged.check()
 
     def test_run_called_twice_on_one_recorder(self):
         recorder = self.run(40, calls=2)

@@ -129,6 +129,24 @@ class TestEnsemble:
         assert tensor.shape[2] == 3
         assert np.all(tensor.sum(axis=2) == 400)
 
+    def test_convergence_is_read_off_the_counts(self):
+        """The per-period integer test marks the first recorded period
+        in which one camp holds every host, and the winner is that
+        camp (a close split: both camps win somewhere)."""
+        outcome = LVEnsemble(
+            400, zeros=205, ones=195, trials=8, seed=4
+        ).run(2500)
+        tensor = outcome.recorder.count_tensor()  # (M, periods, [x y z])
+        unanimous = (tensor[:, :, :2] == 400).any(axis=2)
+        assert unanimous[:, -1].all()
+        assert np.array_equal(
+            outcome.convergence_periods, unanimous.argmax(axis=1)
+        )
+        assert outcome.winners.tolist() == [
+            (ZERO, ONE)[int(last[1] == 400)] for last in tensor[:, -1]
+        ]
+        assert set(outcome.winners.tolist()) == {ZERO, ONE}
+
     def test_tie_split_is_undecidable(self):
         outcome = LVEnsemble(200, zeros=100, ones=100, trials=4, seed=7).run(5)
         assert not outcome.decided.any()

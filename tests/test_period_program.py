@@ -3,7 +3,10 @@
 ``ActionPlanner`` lowers a protocol once to a period program and
 ``census`` runs that table (docs/architecture.md).  The property the
 lowering rests on is that nothing about the draws changed: the same
-generator calls, value-identical arguments, the same order.  The census
+bits in the same order, whichever generator call consumes them (a
+two-sided split is one ``binomial``, a riding push's contacts join the
+thinning call; ``tests/test_sampling.py`` pins why that is the same
+draw).  The census
 the program replaced lives here verbatim as the oracle -- dicts, a sort,
 ``np.clip`` and all, the way hybr lives in
 ``tests/test_equilibria_solver.py`` -- and every period of every case
@@ -44,7 +47,13 @@ from repro.protocols.endemic import EndemicParams, figure1_protocol
 from repro.runtime import BatchRoundEngine
 from repro.runtime.failures import MassiveFailure
 from repro.runtime.sampling import distinct_throws
-from repro.synthesis import FlipAction, ProtocolSpec, PushAction, synthesize
+from repro.synthesis import (
+    FlipAction,
+    ProtocolSpec,
+    PushAction,
+    SampleAction,
+    synthesize,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 #: Read at collection, before tests/test_campaign.py registers its own.
@@ -295,6 +304,29 @@ def crowded_spec():
     )
 
 
+def ride_spec(after_overlap=False):
+    """Two full pushes after a coin group of two, one of it conditioned.
+
+    The first push's contacts ride in the thinning call (after a
+    multinomial split) and the second's do not; with ``after_overlap`` a
+    full flip of ``m`` comes first, the group's picks can land on its
+    movers, and neither push rides.
+    """
+    first = (FlipAction(actor_state="m", probability=1.0, target_state="t"),)
+    return ProtocolSpec(
+        name="ride", states=("a", "m", "t"),
+        actions=(first if after_overlap else ()) + (
+            SampleAction(actor_state="m", probability=0.2, target_state="t",
+                         required_states=("a",)),
+            FlipAction(actor_state="m", probability=0.3, target_state="a"),
+            PushAction(actor_state="a", probability=1.0, target_state="t",
+                       match_state="m", fanout=2),
+            PushAction(actor_state="t", probability=1.0, target_state="m",
+                       match_state="a", fanout=1),
+        ),
+    )
+
+
 def named(name, n=600):
     resolved = Protocol.named(name).resolve(n)
     return resolved.spec, n, resolved.initial
@@ -353,7 +385,7 @@ class TestProgramDrawsWhatTheCensusDrew:
 
     @pytest.mark.parametrize("case", [
         "flips", "fallback", "fallback-push", "coin-push", "self-push",
-        "crowded", "token",
+        "crowded", "token", "ride", "no-ride",
     ])
     def test_hand_built_corners(self, case):
         n = 400
@@ -375,6 +407,10 @@ class TestProgramDrawsWhatTheCensusDrew:
             "self-push": (self_push_spec(), {"a": 300, "t": 100}),
             "crowded": (crowded_spec(), {"a": 200, "m": 150, "t": 50}),
             "token": (token_spec(), {"x": 200, "y": 100, "z": 100}),
+            "ride": (ride_spec(), {"a": 150, "m": 200, "t": 50}),
+            "no-ride": (
+                ride_spec(after_overlap=True), {"a": 150, "m": 200, "t": 50}
+            ),
         }[case]
         for loss in (0.0, 0.1):
             _, moved = lockstep(spec, n, initial, loss=loss)
@@ -407,7 +443,9 @@ class TestProgramDrawsWhatTheCensusDrew:
 # ----------------------------------------------------------------------
 # The program is data
 # ----------------------------------------------------------------------
-SPLIT, THIN = "multinomial split", "binomial thinning"
+SPLIT, BINOMIAL = "multinomial split", "binomial split"
+THIN, PUSH = "binomial thinning", "distinct-bin push"
+RIDE = "distinct-bin push (contacts in the thinning call)"
 
 
 class TestProgramIsData:
@@ -436,9 +474,9 @@ class TestProgramIsData:
             ROOT / "examples" / "endemic.txt"
         ).resolve(600).spec
         assert self.rows(spec) == [
-            ("sample", (0, 1), (SPLIT, THIN), ()),
-            ("flip", (1, 2), (SPLIT,), ()),
-            ("flip", (2, 0), (SPLIT,), ()),
+            ("sample", (0, 1), (BINOMIAL, THIN), ()),
+            ("flip", (1, 2), (BINOMIAL,), ()),
+            ("flip", (2, 0), (BINOMIAL,), ()),
         ]
 
     @pytest.mark.parametrize("spec", [
@@ -446,20 +484,20 @@ class TestProgramIsData:
     ], ids=["registry", "figure1-sparse"])
     def test_endemic_push_can_land_on_the_any_of(self, spec):
         assert self.rows(spec) == [
-            ("flip", (1, 2), (SPLIT,), ()),
-            ("flip", (2, 0), (SPLIT,), ()),
-            ("anyof", (0, 1), (SPLIT, THIN), ()),
-            ("push", (0, 1), ("distinct-bin push",), (2,)),
+            ("flip", (1, 2), (BINOMIAL,), ()),
+            ("flip", (2, 0), (BINOMIAL,), ()),
+            ("anyof", (0, 1), (BINOMIAL, THIN), ()),
+            ("push", (0, 1), (RIDE,), (2,)),
         ]
 
     def test_epidemics(self):
-        pull = ("sample", (0, 1), (SPLIT, THIN), ())
+        pull = ("sample", (0, 1), (BINOMIAL, THIN), ())
         assert self.rows(named("epidemic-pull")[0]) == [pull]
         assert self.rows(named("epidemic-push")[0]) == [
-            ("push", (0, 1), ("distinct-bin push",), ()),
+            ("push", (0, 1), (PUSH,), ()),  # no thinning call to ride
         ]
         assert self.rows(named("epidemic-push-pull")[0]) == [
-            pull, ("push", (0, 1), ("distinct-bin push",), (0,)),
+            pull, ("push", (0, 1), (RIDE,), (0,)),
         ]
 
     def test_every_registry_protocol_is_pinned_here(self):
@@ -475,13 +513,26 @@ class TestProgramIsData:
             ("flip", (0, 2), (fallback,), (0,)),
         ]
         assert self.rows(crowded_spec()) == [
-            ("push", (0, 2), ("distinct-bin push",), ()),
+            ("push", (0, 2), (PUSH,), ()),  # no thinning call to ride
             ("flip", (0, 1), (SPLIT,), (0,)),
             ("flip", (0, 2), (SPLIT,), (0,)),  # not its own group's pick
             ("flip", (1, 2), (SPLIT,), ()),
-            ("push", (1, 2), (SPLIT, "distinct-bin push"), (3,)),
+            ("push", (1, 2), (SPLIT, PUSH), (3,)),
             ("flip", (2, 0), (), ()),
             ("flip", (2, 1), (), ()),  # probability 0: never planned
+        ]
+        assert self.rows(ride_spec()) == [
+            ("sample", (1, 2), (SPLIT, THIN), ()),
+            ("flip", (1, 0), (SPLIT,), ()),
+            ("push", (1, 2), (RIDE,), (0, 1)),
+            ("push", (0, 1), (PUSH,), ()),  # only the first rides
+        ]
+        assert self.rows(ride_spec(after_overlap=True)) == [
+            ("flip", (1, 2), (), ()),
+            ("sample", (1, 2), (SPLIT, THIN), (0,)),  # can draw: no ride
+            ("flip", (1, 0), (SPLIT,), (0,)),
+            ("push", (1, 2), (PUSH,), (0, 1, 2)),
+            ("push", (0, 1), (PUSH,), ()),
         ]
         assert self.rows(token_spec())[-1] == (
             "tokenize", (2, 0), (SPLIT, THIN, "token cap"), ()
@@ -493,7 +544,8 @@ class TestProgramIsData:
             actions=(dataclasses.replace(action, ttl=3),),
         )
         assert self.rows(walked) == [(
-            "tokenize", (2, 3), (SPLIT, THIN, "ttl binomial", "token cap"), ()
+            "tokenize", (2, 3), (BINOMIAL, THIN, "ttl binomial", "token cap"),
+            (),
         )]
 
     def test_never_means_the_hypergeometric_is_never_reached(self):
@@ -597,15 +649,17 @@ class TestPeriodCallBudget:
 
     The counts repeat exactly for a seed (the parent of the lowering
     made 78.1 / 98.9 / 115.9 calls a period on these three at M = 32;
-    the program 29.4 / 54.5 / 29.8, 10 to 20 of them inside numpy's
-    generators validating their arguments); the bounds leave room for
-    a numpy that validates with a call or two more, and none for a
-    per-period hook, counter or copy added to ``step``, ``census`` or
-    ``record``.
+    the program 29.4 / 54.5 / 29.8, and 27.3 / 48.4 / 28.3 once the
+    engine wrote its own record rows and the sparse push rode in the
+    thinning call; 10 to 20 of them inside numpy's generators
+    validating their arguments); the bounds leave room for a numpy
+    that validates with a call or two more, and none for a per-period
+    hook, counter or copy added to ``step``, ``census`` or
+    ``_record``.
     """
 
     @pytest.mark.parametrize("case, bound", [
-        ("dense", 32), ("sparse", 58), ("lv", 32),
+        ("dense", 30), ("sparse", 51), ("lv", 31),
     ])
     def test_calls_per_period(self, profiled_calls, case, bound):
         assert profiled_calls[case] <= bound, profiled_calls

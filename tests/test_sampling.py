@@ -5,7 +5,10 @@ time and everything else in one array-bound call, and the engine's
 streams are only allowed to do that because numpy serves both from one
 bounded-integer routine over the same bits.  These tests hold the
 running numpy to that by name: a release that changes one path and not
-the other fails here, not as a moved anchor somewhere downstream.
+the other fails here, not as a moved anchor somewhere downstream.  The
+same goes for the generator contracts the period program's choice of
+calls and the snapshots' generator pickles rest on
+(``TestGeneratorContracts``).
 """
 
 from __future__ import annotations
@@ -160,6 +163,118 @@ class TestPushCount:
             assert got.tolist() == expected
             assert given_balls.tolist() == expected
             assert_same_state(rng, reference)
+
+
+class TestGeneratorContracts:
+    """What the period program's choice of generator call rests on.
+
+    ``ActionPlanner`` draws a split whose coins all have two sides with
+    ``binomial`` instead of ``multinomial``, and a full push's contacts
+    inside the thinning ``binomial`` call, because the running numpy
+    consumes the same bits in the same order either way; snapshots keep
+    a generator as its pickle, which carries its ``bit_generator.state``
+    and nothing more.  Each contract is held here by name.
+    """
+
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([0.0, 1.0, 0.5]),
+                          st.floats(0.0, 1.0)),
+                st.lists(st.one_of(st.just(0), st.integers(0, 10**6)),
+                         min_size=1, max_size=6),
+            ),
+            min_size=1, max_size=4,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_two_category_multinomial_is_binomial_on_its_first_column(
+        self, kind, rows, seed
+    ):
+        """Row-major, one ``binomial`` per row: equal values and state,
+        ``p = 1`` rows and ``n = 0`` entries included."""
+        width = min(len(counts) for _, counts in rows)
+        n = np.array([counts[:width] for _, counts in rows], dtype=np.int64)
+        p = np.array([[prob] for prob, _ in rows])
+        pvals = np.stack([p, 1.0 - p], axis=-1)  # (G, 1, 2)
+        split_rng, binomial_rng = GENERATORS[kind](seed), GENERATORS[kind](seed)
+        split = split_rng.multinomial(n, pvals)
+        assert np.array_equal(split[..., 0], binomial_rng.binomial(n, p))
+        assert np.array_equal(split.sum(axis=-1), n)
+        assert_same_state(split_rng, binomial_rng)
+
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    @given(
+        cells=st.lists(
+            st.tuples(st.integers(0, 5000), st.floats(0.0, 1.0)), max_size=12,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_binomial_elements_with_nothing_to_draw_consume_no_bits(
+        self, kind, cells, seed
+    ):
+        """An ``n = 0`` or ``p = 0`` element returns 0 without drawing,
+        so one call over two argument lists is the two calls: what lets
+        a push whose actors fired nobody ride in the thinning call."""
+        n = np.array([c for c, _ in cells] + [0, 0, 7, 0], dtype=np.int64)
+        p = np.array([q for _, q in cells] + [0.5, 0.0, 0.0, 1.0])
+        idle = GENERATORS[kind](seed)
+        assert not idle.binomial(n[-4:], p[-4:]).any()
+        assert_same_state(idle, GENERATORS[kind](seed))
+        one, two = GENERATORS[kind](seed), GENERATORS[kind](seed)
+        half = len(cells) // 2
+        assert np.array_equal(
+            one.binomial(n, p),
+            np.concatenate([two.binomial(n[:half], p[:half]),
+                            two.binomial(n[half:], p[half:])]),
+        )
+        assert_same_state(one, two)
+
+    def test_hypergeometric_with_no_good_items_still_draws(self):
+        """The trap found while sizing the period program: numpy's
+        ``hypergeometric`` consumes bits for ``ngood = 0`` once
+        ``nsample >= 10`` (its ratio-of-uniforms branch draws whatever
+        the counts; below ten samples the sampling loop stops at once).
+        On ``ensemble_sparse`` at seed 1, 1,235 of the 1,242 overlap
+        calls have no trial where both counts are nonzero, yet skipping
+        them would move the stream -- so the census still makes every
+        overlap call its program reaches."""
+        rng, untouched = make_generator(1), make_generator(1)
+        assert rng.hypergeometric(0, 100, 10) == 0
+        assert rng.random() != untouched.random()
+        rng, untouched = make_generator(1), make_generator(1)
+        assert rng.hypergeometric(np.zeros(3, np.int64), 100, 9).sum() == 0
+        assert_same_state(rng, untouched)
+
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    def test_a_state_round_trip_reproduces_the_stream(self, kind):
+        """After 32-bit and 64-bit draws, ``bit_generator.state`` (for
+        MT19937 just ``{key, pos}``: no spare word) restores the stream
+        exactly, as a pickle of the whole generator does."""
+        import pickle
+
+        def mixed(rng):
+            return [
+                rng.integers(0, 10, size=3, dtype=np.uint32),
+                rng.random(dtype=np.float32), rng.random(2),
+                rng.binomial(np.arange(4), 0.5),
+                rng.integers(0, 2**40, size=2),
+            ]
+
+        rng = GENERATORS[kind](3)
+        mixed(rng)
+        rng.integers(0, 7, dtype=np.uint32)  # an odd number of words
+        restored = np.random.Generator(type(rng.bit_generator)())
+        restored.bit_generator.state = rng.bit_generator.state
+        unpickled = pickle.loads(pickle.dumps(rng))
+        expected = mixed(rng)
+        for other in (restored, unpickled):
+            for got, want in zip(mixed(other), expected):
+                assert np.array_equal(got, want)
+            assert_same_state(other, rng)
+        if kind == "mt19937":
+            assert set(rng.bit_generator.state["state"]) == {"key", "pos"}
 
 
 class TestSortedDistinct:

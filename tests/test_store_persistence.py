@@ -116,9 +116,9 @@ class TestSnapshots:
 
     def test_generator_round_trip_preserves_buffered_state(self):
         rng = np.random.Generator(np.random.MT19937(99))
-        # An odd number of 32-bit draws leaves a buffered spare uint32
-        # inside MT19937 -- exactly the hidden state raw state dicts
-        # lose and pickling keeps.
+        # An odd number of 32-bit draws: MT19937 buffers no spare word
+        # (its state is {key, pos}), and the round trip must continue
+        # the stream exactly from wherever the draws left it.
         rng.integers(0, 2**32, size=7, dtype=np.uint32)
         clone = generator_from_array(generator_to_array(rng))
         assert np.array_equal(

@@ -12,7 +12,12 @@ and fails unless
   ``change`` sides (the two sides did the same work);
 * no end-to-end median on the ``change`` side is worse than the
   parent's by more than the ``bound`` ``BENCHMARK.json`` fixes for
-  that metric.
+  that metric;
+* the claim holds by the paired rule of ``benchmarks/perf/README.md``:
+  some ``"<workload> seed S"`` entry of ``paired_summary`` shows at
+  least 10 alternating pairs, the change better in at least 9 of 10,
+  and medians that differ, in the direction that counts as better for
+  the metric, by more than the parent's ``q3 - q1``.
 
 It reads numbers that were measured where the PR was written; it runs
 nothing, so it is as fast and as deterministic as the file it reads.
@@ -48,13 +53,70 @@ def _runs_by_workload(side: dict) -> Dict[str, dict]:
     return {run["workload"]: run for run in side.get("runs", [])}
 
 
+#: The README's paired rule: pairs needed, and wins per ten pairs.
+MIN_PAIRS, WINS_IN_TEN = 10, 9
+
+
+def _paired_shortfall(entry: dict, better: str) -> Optional[str]:
+    """Why one ``paired_summary`` entry misses the paired rule, or None.
+
+    Wins are counted under ``change_higher`` or ``change_lower``, after
+    the direction in which the claimed metric is better.
+    """
+    try:
+        pairs = int(entry["pairs"])
+        wins = int(entry[f"change_{better}"])
+        parent, change = entry["parent"], entry["change"]
+        before, after = float(parent["median"]), float(change["median"])
+        spread = float(parent["q3"]) - float(parent["q1"])
+    except (KeyError, TypeError, ValueError) as exc:
+        return f"malformed (missing or bad {exc})"
+    if pairs < MIN_PAIRS:
+        return f"{pairs} pairs, fewer than {MIN_PAIRS}"
+    if 10 * wins < WINS_IN_TEN * pairs:
+        return (
+            f"change {better} in {wins} of {pairs} pairs, fewer than "
+            f"{WINS_IN_TEN} in 10"
+        )
+    gain = after - before if better == "higher" else before - after
+    if gain <= spread:
+        return (
+            f"medians {before:.6g} -> {after:.6g} are not apart by more "
+            f"than the parent's q3 - q1 ({spread:.6g}) in the better "
+            f"direction"
+        )
+    return None
+
+
+def _paired_problems(bench: dict, workload: str, better: str) -> List[str]:
+    """The claim must hold by the paired rule on some seed."""
+    prefix = f"{workload} seed "
+    shortfalls = {
+        label: _paired_shortfall(entry, better)
+        for label, entry in (bench.get("paired_summary") or {}).items()
+        if label.startswith(prefix)
+    }
+    if not shortfalls:
+        return [
+            f"{workload}: the claim has no paired_summary entry "
+            f"'{prefix}S'"
+        ]
+    if any(why is None for why in shortfalls.values()):
+        return []
+    return [
+        f"{label}: the claim fails the paired rule: {why}"
+        for label, why in shortfalls.items()
+    ]
+
+
 def problems(bench: dict, benchmark: dict) -> List[str]:
     """Everything wrong with one trajectory file, one line each."""
     found: List[str] = []
     workloads = [entry["name"] for entry in benchmark["workloads"]]
     end_to_end = {entry["name"]: entry for entry in benchmark["end_to_end"]}
-    declared = set(end_to_end) | {
-        entry["name"] for entry in benchmark["per_layer"]
+    better = {
+        entry["name"]: entry.get("better")
+        for entry in benchmark["per_layer"] + benchmark["end_to_end"]
     }
 
     claim = bench.get("claim") or {}
@@ -63,11 +125,15 @@ def problems(bench: dict, benchmark: dict) -> List[str]:
             f"claim names workload {claim.get('workload')!r}, which "
             f"BENCHMARK.json does not declare"
         )
-    if claim.get("metric") not in declared:
+    if claim.get("metric") not in better:
         found.append(
             f"claim names metric {claim.get('metric')!r}, which "
             f"BENCHMARK.json does not declare"
         )
+    elif claim.get("workload") in workloads:
+        found.extend(_paired_problems(
+            bench, claim["workload"], better[claim["metric"]]
+        ))
 
     parent = _runs_by_workload(bench.get("parent", {}))
     change = _runs_by_workload(bench.get("change", {}))
@@ -120,7 +186,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     claim = bench["claim"]
     print(
         f"bench ok: {path.name} claims {claim['metric']} on "
-        f"{claim['workload']}; {len(benchmark['workloads'])} ledgers equal, "
+        f"{claim['workload']} and meets the paired rule; "
+        f"{len(benchmark['workloads'])} ledgers equal, "
         f"{len(benchmark['workloads']) * len(benchmark['end_to_end'])} "
         f"end-to-end medians within their bounds"
     )
