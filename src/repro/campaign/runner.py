@@ -29,9 +29,10 @@ import json
 import os
 import platform
 import time
+import zipfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,6 +51,11 @@ from .registry import custom_entries, install_entries, resolve_protocol
 
 #: Quantiles reported in point summaries.
 SUMMARY_QUANTILES = (0.25, 0.5, 0.75)
+
+#: zlib level of the ``.npz`` count tensors.  ``np.savez_compressed``
+#: deflates at 6; level 1 writes the tensors ~4x faster into files
+#: ~15 % larger.
+TENSOR_DEFLATE_LEVEL = 1
 
 
 @dataclass
@@ -282,10 +288,10 @@ def _merge_shards(
     for index, state in enumerate(states):
         series = finals[:, index]
         summary[state] = summarize_final_counts(series)
-        final_counts[state] = [int(v) for v in series]
-        mean_trajectory[state] = [
-            float(v) for v in count_sums[:, index] / total_trials
-        ]
+        final_counts[state] = series.tolist()
+        mean_trajectory[state] = (
+            count_sums[:, index] / total_trials
+        ).tolist()
     return PointResult(
         point=point,
         states=states,
@@ -294,7 +300,7 @@ def _merge_shards(
         summary=summary,
         mean_trajectory=mean_trajectory,
         recorded_periods=list(first.recorded_periods),
-        mean_alive=[float(v) for v in alive_sums / total_trials],
+        mean_alive=(alive_sums / total_trials).tolist(),
         elapsed_seconds=sum(o.elapsed_seconds for o in outputs),
     )
 
@@ -330,21 +336,30 @@ def _save_tensor(
     against it), and ``point_json`` carries the producing point for
     provenance (``json.loads(str(...))`` round-trips it).
 
-    Written atomically (tmp + rename): a crash mid-write can never
-    leave a truncated ``.npz`` that a later ``--resume`` would trust.
+    The archive is the one ``np.savez_compressed`` writes -- one
+    deflated ``<name>.npy`` member per array, zip64 forced -- except
+    that it deflates at :data:`TENSOR_DEFLATE_LEVEL`, so ``np.load``
+    reads it as it reads theirs.  Written atomically (tmp + rename): a
+    crash mid-write can never leave a truncated ``.npz`` that a later
+    ``--resume`` would trust.
     """
+    arrays = {
+        "counts": tensor,
+        "periods": np.asarray(result.recorded_periods, dtype=np.int64),
+        "states": np.asarray(result.states),
+        "trial_seeds": np.asarray(result.trial_seeds, dtype=np.uint64),
+        "total_messages": np.asarray(total_messages, dtype=np.int64),
+        "point_json": np.asarray(json.dumps(result.point.to_dict())),
+    }
     name = _tensor_file_name(spec_name, index)
     tmp = directory / (name + ".tmp")
-    with open(tmp, "wb") as handle:
-        np.savez_compressed(
-            handle,
-            counts=tensor,
-            periods=np.asarray(result.recorded_periods, dtype=np.int64),
-            states=np.asarray(result.states),
-            trial_seeds=np.asarray(result.trial_seeds, dtype=np.uint64),
-            total_messages=np.asarray(total_messages, dtype=np.int64),
-            point_json=np.asarray(json.dumps(result.point.to_dict())),
-        )
+    with zipfile.ZipFile(
+        tmp, "w", compression=zipfile.ZIP_DEFLATED,
+        compresslevel=TENSOR_DEFLATE_LEVEL, allowZip64=True,
+    ) as archive:
+        for key, array in arrays.items():
+            with archive.open(key + ".npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, array, allow_pickle=False)
     os.replace(tmp, directory / name)
     return name
 
@@ -396,7 +411,9 @@ def _done_entry(index: int, result: PointResult) -> Dict:
     }
 
 
-def _manifest_data(spec: CampaignSpec, entries: List[Dict]) -> Dict:
+def _manifest_data(
+    spec: CampaignSpec, entries: List[Dict], created: str
+) -> Dict:
     """The campaign-level manifest: one entry per planned point.
 
     One file indexes every point of the campaign -- its parameters,
@@ -404,8 +421,9 @@ def _manifest_data(spec: CampaignSpec, entries: List[Dict]) -> Dict:
     offline analysis loads the manifest instead of globbing per-point
     ``.npz`` files, and an interrupted campaign can be resumed from it
     (``complete`` is true only once every point is ``done``).
-    ``SOURCE_DATE_EPOCH`` pins the ``created`` stamp for byte-identical
-    reruns.
+    ``created`` is when the campaign was first started
+    (:func:`_created_stamp`; ``SOURCE_DATE_EPOCH`` pins it for
+    byte-identical reruns).
     """
     return {
         "campaign": spec.name,
@@ -415,7 +433,7 @@ def _manifest_data(spec: CampaignSpec, entries: List[Dict]) -> Dict:
         ),
         "points": entries,
         "provenance": {
-            "created": _created_stamp(),
+            "created": created,
             "python": platform.python_version(),
             "numpy": np.__version__,
         },
@@ -424,26 +442,34 @@ def _manifest_data(spec: CampaignSpec, entries: List[Dict]) -> Dict:
 
 def _encode_entry(entry: Dict) -> str:
     """One entry as it reads inside the manifest's ``points`` list."""
-    return "    " + json.dumps(entry, indent=2).replace("\n", "\n    ")
+    return "    " + json.dumps(entry)
 
 
 class _Checkpoint:
     """The manifest file, rewritten whenever a point lands.
 
-    The file's bytes are ``json.dumps(_manifest_data(spec, entries),
-    indent=2)``, but an ``indent`` runs on the pure-Python encoder, so
-    each entry is encoded once after it is set and every later write
-    assembles the file from the kept pieces (a campaign's checkpoints
-    cost O(points) encodes, not O(points^2)).  With no ``path`` (the
-    campaign keeps no tensors directory) nothing is encoded or written.
+    The file is :func:`_manifest_data` as an ``indent=2`` shell whose
+    ``points`` list holds one line per entry.  Each entry is encoded
+    once after it is set, by the C encoder (an ``indent`` would run the
+    pure-Python one), and every later write assembles the file from the
+    kept pieces, so a campaign's checkpoints cost O(points) encodes,
+    not O(points^2).  ``created`` is stamped once, when the campaign
+    first starts, so a write with no entry set since the last one would
+    put the same bytes on disk.  With no ``path`` (the campaign keeps
+    no tensors directory) nothing is encoded or written.
     """
 
     def __init__(
-        self, path: Optional[Path], spec: CampaignSpec, entries: List[Dict]
+        self,
+        path: Optional[Path],
+        spec: CampaignSpec,
+        entries: List[Dict],
+        created: str,
     ):
         self.path = path
         self.spec = spec
         self.entries = entries
+        self.created = created
         self._pieces: List[Optional[str]] = [None] * len(entries)
 
     def set(self, index: int, entry: Dict) -> None:
@@ -454,7 +480,7 @@ class _Checkpoint:
         for index, piece in enumerate(self._pieces):
             if piece is None:
                 self._pieces[index] = _encode_entry(self.entries[index])
-        shell = _manifest_data(self.spec, self.entries)
+        shell = _manifest_data(self.spec, self.entries, self.created)
         if not self._pieces:
             return json.dumps(shell, indent=2)
         shell["points"] = []
@@ -478,7 +504,7 @@ def load_manifest(directory) -> Dict:
 
 def _restore_completed(
     resume_dir: Path, spec: CampaignSpec, points: List[CampaignPoint]
-) -> Dict[int, PointResult]:
+) -> Tuple[Dict[int, PointResult], Optional[str]]:
     """Load the completed points of a partial campaign manifest.
 
     Verifies spec identity first: resuming under a different spec
@@ -489,7 +515,9 @@ def _restore_completed(
     their ``result``, match the re-expanded point exactly, and their
     tensor file (when one was recorded) still exists -- anything else
     is simply re-run, which is always correct (points are
-    deterministic in their seeds).
+    deterministic in their seeds).  Returns those points and the
+    ``created`` stamp the manifest recorded (None if it has none),
+    which the resumed campaign keeps.
     """
     try:
         manifest = load_manifest(resume_dir)
@@ -526,7 +554,11 @@ def _restore_completed(
         ).is_file():
             continue
         restored[index] = result
-    return restored
+    provenance = manifest.get("provenance")
+    created = (
+        provenance.get("created") if isinstance(provenance, dict) else None
+    )
+    return restored, created if isinstance(created, str) else None
 
 
 def run_campaign(
@@ -609,9 +641,9 @@ def run_campaign(
         tensors_dir.mkdir(parents=True, exist_ok=True)
     want_tensor = tensors_dir is not None
 
-    restored: Dict[int, PointResult] = (
+    restored, created = (
         _restore_completed(resume_dir, spec, points)
-        if resume_dir is not None else {}
+        if resume_dir is not None else ({}, None)
     )
 
     # The checkpoint state: one manifest entry per planned point,
@@ -624,6 +656,7 @@ def run_campaign(
             else _pending_entry(index, point)
             for index, point in enumerate(points)
         ],
+        created or _created_stamp(),
     )
 
     # The campaign as one ExecutionPlan: both parallelism levels --
@@ -737,7 +770,8 @@ def run_campaign(
         backend=backend,
     )
 
-    checkpoint.write()
+    # Nothing is left to write: every entry set above was written as it
+    # was set, and the ``created`` stamp does not move.
     ordered = [
         results[i] for i in range(len(points)) if i in results
     ]

@@ -68,6 +68,28 @@ __all__ = ["ActionPlanner", "TrialMemberPools"]
 #: who pass.
 Move = Tuple[object, np.ndarray]
 
+#: numpy's ``hypergeometric`` draws by ratio of uniforms from this many
+#: samples on, whatever the counts; below it the sampling loop stops
+#: before drawing when there is nothing good to find or nothing to take.
+_HYPERGEOMETRIC_LOOP = 10
+
+
+def _can_collide(taken: np.ndarray, take: np.ndarray) -> bool:
+    """Whether the overlap ``hypergeometric(taken, ., take)`` is drawn.
+
+    Only when earlier movers exist (some ``taken > 0``) and some element
+    can consume bits: ``taken > 0`` with ``take > 0``, or a ``take`` of
+    ten or more.  An element with ``take = 0``, or with ``taken = 0``
+    and ``take`` below ten, returns 0 with the generator untouched
+    (``TestGeneratorContracts`` (e) in ``tests/test_sampling.py``), so
+    a call none of whose elements can draw is the same bits skipped.
+    The takes are checked first: a push whose takes reach ten pays one
+    reduction more than the ``taken`` test alone.
+    """
+    if take.max() >= _HYPERGEOMETRIC_LOOP:
+        return bool(np.count_nonzero(taken))
+    return bool(taken @ take)  # both >= 0: nonzero iff some pair is
+
 
 class TrialMemberPools:
     """Per-(state, trial) member pools in lazily allocated ``(M, n)`` rows.
@@ -816,7 +838,7 @@ class ActionPlanner:
                     taken = gone
                     for a in step.own:
                         taken = taken - thinned[g, :, a]
-                    if np.count_nonzero(taken):
+                    if _can_collide(taken, take):
                         new = take - rng.hypergeometric(
                             taken, members - gone, take
                         )

@@ -308,6 +308,67 @@ class TestSaveTensors:
         assert np.all(np.isfinite(z))
         assert np.all(np.abs(z) <= 5.0)
 
+    def test_tensor_file_has_the_savez_compressed_schema(self, tmp_path):
+        """Same members, in the same order, with the same dtypes, shapes
+        and values as ``np.savez_compressed`` of the same arrays."""
+        import zipfile
+
+        from repro.campaign import runner
+
+        point = tiny_spec(shards=2).expand()[0]
+        result = run_point(point)
+        tensor = replay_point(point)
+        messages = np.arange(point.trials, dtype=np.int64) * 7
+        name = runner._save_tensor(
+            tmp_path, "schema", 3, result, tensor, messages
+        )
+        np.savez_compressed(
+            tmp_path / "reference.npz",
+            counts=tensor,
+            periods=np.asarray(result.recorded_periods, dtype=np.int64),
+            states=np.asarray(result.states),
+            trial_seeds=np.asarray(result.trial_seeds, dtype=np.uint64),
+            total_messages=messages,
+            point_json=np.asarray(json.dumps(point.to_dict())),
+        )
+        with np.load(tmp_path / name) as got, \
+                np.load(tmp_path / "reference.npz") as want:
+            assert got.files == want.files
+            for key in want.files:
+                assert got[key].dtype == want[key].dtype, key
+                assert got[key].shape == want[key].shape, key
+                assert np.array_equal(got[key], want[key]), key
+        with zipfile.ZipFile(tmp_path / name) as archive:
+            assert {info.compress_type for info in archive.infolist()} == {
+                zipfile.ZIP_DEFLATED
+            }
+        assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_savez_compressed_tensors_still_load_and_resume(
+        self, tmp_path, capsys
+    ):
+        """Tensors as ``np.savez_compressed`` wrote them (the format of
+        earlier releases) analyse and resume as they are."""
+        spec = tiny_spec(group_sizes=[200, 300])
+        first = run_campaign(spec, save_tensors=str(tmp_path))
+        for point_result in first.results:
+            path = tmp_path / point_result.tensor_path
+            with np.load(path) as data:
+                arrays = {key: data[key] for key in data.files}
+            with open(path, "wb") as handle:
+                np.savez_compressed(handle, **arrays)
+        assert cli_main(["analyze-campaign", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert all(r.point.label in out for r in first.results)
+
+        def fail_if_run(result):
+            raise AssertionError("a restored point must not re-run")
+
+        resumed = run_campaign(
+            spec, resume=str(tmp_path), progress=fail_if_run
+        )
+        assert resumed.to_dict() == first.to_dict()
+
     def test_no_tensors_without_flag(self):
         result = run_campaign(tiny_spec())
         assert result.results[0].tensor_path is None

@@ -91,6 +91,21 @@ class TestProblems:
         (line,) = load_checker().problems(data, BENCHMARK)
         assert line.startswith("heavy: ledger differs")
 
+    def test_a_ledger_entry_named_as_moved_may_differ(self):
+        data = bench()
+        data["change"]["runs"][1]["ledger"] = {"bytes": 8, "crc": 1}
+        data["parent"]["runs"][1]["ledger"] = {"bytes": 7, "crc": 1}
+        data["ledger_moves"] = {"heavy": ["bytes"]}
+        assert load_checker().problems(data, BENCHMARK) == []
+        # Only the named entry, and only on the named workload.
+        data["change"]["runs"][1]["ledger"]["crc"] = 2
+        (line,) = load_checker().problems(data, BENCHMARK)
+        assert line.startswith("heavy: ledger differs")
+        data["change"]["runs"][1]["ledger"]["crc"] = 1
+        data["ledger_moves"] = {"fast": ["bytes"]}
+        (line,) = load_checker().problems(data, BENCHMARK)
+        assert line.startswith("heavy: ledger differs")
+
     def test_a_regression_past_the_bound_fails_either_direction(self):
         data = bench()
         data["change"]["runs"][1] = run("heavy", 29.0, setup_s=0.5)

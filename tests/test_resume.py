@@ -351,10 +351,18 @@ class TestFailureIsolation:
             registry._PROTOCOLS.pop("flag-pull")
 
 
+def manifest_layout(data):
+    """The manifest text of ``data``: an ``indent=2`` shell, one line
+    per point entry."""
+    shell = json.dumps({**data, "points": None}, indent=2)
+    lines = ",\n".join("    " + json.dumps(e) for e in data["points"])
+    return shell.replace('"points": null', f'"points": [\n{lines}\n  ]')
+
+
 class TestCheckpointEncoding:
     """The manifest is assembled from per-entry pieces, each encoded once."""
 
-    def test_every_checkpoint_is_the_plain_json_dump(
+    def test_every_checkpoint_is_the_shell_with_a_line_per_entry(
         self, tmp_path, monkeypatch
     ):
         # Three points; the second run restores point 0 from the first
@@ -363,17 +371,16 @@ class TestCheckpointEncoding:
         from repro.campaign import registry, runner
 
         written = []
-        write = runner._Checkpoint.write
+        write = runner._write_text_atomic
 
-        def checked_write(checkpoint):
-            write(checkpoint)
-            written.append([e["status"] for e in checkpoint.entries])
-            assert checkpoint.path.read_text() == json.dumps(
-                runner._manifest_data(checkpoint.spec, checkpoint.entries),
-                indent=2,
-            )
+        def checked_write(path, text):
+            write(path, text)
+            data = json.loads(text)
+            written.append([e["status"] for e in data["points"]])
+            assert text == manifest_layout(data)
+            assert data["provenance"]["created"].startswith("2023-11-14")
 
-        monkeypatch.setattr(runner._Checkpoint, "write", checked_write)
+        monkeypatch.setattr(runner, "_write_text_atomic", checked_write)
         flag = tmp_path / "fault-active"
         flag.touch()
         register_protocol("flag-pull", FlagBuilder(str(flag)))
@@ -395,17 +402,51 @@ class TestCheckpointEncoding:
                     on_error="skip", retries=0, backoff_seconds=0.0
                 ),
             )
+            # One write per change; none after the plan (it would put
+            # the same bytes on disk).
             assert written == [
                 ["done", "pending", "pending"],
                 ["done", "failed", "pending"],
-                ["done", "failed", "done"],
                 ["done", "failed", "done"],
             ]
         finally:
             registry._PROTOCOLS.pop("flag-pull")
 
+    def test_created_is_stamped_once_and_kept_by_resume(
+        self, tmp_path, monkeypatch
+    ):
+        # A clock that moves between any two reads: a manifest that
+        # re-stamped ``created`` per write would show it.
+        from itertools import count
+
+        from repro.campaign import runner
+
+        monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+        ticks = count()
+        monkeypatch.setattr(
+            runner, "_created_stamp", lambda: f"stamp-{next(ticks)}"
+        )
+        stamps = []
+        write = runner._write_text_atomic
+
+        def stamped_write(path, text):
+            write(path, text)
+            stamps.append(json.loads(text)["provenance"]["created"])
+
+        monkeypatch.setattr(runner, "_write_text_atomic", stamped_write)
+        spec = tiny_spec()
+        with pytest.raises(Bomb):
+            run_campaign(
+                spec, save_tensors=str(tmp_path), progress=bomb_after(1)
+            )
+        assert stamps == ["stamp-0", "stamp-0"]
+        run_campaign(spec, resume=str(tmp_path))
+        assert stamps[2:] == ["stamp-0", "stamp-0"]
+        assert load_manifest(tmp_path)["provenance"]["created"] == "stamp-0"
+        assert load_manifest(tmp_path)["complete"] is True
+
     def test_an_entry_is_encoded_once_per_status(self, tmp_path, monkeypatch):
-        # Counted, not timed: six points make eight checkpoints, and no
+        # Counted, not timed: six points make seven checkpoints, and no
         # finished point is encoded again by the checkpoints after it.
         from collections import Counter
 
@@ -413,21 +454,21 @@ class TestCheckpointEncoding:
 
         encodes = Counter()
         writes = []
-        encode, write = runner._encode_entry, runner._Checkpoint.write
+        encode, write = runner._encode_entry, runner._write_text_atomic
 
         def counting_encode(entry):
             encodes[entry["index"], entry["status"]] += 1
             return encode(entry)
 
-        def counting_write(checkpoint):
+        def counting_write(path, text):
             writes.append(None)
-            write(checkpoint)
+            write(path, text)
 
         monkeypatch.setattr(runner, "_encode_entry", counting_encode)
-        monkeypatch.setattr(runner._Checkpoint, "write", counting_write)
+        monkeypatch.setattr(runner, "_write_text_atomic", counting_write)
         spec = tiny_spec(group_sizes=[100, 150, 200, 250, 300, 350])
         run_campaign(spec, save_tensors=str(tmp_path))
-        assert len(writes) == 8
+        assert len(writes) == 7
         assert encodes == {
             (index, status): 1
             for index in range(6) for status in ("pending", "done")

@@ -169,9 +169,11 @@ class TestGeneratorContracts:
     """What the period program's choice of generator call rests on.
 
     ``ActionPlanner`` draws a split whose coins all have two sides with
-    ``binomial`` instead of ``multinomial``, and a full push's contacts
-    inside the thinning ``binomial`` call, because the running numpy
-    consumes the same bits in the same order either way; snapshots keep
+    ``binomial`` instead of ``multinomial``, a full push's contacts
+    inside the thinning ``binomial`` call, and skips an overlap
+    ``hypergeometric`` none of whose elements can draw, because the
+    running numpy consumes the same bits in the same order either way;
+    snapshots keep
     a generator as its pickle, which carries its ``bit_generator.state``
     and nothing more.  Each contract is held here by name.
     """
@@ -237,15 +239,62 @@ class TestGeneratorContracts:
         ``nsample >= 10`` (its ratio-of-uniforms branch draws whatever
         the counts; below ten samples the sampling loop stops at once).
         On ``ensemble_sparse`` at seed 1, 1,235 of the 1,242 overlap
-        calls have no trial where both counts are nonzero, yet skipping
-        them would move the stream -- so the census still makes every
-        overlap call its program reaches."""
+        calls have no trial where both counts are nonzero, and in every
+        one of them each trial samples fewer than ten, so (e) lets the
+        census skip them.  What this forbids is skipping a call whose
+        only candidates are ``ngood = 0`` elements sampling ten or
+        more."""
         rng, untouched = make_generator(1), make_generator(1)
         assert rng.hypergeometric(0, 100, 10) == 0
         assert rng.random() != untouched.random()
         rng, untouched = make_generator(1), make_generator(1)
         assert rng.hypergeometric(np.zeros(3, np.int64), 100, 9).sum() == 0
         assert_same_state(rng, untouched)
+
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    @given(
+        elements=st.lists(
+            st.tuples(
+                st.sampled_from(["any", "no sample", "nothing good"]),
+                st.integers(0, 40), st.integers(0, 200), st.integers(0, 240),
+            ),
+            max_size=10,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_hypergeometric_elements_that_cannot_draw_consume_no_bits(
+        self, kind, elements, seed
+    ):
+        """An ``nsample = 0`` element, or an ``ngood = 0`` one sampling
+        fewer than ten, returns 0 without drawing, so a call over mixed
+        elements is the call over the others: what lets the census skip
+        an overlap call none of whose trials can draw."""
+        idle, rows = [], []
+        for case, good, bad, sample in elements:
+            if case == "no sample":
+                sample = 0
+            elif case == "nothing good":
+                good, sample = 0, min(sample, 9, bad)
+            else:
+                sample = min(sample, good + bad)
+            idle.append(case != "any")
+            rows.append((good, bad, sample))
+        idle = np.array(idle, dtype=bool)
+        good, bad, sample = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+
+        rng, untouched = GENERATORS[kind](seed), GENERATORS[kind](seed)
+        assert not rng.hypergeometric(
+            good[idle], bad[idle], sample[idle]
+        ).any()
+        assert_same_state(rng, untouched)
+
+        mixed, others = GENERATORS[kind](seed), GENERATORS[kind](seed)
+        got = mixed.hypergeometric(good, bad, sample)
+        assert not got[idle].any()
+        assert np.array_equal(got[~idle], others.hypergeometric(
+            good[~idle], bad[~idle], sample[~idle]
+        ))
+        assert_same_state(mixed, others)
 
     @pytest.mark.parametrize("kind", sorted(GENERATORS))
     def test_a_state_round_trip_reproduces_the_stream(self, kind):

@@ -9,7 +9,9 @@ and fails unless
 * its ``claim`` names a workload and a metric ``BENCHMARK.json``
   declares;
 * every workload's exact-count ledger is equal on the ``parent`` and
-  ``change`` sides (the two sides did the same work);
+  ``change`` sides (the two sides did the same work), except for the
+  entries the file's ``ledger_moves`` names per workload as moved by
+  design (``{"campaign_sharded": ["campaign.tensor_bytes"]}``);
 * no end-to-end median on the ``change`` side is worse than the
   parent's by more than the ``bound`` ``BENCHMARK.json`` fixes for
   that metric;
@@ -137,11 +139,21 @@ def problems(bench: dict, benchmark: dict) -> List[str]:
 
     parent = _runs_by_workload(bench.get("parent", {}))
     change = _runs_by_workload(bench.get("change", {}))
+    moves = bench.get("ledger_moves") or {}
     for name in workloads:
         if name not in parent or name not in change:
             found.append(f"{name}: not measured on both sides")
             continue
-        if parent[name].get("ledger") != change[name].get("ledger"):
+        moved = set(moves.get(name, ()))
+        before, after = (
+            {
+                key: value
+                for key, value in (side[name].get("ledger") or {}).items()
+                if key not in moved
+            }
+            for side in (parent, change)
+        )
+        if before != after:
             found.append(
                 f"{name}: ledger differs, parent "
                 f"{parent[name].get('ledger')} vs change "
