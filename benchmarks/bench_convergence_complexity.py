@@ -48,7 +48,7 @@ def run_experiments():
     outcome = LVMajority(
         n, zeros=int(0.65 * n), ones=n - int(0.65 * n), p=0.01, seed=170
     ).run(scaled(1_200, minimum=600), stop_on_convergence=False)
-    minority = outcome.recorder.counts("y").astype(float)
+    minority = outcome.recorder.counts("y")[0].astype(float)
     times = outcome.recorder.times.astype(float)
     mask = (minority < 0.10 * n) & (minority > max(20.0, 1e-4 * n))
     sim_rate = decay_rate_estimate(times[mask], minority[mask])

@@ -30,7 +30,7 @@ from repro.protocols.endemic import (
     figure1_protocol,
     pure_protocol,
 )
-from repro.runtime import MetricsRecorder, RoundEngine
+from repro.runtime import BatchMetricsRecorder, RoundEngine
 
 PARAMS = EndemicParams(alpha=0.01, gamma=0.1, b=2)
 
@@ -48,19 +48,19 @@ def run_comparison():
             spec, n=n,
             initial={RECEPTIVE: n - 1, STASH: 1, "z": 0}, seed=250,
         )
-        recorder = MetricsRecorder(spec.states)
+        recorder = BatchMetricsRecorder(spec.states, 1)
         horizon = scaled(20_000 if "pure" in label else 2_000, minimum=800)
         engine.run(horizon, recorder=recorder)
-        series = recorder.counts(STASH)
+        series = recorder.counts(STASH)[0]
         target = expected[STASH] / 2
         reached = np.nonzero(series >= target)[0]
         rampup = int(recorder.times[reached[0]]) if len(reached) else None
 
         # Operating point over the tail.
-        tail = MetricsRecorder(spec.states)
+        tail = BatchMetricsRecorder(spec.states, 1)
         engine.run(scaled(1_000, minimum=400), recorder=tail,
                    record_initial=False)
-        stash_mean = float(np.mean(tail.counts(STASH)))
+        stash_mean = float(np.mean(tail.counts(STASH)[0]))
 
         # Messages per period at equilibrium.
         sent_before = engine.total_messages

@@ -36,7 +36,7 @@ def run_ablation():
             initial={"x": n - 1, "y": 1}, seed=212, membership=membership,
         )
         recorder = sim.run(scaled(60, minimum=40))
-        series = recorder.counts("x")
+        series = recorder.counts("x")[0]
         below = np.nonzero(series <= 1)[0]
         spread[label] = (
             int(recorder.times[below[0]]) if len(below) else None

@@ -20,7 +20,7 @@ from bench_util import format_table, report, scaled
 
 from repro.analysis.tokens import compare_ttl_models
 from repro.odes.system import build_system
-from repro.runtime import MetricsRecorder, RoundEngine
+from repro.runtime import BatchMetricsRecorder, RoundEngine
 from repro.synthesis import synthesize
 
 
@@ -45,10 +45,10 @@ def run_sweep():
     for ttl in (None, 1, 2, 4, 8):
         spec = synthesize(token_system(), token_ttl=ttl)
         engine = RoundEngine(spec, n=n, initial=initial, seed=230)
-        recorder = MetricsRecorder(spec.states)
+        recorder = BatchMetricsRecorder(spec.states, 1)
         engine.run(periods, recorder=recorder)
         fractions = {
-            s: recorder.counts(s).astype(float) / n for s in spec.states
+            s: recorder.counts(s)[0].astype(float) / n for s in spec.states
         }
         errors = compare_ttl_models(spec, fractions, initial_fracs)
         rows.append((ttl, errors["unadjusted"], errors["adjusted"]))

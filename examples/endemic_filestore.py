@@ -19,7 +19,7 @@ import numpy as np
 from repro.analysis.fairness import analyze_member_log, attack_window_decay
 from repro.analysis.safety import RealityCheck
 from repro.protocols.endemic import STASH, EndemicParams, figure1_protocol
-from repro.runtime import MetricsRecorder, RoundEngine
+from repro.runtime import BatchMetricsRecorder, RoundEngine
 from repro.store import MigratoryFileStore
 from repro.viz import render_series
 
@@ -69,19 +69,20 @@ def main() -> None:
     spec = figure1_protocol(PARAMS)
     engine = RoundEngine(spec, n=N, initial=PARAMS.equilibrium_counts(N), seed=8)
     engine.run(400)
-    recorder = MetricsRecorder(spec.states, member_log_state=STASH)
+    recorder = BatchMetricsRecorder(spec.states, 1, member_log_state=STASH)
     engine.run(300, recorder=recorder, record_initial=False)
-    fairness = analyze_member_log(recorder, N, gamma=PARAMS.gamma)
+    member_log = recorder.trial_member_log(0)
+    fairness = analyze_member_log(member_log, N, gamma=PARAMS.gamma)
     print("fairness / untraceability over 300 observed periods:")
     print(fairness.render())
-    decay = attack_window_decay(recorder, lags=(1, 10, 30))
+    decay = attack_window_decay(member_log, lags=(1, 10, 30))
     print("attacker snapshot overlap by lag:",
           {lag: round(v, 3) for lag, v in decay.items()})
     print()
 
     print(render_series(
         recorder.times,
-        {"stashers": recorder.counts(STASH)},
+        {"stashers": recorder.counts(STASH)[0]},
         width=70, height=10,
         title="replica population over time (stable, low)",
     ))

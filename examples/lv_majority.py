@@ -71,9 +71,9 @@ def main() -> None:
     print(render_series(
         recorder.times[horizon],
         {
-            "state x (0)": recorder.counts("x")[horizon],
-            "state y (1)": recorder.counts("y")[horizon],
-            "undecided": recorder.counts("z")[horizon],
+            "state x (0)": recorder.counts("x")[0, horizon],
+            "state y (1)": recorder.counts("y")[0, horizon],
+            "undecided": recorder.counts("z")[0, horizon],
         },
         width=70, height=14,
         title="LV majority selection through a massive failure",

@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..protocols.endemic import EndemicParams
-from ..runtime.metrics import MetricsRecorder
 
 
 # ----------------------------------------------------------------------
@@ -156,11 +155,14 @@ class ConvergenceMeasurement:
 
 
 def first_period_below(
-    recorder: MetricsRecorder, state: str, threshold: float
+    times: np.ndarray, series: np.ndarray, threshold: float
 ) -> ConvergenceMeasurement:
-    """First recorded period where a state count drops to ``threshold``."""
-    series = recorder.counts(state)
-    times = recorder.times
+    """First recorded period where a count series drops to ``threshold``.
+
+    ``times`` are the recorded periods and ``series`` one trial's counts
+    at them, e.g. ``recorder.times`` and ``recorder.counts(state)[m]``.
+    """
+    series = np.asarray(series)
     below = np.nonzero(series <= threshold)[0]
     if len(below) == 0:
         return ConvergenceMeasurement(period=None, value_at_convergence=None)

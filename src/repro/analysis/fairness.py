@@ -11,8 +11,9 @@ argues three properties from its visual appearance:
   attacker cannot predict replica locations.
 
 This module turns those visual arguments into statistics computed from
-the per-period member logs collected by
-:class:`~repro.runtime.metrics.MetricsRecorder`:
+one trial's per-period member log, the ``[(period, member ids), ...]``
+list :meth:`~repro.runtime.metrics.BatchMetricsRecorder.trial_member_log`
+returns for a recorder built with ``member_log_state``:
 Jain's fairness index over per-host responsibility time, maximum
 stretch of consecutive stashing (against its geometric expectation),
 a chi-square uniformity test over host ids, and the attacker's decay
@@ -27,28 +28,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-def _member_log_of(source) -> List[Tuple[int, np.ndarray]]:
-    """Accept a recorder or a raw ``[(period, member ids), ...]`` list.
+#: One trial's member log: ``(period, member ids)`` per recorded period.
+MemberLog = Sequence[Tuple[int, np.ndarray]]
 
-    The raw-list form is how the batched Figure 8 bench feeds one
-    ensemble member's log
-    (:meth:`~repro.runtime.batch_engine.BatchMetricsRecorder.trial_member_log`).
-    """
-    log = getattr(source, "member_log", source)
-    if not log:
+
+def _nonempty(member_log: MemberLog) -> MemberLog:
+    if not member_log:
         raise ValueError(
-            "no member log (set member_log_state on the recorder)"
+            "empty member log (set member_log_state on the recorder)"
         )
-    log = list(log)
-    # A BatchMetricsRecorder's own member_log holds *per-trial lists*
-    # of arrays; analysis works on one trial at a time.
-    if not isinstance(log[0][1], np.ndarray):
-        raise ValueError(
-            "member log entries must be (period, member ids) pairs; for "
-            "a batched recorder pass trial_member_log(trial), not the "
-            "recorder itself"
-        )
-    return log
+    return member_log
 
 
 @dataclass(frozen=True)
@@ -88,9 +77,7 @@ def jain_index(values: Sequence[float]) -> float:
     return float(total**2 / (len(array) * (array**2).sum()))
 
 
-def _runs_per_host(
-    member_log: List[Tuple[int, np.ndarray]]
-) -> Dict[int, List[int]]:
+def _runs_per_host(member_log: MemberLog) -> Dict[int, List[int]]:
     """Consecutive-stint lengths per host from a member log."""
     runs: Dict[int, List[int]] = {}
     current: Dict[int, int] = {}
@@ -112,21 +99,19 @@ def _runs_per_host(
 
 
 def analyze_member_log(
-    recorder,
+    member_log: MemberLog,
     n_hosts: int,
     gamma: Optional[float] = None,
 ) -> FairnessReport:
-    """Compute the Figure 8 statistics from a recorded member log.
+    """Compute the Figure 8 statistics from one trial's member log.
 
-    ``recorder`` is a :class:`~repro.runtime.metrics.MetricsRecorder`
-    (or anything with a ``member_log``), or a raw
-    ``[(period, member ids), ...]`` list such as one trial of a batched
-    ensemble.  ``gamma`` (the per-period stash-to-averse rate) gives
-    the geometric dwell distribution used for the expected maximum
-    stint length: with ``k`` observed stints the expected maximum is
-    roughly ``ln(k) / gamma``.
+    ``member_log`` is a ``[(period, member ids), ...]`` list, e.g.
+    ``recorder.trial_member_log(m)``.  ``gamma`` (the per-period
+    stash-to-averse rate) gives the geometric dwell distribution used
+    for the expected maximum stint length: with ``k`` observed stints
+    the expected maximum is roughly ``ln(k) / gamma``.
     """
-    log = _member_log_of(recorder)
+    log = _nonempty(member_log)
     periods = len(log)
     occupancy = np.zeros(n_hosts, dtype=np.int64)
     host_times: List[Tuple[int, int]] = []
@@ -191,7 +176,7 @@ def analyze_member_log(
 
 
 def attack_window_decay(
-    recorder, lags: Sequence[int] = (1, 5, 10, 20, 50)
+    member_log: MemberLog, lags: Sequence[int] = (1, 5, 10, 20, 50)
 ) -> Dict[int, float]:
     """How stale a snapshot of responsible hosts becomes with lag.
 
@@ -201,7 +186,7 @@ def attack_window_decay(
     window shrinks geometrically, which is the untraceability argument
     in quantitative form.
     """
-    log = _member_log_of(recorder)
+    log = _nonempty(member_log)
     out: Dict[int, float] = {}
     for lag in lags:
         overlaps = []
@@ -219,14 +204,14 @@ def attack_window_decay(
 
 
 def fairness_over_time(
-    recorder, n_hosts: int, checkpoints: int = 5
+    member_log: MemberLog, n_hosts: int, checkpoints: int = 5
 ) -> List[Tuple[int, float]]:
     """Jain index measured over growing prefixes of the member log.
 
     Fairness is an asymptotic property ("over a long time of running");
     this shows the index rising toward 1 as the window grows.
     """
-    log = _member_log_of(recorder)
+    log = _nonempty(member_log)
     out = []
     for checkpoint in range(1, checkpoints + 1):
         upto = max(1, (len(log) * checkpoint) // checkpoints)

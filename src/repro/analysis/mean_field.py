@@ -19,8 +19,8 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 import numpy as np
 
 from ..odes.integrate import integrate
-from ..runtime.batch_engine import BatchMetricsRecorder, BatchRoundEngine
-from ..runtime.metrics import MetricsRecorder, WindowStats
+from ..runtime.batch_engine import BatchRoundEngine
+from ..runtime.metrics import BatchMetricsRecorder, WindowStats
 from ..runtime.round_engine import RoundEngine
 from ..synthesis.protocol import ProtocolSpec
 
@@ -74,7 +74,7 @@ def measure_equilibrium(
     """
     start = dict(initial) if initial is not None else dict(analytic)
     engine = RoundEngine(spec, n=n, initial=start, seed=seed)
-    recorder = MetricsRecorder(spec.states)
+    recorder = BatchMetricsRecorder(spec.states, 1)
     engine.run(warmup_periods, recorder=recorder)
     engine.run(window_periods, recorder=recorder, record_initial=False)
     observe = tuple(states) if states is not None else spec.states
@@ -132,12 +132,11 @@ def measure_equilibrium_batch(
     observe = tuple(states) if states is not None else spec.states
     out = {}
     for state in observe:
-        pooled = recorder.counts(state).ravel()
         out[state] = EquilibriumMeasurement(
             n=n,
             state=state,
             analytic=float(analytic.get(state, 0.0)),
-            stats=WindowStats.of(pooled),
+            stats=recorder.window(state, warmup_periods + 1),
             trials=trials,
         )
     return out
@@ -226,7 +225,7 @@ def compare_trajectory(
         seed=seed,
         connection_failure_rate=connection_failure_rate,
     )
-    recorder = MetricsRecorder(spec.states, stride=record_every)
+    recorder = BatchMetricsRecorder(spec.states, 1, stride=record_every)
     engine.run(periods, recorder=recorder)
 
     times = recorder.times
@@ -255,7 +254,7 @@ def compare_trajectory(
         for state in spec.states:
             predicted[state] = series[state][times] * n
     for state in spec.states:
-        simulated[state] = recorder.counts(state).astype(float)
+        simulated[state] = recorder.counts(state)[0].astype(float)
     return TrajectoryComparison(
         spec=spec,
         n=n,

@@ -1,7 +1,7 @@
 """``simulate``: one serial run of the protocol an equations file maps to."""
 
 from ..odes import auto_rewrite, classify
-from ..runtime import MetricsRecorder, RoundEngine
+from ..runtime import BatchMetricsRecorder, RoundEngine
 from ..synthesis import SynthesisError, synthesize
 from ..viz import render_series
 from .common import EQUATIONS, SYNTHESIS, CliError, load_system, parse_bindings
@@ -39,7 +39,9 @@ def run(args) -> int:
         spec, n=args.n, initial=initial, seed=args.seed,
         connection_failure_rate=args.failure_rate,
     )
-    recorder = MetricsRecorder(spec.states, stride=max(1, args.periods // 200))
+    recorder = BatchMetricsRecorder(
+        spec.states, 1, stride=max(1, args.periods // 200)
+    )
     engine.run(args.periods, recorder=recorder)
     counts = engine.counts()
     print(f"after {args.periods} periods "
@@ -50,7 +52,7 @@ def run(args) -> int:
         print()
         print(render_series(
             recorder.times,
-            {s: recorder.counts(s) for s in spec.states},
+            {s: recorder.counts(s)[0] for s in spec.states},
             width=70, height=16,
             title=f"{spec.name} (N={args.n})",
         ))

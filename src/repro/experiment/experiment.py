@@ -37,7 +37,7 @@ import time
 from typing import Mapping, Optional, Union
 
 from ..runtime.exec import BACKENDS, FaultPolicy
-from ..runtime.metrics import MetricsRecorder
+from ..runtime.metrics import BatchMetricsRecorder
 from ..runtime.parallel import AgentEnsemble, ShardedBatchExecutor
 from ..runtime.round_engine import RoundEngine, initial_state_vector
 from ..runtime.rng import spawn_seeds
@@ -306,8 +306,9 @@ class Experiment:
                 spec, n=self.n, initial=initial, seed=trial_seed,
                 connection_failure_rate=self.loss_rate,
             )
-            recorder = MetricsRecorder(
+            recorder = BatchMetricsRecorder(
                 spec.states,
+                1,
                 track_transitions=self.record_transitions,
                 member_log_state=self.member_log_state,
                 stride=self.stride,
@@ -323,7 +324,7 @@ class Experiment:
             engine="serial", trial_seeds=list(seeds), elapsed_seconds=0.0,
             protocol=self.protocol,
             scenario=self.scenario.label if self.scenario else None,
-            trial_recorders=recorders,
+            recorder=BatchMetricsRecorder.merge(recorders),
         )
 
     def _run_agent(self, spec, initial) -> ExperimentResult:
@@ -366,7 +367,7 @@ class Experiment:
             elapsed_seconds=0.0,
             protocol=self.protocol,
             scenario=self.scenario.label if self.scenario else None,
-            trial_recorders=outcome.recorders,
+            recorder=outcome.recorder,
             failures=outcome.failures,
         )
 

@@ -18,8 +18,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..runtime.exec import UnitFailure
-from ..runtime.metrics import MetricsRecorder, WindowStats
-from ..runtime.batch_engine import BatchMetricsRecorder
+from ..runtime.metrics import BatchMetricsRecorder, WindowStats
 from ..synthesis.protocol import ProtocolSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -134,10 +133,9 @@ class ExperimentResult:
     recorder: ``(M, periods)`` per-state count series, ``(M, periods,
     S)`` tensors, trial-axis reducers, per-trial final counts and
     transition tensors.  ``recorder`` exposes the underlying
-    :class:`BatchMetricsRecorder` (batch engine) and
-    ``trial_recorders`` the per-trial :class:`MetricsRecorder` list
-    (serial engine); both remain available for code written against the
-    old surfaces.
+    :class:`BatchMetricsRecorder`, which every tier records into (the
+    serial and agent tiers as one-trial recorders merged in trial
+    order).
     """
 
     def __init__(
@@ -152,15 +150,10 @@ class ExperimentResult:
         elapsed_seconds: float,
         protocol: Optional["Protocol"] = None,
         scenario: Optional[str] = None,
-        recorder: Optional[BatchMetricsRecorder] = None,
-        trial_recorders: Optional[List[MetricsRecorder]] = None,
+        recorder: BatchMetricsRecorder,
         shards: int = 1,
         failures: Optional[Sequence[UnitFailure]] = None,
     ):
-        if (recorder is None) == (trial_recorders is None):
-            raise ValueError(
-                "exactly one of recorder / trial_recorders is required"
-            )
         self.spec = spec
         self.n = n
         self.trials = trials
@@ -171,7 +164,6 @@ class ExperimentResult:
         self.protocol = protocol
         self.scenario = scenario
         self.recorder = recorder
-        self.trial_recorders = trial_recorders
         #: Trial-axis shard count the run executed with (1 = unsharded).
         #: Part of the batch stream's identity: replaying a sharded run
         #: bit for bit requires the same shard count (see
@@ -182,13 +174,6 @@ class ExperimentResult:
         #: When non-empty, ``trials``/``trial_seeds`` and every tensor
         #: cover only the surviving trials.
         self.failures: List[UnitFailure] = list(failures or [])
-        if trial_recorders is not None:
-            first = trial_recorders[0].times
-            for other in trial_recorders[1:]:
-                if not np.array_equal(other.times, first):
-                    raise ValueError(
-                        "trial recorders disagree on the recording schedule"
-                    )
 
     # ------------------------------------------------------------------
     # Tensors
@@ -200,47 +185,27 @@ class ExperimentResult:
     @property
     def times(self) -> np.ndarray:
         """Recorded periods, shape ``(periods,)``."""
-        if self.recorder is not None:
-            return self.recorder.times
-        return self.trial_recorders[0].times
+        return self.recorder.times
 
     def count_tensor(self) -> np.ndarray:
         """All counts as one ``(M, periods, S)`` tensor."""
-        if self.recorder is not None:
-            return self.recorder.count_tensor()
-        return np.stack([
-            np.stack([r.counts(s) for s in self.states], axis=1)
-            for r in self.trial_recorders
-        ])
+        return self.recorder.count_tensor()
 
     def counts(self, state: str) -> np.ndarray:
         """Count series of one state, shape ``(M, periods)``."""
-        if self.recorder is not None:
-            return self.recorder.counts(state)
-        return np.stack([r.counts(state) for r in self.trial_recorders])
+        return self.recorder.counts(state)
 
     def alive_tensor(self) -> np.ndarray:
         """Alive population per trial and period, shape ``(M, periods)``."""
-        if self.recorder is not None:
-            return self.recorder.alive_tensor()
-        return np.stack([r.alive_series() for r in self.trial_recorders])
+        return self.recorder.alive_tensor()
 
     def transition_tensor(self, edge: Edge) -> np.ndarray:
         """Per-trial transition series along one edge, ``(M, periods)``."""
-        if self.recorder is not None:
-            return self.recorder.transition_tensor(edge)
-        return np.stack([
-            r.transition_series(edge) for r in self.trial_recorders
-        ])
+        return self.recorder.transition_tensor(edge)
 
     def edges_seen(self) -> List[Edge]:
         """Every edge that carried at least one transition in any trial."""
-        if self.recorder is not None:
-            return self.recorder.edges_seen()
-        seen = set()
-        for r in self.trial_recorders:
-            seen.update(r.edges_seen())
-        return sorted(seen)
+        return self.recorder.edges_seen()
 
     # ------------------------------------------------------------------
     # Reducers
@@ -260,19 +225,11 @@ class ExperimentResult:
     def final_counts(self) -> Dict[str, np.ndarray]:
         """Per-state final counts, each an ``(M,)`` array.
 
-        Reads only the last recorded period (the recorders expose it
+        Reads only the last recorded period (the recorder exposes it
         directly) instead of materializing the full count tensor.
         """
-        if self.recorder is not None:
-            last = self.recorder.last_counts()  # (M, S)
-            return {
-                s: last[:, i].copy() for i, s in enumerate(self.states)
-            }
-        per_trial = [r.last_counts() for r in self.trial_recorders]
-        return {
-            s: np.array([counts[s] for counts in per_trial], dtype=np.int64)
-            for s in self.states
-        }
+        last = self.recorder.last_counts()  # (M, S)
+        return {s: last[:, i].copy() for i, s in enumerate(self.states)}
 
     def mean_final_counts(self) -> Dict[str, float]:
         return {s: float(v.mean()) for s, v in self.final_counts().items()}
@@ -313,9 +270,8 @@ class ExperimentResult:
         every trial, pooled (``M * window`` samples); default is the
         last quarter of the recording.
         """
-        series = self.counts(state)
         window = self._window(window_periods)
-        return WindowStats.of(series[:, -window:].ravel())
+        return self.recorder.window(state, self.times[-window])
 
     def _window(self, window_periods: Optional[int]) -> int:
         recorded = len(self.times)

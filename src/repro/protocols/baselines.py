@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from ..runtime.metrics import MetricsRecorder
+from ..runtime.metrics import BatchMetricsRecorder, trial_rows
 from ..runtime.rng import make_generator
 
 #: State names shared by both baselines.
@@ -94,12 +94,16 @@ class _PlacementSim:
         self,
         periods: int,
         hooks: Iterable = (),
-        recorder: Optional[MetricsRecorder] = None,
+        recorder: Optional[BatchMetricsRecorder] = None,
         stop_when_lost: bool = True,
     ) -> "PlacementResult":
-        """Advance the baseline, applying hooks before each period."""
+        """Advance the baseline, applying hooks before each period.
+
+        Each period is one ``(1, S)`` row, recorded at the baseline's
+        own period count.
+        """
         if recorder is None:
-            recorder = MetricsRecorder(_STATE_NAMES)
+            recorder = BatchMetricsRecorder(_STATE_NAMES, 1)
         hooks_list = list(hooks)
         lost_at = None
         for _ in range(periods):
@@ -107,10 +111,10 @@ class _PlacementSim:
                 hook(self)
             self.step()
             self.period += 1
-            recorder.record(
-                self.period, self.counts(), self.alive_count(),
-                transitions=self.last_transitions,
-            )
+            recorder.record(self.period, *trial_rows(
+                _STATE_NAMES, self.counts(), self.alive_count(),
+                self.last_transitions,
+            ))
             if lost_at is None and self.object_lost():
                 lost_at = self.period
                 if stop_when_lost:
@@ -123,7 +127,7 @@ class PlacementResult:
     """Outcome of a baseline run."""
 
     sim: _PlacementSim
-    recorder: MetricsRecorder
+    recorder: BatchMetricsRecorder
     lost_at_period: Optional[int]
 
     @property

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..odes import library
 from ..synthesis import ProtocolSpec, PushAction, SampleAction, synthesize
-from ..runtime import MetricsRecorder, RoundEngine
+from ..runtime import BatchMetricsRecorder, RoundEngine
 
 
 def pull_protocol(rate: float = 1.0) -> ProtocolSpec:
@@ -72,7 +72,7 @@ class SpreadResult:
     n: int
     rounds_to_threshold: Optional[int]
     final_susceptible: int
-    recorder: MetricsRecorder
+    recorder: BatchMetricsRecorder
 
     @property
     def completed(self) -> bool:
@@ -101,21 +101,18 @@ def measure_spread(
         initial={"x": n - initial_infected, "y": initial_infected},
         seed=seed,
     )
-    recorder = MetricsRecorder(protocol.states)
-    rounds_to_threshold = None
-    for _ in range(max_rounds):
-        engine.step()
-        counts = engine.counts()
-        recorder.record(engine.period, counts, engine.alive_count(),
-                        transitions=engine.last_transitions)
-        if rounds_to_threshold is None and counts["x"] <= threshold:
-            rounds_to_threshold = engine.period
-            break
+    result = engine.run(
+        max_rounds, record_initial=False,
+        stop=lambda running: running.counts()["x"] <= threshold,
+    )
+    susceptible = engine.counts()["x"]
+    # A run of no rounds reached nothing, whatever it started from.
+    reached = engine.period > 0 and susceptible <= threshold
     return SpreadResult(
         n=n,
-        rounds_to_threshold=rounds_to_threshold,
-        final_susceptible=engine.counts()["x"],
-        recorder=recorder,
+        rounds_to_threshold=engine.period if reached else None,
+        final_susceptible=susceptible,
+        recorder=result.recorder,
     )
 
 

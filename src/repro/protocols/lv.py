@@ -30,14 +30,8 @@ from typing import Dict, Iterable, Optional
 import numpy as np
 
 from ..odes import library
-from ..runtime import (
-    BatchMetricsRecorder,
-    BatchRoundEngine,
-    MetricsRecorder,
-    RoundEngine,
-)
+from ..runtime import BatchMetricsRecorder, BatchRoundEngine, RoundEngine
 from ..runtime.batch_engine import HookFactory
-from ..runtime.round_engine import Hook
 from ..synthesis import ProtocolSpec, synthesize
 
 #: Decision values.
@@ -63,7 +57,7 @@ class MajorityOutcome:
     winner: Optional[str]
     correct: Optional[bool]
     convergence_period: Optional[int]
-    recorder: MetricsRecorder
+    recorder: BatchMetricsRecorder
 
     @property
     def converged(self) -> bool:
@@ -126,33 +120,24 @@ class LVMajority:
         self,
         max_periods: int,
         hooks: tuple = (),
-        recorder: Optional[MetricsRecorder] = None,
+        recorder: Optional[BatchMetricsRecorder] = None,
         stop_on_convergence: bool = True,
     ) -> MajorityOutcome:
         """Advance up to ``max_periods``, recording counts per period."""
-        if recorder is None:
-            recorder = MetricsRecorder(self.spec.states)
-        hooks_list = list(hooks)
-        engine = self.engine
-        if engine.period == 0:
-            recorder.record(0, engine.counts(), engine.alive_count())
         convergence_period = None
-        for _ in range(max_periods):
-            for hook in hooks_list:
-                hook(engine)
-            engine.step()
-            recorder.record(
-                engine.period,
-                engine.counts(),
-                engine.alive_count(),
-                transitions=engine.last_transitions,
-            )
-            if convergence_period is None:
-                winner = self.converged_winner()
-                if winner is not None:
-                    convergence_period = engine.period
-                    if stop_on_convergence:
-                        break
+
+        def note_convergence(engine: RoundEngine) -> bool:
+            nonlocal convergence_period
+            if (convergence_period is None
+                    and self.converged_winner() is not None):
+                convergence_period = engine.period
+                return stop_on_convergence
+            return False
+
+        result = self.engine.run(
+            max_periods, recorder=recorder, hooks=hooks,
+            stop=note_convergence,
+        )
         winner = self.converged_winner()
         correct = None
         if winner is not None and self.initial_zero != self.initial_one:
@@ -165,7 +150,7 @@ class LVMajority:
             winner=winner,
             correct=correct,
             convergence_period=convergence_period,
-            recorder=recorder,
+            recorder=result.recorder,
         )
 
 

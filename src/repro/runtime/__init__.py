@@ -27,7 +27,6 @@ Mersenne Twister stream management (:mod:`~repro.runtime.rng`).
 
 from .agent_sim import AgentSimulation
 from .batch_engine import (
-    BatchMetricsRecorder,
     BatchRoundEngine,
     BatchRunResult,
     BatchTrialView,
@@ -38,7 +37,7 @@ from .des import Environment, Interrupted, Process
 from .events import Event, EventQueue
 from .failures import CrashRecoveryNoise, DirectedAttack, MassiveFailure, OpenGroupJoins, ScheduledRecovery
 from .membership import FullMembership, PartialMembership
-from .metrics import MetricsRecorder, WindowStats
+from .metrics import BatchMetricsRecorder, WindowStats
 from .network import ContactFailed, LatencyModel, Network
 from .overlay import erdos_renyi_overlay, log_degree, overlay_stats, random_regular_overlay
 from .chaos import ChaosSchedule, WorkerFault
@@ -104,7 +103,6 @@ __all__ = [
     "ContactFailed",
     "FullMembership",
     "PartialMembership",
-    "MetricsRecorder",
     "WindowStats",
     "MassiveFailure",
     "OpenGroupJoins",

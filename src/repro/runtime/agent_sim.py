@@ -35,7 +35,7 @@ from ..synthesis.protocol import ProtocolSpec
 from .agent import Agent
 from .des import Environment
 from .membership import FullMembership, PartialMembership
-from .metrics import MetricsRecorder
+from .metrics import BatchMetricsRecorder, trial_rows
 from .network import LatencyModel, Network
 from .rng import RandomSource
 
@@ -259,15 +259,16 @@ class AgentSimulation:
     def run(
         self,
         periods: float,
-        recorder: Optional[MetricsRecorder] = None,
+        recorder: Optional[BatchMetricsRecorder] = None,
         sample_every: float = 1.0,
         hooks: Sequence[Callable[["AgentSimulation"], None]] = (),
         record_initial: bool = True,
-    ) -> MetricsRecorder:
+    ) -> BatchMetricsRecorder:
         """Advance the simulation ``periods`` nominal periods.
 
         Counts are sampled every ``sample_every`` periods into the
-        recorder (period index = elapsed nominal periods).
+        one-trial recorder as ``(1, S)`` rows (period index = elapsed
+        nominal periods).
         ``record_initial`` stores the period-0 state before anything
         runs -- the round engines' convention, so the agent tier's
         recordings align period-for-period with theirs for cross-tier
@@ -289,15 +290,12 @@ class AgentSimulation:
         to this tier.
         """
         if recorder is None:
-            recorder = MetricsRecorder(self.spec.states)
+            recorder = BatchMetricsRecorder(self.spec.states, 1)
         start = self.env.now
         if record_initial and self.period == 0:
-            recorder.record(
-                period=0,
-                counts=self.counts(),
-                alive=self.alive_count(),
-                transitions={},
-            )
+            recorder.record(0, *trial_rows(
+                recorder.states, self.counts(), self.alive_count(), {}
+            ))
         steps = int(round(periods / sample_every))
         last_counts: Dict[Tuple[str, str], int] = dict(self.transition_counts)
         for step in range(1, steps + 1):
@@ -311,9 +309,9 @@ class AgentSimulation:
             }
             last_counts = dict(self.transition_counts)
             recorder.record(
-                period=int(round((self.env.now - start) / self.period_duration)),
-                counts=self.counts(),
-                alive=self.alive_count(),
-                transitions=deltas,
+                int(round((self.env.now - start) / self.period_duration)),
+                *trial_rows(
+                    recorder.states, self.counts(), self.alive_count(), deltas
+                ),
             )
         return recorder

@@ -23,10 +23,10 @@ execution layer (:mod:`repro.runtime.exec`).  Two executors live here:
   :class:`~repro.runtime.agent_sim.AgentSimulation` trials (the DES
   tier), one work unit per trial, with per-trial seeds from
   ``spawn_seeds(seed, M)`` -- the *same* trial-seed discipline the
-  serial tier uses.  The merge collects the per-trial
-  recorders in trial order, so an agent ensemble is bitwise
-  reproducible and schedule-independent by construction (each trial
-  owns its whole RNG stream).
+  serial tier uses.  The merge concatenates the one-trial recorders
+  in trial order (:meth:`BatchMetricsRecorder.merge`), so an agent
+  ensemble is bitwise reproducible and schedule-independent by
+  construction (each trial owns its whole RNG stream).
 
 These are the engine-level siblings of campaign fan-out: campaigns
 parallelize across grid points and shards of points, while the
@@ -54,7 +54,6 @@ from .exec import (
     WorkUnit,
     run_plan,
 )
-from .metrics import MetricsRecorder
 from .rng import spawn_seeds
 
 __all__ = [
@@ -390,7 +389,7 @@ class _AgentTrialJob:
     trial: int
 
 
-def _run_agent_trial(job: _AgentTrialJob) -> MetricsRecorder:
+def _run_agent_trial(job: _AgentTrialJob) -> BatchMetricsRecorder:
     """Worker entry point: run one asynchronous trial, return its recorder."""
     simulation = AgentSimulation(
         job.spec,
@@ -401,8 +400,9 @@ def _run_agent_trial(job: _AgentTrialJob) -> MetricsRecorder:
         loss_rate=job.loss_rate,
         clock_drift_std=job.clock_drift_std,
     )
-    recorder = MetricsRecorder(
+    recorder = BatchMetricsRecorder(
         job.spec.states,
+        1,
         track_transitions=job.track_transitions,
         stride=job.stride,
     )
@@ -421,23 +421,23 @@ def _run_agent_trial(job: _AgentTrialJob) -> MetricsRecorder:
 
 @dataclass
 class AgentEnsembleResult:
-    """Outcome of an agent-tier ensemble: per-trial recorders, trial order.
+    """Outcome of an agent-tier ensemble: one recorder, trials in order.
 
     Under a skipping fault policy, failed trials are absent from
-    :attr:`recorders`/:attr:`trial_seeds` (which stay aligned) and
-    recorded on :attr:`failures`; each failure's ``index`` is the
-    global trial, so the lost trial's seed is recoverable from the
-    ensemble's spawned family.
+    :attr:`recorder`'s trial axis and :attr:`trial_seeds` (which stay
+    aligned) and recorded on :attr:`failures`; each failure's ``index``
+    is the global trial, so the lost trial's seed is recoverable from
+    the ensemble's spawned family.
     """
 
-    recorders: List[MetricsRecorder]
+    recorder: BatchMetricsRecorder
     trial_seeds: List[int]
     #: Terminal unit failures recorded by ``on_error="skip"``.
     failures: List[UnitFailure] = field(default_factory=list)
 
     @property
     def trials(self) -> int:
-        return len(self.recorders)
+        return self.recorder.trials
 
 
 class AgentEnsemble:
@@ -519,7 +519,7 @@ class AgentEnsemble:
         hook_factories: Sequence[Callable[[int], Callable]] = (),
         fault_policy: Optional[FaultPolicy] = None,
     ) -> AgentEnsembleResult:
-        """Run every trial and collect the recorders in trial order.
+        """Run every trial and merge the recorders in trial order.
 
         ``fault_policy`` governs trial faults exactly as on
         :meth:`ShardedBatchExecutor.run`: retries re-run the same
@@ -558,7 +558,9 @@ class AgentEnsemble:
                     f"(all {len(outputs)} trials failed)"
                 )
             return AgentEnsembleResult(
-                recorders=[o for _, o in survivors],
+                recorder=BatchMetricsRecorder.merge(
+                    [o for _, o in survivors]
+                ),
                 trial_seeds=[self.trial_seeds[t] for t, _ in survivors],
                 failures=failures,
             )

@@ -60,7 +60,7 @@ from ..synthesis.actions import (
     TokenizeAction,
 )
 from ..synthesis.protocol import ProtocolSpec
-from .metrics import MetricsRecorder
+from .metrics import BatchMetricsRecorder, trial_rows
 from .rng import RandomSource, sample_other
 from .sampling import sorted_distinct
 
@@ -195,7 +195,7 @@ class RunResult:
     """Outcome of a :meth:`RoundEngine.run` call."""
 
     engine: "RoundEngine"
-    recorder: MetricsRecorder
+    recorder: BatchMetricsRecorder
 
     def final_counts(self) -> Dict[str, int]:
         return self.engine.counts()
@@ -543,19 +543,26 @@ class RoundEngine:
     def run(
         self,
         periods: int,
-        recorder: Optional[MetricsRecorder] = None,
+        recorder: Optional[BatchMetricsRecorder] = None,
         hooks: Iterable[Hook] = (),
         record_initial: bool = True,
+        stop: Optional[Callable[["RoundEngine"], bool]] = None,
     ) -> RunResult:
         """Run ``periods`` rounds, applying hooks before each round.
 
         Hooks are callables ``hook(engine)``; failure injectors and
         churn replayers from :mod:`repro.runtime.failures` /
-        :mod:`repro.runtime.churn` plug in here.
+        :mod:`repro.runtime.churn` plug in here.  The run records one
+        trial: ``(1, S)`` rows into a one-trial recorder.
+
+        ``stop`` is an optional early-exit predicate, called with the
+        engine after each period is stepped and recorded; returning
+        True ends the run (as in :meth:`BatchRoundEngine.run`).
         """
         if recorder is None:
-            recorder = MetricsRecorder(self.state_names)
+            recorder = BatchMetricsRecorder(self.state_names, 1)
         hooks = list(hooks)
+        recorder.reserve(periods // recorder.stride + 2)
         if record_initial and self.period == 0:
             self._record(recorder)
         for _ in range(periods):
@@ -563,17 +570,21 @@ class RoundEngine:
                 hook(self)
             self.step()
             self._record(recorder)
+            if stop is not None and stop(self):
+                break
         return RunResult(engine=self, recorder=recorder)
 
-    def _record(self, recorder: MetricsRecorder) -> None:
-        members = None
-        if recorder.member_log_state is not None:
-            if self.period % recorder.stride == 0:
-                members = self.members_in(recorder.member_log_state)
+    def _record(self, recorder: BatchMetricsRecorder) -> None:
+        if self.period % recorder.stride:
+            return
+        rows = trial_rows(
+            recorder.states, self.counts(), self.alive_count(),
+            self.last_transitions,
+        )
+        if recorder.member_log_state is None:
+            recorder._append(self.period, *rows)
+            return
         recorder.record(
-            self.period,
-            self.counts(),
-            self.alive_count(),
-            transitions=self.last_transitions,
-            members=members,
+            self.period, *rows,
+            members=[self.members_in(recorder.member_log_state)],
         )

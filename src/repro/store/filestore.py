@@ -29,7 +29,7 @@ from ..protocols.endemic import (
     EndemicParams,
     figure1_protocol,
 )
-from ..runtime.metrics import MetricsRecorder
+from ..runtime.metrics import BatchMetricsRecorder, trial_rows
 from ..runtime.rng import make_generator
 from ..runtime.round_engine import RoundEngine
 from .snapshots import (
@@ -48,7 +48,7 @@ class StoredFile:
     name: str
     size_bytes: float
     engine: RoundEngine
-    recorder: MetricsRecorder
+    recorder: BatchMetricsRecorder
     inserted_period: int
     transfers: int = 0
     lost_at_period: Optional[int] = None
@@ -140,7 +140,7 @@ class MigratoryFileStore:
         # Keep host availability consistent with the store's view.
         if self._down_hosts:
             engine.crash(np.fromiter(self._down_hosts, dtype=np.int64))
-        recorder = MetricsRecorder(spec.states)
+        recorder = BatchMetricsRecorder(spec.states, 1)
         stored = StoredFile(
             name=name,
             size_bytes=size_bytes,
@@ -160,25 +160,25 @@ class MigratoryFileStore:
     # Time
     # ------------------------------------------------------------------
     def tick(self, periods: int = 1) -> None:
-        """Advance every file's protocol by ``periods`` rounds."""
+        """Advance every file's protocol by ``periods`` rounds.
+
+        A file's recorder gets one ``(1, S)`` row per tick, at the
+        store's period: a file inserted late has a younger engine.
+        """
         for _ in range(periods):
             self.period += 1
             for stored in self.files.values():
                 engine = stored.engine
                 engine.step()
-                stored.recorder.record(
-                    self.period,
-                    engine.counts(),
-                    engine.alive_count(),
-                    transitions=engine.last_transitions,
-                )
+                counts = engine.counts()
+                stored.recorder.record(self.period, *trial_rows(
+                    stored.recorder.states, counts, engine.alive_count(),
+                    engine.last_transitions,
+                ))
                 stored.transfers += engine.last_transitions.get(
                     (RECEPTIVE, STASH), 0
                 )
-                if (
-                    stored.lost_at_period is None
-                    and engine.counts()[STASH] == 0
-                ):
+                if stored.lost_at_period is None and counts[STASH] == 0:
                     stored.lost_at_period = self.period
 
     # ------------------------------------------------------------------
@@ -334,7 +334,7 @@ class MigratoryFileStore:
                 name=file_meta["name"],
                 size_bytes=float(file_meta["size_bytes"]),
                 engine=engine,
-                recorder=MetricsRecorder(spec.states),
+                recorder=BatchMetricsRecorder(spec.states, 1),
                 inserted_period=int(file_meta["inserted_period"]),
                 transfers=int(file_meta["transfers"]),
                 lost_at_period=(
@@ -356,7 +356,7 @@ class MigratoryFileStore:
         ``window_periods`` recorded periods.
         """
         stored = self.files[name]
-        series = stored.recorder.transition_series((RECEPTIVE, STASH))
+        series = stored.recorder.transition_tensor((RECEPTIVE, STASH))[0]
         if len(series) == 0:
             return 0.0
         window = series[-window_periods:]

@@ -14,9 +14,9 @@ from repro.protocols.lv import lv_protocol
 from repro.runtime import (
     AgentEnsemble,
     AgentSimulation,
+    BatchMetricsRecorder,
     FaultPolicy,
     MassiveFailure,
-    MetricsRecorder,
     UnitExecutionError,
     spawn_seeds,
 )
@@ -34,14 +34,6 @@ def run_ensemble(trials, workers, seed=42, periods=10, **kwargs):
     return ensemble.run(periods, **kwargs)
 
 
-def count_tensor(outcome):
-    """Stack the per-trial recorders into one (M, periods, S) tensor."""
-    return np.stack([
-        np.stack([r.counts(s) for s in SPEC.states], axis=1)
-        for r in outcome.recorders
-    ])
-
-
 class TestSeedDiscipline:
     def test_trial_seeds_are_the_spawned_family(self):
         ensemble = AgentEnsemble(
@@ -56,12 +48,16 @@ class TestSeedDiscipline:
         simulation = AgentSimulation(
             SPEC, 150, INITIAL, seed=outcome.trial_seeds[trial]
         )
-        recorder = MetricsRecorder(SPEC.states)
+        recorder = BatchMetricsRecorder(SPEC.states, 1)
         simulation.run(10, recorder=recorder)
-        member = outcome.recorders[trial]
+        merged = outcome.recorder
         for state in SPEC.states:
-            assert np.array_equal(member.counts(state), recorder.counts(state))
-        assert np.array_equal(member.alive_series(), recorder.alive_series())
+            assert np.array_equal(
+                merged.counts(state)[trial], recorder.counts(state)[0]
+            )
+        assert np.array_equal(
+            merged.alive_tensor()[trial], recorder.alive_tensor()[0]
+        )
 
 
 class TestBitwiseEquality:
@@ -71,7 +67,9 @@ class TestBitwiseEquality:
         serial = run_ensemble(trials, workers=1)
         pooled = run_ensemble(trials, workers=3)
         assert serial.trial_seeds == pooled.trial_seeds
-        assert np.array_equal(count_tensor(serial), count_tensor(pooled))
+        assert np.array_equal(
+            serial.recorder.count_tensor(), pooled.recorder.count_tensor()
+        )
 
     def test_workers_exceeding_trials_clamp(self):
         ensemble = AgentEnsemble(
@@ -93,7 +91,7 @@ class TestHooks:
         outcome = run_ensemble(
             trials, workers=1, hook_factories=[factory],
         )
-        alive = [r.alive_series()[-1] for r in outcome.recorders]
+        alive = outcome.recorder.alive_tensor()[:, -1].tolist()
         expected = [round(150 * (1 - m / 10.0)) for m in range(trials)]
         assert alive == expected
 
@@ -106,7 +104,9 @@ class TestHooks:
         serial = run_ensemble(
             4, workers=1, hook_factories=[factory],
         )
-        assert np.array_equal(count_tensor(serial), count_tensor(pooled))
+        assert np.array_equal(
+            serial.recorder.count_tensor(), pooled.recorder.count_tensor()
+        )
 
     def test_period_property_matches_round_convention(self):
         simulation = AgentSimulation(SPEC, 150, INITIAL, seed=3)
@@ -243,21 +243,20 @@ class TestFaultIsolation:
             hook_factories=[SabotageTrial(1)],
             fault_policy=self.SKIP,
         )
-        # Trial 1 is gone; recorders and seeds stay aligned and the
-        # survivors are bitwise identical to the clean run's.
+        # Trial 1 is gone; the recorder's trial axis and the seeds stay
+        # aligned and the survivors are bitwise identical to the clean
+        # run's.
         assert [f.index for f in partial.failures] == [1]
         assert partial.failures[0].label == "trial 1"
         assert partial.trials == 2
         assert partial.trial_seeds == [
             clean.trial_seeds[0], clean.trial_seeds[2]
         ]
-        for survivor, reference in zip(
-            partial.recorders, (clean.recorders[0], clean.recorders[2])
-        ):
-            for state in SPEC.states:
-                assert np.array_equal(
-                    survivor.counts(state), reference.counts(state)
-                )
+        for state in SPEC.states:
+            assert np.array_equal(
+                partial.recorder.counts(state),
+                clean.recorder.counts(state)[[0, 2]],
+            )
 
     def test_all_trials_failing_raises_even_under_skip(self):
         with pytest.raises(UnitExecutionError, match="all 2 trials"):

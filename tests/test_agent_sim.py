@@ -35,7 +35,7 @@ class TestBasicRuns:
         # so 10 periods yield 11 samples aligned with the other tiers.
         assert len(recorder.times) == 11
         assert recorder.times[0] == 0
-        series = recorder.counts("y")
+        series = recorder.counts("y")[0]
         assert series[-1] >= series[0]
 
     def test_initial_fractions(self):

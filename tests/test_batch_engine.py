@@ -32,7 +32,6 @@ from repro.protocols.lv import lv_protocol
 from repro.runtime import (
     BatchMetricsRecorder,
     BatchRoundEngine,
-    MetricsRecorder,
     RoundEngine,
     serial_ensemble,
     spawn_seeds,
@@ -60,15 +59,11 @@ def token_spec():
 
 def serial_tensor(spec, n, trials, initial, periods, seed, **kwargs):
     """Count tensor of M serial RoundEngine runs with spawned seeds."""
-    recorders, seeds = serial_ensemble(
+    recorder, seeds = serial_ensemble(
         spec, n=n, trials=trials, initial=initial, periods=periods,
         seed=seed, **kwargs,
     )
-    tensor = np.stack([
-        np.stack([r.counts(s) for s in spec.states], axis=1)
-        for r in recorders
-    ])
-    return tensor, seeds
+    return recorder.count_tensor(), seeds
 
 
 def serial_facade(spec, n, trials, initial, periods, seed, **kwargs):
@@ -162,10 +157,10 @@ class TestSerialExactness:
         )
         for m, trial_seed in enumerate(spawn_seeds(11, 4)):
             engine = RoundEngine(spec, n=500, initial=initial, seed=trial_seed)
-            serial = MetricsRecorder(spec.states)
+            serial = BatchMetricsRecorder(spec.states, 1)
             engine.run(20, recorder=serial, hooks=[make_failure(m)])
             expected = np.stack(
-                [serial.counts(s) for s in spec.states], axis=1
+                [serial.counts(s)[0] for s in spec.states], axis=1
             )
             assert np.array_equal(result.count_tensor()[m], expected)
 
@@ -177,9 +172,9 @@ class TestSerialExactness:
         initial = {"x": 280, "y": 20}
         for trial_seed in spawn_seeds(21, 3):
             engine = RoundEngine(spec, n=300, initial=initial, seed=trial_seed)
-            serial = MetricsRecorder(spec.states)
+            serial = BatchMetricsRecorder(spec.states, 1)
             engine.run(15, recorder=serial)
-            assert engine.total_messages == serial.counts("x")[:-1].sum()
+            assert engine.total_messages == serial.counts("x")[0, :-1].sum()
 
         vectorized = BatchRoundEngine(
             spec, n=300, trials=3, initial=initial, seed=21, mode="batch",
@@ -204,15 +199,13 @@ class TestSerialExactness:
         spec = figure1_protocol(EndemicParams(alpha=0.01, gamma=0.1, b=2))
         initial = {"x": 350, "y": 50, "z": 0}
         result = serial_facade(spec, 400, 3, initial, 30, 5)
-        recorders, _ = serial_ensemble(
+        recorder, _ = serial_ensemble(
             spec, n=400, trials=3, initial=initial, periods=30, seed=5
         )
         edges = result.edges_seen()
         assert edges
         for edge in edges:
-            expected = np.stack(
-                [r.transition_series(edge) for r in recorders]
-            )
+            expected = recorder.transition_tensor(edge)
             assert np.array_equal(result.transition_tensor(edge), expected)
 
 
@@ -732,10 +725,10 @@ class TestRecorderSlabs:
     def small_slabs(self, monkeypatch):
         """Nothing reserved and a first slab of 16 rows, so these runs
         outgrow their slabs."""
-        from repro.runtime import batch_engine
+        from repro.runtime import metrics
 
-        monkeypatch.setattr(batch_engine, "_FIRST_SLAB", 1)
-        monkeypatch.setattr(batch_engine, "_RESERVE_CAP", 1)
+        monkeypatch.setattr(metrics, "_FIRST_SLAB", 1)
+        monkeypatch.setattr(metrics, "_RESERVE_CAP", 1)
 
     def run(self, periods, calls=1, **kwargs):
         run_kwargs = {
@@ -759,29 +752,52 @@ class TestRecorderSlabs:
         recorder.check()
 
     def test_the_first_slab_is_sized_in_bytes(self, monkeypatch):
-        from repro.runtime import batch_engine
+        from repro.runtime import metrics
 
-        monkeypatch.setattr(batch_engine, "_FIRST_SLAB", 1 << 20)
+        monkeypatch.setattr(metrics, "_FIRST_SLAB", 1 << 20)
         recorder = self.run(5)
         assert len(recorder._counts) == (1 << 20) // (3 * 3 * 8)
         assert len(recorder._alive) == len(recorder._counts)
         recorder.check()
 
     def test_a_run_reserves_its_own_length(self, monkeypatch):
-        from repro.runtime import batch_engine
+        from repro.runtime import metrics
 
-        monkeypatch.setattr(batch_engine, "_RESERVE_CAP", 64 << 20)
+        monkeypatch.setattr(metrics, "_RESERVE_CAP", 64 << 20)
         recorder = self.run(300, calls=2)
-        # Cut once per run() to what it can record; never doubled.
+        # The first run() cuts the slabs to what it can record (302
+        # rows); the second needs 301 + 302 rows and grows them to at
+        # least twice their capacity.
         assert len(recorder.periods) == 601
-        assert len(recorder._counts) == 301 + 302
-        assert all(len(s) == 603 for s in recorder._transitions.values())
+        assert len(recorder._counts) == 2 * 302
+        assert all(len(s) == 604 for s in recorder._transitions.values())
+        recorder.check()
+
+    def test_runs_of_one_period_grow_the_slabs_geometrically(
+        self, monkeypatch
+    ):
+        from repro.runtime import metrics
+
+        monkeypatch.setattr(metrics, "_RESERVE_CAP", 64 << 20)
+        grows = []
+        grow = metrics.BatchMetricsRecorder._grow
+
+        def counted(recorder, capacity):
+            grows.append(capacity)
+            grow(recorder, capacity)
+
+        monkeypatch.setattr(metrics.BatchMetricsRecorder, "_grow", counted)
+        calls = 2_000
+        recorder = self.run(1, calls=calls)
+        assert recorder.times.tolist() == list(range(calls + 1))
+        # 3 rows, then doubling: 3 * 2**10 >= 2,001 after ten more.
+        assert grows == [3 * 2**k for k in range(11)]
         recorder.check()
 
     def test_a_far_horizon_is_not_mapped(self, monkeypatch):
-        from repro.runtime import batch_engine
+        from repro.runtime import metrics
 
-        monkeypatch.setattr(batch_engine, "_RESERVE_CAP", 40 * 3 * 3 * 8)
+        monkeypatch.setattr(metrics, "_RESERVE_CAP", 40 * 3 * 3 * 8)
         params = EndemicParams(alpha=0.01, gamma=0.1, b=2)
         spec = figure1_protocol(params)
         engine = BatchRoundEngine(
@@ -915,6 +931,39 @@ class TestRecorderSlabs:
         recorder.record(0, counts.astype(np.int32), alive.tolist())
         assert recorder.count_tensor().dtype == np.int64
         assert recorder.alive_tensor().tolist() == [[10], [10], [10]]
+
+    @pytest.mark.parametrize("moved", [
+        5, np.array([1.9, 2.7, 0.5]), np.array([1, 2]),
+    ], ids=["scalar", "floats", "short"])
+    def test_bad_transitions_are_refused_before_any_write(self, moved):
+        recorder = BatchMetricsRecorder(
+            ("a", "b"), trials=3, member_log_state="b"
+        )
+        counts, alive = np.full((3, 2), 5), np.full(3, 10)
+        members = [np.array([m]) for m in range(3)]
+        recorder.record(0, counts, alive, {("a", "b"): np.arange(3)}, members)
+
+        def observed():
+            return (
+                list(recorder.periods), recorder.count_tensor(),
+                recorder.alive_tensor(),
+                recorder.transition_tensor(("a", "b")),
+                recorder.transition_tensor(("b", "a")),
+                [(p, [m.tolist() for m in ms]) for p, ms in recorder.member_log],
+            )
+
+        before = observed()
+        with pytest.raises(ValueError, match=r"transitions \('b', 'a'\)"):
+            recorder.record(
+                1, counts, alive,
+                {("a", "b"): np.ones(3, dtype=int), ("b", "a"): moved},
+                members,
+            )
+        after = observed()
+        assert before[0] == after[0] == [0]
+        for old, new in zip(before[1:5], after[1:5]):
+            assert np.array_equal(old, new)
+        assert before[5] == after[5]
 
 
 class TestBatchRunResult:

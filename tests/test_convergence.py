@@ -17,7 +17,6 @@ from repro.analysis.convergence import (
 )
 from repro.odes import integrate, library
 from repro.protocols.endemic import EndemicParams
-from repro.runtime.metrics import MetricsRecorder
 
 
 class TestEndemicDisplacement:
@@ -107,17 +106,16 @@ class TestLVClosedForms:
 
 class TestEmpiricalMeasurement:
     def test_first_period_below(self):
-        recorder = MetricsRecorder(["a"])
-        for period, value in enumerate([100, 60, 30, 10, 2, 0]):
-            recorder.record(period, {"a": value}, alive=100)
-        measurement = first_period_below(recorder, "a", threshold=10)
+        series = np.array([100, 60, 30, 10, 2, 0])
+        measurement = first_period_below(
+            np.arange(len(series)), series, threshold=10
+        )
         assert measurement.converged
         assert measurement.period == 3
+        assert measurement.value_at_convergence == 10.0
 
     def test_first_period_below_never(self):
-        recorder = MetricsRecorder(["a"])
-        recorder.record(0, {"a": 100}, alive=100)
-        assert not first_period_below(recorder, "a", 10).converged
+        assert not first_period_below([0], [100], 10).converged
 
     def test_decay_rate_estimate(self):
         t = np.linspace(0, 5, 40)
@@ -134,7 +132,7 @@ class TestEmpiricalMeasurement:
 
         instance = LVMajority(20000, zeros=14000, ones=6000, p=0.01, seed=0)
         outcome = instance.run(260, stop_on_convergence=False)
-        series = outcome.recorder.counts("y").astype(float)
+        series = outcome.recorder.counts("y")[0].astype(float)
         times = outcome.recorder.times.astype(float)
         # Fit over the mid-range (after z fills, before extinction).
         mask = (series > 50) & (times > 60)

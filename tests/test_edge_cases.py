@@ -14,7 +14,7 @@ from repro.odes import (
 )
 from repro.odes.system import EquationSystem, build_system
 from repro.odes.term import Term
-from repro.runtime import BatchRoundEngine, MetricsRecorder, RoundEngine
+from repro.runtime import BatchMetricsRecorder, BatchRoundEngine, RoundEngine
 from repro.synthesis import FlipAction, ProtocolSpec, synthesize
 
 
@@ -120,8 +120,8 @@ class TestEngineBoundaries:
 
     def test_recorder_stride_with_member_log(self):
         engine = RoundEngine(self.idle(), n=10, initial={"a": 10}, seed=0)
-        recorder = MetricsRecorder(
-            ("a", "b"), member_log_state="a", stride=2
+        recorder = BatchMetricsRecorder(
+            ("a", "b"), 1, member_log_state="a", stride=2
         )
         engine.run(6, recorder=recorder)
         # Records at periods 0 (initial), 2, 4, 6.

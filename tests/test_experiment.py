@@ -36,7 +36,7 @@ from repro.experiment import (
     parse_param_directives,
 )
 from repro.protocols.endemic import EndemicParams, figure1_protocol
-from repro.runtime import RoundEngine, MetricsRecorder
+from repro.runtime import BatchMetricsRecorder, RoundEngine
 from repro.runtime.rng import spawn_seeds
 from repro.synthesis import synthesize
 from repro.odes import library
@@ -205,14 +205,14 @@ class TestSerialBitIdentical:
             engine = RoundEngine(
                 resolved.spec, n=n, initial=resolved.initial, seed=trial_seed
             )
-            recorder = MetricsRecorder(states)
+            recorder = BatchMetricsRecorder(states, 1)
             engine.run(periods, recorder=recorder, hooks=hooks_for(trial))
             assert np.array_equal(
                 serial.count_tensor()[trial],
-                np.stack([recorder.counts(s) for s in states], axis=1),
+                np.stack([recorder.counts(s)[0] for s in states], axis=1),
             )
             assert np.array_equal(
-                serial.alive_tensor()[trial], recorder.alive_series()
+                serial.alive_tensor()[trial], recorder.alive_tensor()[0]
             )
 
     def test_serial_trial_matches_standalone_round_engine(self):
@@ -227,10 +227,10 @@ class TestSerialBitIdentical:
         engine = RoundEngine(
             resolved.spec, n=250, initial=resolved.initial, seed=seeds[1]
         )
-        recorder = MetricsRecorder(resolved.spec.states)
+        recorder = BatchMetricsRecorder(resolved.spec.states, 1)
         engine.run(30, recorder=recorder)
         expected = np.stack(
-            [recorder.counts(s) for s in resolved.spec.states], axis=1
+            [recorder.counts(s)[0] for s in resolved.spec.states], axis=1
         )
         assert np.array_equal(result.count_tensor()[1], expected)
 
@@ -510,9 +510,9 @@ class TestRunCLI:
 
 
 class TestResultConstruction:
-    def test_requires_exactly_one_recorder_kind(self):
+    def test_requires_a_recorder(self):
         spec = synthesize(library.epidemic())
-        with pytest.raises(ValueError, match="exactly one"):
+        with pytest.raises(TypeError, match="recorder"):
             ExperimentResult(
                 spec=spec, n=10, trials=1, periods=1, engine="serial",
                 trial_seeds=[1], elapsed_seconds=0.0,

@@ -10,20 +10,20 @@ from repro.analysis.fairness import (
     jain_index,
 )
 from repro.protocols.endemic import STASH, figure1_protocol
-from repro.runtime import MetricsRecorder, RoundEngine
+from repro.runtime import BatchMetricsRecorder, RoundEngine
 
 
 @pytest.fixture(scope="module")
-def fig8_recorder():
-    """A shared Figure 8-style run: N=1000, member log enabled."""
+def fig8_log():
+    """A shared Figure 8-style run's member log: N=1000."""
     from repro.protocols.endemic import EndemicParams
 
     params = EndemicParams(alpha=0.01, gamma=0.1, b=2)
     spec = figure1_protocol(params)
     engine = RoundEngine(spec, n=1000, initial=params.equilibrium_counts(1000), seed=42)
-    recorder = MetricsRecorder(spec.states, member_log_state=STASH)
+    recorder = BatchMetricsRecorder(spec.states, 1, member_log_state=STASH)
     engine.run(1000, recorder=recorder)
-    return recorder
+    return recorder.trial_member_log(0)
 
 
 class TestJainIndex:
@@ -42,8 +42,8 @@ class TestJainIndex:
 
 
 class TestMemberLogAnalysis:
-    def test_figure8_statistics(self, fig8_recorder):
-        report = analyze_member_log(fig8_recorder, 1000, gamma=0.1)
+    def test_figure8_statistics(self, fig8_log):
+        report = analyze_member_log(fig8_log, 1000, gamma=0.1)
         # Load balancing: most hosts get a turn within 1000 periods.
         assert report.hosts_ever_responsible > 900
         # Fairness accumulates.
@@ -54,46 +54,44 @@ class TestMemberLogAnalysis:
         assert abs(report.host_time_correlation) < 0.02
         assert report.host_id_uniformity_pvalue > 0.01
 
-    def test_render(self, fig8_recorder):
-        text = analyze_member_log(fig8_recorder, 1000, gamma=0.1).render()
+    def test_render(self, fig8_log):
+        text = analyze_member_log(fig8_log, 1000, gamma=0.1).render()
         assert "Jain" in text
 
     def test_requires_member_log(self):
-        recorder = MetricsRecorder(["a"])
-        recorder.record(0, {"a": 1}, alive=1)
         with pytest.raises(ValueError):
-            analyze_member_log(recorder, 10)
+            analyze_member_log([], 10)
 
     def test_skewed_log_detected(self):
         # A deliberately unfair log: host 0 always responsible.
-        recorder = MetricsRecorder(["a", "b"], member_log_state="b")
+        recorder = BatchMetricsRecorder(["a", "b"], 1, member_log_state="b")
         for period in range(50):
-            recorder.record(period, {"a": 9, "b": 1}, alive=10,
-                            members=np.array([0]))
-        report = analyze_member_log(recorder, 10, gamma=0.1)
+            recorder.record(period, np.array([[9, 1]]), np.array([10]),
+                            members=[np.array([0])])
+        report = analyze_member_log(recorder.trial_member_log(0), 10, gamma=0.1)
         assert report.hosts_ever_responsible == 1
         assert report.jain_index < 0.2
         assert report.max_run_length == 50
 
 
 class TestAttackWindow:
-    def test_decay_with_lag(self, fig8_recorder):
-        decay = attack_window_decay(fig8_recorder, lags=(1, 10, 30))
+    def test_decay_with_lag(self, fig8_log):
+        decay = attack_window_decay(fig8_log, lags=(1, 10, 30))
         assert decay[1] > decay[10] > decay[30]
 
-    def test_matches_geometric_prediction(self, fig8_recorder):
+    def test_matches_geometric_prediction(self, fig8_log):
         # Mean-field: overlap after lag L ~ (1-gamma)^L.
-        decay = attack_window_decay(fig8_recorder, lags=(10,))
+        decay = attack_window_decay(fig8_log, lags=(10,))
         assert decay[10] == pytest.approx(0.9**10, abs=0.12)
 
     def test_requires_member_log(self):
         with pytest.raises(ValueError):
-            attack_window_decay(MetricsRecorder(["a"]))
+            attack_window_decay([])
 
 
 class TestFairnessOverTime:
-    def test_index_grows_with_window(self, fig8_recorder):
-        series = fairness_over_time(fig8_recorder, 1000, checkpoints=4)
+    def test_index_grows_with_window(self, fig8_log):
+        series = fairness_over_time(fig8_log, 1000, checkpoints=4)
         assert len(series) == 4
         indices = [v for _, v in series]
         assert indices[-1] > indices[0]

@@ -61,7 +61,7 @@ class TestMajoritySelection:
         assert outcome.convergence_period is not None
         assert outcome.convergence_period > 0
         recorder = outcome.recorder
-        assert recorder.counts(ZERO)[-1] == 2000
+        assert recorder.counts(ZERO)[0, -1] == 2000
 
     def test_no_convergence_within_budget(self):
         outcome = LVMajority(2000, zeros=1001, ones=999, seed=5).run(3)

@@ -574,7 +574,7 @@ class TestAnalyticPushLaw:
 
         spec = push_protocol()
         initial = {"x": 380, "y": 20}
-        recorders, seeds = serial_ensemble(
+        recorder, seeds = serial_ensemble(
             spec, n=400, trials=3, initial=initial, periods=15, seed=38
         )
         result = Experiment(
@@ -582,12 +582,8 @@ class TestAnalyticPushLaw:
             seed=38, engine="serial", check="off",
         ).run()
         assert result.trial_seeds == list(seeds)
-        for trial, serial_recorder in enumerate(recorders):
-            for state in spec.states:
-                assert np.array_equal(
-                    result.counts(state)[trial],
-                    serial_recorder.counts(state),
-                )
+        for state in spec.states:
+            assert np.array_equal(result.counts(state), recorder.counts(state))
 
 
 class TestLazyPoolRows:

@@ -19,7 +19,7 @@ from repro.odes.partition import partition_terms, reconstruct_system
 from repro.odes.system import EquationSystem
 from repro.odes.term import Term, combine_like_terms
 from repro.runtime import (
-    MetricsRecorder,
+    BatchMetricsRecorder,
     RoundEngine,
     spawn_seeds,
 )
@@ -113,9 +113,9 @@ def render_system(system: EquationSystem) -> str:
 def count_trajectory(spec, n, initial, periods, seed):
     """Run one serial engine; return the (periods+1, states) tensor."""
     engine = RoundEngine(spec, n=n, initial=initial, seed=seed)
-    recorder = MetricsRecorder(spec.states)
+    recorder = BatchMetricsRecorder(spec.states, 1)
     engine.run(periods, recorder=recorder)
-    return np.stack([recorder.counts(s) for s in spec.states], axis=1)
+    return recorder.count_tensor()[0]
 
 
 class TestTermAlgebra:

@@ -15,7 +15,7 @@ from repro.synthesis import (
     TokenizeAction,
     synthesize,
 )
-from repro.runtime import MetricsRecorder, RoundEngine
+from repro.runtime import RoundEngine
 
 
 def flip_spec(probability=0.5):
@@ -305,7 +305,7 @@ class TestRunLoop:
         engine = RoundEngine(flip_spec(0.1), n=100, initial={"a": 100}, seed=16)
         result = engine.run(periods=10)
         assert len(result.recorder.times) == 11  # initial + 10
-        assert result.recorder.counts("a")[0] == 100
+        assert result.recorder.counts("a")[0, 0] == 100
 
     def test_hooks_called_each_period(self):
         engine = RoundEngine(flip_spec(0.0), n=10, initial={"a": 10}, seed=17)

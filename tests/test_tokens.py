@@ -11,7 +11,7 @@ from repro.analysis.tokens import (
     ttl_delivery_probability,
 )
 from repro.odes.system import build_system
-from repro.runtime import MetricsRecorder, RoundEngine
+from repro.runtime import BatchMetricsRecorder, RoundEngine
 from repro.synthesis import synthesize
 
 
@@ -84,10 +84,10 @@ class TestAdjustedField:
 class TestAgainstSimulation:
     def _simulate_fractions(self, spec, n, initial, periods, seed):
         engine = RoundEngine(spec, n=n, initial=initial, seed=seed)
-        recorder = MetricsRecorder(spec.states)
+        recorder = BatchMetricsRecorder(spec.states, 1)
         engine.run(periods, recorder=recorder)
         return {
-            s: recorder.counts(s).astype(float) / n for s in spec.states
+            s: recorder.counts(s)[0].astype(float) / n for s in spec.states
         }
 
     def test_ttl_simulation_matches_adjusted_model(self):
