@@ -144,11 +144,11 @@ class FaultPolicy:
 
     ``timeout_seconds`` bounds each *attempt* wall-clock; an expired
     attempt fails with :class:`UnitTimeout` and follows the same
-    retry/skip/raise path as any other exception.  On POSIX main
-    threads the bound is armed with an interval timer + ``SIGALRM``;
-    everywhere else (Windows, worker threads, cluster worker unit
-    loops) a watchdog thread raises the timeout asynchronously into
-    the executing thread instead, so the bound holds on every backend.
+    retry/skip/raise path as any other exception.  The bound is an
+    interval timer + ``SIGALRM``, which only a POSIX main thread can
+    arm: pool children and cluster workers run units on their own main
+    threads, and an in-process run from any other thread is refused
+    with :class:`ValueError` before any unit runs.
 
     The heartbeat/dispatch fields only matter to the ``cluster``
     backend of :func:`run_plan`: a worker that sends no message for
@@ -360,68 +360,47 @@ class WorkerLost(RuntimeError):
         )
 
 
-@contextmanager
-def _attempt_deadline(seconds: float):
-    """Arm a wall-clock bound for one attempt: ``SIGALRM`` or watchdog.
+def _refuse_unarmable_deadline(policy: FaultPolicy, label: str) -> None:
+    """Refuse a per-attempt timeout the calling thread cannot enforce.
 
-    On POSIX main threads, an interval timer + ``SIGALRM`` raises
-    :class:`UnitTimeout` *inside* the unit, joining the ordinary
-    exception path -- this interrupts anything, including blocking C
-    calls.  Where that signal cannot be armed (Windows, non-main
-    threads -- notably cluster worker unit loops, which run alongside a
-    heartbeat thread), a watchdog timer thread asynchronously raises
-    :class:`UnitTimeout` into the executing thread instead.  The
-    watchdog path only fires at Python bytecode boundaries, so it
-    bounds runaway computation but cannot interrupt a single blocking
-    C call -- a weaker guarantee than ``SIGALRM``, and far stronger
-    than the silent no-op it replaces.
+    Only a POSIX main thread can arm ``SIGALRM``.  Pool children and
+    cluster workers run their units on their own main threads, so only
+    an in-process run can land elsewhere; it is refused before any unit
+    runs rather than run unbounded.
     """
-    if (
+    if policy.timeout_seconds is None or (
         hasattr(signal, "SIGALRM")
         and threading.current_thread() is threading.main_thread()
     ):
-        def expire(signum, frame):
-            raise UnitTimeout(
-                f"attempt exceeded the {seconds:g}s unit timeout"
-            )
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.setitimer(signal.ITIMER_REAL, seconds)
-        try:
-            yield
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, previous)
         return
+    raise ValueError(
+        f"{label}: timeout_seconds={policy.timeout_seconds:g} needs "
+        f"SIGALRM, which only the main thread can arm, and this plan would "
+        f"run in-process on thread {threading.current_thread().name!r}: "
+        f"run it from the main thread, or fan it out to workers (pool "
+        f"children and cluster workers arm it on their own main threads)"
+    )
 
-    target_id = threading.get_ident()
 
-    def interrupt():
-        _raise_in_thread(target_id, UnitTimeout)
+@contextmanager
+def _attempt_deadline(seconds: float):
+    """Bound one attempt's wall clock with an interval timer + ``SIGALRM``.
 
-    watchdog = threading.Timer(seconds, interrupt)
-    watchdog.daemon = True
-    watchdog.start()
+    The handler raises :class:`UnitTimeout` *inside* the unit, joining
+    the ordinary exception path; a signal interrupts anything,
+    blocking C calls included.  Main thread only
+    (:func:`_refuse_unarmable_deadline`).
+    """
+    def expire(signum, frame):
+        raise UnitTimeout(f"attempt exceeded the {seconds:g}s unit timeout")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield
     finally:
-        watchdog.cancel()
-        watchdog.join()
-        # If the watchdog fired after the unit finished but before the
-        # cancel, a UnitTimeout may still be pending on this thread;
-        # clearing it keeps a completed attempt from being failed
-        # retroactively at the next bytecode boundary.
-        _raise_in_thread(target_id, None)
-
-
-def _raise_in_thread(thread_id: int, exc_type) -> None:
-    """Schedule (or clear, with None) an async exception in a thread."""
-    import ctypes
-
-    ctypes.pythonapi.PyThreadState_SetAsyncExc(
-        ctypes.c_ulong(thread_id),
-        ctypes.py_object(exc_type) if exc_type is not None else None,
-    )
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 #: Longest traceback text a UnitFailure will carry.  Failures under
@@ -811,7 +790,9 @@ def run_plan(
     failed units fire ``on_failure(failure)`` instead of ``on_unit``
     and occupy their merge slot as :class:`UnitFailure` records;
     otherwise a terminal failure aborts the plan with
-    :class:`UnitExecutionError`.
+    :class:`UnitExecutionError`.  A plan that would run in-process off
+    the main thread with a ``timeout_seconds`` raises
+    :class:`ValueError` before any unit runs.
 
     ``backend`` selects the executor (:data:`BACKENDS`).  ``"pool"``
     (default) is forked children on pipes; one that dies mid-plan ends
@@ -884,6 +865,7 @@ def run_plan(
     elif fan_out:
         _run_pool(plan, units, policy, workers, land)
     else:
+        _refuse_unarmable_deadline(policy, plan.label)
         for index, unit in enumerate(units):
             land(*_attempt_unit(
                 index, unit.runner, unit.payload, unit.label, policy

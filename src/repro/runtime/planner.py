@@ -55,6 +55,7 @@ import numpy as np
 
 from .sampling import (
     _action_width,
+    already_taken,
     distinct_per_segment,
     distinct_positions,
     distinct_throws,
@@ -67,28 +68,6 @@ __all__ = ["ActionPlanner", "TrialMemberPools"]
 #: the census pass, ``(compiled action, global host ids)`` out of the
 #: who pass.
 Move = Tuple[object, np.ndarray]
-
-#: numpy's ``hypergeometric`` draws by ratio of uniforms from this many
-#: samples on, whatever the counts; below it the sampling loop stops
-#: before drawing when there is nothing good to find or nothing to take.
-_HYPERGEOMETRIC_LOOP = 10
-
-
-def _can_collide(taken: np.ndarray, take: np.ndarray) -> bool:
-    """Whether the overlap ``hypergeometric(taken, ., take)`` is drawn.
-
-    Only when earlier movers exist (some ``taken > 0``) and some element
-    can consume bits: ``taken > 0`` with ``take > 0``, or a ``take`` of
-    ten or more.  An element with ``take = 0``, or with ``taken = 0``
-    and ``take`` below ten, returns 0 with the generator untouched
-    (``TestGeneratorContracts`` (e) in ``tests/test_sampling.py``), so
-    a call none of whose elements can draw is the same bits skipped.
-    The takes are checked first: a push whose takes reach ten pays one
-    reduction more than the ``taken`` test alone.
-    """
-    if take.max() >= _HYPERGEOMETRIC_LOOP:
-        return bool(np.count_nonzero(taken))
-    return bool(taken @ take)  # both >= 0: nonzero iff some pair is
 
 
 class TrialMemberPools:
@@ -838,10 +817,9 @@ class ActionPlanner:
                     taken = gone
                     for a in step.own:
                         taken = taken - thinned[g, :, a]
-                    if _can_collide(taken, take):
-                        new = take - rng.hypergeometric(
-                            taken, members - gone, take
-                        )
+                    landed = already_taken(rng, taken, members - gone, take)
+                    if landed is not None:
+                        new = take - landed
             if new is proposal or np.count_nonzero(new):
                 left[source] = new if gone is None else gone + new
                 moves.append((action, new))
@@ -879,8 +857,6 @@ class ActionPlanner:
             q = members * self._contact  # >= 0: clipped from above only
             np.minimum(q, 1.0, out=q)
             hits = rng.binomial(heads * action.fanout, q)
-        if not np.count_nonzero(hits):
-            return hits
         return distinct_throws(rng, members, hits)
 
     def _self_push_targets(

@@ -253,71 +253,75 @@ class TestBackoffJitter:
         )
 
 
-def busy_sleep(seconds):
-    """Spin in bytecode so an async exception can be delivered."""
-    deadline = time.perf_counter() + seconds
-    total = 0
-    while time.perf_counter() < deadline:
-        total += 1
-    return total
+def in_thread(target):
+    """Run ``target`` on a fresh thread: ``{"result"}`` or ``{"error"}``."""
+    box = {}
+
+    def wrapper():
+        try:
+            box["result"] = target()
+        except BaseException as exc:  # noqa: BLE001 - test capture
+            box["error"] = exc
+
+    thread = threading.Thread(target=wrapper)
+    thread.start()
+    thread.join(timeout=30)
+    assert not thread.is_alive()
+    return box
 
 
-class TestThreadWatchdog:
-    """`timeout_seconds` off the POSIX main thread (the old blind spot).
+def mark_ran(path):
+    with open(path, "a") as handle:
+        handle.write("x")
+    return "ran"
 
-    Cluster workers run units in their main thread but alongside other
-    threads, and any embedder may run plans from a worker thread;
-    before the watchdog fallback, `_attempt_deadline` was a silent
-    no-op everywhere SIGALRM could not be armed.
+
+class TestOffMainThreadTimeout:
+    """`timeout_seconds` is `SIGALRM`, which only a main thread arms.
+
+    Pool children and cluster workers run units on their own main
+    threads.  An in-process run from any other thread cannot bound its
+    units, so it is refused by name before any of them runs.
     """
 
-    def run_in_thread(self, target):
-        box = {}
-
-        def wrapper():
-            try:
-                box["result"] = target()
-            except BaseException as exc:  # noqa: BLE001 - test capture
-                box["error"] = exc
-
-        thread = threading.Thread(target=wrapper)
-        thread.start()
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-        return box
-
-    def test_deadline_fires_off_main_thread(self):
-        def target():
-            with _attempt_deadline(0.2):
-                busy_sleep(30.0)
-
-        box = self.run_in_thread(target)
-        assert isinstance(box.get("error"), UnitTimeout)
-
-    def test_fast_attempts_are_untouched(self):
-        def target():
-            with _attempt_deadline(30.0):
-                return busy_sleep(0.01)
-
-        box = self.run_in_thread(target)
-        assert "error" not in box and box["result"] > 0
-
-    def test_attempt_unit_times_out_in_a_thread(self):
-        # Regression for the satellite: the full retry loop, executed
-        # off the main thread, now records a UnitTimeout failure
-        # instead of silently ignoring timeout_seconds.
-        policy = FaultPolicy(
-            on_error="skip", retries=0, timeout_seconds=0.2
+    def test_in_process_run_is_refused_before_any_unit(self, tmp_path):
+        ran = tmp_path / "ran"
+        plan = ExecutionPlan(
+            units=[WorkUnit(runner=mark_ran, payload=str(ran))] * 2,
+            merge=list, label="threaded",
         )
+        box = in_thread(lambda: run_plan(
+            plan, fault_policy=FaultPolicy(timeout_seconds=5.0)
+        ))
+        assert isinstance(box.get("error"), ValueError)
+        assert "threaded: timeout_seconds=5 needs SIGALRM" in str(
+            box["error"]
+        )
+        assert not ran.exists()
 
-        def target():
-            return _attempt_unit(0, busy_sleep, 30.0, "hung", policy)
+    def test_without_a_timeout_a_thread_runs_in_process(self):
+        box = in_thread(lambda: run_plan(plan_of([1, 2])))
+        assert box == {"result": [2, 4]}
 
-        box = self.run_in_thread(target)
-        index, output, failure = box["result"]
-        assert output is None
-        assert isinstance(failure, UnitFailure)
-        assert "UnitTimeout" in failure.error
+    def test_pool_children_keep_the_bound(self):
+        plan = ExecutionPlan(
+            units=[
+                WorkUnit(runner=sleepy, payload=0.0),
+                WorkUnit(runner=sleepy, payload=30.0, label="hung"),
+            ],
+            merge=list,
+        )
+        policy = FaultPolicy(on_error="skip", retries=0, timeout_seconds=0.2)
+        box = in_thread(lambda: run_plan(plan, workers=2, fault_policy=policy))
+        outputs = box["result"]
+        assert outputs[0] == "done"
+        assert "UnitTimeout" in outputs[1].error
+
+    def test_on_the_main_thread_a_blocking_call_is_cut_off(self):
+        with _attempt_deadline(0.2):
+            with pytest.raises(UnitTimeout):
+                time.sleep(30.0)
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
 
 class TestFailureProvenance:

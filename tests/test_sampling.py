@@ -1,9 +1,10 @@
 """The per-segment throw helpers of ``repro.runtime.sampling``.
 
 ``uniform_throws`` draws few, full segments one scalar-bound fill at a
-time and everything else in one array-bound call, and the engine's
-streams are only allowed to do that because numpy serves both from one
-bounded-integer routine over the same bits.  These tests hold the
+time and everything else in one array-bound call, ``distinct_throws``
+and ``already_taken`` draw a few elements one scalar call each, and the
+engine's streams are only allowed to do that because numpy serves all
+of them from one per-element routine over the same bits.  These tests hold the
 running numpy to that by name: a release that changes one path and not
 the other fails here, not as a moved anchor somewhere downstream.  The
 same goes for the generator contracts the period program's choice of
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 from repro.runtime import sampling
 from repro.runtime.rng import make_generator
 from repro.runtime.sampling import (
+    already_taken,
     distinct_per_segment,
     distinct_throws,
     sorted_distinct,
@@ -44,6 +46,42 @@ GENERATORS = {
 }
 
 
+#: The generator calls the census draws element by element when few of
+#: their elements can draw, as ``(rng, *per-element args)``.
+ELEMENT_CALLS = {
+    "binomial": lambda rng, n, p: rng.binomial(n, p),
+    "hypergeometric": lambda rng, good, bad, sample: rng.hypergeometric(
+        good, bad, sample
+    ),
+    "integers": lambda rng, high: rng.integers(0, high),
+}
+
+
+def element_args(law):
+    """``(idle, args)`` of one element of ``law``'s array call; an idle
+    element cannot draw (contracts (b), (e), and a range of one)."""
+    if law == "binomial":
+        drawing = st.tuples(st.integers(1, 10**6), st.floats(0.0, 1.0))
+        idle = st.one_of(
+            st.tuples(st.just(0), st.floats(0.0, 1.0)),
+            st.tuples(st.integers(0, 10**6), st.just(0.0)),
+        )
+    elif law == "hypergeometric":
+        drawing = st.tuples(
+            st.integers(0, 300), st.integers(0, 300), st.integers(0, 600),
+        ).map(lambda e: (e[0], e[1], min(e[2], e[0] + e[1])))
+        idle = st.one_of(
+            st.tuples(st.integers(0, 300), st.integers(0, 300), st.just(0)),
+            st.tuples(st.just(0), st.integers(9, 300), st.integers(0, 9)),
+        )
+    else:
+        drawing = st.tuples(bound.filter(lambda b: b > 1))
+        idle = st.just((1,))
+    return st.one_of(
+        drawing.map(lambda a: (False, a)), idle.map(lambda a: (True, a)),
+    )
+
+
 def assert_same_state(rng, other):
     """Equal bit-generator states (MT19937's holds an array)."""
     np.testing.assert_equal(
@@ -57,11 +95,23 @@ def arrays(pairs):
     return bounds, counts
 
 
-@pytest.fixture(params=["per-segment", "flat"])
+#: ``(_FULL_SEGMENT, _FEW_DRAWS)`` forcing each regime of the throws:
+#: every segment one fill, one flat call, or every throw alone.
+REGIMES = {
+    "per-segment": (0, -1), "flat": (2**40, -1), "per-element": (0, 2**40),
+}
+
+
+def force(patch, name):
+    full, few = REGIMES[name]
+    patch.setattr(sampling, "_FULL_SEGMENT", full)
+    patch.setattr(sampling, "_FEW_DRAWS", few)
+
+
+@pytest.fixture(params=sorted(REGIMES))
 def regime(request, monkeypatch):
-    """Force one side of the rule: every call drawn alone, or none."""
-    forced = 0 if request.param == "per-segment" else 2**40
-    monkeypatch.setattr(sampling, "_FULL_SEGMENT", forced)
+    """Force one regime of the throws."""
+    force(monkeypatch, request.param)
     return request.param
 
 
@@ -151,10 +201,10 @@ class TestPushCount:
             len(set(throws[stop - count:stop].tolist()))
             for stop, count in zip(stops, counts)
         ]
-        for forced in (0, 2**40):
+        for name in REGIMES:
             rng = make_generator(seed)
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(sampling, "_FULL_SEGMENT", forced)
+                force(patch, name)
                 got = distinct_throws(rng, bounds, counts)
                 segment = np.repeat(np.arange(counts.size), counts)
                 given_balls = distinct_per_segment(
@@ -165,13 +215,94 @@ class TestPushCount:
             assert_same_state(rng, reference)
 
 
+    def test_the_gate_reads_the_total_throws(self):
+        calls = []
+
+        class Spy:
+            def integers(self, low, high, size=None):
+                calls.append(np.ndim(high))
+                return np.zeros(np.shape(high), dtype=np.int64)[()]
+
+        few = sampling._FEW_DRAWS
+        for counts, made in [
+            ([0, 0, 0], []),
+            ([2, 0, 1], [0, 0, 0]),  # every throw alone
+            ([few, 0, 0], [0] * few),
+            ([few, 1, 0], [1]),  # one flat call
+        ]:
+            calls.clear()
+            got = distinct_throws(Spy(), np.full(3, 40), np.array(counts))
+            assert calls == made, counts
+            assert got.tolist() == [min(c, 1) for c in counts]
+
+
+class TestOverlapLaw:
+    @given(
+        elements=st.lists(
+            st.tuples(
+                st.integers(0, 12), st.integers(0, 30), st.integers(0, 40),
+            ),
+            min_size=1, max_size=12,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_already_taken_is_the_census_call_in_every_regime(
+        self, elements, seed
+    ):
+        """The old census's ``hypergeometric(taken, rest, take)`` when
+        anything is taken: equal values (None for zeros) and state,
+        whether the call is made whole, element by element or not."""
+        taken, rest, take = np.array(elements, dtype=np.int64).T
+        take = np.minimum(take, taken + rest)
+        reference = make_generator(seed)
+        expected = (
+            reference.hypergeometric(taken, rest, take) if taken.any()
+            else np.zeros_like(take)
+        )
+        for few in (-1, 2**40):
+            rng = make_generator(seed)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(sampling, "_FEW_DRAWS", few)
+                got = already_taken(rng, taken, rest, take)
+            if got is None:
+                got = np.zeros_like(take)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
+            assert_same_state(rng, reference)
+
+    def test_the_gate_reads_pairs_and_then_takes_of_ten(self):
+        calls = []
+
+        class Spy:
+            def hypergeometric(self, ngood, nbad, nsample):
+                calls.append(np.ndim(ngood))
+                return np.zeros_like(nsample)
+
+        rest = np.full(4, 50)
+        few = sampling._FEW_DRAWS
+        for taken, take, made in [
+            ([0, 0, 0, 0], [1, 2, 3, 4], []),  # nothing taken
+            ([2, 0, 0, 0], [0, 3, 9, 9], []),  # no pair can draw
+            ([0, 0, 0, 0], [0, 0, 10, 0], []),  # ten, but nothing taken
+            ([1, 0, 2, 0], [1, 5, 1, 0], [0, 0]),  # two elements alone
+            ([few, 0, 0, 0], [1, 0, 0, 0], [0]),  # pairs == the constant
+            ([few + 1, 0, 0, 0], [1, 0, 0, 0], [1]),  # the array call
+            ([1, 0, 0, 0], [0, 0, 10, 0], [1]),  # ten draws whatever
+        ]:
+            calls.clear()
+            got = already_taken(Spy(), np.array(taken), rest, np.array(take))
+            assert calls == made, (taken, take)
+            assert (got is None) == (not made)
+
+
 class TestGeneratorContracts:
     """What the period program's choice of generator call rests on.
 
     ``ActionPlanner`` draws a split whose coins all have two sides with
     ``binomial`` instead of ``multinomial``, a full push's contacts
-    inside the thinning ``binomial`` call, and skips an overlap
-    ``hypergeometric`` none of whose elements can draw, because the
+    inside the thinning ``binomial`` call, skips an overlap
+    ``hypergeometric`` none of whose elements can draw, and draws a
+    few overlap elements or throws one scalar call each, because the
     running numpy consumes the same bits in the same order either way;
     snapshots keep
     a generator as its pickle, which carries its ``bit_generator.state``
@@ -324,6 +455,35 @@ class TestGeneratorContracts:
             assert_same_state(other, rng)
         if kind == "mt19937":
             assert set(rng.bit_generator.state["state"]) == {"key", "pos"}
+
+    @pytest.mark.parametrize("law", sorted(ELEMENT_CALLS))
+    @pytest.mark.parametrize("kind", sorted(GENERATORS))
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_scalar_calls_over_the_elements_are_the_array_call(
+        self, kind, law, data, seed
+    ):
+        """(f) Every element of a 2-D array call drawn by a scalar call
+        of its own, row-major, the elements that cannot draw skipped and
+        left 0: equal values and state.  What lets the census draw a few
+        overlap elements or throws one scalar call each."""
+        rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        elements = data.draw(st.lists(
+            element_args(law), min_size=rows * cols, max_size=rows * cols,
+        ))
+        idle = np.array([i for i, _ in elements]).reshape(rows, cols)
+        args = [
+            np.array([a[k] for _, a in elements]).reshape(rows, cols)
+            for k in range(len(elements[0][1]))
+        ]
+        call = ELEMENT_CALLS[law]
+        whole, alone = GENERATORS[kind](seed), GENERATORS[kind](seed)
+        expected = call(whole, *args)
+        got = np.zeros_like(expected)
+        for at in np.ndindex(rows, cols):
+            if not idle[at]:
+                got[at] = call(alone, *(a[at].item() for a in args))
+        assert np.array_equal(got, expected)
+        assert_same_state(alone, whole)
 
 
 class TestSortedDistinct:
