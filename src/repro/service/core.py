@@ -24,6 +24,7 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
 
@@ -98,6 +99,11 @@ class ServiceCore:
         self.snapshot_every = int(snapshot_every)
         self.history_window = int(history_window)
         self.history: Deque[StreamRow] = deque(maxlen=self.history_window)
+        # Each history row's census as shares of its population (None
+        # for an empty one), divided once when the row is kept.
+        self._shares: Deque[Optional[Tuple[float, ...]]] = deque(
+            maxlen=self.history_window
+        )
         self.retain_stream = retain_stream
         self.stream: List[StreamRow] = []
         self.snapshots_written = 0
@@ -247,7 +253,7 @@ class ServiceCore:
             retain_stream=retain_stream,
         )
         for row in meta.get("history", []):
-            core.history.append(StreamRow(
+            core._keep(StreamRow(
                 seq=int(row["seq"]),
                 period=int(row["period"]),
                 counts=tuple(int(c) for c in row["counts"]),
@@ -280,9 +286,16 @@ class ServiceCore:
             alive=alive,
             total_messages=self.live.engine.total_messages,
         )
-        self.history.append(row)
+        self._keep(row)
         if self.retain_stream:
             self.stream.append(row)
+
+    def _keep(self, row: StreamRow) -> None:
+        """Put a row in the history window, with its shares."""
+        self.history.append(row)
+        self._shares.append(
+            tuple(c / row.alive for c in row.counts) if row.alive else None
+        )
 
     # ------------------------------------------------------------------
     # Queries (read-only, wall-clock-free, pure functions of state)
@@ -378,18 +391,20 @@ class ServiceCore:
 
     def _query_convergence(self, params) -> Dict[str, Any]:
         """Has the census settled over the recent history window?"""
-        window = self.history_window
-        if "window" in params:
+        window = params.get("window", self.history_window)
+        # Neither is coerced: int("3") and int(2.9) would answer a
+        # question the client did not ask, and True is an int.
+        if isinstance(window, bool) or not isinstance(window, Integral):
+            raise ValueError(f"window must be an integer, got {window!r}")
+        if window < 1:
             # -0 slices to everything and -k drops the *oldest* k rows.
-            window = int(params["window"])
-            if window < 1:
-                raise ValueError(f"window must be >= 1, got {window}")
-        tol = float(params.get("tol", 0.02))
+            raise ValueError(f"window must be >= 1, got {window}")
+        tol = params.get("tol", 0.02)
+        if isinstance(tol, bool) or not isinstance(tol, Real):
+            raise ValueError(f"tol must be a number, got {tol!r}")
         if not (math.isfinite(tol) and tol >= 0.0):
-            raise ValueError(
-                f"tol must be a finite number >= 0, got {params['tol']!r}"
-            )
-        rows = [r for r in list(self.history)[-window:] if r.alive > 0]
+            raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+        rows = [s for s in list(self._shares)[-window:] if s is not None]
         if len(rows) < 2:
             return {
                 "period": self.live.period,
@@ -397,10 +412,7 @@ class ServiceCore:
                 "max_delta_fraction": None,
                 "settled": False,
             }
-        per_state = zip(*(
-            tuple(c / row.alive for c in row.counts) for row in rows
-        ))
-        max_delta = max(max(vals) - min(vals) for vals in per_state)
+        max_delta = max(max(vals) - min(vals) for vals in zip(*rows))
         return {
             "period": self.live.period,
             "window": len(rows),

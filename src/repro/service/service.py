@@ -25,7 +25,10 @@ Both ends of the socket are one line-framing ``asyncio.Protocol``
 alone is a task, and holds its connection so replies keep the order of
 their requests -- and stops reading a peer that stops reading it.  A
 reply is bytes: the line of a query without ``params`` is encoded once
-per log sequence number and written as it is from then on
+per log sequence number and written as it is from then on, and a
+request is bytes too: a segment that is one whole line is taken without
+buffering it, and the line the client writes for a query without
+``params`` (:data:`QUERY_LINES`) is answered without decoding it
 (docs/service.md, "Cost of a read" and "Wire protocol").
 """
 
@@ -39,7 +42,7 @@ from typing import Any, Deque, Dict, List, Mapping, Optional, Sequence
 
 from ..experiment.experiment import Experiment
 from .clock import WallClock
-from .core import ServiceCore
+from .core import QUERY_OPS, ServiceCore
 
 
 @dataclass(frozen=True)
@@ -105,6 +108,7 @@ class ProtocolService:
         self.errors = 0
         self.replies_from_memo = 0
         self.replies_encoded = 0
+        self.replies_canonical = 0
         self.ticks = 0
         self.tick_lag = 0.0
         self.tick_lag_max = 0.0
@@ -276,7 +280,9 @@ class ProtocolService:
         appends no record.  ``requests`` counts requests answered
         ``ok`` by op and ``errors`` the refused ones; every reply line
         was either ``encoded`` for that reply or served from the
-        ``memo`` of reply lines; ``tick_lag_seconds`` is how much
+        ``memo`` of reply lines, and ``canonical`` counts the replies
+        to query lines recognised as :data:`QUERY_LINES` bytes, never
+        decoded; ``tick_lag_seconds`` is how much
         later than ``tick_seconds`` after its predecessor a tick began,
         on the service clock.  `repro.obs` (ROADMAP item 1) adopts
         these counters when it lands.
@@ -288,6 +294,7 @@ class ProtocolService:
             "replies": {
                 "memo": self.replies_from_memo,
                 "encoded": self.replies_encoded,
+                "canonical": self.replies_canonical,
             },
             "ticks": self.ticks,
             "tick_lag_seconds": {
@@ -302,6 +309,18 @@ class ProtocolService:
 #: Most bytes a line may hold before its newline.  A line of exactly
 #: this many is taken; one byte more is "request line too long".
 LINE_LIMIT = 2 ** 16
+
+#: The line :meth:`ServiceClient.query` writes for each query op asked
+#: without params.  The service looks a line up here before decoding
+#: it: these bytes decode to ``_query_line(op, None)``, so a hit goes
+#: there directly.  Any other spelling of the same request is decoded.
+QUERY_LINES: Dict[str, bytes] = {
+    op: json.dumps({"op": "query", "q": op, "params": None}).encode() + b"\n"
+    for op in QUERY_OPS
+}
+_QUERY_OF_LINE: Dict[bytes, str] = {
+    line: op for op, line in QUERY_LINES.items()
+}
 
 
 class _LineProtocol(asyncio.Protocol):
@@ -327,8 +346,16 @@ class _LineProtocol(asyncio.Protocol):
         self.transport = transport
 
     def data_received(self, data: bytes) -> None:
-        self._buffer += data
-        self._take_lines()
+        # A segment that is one whole line, with nothing before it and
+        # nothing to wait for, is that line: it skips the buffer.
+        if (
+            not (self._buffer or self._holds or self._overlong)
+            and 0 <= data.find(b"\n") == len(data) - 1 <= LINE_LIMIT
+        ):
+            self.line_received(data)
+        else:
+            self._buffer += data
+            self._take_lines()
 
     def eof_received(self) -> bool:
         """The peer sent its last byte; what is unterminated is a line."""
@@ -432,32 +459,18 @@ class _Connection(_LineProtocol):
     def line_received(self, line: bytes) -> None:
         service = self.service
         try:
-            request = json.loads(line)
-            if not isinstance(request, dict):
-                raise ValueError("request must be a JSON object")
-            op = request.get("op")
-            if op == "query":
-                reply = service._query_line(
-                    request["q"], request.get("params")
-                )
-            elif op == "event":
-                reply = service._encode({"ok": True, "result": (
-                    service.core.apply_event(
-                        request["kind"], request.get("data", {})
-                    ).to_dict()
-                )})
-            elif op == "what-if":
-                self.hold()
-                self._task = asyncio.ensure_future(self._what_if(request))
-                return
-            elif op == "metrics":
-                reply = service._encode(
-                    {"ok": True, "result": service.metrics()}
-                )
-            elif op == "stop":
-                reply = service._encode({"ok": True, "result": "stopping"})
+            q = _QUERY_OF_LINE.get(line)
+            if q is not None:  # answered as its decoded form would be
+                op, reply = "query", service._query_line(q, None)
+                service.replies_canonical += 1
             else:
-                raise ValueError(f"unknown op {op!r}")
+                request = json.loads(line)
+                if not isinstance(request, dict):
+                    raise ValueError("request must be a JSON object")
+                op = request.get("op")
+                reply = self._answer(op, request)
+                if reply is None:  # a what-if: answered when it ends
+                    return
             service.requests[op] += 1
         except Exception as exc:  # protocol surface: report, don't die
             self.transport.write(service._refusal(exc))
@@ -468,6 +481,27 @@ class _Connection(_LineProtocol):
             # the ticks; the caller awaits the service's end.
             self.finish()
             service._stopping = asyncio.ensure_future(service.stop())
+
+    def _answer(self, op: Any, request: Dict[str, Any]) -> Optional[bytes]:
+        """The reply line of a decoded request; None for a what-if."""
+        service = self.service
+        if op == "query":
+            return service._query_line(request["q"], request.get("params"))
+        if op == "event":
+            return service._encode({"ok": True, "result": (
+                service.core.apply_event(
+                    request["kind"], request.get("data", {})
+                ).to_dict()
+            )})
+        if op == "what-if":
+            self.hold()
+            self._task = asyncio.ensure_future(self._what_if(request))
+            return None
+        if op == "metrics":
+            return service._encode({"ok": True, "result": service.metrics()})
+        if op == "stop":
+            return service._encode({"ok": True, "result": "stopping"})
+        raise ValueError(f"unknown op {op!r}")
 
     async def _what_if(self, request: Dict[str, Any]) -> None:
         service = self.service
@@ -550,7 +584,9 @@ class ServiceClient(_LineProtocol):
         self.finish()
 
     async def request(self, payload: Dict[str, Any]) -> Any:
-        line = json.dumps(payload).encode("utf-8") + b"\n"
+        return await self._send(json.dumps(payload).encode("utf-8") + b"\n")
+
+    async def _send(self, line: bytes) -> Any:
         while self._writable is not None:  # what drain() waited for
             await self._writable
         if self.transport.is_closing():
@@ -566,6 +602,8 @@ class ServiceClient(_LineProtocol):
     async def query(
         self, q: str, params: Optional[Dict[str, Any]] = None
     ) -> Any:
+        if params is None and isinstance(q, str) and q in QUERY_LINES:
+            return await self._send(QUERY_LINES[q])
         return await self.request({"op": "query", "q": q, "params": params})
 
     async def event(self, kind: str, data: Optional[Dict[str, Any]] = None) -> Any:

@@ -222,6 +222,21 @@ class TestServiceCore:
         assert answer["settled"]
         assert answer["window"] == 5
 
+    def test_convergence_skips_rows_of_an_empty_population(self):
+        core = make_core(n=20)
+        core.start()
+        core.tick()
+        core.apply_event("leave", {"hosts": list(range(20))})
+        core.tick()
+        core.apply_event("join", {"hosts": list(range(20))})
+        core.tick()
+        assert [s is None for s in core._shares] == [
+            False, False, True, True, False, False,
+        ]
+        answer = core.query("convergence", {"window": 4, "tol": 1})
+        assert answer["window"] == 2 and answer["settled"]
+        assert core.query("convergence", {"window": 3})["window"] == 2
+
     def test_membership_events_change_population(self):
         core = make_core(n=60)
         core.start()
@@ -247,6 +262,13 @@ class TestServiceCore:
         ({"tol": math.nan}, "tol"),
         ({"tol": math.inf}, "tol"),
         ([("window", 3)], "params"),
+        # Loose values are refused, not coerced (2.9 answered as 2).
+        ({"window": "3"}, "window"),
+        ({"window": 2.9}, "window"),
+        ({"window": True}, "window"),
+        ({"window": [3]}, "window"),
+        ({"tol": "0.5"}, "tol"),
+        ({"tol": True}, "tol"),
     ])
     def test_bad_query_params_are_refused_by_name(self, params, named):
         core = make_core(n=50)
@@ -705,6 +727,7 @@ class TestTcpEndpoint:
             for params, named in (
                 ({"window": 0}, "window"),
                 ({"tol": -1}, "tol"),
+                ({"window": [3]}, "window must be an integer"),
                 ([1, 2], "params must be a JSON object"),
                 ("window", "params must be a JSON object"),
             ):

@@ -13,8 +13,13 @@ asserts the two contracts the live tier is built on:
 * **the read contract** -- the core answers from the census of its last
   mutation, so after every step every answer must equal one recomputed
   from ``engine.states`` / ``engine.alive`` from scratch, and a caller
-  that scribbles on an answer must not change the next one.
+  that scribbles on an answer must not change the next one;
+* **kept shares** -- the per-row shares ``convergence`` scans are the
+  stream's own rows divided afresh, for any window and tolerance and
+  across a restore from a snapshot.
 """
+
+import tempfile
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -22,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.service import LiveConfig, LiveEngine, ServiceCore, replay_events
 from repro.service.core import QUERY_OPS
-from repro.store import MemoryEventLog
+from repro.store import MemoryEventLog, load_snapshot
 
 from service_helpers import (
     assert_answers_match_arrays,
@@ -151,9 +156,11 @@ class TestQuerySnapshotConsistency:
         assert with_queries.stream == without_queries.stream
 
 
-def convergence_from_stream(core, tol=0.02):
+def convergence_from_stream(core, tol=0.02, window=None, stream=None):
     """The convergence answer from the retained stream's last rows."""
-    rows = [r for r in core.stream[-core.history_window:] if r.alive > 0]
+    stream = core.stream if stream is None else stream
+    rows = stream[-core.history_window:][-(window or core.history_window):]
+    rows = [r for r in rows if r.alive > 0]
     if len(rows) < 2:
         return {"window": len(rows), "max_delta_fraction": None,
                 "settled": False}
@@ -203,3 +210,55 @@ class TestReadContract:
                 assert scribbled.query(q) == untouched.query(q)
         assert scribbled.log.events == untouched.log.events
         assert scribbled.stream == untouched.stream
+
+
+class TestKeptShares:
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        ops=operations,
+        seed=st.integers(min_value=0, max_value=2**31),
+        history_window=st.integers(min_value=1, max_value=8),
+        restore_at=st.integers(min_value=0, max_value=12),
+        window=st.integers(min_value=1, max_value=10),
+        tol=st.one_of(
+            st.integers(min_value=0, max_value=1),
+            st.floats(min_value=0.0, max_value=0.2),
+        ),
+    )
+    def test_kept_shares_are_the_streams_shares(
+        self, ops, seed, history_window, restore_at, window, tol
+    ):
+        with tempfile.TemporaryDirectory() as directory:
+            core = ServiceCore(
+                LiveEngine(LiveConfig(protocol="endemic", n=N, seed=seed)),
+                directory=directory, history_window=history_window,
+                retain_stream=True,
+            )
+            core.start()
+            earlier = []  # the stream before a restore
+            for step, (op, arg) in enumerate(ops):
+                if step == restore_at:
+                    earlier = list(core.stream)
+                    path = core.snapshot_now()
+                    restored = ServiceCore.from_snapshot(
+                        *load_snapshot(path),
+                        log=MemoryEventLog(start_seq=core.log.next_seq),
+                        history_window=history_window, retain_stream=True,
+                    )
+                    core.close()
+                    core = restored
+                apply_operation(core, op, arg)
+                stream = earlier + core.stream
+                assert list(core._shares) == [
+                    tuple(c / r.alive for c in r.counts) if r.alive else None
+                    for r in stream[-history_window:]
+                ]
+                for params in ({}, {"window": window, "tol": tol}):
+                    expected = convergence_from_stream(
+                        core, stream=stream, **params
+                    )
+                    answer = core.query("convergence", params)
+                    assert {k: answer[k] for k in expected} == expected
+            if not core.closed:
+                core.close()

@@ -4,14 +4,17 @@ Both ends of the socket are one newline-framing ``asyncio.Protocol``.
 Most tests here drive the service's end of a connection directly -- a
 recording transport, ``data_received`` called with exactly the segments
 the test wants -- so "one byte per segment" means one byte per segment
-and nothing waits on a kernel.  The rest use real loopback sockets on a
-:class:`VirtualClock`; no test sleeps.
+and nothing waits on a kernel; a hypothesis property cuts drawn request
+streams into arbitrary segments the same way.  The rest use real
+loopback sockets on a :class:`VirtualClock`; no test sleeps.
 """
 
 import asyncio
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.service import (
     LiveConfig,
@@ -23,7 +26,12 @@ from repro.service import (
     serve_tcp,
 )
 from repro.service.core import QUERY_OPS
-from repro.service.service import LINE_LIMIT, _Connection
+from repro.service.service import (
+    LINE_LIMIT,
+    QUERY_LINES,
+    _Connection,
+    _LineProtocol,
+)
 from repro.store import MemoryEventLog
 
 
@@ -43,6 +51,10 @@ def make_service(n=100, clock=None):
 
 def line(request):
     return json.dumps(request).encode() + b"\n"
+
+
+def respaced(request):
+    return json.dumps(request, separators=(",", ":")).encode() + b"\n"
 
 
 def ok_line(result):
@@ -86,6 +98,41 @@ async def connected(service):
     transport = RecordingTransport()
     connection.connection_made(transport)
     return connection, transport
+
+
+def fed(segments):
+    """Replies, metrics and closed flag of a fresh service fed these
+    segments in turn; one byte per segment is the framing oracle.
+
+    Checks on the way that a segment answered only by refusals
+    appended no log record.
+    """
+    async def body():
+        service = make_service()
+        connection, transport = await connected(service)
+        for segment in segments:
+            seq, replies = service.core.log.next_seq, len(transport.written)
+            connection.data_received(segment)
+            if transport.written[replies:] and all(
+                reply.startswith(b'{"ok": false')
+                for reply in transport.written[replies:]
+            ):
+                assert service.core.log.next_seq == seq
+        metrics = service.metrics()
+        await service.stop()
+        return transport.written, metrics, transport.closed
+
+    return run(body())
+
+
+def one_byte_each(stream):
+    return [stream[i:i + 1] for i in range(len(stream))]
+
+
+def padded(size):
+    """A query line of ``size`` bytes before its newline."""
+    head = b'{"op": "query", "q": "'
+    return head + b"x" * (size - len(head) - 2) + b'"}'
 
 
 # ----------------------------------------------------------------------
@@ -161,10 +208,6 @@ class TestFraming:
         # Pinned: LINE_LIMIT bytes and then a newline is a request; one
         # byte more is refused, however the line is cut into segments
         # (found whole, or outgrowing the buffer before its newline).
-        def padded(size):
-            head = b'{"op": "query", "q": "'
-            return head + b"x" * (size - len(head) - 2) + b'"}'
-
         def cut(data):
             step = -(-len(data) // segments)
             return [data[i:i + step] for i in range(0, len(data), step)]
@@ -208,6 +251,46 @@ class TestFraming:
 
         run(body())
 
+    @pytest.mark.parametrize("before, segment, skips", [
+        (b"", STATUS, True),
+        (b"", b"\n", True),
+        (b"", padded(LINE_LIMIT) + b"\n", True),
+        (b"", padded(LINE_LIMIT + 1) + b"\n", False),
+        (b"", STATUS * 2, False),
+        (b"", STATUS[:-1], False),
+        (b"", b"", False),
+        (STATUS[:9], STATUS, False),  # the rest of a line is buffered
+        (b"x" * (LINE_LIMIT + 1), STATUS, False),  # dropping a long line
+    ], ids=[
+        "query", "empty-line", "at-limit", "over-limit", "two-lines",
+        "no-newline", "no-bytes", "after-a-head", "while-dropping",
+    ])
+    def test_a_whole_line_segment_skips_the_buffer(
+        self, monkeypatch, before, segment, skips
+    ):
+        buffered = []
+        take = _LineProtocol._take_lines
+        monkeypatch.setattr(
+            _LineProtocol, "_take_lines",
+            lambda self: (buffered.append(segment), take(self)),
+        )
+        answered = fed([before, segment] if before else [segment])
+        assert len(buffered) == bool(before) + (not skips)
+        assert answered == fed(one_byte_each(before + segment))
+
+    def test_a_whole_line_waits_for_a_held_connection(self):
+        async def body():
+            service = make_service()
+            connection, transport = await connected(service)
+            connection.pause_writing()
+            connection.data_received(STATUS)
+            assert transport.written == [] and connection._buffer == STATUS
+            connection.resume_writing()
+            assert transport.written == [ok_line(service.core.query("status"))]
+            await service.stop()
+
+        run(body())
+
     def test_last_line_may_end_at_end_of_stream(self):
         async def body():
             service = make_service()
@@ -243,6 +326,65 @@ class TestFraming:
             await service.stop()
 
         run(body())
+
+
+request_lines = st.one_of(
+    st.sampled_from(list(QUERY_LINES.values())),
+    st.sampled_from(QUERY_OPS).map(
+        lambda q: respaced({"op": "query", "q": q, "params": None})
+    ),
+    st.sampled_from(QUERY_OPS).map(
+        lambda q: line({"op": "query", "q": q, "params": {}})
+    ),
+    st.builds(
+        lambda kind, hosts: line(
+            {"op": "event", "kind": kind, "data": {"hosts": hosts}}
+        ),
+        st.sampled_from(["leave", "join"]),
+        st.lists(st.integers(0, 99), min_size=1, max_size=3, unique=True),
+    ),
+    st.just(line({"op": "event", "kind": "fail", "data": {"fraction": 0.1}})),
+    st.just(line({"op": "metrics"})),
+    st.sampled_from([
+        b"\n", b"[1, 2]\n", b'{"op": "query"\n', b'{"op": "nope"}\n',
+        b'{"op": "query", "q": "status", "params": []}\n',
+        b"\xff\xfe{}\n", b'{"op": "que\xc3\n',
+    ]),
+    st.binary(max_size=12).map(lambda data: data + b"\n"),
+)
+
+
+@st.composite
+def segmented_streams(draw):
+    """A stream of request lines and the cuts that split it."""
+    lines = draw(st.lists(request_lines, min_size=1, max_size=10))
+    # At most one line at the limit: one byte per segment is slow.
+    long = draw(st.sampled_from([None, LINE_LIMIT, LINE_LIMIT + 1]))
+    if long is not None:
+        lines.insert(draw(st.integers(0, len(lines))), padded(long) + b"\n")
+    stream = b"".join(lines)
+    # A cut at a line's end makes whole-line segments, one a byte
+    # before it parts a line from its newline; others fall anywhere.
+    marks, end = [], 0
+    for each in lines:
+        end += len(each)
+        marks += [end - 1, end]
+    chosen = draw(st.lists(
+        st.booleans(), min_size=len(marks), max_size=len(marks)
+    ))
+    cuts = {mark for mark, cut in zip(marks, chosen) if cut}
+    cuts |= draw(st.sets(st.integers(0, len(stream)), max_size=4))
+    bounds = sorted(cuts | {0, len(stream)})
+    return stream, [stream[a:b] for a, b in zip(bounds, bounds[1:]) if b > a]
+
+
+class TestSegmentation:
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(drawn=segmented_streams())
+    def test_any_split_answers_as_one_byte_at_a_time(self, drawn):
+        stream, segments = drawn
+        assert fed(segments) == fed(one_byte_each(stream))
 
 
 # ----------------------------------------------------------------------
@@ -409,6 +551,56 @@ class TestReplyMemo:
 
         run(body())
 
+    def test_canonical_lines_skip_the_decoder_and_are_counted(
+        self, monkeypatch
+    ):
+        spellings = {
+            "canonical": lambda op: QUERY_LINES[op],
+            "re-spaced": lambda op: respaced(
+                {"op": "query", "q": op, "params": None}
+            ),
+            "empty params": lambda op: line(
+                {"op": "query", "q": op, "params": {}}
+            ),
+            "no params": lambda op: line({"op": "query", "q": op}),
+        }
+        assert len(QUERY_LINES) == len(QUERY_OPS)
+        for op in QUERY_OPS:  # what ServiceClient.query writes
+            assert QUERY_LINES[op] == line(
+                {"op": "query", "q": op, "params": None}
+            )
+        decoded = []
+        loads = json.loads
+        monkeypatch.setattr(
+            json, "loads", lambda s, **kw: (decoded.append(s), loads(s, **kw))[1]
+        )
+
+        async def body():
+            service = make_service()
+            core = service.core
+            connection, transport = await connected(service)
+            for name, spelling in spellings.items():
+                core.tick(1)  # a cold memo, then a warm one
+                canonical = service.metrics()["replies"]["canonical"]
+                for _ in range(2):
+                    for op in QUERY_OPS:
+                        del transport.written[:], decoded[:]
+                        connection.data_received(spelling(op))
+                        assert transport.written == [
+                            ok_line(core.query(op))
+                        ], (name, op)
+                        assert len(decoded) == (name != "canonical")
+                counted = service.metrics()["replies"]["canonical"] - canonical
+                assert counted == (
+                    2 * len(QUERY_OPS) if name == "canonical" else 0
+                ), name
+            assert service.metrics()["requests"]["query"] == (
+                2 * len(QUERY_OPS) * len(spellings)
+            )
+            await service.stop()
+
+        run(body())
+
     def test_memo_is_bounded_and_counted(self):
         async def body():
             service = make_service()
@@ -426,7 +618,9 @@ class TestReplyMemo:
                 )
             assert set(service._lines) == {"counts"}
             metrics = service.metrics()
-            assert metrics["replies"] == {"memo": 9, "encoded": 51}
+            assert metrics["replies"] == {
+                "memo": 9, "encoded": 51, "canonical": 0,
+            }
             assert metrics["requests"]["query"] == 59
             assert metrics["errors"] == 1
             assert len(transport.written) == 60
@@ -471,7 +665,8 @@ class TestMetricsOp:
                 "requests": {"query": 5, "event": 1, "what-if": 0,
                              "metrics": 0, "stop": 0},
                 "errors": 1,
-                "replies": {"memo": 3, "encoded": 4},
+                # The client writes "counts" and "status" canonically.
+                "replies": {"memo": 3, "encoded": 4, "canonical": 5},
                 "ticks": 3,
                 "tick_lag_seconds": {"last": 0.0, "max": 0.0},
             }
