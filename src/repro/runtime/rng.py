@@ -6,13 +6,24 @@ simulation component draws from an explicitly seeded, independently
 spawned stream.  Independent streams keep results reproducible even
 when components are added or reordered (failure injection must not
 perturb the protocol's sampling sequence).
+
+It also holds the one checkpoint encoding of a generator: its MT19937
+state as plain JSON (:func:`generator_state`) and the bounds-checked
+way back (:func:`generator_from_state`).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 import numpy as np
+
+#: Words in an MT19937 key; ``pos`` reads one of them, or 624 = refill.
+_MT_WORDS = 624
+
+
+class SnapshotError(ValueError):
+    """A checkpoint that cannot be trusted (also ``repro.store``'s)."""
 
 
 def make_generator(
@@ -24,6 +35,46 @@ def make_generator(
     ``SeedSequence``.
     """
     return np.random.Generator(np.random.MT19937(seed))
+
+
+def generator_state(rng: np.random.Generator) -> Dict[str, Any]:
+    """A generator's position as plain JSON: ``{"key": [624 ints], "pos": int}``.
+
+    MT19937's ``bit_generator.state`` is exactly ``{key, pos}``, with no
+    spare word buffered between 32-bit draws, so this alone continues
+    the stream (``tests/test_sampling.py``,
+    ``test_a_state_round_trip_reproduces_the_stream``).
+    """
+    state = rng.bit_generator.state["state"]
+    return {"key": state["key"].tolist(), "pos": int(state["pos"])}
+
+
+def generator_from_state(state: Any) -> np.random.Generator:
+    """Inverse of :func:`generator_state`; refuses anything else.
+
+    Only a key of 624 integers in [0, 2**32) and an integer ``pos`` in
+    [0, 624] pass: numpy's setter takes a larger ``pos``, which reads
+    past the key or crashes the process on the next draw.
+    """
+    if not (
+        isinstance(state, dict) and set(state) == {"key", "pos"}
+        and type(state["pos"]) is int and 0 <= state["pos"] <= _MT_WORDS
+        and isinstance(state["key"], list) and len(state["key"]) == _MT_WORDS
+        and all(type(w) is int and 0 <= w < 2**32 for w in state["key"])
+    ):
+        raise SnapshotError(
+            f"generator state: expected MT19937 {{'key': {_MT_WORDS} "
+            f"integers in [0, 2**32), 'pos': an integer in [0, {_MT_WORDS}]}}"
+        )
+    rng = make_generator(0)
+    rng.bit_generator.state = {
+        "bit_generator": "MT19937",
+        "state": {
+            "key": np.array(state["key"], dtype=np.uint32),
+            "pos": state["pos"],
+        },
+    }
+    return rng
 
 
 def spawn_seeds(seed, m: int) -> List[int]:

@@ -46,7 +46,6 @@ the biased coins are heavily weighted toward tails (e.g. alpha = 1e-6).
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -61,7 +60,13 @@ from ..synthesis.actions import (
 )
 from ..synthesis.protocol import ProtocolSpec
 from .metrics import BatchMetricsRecorder, trial_rows
-from .rng import RandomSource, sample_other
+from .rng import (
+    RandomSource,
+    SnapshotError,
+    generator_from_state,
+    generator_state,
+    sample_other,
+)
 from .sampling import sorted_distinct
 
 #: Hook signature: called once per period, before actions execute.
@@ -316,48 +321,65 @@ class RoundEngine:
         return self.spec.time_for_periods(self.period)
 
     # ------------------------------------------------------------------
-    # Checkpoint / restore (the live-service replay contract)
+    # Checkpoint / restore: the one engine codec every snapshot uses
     # ------------------------------------------------------------------
-    def state_snapshot(self) -> Dict[str, object]:
-        """Capture everything that evolves after construction.
+    def snapshot(self) -> Tuple[Dict[str, np.ndarray], Dict[str, object]]:
+        """Everything that evolves after construction, as ``(arrays, meta)``.
 
-        The RNGs are serialized with pickle, which carries their
-        ``bit_generator.state`` and nothing more -- MT19937's is ``{key,
-        pos}``, with no spare word between 32-bit draws, so the state
-        dict alone would restore the stream just as exactly
-        (``tests/test_sampling.py``,
-        ``test_a_state_round_trip_reproduces_the_stream``).  An engine
-        built with the same ``(spec, n, connection_failure_rate)`` and
-        then ``restore_state``-d continues bit-identically.
+        ``save_snapshot``'s shape: ``states`` and ``alive`` as arrays,
+        ``period``, ``total_messages`` and both generators
+        (:func:`~repro.runtime.rng.generator_state`) as plain JSON.  An
+        engine built with the same ``(spec, n, connection_failure_rate)``
+        and then :meth:`restore`-d continues bit-identically.
         """
-        return {
-            "states": self.states.copy(),
-            "alive": self.alive.copy(),
+        arrays = {"states": self.states.copy(), "alive": self.alive.copy()}
+        meta = {
             "period": self.period,
             "total_messages": self.total_messages,
-            "rng_pickle": pickle.dumps(
-                self._rng, protocol=pickle.HIGHEST_PROTOCOL
-            ),
-            "fault_rng_pickle": pickle.dumps(
-                self._fault_rng, protocol=pickle.HIGHEST_PROTOCOL
-            ),
+            "rng": generator_state(self._rng),
+            "fault_rng": generator_state(self._fault_rng),
         }
+        return arrays, meta
 
-    def restore_state(self, snapshot: Mapping[str, object]) -> None:
-        """Inverse of :meth:`state_snapshot` (trusted input only)."""
-        states = np.asarray(snapshot["states"], dtype=np.int8)
-        alive = np.asarray(snapshot["alive"], dtype=bool)
-        if states.shape != (self.n,) or alive.shape != (self.n,):
-            raise ValueError(
-                f"snapshot is for a different population "
-                f"(n={states.shape}, engine n={self.n})"
+    def restore(
+        self, arrays: Mapping[str, np.ndarray], meta: Mapping[str, object]
+    ) -> None:
+        """Inverse of :meth:`snapshot`.
+
+        Every field is checked before the engine is touched; a bad one
+        raises :class:`~repro.runtime.rng.SnapshotError` naming it.
+        """
+        for name, dtype in (("states", np.int8), ("alive", np.bool_)):
+            array = arrays.get(name)
+            if not (
+                isinstance(array, np.ndarray) and array.dtype == dtype
+                and array.shape == (self.n,)
+            ):
+                raise SnapshotError(
+                    f"{name}: expected {np.dtype(dtype)} of shape ({self.n},)"
+                )
+        states = arrays["states"]
+        if not 0 <= states.min() <= states.max() < len(self.state_names):
+            raise SnapshotError(
+                f"states: ids must lie in [0, {len(self.state_names)})"
             )
+        for name in ("period", "total_messages"):
+            if type(meta.get(name)) is not int or meta[name] < 0:
+                raise SnapshotError(
+                    f"{name}: expected a non-negative integer, "
+                    f"got {meta.get(name)!r}"
+                )
+        generators = []
+        for name in ("rng", "fault_rng"):
+            try:
+                generators.append(generator_from_state(meta.get(name)))
+            except SnapshotError as exc:
+                raise SnapshotError(f"{name}: {exc}") from None
         self.states = states.copy()
-        self.alive = alive.copy()
-        self.period = int(snapshot["period"])
-        self.total_messages = int(snapshot["total_messages"])
-        self._rng = pickle.loads(snapshot["rng_pickle"])
-        self._fault_rng = pickle.loads(snapshot["fault_rng_pickle"])
+        self.alive = arrays["alive"].copy()
+        self.period = meta["period"]
+        self.total_messages = meta["total_messages"]
+        self._rng, self._fault_rng = generators
         self.last_transitions = {}
 
     # ------------------------------------------------------------------

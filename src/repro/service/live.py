@@ -11,9 +11,10 @@ behind the three things the live tier needs:
   (join = recover with volatile state lost, leave = crash-stop,
   fail = crash a random fraction drawn from the engine's own fault
   stream, so replay re-draws the same victims);
-* *checkpointing* -- ``snapshot``/``restore`` round-trip the full
-  dynamic state, RNG buffers included, through the checksummed
-  snapshot format in :mod:`repro.store.snapshots`.
+* *checkpointing* -- ``snapshot``/``restore`` are the config plus the
+  engine's own codec (``RoundEngine.snapshot``/``restore``, generators
+  as MT19937 state), in the checksummed format of
+  :mod:`repro.store.snapshots`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from ..experiment.protocol import Protocol
-from ..store.snapshots import SnapshotError
+from ..store.snapshots import require_kind
 from ..runtime.round_engine import RoundEngine
 
 LIVE_SNAPSHOT_KIND = "live-engine"
@@ -177,21 +178,8 @@ class LiveEngine:
     # ------------------------------------------------------------------
     def snapshot(self) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
         """(arrays, meta) for :func:`repro.store.snapshots.save_snapshot`."""
-        state = self.engine.state_snapshot()
-        arrays = {
-            "states": state["states"],
-            "alive": state["alive"],
-            "rng": np.frombuffer(state["rng_pickle"], dtype=np.uint8),
-            "fault_rng": np.frombuffer(
-                state["fault_rng_pickle"], dtype=np.uint8
-            ),
-        }
-        meta = {
-            "kind": LIVE_SNAPSHOT_KIND,
-            "config": self.config.to_dict(),
-            "period": state["period"],
-            "total_messages": state["total_messages"],
-        }
+        arrays, meta = self.engine.snapshot()
+        meta.update(kind=LIVE_SNAPSHOT_KIND, config=self.config.to_dict())
         return arrays, meta
 
     @classmethod
@@ -200,24 +188,9 @@ class LiveEngine:
         arrays: Mapping[str, np.ndarray],
         meta: Mapping[str, Any],
     ) -> "LiveEngine":
-        if meta.get("kind") != LIVE_SNAPSHOT_KIND:
-            raise SnapshotError(
-                f"snapshot kind {meta.get('kind')!r}, "
-                f"expected {LIVE_SNAPSHOT_KIND!r}"
-            )
+        require_kind(arrays, meta, LIVE_SNAPSHOT_KIND)
         live = cls(LiveConfig.from_dict(meta["config"]))
-        live.engine.restore_state({
-            "states": arrays["states"],
-            "alive": arrays["alive"],
-            "period": meta["period"],
-            "total_messages": meta["total_messages"],
-            "rng_pickle": np.asarray(
-                arrays["rng"], dtype=np.uint8
-            ).tobytes(),
-            "fault_rng_pickle": np.asarray(
-                arrays["fault_rng"], dtype=np.uint8
-            ).tobytes(),
-        })
+        live.engine.restore(arrays, meta)
         return live
 
     # ------------------------------------------------------------------

@@ -25,13 +25,7 @@ from .eventlog import (
 )
 from .filestore import FetchResult, MigratoryFileStore, StoredFile
 from .majority_service import MajorityService, PollRecord
-from .snapshots import (
-    SnapshotError,
-    generator_from_array,
-    generator_to_array,
-    load_snapshot,
-    save_snapshot,
-)
+from .snapshots import SnapshotError, load_snapshot, save_snapshot
 
 __all__ = [
     "MigratoryFileStore",
@@ -48,6 +42,4 @@ __all__ = [
     "SnapshotError",
     "save_snapshot",
     "load_snapshot",
-    "generator_to_array",
-    "generator_from_array",
 ]

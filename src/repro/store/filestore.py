@@ -30,15 +30,9 @@ from ..protocols.endemic import (
     figure1_protocol,
 )
 from ..runtime.metrics import BatchMetricsRecorder, trial_rows
-from ..runtime.rng import make_generator
+from ..runtime.rng import generator_from_state, generator_state, make_generator
 from ..runtime.round_engine import RoundEngine
-from .snapshots import (
-    SnapshotError,
-    generator_from_array,
-    generator_to_array,
-    load_snapshot,
-    save_snapshot,
-)
+from .snapshots import load_snapshot, require_kind, save_snapshot
 
 
 @dataclass
@@ -101,6 +95,7 @@ class MigratoryFileStore:
         self._seed = seed if seed is not None else 0
         self.period = 0
         self.files: Dict[str, StoredFile] = {}
+        self._inserted = 0  # files ever inserted: each one's seed
         self._fetch_rng = make_generator(self._seed ^ 0x5EED)
         self._down_hosts: set = set()
 
@@ -126,26 +121,27 @@ class MigratoryFileStore:
         if not 1 <= initial_replicas <= self.n:
             raise ValueError(f"initial replicas must lie in [1, {self.n}]")
         file_params = params or self.params
-        spec = figure1_protocol(file_params)
+        # Seeded by insertion count, so a file inserted after a remove
+        # never takes a live file's seed (and replays its history).
         engine = RoundEngine(
-            spec,
+            figure1_protocol(file_params),
             n=self.n,
             initial={
                 RECEPTIVE: self.n - initial_replicas,
                 STASH: initial_replicas,
                 AVERSE: 0,
             },
-            seed=self._seed + len(self.files) * 7919 + 1,
+            seed=self._seed + self._inserted * 7919 + 1,
         )
+        self._inserted += 1
         # Keep host availability consistent with the store's view.
         if self._down_hosts:
             engine.crash(np.fromiter(self._down_hosts, dtype=np.int64))
-        recorder = BatchMetricsRecorder(spec.states, 1)
         stored = StoredFile(
             name=name,
             size_bytes=size_bytes,
             engine=engine,
-            recorder=recorder,
+            recorder=BatchMetricsRecorder(engine.state_names, 1),
             inserted_period=self.period,
             params=file_params,
         )
@@ -258,20 +254,12 @@ class MigratoryFileStore:
         data, so a restored store reports bandwidth only over periods
         ticked after the restore (see ``docs/service.md``).
         """
-        arrays: Dict[str, np.ndarray] = {
-            "fetch_rng": generator_to_array(self._fetch_rng),
-        }
+        arrays: Dict[str, np.ndarray] = {}
         files_meta = []
         for index, stored in enumerate(self.files.values()):
-            state = stored.engine.state_snapshot()
-            arrays[f"file{index}.states"] = state["states"]
-            arrays[f"file{index}.alive"] = state["alive"]
-            arrays[f"file{index}.rng"] = np.frombuffer(
-                state["rng_pickle"], dtype=np.uint8
-            )
-            arrays[f"file{index}.fault_rng"] = np.frombuffer(
-                state["fault_rng_pickle"], dtype=np.uint8
-            )
+            engine_arrays, engine_meta = stored.engine.snapshot()
+            for key, array in engine_arrays.items():
+                arrays[f"file{index}.{key}"] = array
             files_meta.append({
                 "name": stored.name,
                 "size_bytes": stored.size_bytes,
@@ -279,8 +267,7 @@ class MigratoryFileStore:
                 "transfers": stored.transfers,
                 "lost_at_period": stored.lost_at_period,
                 "params": asdict(stored.params or self.params),
-                "engine_period": state["period"],
-                "engine_total_messages": state["total_messages"],
+                "engine": engine_meta,
             })
         meta = {
             "kind": self.SNAPSHOT_KIND,
@@ -289,7 +276,9 @@ class MigratoryFileStore:
             "period_seconds": self.period_seconds,
             "seed": self._seed,
             "period": self.period,
+            "inserted": self._inserted,
             "down_hosts": sorted(self._down_hosts),
+            "fetch_rng": generator_state(self._fetch_rng),
             "files": files_meta,
         }
         return save_snapshot(path, arrays, meta)
@@ -297,11 +286,7 @@ class MigratoryFileStore:
     @classmethod
     def load(cls, path: os.PathLike) -> "MigratoryFileStore":
         arrays, meta = load_snapshot(path)
-        if meta.get("kind") != cls.SNAPSHOT_KIND:
-            raise SnapshotError(
-                f"{path}: snapshot kind {meta.get('kind')!r}, "
-                f"expected {cls.SNAPSHOT_KIND!r}"
-            )
+        require_kind(arrays, meta, cls.SNAPSHOT_KIND)
         store = cls(
             int(meta["n"]),
             EndemicParams(**meta["params"]),
@@ -310,39 +295,25 @@ class MigratoryFileStore:
         )
         store.period = int(meta["period"])
         store._down_hosts = set(int(h) for h in meta["down_hosts"])
-        store._fetch_rng = generator_from_array(arrays["fetch_rng"])
+        store._fetch_rng = generator_from_state(meta.get("fetch_rng"))
         for index, file_meta in enumerate(meta["files"]):
-            file_params = EndemicParams(**file_meta["params"])
-            spec = figure1_protocol(file_params)
-            # Same construction seed as insert() used; the restored RNG
-            # pickles below overwrite whatever the constructor drew.
-            engine = RoundEngine(
-                spec,
-                n=store.n,
-                initial={RECEPTIVE: store.n - 1, STASH: 1, AVERSE: 0},
-                seed=store._seed + index * 7919 + 1,
+            stored = store.insert(
+                file_meta["name"], float(file_meta["size_bytes"]),
+                params=EndemicParams(**file_meta["params"]),
             )
-            engine.restore_state({
-                "states": arrays[f"file{index}.states"],
-                "alive": arrays[f"file{index}.alive"],
-                "period": file_meta["engine_period"],
-                "total_messages": file_meta["engine_total_messages"],
-                "rng_pickle": arrays[f"file{index}.rng"].tobytes(),
-                "fault_rng_pickle": arrays[f"file{index}.fault_rng"].tobytes(),
-            })
-            store.files[file_meta["name"]] = StoredFile(
-                name=file_meta["name"],
-                size_bytes=float(file_meta["size_bytes"]),
-                engine=engine,
-                recorder=BatchMetricsRecorder(spec.states, 1),
-                inserted_period=int(file_meta["inserted_period"]),
-                transfers=int(file_meta["transfers"]),
-                lost_at_period=(
-                    None if file_meta["lost_at_period"] is None
-                    else int(file_meta["lost_at_period"])
-                ),
-                params=file_params,
+            prefix = f"file{index}."
+            stored.engine.restore(  # overwrites all insert() drew
+                {
+                    key[len(prefix):]: array for key, array in arrays.items()
+                    if key.startswith(prefix)
+                },
+                file_meta["engine"],
             )
+            stored.inserted_period = int(file_meta["inserted_period"])
+            stored.transfers = int(file_meta["transfers"])
+            lost = file_meta["lost_at_period"]
+            stored.lost_at_period = None if lost is None else int(lost)
+        store._inserted = int(meta["inserted"])
         return store
 
     # ------------------------------------------------------------------

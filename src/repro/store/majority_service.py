@@ -26,14 +26,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..protocols.lv import ONE, ZERO, LVMajority
-from ..runtime.rng import make_generator
-from .snapshots import (
-    SnapshotError,
-    generator_from_array,
-    generator_to_array,
-    load_snapshot,
-    save_snapshot,
-)
+from ..runtime.rng import generator_from_state, generator_state, make_generator
+from .snapshots import load_snapshot, require_kind, save_snapshot
 
 
 @dataclass
@@ -163,15 +157,11 @@ class MajorityService:
         """Checkpoint the full service state to a snapshot file.
 
         Everything that affects future behaviour is captured: version
-        tags, the corruption RNG (with its buffered draws), the poll
+        tags, the corruption RNG (its MT19937 state), the poll
         history (it seeds the next poll via ``len(self.polls)``) and the
         logical clock.  ``load`` restores a service whose subsequent
         ``corrupt``/``poll`` calls are bit-identical to the original's.
         """
-        arrays = {
-            "versions": self.versions,
-            "rng": generator_to_array(self._rng),
-        }
         meta = {
             "kind": self.SNAPSHOT_KIND,
             "n": self.n,
@@ -179,17 +169,14 @@ class MajorityService:
             "seed": self._seed,
             "clock_periods": self.clock_periods,
             "polls": [asdict(record) for record in self.polls],
+            "rng": generator_state(self._rng),
         }
-        return save_snapshot(path, arrays, meta)
+        return save_snapshot(path, {"versions": self.versions}, meta)
 
     @classmethod
     def load(cls, path: os.PathLike) -> "MajorityService":
         arrays, meta = load_snapshot(path)
-        if meta.get("kind") != cls.SNAPSHOT_KIND:
-            raise SnapshotError(
-                f"{path}: snapshot kind {meta.get('kind')!r}, "
-                f"expected {cls.SNAPSHOT_KIND!r}"
-            )
+        require_kind(arrays, meta, cls.SNAPSHOT_KIND)
         service = cls(
             int(meta["n"]),
             arrays["versions"],
@@ -207,7 +194,7 @@ class MajorityService:
             )
             for record in meta["polls"]
         ]
-        service._rng = generator_from_array(arrays["rng"])
+        service._rng = generator_from_state(meta.get("rng"))
         return service
 
     # ------------------------------------------------------------------

@@ -10,8 +10,9 @@ instead of a wrong replay.
 
 The format is deliberately dumb: plain numpy arrays and a JSON dict.
 Callers (``LiveEngine``, ``MajorityService``, ``MigratoryFileStore``)
-decide what goes in; this module only guarantees that what comes out
-is byte-for-byte what went in.
+decide what goes in through two shared codecs, ``RoundEngine.snapshot``
+and ``repro.runtime.rng.generator_state`` (generators as MT19937
+``{key, pos}`` in the metadata; nothing is ever unpickled).
 """
 
 from __future__ import annotations
@@ -19,20 +20,45 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import zipfile
 from pathlib import Path
 from typing import Any, Dict, Mapping, Tuple
 
 import numpy as np
 
+from ..runtime.rng import SnapshotError
+
 _ARRAY_PREFIX = "array."
 _META_KEY = "__meta_json__"
 _DIGEST_KEY = "__sha256__"
 
+#: Array names (after any ``file{i}.`` prefix) that only the retired
+#: pickled-generator layout wrote.
+_PICKLED_GENERATORS = ("rng", "fault_rng", "fetch_rng")
 
-class SnapshotError(ValueError):
-    """A snapshot file that cannot be trusted."""
+
+def require_kind(
+    arrays: Mapping[str, np.ndarray], meta: Mapping[str, Any], kind: str
+) -> None:
+    """Refuse a snapshot of another kind, or in the pickled-generator layout.
+
+    The old layout has no opt-in reader: the event log is the source of
+    truth, so such a service directory replays from genesis.
+    """
+    pickled = sorted(
+        name for name in arrays
+        if name.rpartition(".")[2] in _PICKLED_GENERATORS
+    )
+    if pickled:
+        raise SnapshotError(
+            f"old-format {meta.get('kind')!r} snapshot: its generators are "
+            f"pickled ({', '.join(pickled)}) and are not read; replay from "
+            f"genesis instead (the event log is the source of truth)"
+        )
+    if meta.get("kind") != kind:
+        raise SnapshotError(
+            f"snapshot kind {meta.get('kind')!r}, expected {kind!r}"
+        )
 
 
 def _digest(arrays: Mapping[str, np.ndarray], meta_json: str) -> str:
@@ -115,34 +141,3 @@ def load_snapshot(
     except json.JSONDecodeError as exc:  # digest passed => impossible unless
         raise SnapshotError(f"{path}: bad metadata JSON") from exc  # forged
     return arrays, meta
-
-
-def generator_to_array(rng: np.random.Generator) -> np.ndarray:
-    """Serialize a Generator to a uint8 array for snapshot storage.
-
-    A Generator's pickle carries its ``bit_generator.state`` and
-    nothing beyond it: MT19937's state is ``{key, pos}`` with no spare
-    word between 32-bit draws, and a generator that buffers one
-    (PCG64's ``has_uint32``/``uinteger``) keeps it in that dict.  So
-    the state dict alone restores the stream exactly
-    (``tests/test_sampling.py``,
-    ``test_a_state_round_trip_reproduces_the_stream``); the pickle is
-    this snapshot format's encoding of it, not a requirement.
-    """
-    return np.frombuffer(
-        pickle.dumps(rng, protocol=pickle.HIGHEST_PROTOCOL), dtype=np.uint8
-    )
-
-
-def generator_from_array(data: np.ndarray) -> np.random.Generator:
-    """Inverse of :func:`generator_to_array`.
-
-    Only ever called on arrays that came out of :func:`load_snapshot`,
-    whose checksum already vouches for the bytes.
-    """
-    rng = pickle.loads(np.asarray(data, dtype=np.uint8).tobytes())
-    if not isinstance(rng, np.random.Generator):
-        raise SnapshotError(
-            f"expected a pickled Generator, got {type(rng).__name__}"
-        )
-    return rng

@@ -6,6 +6,7 @@ covered, and the acceptance gate -- ``src/repro`` lints clean under the
 shipped allowlist -- is asserted directly.
 """
 
+import ast
 import textwrap
 from pathlib import Path
 
@@ -286,3 +287,60 @@ def test_allowlist_parses_shipped_file():
 def test_src_repro_lints_clean():
     findings = lint_paths([REPO_SRC], allowlist_path=DEFAULT_ALLOWLIST)
     assert findings == [], "\n".join(f.render() for f in findings)
+
+
+# ----------------------------------------------------------------------
+# The places that still unpickle bytes, pinned by name
+# ----------------------------------------------------------------------
+#: Every ``pickle.loads`` call under src/repro, by file and enclosing
+#: scope.  exec.py's two read pipes from the process's own forks;
+#: cluster.py's three read a socket (the HMAC handshake is to guard
+#: them).  Snapshots unpickle nothing.
+ALLOWED_PICKLE_LOADS = {
+    ("runtime/exec.py", "_pool_worker"): 1,
+    ("runtime/exec.py", "_run_pool"): 1,
+    ("runtime/cluster.py", "recv_message"): 1,
+    ("runtime/cluster.py", "MessageBuffer.pop"): 1,
+    ("runtime/cluster.py", "WorkerSession._starting"): 1,
+}
+
+
+class _PickleLoads(ast.NodeVisitor):
+    def __init__(self, rel):
+        self.rel, self.scope, self.sites = rel, [], []
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = _enter
+
+    def visit_Import(self, node):
+        for alias in node.names:
+            if alias.name == "pickle" and alias.asname:
+                self.sites.append((self.rel, f"import pickle as {alias.asname}"))
+
+    def visit_ImportFrom(self, node):
+        if node.module == "pickle":
+            self.sites.append((self.rel, "from pickle import ..."))
+
+    def visit_Call(self, node):
+        func = node.func
+        if (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name) and func.value.id == "pickle"
+            and func.attr in ("loads", "load", "Unpickler")
+        ):
+            self.sites.append((self.rel, ".".join(self.scope)))
+        self.generic_visit(node)
+
+
+def test_pickle_loads_sites_are_pinned():
+    sites = {}
+    for path in sorted(REPO_SRC.rglob("*.py")):
+        visitor = _PickleLoads(path.relative_to(REPO_SRC).as_posix())
+        visitor.visit(ast.parse(path.read_text()))
+        for site in visitor.sites:
+            sites[site] = sites.get(site, 0) + 1
+    assert sites == ALLOWED_PICKLE_LOADS

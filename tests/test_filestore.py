@@ -34,6 +34,16 @@ class TestLifecycle:
         store.remove("a.txt")
         assert "a.txt" not in store.files
 
+    def test_insert_after_remove_takes_a_fresh_seed(self, store):
+        # A remove must not hand the next file a live file's seed (it
+        # would replay that file's history).
+        store.insert("a.txt")
+        store.insert("b.txt")
+        store.remove("a.txt")
+        store.insert("c.txt")
+        store.tick(10)
+        assert not np.array_equal(store.locate("b.txt"), store.locate("c.txt"))
+
     def test_multiple_files_independent(self, store):
         store.insert("a.txt")
         store.insert("b.txt")

@@ -304,9 +304,9 @@ class TestGeneratorContracts:
     ``hypergeometric`` none of whose elements can draw, and draws a
     few overlap elements or throws one scalar call each, because the
     running numpy consumes the same bits in the same order either way;
-    snapshots keep
-    a generator as its pickle, which carries its ``bit_generator.state``
-    and nothing more.  Each contract is held here by name.
+    snapshots keep a generator as its ``bit_generator.state`` alone
+    (``repro.runtime.rng.generator_state``).  Each contract is held
+    here by name.
     """
 
     @pytest.mark.parametrize("kind", sorted(GENERATORS))

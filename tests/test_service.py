@@ -11,6 +11,7 @@ the state stream bit for bit, including query answers at logged points.
 import asyncio
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -30,7 +31,15 @@ from repro.service import (
 from repro.runtime.round_engine import RoundEngine
 from repro.service.core import QUERY_OPS
 from repro.service.service import ScriptedEvent
-from repro.store import EVENTS_NAME, MemoryEventLog, load_snapshot, read_events
+from repro.__main__ import main as cli_main
+from repro.store import (
+    EVENTS_NAME,
+    MemoryEventLog,
+    SnapshotError,
+    load_snapshot,
+    read_events,
+    save_snapshot,
+)
 
 from service_helpers import (
     assert_answers_match_arrays,
@@ -930,3 +939,32 @@ class TestReplayAcceptance:
         report = replay_directory(tmp_path, from_snapshot=True)
         assert report.ok, [str(m) for m in report.mismatches]
         assert report.from_snapshot == snapshots[0].data["file"]
+
+    def test_old_format_snapshot_is_refused_and_genesis_replays(
+        self, tmp_path, capsys
+    ):
+        core = ServiceCore(
+            LiveEngine(LiveConfig(protocol="endemic", n=64, seed=8)),
+            directory=tmp_path,
+        )
+        core.start()
+        core.tick(3)
+        core.apply_event("fail", {"fraction": 0.25})
+        path = core.snapshot_now()
+        core.tick(2)
+        core.close()
+        # Rewrite the snapshot into the retired layout: each generator a
+        # pickled uint8 array beside the host arrays, none in meta.
+        arrays, meta = load_snapshot(path)
+        engine = LiveEngine.restore(arrays, meta).engine
+        for name, rng in (("rng", engine._rng), ("fault_rng", engine._fault_rng)):
+            arrays[name] = np.frombuffer(pickle.dumps(rng), dtype=np.uint8)
+            del meta[name]
+        save_snapshot(path, arrays, meta)
+
+        with pytest.raises(SnapshotError, match="old-format .*genesis"):
+            replay_directory(tmp_path, from_snapshot=True)
+        assert cli_main(["replay", str(tmp_path), "--from-snapshot"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cannot replay: old-format")
+        assert replay_directory(tmp_path).ok

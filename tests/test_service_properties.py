@@ -5,8 +5,8 @@ synchronous :class:`ServiceCore` (no event loop, memory-backed log) and
 asserts the two contracts the live tier is built on:
 
 * **replay bit-identity** -- re-applying any logged history through the
-  same code reproduces the stream, the state tensors and the RNG-driven
-  effects exactly;
+  same code reproduces the stream, the state tensors, both generators'
+  states and the RNG-driven effects exactly;
 * **query-snapshot consistency** -- queries are pure reads: they agree
   with the last stream row at every point and never perturb the
   history (interleaving them anywhere changes nothing);
@@ -107,12 +107,16 @@ class TestReplayBitIdentity:
         assert np.array_equal(
             report.core.live.engine.alive, core.live.engine.alive
         )
-        # The RNG-bearing snapshot payloads agree too: the replayed
-        # population would keep agreeing period for period forever.
-        original_arrays, _ = core.live.snapshot()
-        replayed_arrays, _ = report.core.live.snapshot()
+        # The snapshot payloads agree too, generators included (they
+        # sit in meta as MT19937 state): the replayed population would
+        # keep agreeing period for period forever.
+        original_arrays, original_meta = core.live.snapshot()
+        replayed_arrays, replayed_meta = report.core.live.snapshot()
         for key in original_arrays:
             assert np.array_equal(original_arrays[key], replayed_arrays[key])
+        for key in ("rng", "fault_rng"):
+            assert replayed_meta[key] == original_meta[key]
+        assert replayed_meta == original_meta
 
 
 class TestQuerySnapshotConsistency:

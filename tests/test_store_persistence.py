@@ -17,6 +17,9 @@ import numpy as np
 import pytest
 
 from repro.protocols.endemic import EndemicParams
+from repro.protocols.lv import lv_protocol
+from repro.runtime.rng import generator_from_state, generator_state
+from repro.runtime.round_engine import RoundEngine
 from repro.store import (
     EVENTS_NAME,
     EventLog,
@@ -25,8 +28,6 @@ from repro.store import (
     MemoryEventLog,
     MigratoryFileStore,
     SnapshotError,
-    generator_from_array,
-    generator_to_array,
     load_snapshot,
     read_events,
     save_snapshot,
@@ -120,19 +121,106 @@ class TestSnapshots:
         # (its state is {key, pos}), and the round trip must continue
         # the stream exactly from wherever the draws left it.
         rng.integers(0, 2**32, size=7, dtype=np.uint32)
-        clone = generator_from_array(generator_to_array(rng))
+        state = json.loads(json.dumps(generator_state(rng)))
+        clone = generator_from_state(state)
         assert np.array_equal(
             rng.integers(0, 2**32, size=64, dtype=np.uint32),
             clone.integers(0, 2**32, size=64, dtype=np.uint32),
         )
         assert np.array_equal(rng.random(16), clone.random(16))
 
-    def test_generator_array_type_checked(self):
-        payload = np.frombuffer(
-            pickle.dumps({"not": "a generator"}), dtype=np.uint8
-        )
+    def test_generator_state_type_checked(self):
+        pcg = np.random.Generator(np.random.PCG64(1))
         with pytest.raises(SnapshotError):
-            generator_from_array(payload)
+            generator_from_state(pcg.bit_generator.state)
+
+
+# ----------------------------------------------------------------------
+# The engine codec refuses a bad field before touching the engine
+# ----------------------------------------------------------------------
+def mt_state(**changes):
+    state = generator_state(np.random.Generator(np.random.MT19937(5)))
+    state.update(changes)
+    return state
+
+
+def to(value):
+    return lambda _: value
+
+
+def state_id(sid):
+    def put(states):
+        states = states.copy()
+        states[0] = sid
+        return states
+    return put
+
+
+#: At least one row per field the codec reads: (field, a function from
+#: the good value to a bad one; None drops the field).
+BAD_FIELDS = {
+    "states-dtype": ("states", lambda states: states.astype(np.int16)),
+    "states-shape": ("states", lambda states: states[:-1]),
+    "states-id-high": ("states", state_id(3)),  # LV has 3 states
+    "states-id-negative": ("states", state_id(-1)),
+    "states-missing": ("states", to(None)),
+    "alive-dtype": ("alive", lambda alive: alive.astype(np.uint8)),
+    "alive-shape": ("alive", to(np.ones((2, 40), dtype=bool))),
+    "period-negative": ("period", to(-1)),
+    "period-float": ("period", to(3.0)),
+    "total_messages-bool": ("total_messages", to(True)),
+    "total_messages-string": ("total_messages", to("12")),
+    "rng-pos-past-key": ("rng", to(mt_state(pos=625))),
+    "rng-pos-huge": ("rng", to(mt_state(pos=10**6))),
+    "rng-short-key": ("rng", to(mt_state(key=[1] * 623))),
+    "rng-word-too-wide": ("rng", to(mt_state(key=[2**32] + [1] * 623))),
+    "rng-float-words": ("rng", to(mt_state(key=[0.5] * 624))),
+    "fault_rng-extra-field": ("fault_rng", to(dict(mt_state(), spare=0))),
+    "fault_rng-pcg64": ("fault_rng", to(
+        np.random.Generator(np.random.PCG64(1)).bit_generator.state
+    )),
+}
+
+
+class TestEngineCodec:
+    def engine(self, seed=3):
+        spec = lv_protocol(p=0.05)
+        return RoundEngine(spec, n=80, initial={"x": 40, "y": 40}, seed=seed)
+
+    def test_restore_continues_the_stream(self):
+        engine = self.engine()
+        for _ in range(5):
+            engine.step()
+        arrays, meta = engine.snapshot()
+        clone = self.engine(seed=99)
+        clone.restore(arrays, json.loads(json.dumps(meta)))
+        for _ in range(20):
+            assert clone.step() == engine.step()
+            assert np.array_equal(clone.states, engine.states)
+        # The fault stream is restored as its own stream.
+        assert np.array_equal(
+            clone.crash_fraction(0.25), engine.crash_fraction(0.25)
+        )
+        assert clone.snapshot()[1] == engine.snapshot()[1]
+
+    @pytest.mark.parametrize("case", sorted(BAD_FIELDS))
+    def test_a_bad_field_is_refused_by_name(self, case):
+        field, replace = BAD_FIELDS[case]
+        engine = self.engine()
+        engine.step()
+        arrays, meta = engine.snapshot()
+        holder = arrays if field in arrays else meta
+        bad = replace(holder.pop(field))
+        if bad is not None:
+            holder[field] = bad
+        target = self.engine(seed=11)
+        before_arrays, before_meta = target.snapshot()
+        with pytest.raises(SnapshotError, match=f"^{field}: "):
+            target.restore(arrays, meta)
+        after_arrays, after_meta = target.snapshot()
+        assert after_meta == before_meta
+        for key in before_arrays:
+            assert np.array_equal(after_arrays[key], before_arrays[key])
 
 
 # ----------------------------------------------------------------------
@@ -320,4 +408,41 @@ class TestFileStorePersistence:
         path = store.save(tmp_path / "filestore.npz")
         corrupt_window(path)
         with pytest.raises(SnapshotError):
+            MigratoryFileStore.load(path)
+
+    def test_insert_counter_survives_a_restore(self, tmp_path):
+        store = self.make_store()
+        store.remove("a.txt")
+        clone = MigratoryFileStore.load(store.save(tmp_path / "fs.npz"))
+        for each in (store, clone):
+            each.insert("c.txt")
+            each.tick(10)
+        assert np.array_equal(clone.locate("c.txt"), store.locate("c.txt"))
+        assert not np.array_equal(store.locate("c.txt"), store.locate("b.txt"))
+
+
+class TestOldFormatRefused:
+    """The pickled-generator layout of each store writer is refused by
+    name, never unpickled."""
+
+    def test_majority_service(self, tmp_path):
+        service = MajorityService(100, np.zeros(100, dtype=int), seed=1)
+        path = service.save(tmp_path / "majority.npz")
+        arrays, meta = load_snapshot(path)
+        arrays["rng"] = np.frombuffer(pickle.dumps(service._rng), np.uint8)
+        del meta["rng"]
+        save_snapshot(path, arrays, meta)
+        with pytest.raises(SnapshotError, match=r"old-format .*\(rng\)"):
+            MajorityService.load(path)
+
+    def test_file_store(self, tmp_path):
+        store = TestFileStorePersistence().make_store()
+        path = store.save(tmp_path / "filestore.npz")
+        arrays, meta = load_snapshot(path)
+        arrays["fetch_rng"] = np.frombuffer(
+            pickle.dumps(store._fetch_rng), np.uint8
+        )
+        del meta["fetch_rng"]
+        save_snapshot(path, arrays, meta)
+        with pytest.raises(SnapshotError, match=r"old-format .*fetch_rng"):
             MigratoryFileStore.load(path)
