@@ -90,7 +90,7 @@ def test_fig2_endemic_phase_portrait(run_once):
     text = "\n".join([
         f"parameters: N={N}, alpha={PARAMS.alpha}, beta={PARAMS.beta}, "
         f"gamma={PARAMS.gamma}",
-        f"classification (paper: stable spiral): {verdict.label}",
+        f"classification (paper: stable spiral): {verdict.classification}",
         f"equilibrium (paper: x=250): "
         f"x={equilibrium['x']:.1f}, y={equilibrium['y']:.2f}, "
         f"z={equilibrium['z']:.1f}",
@@ -102,7 +102,7 @@ def test_fig2_endemic_phase_portrait(run_once):
     report("fig2_endemic_phase_portrait", text)
 
     # Shape assertions: a stable spiral, reached from every start.
-    assert verdict.label == "stable spiral"
+    assert verdict.classification == "stable spiral"
     for end in portrait.endpoints():
         assert end["x"] == pytest.approx(equilibrium["x"], rel=0.02)
         assert end["y"] == pytest.approx(equilibrium["y"], rel=0.05, abs=0.5)

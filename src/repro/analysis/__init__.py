@@ -1,8 +1,9 @@
 """Analysis toolkit: nonlinear-dynamics techniques for protocols.
 
 Implements the analytical machinery of Sections 4.1.3 and 4.2.2:
-perturbation analysis and the trace-determinant stability chart
-(:mod:`~repro.analysis.linearize`, :mod:`~repro.analysis.stability`),
+perturbation analysis and Theorem 3's closed forms
+(:mod:`~repro.analysis.linearize`, :mod:`~repro.analysis.stability`;
+the stability classifier itself is :mod:`repro.odes.equilibria`'s),
 convergence complexity (:mod:`~repro.analysis.convergence`),
 probabilistic safety / replica longevity (:mod:`~repro.analysis.safety`),
 fairness and untraceability statistics (:mod:`~repro.analysis.fairness`),
@@ -29,12 +30,8 @@ from .fairness import (
     jain_index,
 )
 from .linearize import (
-    Linearization,
     endemic_closed_form_matrix,
-    endemic_trace_determinant,
-    linearize,
     perturb,
-    planar_jacobian_endemic,
     relative_deviation,
 )
 from .mean_field import (
@@ -60,27 +57,13 @@ from .tokens import (
     ttl_adjusted_rhs,
     ttl_delivery_probability,
 )
-from .stability import (
-    StabilityVerdict,
-    classify_equilibrium,
-    classify_trace_determinant,
-    endemic_stability,
-    spectral_abscissa,
-)
+from .stability import endemic_stability
 
 __all__ = [
-    "linearize",
-    "Linearization",
     "perturb",
     "relative_deviation",
     "endemic_closed_form_matrix",
-    "endemic_trace_determinant",
-    "planar_jacobian_endemic",
-    "classify_trace_determinant",
-    "classify_equilibrium",
     "endemic_stability",
-    "spectral_abscissa",
-    "StabilityVerdict",
     "endemic_case",
     "endemic_displacement",
     "endemic_settling_time",

@@ -4,77 +4,17 @@ The paper studies self-correction of the endemic equilibrium by
 perturbing ``(x, y, z) = (x_inf(1+u), y_inf(1+v), z_inf(1+w))`` and
 reducing the linearized dynamics to the 2x2 system ``T' = A T`` of
 equation (4), whose trace and determinant decide stability (Theorem 3).
-This module provides both the paper's closed forms (via
-:class:`~repro.protocols.endemic.EndemicParams`) and a generic numeric
-linearization that works for any equation system, so the two can be
-checked against each other.
+This module holds the paper's closed forms and the perturbation
+helpers; the numeric linearization of any system at any equilibrium is
+:func:`repro.odes.equilibria.classify_point`'s reduced operator, which
+the tests check against these closed forms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping
 
 import numpy as np
-
-from ..odes.equilibria import reduced_jacobian, simplex_tangent_basis
-from ..odes.system import EquationSystem
-
-
-@dataclass(frozen=True)
-class Linearization:
-    """Local linear dynamics ``d(delta)/dt = J delta`` at a point.
-
-    ``jacobian`` is the full m x m Jacobian; ``reduced`` is its
-    projection onto the simplex tangent space (the physically relevant
-    operator for complete systems, and the analogue of the paper's
-    matrix A).
-    """
-
-    system: EquationSystem
-    point: Dict[str, float]
-    jacobian: np.ndarray
-    reduced: np.ndarray
-
-    @property
-    def trace(self) -> float:
-        """Trace of the reduced operator (the paper's tau)."""
-        return float(np.trace(self.reduced))
-
-    @property
-    def determinant(self) -> float:
-        """Determinant of the reduced operator (the paper's Delta)."""
-        return float(np.linalg.det(self.reduced))
-
-    @property
-    def discriminant(self) -> float:
-        """``tau^2 - 4 Delta`` (sign decides spiral vs node in 2D)."""
-        return self.trace**2 - 4.0 * self.determinant
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.reduced)
-
-    def decay_rate(self) -> float:
-        """Slowest decay rate: ``-max(Re(lambda))`` (positive = stable)."""
-        return float(-np.max(np.real(self.eigenvalues)))
-
-    def oscillation_frequency(self) -> float:
-        """Imaginary part magnitude of the leading eigenvalue pair."""
-        return float(np.max(np.abs(np.imag(self.eigenvalues))))
-
-
-def linearize(
-    system: EquationSystem, point: Mapping[str, float]
-) -> Linearization:
-    """Numeric linearization of a system at an arbitrary point."""
-    vector = system.state_vector(point)
-    return Linearization(
-        system=system,
-        point={k: float(v) for k, v in point.items()},
-        jacobian=system.jacobian(vector),
-        reduced=reduced_jacobian(system, vector),
-    )
 
 
 def perturb(
@@ -107,35 +47,10 @@ def endemic_closed_form_matrix(
 
     ``sigma = (beta - gamma) / (1 + gamma/alpha)`` (= ``beta * y_inf``);
     ``A = [[-(sigma+alpha), -sigma*(gamma+alpha)], [1, 0]]``.
-    Its eigenvalues coincide with those of the planar Jacobian at the
-    non-trivial equilibrium, which the tests verify against
-    :func:`linearize`.
+    It is similar to the Jacobian on the simplex tangent space at the
+    non-trivial equilibrium (same trace, determinant and eigenvalues),
+    which the tests verify against :func:`repro.odes.classify_point`.
     """
     sigma = (beta - gamma) / (1.0 + gamma / alpha)
     return np.array([[-(sigma + alpha), -sigma * (gamma + alpha)], [1.0, 0.0]])
 
-
-def endemic_trace_determinant(
-    alpha: float, gamma: float, beta: float
-) -> Tuple[float, float]:
-    """The paper's (tau, Delta) of equation (5)."""
-    sigma = (beta - gamma) / (1.0 + gamma / alpha)
-    return -(sigma + alpha), sigma * (gamma + alpha)
-
-
-def planar_jacobian_endemic(
-    alpha: float, gamma: float, beta: float
-) -> np.ndarray:
-    """Jacobian of the endemic system reduced by ``z = 1 - x - y``.
-
-    Evaluated at the non-trivial equilibrium::
-
-        d(dx/dt)/dx = -beta*y - alpha      d(dx/dt)/dy = -(gamma + alpha)
-        d(dy/dt)/dx =  beta*y              d(dy/dt)/dy = 0
-
-    (using ``beta * x_inf = gamma``).  Similar to A of equation (4):
-    same trace and determinant, hence identical eigenvalues.
-    """
-    y_inf = (1.0 - gamma / beta) / (1.0 + gamma / alpha)
-    sigma = beta * y_inf
-    return np.array([[-(sigma + alpha), -(gamma + alpha)], [sigma, 0.0]])

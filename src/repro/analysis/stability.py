@@ -1,129 +1,34 @@
-"""Trace-determinant stability classification (Strogatz, ch. 5/6).
+"""Theorem 3 in executable form.
 
-The paper's Theorem 3 proof classifies the endemic equilibrium by the
-signs of the trace and determinant of the linearization matrix: trace
-negative + determinant positive = stable; determinant negative =
-saddle.  This module implements the full planar classification chart
-plus convenience wrappers tying it to equation systems and protocol
-parameters.
+The paper's proof classifies the non-trivial endemic equilibrium by the
+trace and determinant of the matrix ``A`` of equation (4).  Here ``A``
+is built from its closed form and labelled by the one stability
+classifier, :func:`repro.odes.equilibria.classify_eigenvalues`, whose
+two-dimensional labels are exactly the proof's trace-determinant chart;
+the record renders the paper's tau and Delta.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
-
-import numpy as np
-
-from ..odes.system import EquationSystem
-from .linearize import Linearization, linearize
-
-#: Tolerance for treating trace/determinant values as zero.
-ZERO_TOL = 1e-12
+from ..odes import library
+from ..odes.equilibria import Equilibrium
+from .linearize import endemic_closed_form_matrix
 
 
-def classify_trace_determinant(
-    trace: float, determinant: float, tol: float = ZERO_TOL
-) -> str:
-    """The planar trace-determinant chart, as a label.
+def endemic_stability(alpha: float, gamma: float, beta: float) -> Equilibrium:
+    """The non-trivial endemic equilibrium with the paper's operator ``A``.
 
-    ================================  =======================
-    condition                         label
-    ================================  =======================
-    Delta < 0                         saddle point
-    Delta > 0, tau < 0, tau^2 > 4Δ    stable node
-    Delta > 0, tau < 0, tau^2 < 4Δ    stable spiral
-    Delta > 0, tau < 0, tau^2 = 4Δ    stable degenerate node
-    Delta > 0, tau > 0 (mirrored)     unstable ...
-    Delta > 0, tau = 0                center
-    Delta = 0                         non-isolated (line of equilibria)
-    ================================  =======================
+    For ``alpha, gamma > 0`` and ``gamma/beta < 1`` it always has
+    ``tau < 0 < Delta`` -- stable (spiral or node depending on the sign
+    of ``tau^2 - 4 Delta``).
     """
-    if determinant < -tol:
-        return "saddle point"
-    if abs(determinant) <= tol:
-        return "non-isolated equilibria"
-    if abs(trace) <= tol:
-        return "center"
-    discriminant = trace * trace - 4.0 * determinant
-    prefix = "stable" if trace < 0 else "unstable"
-    if abs(discriminant) <= tol:
-        return f"{prefix} degenerate node"
-    if discriminant < 0:
-        return f"{prefix} spiral"
-    return f"{prefix} node"
-
-
-@dataclass(frozen=True)
-class StabilityVerdict:
-    """Stability classification of one equilibrium point."""
-
-    point: Mapping[str, float]
-    trace: float
-    determinant: float
-    discriminant: float
-    label: str
-
-    @property
-    def stable(self) -> bool:
-        return self.label.startswith("stable")
-
-    @property
-    def oscillatory(self) -> bool:
-        return "spiral" in self.label or self.label == "center"
-
-    def render(self) -> str:
-        coords = ", ".join(f"{k}={v:.6g}" for k, v in self.point.items())
-        return (
-            f"({coords}): {self.label} "
-            f"(tau={self.trace:.6g}, Delta={self.determinant:.6g}, "
-            f"tau^2-4Delta={self.discriminant:.6g})"
-        )
-
-
-def classify_equilibrium(
-    system: EquationSystem, point: Mapping[str, float]
-) -> StabilityVerdict:
-    """Classify an equilibrium of a (complete) system on the simplex.
-
-    Uses the reduced (tangent-space) linearization; for 3-variable
-    complete systems this is exactly the planar analysis the paper does
-    by hand after eliminating ``z``.
-    """
-    local = linearize(system, point)
-    trace, determinant = local.trace, local.determinant
-    return StabilityVerdict(
-        point=dict(point),
-        trace=trace,
-        determinant=determinant,
-        discriminant=trace * trace - 4.0 * determinant,
-        label=classify_trace_determinant(trace, determinant),
-    )
-
-
-def endemic_stability(alpha: float, gamma: float, beta: float) -> StabilityVerdict:
-    """Theorem 3 in executable form.
-
-    For ``alpha, gamma > 0`` and ``gamma/beta < 1`` the non-trivial
-    equilibrium always has ``tau < 0 < Delta`` -- stable (spiral or
-    node depending on the discriminant's sign).
-    """
-    from .linearize import endemic_trace_determinant
-
     x = gamma / beta
-    y = (1.0 - x) / (1.0 + gamma / alpha)
-    z = (1.0 - x) / (1.0 + alpha / gamma)
-    trace, determinant = endemic_trace_determinant(alpha, gamma, beta)
-    return StabilityVerdict(
-        point={"x": x, "y": y, "z": z},
-        trace=trace,
-        determinant=determinant,
-        discriminant=trace * trace - 4.0 * determinant,
-        label=classify_trace_determinant(trace, determinant),
+    return Equilibrium(
+        system=library.endemic(alpha=alpha, gamma=gamma, beta=beta),
+        point={
+            "x": x,
+            "y": (1.0 - x) / (1.0 + gamma / alpha),
+            "z": (1.0 - x) / (1.0 + alpha / gamma),
+        },
+        operator=endemic_closed_form_matrix(alpha, gamma, beta),
     )
-
-
-def spectral_abscissa(system: EquationSystem, point: Mapping[str, float]) -> float:
-    """Max real part of the reduced spectrum (negative = attracting)."""
-    local = linearize(system, point)
-    return float(np.max(np.real(local.eigenvalues)))

@@ -29,6 +29,13 @@ preconditions that used to be discovered at runtime (or not at all):
 * **engine** -- the spec must lower to the engines' integer action
   form (``round_engine._compile``), which refuses more states than an
   int8 id can name.
+* **equilibrium** -- what every equilibrium of the mean-field ODE on
+  the simplex is, from the spectrum of its reduced operator
+  (:func:`repro.odes.find_equilibria`): its label and spectral
+  abscissa, the decay rate Theorem 3 bounds.  A system with no
+  attracting equilibrium has no operating point for the protocol to
+  settle on, whatever its text says (Chatzigiannakis & Spirakis), and
+  is warned about.
 
 Everything here is pure and static: no engine runs, no RNG.
 """
@@ -41,7 +48,7 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import warnings
 
-from ..odes import auto_rewrite, classify, parse_system
+from ..odes import auto_rewrite, classify, find_equilibria, parse_system
 from ..odes.parser import ParseError
 from ..odes.system import EquationSystem
 from ..odes.term import Term
@@ -82,6 +89,11 @@ _RANGE_BINDING = re.compile(
 
 #: Corner-sweep budget for the range analysis (2^8 ranged parameters).
 MAX_RANGED_PARAMETERS = 8
+
+#: Largest system the equilibrium rule solves: the multi-start Newton
+#: holds ~d^2/2 starts' ``(d, terms, d)`` Jacobian factors at once, about
+#: 13 MB at 16 variables and growing as d^5.
+MAX_EQUILIBRIUM_VARIABLES = 16
 
 #: ``# declare: name [name ...]`` -- states the protocol is *supposed*
 #: to use; the verifier flags declared-but-unrealized ones.
@@ -443,9 +455,70 @@ def _sympy_mismatches(
     return mismatches
 
 
+def _check_equilibria(
+    spec: ProtocolSpec, system: Optional[EquationSystem]
+) -> List[Finding]:
+    if system is None:
+        system = spec.mean_field_system(effective=False)
+    if system.dimension > MAX_EQUILIBRIUM_VARIABLES:
+        return [Finding(
+            Severity.INFO, "equilibrium", "spec",
+            f"not solved: {system.dimension} variables exceed the "
+            f"equilibrium rule's {MAX_EQUILIBRIUM_VARIABLES}",
+        )]
+    try:
+        equilibria = find_equilibria(system)
+    except (ArithmeticError, ValueError) as exc:
+        return [Finding(
+            Severity.WARNING, "equilibrium", "spec",
+            f"the equilibrium solve failed ({exc})",
+        )]
+    # A continuum of fixed points comes back as however many samples of
+    # it the starts converged to: one finding covers them.
+    flat = [e for e in equilibria if e.classification == "non-hyperbolic"]
+    findings = [
+        Finding(
+            Severity.INFO, "equilibrium", f"equilibrium {e.coordinates()}",
+            f"{e.classification}, spectral abscissa {e.abscissa:.4g}",
+        )
+        for e in equilibria if e.classification != "non-hyperbolic"
+    ]
+    if flat:
+        findings.append(Finding(
+            Severity.INFO, "equilibrium", f"equilibrium {flat[0].coordinates()}"
+            + (f" and {len(flat) - 1} more" if len(flat) > 1 else ""),
+            "non-hyperbolic (a zero eigenvalue): the linearization does "
+            "not decide stability there",
+        ))
+    if not any(e.stable for e in equilibria):
+        findings.append(Finding(
+            Severity.WARNING, "equilibrium", "spec",
+            f"none of the {len(equilibria)} equilibria on the simplex is "
+            f"attracting, so the protocol has no operating point to "
+            f"self-stabilize to",
+        ))
+    return findings
+
+
 # ----------------------------------------------------------------------
 # The verifier entry points
 # ----------------------------------------------------------------------
+def _check_rules(
+    spec: ProtocolSpec,
+    reference: Optional[EquationSystem],
+    symbolic: bool = False,
+    rtol: float = 1e-9,
+) -> List[Finding]:
+    """The rules that can produce ERROR findings."""
+    findings: List[Finding] = []
+    findings.extend(_check_mass(spec))
+    findings.extend(_check_conservation(spec, reference))
+    findings.extend(_check_graph(spec, reference))
+    findings.extend(_check_mean_field(spec, reference, symbolic, rtol))
+    findings.extend(_check_compiles(spec))
+    return findings
+
+
 def check_spec(
     spec: ProtocolSpec,
     system: Optional[EquationSystem] = None,
@@ -456,19 +529,15 @@ def check_spec(
     """Run every static rule on one spec; return all findings.
 
     ``system`` overrides ``spec.source`` as the reference equation
-    system (e.g. the pre-synthesis parse).  ``symbolic=True`` routes
-    the mean-field equivalence through sympy (the CLI and test
-    default); the embedded warn-on-construction hook keeps the cheap
-    numeric path so ordinary runs never import sympy.
+    system (e.g. the pre-synthesis parse); the equilibrium rule falls
+    back to the spec's reconstructed mean field when neither is given.
+    ``symbolic=True`` routes the mean-field equivalence through sympy
+    (the CLI and test default); the embedded warn-on-construction hook
+    keeps the cheap numeric path so ordinary runs never import sympy.
     """
     reference = system if system is not None else spec.source
-    findings: List[Finding] = []
-    findings.extend(_check_mass(spec))
-    findings.extend(_check_conservation(spec, reference))
-    findings.extend(_check_graph(spec, reference))
-    findings.extend(_check_mean_field(spec, reference, symbolic, rtol))
-    findings.extend(_check_compiles(spec))
-    return findings
+    return (_check_rules(spec, reference, symbolic, rtol)
+            + _check_equilibria(spec, reference))
 
 
 def verify_spec(
@@ -482,7 +551,9 @@ def verify_spec(
 
     ``"warn"`` (default) emits one :class:`ProtocolCheckWarning` when
     ERROR-severity findings exist; ``"strict"`` raises
-    :class:`SpecCheckError`; ``"off"`` skips the check entirely.
+    :class:`SpecCheckError`; ``"off"`` skips the check entirely.  Only
+    the rules that can produce errors run: the equilibrium rule never
+    does, and the run resolves its equilibrium separately.
     """
     if mode not in CHECK_MODES:
         raise ValueError(
@@ -490,7 +561,9 @@ def verify_spec(
         )
     if mode == "off":
         return []
-    findings = check_spec(spec, system)
+    findings = _check_rules(
+        spec, system if system is not None else spec.source
+    )
     errors = error_findings(findings)
     if errors:
         name = label or spec.name

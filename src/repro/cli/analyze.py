@@ -29,7 +29,7 @@ def run(args) -> int:
         print("no equilibria found on the simplex")
     for equilibrium in equilibria:
         print("equilibrium:", equilibrium.render())
-    stable = [e for e in equilibria if e.is_stable]
+    stable = [e for e in equilibria if e.stable]
     print()
     print(f"{len(stable)} stable of {len(equilibria)} equilibria "
           f"(stable points become self-stabilizing protocol operating "

@@ -31,9 +31,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Mapping, Optional, Union
+from typing import Callable, Dict, List, Mapping, Optional, Union
 
-from ..odes import auto_rewrite, classify, find_equilibria, parse_system
+from ..odes import Equilibrium, auto_rewrite, classify, find_equilibria, parse_system
 from ..odes.system import EquationSystem
 from ..synthesis import synthesize
 from ..synthesis.protocol import ProtocolSpec
@@ -140,8 +140,7 @@ class Protocol:
         self._system = system
         self._resolved: Dict[int, ResolvedProtocol] = {}
         self._verified: Dict[int, list] = {}
-        self._equilibrium: Optional[Dict[str, float]] = None
-        self._equilibrium_known = False
+        self._equilibria: Optional[List[Equilibrium]] = None
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"Protocol({self.label!r}, source={self.source!r})"
@@ -303,30 +302,39 @@ class Protocol:
     # ------------------------------------------------------------------
     # Analytic equilibrium (the closed-form reference)
     # ------------------------------------------------------------------
-    def equilibrium_fractions(self, n: int = 2) -> Optional[Dict[str, float]]:
-        """Stable-equilibrium fractions of the source ODE, if any.
+    def equilibria(self, n: int = 2) -> List[Equilibrium]:
+        """Every labelled equilibrium of the source ODE on the simplex.
 
-        When the system has several stable equilibria the one closest
-        to the simplex barycenter is returned (``find_equilibria``
-        order).  None when no stable equilibrium exists on the simplex
-        or no mean-field system is recoverable.
+        ``find_equilibria`` order (nearest the barycenter first), solved
+        once per handle.  Empty when no mean-field system is recoverable
+        or the solve blows up numerically (LinAlgError is a ValueError).
         """
-        if self._equilibrium_known:
-            return self._equilibrium
-        system = self.system(n)
-        if system is not None:
-            try:
-                stable = [e for e in find_equilibria(system) if e.is_stable]
-            except (ArithmeticError, ValueError):
-                # A solve that blows up numerically (LinAlgError is a
-                # ValueError) means "no reference point".
-                stable = []
-            if stable:
-                self._equilibrium = {
-                    k: float(v) for k, v in stable[0].point.items()
-                }
-        self._equilibrium_known = True
-        return self._equilibrium
+        if self._equilibria is None:
+            system = self.system(n)
+            found: List[Equilibrium] = []
+            if system is not None:
+                try:
+                    found = find_equilibria(system)
+                except (ArithmeticError, ValueError):
+                    pass
+            self._equilibria = found
+        return self._equilibria
+
+    def equilibrium(self, n: int = 2) -> Optional[Equilibrium]:
+        """The stable equilibrium the protocol is graded against.
+
+        When the system has several the one closest to the simplex
+        barycenter; None when none is stable.
+        """
+        for equilibrium in self.equilibria(n):
+            if equilibrium.stable:
+                return equilibrium
+        return None
+
+    def equilibrium_fractions(self, n: int = 2) -> Optional[Dict[str, float]]:
+        """The fractions of :meth:`equilibrium`, if there is one."""
+        graded = self.equilibrium(n)
+        return None if graded is None else graded.point
 
     def equilibrium_counts(self, n: int) -> Optional[Dict[str, float]]:
         """Stable-equilibrium state counts for a group of size ``n``.

@@ -22,6 +22,7 @@ from ..runtime.metrics import BatchMetricsRecorder, WindowStats
 from ..synthesis.protocol import ProtocolSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..odes.equilibria import Equilibrium
     from .protocol import Protocol
 
 Edge = Tuple[str, str]
@@ -66,11 +67,13 @@ def _worst_gated(rows) -> Optional["EquilibriumCheckRow"]:
 
 @dataclass(frozen=True)
 class EquilibriumCheck:
-    """Ensemble window statistics vs the closed-form ODE equilibrium.
+    """Ensemble window statistics vs an equilibrium of the source ODE.
 
     ``status`` is ``"PASS"``/``"WARN"``/``"FAIL"`` on the worst gated
     state's relative error, or ``"SKIP"`` when the source system has no
     stable equilibrium to compare against (or none was recoverable).
+    ``equilibrium`` is the labelled source-ODE equilibrium graded, or
+    None for reference counts that are none of them.
     """
 
     status: str
@@ -79,6 +82,7 @@ class EquilibriumCheck:
     trials: int
     pass_tol: float = PASS_TOL
     warn_tol: float = WARN_TOL
+    equilibrium: Optional["Equilibrium"] = None
 
     @property
     def worst(self) -> Optional[EquilibriumCheckRow]:
@@ -89,9 +93,12 @@ class EquilibriumCheck:
 
         if self.status == "SKIP":
             return ("equilibrium check: SKIP "
-                    "(no stable closed-form equilibrium to compare against)")
+                    "(no stable source-ODE equilibrium to compare against)")
+        graded = self.equilibrium
+        target = ("the given reference counts" if graded is None else
+                  f"the {graded.classification} {graded.coordinates()}")
         lines = [
-            f"equilibrium check vs closed-form ODE equilibrium "
+            f"equilibrium check vs {target} "
             f"(window: last {self.window_periods} recorded periods "
             f"x {self.trials} trials, pooled):",
             format_table(
@@ -294,9 +301,27 @@ class ExperimentResult:
         equilibrium (:meth:`Protocol.equilibrium_counts`).  States whose
         analytic population is below ``max(GATE_FRACTION * n, 30)``
         hosts are reported but not gated.
+
+        The check names the source-ODE equilibrium it grades (the one
+        ``analytic`` is within one host of), and refuses with a
+        ``ValueError`` to grade convergence to a repelling one -- a
+        saddle such as LV's barycenter, or an unstable node: no
+        population settles there, whatever the protocol text says.
         """
-        if analytic is None and self.protocol is not None:
-            analytic = self.protocol.equilibrium_counts(self.n)
+        graded = None
+        if self.protocol is not None:
+            if analytic is None:
+                graded = self.protocol.equilibrium(self.n)
+                analytic = self.protocol.equilibrium_counts(self.n)
+            else:
+                graded = self._equilibrium_at(analytic)
+        if graded is not None and graded.repelling:
+            raise ValueError(
+                f"refusing to grade convergence to the {graded.classification} "
+                f"{graded.coordinates()} of {self.spec.name!r}: its spectral "
+                f"abscissa is {graded.abscissa:.4g} > 0, so perturbations "
+                f"grow and no population settles there"
+            )
         if not analytic:
             return EquilibriumCheck(
                 status="SKIP", rows=(), window_periods=0, trials=self.trials,
@@ -325,7 +350,18 @@ class ExperimentResult:
         return EquilibriumCheck(
             status=status, rows=tuple(rows), window_periods=window,
             trials=self.trials, pass_tol=pass_tol, warn_tol=warn_tol,
+            equilibrium=graded,
         )
+
+    def _equilibrium_at(self, analytic: Dict[str, float]) -> Optional["Equilibrium"]:
+        """The protocol's source-ODE equilibrium within one host of ``analytic``."""
+        for equilibrium in self.protocol.equilibria(self.n):
+            if all(
+                abs(float(analytic.get(variable, 0.0)) - value * self.n) <= 1.0
+                for variable, value in equilibrium.point.items()
+            ):
+                return equilibrium
+        return None
 
     # ------------------------------------------------------------------
     # Rendering

@@ -19,7 +19,7 @@ the mathematical side:
 """
 
 from .classify import TaxonomyReport, classify, is_complete, is_completely_partitionable, is_polynomial, is_restricted_polynomial
-from .equilibria import Equilibrium, classify_point, find_equilibria, stable_equilibria
+from .equilibria import Equilibrium, classify_point, find_equilibria
 from .integrate import Trajectory, integrate, integrate_to_equilibrium
 from .parser import ParseError, parse_equations, parse_system
 from .partition import PartitionResult, TermPair, partition_terms
@@ -71,7 +71,6 @@ __all__ = [
     "integrate_to_equilibrium",
     "Trajectory",
     "find_equilibria",
-    "stable_equilibria",
     "classify_point",
     "Equilibrium",
     "phase_portrait",

@@ -1,10 +1,10 @@
-"""Equilibrium finding and stability classification.
+"""Equilibrium finding and the one stability classifier.
 
 The protocols inherit the stochastic behaviour of the source equations;
 in particular, stable equilibria of the ODEs become self-stabilizing
 operating points of the protocol (paper Section 4).  This module finds
 equilibria numerically (multi-start root solving on the unit simplex)
-and classifies their stability from the Jacobian.
+and labels every one of them from the spectrum of one operator.
 
 The solve is numpy only: the system is compiled into arrays once
 (:class:`~repro.odes.system.CompiledSystem`) and every start advances
@@ -17,49 +17,86 @@ the conserved direction ``(1, 1, ..., 1)`` (total mass).  Stability on
 the physically meaningful set -- the simplex -- is therefore judged from
 the Jacobian projected onto the simplex tangent space, which is exactly
 the reduction the paper performs by hand when it eliminates ``z`` and
-analyzes the 2x2 matrix ``A`` of equation (4).
+analyzes the 2x2 matrix ``A`` of equation (4).  In two dimensions the
+spectral labels are the trace-determinant chart of the Theorem 3 proof;
+above two they are what the chart cannot say (a stable 3x3 operator has
+a negative determinant).
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, List, Sequence
 
 import numpy as np
 
+from .classify import is_complete
 from .system import CompiledSystem, EquationSystem
 
 
 @dataclass
 class Equilibrium:
-    """An equilibrium point with its local linearization.
+    """A fixed point, its reduced operator and the operator's verdict.
 
     Attributes
     ----------
     point:
         Coordinates as ``{variable: value}``.
+    operator:
+        The linearization stability is read from
+        (:func:`reduced_operator`): the Jacobian on the simplex tangent
+        space for complete systems, the full Jacobian otherwise.  For the
+        endemic system it is similar to the paper's matrix ``A``.
     eigenvalues:
-        Eigenvalues of the Jacobian projected on the simplex tangent
-        space (for complete systems) or of the full Jacobian otherwise.
+        Spectrum of ``operator``.
     classification:
-        Strogatz-style label: ``stable spiral``, ``stable node``,
-        ``saddle point``, ``unstable node``, ``unstable spiral``,
-        ``center``, ``degenerate`` or ``non-hyperbolic``.
+        :func:`classify_eigenvalues`' label: ``stable spiral``,
+        ``stable node``, ``saddle point``, ``unstable node``,
+        ``unstable spiral``, ``center`` or ``non-hyperbolic``.
     """
 
     system: EquationSystem
     point: Dict[str, float]
-    eigenvalues: np.ndarray
-    classification: str
+    operator: np.ndarray
+    eigenvalues: np.ndarray = field(init=False)
+    classification: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.eigenvalues = np.linalg.eigvals(self.operator)
+        self.classification = classify_eigenvalues(self.eigenvalues)
 
     @property
-    def is_stable(self) -> bool:
+    def stable(self) -> bool:
         return self.classification.startswith("stable")
 
     @property
-    def is_saddle(self) -> bool:
+    def saddle(self) -> bool:
         return self.classification == "saddle point"
+
+    @property
+    def repelling(self) -> bool:
+        """Some direction grows: a saddle or an unstable node/spiral."""
+        return self.saddle or self.classification.startswith("unstable")
+
+    @property
+    def abscissa(self) -> float:
+        """Spectral abscissa ``max Re(lambda)``; negative = attracting.
+
+        Its negation is the slowest decay rate of a small perturbation,
+        the rate Theorem 3's analysis bounds.
+        """
+        return float(np.max(np.real(self.eigenvalues), initial=-np.inf))
+
+    @property
+    def trace(self) -> float:
+        """Trace of the operator (the paper's tau)."""
+        return float(np.trace(self.operator))
+
+    @property
+    def determinant(self) -> float:
+        """Determinant of the operator (the paper's Delta)."""
+        return float(np.linalg.det(self.operator))
 
     def vector(self) -> np.ndarray:
         return self.system.state_vector(self.point)
@@ -68,29 +105,41 @@ class Equilibrium:
         """Equilibrium in process counts for a group of size ``total``."""
         return {k: v * total for k, v in self.point.items()}
 
+    def coordinates(self) -> str:
+        return "(" + ", ".join(f"{k}={v:.6g}" for k, v in self.point.items()) + ")"
+
     def render(self) -> str:
-        coords = ", ".join(f"{k}={v:.6g}" for k, v in self.point.items())
         eigs = ", ".join(f"{e:.4g}" for e in self.eigenvalues)
-        return f"({coords}) [{self.classification}; eig: {eigs}]"
+        text = (f"{self.coordinates()} [{self.classification}; eig: {eigs}; "
+                f"abscissa {self.abscissa:.4g}")
+        if self.operator.shape == (2, 2):
+            text += f"; tau={self.trace:.6g}, Delta={self.determinant:.6g}"
+        return text + "]"
 
 
 def simplex_tangent_basis(dimension: int) -> np.ndarray:
     """Orthonormal basis of the hyperplane ``sum(x) = const``.
 
-    Returns a ``dimension x (dimension-1)`` matrix whose columns span
-    the tangent space of the simplex.
+    The Helmert columns, a ``dimension x (dimension-1)`` matrix in
+    closed form: column ``k`` (1-based) is ``(1, ..., 1, -k, 0, ..., 0)``
+    with ``k`` leading ones, over ``sqrt(k (k + 1))``.
     """
-    ones = np.ones((dimension, 1)) / np.sqrt(dimension)
-    # Complete `ones` to an orthonormal basis via QR; drop the first column.
-    random_state = np.random.RandomState(0)
-    candidate = np.hstack([ones, random_state.randn(dimension, dimension - 1)])
-    q, _ = np.linalg.qr(candidate)
-    return q[:, 1:]
+    k = np.arange(1, dimension)
+    rows = np.arange(dimension)[:, None]
+    basis = (rows < k).astype(float) - k * (rows == k)
+    return basis / np.sqrt(k * (k + 1.0))
 
 
-def reduced_jacobian(system: EquationSystem, point: Sequence[float]) -> np.ndarray:
-    """Jacobian projected onto the simplex tangent space."""
+def reduced_operator(system: EquationSystem, point: Sequence[float]) -> np.ndarray:
+    """The one linearization every stability verdict reads.
+
+    The Jacobian projected onto the simplex tangent space for a complete
+    system (whose conserved direction would otherwise contribute a zero
+    eigenvalue), the full Jacobian for any other.
+    """
     J = system.jacobian(point)
+    if not is_complete(system):
+        return J
     B = simplex_tangent_basis(system.dimension)
     return B.T @ J @ B
 
@@ -98,12 +147,12 @@ def reduced_jacobian(system: EquationSystem, point: Sequence[float]) -> np.ndarr
 def classify_eigenvalues(eigenvalues: np.ndarray, tol: float = 1e-9) -> str:
     """Map a spectrum to a Strogatz-style stability label.
 
-    For two-dimensional spectra this matches the trace-determinant
-    classification used in the paper's Theorem 3 proof.  Imaginary
-    parts are judged relative to the real parts: repeated real
-    eigenvalues routinely come back from the numeric eigensolver with
-    O(1e-8) spurious imaginary components, which must not be read as
-    oscillation.
+    For two-dimensional spectra this is the trace-determinant chart used
+    in the paper's Theorem 3 proof (a repeated root is a node, a zero
+    determinant is non-hyperbolic).  Imaginary parts are judged relative
+    to the real parts: repeated real eigenvalues routinely come back
+    from the numeric eigensolver with O(1e-8) spurious imaginary
+    components, which must not be read as oscillation.
     """
     real = np.real(eigenvalues)
     imag = np.imag(eigenvalues)
@@ -122,23 +171,12 @@ def classify_eigenvalues(eigenvalues: np.ndarray, tol: float = 1e-9) -> str:
     return "stable spiral" if oscillatory else "stable node"
 
 
-def classify_point(
-    system: EquationSystem,
-    point: Dict[str, float],
-    *,
-    on_simplex: bool = True,
-) -> Equilibrium:
+def classify_point(system: EquationSystem, point: Dict[str, float]) -> Equilibrium:
     """Build an :class:`Equilibrium` record for a known fixed point."""
-    vector = system.state_vector(point)
-    if on_simplex:
-        eigenvalues = np.linalg.eigvals(reduced_jacobian(system, vector))
-    else:
-        eigenvalues = np.linalg.eigvals(system.jacobian(vector))
     return Equilibrium(
         system=system,
         point={k: float(v) for k, v in point.items()},
-        eigenvalues=eigenvalues,
-        classification=classify_eigenvalues(eigenvalues),
+        operator=reduced_operator(system, system.state_vector(point)),
     )
 
 
@@ -252,7 +290,6 @@ def find_equilibria(
     tol: float = 1e-10,
     merge_distance: float = 1e-6,
     domain_tol: float = 1e-7,
-    on_simplex: bool = True,
 ) -> List[Equilibrium]:
     """Locate equilibria on the unit simplex by multi-start root solving.
 
@@ -264,14 +301,13 @@ def find_equilibria(
     exact root).
 
     Returns equilibria sorted by distance from the simplex barycenter,
-    deduplicated within ``merge_distance``.  Points with any coordinate
-    below ``-domain_tol`` (outside the physical domain) are dropped.
+    deduplicated within ``merge_distance``, each labelled by
+    :func:`classify_point`.  Points with any coordinate below
+    ``-domain_tol`` (outside the physical domain) are dropped.
     """
-    from .classify import is_complete  # local import avoids a cycle
-
     dimension = system.dimension
     complete = is_complete(system)
-    residual, jacobian = _root_problem(system, complete and on_simplex)
+    residual, jacobian = _root_problem(system, complete)
     starts = np.array(_initial_guesses(dimension, restarts, seed))
     points, converged = _newton_roots(residual, jacobian, starts, tol)
 
@@ -281,21 +317,14 @@ def find_equilibria(
             continue
         if np.max(np.abs(system.rhs(x))) > 1e-7:
             continue
-        if complete and on_simplex and abs(np.sum(x) - 1.0) > 1e-6:
+        if complete and abs(np.sum(x) - 1.0) > 1e-6:
             continue
         x = np.clip(x, 0.0, None)
         if not any(np.linalg.norm(x - other) < merge_distance for other in found):
             found.append(x)
 
-    equilibria = [
-        classify_point(system, system.state_dict(x), on_simplex=complete and on_simplex)
-        for x in found
-    ]
+    equilibria = [classify_point(system, system.state_dict(x)) for x in found]
     barycenter = np.full(dimension, 1.0 / dimension)
     equilibria.sort(key=lambda e: float(np.linalg.norm(e.vector() - barycenter)))
     return equilibria
 
-
-def stable_equilibria(system: EquationSystem, **kwargs) -> List[Equilibrium]:
-    """Only the stable equilibria of :func:`find_equilibria`."""
-    return [e for e in find_equilibria(system, **kwargs) if e.is_stable]

@@ -347,6 +347,85 @@ def test_protocol_verify_caches_per_n():
 
 
 # ----------------------------------------------------------------------
+# The equilibrium rule: what every equilibrium on the simplex is
+# ----------------------------------------------------------------------
+def equilibrium_findings(findings):
+    return {
+        f.location: (f.severity, f.message)
+        for f in findings if f.rule == "equilibrium"
+    }
+
+
+def test_lv_equilibria_are_each_named():
+    spec = resolve_protocol("lv").resolve(1000).spec
+    found = equilibrium_findings(check_spec(spec))
+    assert found == {
+        "equilibrium (x=0.333333, y=0.333333, z=0.333333)": (
+            Severity.INFO, "saddle point, spectral abscissa 1"),
+        "equilibrium (x=1, y=0, z=0)": (
+            Severity.INFO, "stable node, spectral abscissa -3"),
+        "equilibrium (x=0, y=1, z=0)": (
+            Severity.INFO, "stable node, spectral abscissa -3"),
+        "equilibrium (x=0, y=0, z=1)": (
+            Severity.INFO, "unstable node, spectral abscissa 3"),
+    }
+
+
+def test_no_attracting_equilibrium_warns():
+    # Rock-paper-scissors: a center ringed by three saddle corners.
+    spec, findings = check_equations(
+        "x' = x*y - x*z\ny' = y*z - x*y\nz' = x*z - y*z\n"
+    )
+    assert spec is not None and not error_findings(findings)
+    warnings_ = [
+        f for f in findings
+        if f.rule == "equilibrium" and f.severity == Severity.WARNING
+    ]
+    assert len(warnings_) == 1
+    assert "none of the 4 equilibria" in warnings_[0].message
+
+
+def test_a_continuum_of_equilibria_is_one_finding():
+    # x + z fixed along y = 0: the starts land on many points of it.
+    spec, findings = check_equations(
+        "x' = -0.5*x*y\ny' = 0.5*x*y - 0.5*y*z\nz' = 0.5*y*z\n"
+    )
+    flat = [
+        f for f in findings
+        if f.rule == "equilibrium" and "non-hyperbolic" in f.message
+    ]
+    assert len(flat) == 1 and "more" in flat[0].location
+
+
+def test_equilibrium_rule_skips_oversized_systems():
+    states = tuple(f"s{i}" for i in range(17))
+    spec = ProtocolSpec(
+        name="wide", states=states, source=None, exact_mean_field=False,
+        actions=tuple(
+            FlipAction(actor_state=s, probability=0.5,
+                       target_state=states[(i + 1) % len(states)])
+            for i, s in enumerate(states)
+        ),
+    )
+    (finding,) = equilibrium_findings(check_spec(spec)).values()
+    assert finding == (
+        Severity.INFO, "not solved: 17 variables exceed the equilibrium "
+        "rule's 16",
+    )
+
+
+def test_embedded_hook_does_not_solve_for_equilibria(monkeypatch):
+    import repro.check.spec_checks as spec_checks
+
+    def refuse(system):
+        raise AssertionError("verify_spec solved for equilibria")
+
+    monkeypatch.setattr(spec_checks, "find_equilibria", refuse)
+    spec = resolve_protocol("lv").resolve(1000).spec
+    assert not error_findings(verify_spec(spec, mode="strict"))
+
+
+# ----------------------------------------------------------------------
 # Hypothesis: valid chain protocols pass; mutations are flagged
 # ----------------------------------------------------------------------
 state_names = st.integers(2, 5).map(

@@ -8,10 +8,13 @@ from repro.odes.equilibria import (
     classify_eigenvalues,
     classify_point,
     find_equilibria,
-    reduced_jacobian,
+    reduced_operator,
     simplex_tangent_basis,
-    stable_equilibria,
 )
+
+
+def stable_equilibria(system):
+    return [e for e in find_equilibria(system) if e.stable]
 
 
 class TestTangentBasis:
@@ -23,6 +26,15 @@ class TestTangentBasis:
     def test_orthogonal_to_ones(self):
         B = simplex_tangent_basis(5)
         assert np.ones(5) @ B == pytest.approx(np.zeros(4), abs=1e-12)
+
+    def test_helmert_columns_in_closed_form(self):
+        B = simplex_tangent_basis(3)
+        expected = np.array([
+            [1 / np.sqrt(2), 1 / np.sqrt(6)],
+            [-1 / np.sqrt(2), 1 / np.sqrt(6)],
+            [0.0, -2 / np.sqrt(6)],
+        ])
+        assert B == pytest.approx(expected, abs=1e-15)
 
 
 class TestClassifyEigenvalues:
@@ -58,7 +70,7 @@ class TestEndemicEquilibria:
 
     def test_nontrivial_matches_closed_form(self, endemic_system, fig2_params):
         equilibria = find_equilibria(endemic_system)
-        stable = [e for e in equilibria if e.is_stable]
+        stable = [e for e in equilibria if e.stable]
         assert len(stable) == 1
         expected = fig2_params.equilibrium()
         for state, value in expected.items():
@@ -72,7 +84,7 @@ class TestEndemicEquilibria:
         equilibria = find_equilibria(endemic_system)
         trivial = [e for e in equilibria if e.point["x"] > 0.99]
         assert len(trivial) == 1
-        assert trivial[0].is_saddle
+        assert trivial[0].saddle
 
     def test_scaled_counts(self, endemic_system):
         stable = stable_equilibria(endemic_system)[0]
@@ -92,7 +104,7 @@ class TestLVEquilibria:
         assert len(by_label.get("saddle point", [])) == 1
 
     def test_saddle_is_barycenter(self, lv_system):
-        saddle = [e for e in find_equilibria(lv_system) if e.is_saddle][0]
+        saddle = [e for e in find_equilibria(lv_system) if e.saddle][0]
         for value in saddle.point.values():
             assert value == pytest.approx(1 / 3, rel=1e-5)
 
@@ -108,7 +120,7 @@ class TestReducedJacobian:
     def test_removes_conserved_direction(self, endemic_system):
         point = np.array([0.25, 0.00742574, 0.74257426])
         full_eigs = np.linalg.eigvals(endemic_system.jacobian(point))
-        reduced_eigs = np.linalg.eigvals(reduced_jacobian(endemic_system, point))
+        reduced_eigs = np.linalg.eigvals(reduced_operator(endemic_system, point))
         # Full spectrum has a ~0 eigenvalue along (1,1,1); reduced does not.
         assert min(abs(full_eigs)) < 1e-10
         assert min(abs(reduced_eigs)) > 1e-4
@@ -117,7 +129,7 @@ class TestReducedJacobian:
         record = classify_point(
             endemic_system, {"x": 1.0, "y": 0.0, "z": 0.0}
         )
-        assert record.is_saddle
+        assert record.saddle
         assert "saddle" in record.render()
 
 

@@ -52,7 +52,7 @@ REPO = Path(__file__).resolve().parents[1]
 # ----------------------------------------------------------------------
 def hybr_equilibria(
     system, *, restarts=64, seed=0, tol=1e-10, merge_distance=1e-6,
-    domain_tol=1e-7, on_simplex=True,
+    domain_tol=1e-7,
 ):
     optimize = pytest.importorskip("scipy.optimize")
     dimension = system.dimension
@@ -60,7 +60,7 @@ def hybr_equilibria(
 
     def residual(x):
         fx = system.rhs(x)
-        if complete and on_simplex:
+        if complete:
             fx = fx.copy()
             fx[-1] = np.sum(x) - 1.0
         return fx
@@ -77,30 +77,23 @@ def hybr_equilibria(
             continue
         if np.max(np.abs(system.rhs(x))) > 1e-7:
             continue
-        if complete and on_simplex and abs(np.sum(x) - 1.0) > 1e-6:
+        if complete and abs(np.sum(x) - 1.0) > 1e-6:
             continue
         x = np.clip(x, 0.0, None)
         if not any(np.linalg.norm(x - o) < merge_distance for o in found):
             found.append(x)
-    return [
-        classify_point(
-            system, system.state_dict(x), on_simplex=complete and on_simplex
-        )
-        for x in found
-    ]
+    return [classify_point(system, system.state_dict(x)) for x in found]
 
 
-def residual_jacobian(system, x, on_simplex=True):
+def residual_jacobian(system, x):
     J = system.jacobian(x).copy()
-    if is_complete(system) and on_simplex:
+    if is_complete(system):
         J[-1, :] = 1.0
     return J
 
 
-def is_regular(system, root, on_simplex=True):
-    s = np.linalg.svd(
-        residual_jacobian(system, root.vector(), on_simplex), compute_uv=False
-    )
+def is_regular(system, root):
+    s = np.linalg.svd(residual_jacobian(system, root.vector()), compute_uv=False)
     return s[-1] > 1e-5 * s[0]
 
 
@@ -109,11 +102,10 @@ def assert_at_least_as_good(system, **options):
 
     Returns how many regular oracle roots were matched.
     """
-    on_simplex = options.get("on_simplex", True)
     mine = find_equilibria(system, **options)
     matched = 0
     for root in hybr_equilibria(system, **options):
-        if not is_regular(system, root, on_simplex):
+        if not is_regular(system, root):
             continue
         assert mine, f"missed {root.render()}"
         nearest = min(
@@ -128,7 +120,7 @@ def assert_at_least_as_good(system, **options):
         x = root.vector()
         assert np.max(np.abs(system.rhs(x))) <= 1e-7
         assert np.all(x >= 0.0)
-        if is_complete(system) and on_simplex:
+        if is_complete(system):
             assert abs(np.sum(x) - 1.0) <= 1e-6
     return matched
 
@@ -302,11 +294,12 @@ class TestHardCases:
         # A complete system without the simplex row: every level set
         # of the total mass carries its own equilibria.
         system = library.endemic(alpha=0.01, gamma=1.0, beta=4.0)
-        found = find_equilibria(system, on_simplex=False)
-        assert found
-        for root in found:
-            assert np.abs(system.rhs(root.vector())).max() <= 1e-7
-            assert np.all(root.vector() >= 0.0)
+        residual, jacobian = _root_problem(system, False)
+        starts = np.array(_initial_guesses(system.dimension, 64, 0))
+        points, converged = _newton_roots(residual, jacobian, starts, 1e-10)
+        assert converged.any()
+        for x in points[converged]:
+            assert np.abs(system.rhs(x)).max() <= 1e-7
 
     def test_dimension_one(self):
         (root,) = find_equilibria(parse_system("x' = x - x"))
@@ -322,7 +315,7 @@ class TestHardCases:
     def test_no_random_restarts(self):
         found = find_equilibria(library.lv(), restarts=0)
         assert len(found) == 4
-        assert sum(e.is_stable for e in found) == 2
+        assert sum(e.stable for e in found) == 2
 
 
 class TestDeterminism:

@@ -347,6 +347,37 @@ class TestEquilibriumCheck:
         )
         assert check.status == "FAIL"
 
+    def test_names_the_equilibrium_it_grades(self):
+        result = Experiment(
+            Protocol.named("endemic"), n=500, trials=2, periods=20, seed=1
+        ).run()
+        check = result.equilibrium_check()
+        assert check.equilibrium.classification == "stable spiral"
+        assert check.render().startswith(
+            "equilibrium check vs the stable spiral (x=0.0025, "
+        )
+        reference = result.equilibrium_check({"x": 5.0, "y": 5.0, "z": 490.0})
+        assert reference.equilibrium is None
+        assert "the given reference counts" in reference.render()
+
+    @pytest.mark.parametrize(
+        "counts, label",
+        [
+            ({"x": 100, "y": 100, "z": 100}, "saddle point"),
+            ({"x": 0, "y": 0, "z": 300}, "unstable node"),
+        ],
+    )
+    def test_refuses_to_grade_a_repelling_equilibrium(self, counts, label):
+        result = Experiment(
+            Protocol.named("lv"), n=300, trials=2, periods=10, seed=1
+        ).run()
+        with pytest.raises(ValueError, match=f"refusing to grade .*{label}"):
+            result.equilibrium_check(counts)
+        # Within one host of the saddle is still the saddle.
+        if label == "saddle point":
+            with pytest.raises(ValueError, match="saddle point"):
+                result.equilibrium_check({"x": 100.4, "y": 99.6, "z": 100})
+
     def test_skip_without_stable_equilibrium(self):
         spec = synthesize(library.epidemic())
         protocol = Protocol.from_spec(spec, {"x": 0.99, "y": 0.01})

@@ -4,8 +4,14 @@ protocol -> simulation -> analysis, across engines."""
 import numpy as np
 import pytest
 
-from repro.analysis import classify_equilibrium, compare_trajectory
-from repro.odes import auto_rewrite, classify, find_equilibria, parse_system
+from repro.analysis import compare_trajectory
+from repro.odes import (
+    auto_rewrite,
+    classify,
+    classify_point,
+    find_equilibria,
+    parse_system,
+)
 from repro.protocols.endemic import EndemicParams, figure1_protocol
 from repro.runtime import AgentSimulation, MassiveFailure, RoundEngine
 from repro.synthesis import synthesize
@@ -82,18 +88,18 @@ class TestFullPipeline:
 
         endemic = library.endemic(alpha=0.01, gamma=1.0, b=2)
         params = EndemicParams(alpha=0.01, gamma=1.0, b=2)
-        assert classify_equilibrium(endemic, params.equilibrium()).stable
+        assert classify_point(endemic, params.equilibrium()).stable
         assert (
-            classify_equilibrium(
+            classify_point(
                 endemic, {"x": 1.0, "y": 0.0, "z": 0.0}
-            ).label
+            ).classification
             == "saddle point"
         )
 
         lv = library.lv()
-        assert classify_equilibrium(lv, {"x": 1, "y": 0, "z": 0}).stable
-        assert classify_equilibrium(lv, {"x": 0, "y": 1, "z": 0}).stable
-        assert not classify_equilibrium(lv, {"x": 0, "y": 0, "z": 1}).stable
+        assert classify_point(lv, {"x": 1, "y": 0, "z": 0}).stable
+        assert classify_point(lv, {"x": 0, "y": 1, "z": 0}).stable
+        assert not classify_point(lv, {"x": 0, "y": 0, "z": 1}).stable
 
     def test_equivalence_with_failures_end_to_end(self):
         """Parse -> synthesize with failure compensation -> simulate on

@@ -1,46 +1,48 @@
-"""Tests for perturbation analysis (repro.analysis.linearize)."""
+"""Tests for perturbation analysis (repro.analysis.linearize).
+
+The numeric linearization is the reduced operator of
+:func:`repro.odes.classify_point`; here it is checked against the
+paper's closed forms.
+"""
 
 import numpy as np
 import pytest
 
 from repro.analysis.linearize import (
     endemic_closed_form_matrix,
-    endemic_trace_determinant,
-    linearize,
     perturb,
-    planar_jacobian_endemic,
     relative_deviation,
 )
-from repro.odes import library
+from repro.analysis.stability import endemic_stability
+from repro.odes import classify_point, library
 
 
 class TestNumericLinearization:
     def test_reduced_operator_shape(self, endemic_system, fig2_params):
-        local = linearize(endemic_system, fig2_params.equilibrium())
-        assert local.jacobian.shape == (3, 3)
-        assert local.reduced.shape == (2, 2)
+        local = classify_point(endemic_system, fig2_params.equilibrium())
+        assert local.operator.shape == (2, 2)
 
     def test_trace_matches_paper(self, endemic_system, fig2_params):
-        local = linearize(endemic_system, fig2_params.equilibrium())
+        local = classify_point(endemic_system, fig2_params.equilibrium())
         assert local.trace == pytest.approx(fig2_params.trace(), rel=1e-9)
 
     def test_determinant_matches_paper(self, endemic_system, fig2_params):
-        local = linearize(endemic_system, fig2_params.equilibrium())
+        local = classify_point(endemic_system, fig2_params.equilibrium())
         assert local.determinant == pytest.approx(
             fig2_params.determinant(), rel=1e-9
         )
 
     def test_discriminant_sign_spiral(self, endemic_system, fig2_params):
-        local = linearize(endemic_system, fig2_params.equilibrium())
-        assert local.discriminant < 0
-        assert local.oscillation_frequency() > 0
+        local = classify_point(endemic_system, fig2_params.equilibrium())
+        assert local.trace ** 2 - 4.0 * local.determinant < 0
+        assert "spiral" in local.classification
 
     def test_decay_rate_positive_at_stable_point(self, endemic_system, fig2_params):
-        local = linearize(endemic_system, fig2_params.equilibrium())
-        assert local.decay_rate() > 0
+        local = classify_point(endemic_system, fig2_params.equilibrium())
+        assert -local.abscissa > 0
 
     def test_eigenvalues_match_closed_form(self, endemic_system, fig2_params):
-        local = linearize(endemic_system, fig2_params.equilibrium())
+        local = classify_point(endemic_system, fig2_params.equilibrium())
         numeric = sorted(local.eigenvalues, key=lambda e: (e.real, e.imag))
         closed = sorted(fig2_params.eigenvalues(), key=lambda e: (e.real, e.imag))
         for a, b in zip(numeric, closed):
@@ -48,20 +50,28 @@ class TestNumericLinearization:
 
 
 class TestClosedForms:
-    def test_matrix_a_eigen_match_planar_jacobian(self):
-        alpha, gamma, beta = 0.01, 1.0, 4.0
-        A = endemic_closed_form_matrix(alpha, gamma, beta)
-        J = planar_jacobian_endemic(alpha, gamma, beta)
-        eig_a = np.sort_complex(np.linalg.eigvals(A))
-        eig_j = np.sort_complex(np.linalg.eigvals(J))
-        assert eig_a == pytest.approx(eig_j, rel=1e-12)
+    @pytest.mark.parametrize(
+        "alpha, gamma, beta", [(0.01, 1.0, 4.0), (1.0, 0.001, 4.0), (0.3, 0.2, 64.0)]
+    )
+    def test_matrix_a_is_similar_to_the_reduced_operator(self, alpha, gamma, beta):
+        closed = endemic_stability(alpha, gamma, beta)
+        numeric = classify_point(
+            library.endemic(alpha=alpha, gamma=gamma, beta=beta), closed.point
+        )
+        assert numeric.operator.shape == (2, 2)
+        assert np.sort_complex(numeric.eigenvalues) == pytest.approx(
+            np.sort_complex(np.linalg.eigvals(
+                endemic_closed_form_matrix(alpha, gamma, beta)
+            )), rel=1e-9,
+        )
+        assert numeric.classification == closed.classification
 
     def test_trace_det_equation5(self):
         alpha, gamma, beta = 0.001, 0.1, 4.0
         sigma = (beta - gamma) / (1 + gamma / alpha)
-        tau, delta = endemic_trace_determinant(alpha, gamma, beta)
-        assert tau == pytest.approx(-(sigma + alpha))
-        assert delta == pytest.approx(sigma * (gamma + alpha))
+        verdict = endemic_stability(alpha, gamma, beta)
+        assert verdict.trace == pytest.approx(-(sigma + alpha))
+        assert verdict.determinant == pytest.approx(sigma * (gamma + alpha))
 
     def test_theorem3_always_stable(self):
         # Across a parameter sweep: tau < 0 < Delta whenever
@@ -71,9 +81,9 @@ class TestClosedForms:
                 for beta in (2.0, 4.0, 64.0):
                     if beta <= gamma:
                         continue
-                    tau, delta = endemic_trace_determinant(alpha, gamma, beta)
-                    assert tau < 0
-                    assert delta > 0
+                    verdict = endemic_stability(alpha, gamma, beta)
+                    assert verdict.trace < 0
+                    assert verdict.determinant > 0
 
 
 class TestPerturbationHelpers:
