@@ -180,7 +180,7 @@ def _shard_points(point: CampaignPoint) -> List[CampaignPoint]:
     even slice of the trials, so it can run anywhere :func:`run_point`
     runs.  The decomposition is :func:`repro.runtime.parallel.shard_layout`
     -- the same ``(seed, SHARD_DOMAIN)``-spawned discipline the
-    engine-level :class:`~repro.runtime.parallel.ShardedBatchExecutor`
+    engine-level :class:`~repro.runtime.parallel.EnsembleExecutor`
     uses -- and depends only on the point, which is what makes sharded
     runs replayable.
     """

@@ -54,8 +54,9 @@ def configure(subparsers) -> None:
                    help="processes to fan the trial axis across (batch: "
                         "trials split into min(workers, trials) "
                         "campaign-style shards, and the shard count is part "
-                        "of the run's stream identity; agent: whole trials "
-                        "fan out, results are worker-independent)")
+                        "of the run's stream identity; serial and agent: "
+                        "whole trials fan out, results are "
+                        "worker-independent)")
     p.add_argument("--show-protocol", action="store_true",
                    help="print the synthesized state machine")
     p.add_argument("--plot", action="store_true",

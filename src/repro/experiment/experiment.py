@@ -24,10 +24,14 @@ Explicit tiers: ``engine="serial"`` runs ``trials`` seeded
 ``engine="batch"`` forces the vectorized engine (statistically
 equivalent, not draw-for-draw); ``engine="agent"`` runs ``trials``
 seeded :class:`AgentSimulation` instances -- the asynchronous DES tier
-(arbitrary period phases, latency, drift), as an ensemble with the
-*same* spawned trial-seed family as the serial tier, pooled across
-``workers`` processes via
-:class:`~repro.runtime.parallel.AgentEnsemble`.
+(arbitrary period phases, latency, drift) -- with the *same* spawned
+trial-seed family as the serial tier.
+
+Whatever the tier, the run is one
+:class:`~repro.runtime.parallel.EnsembleExecutor` plan: batch shards
+or single serial/agent trials are its work units, fanned across
+``workers`` processes under one fault policy and merged into one
+recorder.
 """
 
 from __future__ import annotations
@@ -37,15 +41,13 @@ import time
 from typing import Mapping, Optional, Union
 
 from ..runtime.exec import BACKENDS, FaultPolicy
-from ..runtime.metrics import BatchMetricsRecorder
-from ..runtime.parallel import AgentEnsemble, ShardedBatchExecutor
-from ..runtime.round_engine import RoundEngine, initial_state_vector
-from ..runtime.rng import spawn_seeds
+from ..runtime.parallel import TIERS, EnsembleExecutor
+from ..runtime.round_engine import initial_state_vector
 from .protocol import Protocol
 from .result import ExperimentResult
 from .scenario import RunContext, Scenario
 
-ENGINES = ("auto", "serial", "batch", "agent")
+ENGINES = ("auto",) + TIERS
 
 
 class Experiment:
@@ -86,26 +88,23 @@ class Experiment:
         Override the protocol handle's initial distribution (counts
         summing to ``n`` or fractions summing to 1).
     workers:
-        Processes to fan the trial axis across (default 1).  The
-        batch tier always runs through
-        :class:`~repro.runtime.parallel.ShardedBatchExecutor`: the
-        trials split into ``min(workers, trials)`` campaign-style
-        shards (seed family spawned from ``(seed, SHARD_DOMAIN)``; one
-        shard keeps the root seed) and the recorders merge
-        integer-exactly, so a run is bitwise reproducible for a fixed
-        ``(seed, workers)`` and identical whether the shards actually
-        ran pooled or serially.  Note the *shard count* is part of the
-        stream identity: results differ from the unsharded
-        ``workers=1`` run (exactly as campaign ``--shards``
-        documents).  The agent tier fans whole
-        trials across the pool (each trial owns its RNG stream, so the
-        result is bitwise independent of ``workers``, clamped to
-        ``trials``).  The serial tier ignores it.
+        Processes to fan the trial axis across (default 1), through
+        :class:`~repro.runtime.parallel.EnsembleExecutor`.  The batch
+        tier splits the trials into ``min(workers, trials)``
+        campaign-style shards (seed family spawned from
+        ``(seed, SHARD_DOMAIN)``; one shard keeps the root seed) and
+        the recorders merge integer-exactly, so a run is bitwise
+        reproducible for a fixed ``(seed, workers)`` and identical
+        whether the shards actually ran pooled or serially.  Note the
+        *shard count* is part of the batch stream identity: results
+        differ from the unsharded ``workers=1`` run (exactly as
+        campaign ``--shards`` documents).  The serial and agent tiers
+        fan whole trials across the pool (each trial owns its RNG
+        stream, so the result is bitwise independent of ``workers``).
     on_error, retries, unit_timeout:
         The execution layer's fault policy
-        (:class:`~repro.runtime.exec.FaultPolicy`), applied wherever
-        the run decomposes into work units (the agent and batch
-        tiers).  ``on_error``:
+        (:class:`~repro.runtime.exec.FaultPolicy`), applied to the
+        run's work units on every tier.  ``on_error``:
         ``"raise"`` (default) aborts on the first unit failure,
         ``"retry"`` re-runs a failed unit's exact payload up to
         ``retries`` times with capped backoff (retries cannot perturb
@@ -277,7 +276,14 @@ class Experiment:
     # Execution
     # ------------------------------------------------------------------
     def run(self) -> ExperimentResult:
-        """Execute the experiment on the selected engine tier."""
+        """Execute the experiment on the selected engine tier.
+
+        Every tier runs through one
+        :class:`~repro.runtime.parallel.EnsembleExecutor`: the trial
+        axis becomes work units (batch shards, or one unit per serial or
+        agent trial) under this experiment's workers, backend and fault
+        policy.
+        """
         resolved = self.protocol.resolve(self.n)
         self.protocol.verify(self.n, mode=self.check)
         initial = self.initial if self.initial is not None else resolved.initial
@@ -285,127 +291,31 @@ class Experiment:
         initial_state_vector(resolved.spec.states, self.n, initial)
         engine_name = self.chosen_engine
         started = time.perf_counter()
-        if engine_name == "serial":
-            result = self._run_serial(resolved.spec, initial)
-        elif engine_name == "agent":
-            result = self._run_agent(resolved.spec, initial)
-        else:
-            result = self._run_batched(resolved.spec, initial)
-        result.elapsed_seconds = time.perf_counter() - started
-        return result
-
-    def _run_serial(self, spec, initial) -> ExperimentResult:
-        context = self.context()
-        seeds = spawn_seeds(self.seed, self.trials)
-        scenario_seeds = (
-            self.scenario.trial_seeds(context) if self.scenario else None
-        )
-        recorders = []
-        for trial, trial_seed in enumerate(seeds):
-            engine = RoundEngine(
-                spec, n=self.n, initial=initial, seed=trial_seed,
-                connection_failure_rate=self.loss_rate,
-            )
-            recorder = BatchMetricsRecorder(
-                spec.states,
-                1,
-                track_transitions=self.record_transitions,
-                member_log_state=self.member_log_state,
-                stride=self.stride,
-            )
-            hooks = (
-                self.scenario.hooks_for(context, trial, scenario_seeds[trial])
-                if self.scenario else ()
-            )
-            engine.run(self.periods, recorder=recorder, hooks=hooks)
-            recorders.append(recorder)
-        return ExperimentResult(
-            spec=spec, n=self.n, trials=self.trials, periods=self.periods,
-            engine="serial", trial_seeds=list(seeds), elapsed_seconds=0.0,
-            protocol=self.protocol,
-            scenario=self.scenario.label if self.scenario else None,
-            recorder=BatchMetricsRecorder.merge(recorders),
-        )
-
-    def _run_agent(self, spec, initial) -> ExperimentResult:
-        """The asynchronous DES tier, as a (possibly pooled) ensemble.
-
-        Trial seeds are ``spawn_seeds(seed, trials)`` -- the serial
-        tier's own family -- and scenario hooks are indexed by global
-        trial through the same domain-separated
-        :class:`~repro.experiment.scenario.Scenario` contract, so an
-        asynchrony check of a batch result keeps the batch run's fault
-        schedule.  The tier exposes the round engines' fault surface
-        (period, crash/recover, read-only alive/states snapshots), so
-        the stock registry scenarios apply; hooks that write engine
-        arrays directly do not (see :meth:`AgentSimulation.run`).
-        """
-        if self.member_log_state is not None:
-            raise ValueError(
-                "member_log_state is not supported on the agent tier"
-            )
-        context = self.context()
-        hook_factories = (
-            [self.scenario.hook_factory(context)] if self.scenario else ()
-        )
-        ensemble = AgentEnsemble(
-            spec, n=self.n, trials=self.trials, initial=initial,
-            seed=self.seed, loss_rate=self.loss_rate,
-            workers=self.workers, backend=self.backend,
-        )
-        outcome = ensemble.run(
-            self.periods,
-            stride=self.stride,
-            track_transitions=self.record_transitions,
-            hook_factories=hook_factories,
-            fault_policy=self.fault_policy,
-        )
-        return ExperimentResult(
-            spec=spec, n=self.n, trials=len(outcome.trial_seeds),
-            periods=self.periods,
-            engine="agent", trial_seeds=list(outcome.trial_seeds),
-            elapsed_seconds=0.0,
-            protocol=self.protocol,
-            scenario=self.scenario.label if self.scenario else None,
-            recorder=outcome.recorder,
-            failures=outcome.failures,
-        )
-
-    def _run_batched(self, spec, initial) -> ExperimentResult:
-        """The batch tier: the sharded executor at any worker count.
-
-        A single shard keeps the root seed, bitwise-equal to the bare
-        engine.
-        """
-        context = self.context()
-        hook_factories = (
-            [self.scenario.hook_factory(context)] if self.scenario else ()
-        )
-        shards = min(self.workers, self.trials)
-        executor = ShardedBatchExecutor(
-            spec, n=self.n, trials=self.trials, initial=initial,
-            seed=self.seed,
-            connection_failure_rate=self.loss_rate,
-            shards=shards, workers=self.workers,
-            backend=self.backend,
+        executor = EnsembleExecutor(
+            resolved.spec, n=self.n, trials=self.trials, initial=initial,
+            seed=self.seed, connection_failure_rate=self.loss_rate,
+            workers=self.workers, backend=self.backend, engine=engine_name,
         )
         outcome = executor.run(
             self.periods,
             stride=self.stride,
             track_transitions=self.record_transitions,
             member_log_state=self.member_log_state,
-            hook_factories=hook_factories,
+            hook_factories=(
+                [self.scenario.hook_factory(self.context())]
+                if self.scenario else ()
+            ),
             fault_policy=self.fault_policy,
         )
         return ExperimentResult(
-            spec=spec, n=self.n, trials=len(outcome.trial_seeds),
-            periods=self.periods,
-            engine="batch", trial_seeds=list(outcome.trial_seeds),
-            elapsed_seconds=0.0,
+            spec=resolved.spec, n=self.n, trials=outcome.trials,
+            periods=self.periods, engine=engine_name,
+            trial_seeds=outcome.trial_seeds,
+            elapsed_seconds=time.perf_counter() - started,
             protocol=self.protocol,
             scenario=self.scenario.label if self.scenario else None,
             recorder=outcome.recorder,
-            shards=shards,
+            shards=executor.shards,
             failures=outcome.failures,
         )
 

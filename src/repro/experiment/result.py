@@ -171,10 +171,11 @@ class ExperimentResult:
         self.protocol = protocol
         self.scenario = scenario
         self.recorder = recorder
-        #: Trial-axis shard count the run executed with (1 = unsharded).
-        #: Part of the batch stream's identity: replaying a sharded run
-        #: bit for bit requires the same shard count (see
-        #: :class:`repro.runtime.parallel.ShardedBatchExecutor`).
+        #: Trial-axis shard count the run executed with (1 = unsharded;
+        #: always 1 on the serial and agent tiers, whose trials each own
+        #: a seed).  Part of the batch stream's identity: replaying a
+        #: sharded run bit for bit requires the same shard count (see
+        #: :class:`repro.runtime.parallel.EnsembleExecutor`).
         self.shards = shards
         #: Work units lost to a skipping fault policy
         #: (``Experiment(..., on_error="skip")``); empty on clean runs.

@@ -134,13 +134,13 @@ class Scenario:
         return list(self._builder(context, trial, seed))
 
     def hook_factory(self, context: RunContext) -> Callable[[int], Callable]:
-        """A batch-engine ``hook_factories`` entry for this scenario.
+        """An ensemble ``hook_factories`` entry for this scenario (any tier).
 
         Returns one composite hook per trial (``None`` for a trial the
         scenario gives no hooks), so multi-hook scenarios fit the
         single-factory slot.  The factory is a plain object
         (not a closure), so named scenarios can cross process
-        boundaries -- :class:`~repro.runtime.parallel.ShardedBatchExecutor`
+        boundaries -- :class:`~repro.runtime.parallel.EnsembleExecutor`
         ships it to pool workers whenever the underlying builder
         pickles (registry builders are module-level functions and do).
         """

@@ -23,7 +23,7 @@ from .equilibria import Equilibrium, classify_point, find_equilibria
 from .integrate import Trajectory, integrate, integrate_to_equilibrium
 from .parser import ParseError, parse_equations, parse_system
 from .partition import PartitionResult, TermPair, partition_terms
-from .phase import FIGURE2_STARTS, FIGURE4_STARTS, PhasePortrait, phase_portrait, simplex_grid_points
+from .phase import FIGURE2_STARTS, FIGURE4_STARTS, PhasePortrait, phase_portrait
 from .rewrite import (
     auto_rewrite,
     denormalize,
@@ -75,7 +75,6 @@ __all__ = [
     "Equilibrium",
     "phase_portrait",
     "PhasePortrait",
-    "simplex_grid_points",
     "FIGURE2_STARTS",
     "FIGURE4_STARTS",
     "library",

@@ -30,11 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-import numpy as np
-
 from .partition import PartitionResult, partition_terms
 from .system import EquationSystem
-from .term import COEFF_ATOL, Term
+from .term import Term
 
 #: Tolerance on the per-monomial coefficient sums when testing completeness.
 COMPLETENESS_ATOL = 1e-9
@@ -200,18 +198,3 @@ def classify(system: EquationSystem) -> TaxonomyReport:
         partition=partition if partitionable else None,
     )
 
-
-def check_conservation(
-    system: EquationSystem, samples: int = 16, seed: int = 0
-) -> float:
-    """Max |divergence| over random simplex points (sanity for complete).
-
-    Complements :func:`is_complete` with a numeric probe; useful in
-    property-based tests as an independent oracle.
-    """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        point = rng.dirichlet(np.ones(system.dimension))
-        worst = max(worst, abs(system.divergence_sum(point)))
-    return worst

@@ -10,7 +10,7 @@ LV system.  This module generates the underlying trajectory data
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 import numpy as np
 
@@ -82,29 +82,6 @@ def phase_portrait(
             integrate(system, state, t_end, samples=samples, rtol=rtol)
         )
     return PhasePortrait(system=system, trajectories=trajectories, scale=scale)
-
-
-def simplex_grid_points(
-    variables: Sequence[str], steps: int = 4
-) -> List[Dict[str, float]]:
-    """Regular grid of initial points on the simplex (for exploration)."""
-    points: List[Dict[str, float]] = []
-    n = len(variables)
-    if n == 0:
-        return points
-
-    def recurse(prefix: List[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            prefix = prefix + [remaining]
-            points.append(
-                {v: c / steps for v, c in zip(variables, prefix)}
-            )
-            return
-        for c in range(remaining + 1):
-            recurse(prefix + [c], remaining - c, slots - 1)
-
-    recurse([], steps, n)
-    return points
 
 
 # The seven starting points of Figure 2 (endemic portrait), as counts

@@ -17,6 +17,10 @@ ordered from most faithful to fastest:
   quantile bands, extinction frequencies) and for the campaign runner
   (:mod:`repro.campaign`).
 
+:class:`~repro.runtime.parallel.EnsembleExecutor` runs an M-trial
+ensemble of any of the three as work units over the execution layer
+(:mod:`~repro.runtime.exec`), in-process or fanned across workers.
+
 Support modules: the DES kernel (:mod:`~repro.runtime.des`,
 :mod:`~repro.runtime.events`), the network model
 (:mod:`~repro.runtime.network`), membership views and overlays,
@@ -26,12 +30,7 @@ Mersenne Twister stream management (:mod:`~repro.runtime.rng`).
 """
 
 from .agent_sim import AgentSimulation
-from .batch_engine import (
-    BatchRoundEngine,
-    BatchRunResult,
-    BatchTrialView,
-    serial_ensemble,
-)
+from .batch_engine import BatchRoundEngine, BatchRunResult, BatchTrialView
 from .churn import ChurnEvent, ChurnReplayer, ChurnTrace, generate_trace
 from .des import Environment, Interrupted, Process
 from .events import Event, EventQueue
@@ -54,10 +53,9 @@ from .exec import (
 )
 from .parallel import (
     SHARD_DOMAIN,
-    AgentEnsemble,
-    AgentEnsembleResult,
-    ShardedBatchExecutor,
-    ShardedRunResult,
+    TIERS,
+    EnsembleExecutor,
+    EnsembleResult,
     shard_layout,
 )
 from .planner import ActionPlanner, TrialMemberPools
@@ -71,7 +69,6 @@ __all__ = [
     "BatchRunResult",
     "BatchMetricsRecorder",
     "BatchTrialView",
-    "serial_ensemble",
     "ActionPlanner",
     "TrialMemberPools",
     "BACKENDS",
@@ -85,10 +82,9 @@ __all__ = [
     "WorkerFault",
     "WorkerLost",
     "run_plan",
-    "ShardedBatchExecutor",
-    "ShardedRunResult",
-    "AgentEnsemble",
-    "AgentEnsembleResult",
+    "TIERS",
+    "EnsembleExecutor",
+    "EnsembleResult",
     "shard_layout",
     "SHARD_DOMAIN",
     "initial_state_vector",

@@ -42,9 +42,9 @@ identical to M serial runs; actors fire at most one action of their
 state per period (the paper's multi-way coin), where the serial engine
 flips independent per-action coins -- the two agree to the
 ``O((p c)^2)`` conflict order the normalizing constant bounds.  The
-engine is therefore validated *in distribution* against
-:func:`serial_ensemble` and the mean-field ODEs (see
-``tests/test_batch_engine.py``), not draw for draw.
+engine is therefore validated *in distribution* against the serial
+tier (``EnsembleExecutor(..., engine="serial")``) and the mean-field
+ODEs (see ``tests/test_batch_engine.py``), not draw for draw.
 
 Runs record into a :class:`~repro.runtime.metrics.BatchMetricsRecorder`
 (re-exported here), which stores ``(M, periods, states)`` count
@@ -63,7 +63,6 @@ from typing import (
     List,
     Mapping,
     Optional,
-    Tuple,
 )
 
 import numpy as np
@@ -71,7 +70,7 @@ import numpy as np
 from ..synthesis.protocol import ProtocolSpec
 from .metrics import BatchMetricsRecorder, Edge
 from .planner import ActionPlanner, TrialMemberPools
-from .round_engine import RoundEngine, _compile, initial_state_vector
+from .round_engine import _compile, initial_state_vector
 from .rng import RandomSource, make_generator, spawn_seeds
 from .sampling import distinct_positions
 
@@ -646,32 +645,3 @@ class BatchRoundEngine:
             f"trials={self.trials}, period={self.period})"
         )
 
-
-def serial_ensemble(
-    spec: ProtocolSpec,
-    n: int,
-    trials: int,
-    initial: Mapping[str, float],
-    periods: int,
-    seed: Optional[int] = None,
-    connection_failure_rate: float = 0.0,
-    stride: int = 1,
-) -> Tuple[BatchMetricsRecorder, List[int]]:
-    """Reference implementation: M serial RoundEngine runs.
-
-    Runs the trial loop the way the benches did before the batch engine
-    existed, with the same spawned trial seeds the batch engine uses.
-    Kept as the baseline of the equivalence tests; returns the trials'
-    one-trial recorders merged in trial order, and the trial seeds.
-    """
-    seeds = spawn_seeds(seed, trials)
-    recorders = []
-    for trial_seed in seeds:
-        engine = RoundEngine(
-            spec, n=n, initial=initial, seed=trial_seed,
-            connection_failure_rate=connection_failure_rate,
-        )
-        recorder = BatchMetricsRecorder(spec.states, 1, stride=stride)
-        engine.run(periods, recorder=recorder)
-        recorders.append(recorder)
-    return BatchMetricsRecorder.merge(recorders), seeds

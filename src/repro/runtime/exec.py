@@ -1,10 +1,9 @@
 """The unified execution layer: work-unit plans with pluggable executors.
 
-Three parallel paths grew in this repository -- campaign point/shard
-fan-out (:mod:`repro.campaign.runner`), trial-sharded batch ensembles
-(:class:`~repro.runtime.parallel.ShardedBatchExecutor`) and agent-tier
-ensembles (:class:`~repro.runtime.parallel.AgentEnsemble`) -- and all
-three reduce to the same shape: a deterministic list of independent
+Two parallel paths use it -- campaign point/shard fan-out
+(:mod:`repro.campaign.runner`) and single-experiment ensembles of any
+engine tier (:class:`~repro.runtime.parallel.EnsembleExecutor`) -- and
+both reduce to the same shape: a deterministic list of independent
 **work units**, executed anywhere, whose outputs are combined by an
 order-dependent, schedule-independent **merge**.  This module is that
 shape, extracted once:

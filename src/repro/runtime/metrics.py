@@ -266,8 +266,8 @@ class BatchMetricsRecorder:
     ) -> "BatchMetricsRecorder":
         """Concatenate shard recorders along the trial axis, exactly.
 
-        The merge behind :class:`repro.runtime.parallel.ShardedBatchExecutor`
-        and the serial and agent ensembles: the parts' ``(periods, M_k,
+        The merge behind :class:`repro.runtime.parallel.EnsembleExecutor`
+        on every tier: the parts' ``(periods, M_k,
         S)`` count slabs (and alive slabs, transition slabs, member
         logs) concatenate in part order -- integer concatenation, no
         arithmetic -- so the merged recorder is bitwise independent of

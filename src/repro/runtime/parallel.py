@@ -1,46 +1,41 @@
-"""Process-parallel ensembles: trial-sharded batch runs and agent DES runs.
+"""One ensemble executor for every engine tier.
 
-The batch engine vectorizes the trial axis inside one process; this
-module fans ensembles out *across* processes, as
-:class:`~repro.runtime.exec.ExecutionPlan` instances over the unified
-execution layer (:mod:`repro.runtime.exec`).  Two executors live here:
+An M-trial ensemble of any tier -- the serial
+:class:`~repro.runtime.round_engine.RoundEngine`, the vectorized
+:class:`~repro.runtime.batch_engine.BatchRoundEngine` or the
+asynchronous :class:`~repro.runtime.agent_sim.AgentSimulation` -- runs
+as one :class:`~repro.runtime.exec.ExecutionPlan` over the unified
+execution layer (:mod:`repro.runtime.exec`).  :class:`EnsembleExecutor`
+cuts the trial axis into work units, one runner builds each unit's
+engine, and one merge concatenates the unit recorders in unit order
+(:meth:`BatchMetricsRecorder.merge`).  What a unit is depends only on
+the tier:
 
-* :class:`ShardedBatchExecutor` -- an M-trial batch ensemble splits
-  into campaign-style shards: independently seeded sub-ensembles whose
-  seed family is spawned from ``(seed, SHARD_DOMAIN)``, exactly the
-  discipline ``repro.campaign`` uses for ``--shards``.  Each shard
-  (one work unit) runs its own
-  :class:`~repro.runtime.batch_engine.BatchRoundEngine`, and the shard
-  recorders merge integer-exactly along the trial axis.  Because the
-  shard decomposition depends only on ``(seed, trials, shards)`` and
-  the merge is pure concatenation in shard order, the result is
-  **bitwise identical** however the shards are scheduled: one process,
-  K workers, or a later replay.  With ``shards == 1`` the executor
-  degenerates to a plain :class:`BatchRoundEngine` seeded with the
-  root seed (no spawn), so single-shard runs reproduce unsharded ones
-  bit for bit -- again the campaign's convention.
-* :class:`AgentEnsemble` -- M seeded
-  :class:`~repro.runtime.agent_sim.AgentSimulation` trials (the DES
-  tier), one work unit per trial, with per-trial seeds from
-  ``spawn_seeds(seed, M)`` -- the *same* trial-seed discipline the
-  serial tier uses.  The merge concatenates the one-trial recorders
-  in trial order (:meth:`BatchMetricsRecorder.merge`), so an agent
-  ensemble is bitwise reproducible and schedule-independent by
-  construction (each trial owns its whole RNG stream).
+* **batch** -- a unit is a campaign-style *shard*: an independently
+  seeded sub-ensemble whose seed family is spawned from
+  ``(seed, SHARD_DOMAIN)``, exactly the discipline ``repro.campaign``
+  uses for ``--shards``.  The shard count is part of the stream
+  identity; one shard keeps the root seed, so it reproduces a bare
+  ``BatchRoundEngine`` bit for bit.
+* **serial** and **agent** -- a unit is one trial, seeded
+  ``spawn_seeds(seed, M)[m]``.  Each trial owns its whole RNG stream,
+  so trial ``m`` equals a standalone engine on that seed, whatever the
+  worker count.
 
-These are the engine-level siblings of campaign fan-out: campaigns
-parallelize across grid points and shards of points, while the
-executors here give a *single* experiment (via
-``Experiment(..., workers=K)`` / ``python -m repro run --workers``)
-the same multi-core scaling.
+Because the decomposition depends only on ``(engine, seed, trials,
+shards)`` and the merge is pure concatenation in unit order, every
+ensemble is **bitwise identical** however its units are scheduled: one
+process, K pool workers, the cluster backend, or a later replay.  This
+is the engine-level sibling of campaign fan-out: campaigns parallelize
+across grid points and shards of points, the executor gives a *single*
+experiment (``Experiment(..., workers=K)`` / ``python -m repro run
+--workers``) the same multi-core scaling on every tier.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..synthesis.protocol import ProtocolSpec
 from .agent_sim import AgentSimulation
@@ -55,15 +50,18 @@ from .exec import (
     run_plan,
 )
 from .rng import spawn_seeds
+from .round_engine import RoundEngine
 
 __all__ = [
     "SHARD_DOMAIN",
-    "AgentEnsemble",
-    "AgentEnsembleResult",
-    "ShardedBatchExecutor",
-    "ShardedRunResult",
+    "TIERS",
+    "EnsembleExecutor",
+    "EnsembleResult",
     "shard_layout",
 ]
+
+#: The engine tiers an ensemble can run on.
+TIERS = ("serial", "batch", "agent")
 
 #: Entropy domain separating shard seed families from everything else.
 #: Shared with the campaign runner (one discipline, one constant), so
@@ -120,9 +118,10 @@ def shard_layout(
 
 
 @dataclass
-class _ShardJob:
-    """Everything one worker needs to run one shard (picklable)."""
+class _UnitJob:
+    """Everything one worker needs to run one unit (picklable)."""
 
+    engine: str
     spec: ProtocolSpec
     n: int
     trials: int
@@ -155,85 +154,109 @@ class _OffsetHookFactory:
         return self._factory(self._offset + trial)
 
 
-def _run_shard(job: _ShardJob):
-    """Worker entry point: run one shard, return its raw outcome."""
-    engine = BatchRoundEngine(
-        job.spec,
-        n=job.n,
-        trials=job.trials,
-        initial=job.initial,
-        seed=job.seed,
-        connection_failure_rate=job.connection_failure_rate,
-    )
+def _run_unit(job: _UnitJob) -> Tuple[BatchMetricsRecorder, List[int]]:
+    """Worker entry point: run one unit, return its recorder and seeds."""
     recorder = BatchMetricsRecorder(
-        engine.state_names,
+        job.spec.states,
         job.trials,
         track_transitions=job.track_transitions,
         member_log_state=job.member_log_state,
         stride=job.stride,
     )
+    if job.engine == "batch":
+        engine = BatchRoundEngine(
+            job.spec,
+            n=job.n,
+            trials=job.trials,
+            initial=job.initial,
+            seed=job.seed,
+            connection_failure_rate=job.connection_failure_rate,
+        )
+        engine.run(
+            job.periods,
+            recorder=recorder,
+            hook_factories=[
+                _OffsetHookFactory(factory, job.trial_offset)
+                for factory in job.hook_factories
+            ],
+            record_initial=job.record_initial,
+        )
+        return recorder, list(engine.trial_seeds)
+    if job.engine == "serial":
+        engine = RoundEngine(
+            job.spec,
+            n=job.n,
+            initial=job.initial,
+            seed=job.seed,
+            connection_failure_rate=job.connection_failure_rate,
+        )
+    else:
+        engine = AgentSimulation(
+            job.spec,
+            job.n,
+            job.initial,
+            seed=job.seed,
+            loss_rate=job.connection_failure_rate,
+        )
     engine.run(
         job.periods,
         recorder=recorder,
-        hook_factories=[
-            _OffsetHookFactory(factory, job.trial_offset)
-            for factory in job.hook_factories
+        hooks=[
+            hook for factory in job.hook_factories
+            if (hook := factory(job.trial_offset)) is not None
         ],
         record_initial=job.record_initial,
     )
-    return (
-        recorder,
-        list(engine.trial_seeds),
-        engine.counts_matrix(),
-        engine.alive_counts(),
-        np.asarray(engine.total_messages),
-    )
+    return recorder, [job.seed]
 
 
 @dataclass
-class ShardedRunResult:
-    """Merged outcome of a sharded ensemble run.
+class EnsembleResult:
+    """Merged outcome of an ensemble run: one recorder, trials in order.
 
-    Everything is ordered along the concatenated trial axis (shard 0's
-    trials first), matching :attr:`trial_seeds`.  Under a skipping
-    fault policy the failed shards' trials are simply absent from the
-    merged axes (the surviving shards are untouched -- failure
-    isolation cannot perturb their streams), and :attr:`failures`
-    records what was lost; :attr:`shard_seeds`/:attr:`shard_sizes`
-    always describe the *full* layout, so any failed shard can be
-    re-run alone from its recorded seed.
+    :attr:`recorder` and :attr:`trial_seeds` run along the concatenated
+    trial axis (unit 0's trials first).  Under a skipping fault policy
+    the failed units' trials are simply absent from both (the surviving
+    units are untouched -- failure isolation cannot perturb their
+    streams), and :attr:`failures` records what was lost; each
+    failure's ``index`` is its unit's position in :attr:`layout`,
+    which always describes the *full* decomposition, so any lost unit
+    can be re-run alone from its recorded seed.
     """
 
     recorder: BatchMetricsRecorder
     trial_seeds: List[int]
-    shard_seeds: List[Optional[int]]
-    shard_sizes: List[int]
-    final_counts_matrix: np.ndarray    # (M, S) int64
-    final_alive: np.ndarray            # (M,) int64
-    total_messages: np.ndarray         # (M,) int64
+    #: ``(trials, seed)`` per unit, failed ones included.
+    layout: List[Tuple[int, Optional[int]]]
     #: Terminal unit failures recorded by ``on_error="skip"`` (empty
     #: on a clean run; raising policies never construct a result).
     failures: List[UnitFailure] = field(default_factory=list)
 
     @property
-    def shards(self) -> int:
-        return len(self.shard_sizes)
+    def trials(self) -> int:
+        return self.recorder.trials
 
 
-class ShardedBatchExecutor:
-    """Run one batch ensemble as campaign-style shards, optionally pooled.
+class EnsembleExecutor:
+    """Run one M-trial ensemble of any tier as work units, optionally pooled.
 
     Parameters
     ----------
     spec, n, trials, initial, seed, connection_failure_rate:
-        As for :class:`~repro.runtime.batch_engine.BatchRoundEngine`.
+        The ensemble: protocol, group size, width M, initial
+        distribution, root seed and per-connection failure rate (the
+        agent tier's ``loss_rate``).
+    engine:
+        The tier (:data:`TIERS`): ``"batch"`` (default), ``"serial"``
+        or ``"agent"``; see the module docstring for what a unit is.
     shards:
-        Number of independently seeded sub-ensembles (defaults to
-        ``min(workers, trials)``).  Part of the run's identity: the
-        same ``(seed, trials, shards)`` always yields the same merged
-        tensors, regardless of ``workers``.
+        Batch tier only: the number of independently seeded
+        sub-ensembles (defaults to ``min(workers, trials)``).  Part of
+        the run's identity: the same ``(seed, trials, shards)`` always
+        yields the same merged tensors, regardless of ``workers``.
+        The per-trial tiers are unsharded (:attr:`shards` is 1).
     workers:
-        Processes to fan the shards across (1 = run them serially in
+        Processes to fan the units across (1 = run them serially in
         this process -- same bits, no pool).
     backend:
         Executor backend for the fan-out
@@ -242,11 +265,13 @@ class ShardedBatchExecutor:
         dead-worker re-dispatch, bitwise identical by the plan
         contract.
 
-    Hook factories passed to :meth:`run` are indexed by *global* trial,
-    so scenarios inject identical faults however the ensemble is
-    sharded.  Unpicklable hook factories (closures, lambdas) force a
-    serial in-process run with a warning instead of failing inside the
-    pool -- the results are bitwise the same either way.
+    Hook factories passed to :meth:`run` are called with the *global*
+    trial index and return a per-period hook for that trial's engine
+    (a :class:`~repro.runtime.batch_engine.BatchTrialView` on the
+    batch tier), so scenarios inject identical faults however the
+    ensemble is cut.  Unpicklable hook factories (closures, lambdas)
+    force a serial in-process run with a warning instead of failing
+    inside the pool -- the results are bitwise the same either way.
     """
 
     def __init__(
@@ -260,13 +285,20 @@ class ShardedBatchExecutor:
         shards: Optional[int] = None,
         workers: int = 1,
         backend: str = "pool",
+        *,
+        engine: str = "batch",
     ):
+        if engine not in TIERS:
+            raise ValueError(f"engine must be one of {TIERS}, got {engine!r}")
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if backend not in BACKENDS:
             raise ValueError(
                 f"backend must be one of {BACKENDS}, got {backend!r}"
             )
+        self.engine = engine
         self.backend = backend
         self.spec = spec
         self.n = n
@@ -275,9 +307,20 @@ class ShardedBatchExecutor:
         self.seed = seed
         self.connection_failure_rate = connection_failure_rate
         self.workers = workers
-        self.shards = shards if shards is not None else min(workers, trials)
-        #: The deterministic decomposition (validates ``shards`` too).
-        self.layout = shard_layout(seed, trials, self.shards)
+        if engine == "batch":
+            self.shards = (
+                shards if shards is not None else min(workers, trials)
+            )
+            #: ``(trials, seed)`` per unit (validates ``shards`` too).
+            self.layout = shard_layout(seed, trials, self.shards)
+        else:
+            if shards not in (None, 1):
+                raise ValueError(
+                    f"shards apply to the batch tier only; the {engine} "
+                    f"tier runs one unit per trial, got shards={shards}"
+                )
+            self.shards = 1
+            self.layout = [(1, s) for s in spawn_seeds(seed, trials)]
 
     def run(
         self,
@@ -289,27 +332,33 @@ class ShardedBatchExecutor:
         hook_factories: Sequence[HookFactory] = (),
         record_initial: bool = True,
         fault_policy: Optional[FaultPolicy] = None,
-    ) -> ShardedRunResult:
-        """Run every shard and merge the recorders integer-exactly.
+    ) -> EnsembleResult:
+        """Run every unit and merge the recorders integer-exactly.
 
-        ``fault_policy`` governs shard faults (default: raise on the
+        ``fault_policy`` governs unit faults (default: raise on the
         first failure, wrapped as a
         :class:`~repro.runtime.exec.UnitExecutionError` naming the
-        shard).  ``on_error="retry"`` re-runs a failed shard's exact
+        unit).  ``on_error="retry"`` re-runs a failed unit's exact
         payload (same seed, same merge slot), so a retried run stays
-        bitwise identical; ``on_error="skip"`` drops failed shards
+        bitwise identical; ``on_error="skip"`` drops failed units
         from the merged trial axis and records them on
-        :attr:`ShardedRunResult.failures`.
+        :attr:`EnsembleResult.failures`.
         """
-        jobs: List[_ShardJob] = []
+        if member_log_state is not None and self.engine == "agent":
+            raise ValueError(
+                "member_log_state is not supported on the agent tier"
+            )
+        noun = "shard" if self.engine == "batch" else "trial"
+        units = []
         offset = 0
-        for size, shard_seed in self.layout:
-            jobs.append(_ShardJob(
+        for index, (size, unit_seed) in enumerate(self.layout):
+            job = _UnitJob(
+                engine=self.engine,
                 spec=self.spec,
                 n=self.n,
                 trials=size,
                 initial=self.initial,
-                seed=shard_seed,
+                seed=unit_seed,
                 connection_failure_rate=self.connection_failure_rate,
                 periods=periods,
                 stride=stride,
@@ -318,267 +367,44 @@ class ShardedBatchExecutor:
                 record_initial=record_initial,
                 hook_factories=tuple(hook_factories),
                 trial_offset=offset,
-            ))
+            )
+            units.append(
+                WorkUnit(runner=_run_unit, payload=job,
+                         label=f"{noun} {index}")
+            )
             offset += size
+        label = f"{self.engine} {self.spec.name!r} ensemble"
 
-        def merge(outputs: List) -> ShardedRunResult:
-            # Under a skipping policy, failed shards occupy their slot
+        def merge(outputs: List) -> EnsembleResult:
+            # Under a skipping policy, failed units occupy their slot
             # as UnitFailure records; the survivors merge unchanged, in
-            # shard order, so failure isolation never perturbs them.
+            # unit order, so failure isolation never perturbs them.
             failures = [o for o in outputs if isinstance(o, UnitFailure)]
             landed = [o for o in outputs if not isinstance(o, UnitFailure)]
             if not landed:
                 raise UnitExecutionError(
-                    failures[0], f"sharded {self.spec.name!r} ensemble "
-                    f"(all {len(outputs)} shards failed)"
+                    failures[0],
+                    f"{label} (all {len(outputs)} {noun}s failed)",
                 )
-            recorders = [o[0] for o in landed]
-            return ShardedRunResult(
-                recorder=BatchMetricsRecorder.merge(recorders),
+            return EnsembleResult(
+                recorder=BatchMetricsRecorder.merge([o[0] for o in landed]),
                 trial_seeds=[s for o in landed for s in o[1]],
-                shard_seeds=[seed for _, seed in self.layout],
-                shard_sizes=[size for size, _ in self.layout],
-                final_counts_matrix=np.concatenate(
-                    [o[2] for o in landed], axis=0
-                ),
-                final_alive=np.concatenate([o[3] for o in landed]),
-                total_messages=np.concatenate([o[4] for o in landed]),
+                layout=list(self.layout),
                 failures=failures,
             )
 
-        plan = ExecutionPlan(
-            units=[
-                WorkUnit(runner=_run_shard, payload=job,
-                         label=f"shard {index}")
-                for index, job in enumerate(jobs)
-            ],
-            merge=merge,
-            label=f"sharded {self.spec.name!r} ensemble",
-        )
+        plan = ExecutionPlan(units=units, merge=merge, label=label)
         return run_plan(plan, workers=self.workers,
                         fault_policy=fault_policy, backend=self.backend)
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
-            f"ShardedBatchExecutor({self.spec.name!r}, n={self.n}, "
-            f"trials={self.trials}, shards={self.shards}, "
-            f"workers={self.workers})"
+            f"EnsembleExecutor({self.spec.name!r}, n={self.n}, "
+            f"trials={self.trials}, engine={self.engine!r}, "
+            f"shards={self.shards}, workers={self.workers})"
         )
 
 
-# ----------------------------------------------------------------------
-# Agent-tier (DES) ensembles
-# ----------------------------------------------------------------------
-@dataclass
-class _AgentTrialJob:
-    """Everything one worker needs to run one DES trial (picklable)."""
-
-    spec: ProtocolSpec
-    n: int
-    initial: Dict[str, float]
-    seed: int
-    period: float
-    loss_rate: float
-    clock_drift_std: float
-    periods: float
-    sample_every: float
-    stride: int
-    track_transitions: bool
-    record_initial: bool
-    hook_factories: Tuple[Callable[[int], Callable], ...]
-    trial: int
-
-
-def _run_agent_trial(job: _AgentTrialJob) -> BatchMetricsRecorder:
-    """Worker entry point: run one asynchronous trial, return its recorder."""
-    simulation = AgentSimulation(
-        job.spec,
-        job.n,
-        job.initial,
-        period=job.period,
-        seed=job.seed,
-        loss_rate=job.loss_rate,
-        clock_drift_std=job.clock_drift_std,
-    )
-    recorder = BatchMetricsRecorder(
-        job.spec.states,
-        1,
-        track_transitions=job.track_transitions,
-        stride=job.stride,
-    )
-    simulation.run(
-        job.periods,
-        recorder=recorder,
-        sample_every=job.sample_every,
-        hooks=[
-            hook for factory in job.hook_factories
-            if (hook := factory(job.trial)) is not None
-        ],
-        record_initial=job.record_initial,
-    )
-    return recorder
-
-
-@dataclass
-class AgentEnsembleResult:
-    """Outcome of an agent-tier ensemble: one recorder, trials in order.
-
-    Under a skipping fault policy, failed trials are absent from
-    :attr:`recorder`'s trial axis and :attr:`trial_seeds` (which stay
-    aligned) and recorded on :attr:`failures`; each failure's ``index``
-    is the global trial, so the lost trial's seed is recoverable from
-    the ensemble's spawned family.
-    """
-
-    recorder: BatchMetricsRecorder
-    trial_seeds: List[int]
-    #: Terminal unit failures recorded by ``on_error="skip"``.
-    failures: List[UnitFailure] = field(default_factory=list)
-
-    @property
-    def trials(self) -> int:
-        return self.recorder.trials
-
-
-class AgentEnsemble:
-    """M independently seeded :class:`AgentSimulation` trials, optionally pooled.
-
-    The DES tier's ensemble driver: trial ``m`` runs
-    ``AgentSimulation(..., seed=spawn_seeds(seed, M)[m])`` -- the exact
-    trial-seed family the serial tier uses -- so an agent
-    ensemble shares the repository-wide seed discipline, and re-running
-    any single trial serially reproduces it bit for bit.  Each trial is
-    one work unit of an :class:`~repro.runtime.exec.ExecutionPlan`;
-    since every trial owns its whole RNG stream, the merged result is
-    trivially **bitwise identical** however the trials are scheduled
-    (serial, pooled, any worker count).
-
-    Parameters
-    ----------
-    spec, n, initial, period, loss_rate, clock_drift_std:
-        As for :class:`~repro.runtime.agent_sim.AgentSimulation`.
-    trials:
-        Ensemble width M.
-    seed:
-        Root seed for the spawned per-trial seed family.
-    workers:
-        Processes to fan the trials across (clamped to ``trials``;
-        1 = run them serially in this process -- same bits, no pool).
-    backend:
-        Executor backend (:data:`~repro.runtime.exec.BACKENDS`):
-        ``"pool"`` (default) or ``"cluster"``.
-
-    Hook factories passed to :meth:`run` are called with the global
-    trial index and must return a per-period hook ``hook(simulation)``
-    (see :meth:`AgentSimulation.run`); unpicklable factories degrade to
-    a serial in-process run with a warning, bitwise the same.
-    """
-
-    def __init__(
-        self,
-        spec: ProtocolSpec,
-        n: int,
-        trials: int,
-        initial: Mapping[str, float],
-        seed: Optional[int] = None,
-        *,
-        period: float = 1.0,
-        loss_rate: float = 0.0,
-        clock_drift_std: float = 0.0,
-        workers: int = 1,
-        backend: str = "pool",
-    ):
-        if trials < 1:
-            raise ValueError(f"trials must be >= 1, got {trials}")
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {backend!r}"
-            )
-        self.backend = backend
-        self.spec = spec
-        self.n = n
-        self.trials = trials
-        self.initial = dict(initial)
-        self.seed = seed
-        self.period = period
-        self.loss_rate = loss_rate
-        self.clock_drift_std = clock_drift_std
-        self.workers = min(workers, trials)
-        self.trial_seeds = spawn_seeds(seed, trials)
-
-    def run(
-        self,
-        periods: float,
-        *,
-        sample_every: float = 1.0,
-        stride: int = 1,
-        track_transitions: bool = True,
-        record_initial: bool = True,
-        hook_factories: Sequence[Callable[[int], Callable]] = (),
-        fault_policy: Optional[FaultPolicy] = None,
-    ) -> AgentEnsembleResult:
-        """Run every trial and merge the recorders in trial order.
-
-        ``fault_policy`` governs trial faults exactly as on
-        :meth:`ShardedBatchExecutor.run`: retries re-run the same
-        seeded trial (bitwise identical), and ``on_error="skip"``
-        yields the surviving trials plus recorded
-        :class:`~repro.runtime.exec.UnitFailure` entries.
-        """
-        jobs = [
-            _AgentTrialJob(
-                spec=self.spec,
-                n=self.n,
-                initial=self.initial,
-                seed=trial_seed,
-                period=self.period,
-                loss_rate=self.loss_rate,
-                clock_drift_std=self.clock_drift_std,
-                periods=periods,
-                sample_every=sample_every,
-                stride=stride,
-                track_transitions=track_transitions,
-                record_initial=record_initial,
-                hook_factories=tuple(hook_factories),
-                trial=trial,
-            )
-            for trial, trial_seed in enumerate(self.trial_seeds)
-        ]
-        def merge(outputs: List) -> AgentEnsembleResult:
-            failures = [o for o in outputs if isinstance(o, UnitFailure)]
-            survivors = [
-                (trial, o) for trial, o in enumerate(outputs)
-                if not isinstance(o, UnitFailure)
-            ]
-            if not survivors:
-                raise UnitExecutionError(
-                    failures[0], f"agent ensemble {self.spec.name!r} "
-                    f"(all {len(outputs)} trials failed)"
-                )
-            return AgentEnsembleResult(
-                recorder=BatchMetricsRecorder.merge(
-                    [o for _, o in survivors]
-                ),
-                trial_seeds=[self.trial_seeds[t] for t, _ in survivors],
-                failures=failures,
-            )
-
-        plan = ExecutionPlan(
-            units=[
-                WorkUnit(runner=_run_agent_trial, payload=job,
-                         label=f"trial {job.trial}")
-                for job in jobs
-            ],
-            merge=merge,
-            label=f"agent ensemble {self.spec.name!r}",
-        )
-        return run_plan(plan, workers=self.workers,
-                        fault_policy=fault_policy, backend=self.backend)
-
-    def __repr__(self) -> str:  # pragma: no cover - trivial
-        return (
-            f"AgentEnsemble({self.spec.name!r}, n={self.n}, "
-            f"trials={self.trials}, workers={self.workers})"
-        )
+#: The batch tier's former name, kept because the frozen benchmark
+#: harness (``benchmarks/perf/workloads.py``) imports it.
+ShardedBatchExecutor = EnsembleExecutor

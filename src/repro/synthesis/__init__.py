@@ -24,7 +24,7 @@ from .errors import (
     NotRestrictedError,
     SynthesisError,
 )
-from .mapper import choose_normalizer, failure_compensation, synthesize, synthesis_report
+from .mapper import choose_normalizer, failure_compensation, synthesize
 from .protocol import ProtocolSpec
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "transition_edges",
     "ProtocolSpec",
     "synthesize",
-    "synthesis_report",
     "choose_normalizer",
     "failure_compensation",
     "SynthesisError",

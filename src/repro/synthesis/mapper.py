@@ -23,11 +23,10 @@ equations despite a per-connection failure rate ``f``.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..odes.classify import classify
-from ..odes.partition import PartitionResult, TermPair, partition_terms
+from ..odes.partition import TermPair, partition_terms
 from ..odes.system import EquationSystem
 from ..odes.term import Term
 from .actions import Action, FlipAction, SampleAction, TokenizeAction
@@ -236,15 +235,3 @@ def synthesize(
         )
     return spec
 
-
-def synthesis_report(system: EquationSystem, **kwargs) -> str:
-    """Classification plus rendered protocol (or the failure reason)."""
-    report = classify(system.simplified())
-    lines = [report.render(), ""]
-    try:
-        spec = synthesize(system, **kwargs)
-    except SynthesisError as exc:
-        lines.append(f"synthesis failed: {exc}")
-    else:
-        lines.append(spec.render())
-    return "\n".join(lines)

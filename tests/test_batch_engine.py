@@ -3,8 +3,7 @@
 The two pillars:
 
 * **Exactness** -- the serial tier is the bit-identity anchor: trial
-  ``m`` of ``Experiment(engine="serial")`` must equal
-  :func:`serial_ensemble` and a hand loop over
+  ``m`` of ``Experiment(engine="serial")`` must equal a hand loop over
   ``RoundEngine(seed=spawn_seeds(seed, M)[m])`` bit for bit (count
   tensors equal elementwise, hence per-period means equal exactly).
 * **Distributional equivalence** -- the batch engine draws differently
@@ -33,7 +32,6 @@ from repro.runtime import (
     BatchMetricsRecorder,
     BatchRoundEngine,
     RoundEngine,
-    serial_ensemble,
     spawn_seeds,
 )
 from repro.runtime.failures import CrashRecoveryNoise, MassiveFailure
@@ -57,11 +55,30 @@ def token_spec():
     ))
 
 
+def serial_reference(spec, n, trials, initial, periods, seed,
+                     connection_failure_rate=0.0):
+    """M hand-built RoundEngine runs on the spawned trial seeds.
+
+    The serial tier's independent oracle: one engine and one one-trial
+    recorder per trial, merged in trial order -- no executor, no plan.
+    """
+    seeds = spawn_seeds(seed, trials)
+    recorders = []
+    for trial_seed in seeds:
+        engine = RoundEngine(
+            spec, n=n, initial=initial, seed=trial_seed,
+            connection_failure_rate=connection_failure_rate,
+        )
+        recorder = BatchMetricsRecorder(spec.states, 1)
+        engine.run(periods, recorder=recorder)
+        recorders.append(recorder)
+    return BatchMetricsRecorder.merge(recorders), list(seeds)
+
+
 def serial_tensor(spec, n, trials, initial, periods, seed, **kwargs):
-    """Count tensor of M serial RoundEngine runs with spawned seeds."""
-    recorder, seeds = serial_ensemble(
-        spec, n=n, trials=trials, initial=initial, periods=periods,
-        seed=seed, **kwargs,
+    """Count tensor of :func:`serial_reference`, and its trial seeds."""
+    recorder, seeds = serial_reference(
+        spec, n, trials, initial, periods, seed, **kwargs
     )
     return recorder.count_tensor(), seeds
 
@@ -199,9 +216,7 @@ class TestSerialExactness:
         spec = figure1_protocol(EndemicParams(alpha=0.01, gamma=0.1, b=2))
         initial = {"x": 350, "y": 50, "z": 0}
         result = serial_facade(spec, 400, 3, initial, 30, 5)
-        recorder, _ = serial_ensemble(
-            spec, n=400, trials=3, initial=initial, periods=30, seed=5
-        )
+        recorder, _ = serial_reference(spec, 400, 3, initial, 30, 5)
         edges = result.edges_seen()
         assert edges
         for edge in edges:
@@ -534,8 +549,8 @@ class TestFullProbabilityTrajectories:
     """Probability-1 sample/anyof/tokenize: batch law == serial runs.
 
     The batch engine thins these actions by the count law; the serial
-    engine (``Experiment(engine="serial")`` is :func:`serial_ensemble`
-    bit for bit, see TestSerialExactness) draws every peer.  Whole
+    engine (``Experiment(engine="serial")`` is a hand loop over seeded
+    RoundEngines bit for bit, see TestSerialExactness) draws every peer.  Whole
     trajectories must agree in distribution, under loss and through a
     mid-run massive failure as well.
     """

@@ -625,3 +625,30 @@ class TestFaultPolicyPlumbing:
         assert partial.trials == 4
         assert len(partial.failures) == 2  # one unit per DES trial
         assert {f.index for f in partial.failures} == {4, 5}
+
+    def test_serial_tier_skip(self):
+        """Serial trials are work units too: one lost trial, the rest intact."""
+        clean = Experiment(
+            Protocol.named("lv"), n=150, trials=6, periods=5, seed=9,
+            engine="serial", scenario=_benign_scenario,
+        ).run()
+        partial = Experiment(
+            Protocol.named("lv"), n=150, trials=6, periods=5, seed=9,
+            engine="serial", scenario=_sabotage_scenario,
+            on_error="skip", retries=0,
+        ).run()
+        assert partial.trials == 4
+        assert [f.label for f in partial.failures] == ["trial 4", "trial 5"]
+        assert partial.trial_seeds == clean.trial_seeds[:4]
+        assert np.array_equal(
+            partial.count_tensor(), clean.count_tensor()[:4]
+        )
+
+    def test_serial_tier_default_policy_names_the_trial(self):
+        from repro.runtime import UnitExecutionError
+
+        with pytest.raises(UnitExecutionError, match="trial 4"):
+            Experiment(
+                Protocol.named("lv"), n=150, trials=6, periods=5, seed=9,
+                engine="serial", scenario=_sabotage_scenario,
+            ).run()

@@ -15,7 +15,6 @@ from repro.synthesis import (
     choose_normalizer,
     failure_compensation,
     synthesize,
-    synthesis_report,
 )
 
 
@@ -175,11 +174,3 @@ class TestErrors:
         spec = synthesize(completed)
         assert spec.verify_equivalence()
         assert any(isinstance(a, TokenizeAction) for a in spec.actions)
-
-    def test_report_renders_failure(self):
-        text = synthesis_report(library.lv_raw())
-        assert "synthesis failed" in text
-
-    def test_report_renders_success(self):
-        text = synthesis_report(library.epidemic())
-        assert "protocol" in text

@@ -1,4 +1,13 @@
-"""Tests for trial-sharded execution (repro.runtime.parallel)."""
+"""Tests for the one ensemble executor (repro.runtime.parallel).
+
+Every engine tier runs its ensembles through
+:class:`~repro.runtime.parallel.EnsembleExecutor`, so the contract is
+tested once per tier: a deterministic unit layout (batch shards, or
+one unit per serial/agent trial), bitwise equality however the units
+are scheduled, hooks indexed by global trial, unpicklable hooks
+degrading to an in-process run, and failure isolation that leaves the
+surviving units untouched.
+"""
 
 import numpy as np
 import pytest
@@ -6,29 +15,38 @@ import pytest
 from repro.experiment import Experiment, Protocol
 from repro.protocols.lv import lv_protocol
 from repro.runtime import (
+    TIERS,
+    AgentSimulation,
     BatchMetricsRecorder,
     BatchRoundEngine,
+    EnsembleExecutor,
     FaultPolicy,
     MassiveFailure,
-    ShardedBatchExecutor,
+    RoundEngine,
     UnitExecutionError,
     shard_layout,
+    spawn_seeds,
 )
 
 
 SPEC = lv_protocol(p=0.01)
 INITIAL = {"x": 120, "y": 80, "z": 0}
+N = 200
 
 
 def _noop_hook(engine):
     return None
 
 
+def _noop_hook_factory(trial):
+    return _noop_hook
+
+
 class SabotageAboveTrial:
     """Hook factory that raises for global trials >= ``threshold``.
 
-    Fails exactly the shards owning those trials while leaving every
-    other shard untouched; module-level so jobs stay picklable.
+    Fails exactly the units owning those trials while leaving every
+    other unit untouched; module-level so jobs stay picklable.
     """
 
     def __init__(self, threshold):
@@ -40,12 +58,33 @@ class SabotageAboveTrial:
         return _noop_hook
 
 
-def run_sharded(trials, shards, workers, seed=42, periods=25, **kwargs):
-    executor = ShardedBatchExecutor(
-        SPEC, n=200, trials=trials, initial=INITIAL, seed=seed,
-        shards=shards, workers=workers,
+class SabotageTrial:
+    """Hook factory that raises for one global trial (picklable)."""
+
+    def __init__(self, victim):
+        self.victim = victim
+
+    def __call__(self, trial):
+        if trial == self.victim:
+            raise RuntimeError(f"trial {trial} sabotaged")
+        return _noop_hook
+
+
+def run_ensemble(engine, trials, workers, seed=42, periods=10,
+                 shards=None, loss=0.0, **kwargs):
+    executor = EnsembleExecutor(
+        SPEC, n=N, trials=trials, initial=INITIAL, seed=seed,
+        connection_failure_rate=loss, shards=shards, workers=workers,
+        engine=engine,
     )
     return executor.run(periods, **kwargs)
+
+
+def run_sharded(trials, shards, workers, seed=42, periods=25, **kwargs):
+    return run_ensemble(
+        "batch", trials, workers, seed=seed, periods=periods,
+        shards=shards, **kwargs,
+    )
 
 
 class TestShardLayout:
@@ -96,6 +135,56 @@ class TestShardLayout:
             shard_layout(7, 10, 3)
 
 
+class TestUnitLayout:
+    def test_batch_units_are_the_shard_layout(self):
+        executor = EnsembleExecutor(
+            SPEC, n=N, trials=10, initial=INITIAL, seed=7, shards=3,
+        )
+        assert executor.engine == "batch"
+        assert executor.shards == 3
+        assert executor.layout == shard_layout(7, 10, 3)
+
+    @pytest.mark.parametrize("engine", ["serial", "agent"])
+    def test_trial_tiers_run_one_unit_per_spawned_seed(self, engine):
+        executor = EnsembleExecutor(
+            SPEC, n=N, trials=5, initial=INITIAL, seed=7, workers=3,
+            engine=engine,
+        )
+        assert executor.shards == 1
+        assert executor.layout == [(1, s) for s in spawn_seeds(7, 5)]
+
+    @pytest.mark.parametrize("engine", ["serial", "agent"])
+    def test_trial_tiers_refuse_shards(self, engine):
+        with pytest.raises(ValueError, match="batch tier only"):
+            EnsembleExecutor(
+                SPEC, n=N, trials=4, initial=INITIAL, shards=2,
+                engine=engine,
+            )
+
+    @pytest.mark.parametrize("engine", TIERS)
+    def test_bad_arguments(self, engine):
+        with pytest.raises(ValueError, match="trials"):
+            EnsembleExecutor(
+                SPEC, n=N, trials=0, initial=INITIAL, engine=engine
+            )
+        with pytest.raises(ValueError, match="workers"):
+            EnsembleExecutor(
+                SPEC, n=N, trials=2, initial=INITIAL, workers=0,
+                engine=engine,
+            )
+        with pytest.raises(ValueError, match="backend"):
+            EnsembleExecutor(
+                SPEC, n=N, trials=2, initial=INITIAL, backend="grid",
+                engine=engine,
+            )
+
+    def test_unknown_engine_is_refused(self):
+        with pytest.raises(ValueError, match="engine must be one of"):
+            EnsembleExecutor(
+                SPEC, n=N, trials=2, initial=INITIAL, engine="lockstep"
+            )
+
+
 class TestBitwiseEquality:
     @pytest.mark.parametrize("trials", [1, 7, 64])
     def test_pooled_equals_serial(self, trials):
@@ -108,16 +197,25 @@ class TestBitwiseEquality:
             serial.recorder.count_tensor(), pooled.recorder.count_tensor()
         )
         assert np.array_equal(
-            serial.final_counts_matrix, pooled.final_counts_matrix
+            serial.recorder.alive_tensor(), pooled.recorder.alive_tensor()
         )
+
+    @pytest.mark.parametrize("trials", [1, 4])
+    @pytest.mark.parametrize("engine", ["serial", "agent"])
+    def test_trial_tiers_pooled_equals_in_process(self, engine, trials):
+        in_process = run_ensemble(engine, trials, workers=1)
+        pooled = run_ensemble(engine, trials, workers=3)
+        assert in_process.trial_seeds == pooled.trial_seeds
+        assert in_process.trial_seeds == list(spawn_seeds(42, trials))
         assert np.array_equal(
-            serial.total_messages, pooled.total_messages
+            in_process.recorder.count_tensor(),
+            pooled.recorder.count_tensor(),
         )
 
     def test_single_shard_equals_plain_engine(self):
         outcome = run_sharded(7, shards=1, workers=4)
         engine = BatchRoundEngine(
-            SPEC, n=200, trials=7, initial=INITIAL, seed=42
+            SPEC, n=N, trials=7, initial=INITIAL, seed=42
         )
         recorder = BatchMetricsRecorder(SPEC.states, 7)
         engine.run(25, recorder=recorder)
@@ -126,44 +224,84 @@ class TestBitwiseEquality:
             outcome.recorder.count_tensor(), recorder.count_tensor()
         )
 
-    def test_workers_exceeding_trials(self):
-        executor = ShardedBatchExecutor(
-            SPEC, n=200, trials=2, initial=INITIAL, seed=1, workers=8
+    @pytest.mark.parametrize(
+        "engine,build",
+        [
+            ("serial", lambda seed: RoundEngine(
+                SPEC, n=N, initial=INITIAL, seed=seed,
+                connection_failure_rate=0.2)),
+            ("agent", lambda seed: AgentSimulation(
+                SPEC, N, INITIAL, seed=seed, loss_rate=0.2)),
+        ],
+    )
+    def test_each_trial_reruns_alone_bitwise(self, engine, build):
+        """Any member reproduces as a standalone engine on its seed."""
+        outcome = run_ensemble(engine, trials=3, workers=2, seed=9, loss=0.2)
+        for trial, trial_seed in enumerate(outcome.trial_seeds):
+            recorder = BatchMetricsRecorder(SPEC.states, 1)
+            build(trial_seed).run(10, recorder=recorder)
+            assert np.array_equal(
+                outcome.recorder.count_tensor()[trial],
+                recorder.count_tensor()[0],
+            )
+            assert np.array_equal(
+                outcome.recorder.alive_tensor()[trial],
+                recorder.alive_tensor()[0],
+            )
+
+    @pytest.mark.parametrize("engine", TIERS)
+    def test_workers_exceeding_trials(self, engine):
+        executor = EnsembleExecutor(
+            SPEC, n=N, trials=2, initial=INITIAL, seed=1, workers=8,
+            engine=engine,
         )
-        assert executor.shards == 2
+        assert len(executor.layout) == 2
         outcome = executor.run(10)
+        assert outcome.trials == 2
         assert outcome.recorder.count_tensor().shape[0] == 2
 
 
-class TestHooksAcrossShards:
-    def test_global_trial_indexing(self):
+class TestHooks:
+    @pytest.mark.parametrize(
+        "engine,shards", [("batch", 3), ("serial", None), ("agent", None)]
+    )
+    def test_global_trial_indexing(self, engine, shards):
         """A factory keyed on the global trial index sees 0..M-1."""
         trials = 6
 
         def factory(trial):
-            # Crash a trial-dependent fraction so shards are
+            # Crash a trial-dependent fraction so units are
             # distinguishable: trial m loses m/10 of its hosts.
             return MassiveFailure(at_period=2, fraction=trial / 10.0)
 
-        outcome = run_sharded(
-            trials, shards=3, workers=1, hook_factories=[factory],
+        outcome = run_ensemble(
+            engine, trials, workers=1, shards=shards,
+            hook_factories=[factory],
         )
         alive = outcome.recorder.alive_tensor()[:, -1]
-        expected = [round(200 * (1 - m / 10.0)) for m in range(trials)]
+        expected = [round(N * (1 - m / 10.0)) for m in range(trials)]
         assert list(alive) == expected
 
-    def test_unpicklable_hooks_fall_back_serially(self):
+    @pytest.mark.parametrize("engine", TIERS)
+    def test_unpicklable_hooks_fall_back_serially(self, engine):
         factory = lambda trial: MassiveFailure(at_period=2, fraction=0.5)
+        shards = 3 if engine == "batch" else None
         with pytest.warns(RuntimeWarning, match="unpicklable"):
-            pooled = run_sharded(
-                6, shards=3, workers=3, hook_factories=[factory],
+            pooled = run_ensemble(
+                engine, 6, workers=3, shards=shards, hook_factories=[factory],
             )
-        serial = run_sharded(
-            6, shards=3, workers=1, hook_factories=[factory],
+        serial = run_ensemble(
+            engine, 6, workers=1, shards=shards, hook_factories=[factory],
         )
         assert np.array_equal(
             serial.recorder.count_tensor(), pooled.recorder.count_tensor()
         )
+
+    def test_agent_period_property_matches_round_convention(self):
+        simulation = AgentSimulation(SPEC, N, INITIAL, seed=3)
+        seen = []
+        simulation.run(3, hooks=[lambda sim: seen.append(sim.period)])
+        assert seen == [0, 1, 2]
 
 
 class TestMergedRecorder:
@@ -185,6 +323,25 @@ class TestMergedRecorder:
         assert len(members) == 5
         log0 = recorder.trial_member_log(0)
         assert log0[0][0] == period
+
+    def test_serial_member_logs_merge_in_trial_order(self):
+        outcome = run_ensemble(
+            "serial", 3, workers=2, member_log_state="y",
+        )
+        recorder = outcome.recorder
+        for trial, trial_seed in enumerate(outcome.trial_seeds):
+            engine = RoundEngine(SPEC, n=N, initial=INITIAL, seed=trial_seed)
+            alone = BatchMetricsRecorder(SPEC.states, 1, member_log_state="y")
+            engine.run(10, recorder=alone)
+            for (period, ids), (expected_period, expected) in zip(
+                recorder.trial_member_log(trial), alone.trial_member_log(0)
+            ):
+                assert period == expected_period
+                assert np.array_equal(ids, expected)
+
+    def test_agent_tier_refuses_a_member_log(self):
+        with pytest.raises(ValueError, match="member_log_state"):
+            run_ensemble("agent", 2, workers=1, member_log_state="x")
 
     def test_merge_rejects_mismatched_parts(self):
         a = BatchMetricsRecorder(("x", "y"), 2)
@@ -220,13 +377,104 @@ class TestExperimentWorkers:
         alive = sharded.alive_tensor()
         assert np.all(alive[:, -1] == 100)
 
-    def test_serial_tier_ignores_workers(self):
+    def test_single_serial_trial_is_unsharded(self):
         protocol = Protocol.named("lv")
         result = Experiment(
             protocol, n=200, trials=1, periods=10, seed=4, workers=8
         ).run()
         assert result.engine == "serial"
         assert result.shards == 1
+
+    @pytest.mark.parametrize("engine", ["serial", "agent"])
+    def test_trial_tiers_are_reproducible_across_workers(self, engine):
+        protocol = Protocol.named("lv")
+        first = Experiment(
+            protocol, n=150, trials=3, periods=8, seed=9, engine=engine
+        ).run()
+        second = Experiment(
+            protocol, n=150, trials=3, periods=8, seed=9, engine=engine,
+            workers=3,
+        ).run()
+        assert first.engine == second.engine == engine
+        assert second.shards == 1
+        assert first.trial_seeds == second.trial_seeds
+        assert np.array_equal(first.count_tensor(), second.count_tensor())
+
+    def test_agent_shares_serial_tier_seed_family(self):
+        """Agent trials reuse the serial tier's spawned trial seeds."""
+        protocol = Protocol.named("lv")
+        agent = Experiment(
+            protocol, n=150, trials=3, periods=5, seed=4, engine="agent"
+        ).run()
+        serial = Experiment(
+            protocol, n=150, trials=3, periods=5, seed=4, engine="serial"
+        ).run()
+        assert agent.trial_seeds == serial.trial_seeds
+        # Cross-tier alignment: same recording schedule (period 0
+        # included), so batch-vs-agent tensors subtract elementwise.
+        assert agent.count_tensor().shape == serial.count_tensor().shape
+        assert np.array_equal(agent.times, serial.times)
+
+    @pytest.mark.parametrize("engine", ["serial", "agent"])
+    def test_trial_tier_scenario_hooks_apply(self, engine):
+        protocol = Protocol.named("lv")
+        result = Experiment(
+            protocol, n=150, trials=2, periods=8, seed=5, engine=engine,
+            scenario="massive-failure", workers=2,
+        ).run()
+        # massive-failure crashes half the hosts at periods // 2.
+        assert np.all(result.alive_tensor()[:, -1] == 75)
+
+    def test_agent_array_surface_scenarios_apply(self):
+        """Hooks reading alive/states snapshots work on this tier too."""
+        protocol = Protocol.named("lv")
+        result = Experiment(
+            protocol, n=150, trials=2, periods=8, seed=6, engine="agent",
+            scenario="crash-recovery", workers=2,
+        ).run()
+        # CrashRecoveryNoise indexes engine.alive every period; the run
+        # completing (pooled!) with a live population is the assertion.
+        assert np.all(result.alive_tensor()[:, -1] > 0)
+
+    def test_auto_never_selects_agent(self):
+        protocol = Protocol.named("lv")
+        experiment = Experiment(protocol, n=150, trials=4, periods=5)
+        assert experiment.chosen_engine == "batch"
+
+    def test_agent_member_log_unsupported(self):
+        protocol = Protocol.named("lv")
+        with pytest.raises(ValueError, match="member_log_state"):
+            Experiment(
+                protocol, n=150, trials=2, periods=5, engine="agent",
+                member_log_state="x",
+            ).run()
+
+    def test_agent_equilibrium_check_runs(self):
+        result = Experiment(
+            Protocol.named("endemic"), n=200, trials=2, periods=10,
+            seed=2, engine="agent",
+        ).run()
+        check = result.equilibrium_check()
+        assert check.status in ("PASS", "WARN", "FAIL", "SKIP")
+
+
+class TestCLI:
+    @pytest.mark.parametrize("engine", ["serial", "agent"])
+    def test_run_trial_tier_on_workers(self, engine, capsys):
+        from repro.__main__ import main
+
+        code = main([
+            "run", "lv", "--engine", engine, "--n", "150",
+            "--trials", "2", "--periods", "6", "--seed", "3",
+            "--workers", "2",
+        ])
+        out = capsys.readouterr().out
+        assert f"engine: {engine}" in out
+        assert "workers=2" in out and "shards=" not in out
+        assert "ensemble trajectory summary" in out
+        # LV has no stable closed-form equilibrium at this horizon;
+        # whatever the verdict, the command must not crash.
+        assert code in (0, 1)
 
 
 class TestFaultIsolation:
@@ -255,13 +503,39 @@ class TestFaultIsolation:
             partial.recorder.count_tensor(),
             clean.recorder.count_tensor()[:4],
         )
-        assert np.array_equal(
-            partial.final_counts_matrix, clean.final_counts_matrix[:4]
-        )
         # The full layout stays recorded, so the lost shard's seed is
         # recoverable for a standalone re-run.
-        assert partial.shard_sizes == [2, 2, 2]
-        assert len(partial.shard_seeds) == 3
+        assert [size for size, _ in partial.layout] == [2, 2, 2]
+        assert partial.layout == clean.layout
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("engine", ["serial", "agent"])
+    def test_skip_drops_failed_trials_without_perturbing_survivors(
+        self, engine, workers
+    ):
+        clean = run_ensemble(
+            engine, 3, workers=workers, seed=9,
+            hook_factories=[_noop_hook_factory],
+        )
+        partial = run_ensemble(
+            engine, 3, workers=workers, seed=9,
+            hook_factories=[SabotageTrial(1)],
+            fault_policy=self.SKIP,
+        )
+        # Trial 1 is gone; the recorder's trial axis and the seeds stay
+        # aligned and the survivors are bitwise identical to the clean
+        # run's.
+        assert [f.index for f in partial.failures] == [1]
+        assert partial.failures[0].label == "trial 1"
+        assert partial.trials == 2
+        assert partial.trial_seeds == [
+            clean.trial_seeds[0], clean.trial_seeds[2]
+        ]
+        assert partial.layout[1] == (1, clean.trial_seeds[1])
+        assert np.array_equal(
+            partial.recorder.count_tensor(),
+            clean.recorder.count_tensor()[[0, 2]],
+        )
 
     def test_all_shards_failing_raises_even_under_skip(self):
         with pytest.raises(UnitExecutionError, match="all 3 shards"):
@@ -271,11 +545,26 @@ class TestFaultIsolation:
                 fault_policy=self.SKIP,
             )
 
+    @pytest.mark.parametrize("engine", ["serial", "agent"])
+    def test_all_trials_failing_raises_even_under_skip(self, engine):
+        with pytest.raises(UnitExecutionError, match="all 2 trials"):
+            run_ensemble(
+                engine, 2, workers=1, seed=9,
+                hook_factories=[SabotageAboveTrial(0)],
+                fault_policy=self.SKIP,
+            )
+
     def test_default_policy_raises_with_shard_context(self):
         with pytest.raises(UnitExecutionError, match="shard 2"):
             run_sharded(
                 6, shards=3, workers=1,
                 hook_factories=[SabotageAboveTrial(4)],
+            )
+
+    def test_default_policy_raises_with_trial_context(self):
+        with pytest.raises(UnitExecutionError, match="trial 1"):
+            run_ensemble(
+                "serial", 3, workers=1, hook_factories=[SabotageTrial(1)],
             )
 
     def test_clean_runs_ignore_the_policy(self):
@@ -292,10 +581,6 @@ class TestFaultIsolation:
         )
 
 
-def _noop_hook_factory(trial):
-    return _noop_hook
-
-
 class TestUnseededLayout:
     def test_unseeded_sharded_layout_works(self):
         layout = shard_layout(None, 6, 3)
@@ -303,7 +588,7 @@ class TestUnseededLayout:
         assert all(isinstance(seed, int) for _, seed in layout)
 
     def test_unseeded_executor_runs(self):
-        outcome = ShardedBatchExecutor(
-            SPEC, n=200, trials=4, initial=INITIAL, workers=2
+        outcome = EnsembleExecutor(
+            SPEC, n=N, trials=4, initial=INITIAL, workers=2
         ).run(5)
         assert outcome.recorder.count_tensor().shape == (4, 6, 3)

@@ -8,7 +8,6 @@ from repro.odes.phase import (
     FIGURE2_STARTS,
     FIGURE4_STARTS,
     phase_portrait,
-    simplex_grid_points,
 )
 
 
@@ -63,20 +62,7 @@ class TestPhasePortrait:
         assert len(set(signs[np.nonzero(signs)])) == 2
 
 
-class TestGridPoints:
-    def test_grid_covers_simplex(self):
-        points = simplex_grid_points(["x", "y", "z"], steps=4)
-        # Compositions of 4 into 3 parts: C(6,2) = 15.
-        assert len(points) == 15
-        for point in points:
-            assert sum(point.values()) == pytest.approx(1.0)
-
-    def test_grid_two_variables(self):
-        points = simplex_grid_points(["x", "y"], steps=2)
-        assert {(p["x"], p["y"]) for p in points} == {
-            (0.0, 1.0), (0.5, 0.5), (1.0, 0.0)
-        }
-
+class TestFigureStarts:
     def test_figure_starts_sum_to_group(self):
         for start in FIGURE2_STARTS:
             assert sum(start.values()) == 1000

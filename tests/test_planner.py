@@ -570,20 +570,24 @@ class TestAnalyticPushLaw:
         """The analytic law is batch-only; the serial tier must not move."""
         from repro.experiment import Experiment, Protocol
         from repro.protocols.epidemic import push_protocol
-        from repro.runtime import serial_ensemble
+        from repro.runtime import BatchMetricsRecorder, RoundEngine, spawn_seeds
 
         spec = push_protocol()
         initial = {"x": 380, "y": 20}
-        recorder, seeds = serial_ensemble(
-            spec, n=400, trials=3, initial=initial, periods=15, seed=38
-        )
+        seeds = spawn_seeds(38, 3)
         result = Experiment(
             Protocol.from_spec(spec, initial), 400, trials=3, periods=15,
             seed=38, engine="serial", check="off",
         ).run()
         assert result.trial_seeds == list(seeds)
-        for state in spec.states:
-            assert np.array_equal(result.counts(state), recorder.counts(state))
+        for m, trial_seed in enumerate(seeds):
+            engine = RoundEngine(spec, n=400, initial=initial, seed=trial_seed)
+            recorder = BatchMetricsRecorder(spec.states, 1)
+            engine.run(15, recorder=recorder)
+            for state in spec.states:
+                assert np.array_equal(
+                    result.counts(state)[m], recorder.counts(state)[0]
+                )
 
 
 class TestLazyPoolRows:
