@@ -32,7 +32,6 @@ from .fairness import (
 from .linearize import (
     endemic_closed_form_matrix,
     perturb,
-    relative_deviation,
 )
 from .mean_field import (
     EquilibriumMeasurement,
@@ -61,7 +60,6 @@ from .stability import endemic_stability
 
 __all__ = [
     "perturb",
-    "relative_deviation",
     "endemic_closed_form_matrix",
     "endemic_stability",
     "endemic_case",

@@ -27,19 +27,6 @@ def perturb(
     return out
 
 
-def relative_deviation(
-    point: Mapping[str, float], equilibrium: Mapping[str, float]
-) -> Dict[str, float]:
-    """Inverse of :func:`perturb`: recover ``u = x/x_inf - 1``."""
-    out = {}
-    for name, value in equilibrium.items():
-        if value == 0:
-            out[name] = float("nan")
-        else:
-            out[name] = point[name] / value - 1.0
-    return out
-
-
 def endemic_closed_form_matrix(
     alpha: float, gamma: float, beta: float
 ) -> np.ndarray:

@@ -38,7 +38,6 @@ from .registry import (
     register_scenario,
     resolve_protocol,
     scenario_builder,
-    scenario_hook_factory,
     scenario_seeds,
 )
 from .runner import (
@@ -68,7 +67,6 @@ __all__ = [
     "register_protocol",
     "register_scenario",
     "scenario_builder",
-    "scenario_hook_factory",
     "scenario_seeds",
     "available_protocols",
     "available_scenarios",

@@ -258,14 +258,3 @@ def scenario_seeds(seed: int, trials: int) -> List[int]:
     identical faults.
     """
     return spawn_seeds((seed, _SCENARIO_DOMAIN), trials)
-
-
-def scenario_hook_factory(point: "CampaignPoint") -> Callable[[int], List[Callable]]:
-    """A per-trial hook factory for the point's scenario."""
-    builder = scenario_builder(point.scenario)
-    seeds = scenario_seeds(point.seed, point.trials)
-
-    def factory(trial: int) -> List[Callable]:
-        return builder(point, trial, seeds[trial])
-
-    return factory

@@ -49,6 +49,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import warnings
 
 from ..odes import auto_rewrite, classify, find_equilibria, parse_system
+from ..odes.equilibria import MAX_EQUILIBRIUM_VARIABLES
 from ..odes.parser import ParseError
 from ..odes.system import EquationSystem
 from ..odes.term import Term
@@ -89,11 +90,6 @@ _RANGE_BINDING = re.compile(
 
 #: Corner-sweep budget for the range analysis (2^8 ranged parameters).
 MAX_RANGED_PARAMETERS = 8
-
-#: Largest system the equilibrium rule solves: the multi-start Newton
-#: holds ~d^2/2 starts' ``(d, terms, d)`` Jacobian factors at once, about
-#: 13 MB at 16 variables and growing as d^5.
-MAX_EQUILIBRIUM_VARIABLES = 16
 
 #: ``# declare: name [name ...]`` -- states the protocol is *supposed*
 #: to use; the verifier flags declared-but-unrealized ones.
@@ -455,41 +451,47 @@ def _sympy_mismatches(
     return mismatches
 
 
+#: The labels with a zero eigenvalue, and what each one means.
+_FLAT = {
+    "non-hyperbolic": "(a zero eigenvalue): the linearization does not "
+                      "decide stability there",
+    "unstable non-hyperbolic": "(a zero eigenvalue beside a growing one): "
+                               "repelling, whatever the zero one does",
+}
+
+
 def _check_equilibria(
     spec: ProtocolSpec, system: Optional[EquationSystem]
 ) -> List[Finding]:
     if system is None:
         system = spec.mean_field_system(effective=False)
-    if system.dimension > MAX_EQUILIBRIUM_VARIABLES:
-        return [Finding(
-            Severity.INFO, "equilibrium", "spec",
-            f"not solved: {system.dimension} variables exceed the "
-            f"equilibrium rule's {MAX_EQUILIBRIUM_VARIABLES}",
-        )]
     try:
         equilibria = find_equilibria(system)
     except (ArithmeticError, ValueError) as exc:
+        too_large = system.dimension > MAX_EQUILIBRIUM_VARIABLES
         return [Finding(
-            Severity.WARNING, "equilibrium", "spec",
-            f"the equilibrium solve failed ({exc})",
+            Severity.INFO if too_large else Severity.WARNING,
+            "equilibrium", "spec",
+            str(exc) if too_large else f"the equilibrium solve failed ({exc})",
         )]
-    # A continuum of fixed points comes back as however many samples of
-    # it the starts converged to: one finding covers them.
-    flat = [e for e in equilibria if e.classification == "non-hyperbolic"]
     findings = [
         Finding(
             Severity.INFO, "equilibrium", f"equilibrium {e.coordinates()}",
             f"{e.classification}, spectral abscissa {e.abscissa:.4g}",
         )
-        for e in equilibria if e.classification != "non-hyperbolic"
+        for e in equilibria if e.classification not in _FLAT
     ]
-    if flat:
-        findings.append(Finding(
-            Severity.INFO, "equilibrium", f"equilibrium {flat[0].coordinates()}"
-            + (f" and {len(flat) - 1} more" if len(flat) > 1 else ""),
-            "non-hyperbolic (a zero eigenvalue): the linearization does "
-            "not decide stability there",
-        ))
+    # A continuum of fixed points comes back as however many samples of
+    # it the starts converged to: one finding per label covers them.
+    for label, verdict in _FLAT.items():
+        flat = [e for e in equilibria if e.classification == label]
+        if flat:
+            findings.append(Finding(
+                Severity.INFO, "equilibrium",
+                f"equilibrium {flat[0].coordinates()}"
+                + (f" and {len(flat) - 1} more" if len(flat) > 1 else ""),
+                f"{label} {verdict}",
+            ))
     if not any(e.stable for e in equilibria):
         findings.append(Finding(
             Severity.WARNING, "equilibrium", "spec",

@@ -2,7 +2,7 @@
 
 from ..odes import find_equilibria, integrate
 from ..viz import render_series
-from .common import EQUATIONS, load_system, parse_bindings
+from .common import EQUATIONS, CliError, load_system, parse_bindings
 
 
 def configure(subparsers) -> None:
@@ -24,7 +24,10 @@ def run(args) -> int:
     system = load_system(args)
     print(system.render())
     print()
-    equilibria = find_equilibria(system)
+    try:
+        equilibria = find_equilibria(system)
+    except ValueError as exc:  # the variable cap, or a singular solve
+        raise CliError(f"{args.equations}: {exc}")
     if not equilibria:
         print("no equilibria found on the simplex")
     for equilibrium in equilibria:

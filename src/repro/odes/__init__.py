@@ -21,7 +21,7 @@ the mathematical side:
 from .classify import TaxonomyReport, classify, is_complete, is_completely_partitionable, is_polynomial, is_restricted_polynomial
 from .equilibria import Equilibrium, classify_point, find_equilibria
 from .integrate import Trajectory, integrate, integrate_to_equilibrium
-from .parser import ParseError, parse_equations, parse_system
+from .parser import ParseError, parse_system
 from .partition import PartitionResult, TermPair, partition_terms
 from .phase import FIGURE2_STARTS, FIGURE4_STARTS, PhasePortrait, phase_portrait
 from .rewrite import (
@@ -47,7 +47,6 @@ __all__ = [
     "Term",
     "combine_like_terms",
     "parse_system",
-    "parse_equations",
     "ParseError",
     "classify",
     "TaxonomyReport",

@@ -53,7 +53,8 @@ class Equilibrium:
     classification:
         :func:`classify_eigenvalues`' label: ``stable spiral``,
         ``stable node``, ``saddle point``, ``unstable node``,
-        ``unstable spiral``, ``center`` or ``non-hyperbolic``.
+        ``unstable spiral``, ``center``, ``unstable non-hyperbolic``
+        (a zero real part beside a positive one) or ``non-hyperbolic``.
     """
 
     system: EquationSystem
@@ -76,7 +77,7 @@ class Equilibrium:
 
     @property
     def repelling(self) -> bool:
-        """Some direction grows: a saddle or an unstable node/spiral."""
+        """Some direction grows: a saddle, or any ``unstable`` label."""
         return self.saddle or self.classification.startswith("unstable")
 
     @property
@@ -149,7 +150,10 @@ def classify_eigenvalues(eigenvalues: np.ndarray, tol: float = 1e-9) -> str:
 
     For two-dimensional spectra this is the trace-determinant chart used
     in the paper's Theorem 3 proof (a repeated root is a node, a zero
-    determinant is non-hyperbolic).  Imaginary parts are judged relative
+    determinant is non-hyperbolic).  A zero real part leaves stability
+    to higher order, unless another one is positive: that direction
+    grows whatever the zero one does ("unstable non-hyperbolic").
+    Imaginary parts are judged relative
     to the real parts: repeated real eigenvalues routinely come back
     from the numeric eigensolver with O(1e-8) spurious imaginary
     components, which must not be read as oscillation.
@@ -160,6 +164,8 @@ def classify_eigenvalues(eigenvalues: np.ndarray, tol: float = 1e-9) -> str:
     if np.any(np.abs(real) <= tol):
         if np.all(np.abs(real) <= tol) and np.any(np.abs(imag) > imag_tol):
             return "center"
+        if np.any(real > tol):
+            return "unstable non-hyperbolic"
         return "non-hyperbolic"
     has_positive = np.any(real > tol)
     has_negative = np.any(real < -tol)
@@ -198,6 +204,11 @@ def _initial_guesses(dimension: int, extra: int, seed: int) -> List[np.ndarray]:
         guesses.append(rng.dirichlet(np.ones(dimension)))
     return guesses
 
+
+#: Largest system :func:`find_equilibria` solves: the multi-start Newton
+#: holds ~d^2/2 starts' ``(d, terms, d)`` Jacobian factors at once, about
+#: 13 MB at 16 variables and growing as d^5.
+MAX_EQUILIBRIUM_VARIABLES = 16
 
 #: Newton iterations after which a start that is still moving is dropped
 #: (a double root converges linearly, halving its error: ~35 to 1e-10).
@@ -303,9 +314,16 @@ def find_equilibria(
     Returns equilibria sorted by distance from the simplex barycenter,
     deduplicated within ``merge_distance``, each labelled by
     :func:`classify_point`.  Points with any coordinate below
-    ``-domain_tol`` (outside the physical domain) are dropped.
+    ``-domain_tol`` (outside the physical domain) are dropped.  A system
+    of more than :data:`MAX_EQUILIBRIUM_VARIABLES` variables is refused
+    with a ``ValueError`` before anything is allocated.
     """
     dimension = system.dimension
+    if dimension > MAX_EQUILIBRIUM_VARIABLES:
+        raise ValueError(
+            f"not solved: {dimension} variables exceed "
+            f"MAX_EQUILIBRIUM_VARIABLES = {MAX_EQUILIBRIUM_VARIABLES}"
+        )
     complete = is_complete(system)
     residual, jacobian = _root_problem(system, complete)
     starts = np.array(_initial_guesses(dimension, restarts, seed))

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .system import EquationSystem
 from .term import Term
@@ -261,8 +261,3 @@ def parse_system(
         equations[variable] = term_objs
 
     return EquationSystem(order, equations, name=name).simplified()
-
-
-def parse_equations(lines: Iterable[str], **kwargs) -> EquationSystem:
-    """Convenience wrapper accepting an iterable of equation strings."""
-    return parse_system("\n".join(lines), **kwargs)

@@ -227,8 +227,3 @@ def combine_like_terms(terms: Iterable[Term]) -> Tuple[Term, ...]:
         if abs(coefficient) > COEFF_ATOL:
             out.append(Term(coefficient, dict(key)))
     return tuple(out)
-
-
-def term_sum(terms: Iterable[Term], values: Mapping[str, float]) -> float:
-    """Evaluate a sum of terms at a point."""
-    return sum(term.evaluate(values) for term in terms)

@@ -24,8 +24,9 @@ Robustness model
 * **Frames.**  Units travel in *frames*: one ``frame`` message carries
   a list of ``(index, blob, label)`` jobs, the worker runs them with
   :func:`~repro.runtime.exec._run_frame` and answers with one
-  ``results`` message.  The coordinator sizes the next frame from how
-  long the last ones ran (:func:`~repro.runtime.exec._next_frame_size`:
+  ``("results", outputs, failures, seconds)`` message, the columns a
+  pool child replies with.  The coordinator sizes the next frame from
+  how long the last ones ran (:func:`~repro.runtime.exec._next_frame_size`:
   units of tens of milliseconds travel alone, do-nothing units by the
   hundred) and keeps one frame in flight per worker.
 * **Re-dispatch.**  A fenced or dead worker's in-flight frame goes back
@@ -71,7 +72,8 @@ import threading
 import time
 import traceback as traceback_module
 from collections import deque
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -84,10 +86,11 @@ from repro.runtime.chaos import (
     faults_from_env,
 )
 from repro.runtime.exec import (
+    Failures,
     FaultPolicy,
     UnitFailure,
-    UnitResult,
     _encode_results,
+    _land_frame,
     _log_frames,
     _next_frame_size,
     _normalize_traceback,
@@ -264,15 +267,10 @@ class ClusterCoordinator:
         self._selector: Optional[selectors.BaseSelector] = None
         self._listener: Optional[socket.socket] = None
         #: Observable run statistics (tests and drain messages read these).
-        self.stats = {
-            "spawned": 0,
-            "external_joins": 0,
-            "workers_lost": 0,
-            "redispatches": 0,
-            "dispatches": 0,
-            "frames": 0,
-            "largest_frame": 0,
-        }
+        self.stats = dict.fromkeys((
+            "spawned", "external_joins", "workers_lost", "redispatches",
+            "dispatches", "frames", "largest_frame",
+        ), 0)
         # A worker that dies instantly on every unit must not spawn
         # replacements forever: the budget covers every allowed
         # re-dispatch plus headroom for slow starters.
@@ -360,25 +358,19 @@ class ClusterCoordinator:
 
     def _cleanup(self) -> None:
         for conn in list(self._connections.values()):
-            try:
+            with suppress(OSError):
                 conn.sock.setblocking(True)
                 conn.sock.settimeout(0.5)
                 conn.sock.sendall(encode_message(("shutdown",)))
-            except OSError:
-                pass
-            try:
+            with suppress(OSError):
                 conn.sock.close()
-            except OSError:
-                pass
         self._connections.clear()
         for proc in list(self._procs.values()) + list(self._fenced.values()):
             if proc.poll() is None:
                 proc.kill()
         for proc in list(self._procs.values()) + list(self._fenced.values()):
-            try:
+            with suppress(subprocess.TimeoutExpired):
                 proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                pass
         self._procs.clear()
         self._fenced.clear()
         if self._listener is not None:
@@ -454,9 +446,7 @@ class ClusterCoordinator:
         while True:
             try:
                 sock, _addr = self._listener.accept()
-            except BlockingIOError:
-                return
-            except OSError:
+            except OSError:  # BlockingIOError included: none left
                 return
             sock.setblocking(False)
             conn = _Connection(sock=sock, last_seen=time.monotonic())
@@ -478,18 +468,15 @@ class ClusterCoordinator:
         while conn.outbox:
             try:
                 sent = conn.sock.send(bytes(conn.outbox[: 1 << 20]))
-            except (BlockingIOError, InterruptedError):
-                break
             except OSError:
-                # The read path (EOF) or heartbeat scan will fence it.
+                # Full (try again on EVENT_WRITE) or broken: the read
+                # path (EOF) or heartbeat scan will fence it.
                 break
             if sent == 0:
                 break
             del conn.outbox[:sent]
-        try:
+        with suppress(KeyError):
             self._selector.modify(conn.sock, self._events_for(conn), conn)
-        except KeyError:
-            pass
 
     def _read(self, conn: _Connection, land) -> None:
         while True:
@@ -548,18 +535,18 @@ class ClusterCoordinator:
             if reply is None:
                 self._lose_worker(conn, land, reason="protocol error")
                 return
-            results, seconds = reply
-            conn.frame = []
+            outputs, failures, seconds = reply
+            frame, conn.frame = conn.frame, []
             self._frame_size = _next_frame_size(
-                self._frame_size, len(results), seconds
+                self._frame_size, len(frame), seconds
             )
-            for index, output, failure in results:
-                self._done_count += 1
-                if failure is not None:
-                    failure = self._stamp_provenance(
-                        failure, conn, self._states[index]
-                    )
-                land(index, output, failure)
+            self._done_count += len(frame)
+            _land_frame(land, frame, outputs, [
+                (slot, self._stamp_provenance(
+                    failure, conn, self._states[frame[slot]]
+                ))
+                for slot, failure in failures
+            ])
             self._dispatch(conn)
         elif kind == "fatal":
             detail = message[1] if len(message) > 1 else ""
@@ -570,41 +557,46 @@ class ClusterCoordinator:
     @staticmethod
     def _frame_reply(
         conn: _Connection, message: Tuple
-    ) -> Optional[Tuple[List[UnitResult], float]]:
-        """``(results, seconds)`` of ``conn``'s in-flight frame, or None.
+    ) -> Optional[Tuple[List[Any], Failures, float]]:
+        """``(outputs, failures, seconds)`` of ``conn``'s in-flight
+        frame, or None.
 
         A ``results`` message is taken only if it answers exactly the
-        frame this connection was sent -- the same units in the same
-        order -- so no worker can land a unit it was not dispatched, a
-        unit twice, or an index outside the plan.
+        frame this connection was sent: one output per unit, and each
+        failure a :class:`UnitFailure` of the unit dispatched in its
+        slot (None there in ``outputs``), slots rising -- so no worker
+        can land a unit it was not dispatched, a unit twice, or an index
+        outside the plan.
         """
-        if len(message) != 3 or not conn.frame:
+        if len(message) != 4 or not conn.frame:
             return None
-        _, results, seconds = message
-        if not isinstance(results, list) or len(results) != len(conn.frame):
+        _, outputs, failures, seconds = message
+        if not isinstance(outputs, list) or len(outputs) != len(conn.frame):
+            return None
+        if not isinstance(failures, list):
             return None
         if isinstance(seconds, bool) or not isinstance(seconds, (int, float)):
             return None
-        for expected, result in zip(conn.frame, results):
-            if not isinstance(result, tuple) or len(result) != 3:
+        previous = -1
+        for failure in failures:
+            if not isinstance(failure, tuple) or len(failure) != 2:
                 return None
-            index, _output, failure = result
-            if type(index) is not int or index != expected:
+            slot, record = failure
+            if type(slot) is not int or not previous < slot < len(outputs):
                 return None
-            if failure is not None and not isinstance(failure, UnitFailure):
+            if not isinstance(record, UnitFailure) or outputs[slot] is not None:
                 return None
-        return results, seconds
+            index = record.index
+            if type(index) is not int or index != conn.frame[slot]:
+                return None
+            previous = slot
+        return outputs, failures, seconds
 
     def _stamp_provenance(
         self, failure: UnitFailure, conn: _Connection, state: _UnitState
     ) -> UnitFailure:
-        return UnitFailure(
-            index=failure.index,
-            label=failure.label,
-            error=failure.error,
-            traceback=failure.traceback,
-            attempts=failure.attempts,
-            worker=conn.worker_id,
+        return replace(
+            failure, worker=conn.worker_id,
             redispatches=max(0, state.dispatches - 1),
             heartbeat_misses=state.misses,
         )
@@ -663,14 +655,10 @@ class ClusterCoordinator:
         fileno = conn.sock.fileno()
         if fileno in self._connections:
             del self._connections[fileno]
-        try:
+        with suppress(KeyError, ValueError):
             self._selector.unregister(conn.sock)
-        except (KeyError, ValueError):
-            pass
-        try:
+        with suppress(OSError):
             conn.sock.close()
-        except OSError:
-            pass
         if conn.launch_index is not None:
             proc = self._procs.pop(conn.launch_index, None)
             if proc is not None:
@@ -766,28 +754,16 @@ class WorkerSession:
                 time.sleep(fault.seconds)
 
     def _starting(self, jobs: Sequence[WireJob]):
-        """Yield a frame's jobs decoded, counting each as it is started.
+        """Yield a frame's ``(runner, payload)`` pairs decoded, counting
+        each as it is started.
 
         Chaos triggers are ordinals of units *started*, so a scripted
         kill can fall in the middle of a frame.
         """
-        for index, blob, label in jobs:
+        for _index, blob, _label in jobs:
             self._units_started += 1
             self._apply_faults()
-            runner, payload = pickle.loads(blob)
-            yield index, runner, payload, label
-
-    def _send_results(
-        self, jobs: Sequence[WireJob], results: List[UnitResult],
-        seconds: float,
-    ) -> None:
-        payload = _encode_results(
-            results, jobs,
-            lambda sendable: encode_message(("results", sendable, seconds)),
-            worker=self.worker_id,
-        )
-        with self._send_lock:
-            self.sock.sendall(payload)
+            yield pickle.loads(blob)
 
     def run(self) -> int:
         self._send(("hello", {
@@ -824,8 +800,16 @@ class WorkerSession:
                 if kind != "frame":
                     continue
                 jobs = message[1]
-                results, seconds = _run_frame(self._starting(jobs), policy)
-                self._send_results(jobs, results, seconds)
+                indices = [job[0] for job in jobs]
+                labels = [job[2] for job in jobs]
+                reply = _encode_results(
+                    _run_frame(indices, self._starting(jobs), labels, policy),
+                    indices, labels,
+                    lambda reply: encode_message(("results", *reply)),
+                    self.worker_id,
+                )
+                with self._send_lock:
+                    self.sock.sendall(reply)
         finally:
             self._stop.set()
             heartbeat.join(timeout=2.0)
@@ -883,10 +867,8 @@ def worker_main(
             sock, faults=fault_list, launch_index=launch_index
         ).run()
     finally:
-        try:
+        with suppress(OSError):
             sock.close()
-        except OSError:
-            pass
 
 
 def _main(argv: Optional[Sequence[str]] = None) -> int:

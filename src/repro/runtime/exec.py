@@ -76,7 +76,7 @@ import time
 import traceback as traceback_module
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path, PurePath
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -294,16 +294,7 @@ class UnitFailure:
     heartbeat_misses: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "label": self.label,
-            "error": self.error,
-            "traceback": self.traceback,
-            "attempts": self.attempts,
-            "worker": self.worker,
-            "redispatches": self.redispatches,
-            "heartbeat_misses": self.heartbeat_misses,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "UnitFailure":
@@ -443,48 +434,11 @@ def _normalize_traceback(text: str) -> str:
     return text
 
 
-def _attempt_unit(
-    index: int,
-    runner: Callable[[Any], Any],
-    payload: Any,
-    label: str,
-    policy: FaultPolicy,
-) -> Tuple[int, Any, Optional[UnitFailure]]:
-    """Run one unit under the policy: ``(index, output, failure)``.
-
-    Runs wherever the unit runs (pool worker or in-process), so pool
-    workers return failures as values instead of poisoning the pool,
-    and backoff sleeps occupy only the worker that owns the unit.
-    """
-    error = ""
-    trace = ""
-    attempts = policy.attempts
-    timeout = policy.timeout_seconds
-    for attempt in range(attempts):
-        try:
-            if timeout is None:
-                return index, runner(payload), None
-            with _attempt_deadline(timeout):
-                return index, runner(payload), None
-        except Exception as exc:
-            error = repr(exc)
-            trace = _normalize_traceback(traceback_module.format_exc())
-            if attempt + 1 < attempts:
-                time.sleep(policy.backoff_for(attempt, unit_index=index))
-    return index, None, UnitFailure(
-        index=index,
-        label=label,
-        error=error,
-        traceback=trace,
-        attempts=attempts,
-    )
-
-
-#: Units travel to workers in *frames*: one message carries a list of
-#: jobs and one message brings their results back.  Sending a frame
-#: costs some 40 us on the pool and 100 us on the cluster whatever it
-#: holds, so a frame should run for at least ~2 ms (dispatch <= ~2 %
-#: of it) -- and for at most ~20 ms, which is
+#: Units travel to workers in *frames*: one message carries a run of
+#: units and one message brings their outputs back, both as columns.
+#: Sending a frame costs some 40 us on the pool and 100 us on the
+#: cluster whatever it holds, so a frame should run for at least ~2 ms
+#: (dispatch <= ~2 % of it) -- and for at most ~20 ms, which is
 #: what a lost frame costs to redo, how long a unit's result can wait
 #: on its frame-mates before it is checkpointed, and how unevenly the
 #: last frames of a plan can split between workers.  Units that take
@@ -494,8 +448,8 @@ def _attempt_unit(
 _FRAME_FLOOR_SECONDS = 0.002
 _FRAME_CEILING_SECONDS = 0.020
 
-Job = Tuple[int, Callable[[Any], Any], Any, str]
-UnitResult = Tuple[int, Any, Optional[UnitFailure]]
+#: ``(slot, failure)`` for each failed unit of a frame, in slot order.
+Failures = List[Tuple[int, UnitFailure]]
 
 
 def _next_frame_size(size: int, units: int, seconds: float) -> int:
@@ -516,52 +470,106 @@ def _next_frame_size(size: int, units: int, seconds: float) -> int:
 
 
 def _run_frame(
-    jobs: Iterable[Job], policy: FaultPolicy
-) -> Tuple[List[UnitResult], float]:
-    """Worker side of a frame: run its units in order, time the lot.
+    indices: Sequence[int],
+    units: Iterable[Tuple[Callable[[Any], Any], Any]],
+    labels: Sequence[str],
+    policy: FaultPolicy,
+) -> Tuple[List[Any], Failures, float]:
+    """Run a frame's units in order: the one attempt loop.
 
-    Each unit goes through :func:`_attempt_unit`, so the timeout,
-    retries and backoff are per unit exactly as if it had travelled
-    alone, and a unit that fails leaves its frame-mates untouched.
-    ``jobs`` is consumed one unit at a time, as each is started (the
-    cluster worker decodes and counts units for its chaos triggers so).
+    Every unit runs here, wherever it runs: a pool child, a cluster
+    worker, or in-process as a frame of one.  ``units`` are ``(runner,
+    payload)`` pairs, taken one at a time as each is started (the
+    cluster worker decodes and counts units for its chaos triggers so);
+    ``indices`` and ``labels`` line up with them.  The policy is read
+    once, and each unit gets its attempts, timeout and backoff exactly
+    as if it had travelled alone; a unit that fails leaves its
+    frame-mates untouched.  Returns ``(outputs, failures, seconds)``:
+    ``outputs`` lines up with the units, None in a failed slot, and
+    ``failures`` holds ``(slot, UnitFailure)`` for the failed ones only.
     """
     started = time.perf_counter()
-    results = [_attempt_unit(*job, policy) for job in jobs]
-    return results, time.perf_counter() - started
+    attempts, timeout = policy.attempts, policy.timeout_seconds
+    outputs: List[Any] = []
+    failures: Failures = []
+    append = outputs.append
+    for runner, payload in units:
+        failed = 0
+        while True:
+            try:
+                if timeout is None:
+                    append(runner(payload))
+                else:
+                    with _attempt_deadline(timeout):
+                        append(runner(payload))
+                break
+            except Exception as exc:
+                slot, failed = len(outputs), failed + 1
+                if failed < attempts:
+                    time.sleep(policy.backoff_for(failed - 1, indices[slot]))
+                    continue
+                failures.append((slot, _unit_failure(
+                    indices[slot], labels[slot], repr(exc), attempts
+                )))
+                append(None)
+                break
+    return outputs, failures, time.perf_counter() - started
 
 
 def _encode_results(
-    results: List[UnitResult],
-    jobs: Sequence[Tuple],
-    encode: Callable[[List[UnitResult]], bytes],
+    reply: Tuple[List[Any], Failures, float],
+    indices: Sequence[int],
+    labels: Sequence[str],
+    encode: Callable[[Tuple], bytes],
     worker: str = "",
 ) -> bytes:
-    """``encode(results)``, an output that will not pickle failing alone.
+    """``encode(reply)``, an output that will not pickle failing alone.
 
-    The trip back, on both backends (``jobs`` are the frame's, label
-    last): when the list will not encode, each result is tried on its
-    own and the offender becomes a :class:`UnitFailure` naming the
-    pickling error, which follows ``on_error`` like any other; its
-    frame-mates land untouched.
+    The trip back of a :func:`_run_frame` reply, on both backends: when
+    it will not encode, each output is tried on its own and the
+    offender becomes a :class:`UnitFailure` naming the pickling error,
+    which follows ``on_error`` like any other; its frame-mates land
+    untouched.
     """
     try:
-        return encode(results)
+        return encode(reply)
     except Exception:
-        results = list(results)
-    for slot, (index, _output, _failure) in enumerate(results):
+        outputs, failures, seconds = reply
+        outputs, failed = list(outputs), dict(failures)
+    for slot, output in enumerate(outputs):
         try:
-            pickle.dumps(results[slot])
+            if slot not in failed:
+                pickle.dumps(output)
         except Exception as exc:
-            results[slot] = index, None, UnitFailure(
-                index=index,
-                label=jobs[slot][-1],
-                error=f"unit output could not be pickled: {exc!r}",
-                traceback=_normalize_traceback(traceback_module.format_exc()),
-                attempts=1,
-                worker=worker,
+            outputs[slot] = None
+            failed[slot] = _unit_failure(
+                indices[slot], labels[slot],
+                f"unit output could not be pickled: {exc!r}", 1, worker,
             )
-    return encode(results)
+    return encode((outputs, sorted(failed.items()), seconds))
+
+
+def _unit_failure(
+    index: int, label: str, error: str, attempts: int, worker: str = ""
+) -> UnitFailure:
+    """The record of a unit whose exception is being handled."""
+    return UnitFailure(
+        index=index, label=label, error=error,
+        traceback=_normalize_traceback(traceback_module.format_exc()),
+        attempts=attempts, worker=worker,
+    )
+
+
+def _land_frame(
+    land: Callable[[int, Any, Optional[UnitFailure]], None],
+    indices: Sequence[int],
+    outputs: List[Any],
+    failures: Failures,
+) -> None:
+    """Land a frame's reply unit by unit, in slot order."""
+    failed = dict(failures)
+    for slot, output in enumerate(outputs):
+        land(indices[slot], output, failed.get(slot))
 
 
 def _log_frames(
@@ -634,14 +642,13 @@ class _Discard:
         return len(data)
 
 
-def _plan_pickles(plan: ExecutionPlan) -> bool:
+def _plan_pickles(plan: ExecutionPlan, runners: list, payloads: list) -> bool:
     """The pool's probe: one pass over all a child may be sent (what a
     pickle costs is the call, not the bytes), before any unit runs."""
     try:
-        pickle.Pickler(_Discard()).dump((
-            plan.initializer, plan.initargs,
-            [(unit.runner, unit.payload) for unit in plan.units],
-        ))
+        pickle.Pickler(_Discard()).dump(
+            (plan.initializer, plan.initargs, runners, payloads)
+        )
     except Exception:
         return False
     return True
@@ -660,37 +667,39 @@ def _pool_worker(
         initializer(*initargs)
     while True:
         try:
-            jobs = pickle.loads(pipe.recv_bytes())
+            start, runners, payloads, labels = pickle.loads(pipe.recv_bytes())
         except (EOFError, OSError):  # closed; reset if with a reply unread
             return
-        results, seconds = _run_frame(jobs, policy)
-        pipe.send_bytes(_encode_results(
-            results, jobs, lambda sendable: pickle.dumps((sendable, seconds))
-        ))
+        indices = range(start, start + len(labels))
+        reply = _run_frame(indices, zip(runners, payloads), labels, policy)
+        pipe.send_bytes(_encode_results(reply, indices, labels, pickle.dumps))
 
 
 def _run_pool(
     plan: ExecutionPlan,
-    units: Sequence[WorkUnit],
+    columns: Tuple[List[Any], List[Any], List[str]],
     policy: FaultPolicy,
     workers: int,
     land: Callable[[int, Any, Optional[UnitFailure]], None],
 ) -> None:
-    """Run ``units`` on forked children, one pipe and one frame each.
+    """Run the plan's columns on forked children, one pipe and one frame each.
 
-    Frames are cut from ``units`` in order at the current frame size,
-    pickled once as they are cut, and landed here, in the calling
-    thread.  A child is only ever sent a frame while it waits in
+    A frame is ``(start, runners, payloads, labels)``, cut from the
+    columns in order at the current frame size and pickled once as it
+    is cut; its ``(outputs, failures, seconds)`` are landed here, in the
+    calling thread.  A child is only ever sent a frame while it waits in
     ``recv_bytes``, so a parent with no helper thread moves payloads
     and results of any size without deadlock.  A child that dies ends
     the plan (:class:`WorkerLost`); no child outlives it, however it ends.
     """
+    runners, payloads, labels = columns
+    total = len(labels)
     started = time.perf_counter()
     children: dict = {}  # the parent's end of each pipe -> its process
-    in_flight: dict = {}  # the parent's end of a pipe -> the frame out
+    in_flight: dict = {}  # the parent's end of a pipe -> the indices out
     size, frames, largest, cursor = 1, 0, 0, 0
     try:
-        for _ in range(min(workers, len(units))):
+        for _ in range(min(workers, total)):
             pipe, child_end = multiprocessing.Pipe()
             process = multiprocessing.Process(
                 target=_pool_worker, daemon=True,
@@ -702,39 +711,39 @@ def _run_pool(
             children[pipe] = process
         start_seconds = time.perf_counter() - started
         idle = list(children)
-        landing: List[UnitResult] = []
+        landing: list = []  # (indices, outputs, failures) per reply
         while True:
-            while idle and cursor < len(units):
-                frame = [
-                    (index, unit.runner, unit.payload, unit.label)
-                    for index, unit in
-                    enumerate(units[cursor:cursor + size], cursor)
-                ]
-                cursor += len(frame)
+            while idle and cursor < total:
+                end = min(cursor + size, total)
                 frames += 1
-                largest = max(largest, len(frame))
+                largest = max(largest, end - cursor)
                 pipe = idle.pop()
-                in_flight[pipe] = frame
+                in_flight[pipe] = range(cursor, end)
                 try:
-                    pipe.send_bytes(pickle.dumps(frame))
+                    pipe.send_bytes(pickle.dumps((
+                        cursor, runners[cursor:end], payloads[cursor:end],
+                        labels[cursor:end],
+                    )))
                 except OSError:
                     pass  # already dead: the wait below reads its EOF
-            for result in landing:  # the children are busy again by now
-                land(*result)
+                cursor = end
+            for reply in landing:  # the children are busy again by now
+                _land_frame(land, *reply)
             if not in_flight:
                 break
             landing = []
             for pipe in multiprocessing.connection.wait(list(in_flight)):
                 try:
-                    results, seconds = pickle.loads(pipe.recv_bytes())
+                    outputs, failures, seconds = pickle.loads(
+                        pipe.recv_bytes()
+                    )
                 except (EOFError, OSError):
                     raise _lost(
-                        plan.label, children[pipe], in_flight[pipe]
+                        plan.label, children[pipe], in_flight[pipe], labels
                     ) from None
-                del in_flight[pipe]
+                landing.append((in_flight.pop(pipe), outputs, failures))
                 idle.append(pipe)
-                size = _next_frame_size(size, len(results), seconds)
-                landing += results
+                size = _next_frame_size(size, len(outputs), seconds)
     finally:
         for pipe, process in children.items():
             pipe.close()
@@ -746,19 +755,21 @@ def _run_pool(
                 process.kill()
                 process.join()
     _log_frames(
-        plan.label, len(units), frames, largest, len(children),
+        plan.label, total, frames, largest, len(children),
         time.perf_counter() - started, start_seconds,
     )
 
 
-def _lost(plan_label: str, process: Any, frame: List[Job]) -> WorkerLost:
+def _lost(
+    plan_label: str, process: Any, indices: range, labels: Sequence[str]
+) -> WorkerLost:
     """Name a pool child that hung up and what it held; log it once."""
     import logging
 
     process.join(1.0)  # it is dying: wait for its exit code
     lost = WorkerLost(
         plan_label, process.pid, process.exitcode,
-        [(index, label) for index, _, _, label in frame],
+        [(index, labels[index]) for index in indices],
     )
     logging.getLogger(__name__).warning("%s", lost)
     return lost
@@ -813,10 +824,15 @@ def run_plan(
         )
     policy = fault_policy if fault_policy is not None else FaultPolicy()
     units = list(plan.units)
+    runners = [unit.runner for unit in units]
+    payloads = [unit.payload for unit in units]
+    labels = [unit.label for unit in units]
     cluster = backend == "cluster" and len(units) > 0
     fan_out = cluster or (workers > 1 and len(units) > 1)
     blobs = _encode_units(plan) if cluster else None
-    if fan_out and (blobs is None if cluster else not _plan_pickles(plan)):
+    if fan_out and (
+        blobs is None if cluster else not _plan_pickles(plan, runners, payloads)
+    ):
         warnings.warn(
             f"{plan.label}: work units are unpicklable (closure or "
             f"lambda hooks, runtime registrations?); running the "
@@ -853,7 +869,7 @@ def run_plan(
         coordinator = ClusterCoordinator(
             label=plan.label,
             blobs=blobs,
-            labels=[unit.label for unit in units],
+            labels=labels,
             policy=policy,
             workers=workers,
             initializer=plan.initializer,
@@ -862,13 +878,15 @@ def run_plan(
         )
         coordinator.run(land)
     elif fan_out:
-        _run_pool(plan, units, policy, workers, land)
+        _run_pool(plan, (runners, payloads, labels), policy, workers, land)
     else:
         _refuse_unarmable_deadline(policy, plan.label)
-        for index, unit in enumerate(units):
-            land(*_attempt_unit(
-                index, unit.runner, unit.payload, unit.label, policy
-            ))
+        for index, unit in enumerate(zip(runners, payloads)):
+            # A frame of one: each unit lands (and checkpoints) alone.
+            (output,), failed, _ = _run_frame(
+                (index,), (unit,), (labels[index],), policy
+            )
+            land(index, output, failed[0][1] if failed else None)
     if plan.merge is None:
         return None
     return plan.merge(outputs)

@@ -50,6 +50,16 @@ def make_unpicklable(payload):
     return lambda: payload  # a lambda output is deliberately unpicklable
 
 
+def contract_unit(payload):
+    """``(value, kind)``: double it, raise, or return what will not pickle."""
+    value, kind = payload
+    if kind == "raise":
+        raise RuntimeError(f"unit {value} exploded")
+    if kind == "unpicklable":
+        return make_unpicklable(value)
+    return value * 2
+
+
 def mixed_plan(count=1000, slow_every=250):
     """~1,000 do-nothing units with a 30 ms one every ``slow_every``.
 

@@ -385,16 +385,18 @@ def test_no_attracting_equilibrium_warns():
     assert "none of the 4 equilibria" in warnings_[0].message
 
 
-def test_a_continuum_of_equilibria_is_one_finding():
-    # x + z fixed along y = 0: the starts land on many points of it.
+def test_a_continuum_of_equilibria_is_one_finding_per_label():
+    # x + z fixed along y = 0: the starts land on many points of it,
+    # and y grows where x > z, so that half of the line repels.
     spec, findings = check_equations(
         "x' = -0.5*x*y\ny' = 0.5*x*y - 0.5*y*z\nz' = 0.5*y*z\n"
     )
-    flat = [
-        f for f in findings
+    flat = {
+        f.message.split(" (")[0]: f for f in findings
         if f.rule == "equilibrium" and "non-hyperbolic" in f.message
-    ]
-    assert len(flat) == 1 and "more" in flat[0].location
+    }
+    assert sorted(flat) == ["non-hyperbolic", "unstable non-hyperbolic"]
+    assert all("more" in f.location for f in flat.values())
 
 
 def test_equilibrium_rule_skips_oversized_systems():
@@ -409,8 +411,8 @@ def test_equilibrium_rule_skips_oversized_systems():
     )
     (finding,) = equilibrium_findings(check_spec(spec)).values()
     assert finding == (
-        Severity.INFO, "not solved: 17 variables exceed the equilibrium "
-        "rule's 16",
+        Severity.INFO, "not solved: 17 variables exceed "
+        "MAX_EQUILIBRIUM_VARIABLES = 16",
     )
 
 

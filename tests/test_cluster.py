@@ -74,7 +74,7 @@ class TestFraming:
     def test_socket_round_trip(self):
         a, b = socket.socketpair()
         try:
-            message = ("results", [(3, {"value": [1, 2, 3]}, None)], 0.5)
+            message = ("results", [{"value": [1, 2, 3]}], [], 0.5)
             a.sendall(encode_message(message))
             assert recv_message(b) == message
         finally:
@@ -101,7 +101,7 @@ class TestFraming:
 
     def test_buffer_pops_coalesced_messages_in_order(self):
         messages = [
-            ("heartbeat",), ("results", [(0, 42, None)], 0.0), ("hello", {}),
+            ("heartbeat",), ("results", [42], [], 0.0), ("hello", {}),
         ]
         buffer = MessageBuffer()
         buffer.feed(b"".join(encode_message(m) for m in messages))
@@ -172,8 +172,8 @@ class TestWorkerSession:
             coord.sendall(encode_message(
                 frame_message(job(0, helpers.double_unit, 21))
             ))
-            _, results, seconds = expect(coord, "results")
-            assert results == [(0, 42, None)]
+            _, outputs, failures, seconds = expect(coord, "results")
+            assert (outputs, failures) == ([42], [])
             assert seconds >= 0.0
             assert session.worker_id == "w9"
             coord.sendall(encode_message(("shutdown",)))
@@ -210,12 +210,11 @@ class TestWorkerSession:
                 job(2, boom_runner, 5, label="bad"),
                 job(3, helpers.double_unit, 6),
             )))
-            _, results, _seconds = expect(coord, "results")
+            _, outputs, failures, _seconds = expect(coord, "results")
             # The failure sits in its own slot; its frame-mates land.
-            assert results[0] == (1, 8, None)
-            assert results[2] == (3, 12, None)
-            index, output, failure = results[1]
-            assert (index, output) == (2, None)
+            assert outputs == [8, None, 12]
+            ((slot, failure),) = failures
+            assert (slot, failure.index) == (1, 2)
             assert isinstance(failure, UnitFailure)
             assert failure.label == "bad"
             assert failure.attempts == 1
@@ -236,11 +235,11 @@ class TestWorkerSession:
                 job(0, helpers.double_unit, 4),
                 job(1, helpers.make_unpicklable, 9, label="lambda-out"),
             )))
-            _, results, _seconds = expect(coord, "results")
+            _, outputs, failures, _seconds = expect(coord, "results")
             # Only the unit whose output will not pickle fails.
-            assert results[0] == (0, 8, None)
-            index, output, failure = results[1]
-            assert (index, output) == (1, None)
+            assert outputs == [8, None]
+            ((slot, failure),) = failures
+            assert (slot, failure.index) == (1, 1)
             assert isinstance(failure, UnitFailure)
             assert "pickled" in failure.error
             assert failure.worker == "w3"
@@ -299,10 +298,10 @@ class TestCoordinatorFrames:
 
     def test_results_land_and_the_next_frame_doubles(self, stub):
         far, _setup, frame = stub.join()
-        stub.say(far, ("results", [(0, 0, None)], 0.0001))
+        stub.say(far, ("results", [0], [], 0.0001))
         assert stub.landed == [(0, 0, None)]
         assert stub.frame(far) == [1, 2]
-        stub.say(far, ("results", [(1, 2, None), (2, 4, None)], 0.0001))
+        stub.say(far, ("results", [2, 4], [], 0.0001))
         assert stub.frame(far) == [3, 4, 5, 6]
         stats = stub.coordinator.stats
         assert (stats["frames"], stats["largest_frame"]) == (3, 4)
@@ -312,7 +311,7 @@ class TestCoordinatorFrames:
         far, _setup, frame = stub.join()
         for index in range(4):
             assert frame == [index]
-            stub.say(far, ("results", [(index, 2 * index, None)], 0.030))
+            stub.say(far, ("results", [2 * index], [], 0.030))
             frame = stub.frame(far)
         assert stub.coordinator.stats["largest_frame"] == 1
 
@@ -351,20 +350,35 @@ class TestCoordinatorFrames:
             stub.close()
 
 
+def failure_of(index):
+    return UnitFailure(
+        index=index, label=f"unit-{index}", error="boom", traceback="",
+        attempts=1,
+    )
+
+
 class TestHostileInput:
     """Whatever a worker sends, the plan neither aborts nor lands junk."""
 
     @pytest.mark.parametrize("message", [
-        ("results", [(0, 0)], 0.0),                # wrong arity, inside
-        ("results", [(0, 0, None)]),               # wrong arity, outside
-        ("results", [(99, 0, None)], 0.0),         # index out of range
-        ("results", [(-1, 0, None)], 0.0),
-        ("results", [(1, 2, None)], 0.0),          # never dispatched
-        ("results", [(0, 0, None), (1, 2, None)], 0.0),
-        ("results", [], 0.0),
-        ("results", [(0, 0, "failed")], 0.0),
-        ("results", [(0, 0, None)], "fast"),
-        ("results", ((0, 0, None),), 0.0),
+        ("results", [0], []),                      # wrong arity
+        ("results", [0], [], 0.0, "extra"),
+        ("results", [(0, 0, None)], 0.0),          # the per-unit tuples
+        ("results", [0, 2], [], 0.0),              # an output too many
+        ("results", [], [], 0.0),                  # a short outputs
+        ("results", (0,), [], 0.0),
+        ("results", [0], (), 0.0),
+        ("results", [0], [], "fast"),
+        ("results", [0], [], True),
+        ("results", [None], [(0, "failed")], 0.0),
+        ("results", [None], [failure_of(0)], 0.0),  # not a (slot, failure)
+        ("results", [None], [(1, failure_of(0))], 0.0),  # slot out of range
+        ("results", [None], [(-1, failure_of(0))], 0.0),
+        ("results", [None], [(True, failure_of(0))], 0.0),
+        ("results", [None], [(0, failure_of(0))] * 2, 0.0),  # duplicate slot
+        ("results", [None], [(0, failure_of(1))], 0.0),  # not dispatched
+        ("results", [None], [(0, failure_of(99))], 0.0),  # outside the plan
+        ("results", [0], [(0, failure_of(0))], 0.0),  # an output beside it
         ("result", 0, 0, None),                    # the old protocol
         ("unit", 0, b"", "", None),
         ("no-such-kind",),
@@ -385,13 +399,15 @@ class TestHostileInput:
         honest, _setup, honest_frame = stub.join()
         liar, _setup, liar_frame = stub.join()
         assert (honest_frame, liar_frame) == ([0], [1])
-        stub.say(liar, ("results", [(0, "forged", None)], 0.0))
+        # Outputs name no unit; a failure does, and this one names the
+        # honest worker's.
+        stub.say(liar, ("results", [None], [(0, failure_of(0))], 0.0))
         assert stub.landed == []
         assert stub.coordinator.stats["workers_lost"] == 1
         # The liar's own unit went straight back out; the honest
         # worker's frame is still its own to answer.
         assert stub.pending() == [1, 2, 3, 4, 5, 6, 7]
-        stub.say(honest, ("results", [(0, 0, None)], 0.030))
+        stub.say(honest, ("results", [0], [], 0.030))
         assert stub.landed == [(0, 0, None)]
         assert stub.frame(honest) == [1]
 
@@ -400,7 +416,7 @@ class TestHostileInput:
         stub.say(
             far,
             ("no-such-kind",),
-            ("results", [(0, "late", None)], 0.0),
+            ("results", ["late"], [], 0.0),
             ("fatal", "again"),
         )
         assert stub.landed == []

@@ -5,6 +5,8 @@ import pytest
 
 from repro.odes import library
 from repro.odes.equilibria import (
+    MAX_EQUILIBRIUM_VARIABLES,
+    Equilibrium,
     classify_eigenvalues,
     classify_point,
     find_equilibria,
@@ -56,6 +58,16 @@ class TestClassifyEigenvalues:
 
     def test_non_hyperbolic(self):
         assert classify_eigenvalues(np.array([0.0, -1.0])) == "non-hyperbolic"
+
+    def test_a_zero_beside_a_growing_direction_is_unstable(self):
+        # Whatever the zero direction does, the positive one grows.
+        eigs = np.array([0.0, 0.5, -1.0])
+        assert classify_eigenvalues(eigs) == "unstable non-hyperbolic"
+        point = Equilibrium(
+            system=library.lv(), point={},
+            operator=np.diag(eigs),
+        )
+        assert point.repelling and not point.stable and not point.saddle
 
     def test_spurious_imaginary_ignored(self):
         # Repeated real eigenvalues often come back as a tiny complex pair.
@@ -144,3 +156,47 @@ class TestRobustness:
         a = find_equilibria(lv_system, seed=1)
         b = find_equilibria(lv_system, seed=1)
         assert [e.point for e in a] == [e.point for e in b]
+
+
+def chain_equations(variables):
+    """A ring of ``variables`` states, each flipping to the next."""
+    names = [f"s{i}" for i in range(variables)]
+    return "\n".join(
+        f"{name}' = 0.5*{names[i - 1]} - 0.5*{name}"
+        for i, name in enumerate(names)
+    ) + "\n"
+
+
+class TestVariableCap:
+    """Every caller of the solver stops at the cap, and at once."""
+
+    TEXT = chain_equations(MAX_EQUILIBRIUM_VARIABLES + 1)
+
+    def test_the_solver_refuses_by_name(self):
+        from repro.odes import parse_system
+
+        system = parse_system(self.TEXT)
+        with pytest.raises(ValueError, match="MAX_EQUILIBRIUM_VARIABLES"):
+            find_equilibria(system)
+
+    def test_the_cap_itself_still_solves(self):
+        from repro.odes import parse_system
+
+        system = parse_system(chain_equations(MAX_EQUILIBRIUM_VARIABLES))
+        (point,) = find_equilibria(system, restarts=0)
+        assert point.point["s0"] == pytest.approx(1 / 16)
+
+    def test_a_protocol_has_no_equilibria(self):
+        from repro.experiment import Protocol
+
+        protocol = Protocol.from_equations(self.TEXT, check="off")
+        assert protocol.equilibria() == []
+        assert protocol.equilibrium() is None
+
+    def test_analyze_exits_1_with_the_message(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "chain.txt"
+        path.write_text(self.TEXT)
+        assert main(["analyze", str(path)]) == 1
+        assert "MAX_EQUILIBRIUM_VARIABLES" in capsys.readouterr().err

@@ -2,14 +2,18 @@
 
 import os
 import pickle
+import re
 import signal
 import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro.runtime.exec as exec_module
 from cluster_helpers import (
+    contract_unit,
     framing,
     make_unpicklable,
     mixed_plan,
@@ -28,7 +32,7 @@ from repro.runtime.exec import (
     UnitTimeout,
     WorkerLost,
     _attempt_deadline,
-    _attempt_unit,
+    _encode_results,
     _encode_units,
     _jitter_fraction,
     _next_frame_size,
@@ -641,68 +645,99 @@ class TestFrameSize:
 
 
 class TestRunFrame:
-    """The worker side of a frame, in-process."""
+    """The one attempt loop, in-process: columns in, columns out."""
 
-    def jobs(self, *units):
-        return [
-            (index, runner, payload, f"job-{index}")
-            for index, (runner, payload) in enumerate(units)
-        ]
-
-    def test_results_come_back_in_job_order_with_the_seconds(self):
-        results, seconds = _run_frame(
-            self.jobs((double, 1), (double, 2), (sleepy, 0.01)),
-            FaultPolicy(),
+    def run(self, *units, policy=None, indices=None):
+        indices = indices or list(range(len(units)))
+        return _run_frame(
+            indices, units, [f"job-{index}" for index in indices],
+            policy or FaultPolicy(),
         )
-        assert results == [(0, 2, None), (1, 4, None), (2, "done", None)]
+
+    def test_outputs_come_back_in_unit_order_with_the_seconds(self):
+        outputs, failures, seconds = self.run(
+            (double, 1), (double, 2), (sleepy, 0.01)
+        )
+        assert (outputs, failures) == ([2, 4, "done"], [])
         assert seconds >= 0.01
 
     def test_a_failure_lands_in_its_own_slot(self):
-        results, _ = _run_frame(
-            self.jobs((double, 1), (boom, 2), (double, 3)),
-            FaultPolicy(on_error="skip", retries=0),
+        outputs, failures, _ = self.run(
+            (double, 1), (boom, 2), (double, 3),
+            policy=FaultPolicy(on_error="skip", retries=0),
+            indices=[40, 41, 42],
         )
-        assert results[0] == (0, 2, None) and results[2] == (2, 6, None)
-        index, output, failure = results[1]
-        assert (index, output) == (1, None)
-        assert failure.label == "job-1" and "exploded" in failure.error
+        assert outputs == [2, None, 6]
+        ((slot, failure),) = failures
+        assert (slot, failure.index, failure.label) == (1, 41, "job-41")
+        assert "exploded" in failure.error and failure.attempts == 1
 
     def test_a_flaky_unit_is_retried_in_place(self, tmp_path):
         flag = tmp_path / "attempts"
-        results, _ = _run_frame(
-            self.jobs((double, 1), (flaky, (str(flag), 1, 2)), (double, 3)),
-            retry_policy(),
+        outputs, failures, _ = self.run(
+            (double, 1), (flaky, (str(flag), 1, 2)), (double, 3),
+            policy=retry_policy(),
         )
-        assert results == [(0, 2, None), (1, 4, None), (2, 6, None)]
+        assert (outputs, failures) == ([2, 4, 6], [])
         assert len(flag.read_text()) == 2
+
+    def test_an_exhausted_unit_reports_every_attempt(self):
+        outputs, failures, _ = self.run(
+            (boom, 1), (double, 2), (boom, 3),
+            policy=FaultPolicy(
+                on_error="skip", retries=2, backoff_seconds=0.0
+            ),
+        )
+        assert outputs == [None, 4, None]
+        assert [(slot, f.index, f.attempts) for slot, f in failures] == [
+            (0, 0, 3), (2, 2, 3),
+        ]
 
     def test_the_timeout_is_per_unit_not_per_frame(self):
         # Three 0.06 s units outlast a 0.15 s bound together, never
         # alone; the 30 s one is cut off and its frame-mates are not.
-        results, seconds = _run_frame(
-            self.jobs(
-                (sleepy, 0.06), (sleepy, 0.06), (sleepy, 30.0), (sleepy, 0.06)
+        outputs, failures, seconds = self.run(
+            (sleepy, 0.06), (sleepy, 0.06), (sleepy, 30.0), (sleepy, 0.06),
+            policy=FaultPolicy(
+                on_error="skip", retries=0, timeout_seconds=0.15
             ),
-            FaultPolicy(on_error="skip", retries=0, timeout_seconds=0.15),
         )
-        assert [output for _, output, _ in results] == [
-            "done", "done", None, "done",
-        ]
-        assert "UnitTimeout" in results[2][2].error
+        assert outputs == ["done", "done", None, "done"]
+        assert [slot for slot, _ in failures] == [2]
+        assert "UnitTimeout" in failures[0][1].error
         assert seconds < 5.0
 
-    def test_jobs_are_taken_one_at_a_time(self):
+    def test_units_are_taken_one_at_a_time(self):
         # The cluster worker's chaos triggers count units as they are
         # started, so the loop must not drain the iterable up front.
         STARTED.clear()
 
         def counted():
-            for job in self.jobs((started_so_far, None), (started_so_far, None)):
-                STARTED.append(job[0])
-                yield job
+            for slot in range(2):
+                STARTED.append(slot)
+                yield started_so_far, None
 
-        results, _ = _run_frame(counted(), FaultPolicy())
-        assert [output for _, output, _ in results] == [[0], [0, 1]]
+        outputs, _, _ = _run_frame([0, 1], counted(), ["a", "b"], FaultPolicy())
+        assert outputs == [[0], [0, 1]]
+
+
+class TestEncodeResults:
+    def test_an_unpicklable_output_fails_alone_in_slot_order(self):
+        failure = UnitFailure(
+            index=7, label="b", error="boom", traceback="", attempts=1
+        )
+        reply = _encode_results(
+            ([1, None, make_unpicklable(3), 4], [(1, failure)], 0.5),
+            [6, 7, 8, 9], ["a", "b", "c", "d"], pickle.dumps, worker="w2",
+        )
+        outputs, failures, seconds = pickle.loads(reply)
+        assert seconds == 0.5
+        assert outputs == [1, None, None, 4]
+        assert [(slot, f.index, f.label) for slot, f in failures] == [
+            (1, 7, "b"), (2, 8, "c"),
+        ]
+        assert "pickled" in failures[1][1].error
+        assert failures[1][1].worker == "w2"
 
 
 class TestPoolFrames:
@@ -917,3 +952,108 @@ class TestWorkerLost:
         with pytest.raises(WorkerLost, match="exit code 1"):
             run_plan(plan, workers=2)
         assert time.perf_counter() - started < 5.0
+
+
+# ----------------------------------------------------------------------
+# The frame contract, one property over all three places a unit runs
+# ----------------------------------------------------------------------
+@st.composite
+def contract_plans(draw):
+    """``(kinds, workers, policy)``: 1-300 units, some raising, at most
+    one returning what will not pickle."""
+    count = draw(st.integers(1, 300))
+    slots = st.integers(0, count - 1)
+    kinds = ["ok"] * count
+    for slot in draw(st.lists(slots, max_size=3)):
+        kinds[slot] = "raise"
+    unpicklable = draw(st.none() | slots)
+    if unpicklable is not None:
+        kinds[unpicklable] = "unpicklable"
+    on_error = draw(st.sampled_from(["raise", "retry", "skip"]))
+    policy = FaultPolicy(on_error=on_error, retries=1, backoff_seconds=0.0)
+    return kinds, draw(st.integers(1, 3)), policy
+
+
+def run_contract(kinds, policy, workers, backend):
+    """What one run shows: merged outputs (None when the plan raised),
+    ``on_unit`` indices, and ``(index, label, attempts, error)`` per
+    failure, landed or raised."""
+    plan = ExecutionPlan(
+        units=[
+            WorkUnit(runner=contract_unit, payload=(slot, kind),
+                     label=f"u{slot}")
+            for slot, kind in enumerate(kinds)
+        ],
+        merge=list,
+    )
+    landed, failures = set(), []
+    try:
+        outputs = run_plan(
+            plan, workers=workers, fault_policy=policy, backend=backend,
+            on_unit=lambda index, output: landed.add(index),
+            on_failure=failures.append,
+        )
+    except UnitExecutionError as error:
+        outputs, failures = None, [error.failure]
+    return outputs, landed, {
+        f.index: (f.label, f.attempts, re.sub(r" at 0x\w+", "", f.error))
+        for f in failures
+    }
+
+
+@settings(
+    max_examples=5,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(contract_plans())
+def test_every_backend_keeps_the_frame_contract(worker_path, case):
+    """In-process, pool and cluster land the same units the same way.
+
+    The one difference is the contract's own: an output that will not
+    pickle lands in-process, where it never travels, and fails its unit
+    wherever it must come back over a wire.
+    """
+    kinds, workers, policy = case
+    raising = {slot for slot, kind in enumerate(kinds) if kind == "raise"}
+    pooled = workers > 1 and len(kinds) > 1  # else the pool runs in-process
+    runs = {
+        backend: run_contract(kinds, policy, *placement)
+        for backend, placement in {
+            "in-process": (1, "pool"),
+            "pool": (workers, "pool"),
+            "cluster": (workers, "cluster"),
+        }.items()
+    }
+    for backend, (outputs, landed, failures) in runs.items():
+        travels = backend == "cluster" or (backend == "pool" and pooled)
+        failed = raising | {
+            slot for slot, kind in enumerate(kinds)
+            if kind == "unpicklable" and travels
+        }
+        for slot, (label, attempts, error) in failures.items():
+            assert label == f"u{slot}", backend
+            if slot in raising:
+                assert (attempts, error) == (
+                    policy.attempts, f"RuntimeError('unit {slot} exploded')"
+                ), backend
+            else:
+                assert attempts == 1, backend
+                assert error.startswith("unit output could not be pickled")
+        if policy.on_error != "skip" and failed:
+            # The first failure to land ends the plan, whichever it is.
+            assert outputs is None and set(failures) <= failed, backend
+            assert not landed & failed, backend
+            continue
+        assert set(failures) == failed, backend
+        assert landed == set(range(len(kinds))) - failed, backend
+        for slot, kind in enumerate(kinds):
+            if slot in failed:
+                assert isinstance(outputs[slot], UnitFailure), backend
+            elif kind == "unpicklable":
+                assert outputs[slot]() == slot, backend
+            else:
+                assert outputs[slot] == 2 * slot, backend
+    # Under skip, where every failure lands, places that run alike agree.
+    if policy.on_error == "skip":
+        same = runs["cluster"] if pooled else runs["in-process"]
+        assert runs["pool"][1:] == same[1:]

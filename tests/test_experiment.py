@@ -23,7 +23,7 @@ from repro.__main__ import main
 from repro.campaign import (
     CampaignPoint,
     resolve_protocol,
-    scenario_hook_factory,
+    scenario_builder,
     scenario_seeds,
 )
 from repro.experiment import (
@@ -195,10 +195,12 @@ class TestSerialBitIdentical:
         ).run()
         resolved = protocol.resolve(n)
         states = resolved.spec.states
-        hooks_for = scenario_hook_factory(CampaignPoint(
+        point = CampaignPoint(
             protocol=name, n=n, loss_rate=0.0, scenario=scenario or "none",
             trials=trials, periods=periods, seed=seed,
-        ))
+        )
+        build_hooks = scenario_builder(point.scenario)
+        hook_seeds = scenario_seeds(seed, trials)
         seeds = spawn_seeds(seed, trials)
         assert serial.trial_seeds == list(seeds)
         for trial, trial_seed in enumerate(seeds):
@@ -206,7 +208,10 @@ class TestSerialBitIdentical:
                 resolved.spec, n=n, initial=resolved.initial, seed=trial_seed
             )
             recorder = BatchMetricsRecorder(states, 1)
-            engine.run(periods, recorder=recorder, hooks=hooks_for(trial))
+            engine.run(
+                periods, recorder=recorder,
+                hooks=build_hooks(point, trial, hook_seeds[trial]),
+            )
             assert np.array_equal(
                 serial.count_tensor()[trial],
                 np.stack([recorder.counts(s)[0] for s in states], axis=1),

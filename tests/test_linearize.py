@@ -11,7 +11,6 @@ import pytest
 from repro.analysis.linearize import (
     endemic_closed_form_matrix,
     perturb,
-    relative_deviation,
 )
 from repro.analysis.stability import endemic_stability
 from repro.odes import classify_point, library
@@ -84,6 +83,11 @@ class TestClosedForms:
                     verdict = endemic_stability(alpha, gamma, beta)
                     assert verdict.trace < 0
                     assert verdict.determinant > 0
+
+
+def relative_deviation(point, equilibrium):
+    """``u = x / x_inf - 1`` per variable: what :func:`perturb` applied."""
+    return {name: point[name] / value - 1.0 for name, value in equilibrium.items()}
 
 
 class TestPerturbationHelpers:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.odes import library
-from repro.odes.parser import ParseError, parse_equations, parse_system
+from repro.odes.parser import ParseError, parse_system
 
 
 class TestBasicParsing:
@@ -60,10 +60,6 @@ class TestBasicParsing:
     def test_like_terms_combined(self):
         system = parse_system("x' = -x - x\ny' = 2*x")
         assert system.terms_of("x")[0].coefficient == -2.0
-
-    def test_parse_equations_list(self):
-        system = parse_equations(["x' = -x*y", "y' = x*y"])
-        assert system.dimension == 2
 
 
 class TestVariableHandling:

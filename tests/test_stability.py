@@ -24,7 +24,8 @@ def planar_chart(trace, determinant, tol=1e-9):
     if determinant < -tol:
         return "saddle point"
     if abs(determinant) <= tol:
-        return "non-hyperbolic"
+        # A zero root: the other one, the trace, decides only if it grows.
+        return "unstable non-hyperbolic" if trace > tol else "non-hyperbolic"
     if abs(trace) <= tol:
         return "center"
     prefix = "stable" if trace < 0 else "unstable"
@@ -50,6 +51,7 @@ class TestPlanarCase:
             (0.0, 1.0, "center"),
             (-2.0, 1.0, "stable node"),  # repeated root: a degenerate node
             (-1.0, 0.0, "non-hyperbolic"),  # a line of equilibria
+            (1.0, 0.0, "unstable non-hyperbolic"),  # ... leaving it
         ],
     )
     def test_chart_rows(self, trace, determinant, label):

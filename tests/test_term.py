@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.odes.term import Term, combine_like_terms, term_sum
+from repro.odes.term import Term, combine_like_terms
 
 
 class TestConstruction:
@@ -153,9 +153,3 @@ class TestCombineLikeTerms:
             [Term(1.0, {"y": 1}), Term(1.0, {"x": 1}), Term(1.0, {"y": 1})]
         )
         assert [t.variables for t in merged] == [("y",), ("x",)]
-
-    def test_term_sum(self):
-        total = term_sum(
-            [Term(1.0, {"x": 1}), Term(-2.0, {"y": 1})], {"x": 3.0, "y": 1.0}
-        )
-        assert total == 1.0
