@@ -16,7 +16,6 @@ from .convergence import (
     decay_rate_estimate,
     endemic_case,
     endemic_displacement,
-    endemic_settling_time,
     first_period_below,
     lv_majority_fraction,
     lv_minority_fraction,
@@ -26,7 +25,6 @@ from .fairness import (
     FairnessReport,
     analyze_member_log,
     attack_window_decay,
-    fairness_over_time,
     jain_index,
 )
 from .linearize import (
@@ -64,7 +62,6 @@ __all__ = [
     "endemic_stability",
     "endemic_case",
     "endemic_displacement",
-    "endemic_settling_time",
     "lv_minority_fraction",
     "lv_majority_fraction",
     "lv_periods_to_minority",
@@ -82,7 +79,6 @@ __all__ = [
     "jain_index",
     "analyze_member_log",
     "attack_window_decay",
-    "fairness_over_time",
     "FairnessReport",
     "measure_equilibrium",
     "compare_trajectory",

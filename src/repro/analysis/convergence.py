@@ -86,21 +86,6 @@ def endemic_displacement(
     return u0 * decay  # degenerate
 
 
-def endemic_settling_time(params: EndemicParams, ratio: float = 100.0) -> float:
-    """Periods until the displacement envelope shrinks by ``ratio``.
-
-    The envelope decays as ``exp(-t (sigma+alpha)/2)`` (spiral case) or
-    with the slowest eigenvalue (node case), so settling is
-    logarithmic in the required accuracy -- "the system converges
-    exponentially quickly".
-    """
-    eig1, eig2 = params.eigenvalues()
-    slowest = max(eig1.real, eig2.real)
-    if slowest >= 0:
-        return math.inf
-    return math.log(ratio) / (-slowest)
-
-
 # ----------------------------------------------------------------------
 # LV: convergence complexity near (0, 1) / (1, 0)
 # ----------------------------------------------------------------------

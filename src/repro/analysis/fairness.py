@@ -201,22 +201,3 @@ def attack_window_decay(
         if overlaps:
             out[lag] = float(np.mean(overlaps))
     return out
-
-
-def fairness_over_time(
-    member_log: MemberLog, n_hosts: int, checkpoints: int = 5
-) -> List[Tuple[int, float]]:
-    """Jain index measured over growing prefixes of the member log.
-
-    Fairness is an asymptotic property ("over a long time of running");
-    this shows the index rising toward 1 as the window grows.
-    """
-    log = _nonempty(member_log)
-    out = []
-    for checkpoint in range(1, checkpoints + 1):
-        upto = max(1, (len(log) * checkpoint) // checkpoints)
-        occupancy = np.zeros(n_hosts, dtype=np.int64)
-        for _, members in log[:upto]:
-            occupancy[members] += 1
-        out.append((upto, jain_index(occupancy)))
-    return out

@@ -7,10 +7,16 @@ factories* (``factory(trial) -> hook(view)``), and the campaign
 registry adds a third (``builder(point, trial, seed) -> hooks``).  A
 :class:`Scenario` normalizes all of them: it produces the per-trial
 hook list for a run context, with scenario randomness drawn from a
-seed family domain-separated from the engines' protocol streams (the
-same family the campaign runner uses, so an
+seed family domain-separated from the engines' protocol streams -- the
+family the campaign runner uses too.  An
 :class:`~repro.experiment.experiment.Experiment` and a campaign point
-with identical parameters inject identical faults).
+with identical parameters therefore inject identical faults *when the
+point runs as one shard*: an experiment indexes one root family by
+global trial, whatever its ``workers``, while a sharded point builds
+each shard's factory from that shard's own seed
+(``campaign.runner._run_shard``), so its faults differ from the
+experiment's as its protocol streams do.  At ``workers=1`` and one
+shard the two runs are bitwise identical.
 """
 
 from __future__ import annotations
@@ -164,7 +170,9 @@ class ScenarioHookFactory:
     Trial indices are *global* (0..trials-1): the scenario seed family
     is derived once from the context, so the hooks a trial receives are
     identical whether the ensemble runs in one engine or sharded
-    across processes.
+    across processes by an executor handed this one factory.  A
+    campaign point with ``shards > 1`` is not that: each shard is its
+    own context, with its own seed, and gets its own factory.
     """
 
     def __init__(self, scenario: Scenario, context: RunContext):

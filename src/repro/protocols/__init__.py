@@ -20,7 +20,6 @@ from .endemic import (
     EndemicParams,
     alpha_for_target_stashers,
     figure1_protocol,
-    params_for_log_replicas,
     pure_protocol,
     stasher_birth_rate,
 )
@@ -42,8 +41,6 @@ from .lv import (
     MajorityOutcome,
     expected_convergence_periods,
     lv_protocol,
-    majority_accuracy,
-    majority_accuracy_serial,
 )
 
 __all__ = [
@@ -57,7 +54,6 @@ __all__ = [
     "figure1_protocol",
     "pure_protocol",
     "alpha_for_target_stashers",
-    "params_for_log_replicas",
     "stasher_birth_rate",
     "RECEPTIVE",
     "STASH",
@@ -67,8 +63,6 @@ __all__ = [
     "MajorityOutcome",
     "MajorityEnsembleOutcome",
     "lv_protocol",
-    "majority_accuracy",
-    "majority_accuracy_serial",
     "expected_convergence_periods",
     "ZERO",
     "ONE",

@@ -28,7 +28,6 @@ stasher population ``y_inf = c*log2(N)``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -233,20 +232,6 @@ def alpha_for_target_stashers(
     if alpha > 1.0:
         raise ValueError(f"required alpha={alpha} exceeds 1; lower the target")
     return alpha
-
-
-def params_for_log_replicas(
-    n: int, c: float, gamma: float, b: int
-) -> EndemicParams:
-    """Parameters giving ``y_inf = c * log2(n)`` equilibrium stashers.
-
-    With this choice the probability that all stashers die before
-    creating any new replica is ``(1/2)^{y_inf} = n^{-c}``
-    (Section 4.1.3).
-    """
-    target = c * math.log2(n)
-    alpha = alpha_for_target_stashers(n, target, gamma, b)
-    return EndemicParams(alpha=alpha, gamma=gamma, b=b)
 
 
 def stasher_birth_rate(params: EndemicParams, n: int) -> float:

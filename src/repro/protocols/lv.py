@@ -213,8 +213,8 @@ class LVEnsemble:
     ensemble frequencies, so the M trials run as one
     :class:`~repro.runtime.batch_engine.BatchRoundEngine` tensor
     instead of a Python loop over seeded engines.  The vectorized path
-    is anchored in distribution against :func:`majority_accuracy_serial`
-    (see ``tests/test_lv.py``).
+    is anchored in distribution against a loop over seeded
+    :class:`LVMajority` runs (see ``tests/test_lv.py``).
     """
 
     def __init__(
@@ -324,58 +324,6 @@ class LVEnsemble:
             convergence_periods=convergence,
             recorder=recorder,
         )
-
-
-def majority_accuracy(
-    n: int,
-    zeros: int,
-    trials: int,
-    *,
-    p: float = 0.01,
-    max_periods: int = 4000,
-    seed: int = 0,
-) -> float:
-    """Empirical probability that the initial majority wins.
-
-    The w.h.p. guarantee weakens as the initial split approaches 50/50
-    (the saddle at ``x = y``); this measures it.  The M trials run as
-    one batched :class:`LVEnsemble`; :func:`majority_accuracy_serial`
-    keeps the pre-batch-engine trial loop alive as the throughput and
-    equivalence baseline.
-    """
-    outcome = LVEnsemble(
-        n, zeros, n - zeros, trials=trials, p=p, seed=seed
-    ).run(max_periods)
-    return outcome.accuracy()
-
-
-def majority_accuracy_serial(
-    n: int,
-    zeros: int,
-    trials: int,
-    *,
-    p: float = 0.01,
-    max_periods: int = 4000,
-    seed: int = 0,
-) -> float:
-    """Reference implementation: a Python loop over M serial runs.
-
-    The pre-batch-engine idiom (one seeded :class:`LVMajority` per
-    trial).  Kept as the baseline of the distributional-equivalence
-    tests.
-    """
-    wins = 0
-    decided = 0
-    for trial in range(trials):
-        outcome = LVMajority(
-            n, zeros, n - zeros, p=p, seed=seed + trial
-        ).run(max_periods)
-        if outcome.correct is not None:
-            decided += 1
-            wins += int(outcome.correct)
-    if decided == 0:
-        return float("nan")
-    return wins / decided
 
 
 def expected_convergence_periods(n: int, p: float = 0.01, u0: float = 0.25) -> float:

@@ -47,7 +47,6 @@ from .exec import (
     UnitExecutionError,
     UnitFailure,
     UnitTimeout,
-    WorkerLost,
     WorkUnit,
     run_plan,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "UnitTimeout",
     "WorkUnit",
     "WorkerFault",
-    "WorkerLost",
     "run_plan",
     "TIERS",
     "EnsembleExecutor",

@@ -1,17 +1,18 @@
-"""The cluster backend: process-isolated workers with re-dispatch.
+"""The cluster backend: process-isolated workers on TCP sockets.
 
 :func:`~repro.runtime.exec.run_plan`'s default ``pool`` backend is
-forked children on pipes -- fast, but it stops where the paper's
-protocols carry on: a SIGKILLed child ends the plan (promptly and by
-name, :class:`~repro.runtime.exec.WorkerLost`, but it ends), a hung
-one stalls it, and the worker count is fixed at fork time.  This
-module is the ``backend="cluster"`` alternative: a
-**coordinator** (in the calling process) and **workers** that are fully
-independent OS processes speaking a length-prefixed pickle protocol
-over TCP sockets.  Workers are spawned locally today and dial in over
-the same protocol a remote (SSH- or k8s-launched) worker would use;
-``python -m repro worker --connect HOST:PORT`` starts a standalone one
-that can join a plan already in flight.
+forked children on pipes -- fast, but a hung child stalls it and the
+worker count is fixed at fork time.  This module is the
+``backend="cluster"`` alternative: a **coordinator** (in the calling
+process) and **workers** that are fully independent OS processes
+speaking a length-prefixed pickle protocol over TCP sockets.  Workers
+are spawned locally today and dial in over the same protocol a remote
+(SSH- or k8s-launched) worker would use; ``python -m repro worker
+--connect HOST:PORT`` starts a standalone one that can join a plan
+already in flight.  The coordinator is the socket transport of
+:class:`~repro.runtime.dispatch.Dispatcher`, the unit table the pool
+drives over pipes: frames, frame sizing, re-dispatch and the
+lost-worker rule live there, once.
 
 Robustness model
 ----------------
@@ -21,27 +22,16 @@ Robustness model
   A worker silent for ``heartbeat_seconds * heartbeat_misses`` is
   *fenced*: its socket is closed, its process (if locally spawned) is
   SIGKILLed -- a fenced worker can never land a stale result.
-* **Frames.**  Units travel in *frames*: one ``frame`` message carries
-  a list of ``(index, blob, label)`` jobs, the worker runs them with
-  :func:`~repro.runtime.exec._run_frame` and answers with one
-  ``("results", outputs, failures, seconds)`` message, the columns a
-  pool child replies with.  The coordinator sizes the next frame from
-  how long the last ones ran (:func:`~repro.runtime.exec._next_frame_size`:
-  units of tens of milliseconds travel alone, do-nothing units by the
-  hundred) and keeps one frame in flight per worker.
-* **Re-dispatch.**  A fenced or dead worker's in-flight frame goes back
-  to the front of the queue, in order, and is re-dispatched to a
-  survivor.  The dispatch payload is the *same* pre-pickled blob
-  (:func:`~repro.runtime.exec._encode_units` serializes once per
-  plan; the worker decodes a unit as it starts it), and unit seeds
-  never depend on workers, so a re-dispatched
-  run is bitwise identical to an undisturbed one -- plan contract
-  clause 5.  A unit that out-lives ``FaultPolicy.max_dispatches``
-  workers is treated as the unit's own fault and becomes a
-  :class:`~repro.runtime.exec.UnitFailure` carrying provenance (the
-  last worker id, re-dispatch count, heartbeat misses observed), which
-  flows into the ordinary ``on_error`` machinery -- so campaign
-  checkpoint/resume composes unchanged.
+* **Frames and re-dispatch.**  One ``frame`` message carries a list of
+  ``(index, blob, label)`` jobs, each blob the unit pickled once per
+  plan (:func:`~repro.runtime.exec._encode_units`); the worker answers
+  with the pool child's ``("results", outputs, failures, seconds)``
+  columns.  A fenced or dead worker's units go out again as the *same*
+  blobs, so results cannot change (plan contract clause 5), until one
+  out-lives ``FaultPolicy.max_dispatches`` workers and becomes a
+  :class:`~repro.runtime.exec.UnitFailure` with provenance (last
+  worker id, re-dispatch count, heartbeat misses) that follows
+  ``on_error`` -- so campaign checkpoint/resume composes unchanged.
 * **Elastic workers.**  The coordinator accepts joins for as long as
   the plan runs (pin the port with ``REPRO_CLUSTER_PORT`` to make it
   discoverable), dead local workers are respawned under a bounded
@@ -71,7 +61,6 @@ import sys
 import threading
 import time
 import traceback as traceback_module
-from collections import deque
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -85,14 +74,12 @@ from repro.runtime.chaos import (
     faults_env_value,
     faults_from_env,
 )
+from repro.runtime.dispatch import Dispatcher
 from repro.runtime.exec import (
     Failures,
     FaultPolicy,
     UnitFailure,
     _encode_results,
-    _land_frame,
-    _log_frames,
-    _next_frame_size,
     _normalize_traceback,
     _run_frame,
 )
@@ -197,29 +184,18 @@ class MessageBuffer:
         return pickle.loads(blob)
 
 
-@dataclass
+@dataclass(eq=False)
 class _Connection:
-    """Coordinator-side state for one connected worker."""
+    """Coordinator-side state for one connected worker (a table key)."""
 
     sock: socket.socket
     last_seen: float
     worker_id: str = ""
     launch_index: Optional[int] = None
-    #: Unit indices of the frame in flight on this worker, in order.
-    frame: List[int] = field(default_factory=list)
     ready: bool = False
     fenced: bool = False
     buffer: MessageBuffer = field(default_factory=MessageBuffer)
     outbox: bytearray = field(default_factory=bytearray)
-
-
-@dataclass
-class _UnitState:
-    """Dispatch bookkeeping for one unit (provenance on failure)."""
-
-    dispatches: int = 0
-    misses: int = 0
-    last_worker: str = ""
 
 
 class ClusterCoordinator:
@@ -245,42 +221,40 @@ class ClusterCoordinator:
     ):
         self.label = label
         self._blobs = list(blobs)
-        self._labels = list(labels)
-        self._policy = policy
-        self._workers = max(1, min(workers, len(self._blobs)))
+        #: The unit table; ``run`` hands it the landing callback.
+        self._table = Dispatcher(label, list(labels), policy, workers, None)
         self._initializer = initializer
         self._initargs = initargs
         self._chaos = chaos if chaos is not None else ChaosSchedule.from_env()
         self._host = os.environ.get(HOST_ENV, "127.0.0.1")
         self._port = int(os.environ.get(PORT_ENV, "0"))
-        self._pending: deque = deque(range(len(self._blobs)))
-        self._states = [_UnitState() for _ in self._blobs]
         self._connections: Dict[int, _Connection] = {}
         self._procs: Dict[int, subprocess.Popen] = {}
         self._fenced: Dict[int, subprocess.Popen] = {}
-        self._spawned = 0
         self._next_worker_id = 0
-        self._done_count = 0
-        self._frame_size = 1
         self._first_frame_at: Optional[float] = None
-        self._draining = False
         self._selector: Optional[selectors.BaseSelector] = None
         self._listener: Optional[socket.socket] = None
-        #: Observable run statistics (tests and drain messages read these).
-        self.stats = dict.fromkeys((
-            "spawned", "external_joins", "workers_lost", "redispatches",
-            "dispatches", "frames", "largest_frame",
-        ), 0)
-        # A worker that dies instantly on every unit must not spawn
-        # replacements forever: the budget covers every allowed
-        # re-dispatch plus headroom for slow starters.
-        self._spawn_budget = self._workers * max(2, policy.max_dispatches) + 2
+        self._counts = dict.fromkeys(
+            ("spawned", "external_joins", "workers_lost"), 0
+        )
+
+    @property
+    def stats(self) -> Dict[str, int]:
+        """Observable run statistics (tests and the benchmark read these)."""
+        table = self._table
+        return {
+            **self._counts, "redispatches": table.redispatches,
+            "dispatches": sum(table.dispatches), "frames": table.frames,
+            "largest_frame": table.largest,
+        }
 
     # -- lifecycle -----------------------------------------------------
 
     def run(self, land: Callable[[int, Any, Optional[UnitFailure]], None]):
         """Execute the plan, landing every unit through ``land``."""
-        total = len(self._blobs)
+        table = self._table
+        table.land = land
         started = time.monotonic()
         previous_sigterm = None
         in_main_thread = (
@@ -288,7 +262,7 @@ class ClusterCoordinator:
         )
         if in_main_thread and hasattr(signal, "SIGTERM"):
             def drain(signum, frame):
-                self._draining = True
+                table.draining = True
 
             previous_sigterm = signal.signal(signal.SIGTERM, drain)
         self._selector = selectors.DefaultSelector()
@@ -304,25 +278,19 @@ class ClusterCoordinator:
             self._selector.register(
                 self._listener, selectors.EVENT_READ, None
             )
-            self._event_loop(land, total)
+            self._event_loop()
         finally:
             self._cleanup()
             if previous_sigterm is not None:
                 signal.signal(signal.SIGTERM, previous_sigterm)
         ended = time.monotonic()
-        _log_frames(
-            self.label, self._done_count, self.stats["frames"],
-            self.stats["largest_frame"], self._workers, ended - started,
-            (self._first_frame_at or ended) - started,
-        )
-        if self._draining and self._done_count < total:
-            raise ClusterDrained(self.label, self._done_count, total)
+        table.log(ended - started, (self._first_frame_at or ended) - started)
+        if table.landed < table.total:
+            raise ClusterDrained(self.label, table.landed, table.total)
 
-    def _event_loop(self, land, total: int) -> None:
-        tick = min(0.5, max(0.01, self._policy.heartbeat_seconds / 4.0))
-        while self._done_count < total:
-            if self._draining and not self._in_flight():
-                return
+    def _event_loop(self) -> None:
+        tick = min(0.5, max(0.01, self._table.policy.heartbeat_seconds / 4.0))
+        while not self._table.finished():
             self._maintain_workers()
             events = self._selector.select(timeout=tick)
             for key, mask in events:
@@ -333,28 +301,17 @@ class ClusterCoordinator:
                 if mask & selectors.EVENT_WRITE:
                     self._flush(conn)
                 if mask & selectors.EVENT_READ:
-                    self._read(conn, land)
-            self._scan_heartbeats(land)
-            self._stall_guard()
-
-    def _in_flight(self) -> int:
-        """How many units are out with workers."""
-        return sum(len(conn.frame) for conn in self._connections.values())
-
-    def _stall_guard(self) -> None:
-        if self._draining or self._done_count >= len(self._blobs):
-            return
-        if self._connections or self._live_spawns():
-            return
-        if self._spawned < self._spawn_budget:
-            return
-        raise RuntimeError(
-            f"{self.label}: cluster stalled -- no workers connected, "
-            f"spawn budget ({self._spawn_budget}) exhausted, "
-            f"{len(self._pending)} unit(s) still pending; pin "
-            f"{PORT_ENV} and attach standalone workers, or raise "
-            f"FaultPolicy.max_dispatches"
-        )
+                    self._read(conn)
+            self._scan_heartbeats()
+            if not (
+                self._table.finished() or self._connections
+                or self._live_spawns()
+                or self._counts["spawned"] < self._table.spawn_budget
+            ):
+                raise self._table.stalled(
+                    f"pin {PORT_ENV} and attach standalone workers, or "
+                    f"raise FaultPolicy.max_dispatches"
+                )
 
     def _cleanup(self) -> None:
         for conn in list(self._connections.values()):
@@ -365,10 +322,11 @@ class ClusterCoordinator:
             with suppress(OSError):
                 conn.sock.close()
         self._connections.clear()
-        for proc in list(self._procs.values()) + list(self._fenced.values()):
+        procs = [*self._procs.values(), *self._fenced.values()]
+        for proc in procs:
             if proc.poll() is None:
                 proc.kill()
-        for proc in list(self._procs.values()) + list(self._fenced.values()):
+        for proc in procs:
             with suppress(subprocess.TimeoutExpired):
                 proc.wait(timeout=5)
         self._procs.clear()
@@ -382,35 +340,20 @@ class ClusterCoordinator:
 
     def _live_spawns(self) -> List[int]:
         """Launch indices of spawned procs alive but not yet connected."""
-        connected = [
-            conn.launch_index
-            for conn in self._connections.values()
-            if conn.launch_index is not None
-        ]
-        alive = []
         for launch_index, proc in list(self._procs.items()):
             if proc.poll() is not None:
                 del self._procs[launch_index]
-                continue
-            if launch_index not in connected:
-                alive.append(launch_index)
-        return alive
+        connected = {conn.launch_index for conn in self._connections.values()}
+        return [index for index in self._procs if index not in connected]
 
     def _maintain_workers(self) -> None:
-        if self._draining:
-            return
-        remaining = len(self._pending) + self._in_flight()
-        if remaining == 0:
-            return
-        capacity = len(self._connections) + len(self._live_spawns())
-        want = min(self._workers, remaining)
-        while capacity < want and self._spawned < self._spawn_budget:
+        live = len(self._connections) + len(self._live_spawns())
+        for _ in range(self._table.spawns(live, self._counts["spawned"])):
             self._spawn_worker()
-            capacity += 1
 
     def _spawn_worker(self) -> None:
-        launch_index = self._spawned
-        self._spawned += 1
+        launch_index = self._counts["spawned"]
+        self._counts["spawned"] += 1
         env = dict(os.environ)
         src_root = str(Path(__file__).resolve().parents[2])
         python_path = env.get("PYTHONPATH", "")
@@ -438,7 +381,6 @@ class ClusterCoordinator:
             env=env,
             stdin=subprocess.DEVNULL,
         )
-        self.stats["spawned"] += 1
 
     # -- connection handling -------------------------------------------
 
@@ -453,15 +395,8 @@ class ClusterCoordinator:
             self._connections[sock.fileno()] = conn
             self._selector.register(sock, selectors.EVENT_READ, conn)
 
-    def _events_for(self, conn: _Connection) -> int:
-        events = selectors.EVENT_READ
-        if conn.outbox:
-            events |= selectors.EVENT_WRITE
-        return events
-
     def _queue_send(self, conn: _Connection, message: Tuple) -> None:
         conn.outbox.extend(encode_message(message))
-        self._selector.modify(conn.sock, self._events_for(conn), conn)
         self._flush(conn)
 
     def _flush(self, conn: _Connection) -> None:
@@ -475,20 +410,23 @@ class ClusterCoordinator:
             if sent == 0:
                 break
             del conn.outbox[:sent]
+        events = selectors.EVENT_READ
+        if conn.outbox:
+            events |= selectors.EVENT_WRITE
         with suppress(KeyError):
-            self._selector.modify(conn.sock, self._events_for(conn), conn)
+            self._selector.modify(conn.sock, events, conn)
 
-    def _read(self, conn: _Connection, land) -> None:
+    def _read(self, conn: _Connection) -> None:
         while True:
             try:
                 chunk = conn.sock.recv(1 << 20)
             except (BlockingIOError, InterruptedError):
                 break
             except OSError:
-                self._lose_worker(conn, land, reason="connection error")
+                self._lose_worker(conn, "connection error")
                 return
             if not chunk:
-                self._lose_worker(conn, land, reason="connection closed")
+                self._lose_worker(conn, "connection closed")
                 return
             conn.buffer.feed(chunk)
         conn.last_seen = time.monotonic()
@@ -496,13 +434,13 @@ class ClusterCoordinator:
             try:
                 message = conn.buffer.pop()
             except Exception:
-                self._lose_worker(conn, land, reason="protocol error")
+                self._lose_worker(conn, "protocol error")
                 return
             if message is None:
                 return
-            self._handle_message(conn, message, land)
+            self._handle_message(conn, message)
 
-    def _handle_message(self, conn: _Connection, message: Any, land):
+    def _handle_message(self, conn: _Connection, message: Any) -> None:
         """Act on one decoded message; a malformed one fences its sender.
 
         The bytes come from another process, so nothing about their
@@ -518,11 +456,11 @@ class ClusterCoordinator:
             launch = info.get("launch") if isinstance(info, dict) else None
             conn.launch_index = launch
             if launch is None:
-                self.stats["external_joins"] += 1
+                self._counts["external_joins"] += 1
             self._queue_send(conn, (
                 "setup",
                 conn.worker_id,
-                self._policy,
+                self._table.policy,
                 self._initializer,
                 self._initargs,
             ))
@@ -533,30 +471,28 @@ class ClusterCoordinator:
         elif kind == "results":
             reply = self._frame_reply(conn, message)
             if reply is None:
-                self._lose_worker(conn, land, reason="protocol error")
+                self._lose_worker(conn, "protocol error")
                 return
             outputs, failures, seconds = reply
-            frame, conn.frame = conn.frame, []
-            self._frame_size = _next_frame_size(
-                self._frame_size, len(frame), seconds
-            )
-            self._done_count += len(frame)
-            _land_frame(land, frame, outputs, [
-                (slot, self._stamp_provenance(
-                    failure, conn, self._states[frame[slot]]
+            table = self._table
+            frame = table.result(conn, seconds)
+            table.land_frame(frame, outputs, [
+                (slot, replace(
+                    failure, worker=conn.worker_id,
+                    redispatches=table.dispatches[failure.index] - 1,
+                    heartbeat_misses=table.misses[failure.index],
                 ))
                 for slot, failure in failures
             ])
             self._dispatch(conn)
         elif kind == "fatal":
             detail = message[1] if len(message) > 1 else ""
-            self._lose_worker(conn, land, reason=f"worker fatal: {detail}")
+            self._lose_worker(conn, f"worker fatal: {detail}")
         else:
-            self._lose_worker(conn, land, reason="protocol error")
+            self._lose_worker(conn, "protocol error")
 
-    @staticmethod
     def _frame_reply(
-        conn: _Connection, message: Tuple
+        self, conn: _Connection, message: Tuple
     ) -> Optional[Tuple[List[Any], Failures, float]]:
         """``(outputs, failures, seconds)`` of ``conn``'s in-flight
         frame, or None.
@@ -568,10 +504,11 @@ class ClusterCoordinator:
         can land a unit it was not dispatched, a unit twice, or an index
         outside the plan.
         """
-        if len(message) != 4 or not conn.frame:
+        frame = self._table.flight.get(conn)
+        if len(message) != 4 or frame is None:
             return None
         _, outputs, failures, seconds = message
-        if not isinstance(outputs, list) or len(outputs) != len(conn.frame):
+        if not isinstance(outputs, list) or len(outputs) != len(frame):
             return None
         if not isinstance(failures, list):
             return None
@@ -587,118 +524,58 @@ class ClusterCoordinator:
             if not isinstance(record, UnitFailure) or outputs[slot] is not None:
                 return None
             index = record.index
-            if type(index) is not int or index != conn.frame[slot]:
+            if type(index) is not int or index != frame[slot]:
                 return None
             previous = slot
         return outputs, failures, seconds
 
-    def _stamp_provenance(
-        self, failure: UnitFailure, conn: _Connection, state: _UnitState
-    ) -> UnitFailure:
-        return replace(
-            failure, worker=conn.worker_id,
-            redispatches=max(0, state.dispatches - 1),
-            heartbeat_misses=state.misses,
-        )
-
     def _dispatch(self, conn: _Connection) -> None:
-        if (
-            self._draining
-            or not conn.ready
-            or conn.frame
-            or not self._pending
-        ):
+        frame = self._table.cut(conn, conn.worker_id) if conn.ready else None
+        if frame is None:
             return
-        take = min(self._frame_size, len(self._pending))
-        frame = [self._pending.popleft() for _ in range(take)]
-        for index in frame:
-            state = self._states[index]
-            state.dispatches += 1
-            state.last_worker = conn.worker_id
-            if state.dispatches > 1:
-                self.stats["redispatches"] += 1
-        conn.frame = frame
         if self._first_frame_at is None:
             self._first_frame_at = time.monotonic()
+        labels = self._table.labels
         self._queue_send(conn, ("frame", [
-            (index, self._blobs[index], self._labels[index])
-            for index in frame
+            (index, self._blobs[index], labels[index]) for index in frame
         ]))
-        self.stats["dispatches"] += take
-        self.stats["frames"] += 1
-        self.stats["largest_frame"] = max(self.stats["largest_frame"], take)
 
     # -- failure detection ---------------------------------------------
 
-    def _scan_heartbeats(self, land) -> None:
-        deadline = self._policy.heartbeat_deadline
+    def _scan_heartbeats(self) -> None:
+        seconds = self._table.policy.heartbeat_seconds
         now = time.monotonic()
         for conn in list(self._connections.values()):
             silence = now - conn.last_seen
-            if silence > deadline:
-                misses = int(silence / self._policy.heartbeat_seconds)
+            if silence > self._table.policy.heartbeat_deadline:
+                misses = int(silence / seconds)
                 self._lose_worker(
-                    conn,
-                    land,
-                    reason=(
-                        f"missed {misses} heartbeats "
-                        f"({silence:.2f}s silent)"
-                    ),
-                    misses=misses,
+                    conn, f"missed {misses} heartbeats ({silence:.2f}s "
+                    f"silent)", misses,
                 )
 
     def _lose_worker(
-        self, conn: _Connection, land, reason: str, misses: int = 0
+        self, conn: _Connection, reason: str, misses: int = 0
     ) -> None:
-        """Fence a dead/hung worker and requeue its in-flight frame."""
+        """Fence a dead/hung worker; the table takes back its frame."""
         conn.fenced = True
-        fileno = conn.sock.fileno()
-        if fileno in self._connections:
-            del self._connections[fileno]
+        self._connections.pop(conn.sock.fileno(), None)
         with suppress(KeyError, ValueError):
             self._selector.unregister(conn.sock)
         with suppress(OSError):
             conn.sock.close()
-        if conn.launch_index is not None:
-            proc = self._procs.pop(conn.launch_index, None)
-            if proc is not None:
-                if proc.poll() is None:
-                    # SIGKILL, not SIGTERM: a SIGSTOPped (hung) process
-                    # never receives SIGTERM, but SIGKILL ends it even
-                    # while stopped.
-                    proc.kill()
-                self._fenced[conn.launch_index] = proc
+        proc = self._procs.pop(conn.launch_index, None)
+        if proc is not None:
+            if proc.poll() is None:
+                # SIGKILL, not SIGTERM: a SIGSTOPped (hung) process
+                # never receives SIGTERM, but SIGKILL ends it even
+                # while stopped.
+                proc.kill()
+            self._fenced[conn.launch_index] = proc
         if conn.ready:
-            self.stats["workers_lost"] += 1
-        frame, conn.frame = conn.frame, []
-        requeue = []
-        for index in frame:
-            state = self._states[index]
-            state.misses += misses
-            state.last_worker = conn.worker_id or state.last_worker
-            if state.dispatches < self._policy.max_dispatches:
-                requeue.append(index)
-                continue
-            self._done_count += 1
-            land(index, None, UnitFailure(
-                index=index,
-                label=self._labels[index],
-                error=(
-                    f"worker {state.last_worker!r} lost ({reason}) and "
-                    f"unit exhausted its {self._policy.max_dispatches} "
-                    f"dispatch(es)"
-                ),
-                traceback="",
-                attempts=state.dispatches,
-                worker=state.last_worker,
-                redispatches=max(0, state.dispatches - 1),
-                heartbeat_misses=state.misses,
-            ))
-        # Back to the front, in order, and straight to idle survivors.
-        self._pending.extendleft(reversed(requeue))
-        for survivor in self._connections.values():
-            if not self._pending:
-                break
+            self._counts["workers_lost"] += 1
+        self._table.lose(conn, reason, misses)
+        for survivor in list(self._connections.values()):
             self._dispatch(survivor)
 
 

@@ -45,17 +45,15 @@ The reproducibility contract, shared by every caller:
    :class:`UnitFailure` records carrying the unit's index, label and
    traceback instead of an opaque pool blow-up -- an output that will
    not pickle for the trip back included, on both backends.
-5. **Worker loss cannot perturb results.**  Under the ``cluster``
-   backend (:mod:`repro.runtime.cluster`), a worker that dies or stops
-   heartbeating mid-unit is fenced and its in-flight frame
-   re-dispatched to a survivor -- each unit the *same* pre-pickled
-   payload bytes from :func:`_encode_units`, landing in the same merge
-   slot -- so a run that lost two workers is bitwise identical to one
-   that lost none.
-   Units that out-live ``FaultPolicy.max_dispatches`` workers flow
-   into the same :class:`UnitFailure` machinery as clause 4.  The
-   ``pool`` backend re-dispatches nothing: a child that dies with a
-   frame in flight ends the plan at once with :class:`WorkerLost`.
+5. **Worker loss cannot perturb results.**  On both fan-out backends
+   a worker that dies (or, on the ``cluster`` backend, stops
+   heartbeating) mid-frame is fenced, and each unit of its frame is
+   re-dispatched alone -- the *same* unit, into the same merge slot --
+   so a run that lost two workers is bitwise identical to one that
+   lost none.  Units that out-live ``FaultPolicy.max_dispatches``
+   workers flow into clause 4's :class:`UnitFailure` machinery.  Both
+   backends drive one table for this,
+   :class:`~repro.runtime.dispatch.Dispatcher`.
 
 ``workers`` is therefore pure *scheduling budget*: callers that nest
 (a campaign point expanding into trial shards) flatten their levels
@@ -88,7 +86,6 @@ __all__ = [
     "UnitFailure",
     "UnitTimeout",
     "WorkUnit",
-    "WorkerLost",
     "run_plan",
 ]
 
@@ -149,13 +146,11 @@ class FaultPolicy:
     threads, and an in-process run from any other thread is refused
     with :class:`ValueError` before any unit runs.
 
-    The heartbeat/dispatch fields only matter to the ``cluster``
-    backend of :func:`run_plan`: a worker that sends no message for
-    ``heartbeat_seconds * heartbeat_misses`` is declared dead and its
-    in-flight frame is re-dispatched (same pre-pickled payloads, so
-    results cannot change); a unit that out-lives ``max_dispatches``
-    workers is treated as the unit's own fault and follows
-    ``on_error``.
+    The heartbeat fields only matter to the ``cluster`` backend: a
+    worker that sends no message for ``heartbeat_seconds *
+    heartbeat_misses`` is declared dead.  On both fan-out backends a
+    unit that out-lives ``max_dispatches`` workers is treated as the
+    unit's own fault and follows ``on_error`` (clause 5).
     """
 
     on_error: str = "raise"
@@ -179,8 +174,8 @@ class FaultPolicy:
     heartbeat_seconds: float = 0.5
     #: Cluster backend: silent intervals before a worker is declared dead.
     heartbeat_misses: int = 4
-    #: Cluster backend: total workers a unit may be dispatched to before
-    #: its loss is treated as the unit's own terminal failure.
+    #: Total workers a unit may be dispatched to before its loss is
+    #: treated as the unit's own terminal failure.
     max_dispatches: int = 3
 
     def __post_init__(self):
@@ -274,14 +269,14 @@ class UnitFailure:
     ``"raise"``/``"retry"`` the first one aborts the plan wrapped in a
     :class:`UnitExecutionError`.
 
-    The provenance fields are filled by the cluster backend: ``worker``
-    is the id of the last worker the unit was dispatched to,
-    ``redispatches`` counts dispatches beyond the first (worker deaths
-    the unit survived before failing terminally), and
-    ``heartbeat_misses`` counts heartbeat intervals those dead workers
-    were silent for in total -- so a skipped campaign point says *which*
-    worker died, not just that an attempt failed.  Pool/serial failures
-    leave them at their empty defaults.
+    The provenance fields say which worker a unit was last dispatched
+    to (``worker``), how many dispatches beyond the first it had
+    (``redispatches``: worker deaths it survived) and how many
+    heartbeat intervals its dead workers were silent for in total
+    (``heartbeat_misses``), so a skipped campaign point says *which*
+    worker died.  Both fan-out backends fill them when a unit's workers
+    all died, the cluster on any failure; pool and serial failures of
+    the unit's own leave them empty.
     """
 
     index: int
@@ -325,29 +320,6 @@ class UnitExecutionError(RuntimeError):
 
 class UnitTimeout(Exception):
     """An attempt exceeded the fault policy's per-unit timeout."""
-
-
-class WorkerLost(RuntimeError):
-    """A pool worker process died with a frame in flight.
-
-    ``units`` are the ``(index, label)`` pairs it held.  The pool
-    re-dispatches nothing (clause 5 is the cluster's): the plan ends
-    here, every other child stopped and joined first.
-    """
-
-    def __init__(
-        self, plan_label: str, pid: Optional[int], exitcode: Optional[int],
-        units: Sequence[Tuple[int, str]],
-    ):
-        self.pid, self.exitcode, self.units = pid, exitcode, list(units)
-        died = f"exit code {exitcode}"
-        if exitcode is not None and exitcode < 0:  # -9: the OOM killer's
-            died = f"signal {-exitcode}, {signal.strsignal(-exitcode)}"
-        super().__init__(
-            f"{plan_label}: pool worker pid {pid} lost ({died}) holding "
-            f"{len(self.units)} unit(s): {self.units[:8]}"
-            + ("" if len(self.units) <= 8 else " and more")
-        )
 
 
 def _refuse_unarmable_deadline(policy: FaultPolicy, label: str) -> None:
@@ -434,39 +406,8 @@ def _normalize_traceback(text: str) -> str:
     return text
 
 
-#: Units travel to workers in *frames*: one message carries a run of
-#: units and one message brings their outputs back, both as columns.
-#: Sending a frame costs some 40 us on the pool and 100 us on the
-#: cluster whatever it holds, so a frame should run for at least ~2 ms
-#: (dispatch <= ~2 % of it) -- and for at most ~20 ms, which is
-#: what a lost frame costs to redo, how long a unit's result can wait
-#: on its frame-mates before it is checkpointed, and how unevenly the
-#: last frames of a plan can split between workers.  Units that take
-#: longer than the floor on their own therefore travel alone, forever.
-#: Both backends keep ONE frame in flight per worker: a spare one
-#: queued behind a 40 ms unit would wait while another worker idles.
-_FRAME_FLOOR_SECONDS = 0.002
-_FRAME_CEILING_SECONDS = 0.020
-
 #: ``(slot, failure)`` for each failed unit of a frame, in slot order.
 Failures = List[Tuple[int, UnitFailure]]
-
-
-def _next_frame_size(size: int, units: int, seconds: float) -> int:
-    """The frame-size rule: how many units the next frame carries.
-
-    ``size`` is the current size and ``(units, seconds)`` what a frame
-    that just came back held and took in its worker.  A *full* frame
-    under the floor doubles the size, any frame over the ceiling halves
-    what it held, and the size never drops below 1.  Frames sent before
-    the last change still report in; a short one proves nothing about
-    the current size and a long one cannot halve twice.
-    """
-    if seconds > _FRAME_CEILING_SECONDS:
-        return max(1, min(size, units // 2))
-    if units >= size and seconds < _FRAME_FLOOR_SECONDS:
-        return size * 2
-    return size
 
 
 def _run_frame(
@@ -557,33 +498,6 @@ def _unit_failure(
         index=index, label=label, error=error,
         traceback=_normalize_traceback(traceback_module.format_exc()),
         attempts=attempts, worker=worker,
-    )
-
-
-def _land_frame(
-    land: Callable[[int, Any, Optional[UnitFailure]], None],
-    indices: Sequence[int],
-    outputs: List[Any],
-    failures: Failures,
-) -> None:
-    """Land a frame's reply unit by unit, in slot order."""
-    failed = dict(failures)
-    for slot, output in enumerate(outputs):
-        land(indices[slot], output, failed.get(slot))
-
-
-def _log_frames(
-    label: str, units: int, frames: int, largest: int, workers: int,
-    seconds: float, start_seconds: float,
-) -> None:
-    """One debug line per fanned-out plan: how its units were framed,
-    and how long it took to its first frame sent (forks, or dial-ins)."""
-    import logging  # only a plan that fanned out pays for the import
-
-    logging.getLogger(__name__).debug(
-        "%s: %d units in %d frames (largest %d) on %d workers, %.3fs "
-        "(start %.1f ms)",
-        label, units, frames, largest, workers, seconds, start_seconds * 1e3,
     )
 
 
@@ -684,95 +598,92 @@ def _run_pool(
 ) -> None:
     """Run the plan's columns on forked children, one pipe and one frame each.
 
-    A frame is ``(start, runners, payloads, labels)``, cut from the
-    columns in order at the current frame size and pickled once as it
-    is cut; its ``(outputs, failures, seconds)`` are landed here, in the
-    calling thread.  A child is only ever sent a frame while it waits in
-    ``recv_bytes``, so a parent with no helper thread moves payloads
-    and results of any size without deadlock.  A child that dies ends
-    the plan (:class:`WorkerLost`); no child outlives it, however it ends.
+    The pipe transport of :class:`~repro.runtime.dispatch.Dispatcher`.
+    A frame is ``(start, runners, payloads, labels)``, pickled once as
+    it is cut; replies land here, in the calling thread.  A child is
+    only sent a frame while it waits in ``recv_bytes``, so no helper
+    thread is needed to move payloads and results of any size without
+    deadlock.  A child that hangs up is a lost worker.  No child
+    outlives the plan, however it ends.
     """
+    from repro.runtime.dispatch import Dispatcher
+
     runners, payloads, labels = columns
-    total = len(labels)
+    table = Dispatcher(plan.label, labels, policy, workers, land)
     started = time.perf_counter()
     children: dict = {}  # the parent's end of each pipe -> its process
-    in_flight: dict = {}  # the parent's end of a pipe -> the indices out
-    size, frames, largest, cursor = 1, 0, 0, 0
+    gone: list = []  # children lost mid-plan
+
+    def fork() -> None:
+        pipe, child_end = multiprocessing.Pipe()
+        process = multiprocessing.Process(
+            target=_pool_worker, daemon=True,
+            args=(child_end, (*children, pipe), policy,
+                  plan.initializer, plan.initargs),
+        )
+        process.start()
+        child_end.close()
+        children[pipe] = process
+
     try:
-        for _ in range(min(workers, total)):
-            pipe, child_end = multiprocessing.Pipe()
-            process = multiprocessing.Process(
-                target=_pool_worker, daemon=True,
-                args=(child_end, (*children, pipe), policy,
-                      plan.initializer, plan.initargs),
-            )
-            process.start()
-            child_end.close()
-            children[pipe] = process
+        for _ in range(table.workers):
+            fork()
         start_seconds = time.perf_counter() - started
-        idle = list(children)
-        landing: list = []  # (indices, outputs, failures) per reply
+        landing: list = []  # (frame, outputs, failures) per reply
         while True:
-            while idle and cursor < total:
-                end = min(cursor + size, total)
-                frames += 1
-                largest = max(largest, end - cursor)
-                pipe = idle.pop()
-                in_flight[pipe] = range(cursor, end)
+            for pipe, process in children.items():
+                frame = table.cut(pipe, f"pid {process.pid}")  # if idle
+                if frame is None:
+                    continue
+                a, b = frame.start, frame.stop
                 try:
-                    pipe.send_bytes(pickle.dumps((
-                        cursor, runners[cursor:end], payloads[cursor:end],
-                        labels[cursor:end],
-                    )))
+                    pipe.send_bytes(pickle.dumps(
+                        (a, runners[a:b], payloads[a:b], labels[a:b])
+                    ))
                 except OSError:
                     pass  # already dead: the wait below reads its EOF
-                cursor = end
             for reply in landing:  # the children are busy again by now
-                _land_frame(land, *reply)
-            if not in_flight:
+                table.land_frame(*reply)
+            if table.finished():
                 break
+            if not table.flight:
+                raise table.stalled("raise FaultPolicy.max_dispatches")
             landing = []
-            for pipe in multiprocessing.connection.wait(list(in_flight)):
+            for pipe in multiprocessing.connection.wait(list(table.flight)):
                 try:
-                    outputs, failures, seconds = pickle.loads(
-                        pipe.recv_bytes()
-                    )
-                except (EOFError, OSError):
-                    raise _lost(
-                        plan.label, children[pipe], in_flight[pipe], labels
-                    ) from None
-                landing.append((in_flight.pop(pipe), outputs, failures))
-                idle.append(pipe)
-                size = _next_frame_size(size, len(outputs), seconds)
+                    reply = pickle.loads(pipe.recv_bytes())
+                except (EOFError, OSError):  # it hung up: a lost worker
+                    reply = None
+                if reply is None:
+                    process = children.pop(pipe)
+                    pipe.close()
+                    gone.append(process)
+                    process.join(1.0)  # it is dying: wait for its exit code
+                    table.lose(pipe, _died(process))
+                    if table.spawns(len(children), len(children) + len(gone)):
+                        fork()
+                    continue
+                outputs, failures, seconds = reply
+                landing.append((table.result(pipe, seconds), outputs, failures))
     finally:
         for pipe, process in children.items():
             pipe.close()
-            if pipe in in_flight:
+            if pipe in table.flight:
                 process.kill()  # mid-frame, and nobody is listening
-        for process in children.values():
+        for process in [*children.values(), *gone]:
             process.join(5.0)  # its pipe closed, so its loop has ended
             if process.is_alive():
                 process.kill()
                 process.join()
-    _log_frames(
-        plan.label, total, frames, largest, len(children),
-        time.perf_counter() - started, start_seconds,
-    )
+    table.log(time.perf_counter() - started, start_seconds)
 
 
-def _lost(
-    plan_label: str, process: Any, indices: range, labels: Sequence[str]
-) -> WorkerLost:
-    """Name a pool child that hung up and what it held; log it once."""
-    import logging
-
-    process.join(1.0)  # it is dying: wait for its exit code
-    lost = WorkerLost(
-        plan_label, process.pid, process.exitcode,
-        [(index, labels[index]) for index in indices],
-    )
-    logging.getLogger(__name__).warning("%s", lost)
-    return lost
+def _died(process: Any) -> str:
+    """How a lost pool child ended: its exit code, or the signal."""
+    code = process.exitcode
+    if code is not None and code < 0:  # -9: the OOM killer's
+        return f"signal {-code}, {signal.strsignal(-code)}"
+    return f"exit code {code}"
 
 
 def run_plan(
@@ -788,9 +699,9 @@ def run_plan(
 
     ``workers > 1`` fans the units across that many processes (capped
     at the unit count), several to a message when they are small (see
-    :func:`_next_frame_size`); ``on_unit(index, output)`` fires as each
-    unit lands, in *completion* order -- streaming consumers use it to
-    free outputs early.  ``merge`` (when set) always receives outputs in
+    :mod:`repro.runtime.dispatch`); ``on_unit(index, output)`` fires as
+    each unit lands, in *completion* order -- streaming consumers use it
+    to free outputs early.  ``merge`` (when set) always receives outputs in
     unit order.  Unpicklable plans degrade to a serial in-process run
     with a :class:`RuntimeWarning`; the results are bitwise identical
     either way, which is exactly the plan contract.
@@ -805,16 +716,14 @@ def run_plan(
     :class:`ValueError` before any unit runs.
 
     ``backend`` selects the executor (:data:`BACKENDS`).  ``"pool"``
-    (default) is forked children on pipes; one that dies mid-plan ends
-    it with :class:`WorkerLost`.  ``"cluster"``
-    runs a socket coordinator that spawns ``workers`` worker
-    *processes* which dial in, heartbeat, and can join/leave mid-plan;
-    a dead or hung worker's in-flight frame is re-dispatched (the same
-    pre-pickled payloads) to a survivor, so results remain bitwise
-    identical to pool and serial runs -- the plan contract, clause 5.
-    ``chaos`` (cluster only) is a
-    :class:`~repro.runtime.chaos.ChaosSchedule` of scripted worker
-    faults for testing that claim.
+    (default) is forked children on pipes; ``"cluster"`` runs a socket
+    coordinator that spawns ``workers`` worker *processes* which dial
+    in, heartbeat, and can join/leave mid-plan.  On both, a dead (or,
+    on the cluster, hung) worker's in-flight frame is re-dispatched to
+    a survivor or a replacement, so results remain bitwise identical to
+    an undisturbed run -- the plan contract, clause 5.  ``chaos``
+    (cluster only) is a :class:`~repro.runtime.chaos.ChaosSchedule` of
+    scripted worker faults for testing that claim.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -866,17 +775,11 @@ def run_plan(
     if cluster:
         from repro.runtime.cluster import ClusterCoordinator
 
-        coordinator = ClusterCoordinator(
-            label=plan.label,
-            blobs=blobs,
-            labels=labels,
-            policy=policy,
-            workers=workers,
-            initializer=plan.initializer,
-            initargs=plan.initargs,
-            chaos=chaos,
-        )
-        coordinator.run(land)
+        ClusterCoordinator(
+            label=plan.label, blobs=blobs, labels=labels, policy=policy,
+            workers=workers, initializer=plan.initializer,
+            initargs=plan.initargs, chaos=chaos,
+        ).run(land)
     elif fan_out:
         _run_pool(plan, (runners, payloads, labels), policy, workers, land)
     else:

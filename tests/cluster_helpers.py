@@ -85,8 +85,11 @@ def framing(caplog):
 
     Needs ``caplog.set_level("DEBUG", logger="repro.runtime.exec")``.
     """
-    (record,) = [r for r in caplog.records if r.name == "repro.runtime.exec"]
-    _label, units, frames, largest, _workers, _seconds, _start_ms = record.args
+    (record,) = [
+        r for r in caplog.records
+        if r.name == "repro.runtime.exec" and r.levelname == "DEBUG"
+    ]
+    _label, units, frames, largest, _workers, _redispatched, *_ = record.args
     return units, frames, largest
 
 
@@ -109,14 +112,22 @@ class CoordinatorStub:
             workers=1,
         )
         self.coordinator._selector = selectors.DefaultSelector()
+        self.coordinator._table.land = self.land
         self.landed = []
         self._conns = {}
 
     def land(self, index, output, failure):
         self.landed.append((index, output, failure))
 
+    @property
+    def table(self):
+        return self.coordinator._table
+
     def pending(self):
-        return list(self.coordinator._pending)
+        """The units not yet out, in the order they will go."""
+        return list(self.table.lost) + list(
+            range(self.table.cursor, self.table.total)
+        )
 
     def join(self):
         """Connect one worker, say hello: ``(far socket, setup, frame)``.
@@ -143,11 +154,11 @@ class CoordinatorStub:
     def say(self, far, *messages):
         """Send ``messages`` as the worker and let the coordinator read."""
         far.sendall(b"".join(encode_message(m) for m in messages))
-        self.coordinator._read(self._conns[far], self.land)
+        self.coordinator._read(self._conns[far])
 
     def hang_up(self, far):
         far.close()
-        self.coordinator._read(self._conns[far], self.land)
+        self.coordinator._read(self._conns[far])
 
     def close(self):
         self.coordinator._selector.close()

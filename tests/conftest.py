@@ -3,7 +3,10 @@
 Also wires two suite-wide policies:
 
 * a ``slow`` marker for tests that simulate >~1s of protocol periods
-  (they still run by default; ``-m 'not slow'`` gives a fast loop);
+  (they still run by default; ``-m 'not slow'`` gives a fast loop),
+  and an opt-in ``heavy`` marker for exhaustive searches, deselected
+  unless a ``-m`` expression names it (``-m heavy``; CI's ``heavy``
+  job);
 * hypothesis profiles -- ``dev`` (default, no deadline: CI boxes make
   wall-clock deadlines flaky) and ``ci`` (derandomized, so the
   property suites are reproducible run to run).  Select with
@@ -35,6 +38,19 @@ def pytest_configure(config):
         "slow: simulates many protocol periods (>~1s); "
         "deselect with -m 'not slow'",
     )
+    config.addinivalue_line(
+        "markers",
+        "heavy: exhaustive search, deselected by default; run with -m heavy",
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    if "heavy" in config.getoption("markexpr", ""):
+        return
+    heavy = [item for item in items if item.get_closest_marker("heavy")]
+    if heavy:
+        config.hook.pytest_deselected(items=heavy)
+        items[:] = [item for item in items if item not in heavy]
 
 
 @pytest.fixture(autouse=True)

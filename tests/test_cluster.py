@@ -293,7 +293,7 @@ class TestCoordinatorFrames:
         _far, setup, frame = stub.join()
         kind, worker_id, policy, initializer, initargs = setup
         assert (kind, worker_id) == ("setup", "w0")
-        assert policy == stub.coordinator._policy
+        assert policy == stub.table.policy
         assert frame == [0]
 
     def test_results_land_and_the_next_frame_doubles(self, stub):
@@ -316,17 +316,21 @@ class TestCoordinatorFrames:
         assert stub.coordinator.stats["largest_frame"] == 1
 
     def test_a_lost_frame_is_requeued_whole_in_order(self, stub):
-        stub.coordinator._frame_size = 4
+        stub.table.size = 4
         far, _setup, frame = stub.join()
         assert frame == [0, 1, 2, 3]
         assert stub.pending() == [4, 5, 6, 7]
         stub.hang_up(far)
         assert stub.pending() == list(range(8))
         assert stub.landed == []
-        _far, _setup, frame = stub.join()
-        assert frame == [0, 1, 2, 3]
+        # Each lost unit goes out again alone, in order, so a unit that
+        # killed its worker takes no frame-mate with it twice.
+        far, _setup, frame = stub.join()
+        assert frame == [0]
+        stub.say(far, ("results", [0], [], 0.0001))
+        assert stub.frame(far) == [1]
         # redispatches counts units, not frames.
-        assert stub.coordinator.stats["redispatches"] == 4
+        assert stub.coordinator.stats["redispatches"] == 2
         assert stub.coordinator.stats["workers_lost"] == 1
 
     def test_dispatch_exhaustion_is_per_unit(self):
@@ -337,15 +341,18 @@ class TestCoordinatorFrames:
             far, _setup, frame = stub.join()
             assert frame == [0]
             stub.hang_up(far)
-            stub.coordinator._frame_size = 3
+            stub.table.size = 3
             far, _setup, frame = stub.join()
-            assert frame == [0, 1, 2]
+            assert frame == [0]
             stub.hang_up(far)
-            # Unit 0 has now out-lived two workers; 1 and 2 only one.
+            # Unit 0 has now out-lived two workers; 1-3 none.
             assert [index for index, _, _ in stub.landed] == [0]
             failure = stub.landed[0][2]
             assert failure.redispatches == 1 and failure.attempts == 2
+            assert failure.worker == "w1" and "dispatch" in failure.error
             assert stub.pending() == [1, 2, 3]
+            _far, _setup, frame = stub.join()
+            assert frame == [1, 2, 3]
         finally:
             stub.close()
 

@@ -9,7 +9,6 @@ from repro.analysis.convergence import (
     decay_rate_estimate,
     endemic_case,
     endemic_displacement,
-    endemic_settling_time,
     first_period_below,
     lv_majority_fraction,
     lv_minority_fraction,
@@ -63,12 +62,6 @@ class TestEndemicDisplacement:
             fig2_params, trajectory.times, u0=u0, udot0=du0
         )
         assert np.max(np.abs(theory_u - sim_u)) < 0.25 * u0
-
-    def test_settling_time_finite_and_scaling(self, fig2_params):
-        t100 = endemic_settling_time(fig2_params, ratio=100.0)
-        t10 = endemic_settling_time(fig2_params, ratio=10.0)
-        assert 0 < t10 < t100
-        assert t100 == pytest.approx(2 * t10, rel=1e-9)
 
 
 class TestLVClosedForms:

@@ -1,7 +1,5 @@
 """Tests for endemic replication (repro.protocols.endemic)."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -13,7 +11,6 @@ from repro.protocols.endemic import (
     EndemicParams,
     alpha_for_target_stashers,
     figure1_protocol,
-    params_for_log_replicas,
     pure_protocol,
     stasher_birth_rate,
 )
@@ -154,13 +151,6 @@ class TestParameterSelection:
         alpha = alpha_for_target_stashers(n, target_stashers=100, gamma=0.1, b=2)
         params = EndemicParams(alpha=alpha, gamma=0.1, b=2)
         assert params.equilibrium_counts(n)[STASH] == pytest.approx(100.0)
-
-    def test_log_replica_rule(self):
-        n = 1024
-        params = params_for_log_replicas(n, c=5.0, gamma=0.1, b=2)
-        assert params.equilibrium_counts(n)[STASH] == pytest.approx(
-            5.0 * math.log2(n)
-        )
 
     def test_infeasible_target_rejected(self):
         with pytest.raises(ValueError):

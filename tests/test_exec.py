@@ -28,14 +28,13 @@ from repro.runtime import (
     WorkUnit,
     run_plan,
 )
+from repro.runtime.dispatch import _next_frame_size
 from repro.runtime.exec import (
     UnitTimeout,
-    WorkerLost,
     _attempt_deadline,
     _encode_results,
     _encode_units,
     _jitter_fraction,
-    _next_frame_size,
     _run_frame,
 )
 
@@ -922,34 +921,76 @@ class TestPoolTransport:
             run_plan(mixed_plan(), workers=2, on_unit=on_unit)
 
 
+def kill_once(payload):
+    """``(value, marker)``: unit 40 SIGKILLs its process on its first
+    attempt only -- the marker file remembers across processes."""
+    value, marker = payload
+    if value == 40 and not os.path.exists(marker):
+        open(marker, "w").close()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return value * 2
+
+
 class TestWorkerLost:
+    """Clause 5 on the pool: a lost child's frame is re-dispatched."""
+
+    def test_a_child_killed_once_mid_frame_changes_no_bit(
+        self, tmp_path, frame_log
+    ):
+        marker = str(tmp_path / "killed")
+        plan = ExecutionPlan(
+            units=[WorkUnit(kill_once, (v, marker), f"u{v}")
+                   for v in range(200)],
+            merge=list, label="transient",
+        )
+        assert run_plan(plan, workers=2) == [2 * v for v in range(200)]
+        assert os.path.exists(marker)
+        (lost,) = [r for r in frame_log.records if r.levelname == "WARNING"]
+        assert "transient" in lost.getMessage()
+        assert "signal 9" in lost.getMessage()
+        debug = [r for r in frame_log.records if r.levelname == "DEBUG"]
+        units, _frames, _largest, _workers, redispatched = debug[0].args[1:6]
+        # The whole frame around unit 40 went out again, unit by unit.
+        assert units == 200 and redispatched >= 1
+
     @pytest.mark.parametrize("on_error", ["raise", "skip"])
-    def test_a_killed_worker_ends_the_plan_by_name(self, on_error, caplog):
+    def test_a_unit_that_kills_every_child_fails_by_name(
+        self, on_error, caplog
+    ):
         plan = ExecutionPlan(
             units=[WorkUnit(runner=die_at_5, payload=v, label=f"u{v}")
                    for v in range(16)],
             merge=list, label="doomed-plan",
         )
+        failures = []
         started = time.perf_counter()
-        with pytest.raises(WorkerLost, match="doomed-plan") as excinfo:
-            run_plan(
-                plan, workers=2,
+        try:
+            merged = run_plan(
+                plan, workers=2, on_failure=failures.append,
                 fault_policy=FaultPolicy(on_error=on_error, retries=0),
             )
+        except UnitExecutionError as error:
+            assert on_error == "raise" and "doomed-plan" in str(error)
+            failures.append(error.failure)
+        else:
+            assert merged[:5] + merged[6:] == [v for v in range(16) if v != 5]
+            assert merged[5] is failures[0]
         assert time.perf_counter() - started < 5.0
-        lost = excinfo.value
-        assert lost.exitcode == -signal.SIGKILL
-        assert (5, "u5") in lost.units
-        assert str(lost.pid) in str(lost) and "u5" in str(lost)
-        # Logged once, at WARNING, with the same provenance.
-        (record,) = [r for r in caplog.records if r.levelname == "WARNING"]
-        assert record.name == "repro.runtime.exec"
-        assert record.getMessage() == str(lost)
+        (failure,) = failures
+        assert (failure.index, failure.label) == (5, "u5")
+        # Three children died on it, and it went out alone after the
+        # first: its frame-mates landed.
+        assert failure.attempts == 3 and failure.redispatches == 2
+        assert failure.worker and failure.worker in failure.error
+        assert "signal 9" in failure.error and "dispatch" in failure.error
+        lost = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(lost) == 3
+        assert all(r.name == "repro.runtime.exec" for r in lost)
 
     def test_a_failing_initializer_is_an_error_not_a_stall(self):
         plan = plan_of([1, 2, 3, 4], initializer=failing_initializer)
         started = time.perf_counter()
-        with pytest.raises(WorkerLost, match="exit code 1"):
+        with pytest.raises(UnitExecutionError, match="exit code 1"):
             run_plan(plan, workers=2)
         assert time.perf_counter() - started < 5.0
 

@@ -294,6 +294,32 @@ class TestScenarioContract:
         scenario = Scenario.named("crash-recovery")
         assert scenario.trial_seeds(context) == scenario_seeds(11, 4)
 
+    def test_one_shard_point_and_experiment_inject_identical_faults(self):
+        """Seeded alike at one shard: same alive tensor, same census."""
+        from repro.campaign.runner import _run_shard
+
+        result = Experiment(
+            Protocol.named("endemic"), n=300, trials=4, periods=40, seed=7,
+            scenario="crash-recovery", workers=1,
+        ).run()
+        shard = _run_shard(CampaignPoint(
+            protocol="endemic", n=300, loss_rate=0.0,
+            scenario="crash-recovery", trials=4, periods=40, seed=7,
+        ), want_tensor=True)
+        alive = result.recorder.alive_tensor()
+        # The scenario did kill hosts, and the point saw the same ones.
+        assert alive.min() < 300
+        assert np.array_equal(shard.tensor.sum(axis=2), alive)
+        assert np.array_equal(shard.alive_sums, alive.sum(axis=0))
+        assert np.array_equal(shard.tensor, result.recorder.count_tensor())
+        # Two shards draw other protocol streams, but the faults are
+        # indexed by global trial: the alive tensor cannot move.
+        sharded = Experiment(
+            Protocol.named("endemic"), n=300, trials=4, periods=40, seed=7,
+            scenario="crash-recovery", workers=2,
+        ).run()
+        assert np.array_equal(sharded.recorder.alive_tensor(), alive)
+
     def test_unknown_scenario_raises(self):
         with pytest.raises(KeyError, match="unknown scenario"):
             Scenario.named("nope")

@@ -6,7 +6,6 @@ import pytest
 from repro.analysis.fairness import (
     analyze_member_log,
     attack_window_decay,
-    fairness_over_time,
     jain_index,
 )
 from repro.protocols.endemic import STASH, figure1_protocol
@@ -87,11 +86,3 @@ class TestAttackWindow:
     def test_requires_member_log(self):
         with pytest.raises(ValueError):
             attack_window_decay([])
-
-
-class TestFairnessOverTime:
-    def test_index_grows_with_window(self, fig8_log):
-        series = fairness_over_time(fig8_log, 1000, checkpoints=4)
-        assert len(series) == 4
-        indices = [v for _, v in series]
-        assert indices[-1] > indices[0]

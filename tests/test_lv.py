@@ -11,8 +11,6 @@ from repro.protocols.lv import (
     LVMajority,
     expected_convergence_periods,
     lv_protocol,
-    majority_accuracy,
-    majority_accuracy_serial,
 )
 from repro.runtime import MassiveFailure
 
@@ -84,6 +82,25 @@ class TestFailures:
         instance.engine.crash(instance.engine.members_in(ONE))
         outcome = instance.run(2000)
         assert outcome.winner == ZERO
+
+
+def majority_accuracy(n, zeros, trials, *, max_periods, seed=0):
+    """Empirical probability that the initial majority wins, batched."""
+    return LVEnsemble(
+        n, zeros, n - zeros, trials=trials, seed=seed
+    ).run(max_periods).accuracy()
+
+
+def majority_accuracy_serial(n, zeros, trials, *, max_periods, seed=0):
+    """The same over a Python loop of seeded serial runs: the baseline
+    the batched ensemble is anchored against."""
+    decided = [
+        outcome.correct for outcome in (
+            LVMajority(n, zeros, n - zeros, seed=seed + trial).run(max_periods)
+            for trial in range(trials)
+        ) if outcome.correct is not None
+    ]
+    return sum(decided) / len(decided) if decided else float("nan")
 
 
 class TestAccuracy:
