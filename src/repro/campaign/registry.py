@@ -142,10 +142,9 @@ class ProtocolHandleBuilder:
 
     Campaign grids that carry handle objects register them under their
     label through this wrapper (see ``CampaignSpec.expand``), so points
-    stay plain name-referencing data.  Picklability follows the
-    handle's resolver: file- and registry-born handles ship to pool
-    workers; closure-built ones fall back to the serial path with the
-    usual warning.
+    stay plain name-referencing data.  The campaign runner resolves
+    every point in its own process and ships only the resulting spec,
+    so any handle -- closure-built ones included -- fans out.
     """
 
     def __init__(self, handle: "Protocol"):
@@ -193,39 +192,6 @@ _SCENARIOS: Dict[str, ScenarioBuilder] = {
     "crash-recovery": _scenario_crash_recovery,
     "churn": _scenario_churn,
 }
-
-#: Import-time snapshots.  Worker processes under the ``spawn`` start
-#: method re-import this module and get exactly these; any deviation --
-#: a new name or a built-in name re-registered to a different builder
-#: -- must be shipped over explicitly (see :func:`custom_entries`).
-_BUILTIN_PROTOCOLS = dict(_PROTOCOLS)
-_BUILTIN_SCENARIOS = dict(_SCENARIOS)
-
-
-def custom_entries() -> Tuple[
-    Dict[str, ProtocolBuilder], Dict[str, ScenarioBuilder]
-]:
-    """Runtime registrations that differ from the import-time registry.
-
-    Compared by identity, not name, so replacing a built-in builder
-    counts as custom and reaches pool workers too.
-    """
-    return (
-        {k: v for k, v in _PROTOCOLS.items()
-         if _BUILTIN_PROTOCOLS.get(k) is not v},
-        {k: v for k, v in _SCENARIOS.items()
-         if _BUILTIN_SCENARIOS.get(k) is not v},
-    )
-
-
-def install_entries(
-    protocols: Dict[str, ProtocolBuilder],
-    scenarios: Dict[str, ScenarioBuilder],
-) -> None:
-    """Re-register custom builders (worker-process initializer)."""
-    _PROTOCOLS.update(protocols)
-    _SCENARIOS.update(scenarios)
-
 
 def register_scenario(name: str, builder: ScenarioBuilder) -> None:
     """Register (or replace) a named failure scenario."""

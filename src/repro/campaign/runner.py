@@ -1,9 +1,12 @@
-"""Campaign execution: batch-engine ensembles, fan-out, and replay.
+"""Campaign execution: grid points as ensemble units, fan-out, and replay.
 
-Each :class:`~repro.campaign.grid.CampaignPoint` runs as one
-:class:`~repro.runtime.batch_engine.BatchRoundEngine` ensemble (the
-trial axis is vectorized).  Two axes of process-level parallelism
-compose on top:
+Each :class:`~repro.campaign.grid.CampaignPoint` is one
+:class:`~repro.runtime.parallel.EnsembleExecutor` ensemble on the batch
+tier -- the same executor an :class:`~repro.experiment.Experiment`
+runs -- so a point equals ``Experiment(..., seed=point.seed,
+workers=point.shards, scenario=point.scenario)`` bit for bit, scenario
+faults included.  Two axes of process-level parallelism compose on
+top:
 
 * independent grid *points* fan out across worker processes;
 * a single point with ``shards > 1`` splits its trial axis into that
@@ -12,12 +15,13 @@ compose on top:
   -- the ROADMAP's "very large M" case, where one point is the whole
   campaign.
 
-Sharded or not, a point's result is assembled with integer-exact
-arithmetic (count sums, not means of means), so serial runs, pooled
-runs and replays of the same point agree bit for bit.  Results carry
-every seed that produced them, so :func:`replay_point` can re-run any
-point and :func:`verify_replay` can check a stored result file
-bit-for-bit.  ``save_tensors`` additionally persists each point's full
+Both become one work-unit list in one plan.  Sharded or not, a point's
+result is assembled with integer-exact arithmetic (count sums, not
+means of means), so serial runs, pooled runs and replays of the same
+point agree bit for bit.  Results carry every seed that produced
+them, so :func:`replay_point` can re-run any point and
+:func:`verify_replay` can check a stored result file bit-for-bit.
+``save_tensors`` additionally persists each point's full
 ``(M, periods, states)`` count tensor as a compressed ``.npz`` for
 offline analysis.
 """
@@ -28,7 +32,6 @@ import datetime
 import json
 import os
 import platform
-import time
 import zipfile
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -37,7 +40,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..experiment.scenario import Scenario
-from ..runtime.batch_engine import BatchMetricsRecorder, BatchRoundEngine
 from ..runtime.exec import (
     ExecutionPlan,
     FaultPolicy,
@@ -45,9 +47,9 @@ from ..runtime.exec import (
     WorkUnit,
     run_plan,
 )
-from ..runtime.parallel import shard_layout
+from ..runtime.parallel import EnsembleExecutor, EnsembleResult, UnitOutput
 from .grid import CampaignPoint, CampaignSpec, _without_legacy_mode
-from .registry import custom_entries, install_entries, resolve_protocol
+from .registry import resolve_protocol
 
 #: Quantiles reported in point summaries.
 SUMMARY_QUANTILES = (0.25, 0.5, 0.75)
@@ -154,92 +156,38 @@ class CampaignResult:
         return cls.from_dict(json.loads(text))
 
 
-def _make_engine(point: CampaignPoint) -> BatchRoundEngine:
+def _executor(point: CampaignPoint) -> EnsembleExecutor:
+    """A point's ensemble, its protocol resolved here and only here.
+
+    Work units carry the resolved spec, so no worker ever looks a
+    registry name up: whatever this process has registered -- at
+    runtime, as a closure -- runs on every backend.
+    """
     resolved = resolve_protocol(point.protocol).resolve(point.n)
-    return BatchRoundEngine(
+    return EnsembleExecutor(
         resolved.spec,
         n=point.n,
         trials=point.trials,
         initial=resolved.initial,
         seed=point.seed,
         connection_failure_rate=point.loss_rate,
+        shards=point.shards,
     )
 
 
-def _composite_hook_factory(point: CampaignPoint) -> Callable[[int], Callable]:
-    # A CampaignPoint duck-types the experiment facade's RunContext, so
-    # the campaign layer shares the Scenario contract (and its
-    # domain-separated seed family) with repro.experiment.
-    return Scenario.named(point.scenario).hook_factory(point)
+def _run_options(point: CampaignPoint) -> Dict:
+    """The :meth:`EnsembleExecutor.units` arguments of a point's units.
 
-
-def _shard_points(point: CampaignPoint) -> List[CampaignPoint]:
-    """Split a point's trial axis into independently seeded shards.
-
-    Each shard is a plain single-shard point with its own seed and an
-    even slice of the trials, so it can run anywhere :func:`run_point`
-    runs.  The decomposition is :func:`repro.runtime.parallel.shard_layout`
-    -- the same ``(seed, SHARD_DOMAIN)``-spawned discipline the
-    engine-level :class:`~repro.runtime.parallel.EnsembleExecutor`
-    uses -- and depends only on the point, which is what makes sharded
-    runs replayable.
+    A CampaignPoint duck-types the experiment facade's RunContext, so
+    the scenario's seed family is rooted at the point's seed and
+    indexed by global trial -- an Experiment's faults, at any shard
+    count.
     """
-    if point.shards <= 1:
-        return [point]
-    return [
-        replace(point, trials=size, seed=shard_seed, shards=1)
-        for size, shard_seed in shard_layout(
-            point.seed, point.trials, point.shards
-        )
-    ]
-
-
-@dataclass
-class _ShardOutput:
-    """One shard's raw outcome, in merge-exact (integer) form."""
-
-    states: List[str]
-    trial_seeds: List[int]
-    final_counts: np.ndarray       # (M_shard, S) int64
-    count_sums: np.ndarray         # (periods, S) int64, summed over trials
-    alive_sums: np.ndarray         # (periods,) int64
-    recorded_periods: List[int]
-    elapsed_seconds: float
-    tensor: Optional[np.ndarray]   # (M_shard, periods, S) when requested
-    total_messages: np.ndarray     # (M_shard,) int64 per-trial totals
-
-
-def _run_shard(
-    shard: CampaignPoint, want_tensor: bool = False
-) -> _ShardOutput:
-    """Build and run one (sub-)point's ensemble.
-
-    The single execution path behind :func:`run_point`,
-    :func:`replay_point` and the pool workers: the replay guarantee
-    holds only while all of them go through the exact same
-    engine/recorder/hook construction.
-    """
-    started = time.perf_counter()
-    engine = _make_engine(shard)
-    recorder = BatchMetricsRecorder(
-        engine.state_names, shard.trials,
-        track_transitions=False, stride=shard.stride,
-    )
-    engine.run(
-        shard.periods, recorder=recorder,
-        hook_factories=[_composite_hook_factory(shard)],
-    )
-    tensor = recorder.count_tensor()
-    return _ShardOutput(
-        states=list(engine.state_names),
-        trial_seeds=list(engine.trial_seeds),
-        final_counts=engine.counts_matrix(),
-        count_sums=tensor.sum(axis=0),
-        alive_sums=recorder.alive_tensor().sum(axis=0),
-        recorded_periods=[int(t) for t in recorder.times],
-        elapsed_seconds=time.perf_counter() - started,
-        tensor=tensor if want_tensor else None,
-        total_messages=np.asarray(engine.total_messages, dtype=np.int64),
+    return dict(
+        periods=point.periods,
+        stride=point.stride,
+        track_transitions=False,
+        hook_factories=[Scenario.named(point.scenario).hook_factory(point)],
     )
 
 
@@ -263,53 +211,45 @@ def summarize_final_counts(series: np.ndarray) -> Dict[str, float]:
     return stats
 
 
-def _merge_shards(
-    point: CampaignPoint, outputs: List[_ShardOutput]
+def _point_result(
+    point: CampaignPoint, outcome: EnsembleResult, tensor: np.ndarray
 ) -> PointResult:
-    """Assemble a point result from its shard outputs.
+    """Summarize a point's merged ensemble (``tensor`` is its counts).
 
-    All reductions are integer sums divided once at the end, so the
-    result is bitwise independent of how the trials were sharded across
-    processes -- a serial run, a pooled run and a replay of the same
-    point always produce the same numbers.
+    The trajectory means are integer sums over the trial axis divided
+    once, so a point's numbers are bitwise independent of where its
+    units ran -- a serial run, a pooled run and a replay agree.
     """
-    first = outputs[0]
-    for output in outputs[1:]:
-        if output.recorded_periods != first.recorded_periods:
-            raise AssertionError("shards disagree on recording schedule")
-    states = first.states
-    total_trials = sum(len(o.trial_seeds) for o in outputs)
-    finals = np.concatenate([o.final_counts for o in outputs], axis=0)
-    count_sums = sum(o.count_sums for o in outputs)
-    alive_sums = sum(o.alive_sums for o in outputs)
+    states = list(outcome.recorder.states)
+    trials = len(outcome.trial_seeds)
+    count_sums = tensor.sum(axis=0)
     summary: Dict[str, Dict[str, float]] = {}
     final_counts: Dict[str, List[int]] = {}
     mean_trajectory: Dict[str, List[float]] = {}
     for index, state in enumerate(states):
-        series = finals[:, index]
+        series = outcome.final_counts[:, index]
         summary[state] = summarize_final_counts(series)
         final_counts[state] = series.tolist()
-        mean_trajectory[state] = (
-            count_sums[:, index] / total_trials
-        ).tolist()
+        mean_trajectory[state] = (count_sums[:, index] / trials).tolist()
     return PointResult(
         point=point,
         states=states,
-        trial_seeds=[s for o in outputs for s in o.trial_seeds],
+        trial_seeds=list(outcome.trial_seeds),
         final_counts=final_counts,
         summary=summary,
         mean_trajectory=mean_trajectory,
-        recorded_periods=list(first.recorded_periods),
-        mean_alive=(alive_sums / total_trials).tolist(),
-        elapsed_seconds=sum(o.elapsed_seconds for o in outputs),
+        recorded_periods=[int(t) for t in outcome.recorder.times],
+        mean_alive=(
+            outcome.recorder.alive_tensor().sum(axis=0) / trials
+        ).tolist(),
+        elapsed_seconds=outcome.seconds,
     )
 
 
 def run_point(point: CampaignPoint) -> PointResult:
-    """Execute one campaign point (all of its shards, in this process)."""
-    return _merge_shards(
-        point, [_run_shard(shard) for shard in _shard_points(point)]
-    )
+    """Execute one campaign point (all of its units, in this process)."""
+    outcome = _executor(point).run(**_run_options(point))
+    return _point_result(point, outcome, outcome.recorder.count_tensor())
 
 
 def _tensor_file_name(spec_name: str, index: int) -> str:
@@ -366,6 +306,24 @@ def _save_tensor(
 
 #: File name of the campaign-level index written next to the tensors.
 MANIFEST_NAME = "manifest.json"
+
+#: The manifest field that records how sharded points seed their
+#: scenario faults, and its one value: one family rooted at the
+#: point's seed, indexed by global trial (an Experiment's seeding).
+#: Manifests without the field seeded each shard's faults from the
+#: shard's own seed.
+SEEDING_KEY = "scenario_seeding"
+SEEDING = "global-trial"
+
+
+def _seeding_matters(spec: CampaignSpec) -> bool:
+    """Whether the scenario seeding can move any of the spec's points.
+
+    Only sharded points under a scenario other than ``none`` ever
+    seeded faults per shard; every other manifest is byte-identical to
+    one written before the seeding moved, so only these record it.
+    """
+    return spec.shards > 1 and any(s != "none" for s in spec.scenarios)
 
 
 def _created_stamp() -> str:
@@ -425,7 +383,7 @@ def _manifest_data(
     (:func:`_created_stamp`; ``SOURCE_DATE_EPOCH`` pins it for
     byte-identical reruns).
     """
-    return {
+    data = {
         "campaign": spec.name,
         "spec": spec.to_dict(),
         "complete": all(
@@ -438,6 +396,9 @@ def _manifest_data(
             "numpy": np.__version__,
         },
     }
+    if _seeding_matters(spec):
+        data[SEEDING_KEY] = SEEDING
+    return data
 
 
 def _encode_entry(entry: Dict) -> str:
@@ -510,7 +471,9 @@ def _restore_completed(
     Verifies spec identity first: resuming under a different spec
     would splice points from two different campaigns into one result,
     so anything but an exact ``spec.to_dict()`` match (after dropping
-    the ``mode`` key older manifests carry) is an error.
+    the ``mode`` key older manifests carry) is an error, and so is a
+    manifest whose sharded scenario points were seeded per shard
+    (no :data:`SEEDING_KEY`).
     Entries count as restorable only when they are ``done``, embed
     their ``result``, match the re-expanded point exactly, and their
     tensor file (when one was recorded) still exists -- anything else
@@ -534,6 +497,15 @@ def _restore_completed(
             f"resume spec mismatch: the manifest in {resume_dir} was "
             f"written by a different campaign spec; --resume re-runs "
             f"the recorded campaign, it does not reconfigure it"
+        )
+    if _seeding_matters(spec) and manifest.get(SEEDING_KEY) != SEEDING:
+        raise ValueError(
+            f"cannot resume {resume_dir}: its sharded points under a "
+            f"scenario seeded their faults per shard, and campaigns now "
+            f"seed them by global trial (an Experiment's seeding, "
+            f"{SEEDING_KEY}={SEEDING!r}), so resumed points would not "
+            f"match the restored ones; re-run the campaign into a fresh "
+            f"directory"
         )
     restored: Dict[int, PointResult] = {}
     for entry in manifest.get("points", []):
@@ -579,7 +551,7 @@ def run_campaign(
     splits its trial axis into independently seeded sub-ensembles so a
     small grid with a very large M still fills the pool.  Results are
     returned in grid order, and are bitwise identical however the jobs
-    were scheduled (see :func:`_merge_shards`).
+    were scheduled (see :func:`_point_result`).
 
     ``save_tensors`` names a directory (created if missing) that
     receives one compressed ``.npz`` per point with the full
@@ -639,7 +611,6 @@ def run_campaign(
     if save_tensors is not None:
         tensors_dir = Path(save_tensors)
         tensors_dir.mkdir(parents=True, exist_ok=True)
-    want_tensor = tensors_dir is not None
 
     restored, created = (
         _restore_completed(resume_dir, spec, points)
@@ -659,80 +630,49 @@ def run_campaign(
         created or _created_stamp(),
     )
 
-    # The campaign as one ExecutionPlan: both parallelism levels --
-    # independent grid points, and the trial-axis shards of each point
-    # -- flatten into a single work-unit list served by one ``workers``
-    # budget, so a small grid holding one huge sharded point fills the
-    # same pool a wide grid does.  The decomposition (and every unit's
-    # seed) depends only on the spec, never on ``workers`` -- which is
-    # what keeps pooled runs bitwise equal to serial ones and replays,
-    # and what lets a resume re-run exactly the units of the
-    # not-yet-completed points without touching anything else.
-    pairs = [
-        (
-            (point_index, shard_index),
-            WorkUnit(
-                runner=_run_shard_unit,
-                payload=(shard, want_tensor),
-                label=f"{point.label} shard {shard_index}",
-            ),
-        )
-        for point_index, point in enumerate(points)
-        if point_index not in restored
-        for shard_index, shard in enumerate(_shard_points(point))
-    ]
-    unit_keys = [key for key, _ in pairs]
-    units = [unit for _, unit in pairs]
-
-    # Worker processes under the spawn start method (macOS/Windows
-    # default) re-import the registry and see only the built-ins, so
-    # runtime-registered builders must ride along and be re-installed
-    # by the pool initializer.  Only builders this campaign actually
-    # references are shipped; ones that cannot cross a process
-    # boundary (closures, lambdas) are caught by run_plan's pickle
-    # check, which degrades to a warned serial in-process run rather
-    # than a KeyError inside the workers.
-    extra_protocols, extra_scenarios = custom_entries()
-    used_protocols = {p.protocol for p in points}
-    used_scenarios = {p.scenario for p in points}
-    extra = (
-        {k: v for k, v in extra_protocols.items()
-         if k in used_protocols},
-        {k: v for k, v in extra_scenarios.items()
-         if k in used_scenarios},
-    )
+    # The campaign as one ExecutionPlan: every point's ensemble units
+    # -- one per trial-axis shard -- flatten into a single work-unit
+    # list served by one ``workers`` budget, so a small grid holding
+    # one huge sharded point fills the same pool a wide grid does.
+    # The decomposition (and every unit's seed) depends only on the
+    # spec, never on ``workers`` -- which is what keeps pooled runs
+    # bitwise equal to serial ones and replays, and what lets a resume
+    # re-run exactly the units of the not-yet-completed points.
+    executors = {
+        index: _executor(point)
+        for index, point in enumerate(points) if index not in restored
+    }
+    unit_points: List[int] = []
+    units: List[WorkUnit] = []
+    for point_index, executor in executors.items():
+        point = points[point_index]
+        for unit in executor.units(**_run_options(point)):
+            unit_points.append(point_index)
+            units.append(replace(unit, label=f"{point.label} {unit.label}"))
 
     # Stream completion: a point is merged, saved, checkpointed and
-    # reported as soon as its last shard lands, and its shard outputs
-    # (which hold the full tensors when save_tensors is on) are freed
-    # immediately -- the plan declares no merge, so the executor never
-    # forces the whole campaign resident at once.
-    shard_counts: Dict[int, int] = {}
-    for point_index, _ in unit_keys:
-        shard_counts[point_index] = shard_counts.get(point_index, 0) + 1
-    pending: Dict[int, Dict[int, _ShardOutput]] = {}
+    # reported as soon as its last unit lands, and its unit outputs
+    # are freed immediately -- the plan declares no merge, so the
+    # executor never forces the whole campaign resident at once.
+    pending: Dict[int, Dict[int, UnitOutput]] = {}
     results: Dict[int, PointResult] = dict(restored)
     failures_by_point: Dict[int, List[UnitFailure]] = {}
 
-    def complete(unit_index: int, output: _ShardOutput) -> None:
-        point_index, shard_index = unit_keys[unit_index]
+    def complete(unit_index: int, output: UnitOutput) -> None:
+        point_index = unit_points[unit_index]
         bucket = pending.setdefault(point_index, {})
-        bucket[shard_index] = output
-        if len(bucket) < shard_counts[point_index]:
+        bucket[unit_index] = output
+        executor = executors[point_index]
+        if len(bucket) < len(executor.layout):
             return
-        shard_outputs = [bucket[k] for k in sorted(bucket)]
         del pending[point_index]
-        result = _merge_shards(points[point_index], shard_outputs)
+        outcome = executor.merge([bucket[k] for k in sorted(bucket)])
+        tensor = outcome.recorder.count_tensor()
+        result = _point_result(points[point_index], outcome, tensor)
         if tensors_dir is not None:
-            tensor = np.concatenate(
-                [o.tensor for o in shard_outputs], axis=0
-            )
-            messages = np.concatenate(
-                [o.total_messages for o in shard_outputs]
-            )
             result.tensor_path = _save_tensor(
                 tensors_dir, spec.name, point_index, result, tensor,
-                messages,
+                outcome.total_messages,
             )
         results[point_index] = result
         checkpoint.set(point_index, _done_entry(point_index, result))
@@ -744,7 +684,7 @@ def run_campaign(
         # Only reachable under on_error="skip" (raising policies abort
         # run_plan instead): isolate the loss to its point, persist it,
         # and let every other unit proceed.
-        point_index, _ = unit_keys[failure.index]
+        point_index = unit_points[failure.index]
         bucket = failures_by_point.setdefault(point_index, [])
         bucket.append(failure)
         checkpoint.set(point_index, {
@@ -760,8 +700,6 @@ def run_campaign(
             units=units,
             merge=None,
             label=f"campaign {spec.name!r}",
-            initializer=install_entries,
-            initargs=extra,
         ),
         workers=workers,
         on_unit=complete,
@@ -787,11 +725,6 @@ def run_campaign(
     )
 
 
-def _run_shard_unit(payload):
-    shard, want_tensor = payload
-    return _run_shard(shard, want_tensor=want_tensor)
-
-
 # ----------------------------------------------------------------------
 # Replay
 # ----------------------------------------------------------------------
@@ -800,16 +733,10 @@ def replay_point(point: CampaignPoint) -> np.ndarray:
 
     Campaign seeds are recorded in specs and results, so the same point
     always reproduces the same tensor (same numpy version);
-    trial rows follow the merged shard order, i.e. the recorded
+    trial rows follow the merged unit order, i.e. the recorded
     ``trial_seeds``.
     """
-    return np.concatenate(
-        [
-            _run_shard(shard, want_tensor=True).tensor
-            for shard in _shard_points(point)
-        ],
-        axis=0,
-    )
+    return _executor(point).run(**_run_options(point)).recorder.count_tensor()
 
 
 def verify_replay(result: PointResult) -> bool:

@@ -317,6 +317,7 @@ class Experiment:
             recorder=outcome.recorder,
             shards=executor.shards,
             failures=outcome.failures,
+            final=outcome.final_counts,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - trivial

@@ -160,6 +160,7 @@ class ExperimentResult:
         recorder: BatchMetricsRecorder,
         shards: int = 1,
         failures: Optional[Sequence[UnitFailure]] = None,
+        final: Optional[np.ndarray] = None,
     ):
         self.spec = spec
         self.n = n
@@ -182,6 +183,11 @@ class ExperimentResult:
         #: When non-empty, ``trials``/``trial_seeds`` and every tensor
         #: cover only the surviving trials.
         self.failures: List[UnitFailure] = list(failures or [])
+        #: ``(M, S)`` counts after the last period.  The recorder holds
+        #: only the rows its stride recorded, which miss the end state
+        #: whenever ``stride`` does not divide ``periods``; without
+        #: ``final`` the last recorded row stands in for it.
+        self._final = recorder.last_counts() if final is None else final
 
     # ------------------------------------------------------------------
     # Tensors
@@ -231,13 +237,10 @@ class ExperimentResult:
         return self.alive_tensor().mean(axis=0)
 
     def final_counts(self) -> Dict[str, np.ndarray]:
-        """Per-state final counts, each an ``(M,)`` array.
-
-        Reads only the last recorded period (the recorder exposes it
-        directly) instead of materializing the full count tensor.
-        """
-        last = self.recorder.last_counts()  # (M, S)
-        return {s: last[:, i].copy() for i, s in enumerate(self.states)}
+        """Per-state counts after the last period, each an ``(M,)`` array."""
+        return {
+            s: self._final[:, i].copy() for i, s in enumerate(self.states)
+        }
 
     def mean_final_counts(self) -> Dict[str, float]:
         return {s: float(v.mean()) for s, v in self.final_counts().items()}
@@ -245,26 +248,15 @@ class ExperimentResult:
     def summary(self) -> Dict[str, Dict[str, float]]:
         """Final-count summary per state (the campaign-point reducers).
 
-        Keys match :class:`repro.campaign.PointResult.summary` -- the
-        quantile set is the campaign's ``SUMMARY_QUANTILES``, imported
-        so the two surfaces cannot desynchronize.
+        Keys match :class:`repro.campaign.PointResult.summary`: both
+        are the campaign's ``summarize_final_counts``.
         """
-        from ..campaign.runner import SUMMARY_QUANTILES
+        from ..campaign.runner import summarize_final_counts
 
-        out: Dict[str, Dict[str, float]] = {}
-        for state, series in self.final_counts().items():
-            stats = {
-                "mean": float(series.mean()),
-                "std": float(series.std()),
-                "min": float(series.min()),
-                "max": float(series.max()),
-            }
-            for q, value in zip(
-                SUMMARY_QUANTILES, np.quantile(series, SUMMARY_QUANTILES)
-            ):
-                stats[f"q{int(q * 100)}"] = float(value)
-            out[state] = stats
-        return out
+        return {
+            state: summarize_final_counts(series)
+            for state, series in self.final_counts().items()
+        }
 
     # ------------------------------------------------------------------
     # Equilibrium comparison (the paper's Figure 7 idiom)
@@ -371,10 +363,7 @@ class ExperimentResult:
         """The ensemble trajectory summary table, as printable text."""
         from ..viz import format_table
 
-        # One tensor materialization serves both the initial and the
-        # final rows (count_tensor() copies the whole recording).
-        tensor = self.count_tensor()
-        initial, final = tensor[:, 0, :], tensor[:, -1, :]
+        initial, final = self.count_tensor()[:, 0, :], self._final
         rows = []
         for i, state in enumerate(self.states):
             series = final[:, i]

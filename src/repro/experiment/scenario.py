@@ -7,16 +7,13 @@ factories* (``factory(trial) -> hook(view)``), and the campaign
 registry adds a third (``builder(point, trial, seed) -> hooks``).  A
 :class:`Scenario` normalizes all of them: it produces the per-trial
 hook list for a run context, with scenario randomness drawn from a
-seed family domain-separated from the engines' protocol streams -- the
-family the campaign runner uses too.  An
-:class:`~repro.experiment.experiment.Experiment` and a campaign point
-with identical parameters therefore inject identical faults *when the
-point runs as one shard*: an experiment indexes one root family by
-global trial, whatever its ``workers``, while a sharded point builds
-each shard's factory from that shard's own seed
-(``campaign.runner._run_shard``), so its faults differ from the
-experiment's as its protocol streams do.  At ``workers=1`` and one
-shard the two runs are bitwise identical.
+seed family domain-separated from the engines' protocol streams and
+indexed by *global* trial.  Experiments and campaign points both run
+as :class:`~repro.runtime.parallel.EnsembleExecutor` units handed one
+such factory, so an :class:`~repro.experiment.experiment.Experiment`
+and a campaign point with identical parameters inject identical
+faults at *any* shard count, and a batch-tier ``Experiment(...,
+workers=K)`` is bitwise the point with ``shards=K``.
 """
 
 from __future__ import annotations
@@ -170,9 +167,8 @@ class ScenarioHookFactory:
     Trial indices are *global* (0..trials-1): the scenario seed family
     is derived once from the context, so the hooks a trial receives are
     identical whether the ensemble runs in one engine or sharded
-    across processes by an executor handed this one factory.  A
-    campaign point with ``shards > 1`` is not that: each shard is its
-    own context, with its own seed, and gets its own factory.
+    across processes by an executor handed this one factory -- an
+    experiment's or a campaign point's.
     """
 
     def __init__(self, scenario: Scenario, context: RunContext):

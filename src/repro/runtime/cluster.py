@@ -60,7 +60,6 @@ import subprocess
 import sys
 import threading
 import time
-import traceback as traceback_module
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -80,7 +79,6 @@ from repro.runtime.exec import (
     FaultPolicy,
     UnitFailure,
     _encode_results,
-    _normalize_traceback,
     _run_frame,
 )
 
@@ -215,16 +213,12 @@ class ClusterCoordinator:
         labels: Sequence[str],
         policy: FaultPolicy,
         workers: int,
-        initializer: Optional[Callable] = None,
-        initargs: Tuple = (),
         chaos: Optional[ChaosSchedule] = None,
     ):
         self.label = label
         self._blobs = list(blobs)
         #: The unit table; ``run`` hands it the landing callback.
         self._table = Dispatcher(label, list(labels), policy, workers, None)
-        self._initializer = initializer
-        self._initargs = initargs
         self._chaos = chaos if chaos is not None else ChaosSchedule.from_env()
         self._host = os.environ.get(HOST_ENV, "127.0.0.1")
         self._port = int(os.environ.get(PORT_ENV, "0"))
@@ -444,7 +438,7 @@ class ClusterCoordinator:
         """Act on one decoded message; a malformed one fences its sender.
 
         The bytes come from another process, so nothing about their
-        shape is assumed: whatever is not one of the four worker
+        shape is assumed: whatever is not one of the three worker
         messages, well formed, costs the worker its connection and
         sends its frame back to the queue.
         """
@@ -457,13 +451,9 @@ class ClusterCoordinator:
             conn.launch_index = launch
             if launch is None:
                 self._counts["external_joins"] += 1
-            self._queue_send(conn, (
-                "setup",
-                conn.worker_id,
-                self._table.policy,
-                self._initializer,
-                self._initargs,
-            ))
+            self._queue_send(
+                conn, ("setup", conn.worker_id, self._table.policy)
+            )
             conn.ready = True
             self._dispatch(conn)
         elif kind == "heartbeat":
@@ -485,9 +475,6 @@ class ClusterCoordinator:
                 for slot, failure in failures
             ])
             self._dispatch(conn)
-        elif kind == "fatal":
-            detail = message[1] if len(message) > 1 else ""
-            self._lose_worker(conn, f"worker fatal: {detail}")
         else:
             self._lose_worker(conn, "protocol error")
 
@@ -650,18 +637,9 @@ class WorkerSession:
         message = recv_message(self.sock)
         if message is None or message[0] != "setup":
             return 1
-        _, worker_id, policy, initializer, initargs = message
+        _, worker_id, policy = message
         self.worker_id = worker_id
         self._heartbeat_seconds = policy.heartbeat_seconds
-        if initializer is not None:
-            try:
-                initializer(*initargs)
-            except Exception:
-                self._send((
-                    "fatal",
-                    _normalize_traceback(traceback_module.format_exc()),
-                ))
-                return 1
         heartbeat = threading.Thread(
             target=self._heartbeat_loop, daemon=True
         )

@@ -1,9 +1,9 @@
 """The unified execution layer: work-unit plans with pluggable executors.
 
-Two parallel paths use it -- campaign point/shard fan-out
-(:mod:`repro.campaign.runner`) and single-experiment ensembles of any
-engine tier (:class:`~repro.runtime.parallel.EnsembleExecutor`) -- and
-both reduce to the same shape: a deterministic list of independent
+Every ensemble runs on it -- a single experiment's, of any engine tier,
+and every point of a campaign, all through
+:class:`~repro.runtime.parallel.EnsembleExecutor` units -- and each
+reduces to the same shape: a deterministic list of independent
 **work units**, executed anywhere, whose outputs are combined by an
 order-dependent, schedule-independent **merge**.  This module is that
 shape, extracted once:
@@ -12,7 +12,7 @@ shape, extracted once:
   ``runner`` must be a module-level function (the only kind a spawned
   worker process can import);
 * an :class:`ExecutionPlan` is the ordered unit list plus the merge
-  contract and optional worker-process initialization;
+  contract;
 * :func:`run_plan` executes a plan on 1..K local processes under a
   :class:`FaultPolicy` (per-unit capture, retries, timeout).
 
@@ -31,8 +31,8 @@ The reproducibility contract, shared by every caller:
    a plan's result bitwise identical however it is scheduled: one
    process, K workers, or a later replay.
 3. **Serial execution is always a correct fallback.**  When the units
-   do not survive :mod:`pickle` (closure or lambda hooks, runtime
-   registrations), :func:`run_plan` warns and runs them in-process --
+   do not survive :mod:`pickle` (closure or lambda hooks or scenario
+   builders), :func:`run_plan` warns and runs them in-process --
    same bits, no pool.  The probe is one :mod:`pickle` pass over the
    whole plan before any unit runs; after it the pool reads a payload
    when its frame is cut, as the in-process path always did.
@@ -74,7 +74,7 @@ import time
 import traceback as traceback_module
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path, PurePath
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -519,18 +519,14 @@ class ExecutionPlan:
     label:
         Used in failure and fallback messages so the caller is
         identifiable.
-    initializer, initargs:
-        Worker-process setup (e.g. re-installing runtime registry
-        entries under the spawn start method).  Only invoked in pool
-        workers; the in-process path assumes the current process is
-        already initialized.
+
+    A unit carries everything it needs: a worker process runs it with
+    no setup of its own, whatever was registered in the parent.
     """
 
     units: Sequence[WorkUnit]
     merge: Optional[Callable[[List[Any]], Any]] = None
     label: str = "plan"
-    initializer: Optional[Callable] = None
-    initargs: Tuple = field(default_factory=tuple)
 
 
 def _encode_units(plan: ExecutionPlan) -> Optional[List[bytes]]:
@@ -541,7 +537,6 @@ def _encode_units(plan: ExecutionPlan) -> Optional[List[bytes]]:
     again as the very bytes it went out as the first time.
     """
     try:
-        pickle.dumps((plan.initializer, plan.initargs))
         return [
             pickle.dumps((unit.runner, unit.payload)) for unit in plan.units
         ]
@@ -560,25 +555,20 @@ def _plan_pickles(plan: ExecutionPlan, runners: list, payloads: list) -> bool:
     """The pool's probe: one pass over all a child may be sent (what a
     pickle costs is the call, not the bytes), before any unit runs."""
     try:
-        pickle.Pickler(_Discard()).dump(
-            (plan.initializer, plan.initargs, runners, payloads)
-        )
+        pickle.Pickler(_Discard()).dump((runners, payloads))
     except Exception:
         return False
     return True
 
 
 def _pool_worker(
-    pipe: Any, inherited: Sequence[Any], policy: FaultPolicy,
-    initializer: Optional[Callable], initargs: Tuple,
+    pipe: Any, inherited: Sequence[Any], policy: FaultPolicy
 ) -> None:
     """A pool child: run the frames its pipe brings until it closes."""
     for parent_end in inherited:
         # A forked copy of the parent's ends (this child's included)
         # would hold the pipes open after the parent closed or died.
         parent_end.close()
-    if initializer is not None:
-        initializer(*initargs)
     while True:
         try:
             start, runners, payloads, labels = pickle.loads(pipe.recv_bytes())
@@ -618,8 +608,7 @@ def _run_pool(
         pipe, child_end = multiprocessing.Pipe()
         process = multiprocessing.Process(
             target=_pool_worker, daemon=True,
-            args=(child_end, (*children, pipe), policy,
-                  plan.initializer, plan.initargs),
+            args=(child_end, (*children, pipe), policy),
         )
         process.start()
         child_end.close()
@@ -777,8 +766,7 @@ def run_plan(
 
         ClusterCoordinator(
             label=plan.label, blobs=blobs, labels=labels, policy=policy,
-            workers=workers, initializer=plan.initializer,
-            initargs=plan.initargs, chaos=chaos,
+            workers=workers, chaos=chaos,
         ).run(land)
     elif fan_out:
         _run_pool(plan, (runners, payloads, labels), policy, workers, land)

@@ -11,12 +11,11 @@ engine, and one merge concatenates the unit recorders in unit order
 (:meth:`BatchMetricsRecorder.merge`).  What a unit is depends only on
 the tier:
 
-* **batch** -- a unit is a campaign-style *shard*: an independently
-  seeded sub-ensemble whose seed family is spawned from
-  ``(seed, SHARD_DOMAIN)``, exactly the discipline ``repro.campaign``
-  uses for ``--shards``.  The shard count is part of the stream
-  identity; one shard keeps the root seed, so it reproduces a bare
-  ``BatchRoundEngine`` bit for bit.
+* **batch** -- a unit is a *shard*: an independently seeded
+  sub-ensemble whose seed family is spawned from
+  ``(seed, SHARD_DOMAIN)`` (a campaign point's ``--shards``).  The
+  shard count is part of the stream identity; one shard keeps the root
+  seed, so it reproduces a bare ``BatchRoundEngine`` bit for bit.
 * **serial** and **agent** -- a unit is one trial, seeded
   ``spawn_seeds(seed, M)[m]``.  Each trial owns its whole RNG stream,
   so trial ``m`` equals a standalone engine on that seed, whatever the
@@ -25,17 +24,20 @@ the tier:
 Because the decomposition depends only on ``(engine, seed, trials,
 shards)`` and the merge is pure concatenation in unit order, every
 ensemble is **bitwise identical** however its units are scheduled: one
-process, K pool workers, the cluster backend, or a later replay.  This
-is the engine-level sibling of campaign fan-out: campaigns parallelize
-across grid points and shards of points, the executor gives a *single*
-experiment (``Experiment(..., workers=K)`` / ``python -m repro run
---workers``) the same multi-core scaling on every tier.
+process, K pool workers, the cluster backend, or a later replay.  It
+is the only ensemble path: ``Experiment(..., workers=K)`` / ``python -m
+repro run --workers`` is one :meth:`EnsembleExecutor.run`, and a
+campaign puts every grid point's units into one plan and merges each
+point as its last unit lands.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..synthesis.protocol import ProtocolSpec
 from .agent_sim import AgentSimulation
@@ -57,6 +59,7 @@ __all__ = [
     "TIERS",
     "EnsembleExecutor",
     "EnsembleResult",
+    "UnitOutput",
     "shard_layout",
 ]
 
@@ -64,9 +67,6 @@ __all__ = [
 TIERS = ("serial", "batch", "agent")
 
 #: Entropy domain separating shard seed families from everything else.
-#: Shared with the campaign runner (one discipline, one constant), so
-#: an executor shard and a campaign shard rooted at the same seed see
-#: identical seed families.
 SHARD_DOMAIN = 0x51A4
 
 
@@ -154,8 +154,25 @@ class _OffsetHookFactory:
         return self._factory(self._offset + trial)
 
 
-def _run_unit(job: _UnitJob) -> Tuple[BatchMetricsRecorder, List[int]]:
-    """Worker entry point: run one unit, return its recorder and seeds."""
+@dataclass
+class UnitOutput:
+    """What one work unit returns: its recorder and its engine's end state."""
+
+    recorder: BatchMetricsRecorder
+    trial_seeds: List[int]
+    #: ``(M_unit, S)`` alive counts after the last period -- the state
+    #: the run ended in, which the recorder misses whenever ``stride``
+    #: does not divide ``periods``.
+    final_counts: np.ndarray
+    #: ``(M_unit,)`` messages each trial sent.
+    total_messages: np.ndarray
+    #: Wall seconds the unit took where it ran.
+    seconds: float
+
+
+def _run_unit(job: _UnitJob) -> UnitOutput:
+    """Worker entry point: build one unit's engine, run it, report."""
+    started = time.perf_counter()
     recorder = BatchMetricsRecorder(
         job.spec.states,
         job.trials,
@@ -181,7 +198,10 @@ def _run_unit(job: _UnitJob) -> Tuple[BatchMetricsRecorder, List[int]]:
             ],
             record_initial=job.record_initial,
         )
-        return recorder, list(engine.trial_seeds)
+        return UnitOutput(
+            recorder, list(engine.trial_seeds), engine.counts_matrix(),
+            engine.total_messages.copy(), time.perf_counter() - started,
+        )
     if job.engine == "serial":
         engine = RoundEngine(
             job.spec,
@@ -207,27 +227,44 @@ def _run_unit(job: _UnitJob) -> Tuple[BatchMetricsRecorder, List[int]]:
         ],
         record_initial=job.record_initial,
     )
-    return recorder, [job.seed]
+    census = engine.counts()
+    messages = (
+        engine.total_messages if job.engine == "serial"
+        else engine.network.contacts_attempted
+    )
+    return UnitOutput(
+        recorder, [job.seed],
+        np.array([[census[s] for s in job.spec.states]], dtype=np.int64),
+        np.array([messages], dtype=np.int64), time.perf_counter() - started,
+    )
 
 
 @dataclass
 class EnsembleResult:
     """Merged outcome of an ensemble run: one recorder, trials in order.
 
-    :attr:`recorder` and :attr:`trial_seeds` run along the concatenated
-    trial axis (unit 0's trials first).  Under a skipping fault policy
-    the failed units' trials are simply absent from both (the surviving
-    units are untouched -- failure isolation cannot perturb their
-    streams), and :attr:`failures` records what was lost; each
-    failure's ``index`` is its unit's position in :attr:`layout`,
-    which always describes the *full* decomposition, so any lost unit
-    can be re-run alone from its recorded seed.
+    :attr:`recorder`, :attr:`trial_seeds`, :attr:`final_counts` and
+    :attr:`total_messages` run along the concatenated trial axis (unit
+    0's trials first).  Under a skipping fault policy the failed units'
+    trials are simply absent from all of them (the surviving units are
+    untouched -- failure isolation cannot perturb their streams), and
+    :attr:`failures` records what was lost; each failure's ``index`` is
+    its unit's position in :attr:`layout`, which always describes the
+    *full* decomposition, so any lost unit can be re-run alone from its
+    recorded seed.
     """
 
     recorder: BatchMetricsRecorder
     trial_seeds: List[int]
     #: ``(trials, seed)`` per unit, failed ones included.
     layout: List[Tuple[int, Optional[int]]]
+    #: ``(M, S)`` alive counts after the last period.
+    final_counts: np.ndarray
+    #: ``(M,)`` messages each trial sent.
+    total_messages: np.ndarray
+    #: Compute seconds summed over the landed units (exceeds the wall
+    #: time when they ran side by side).
+    seconds: float
     #: Terminal unit failures recorded by ``on_error="skip"`` (empty
     #: on a clean run; raising policies never construct a result).
     failures: List[UnitFailure] = field(default_factory=list)
@@ -265,13 +302,20 @@ class EnsembleExecutor:
         dead-worker re-dispatch, bitwise identical by the plan
         contract.
 
-    Hook factories passed to :meth:`run` are called with the *global*
-    trial index and return a per-period hook for that trial's engine
-    (a :class:`~repro.runtime.batch_engine.BatchTrialView` on the
-    batch tier), so scenarios inject identical faults however the
-    ensemble is cut.  Unpicklable hook factories (closures, lambdas)
-    force a serial in-process run with a warning instead of failing
-    inside the pool -- the results are bitwise the same either way.
+    An ensemble is two steps around one
+    :func:`~repro.runtime.exec.run_plan`: :meth:`units` hands out the
+    work units and :meth:`merge` assembles their outputs.  :meth:`run`
+    is exactly that; a caller running many ensembles in one plan (the
+    campaign runner) calls the two steps itself.
+
+    Hook factories are called with the *global* trial index and return
+    a per-period hook for that trial's engine (a
+    :class:`~repro.runtime.batch_engine.BatchTrialView` on the batch
+    tier), so scenarios inject identical faults however the ensemble
+    is cut.  Only the spec and the factories cross a process boundary;
+    unpicklable factories (closures, lambdas) force a serial
+    in-process run with a warning instead of failing inside the pool
+    -- the results are bitwise the same either way.
     """
 
     def __init__(
@@ -321,8 +365,10 @@ class EnsembleExecutor:
                 )
             self.shards = 1
             self.layout = [(1, s) for s in spawn_seeds(seed, trials)]
+        self.label = f"{engine} {spec.name!r} ensemble"
+        self._noun = "shard" if engine == "batch" else "trial"
 
-    def run(
+    def units(
         self,
         periods: int,
         *,
@@ -331,24 +377,12 @@ class EnsembleExecutor:
         member_log_state: Optional[str] = None,
         hook_factories: Sequence[HookFactory] = (),
         record_initial: bool = True,
-        fault_policy: Optional[FaultPolicy] = None,
-    ) -> EnsembleResult:
-        """Run every unit and merge the recorders integer-exactly.
-
-        ``fault_policy`` governs unit faults (default: raise on the
-        first failure, wrapped as a
-        :class:`~repro.runtime.exec.UnitExecutionError` naming the
-        unit).  ``on_error="retry"`` re-runs a failed unit's exact
-        payload (same seed, same merge slot), so a retried run stays
-        bitwise identical; ``on_error="skip"`` drops failed units
-        from the merged trial axis and records them on
-        :attr:`EnsembleResult.failures`.
-        """
+    ) -> List[WorkUnit]:
+        """The ensemble's work units, one per :attr:`layout` entry."""
         if member_log_state is not None and self.engine == "agent":
             raise ValueError(
                 "member_log_state is not supported on the agent tier"
             )
-        noun = "shard" if self.engine == "batch" else "trial"
         units = []
         offset = 0
         for index, (size, unit_seed) in enumerate(self.layout):
@@ -370,30 +404,59 @@ class EnsembleExecutor:
             )
             units.append(
                 WorkUnit(runner=_run_unit, payload=job,
-                         label=f"{noun} {index}")
+                         label=f"{self._noun} {index}")
             )
             offset += size
-        label = f"{self.engine} {self.spec.name!r} ensemble"
+        return units
 
-        def merge(outputs: List) -> EnsembleResult:
-            # Under a skipping policy, failed units occupy their slot
-            # as UnitFailure records; the survivors merge unchanged, in
-            # unit order, so failure isolation never perturbs them.
-            failures = [o for o in outputs if isinstance(o, UnitFailure)]
-            landed = [o for o in outputs if not isinstance(o, UnitFailure)]
-            if not landed:
-                raise UnitExecutionError(
-                    failures[0],
-                    f"{label} (all {len(outputs)} {noun}s failed)",
-                )
-            return EnsembleResult(
-                recorder=BatchMetricsRecorder.merge([o[0] for o in landed]),
-                trial_seeds=[s for o in landed for s in o[1]],
-                layout=list(self.layout),
-                failures=failures,
+    def merge(self, outputs: Sequence) -> EnsembleResult:
+        """Concatenate unit outputs, in unit order, into one result.
+
+        Under a skipping policy, failed units occupy their slot as
+        :class:`~repro.runtime.exec.UnitFailure` records; the survivors
+        merge unchanged, so failure isolation never perturbs them.
+        """
+        failures = [o for o in outputs if isinstance(o, UnitFailure)]
+        landed = [o for o in outputs if not isinstance(o, UnitFailure)]
+        if not landed:
+            raise UnitExecutionError(
+                failures[0],
+                f"{self.label} (all {len(outputs)} {self._noun}s failed)",
             )
+        return EnsembleResult(
+            recorder=BatchMetricsRecorder.merge([o.recorder for o in landed]),
+            trial_seeds=[s for o in landed for s in o.trial_seeds],
+            layout=list(self.layout),
+            final_counts=np.concatenate([o.final_counts for o in landed]),
+            total_messages=np.concatenate(
+                [o.total_messages for o in landed]
+            ),
+            seconds=sum(o.seconds for o in landed),
+            failures=failures,
+        )
 
-        plan = ExecutionPlan(units=units, merge=merge, label=label)
+    def run(
+        self,
+        periods: int,
+        *,
+        fault_policy: Optional[FaultPolicy] = None,
+        **options,
+    ) -> EnsembleResult:
+        """Run every unit (:meth:`units` takes ``options``) and merge.
+
+        ``fault_policy`` governs unit faults (default: raise on the
+        first failure, wrapped as a
+        :class:`~repro.runtime.exec.UnitExecutionError` naming the
+        unit).  ``on_error="retry"`` re-runs a failed unit's exact
+        payload (same seed, same merge slot), so a retried run stays
+        bitwise identical; ``on_error="skip"`` drops failed units
+        from the merged trial axis and records them on
+        :attr:`EnsembleResult.failures`.
+        """
+        plan = ExecutionPlan(
+            units=self.units(periods, **options), merge=self.merge,
+            label=self.label,
+        )
         return run_plan(plan, workers=self.workers,
                         fault_policy=fault_policy, backend=self.backend)
 

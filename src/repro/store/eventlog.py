@@ -10,8 +10,11 @@ must reproduce the exact state stream (see ``docs/service.md``).
 Two durability properties matter and are both tested:
 
 * **appends are atomic at line granularity** -- each record is written
-  as one ``write()`` of a complete line and flushed, so a crash leaves
-  at most one torn *final* line;
+  as one ``write()`` of a complete line and flushed to the OS, so a
+  killed process leaves at most one torn *final* line.  A flush is not
+  an ``fsync``: after a power loss the file can also end early, short
+  an unsynced suffix of complete lines (``EventLog(fsync=True)`` syncs
+  every append; no caller enables it);
 * **reads tolerate exactly that** -- ``read_events`` drops a torn
   final line (reporting it) but refuses mid-file corruption, which can
   only mean the log was edited or the filesystem lied.
@@ -129,9 +132,10 @@ class EventLog:
     """Writable append-only log backed by one JSONL file.
 
     ``append`` assigns the next ``seq``, writes one complete line and
-    flushes it to the OS, so an abrupt kill (SIGKILL, power loss mid
-    page write) can tear at most the final line -- which ``read_events``
-    knows to drop.
+    flushes it to the OS, so a killed process (SIGKILL) can tear at
+    most the final line -- which ``read_events`` knows to drop.  A power
+    loss can further drop the suffix the OS had not yet written back,
+    unless ``fsync`` syncs each append.
     """
 
     def __init__(self, path: os.PathLike, *, fsync: bool = False):

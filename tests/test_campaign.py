@@ -20,6 +20,7 @@ from repro.campaign import (
     verify_replay,
 )
 from repro.__main__ import main as cli_main
+from repro.experiment import Experiment
 
 
 def tiny_spec(**overrides):
@@ -245,6 +246,81 @@ class TestTrialSharding:
         assert verify_replay(restored.results[0])
 
 
+CONTRACT_PROTOCOLS = ("lv", "endemic")
+CONTRACT_SCENARIOS = tuple(available_scenarios())
+
+
+def contract_spec(shards):
+    """Every contract protocol under every registry scenario, small."""
+    return tiny_spec(
+        protocols=list(CONTRACT_PROTOCOLS), group_sizes=[150],
+        scenarios=list(CONTRACT_SCENARIOS), trials=3, periods=24,
+        stride=5, shards=shards, base_seed=11,
+    )
+
+
+@pytest.fixture(scope="module")
+def experiment_for():
+    """The Experiment a campaign point promises to equal, run once per
+    point for the whole module."""
+    runs = {}
+
+    def experiment(point):
+        if point not in runs:
+            runs[point] = Experiment(
+                point.protocol, n=point.n, trials=point.trials,
+                periods=point.periods, seed=point.seed,
+                workers=point.shards, scenario=point.scenario,
+                loss_rate=point.loss_rate, stride=point.stride,
+                engine="batch", record_transitions=False, check="off",
+            ).run()
+        return runs[point]
+
+    return experiment
+
+
+def assert_point_is_experiment(result, tensor, experiment):
+    assert result.trial_seeds == experiment.trial_seeds
+    assert result.final_counts == {
+        s: v.tolist() for s, v in experiment.final_counts().items()
+    }
+    assert np.array_equal(tensor, experiment.count_tensor())
+    alive = experiment.alive_tensor()
+    assert np.array_equal(tensor.sum(axis=2), alive)
+    assert result.mean_alive == (
+        alive.sum(axis=0) / result.point.trials
+    ).tolist()
+
+
+class TestPointIsAnExperiment:
+    """A campaign point equals ``Experiment(..., seed=point.seed,
+    workers=point.shards, scenario=point.scenario)`` -- count tensor,
+    alive tensor, final counts, trial seeds -- at every shard count,
+    under every registry scenario, wherever its units run."""
+
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_in_process(self, shards, experiment_for):
+        for point in contract_spec(shards).expand():
+            assert_point_is_experiment(
+                run_point(point), replay_point(point), experiment_for(point)
+            )
+
+    @pytest.mark.parametrize("backend", ["pool", "cluster"])
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_fanned_out(self, backend, shards, tmp_path, experiment_for):
+        result = run_campaign(
+            contract_spec(shards), workers=2, backend=backend,
+            save_tensors=str(tmp_path),
+        )
+        assert len(result.results) == 8 and not result.failures
+        for point_result in result.results:
+            with np.load(tmp_path / point_result.tensor_path) as data:
+                assert_point_is_experiment(
+                    point_result, data["counts"],
+                    experiment_for(point_result.point),
+                )
+
+
 class TestSaveTensors:
     def test_tensor_artifact_matches_replay(self, tmp_path):
         spec = tiny_spec(group_sizes=[200, 300])
@@ -425,50 +501,19 @@ def _stock_pull_builder(n):
     return pull_protocol(), {"x": n - 2, "y": 2}
 
 
+def _point_numbers(result):
+    """A campaign result's numbers, wall-clock provenance aside."""
+    return [
+        (r.trial_seeds, r.final_counts, r.mean_trajectory, r.mean_alive)
+        for r in result.results
+    ]
+
+
 class TestRegistryExtension:
-    def test_custom_entries_tracks_runtime_registrations(self):
-        from repro.campaign import registry
-
-        register_protocol("snap-pull", _stock_pull_builder)
-        try:
-            protocols, scenarios = registry.custom_entries()
-            assert protocols == {"snap-pull": _stock_pull_builder}
-            assert scenarios == {}
-        finally:
-            registry._PROTOCOLS.pop("snap-pull")
-        protocols, scenarios = registry.custom_entries()
-        assert protocols == {} and scenarios == {}
-
-    def test_custom_entries_detects_replaced_builtin(self):
-        # register_protocol documents "register (or replace)": a
-        # replaced built-in must ship to pool workers, so detection is
-        # by identity, not name.
-        from repro.campaign import registry
-
-        original = registry._PROTOCOLS["epidemic-pull"]
-        register_protocol("epidemic-pull", _stock_pull_builder)
-        try:
-            protocols, _ = registry.custom_entries()
-            assert protocols == {"epidemic-pull": _stock_pull_builder}
-        finally:
-            registry._PROTOCOLS["epidemic-pull"] = original
-        protocols, _ = registry.custom_entries()
-        assert protocols == {}
-
-    def test_install_entries_registers(self):
-        from repro.campaign import registry
-
-        registry.install_entries({"installed-pull": _stock_pull_builder}, {})
-        try:
-            resolved = registry.resolve_protocol("installed-pull").resolve(50)
-            assert resolved.initial == {"x": 48, "y": 2}
-        finally:
-            registry._PROTOCOLS.pop("installed-pull")
-
     def test_fan_out_with_custom_protocol(self):
-        # Workers re-install runtime registrations via the pool
-        # initializer, so a campaign over a custom protocol must give
-        # the same results with and without fan-out.
+        # Units carry the spec resolved in this process, so a campaign
+        # over a runtime registration needs nothing from the workers'
+        # registry: fanned out, it equals the serial run.
         from repro.campaign import registry
 
         register_protocol("fan-pull", _stock_pull_builder)
@@ -477,15 +522,31 @@ class TestRegistryExtension:
                              trials=2, periods=10)
             serial = run_campaign(spec, workers=1)
             parallel = run_campaign(spec, workers=2)
-            for a, b in zip(serial.results, parallel.results):
-                assert a.final_counts == b.final_counts
+            assert _point_numbers(parallel) == _point_numbers(serial)
         finally:
             registry._PROTOCOLS.pop("fan-pull")
 
-    def test_fan_out_unpicklable_builder_runs_serially(self):
-        # A closure can't cross the process boundary; the campaign
-        # must still complete (serial fallback, with a warning)
-        # instead of crashing inside the workers.
+    def test_registered_protocol_on_cluster_workers(self):
+        # Cluster workers are fresh interpreters that import only the
+        # built-in registry; a registered protocol under a registry
+        # scenario, sharded, still equals the in-process run.
+        from repro.campaign import registry
+
+        register_protocol("cluster-pull", _stock_pull_builder)
+        try:
+            spec = tiny_spec(protocols=["cluster-pull"], group_sizes=[200],
+                             scenarios=["churn"], trials=4, periods=10,
+                             shards=2)
+            local = run_campaign(spec, workers=1)
+            remote = run_campaign(spec, workers=2, backend="cluster")
+            assert _point_numbers(remote) == _point_numbers(local)
+        finally:
+            registry._PROTOCOLS.pop("cluster-pull")
+
+    def test_closure_protocol_builder_fans_out(self):
+        # Only the resolved spec crosses the process boundary, so a
+        # closure builder fans out -- no serial-fallback warning -- and
+        # equals workers=1.
         from repro.campaign import registry
         from repro.protocols.epidemic import pull_protocol
 
@@ -495,11 +556,31 @@ class TestRegistryExtension:
         try:
             spec = tiny_spec(protocols=["closure-pull"],
                              group_sizes=[200, 300], trials=2, periods=10)
-            with pytest.warns(RuntimeWarning, match="serially"):
-                result = run_campaign(spec, workers=2)
-            assert len(result.results) == 2
+            serial = run_campaign(spec, workers=1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                pooled = run_campaign(spec, workers=2)
+            assert _point_numbers(pooled) == _point_numbers(serial)
         finally:
             registry._PROTOCOLS.pop("closure-pull")
+
+    def test_closure_scenario_builder_runs_serially(self):
+        # A scenario builder rides inside every unit; a closure can't
+        # cross the process boundary, so the campaign completes
+        # serially with a warning instead of crashing in the workers.
+        from repro.campaign import registry
+
+        register_scenario("closure-quiet", lambda point, trial, seed: [])
+        try:
+            spec = tiny_spec(scenarios=["closure-quiet"],
+                             group_sizes=[200, 300], trials=2, periods=10)
+            with pytest.warns(RuntimeWarning, match="serially"):
+                result = run_campaign(spec, workers=2)
+            assert _point_numbers(result) == _point_numbers(
+                run_campaign(spec, workers=1)
+            )
+        finally:
+            registry._SCENARIOS.pop("closure-quiet")
 
     def test_unused_unpicklable_registration_keeps_fan_out(self):
         # Only builders the campaign references are shipped to the

@@ -122,10 +122,6 @@ def boom_runner(payload):
     raise RuntimeError(f"unit {payload} exploded")
 
 
-def boom_init():
-    raise RuntimeError("initializer exploded")
-
-
 def start_session(sock, **kwargs):
     session = WorkerSession(sock, **kwargs)
     box = {}
@@ -152,8 +148,8 @@ def job(index, runner, payload, label="u"):
     return (index, pickle.dumps((runner, payload)), label)
 
 
-def setup_message(worker_id, policy=None, initializer=None):
-    return ("setup", worker_id, policy or FaultPolicy(), initializer, ())
+def setup_message(worker_id, policy=None):
+    return ("setup", worker_id, policy or FaultPolicy())
 
 
 def frame_message(*jobs):
@@ -249,22 +245,6 @@ class TestWorkerSession:
             coord.close()
             worker.close()
 
-    def test_failing_initializer_is_fatal(self):
-        coord, worker = socket.socketpair()
-        try:
-            _, thread, box = start_session(worker)
-            expect(coord, "hello")
-            coord.sendall(encode_message(
-                setup_message("w0", initializer=boom_init)
-            ))
-            fatal = expect(coord, "fatal")
-            assert "initializer exploded" in fatal[1]
-            thread.join(timeout=5)
-            assert box["status"] == 1
-        finally:
-            coord.close()
-            worker.close()
-
     def test_coordinator_eof_ends_the_session_cleanly(self):
         coord, worker = socket.socketpair()
         try:
@@ -291,7 +271,7 @@ def stub():
 class TestCoordinatorFrames:
     def test_setup_carries_the_policy_and_frames_do_not(self, stub):
         _far, setup, frame = stub.join()
-        kind, worker_id, policy, initializer, initargs = setup
+        kind, worker_id, policy = setup
         assert (kind, worker_id) == ("setup", "w0")
         assert policy == stub.table.policy
         assert frame == [0]

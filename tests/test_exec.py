@@ -87,11 +87,10 @@ def unwrap(payload):
     return payload.value * 2
 
 
-def plan_of(values, merge=list, **kwargs):
+def plan_of(values, merge=list):
     return ExecutionPlan(
         units=[WorkUnit(runner=double, payload=v) for v in values],
         merge=merge,
-        **kwargs,
     )
 
 
@@ -571,16 +570,6 @@ class TestSerialFallback:
             pooled = run_plan(plan, workers=3)
         assert pooled == serial
 
-    def test_unpicklable_initializer_falls_back(self):
-        """The fallback covers the initializer, not just the units."""
-        plan = ExecutionPlan(
-            units=[WorkUnit(runner=double, payload=v) for v in (1, 2, 3)],
-            merge=list,
-            initializer=lambda: None,
-        )
-        with pytest.warns(RuntimeWarning, match="unpicklable"):
-            assert run_plan(plan, workers=2) == [2, 4, 6]
-
     def test_a_late_unpicklable_unit_keeps_every_unit_in_process(self):
         # The probe is all-or-nothing and comes first: no unit may have
         # run in a child by the time the last one turns out unpicklable.
@@ -880,10 +869,6 @@ def die_at_5(payload):
     return payload
 
 
-def failing_initializer():
-    raise RuntimeError("initializer exploded")
-
-
 class TestPoolTransport:
     """The pipes can neither perturb results nor leak.
 
@@ -986,13 +971,6 @@ class TestWorkerLost:
         lost = [r for r in caplog.records if r.levelname == "WARNING"]
         assert len(lost) == 3
         assert all(r.name == "repro.runtime.exec" for r in lost)
-
-    def test_a_failing_initializer_is_an_error_not_a_stall(self):
-        plan = plan_of([1, 2, 3, 4], initializer=failing_initializer)
-        started = time.perf_counter()
-        with pytest.raises(UnitExecutionError, match="exit code 1"):
-            run_plan(plan, workers=2)
-        assert time.perf_counter() - started < 5.0
 
 
 # ----------------------------------------------------------------------

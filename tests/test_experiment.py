@@ -294,31 +294,34 @@ class TestScenarioContract:
         scenario = Scenario.named("crash-recovery")
         assert scenario.trial_seeds(context) == scenario_seeds(11, 4)
 
-    def test_one_shard_point_and_experiment_inject_identical_faults(self):
-        """Seeded alike at one shard: same alive tensor, same census."""
-        from repro.campaign.runner import _run_shard
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    def test_point_and_experiment_inject_identical_faults(self, shards):
+        """Seeded alike at any shard count: same alive tensor, same census."""
+        from repro.campaign import replay_point, run_point
 
-        result = Experiment(
-            Protocol.named("endemic"), n=300, trials=4, periods=40, seed=7,
-            scenario="crash-recovery", workers=1,
-        ).run()
-        shard = _run_shard(CampaignPoint(
+        def experiment(workers):
+            return Experiment(
+                Protocol.named("endemic"), n=300, trials=4, periods=40,
+                seed=7, scenario="crash-recovery", workers=workers,
+            ).run()
+
+        result = experiment(shards)
+        point = CampaignPoint(
             protocol="endemic", n=300, loss_rate=0.0,
             scenario="crash-recovery", trials=4, periods=40, seed=7,
-        ), want_tensor=True)
+            shards=shards,
+        )
+        tensor = replay_point(point)
         alive = result.recorder.alive_tensor()
         # The scenario did kill hosts, and the point saw the same ones.
         assert alive.min() < 300
-        assert np.array_equal(shard.tensor.sum(axis=2), alive)
-        assert np.array_equal(shard.alive_sums, alive.sum(axis=0))
-        assert np.array_equal(shard.tensor, result.recorder.count_tensor())
-        # Two shards draw other protocol streams, but the faults are
-        # indexed by global trial: the alive tensor cannot move.
-        sharded = Experiment(
-            Protocol.named("endemic"), n=300, trials=4, periods=40, seed=7,
-            scenario="crash-recovery", workers=2,
-        ).run()
-        assert np.array_equal(sharded.recorder.alive_tensor(), alive)
+        assert np.array_equal(tensor.sum(axis=2), alive)
+        assert np.array_equal(tensor, result.recorder.count_tensor())
+        assert run_point(point).mean_alive == (alive.sum(axis=0) / 4).tolist()
+        # Other shard counts draw other protocol streams, but the
+        # faults are indexed by global trial: the alive tensor cannot
+        # move.
+        assert np.array_equal(experiment(1).recorder.alive_tensor(), alive)
 
     def test_unknown_scenario_raises(self):
         with pytest.raises(KeyError, match="unknown scenario"):
@@ -352,6 +355,38 @@ class TestScenarioContract:
     def test_normalize_rejects_garbage(self):
         with pytest.raises(TypeError):
             Scenario.normalize(42)
+
+
+class TestFinalCounts:
+    def test_a_stride_that_skips_the_last_period(self):
+        """Final counts are the state after the last period, not the
+        last recorded row, in the result and in the rendered summary."""
+        from repro.campaign import run_point
+
+        def experiment(stride):
+            return Experiment(
+                "lv", n=300, trials=4, periods=25, stride=stride, seed=1,
+            ).run()
+
+        strided, dense = experiment(10), experiment(1)
+        assert strided.times.tolist() == [0, 10, 20]
+        finals = {s: v.tolist() for s, v in strided.final_counts().items()}
+        assert finals == {
+            s: dense.counts(s)[:, -1].tolist() for s in dense.states
+        }
+        assert finals != {
+            s: strided.counts(s)[:, -1].tolist() for s in strided.states
+        }
+        point = CampaignPoint(
+            protocol="lv", n=300, loss_rate=0.0, scenario="none",
+            trials=4, periods=25, seed=1, stride=10,
+        )
+        assert run_point(point).final_counts == finals
+        row = next(
+            line.split() for line in strided.render_summary().splitlines()
+            if line.split()[:1] == ["x"]
+        )
+        assert row[2] == f"{np.mean(finals['x']):.1f}"
 
 
 class TestEquilibriumCheck:

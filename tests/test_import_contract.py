@@ -127,11 +127,12 @@ class TestStartLoadsNoDeferredModule:
         assert command_help_rows[command] == {"code": 0, "loaded": []}
 
     def test_registry_campaign_shard_unit(self):
-        # What a pool or cluster worker executes for a campaign: the
-        # unit must import nothing the worker did not have at start.
+        # What a pool or cluster worker executes for a campaign -- an
+        # ensemble executor unit: it must import nothing the worker
+        # did not have at start.
         out = fresh("""
             from repro.campaign.grid import CampaignPoint
-            from repro.campaign.runner import _run_shard, _shard_points
+            from repro.campaign.runner import _executor, _run_options
 
             totals = {}
             for protocol in ("endemic", "lv"):
@@ -139,7 +140,8 @@ class TestStartLoadsNoDeferredModule:
                     protocol=protocol, n=300, loss_rate=0.0,
                     scenario="none", trials=4, periods=10, seed=3, shards=2,
                 )
-                output = _run_shard(_shard_points(point)[0])
+                unit = _executor(point).units(**_run_options(point))[0]
+                output = unit.runner(unit.payload)
                 totals[protocol] = output.final_counts.sum(axis=1).tolist()
             report(totals=totals, loaded=loaded())
         """)
@@ -309,12 +311,12 @@ class TestRunJourneysLoadNoScipy:
         assert out == {"scipy": [], "expected": ["x", "y", "z"]}
 
     def test_equations_file_campaign(self):
-        # Parent: plans, forks two workers, checkpoints.  Unit: what a
-        # worker runs -- it re-resolves the file and solves for its
-        # start point itself.
+        # Parent: resolves the file (solving for its start point),
+        # plans, forks two workers, checkpoints.  Unit: what a worker
+        # runs -- the resolved spec's ensemble.
         out = fresh("""
             from repro.campaign import CampaignSpec, run_campaign
-            from repro.campaign.runner import _run_shard, _shard_points
+            from repro.campaign.runner import _executor, _run_options
 
             spec = CampaignSpec(
                 protocols=["examples/endemic.txt"], group_sizes=[300],
@@ -322,7 +324,9 @@ class TestRunJourneysLoadNoScipy:
             )
             campaign = run_campaign(spec, workers=2)
             parent = scipy_loaded()
-            unit = _run_shard(_shard_points(spec.expand()[0])[0])
+            point = spec.expand()[0]
+            first = _executor(point).units(**_run_options(point))[0]
+            unit = first.runner(first.payload)
             report(
                 parent=parent, unit=scipy_loaded(),
                 points=len(campaign.results),

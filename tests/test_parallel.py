@@ -99,17 +99,15 @@ class TestShardLayout:
         assert all(seed != 7 for _, seed in layout)
 
     def test_matches_campaign_discipline(self):
-        """Executor shards and campaign shards share one seed family."""
+        """A campaign point's units are the executor's shards."""
         from repro.campaign.grid import CampaignPoint
-        from repro.campaign.runner import _shard_points
+        from repro.campaign.runner import _executor
 
         point = CampaignPoint(
             protocol="lv", n=200, loss_rate=0.0, scenario="none",
             trials=10, periods=5, seed=7, shards=3,
         )
-        campaign_shards = _shard_points(point)
-        layout = shard_layout(7, 10, 3)
-        assert [(p.trials, p.seed) for p in campaign_shards] == layout
+        assert _executor(point).layout == shard_layout(7, 10, 3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -223,6 +221,8 @@ class TestBitwiseEquality:
         assert np.array_equal(
             outcome.recorder.count_tensor(), recorder.count_tensor()
         )
+        assert np.array_equal(outcome.final_counts, engine.counts_matrix())
+        assert np.array_equal(outcome.total_messages, engine.total_messages)
 
     @pytest.mark.parametrize(
         "engine,build",
@@ -239,7 +239,12 @@ class TestBitwiseEquality:
         outcome = run_ensemble(engine, trials=3, workers=2, seed=9, loss=0.2)
         for trial, trial_seed in enumerate(outcome.trial_seeds):
             recorder = BatchMetricsRecorder(SPEC.states, 1)
-            build(trial_seed).run(10, recorder=recorder)
+            alone = build(trial_seed)
+            alone.run(10, recorder=recorder)
+            census = alone.counts()
+            assert outcome.final_counts[trial].tolist() == [
+                census[s] for s in SPEC.states
+            ]
             assert np.array_equal(
                 outcome.recorder.count_tensor()[trial],
                 recorder.count_tensor()[0],
@@ -259,6 +264,42 @@ class TestBitwiseEquality:
         outcome = executor.run(10)
         assert outcome.trials == 2
         assert outcome.recorder.count_tensor().shape[0] == 2
+
+
+class TestEndState:
+    @pytest.mark.parametrize("engine", TIERS)
+    def test_final_counts_are_the_last_period_not_the_last_row(
+        self, engine
+    ):
+        """A stride that skips the last period still reports its state."""
+        strided = run_ensemble(engine, 3, workers=1, periods=25, stride=10)
+        dense = run_ensemble(engine, 3, workers=1, periods=25)
+        assert strided.recorder.times.tolist() == [0, 10, 20]
+        assert np.array_equal(
+            strided.final_counts, dense.recorder.count_tensor()[:, -1, :]
+        )
+        assert np.array_equal(strided.total_messages, dense.total_messages)
+        assert strided.total_messages.shape == (3,)
+        assert (strided.total_messages > 0).all()
+
+    def test_units_and_merge_are_run(self):
+        """``run`` is the two public steps around one plan."""
+        from repro.runtime.exec import ExecutionPlan, run_plan
+
+        executor = EnsembleExecutor(
+            SPEC, n=N, trials=5, initial=INITIAL, seed=3, shards=2,
+        )
+        units = executor.units(12, stride=5)
+        assert [u.label for u in units] == ["shard 0", "shard 1"]
+        stepped = run_plan(
+            ExecutionPlan(units=units, merge=executor.merge), workers=2
+        )
+        ran = executor.run(12, stride=5)
+        assert stepped.trial_seeds == ran.trial_seeds
+        assert np.array_equal(
+            stepped.recorder.count_tensor(), ran.recorder.count_tensor()
+        )
+        assert np.array_equal(stepped.final_counts, ran.final_counts)
 
 
 class TestHooks:

@@ -19,6 +19,7 @@ from repro.campaign import (
     CampaignSpec,
     load_manifest,
     register_protocol,
+    register_scenario,
     run_campaign,
 )
 from repro.campaign.runner import MANIFEST_NAME
@@ -235,6 +236,52 @@ class TestResume:
             run_campaign(spec, resume=str(tmp_path))
         assert cli_main(["campaign", "--resume", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("shards,scenarios,recorded", [
+        (1, ["none", "churn"], False),
+        (2, ["none"], False),
+        (2, ["none", "churn"], True),
+    ])
+    def test_manifest_records_the_scenario_seeding_where_it_matters(
+        self, tmp_path, shards, scenarios, recorded
+    ):
+        spec = tiny_spec(group_sizes=[200], shards=shards, scenarios=scenarios)
+        run_campaign(spec, save_tensors=str(tmp_path))
+        manifest = load_manifest(tmp_path)
+        assert ("scenario_seeding" in manifest) is recorded
+        if recorded:
+            assert manifest["scenario_seeding"] == "global-trial"
+        # Written as it writes it, a manifest always resumes.
+        run_campaign(spec, resume=str(tmp_path))
+
+    def test_per_shard_seeded_manifest_is_refused_before_any_unit(
+        self, tmp_path, monkeypatch
+    ):
+        # A manifest from before faults were seeded by global trial: a
+        # sharded point under a scenario, and no seeding field.  Its
+        # restored points would not match the ones a resume re-runs.
+        from repro.runtime import parallel
+
+        spec = tiny_spec(group_sizes=[200], shards=2,
+                         scenarios=["none", "churn"])
+        run_campaign(spec, save_tensors=str(tmp_path))
+        path = tmp_path / MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        del manifest["scenario_seeding"]
+        manifest["points"][1] = {
+            key: manifest["points"][1][key] for key in ("index", "label")
+        } | {"point": manifest["points"][1]["result"]["point"],
+             "status": "pending"}
+        path.write_text(json.dumps(manifest))
+        before = path.read_text()
+
+        def no_unit(job):
+            raise AssertionError("no unit may run")
+
+        monkeypatch.setattr(parallel, "_run_unit", no_unit)
+        with pytest.raises(ValueError, match="scenario_seeding"):
+            run_campaign(spec, resume=str(tmp_path))
+        assert path.read_text() == before
+
     def test_tampered_entry_point_is_rejected(self, tmp_path):
         spec = tiny_spec(group_sizes=[200])
         run_campaign(spec, save_tensors=str(tmp_path))
@@ -246,22 +293,21 @@ class TestResume:
             run_campaign(spec, resume=str(tmp_path))
 
 
-class FlagBuilder:
-    """Protocol builder that explodes while a flag file exists.
+class FlagScenario:
+    """Scenario builder that explodes while a flag file exists.
 
-    Lets a test fail a point deterministically, then "repair" the
-    fault (delete the flag) and resume.
+    A scenario builder runs inside the point's work units, so this
+    fails a point's units deterministically; deleting the flag
+    "repairs" the fault for a resume.
     """
 
     def __init__(self, flag):
         self.flag = flag
 
-    def __call__(self, n):
+    def __call__(self, point, trial, seed):
         if os.path.exists(self.flag):
             raise RuntimeError("injected campaign fault")
-        from repro.protocols.epidemic import pull_protocol
-
-        return pull_protocol(), {"x": n - 1, "y": 1}
+        return []
 
 
 class TestFailureIsolation:
@@ -273,12 +319,9 @@ class TestFailureIsolation:
 
         flag = tmp_path / "fault-active"
         flag.touch()
-        register_protocol("flag-pull", FlagBuilder(str(flag)))
+        register_scenario("flag", FlagScenario(str(flag)))
         try:
-            spec = tiny_spec(
-                protocols=["epidemic-pull", "flag-pull"],
-                group_sizes=[200],
-            )
+            spec = tiny_spec(scenarios=["none", "flag"], group_sizes=[200])
             run_dir = tmp_path / "run"
             partial = run_campaign(
                 spec, save_tensors=str(run_dir),
@@ -288,9 +331,7 @@ class TestFailureIsolation:
             )
             # The healthy point completed; the faulty one is recorded,
             # not silently dropped.
-            assert [r.point.protocol for r in partial.results] == [
-                "epidemic-pull"
-            ]
+            assert [r.point.scenario for r in partial.results] == ["none"]
             assert len(partial.failures) == 1
             assert "injected campaign fault" in partial.failures[0]["error"]
             manifest = load_manifest(run_dir)
@@ -298,12 +339,10 @@ class TestFailureIsolation:
             # Done entries hold their point under "result"; unfinished
             # ones (pending/failed) at the top level.
             statuses = {
-                e.get("result", e)["point"]["protocol"]: e["status"]
+                e.get("result", e)["point"]["scenario"]: e["status"]
                 for e in manifest["points"]
             }
-            assert statuses == {
-                "epidemic-pull": "done", "flag-pull": "failed"
-            }
+            assert statuses == {"none": "done", "flag": "failed"}
             failed = [
                 e for e in manifest["points"] if e["status"] == "failed"
             ][0]
@@ -324,21 +363,18 @@ class TestFailureIsolation:
                 load_manifest(tmp_path / "reference")
             )
         finally:
-            registry._PROTOCOLS.pop("flag-pull")
+            registry._SCENARIOS.pop("flag")
 
     def test_raise_policy_keeps_completed_checkpoints(self, tmp_path):
         from repro.campaign import registry
 
         flag = tmp_path / "fault-active"
         flag.touch()
-        register_protocol("flag-pull", FlagBuilder(str(flag)))
+        register_scenario("flag", FlagScenario(str(flag)))
         try:
-            # Grid order puts the healthy point first (protocol axis
+            # Grid order puts the healthy point first (scenario axis
             # order), so it lands and checkpoints before the fault.
-            spec = tiny_spec(
-                protocols=["epidemic-pull", "flag-pull"],
-                group_sizes=[200],
-            )
+            spec = tiny_spec(scenarios=["none", "flag"], group_sizes=[200])
             run_dir = tmp_path / "run"
             with pytest.raises(UnitExecutionError, match="injected"):
                 run_campaign(spec, save_tensors=str(run_dir))
@@ -348,7 +384,33 @@ class TestFailureIsolation:
                 "done", "pending"
             ]
         finally:
-            registry._PROTOCOLS.pop("flag-pull")
+            registry._SCENARIOS.pop("flag")
+
+    @pytest.mark.parametrize("on_error", ["raise", "skip"])
+    def test_a_protocol_that_fails_to_resolve_runs_nothing(
+        self, tmp_path, on_error
+    ):
+        # Points resolve their protocol in the calling process, before
+        # the plan: a builder that raises is a spec error, not a unit
+        # fault, and no fault policy turns it into a partial campaign.
+        from repro.campaign import registry
+
+        def broken(n):
+            raise RuntimeError("builder exploded")
+
+        register_protocol("broken-pull", broken)
+        try:
+            spec = tiny_spec(protocols=["epidemic-pull", "broken-pull"])
+            with pytest.raises(RuntimeError, match="builder exploded"):
+                run_campaign(
+                    spec, save_tensors=str(tmp_path),
+                    fault_policy=FaultPolicy(
+                        on_error=on_error, retries=0, backoff_seconds=0.0
+                    ),
+                )
+            assert not (tmp_path / MANIFEST_NAME).exists()
+        finally:
+            registry._PROTOCOLS.pop("broken-pull")
 
 
 def manifest_layout(data):
@@ -383,10 +445,10 @@ class TestCheckpointEncoding:
         monkeypatch.setattr(runner, "_write_text_atomic", checked_write)
         flag = tmp_path / "fault-active"
         flag.touch()
-        register_protocol("flag-pull", FlagBuilder(str(flag)))
+        register_scenario("flag", FlagScenario(str(flag)))
         try:
             spec = tiny_spec(
-                protocols=["epidemic-pull", "flag-pull", "epidemic-push"],
+                scenarios=["none", "flag", "massive-failure"],
                 group_sizes=[200],
             )
             run_dir = tmp_path / "run"
@@ -410,7 +472,7 @@ class TestCheckpointEncoding:
                 ["done", "failed", "done"],
             ]
         finally:
-            registry._PROTOCOLS.pop("flag-pull")
+            registry._SCENARIOS.pop("flag")
 
     def test_created_is_stamped_once_and_kept_by_resume(
         self, tmp_path, monkeypatch
