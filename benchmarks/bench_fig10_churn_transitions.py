@@ -76,6 +76,10 @@ def test_fig10_churn_transitions(run_once):
     report("fig10_churn_transitions", "\n".join([
         f"N={n}, trials={data['trials']}, b=32, gamma=0.1, alpha=0.005",
         "paper shape: all three transition series stable, no storms",
+        "note: the batch tier replays each trace by counts (its sessions "
+        "are exponential, so the hosts that leave are a uniform subset of "
+        "those up); these numbers moved, in law only, from the host-level "
+        "replay that placed hosts first.",
         "",
         format_table(
             ["edge", "window mean/period", "churn-corrected analytic",

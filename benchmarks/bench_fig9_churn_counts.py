@@ -70,6 +70,10 @@ def test_fig9_churn_counts(run_once):
         f"equilibrium ({params.equilibrium_counts(n)['y']:.0f}) because "
         "every rejoining host is receptive and b=32 converts receptives "
         "within ~1 period; the paper's claims are about *stability*.",
+        "note: the batch tier replays each trace by counts (its sessions "
+        "are exponential, so the hosts that leave are a uniform subset of "
+        "those up); these numbers moved, in law only, from the host-level "
+        "replay that placed hosts first.",
         "",
         format_table(["series (ensemble mean)", "window mean", "min", "max"],
                      rows),

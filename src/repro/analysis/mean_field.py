@@ -171,13 +171,18 @@ def discrete_mean_field(
     initial_fractions: Mapping[str, float],
     periods: int,
 ) -> Dict[str, np.ndarray]:
-    """Iterate the protocol's discrete mean-field map.
+    """Iterate the protocol's first-order (Euler) per-period map.
 
-    The synchronous protocol is, in expectation, the map
-    ``X_{n+1} = X_n + g(X_n)`` where ``g`` is the per-period effective
-    mean field (``p * f`` for exact protocols).  This is the exact
-    infinite-N reference for a synchronous-round simulation; it
-    converges to the source ODE as the normalizer ``p`` shrinks.
+    The map is ``X_{n+1} = X_n + g(X_n)`` where ``g`` is the per-period
+    effective mean field (``p * f`` for exact protocols): one Euler step
+    of the source ODE per period.  It is *not* the synchronous round's
+    expectation, which has collision terms this map drops (a pull of
+    fan-out ``b`` hits with ``1 - (1 - q)^b``, not ``b q``), so it is
+    first-order accurate in ``p`` only: on the registry's
+    ``epidemic-push-pull`` from ``(0.99, 0.01)`` it reads x = 0.752,
+    0.380 and -0.091 at periods 3-5, where the engines stay in
+    ``[0, 1]``.  It converges to the source ODE as ``p`` shrinks.  The
+    exact infinite-N round map that replaces it is ROADMAP item 15.
     """
     system = spec.mean_field_system(effective=True)
     state = np.array([float(initial_fractions[s]) for s in spec.states])
@@ -205,14 +210,14 @@ def compare_trajectory(
     ``reference="ode"`` integrates the protocol's *source system*
     scaled by the normalizer (one period = ``p`` time units) -- the
     paper's continuous-time analysis.  ``reference="discrete"``
-    iterates the exact per-period mean-field map instead, which removes
-    the O(p) time-discretization gap (relevant when ``p`` is of order
-    one, e.g. the epidemic protocol).
+    iterates the first-order per-period map :func:`discrete_mean_field`
+    instead, one Euler step of that ODE per period: it drops the
+    round's collision terms, so it is no closer to the engines than
+    the ODE is to O(p), and far off when ``p`` is of order one (the
+    epidemic protocols).  An exact round map is ROADMAP item 15.
 
-    For exact protocols the fraction error against the discrete
-    reference shrinks as ``O(1/sqrt(n))``; this function is the
-    workhorse of the EQUIV bench and the property-based equivalence
-    tests.
+    This function is the workhorse of the EQUIV bench and the
+    property-based equivalence tests.
     """
     if spec.source is None:
         raise ValueError("protocol has no source system to compare against")

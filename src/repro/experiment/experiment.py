@@ -11,10 +11,14 @@ underneath.
 Engine auto-selection (``engine="auto"``):
 
 * ``trials == 1`` -> the **serial** :class:`RoundEngine` (single-run
-  studies, and anything whose hooks must see a real engine);
+  studies);
 * ``trials > 1`` -> the vectorized **batch**
   :class:`BatchRoundEngine` (ensembles: means, quantile bands,
-  frequencies).
+  frequencies) -- unless the run asks *which* hosts, which the batch
+  tier's census cannot answer: a member log, or a scenario hook whose
+  ``asks_hosts`` is true (:class:`~repro.runtime.failures.DirectedAttack`,
+  a replayed measured trace, ...) or a churn replay beside another
+  hook.  Those run on the serial tier.
 
 Explicit tiers: ``engine="serial"`` runs ``trials`` seeded
 :class:`RoundEngine` instances (seeds from
@@ -45,7 +49,7 @@ from ..runtime.parallel import TIERS, EnsembleExecutor
 from ..runtime.round_engine import initial_state_vector
 from .protocol import Protocol
 from .result import ExperimentResult
-from .scenario import RunContext, Scenario
+from .scenario import RunContext, Scenario, ScenarioHookFactory
 
 ENGINES = ("auto",) + TIERS
 
@@ -197,6 +201,7 @@ class Experiment:
         #: (``repro.check``): warn on ERROR findings by default,
         #: ``"strict"`` raises, ``"off"`` skips.
         self.check = check
+        self._kept_factory: Optional[ScenarioHookFactory] = None
         # Constructing the policy up front validates on_error/retries/
         # unit_timeout with FaultPolicy's own error messages; a
         # fully-built policy (heartbeat tuning, dispatch budget) wins
@@ -217,7 +222,24 @@ class Experiment:
         """The tier that will run: auto resolves to serial or batch."""
         if self.engine != "auto":
             return self.engine
-        return "serial" if self.trials == 1 else "batch"
+        if self.trials == 1 or self.member_log_state is not None:
+            return "serial"
+        factory = self._hook_factory()
+        return "serial" if factory and factory.asks_hosts() else "batch"
+
+    def _hook_factory(self) -> Optional[ScenarioHookFactory]:
+        """The scenario's hook factory for this run, kept while the
+        scenario and context hold: the trial-0 hooks ``chosen_engine``
+        builds to probe are the ones trial 0 runs."""
+        if self.scenario is None:
+            return None
+        context = self.context()
+        kept = self._kept_factory
+        if kept is None or (kept.scenario, kept.context) != (
+            self.scenario, context
+        ):
+            kept = self._kept_factory = self.scenario.hook_factory(context)
+        return kept
 
     def context(self) -> RunContext:
         """The campaign-point-shaped description of this run."""
@@ -302,8 +324,7 @@ class Experiment:
             track_transitions=self.record_transitions,
             member_log_state=self.member_log_state,
             hook_factories=(
-                [self.scenario.hook_factory(self.context())]
-                if self.scenario else ()
+                [self._hook_factory()] if self.scenario else ()
             ),
             fault_policy=self.fault_policy,
         )

@@ -19,7 +19,9 @@ workers=K)`` is bitwise the point with ``shards=K``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
+
+from ..runtime.churn import ChurnReplayer
 
 #: A per-trial hook list builder: ``(context, trial, seed) -> hooks``.
 #: ``context`` duck-types a campaign point (``n``, ``trials``,
@@ -172,12 +174,37 @@ class ScenarioHookFactory:
     """
 
     def __init__(self, scenario: Scenario, context: RunContext):
-        self._scenario = scenario
-        self._context = context
+        self.scenario = scenario
+        self.context = context
         self._seeds = scenario.trial_seeds(context)
+        # Hooks built before their trial asked (asks_hosts), handed out
+        # once; they stay in this process (see __getstate__).
+        self._ahead: Dict[int, List[Callable]] = {}
+
+    def asks_hosts(self) -> bool:
+        """Whether the trials' hooks ask *which* hosts, judged on trial
+        0's, which its call then gets.
+
+        A hook asks when its ``asks_hosts`` is true, and a
+        :class:`~repro.runtime.churn.ChurnReplayer` beside another hook
+        asks which hosts its trace has up.  Hooks that say neither act
+        by counts; the batch tier refuses by name any that turns out to
+        ask.
+        """
+        if 0 not in self._ahead:
+            self._ahead[0] = self._build(0)
+        hooks = self._ahead[0]
+        return any(getattr(hook, "asks_hosts", False) for hook in hooks) or (
+            len(hooks) > 1
+            and any(isinstance(hook, ChurnReplayer) for hook in hooks)
+        )
 
     def __call__(self, trial: int) -> Optional[Callable]:
-        hooks = self._scenario.hooks_for(
-            self._context, trial, self._seeds[trial]
-        )
+        hooks = self._ahead.pop(trial, None) or self._build(trial)
         return _CompositeHook(hooks) if hooks else None
+
+    def _build(self, trial: int) -> List[Callable]:
+        return self.scenario.hooks_for(self.context, trial, self._seeds[trial])
+
+    def __getstate__(self):
+        return {**self.__dict__, "_ahead": {}}

@@ -31,13 +31,14 @@ import numpy as np
 
 from ..runtime.metrics import BatchMetricsRecorder, trial_rows
 from ..runtime.rng import make_generator
+from ..runtime.round_engine import HostFaults
 
 #: State names shared by both baselines.
 OTHER, REPLICA = "other", "replica"
 _STATE_NAMES = (OTHER, REPLICA)
 
 
-class _PlacementSim:
+class _PlacementSim(HostFaults):
     """Shared machinery: alive tracking, states array, hook protocol."""
 
     def __init__(self, n: int, seed: Optional[int]):
@@ -70,11 +71,9 @@ class _PlacementSim:
         self.alive[np.asarray(hosts, dtype=np.int64)] = False
 
     def crash_fraction(self, fraction: float) -> np.ndarray:
-        alive_ids = np.nonzero(self.alive)[0]
-        count = int(round(fraction * len(alive_ids)))
-        victims = self._rng.choice(alive_ids, size=count, replace=False)
-        self.crash(victims)
-        return victims
+        return self.crash_uniform(
+            self._rng, int(round(fraction * self.alive_count()))
+        )
 
     def recover(self, hosts, state: Optional[str] = None) -> None:
         hosts = np.asarray(hosts, dtype=np.int64)

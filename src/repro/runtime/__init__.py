@@ -30,8 +30,11 @@ Mersenne Twister stream management (:mod:`~repro.runtime.rng`).
 """
 
 from .agent_sim import AgentSimulation
-from .batch_engine import BatchRoundEngine, BatchRunResult, BatchTrialView
-from .churn import ChurnEvent, ChurnReplayer, ChurnTrace, generate_trace
+from .batch_engine import BatchRoundEngine, BatchRunResult, BatchTrialView, HostIdentityError
+from .churn import (
+    ChurnEvent, ChurnReplayer, ChurnStep, ChurnTrace, GeneratedTrace,
+    generate_trace,
+)
 from .des import Environment, Interrupted, Process
 from .events import Event, EventQueue
 from .failures import CrashRecoveryNoise, DirectedAttack, MassiveFailure, OpenGroupJoins, ScheduledRecovery
@@ -57,7 +60,7 @@ from .parallel import (
     EnsembleResult,
     shard_layout,
 )
-from .planner import ActionPlanner, TrialMemberPools
+from .planner import ActionPlanner
 from .rng import RandomSource, make_generator, sample_other, spawn_seeds
 from .round_engine import RoundEngine, RunResult, initial_state_vector
 
@@ -68,8 +71,8 @@ __all__ = [
     "BatchRunResult",
     "BatchMetricsRecorder",
     "BatchTrialView",
+    "HostIdentityError",
     "ActionPlanner",
-    "TrialMemberPools",
     "BACKENDS",
     "ChaosSchedule",
     "ExecutionPlan",
@@ -106,6 +109,8 @@ __all__ = [
     "ChurnTrace",
     "ChurnEvent",
     "ChurnReplayer",
+    "ChurnStep",
+    "GeneratedTrace",
     "generate_trace",
     "RandomSource",
     "make_generator",

@@ -38,9 +38,10 @@ from .membership import FullMembership, PartialMembership
 from .metrics import BatchMetricsRecorder, trial_rows
 from .network import LatencyModel, Network
 from .rng import RandomSource
+from .round_engine import HostFaults
 
 
-class AgentSimulation:
+class AgentSimulation(HostFaults):
     """Asynchronous simulation of one protocol over N agent processes.
 
     Parameters
@@ -175,11 +176,9 @@ class AgentSimulation:
             self.network.unregister(int(agent_id))
 
     def crash_fraction(self, fraction: float) -> np.ndarray:
-        alive = [a.id for a in self.agents if a.alive]
-        count = int(round(fraction * len(alive)))
-        victims = self.rng.choice(np.array(alive), size=count, replace=False)
-        self.crash(victims)
-        return victims
+        return self.crash_uniform(
+            self.rng, int(round(fraction * self.alive_count()))
+        )
 
     def recover(self, agent_ids, state: Optional[str] = None) -> None:
         """Crash-recovery: the agent rejoins with volatile state lost."""

@@ -25,11 +25,18 @@ The endemic protocol only observes the alive/dead status of each host
 per period (a departed host loses its replicas; a returning host is
 receptive), so matching these statistics exercises the same code path
 as the original traces.
+
+Sessions here are exponential, so a generated trace
+(:class:`GeneratedTrace`) is memoryless: whether a host flips next
+depends only on whether it is up, and the hosts that leave in a period
+are a uniform subset of those up.  The batch tier replays such a trace
+by counts (:class:`ChurnStep`); any other trace is not exchangeable
+that way and replays host by host, on the serial tier.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -120,6 +127,11 @@ class ChurnTrace:
         return arrivals / days
 
 
+class GeneratedTrace(ChurnTrace):
+    """A trace of :func:`generate_trace`: every host's online and
+    offline intervals are exponential, one law for all hosts."""
+
+
 def generate_trace(
     n_hosts: int,
     duration_hours: float,
@@ -127,7 +139,7 @@ def generate_trace(
     mean_offline_hours: Optional[float] = None,
     seed: Optional[int] = None,
     initial_online_fraction: float = 0.5,
-) -> ChurnTrace:
+) -> GeneratedTrace:
     """Generate a synthetic Overnet-style availability trace.
 
     Parameters
@@ -161,7 +173,7 @@ def generate_trace(
             online = not online
             events.append(ChurnEvent(float(time), host, online))
     events.sort(key=lambda e: (e.time_hours, e.host))
-    return ChurnTrace(
+    return GeneratedTrace(
         n_hosts=n_hosts,
         duration_hours=duration_hours,
         events=events,
@@ -169,27 +181,57 @@ def generate_trace(
     )
 
 
+@dataclass(frozen=True)
+class ChurnStep:
+    """What one replayer call does to a group, on any tier.
+
+    An engine that tracks hosts crashes ``downs`` and then recovers
+    ``ups``.  The census needs counts only: ``crashes`` hosts that were
+    up go down (an up whose host was already up left and came back
+    within the step, losing its state), then ``len(ups)`` come back.
+    That is exact only when the hosts that move are a uniform subset of
+    those up, which a :class:`GeneratedTrace` promises, and when the
+    hosts the trace has up are the group's alive ones.
+    """
+
+    downs: np.ndarray
+    ups: np.ndarray
+    crashes: int
+    trace: ChurnTrace
+
+
 @dataclass
 class ChurnReplayer:
-    """Round-engine hook replaying a churn trace.
+    """Hook replaying a churn trace, one :class:`ChurnStep` per period.
 
     ``periods_per_hour`` converts trace time to protocol periods (the
     paper: 6-minute periods, so 10 periods per hour).  Departing hosts
     crash (losing all replicas, the paper's worst-case model); returning
     hosts recover in the engine's recovery state (receptive) and "do not
-    participate in any startup file transfers".
+    participate in any startup file transfers".  A
+    :class:`GeneratedTrace` replays by counts on the batch tier too, as
+    long as no other fault moves the trial's hosts; any other trace
+    asks which hosts (``asks_hosts``) and replays on the serial tier.
     """
 
     trace: ChurnTrace
     periods_per_hour: float = 10.0
     _cursor: int = 0
     applied_initial: bool = False
+    #: Which hosts the trace has up, as replayed so far.
+    _online: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @property
+    def asks_hosts(self) -> bool:
+        """Only a generated trace replays by counts."""
+        return not isinstance(self.trace, GeneratedTrace)
 
     def __call__(self, engine: RoundEngine) -> None:
+        downs = []
         if not self.applied_initial:
-            offline = np.nonzero(~self.trace.initially_online)[0]
-            if len(offline):
-                engine.crash(offline)
+            # Every host starts up: the trace's offline ones go first.
+            self._online = np.ones(self.trace.n_hosts, dtype=bool)
+            downs.append(np.nonzero(~self.trace.initially_online)[0])
             self.applied_initial = True
         now_hours = engine.period / self.periods_per_hour
         events = self.trace.events
@@ -200,13 +242,15 @@ class ChurnReplayer:
             event = events[self._cursor]
             final_state[event.host] = event.online
             self._cursor += 1
-        downs = [h for h, online in final_state.items() if not online]
-        ups = [h for h, online in final_state.items() if online]
-        if downs:
-            engine.crash(np.array(downs, dtype=np.int64))
-        if ups:
-            engine.recover(np.array(ups, dtype=np.int64))
+        hosts = np.fromiter(final_state, np.int64, len(final_state))
+        up = np.fromiter(final_state.values(), bool, len(final_state))
+        downs, ups = np.concatenate(downs + [hosts[~up]]), hosts[up]
+        crashes = int(np.count_nonzero(self._online[np.union1d(downs, ups)]))
+        self._online[downs] = False
+        self._online[ups] = True
+        engine.apply_churn(ChurnStep(downs, ups, crashes, self.trace))
 
     def reset(self) -> None:
         self._cursor = 0
         self.applied_initial = False
+        self._online = None

@@ -13,6 +13,14 @@ hooks:
   members of a state (e.g. current stashers) and crashes them, the
   threat scenario motivating migratory replication (Section 4.1,
   drawback (2) of static placement).
+
+Massive failures, crash-recovery noise and :class:`ScheduledRecovery`
+act by counts only (:class:`~repro.runtime.round_engine.HostFaults`),
+so they run on every tier, the batch tier's census included.  A hook
+that asks *which* hosts -- :class:`DirectedAttack`,
+:class:`OpenGroupJoins` -- says so with ``asks_hosts = True``: the
+batch tier refuses it by name, and ``Experiment(engine="auto")`` runs
+it on the serial tier.
 """
 
 from __future__ import annotations
@@ -71,15 +79,15 @@ class CrashRecoveryNoise:
 
     def __call__(self, engine: RoundEngine) -> None:
         if self.crash_rate > 0.0:
-            alive_ids = np.nonzero(engine.alive)[0]
-            heads = self._rng.binomial(len(alive_ids), self.crash_rate)
+            heads = self._rng.binomial(engine.alive_count(), self.crash_rate)
             if heads:
-                engine.crash(self._rng.choice(alive_ids, heads, replace=False))
+                engine.crash_uniform(self._rng, heads)
         if self.recovery_rate > 0.0:
-            dead_ids = np.nonzero(~engine.alive)[0]
-            heads = self._rng.binomial(len(dead_ids), self.recovery_rate)
+            heads = self._rng.binomial(
+                engine.n - engine.alive_count(), self.recovery_rate
+            )
             if heads:
-                engine.recover(self._rng.choice(dead_ids, heads, replace=False))
+                engine.recover_uniform(self._rng, heads)
 
 
 @dataclass
@@ -98,6 +106,8 @@ class DirectedAttack:
     ``replica_hits`` counts how many victims still held responsibility
     (were still in ``target_state``) when struck.
     """
+
+    asks_hosts = True
 
     target_state: str
     snapshot_interval: int = 50
@@ -150,6 +160,8 @@ class OpenGroupJoins:
     simultaneous departures, giving full join/leave dynamics.
     """
 
+    asks_hosts = True
+
     reserve: np.ndarray
     join_rate: float
     state: Optional[str] = None
@@ -197,9 +209,7 @@ class ScheduledRecovery:
     def __call__(self, engine: RoundEngine) -> None:
         if self.fired or engine.period < self.at_period:
             return
-        rng = make_generator(self.seed)
-        dead = np.nonzero(~engine.alive)[0]
-        count = int(round(self.fraction * len(dead)))
+        count = int(round(self.fraction * (engine.n - engine.alive_count())))
         if count:
-            engine.recover(rng.choice(dead, count, replace=False))
+            engine.recover_uniform(make_generator(self.seed), count)
         self.fired = True

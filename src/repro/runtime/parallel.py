@@ -310,10 +310,11 @@ class EnsembleExecutor:
 
     Hook factories are called with the *global* trial index and return
     a per-period hook for that trial's engine (a
-    :class:`~repro.runtime.batch_engine.BatchTrialView` on the batch
-    tier), so scenarios inject identical faults however the ensemble
-    is cut.  Only the spec and the factories cross a process boundary;
-    unpicklable factories (closures, lambdas) force a serial
+    :class:`~repro.runtime.batch_engine.BatchTrialView`, which answers
+    counts only, on the batch tier), so scenarios inject identical
+    faults however the ensemble is cut.  Only the spec and the
+    factories cross a process boundary; unpicklable factories
+    (closures, lambdas) force a serial
     in-process run with a warning instead of failing inside the pool
     -- the results are bitwise the same either way.
     """
@@ -379,9 +380,11 @@ class EnsembleExecutor:
         record_initial: bool = True,
     ) -> List[WorkUnit]:
         """The ensemble's work units, one per :attr:`layout` entry."""
-        if member_log_state is not None and self.engine == "agent":
+        if member_log_state is not None and self.engine != "serial":
             raise ValueError(
-                "member_log_state is not supported on the agent tier"
+                f"member_log_state asks which hosts, which only the "
+                f"serial tier records: run it with engine=\"serial\", "
+                f"not {self.engine!r}"
             )
         units = []
         offset = 0

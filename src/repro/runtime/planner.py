@@ -1,4 +1,4 @@
-"""Per-period planning for the batch engine: *how many*, then *who*.
+"""Per-period planning for the batch engine: how many hosts move.
 
 Every action of a :class:`~repro.synthesis.protocol.ProtocolSpec` is a
 biased coin flipped independently by each member of its actor state
@@ -12,38 +12,24 @@ a step of the *census* Markov chain -- the ``(M, S)`` count matrix --
 the object mean-field analysis of population protocols is about
 (Bournez et al.; Chatzigiannakis & Spirakis) and that simulation of
 huge populations steps directly (Kosowski & Uznanski, "Population
-Protocols Are Fast").  :class:`ActionPlanner` plans a period in two
-passes that never share a random stream:
-
-1. :meth:`ActionPlanner.census` -- **how many**.  From the period-start
-   counts alone it draws every action's new movers per trial, in
-   declaration order, with count laws (table in docs/architecture.md):
-   one broadcast multinomial over every (group, trial) -- a binomial
-   when every coin has two sides; binomial
-   condition thinning by the exact peer-match probability; for a push,
-   the number of *distinct* bins hit by its surviving contacts thrown
-   at the match state's members (drawn as positions, never through a
-   pool); for a tokenize, the tokens capped by the unmoved token-state
-   members; and the at-most-one-move rule as a hypergeometric overlap
-   with the hosts that already left the state this period.  No host
-   array exists on this path, so its cost is independent of ``N``.
-2. :meth:`ActionPlanner.who` -- **which hosts**, run only once the
-   engine has materialised identities.  Per source state the sum of
-   that state's new movers is a uniform subset of its member pool --
-   one :func:`~repro.runtime.sampling.distinct_positions` call over
-   every moving (state, trial), whatever fraction each wants -- which
-   actions sharing the state split in declaration order.
+Protocols Are Fast").  :meth:`ActionPlanner.census` draws it: from the
+period-start counts alone, every action's new movers per trial, in
+declaration order, with count laws (table in docs/architecture.md):
+one broadcast multinomial over every (group, trial) -- a binomial when
+every coin has two sides; binomial condition thinning by the exact
+peer-match probability; for a push, the number of *distinct* bins hit
+by its surviving contacts thrown at the match state's members (drawn as
+positions); for a tokenize, the tokens capped by the unmoved
+token-state members; and the at-most-one-move rule as a hypergeometric
+overlap with the hosts that already left the state this period.  No
+host array exists, so its cost is independent of ``N``.
 
 Per-action marginals match the serial engine's -- ``Binomial(count,
-p * q)`` movers, uniform without replacement -- but actors fire *at
-most one* action of their state per period, the paper's own actor model
-(the serial engine keeps independent per-action coins with
-declaration-order conflict resolution; the two agree to the
-``O((p c)^2)`` order the normalizing constant already bounds).
-
-Census decisions depend only on period-start counts and earlier census
-draws, never on pools or host arrays, so the count trajectory of a
-seed is the same whether or not anybody ever looks at a host.
+p * q)`` movers -- but actors fire *at most one* action of their state
+per period, the paper's own actor model (the serial engine keeps
+independent per-action coins with declaration-order conflict
+resolution; the two agree to the ``O((p c)^2)`` order the normalizing
+constant already bounds).
 """
 
 from __future__ import annotations
@@ -57,61 +43,34 @@ from .sampling import (
     _action_width,
     already_taken,
     distinct_per_segment,
-    distinct_positions,
     distinct_throws,
     segment_ranks,
 )
 
 __all__ = ["ActionPlanner", "TrialMemberPools"]
 
-#: One action's new movers: ``(compiled action, (M,) counts)`` out of
-#: the census pass, ``(compiled action, global host ids)`` out of the
-#: who pass.
+#: One action's new movers: ``(compiled action, (M,) counts)``.
 Move = Tuple[object, np.ndarray]
 
 
 class TrialMemberPools:
     """Per-(state, trial) member pools in lazily allocated ``(M, n)`` rows.
 
-    The engine's incremental-membership store, upgraded from capped
-    flat lists to one ``(allocated_states, M, n)`` tensor: row
-    ``(s, m)`` holds the global ids of trial ``m``'s alive members of
+    No engine uses these any more: the batch engine keeps counts only.
+    The class stays because the frozen benchmark harness
+    (``benchmarks/perf/workloads.py``) still times it; the next change
+    to the benchmark drops those rows, and then the class.
+
+    Row ``(s, m)`` holds the global ids of trial ``m``'s members of
     state ``s`` in its first ``sizes[s, m]`` slots, in arbitrary order.
     A positional index (``pos[gid]`` = the gid's column in its state's
-    row) makes removals O(movers) swap-deletes instead of O(list)
-    ``isin`` filters, so *every* referenced state stays tracked -- no
-    population cap, no per-period re-grouping sorts, no O(M * N) mask
-    scans once the simulation is running.
-
-    The pools are what the planner's who pass samples from: a uniform
-    subset of a row's *positions* is a uniform subset of the state's
-    members however dense or sparse the state is in the batch, where
-    host-id probing would pay the inverse of that density.
-
-    Mutations must keep the engine's period discipline: the engine
-    applies the period's membership deltas *after* executing every
-    action, so during planning and execution the pools always describe
-    the period-start membership.
-
-    Row allocation is **lazy**: construction builds rows only for the
-    tracked states that actually hold members (one ``bincount`` over
-    the batch decides which), and a state that starts empty gets its
-    ``(M, n)`` row -- zero-filled, no batch scan -- the first time it
-    is referenced: the first :meth:`add` of members, or a
-    :meth:`slot`/:meth:`grouped` lookup.  Memory is therefore
-    ``O(occupied_states * M * n)`` int32 (~6 MB per occupied state at
-    the paper scales M=64, n=10k; ~25 MB at M=64, n=100k) instead of
-    ``O(referenced_states * M * n)``, so a wide synthesized system with
-    dozens of mostly-empty states pays only for the states its
-    trajectory visits.  Laziness is invisible to the draw stream: an
-    empty state's row starts empty either way, and rows evolve
-    identically from there, so batch-mode results are bit-for-bit
-    unchanged by when the zeroed memory appeared.
-
-    Invariant (checked by the engine's ``_validate_consistency``): a
-    tracked state without an allocated row has no alive members --
-    every way a state gains members goes through :meth:`add` /
-    :meth:`add_many`, which allocate.
+    row) makes removals O(movers) swap-deletes.  Rows are allocated
+    lazily: construction builds rows only for the tracked states that
+    hold members, and a state that starts empty gets its zero-filled row
+    at its first :meth:`add_many` or :meth:`slot`/:meth:`grouped`
+    lookup.  Invariant: a tracked state without an allocated row has no
+    members -- a state gains members only through :meth:`add_many`,
+    which allocates.
     """
 
     def __init__(
@@ -128,7 +87,7 @@ class TrialMemberPools:
         #: on first reference.
         self.tracked = frozenset(int(sid) for sid in sids)
         self.slots: Dict[int, int] = {}
-        # int32 gids: half the gather/scatter traffic of the who pass;
+        # int32 gids: half the gather/scatter traffic of int64 ones;
         # batches are bounded far below 2**31 positions.
         self.pool = np.zeros((0, trials, n), dtype=np.int32)
         self._pool_flat = self.pool.reshape(-1)
@@ -213,20 +172,6 @@ class TrialMemberPools:
     # ------------------------------------------------------------------
     # Mutations (O(edited) each)
     # ------------------------------------------------------------------
-    def remove(self, sid: int, gone: np.ndarray) -> None:
-        """Swap-delete ``gone`` (duplicate-free, all pooled) from ``sid``.
-
-        Surviving tail elements of each trial's row fill the holes the
-        removed elements leave below the new row size, so the edit
-        touches O(len(gone)) slots however large the rows are.
-        """
-        slot = self.slots.get(sid)
-        if slot is None or gone.size == 0:
-            return
-        seg = slot * self.trials + gone // self.n
-        order = np.argsort(seg, kind="stable")
-        self._remove_segments(gone[order], seg[order])
-
     def remove_many(
         self, items: Sequence[Tuple[int, Sequence[np.ndarray]]]
     ) -> None:
@@ -346,15 +291,6 @@ class TrialMemberPools:
         self.pos[gids] = cols
         sizes_flat += added
 
-    def add(self, sid: int, gids: np.ndarray) -> None:
-        """Append ``gids`` (not currently pooled in ``sid``) to its rows."""
-        if sid not in self.tracked or gids.size == 0:
-            return
-        slot = self.slot(sid)
-        seg = slot * self.trials + gids // self.n
-        order = np.argsort(seg, kind="stable")
-        self._add_segments(gids[order], seg[order])
-
 
 @dataclass
 class _StateGroup:
@@ -402,7 +338,7 @@ class _Step:
 
 
 class ActionPlanner:
-    """Plans one period of a compiled protocol: how many move, then who.
+    """Plans one period of a compiled protocol: how many hosts move.
 
     Parameters
     ----------
@@ -493,15 +429,6 @@ class ActionPlanner:
         # thinned away -- their actors still send, they just cannot
         # convert anyone.
         self._msg_width = [_action_width(action) for action in compiled]
-        #: States the who pass selects members of -- every state some
-        #: action's movers *leave* -- and so the only states the engine
-        #: keeps member pools for.  A push moves members of its match
-        #: state and a tokenize members of its token state; of their
-        #: actor states both need only the counts.
-        self.selected_states = frozenset(
-            int(action.edge_from) for action in compiled
-            if action.probability > 0.0
-        )
         # Protocols whose coins are all flips or pushes skip the
         # thinning draw statically.
         self._thinning = any(
@@ -893,81 +820,3 @@ class ActionPlanner:
             trial, slots + (slots >= thrower), self.trials,
             int(members.max()),
         )
-
-    # ------------------------------------------------------------------
-    # Who: placing the census's movers on hosts
-    # ------------------------------------------------------------------
-    def who(
-        self,
-        rng: np.random.Generator,
-        moves: Sequence[Move],
-        pools: TrialMemberPools,
-    ) -> List[Move]:
-        """Choose which hosts make the census's ``moves``.
-
-        ``pools`` are the period-start member pools of
-        :attr:`selected_states`.  Per (source state, trial), the sum of
-        the state's new movers is one
-        :func:`~repro.runtime.sampling.distinct_positions` subset of
-        that pool row -- a single call covers every moving state -- and
-        one gather turns positions into hosts.  Each state's selection
-        is then partitioned across its actions in declaration order.
-        Returns ``(action, global host ids)`` pairs.
-        """
-        by_source: Dict[int, List[Move]] = {}
-        for move in moves:
-            by_source.setdefault(move[0].edge_from, []).append(move)
-        rows = np.array([pools.slot(sid) for sid in by_source])
-        take = np.array([
-            sum(new for _, new in entries) for entries in by_source.values()
-        ])  # (sources, M)
-        positions = distinct_positions(
-            rng, pools.sizes[rows].ravel(), take.ravel()
-        )
-        row_start = np.add.outer(
-            rows * self.trials, np.arange(self.trials)
-        ) * self.n
-        hosts = pools.pool.reshape(-1)[
-            np.repeat(row_start.ravel(), take.ravel()) + positions
-        ]
-        placed: List[Move] = []
-        stop = 0
-        for entries, per_trial in zip(by_source.values(), take):
-            start, stop = stop, stop + int(per_trial.sum())
-            self._partition(
-                placed, rng, entries, per_trial, hosts[start:stop]
-            )
-        return placed
-
-    def _partition(
-        self,
-        placed: List[Move],
-        rng: np.random.Generator,
-        entries: List[Move],
-        take: np.ndarray,
-        hosts: np.ndarray,
-    ) -> None:
-        """Assign a state's selected hosts to its actions.
-
-        ``hosts`` is trial-segment-major with ``take[m]`` entries per
-        trial, a uniform *subset* in no particular order.  A single
-        action takes it as it is.  Several share it as consecutive runs
-        of ``new[m]`` hosts each, in declaration order, so the segments
-        are shuffled first: runs of a uniformly ordered uniform subset
-        are sequential uniform sampling from what is left, the law of
-        "each action's new movers are uniform among the hosts that have
-        not moved yet".
-        """
-        if len(entries) == 1:
-            placed.append((entries[0][0], hosts))
-            return
-        # One fused sort key: integer segment id + uniform [0, 1)
-        # jitter sorts by segment with a uniform shuffle inside it.
-        seg = np.repeat(np.arange(self.trials), take)
-        hosts = hosts[np.argsort(seg + rng.random(hosts.size))]
-        splits = np.stack([new for _, new in entries], axis=1)
-        assignment = np.repeat(
-            np.tile(np.arange(len(entries)), self.trials), splits.ravel()
-        )
-        for a, (action, _) in enumerate(entries):
-            placed.append((action, hosts[assignment == a]))

@@ -15,9 +15,10 @@ This is the middle tier of the repository's three-engine hierarchy:
   synchrony; slowest, most faithful to a real deployment.
 * :class:`RoundEngine` (this module) -- one protocol instance,
   vectorized over the N processes.  Use it for single-run experiments
-  and whenever hooks need to inspect or mutate one group mid-run.
+  and whenever hooks need to ask *which* hosts (member logs, directed
+  attacks, measured churn traces).
 * :class:`~repro.runtime.batch_engine.BatchRoundEngine` -- M
-  independent trials in one ``(M, N)`` state array.  Use it whenever a
+  independent trials as one ``(M, S)`` census.  Use it whenever a
   claim is about an *ensemble* (means, spreads, extinction
   frequencies): it amortizes per-period overhead across trials and
   agrees with M seeded :class:`RoundEngine` runs in distribution.
@@ -195,6 +196,44 @@ def initial_state_vector(
     return np.repeat(np.arange(len(state_names), dtype=np.int8), counts)
 
 
+class HostFaults:
+    """The fault vocabulary, on an engine that tracks hosts.
+
+    Stock hooks (:mod:`repro.runtime.failures`,
+    :mod:`repro.runtime.churn`) speak counts only -- crash ``k`` uniform
+    alive hosts, recover ``k`` uniform dead ones, apply one step of a
+    generated churn trace -- so the batch tier's census
+    (:class:`~repro.runtime.batch_engine.BatchTrialView`) runs them
+    unchanged.  Here ``rng`` picks the hosts and the engine's own
+    ``crash`` / ``recover`` move them.  Needs ``alive``, ``crash`` and
+    ``recover``.
+    """
+
+    def crash_uniform(
+        self, rng: np.random.Generator, count: int
+    ) -> np.ndarray:
+        """Crash ``count`` alive hosts picked uniformly; returns their ids."""
+        victims = rng.choice(np.nonzero(self.alive)[0], count, replace=False)
+        self.crash(victims)
+        return victims
+
+    def recover_uniform(
+        self, rng: np.random.Generator, count: int, state: Optional[str] = None
+    ) -> None:
+        """Recover ``count`` dead hosts, picked uniformly, into ``state``."""
+        self.recover(
+            rng.choice(np.nonzero(~self.alive)[0], count, replace=False), state
+        )
+
+    def apply_churn(self, step) -> None:
+        """One :class:`~repro.runtime.churn.ChurnStep`: its downs crash,
+        then its ups recover."""
+        if len(step.downs):
+            self.crash(step.downs)
+        if len(step.ups):
+            self.recover(step.ups)
+
+
 @dataclass
 class RunResult:
     """Outcome of a :meth:`RoundEngine.run` call."""
@@ -209,7 +248,7 @@ class RunResult:
         return self.engine.fractions()
 
 
-class RoundEngine:
+class RoundEngine(HostFaults):
     """Synchronous-round simulator for one protocol instance.
 
     Parameters
@@ -393,11 +432,8 @@ class RoundEngine:
         """Crash a uniformly random fraction of the alive hosts."""
         if not 0.0 <= fraction <= 1.0:
             raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
-        alive_ids = np.nonzero(self.alive)[0]
-        count = int(round(fraction * len(alive_ids)))
-        victims = self._fault_rng.choice(alive_ids, size=count, replace=False)
-        self.crash(victims)
-        return victims
+        count = int(round(fraction * np.count_nonzero(self.alive)))
+        return self.crash_uniform(self._fault_rng, count)
 
     def recover(self, hosts: np.ndarray, state: Optional[str] = None) -> None:
         """Crash-recovery: hosts rejoin in ``state`` (volatile state lost).

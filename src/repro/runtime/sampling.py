@@ -2,15 +2,9 @@
 
 They live below both :mod:`repro.runtime.batch_engine` and
 :mod:`repro.runtime.planner` so neither has to import the other's.
-:func:`distinct_positions` is the one law of *who*: the hosts of a
-state are exchangeable (the paper's system model, Section 3), so "which
-``k`` of these ``c`` members" is a uniform ``k``-subset wherever it is
-asked -- the planner's who pass and the engine's massive failure both
-ask it here.  :func:`uniform_throws` is the one definition of "so many
-uniform throws at each segment's range", which the who law's rejection
-rounds and the census pass's push law (:func:`distinct_throws`, the
-occupancy count of such throws) both draw through, and
-:func:`already_taken` is the census pass's overlap law.
+:func:`distinct_throws` is the census's push law, the occupancy count
+of so many uniform throws at each segment's range, and
+:func:`already_taken` is its overlap law.
 
 Both census laws follow one rule for an array call in which few
 elements can consume bits.  numpy draws an array call element by
@@ -32,8 +26,8 @@ from typing import Optional
 import numpy as np
 
 __all__ = [
-    "already_taken", "distinct_per_segment", "distinct_positions",
-    "distinct_throws", "segment_ranks", "sorted_distinct", "uniform_throws",
+    "already_taken", "distinct_per_segment", "distinct_throws",
+    "segment_ranks", "sorted_distinct",
 ]
 
 # Throws per drawing segment above which each segment is handled alone
@@ -69,74 +63,6 @@ def segment_ranks(counts: np.ndarray) -> np.ndarray:
     )
 
 
-def distinct_positions(
-    rng: np.random.Generator, sizes: np.ndarray, take: np.ndarray
-) -> np.ndarray:
-    """A uniform ``take[s]``-subset of ``range(sizes[s])``, per segment.
-
-    Returns the chosen positions segment by segment (``take[s]``
-    entries for segment ``s``, in no promised order): every subset of
-    that size is equally likely and segments are independent.
-
-    Rejection with a scatter mask: each round draws one uniform
-    position per element still wanted, across all segments at once,
-    and marks it; draws that land on a marked position (or on each
-    other) are redrawn.  A segment that wants over half of itself marks
-    the positions it leaves *out* instead and returns the rest, so at
-    most half of any segment is ever marked: every draw is accepted
-    with probability >= 1/2 at every take fraction, the loop ends in
-    ``O(log)`` rounds, and the draws number ``O(min(take, size -
-    take))``.  A round never draws more than is still wanted, so a
-    segment cannot overshoot, and relabelling positions leaves the
-    procedure unchanged -- which is why the marked set is uniform.
-    """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    take = np.asarray(take, dtype=np.int64)
-    if take.shape != sizes.shape:
-        raise ValueError(
-            f"take has shape {take.shape}, expected {sizes.shape}"
-        )
-    bad = np.flatnonzero((take < 0) | (take > sizes))
-    if bad.size:
-        raise ValueError(
-            f"segment {bad[0]}: cannot take {take[bad[0]]} of "
-            f"{sizes[bad[0]]} elements without replacement"
-        )
-    flip = take * 2 > sizes
-    # Segment s owns base[s] .. base[s] + sizes[s] of one flat space.
-    base = np.cumsum(sizes) - sizes
-    marked = np.zeros(int(sizes.sum()), dtype=bool)
-    last = np.empty(marked.size, dtype=np.int32)  # written before read
-    # One pending draw per position still to mark.
-    seg = np.repeat(np.arange(sizes.size), np.where(flip, sizes - take, take))
-    segs, picks = [], []
-    while True:
-        pick = uniform_throws(
-            rng, sizes, np.bincount(seg, minlength=sizes.size)
-        )
-        spot = base[seg] + pick
-        draw = np.arange(seg.size, dtype=np.int32)
-        last[spot] = draw  # of equal draws, the last one stands
-        fresh = (last[spot] == draw) & ~marked[spot]
-        marked[spot[fresh]] = True
-        segs.append(seg[fresh])
-        picks.append(pick[fresh])
-        seg = seg[~fresh]
-        if not seg.size:
-            break
-    seg, pick = np.concatenate(segs), np.concatenate(picks)
-    if flip.any():
-        # Complemented segments return everything they did not mark.
-        keep = ~flip[seg]
-        rest = np.flatnonzero(flip)
-        rest = np.repeat(rest, take[rest])
-        spot = np.flatnonzero(np.repeat(flip, sizes) & ~marked)
-        seg = np.concatenate([seg[keep], rest])
-        pick = np.concatenate([pick[keep], spot - base[rest]])
-    # Every chunk is segment-ordered, so the stable sort is a merge.
-    return pick[np.argsort(seg, kind="stable")]
-
-
 def _empty_range(s: int, count: int) -> ValueError:
     return ValueError(f"segment {s}: {count} throws at an empty range")
 
@@ -157,22 +83,6 @@ def _fills(
         (s, rng.integers(0, bounds[s], size=counts[s]))
         for s in np.flatnonzero(counts)
     )
-
-
-def uniform_throws(
-    rng: np.random.Generator, bounds: np.ndarray, counts: np.ndarray
-) -> np.ndarray:
-    """``counts[s]`` uniform throws at ``range(bounds[s])``, per segment.
-
-    Concatenated in segment order.  numpy runs one bounded-integer
-    routine over the same bits for a scalar bound and an array of
-    bounds, so both regimes return the same numbers and leave ``rng``
-    in the same state (``tests/test_sampling.py`` holds numpy to it).
-    """
-    fills = _fills(rng, bounds, counts, int(counts.sum()))
-    if fills is None:
-        return rng.integers(0, np.repeat(bounds, counts))
-    return np.concatenate([throws for _, throws in fills])
 
 
 def sorted_distinct(values: np.ndarray) -> np.ndarray:
@@ -205,14 +115,16 @@ def distinct_per_segment(
 def distinct_throws(
     rng: np.random.Generator, bounds: np.ndarray, counts: np.ndarray
 ) -> np.ndarray:
-    """Distinct positions among :func:`uniform_throws`, per segment.
+    """Distinct positions among ``counts[s]`` uniform throws at
+    ``range(bounds[s])``, per segment.
 
-    The census pass's push law: the same draws in the same regimes,
-    but few, full segments are counted fill by fill in one reused mask
-    row, so neither their throws nor a ``segments x width`` mask ever
-    exist side by side.  At most :data:`_FEW_DRAWS` throws in all are
-    one scalar call each, counted in a set per segment (and none at
-    all returns ``counts`` itself, all zero).
+    The census pass's push law.  Few, full segments are drawn one
+    scalar-bound fill each (:data:`_FULL_SEGMENT`) and counted in one
+    reused mask row, so neither their throws nor a ``segments x width``
+    mask ever exist side by side; the rest are one array-bound call.
+    At most :data:`_FEW_DRAWS` throws in all are one scalar call each,
+    counted in a set per segment (and none at all returns ``counts``
+    itself, all zero).
     """
     total = int(counts.sum())
     if total <= _FEW_DRAWS:

@@ -8,11 +8,8 @@ token routing) at a fixed seed.  A mismatch means batch-mode results
 changed for every seeded user -- either revert, or re-capture the
 goldens and say so in CHANGES.md.
 
-Those four never place a host, so they pin the census stream alone
-(``batch-protocol``).  ``endemic-hosts`` reads ``engine.states`` before
-period 0 and hashes the final ``(M, N)`` state array after the count
-tensor, which pins the placement and who streams as well -- and its
-count tensor is, by contract, the ``endemic`` one.
+Those four pin the census stream (``batch-protocol``), and
+``massive-failure`` the registry scenario's fault stream besides.
 
 numpy does not promise ``Generator`` stream stability across feature
 releases, so the goldens are keyed by numpy ``major.minor`` and an
@@ -26,6 +23,7 @@ import pytest
 
 from test_batch_engine import token_spec
 
+from repro.experiment import RunContext, Scenario
 from repro.protocols.endemic import EndemicParams, figure1_protocol
 from repro.protocols.epidemic import push_pull_protocol
 from repro.protocols.lv import lv_protocol
@@ -51,34 +49,25 @@ CASES = {
     ),
 }
 
-#: numpy "major.minor" -> case name -> crc32 of the int64 count tensor
-#: (``endemic-hosts``: continued over the final int8 state array).
+#: numpy "major.minor" -> case name -> crc32 of the int64 count tensor.
 GOLDENS = {
     "2.4": {
         "endemic": 829222868,
         "lv": 149629386,
         "epidemic-push-pull": 2693238901,
         "token": 4180697466,
-        "endemic-hosts": 2703442953,
+        "massive-failure": 1989464138,
     },
 }
 
 
-def count_tensor_crc(name: str, hosts: bool = False) -> int:
+def count_tensor_crc(name: str) -> int:
     factory, n, trials, initial, periods, seed = CASES[name]
     engine = BatchRoundEngine(
         factory(), n=n, trials=trials, initial=initial, seed=seed
     )
-    if hosts:
-        engine.states  # place the hosts before period 0
     tensor = engine.run(periods).recorder.count_tensor()
-    crc = zlib.crc32(np.ascontiguousarray(tensor, dtype=np.int64).tobytes())
-    if hosts:
-        engine._validate_consistency()
-        crc = zlib.crc32(np.ascontiguousarray(engine.states).tobytes(), crc)
-    else:
-        assert engine._pools is None
-    return crc
+    return zlib.crc32(np.ascontiguousarray(tensor, dtype=np.int64).tobytes())
 
 
 def golden(name: str) -> int:
@@ -93,5 +82,24 @@ def test_batch_stream_is_pinned(name):
     assert count_tensor_crc(name) == golden(name)
 
 
-def test_who_stream_is_pinned():
-    assert count_tensor_crc("endemic", hosts=True) == golden("endemic-hosts")
+def test_massive_failure_stream_is_pinned():
+    """The registry's ``massive-failure`` hook on the ``endemic`` case.
+
+    Half the alive hosts crash at the horizon's midpoint; the victims'
+    per-state counts are one multivariate hypergeometric over the
+    census on the trial's fault stream, so the count tensor pins the
+    fault stream as well as the census one.
+    """
+    factory, n, trials, initial, periods, seed = CASES["endemic"]
+    engine = BatchRoundEngine(
+        factory(), n=n, trials=trials, initial=initial, seed=seed
+    )
+    context = RunContext(
+        "endemic", n, 0.0, "massive-failure", trials, periods, seed
+    )
+    faults = Scenario.named("massive-failure").hook_factory(context)
+    tensor = engine.run(
+        periods, hook_factories=[faults]
+    ).recorder.count_tensor()
+    crc = zlib.crc32(np.ascontiguousarray(tensor, dtype=np.int64).tobytes())
+    assert crc == golden("massive-failure")

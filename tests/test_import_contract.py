@@ -3,9 +3,11 @@
 ``scipy.stats``/``scipy.integrate``, ``networkx`` and ``sympy`` are
 imported by the first function that needs them (see "Import policy" in
 docs/architecture.md), never by ``import repro``.  The pytest process
-has long since loaded all of them, so every case runs in a fresh
-interpreter and asserts on ``sys.modules`` -- a statement about *what*
-loads, which a timing could only hint at.
+has long since loaded all of them, so the journeys run in one fresh
+interpreter, in an order where loading is cumulative -- start-up paths,
+then run journeys, then each first call -- and each reports the
+deferred modules loaded before and after it as JSON: a statement about
+*what* loads, which a timing could only hint at.
 
 The second half pins the run journeys: the equilibrium solve is numpy
 only, so an equations-file run -- library, CLI, service or campaign --
@@ -63,25 +65,194 @@ LEAF_COMMANDS = [
     ) if path not in ("(top)", "check")
 ]
 
-
-@pytest.fixture(scope="module")
-def command_help_rows():
-    """``python -m repro <cmd> --help`` for every leaf command, in one
-    fresh interpreter: exit status and deferred modules loaded so far."""
-    return fresh(f"""
-        import contextlib, io
+#: The journeys, in the order one interpreter runs them: start-up paths
+#: (nothing deferred may load), then run journeys (no scipy at all),
+#: then the first calls, each of which adds its own deferred module.
+#: Each is a function body whose ``return`` gives the row's fields.
+JOURNEYS = {
+    "import repro": "import repro",
+    "import repro.__main__": "import repro.__main__",
+    "import repro.runtime.cluster": "import repro.runtime.cluster",
+    "repro worker --help": """
+        sys.argv = ["repro", "worker", "--help"]
+        try:
+            runpy.run_module("repro", run_name="__main__", alter_sys=True)
+        except SystemExit as stop:
+            return dict(code=stop.code)
+    """,
+    "repro.runtime.cluster --help": """
+        sys.argv = ["repro.runtime.cluster", "--help"]
+        try:
+            runpy.run_module(
+                "repro.runtime.cluster", run_name="__main__", alter_sys=True
+            )
+        except SystemExit as stop:
+            return dict(code=stop.code)
+    """,
+    "command help": f"""
+        # One module per command, all imported to build the parser.
         from repro.__main__ import main
 
         rows = {{}}
         for command in {LEAF_COMMANDS!r}:
-            with contextlib.redirect_stdout(io.StringIO()):
-                try:
-                    code = main(command.split() + ["--help"])
-                except SystemExit as stop:
-                    code = stop.code
+            try:
+                code = main(command.split() + ["--help"])
+            except SystemExit as stop:
+                code = stop.code
             rows[command] = {{"code": code, "loaded": loaded()}}
-        report(rows=rows)
-    """)["rows"]
+        return dict(rows=rows)
+    """,
+    "registry campaign shard unit": """
+        # What a pool or cluster worker executes for a campaign -- an
+        # ensemble executor unit.
+        from repro.campaign.grid import CampaignPoint
+        from repro.campaign.runner import _executor, _run_options
+
+        totals = {}
+        for protocol in ("endemic", "lv"):
+            point = CampaignPoint(
+                protocol=protocol, n=300, loss_rate=0.0,
+                scenario="none", trials=4, periods=10, seed=3, shards=2,
+            )
+            unit = _executor(point).units(**_run_options(point))[0]
+            output = unit.runner(unit.payload)
+            totals[protocol] = output.final_counts.sum(axis=1).tolist()
+        return dict(totals=totals)
+    """,
+    "find_equilibria": """
+        from repro.odes import find_equilibria, library
+
+        found = find_equilibria(
+            library.endemic(alpha=0.01, gamma=1.0, beta=4.0)
+        )
+        return dict(
+            labels=[e.classification for e in found],
+            stable=found[0].point,
+        )
+    """,
+    "equations-file experiment": """
+        # The pool forks from a parent that never loaded a solver:
+        # there is nothing left to warm before the fork.
+        from repro.experiment import Experiment, Protocol
+
+        protocol = Protocol.from_equations("examples/endemic.txt")
+        result = Experiment(
+            protocol, n=2000, trials=4, periods=100, seed=1, workers=2,
+        ).run()
+        check = result.equilibrium_check()
+        return dict(
+            trials=result.trials,
+            gated=sorted(r.state for r in check.rows if r.gated),
+            lines=len(result.render_summary().splitlines()),
+        )
+    """,
+    "quickstart cli": """
+        # `python -m repro run examples/endemic.txt`
+        sys.argv = ["repro", "run", "examples/endemic.txt", "--n", "2000",
+                    "--trials", "4", "--periods", "100", "--seed", "5"]
+        try:
+            runpy.run_module("repro", run_name="__main__", alter_sys=True)
+        except SystemExit as stop:
+            return dict(code=stop.code)
+    """,
+    "service start and equilibrium query": """
+        from repro.service import LiveConfig, LiveEngine, ServiceCore
+        from repro.store import MemoryEventLog
+
+        core = ServiceCore(
+            LiveEngine(LiveConfig(protocol="endemic", n=300, seed=42)),
+            log=MemoryEventLog(),
+        )
+        core.start()
+        return dict(expected=sorted(core.query("equilibrium")["expected"]))
+    """,
+    "equations-file campaign": """
+        # Parent: resolves the file (solving for its start point),
+        # plans, forks two workers, checkpoints.  Unit: what a worker
+        # runs -- the resolved spec's ensemble.
+        from repro.campaign import CampaignSpec, run_campaign
+        from repro.campaign.runner import _executor, _run_options
+
+        spec = CampaignSpec(
+            protocols=["examples/endemic.txt"], group_sizes=[300],
+            trials=4, periods=10, base_seed=1, shards=2,
+        )
+        campaign = run_campaign(spec, workers=2)
+        parent = scipy_loaded()
+        point = spec.expand()[0]
+        first = _executor(point).units(**_run_options(point))[0]
+        unit = first.runner(first.payload)
+        return dict(
+            parent=parent, points=len(campaign.results),
+            totals=unit.final_counts.sum(axis=1).tolist(),
+        )
+    """,
+    "integrate": """
+        from repro.odes import integrate, library
+
+        trajectory = integrate(
+            library.epidemic(), {"x": 0.99, "y": 0.01}, 10.0
+        )
+        return dict(y=trajectory.final["y"])
+    """,
+    "fairness chi-square": """
+        import numpy as np
+
+        from repro.analysis.fairness import analyze_member_log
+
+        rng = np.random.default_rng(7)
+        log = [
+            (period, np.sort(rng.choice(64, size=8, replace=False)))
+            for period in range(200)
+        ]
+        fairness = analyze_member_log(log, 64, gamma=0.5)
+        return dict(pvalue=fairness.host_id_uniformity_pvalue)
+    """,
+    "overlay": """
+        import importlib.util
+
+        if importlib.util.find_spec("networkx") is None:
+            return dict(skipped=True)
+        from repro.runtime import overlay_stats, random_regular_overlay
+
+        before = loaded()
+        neighbors = random_regular_overlay(100, degree=6, seed=1)
+        return dict(before=before, stats=overlay_stats(neighbors))
+    """,
+}
+
+RUNNER = r"""
+import contextlib, io, runpy, textwrap
+
+rows = {}
+for name, body in JOURNEYS.items():
+    source = "def journey():\n" + textwrap.indent(
+        textwrap.dedent(body).strip() + "\nreturn None", "    "
+    )
+    scope = dict(globals())
+    exec(source, scope)
+    before = loaded()
+    with contextlib.redirect_stdout(io.StringIO()):
+        fields = scope["journey"]() or {}
+    rows[name] = dict(
+        fields, before=fields.get("before", before), after=loaded(),
+        scipy=scipy_loaded(),
+    )
+report(rows=rows)
+"""
+
+
+@pytest.fixture(scope="module")
+def journeys():
+    """Every journey above, in order, in one fresh interpreter: its
+    fields plus the deferred modules loaded before and after it and the
+    scipy modules loaded so far."""
+    return fresh(f"JOURNEYS = {JOURNEYS!r}\n" + RUNNER)["rows"]
+
+
+def added(row) -> list:
+    """The deferred modules a journey loaded itself."""
+    return [m for m in row["after"] if m not in row["before"]]
 
 
 # ----------------------------------------------------------------------
@@ -91,12 +262,8 @@ class TestStartLoadsNoDeferredModule:
     @pytest.mark.parametrize(
         "module", ["repro", "repro.__main__", "repro.runtime.cluster"]
     )
-    def test_import(self, module):
-        out = fresh(f"""
-            import {module}
-            report(loaded=loaded())
-        """)
-        assert out["loaded"] == []
+    def test_import(self, module, journeys):
+        assert journeys[f"import {module}"]["after"] == []
 
     @pytest.mark.parametrize(
         "module, argv",
@@ -105,108 +272,57 @@ class TestStartLoadsNoDeferredModule:
             ("repro.runtime.cluster", ["--help"]),
         ],
     )
-    def test_worker_entry_points(self, module, argv):
-        out = fresh(f"""
-            import runpy
-            sys.argv = [{module!r}] + {argv!r}
-            try:
-                runpy.run_module({module!r}, run_name="__main__", alter_sys=True)
-            except SystemExit as stop:
-                code = stop.code
-            print()
-            report(code=code, loaded=loaded())
-        """)
-        assert out == {"code": 0, "loaded": []}
+    def test_worker_entry_points(self, module, argv, journeys):
+        row = journeys[f"{module} {' '.join(argv)}"]
+        assert (row["code"], row["after"]) == (0, [])
 
     @pytest.mark.parametrize("command", LEAF_COMMANDS)
-    def test_command_help(self, command, command_help_rows):
-        # One module per command, all imported to build the parser: a
-        # command that imports a deferred package at module level
-        # fails here by name (loading is cumulative, so the first
-        # failing row in LEAF_COMMANDS order is the culprit).
-        assert command_help_rows[command] == {"code": 0, "loaded": []}
+    def test_command_help(self, command, journeys):
+        # Loading is cumulative, so the first failing row in
+        # LEAF_COMMANDS order is the culprit.
+        rows = journeys["command help"]["rows"]
+        assert rows[command] == {"code": 0, "loaded": []}
 
-    def test_registry_campaign_shard_unit(self):
-        # What a pool or cluster worker executes for a campaign -- an
-        # ensemble executor unit: it must import nothing the worker
-        # did not have at start.
-        out = fresh("""
-            from repro.campaign.grid import CampaignPoint
-            from repro.campaign.runner import _executor, _run_options
-
-            totals = {}
-            for protocol in ("endemic", "lv"):
-                point = CampaignPoint(
-                    protocol=protocol, n=300, loss_rate=0.0,
-                    scenario="none", trials=4, periods=10, seed=3, shards=2,
-                )
-                unit = _executor(point).units(**_run_options(point))[0]
-                output = unit.runner(unit.payload)
-                totals[protocol] = output.final_counts.sum(axis=1).tolist()
-            report(totals=totals, loaded=loaded())
-        """)
-        assert out["loaded"] == []
-        assert out["totals"] == {"endemic": [300, 300], "lv": [300, 300]}
+    def test_registry_campaign_shard_unit(self, journeys):
+        # It must import nothing the worker did not have at start.
+        row = journeys["registry campaign shard unit"]
+        assert row["after"] == []
+        assert row["totals"] == {"endemic": [300, 300], "lv": [300, 300]}
 
 
 # ----------------------------------------------------------------------
 # Each deferred module is loaded by its own first call
 # ----------------------------------------------------------------------
 class TestFirstCallLoadsItsModule:
-    def test_integrate_loads_scipy_integrate(self):
-        out = fresh("""
-            from repro.odes import integrate, library
-
-            before = loaded()
-            trajectory = integrate(library.epidemic(), {"x": 0.99, "y": 0.01}, 10.0)
-            report(before=before, after=loaded(), y=trajectory.final["y"])
-        """)
-        assert out["before"] == []
-        assert "scipy.integrate" in out["after"]
-        assert not {"scipy.stats", "networkx", "sympy"} & set(out["after"])
+    def test_integrate_loads_scipy_integrate(self, journeys):
+        row = journeys["integrate"]
+        assert row["before"] == []
+        assert "scipy.integrate" in row["after"]
+        assert not {"scipy.stats", "networkx", "sympy"} & set(row["after"])
+        assert added(row) == [
+            "scipy.optimize", "scipy.integrate", "scipy.linalg",
+            "scipy.sparse",
+        ]
         # y' = y(1-y): the closed form tests/test_integrate.py checks.
-        assert out["y"] == pytest.approx(1 / (1 + 99 * 2.718281828459045 ** -10), rel=1e-5)
+        assert row["y"] == pytest.approx(1 / (1 + 99 * 2.718281828459045 ** -10), rel=1e-5)
 
-    def test_fairness_chi_square_loads_scipy_stats(self):
-        out = fresh("""
-            import numpy as np
-
-            from repro.analysis.fairness import analyze_member_log
-
-            rng = np.random.default_rng(7)
-            log = [
-                (period, np.sort(rng.choice(64, size=8, replace=False)))
-                for period in range(200)
-            ]
-            before = loaded()
-            fairness = analyze_member_log(log, 64, gamma=0.5)
-            report(
-                before=before, after=loaded(),
-                pvalue=fairness.host_id_uniformity_pvalue,
-            )
-        """)
-        assert out["before"] == []
-        assert "scipy.stats" in out["after"]
-        assert not {"networkx", "sympy"} & set(out["after"])
+    def test_fairness_chi_square_loads_scipy_stats(self, journeys):
+        row = journeys["fairness chi-square"]
+        assert "scipy.stats" not in row["before"]
+        assert "scipy.stats" in row["after"]
+        assert not {"networkx", "sympy"} & set(row["after"])
+        assert added(row) == ["scipy.stats"]
         # The value the module-level import produced at the parent commit.
-        assert out["pvalue"] == pytest.approx(0.8628095479158755, rel=1e-12)
+        assert row["pvalue"] == pytest.approx(0.8628095479158755, rel=1e-12)
 
-    def test_overlay_loads_networkx(self):
-        pytest.importorskip("networkx")
-        out = fresh("""
-            from repro.runtime import overlay_stats, random_regular_overlay
-
-            before = loaded()
-            neighbors = random_regular_overlay(100, degree=6, seed=1)
-            report(
-                before=before, after=loaded(),
-                stats=overlay_stats(neighbors),
-            )
-        """)
-        assert out["before"] == []
-        assert out["after"] == ["networkx"]
-        assert out["stats"]["connected"]
-        assert out["stats"]["mean_degree"] == pytest.approx(6.0)
+    def test_overlay_loads_networkx(self, journeys):
+        row = journeys["overlay"]
+        if row.get("skipped"):
+            pytest.skip("networkx is not installed")
+        assert "networkx" not in row["before"]
+        assert added(row) == ["networkx"]
+        assert row["stats"]["connected"]
+        assert row["stats"]["mean_degree"] == pytest.approx(6.0)
 
 
 # ----------------------------------------------------------------------
@@ -234,105 +350,59 @@ class TestMissingPackages:
 # No run journey loads scipy
 # ----------------------------------------------------------------------
 class TestRunJourneysLoadNoScipy:
-    def test_find_equilibria(self):
-        out = fresh("""
-            from repro.odes import find_equilibria, library
-
-            found = find_equilibria(library.endemic(alpha=0.01, gamma=1.0, beta=4.0))
-            report(
-                scipy=scipy_loaded(),
-                labels=[e.classification for e in found],
-                stable=found[0].point,
-            )
-        """)
-        assert out["scipy"] == []
-        assert out["labels"] == ["stable spiral", "saddle point"]
-        assert out["stable"] == pytest.approx(
+    def test_find_equilibria(self, journeys):
+        row = journeys["find_equilibria"]
+        assert row["scipy"] == []
+        assert row["labels"] == ["stable spiral", "saddle point"]
+        assert row["stable"] == pytest.approx(
             {"x": 0.25, "y": 0.75 / 101, "z": 75 / 101}, abs=1e-9
         )
 
-    def test_equations_file_experiment(self):
-        # The pool forks from a parent that never loaded a solver:
-        # there is nothing left to warm before the fork.
-        out = fresh("""
-            from repro.experiment import Experiment, Protocol
-
-            protocol = Protocol.from_equations("examples/endemic.txt")
-            result = Experiment(
-                protocol, n=2000, trials=4, periods=100, seed=1, workers=2,
-            ).run()
-            check = result.equilibrium_check()
-            summary = result.render_summary()
-            report(
-                scipy=scipy_loaded(), trials=result.trials,
-                gated=sorted(r.state for r in check.rows if r.gated),
-                lines=len(summary.splitlines()),
-            )
-        """)
-        assert out["scipy"] == []
-        assert out["trials"] == 4
-        assert out["gated"] == ["x", "y", "z"]
-        assert out["lines"] >= 5
+    def test_equations_file_experiment(self, journeys):
+        row = journeys["equations-file experiment"]
+        assert row["scipy"] == []
+        assert row["trials"] == 4
+        assert row["gated"] == ["x", "y", "z"]
+        assert row["lines"] >= 5
 
     @pytest.mark.parametrize("scipy_importable", [True, False])
-    def test_quickstart_cli(self, scipy_importable):
+    def test_quickstart_cli(self, scipy_importable, journeys):
         # `python -m repro run examples/endemic.txt`, also on a box
-        # whose scipy is missing or broken.
-        out = fresh(f"""
-            import runpy
-            if not {scipy_importable}:
+        # whose scipy is missing or broken (a fresh interpreter of its
+        # own: the journeys' one has imported everything already).
+        if scipy_importable:
+            row = journeys["quickstart cli"]
+            out = {"code": row["code"], "scipy": row["scipy"]}
+        else:
+            out = fresh("""
+                import runpy
                 sys.modules["scipy"] = None
-            sys.argv = ["repro", "run", "examples/endemic.txt", "--n", "2000",
-                        "--trials", "4", "--periods", "100", "--seed", "5"]
-            try:
-                runpy.run_module("repro", run_name="__main__", alter_sys=True)
-            except SystemExit as stop:
-                code = stop.code
-            print()
-            report(code=code, scipy=scipy_loaded())
-        """)
+                sys.argv = ["repro", "run", "examples/endemic.txt", "--n",
+                            "2000", "--trials", "4", "--periods", "100",
+                            "--seed", "5"]
+                try:
+                    runpy.run_module("repro", run_name="__main__", alter_sys=True)
+                except SystemExit as stop:
+                    code = stop.code
+                print()
+                report(code=code, scipy=scipy_loaded())
+            """)
         assert out == {
             "code": 0, "scipy": [] if scipy_importable else ["scipy"],
         }
 
-    def test_service_start_and_equilibrium_query(self):
-        out = fresh("""
-            from repro.service import LiveConfig, LiveEngine, ServiceCore
-            from repro.store import MemoryEventLog
+    def test_service_start_and_equilibrium_query(self, journeys):
+        row = journeys["service start and equilibrium query"]
+        assert {"scipy": row["scipy"], "expected": row["expected"]} == {
+            "scipy": [], "expected": ["x", "y", "z"],
+        }
 
-            core = ServiceCore(
-                LiveEngine(LiveConfig(protocol="endemic", n=300, seed=42)),
-                log=MemoryEventLog(),
-            )
-            core.start()
-            answer = core.query("equilibrium")
-            report(scipy=scipy_loaded(), expected=sorted(answer["expected"]))
-        """)
-        assert out == {"scipy": [], "expected": ["x", "y", "z"]}
-
-    def test_equations_file_campaign(self):
-        # Parent: resolves the file (solving for its start point),
-        # plans, forks two workers, checkpoints.  Unit: what a worker
-        # runs -- the resolved spec's ensemble.
-        out = fresh("""
-            from repro.campaign import CampaignSpec, run_campaign
-            from repro.campaign.runner import _executor, _run_options
-
-            spec = CampaignSpec(
-                protocols=["examples/endemic.txt"], group_sizes=[300],
-                trials=4, periods=10, base_seed=1, shards=2,
-            )
-            campaign = run_campaign(spec, workers=2)
-            parent = scipy_loaded()
-            point = spec.expand()[0]
-            first = _executor(point).units(**_run_options(point))[0]
-            unit = first.runner(first.payload)
-            report(
-                parent=parent, unit=scipy_loaded(),
-                points=len(campaign.results),
-                totals=unit.final_counts.sum(axis=1).tolist(),
-            )
-        """)
+    def test_equations_file_campaign(self, journeys):
+        row = journeys["equations-file campaign"]
+        out = {
+            "parent": row["parent"], "unit": row["scipy"],
+            "points": row["points"], "totals": row["totals"],
+        }
         assert out == {
             "parent": [], "unit": [], "points": 1, "totals": [300, 300],
         }

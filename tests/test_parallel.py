@@ -346,11 +346,8 @@ class TestHooks:
 
 
 class TestMergedRecorder:
-    def test_transitions_and_members_merge(self):
-        outcome = run_sharded(
-            5, shards=2, workers=1, track_transitions=True,
-            member_log_state="y",
-        )
+    def test_transitions_merge(self):
+        outcome = run_sharded(5, shards=2, workers=1, track_transitions=True)
         recorder = outcome.recorder
         assert recorder.trials == 5
         # Transition tensors exist for the eroding edges and line up
@@ -359,11 +356,10 @@ class TestMergedRecorder:
         assert ("x", "z") in edges
         tensor = recorder.transition_tensor(("x", "z"))
         assert tensor.shape[0] == 5
-        # Member logs concatenate in trial order.
-        period, members = recorder.member_log[0]
-        assert len(members) == 5
-        log0 = recorder.trial_member_log(0)
-        assert log0[0][0] == period
+
+    def test_batch_tier_refuses_a_member_log(self):
+        with pytest.raises(ValueError, match='member_log_state.*"serial"'):
+            run_sharded(5, shards=2, workers=1, member_log_state="y")
 
     def test_serial_member_logs_merge_in_trial_order(self):
         outcome = run_ensemble(
@@ -473,7 +469,7 @@ class TestExperimentWorkers:
             protocol, n=150, trials=2, periods=8, seed=6, engine="agent",
             scenario="crash-recovery", workers=2,
         ).run()
-        # CrashRecoveryNoise indexes engine.alive every period; the run
+        # CrashRecoveryNoise picks hosts off engine.alive every period; the run
         # completing (pooled!) with a live population is the assertion.
         assert np.all(result.alive_tensor()[:, -1] > 0)
 

@@ -17,7 +17,8 @@ from statutil import assert_binomial_count, assert_binomial_law
 from repro.campaign.registry import available_protocols
 from repro.experiment import Protocol
 from repro.protocols.lv import lv_protocol
-from repro.runtime import BatchRoundEngine, RoundEngine, TrialMemberPools
+from repro.runtime import BatchRoundEngine, RoundEngine
+from repro.runtime.planner import TrialMemberPools
 from repro.runtime.failures import MassiveFailure
 from repro.runtime.planner import ActionPlanner
 from repro.runtime.round_engine import _compile
@@ -47,12 +48,16 @@ def flip_spec(probabilities=(0.1, 0.2, 0.3)):
 
 
 def reset_all(engine, counts):
-    """Force every trial back to an exact per-state layout."""
-    bounds = np.cumsum([0] + [c for _, c in counts])
-    hosts = np.arange(engine.n)
-    for view in engine.trial_views():
-        for (state, _), lo, hi in zip(counts, bounds[:-1], bounds[1:]):
-            view.set_states(hosts[lo:hi], state)
+    """Force every trial's census back to a per-state layout of ``n``,
+    scaled down to the trial's alive hosts (the rest to the first)."""
+    layout = np.zeros(len(engine.state_names), dtype=np.int64)
+    for state, count in counts:
+        layout[engine.state_id(state)] = count
+    alive = engine.alive_counts()
+    engine._counts[:] = layout * alive[:, None] // engine.n
+    engine._counts[:, engine.state_id(counts[0][0])] += (
+        alive - engine._counts.sum(axis=1)
+    )
 
 
 class TestMultinomialSplit:
@@ -93,7 +98,6 @@ class TestMultinomialSplit:
             transitions = engine.step()
             per_trial = sum(transitions.values())
             assert np.all(per_trial <= n)
-            engine._validate_consistency()
 
     def test_one_multinomial_never_draws_a_collision(self):
         """A coin group's own picks are disjoint: no overlap to draw.
@@ -123,7 +127,6 @@ class TestMultinomialSplit:
             )
             engine._rng = spy = Spy(engine._rng)
             engine.run(20)
-            engine._validate_consistency()
             assert spy.collisions == 0
 
 
@@ -264,44 +267,6 @@ class TestIndependentCoinFallback:
         for _ in range(10):
             reset_all(engine, [("a", 300)])
             engine.step()
-            engine._validate_consistency()
-
-
-class TestSelectionStrategies:
-    def test_probe_selection_is_uniform_over_members(self):
-        """Host selection frequencies are exchangeable, per action.
-
-        One action takes its state's subset as sampled (5 % of the
-        state: picks marked).  Two actions share 70 % of theirs (the
-        complement marked, so the subset comes back in pool order) as
-        consecutive runs: only the partition shuffle keeps the first
-        action from getting the low pool columns.
-        """
-        n, trials, periods = 1_000, 4, 400
-        for probabilities in ((0.05,), (0.3, 0.4)):
-            engine = BatchRoundEngine(
-                flip_spec(probabilities), n=n, trials=trials,
-                initial={"a": n}, seed=32,
-            )
-            targets = [
-                engine.state_id(f"t{i}") for i in range(len(probabilities))
-            ]
-            picks = np.zeros((len(targets), trials, n), dtype=np.int64)
-            for _ in range(periods):
-                reset_all(engine, [("a", n)])
-                engine.step()
-                for i, target in enumerate(targets):
-                    picks[i] += engine.states == target
-            # Pool the first and second half of each row: a biased
-            # sampler (e.g. favoring low pool columns) would separate
-            # the halves.
-            for i, moved in enumerate(picks):
-                assert_binomial_count(
-                    int(moved[:, :n // 2].sum()), int(moved.sum()), 0.5,
-                    comparisons=3,
-                    context=f"uniformity of action {i} of {probabilities} "
-                            f"(first half vs second half)",
-                )
 
 
 class TestTrialMemberPools:
@@ -336,8 +301,8 @@ class TestTrialMemberPools:
             count = int(rng.integers(1, min(6, members.size) + 1))
             gone = rng.choice(members, size=count, replace=False)
             target = (sid + 1) % 3
-            pools.remove(sid, np.sort(gone))
-            pools.add(target, np.sort(gone))
+            pools.remove_many([(sid, [np.sort(gone)])])
+            pools.add_many([(target, [np.sort(gone)])])
             states[gone] = target
             self.check(pools, states)
 
@@ -368,9 +333,9 @@ class TestTrialMemberPools:
         pools, states, _ = self.make(seed=6)
         before, _ = pools.grouped(0)
         mover = np.flatnonzero(states == 0)[:1]
-        pools.remove(0, mover)
+        pools.remove_many([(0, [mover])])
         states[mover] = 1
-        pools.add(1, mover)
+        pools.add_many([(1, [mover])])
         after, _ = pools.grouped(0)
         assert after.size == before.size - 1
         self.check(pools, states)
@@ -508,7 +473,6 @@ class TestAnalyticPushLaw:
         )
         transitions = engine.step()
         assert ("m", "t") not in transitions
-        engine._validate_consistency()
         # Messages still charge every actor's contacts.
         assert np.array_equal(
             engine.total_messages, np.full(trials, 2 * n, dtype=np.int64)
@@ -539,8 +503,6 @@ class TestAnalyticPushLaw:
         )
         engine.run(5)
         assert len(calls) == 5 and calls[0] == 3 * 300
-        assert engine._pools is None  # counted, never placed
-        engine._validate_consistency()
 
     def test_fallback_group_push(self):
         """A psum > 1 state still converts pushes through the law."""
@@ -613,7 +575,7 @@ class TestLazyPoolRows:
         states = np.zeros(trials * n, dtype=np.int8)
         pools = TrialMemberPools([0, 1, 2], trials, n, states)
         movers = np.array([3, 60, 110], dtype=np.int64)
-        pools.remove(0, movers)
+        pools.remove_many([(0, [movers])])
         pools.add_many([(1, [movers])])
         states[movers] = 1
         assert 1 in pools.slots
@@ -639,31 +601,6 @@ class TestLazyPoolRows:
             assert pools.grouped(sid)[0].size == 0
         for sid in (0, 1):
             assert np.array_equal(np.sort(pools.grouped(sid)[0]), before[sid])
-
-    def test_engine_allocates_rows_as_states_populate(self):
-        """A wide chain protocol pays only for visited states."""
-        width = 8
-        states = tuple(f"s{i}" for i in range(width))
-        actions = tuple(
-            FlipAction(
-                actor_state=f"s{i}", probability=0.5,
-                target_state=f"s{i + 1}",
-            )
-            for i in range(width - 1)
-        )
-        spec = ProtocolSpec(name="chain", states=states, actions=actions)
-        engine = BatchRoundEngine(
-            spec, n=200, trials=3, initial={"s0": 200}, seed=40
-        )
-        engine.states  # place the hosts: pools exist from here on
-        assert set(engine._pools.slots) == {0}
-        engine.run(2)
-        engine._validate_consistency()
-        allocated_early = len(engine._pools.slots)
-        assert allocated_early < width
-        engine.run(30)
-        engine._validate_consistency()
-        assert len(engine._pools.slots) >= allocated_early
 
 
 class TestPlannerStatics:
@@ -794,7 +731,6 @@ class TestFullProbabilityThinning:
                 cell_heads, cell_q = law(c, n - 1, 1.0 - loss)
                 heads.append(cell_heads)
                 q.append(cell_q)
-        engine._validate_consistency()
         assert_binomial_law(
             np.concatenate(observed), heads, q,
             context=f"{name} movers ({condition})",
@@ -826,7 +762,6 @@ class TestFullProbabilityThinning:
             mixed, n=400, trials=3, initial={"x": 300, "y": 100}, seed=62
         )
         engine.run(6)
-        engine._validate_consistency()
         assert np.array_equal(
             engine.counts_matrix().sum(axis=1), np.full(3, 400)
         )
@@ -872,31 +807,3 @@ class TestExplicitPathIsSelfMatchPushOnly:
                 lambda m: MassiveFailure(at_period=6, fraction=0.3)
             ],
         )
-        engine._validate_consistency()
-
-
-class TestCountedOnlyStatesKeepNoPool:
-    def test_analytic_push_actor_state_is_unpooled_through_faults(self):
-        """Kill and revive hosts of a state that has no pool row."""
-        spec = push_spec(probability=1.0, fanout=2)
-        engine = BatchRoundEngine(
-            spec, n=400, trials=3, initial={"a": 150, "m": 250}, seed=64
-        )
-        match = engine.state_id("m")
-        assert engine._planner.selected_states == {match}
-        engine.run(2)
-        engine._validate_consistency()
-        assert engine._pools.tracked == {match}
-        victims = []
-        for view in engine.trial_views():
-            victims.append(view.crash_fraction(0.5))
-        engine._validate_consistency()
-        engine.run(2)
-        for view, dead in zip(engine.trial_views(), victims):
-            view.recover(dead[::2], "a")
-            view.set_states(dead[1::2][:20], "m")
-            view.set_states(view.members_in("m")[:10], "a")
-        engine._validate_consistency()
-        engine.run(2)
-        engine._validate_consistency()
-        assert set(engine._pools.slots) == {match}

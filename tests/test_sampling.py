@@ -1,7 +1,8 @@
 """The per-segment throw helpers of ``repro.runtime.sampling``.
 
-``uniform_throws`` draws few, full segments one scalar-bound fill at a
-time and everything else in one array-bound call, ``distinct_throws``
+The push law draws few, full segments one scalar-bound fill at a
+time and everything else in one array-bound call (``uniform_throws``
+below returns those throws themselves), ``distinct_throws``
 and ``already_taken`` draw a few elements one scalar call each, and the
 engine's streams are only allowed to do that because numpy serves all
 of them from one per-element routine over the same bits.  These tests hold the
@@ -26,8 +27,17 @@ from repro.runtime.sampling import (
     distinct_per_segment,
     distinct_throws,
     sorted_distinct,
-    uniform_throws,
 )
+
+def uniform_throws(rng, bounds, counts):
+    """``counts[s]`` uniform throws at ``range(bounds[s])``, per segment,
+    drawn in the regimes ``distinct_throws`` draws them in: the
+    reference its draws are held to."""
+    fills = sampling._fills(rng, bounds, counts, int(counts.sum()))
+    if fills is None:
+        return rng.integers(0, np.repeat(bounds, counts))
+    return np.concatenate([throws for _, throws in fills])
+
 
 MAX_BOUND = 2**31 - 1  # host ids are int32: nothing larger is reachable
 
