@@ -28,7 +28,6 @@ from .findings import (
 from .complexity import (
     MessageModel,
     SymbolicMessageModel,
-    action_width,
     message_model,
     symbolic_message_model,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "Severity",
     "SpecCheckError",
     "SymbolicMessageModel",
-    "action_width",
     "check_equations",
     "check_spec",
     "error_findings",

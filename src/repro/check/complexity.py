@@ -1,9 +1,9 @@
 """Symbolic message-complexity model derived from a protocol spec.
 
 The engines charge messages by one law, shared by every code path
-(planner full-probability charge, coin-group multinomial charge,
-independent-coin fallback, naive engine): when an actor's coin falls
-heads it sends ``width`` peer contacts, where ``width`` is
+(the census's full-probability and coin-group charges, the serial
+engine): when an actor's coin falls heads it sends ``width`` peer
+contacts, the action's ``messages_per_period`` --
 ``len(required_states)`` for sample/tokenize, ``fanout`` for
 any-of/push, and 0 for flip.  Charges are *unthinned* -- message loss
 and match failure discard effects, never contacts, and oracle token
@@ -49,18 +49,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..synthesis.actions import Action, AnyOfSampleAction, PushAction
+from ..synthesis.actions import AnyOfSampleAction, PushAction
 from ..synthesis.protocol import ProtocolSpec
-
-
-def action_width(action: Action) -> int:
-    """Peer contacts per firing (the planner's ``_action_width`` law).
-
-    Identical to ``Action.messages_per_period``: ``fanout`` for
-    any-of/push, ``len(required_states)`` for sample/tokenize, 0 for
-    flip.
-    """
-    return action.messages_per_period
 
 
 @dataclass(frozen=True)
@@ -195,7 +185,7 @@ def message_model(spec: ProtocolSpec) -> MessageModel:
     variances = np.zeros(len(states))
     index = {s: i for i, s in enumerate(states)}
     for action in spec.actions:
-        width = action_width(action)
+        width = action.messages_per_period
         if width == 0:
             continue
         i = index[action.actor_state]
@@ -257,7 +247,7 @@ def symbolic_message_model(spec: ProtocolSpec) -> SymbolicMessageModel:
     substitutions: Dict["sympy.Symbol", float] = {}
     legend: List[Tuple[str, str]] = []
     for i, action in enumerate(spec.actions):
-        structural_width = action_width(action)
+        structural_width = action.messages_per_period
         if structural_width == 0:
             continue
         bias = sympy.Symbol(f"p_{i}", nonnegative=True)

@@ -8,8 +8,8 @@ preconditions that used to be discovered at runtime (or not at all):
   coin biases of its *self-moving* actions must admit a single
   multinomial draw.  Push and tokenize actions move *other* processes
   and do not compete for the actor's own transition (they are summed
-  separately as informational coin mass -- the engines run them on
-  independent coins).
+  separately as informational coin mass).  Synthesized specs meet it
+  by construction: the normalizer bounds each state's total.
 * **conservation** -- every action moves exactly one process from its
   edge source to its edge target, so the spec conserves population by
   construction; what can break is the *source system* (a ``+2xy``
@@ -28,7 +28,10 @@ preconditions that used to be discovered at runtime (or not at all):
   otherwise the framework's own monomial-keyed comparison is used.
 * **engine** -- the spec must lower to the engines' integer action
   form (``round_engine._compile``), which refuses more states than an
-  int8 id can name.
+  int8 id can name, and is warned about when the batch tier's census
+  refuses it (:func:`repro.runtime.planner.census_refusal`: a
+  hand-built state whose coins sum above 1, a push at its own actor
+  state), which the serial tier then runs.
 * **equilibrium** -- what every equilibrium of the mean-field ODE on
   the simplex is, from the spectrum of its reduced operator
   (:func:`repro.odes.find_equilibria`): its label and spectral
@@ -61,7 +64,7 @@ from ..synthesis.actions import (
     TokenizeAction,
     transition_edges,
 )
-from ..synthesis.errors import SynthesisError
+from ..synthesis.errors import NormalizationError, SynthesisError
 from ..synthesis.protocol import ProtocolSpec
 from .findings import (
     Finding,
@@ -196,21 +199,25 @@ def _check_mass(spec: ProtocolSpec) -> List[Finding]:
             findings.append(Finding(
                 Severity.INFO, "coin-mass", f"state {state}",
                 f"total coin mass {total:g} > 1 (self-moving part "
-                f"{moving:g} is fine): push/tokenize coins run "
-                f"independently, the planner uses its per-action "
-                f"fallback path for this state",
+                f"{moving:g} is fine): push and tokenize actions move "
+                f"peers, not the actor",
             ))
     return findings
 
 
 def _check_compiles(spec: ProtocolSpec) -> List[Finding]:
-    """What the engines refuse at construction is an ERROR here too."""
+    """What every engine refuses at construction is an ERROR here too,
+    and what only the batch tier refuses a WARNING."""
+    from ..runtime.planner import census_refusal
     from ..runtime.round_engine import _compile
 
     try:
-        _compile(spec)
+        compiled = _compile(spec)
     except ValueError as exc:
         return [Finding(Severity.ERROR, "engine", "spec", str(exc))]
+    refusal = census_refusal(compiled, spec.states)
+    if refusal is not None:
+        return [Finding(Severity.WARNING, "engine", "spec", refusal)]
     return []
 
 
@@ -675,7 +682,7 @@ def check_equations(
             name=label,
         )
     except SynthesisError as exc:
-        rule = "mass" if "normaliz" in str(exc).lower() else "synthesis"
+        rule = "mass" if isinstance(exc, NormalizationError) else "synthesis"
         findings.append(Finding(
             Severity.ERROR, rule, label, f"synthesis failed: {exc}"
         ))

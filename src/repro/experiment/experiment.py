@@ -18,7 +18,10 @@ Engine auto-selection (``engine="auto"``):
   tier's census cannot answer: a member log, or a scenario hook whose
   ``asks_hosts`` is true (:class:`~repro.runtime.failures.DirectedAttack`,
   a replayed measured trace, ...) or a churn replay beside another
-  hook.  Those run on the serial tier.
+  hook -- or the spec is outside the census's one-coin-per-state model
+  (:func:`~repro.runtime.planner.census_refusal`: a hand-built state
+  whose coins sum above 1, a push at its own actor state).  Those run
+  on the serial tier.
 
 Explicit tiers: ``engine="serial"`` runs ``trials`` seeded
 :class:`RoundEngine` instances (seeds from
@@ -46,7 +49,8 @@ from typing import Mapping, Optional, Union
 
 from ..runtime.exec import BACKENDS, FaultPolicy
 from ..runtime.parallel import TIERS, EnsembleExecutor
-from ..runtime.round_engine import initial_state_vector
+from ..runtime.planner import census_refusal
+from ..runtime.round_engine import _compile, initial_state_vector
 from .protocol import Protocol
 from .result import ExperimentResult
 from .scenario import RunContext, Scenario, ScenarioHookFactory
@@ -223,6 +227,9 @@ class Experiment:
         if self.engine != "auto":
             return self.engine
         if self.trials == 1 or self.member_log_state is not None:
+            return "serial"
+        spec = self.protocol.resolve(self.n).spec
+        if census_refusal(_compile(spec), spec.states) is not None:
             return "serial"
         factory = self._hook_factory()
         return "serial" if factory and factory.asks_hosts() else "batch"

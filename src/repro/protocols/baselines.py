@@ -15,10 +15,11 @@ the comparison instead of asserting it:
   destroys a replica, so without a refresh mechanism the replica count
   drifts to zero.
 
-Both expose the same duck-typed surface as
-:class:`~repro.runtime.round_engine.RoundEngine` (``period``, ``alive``,
-``states``, ``crash``, ``members_in``, ``state_id``), so the failure
-hooks in :mod:`repro.runtime.failures` -- in particular
+Both are host-level engines like
+:class:`~repro.runtime.round_engine.RoundEngine`, with the same hook
+surface (``period``, ``alive``, ``states`` and
+:class:`~repro.runtime.round_engine.HostFaults`), so the failure hooks
+in :mod:`repro.runtime.failures` -- in particular
 :class:`~repro.runtime.failures.DirectedAttack` -- apply unchanged.
 """
 
@@ -39,7 +40,13 @@ _STATE_NAMES = (OTHER, REPLICA)
 
 
 class _PlacementSim(HostFaults):
-    """Shared machinery: alive tracking, states array, hook protocol."""
+    """Shared machinery: alive tracking, states array, hook protocol.
+
+    The host-level reads and the fault vocabulary are
+    :class:`~repro.runtime.round_engine.HostFaults`'; a recovered host
+    rejoins as ``other`` (it holds no replica) unless told otherwise,
+    and faults draw on the baseline's own generator.
+    """
 
     def __init__(self, n: int, seed: Optional[int]):
         if n < 2:
@@ -49,36 +56,8 @@ class _PlacementSim(HostFaults):
         self.states = np.zeros(n, dtype=np.int8)
         self.alive = np.ones(n, dtype=bool)
         self.period = 0
-        self._rng = make_generator(seed)
+        self._rng = self._fault_rng = make_generator(seed)
         self.last_transitions: Dict[Tuple[str, str], int] = {}
-
-    # Duck-typed interface shared with RoundEngine ----------------------
-    def state_id(self, name: str) -> int:
-        return _STATE_NAMES.index(name)
-
-    def members_in(self, state: str) -> np.ndarray:
-        sid = self.state_id(state)
-        return np.nonzero((self.states == sid) & self.alive)[0]
-
-    def counts(self) -> Dict[str, int]:
-        raw = np.bincount(self.states[self.alive], minlength=2)
-        return {s: int(raw[i]) for i, s in enumerate(_STATE_NAMES)}
-
-    def alive_count(self) -> int:
-        return int(self.alive.sum())
-
-    def crash(self, hosts) -> None:
-        self.alive[np.asarray(hosts, dtype=np.int64)] = False
-
-    def crash_fraction(self, fraction: float) -> np.ndarray:
-        return self.crash_uniform(
-            self._rng, int(round(fraction * self.alive_count()))
-        )
-
-    def recover(self, hosts, state: Optional[str] = None) -> None:
-        hosts = np.asarray(hosts, dtype=np.int64)
-        self.alive[hosts] = True
-        self.states[hosts] = 0  # recovered hosts hold no replicas
 
     def replica_count(self) -> int:
         return int(np.count_nonzero(self.states[self.alive] == 1))

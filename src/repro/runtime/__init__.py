@@ -30,7 +30,7 @@ Mersenne Twister stream management (:mod:`~repro.runtime.rng`).
 """
 
 from .agent_sim import AgentSimulation
-from .batch_engine import BatchRoundEngine, BatchRunResult, BatchTrialView, HostIdentityError
+from .batch_engine import BatchRoundEngine, BatchRunResult, BatchTrialView
 from .churn import (
     ChurnEvent, ChurnReplayer, ChurnStep, ChurnTrace, GeneratedTrace,
     generate_trace,
@@ -60,7 +60,7 @@ from .parallel import (
     EnsembleResult,
     shard_layout,
 )
-from .planner import ActionPlanner
+from .planner import ActionPlanner, CensusError
 from .rng import RandomSource, make_generator, sample_other, spawn_seeds
 from .round_engine import RoundEngine, RunResult, initial_state_vector
 
@@ -71,7 +71,7 @@ __all__ = [
     "BatchRunResult",
     "BatchMetricsRecorder",
     "BatchTrialView",
-    "HostIdentityError",
+    "CensusError",
     "ActionPlanner",
     "BACKENDS",
     "ChaosSchedule",

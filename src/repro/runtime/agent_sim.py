@@ -38,7 +38,7 @@ from .membership import FullMembership, PartialMembership
 from .metrics import BatchMetricsRecorder, trial_rows
 from .network import LatencyModel, Network
 from .rng import RandomSource
-from .round_engine import HostFaults
+from .round_engine import HostFaults, initial_state_vector
 
 
 class AgentSimulation(HostFaults):
@@ -82,11 +82,13 @@ class AgentSimulation(HostFaults):
         if n < 2:
             raise ValueError(f"need at least 2 processes, got {n}")
         self.spec = spec
+        self.state_names = spec.states
         self.n = n
         self.period_duration = period
         self.env = Environment()
         source = RandomSource(seed)
-        self.rng = source.stream("agents")
+        # Faults draw on the agents' stream too.
+        self.rng = self._fault_rng = source.stream("agents")
         self.network = Network(
             self.env,
             source.stream("network"),
@@ -122,26 +124,9 @@ class AgentSimulation(HostFaults):
     def _assign_initial(
         self, initial: Mapping[str, float], rng: np.random.Generator
     ) -> List[str]:
-        names = list(self.spec.states)
-        unknown = set(initial) - set(names)
-        if unknown:
-            raise ValueError(f"unknown states {sorted(unknown)}")
-        values = np.array([float(initial.get(s, 0.0)) for s in names])
-        total = values.sum()
-        if abs(total - 1.0) < 1e-6:
-            values *= self.n
-        elif abs(total - self.n) > max(1.0, 1e-6 * self.n):
-            raise ValueError(
-                f"initial distribution sums to {total}; expected 1 or {self.n}"
-            )
-        counts = np.floor(values).astype(int)
-        for index in np.argsort(-(values - np.floor(values)))[: self.n - counts.sum()]:
-            counts[index] += 1
-        assignment = [
-            name for name, count in zip(names, counts) for _ in range(count)
-        ]
-        rng.shuffle(assignment)
-        return assignment
+        ids = initial_state_vector(self.state_names, self.n, initial)
+        rng.shuffle(ids)
+        return [self.state_names[i] for i in ids]
 
     # ------------------------------------------------------------------
     # Services used by agents
@@ -167,7 +152,7 @@ class AgentSimulation(HostFaults):
         self._transition_log.append((self.env.now, edge))
 
     # ------------------------------------------------------------------
-    # Fault injection
+    # Fault injection (HostFaults checks the arguments)
     # ------------------------------------------------------------------
     def crash(self, agent_ids) -> None:
         for agent_id in np.atleast_1d(agent_ids):
@@ -175,20 +160,15 @@ class AgentSimulation(HostFaults):
             agent.alive = False
             self.network.unregister(int(agent_id))
 
-    def crash_fraction(self, fraction: float) -> np.ndarray:
-        return self.crash_uniform(
-            self.rng, int(round(fraction * self.alive_count()))
-        )
-
-    def recover(self, agent_ids, state: Optional[str] = None) -> None:
-        """Crash-recovery: the agent rejoins with volatile state lost."""
-        for agent_id in np.atleast_1d(agent_ids):
-            agent = self.agents[int(agent_id)]
+    def _revive(self, hosts: np.ndarray, sid: int) -> None:
+        """Crash-recovery: a dead agent rejoins with volatile state lost."""
+        for agent_id in np.atleast_1d(hosts).tolist():
+            agent = self.agents[agent_id]
             if agent.alive:
                 continue
             agent.alive = True
-            agent.state = state or self.spec.states[0]
-            self.network.register(int(agent_id), agent.handle)
+            agent.state = self.state_names[sid]
+            self.network.register(agent_id, agent.handle)
             self.env.spawn(agent.run())
 
     # ------------------------------------------------------------------
@@ -224,33 +204,6 @@ class AgentSimulation(HostFaults):
         return np.array(
             [index[agent.state] for agent in self.agents], dtype=np.int8
         )
-
-    def state_id(self, name: str) -> int:
-        return self.spec.states.index(name)
-
-    def members_in(self, state: str) -> np.ndarray:
-        """Ids of alive agents currently in ``state`` (hook surface)."""
-        return np.array([
-            agent.id for agent in self.agents
-            if agent.alive and agent.state == state
-        ], dtype=np.int64)
-
-    def counts(self) -> Dict[str, int]:
-        out = {s: 0 for s in self.spec.states}
-        for agent in self.agents:
-            if agent.alive:
-                out[agent.state] += 1
-        return out
-
-    def fractions(self) -> Dict[str, float]:
-        alive = sum(1 for a in self.agents if a.alive)
-        counts = self.counts()
-        if alive == 0:
-            return {s: 0.0 for s in self.spec.states}
-        return {s: counts[s] / alive for s in self.spec.states}
-
-    def alive_count(self) -> int:
-        return sum(1 for a in self.agents if a.alive)
 
     # ------------------------------------------------------------------
     # Run loop

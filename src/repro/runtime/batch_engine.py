@@ -32,7 +32,8 @@ fault vocabulary every engine shares
 uniform alive hosts are a multivariate hypergeometric draw over the
 census, and dead hosts are interchangeable.  A question about *which*
 hosts -- a member log, ``members_in``, ``crash(hosts)`` -- is refused
-by name (:class:`HostIdentityError`); the serial tier answers it.
+by name (:class:`~repro.runtime.planner.CensusError`); the serial tier
+answers it.
 
 Trials are statistically independent, with per-action marginals
 identical to M serial runs; actors fire at most one action of their
@@ -67,7 +68,7 @@ import numpy as np
 from ..synthesis.protocol import ProtocolSpec
 from .churn import GeneratedTrace
 from .metrics import BatchMetricsRecorder, Edge
-from .planner import ActionPlanner
+from .planner import ActionPlanner, CensusError, census_refusal
 from .round_engine import _compile, initial_state_vector
 from .rng import RandomSource, make_generator, spawn_seeds
 
@@ -81,12 +82,8 @@ from .rng import RandomSource, make_generator, spawn_seeds
 HookFactory = Callable[[int], Optional[Callable[[object], None]]]
 
 
-class HostIdentityError(RuntimeError):
-    """Something asked *which* hosts of a batch trial; only counts exist."""
-
-
 def _refuse(call: str) -> NoReturn:
-    raise HostIdentityError(
+    raise CensusError(
         f"{call} asks which hosts, and a batch trial is only a census: "
         f'run it with engine="serial" (engine="auto" does, for a member '
         f"log or a scenario whose hooks ask)"
@@ -121,8 +118,8 @@ class BatchTrialView:
     (:class:`~repro.runtime.round_engine.HostFaults`) changes it by
     count laws.  What asks *which* hosts -- ``alive``, ``states``,
     :meth:`members_in`, :meth:`crash`, :meth:`recover`,
-    :meth:`set_states` -- raises :class:`HostIdentityError` naming
-    itself.
+    :meth:`set_states` -- raises
+    :class:`~repro.runtime.planner.CensusError` naming itself.
     """
 
     def __init__(self, engine: "BatchRoundEngine", trial: int):
@@ -326,6 +323,9 @@ class BatchRoundEngine:
         self._counts = np.tile(base_counts, (trials, 1))
         self._alive_counts = np.full(trials, n, dtype=np.int64)
         self._total_messages = np.zeros(trials, dtype=np.int64)
+        refusal = census_refusal(self._compiled, spec.states)
+        if refusal is not None:
+            raise CensusError(refusal)
         self._planner = ActionPlanner(
             self._compiled, trials, n,
             connection_failure_rate=connection_failure_rate,

@@ -51,8 +51,9 @@ from .exec import (
     WorkUnit,
     run_plan,
 )
+from .planner import CensusError, census_refusal
 from .rng import spawn_seeds
-from .round_engine import RoundEngine
+from .round_engine import RoundEngine, _compile
 
 __all__ = [
     "SHARD_DOMAIN",
@@ -353,6 +354,10 @@ class EnsembleExecutor:
         self.connection_failure_rate = connection_failure_rate
         self.workers = workers
         if engine == "batch":
+            # Refused here, before any unit runs, with the planner's reason.
+            refusal = census_refusal(_compile(spec), spec.states)
+            if refusal is not None:
+                raise CensusError(refusal)
             self.shards = (
                 shards if shards is not None else min(workers, trials)
             )

@@ -29,7 +29,10 @@ p * q)`` movers -- but actors fire *at most one* action of their state
 per period, the paper's own actor model (the serial engine keeps
 independent per-action coins with declaration-order conflict
 resolution; the two agree to the ``O((p c)^2)`` order the normalizing
-constant already bounds).
+constant already bounds).  A protocol outside that model -- a state
+whose coins sum above 1, or a push whose contacts look for its own
+actor state -- is refused by name (:func:`census_refusal`); the serial
+tier runs it.
 """
 
 from __future__ import annotations
@@ -39,18 +42,62 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .sampling import (
-    _action_width,
-    already_taken,
-    distinct_per_segment,
-    distinct_throws,
-    segment_ranks,
-)
+from .sampling import already_taken, distinct_throws, segment_ranks
 
-__all__ = ["ActionPlanner", "TrialMemberPools"]
+__all__ = ["ActionPlanner", "CensusError", "TrialMemberPools", "census_refusal"]
 
 #: One action's new movers: ``(compiled action, (M,) counts)``.
 Move = Tuple[object, np.ndarray]
+
+
+class CensusError(RuntimeError):
+    """Something a batch trial's census cannot run or answer: which
+    hosts, or a protocol outside its one-coin-per-state model."""
+
+
+def _full(action) -> bool:
+    """Fires every member of its state: a ``probability >= 1.0`` action
+    with no per-actor condition to thin (a flip, a condition-less
+    sample, a push).  Every other action is a side of its state's coin."""
+    return action.probability >= 1.0 and not (
+        action.kind in ("anyof", "tokenize") or len(action.required) > 0
+    )
+
+
+def census_refusal(
+    compiled: Sequence, state_names: Sequence[str]
+) -> Optional[str]:
+    """Why the census cannot draw these actions, or None when it can.
+
+    The census draws one multi-way coin per actor state (paper Section
+    3), and a push's contacts as throws at a state its actors are not
+    in.  Synthesized specs always fit: their normalizing constant
+    bounds each state's coin mass.  A hand-built state whose coins (the
+    actions that do not fire every member) sum above 1 does not, nor
+    does a push at its own actor state.  The answer is the refusal's
+    message: the batch tier raises it as :class:`CensusError`, and
+    ``Experiment(engine="auto")`` runs such a spec on the serial tier.
+    """
+    mass: Dict[int, float] = {}
+    for action in compiled:
+        sid = action.actor
+        if action.kind == "push" and action.match == sid:
+            reason = (
+                f"a push of state {state_names[sid]} looks for its own "
+                f"state (the census throws contacts at other states)"
+            )
+            break
+        if action.probability > 0.0 and not _full(action):
+            mass[sid] = mass.get(sid, 0.0) + action.probability
+    else:
+        over = [sid for sid in sorted(mass) if mass[sid] > 1.0 + 1e-12]
+        if not over:
+            return None
+        reason = (
+            f"state {state_names[over[0]]}'s coin mass {mass[over[0]]:g} "
+            f"> 1 (the census draws one coin per state)"
+        )
+    return f'{reason}: run it with engine="serial" (engine="auto" does)'
 
 
 class TrialMemberPools:
@@ -319,7 +366,7 @@ class _Step:
 
     action: object
     #: ``(group, column)`` of its multinomial heads; None for an action
-    #: that fires every actor, and for an independent-coin fallback.
+    #: that fires every actor.
     cell: Optional[Tuple[int, int]] = None
     #: Columns of the same multinomial's earlier actor picks, which are
     #: disjoint from this one by construction.
@@ -355,12 +402,11 @@ class ActionPlanner:
     * every other action joins its state's coin group, split by the
       multinomial and thinned by the count law (a ``probability >=
       1.0`` ``sample``/``anyof``/``tokenize`` is a group whose no-op
-      remainder is 0) -- unless the state's probabilities sum above 1
-      (impossible for synthesized specs, whose normalizing constant
-      bounds the per-state total, but expressible by hand-built specs),
-      in which case that state's actions keep independent
-      ``Binomial(count, p)`` coins and may pick the same host twice,
-      which the collision law then resolves like any other overlap.
+      remainder is 0).  A group's probabilities sum to at most 1, and
+      no push looks for its own actor state: synthesized specs'
+      normalizing constant bounds each state's coin mass, and the batch
+      engine refuses a hand-built spec that does not fit
+      (:func:`census_refusal`) before it builds a planner.
 
     and lowers them, once, to a **period program** -- the thinning
     terms with kept views into the ``q`` buffer, the message-bearing
@@ -387,17 +433,11 @@ class ActionPlanner:
         self._compiled = list(compiled)
 
         self.full_actions: List[Tuple[int, object]] = []
-        self.coin_groups: List[_StateGroup] = []
-        self.fallback_groups: List[_StateGroup] = []
         by_state: Dict[int, _StateGroup] = {}
         for index, action in enumerate(compiled):
             if action.probability <= 0.0:
                 continue
-            thinned = (
-                action.kind in ("anyof", "tokenize")
-                or len(action.required) > 0
-            )
-            if action.probability >= 1.0 and not thinned:
+            if _full(action):
                 self.full_actions.append((index, action))
                 continue
             group = by_state.setdefault(
@@ -405,10 +445,7 @@ class ActionPlanner:
             )
             group.indices.append(index)
             group.actions.append(action)
-        for sid in sorted(by_state):
-            group = by_state[sid]
-            (self.coin_groups if group.psum <= 1.0
-             else self.fallback_groups).append(group)
+        self.coin_groups = [by_state[sid] for sid in sorted(by_state)]
 
         # The fused (G, 1, K) probability tensor: row g holds group g's
         # action probabilities, zero padding, and the no-op remainder
@@ -419,16 +456,11 @@ class ActionPlanner:
             self._pvals = np.zeros((len(self.coin_groups), 1, width + 1))
             for g, group in enumerate(self.coin_groups):
                 self._pvals[g, 0, :group.width] = group.probabilities
-                self._pvals[g, 0, -1] = 1.0 - group.psum
+                # A sum rounded a hair above 1 leaves no remainder.
+                self._pvals[g, 0, -1] = max(0.0, 1.0 - group.psum)
         self._group_sids = np.array(
             [g.sid for g in self.coin_groups], dtype=np.int64
         )
-        # Peer-contact widths: messages an actor of each action sends
-        # per period (0 for flips).  Charged from the unthinned heads,
-        # message accounting stays exact for trials whose movers were
-        # thinned away -- their actors still send, they just cannot
-        # convert anyone.
-        self._msg_width = [_action_width(action) for action in compiled]
         # Protocols whose coins are all flips or pushes skip the
         # thinning draw statically.
         self._thinning = any(
@@ -464,7 +496,11 @@ class ActionPlanner:
         #: ``clip((count - self) * contact, 0, 1)``, or for an any-of
         #: ``1 - (1 - that) ** fanout``.
         self._terms: List[Tuple[np.ndarray, list, int]] = []
-        #: Per message-bearing cell ``(group, column, contacts)``.
+        #: Per message-bearing cell ``(group, column, contacts)``: an
+        #: actor's peer contacts per period, charged from the unthinned
+        #: heads, so message accounting stays exact for trials whose
+        #: movers were thinned away -- their actors still send, they
+        #: just cannot convert anyone.
         self._charges: List[Tuple[int, int, int]] = []
         steps: Dict[int, _Step] = {
             index: _Step(action) for index, action in self.full_actions
@@ -478,23 +514,15 @@ class ActionPlanner:
                     action, cell=(g, a),
                     q=self._term(self._q[g, :, a], action),
                 )
-                if self._msg_width[index]:
-                    self._charges.append((g, a, self._msg_width[index]))
+                if action.messages_per_period:
+                    self._charges.append((g, a, action.messages_per_period))
                 if action.kind in ("flip", "sample", "anyof"):
                     step.own = picked
                     picked += (a,)
-        for group in self.fallback_groups:
-            for index, action in zip(group.indices, group.actions):
-                steps[index] = _Step(
-                    action, q=self._term(np.empty(self.trials), action)
-                )
         self._steps = [steps[index] for index in sorted(steps)]
-        self._fallback = [
-            steps[i] for g in self.fallback_groups for i in g.indices
-        ]
         # Who can land on whom: two different draws leaving one state
         # (a push or tokenize beside the state's own actions, a full
-        # action beside a coin group, a fallback group).
+        # action beside a coin group).
         for step in self._steps:
             step.plain = step.action.kind in ("flip", "sample", "anyof")
         for at, step in enumerate(self._steps):
@@ -513,17 +541,16 @@ class ActionPlanner:
                     s.plain = False
         # A full push's contact binomial reads period-start counts only.
         # When it is the first draw after the thinning call -- no
-        # fallback coins between them, no earlier step that can draw --
-        # its elements are appended to that call's: ``binomial`` draws
-        # element by element, row-major, so one call over both consumes
-        # the same bits in the same order (a trial that fired nobody,
-        # ``n = 0``, draws nothing in either).
+        # earlier step that can draw between them -- its elements are
+        # appended to that call's: ``binomial`` draws element by
+        # element, row-major, so one call over both consumes the same
+        # bits in the same order (a trial that fired nobody, ``n = 0``,
+        # draws nothing in either).
         self._ride: Optional[_Step] = None
-        if self._thinning and not self._fallback:
+        if self._thinning:
             for step in self._steps:
                 action = step.action
-                if (action.kind == "push" and step.cell is None
-                        and action.match != action.actor):
+                if action.kind == "push" and step.cell is None:
                     step.rides, self._ride = True, step
                     self._ride_n = np.empty(cells + self.trials, np.int64)
                     self._ride_heads = self._ride_n[:cells].reshape(shape)
@@ -580,8 +607,6 @@ class ActionPlanner:
             if step is not None:
                 if step.cell is not None:
                     laws.append(split)
-                elif step in self._fallback:
-                    laws.append("independent-coin fallback")
                 if step.q is not None:
                     laws.append("binomial thinning")
                 if step.rides:
@@ -661,8 +686,8 @@ class ActionPlanner:
         for index, action in self.full_actions:
             # Copied: ``new`` outlives this read of the caller's counts.
             fired[index] = heads = cols[action.actor].copy()
-            if self._msg_width[index]:
-                messages += self._msg_width[index] * heads
+            if action.messages_per_period:
+                messages += action.messages_per_period * heads
         ride, hits = self._ride, None
         if self._pvals is not None:
             occupancy = cols.take(self._group_sids, axis=0)
@@ -693,13 +718,6 @@ class ActionPlanner:
                 messages += sent if width == 1 else width * sent
             # One reduction answers every cell's "does anyone move".
             moved = np.logical_or.reduce(thinned, axis=1).tolist()
-        for step in self._fallback:
-            action = step.action
-            coins = rng.binomial(cols[action.actor], action.probability)
-            messages += self._msg_width[action.index] * coins
-            fired[action.index] = (
-                coins if step.q is None else rng.binomial(coins, step.q)
-            )
 
         moves: List[Move] = []
         left: Dict[int, np.ndarray] = {}  # source state -> moved so far
@@ -767,56 +785,19 @@ class ActionPlanner:
         connection-failure coin; a contact *converts* its target iff
         the target is an alive member of the match state (``members``
         of them per trial; dead hosts keep their slot and fail the
-        check).  With the match state disjoint from the actor state
-        every contact hits with the same exact probability ``q = (1 -
-        f) * c_match / (n - 1)``, so the surviving matched contacts are
-        ``K ~ Binomial(heads * fanout, q)``, each landing on a uniform
-        member: the movers are the distinct bins among ``K`` uniform
-        positions ``< c_match`` -- the occupancy law, the serial
-        engine's ``unique(targets[ok])`` without a host in sight.  A
-        trial whose match state is empty draws nothing at all.  A
-        riding push (:attr:`_Step.rides`) hands in ``hits``, ``K`` as
-        the thinning call drew it.
+        check).  The match state is not the actor state
+        (:func:`census_refusal`), so every contact hits with the same
+        exact probability ``q = (1 - f) * c_match / (n - 1)``, and the
+        surviving matched contacts are ``K ~ Binomial(heads * fanout,
+        q)``, each landing on a uniform member: the movers are the
+        distinct bins among ``K`` uniform positions ``< c_match`` -- the
+        occupancy law, the serial engine's ``unique(targets[ok])``
+        without a host in sight.  A trial whose match state is empty
+        draws nothing at all.  A riding push (:attr:`_Step.rides`)
+        hands in ``hits``, ``K`` as the thinning call drew it.
         """
-        if action.match == action.actor:
-            return self._self_push_targets(rng, action, heads, members)
         if hits is None:
             q = members * self._contact  # >= 0: clipped from above only
             np.minimum(q, 1.0, out=q)
             hits = rng.binomial(heads * action.fanout, q)
         return distinct_throws(rng, members, hits)
-
-    def _self_push_targets(
-        self,
-        rng: np.random.Generator,
-        action,
-        heads: np.ndarray,
-        members: np.ndarray,
-    ) -> np.ndarray:
-        """The push law when the match state IS the actor state.
-
-        Each actor excludes itself from its peers, so no single ``q``
-        serves every contact (hand-built specs only; no registry
-        protocol has one).  The contacts are drawn one by one instead,
-        still in position space: the firing actors are bins ``0 ..
-        heads - 1`` (any labelling will do, members are exchangeable),
-        a contact lands on one of its thrower's ``c - 1`` fellow
-        members when its peer slot is below ``c - 1``, and the bin
-        skips the thrower.  Treating the hit set as a uniform subset
-        afterwards is exact unless the push shares a multinomial with
-        actor-moving actions of the same state, where it ignores an
-        ``O(1 / heads)`` tilt of the targets away from the firing
-        actors.
-        """
-        contacts = heads * action.fanout
-        trial = np.repeat(np.arange(self.trials), contacts)
-        thrower = segment_ranks(contacts) // action.fanout
-        slots = rng.integers(0, self.n - 1, size=trial.size)
-        ok = slots < members[trial] - 1
-        if self._failure > 0.0:
-            ok &= rng.random(trial.size) >= self._failure
-        trial, slots, thrower = trial[ok], slots[ok], thrower[ok]
-        return distinct_per_segment(
-            trial, slots + (slots >= thrower), self.trials,
-            int(members.max()),
-        )

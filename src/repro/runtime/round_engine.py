@@ -89,6 +89,8 @@ class _Compiled:
     ttl: Optional[int] = None
     edge_from: int = -1  # state the moving process leaves
     index: int = -1  # place in the spec's declaration order
+    #: Peer contacts per firing (the action's ``messages_per_period``).
+    messages_per_period: int = 0
 
 
 #: Host arrays store state ids as int8.
@@ -108,6 +110,7 @@ def _compile(spec: ProtocolSpec) -> List[_Compiled]:
             actor=index[action.actor_state],
             probability=action.probability,
             target=index[action.target_state],
+            messages_per_period=action.messages_per_period,
         )
         if isinstance(action, FlipAction):
             compiled.append(
@@ -204,10 +207,84 @@ class HostFaults:
     alive hosts, recover ``k`` uniform dead ones, apply one step of a
     generated churn trace -- so the batch tier's census
     (:class:`~repro.runtime.batch_engine.BatchTrialView`) runs them
-    unchanged.  Here ``rng`` picks the hosts and the engine's own
-    ``crash`` / ``recover`` move them.  Needs ``alive``, ``crash`` and
-    ``recover``.
+    unchanged.  Here ``rng`` picks the hosts and :meth:`crash` /
+    :meth:`recover` move them, and every call checks its arguments
+    before it changes a host.  An engine provides ``state_names``,
+    per-host ``alive`` and ``states`` arrays and the generator
+    :meth:`crash_fraction` draws on (``_fault_rng``), and overrides
+    :meth:`crash` and :meth:`_revive` when its hosts are more than
+    array entries (the agent tier's coroutines).
     """
+
+    def state_id(self, name: str) -> int:
+        return self.state_names.index(name)
+
+    def _alive_in_each(self, states: np.ndarray) -> List[int]:
+        """Alive hosts per state id of ``states``; the engine's one count."""
+        # One compare + popcount per state: ``bincount`` over
+        # ``states[alive]`` would copy N bytes through the mask and
+        # widen int8 to intp on every call.
+        alive = self.alive
+        masked = not alive.all()
+        return [
+            int(np.count_nonzero(
+                (states == i) & alive if masked else states == i
+            ))
+            for i in range(len(self.state_names))
+        ]
+
+    def counts(self) -> Dict[str, int]:
+        """Alive process count per state."""
+        return dict(zip(self.state_names, self._alive_in_each(self.states)))
+
+    def alive_count(self) -> int:
+        return int(np.count_nonzero(self.alive))
+
+    def fractions(self) -> Dict[str, float]:
+        """State fractions among alive processes."""
+        alive = self.alive_count()
+        if alive == 0:
+            return {s: 0.0 for s in self.state_names}
+        counts = self.counts()
+        return {s: counts[s] / alive for s in self.state_names}
+
+    def members_in(self, state: str) -> np.ndarray:
+        """Ids of alive processes currently in ``state``."""
+        return np.nonzero((self.states == self.state_id(state)) & self.alive)[0]
+
+    def crash(self, hosts: np.ndarray) -> None:
+        """Crash-stop the given hosts (they stop responding)."""
+        self.alive[np.asarray(hosts, dtype=np.int64)] = False
+
+    def crash_fraction(self, fraction: float) -> np.ndarray:
+        """Crash a uniformly random fraction of the alive hosts."""
+        if not 0.0 <= fraction <= 1.0:
+            raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
+        count = int(round(fraction * np.count_nonzero(self.alive)))
+        return self.crash_uniform(self._fault_rng, count)
+
+    def recover(self, hosts: np.ndarray, state: Optional[str] = None) -> None:
+        """Crash-recovery: hosts rejoin in ``state`` (volatile state lost).
+
+        The default is the first protocol state, which for the endemic
+        protocol is *receptive*: a recovered host has lost its replicas
+        and must re-acquire responsibility.  The state is looked up
+        before any host moves: a bad name must not leave the hosts
+        revived but stateless.
+        """
+        state = state or self.state_names[0]
+        if state not in self.state_names:
+            raise ValueError(
+                f"unknown recovery state {state!r}; protocol states are "
+                f"{list(self.state_names)}"
+            )
+        self._revive(
+            np.asarray(hosts, dtype=np.int64), self.state_names.index(state)
+        )
+
+    def _revive(self, hosts: np.ndarray, sid: int) -> None:
+        self.alive[hosts] = True
+        self.states[hosts] = sid
 
     def crash_uniform(
         self, rng: np.random.Generator, count: int
@@ -291,7 +368,6 @@ class RoundEngine(HostFaults):
         self.n = n
         self.connection_failure_rate = connection_failure_rate
         self.state_names = spec.states
-        self._index = {name: i for i, name in enumerate(spec.states)}
         self._compiled = _compile(spec)
         self._random_source = RandomSource(seed)
         self._rng = self._random_source.stream("protocol")
@@ -302,7 +378,6 @@ class RoundEngine(HostFaults):
         self.period = 0
         self.last_transitions: Dict[Tuple[str, str], int] = {}
         self.total_messages = 0
-        self.recovery_state = spec.states[0]
 
     # ------------------------------------------------------------------
     # Setup helpers
@@ -318,43 +393,6 @@ class RoundEngine(HostFaults):
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def state_id(self, name: str) -> int:
-        return self._index[name]
-
-    def _alive_in_each(self, states: np.ndarray) -> List[int]:
-        """Alive hosts per state id of ``states``; the engine's one count."""
-        # One compare + popcount per state: ``bincount`` over
-        # ``states[alive]`` would copy N bytes through the mask and
-        # widen int8 to intp on every call.
-        alive = self.alive
-        masked = not alive.all()
-        return [
-            int(np.count_nonzero(
-                (states == i) & alive if masked else states == i
-            ))
-            for i in range(len(self.state_names))
-        ]
-
-    def counts(self) -> Dict[str, int]:
-        """Alive process count per state."""
-        return dict(zip(self.state_names, self._alive_in_each(self.states)))
-
-    def fractions(self) -> Dict[str, float]:
-        """State fractions among alive processes."""
-        alive = self.alive_count()
-        if alive == 0:
-            return {s: 0.0 for s in self.state_names}
-        counts = self.counts()
-        return {s: counts[s] / alive for s in self.state_names}
-
-    def alive_count(self) -> int:
-        return int(np.count_nonzero(self.alive))
-
-    def members_in(self, state: str) -> np.ndarray:
-        """Ids of alive processes currently in ``state``."""
-        sid = self._index[state]
-        return np.nonzero((self.states == sid) & self.alive)[0]
-
     def elapsed_time(self) -> float:
         """ODE time corresponding to the periods run so far."""
         return self.spec.time_for_periods(self.period)
@@ -422,41 +460,11 @@ class RoundEngine(HostFaults):
         self.last_transitions = {}
 
     # ------------------------------------------------------------------
-    # Fault injection (used directly and by runtime.failures hooks)
+    # Fault injection (HostFaults, used directly and by hooks)
     # ------------------------------------------------------------------
-    def crash(self, hosts: np.ndarray) -> None:
-        """Crash-stop the given hosts (they stop responding)."""
-        self.alive[np.asarray(hosts, dtype=np.int64)] = False
-
-    def crash_fraction(self, fraction: float) -> np.ndarray:
-        """Crash a uniformly random fraction of the alive hosts."""
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
-        count = int(round(fraction * np.count_nonzero(self.alive)))
-        return self.crash_uniform(self._fault_rng, count)
-
-    def recover(self, hosts: np.ndarray, state: Optional[str] = None) -> None:
-        """Crash-recovery: hosts rejoin in ``state`` (volatile state lost).
-
-        The default recovery state is the first protocol state, which
-        for the endemic protocol is *receptive*: a recovered host has
-        lost its replicas and must re-acquire responsibility.
-        """
-        state = state or self.recovery_state
-        # Look the state up before touching an array: a bad name must
-        # not leave the hosts revived but stateless.
-        if state not in self._index:
-            raise ValueError(
-                f"unknown recovery state {state!r}; protocol states are "
-                f"{list(self.state_names)}"
-            )
-        hosts = np.asarray(hosts, dtype=np.int64)
-        self.alive[hosts] = True
-        self.states[hosts] = self._index[state]
-
     def set_states(self, hosts: np.ndarray, state: str) -> None:
         """Force hosts into a state (test and application hook)."""
-        self.states[np.asarray(hosts, dtype=np.int64)] = self._index[state]
+        self.states[np.asarray(hosts, dtype=np.int64)] = self.state_id(state)
 
     # ------------------------------------------------------------------
     # The synchronous round

@@ -200,11 +200,3 @@ def already_taken(
         out[s] = rng.hypergeometric(int(taken[s]), int(rest[s]), int(take[s]))
     return out
 
-
-def _action_width(action) -> int:
-    """Peer contacts per actor for one action (0 = no peer sampling)."""
-    if action.kind in ("sample", "tokenize"):
-        return len(action.required)
-    if action.kind in ("anyof", "push"):
-        return action.fanout
-    return 0

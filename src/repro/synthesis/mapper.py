@@ -13,9 +13,11 @@ Tokenizing, per the errata).  The mapping is term-by-term:
   expanded away first -- see
   :func:`repro.odes.rewrite.expand_constants`).
 
-The *normalizing constant* ``p`` scales all coin biases so that
-``p * c <= 1`` for every term; one protocol period then corresponds to
-``p`` time units of the source equations.  Failure compensation
+The *normalizing constant* ``p`` scales all coin biases so that each
+actor state's biases sum to at most 1 -- the paper's one multi-way coin
+per process per period, which the batch tier's census draws; one
+protocol period then corresponds to ``p`` time units of the source
+equations.  Failure compensation
 (Section 3, "The Effect of Failures") multiplies each sampling term's
 coin bias by ``(1/(1-f))^(|T|-1)`` so the protocol models the original
 equations despite a per-connection failure rate ``f``.
@@ -23,7 +25,7 @@ equations despite a per-connection failure rate ``f``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..odes.classify import classify
 from ..odes.partition import TermPair, partition_terms
@@ -40,8 +42,10 @@ from .errors import (
 )
 from .protocol import ProtocolSpec
 
-#: Default safety headroom: the largest coin bias is at most this value,
-#: keeping same-period action conflicts (an O((pc)^2) effect) small.
+#: Default bound on each actor state's total coin mass: the sum of the
+#: biases of its flips, samples and tokenizes.  1 is the largest that
+#: keeps one multi-way coin per state feasible; lower values leave
+#: headroom that keeps same-period conflicts (an O((pc)^2) effect) small.
 DEFAULT_MAX_BIAS = 1.0
 
 
@@ -84,12 +88,13 @@ def _token_host(term: Term) -> str:
 
 
 def choose_normalizer(
-    adjusted_magnitudes: List[float], max_bias: float = DEFAULT_MAX_BIAS
+    state_masses: List[float], max_bias: float = DEFAULT_MAX_BIAS
 ) -> float:
-    """Largest ``p <= 1`` such that ``p * c <= max_bias`` for all terms."""
+    """Largest ``p <= 1`` such that ``p * m <= max_bias`` for every
+    actor state's total (compensated) coin mass ``m``."""
     if not 0 < max_bias <= 1.0:
         raise NormalizationError(f"max_bias must lie in (0, 1], got {max_bias}")
-    largest = max(adjusted_magnitudes, default=0.0)
+    largest = max(state_masses, default=0.0)
     if largest <= 0:
         return 1.0
     return min(1.0, max_bias / largest)
@@ -115,7 +120,9 @@ def synthesize(
         the :mod:`repro.odes.rewrite` pipeline first if needed).
     p:
         Normalizing constant override; by default the largest value
-        keeping every (compensated) coin bias at most ``max_bias``.
+        keeping every actor state's total (compensated) coin mass at
+        most ``max_bias``.  An explicit ``p`` that takes a state's mass
+        above 1 raises :class:`NormalizationError` naming the state.
     failure_rate:
         Group-wide per-connection failure probability ``f``; sampling
         biases are scaled by ``(1/(1-f))^(|T|-1)`` so the protocol still
@@ -154,67 +161,56 @@ def synthesize(
                 f"splitting:\n" + partition.render()
             )
 
-    # Pass 1: compensated magnitudes decide the normalizer p.
-    compensated: List[Tuple[TermPair, float]] = []
+    # Pass 1: each pair's actor state and compensated magnitude; the
+    # per-state sums decide the normalizer p.
+    compensated: List[Tuple[TermPair, str, float]] = []
+    mass: Dict[str, float] = {}
     for pair in partition.pairs:
-        factor = failure_compensation(pair.term, failure_rate)
-        compensated.append((pair, pair.magnitude * factor))
+        term, source = pair.term, pair.source
+        if term.exponent_of(source) >= 1:
+            actor = source
+        elif tokenize:
+            actor = _token_host(term)
+        else:
+            raise NotRestrictedError(
+                f"term {term.render()} in {source}' has no factor of "
+                f"{source}; enable tokenize=True or rewrite with "
+                f"to_restricted"
+            )
+        magnitude = pair.magnitude * failure_compensation(term, failure_rate)
+        compensated.append((pair, actor, magnitude))
+        mass[actor] = mass.get(actor, 0.0) + magnitude
     if p is None:
-        p = choose_normalizer([mag for _, mag in compensated], max_bias=max_bias)
+        p = choose_normalizer(list(mass.values()), max_bias=max_bias)
     else:
         if not 0 < p <= 1:
             raise NormalizationError(f"p must lie in (0, 1], got {p}")
-        too_big = [mag for _, mag in compensated if p * mag > 1.0 + 1e-12]
-        if too_big:
+        over = [state for state in mass if p * mass[state] > 1.0 + 1e-12]
+        if over:
             raise NormalizationError(
-                f"p={p} makes coin biases exceed 1 for magnitudes {too_big}"
+                f"p={p} makes state {over[0]}'s coin mass "
+                f"{p * mass[over[0]]:g} exceed 1"
             )
 
     # Pass 2: emit one action per pair.
     actions: List[Action] = []
-    for pair, magnitude in compensated:
-        bias = min(1.0, p * magnitude)
-        term, source, target = pair.term, pair.source, pair.target
-        own_power = term.exponent_of(source)
-        if own_power >= 1:
-            if term.is_linear_in(source):
-                actions.append(
-                    FlipAction(
-                        actor_state=source,
-                        probability=bias,
-                        target_state=target,
-                        source_term=term,
-                    )
-                )
-            else:
-                actions.append(
-                    SampleAction(
-                        actor_state=source,
-                        probability=bias,
-                        target_state=target,
-                        source_term=term,
-                        required_states=_required_pattern(term, source),
-                    )
-                )
+    for pair, actor, magnitude in compensated:
+        term, source = pair.term, pair.source
+        common = dict(
+            actor_state=actor, probability=min(1.0, p * magnitude),
+            target_state=pair.target, source_term=term,
+        )
+        if actor != source:
+            actions.append(TokenizeAction(
+                **common, required_states=_required_pattern(term, actor),
+                token_state=source, ttl=token_ttl,
+            ))
+        elif term.is_linear_in(source):
+            actions.append(FlipAction(**common))
         else:
-            if not tokenize:
-                raise NotRestrictedError(
-                    f"term {term.render()} in {source}' has no factor of "
-                    f"{source}; enable tokenize=True or rewrite with "
-                    f"to_restricted"
-                )
-            host = _token_host(term)
-            actions.append(
-                TokenizeAction(
-                    actor_state=host,
-                    probability=bias,
-                    target_state=target,
-                    source_term=term,
-                    required_states=_required_pattern(term, host),
-                    token_state=source,
-                    ttl=token_ttl,
-                )
-            )
+            actions.append(SampleAction(
+                **common, required_states=_required_pattern(term, source),
+            ))
 
     spec = ProtocolSpec(
         name=name or f"{system.name}-protocol",

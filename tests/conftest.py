@@ -7,10 +7,9 @@ Also wires two suite-wide policies:
   and an opt-in ``heavy`` marker for exhaustive searches, deselected
   unless a ``-m`` expression names it (``-m heavy``; CI's ``heavy``
   job);
-* hypothesis profiles -- ``dev`` (default, no deadline: CI boxes make
-  wall-clock deadlines flaky) and ``ci`` (derandomized, so the
-  property suites are reproducible run to run).  Select with
-  ``HYPOTHESIS_PROFILE=ci``.
+* one hypothesis profile, ``derandomized``: the property suites draw
+  the same examples on every run and every machine, and have no
+  deadline (wall-clock deadlines are flaky on shared boxes).
 """
 
 from __future__ import annotations
@@ -25,11 +24,10 @@ from hypothesis import settings
 from repro.odes import library
 from repro.protocols.endemic import EndemicParams
 
-settings.register_profile("dev", deadline=None)
 settings.register_profile(
-    "ci", deadline=None, derandomize=True, print_blob=True
+    "derandomized", deadline=None, derandomize=True, print_blob=True
 )
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
+settings.load_profile("derandomized")
 
 
 def pytest_configure(config):

@@ -29,7 +29,7 @@ from repro.protocols.lv import lv_protocol
 from repro.runtime import (
     BatchMetricsRecorder,
     BatchRoundEngine,
-    HostIdentityError,
+    CensusError,
     RoundEngine,
     spawn_seeds,
 )
@@ -560,7 +560,7 @@ class TestBatchMetricsRecorder:
             spec, n=100, trials=3, initial={"x": 90, "y": 10}, seed=13
         )
         recorder = BatchMetricsRecorder(spec.states, 3, member_log_state="y")
-        with pytest.raises(HostIdentityError, match='engine="serial"'):
+        with pytest.raises(CensusError, match='engine="serial"'):
             batch.run(5, recorder=recorder)
         engine = RoundEngine(spec, n=100, initial={"x": 90, "y": 10}, seed=13)
         recorder = BatchMetricsRecorder(spec.states, 1, member_log_state="y")

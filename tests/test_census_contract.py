@@ -29,15 +29,17 @@ from test_planner import push_spec
 
 from repro.campaign.registry import available_protocols, available_scenarios
 from repro.experiment import Experiment, Protocol, RunContext, Scenario
+from repro.protocols.baselines import StaticReplication
 from repro.protocols.endemic import EndemicParams, figure1_protocol
 from repro.runtime import (
+    AgentSimulation,
     BatchMetricsRecorder,
     BatchRoundEngine,
+    CensusError,
     ChurnReplayer,
     ChurnTrace,
     DirectedAttack,
     GeneratedTrace,
-    HostIdentityError,
     MassiveFailure,
     OpenGroupJoins,
     RoundEngine,
@@ -198,27 +200,35 @@ class TestFaultsAreCensusOperations:
 
 
 def fault_target(tier):
-    """What a hook gets on ``tier``: a batch trial's view, or the serial
-    engine itself.  Both speak the count vocabulary."""
+    """What a hook gets on ``tier``: a batch trial's view, or a
+    host-level engine itself.  All of them speak the count vocabulary."""
     if tier == "batch":
         return BatchRoundEngine(
             IDLE, n=N, trials=2, initial=INITIAL, seed=9
         ).trial_views()[1]
+    if tier == "agent":
+        return AgentSimulation(IDLE, n=N, initial=INITIAL, seed=9)
+    if tier == "baseline":
+        return StaticReplication(N, k=40, seed=9)
     return RoundEngine(IDLE, n=N, initial=INITIAL, seed=9)
 
 
-class TestTheCountVocabulary:
-    """Both engines check a fault's arguments before it moves anybody."""
+TIERS = ["batch", "serial", "agent", "baseline"]
 
-    @pytest.mark.parametrize("tier", ["batch", "serial"])
+
+class TestTheCountVocabulary:
+    """Every engine checks a fault's arguments before it moves anybody."""
+
+    @pytest.mark.parametrize("tier", TIERS)
     def test_crash_fraction_must_lie_in_the_unit_interval(self, tier):
         target = fault_target(tier)
+        before = target.counts()
         for fraction in (-0.1, 1.5):
             with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
                 target.crash_fraction(fraction)
-        assert target.counts() == INITIAL and target.alive_count() == N
+        assert target.counts() == before and target.alive_count() == N
 
-    @pytest.mark.parametrize("tier", ["batch", "serial"])
+    @pytest.mark.parametrize("tier", TIERS)
     def test_recovery_into_an_unknown_state_is_refused(self, tier):
         target, rng = fault_target(tier), np.random.default_rng(1)
         target.crash_uniform(rng, 10)
@@ -227,7 +237,7 @@ class TestTheCountVocabulary:
             target.recover_uniform(rng, 5, "q")
         assert target.counts() == before and target.alive_count() == N - 10
 
-    @pytest.mark.parametrize("tier", ["batch", "serial"])
+    @pytest.mark.parametrize("tier", TIERS)
     def test_recovering_more_than_the_dead_is_refused(self, tier):
         target, rng = fault_target(tier), np.random.default_rng(2)
         target.crash_uniform(rng, 10)
@@ -236,14 +246,15 @@ class TestTheCountVocabulary:
             target.recover_uniform(rng, 11)
         assert target.counts() == before and target.alive_count() == N - 10
 
-    @pytest.mark.parametrize("tier", ["batch", "serial"])
+    @pytest.mark.parametrize("tier", TIERS)
     def test_recovery_lands_in_the_named_state(self, tier):
         target, rng = fault_target(tier), np.random.default_rng(3)
         target.crash_uniform(rng, 30)
         after_crash = target.counts()
         assert sum(after_crash.values()) == N - 30
-        target.recover_uniform(rng, 20, "t")
-        after_crash["t"] += 20
+        last = list(after_crash)[-1]
+        target.recover_uniform(rng, 20, last)
+        after_crash[last] += 20
         assert target.counts() == after_crash
         assert target.alive_count() == N - 10
 
@@ -280,7 +291,7 @@ def run_observed(spec, n, initial, mode, hooks=()):
                 return
             counts = view.counts()
             assert sum(counts.values()) == view.alive_count()
-            with pytest.raises(HostIdentityError):
+            with pytest.raises(CensusError):
                 view.members_in(spec.states[0])
             if trial == 0:
                 engine.counts_matrix(), engine.mean_counts()
@@ -380,6 +391,19 @@ def measured_trace():
     return measured
 
 
+def outside_the_census(extra):
+    """Registry endemic plus one hand-built action the census refuses."""
+    resolved = Protocol.named("endemic").resolve(300)
+    spec = resolved.spec
+    return Protocol.from_spec(
+        ProtocolSpec(
+            name=f"endemic+{extra.kind}", states=spec.states,
+            actions=spec.actions + (extra,),
+        ),
+        resolved.initial,
+    )
+
+
 class TestIdentityQuestionsAreRefused:
     @pytest.mark.parametrize("call, ask", [
         ("members_in", lambda view: view.members_in("x")),
@@ -395,7 +419,7 @@ class TestIdentityQuestionsAreRefused:
             resolved.spec, n=600, trials=2, initial=resolved.initial, seed=1
         )
         before = engine.counts_matrix()
-        with pytest.raises(HostIdentityError) as refused:
+        with pytest.raises(CensusError) as refused:
             ask(engine.trial_views()[1])
         assert str(refused.value).startswith(call)
         assert 'engine="serial"' in str(refused.value)
@@ -428,7 +452,7 @@ class TestIdentityQuestionsAreRefused:
         engine = BatchRoundEngine(
             IDLE, n=300, trials=1, initial={"r": 300}, seed=1
         )
-        with pytest.raises(HostIdentityError, match=refusal + " asks which"):
+        with pytest.raises(CensusError, match=refusal + " asks which"):
             engine.run(2, hook_factories=[
                 lambda m: ChurnReplayer(trace, periods_per_hour=10.0)
             ])
@@ -473,16 +497,34 @@ class TestIdentityQuestionsAreRefused:
                 periods_per_hour=10.0,
             ),
         ]),
+        # x's any-of is a coin of mass 1, and a coin push beside it
+        # takes x's coin mass to 1.5.
+        dict(protocol=outside_the_census(PushAction(
+            actor_state="x", probability=0.5, target_state="x",
+            match_state="z", fanout=1,
+        )), refusal="state x's coin mass 1.5 > 1"),
+        dict(protocol=outside_the_census(PushAction(
+            actor_state="y", probability=1.0, target_state="z",
+            match_state="y", fanout=1,
+        )), refusal="a push of state y looks for its own state"),
     ], ids=[
         "directed-attack", "member-log", "open-group", "measured-trace",
-        "churn-beside-a-failure",
+        "churn-beside-a-failure", "coin-mass", "self-push",
     ])
     def test_auto_runs_them_on_the_serial_tier(self, options):
+        options = dict(options)
+        protocol = options.pop("protocol", "endemic")
+        refusal = options.pop("refusal", None)
         common = dict(n=300, trials=3, periods=20, seed=7, **options)
-        auto = Experiment("endemic", **common)
+        if refusal is not None:
+            with pytest.raises(CensusError) as refused:
+                Experiment(protocol, engine="batch", **common).run()
+            assert str(refused.value).startswith(refusal)
+            assert 'engine="serial"' in str(refused.value)
+        auto = Experiment(protocol, **common)
         assert auto.chosen_engine == "serial"
         got = auto.run()
-        want = Experiment("endemic", engine="serial", **common).run()
+        want = Experiment(protocol, engine="serial", **common).run()
         assert got.engine == "serial"
         assert np.array_equal(got.count_tensor(), want.count_tensor())
         assert np.array_equal(got.alive_tensor(), want.alive_tensor())
@@ -541,25 +583,6 @@ class TestDistinctTargetLaw:
         assert np.array_equal(
             engine.total_messages, np.full(trials, balls)
         )
-
-    def test_self_match_push_agrees_with_the_serial_engine(self):
-        """The one push whose contacts are drawn one by one."""
-        spec = ProtocolSpec(
-            name="self-push", states=("a", "t"),
-            actions=(PushAction(
-                actor_state="a", probability=1.0, target_state="t",
-                match_state="a", fanout=1,
-            ),),
-        )
-        n, initial, trials = 40, {"a": 12, "t": 28}, 3000
-        batch = BatchRoundEngine(
-            spec, n=n, trials=trials, initial=initial, seed=82
-        ).step()[("a", "t")]
-        serial = [
-            RoundEngine(spec, n=n, initial=initial, seed=s).step()
-            .get(("a", "t"), 0) for s in range(trials)
-        ]
-        assert_means_agree(batch, serial, context="self-push conversions")
 
 
 class TestHypergeometricCollision:

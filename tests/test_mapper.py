@@ -130,8 +130,24 @@ class TestNormalizer:
             synthesize(library.epidemic(), p=0.0)
 
     def test_max_bias_headroom(self):
+        """max_bias bounds each actor state's total coin mass: LV's z
+        samples twice (equation (7)), so its two coins share it."""
         spec = synthesize(library.lv(), max_bias=0.3)
-        assert max(a.probability for a in spec.actions) <= 0.3 + 1e-12
+        for state in spec.states:
+            mass = sum(a.probability for a in spec.actions_of(state))
+            assert mass <= 0.3 + 1e-12
+        assert sum(a.probability for a in spec.actions_of("z")) == (
+            pytest.approx(0.3)
+        )
+
+    def test_explicit_p_that_overflows_a_state_names_it(self):
+        # Each LV term alone fits at p = 1/3; z's two samples do not.
+        with pytest.raises(NormalizationError, match="state z's coin mass 2"):
+            synthesize(library.lv(), p=1 / 3)
+        assert synthesize(library.lv(), p=1 / 6).normalizer == 1 / 6
+
+    def test_equation_7_gets_one_sixth(self):
+        assert synthesize(library.lv()).normalizer == pytest.approx(1 / 6)
 
 
 class TestFailureCompensation:

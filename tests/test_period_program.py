@@ -33,12 +33,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from test_batch_engine import token_spec
-from test_planner import (
-    FULL_PROBABILITY_CASES,
-    TestIndependentCoinFallback,
-    flip_spec,
-    push_spec,
-)
+from test_planner import FULL_PROBABILITY_CASES, flip_spec, push_spec
 from test_properties import pair_systems
 
 from repro.campaign.registry import available_protocols
@@ -102,8 +97,6 @@ def oracle_q_tensor(planner, counts0) -> np.ndarray:
 
 
 def oracle_push_targets(planner, rng, action, heads, members) -> np.ndarray:
-    if action.match == action.actor:
-        return planner._self_push_targets(rng, action, heads, members)
     q = np.clip(
         members * ((1.0 - planner._failure) / (planner.n - 1)), 0.0, 1.0
     )
@@ -115,7 +108,7 @@ def oracle_push_targets(planner, rng, action, heads, members) -> np.ndarray:
 
 def oracle_census(planner, rng, counts0, alive_counts):
     group_widths = [
-        np.array([planner._msg_width[i] for i in g.indices], dtype=np.int64)
+        np.array([a.messages_per_period for a in g.actions], dtype=np.int64)
         for g in planner.coin_groups
     ]
     messages = np.zeros(planner.trials, dtype=np.int64)
@@ -123,8 +116,8 @@ def oracle_census(planner, rng, counts0, alive_counts):
     own: Dict[int, np.ndarray] = {}
     for index, action in planner.full_actions:
         proposals[index] = counts0[:, action.actor].copy()
-        if planner._msg_width[index]:
-            messages += planner._msg_width[index] * proposals[index]
+        if action.messages_per_period:
+            messages += action.messages_per_period * proposals[index]
     if planner.coin_groups:
         occupancy = counts0[:, planner._group_sids].T  # (G, M)
         heads = rng.multinomial(occupancy, planner._pvals)[:, :, :-1]
@@ -148,16 +141,6 @@ def oracle_census(planner, rng, counts0, alive_counts):
                     else:
                         own[index] = picked
                         picked = picked + proposals[index]
-    for group in planner.fallback_groups:
-        for index, action in zip(group.indices, group.actions):
-            coins = rng.binomial(
-                counts0[:, group.sid], action.probability
-            )
-            messages += planner._msg_width[index] * coins
-            q = oracle_match_probability(planner, counts0, action)
-            proposals[index] = (
-                coins if q is None else rng.binomial(coins, q)
-            )
 
     moves = []
     left: Dict[int, np.ndarray] = {}  # source state -> moved so far
@@ -264,16 +247,6 @@ def lockstep(spec, n, initial, periods=25, trials=4, seed=5, loss=0.0,
 def figure1_sparse():
     params = EndemicParams(alpha=1e-6, gamma=1e-3, b=2)
     return figure1_protocol(params), params
-
-
-def self_push_spec():
-    return ProtocolSpec(
-        name="self-push", states=("a", "t"),
-        actions=(PushAction(
-            actor_state="a", probability=1.0, target_state="t",
-            match_state="a", fanout=2,
-        ),),
-    )
 
 
 def crowded_spec():
@@ -384,27 +357,18 @@ class TestProgramDrawsWhatTheCensusDrew:
             assert (engine.alive_counts() < n).all()
 
     @pytest.mark.parametrize("case", [
-        "flips", "fallback", "fallback-push", "coin-push", "self-push",
-        "crowded", "token", "ride", "no-ride",
+        "flips", "coin-push", "crowded", "token", "ride", "no-ride",
     ])
     def test_hand_built_corners(self, case):
         n = 400
         spec, initial = {
             "flips": (flip_spec((0.1, 0.2, 0.3)), {"a": n}),
-            "fallback": (TestIndependentCoinFallback().spec(), {"a": n}),
-            "fallback-push": (
-                push_spec(probability=0.6, fanout=2, extra=(FlipAction(
-                    actor_state="a", probability=0.6, target_state="t",
-                ),)),
-                {"a": 120, "m": 200, "t": 80},
-            ),
             "coin-push": (
                 push_spec(probability=0.3, fanout=2, extra=(FlipAction(
                     actor_state="m", probability=0.2, target_state="a",
                 ),)),
                 {"a": 120, "m": 200, "t": 80},
             ),
-            "self-push": (self_push_spec(), {"a": 300, "t": 100}),
             "crowded": (crowded_spec(), {"a": 200, "m": 150, "t": 50}),
             "token": (token_spec(), {"x": 200, "y": 100, "z": 100}),
             "ride": (ride_spec(), {"a": 150, "m": 200, "t": 50}),
@@ -507,11 +471,6 @@ class TestProgramIsData:
         }
 
     def test_corners(self):
-        fallback = "independent-coin fallback"
-        assert self.rows(TestIndependentCoinFallback().spec()) == [
-            ("flip", (0, 1), (fallback,), ()),
-            ("flip", (0, 2), (fallback,), (0,)),
-        ]
         assert self.rows(crowded_spec()) == [
             ("push", (0, 2), (PUSH,), ()),  # no thinning call to ride
             ("flip", (0, 1), (SPLIT,), (0,)),

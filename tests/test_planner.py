@@ -16,11 +16,12 @@ from statutil import assert_binomial_count, assert_binomial_law
 
 from repro.campaign.registry import available_protocols
 from repro.experiment import Protocol
+from repro.odes.system import build_system
 from repro.protocols.lv import lv_protocol
 from repro.runtime import BatchRoundEngine, RoundEngine
 from repro.runtime.planner import TrialMemberPools
 from repro.runtime.failures import MassiveFailure
-from repro.runtime.planner import ActionPlanner
+from repro.runtime.planner import ActionPlanner, CensusError, census_refusal
 from repro.runtime.round_engine import _compile
 from repro.runtime.sampling import distinct_per_segment
 from repro.synthesis.actions import (
@@ -30,6 +31,7 @@ from repro.synthesis.actions import (
     SampleAction,
     TokenizeAction,
 )
+from repro.synthesis import synthesize
 from repro.synthesis.protocol import ProtocolSpec
 
 
@@ -226,47 +228,6 @@ class TestConditionThinning:
             total, n * trials * periods, 0.03,
             context="messages from unfireable trials",
         )
-
-
-class TestIndependentCoinFallback:
-    def spec(self):
-        # Probabilities summing over 1 cannot be one multinomial: the
-        # planner must fall back to independent per-action coins.
-        return ProtocolSpec(
-            name="over-unit", states=("a", "b", "c"),
-            actions=(
-                FlipAction(actor_state="a", probability=0.7,
-                           target_state="b"),
-                FlipAction(actor_state="a", probability=0.6,
-                           target_state="c"),
-            ),
-        )
-
-    def test_fallback_marginals(self):
-        n, trials, periods = 500, 4, 150
-        engine = BatchRoundEngine(
-            self.spec(), n=n, trials=trials, initial={"a": n}, seed=13
-        )
-        assert len(engine._planner.fallback_groups) == 1
-        first = 0
-        for _ in range(periods):
-            reset_all(engine, [("a", n)])
-            transitions = engine.step()
-            first += int(transitions.get(("a", "b"),
-                                         np.zeros(trials)).sum())
-        # The first-declared action's coin is unaffected by the second.
-        assert_binomial_count(
-            first, n * trials * periods, 0.7,
-            comparisons=2, context="fallback first action",
-        )
-
-    def test_fallback_conserves_population(self):
-        engine = BatchRoundEngine(
-            self.spec(), n=300, trials=3, initial={"a": 300}, seed=14
-        )
-        for _ in range(10):
-            reset_all(engine, [("a", 300)])
-            engine.step()
 
 
 class TestTrialMemberPools:
@@ -478,56 +439,6 @@ class TestAnalyticPushLaw:
             engine.total_messages, np.full(trials, 2 * n, dtype=np.int64)
         )
 
-    def test_self_match_push_keeps_explicit_path(self, monkeypatch):
-        """match == actor breaks the single-q symmetry: contacts are
-        drawn one by one (in position space, still without hosts)."""
-        actions = (
-            PushAction(
-                actor_state="a", probability=1.0, target_state="t",
-                match_state="a", fanout=2,
-            ),
-        )
-        spec = ProtocolSpec(
-            name="self-push", states=("a", "t"), actions=actions
-        )
-        calls = []
-        original = ActionPlanner._self_push_targets
-
-        def spy(self, rng, action, heads, members):
-            calls.append(int(heads.sum()))
-            return original(self, rng, action, heads, members)
-
-        monkeypatch.setattr(ActionPlanner, "_self_push_targets", spy)
-        engine = BatchRoundEngine(
-            spec, n=400, trials=3, initial={"a": 300, "t": 100}, seed=36
-        )
-        engine.run(5)
-        assert len(calls) == 5 and calls[0] == 3 * 300
-
-    def test_fallback_group_push(self):
-        """A psum > 1 state still converts pushes through the law."""
-        n, trials, periods = 1_000, 4, 120
-        a, m = 300, 500
-        extra = (
-            FlipAction(actor_state="a", probability=0.6, target_state="t"),
-        )
-        spec = push_spec(probability=0.6, fanout=2, extra=extra)
-        engine = BatchRoundEngine(
-            spec, n=n, trials=trials,
-            initial={"a": a, "m": m, "t": n - a - m}, seed=37,
-        )
-        assert engine._planner.fallback_groups
-        layout = [("a", a), ("m", m), ("t", n - a - m)]
-        total = self.accumulate(engine, layout, periods)
-        per_contact = 1.0 / (n - 1)
-        miss = (1.0 - per_contact) ** 2
-        gen = (1.0 - 0.6 + 0.6 * miss) ** a
-        expected = m * (1.0 - gen)
-        assert_binomial_count(
-            total, trials * periods * m, expected / m,
-            context="fallback push conversions",
-        )
-
     def test_serial_push_is_bit_identical_to_round_engine(self):
         """The analytic law is batch-only; the serial tier must not move."""
         from repro.experiment import Experiment, Protocol
@@ -609,7 +520,6 @@ class TestPlannerStatics:
         # x and y carry one coin action each, z two (the fused pair).
         widths = sorted(g.width for g in planner.coin_groups)
         assert widths == [1, 1, 2]
-        assert not planner.fallback_groups
         assert planner._thinning
 
     def test_flip_protocol_skips_thinning(self):
@@ -746,25 +656,70 @@ class TestFullProbabilityThinning:
         assert group.psum == 1.0
         assert planner._thinning
 
-    def test_probability_one_mixed_with_a_coin_falls_back(self):
-        """psum > 1 on one state: independent coins, as before."""
+
+class TestOutsideTheCensusIsRefused:
+    """One coin per state: what does not fit is refused by name when
+    the planner is built, and the serial tier runs it."""
+
+    @pytest.mark.parametrize("extra, reason", [
+        (FlipAction(actor_state="x", probability=0.1, target_state="y"),
+         "state x's coin mass 1.1 > 1"),
+        (PushAction(actor_state="x", probability=1.0, target_state="y",
+                    match_state="x", fanout=2),
+         "a push of state x looks for its own state"),
+    ], ids=["coin-mass", "self-push"])
+    def test_by_the_planner(self, extra, reason):
         spec, _, _, _ = FULL_PROBABILITY_CASES["pull"]
-        mixed = ProtocolSpec(
-            name="mixed", states=spec.states,
-            actions=spec.actions + (
-                FlipAction(actor_state="x", probability=0.1,
-                           target_state="y"),
-            ),
+        outside = ProtocolSpec(
+            name="outside", states=spec.states,
+            actions=spec.actions + (extra,),
         )
-        planner = ActionPlanner(_compile(mixed), trials=2, n=50)
-        assert not planner.coin_groups and not planner.full_actions
+        with pytest.raises(CensusError) as refused:
+            BatchRoundEngine(outside, n=50, trials=2, initial={"x": 50})
+        assert str(refused.value).startswith(reason)
+        assert 'engine="serial"' in str(refused.value)
+        assert census_refusal(_compile(spec), spec.states) is None
+
+    def test_a_state_mass_rounded_above_one_is_one_coin(self):
+        """The normalizer makes z's three flips sum to 1 in exact
+        arithmetic and to 1 + 2**-52 in floating point: still one coin."""
+        rates = (4.6, 0.938, 4.3)
+        spec = synthesize(build_system("rounded", ["x", "y", "w", "z"], {
+            "x": [(rates[0], {"z": 1})],
+            "y": [(rates[1], {"z": 1})],
+            "w": [(rates[2], {"z": 1})],
+            "z": [(-rate, {"z": 1}) for rate in rates],
+        }))
+        assert sum(a.probability for a in spec.actions_of("z")) > 1.0
         engine = BatchRoundEngine(
-            mixed, n=400, trials=3, initial={"x": 300, "y": 100}, seed=62
+            spec, n=100, trials=3, initial={"z": 100}, seed=64
         )
-        engine.run(6)
+        engine.run(3)
+        assert (engine.counts_matrix().sum(axis=1) == 100).all()
+
+
+class TestRegistryProtocolsFitTheCensus:
+    @pytest.mark.parametrize("name", available_protocols())
+    def test_registry_protocols_are_never_refused(self, name):
+        """Every registry protocol is one coin per state with no
+        self-match push, and runs on the census through a massive
+        failure and lossy contacts."""
+        resolved = Protocol.named(name).resolve(600)
+        spec = resolved.spec
+        assert census_refusal(_compile(spec), spec.states) is None
+        engine = BatchRoundEngine(
+            spec, n=600, trials=3, initial=resolved.initial,
+            seed=63, connection_failure_rate=0.1,
+        )
+        engine.run(
+            12, hook_factories=[
+                lambda m: MassiveFailure(at_period=6, fraction=0.3)
+            ],
+        )
         assert np.array_equal(
-            engine.counts_matrix().sum(axis=1), np.full(3, 400)
+            engine.counts_matrix().sum(axis=1), engine.alive_counts()
         )
+        assert (engine.alive_counts() < 600).all()
 
 
 class TestPushDedupe:
@@ -784,26 +739,3 @@ class TestPushDedupe:
             )
         empty = np.empty(0, dtype=np.int64)
         assert not distinct_per_segment(empty, empty, segments, width).any()
-
-
-class TestExplicitPathIsSelfMatchPushOnly:
-    @pytest.mark.parametrize("name", available_protocols())
-    def test_registry_protocols_never_draw_peer_targets(
-        self, name, monkeypatch
-    ):
-        def refuse(self, rng, action, heads, members):
-            raise AssertionError(
-                f"{name}: {action.kind} action drew its contacts one by one"
-            )
-
-        monkeypatch.setattr(ActionPlanner, "_self_push_targets", refuse)
-        resolved = Protocol.named(name).resolve(600)
-        engine = BatchRoundEngine(
-            resolved.spec, n=600, trials=3, initial=resolved.initial,
-            seed=63, connection_failure_rate=0.1,
-        )
-        engine.run(
-            12, hook_factories=[
-                lambda m: MassiveFailure(at_period=6, fraction=0.3)
-            ],
-        )

@@ -20,6 +20,7 @@ from repro.odes.system import EquationSystem
 from repro.odes.term import Term, combine_like_terms
 from repro.runtime import (
     BatchMetricsRecorder,
+    BatchRoundEngine,
     RoundEngine,
     spawn_seeds,
 )
@@ -177,6 +178,14 @@ class TestSynthesisTheorems:
     def test_theorem5_general_systems_synthesize(self, system):
         spec = synthesize(system, tokenize=True)
         assert spec.verify_equivalence(rtol=1e-6)
+        # One coin per state: the automatic p bounds each state's mass,
+        # so the census runs every synthesized spec.
+        for state in spec.states:
+            mass = sum(a.probability for a in spec.actions_of(state))
+            assert mass <= 1.0 + 1e-12
+        BatchRoundEngine(
+            spec, n=10, trials=2, initial={spec.states[0]: 10}
+        ).step()
 
     @given(system=pair_systems())
     def test_message_bound_respected(self, system):
