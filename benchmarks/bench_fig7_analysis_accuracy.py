@@ -121,9 +121,12 @@ def test_fig7_analysis_accuracy(run_once):
         "at every N",
         "analysis column uses the actual group size n of this run",
         "note: the receptive count's stationary median sits ~2% above "
-        "the closed form at these sizes (a finite-N curvature effect "
-        "the pooled ensemble resolves; single-window runs scatter "
-        "~1.4-2.1% around it); the stasher cells agree to <1%",
+        "the closed form at these sizes: the synchronous round's "
+        "collision term (a receptive host is infected with probability "
+        "1 - (1-y)^2 e^-2y, not 4y) moves the receptive fixed point up "
+        "by 1.70% at every N, and the excess over that falls like 1/N "
+        "(single-window runs scatter ~1.4-2.1% around it); the stasher "
+        "cells agree to <1%",
         f"status: {status}",
         "",
         table,

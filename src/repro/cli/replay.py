@@ -49,7 +49,7 @@ def run(args) -> int:
         return 1
     if not args.quiet:
         counts = report.final_counts()
-        period = report.core.live.period if report.core else "?"
+        period = report.core.period if report.core else "?"
         print(f"final counts at period {period}: {counts}")
         print("replay verified: state stream is bit-identical to the log")
     return 0

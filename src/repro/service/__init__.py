@@ -15,13 +15,14 @@ a :class:`~repro.runtime.round_engine.RoundEngine` to a long-lived
 * :mod:`~repro.service.service` -- :class:`ProtocolService`, the
   asyncio shell: tick loop, concurrent clients, TCP endpoint;
 * :mod:`~repro.service.replay` -- the replay verifier: snapshot +
-  event log + recorded seeds => bit-identical state stream.
+  event log + recorded seeds => bit-identical state stream; and
+  ``resume``, which replays a directory and keeps logging to it.
 """
 
 from .clock import VirtualClock, WallClock
 from .core import ServiceCore, StreamRow
 from .live import LiveConfig, LiveEngine
-from .replay import ReplayMismatch, ReplayReport, latest_snapshot, replay_directory, replay_events
+from .replay import ReplayMismatch, ReplayReport, latest_snapshot, replay_directory, replay_events, resume
 from .service import ProtocolService, ServiceClient, serve_tcp
 
 __all__ = [
@@ -39,4 +40,5 @@ __all__ = [
     "replay_directory",
     "replay_events",
     "latest_snapshot",
+    "resume",
 ]

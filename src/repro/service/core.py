@@ -16,23 +16,35 @@ The core counts its hosts when they change, not when they are read:
 every mutation recounts the engine's arrays once, before its log
 record is written, and the record, the stream row and every query read
 that one census (docs/service.md, "Cost of a read").
+
+The core drives one application: a live service's one population, or
+one of the paper's two applications (``repro.store``, subclasses of
+:class:`Application`).  It asks the same five things of either: the
+``init`` record, an event's record, a tick's record, the ``close``
+record and a snapshot.
 """
 
 from __future__ import annotations
 
-import math
+import json
 import os
 from collections import deque
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 from pathlib import Path
 from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
 
-from ..store.eventlog import EVENTS_NAME, EventLog, LoggedEvent, MemoryEventLog
-from ..store.snapshots import save_snapshot
-from .live import LiveEngine
+import numpy as np
+
+from ..runtime.rng import generator_from_state, generator_state
+from ..store.eventlog import (
+    EVENTS_NAME, EventLog, EventLogError, LoggedEvent, MemoryEventLog,
+)
+from ..store.snapshots import require_kind, save_snapshot
+from .live import LiveEngine, number_of
 
 SNAPSHOT_PATTERN = "snapshot-{period:08d}.npz"
+POPULATIONS_SNAPSHOT_KIND = "populations"
 
 #: Query operations the core understands (the service's read surface).
 QUERY_OPS = (
@@ -56,12 +68,15 @@ class StreamRow:
 
 
 class ServiceCore:
-    """Event-sourced driver for one :class:`LiveEngine`.
+    """Event-sourced driver for one application of the live tier.
 
     Parameters
     ----------
     live:
-        The population to drive.
+        The one population of a live service; its records carry the
+        census, which queries read.
+    app:
+        Or an :class:`Application` (it builds its own core).
     directory:
         Service state directory; when given, an :class:`EventLog` is
         created at ``<directory>/events.jsonl`` and snapshots are
@@ -80,8 +95,9 @@ class ServiceCore:
 
     def __init__(
         self,
-        live: LiveEngine,
+        live: Optional[LiveEngine] = None,
         *,
+        app: Optional["Application"] = None,
         directory: Optional[os.PathLike] = None,
         log: Optional[Any] = None,
         snapshot_every: int = 0,
@@ -110,7 +126,9 @@ class ServiceCore:
         self._last_snapshot_period: Optional[int] = None
         self._started = False
         self._closed = False
-        self._recount()
+        self._answers: Dict[str, Dict[str, Any]] = {}
+        self._answers_seq = -1
+        self.app = app or _OnePopulation(live)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -123,35 +141,22 @@ class ServiceCore:
     def closed(self) -> bool:
         return self._closed
 
+    @property
+    def period(self) -> int:
+        return self.app.period
+
     def start(self) -> LoggedEvent:
         """Log the construction recipe; must be the first log record."""
         if self._started:
             raise RuntimeError("service core already started")
-        # Warm before you serve: the first resolution runs the
-        # multi-start solve; the Protocol memoizes it, so no
-        # `equilibrium` query ever computes on the event loop.
-        self.live.equilibrium_fractions()
         self._started = True
-        counts, alive = self._recount()
-        event = self.log.append("init", self.live.period, {
-            "config": self.live.config.to_dict(),
-            "states": list(self.live.state_names),
-            "counts": dict(counts),
-            "alive": alive,
-        })
-        self._observe(event.seq)
-        return event
+        return self._append("init", self.app.init_record())
 
     def close(self) -> LoggedEvent:
-        """Log an orderly shutdown with the final census."""
+        """Log an orderly shutdown (a live service's final census)."""
         self._require_open()
         self._closed = True
-        counts, alive = self._recount()
-        event = self.log.append("close", self.live.period, {
-            "counts": dict(counts),
-            "alive": alive,
-            "total_messages": self.live.engine.total_messages,
-        })
+        event = self.log.append("close", self.period, self.app.close_record())
         self.log.close()
         return event
 
@@ -165,15 +170,12 @@ class ServiceCore:
     # Mutations (each one = exactly one log record)
     # ------------------------------------------------------------------
     def apply_event(self, kind: str, data: Mapping[str, Any]) -> LoggedEvent:
-        """Apply a membership event and log it with its effect."""
+        """Apply an event and log it with its effect.
+
+        A refused event raises before anything moves and logs nothing.
+        """
         self._require_open()
-        effect = self.live.apply(kind, data)
-        self._recount()
-        event = self.log.append(
-            kind, self.live.period, {**dict(data), "effect": effect},
-        )
-        self._observe(event.seq)
-        return event
+        return self._append(kind, self.app.apply(kind, data))
 
     def tick(self, periods: int = 1) -> LoggedEvent:
         """Advance the protocol and log the resulting census.
@@ -185,36 +187,34 @@ class ServiceCore:
         self._require_open()
         if periods < 1:
             raise ValueError(f"periods must be >= 1, got {periods}")
-        self.live.advance(periods)
-        counts, alive = self._recount()
-        event = self.log.append("tick", self.live.period, {
-            "periods": int(periods),
-            "counts": dict(counts),
-            "alive": alive,
-            "total_messages": self.live.engine.total_messages,
-        })
-        self._observe(event.seq)
+        event = self._append("tick", self.app.advance(periods))
         if (
             self.snapshot_every > 0
             and self.directory is not None
-            and self.live.period - (self._last_snapshot_period or 0)
+            and self.period - (self._last_snapshot_period or 0)
             >= self.snapshot_every
         ):
             self.snapshot_now()
         return event
 
+    def _append(self, kind: str, data: Dict[str, Any]) -> LoggedEvent:
+        event = self.log.append(kind, self.period, data)
+        if self.live is not None:  # the census stream is a live service's
+            self._observe(event.seq)
+        return event
+
     def snapshot_now(self) -> Optional[Path]:
         """Checkpoint now; returns the snapshot path (None if log-only)."""
         self._require_open()
-        self._last_snapshot_period = self.live.period
+        period = self._last_snapshot_period = self.period
         if self.directory is None:
             # Keep the log structurally identical to a directory-backed
             # run (replay relies on seq alignment) without touching disk.
-            self.log.append("snapshot", self.live.period, {"file": None})
+            self.log.append("snapshot", period, {"file": None})
             self.snapshots_written += 1
             return None
-        name = SNAPSHOT_PATTERN.format(period=self.live.period)
-        arrays, meta = self.live.snapshot()
+        name = SNAPSHOT_PATTERN.format(period=period)
+        arrays, meta = self.app.snapshot()
         meta["seq"] = self.log.next_seq  # seq of the snapshot record below
         meta["history"] = [
             {
@@ -227,7 +227,7 @@ class ServiceCore:
             for row in self.history
         ]
         path = save_snapshot(self.directory / name, arrays, meta)
-        self.log.append("snapshot", self.live.period, {"file": name})
+        self.log.append("snapshot", period, {"file": name})
         self.snapshots_written += 1
         return path
 
@@ -247,11 +247,15 @@ class ServiceCore:
         window-dependent queries (convergence) answer identically to
         the original immediately after the restore point.
         """
-        live = LiveEngine.restore(arrays, meta)
-        core = cls(
-            live, log=log, history_window=history_window,
-            retain_stream=retain_stream,
-        )
+        if meta.get("kind") == POPULATIONS_SNAPSHOT_KIND:
+            app = application(meta["app"])
+            app.restore(arrays, meta)
+            core, core.log = app.core, log
+        else:
+            core = cls(
+                LiveEngine.restore(arrays, meta), log=log,
+                history_window=history_window, retain_stream=retain_stream,
+            )
         for row in meta.get("history", []):
             core._keep(StreamRow(
                 seq=int(row["seq"]),
@@ -260,22 +264,13 @@ class ServiceCore:
                 alive=int(row["alive"]),
                 total_messages=int(row["total_messages"]),
             ))
-        core._last_snapshot_period = live.period
+        core._last_snapshot_period = core.period
         core._started = True
         return core
 
-    def _recount(self) -> Tuple[Dict[str, int], int]:
-        """Count the engine's arrays; the only place the core does.
-
-        Every mutation calls this once, after the engine changed and
-        before the log record is written.  It is a recount, never
-        bookkeeping carried from one event to the next, so the censuses
-        the log holds stay an independent check of the engine.
-        """
-        self._census = (self.live.counts(), self.live.alive_count())
-        self._answers = {}
-        self._answers_seq = self.log.next_seq
-        return self._census
+    @property
+    def _census(self) -> Tuple[Dict[str, int], int]:
+        return self.app.census
 
     def _observe(self, seq: int) -> None:
         counts, alive = self._census
@@ -319,6 +314,8 @@ class ServiceCore:
             raise ValueError(
                 f"params must be a JSON object, got {type(params).__name__}"
             )
+        if self.live is None:
+            raise ValueError(f"a {self.app.KIND} answers no census query")
         answer_for = getattr(self, f"_query_{op}")
         if params:
             return _owned(answer_for(params))
@@ -391,19 +388,11 @@ class ServiceCore:
 
     def _query_convergence(self, params) -> Dict[str, Any]:
         """Has the census settled over the recent history window?"""
-        window = params.get("window", self.history_window)
-        # Neither is coerced: int("3") and int(2.9) would answer a
-        # question the client did not ask, and True is an int.
-        if isinstance(window, bool) or not isinstance(window, Integral):
-            raise ValueError(f"window must be an integer, got {window!r}")
-        if window < 1:
-            # -0 slices to everything and -k drops the *oldest* k rows.
-            raise ValueError(f"window must be >= 1, got {window}")
-        tol = params.get("tol", 0.02)
-        if isinstance(tol, bool) or not isinstance(tol, Real):
-            raise ValueError(f"tol must be a number, got {tol!r}")
-        if not (math.isfinite(tol) and tol >= 0.0):
-            raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+        params = {"window": self.history_window, "tol": 0.02, **params}
+        # window >= 1: -0 slices to everything and -k drops the
+        # *oldest* k rows.
+        window = number_of(params, "window", 1)
+        tol = number_of(params, "tol", 0.0, kind=Real)
         rows = [s for s in list(self._shares)[-window:] if s is not None]
         if len(rows) < 2:
             return {
@@ -419,6 +408,165 @@ class ServiceCore:
             "max_delta_fraction": max_delta,
             "settled": max_delta <= tol,
         }
+
+
+class _OnePopulation:
+    """A live service as the core's application: one population, whose
+    records carry its census (what queries read)."""
+
+    def __init__(self, live: LiveEngine):
+        self.live = live
+        self.recount()
+
+    def recount(self) -> Tuple[Dict[str, int], int]:
+        """Count the engine's arrays; the only place a live service does.
+
+        Every mutation calls this once, after the engine changed and
+        before the log record is written.  It is a recount, never
+        bookkeeping carried from one event to the next, so the censuses
+        the log holds stay an independent check of the engine.
+        """
+        self.census = (self.live.counts(), self.live.alive_count())
+        return self.census
+
+    @property
+    def period(self) -> int:
+        return self.live.period
+
+    def counts(self) -> Dict[str, int]:
+        return self.live.counts()
+
+    def init_record(self) -> Dict[str, Any]:
+        # Warm before you serve: the first resolution runs the
+        # multi-start solve; the Protocol memoizes it, so no
+        # `equilibrium` query ever computes on the event loop.
+        self.live.equilibrium_fractions()
+        counts, alive = self.recount()
+        return {
+            "config": self.live.config.to_dict(),
+            "states": list(self.live.state_names),
+            "counts": dict(counts),
+            "alive": alive,
+        }
+
+    def apply(self, kind: str, data: Mapping[str, Any]) -> Dict[str, Any]:
+        effect = self.live.apply(kind, data)
+        self.recount()
+        return {**dict(data), "effect": effect}
+
+    def advance(self, periods: int) -> Dict[str, Any]:
+        self.live.advance(periods)
+        return {"periods": int(periods), **self.close_record()}
+
+    def close_record(self) -> Dict[str, Any]:
+        counts, alive = self.recount()
+        return {
+            "counts": dict(counts),
+            "alive": alive,
+            "total_messages": self.live.engine.total_messages,
+        }
+
+    def snapshot(self) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
+        return self.live.snapshot()
+
+
+class Application:
+    """One of the paper's applications (``repro.store``) as the client
+    of a :class:`ServiceCore`.
+
+    Its protocol populations (round engines, by name) and its one
+    generator are what its snapshots carry, through the core's
+    ``populations`` kind; its ``init`` record is its recipe (its
+    constructor's arguments), so :func:`application` rebuilds it for
+    replay.  A subclass sets ``KIND``, ``EVENTS`` and ``rng`` and
+    answers ``period``, ``recipe()``, ``state()`` and
+    ``restore_state(state)`` (which rebuilds its populations);
+    ``_<kind>(data)`` applies one event and returns its effect, each
+    field checked for every population before a population, a host or
+    the generator moves.
+    """
+
+    KIND = ""
+    EVENTS: Tuple[str, ...] = ()
+    rng: np.random.Generator
+
+    @property
+    def populations(self) -> Dict[str, Any]:
+        return {}
+
+    def counts(self) -> Dict[str, Any]:
+        """Each population's census, by name."""
+        return {
+            name: engine.counts()
+            for name, engine in self.populations.items()
+        }
+
+    def _start(self, directory: Optional[os.PathLike]) -> None:
+        """Log to ``directory``; without one, keep no record."""
+        self.core = ServiceCore(
+            app=self, directory=directory,
+            log=MemoryEventLog(keep=False) if directory is None else None,
+        )
+        self.core.start()
+
+    def init_record(self) -> Dict[str, Any]:
+        return {"app": self.recipe()}
+
+    def apply(self, kind: str, data: Mapping[str, Any]) -> Dict[str, Any]:
+        if kind not in self.EVENTS:
+            raise ValueError(f"unknown {self.KIND} event kind {kind!r}")
+        # The application applies what replay will read back.
+        data = json.loads(json.dumps(data, default=_plain))
+        return {**data, "effect": getattr(self, "_" + kind)(data)}
+
+    def advance(self, periods: int) -> Dict[str, Any]:
+        return self.apply("tick", {"periods": periods})
+
+    def close_record(self) -> Dict[str, Any]:
+        return {}
+
+    def snapshot(self) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
+        arrays, populations = {}, []
+        for index, engine in enumerate(self.populations.values()):
+            engine_arrays, engine_meta = engine.snapshot()
+            for field, array in engine_arrays.items():
+                arrays[f"population{index}.{field}"] = array
+            populations.append(engine_meta)
+        return arrays, {
+            "kind": POPULATIONS_SNAPSHOT_KIND,
+            "app": self.recipe(),
+            "state": self.state(),
+            "rng": generator_state(self.rng),
+            "populations": populations,
+        }
+
+    def restore(self, arrays: Mapping[str, Any], meta: Mapping[str, Any]):
+        """Take the state of a snapshot of this recipe."""
+        require_kind(arrays, meta, POPULATIONS_SNAPSHOT_KIND)
+        self.rng = generator_from_state(meta.get("rng"))
+        self.restore_state(meta["state"])
+        for index, engine in enumerate(self.populations.values()):
+            prefix = f"population{index}."
+            engine.restore({
+                key[len(prefix):]: array for key, array in arrays.items()
+                if key.startswith(prefix)
+            }, meta["populations"][index])
+
+
+def application(recipe: Mapping[str, Any]) -> Application:
+    """The application an ``init`` record names, keeping no record."""
+    from ..store import MajorityService, MigratoryFileStore
+
+    for cls in (MigratoryFileStore, MajorityService):
+        if recipe.get("kind") == cls.KIND:
+            return cls(**{k: v for k, v in recipe.items() if k != "kind"})
+    raise EventLogError(f"unknown application {recipe.get('kind')!r}")
+
+
+def _plain(value: Any) -> Any:
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise ValueError(f"an event carries JSON data, not {value!r}")
 
 
 def _owned(answer: Dict[str, Any]) -> Dict[str, Any]:

@@ -19,7 +19,9 @@ behind the three things the live tier needs:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 import numpy as np
@@ -29,6 +31,43 @@ from ..store.snapshots import require_kind
 from ..runtime.round_engine import RoundEngine
 
 LIVE_SNAPSHOT_KIND = "live-engine"
+
+
+def host_ids(data: Mapping[str, Any], n: int) -> np.ndarray:
+    """An event's ``hosts``: a list of distinct integer ids in [0, n).
+
+    Nothing is coerced (here or in :func:`number_of`): a string would
+    be iterated a character at a time, ``int(1.9)`` names a host the
+    client did not, and True is an int.
+    """
+    hosts = data.get("hosts")
+    if not isinstance(hosts, list) or any(
+        isinstance(h, bool) or not isinstance(h, Integral) for h in hosts
+    ):
+        raise ValueError(f"hosts must be a list of integer ids, got {hosts!r}")
+    if len(set(hosts)) != len(hosts):
+        raise ValueError(f"hosts must be distinct ids, got {hosts}")
+    ids = np.asarray(hosts, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        raise ValueError(f"hosts must lie in [0, {n}), got {ids}")
+    return ids
+
+
+def number_of(
+    data: Mapping[str, Any], key: str, low: float, high: float = math.inf,
+    kind: type = Integral,
+) -> Any:
+    """``data[key]``: a finite ``kind`` in [low, high], never a bool."""
+    value = data.get(key)
+    if (
+        isinstance(value, bool) or not isinstance(value, kind)
+        or not low <= value <= high or value == math.inf
+    ):
+        what = "an integer" if kind is Integral else "a finite number"
+        raise ValueError(
+            f"{key} must be {what} in [{low}, {high}], got {value!r}"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -137,7 +176,7 @@ class LiveEngine:
         rejected event leaves the engine exactly as it was.
         """
         if kind == "join":
-            hosts = self._hosts(data)
+            hosts = host_ids(data, self.config.n)
             state = data.get("state")
             if state is not None and state not in self.engine.state_names:
                 raise ValueError(
@@ -147,31 +186,19 @@ class LiveEngine:
             self.engine.recover(hosts, state=state)
             return {"joined": len(hosts)}
         if kind == "leave":
-            hosts = self._hosts(data)
+            hosts = host_ids(data, self.config.n)
             self.engine.crash(hosts)
             return {"left": len(hosts)}
         if kind == "fail":
             if "fraction" in data:
-                fraction = float(data["fraction"])
-                victims = self.engine.crash_fraction(fraction)
+                victims = self.engine.crash_fraction(
+                    number_of(data, "fraction", 0, 1, kind=Real)
+                )
                 return {"failed": int(len(victims))}
-            hosts = self._hosts(data)
+            hosts = host_ids(data, self.config.n)
             self.engine.crash(hosts)
             return {"failed": len(hosts)}
         raise ValueError(f"unknown membership event kind {kind!r}")
-
-    def _hosts(self, data: Mapping[str, Any]) -> np.ndarray:
-        try:
-            hosts = np.asarray(
-                [int(h) for h in data["hosts"]], dtype=np.int64
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"event needs a 'hosts' list: {dict(data)!r}") from exc
-        if hosts.size and (hosts.min() < 0 or hosts.max() >= self.config.n):
-            raise ValueError(
-                f"host ids must lie in [0, {self.config.n}), got {hosts}"
-            )
-        return hosts
 
     # ------------------------------------------------------------------
     # Checkpointing

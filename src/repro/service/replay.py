@@ -23,9 +23,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..store.eventlog import EVENTS_NAME, LoggedEvent, MemoryEventLog, read_events
+from ..store.eventlog import (
+    EVENTS_NAME, EventLog, EventLogError, LoggedEvent, MemoryEventLog,
+    read_events,
+)
 from ..store.snapshots import SnapshotError, load_snapshot
-from .core import ServiceCore
+from .core import ServiceCore, application
 from .live import LiveConfig, LiveEngine
 
 
@@ -62,10 +65,10 @@ class ReplayReport:
     def ok(self) -> bool:
         return not self.mismatches
 
-    def final_counts(self) -> Optional[Dict[str, int]]:
+    def final_counts(self) -> Optional[Dict[str, Any]]:
         if self.core is None:
             return None
-        return self.core.live.counts()
+        return self.core.app.counts()
 
 
 def latest_snapshot(
@@ -141,13 +144,21 @@ def replay_events(
                     "second init record",
                 ))
                 break
-            config = LiveConfig.from_dict(logged.data["config"])
-            report.core = ServiceCore(
-                LiveEngine(config),
-                log=MemoryEventLog(),
-                retain_stream=retain_stream,
-            )
-            replayed = report.core.start()
+            if "app" in logged.data:
+                # An application logs its init record as it is built.
+                app = application(logged.data["app"])
+                report.core = app.core
+                replayed = LoggedEvent(
+                    0, app.period, "init", app.init_record()
+                )
+            else:
+                config = LiveConfig.from_dict(logged.data["config"])
+                report.core = ServiceCore(
+                    LiveEngine(config),
+                    log=MemoryEventLog(),
+                    retain_stream=retain_stream,
+                )
+                replayed = report.core.start()
         elif report.core is None:
             report.mismatches.append(ReplayMismatch(
                 logged.seq, logged.kind, "kind", "init", logged.kind,
@@ -219,3 +230,23 @@ def replay_directory(
     report.torn_tail = torn
     report.from_snapshot = snapshot_name
     return report
+
+
+def resume(directory: os.PathLike, *, from_snapshot: bool = False) -> ServiceCore:
+    """Replay a service directory, then carry on logging to it.
+
+    The core that comes back appends to the same ``events.jsonl`` (a
+    torn final line is cut first) and writes its snapshots beside it,
+    so a service, or an application (``resume(d).app``), can be
+    stopped and resumed any number of times.
+    """
+    report = replay_directory(
+        directory, from_snapshot=from_snapshot, retain_stream=False
+    )
+    if not report.ok or report.core is None:
+        why = report.mismatches[0] if report.mismatches else "no init record"
+        raise EventLogError(f"{directory}: {why}")
+    core = report.core
+    core.directory = Path(directory)
+    core.log = EventLog(core.directory / EVENTS_NAME, resume=True)
+    return core

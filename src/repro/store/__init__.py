@@ -7,6 +7,10 @@
   LOCKSS-style repeated majority-polling service on the LV protocol
   (Section 4.2).
 
+Both are :class:`~repro.service.core.ServiceCore` clients (their
+events are logged, and a directory resumes by replay), and load on
+first use: :mod:`repro.service` imports this package.
+
 Plus the persistence primitives the live service tier sits on:
 
 * :mod:`~repro.store.eventlog` -- append-only JSONL event log with
@@ -14,6 +18,8 @@ Plus the persistence primitives the live service tier sits on:
 * :mod:`~repro.store.snapshots` -- checksummed, atomically-written
   ``.npz`` state snapshots.
 """
+
+from importlib import import_module
 
 from .eventlog import (
     EVENTS_NAME,
@@ -23,9 +29,16 @@ from .eventlog import (
     MemoryEventLog,
     read_events,
 )
-from .filestore import FetchResult, MigratoryFileStore, StoredFile
-from .majority_service import MajorityService, PollRecord
 from .snapshots import SnapshotError, load_snapshot, save_snapshot
+
+
+def __getattr__(name):
+    for submodule in ("filestore", "majority_service"):
+        module = import_module(f".{submodule}", __name__)
+        if name in module.__all__:
+            return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "MigratoryFileStore",

@@ -34,8 +34,10 @@ EVENTS_NAME = "events.jsonl"
 #: Event kinds with engine-side effects, in the vocabulary clients use.
 MEMBERSHIP_KINDS = ("join", "leave", "fail")
 
-#: Every kind that may legally appear in a log.
-ALL_KINDS = ("init", "tick", "snapshot", "close") + MEMBERSHIP_KINDS
+#: Every kind that may legally appear in a log (the last five are the
+#: applications' own, ``repro.store``).
+ALL_KINDS = ("init", "tick", "snapshot", "close") + MEMBERSHIP_KINDS + (
+    "insert", "remove", "fetch", "corrupt", "poll")
 
 
 class EventLogError(ValueError):
@@ -138,19 +140,28 @@ class EventLog:
     unless ``fsync`` syncs each append.
     """
 
-    def __init__(self, path: os.PathLike, *, fsync: bool = False):
+    def __init__(
+        self, path: os.PathLike, *, fsync: bool = False, resume: bool = False
+    ):
         self.path = Path(path)
         self.fsync = fsync
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        if self.path.exists():
+        self._next_seq = 0
+        if resume:
+            # Carry on after the last whole record: a torn tail is cut,
+            # so the next record starts on a line of its own.
+            self._next_seq = len(read_events(self.path)[0])
+            lines = self.path.read_bytes().split(b"\n")[:self._next_seq]
+            with self.path.open("r+b") as fh:
+                fh.truncate(sum(len(line) + 1 for line in lines))
+        elif self.path.exists():
             raise FileExistsError(
                 f"event log already exists: {self.path} "
                 f"(refusing to interleave two runs; use replay instead)"
             )
         self._fh: Optional[io.TextIOBase] = self.path.open(
-            "w", encoding="utf-8"
+            "a" if resume else "w", encoding="utf-8"
         )
-        self._next_seq = 0
 
     @property
     def next_seq(self) -> int:
@@ -193,19 +204,21 @@ class MemoryEventLog:
 
     Used by replay (which must not write to the directory it is
     verifying) and by property tests that drive thousands of short
-    event streams without touching disk.
+    event streams without touching disk.  With ``keep=False`` it only
+    numbers the records (an application without a directory).
     """
 
-    def __init__(self, start_seq: int = 0):
+    def __init__(self, start_seq: int = 0, *, keep: bool = True):
         # start_seq lets a replay that begins mid-stream (from a
         # snapshot) assign the same seq numbers the original run did,
         # so replayed records compare 1:1 against the log tail.
-        self._start_seq = int(start_seq)
+        self._next_seq = int(start_seq)
+        self._keep = keep
         self.events: List[LoggedEvent] = []
 
     @property
     def next_seq(self) -> int:
-        return self._start_seq + len(self.events)
+        return self._next_seq
 
     def append(
         self, kind: str, period: int, data: Optional[Dict[str, Any]] = None
@@ -216,7 +229,9 @@ class MemoryEventLog:
             seq=self.next_seq, period=int(period), kind=kind,
             data=dict(data or {}),
         )
-        self.events.append(event)
+        if self._keep:
+            self.events.append(event)
+        self._next_seq += 1
         return event
 
     def close(self) -> None:

@@ -4,30 +4,32 @@ The paper motivates probabilistic majority selection with applications
 "where the decision value is allowed to be set multiple times", naming
 the LOCKSS digital-preservation system: peers repeatedly poll each
 other about the correct version of a document and repair from the
-majority.  :class:`MajorityService` packages that pattern: a population
-of processes, each holding one of two versions of an object, runs the
-LV protocol to settle on the majority version; divergent processes then
-repair to the winning version, and the service can be re-polled after
-further corruption events.
+majority.  :class:`MajorityService` packages that pattern: processes
+each hold one of two versions of an object, a poll runs the LV protocol
+to settle on the majority version, divergent processes repair to the
+winner, and the service can be re-polled after further corruption.
 
-Because majority selection is impossible to solve exactly in an
-asynchronous system (it would solve consensus), the service is
-explicitly probabilistic: :meth:`poll` reports the winner, whether it
-matched the pre-poll majority, and the convergence time.
+Majority selection is impossible to solve exactly in an asynchronous
+system (it would solve consensus), so the service is explicitly
+probabilistic: :meth:`poll` reports the winner, whether it matched the
+pre-poll majority, and the convergence time.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from numbers import Real
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..protocols.lv import ONE, ZERO, LVMajority
-from ..runtime.rng import generator_from_state, generator_state, make_generator
-from .snapshots import load_snapshot, require_kind, save_snapshot
+from ..runtime.rng import make_generator
+from ..service.core import Application
+from ..service.live import number_of
+
+__all__ = ["MajorityService", "PollRecord"]
 
 
 @dataclass
@@ -41,8 +43,12 @@ class PollRecord:
     pre_poll_split: Tuple[int, int]
 
 
-class MajorityService:
+class MajorityService(Application):
     """Repeated LV majority polling over a replicated object.
+
+    A client of a :class:`~repro.service.core.ServiceCore`: corruptions
+    and polls are logged events, and the version tags are its state
+    (it has no protocol population between polls).
 
     Parameters
     ----------
@@ -52,7 +58,13 @@ class MajorityService:
         Array of 0/1 version tags, one per process (length ``n``).
     p:
         LV normalizing constant (coin bias ``3p`` per action).
+    directory:
+        Where the event log and snapshots go, as for ``repro serve``;
+        without one no record is kept.
     """
+
+    KIND = "majority"
+    EVENTS = ("corrupt", "poll")
 
     def __init__(
         self,
@@ -61,6 +73,7 @@ class MajorityService:
         *,
         p: float = 0.01,
         seed: Optional[int] = None,
+        directory: Optional[os.PathLike] = None,
     ):
         versions = np.asarray(initial_versions, dtype=np.int8)
         if versions.shape != (n,):
@@ -70,10 +83,74 @@ class MajorityService:
         self.n = n
         self.p = p
         self._seed = seed if seed is not None else 0
+        self._initial = versions.tolist()
         self.versions = versions.copy()
         self.polls: List[PollRecord] = []
         self.clock_periods = 0
-        self._rng = make_generator(self._seed ^ 0xFACE)
+        self.rng = make_generator(self._seed ^ 0xFACE)
+        self._start(directory)
+
+    # ------------------------------------------------------------------
+    # What ServiceCore asks of an application
+    # ------------------------------------------------------------------
+    @property
+    def period(self) -> int:
+        return self.clock_periods
+
+    def recipe(self) -> Dict[str, Any]:
+        return {
+            "kind": self.KIND, "n": self.n, "initial_versions": self._initial,
+            "p": self.p, "seed": self._seed,
+        }
+
+    def state(self) -> Dict[str, Any]:
+        return {
+            "versions": self.versions.tolist(),
+            "clock_periods": self.clock_periods,
+            "polls": [asdict(record) for record in self.polls],
+        }
+
+    def counts(self) -> Dict[str, int]:
+        return dict(zip(("version 0", "version 1"), self.split()))
+
+    def restore_state(self, state: Mapping[str, Any]) -> None:
+        self.versions = np.asarray(state["versions"], dtype=np.int8)
+        self.clock_periods = state["clock_periods"]
+        self.polls = [_record(entry) for entry in state["polls"]]
+
+    def _corrupt(self, data: Mapping[str, Any]) -> Dict[str, Any]:
+        fraction = number_of(data, "fraction", 0, 1, kind=Real)
+        to_version = number_of(data, "to_version", 0, 1)
+        victims = self.rng.choice(
+            self.n, size=int(round(fraction * self.n)), replace=False
+        )
+        changed = np.count_nonzero(self.versions[victims] != to_version)
+        self.versions[victims] = to_version
+        return {"changed": int(changed)}
+
+    def _poll(self, data: Mapping[str, Any]) -> Dict[str, Any]:
+        max_periods = number_of(data, "max_periods", 1)
+        zeros, ones = self.split()
+        outcome = LVMajority(
+            self.n, zeros=zeros, ones=ones, p=self.p,
+            seed=self._seed + 31 * len(self.polls) + 1,
+        ).run(max_periods)
+        record = PollRecord(
+            started_period=self.clock_periods,
+            winner=outcome.winner,
+            matched_majority=outcome.correct,  # None on a tie
+            convergence_periods=outcome.convergence_period,
+            pre_poll_split=(zeros, ones),
+        )
+        self.polls.append(record)
+        self.clock_periods += (
+            max_periods if outcome.convergence_period is None
+            else outcome.convergence_period
+        )
+        if outcome.winner is not None:
+            # Repair divergent copies.
+            self.versions[:] = (ZERO, ONE).index(outcome.winner)
+        return {**asdict(record), "pre_poll_split": [zeros, ones]}
 
     # ------------------------------------------------------------------
     # Corruption model
@@ -85,13 +162,10 @@ class MajorityService:
         between polls (the LOCKSS threat model).  Returns the number of
         processes changed.
         """
-        if not 0.0 <= fraction <= 1.0:
-            raise ValueError("fraction must lie in [0, 1]")
-        count = int(round(fraction * self.n))
-        victims = self._rng.choice(self.n, size=count, replace=False)
-        changed = int(np.count_nonzero(self.versions[victims] != to_version))
-        self.versions[victims] = to_version
-        return changed
+        event = self.core.apply_event(
+            "corrupt", {"fraction": fraction, "to_version": to_version}
+        )
+        return event.data["effect"]["changed"]
 
     def split(self) -> Tuple[int, int]:
         """Current (zeros, ones) version counts."""
@@ -110,92 +184,14 @@ class MajorityService:
     def poll(self, max_periods: int = 5000) -> PollRecord:
         """Run one LV majority selection over the current versions.
 
-        On convergence, every process repairs its copy to the winning
-        version (the LOCKSS repair step).  If the poll does not converge
-        within ``max_periods`` the versions are left untouched.
+        The poll is a fresh :class:`~repro.protocols.lv.LVMajority` from
+        the current split.  On convergence, every process repairs its
+        copy to the winning version (the LOCKSS repair step).  If the
+        poll does not converge within ``max_periods`` the versions are
+        left untouched.
         """
-        zeros, ones = self.split()
-        instance = LVMajority(
-            self.n,
-            zeros=zeros,
-            ones=ones,
-            p=self.p,
-            seed=self._seed + 31 * len(self.polls) + 1,
-        )
-        outcome = instance.run(max_periods)
-        winner_version: Optional[int] = None
-        if outcome.winner == ZERO:
-            winner_version = 0
-        elif outcome.winner == ONE:
-            winner_version = 1
-        matched = None
-        majority = self.true_majority()
-        if winner_version is not None and majority is not None:
-            matched = winner_version == majority
-        record = PollRecord(
-            started_period=self.clock_periods,
-            winner=outcome.winner,
-            matched_majority=matched,
-            convergence_periods=outcome.convergence_period,
-            pre_poll_split=(zeros, ones),
-        )
-        self.polls.append(record)
-        if outcome.convergence_period is not None:
-            self.clock_periods += outcome.convergence_period
-        else:
-            self.clock_periods += max_periods
-        if winner_version is not None:
-            self.versions[:] = winner_version  # repair divergent copies
-        return record
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    SNAPSHOT_KIND = "majority-service"
-
-    def save(self, path: os.PathLike) -> Path:
-        """Checkpoint the full service state to a snapshot file.
-
-        Everything that affects future behaviour is captured: version
-        tags, the corruption RNG (its MT19937 state), the poll
-        history (it seeds the next poll via ``len(self.polls)``) and the
-        logical clock.  ``load`` restores a service whose subsequent
-        ``corrupt``/``poll`` calls are bit-identical to the original's.
-        """
-        meta = {
-            "kind": self.SNAPSHOT_KIND,
-            "n": self.n,
-            "p": self.p,
-            "seed": self._seed,
-            "clock_periods": self.clock_periods,
-            "polls": [asdict(record) for record in self.polls],
-            "rng": generator_state(self._rng),
-        }
-        return save_snapshot(path, {"versions": self.versions}, meta)
-
-    @classmethod
-    def load(cls, path: os.PathLike) -> "MajorityService":
-        arrays, meta = load_snapshot(path)
-        require_kind(arrays, meta, cls.SNAPSHOT_KIND)
-        service = cls(
-            int(meta["n"]),
-            arrays["versions"],
-            p=float(meta["p"]),
-            seed=int(meta["seed"]),
-        )
-        service.clock_periods = int(meta["clock_periods"])
-        service.polls = [
-            PollRecord(
-                started_period=record["started_period"],
-                winner=record["winner"],
-                matched_majority=record["matched_majority"],
-                convergence_periods=record["convergence_periods"],
-                pre_poll_split=tuple(record["pre_poll_split"]),
-            )
-            for record in meta["polls"]
-        ]
-        service._rng = generator_from_state(meta.get("rng"))
-        return service
+        event = self.core.apply_event("poll", {"max_periods": max_periods})
+        return _record(event.data["effect"])
 
     # ------------------------------------------------------------------
     # Reporting
@@ -219,3 +215,8 @@ class MajorityService:
                 else float("nan")
             ),
         }
+
+
+def _record(entry: Mapping[str, Any]) -> PollRecord:
+    split = tuple(entry["pre_poll_split"])
+    return PollRecord(**{**entry, "pre_poll_split": split})

@@ -9,9 +9,9 @@ rot, hand editing) into a loud :class:`SnapshotError` at load time
 instead of a wrong replay.
 
 The format is deliberately dumb: plain numpy arrays and a JSON dict.
-Callers (``LiveEngine``, ``MajorityService``, ``MigratoryFileStore``)
-decide what goes in through two shared codecs, ``RoundEngine.snapshot``
-and ``repro.runtime.rng.generator_state`` (generators as MT19937
+``ServiceCore``, the one writer, decides what goes in through two
+shared codecs, ``RoundEngine.snapshot`` and
+``repro.runtime.rng.generator_state`` (generators as MT19937
 ``{key, pos}`` in the metadata; nothing is ever unpickled).
 """
 
@@ -32,9 +32,9 @@ _ARRAY_PREFIX = "array."
 _META_KEY = "__meta_json__"
 _DIGEST_KEY = "__sha256__"
 
-#: Array names (after any ``file{i}.`` prefix) that only the retired
-#: pickled-generator layout wrote.
-_PICKLED_GENERATORS = ("rng", "fault_rng", "fetch_rng")
+#: Array names (after any ``population{i}.`` prefix) that only the
+#: retired pickled-generator layout wrote.
+_PICKLED_GENERATORS = ("rng", "fault_rng")
 
 
 def require_kind(

@@ -2,11 +2,11 @@
 
 Also wires two suite-wide policies:
 
-* a ``slow`` marker for tests that simulate >~1s of protocol periods
-  (they still run by default; ``-m 'not slow'`` gives a fast loop),
-  and an opt-in ``heavy`` marker for exhaustive searches, deselected
-  unless a ``-m`` expression names it (``-m heavy``; CI's ``heavy``
-  job);
+* the ``slow`` and ``heavy`` markers (declared in ``pyproject.toml``):
+  ``slow`` tests simulate >~1s of protocol periods and still run by
+  default (``-m 'not slow'`` gives a fast loop); ``heavy`` ones, the
+  exhaustive searches, are deselected here unless a ``-m`` expression
+  names them (``-m heavy``; CI's ``heavy`` job);
 * one hypothesis profile, ``derandomized``: the property suites draw
   the same examples on every run and every machine, and have no
   deadline (wall-clock deadlines are flaky on shared boxes).
@@ -28,18 +28,6 @@ settings.register_profile(
     "derandomized", deadline=None, derandomize=True, print_blob=True
 )
 settings.load_profile("derandomized")
-
-
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "slow: simulates many protocol periods (>~1s); "
-        "deselect with -m 'not slow'",
-    )
-    config.addinivalue_line(
-        "markers",
-        "heavy: exhaustive search, deselected by default; run with -m heavy",
-    )
 
 
 def pytest_collection_modifyitems(config, items):

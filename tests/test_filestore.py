@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.protocols.endemic import EndemicParams
+from repro.runtime.rng import generator_state
 from repro.store import MigratoryFileStore
 
 
@@ -164,3 +165,64 @@ class TestAccounting:
         store.insert("a.txt")
         store.tick(300)
         assert store.files["a.txt"].transfers > 0
+
+
+def store_state(store):
+    """Everything a refused event must leave as it was."""
+    files = {
+        name: (stored.engine.snapshot(), stored.transfers)
+        for name, stored in store.files.items()
+    }
+    return (
+        files, store.core.log.next_seq, set(store._down_hosts),
+        generator_state(store.rng), store.period,
+    )
+
+
+def assert_same_state(before, after):
+    (files, events, down, rng, period), (files2, *rest) = before, after
+    assert rest == [events, down, rng, period]
+    assert files.keys() == files2.keys()
+    for name, ((arrays, meta), transfers) in files.items():
+        (arrays2, meta2), transfers2 = files2[name]
+        assert meta == meta2 and transfers == transfers2
+        for key in arrays:
+            assert np.array_equal(arrays[key], arrays2[key])
+
+
+class TestRefusedEvents:
+    """A refused event moves no file, no host, no generator and logs
+    nothing; the store stays usable."""
+
+    @pytest.mark.parametrize("call, error", [
+        # Recorded host 5 as down, then IndexError left it alive in
+        # every engine, and every later insert raised.
+        (lambda s: s.crash_hosts([5, 1000]), ValueError),
+        # Made host n-1 receptive in every file, dropping its replica.
+        (lambda s: s.recover_hosts([-1]), ValueError),
+        (lambda s: s.crash_hosts([1.5]), ValueError),
+        (lambda s: s.crash_hosts(["3"]), ValueError),
+        (lambda s: s.crash_hosts([True]), ValueError),
+        (lambda s: s.crash_random_fraction(1.5), ValueError),
+        (lambda s: s.crash_random_fraction(True), ValueError),
+        (lambda s: s.insert("a.txt"), ValueError),
+        (lambda s: s.insert("new", initial_replicas=0), ValueError),
+        (lambda s: s.insert("new", size_bytes=-1.0), ValueError),
+        (lambda s: s.insert("new", size_bytes=object()), ValueError),
+        (lambda s: s.tick(2.5), ValueError),
+        (lambda s: s.fetch("a.txt", max_probes=-1), ValueError),
+        (lambda s: s.fetch("nope.txt", max_probes=5), KeyError),
+        (lambda s: s.remove("nope.txt"), KeyError),
+        (lambda s: s.core.apply_event("corrupt", {}), ValueError),
+    ])
+    def test_refused_event_moves_nothing(self, store, call, error):
+        store.insert("a.txt")
+        store.tick(20)
+        store.crash_hosts([7])
+        before = store_state(store)
+        with pytest.raises(error):
+            call(store)
+        assert_same_state(before, store_state(store))
+        store.insert("b.txt")
+        assert store.files["b.txt"].engine.alive_count() == 799
+        assert store.files["a.txt"].engine.alive[5]

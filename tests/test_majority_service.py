@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.runtime.rng import generator_state
 from repro.store import MajorityService
 
 
@@ -76,3 +77,29 @@ class TestPolling:
     def test_accuracy_nan_when_no_polls(self):
         service = MajorityService(10, np.zeros(10, dtype=int), seed=7)
         assert np.isnan(service.accuracy())
+
+
+class TestRefusedEvents:
+    @pytest.mark.parametrize("call", [
+        lambda s: s.corrupt(1.5),
+        lambda s: s.corrupt(True),
+        lambda s: s.corrupt(0.2, to_version=2),
+        lambda s: s.poll(max_periods=0),
+        lambda s: s.poll(max_periods=2.5),
+        lambda s: s.core.apply_event("insert", {"name": "a"}),
+    ])
+    def test_refused_event_moves_nothing(self, call):
+        service = MajorityService(100, np.zeros(100, dtype=int), seed=8)
+        service.corrupt(0.2)
+        before = (
+            service.versions.copy(), list(service.polls),
+            service.clock_periods, service.core.log.next_seq,
+            generator_state(service.rng),
+        )
+        with pytest.raises(ValueError):
+            call(service)
+        assert np.array_equal(service.versions, before[0])
+        assert (
+            list(service.polls), service.clock_periods,
+            service.core.log.next_seq, generator_state(service.rng),
+        ) == before[1:]

@@ -12,6 +12,7 @@ import asyncio
 import json
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,13 +257,37 @@ class TestServiceCore:
         assert joined.data["effect"] == {"joined": 2}
         assert core.live.alive_count() == 59
 
-    def test_invalid_membership_rejected(self):
+    @pytest.mark.parametrize("kind, data", [
+        ("leave", {"hosts": [99]}),  # out of range
+        ("shrug", {}),  # unknown kind
+        # Loose values are refused by name, not coerced:
+        ("leave", {"hosts": "12"}),  # iterated, it would name 1 and 2
+        ("leave", {"hosts": 3}),
+        ("leave", {"hosts": (3, 4)}),
+        ("leave", {"hosts": [1.9]}),  # int() would name host 1
+        ("leave", {"hosts": [True]}),  # and so would a bool
+        ("leave", {"hosts": ["3"]}),
+        ("join", {"hosts": [1.9, True]}),
+        ("leave", {"hosts": [3, 3]}),  # would log {"left": 2}
+        ("fail", {"hosts": [2, 2]}),
+        ("fail", {"fraction": True}),  # would fail every host
+        ("fail", {"fraction": "0.5"}),
+        ("fail", {"fraction": math.nan}),
+        ("fail", {"fraction": math.inf}),
+        ("fail", {"fraction": 1.5}),
+        ("fail", {"fraction": None}),
+    ])
+    def test_invalid_membership_rejected(self, kind, data):
         core = make_core(n=10)
         core.start()
-        with pytest.raises(ValueError):
-            core.apply_event("leave", {"hosts": [99]})  # out of range
-        with pytest.raises(ValueError):
-            core.apply_event("shrug", {})  # unknown kind
+        core.apply_event("leave", {"hosts": [0]})
+        before = core.live.snapshot(), list(core.log.events)
+        with pytest.raises(ValueError, match="hosts|fraction|kind"):
+            core.apply_event(kind, data)
+        (arrays, meta), events = core.live.snapshot(), core.log.events
+        assert meta == before[0][1] and events == before[1]
+        for key, array in before[0][0].items():
+            assert np.array_equal(arrays[key], array)
 
     @pytest.mark.parametrize("params, named", [
         ({"window": 0}, "window"),    # rows[-0:] is the whole history
@@ -939,6 +964,20 @@ class TestReplayAcceptance:
         report = replay_directory(tmp_path, from_snapshot=True)
         assert report.ok, [str(m) for m in report.mismatches]
         assert report.from_snapshot == snapshots[0].data["file"]
+
+    @pytest.mark.parametrize("from_snapshot", [False, True])
+    def test_a_directory_from_before_the_applications_replays(
+        self, from_snapshot
+    ):
+        # Written by `repro serve --protocol endemic --n 60 --seed 5
+        # --no-listen --virtual-clock --max-periods 12 --snapshot-every
+        # 12` before the applications became ServiceCore clients: the
+        # single-population log and snapshot formats did not move.
+        directory = Path(__file__).parent / "data" / "serve-endemic-60"
+        report = replay_directory(directory, from_snapshot=from_snapshot)
+        assert report.ok, [str(m) for m in report.mismatches]
+        assert report.replayed == (1 if from_snapshot else 15)
+        assert report.core.live.period == 12
 
     def test_old_format_snapshot_is_refused_and_genesis_replays(
         self, tmp_path, capsys

@@ -16,7 +16,9 @@ asserts the two contracts the live tier is built on:
   that scribbles on an answer must not change the next one;
 * **kept shares** -- the per-row shares ``convergence`` scans are the
   stream's own rows divided afresh, for any window and tolerance and
-  across a restore from a snapshot.
+  across a restore from a snapshot;
+* **application histories** -- any file-store history, refused events
+  included, replays to the same files, hosts and generator.
 """
 
 import tempfile
@@ -25,9 +27,13 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.service import LiveConfig, LiveEngine, ServiceCore, replay_events
+from repro.protocols.endemic import EndemicParams
+from repro.runtime.rng import generator_state
+from repro.service import (
+    LiveConfig, LiveEngine, ServiceCore, replay_directory, replay_events,
+)
 from repro.service.core import QUERY_OPS
-from repro.store import MemoryEventLog, load_snapshot
+from repro.store import MemoryEventLog, MigratoryFileStore, load_snapshot
 
 from service_helpers import (
     assert_answers_match_arrays,
@@ -266,3 +272,61 @@ class TestKeptShares:
                     assert {k: answer[k] for k in expected} == expected
             if not core.closed:
                 core.close()
+
+
+# ----------------------------------------------------------------------
+# The file store's histories replay too, refusals included
+# ----------------------------------------------------------------------
+store_operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.sampled_from("abc")),
+        st.tuples(st.just("remove"), st.sampled_from("abc")),
+        st.tuples(st.just("tick"), st.integers(min_value=1, max_value=4)),
+        st.tuples(st.just("crash"), st.lists(
+            st.integers(min_value=-2, max_value=N + 1), max_size=5,
+        )),
+        st.tuples(st.just("recover"), st.lists(
+            st.integers(min_value=0, max_value=N - 1), max_size=5,
+        )),
+        st.tuples(st.just("fail"), st.floats(min_value=0.0, max_value=0.6)),
+        st.tuples(st.just("fetch"), st.sampled_from("abc")),
+    ),
+    min_size=1, max_size=14,
+)
+
+
+class TestFileStoreHistories:
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(ops=store_operations, seed=st.integers(0, 2**31))
+    def test_any_history_replays_exactly(self, ops, seed):
+        with tempfile.TemporaryDirectory() as directory:
+            store = MigratoryFileStore(
+                N, EndemicParams(alpha=0.05, gamma=0.2, b=2), seed=seed,
+                directory=directory,
+            )
+            store.insert("a", initial_replicas=4)
+            calls = {
+                "insert": store.insert, "remove": store.remove,
+                "tick": store.tick, "crash": store.crash_hosts,
+                "recover": store.recover_hosts,
+                "fail": store.crash_random_fraction,
+                "fetch": lambda name: store.fetch(name, max_probes=8),
+            }
+            for op, arg in ops:
+                events = store.core.log.next_seq
+                try:
+                    calls[op](arg)
+                except (KeyError, ValueError):
+                    # Refused: nothing was logged (and so nothing moved,
+                    # or the replay below would diverge).
+                    assert store.core.log.next_seq == events
+            report = replay_directory(directory)
+        assert report.ok, [str(m) for m in report.mismatches]
+        assert report.replayed == store.core.log.next_seq
+        clone = report.core.app
+        assert clone._down_hosts == store._down_hosts
+        assert clone.files.keys() == store.files.keys()
+        for name in store.files:
+            assert np.array_equal(clone.locate(name), store.locate(name))
+        assert generator_state(clone.rng) == generator_state(store.rng)

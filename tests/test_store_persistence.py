@@ -7,7 +7,8 @@ Covers the durability corners the live tier depends on:
   window: a single flipped byte can land in unchecked zip padding and
   prove nothing),
 * concurrent readers on a log that is still being appended to,
-* bit-identical resume of the two store-layer services.
+* bit-identical resume of the two applications by replay, and
+  resumed services that keep logging to their directory.
 """
 
 import json
@@ -20,6 +21,9 @@ from repro.protocols.endemic import EndemicParams
 from repro.protocols.lv import lv_protocol
 from repro.runtime.rng import generator_from_state, generator_state
 from repro.runtime.round_engine import RoundEngine
+from repro.service import (
+    LiveConfig, LiveEngine, ServiceCore, replay_directory, resume,
+)
 from repro.store import (
     EVENTS_NAME,
     EventLog,
@@ -334,115 +338,294 @@ class TestEventLog:
 
 
 # ----------------------------------------------------------------------
-# Bit-identical resume of the store services
+# The applications resume by replay, like any live service
 # ----------------------------------------------------------------------
-class TestMajorityServicePersistence:
-    def test_resume_is_bit_identical(self, tmp_path):
-        service = MajorityService(
-            300, np.array([0] * 200 + [1] * 100), seed=7
-        )
-        service.corrupt(0.2, to_version=1)
-        service.poll(max_periods=4000)
-        path = service.save(tmp_path / "majority.npz")
+def resumed(directory, anchor):
+    """The application ``replay_directory`` rebuilds from ``anchor``."""
+    report = replay_directory(directory, from_snapshot=anchor == "snapshot")
+    assert report.ok, [str(m) for m in report.mismatches]
+    assert (report.from_snapshot is not None) == (anchor == "snapshot")
+    assert report.replayed >= 2  # the anchor precedes the session's end
+    return report.core.app
 
-        clone = MajorityService.load(path)
+
+def majority_session(directory):
+    service = MajorityService(
+        300, np.array([0] * 200 + [1] * 100), seed=7, directory=directory,
+    )
+    service.corrupt(0.2, to_version=1)
+    converged = service.poll(max_periods=4000)
+    service.core.snapshot_now()
+    service.corrupt(0.45, to_version=1)
+    unconverged = service.poll(max_periods=2)
+    assert converged.winner is not None and unconverged.winner is None
+    return service
+
+
+class TestMajorityServiceResume:
+    @pytest.mark.parametrize("anchor", ["genesis", "snapshot"])
+    def test_replay_resumes_bit_identically(self, tmp_path, anchor):
+        service = majority_session(tmp_path)
+        clone = resumed(tmp_path, anchor)
         assert clone.split() == service.split()
         assert clone.clock_periods == service.clock_periods
         assert clone.polls == service.polls
         # Resumed futures agree operation for operation: same corrupt
-        # victims (RNG buffer restored), same poll outcome (seeded by
+        # victims (generator restored), same poll outcome (seeded by
         # the restored poll count).
         assert clone.corrupt(0.15) == service.corrupt(0.15)
         assert np.array_equal(clone.versions, service.versions)
         assert clone.poll(max_periods=4000) == service.poll(max_periods=4000)
         assert clone.split() == service.split()
 
-    def test_kind_checked(self, tmp_path):
-        path = save_snapshot(
-            tmp_path / "other.npz", {"x": np.arange(3)}, {"kind": "other"}
-        )
-        with pytest.raises(SnapshotError):
-            MajorityService.load(path)
+    def test_snapshot_of_another_kind_refused(self):
+        arrays, meta = {"x": np.arange(3)}, {"kind": "other"}
+        with pytest.raises(SnapshotError, match="'other'"):
+            ServiceCore.from_snapshot(arrays, meta, log=MemoryEventLog())
 
-    def test_corrupt_checkpoint_rejected(self, tmp_path):
-        service = MajorityService(100, np.zeros(100, dtype=int), seed=1)
-        path = service.save(tmp_path / "majority.npz")
+    def test_corrupt_snapshot_rejected(self, tmp_path):
+        majority_session(tmp_path)
+        (path,) = tmp_path.glob("snapshot-*.npz")
         corrupt_window(path)
         with pytest.raises(SnapshotError):
-            MajorityService.load(path)
+            load_snapshot(path)
+        with pytest.raises(SnapshotError, match="no intact snapshot"):
+            replay_directory(tmp_path, from_snapshot=True)
+        assert resumed(tmp_path, "genesis").polls
 
 
-class TestFileStorePersistence:
-    def make_store(self):
-        params = EndemicParams(alpha=0.01, gamma=0.1, b=2)
-        store = MigratoryFileStore(n=400, params=params, seed=3)
-        store.insert("a.txt")
-        store.insert("b.txt", size_bytes=2048)
-        store.tick(50)
-        store.crash_random_fraction(0.1)
-        store.tick(10)
-        return store
+def file_store_session(directory):
+    params = EndemicParams(alpha=0.01, gamma=0.1, b=2)
+    store = MigratoryFileStore(
+        n=400, params=params, seed=3, directory=directory
+    )
+    store.insert("a.txt")
+    store.insert("b.txt", size_bytes=2048)
+    store.tick(50)
+    store.core.snapshot_now()
+    victims = store.crash_random_fraction(0.1)
+    store.tick(10)
+    store.recover_hosts(victims[:15])
+    store.fetch("a.txt")
+    store.fetch("b.txt", max_probes=3)
+    store.remove("a.txt")
+    store.insert("c.txt")
+    store.tick(25)
+    return store
 
-    def test_resume_is_bit_identical(self, tmp_path):
-        store = self.make_store()
-        path = store.save(tmp_path / "filestore.npz")
-        clone = MigratoryFileStore.load(path)
 
-        for name in ("a.txt", "b.txt"):
+class TestFileStoreResume:
+    @pytest.mark.parametrize("anchor", ["genesis", "snapshot"])
+    def test_replay_resumes_bit_identically(self, tmp_path, anchor):
+        store = file_store_session(tmp_path)
+        clone = resumed(tmp_path, anchor)
+        assert clone._down_hosts == store._down_hosts
+        for name in ("b.txt", "c.txt"):
             assert np.array_equal(clone.locate(name), store.locate(name))
+            for key in ("size_bytes", "inserted_period", "transfers",
+                        "lost_at_period"):
+                assert getattr(clone.files[name], key) == getattr(
+                    store.files[name], key
+                )
         assert np.array_equal(
             clone.crash_random_fraction(0.1),
             store.crash_random_fraction(0.1),
         )
         store.tick(25)
         clone.tick(25)
-        for name in ("a.txt", "b.txt"):
+        for name in ("b.txt", "c.txt"):
             assert np.array_equal(clone.locate(name), store.locate(name))
-        a = store.fetch("a.txt")
-        b = clone.fetch("a.txt")
-        assert a.probes == b.probes
-        assert a.found == b.found
+        assert clone.fetch("b.txt") == store.fetch("b.txt")
 
-    def test_corrupt_checkpoint_rejected(self, tmp_path):
-        store = self.make_store()
-        path = store.save(tmp_path / "filestore.npz")
-        corrupt_window(path)
+    def test_corrupt_snapshot_falls_back_then_is_refused(self, tmp_path):
+        file_store_session(tmp_path).core.snapshot_now()
+        older, newer = sorted(tmp_path.glob("snapshot-*.npz"))
+        corrupt_window(newer)
         with pytest.raises(SnapshotError):
-            MigratoryFileStore.load(path)
+            load_snapshot(newer)
+        report = replay_directory(tmp_path, from_snapshot=True)
+        assert report.ok and report.from_snapshot == older.name
+        corrupt_window(older)
+        with pytest.raises(SnapshotError, match="no intact snapshot"):
+            replay_directory(tmp_path, from_snapshot=True)
 
-    def test_insert_counter_survives_a_restore(self, tmp_path):
-        store = self.make_store()
-        store.remove("a.txt")
-        clone = MigratoryFileStore.load(store.save(tmp_path / "fs.npz"))
+    def test_insert_counter_survives_a_resume(self, tmp_path):
+        store = file_store_session(tmp_path)
+        store.remove("b.txt")
+        store.core.snapshot_now()
+        store.tick(1)
+        store.fetch("c.txt")
+        clone = resumed(tmp_path, "snapshot")
         for each in (store, clone):
-            each.insert("c.txt")
+            each.insert("d.txt")
             each.tick(10)
-        assert np.array_equal(clone.locate("c.txt"), store.locate("c.txt"))
-        assert not np.array_equal(store.locate("c.txt"), store.locate("b.txt"))
+        assert np.array_equal(clone.locate("d.txt"), store.locate("d.txt"))
+        assert not np.array_equal(store.locate("d.txt"), store.locate("c.txt"))
+
+
+# ----------------------------------------------------------------------
+# A resumed service keeps logging, crash after crash
+# ----------------------------------------------------------------------
+def file_store_parts():
+    def build(directory):
+        return MigratoryFileStore(
+            n=300, params=EndemicParams(alpha=0.01, gamma=0.1, b=2),
+            seed=5, directory=directory,
+        )
+
+    def first(store):
+        store.insert("a.txt")
+        store.insert("b.txt", size_bytes=2048)
+        store.tick(30)
+        store.core.snapshot_now()
+
+    def second(store):
+        victims = store.crash_random_fraction(0.1)
+        store.tick(10)
+        store.recover_hosts(victims[:5])
+        store.fetch("a.txt")
+        store.core.snapshot_now()
+        store.tick(3)
+
+    def third(store):
+        store.remove("a.txt")
+        store.insert("c.txt")
+        store.tick(20)
+        store.fetch("b.txt")
+
+    return build, (first, second, third)
+
+
+def majority_parts():
+    def build(directory):
+        return MajorityService(
+            200, np.array([0] * 130 + [1] * 70), seed=9, directory=directory,
+        )
+
+    def first(service):
+        service.corrupt(0.2)
+        service.poll(max_periods=4000)
+        service.core.snapshot_now()
+
+    def second(service):
+        service.corrupt(0.3, to_version=0)
+        service.core.snapshot_now()
+        service.poll(max_periods=2)
+
+    def third(service):
+        service.corrupt(0.1)
+        service.poll(max_periods=4000)
+
+    return build, (first, second, third)
+
+
+def live_parts():
+    def build(directory):
+        core = ServiceCore(
+            LiveEngine(LiveConfig("endemic", 300, seed=4)),
+            directory=directory,
+        )
+        core.start()
+        return core
+
+    def first(core):
+        core.tick(20)
+        core.snapshot_now()
+
+    def second(core):
+        core.apply_event("fail", {"fraction": 0.2})
+        core.tick(5)
+        core.snapshot_now()
+        core.apply_event("join", {"hosts": [1, 2, 3]})
+
+    def third(core):
+        core.tick(7)
+        core.close()
+
+    return build, (first, second, third)
+
+
+def tear(directory):
+    """What a kill -9 in the middle of a write leaves at the log's end."""
+    with (directory / EVENTS_NAME).open("ab") as fh:
+        fh.write(b'{"seq": 99, "kind": "ti')
+
+
+class TestResumeKeepsLogging:
+    """``resume`` replays a directory and logs to it again: stopped by
+    kill -9 twice, a service leaves the directory one run would."""
+
+    @pytest.mark.parametrize("anchor", ["genesis", "snapshot"])
+    @pytest.mark.parametrize("parts", [
+        file_store_parts, majority_parts, live_parts,
+    ])
+    def test_two_crashes_leave_the_directory_of_one_run(
+        self, tmp_path, parts, anchor
+    ):
+        build, steps = parts()
+        once, crashed = tmp_path / "once", tmp_path / "crashed"
+        app = build(once)
+        for step in steps:
+            step(app)
+        app = build(crashed)
+        steps[0](app)
+        for step in steps[1:]:
+            tear(crashed)
+            core = resume(crashed, from_snapshot=anchor == "snapshot")
+            step(core if parts is live_parts else core.app)
+        assert (crashed / EVENTS_NAME).read_bytes() == (
+            once / EVENTS_NAME
+        ).read_bytes()
+        names = sorted(path.name for path in once.glob("snapshot-*.npz"))
+        assert names and names == sorted(
+            path.name for path in crashed.glob("snapshot-*.npz")
+        )
+        for name in names:
+            assert (crashed / name).read_bytes() == (once / name).read_bytes()
+        assert replay_directory(crashed).ok
+
+    def test_nothing_to_resume_is_refused(self, tmp_path):
+        (tmp_path / EVENTS_NAME).write_text("")
+        with pytest.raises(EventLogError, match="no init record"):
+            resume(tmp_path)
 
 
 class TestOldFormatRefused:
-    """The pickled-generator layout of each store writer is refused by
-    name, never unpickled."""
+    """A pickled generator in an application's snapshot is refused by
+    name, never unpickled; so is a snapshot of a retired application
+    kind."""
 
-    def test_majority_service(self, tmp_path):
-        service = MajorityService(100, np.zeros(100, dtype=int), seed=1)
-        path = service.save(tmp_path / "majority.npz")
+    def repickled(self, path, app):
         arrays, meta = load_snapshot(path)
-        arrays["rng"] = np.frombuffer(pickle.dumps(service._rng), np.uint8)
+        arrays["rng"] = np.frombuffer(pickle.dumps(app.rng), np.uint8)
         del meta["rng"]
         save_snapshot(path, arrays, meta)
         with pytest.raises(SnapshotError, match=r"old-format .*\(rng\)"):
-            MajorityService.load(path)
+            replay_directory(path.parent, from_snapshot=True)
+
+    def test_majority_service(self, tmp_path):
+        service = majority_session(tmp_path)
+        (path,) = tmp_path.glob("snapshot-*.npz")
+        self.repickled(path, service)
 
     def test_file_store(self, tmp_path):
-        store = TestFileStorePersistence().make_store()
-        path = store.save(tmp_path / "filestore.npz")
-        arrays, meta = load_snapshot(path)
-        arrays["fetch_rng"] = np.frombuffer(
-            pickle.dumps(store._fetch_rng), np.uint8
-        )
-        del meta["fetch_rng"]
-        save_snapshot(path, arrays, meta)
-        with pytest.raises(SnapshotError, match=r"old-format .*fetch_rng"):
-            MigratoryFileStore.load(path)
+        store = file_store_session(tmp_path)
+        (path,) = tmp_path.glob("snapshot-*.npz")
+        self.repickled(path, store)
+
+    def test_unknown_application_refused(self, tmp_path):
+        log = EventLog(tmp_path / EVENTS_NAME)
+        log.append("init", 0, {"app": {"kind": "nope", "n": 4}})
+        log.close()
+        with pytest.raises(EventLogError, match="unknown application 'nope'"):
+            replay_directory(tmp_path)
+
+    @pytest.mark.parametrize(
+        "kind", ["majority-service", "migratory-filestore"]
+    )
+    def test_retired_application_kinds(self, kind):
+        with pytest.raises(SnapshotError, match=kind):
+            ServiceCore.from_snapshot(
+                {"versions": np.zeros(3, np.int8)}, {"kind": kind},
+                log=MemoryEventLog(),
+            )
