@@ -23,7 +23,9 @@ them, so :func:`replay_point` can re-run any point and
 :func:`verify_replay` can check a stored result file bit-for-bit.
 ``save_tensors`` additionally persists each point's full
 ``(M, periods, states)`` count tensor as a compressed ``.npz`` for
-offline analysis.
+offline analysis, indexed by a ``manifest.json`` checkpoint; both are
+written by :func:`repro.store.durable.write_atomic`, a tensor before
+the manifest that names it.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from ..runtime.exec import (
     run_plan,
 )
 from ..runtime.parallel import EnsembleExecutor, EnsembleResult, UnitOutput
+from ..store import durable
 from .grid import CampaignPoint, CampaignSpec, _without_legacy_mode
 from .registry import resolve_protocol
 
@@ -279,9 +282,10 @@ def _save_tensor(
     The archive is the one ``np.savez_compressed`` writes -- one
     deflated ``<name>.npy`` member per array, zip64 forced -- except
     that it deflates at :data:`TENSOR_DEFLATE_LEVEL`, so ``np.load``
-    reads it as it reads theirs.  Written atomically (tmp + rename): a
-    crash mid-write can never leave a truncated ``.npz`` that a later
-    ``--resume`` would trust.
+    reads it as it reads theirs.  Written by
+    :func:`~repro.store.durable.write_atomic`: a crash mid-write can
+    never leave a truncated ``.npz`` that a later ``--resume`` would
+    trust, and the tensor is durable before the manifest names it.
     """
     arrays = {
         "counts": tensor,
@@ -291,16 +295,18 @@ def _save_tensor(
         "total_messages": np.asarray(total_messages, dtype=np.int64),
         "point_json": np.asarray(json.dumps(result.point.to_dict())),
     }
+
+    def write(fh) -> None:
+        with zipfile.ZipFile(
+            fh, "w", compression=zipfile.ZIP_DEFLATED,
+            compresslevel=TENSOR_DEFLATE_LEVEL, allowZip64=True,
+        ) as archive:
+            for key, array in arrays.items():
+                with archive.open(key + ".npy", "w", force_zip64=True) as out:
+                    np.lib.format.write_array(out, array, allow_pickle=False)
+
     name = _tensor_file_name(spec_name, index)
-    tmp = directory / (name + ".tmp")
-    with zipfile.ZipFile(
-        tmp, "w", compression=zipfile.ZIP_DEFLATED,
-        compresslevel=TENSOR_DEFLATE_LEVEL, allowZip64=True,
-    ) as archive:
-        for key, array in arrays.items():
-            with archive.open(key + ".npy", "w", force_zip64=True) as member:
-                np.lib.format.write_array(member, array, allow_pickle=False)
-    os.replace(tmp, directory / name)
+    durable.write_atomic(directory / name, write)
     return name
 
 
@@ -334,13 +340,6 @@ def _created_stamp() -> str:
             int(epoch), tz=datetime.timezone.utc
         ).isoformat()
     return datetime.datetime.now(tz=datetime.timezone.utc).isoformat()
-
-
-def _write_text_atomic(path: Path, text: str) -> None:
-    """Write via tmp + rename, so readers never see a torn file."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 def _pending_entry(index: int, point: CampaignPoint) -> Dict:
@@ -455,12 +454,29 @@ class _Checkpoint:
 
     def write(self) -> None:
         if self.path is not None:
-            _write_text_atomic(self.path, self.text())
+            text = self.text().encode()
+            durable.write_atomic(self.path, lambda fh: fh.write(text))
 
 
 def load_manifest(directory) -> Dict:
-    """Read a campaign tensors directory's ``manifest.json``."""
-    return json.loads((Path(directory) / MANIFEST_NAME).read_text())
+    """Read a campaign tensors directory's ``manifest.json``.
+
+    A missing file, one that does not parse and one that is not a JSON
+    object are each refused with a ``ValueError`` naming it.
+    """
+    path = Path(directory) / MANIFEST_NAME
+    try:
+        manifest = json.loads(path.read_bytes())
+    except FileNotFoundError:
+        raise ValueError(
+            f"{directory} has no {MANIFEST_NAME}; only campaigns run with "
+            f"--save-tensors (save_tensors=) are resumable"
+        ) from None
+    except ValueError as exc:
+        raise ValueError(f"invalid manifest {path}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"invalid manifest {path}: not a JSON object")
+    return manifest
 
 
 def _restore_completed(
@@ -482,13 +498,7 @@ def _restore_completed(
     ``created`` stamp the manifest recorded (None if it has none),
     which the resumed campaign keeps.
     """
-    try:
-        manifest = load_manifest(resume_dir)
-    except FileNotFoundError:
-        raise ValueError(
-            f"{resume_dir} has no {MANIFEST_NAME}; only campaigns run "
-            f"with save_tensors (--save-tensors) are resumable"
-        )
+    manifest = load_manifest(resume_dir)
     recorded = manifest.get("spec")
     if isinstance(recorded, dict):
         recorded = _without_legacy_mode(recorded)
@@ -560,10 +570,11 @@ def run_campaign(
     campaign-level ``manifest.json`` (see :func:`load_manifest`)
     indexes every point's parameters, seeds and tensor path for
     offline analysis.  The manifest doubles as the campaign's
-    **checkpoint**: it is written atomically (tmp + rename) before the
-    first unit runs and again as every point completes, so a crash or
-    kill at any moment leaves a consistent partial manifest naming
-    exactly the points that finished.
+    **checkpoint**: :func:`~repro.store.durable.write_atomic` writes it
+    before the first unit runs and again as every point completes (the
+    point's tensor first), so a crash, kill or power loss at any moment
+    leaves a consistent partial manifest naming exactly the points that
+    finished.
 
     ``resume`` names such a directory: completed points are restored
     from the manifest instead of re-run (after verifying the manifest
@@ -607,10 +618,7 @@ def run_campaign(
                 "resume and save_tensors must name the same directory "
                 "(resume continues the campaign checkpointed there)"
             )
-    tensors_dir: Optional[Path] = None
-    if save_tensors is not None:
-        tensors_dir = Path(save_tensors)
-        tensors_dir.mkdir(parents=True, exist_ok=True)
+    tensors_dir = None if save_tensors is None else Path(save_tensors)
 
     restored, created = (
         _restore_completed(resume_dir, spec, points)
@@ -618,7 +626,7 @@ def run_campaign(
     )
 
     # The checkpoint state: one manifest entry per planned point,
-    # rewritten atomically whenever a point lands.
+    # rewritten durably whenever a point lands.
     checkpoint = _Checkpoint(
         None if tensors_dir is None else tensors_dir / MANIFEST_NAME,
         spec,

@@ -181,11 +181,8 @@ def _resume(args) -> int:
     directory = Path(args.resume)
     try:
         manifest = load_manifest(directory)
-    except FileNotFoundError:
-        raise CliError(f"{directory} has no manifest.json; only campaigns "
-                       f"run with --save-tensors are resumable")
-    except (ValueError, KeyError) as exc:
-        raise CliError(f"invalid manifest: {exc}")
+    except ValueError as exc:
+        raise CliError(str(exc))
     try:
         spec = CampaignSpec.from_dict(manifest["spec"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -226,6 +226,8 @@ class ServiceCore:
             }
             for row in self.history
         ]
+        # No snapshot is durable ahead of the log prefix it names.
+        self.log.sync()
         path = save_snapshot(self.directory / name, arrays, meta)
         self.log.append("snapshot", period, {"file": name})
         self.snapshots_written += 1

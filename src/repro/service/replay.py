@@ -84,8 +84,6 @@ def latest_snapshot(
         if event.kind != "snapshot" or not event.data.get("file"):
             continue
         path = directory / event.data["file"]
-        if not path.exists():
-            continue
         try:
             load_snapshot(path)
         except SnapshotError:

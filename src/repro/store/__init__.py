@@ -13,6 +13,8 @@ first use: :mod:`repro.service` imports this package.
 
 Plus the persistence primitives the live service tier sits on:
 
+* :mod:`~repro.store.durable` -- the one durable-write seam, through
+  which every file that must survive a crash is written;
 * :mod:`~repro.store.eventlog` -- append-only JSONL event log with
   torn-tail-tolerant reads (the replay source of truth);
 * :mod:`~repro.store.snapshots` -- checksummed, atomically-written

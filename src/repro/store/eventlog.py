@@ -9,12 +9,12 @@ must reproduce the exact state stream (see ``docs/service.md``).
 
 Two durability properties matter and are both tested:
 
-* **appends are atomic at line granularity** -- each record is written
-  as one ``write()`` of a complete line and flushed to the OS, so a
-  killed process leaves at most one torn *final* line.  A flush is not
-  an ``fsync``: after a power loss the file can also end early, short
-  an unsynced suffix of complete lines (``EventLog(fsync=True)`` syncs
-  every append; no caller enables it);
+* **appends are atomic at line granularity** -- each record is one
+  ``write()`` of a complete line, flushed to the OS
+  (:func:`repro.store.durable.append`), so a killed process leaves at
+  most one torn *final* line.  A power loss can also drop the lines
+  appended since the last :meth:`EventLog.sync`, which ``ServiceCore``
+  calls before every snapshot;
 * **reads tolerate exactly that** -- ``read_events`` drops a torn
   final line (reporting it) but refuses mid-file corruption, which can
   only mean the log was edited or the filesystem lied.
@@ -22,12 +22,14 @@ Two durability properties matter and are both tested:
 
 from __future__ import annotations
 
-import io
 import json
 import os
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import IO, Any, Callable, Dict, List, Optional, Tuple
+
+from . import durable
 
 EVENTS_NAME = "events.jsonl"
 
@@ -130,77 +132,9 @@ def read_events(
     return events, torn
 
 
-class EventLog:
-    """Writable append-only log backed by one JSONL file.
-
-    ``append`` assigns the next ``seq``, writes one complete line and
-    flushes it to the OS, so a killed process (SIGKILL) can tear at
-    most the final line -- which ``read_events`` knows to drop.  A power
-    loss can further drop the suffix the OS had not yet written back,
-    unless ``fsync`` syncs each append.
-    """
-
-    def __init__(
-        self, path: os.PathLike, *, fsync: bool = False, resume: bool = False
-    ):
-        self.path = Path(path)
-        self.fsync = fsync
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._next_seq = 0
-        if resume:
-            # Carry on after the last whole record: a torn tail is cut,
-            # so the next record starts on a line of its own.
-            self._next_seq = len(read_events(self.path)[0])
-            lines = self.path.read_bytes().split(b"\n")[:self._next_seq]
-            with self.path.open("r+b") as fh:
-                fh.truncate(sum(len(line) + 1 for line in lines))
-        elif self.path.exists():
-            raise FileExistsError(
-                f"event log already exists: {self.path} "
-                f"(refusing to interleave two runs; use replay instead)"
-            )
-        self._fh: Optional[io.TextIOBase] = self.path.open(
-            "a" if resume else "w", encoding="utf-8"
-        )
-
-    @property
-    def next_seq(self) -> int:
-        """The ``seq`` the next ``append`` will assign."""
-        return self._next_seq
-
-    def append(
-        self, kind: str, period: int, data: Optional[Dict[str, Any]] = None
-    ) -> LoggedEvent:
-        if self._fh is None:
-            raise EventLogError(f"event log is closed: {self.path}")
-        if kind not in ALL_KINDS:
-            raise EventLogError(f"unknown event kind {kind!r}")
-        event = LoggedEvent(
-            seq=self._next_seq, period=int(period), kind=kind,
-            data=dict(data or {}),
-        )
-        line = json.dumps(event.to_dict(), sort_keys=True)
-        self._fh.write(line + "\n")
-        self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
-        self._next_seq += 1
-        return event
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "EventLog":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
 class MemoryEventLog:
-    """In-memory stand-in with the same ``append`` interface.
+    """An event log in memory; :class:`EventLog` numbers its records the
+    same way and writes them to a file instead.
 
     Used by replay (which must not write to the directory it is
     verifying) and by property tests that drive thousands of short
@@ -218,6 +152,7 @@ class MemoryEventLog:
 
     @property
     def next_seq(self) -> int:
+        """The ``seq`` the next ``append`` will assign."""
         return self._next_seq
 
     def append(
@@ -229,10 +164,72 @@ class MemoryEventLog:
             seq=self.next_seq, period=int(period), kind=kind,
             data=dict(data or {}),
         )
-        if self._keep:
-            self.events.append(event)
+        self._write(event)
         self._next_seq += 1
         return event
 
+    def _write(self, event: LoggedEvent) -> None:
+        if self._keep:
+            self.events.append(event)
+
     def close(self) -> None:
         pass
+
+
+class EventLog(MemoryEventLog):
+    """Writable append-only log backed by one JSONL file.
+
+    ``append`` writes each record as one line through
+    :mod:`repro.store.durable`; ``resume=True`` carries on an existing
+    log after its last whole record, a torn tail cut off.  A write the
+    OS refuses (``ENOSPC``, ``EIO``) fails the log: every later append
+    or sync raises :class:`EventLogError`, so no record ever follows
+    one that may be missing.
+    """
+
+    def __init__(self, path: os.PathLike, *, resume: bool = False):
+        self.path = Path(path)
+        seq, keep = 0, None
+        if resume:
+            seq = len(read_events(self.path)[0])
+            lines = self.path.read_bytes().split(b"\n")[:seq]
+            keep = sum(len(line) + 1 for line in lines)
+        super().__init__(seq, keep=False)
+        try:
+            self._fh: Optional[IO[str]] = durable.open_log(self.path, keep)
+        except FileExistsError:
+            raise FileExistsError(
+                f"event log already exists: {self.path} "
+                f"(refusing to interleave two runs; use replay instead)"
+            ) from None
+
+    def _do(self, step: Callable[..., None], *args: str) -> None:
+        """One durable step; a step the OS refuses fails the log."""
+        if self._fh is None:
+            raise EventLogError(f"event log is closed: {self.path}")
+        try:
+            step(self._fh, *args)
+        except OSError:
+            fh, self._fh = self._fh, None
+            with suppress(OSError):
+                fh.close()
+            raise
+
+    def _write(self, event: LoggedEvent) -> None:
+        line = json.dumps(event.to_dict(), sort_keys=True)
+        self._do(durable.append, line + "\n")
+
+    def sync(self) -> None:
+        """Make every record appended so far survive a power loss."""
+        self._do(durable.sync)
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+
+    def __enter__(self) -> "EventLog":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()

@@ -1,12 +1,12 @@
 """Checksummed, atomically-written state snapshots.
 
 A snapshot is one ``.npz`` holding named arrays plus a JSON metadata
-blob, sealed by a SHA-256 digest over both.  The write goes through
-the repo-standard tmp + ``os.replace`` dance, so a crash mid-write
-leaves either the previous snapshot or none -- never a half-written
-file -- and the digest turns silent corruption (truncated zip, bit
-rot, hand editing) into a loud :class:`SnapshotError` at load time
-instead of a wrong replay.
+blob, sealed by a SHA-256 digest over both.  The write is
+:func:`repro.store.durable.write_atomic`, so a crash mid-write leaves
+either the previous snapshot or none -- never a half-written file --
+and a returned write survives a power loss.  The digest turns silent
+corruption (truncated zip, bit rot, hand editing) into a loud
+:class:`SnapshotError` at load time instead of a wrong replay.
 
 The format is deliberately dumb: plain numpy arrays and a JSON dict.
 ``ServiceCore``, the one writer, decides what goes in through two
@@ -27,6 +27,7 @@ from typing import Any, Dict, Mapping, Tuple
 import numpy as np
 
 from ..runtime.rng import SnapshotError
+from . import durable
 
 _ARRAY_PREFIX = "array."
 _META_KEY = "__meta_json__"
@@ -99,14 +100,7 @@ def save_snapshot(
     payload[_DIGEST_KEY] = np.frombuffer(
         digest.encode("ascii"), dtype=np.uint8
     )
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        np.savez(fh, **payload)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    return path
+    return durable.write_atomic(path, lambda fh: np.savez(fh, **payload))
 
 
 def load_snapshot(

@@ -24,6 +24,7 @@ from repro.campaign import (
 )
 from repro.campaign.runner import MANIFEST_NAME
 from repro.runtime import FaultPolicy, UnitExecutionError
+from repro.store import durable
 from repro.__main__ import main as cli_main
 
 
@@ -421,6 +422,18 @@ def manifest_layout(data):
     return shell.replace('"points": null', f'"points": [\n{lines}\n  ]')
 
 
+def watch_manifests(monkeypatch, seen):
+    """Call ``seen(path, text)`` after every manifest written durably."""
+    write_atomic = durable.write_atomic
+
+    def watched(path, write):
+        write_atomic(path, write)
+        if path.name == MANIFEST_NAME:
+            seen(path, path.read_text())
+
+    monkeypatch.setattr(durable, "write_atomic", watched)
+
+
 class TestCheckpointEncoding:
     """The manifest is assembled from per-entry pieces, each encoded once."""
 
@@ -430,19 +443,17 @@ class TestCheckpointEncoding:
         # Three points; the second run restores point 0 from the first
         # run's manifest, fails point 1 and completes point 2.
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
-        from repro.campaign import registry, runner
+        from repro.campaign import registry
 
         written = []
-        write = runner._write_text_atomic
 
         def checked_write(path, text):
-            write(path, text)
             data = json.loads(text)
             written.append([e["status"] for e in data["points"]])
             assert text == manifest_layout(data)
             assert data["provenance"]["created"].startswith("2023-11-14")
 
-        monkeypatch.setattr(runner, "_write_text_atomic", checked_write)
+        watch_manifests(monkeypatch, checked_write)
         flag = tmp_path / "fault-active"
         flag.touch()
         register_scenario("flag", FlagScenario(str(flag)))
@@ -489,13 +500,11 @@ class TestCheckpointEncoding:
             runner, "_created_stamp", lambda: f"stamp-{next(ticks)}"
         )
         stamps = []
-        write = runner._write_text_atomic
 
         def stamped_write(path, text):
-            write(path, text)
             stamps.append(json.loads(text)["provenance"]["created"])
 
-        monkeypatch.setattr(runner, "_write_text_atomic", stamped_write)
+        watch_manifests(monkeypatch, stamped_write)
         spec = tiny_spec()
         with pytest.raises(Bomb):
             run_campaign(
@@ -516,7 +525,7 @@ class TestCheckpointEncoding:
 
         encodes = Counter()
         writes = []
-        encode, write = runner._encode_entry, runner._write_text_atomic
+        encode = runner._encode_entry
 
         def counting_encode(entry):
             encodes[entry["index"], entry["status"]] += 1
@@ -524,10 +533,9 @@ class TestCheckpointEncoding:
 
         def counting_write(path, text):
             writes.append(None)
-            write(path, text)
 
         monkeypatch.setattr(runner, "_encode_entry", counting_encode)
-        monkeypatch.setattr(runner, "_write_text_atomic", counting_write)
+        watch_manifests(monkeypatch, counting_write)
         spec = tiny_spec(group_sizes=[100, 150, 200, 250, 300, 350])
         run_campaign(spec, save_tensors=str(tmp_path))
         assert len(writes) == 7
@@ -593,3 +601,38 @@ class TestResumeCli:
         )
         assert cli_main(["analyze-campaign", str(tmp_path)]) == 0
         assert "orphaned" not in capsys.readouterr().out
+
+
+class TestUnreadableManifest:
+    """A manifest that does not parse, or is not an object, is refused
+    with a ``ValueError`` naming the file, on every path that reads it."""
+
+    CONTENTS = {
+        "empty": "",
+        "truncated": '{\n  "campaign": "tiny",\n  "spec": {"na',
+        "list": "[]",
+    }
+
+    def write(self, tmp_path, name):
+        path = tmp_path / MANIFEST_NAME
+        path.write_text(self.CONTENTS[name])
+        return path
+
+    @pytest.mark.parametrize("name", sorted(CONTENTS))
+    def test_run_campaign_resume(self, tmp_path, name):
+        path = self.write(tmp_path, name)
+        with pytest.raises(ValueError, match="invalid manifest") as refused:
+            run_campaign(tiny_spec(), resume=str(tmp_path))
+        assert type(refused.value) is ValueError
+        assert str(path) in str(refused.value)
+
+    @pytest.mark.parametrize("name", sorted(CONTENTS))
+    @pytest.mark.parametrize("command", [
+        ["campaign", "--resume"], ["analyze-campaign"],
+    ])
+    def test_cli(self, tmp_path, capsys, name, command):
+        path = self.write(tmp_path, name)
+        assert cli_main(command + [str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
