@@ -109,6 +109,9 @@ class Experiment:
         campaign ``--shards`` documents).  The serial and agent tiers
         fan whole trials across the pool (each trial owns its RNG
         stream, so the result is bitwise independent of ``workers``).
+        Pool children are forks that inherit the run's units; a unit
+        that will not pickle (a closure hook or scenario) still runs
+        the whole ensemble in-process, with a warning.
     on_error, retries, unit_timeout:
         The execution layer's fault policy
         (:class:`~repro.runtime.exec.FaultPolicy`), applied to the

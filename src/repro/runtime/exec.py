@@ -34,8 +34,8 @@ The reproducibility contract, shared by every caller:
    do not survive :mod:`pickle` (closure or lambda hooks or scenario
    builders), :func:`run_plan` warns and runs them in-process --
    same bits, no pool.  The probe is one :mod:`pickle` pass over the
-   whole plan before any unit runs; after it the pool reads a payload
-   when its frame is cut, as the in-process path always did.
+   whole plan before any unit runs, and the pool's only one: its
+   forked children inherit the plan, and a frame names a range of it.
 4. **Failure handling cannot perturb results.**  A unit fails as a
    whole or not at all: an exception (or timeout) anywhere in a unit
    discards that attempt's entire output, and a retry re-runs the
@@ -64,11 +64,13 @@ without either level re-deciding the decomposition.
 
 from __future__ import annotations
 
-import multiprocessing
 import multiprocessing.connection
+import os
 import pickle
 import re
+import select
 import signal
+import sys
 import threading
 import time
 import traceback as traceback_module
@@ -562,21 +564,92 @@ def _plan_pickles(plan: ExecutionPlan, runners: list, payloads: list) -> bool:
 
 
 def _pool_worker(
-    pipe: Any, inherited: Sequence[Any], policy: FaultPolicy
+    pipe: Any,
+    inherited: Sequence[Any],
+    columns: Tuple[List[Any], List[Any], List[str]],
+    policy: FaultPolicy,
 ) -> None:
-    """A pool child: run the frames its pipe brings until it closes."""
+    """A pool child: run the frames its pipe names until it closes.
+
+    A frame is ``(start, stop)``, a range of the plan's ``columns``,
+    which the child inherited at fork: no unit crosses the pipe going
+    down, and a replacement forked mid-plan holds the very same units.
+    """
     for parent_end in inherited:
         # A forked copy of the parent's ends (this child's included)
         # would hold the pipes open after the parent closed or died.
         parent_end.close()
+    runners, payloads, labels = columns
     while True:
         try:
-            start, runners, payloads, labels = pickle.loads(pipe.recv_bytes())
+            a, b = pickle.loads(pipe.recv_bytes())
         except (EOFError, OSError):  # closed; reset if with a reply unread
             return
-        indices = range(start, start + len(labels))
-        reply = _run_frame(indices, zip(runners, payloads), labels, policy)
-        pipe.send_bytes(_encode_results(reply, indices, labels, pickle.dumps))
+        indices, names = range(a, b), labels[a:b]
+        units = zip(runners[a:b], payloads[a:b])
+        reply = _run_frame(indices, units, names, policy)
+        pipe.send_bytes(_encode_results(reply, indices, names, pickle.dumps))
+
+
+def _flush_std_streams() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (AttributeError, ValueError):  # None, or closed
+            pass
+
+
+class _Child:
+    """A bare forked pool child, as the parent holds it.
+
+    The std streams are flushed before the fork, so a line the parent
+    had buffered is not printed again by the child.  The child reads
+    no stdin, runs ``target(*args)``, flushes, and leaves by
+    ``os._exit`` whatever happens: code 0, or 1 on an exception.  The
+    parent holds a pidfd on it, so :meth:`join` waits in ``poll``, not
+    in a sleep loop, and :meth:`kill` can never signal a recycled pid.
+    """
+
+    def __init__(self, target: Callable[..., None], *args: Any):
+        _flush_std_streams()
+        self.pid = os.fork()
+        if self.pid == 0:  # the child: never returns
+            code = 1
+            try:
+                if sys.stdin is not None:  # None: the parent has no fd 0
+                    sys.stdin.close()
+                sys.stdin = open(os.devnull)
+                target(*args)
+                code = 0
+            except BaseException:
+                traceback_module.print_exc()
+            finally:
+                try:
+                    _flush_std_streams()
+                finally:
+                    os._exit(code)
+        self._pidfd = os.pidfd_open(self.pid)
+        #: ``os.waitstatus_to_exitcode`` once reaped (negative: the
+        #: signal that ended it), None before.
+        self.exitcode: Optional[int] = None
+
+    def kill(self) -> None:
+        if self.exitcode is None:
+            signal.pidfd_send_signal(self._pidfd, signal.SIGKILL)
+
+    def join(self, timeout: Optional[float] = None) -> None:
+        """Reap the child once it exits, waiting at most ``timeout``
+        seconds (None: as long as it takes)."""
+        if self.exitcode is not None:
+            return
+        if timeout is not None:
+            poller = select.poll()
+            poller.register(self._pidfd, select.POLLIN)
+            if not poller.poll(timeout * 1e3):
+                return
+        _, status = os.waitpid(self.pid, 0)
+        self.exitcode = os.waitstatus_to_exitcode(status)
+        os.close(self._pidfd)
 
 
 def _run_pool(
@@ -589,30 +662,27 @@ def _run_pool(
     """Run the plan's columns on forked children, one pipe and one frame each.
 
     The pipe transport of :class:`~repro.runtime.dispatch.Dispatcher`.
-    A frame is ``(start, runners, payloads, labels)``, pickled once as
-    it is cut; replies land here, in the calling thread.  A child is
-    only sent a frame while it waits in ``recv_bytes``, so no helper
-    thread is needed to move payloads and results of any size without
-    deadlock.  A child that hangs up is a lost worker.  No child
-    outlives the plan, however it ends.
+    Each child is a bare fork (:class:`_Child`) that inherits
+    ``columns``, so a frame is only its ``(start, stop)`` range;
+    replies land here, in the calling thread.  A child is only sent a
+    frame while it waits in ``recv_bytes``, so no helper thread is
+    needed to move results of any size without deadlock.  A child that
+    hangs up is a lost worker.  No child outlives the plan, however it
+    ends: the ``finally`` reaps every one.
     """
     from repro.runtime.dispatch import Dispatcher
 
-    runners, payloads, labels = columns
-    table = Dispatcher(plan.label, labels, policy, workers, land)
+    table = Dispatcher(plan.label, columns[2], policy, workers, land)
     started = time.perf_counter()
-    children: dict = {}  # the parent's end of each pipe -> its process
+    children: dict = {}  # the parent's end of each pipe -> its child
     gone: list = []  # children lost mid-plan
 
     def fork() -> None:
-        pipe, child_end = multiprocessing.Pipe()
-        process = multiprocessing.Process(
-            target=_pool_worker, daemon=True,
-            args=(child_end, (*children, pipe), policy),
+        pipe, child_end = multiprocessing.connection.Pipe()
+        children[pipe] = _Child(
+            _pool_worker, child_end, (*children, pipe), columns, policy
         )
-        process.start()
         child_end.close()
-        children[pipe] = process
 
     try:
         for _ in range(table.workers):
@@ -620,15 +690,12 @@ def _run_pool(
         start_seconds = time.perf_counter() - started
         landing: list = []  # (frame, outputs, failures) per reply
         while True:
-            for pipe, process in children.items():
-                frame = table.cut(pipe, f"pid {process.pid}")  # if idle
+            for pipe, child in children.items():
+                frame = table.cut(pipe, f"pid {child.pid}")  # if idle
                 if frame is None:
                     continue
-                a, b = frame.start, frame.stop
                 try:
-                    pipe.send_bytes(pickle.dumps(
-                        (a, runners[a:b], payloads[a:b], labels[a:b])
-                    ))
+                    pipe.send_bytes(pickle.dumps((frame.start, frame.stop)))
                 except OSError:
                     pass  # already dead: the wait below reads its EOF
             for reply in landing:  # the children are busy again by now
@@ -644,32 +711,32 @@ def _run_pool(
                 except (EOFError, OSError):  # it hung up: a lost worker
                     reply = None
                 if reply is None:
-                    process = children.pop(pipe)
+                    child = children.pop(pipe)
                     pipe.close()
-                    gone.append(process)
-                    process.join(1.0)  # it is dying: wait for its exit code
-                    table.lose(pipe, _died(process))
+                    gone.append(child)
+                    child.join(1.0)  # it is dying: wait for its exit code
+                    table.lose(pipe, _died(child))
                     if table.spawns(len(children), len(children) + len(gone)):
                         fork()
                     continue
                 outputs, failures, seconds = reply
                 landing.append((table.result(pipe, seconds), outputs, failures))
     finally:
-        for pipe, process in children.items():
+        for pipe, child in children.items():
             pipe.close()
             if pipe in table.flight:
-                process.kill()  # mid-frame, and nobody is listening
-        for process in [*children.values(), *gone]:
-            process.join(5.0)  # its pipe closed, so its loop has ended
-            if process.is_alive():
-                process.kill()
-                process.join()
+                child.kill()  # mid-frame, and nobody is listening
+        for child in [*children.values(), *gone]:
+            child.join(5.0)  # its pipe closed, so its loop has ended
+            if child.exitcode is None:
+                child.kill()
+                child.join()
     table.log(time.perf_counter() - started, start_seconds)
 
 
-def _died(process: Any) -> str:
+def _died(child: _Child) -> str:
     """How a lost pool child ended: its exit code, or the signal."""
-    code = process.exitcode
+    code = child.exitcode
     if code is not None and code < 0:  # -9: the OOM killer's
         return f"signal {-code}, {signal.strsignal(-code)}"
     return f"exit code {code}"

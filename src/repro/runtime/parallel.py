@@ -314,10 +314,11 @@ class EnsembleExecutor:
     :class:`~repro.runtime.batch_engine.BatchTrialView`, which answers
     counts only, on the batch tier), so scenarios inject identical
     faults however the ensemble is cut.  Only the spec and the
-    factories cross a process boundary; unpicklable factories
-    (closures, lambdas) force a serial
-    in-process run with a warning instead of failing inside the pool
-    -- the results are bitwise the same either way.
+    factories reach a worker: pool children inherit them at fork, and
+    cluster workers unpickle them.  Both backends accept the same
+    plans, so unpicklable factories (closures, lambdas) force a serial
+    in-process run with a warning on either -- the results are bitwise
+    the same either way.
     """
 
     def __init__(

@@ -14,7 +14,6 @@ Also wires two suite-wide policies:
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from pathlib import Path
 
@@ -39,12 +38,41 @@ def pytest_collection_modifyitems(config, items):
         items[:] = [item for item in items if item not in heavy]
 
 
+def _children() -> set:
+    """This process's children, zombies included, as the OS sees them.
+
+    Read from ``/proc/<pid>/stat`` (the field after the command name is
+    the parent pid): unlike ``multiprocessing.active_children()`` it
+    sees a bare ``os.fork``, and unlike ``os.wait*`` it reaps nothing.
+    """
+    me, found = os.getpid(), set()
+    for entry in os.scandir("/proc"):
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = Path(entry.path, "stat").read_text()
+        except OSError:  # it exited while we looked
+            continue
+        if int(stat.rpartition(")")[2].split()[1]) == me:
+            found.add(int(entry.name))
+    return found
+
+
+#: The modules that run pooled plans, checked by the fixture below.
+_POOLING_MODULES = ("test_exec", "test_parallel", "test_campaign",
+                    "test_experiment")
+
+
 @pytest.fixture(autouse=True)
 def no_child_outlives_its_plan(request):
-    """However a pooled plan ends, its forked children are gone."""
+    """However a pooled plan ends, its forked children are gone: reaped,
+    not just dead (a zombie counts)."""
+    if request.module.__name__ not in _POOLING_MODULES:
+        yield
+        return
+    before = _children()
     yield
-    if request.module.__name__ in ("test_exec", "test_parallel", "test_campaign"):
-        assert multiprocessing.active_children() == []
+    assert _children() - before == set()
 
 
 @pytest.fixture

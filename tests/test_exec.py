@@ -4,8 +4,11 @@ import os
 import pickle
 import re
 import signal
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -37,6 +40,9 @@ from repro.runtime.exec import (
     _jitter_fraction,
     _run_frame,
 )
+
+
+REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def double(payload):
@@ -514,16 +520,17 @@ class TestPickleOnce:
         runner, payload = pickle.loads(blobs[1])
         assert runner is unwrap and payload.value == 2
 
-    def test_a_pooled_payload_is_pickled_for_the_probe_and_its_frame(self):
-        # The pool keeps no blobs: one pass to ask whether, then each
-        # payload once more inside the frame that carries it.
+    def test_a_pooled_payload_is_pickled_for_the_probe_only(self):
+        # The pool keeps no blobs: one pass to ask whether, and no
+        # more -- a frame is a (start, stop) range of the columns the
+        # children inherited at fork.
         payloads = [CountingPayload(v) for v in (1, 2, 3)]
         plan = ExecutionPlan(
             units=[WorkUnit(runner=unwrap, payload=p) for p in payloads],
             merge=list,
         )
         assert run_plan(plan, workers=3) == [2, 4, 6]
-        assert [p.pickled for p in payloads] == [2, 2, 2]
+        assert [p.pickled for p in payloads] == [1, 1, 1]
 
     def test_the_parent_pickles_by_the_frame_not_by_the_unit(
         self, monkeypatch
@@ -869,6 +876,38 @@ def die_at_5(payload):
     return payload
 
 
+#: A pooled plan in a fresh interpreter whose stdout is a pipe, so
+#: block-buffered: the parent's line is still in its buffer at the fork.
+#: It has no stdin, as when its fd 0 is closed.
+STDIO_SCRIPT = """
+import sys
+from repro.runtime import ExecutionPlan, WorkUnit, run_plan
+
+sys.stdin = None
+
+def shout(value):
+    if value == 3:
+        print("unit 3 prints in its child")
+    return value
+
+print("the parent's unflushed line")
+plan = ExecutionPlan(units=[WorkUnit(shout, v) for v in range(8)], merge=list)
+print(run_plan(plan, workers=2))
+"""
+
+
+@pytest.fixture(scope="module")
+def pooled_stdout():
+    env = dict(os.environ, PYTHONPATH=str(REPO_SRC))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout must buffer for the test
+    done = subprocess.run(
+        [sys.executable, "-c", STDIO_SCRIPT], env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 class TestPoolTransport:
     """The pipes can neither perturb results nor leak.
 
@@ -877,9 +916,21 @@ class TestPoolTransport:
     test of this module by ``conftest.no_child_outlives_its_plan``.
     """
 
-    def test_payloads_larger_than_a_pipe_buffer_go_both_ways(self):
-        # 1 MB down and 1 MB up per unit, 8 units, 2 workers, and no
-        # thread in the parent to drain one pipe while it fills another.
+    def test_a_line_buffered_before_the_fork_is_printed_once(
+        self, pooled_stdout
+    ):
+        # A fork copies the parent's stdout buffer: unflushed, it would
+        # be written again by every child as it exits.
+        assert pooled_stdout.count("the parent's unflushed line") == 1
+        assert pooled_stdout.splitlines()[-1] == str(list(range(8)))
+
+    def test_a_units_print_reaches_the_parents_stdout(self, pooled_stdout):
+        assert pooled_stdout.count("unit 3 prints in its child") == 1
+
+    def test_results_larger_than_a_pipe_buffer_come_back(self):
+        # 1 MB up per unit (its 1 MB payload was inherited at fork), 8
+        # units, 2 workers, and no thread in the parent to drain one
+        # pipe while it reads another.
         payloads = [bytes([v]) * (1 << 20) for v in range(8)]
         plan = ExecutionPlan(
             units=[WorkUnit(runner=echo, payload=p) for p in payloads],
@@ -916,8 +967,33 @@ def kill_once(payload):
     return value * 2
 
 
+def kill_once_where(payload):
+    """:func:`kill_once`, and the pid of the process the unit ran in."""
+    return kill_once(payload), os.getpid()
+
+
 class TestWorkerLost:
     """Clause 5 on the pool: a lost child's frame is re-dispatched."""
+
+    def test_a_child_killed_mid_frame_is_named_and_lands_elsewhere(
+        self, tmp_path, frame_log
+    ):
+        marker = str(tmp_path / "killed")
+        plan = ExecutionPlan(
+            units=[WorkUnit(kill_once_where, (v, marker), f"u{v}")
+                   for v in range(200)],
+            merge=list, label="killed",
+        )
+        pooled = run_plan(plan, workers=2)
+        (lost,) = [r for r in frame_log.records if r.levelname == "WARNING"]
+        _label, worker, reason, first, last, _requeued = lost.args
+        assert reason == "signal 9, Killed"
+        dead = int(worker.removeprefix("pid "))
+        # The lost frame landed, bit for bit, on a child that lived.
+        assert first <= 40 <= last
+        assert all(pid != dead for _, pid in pooled[first:last + 1])
+        undisturbed = run_plan(plan)  # the marker is there: nobody dies
+        assert [v for v, _ in pooled] == [v for v, _ in undisturbed]
 
     def test_a_child_killed_once_mid_frame_changes_no_bit(
         self, tmp_path, frame_log
