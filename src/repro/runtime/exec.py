@@ -70,6 +70,7 @@ import pickle
 import re
 import select
 import signal
+import struct
 import sys
 import threading
 import time
@@ -100,6 +101,9 @@ ON_ERROR_MODES = ("raise", "skip", "retry")
 #: (:mod:`repro.runtime.cluster`) with heartbeats, dead-worker
 #: re-dispatch and elastic worker counts.
 BACKENDS = ("pool", "cluster")
+
+#: A pool frame on the pipe: its ``(start, stop)`` range, packed.
+_POOL_FRAME = struct.Struct("<qq")
 
 
 @dataclass(frozen=True)
@@ -582,7 +586,7 @@ def _pool_worker(
     runners, payloads, labels = columns
     while True:
         try:
-            a, b = pickle.loads(pipe.recv_bytes())
+            a, b = _POOL_FRAME.unpack(pipe.recv_bytes())
         except (EOFError, OSError):  # closed; reset if with a reply unread
             return
         indices, names = range(a, b), labels[a:b]
@@ -695,7 +699,7 @@ def _run_pool(
                 if frame is None:
                     continue
                 try:
-                    pipe.send_bytes(pickle.dumps((frame.start, frame.stop)))
+                    pipe.send_bytes(_POOL_FRAME.pack(frame.start, frame.stop))
                 except OSError:
                     pass  # already dead: the wait below reads its EOF
             for reply in landing:  # the children are busy again by now

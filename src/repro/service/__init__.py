@@ -20,7 +20,7 @@ a :class:`~repro.runtime.round_engine.RoundEngine` to a long-lived
 """
 
 from .clock import VirtualClock, WallClock
-from .core import ServiceCore, StreamRow
+from .core import CensusDriftError, ServiceCore, StreamRow
 from .live import LiveConfig, LiveEngine
 from .replay import ReplayMismatch, ReplayReport, latest_snapshot, replay_directory, replay_events, resume
 from .service import ProtocolService, ServiceClient, serve_tcp
@@ -30,6 +30,7 @@ __all__ = [
     "WallClock",
     "LiveConfig",
     "LiveEngine",
+    "CensusDriftError",
     "ServiceCore",
     "StreamRow",
     "ProtocolService",

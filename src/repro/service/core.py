@@ -13,8 +13,10 @@ The state *stream* is the replay contract's unit of comparison: one
 Replaying the log must reproduce the stream bit for bit.
 
 The core counts its hosts when they change, not when they are read:
-every mutation recounts the engine's arrays once, before its log
-record is written, and the record, the stream row and every query read
+a membership event moves the census by the hosts it touched, O(hosts);
+``init``, every tick and ``close`` recount the engine's arrays, O(N),
+and a tick checks the census it carried against that recount before
+its record is written.  Records, stream rows and every query read
 that one census (docs/service.md, "Cost of a read").
 
 The core drives one application: a live service's one population, or
@@ -182,12 +184,23 @@ class ServiceCore:
 
         The logged census is what replay verifies against, period by
         period; a divergence anywhere in engine stepping or RNG
-        state shows up here as a loud mismatch.
+        state shows up here as a loud mismatch.  A census that drifted
+        from the engine raises :class:`CensusDriftError` unlogged and
+        fails the core: the log ends at its last verified record.
         """
         self._require_open()
         if periods < 1:
             raise ValueError(f"periods must be >= 1, got {periods}")
-        event = self._append("tick", self.app.advance(periods))
+        try:
+            data = self.app.advance(periods)
+        except CensusDriftError:
+            # The engine stepped past the last record and its census is
+            # suspect: refuse every later mutation and end the log at
+            # the last verified record, with no close record.
+            self._closed = True
+            self.log.close()
+            raise
+        event = self._append("tick", data)
         if (
             self.snapshot_every > 0
             and self.directory is not None
@@ -412,6 +425,15 @@ class ServiceCore:
         }
 
 
+class CensusDriftError(RuntimeError):
+    """A tick's recount differs from the census the core carried.
+
+    Events move the census by the hosts they touch; each tick checks
+    that census, moved by the period's own transitions, against a
+    recount of the engine's arrays before anything is logged.
+    """
+
+
 class _OnePopulation:
     """A live service as the core's application: one population, whose
     records carry its census (what queries read)."""
@@ -421,12 +443,13 @@ class _OnePopulation:
         self.recount()
 
     def recount(self) -> Tuple[Dict[str, int], int]:
-        """Count the engine's arrays; the only place a live service does.
+        """Count the engine's arrays, O(N): at ``init``, at a restore,
+        at every tick and at ``close``.
 
-        Every mutation calls this once, after the engine changed and
-        before the log record is written.  It is a recount, never
-        bookkeeping carried from one event to the next, so the censuses
-        the log holds stay an independent check of the engine.
+        These are the censuses the log holds, so each is counted, never
+        carried: a tick checks the census events carried against it
+        (:meth:`advance`), and ``close`` reports whatever the engine
+        holds, even when code stepped it behind the core's back.
         """
         self.census = (self.live.counts(), self.live.alive_count())
         return self.census
@@ -452,16 +475,40 @@ class _OnePopulation:
         }
 
     def apply(self, kind: str, data: Mapping[str, Any]) -> Dict[str, Any]:
-        effect = self.live.apply(kind, data)
-        self.recount()
+        """One event; the census moves by the event's delta, O(hosts)."""
+        effect, delta = self.live.apply(kind, data)
+        counts, alive = self.census
+        # A new dict: a published census never changes.
+        self.census = (
+            {name: count + delta[name] for name, count in counts.items()},
+            alive + sum(delta.values()),
+        )
         return {**dict(data), "effect": effect}
 
     def advance(self, periods: int) -> Dict[str, Any]:
-        self.live.advance(periods)
-        return {"periods": int(periods), **self.close_record()}
+        """Step, then check the carried census, moved by the periods'
+        transitions, against a recount; raises
+        :class:`CensusDriftError` before the tick is logged."""
+        carried = dict(self.census[0])
+        for (source, target), count in self.live.advance(periods).items():
+            carried[source] -= count
+            carried[target] += count
+        carried_alive = self.census[1]
+        counts, alive = self.recount()
+        if (carried, carried_alive) != (counts, alive):
+            raise CensusDriftError(
+                f"period {self.period}: the carried census "
+                f"{carried} (alive {carried_alive}) is not the recount "
+                f"{counts} (alive {alive})"
+            )
+        return {"periods": int(periods), **self._census_record()}
 
     def close_record(self) -> Dict[str, Any]:
-        counts, alive = self.recount()
+        self.recount()
+        return self._census_record()
+
+    def _census_record(self) -> Dict[str, Any]:
+        counts, alive = self.census
         return {
             "counts": dict(counts),
             "alive": alive,

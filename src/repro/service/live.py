@@ -38,19 +38,22 @@ def host_ids(data: Mapping[str, Any], n: int) -> np.ndarray:
 
     Nothing is coerced (here or in :func:`number_of`): a string would
     be iterated a character at a time, ``int(1.9)`` names a host the
-    client did not, and True is an int.
+    client did not, and True is an int.  Every id a JSON line decodes
+    to is an ``int`` and takes the first test; the ``Integral`` rule is
+    for callers that pass numpy integers.
     """
     hosts = data.get("hosts")
-    if not isinstance(hosts, list) or any(
-        isinstance(h, bool) or not isinstance(h, Integral) for h in hosts
+    if not isinstance(hosts, list) or not all(
+        type(h) is int
+        or (not isinstance(h, bool) and isinstance(h, Integral))
+        for h in hosts
     ):
         raise ValueError(f"hosts must be a list of integer ids, got {hosts!r}")
     if len(set(hosts)) != len(hosts):
         raise ValueError(f"hosts must be distinct ids, got {hosts}")
-    ids = np.asarray(hosts, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
-        raise ValueError(f"hosts must lie in [0, {n}), got {ids}")
-    return ids
+    if hosts and (min(hosts) < 0 or max(hosts) >= n):
+        raise ValueError(f"hosts must lie in [0, {n}), got {hosts}")
+    return np.asarray(hosts, dtype=np.int64)
 
 
 def number_of(
@@ -160,12 +163,31 @@ class LiveEngine:
     # ------------------------------------------------------------------
     # Mutation (only the service core calls these)
     # ------------------------------------------------------------------
-    def advance(self, periods: int = 1) -> None:
+    def advance(self, periods: int = 1) -> Dict[Tuple[str, str], int]:
+        """Step ``periods`` times; returns the hosts moved, by edge."""
+        moved: Dict[Tuple[str, str], int] = {}
         for _ in range(int(periods)):
-            self.engine.step()
+            for edge, count in self.engine.step().items():
+                moved[edge] = moved.get(edge, 0) + count
+        return moved
 
-    def apply(self, kind: str, data: Mapping[str, Any]) -> Dict[str, Any]:
-        """Apply one membership event; returns an effect summary.
+    def _alive_in_each(self, hosts: np.ndarray) -> np.ndarray:
+        """Alive hosts per state id among ``hosts``, O(hosts)."""
+        engine = self.engine
+        return np.bincount(
+            engine.states[hosts][engine.alive[hosts]],
+            minlength=len(engine.state_names),
+        )
+
+    def apply(
+        self, kind: str, data: Mapping[str, Any]
+    ) -> Tuple[Dict[str, Any], Dict[str, int]]:
+        """Apply one membership event.
+
+        Returns its effect summary and the census delta: how many alive
+        hosts each state gained (or, negative, lost).  Only the event's
+        ``hosts``, or the victims ``fail`` drew by ``fraction``, move,
+        so the delta costs O(hosts in the event), not O(N).
 
         ``fail`` with a ``fraction`` draws victims from the engine's
         own fault stream, so the effect is a pure function of the
@@ -175,30 +197,35 @@ class LiveEngine:
         Every field is validated before any array is touched: a
         rejected event leaves the engine exactly as it was.
         """
+        names = self.engine.state_names
+        if kind == "fail" and "fraction" in data:
+            victims = self.engine.crash_fraction(
+                number_of(data, "fraction", 0, 1, kind=Real)
+            )
+            # Drawn among the alive, and a crash keeps a host's state.
+            lost = np.bincount(
+                self.engine.states[victims], minlength=len(names)
+            )
+            delta = dict(zip(names, (-lost).tolist()))
+            return {"failed": int(len(victims))}, delta
+        if kind not in ("join", "leave", "fail"):
+            raise ValueError(f"unknown membership event kind {kind!r}")
+        hosts = host_ids(data, self.config.n)
+        state = data.get("state")
+        if kind == "join" and state is not None and state not in names:
+            raise ValueError(
+                f"unknown join state {state!r}; protocol states are "
+                f"{list(names)}"
+            )
+        before = self._alive_in_each(hosts)
         if kind == "join":
-            hosts = host_ids(data, self.config.n)
-            state = data.get("state")
-            if state is not None and state not in self.engine.state_names:
-                raise ValueError(
-                    f"unknown join state {state!r}; protocol states are "
-                    f"{list(self.engine.state_names)}"
-                )
             self.engine.recover(hosts, state=state)
-            return {"joined": len(hosts)}
-        if kind == "leave":
-            hosts = host_ids(data, self.config.n)
+            effect = {"joined": len(hosts)}
+        else:
             self.engine.crash(hosts)
-            return {"left": len(hosts)}
-        if kind == "fail":
-            if "fraction" in data:
-                victims = self.engine.crash_fraction(
-                    number_of(data, "fraction", 0, 1, kind=Real)
-                )
-                return {"failed": int(len(victims))}
-            hosts = host_ids(data, self.config.n)
-            self.engine.crash(hosts)
-            return {"failed": len(hosts)}
-        raise ValueError(f"unknown membership event kind {kind!r}")
+            effect = {"left" if kind == "leave" else "failed": len(hosts)}
+        after = self._alive_in_each(hosts)
+        return effect, dict(zip(names, (after - before).tolist()))
 
     # ------------------------------------------------------------------
     # Checkpointing

@@ -19,6 +19,11 @@ all reach the disk through these four functions, and nothing else in
   (which makes a new log's name durable; later directory fsyncs find
   nothing to write).
 
+A directory either of the first two creates (``serve --dir``'s, or
+``--save-tensors``'s, parents included) has its name fsynced into its
+parent as it is made: a fresh directory that a power loss could drop
+would take its synced files with it.
+
 The ordering rules that use them are their callers': a tensor is
 durable before the manifest names it, and the log is synced up to a
 snapshot's ``seq`` before the snapshot is written.
@@ -39,12 +44,22 @@ def _sync_directory(directory: os.PathLike) -> None:
         os.close(fd)
 
 
+def _make_directory(directory: Path) -> None:
+    """Create ``directory`` and its missing parents, each name synced
+    into the directory that holds it."""
+    if directory.is_dir():
+        return
+    _make_directory(directory.parent)
+    directory.mkdir(exist_ok=True)
+    _sync_directory(directory.parent)
+
+
 def write_atomic(
     path: os.PathLike, write: Callable[[IO[bytes]], None]
 ) -> Path:
     """Replace ``path`` by what ``write(fh)`` puts in a fresh binary file."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    _make_directory(path.parent)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
@@ -67,7 +82,7 @@ def open_log(path: os.PathLike, keep: Optional[int] = None) -> IO[str]:
     it must, and whatever follows its first ``keep`` bytes is cut and
     the cut synced.
     """
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    _make_directory(Path(path).parent)
     fh = open(path, "x" if keep is None else "a", encoding="utf-8")
     if keep is not None and fh.tell() != keep:
         fh.truncate(keep)

@@ -293,11 +293,11 @@ def test_src_repro_lints_clean():
 # The places that still unpickle bytes, pinned by name
 # ----------------------------------------------------------------------
 #: Every ``pickle.loads`` call under src/repro, by file and enclosing
-#: scope.  exec.py's two read pipes from the process's own forks;
+#: scope.  exec.py's one reads replies from the process's own forks
+#: (a frame going down is two packed integers);
 #: cluster.py's three read a socket (the HMAC handshake is to guard
 #: them).  Snapshots unpickle nothing.
 ALLOWED_PICKLE_LOADS = {
-    ("runtime/exec.py", "_pool_worker"): 1,
     ("runtime/exec.py", "_run_pool"): 1,
     ("runtime/cluster.py", "recv_message"): 1,
     ("runtime/cluster.py", "MessageBuffer.pop"): 1,

@@ -8,6 +8,7 @@ keeps every rename, truncation and fsync of ``src/repro`` inside it.
 import ast
 import errno
 import inspect
+import os
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,57 @@ class TestLog:
         # Nothing follows the refused record: the file is a prefix.
         events, _ = read_events(tmp_path / EVENTS_NAME)
         assert [e.kind for e in events] in (["init"], ["init", "tick"])
+
+
+class TestNewDirectories:
+    """A directory the seam creates is itself made durable: its name is
+    fsynced into its parent, parents first."""
+
+    @pytest.fixture
+    def synced(self, monkeypatch):
+        """Every directory fsynced, in order, by its path."""
+        opened, synced = {}, []
+        real_open, real_fsync = os.open, os.fsync
+
+        def recording_open(path, flags, *args, **kwargs):
+            fd = real_open(path, flags, *args, **kwargs)
+            if os.path.isdir(path):
+                opened[fd] = Path(path)
+            return fd
+
+        def recording_fsync(fd):
+            real_fsync(fd)
+            if fd in opened:
+                synced.append(opened.pop(fd))
+
+        monkeypatch.setattr(os, "open", recording_open)
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        return synced
+
+    def test_each_new_directory_is_synced_into_its_parent(
+        self, tmp_path, synced
+    ):
+        path = tmp_path / "a" / "b" / "file.bin"
+        durable.write_atomic(path, lambda fh: fh.write(b"bytes"))
+        assert synced == [tmp_path, tmp_path / "a", tmp_path / "a" / "b"]
+        assert path.read_bytes() == b"bytes"
+
+    def test_a_new_log_directory_is_synced_before_the_log(
+        self, tmp_path, synced
+    ):
+        directory = tmp_path / "live" / "run"
+        with EventLog(directory / EVENTS_NAME) as log:
+            assert synced == [tmp_path, tmp_path / "live"]
+            log.append("init", 0)
+            log.sync()
+        assert synced == [tmp_path, tmp_path / "live", directory]
+
+    def test_a_directory_that_exists_costs_nothing_more(
+        self, tmp_path, synced
+    ):
+        durable.write_atomic(tmp_path / "file.bin", lambda fh: fh.write(b""))
+        EventLog(tmp_path / EVENTS_NAME).close()
+        assert synced == [tmp_path]
 
 
 def test_a_snapshot_follows_the_synced_log(tmp_path):

@@ -289,7 +289,7 @@ class TestCounting:
 
     def test_step_counts_privately(self, monkeypatch):
         # The live service counts calls of the two public counters
-        # (one recount per mutation); a period must not add to them.
+        # (one recount per tick); a period must not add to them.
         def forbidden(engine):
             raise AssertionError("step() called a public counter")
 

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.service import (
+    CensusDriftError,
     LiveConfig,
     LiveEngine,
     ProtocolService,
@@ -259,6 +260,8 @@ class TestServiceCore:
 
     @pytest.mark.parametrize("kind, data", [
         ("leave", {"hosts": [99]}),  # out of range
+        ("leave", {"hosts": [-1]}),
+        ("join", {"hosts": [np.int64(2), np.int64(10)]}),
         ("shrug", {}),  # unknown kind
         # Loose values are refused by name, not coerced:
         ("leave", {"hosts": "12"}),  # iterated, it would name 1 and 2
@@ -282,10 +285,12 @@ class TestServiceCore:
         core.start()
         core.apply_event("leave", {"hosts": [0]})
         before = core.live.snapshot(), list(core.log.events)
+        census = core.app.census
         with pytest.raises(ValueError, match="hosts|fraction|kind"):
             core.apply_event(kind, data)
         (arrays, meta), events = core.live.snapshot(), core.log.events
         assert meta == before[0][1] and events == before[1]
+        assert core.app.census is census
         for key, array in before[0][0].items():
             assert np.array_equal(arrays[key], array)
 
@@ -339,25 +344,56 @@ class TestReadContract:
                 core.query(op)
             core.query("convergence", {"window": 4, "tol": 0.5})
 
-    def test_each_mutation_recounts_once_and_reads_never(self, recounts):
+    def test_ticks_recount_once_events_never_and_reads_never(self, recounts):
         core = make_core(n=200)
-        mutations = [
-            core.start,
-            lambda: core.tick(3),
-            lambda: core.apply_event("fail", {"fraction": 0.1}),
-            lambda: core.apply_event("leave", {"hosts": [0, 1, 2]}),
-            lambda: core.apply_event("join", {"hosts": [1, 2]}),
-            core.tick,
+        mutations = [  # (mutation, recounts it makes)
+            (core.start, 1),
+            (lambda: core.tick(3), 1),
+            (lambda: core.apply_event("fail", {"fraction": 0.1}), 0),
+            (lambda: core.apply_event("leave", {"hosts": [0, 1, 2]}), 0),
+            # 1 and 2 are down; 3 and 4 are up and change state
+            (lambda: core.apply_event(
+                "join", {"hosts": [1, 2, 3, 4], "state": "z"}), 0),
+            (lambda: core.apply_event("fail", {"hosts": [2, 5]}), 0),
+            (lambda: core.apply_event("fail", {"hosts": [2]}), 0),  # down
+            (core.tick, 1),
+            (core.close, 1),
         ]
-        for mutate in mutations:
-            before = dict(recounts)
+        for mutate, recounted in mutations:
+            expected = {k: v + recounted for k, v in recounts.items()}
             mutate()
-            assert recounts == {k: v + 1 for k, v in before.items()}
+            assert recounts == expected
             self.query_everything(core)
-            core.snapshot_now()  # a record, not a change of population
+            if not core.closed:
+                core.snapshot_now()  # a record, not a change of population
             self.query_everything(core)
-            assert recounts == {k: v + 1 for k, v in before.items()}
+            assert recounts == expected
             assert_answers_match_arrays(core)
+
+    @pytest.mark.parametrize("off", [
+        lambda counts, alive: ({**counts, "y": counts["y"] + 1}, alive),
+        lambda counts, alive: (counts, alive - 1),
+    ], ids=["a state", "the alive count"])
+    def test_a_census_off_by_one_fails_the_next_tick_unlogged(self, off):
+        core = make_core(n=200)
+        core.start()
+        core.apply_event("leave", {"hosts": [0, 1, 2]})
+        core.app.census = off(*core.app.census)
+        logged = core.log.next_seq
+        with pytest.raises(CensusDriftError, match="not the recount"):
+            core.tick()
+        # The core is failed: nothing further is applied or logged, and
+        # the log ends at the last verified record, with no close.
+        assert core.closed
+        for mutate in (
+            lambda: core.apply_event("join", {"hosts": [0]}),
+            core.tick,
+            core.snapshot_now,
+            core.close,
+        ):
+            with pytest.raises(RuntimeError, match="already closed"):
+                mutate()
+        assert core.log.next_seq == logged
 
     def test_snapshot_record_moves_status_without_a_recount(self, recounts):
         core = make_core(n=50)
