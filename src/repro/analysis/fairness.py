@@ -154,13 +154,14 @@ def analyze_member_log(
     else:
         pvalue = float("nan")
 
-    # Host-id/time correlation over individual (host, period) points.
+    # Host-id/time correlation over individual (host, period) points;
+    # undefined (NaN) when either series is constant.
+    correlation = float("nan")
     if len(host_times) >= 3:
         hosts_arr = np.array([h for h, _ in host_times], dtype=float)
         times_arr = np.array([t for _, t in host_times], dtype=float)
-        correlation = float(np.corrcoef(hosts_arr, times_arr)[0, 1])
-    else:
-        correlation = float("nan")
+        if np.ptp(hosts_arr) > 0 and np.ptp(times_arr) > 0:
+            correlation = float(np.corrcoef(hosts_arr, times_arr)[0, 1])
 
     shares = occupancy / max(1, periods)
     return FairnessReport(

@@ -18,6 +18,7 @@ workers=K)`` is bitwise the point with ``shards=K``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -92,16 +93,11 @@ class Scenario:
 
         ``factory(trial)`` returns one hook or a sequence of hooks;
         stateful stock hooks must be constructed fresh per call, as for
-        :meth:`BatchRoundEngine.run`'s ``hook_factories``.
+        :meth:`BatchRoundEngine.run`'s ``hook_factories``.  The builder
+        pickles whenever ``factory`` does, so a module-level factory
+        fans out to workers.
         """
-
-        def builder(context, trial, seed):
-            hooks = factory(trial)
-            if callable(hooks):
-                return [hooks]
-            return list(hooks)
-
-        return cls(label, builder)
+        return cls(label, functools.partial(_hooks_of_factory, factory))
 
     @classmethod
     def normalize(
@@ -208,3 +204,11 @@ class ScenarioHookFactory:
 
     def __getstate__(self):
         return {**self.__dict__, "_ahead": {}}
+
+
+def _hooks_of_factory(factory, context, trial: int, seed: int) -> List[Callable]:
+    """:meth:`Scenario.from_trial_hooks`'s builder: ``factory(trial)`` as a list."""
+    hooks = factory(trial)
+    if callable(hooks):
+        return [hooks]
+    return list(hooks)

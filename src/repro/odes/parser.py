@@ -26,6 +26,7 @@ Only the polynomial forms of the paper are accepted; anything else
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -153,11 +154,9 @@ class _Parser:
         if nxt and nxt.kind == "op" and nxt.value in ("^", "**"):
             self.next()
             exp_token = self.next()
-            if exp_token.kind != "number" or "." in exp_token.value:
+            if exp_token.kind != "number" or not exp_token.value.isdigit():
                 raise ParseError(f"exponent must be an integer in {self.line!r}")
             power = int(exp_token.value)
-            if power < 0:
-                raise ParseError(f"negative exponent in {self.line!r}")
         if base[0] == "number":
             coefficient *= float(base[1]) ** power
         else:
@@ -183,17 +182,22 @@ def _parse_line(
     elif token and token.kind == "name" and token.value == "dot":
         parser.next()
     parser.expect_op("=")
-    raw_terms = parser.parse_expr()
 
     resolved: List[Tuple[float, Dict[str, int]]] = []
-    for coefficient, factors in raw_terms:
-        exponents: Dict[str, int] = {}
-        for name, power in factors:
-            if name in parameters:
-                coefficient *= float(parameters[name]) ** power
-            else:
-                exponents[name] = exponents.get(name, 0) + power
-        resolved.append((coefficient, exponents))
+    try:
+        for coefficient, factors in parser.parse_expr():
+            exponents: Dict[str, int] = {}
+            for name, power in factors:
+                if name in parameters:
+                    coefficient *= float(parameters[name]) ** power
+                else:
+                    exponents[name] = exponents.get(name, 0) + power
+            if not math.isfinite(coefficient):
+                raise OverflowError
+            resolved.append((coefficient, exponents))
+    except OverflowError:
+        # ``2^99999`` overflows, ``1e400`` parses to inf: neither is a rate.
+        raise ParseError(f"coefficient is not a finite number in {line!r}") from None
     return variable, resolved
 
 

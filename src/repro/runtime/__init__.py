@@ -21,12 +21,13 @@ ordered from most faithful to fastest:
 ensemble of any of the three as work units over the execution layer
 (:mod:`~repro.runtime.exec`), in-process or fanned across workers.
 
-Support modules: the DES kernel (:mod:`~repro.runtime.des`,
-:mod:`~repro.runtime.events`), the network model
-(:mod:`~repro.runtime.network`), membership views and overlays,
-failure injection (:mod:`~repro.runtime.failures`), synthetic Overnet-
-style churn traces (:mod:`~repro.runtime.churn`), metrics recording and
-Mersenne Twister stream management (:mod:`~repro.runtime.rng`).
+Support modules: the agent tier's discrete-event kernel
+(:mod:`~repro.runtime.des`, one event heap driving generator
+processes) and network model (:mod:`~repro.runtime.network`),
+membership views and overlays, failure injection
+(:mod:`~repro.runtime.failures`), synthetic Overnet-style churn traces
+(:mod:`~repro.runtime.churn`), metrics recording and Mersenne Twister
+stream management (:mod:`~repro.runtime.rng`).
 """
 
 from .agent_sim import AgentSimulation
@@ -35,8 +36,7 @@ from .churn import (
     ChurnEvent, ChurnReplayer, ChurnStep, ChurnTrace, GeneratedTrace,
     generate_trace,
 )
-from .des import Environment, Interrupted, Process
-from .events import Event, EventQueue
+from .des import Environment
 from .failures import CrashRecoveryNoise, DirectedAttack, MassiveFailure, OpenGroupJoins, ScheduledRecovery
 from .membership import FullMembership, PartialMembership
 from .metrics import BatchMetricsRecorder, WindowStats
@@ -91,10 +91,6 @@ __all__ = [
     "initial_state_vector",
     "AgentSimulation",
     "Environment",
-    "Process",
-    "Interrupted",
-    "Event",
-    "EventQueue",
     "Network",
     "LatencyModel",
     "ContactFailed",

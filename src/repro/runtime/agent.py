@@ -11,10 +11,7 @@ synchronized rounds (and which the agent simulator exists to validate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Generator, Optional, Tuple
 
 from ..synthesis.actions import (
     Action,
@@ -24,9 +21,10 @@ from ..synthesis.actions import (
     SampleAction,
     TokenizeAction,
 )
-from ..synthesis.protocol import ProtocolSpec
-from .des import Environment
-from .network import ContactFailed, Network
+from .network import ContactFailed
+
+if TYPE_CHECKING:
+    from .agent_sim import AgentSimulation
 
 # Message vocabulary (payload tuples on the wire).
 STATE_QUERY = "state?"
@@ -58,7 +56,7 @@ class Agent:
 
     def __init__(
         self,
-        simulation: "AgentSimulationProtocol",
+        simulation: "AgentSimulation",
         agent_id: int,
         state: str,
         period: float,
@@ -72,6 +70,8 @@ class Agent:
         self.phase = phase
         self.alive = True
         self.transitions = 0
+        #: The running protocol loop (:meth:`run`), which a revival closes.
+        self.loop: Optional[Generator] = None
 
     # ------------------------------------------------------------------
     # Message handling (runs at delivery time)
@@ -109,9 +109,9 @@ class Agent:
     # The periodic protocol loop (a DES process)
     # ------------------------------------------------------------------
     def run(self):
-        yield self.sim.env.timeout(self.phase)
+        yield self.phase
         while True:
-            yield self.sim.env.timeout(self.period)
+            yield self.period
             if not self.alive:
                 return
             state_at_tick = self.state
@@ -195,21 +195,3 @@ class Agent:
         except ContactFailed:
             return None
         return reply
-
-
-class AgentSimulationProtocol:
-    """Interface agents expect from their simulation (documentation aid)."""
-
-    env: Environment
-    network: Network
-    spec: ProtocolSpec
-    rng: np.random.Generator
-
-    def sample_peer(self, caller: int) -> int:  # pragma: no cover
-        raise NotImplementedError
-
-    def oracle_member(self, state: str) -> Optional[int]:  # pragma: no cover
-        raise NotImplementedError
-
-    def note_transition(self, edge: Tuple[str, str]) -> None:  # pragma: no cover
-        raise NotImplementedError

@@ -97,7 +97,6 @@ class AgentSimulation(HostFaults):
         )
         self.membership = membership or FullMembership(n, source.stream("membership"))
         self.transition_counts: Dict[Tuple[str, str], int] = {}
-        self._transition_log: List[Tuple[float, Tuple[str, str]]] = []
 
         states = self._assign_initial(initial, source.stream("initial"))
         drift_rng = source.stream("clocks")
@@ -116,7 +115,7 @@ class AgentSimulation(HostFaults):
             )
             self.agents.append(agent)
             self.network.register(agent_id, agent.handle)
-            self.env.spawn(agent.run())
+            agent.loop = self.env.spawn(agent.run())
 
     # ------------------------------------------------------------------
     # Setup
@@ -149,7 +148,6 @@ class AgentSimulation(HostFaults):
 
     def note_transition(self, edge: Tuple[str, str]) -> None:
         self.transition_counts[edge] = self.transition_counts.get(edge, 0) + 1
-        self._transition_log.append((self.env.now, edge))
 
     # ------------------------------------------------------------------
     # Fault injection (HostFaults checks the arguments)
@@ -161,7 +159,13 @@ class AgentSimulation(HostFaults):
             self.network.unregister(int(agent_id))
 
     def _revive(self, hosts: np.ndarray, sid: int) -> None:
-        """Crash-recovery: a dead agent rejoins with volatile state lost."""
+        """Crash-recovery: a dead agent rejoins with volatile state lost.
+
+        It restarts its protocol loop at a fresh phase of the clock.  The
+        old loop is closed first: one crashed and revived before its
+        next tick would otherwise wake, find it alive and run beside
+        the new one.
+        """
         for agent_id in np.atleast_1d(hosts).tolist():
             agent = self.agents[agent_id]
             if agent.alive:
@@ -169,7 +173,8 @@ class AgentSimulation(HostFaults):
             agent.alive = True
             agent.state = self.state_names[sid]
             self.network.register(agent_id, agent.handle)
-            self.env.spawn(agent.run())
+            agent.loop.close()
+            agent.loop = self.env.spawn(agent.run())
 
     # ------------------------------------------------------------------
     # Observation

@@ -1,10 +1,21 @@
-"""A generator-based discrete-event simulation kernel.
+"""The discrete-event kernel of the agent tier.
 
-This is the repository's simpy substitute: processes are Python
-generators that ``yield`` events to suspend.  The kernel supports the
-features the asynchronous protocol simulations need -- timeouts,
-futures, interruption of processes (crash injection), and a bounded
-run loop -- and nothing more.
+One heap of ``(time, seq, callback)`` entries and a clock.  Callbacks
+due at the same time run in the order they were scheduled (``seq``
+breaks ties), so a run is a pure function of its seeds.
+
+A process is a generator, in the sense of an I/O automaton: a sequence
+of steps, each taken on one input.  Each step ends by yielding either
+
+* a number -- sleep that long, then take the next step; or
+* a callable, such as what :meth:`Network.contact
+  <repro.runtime.network.Network.contact>` returns -- the kernel calls
+  it with the process's ``resume(value=None, error=None)``, and
+  whoever holds ``resume`` takes the next step: ``resume(value)`` sends
+  ``value`` into the generator, ``resume(error=exc)`` throws ``exc``.
+
+A wake-up for a generator that has finished or was closed does
+nothing, so a process is stopped by closing its generator.
 
 Example::
 
@@ -12,7 +23,7 @@ Example::
 
     def ticker(env, period):
         while True:
-            yield env.timeout(period)
+            yield period
             print("tick at", env.now)
 
     env.spawn(ticker(env, 1.0))
@@ -21,172 +32,61 @@ Example::
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, List, Optional
-
-from .events import Event, EventQueue
-
-
-class Interrupted(Exception):
-    """Thrown into a process generator when it is interrupted."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
-class Process:
-    """A running coroutine driven by the environment.
-
-    The wrapped generator may ``yield``:
-
-    * an :class:`Event` -- suspends until the event settles; the event's
-      value is sent back into the generator (exceptions are thrown in);
-    * ``None`` -- yields control for one scheduling step at the same
-      simulated time (rarely needed).
-
-    A process is itself observable through :attr:`completion`, an event
-    that settles with the generator's return value.
-    """
-
-    def __init__(self, env: "Environment", generator: Generator):
-        self.env = env
-        self.generator = generator
-        self.completion = Event()
-        self._waiting_on: Optional[Event] = None
-        self._interrupt: Optional[Interrupted] = None
-        env._schedule_now(self._step, None)
-
-    @property
-    def alive(self) -> bool:
-        return not self.completion.settled
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupted` into the process at its next step.
-
-        If the process is waiting on an event, it is woken immediately
-        (the event remains pending for other waiters).
-        """
-        if not self.alive:
-            return
-        self._interrupt = Interrupted(cause)
-        if self._waiting_on is not None:
-            waiting, self._waiting_on = self._waiting_on, None
-            self.env._schedule_now(self._step, None)
-            # Disconnect: the original callback checks identity below.
-            self._wait_token += 1
-
-    def _step(self, triggering_event: Optional[Event]) -> None:
-        if not self.alive:
-            return
-        try:
-            if self._interrupt is not None:
-                interrupt, self._interrupt = self._interrupt, None
-                target = self.generator.throw(interrupt)
-            elif triggering_event is not None and not triggering_event.ok:
-                try:
-                    triggering_event.value  # raises the stored exception
-                except BaseException as exc:  # noqa: BLE001 - forwarded
-                    target = self.generator.throw(exc)
-                else:  # pragma: no cover - unreachable
-                    raise AssertionError
-            elif triggering_event is not None:
-                target = self.generator.send(triggering_event.value)
-            else:
-                target = next(self.generator)
-        except StopIteration as stop:
-            self.completion.succeed(stop.value)
-            return
-        except Interrupted as exc:
-            # Process chose not to handle the interruption: it dies.
-            self.completion.succeed(exc)
-            return
-        self._wait_for(target)
-
-    _wait_token = 0
-
-    def _wait_for(self, target: Any) -> None:
-        if target is None:
-            self.env._schedule_now(self._step, None)
-            return
-        if not isinstance(target, Event):
-            raise TypeError(
-                f"process yielded {target!r}; expected an Event or None"
-            )
-        self._waiting_on = target
-        self._wait_token += 1
-        token = self._wait_token
-
-        def resume(event: Event, token=token) -> None:
-            # Ignore stale wake-ups after an interrupt detached us.
-            if self._wait_token != token or not self.alive:
-                return
-            self._waiting_on = None
-            self._step(event)
-
-        target.add_callback(resume)
+import heapq
+import itertools
+from typing import Callable, Generator, List, Optional, Tuple
 
 
 class Environment:
-    """The simulation clock, scheduler and process factory."""
+    """The simulation clock, its event heap and the process driver."""
 
     def __init__(self):
         self.now: float = 0.0
-        self._queue = EventQueue()
-        self._processes: List[Process] = []
-
-    # ------------------------------------------------------------------
-    # Scheduling primitives
-    # ------------------------------------------------------------------
-    def event(self) -> Event:
-        """A fresh unsettled event (a future)."""
-        return Event()
-
-    def timeout(self, delay: float, value: Any = None) -> Event:
-        """An event that succeeds ``delay`` time units from now."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        event = Event()
-        self._queue.push(self.now + delay, lambda: event.succeed(value))
-        return event
+        self._heap: List[Tuple[float, int, Callable[[], None]]] = []
+        self._seq = itertools.count()
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
-        """Run a bare callback ``delay`` time units from now."""
+        """Run ``callback()`` ``delay`` time units from now."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        self._queue.push(self.now + delay, callback)
+        heapq.heappush(self._heap, (self.now + delay, next(self._seq), callback))
 
-    def _schedule_now(
-        self, step: Callable[[Optional[Event]], None], event: Optional[Event]
-    ) -> None:
-        self._queue.push(self.now, lambda: step(event))
+    def spawn(self, generator: Generator) -> Generator:
+        """Start a process: its first step runs at the current time.
 
-    # ------------------------------------------------------------------
-    # Processes
-    # ------------------------------------------------------------------
-    def spawn(self, generator: Generator) -> Process:
-        """Start a new process from a generator."""
-        process = Process(self, generator)
-        self._processes.append(process)
-        return process
+        Returns the generator, which the caller closes to stop it.
+        """
 
-    # ------------------------------------------------------------------
-    # Run loop
-    # ------------------------------------------------------------------
+        def resume(value=None, error: Optional[BaseException] = None) -> None:
+            if generator.gi_frame is None:  # finished or closed
+                return
+            try:
+                if error is not None:
+                    target = generator.throw(error)
+                else:
+                    target = generator.send(value)
+            except StopIteration:
+                return
+            if callable(target):
+                target(resume)
+            else:
+                self.schedule(target, resume)
+
+        self.schedule(0.0, resume)
+        return generator
+
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> float:
-        """Execute events until the queue drains or ``until`` is reached.
+        """Execute callbacks until the heap drains or ``until`` is reached.
 
         Returns the simulation time at exit.  ``max_events`` guards
         against runaway loops in buggy protocols.
         """
+        heap = self._heap
         executed = 0
-        while self._queue:
-            next_time = self._queue.peek_time()
-            assert next_time is not None
-            if until is not None and next_time > until:
-                self.now = until
-                return self.now
-            time, callback = self._queue.pop()
-            self.now = time
+        while heap:
+            if until is not None and heap[0][0] > until:
+                break
+            self.now, _, callback = heapq.heappop(heap)
             callback()
             executed += 1
             if executed >= max_events:
@@ -196,7 +96,3 @@ class Environment:
         if until is not None:
             self.now = until
         return self.now
-
-    def peek(self) -> Optional[float]:
-        """Time of the next scheduled event (None when idle)."""
-        return self._queue.peek_time()

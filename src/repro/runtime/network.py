@@ -16,7 +16,6 @@ from typing import Any, Callable, Dict, Optional
 import numpy as np
 
 from .des import Environment
-from .events import Event
 
 
 class ContactFailed(Exception):
@@ -44,10 +43,10 @@ class Network:
     """Point-to-point contact fabric between registered endpoints.
 
     Endpoints register a synchronous ``handler(payload) -> reply``;
-    :meth:`contact` returns an event that either succeeds with the reply
-    after a latency draw, or fails with :class:`ContactFailed` when the
-    connection drops (probability ``loss_rate``) or the destination is
-    not registered/alive.
+    a process yields :meth:`contact`'s result, and after a latency draw
+    is resumed with the reply, or has :class:`ContactFailed` thrown in
+    when the connection drops (probability ``loss_rate``) or the
+    destination is not registered/alive.
 
     The handler runs at *delivery* time, so the reply reflects the
     target's state when the message arrives -- the asynchronous-reality
@@ -88,33 +87,39 @@ class Network:
     # ------------------------------------------------------------------
     # Contacts
     # ------------------------------------------------------------------
-    def contact(self, destination: int, payload: Any) -> Event:
-        """Initiate a round-trip contact; returns a result event.
+    def contact(
+        self, destination: int, payload: Any
+    ) -> Callable[[Callable[..., None]], None]:
+        """Initiate a round-trip contact, for a process to yield.
 
-        The event fails with :class:`ContactFailed` if the connection
-        drops or the destination is unregistered **at delivery time**.
+        The latency and the loss are drawn now.  The kernel hands the
+        returned callable the process's ``resume``, which delivery
+        calls with the reply, or with :class:`ContactFailed` if the
+        connection drops or the destination is unregistered **at
+        delivery time**.
         """
         self.contacts_attempted += 1
-        result = Event()
         delay = self.latency.draw(self.rng)
         dropped = self.rng.random() < self.loss_rate
 
-        def deliver() -> None:
-            handler = self._endpoints.get(destination)
-            if dropped or handler is None:
-                self.contacts_failed += 1
-                result.fail(ContactFailed(destination))
-                return
-            try:
-                reply = handler(payload)
-            except Exception as exc:  # endpoint bug: surface as failure
-                self.contacts_failed += 1
-                result.fail(ContactFailed(f"handler error: {exc!r}"))
-                return
-            result.succeed(reply)
+        def start(resume: Callable[..., None]) -> None:
+            def deliver() -> None:
+                handler = self._endpoints.get(destination)
+                if dropped or handler is None:
+                    self.contacts_failed += 1
+                    resume(error=ContactFailed(destination))
+                    return
+                try:
+                    reply = handler(payload)
+                except Exception as exc:  # endpoint bug: surface as failure
+                    self.contacts_failed += 1
+                    resume(error=ContactFailed(f"handler error: {exc!r}"))
+                    return
+                resume(reply)
 
-        self.env.schedule(delay, deliver)
-        return result
+            self.env.schedule(delay, deliver)
+
+        return start
 
     def fire_and_forget(self, destination: int, payload: Any) -> None:
         """One-way message (used by push-style actions and tokens)."""

@@ -1,11 +1,13 @@
 """Tests for the asynchronous agent simulator (repro.runtime.agent_sim)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.odes import library
 from repro.protocols.endemic import EndemicParams, figure1_protocol
 from repro.runtime import AgentSimulation
-from repro.synthesis import synthesize
+from repro.synthesis import ProtocolSpec, SampleAction, synthesize
 
 
 class TestBasicRuns:
@@ -127,6 +129,27 @@ class TestFaultInjection:
         assert sim.alive_count() == 100
         sim.run(40)
         assert sim.counts()["y"] == 100
+
+    def test_revived_agent_runs_one_loop(self):
+        # Every x samples one peer each tick and never matches (nobody
+        # is y), so each tick is exactly one peer draw by its caller.
+        spec = ProtocolSpec(
+            name="idle", states=("x", "y"),
+            actions=(SampleAction("x", 1.0, "y", required_states=("y",)),),
+        )
+        sim = AgentSimulation(spec, n=20, initial={"x": 20}, seed=12)
+        ticks = Counter()
+        draw = sim.sample_peer
+        sim.sample_peer = lambda caller: ticks.update([caller]) or draw(caller)
+        sim.run(1)
+        # Crash and recover within one hook, as CrashRecoveryNoise and
+        # apply_churn do: the crashed loop has not ticked since.
+        sim.crash([0])
+        sim.recover([0])
+        ticks.clear()
+        sim.run(20)
+        others = [ticks[agent] for agent in range(1, 20)]
+        assert ticks[0] <= max(others)
 
     def test_crashed_majority_blocks_epidemic(self):
         sim = AgentSimulation(

@@ -2,49 +2,64 @@
 
 import pytest
 
-from repro.runtime.des import Environment, Interrupted
+from repro.runtime.des import Environment
 
 
-class TestTimeouts:
-    def test_timeout_advances_clock(self):
+class TestSchedule:
+    def test_orders_by_time(self):
         env = Environment()
-        log = []
-
-        def proc(env):
-            yield env.timeout(2.5)
-            log.append(env.now)
-
-        env.spawn(proc(env))
+        out = []
+        for time in (3.0, 1.0, 2.0):
+            env.schedule(time, lambda t=time: out.append((env.now, t)))
         env.run()
-        assert log == [2.5]
+        assert out == [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
+
+    def test_same_time_fifo(self):
+        env = Environment()
+        out = []
+        for tag in ("first", "second", "third"):
+            env.schedule(1.0, lambda t=tag: out.append(t))
+        env.run()
+        assert out == ["first", "second", "third"]
 
     def test_negative_delay_rejected(self):
         env = Environment()
-        with pytest.raises(ValueError):
-            env.timeout(-1.0)
-
-    def test_timeout_value_passed(self):
-        env = Environment()
-        got = []
+        with pytest.raises(ValueError, match="negative delay"):
+            env.schedule(-1.0, lambda: None)
 
         def proc(env):
-            value = yield env.timeout(1.0, "payload")
-            got.append(value)
+            yield -1.0
 
         env.spawn(proc(env))
-        env.run()
-        assert got == ["payload"]
+        with pytest.raises(ValueError, match="negative delay"):
+            env.run()
 
     def test_run_until_stops_clock(self):
         env = Environment()
 
         def ticker(env):
             while True:
-                yield env.timeout(1.0)
+                yield 1.0
 
         env.spawn(ticker(env))
         assert env.run(until=5.5) == 5.5
         assert env.now == 5.5
+        # An idle heap still advances the clock to ``until``.
+        assert Environment().run(until=2.0) == 2.0
+
+
+class TestProcesses:
+    def test_sleep_advances_clock(self):
+        env = Environment()
+        log = []
+
+        def proc(env):
+            yield 2.5
+            log.append(env.now)
+
+        env.spawn(proc(env))
+        env.run()
+        assert log == [2.5]
 
     def test_interleaving(self):
         env = Environment()
@@ -52,72 +67,77 @@ class TestTimeouts:
 
         def proc(env, name, period):
             for _ in range(3):
-                yield env.timeout(period)
+                yield period
                 log.append((env.now, name))
 
         env.spawn(proc(env, "fast", 1.0))
         env.spawn(proc(env, "slow", 1.5))
         env.run()
-        # At the t=3.0 tie, "slow" scheduled its timeout first (at
+        # At the t=3.0 tie, "slow" scheduled its wake-up first (at
         # t=1.5 vs t=2.0), so FIFO ordering runs it first.
         assert log == [
             (1.0, "fast"), (1.5, "slow"), (2.0, "fast"),
             (3.0, "slow"), (3.0, "fast"), (4.5, "slow"),
         ]
 
-
-class TestProcesses:
-    def test_completion_value(self):
+    def test_yielded_callable_receives_resume(self):
         env = Environment()
-
-        def proc(env):
-            yield env.timeout(1.0)
-            return "done"
-
-        process = env.spawn(proc(env))
-        env.run()
-        assert process.completion.value == "done"
-        assert not process.alive
-
-    def test_waiting_on_custom_event(self):
-        env = Environment()
-        gate = env.event()
+        resumes = []
         log = []
 
         def waiter(env):
-            value = yield gate
+            value = yield resumes.append
             log.append((env.now, value))
 
-        def opener(env):
-            yield env.timeout(3.0)
-            gate.succeed("open")
-
         env.spawn(waiter(env))
-        env.spawn(opener(env))
+        env.schedule(3.0, lambda: resumes[0]("open"))
         env.run()
         assert log == [(3.0, "open")]
 
-    def test_failed_event_raises_into_process(self):
+    def test_failure_thrown_into_process(self):
         env = Environment()
-        gate = env.event()
+        resumes = []
         caught = []
 
         def waiter(env):
             try:
-                yield gate
+                yield resumes.append
             except RuntimeError as exc:
-                caught.append(str(exc))
+                caught.append((env.now, str(exc)))
 
         env.spawn(waiter(env))
-        env.schedule(1.0, lambda: gate.fail(RuntimeError("nope")))
+        env.schedule(1.0, lambda: resumes[0](error=RuntimeError("nope")))
         env.run()
-        assert caught == ["nope"]
+        assert caught == [(1.0, "nope")]
+
+    def test_wakeup_on_closed_process_does_nothing(self):
+        env = Environment()
+        resumes = []
+        steps = []
+
+        def sleeper(env):
+            yield 2.0
+            steps.append("timer")
+            yield resumes.append
+            steps.append("reply")
+
+        process = env.spawn(sleeper(env))
+        env.schedule(1.0, process.close)
+        env.run()
+        assert steps == []
+
+        process = env.spawn(sleeper(env))
+        env.run()
+        process.close()
+        resumes[0]("late reply")
+        resumes[0](error=RuntimeError("late failure"))
+        assert steps == ["timer"]
 
     def test_invalid_yield_type(self):
         env = Environment()
 
         def proc(env):
-            yield 123
+            yield "soon"
 
         env.spawn(proc(env))
         with pytest.raises(TypeError):
@@ -131,70 +151,13 @@ class TestProcesses:
         assert hits == [2.0]
 
 
-class TestInterrupt:
-    def test_interrupt_wakes_sleeper(self):
-        env = Environment()
-        log = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(100.0)
-            except Interrupted as interruption:
-                log.append((env.now, interruption.cause))
-
-        process = env.spawn(sleeper(env))
-        env.schedule(1.0, lambda: process.interrupt("crash"))
-        env.run(until=10.0)
-        assert log == [(1.0, "crash")]
-
-    def test_unhandled_interrupt_kills_process(self):
-        env = Environment()
-
-        def sleeper(env):
-            yield env.timeout(100.0)
-
-        process = env.spawn(sleeper(env))
-        env.schedule(1.0, lambda: process.interrupt())
-        env.run(until=10.0)
-        assert not process.alive
-
-    def test_interrupt_dead_process_noop(self):
-        env = Environment()
-
-        def quick(env):
-            yield env.timeout(0.5)
-
-        process = env.spawn(quick(env))
-        env.run()
-        process.interrupt()  # must not raise
-
-    def test_stale_timeout_ignored_after_interrupt(self):
-        env = Environment()
-        wakeups = []
-
-        def sleeper(env):
-            try:
-                yield env.timeout(2.0)
-                wakeups.append("timeout")
-            except Interrupted:
-                wakeups.append("interrupt")
-                yield env.timeout(5.0)
-                wakeups.append("second sleep")
-
-        process = env.spawn(sleeper(env))
-        env.schedule(1.0, lambda: process.interrupt())
-        env.run()
-        # The original timeout at t=2 must not wake the process again.
-        assert wakeups == ["interrupt", "second sleep"]
-
-
 class TestRunawayGuard:
     def test_max_events(self):
         env = Environment()
 
         def spinner(env):
             while True:
-                yield None
+                yield 0.0
 
         env.spawn(spinner(env))
         with pytest.raises(RuntimeError, match="runaway"):

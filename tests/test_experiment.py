@@ -629,6 +629,9 @@ def _sabotage_scenario(trial):
     return []
 
 
+# A module-level scenario pickles, so these plans must fan out: a
+# fallback to in-process running would be a RuntimeWarning.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestFaultPolicyPlumbing:
     def test_invalid_on_error_rejected_at_construction(self):
         with pytest.raises(ValueError, match="on_error"):

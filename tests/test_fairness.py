@@ -1,5 +1,7 @@
 """Tests for fairness/untraceability statistics (repro.analysis.fairness)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,7 @@ class TestMemberLogAnalysis:
         with pytest.raises(ValueError):
             analyze_member_log([], 10)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_skewed_log_detected(self):
         # A deliberately unfair log: host 0 always responsible.
         recorder = BatchMetricsRecorder(["a", "b"], 1, member_log_state="b")
@@ -71,6 +74,8 @@ class TestMemberLogAnalysis:
         assert report.hosts_ever_responsible == 1
         assert report.jain_index < 0.2
         assert report.max_run_length == 50
+        # One host throughout: no correlation to measure, and no warning.
+        assert math.isnan(report.host_time_correlation)
 
 
 class TestAttackWindow:

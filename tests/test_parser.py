@@ -1,5 +1,7 @@
 """Tests for the equation text parser (repro.odes.parser)."""
 
+import re
+
 import pytest
 
 from repro.odes import library
@@ -116,6 +118,18 @@ class TestErrorCases:
     def test_rhs_must_start_with_name(self):
         with pytest.raises(ParseError):
             parse_system("3 = -x")
+
+    @pytest.mark.parametrize("line, parameters", [
+        ("x' = -x^2e0", {}),            # an exponent in float notation
+        ("x' = -x^1e308", {}),
+        ("x' = -2^99999*x", {}),        # a number power that overflows
+        ("x' = -k^99999*x", {"k": 2.0}),  # a parameter power that overflows
+        ("x' = -1e400*x", {}),          # a literal that parses to inf
+        ("x' = -1e200*1e200*x", {}),    # a product that overflows
+    ])
+    def test_hostile_numbers_name_the_line(self, line, parameters):
+        with pytest.raises(ParseError, match=re.escape(repr(line))):
+            parse_system(line, parameters=parameters)
 
 
 class TestNumericEdgeCases:
