@@ -70,7 +70,7 @@ class Agent:
         self.phase = phase
         self.alive = True
         self.transitions = 0
-        #: The running protocol loop (:meth:`run`), which a revival closes.
+        #: The running protocol loop (:meth:`run`), which a crash closes.
         self.loop: Optional[Generator] = None
 
     # ------------------------------------------------------------------
@@ -112,8 +112,6 @@ class Agent:
         yield self.phase
         while True:
             yield self.period
-            if not self.alive:
-                return
             state_at_tick = self.state
             for action in self.sim.spec.actions_of(state_at_tick):
                 if self.state != state_at_tick:

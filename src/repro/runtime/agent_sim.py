@@ -153,18 +153,19 @@ class AgentSimulation(HostFaults):
     # Fault injection (HostFaults checks the arguments)
     # ------------------------------------------------------------------
     def crash(self, agent_ids) -> None:
+        """Stop the agents: each one's loop is closed, so a reply or a
+        timer it was waiting on wakes nothing -- not even the rest of
+        the action that was in flight."""
         for agent_id in np.atleast_1d(agent_ids):
             agent = self.agents[int(agent_id)]
             agent.alive = False
+            agent.loop.close()
             self.network.unregister(int(agent_id))
 
     def _revive(self, hosts: np.ndarray, sid: int) -> None:
         """Crash-recovery: a dead agent rejoins with volatile state lost.
 
-        It restarts its protocol loop at a fresh phase of the clock.  The
-        old loop is closed first: one crashed and revived before its
-        next tick would otherwise wake, find it alive and run beside
-        the new one.
+        It starts a new protocol loop at a fresh phase of the clock.
         """
         for agent_id in np.atleast_1d(hosts).tolist():
             agent = self.agents[agent_id]
@@ -173,7 +174,6 @@ class AgentSimulation(HostFaults):
             agent.alive = True
             agent.state = self.state_names[sid]
             self.network.register(agent_id, agent.handle)
-            agent.loop.close()
             agent.loop = self.env.spawn(agent.run())
 
     # ------------------------------------------------------------------

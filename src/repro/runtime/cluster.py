@@ -22,13 +22,18 @@ Robustness model
   A worker silent for ``heartbeat_seconds * heartbeat_misses`` is
   *fenced*: its socket is closed, its process (if locally spawned) is
   SIGKILLed -- a fenced worker can never land a stale result.
-* **Frames and re-dispatch.**  One ``frame`` message carries a list of
-  ``(index, blob, label)`` jobs, each blob the unit pickled once per
-  plan (:func:`~repro.runtime.exec._encode_units`); the worker answers
-  with the pool child's ``("results", outputs, failures, seconds)``
-  columns.  A fenced or dead worker's units go out again as the *same*
-  blobs, so results cannot change (plan contract clause 5), until one
-  out-lives ``FaultPolicy.max_dispatches`` workers and becomes a
+* **Frames and re-dispatch.**  A worker gets the plan once, in its
+  ``setup`` message: every unit's blob, pickled once per plan
+  (:func:`~repro.runtime.exec._encode_units`), and every label -- a
+  worker that joins mid-plan gets it the same way.  A frame is then
+  ``("frame", start, stop)``, a range of that plan, exactly as a pool
+  child's is, and the worker answers with the pool child's
+  ``("results", outputs, failures, seconds)`` columns.  Nothing a
+  worker sends names a unit: the coordinator stamps a failure's unit
+  and provenance from the frame it sent.  A fenced or dead worker's
+  units go out again as the *same* range of the *same* plan, so
+  results cannot change (plan contract clause 5), until one out-lives
+  ``FaultPolicy.max_dispatches`` workers and becomes a
   :class:`~repro.runtime.exec.UnitFailure` with provenance (last
   worker id, re-dispatch count, heartbeat misses) that follows
   ``on_error`` -- so campaign checkpoint/resume composes unchanged.
@@ -74,13 +79,7 @@ from repro.runtime.chaos import (
     faults_from_env,
 )
 from repro.runtime.dispatch import Dispatcher
-from repro.runtime.exec import (
-    Failures,
-    FaultPolicy,
-    UnitFailure,
-    _encode_results,
-    _run_frame,
-)
+from repro.runtime.exec import Failures, FaultPolicy, UnitFailure, _serve_frame
 
 __all__ = [
     "ClusterCoordinator",
@@ -100,10 +99,6 @@ PORT_ENV = "REPRO_CLUSTER_PORT"
 LAUNCH_ENV = "REPRO_CLUSTER_LAUNCH"
 
 _HEADER = struct.Struct("!Q")
-
-#: A unit on the wire: ``(index, blob, label)``, the blob a pickled
-#: ``(runner, payload)`` pair from ``exec._encode_units``.
-WireJob = Tuple[int, bytes, str]
 
 #: Refuse to decode a frame longer than this (a corrupt or hostile
 #: length prefix must not trigger a multi-GiB allocation).
@@ -133,34 +128,8 @@ def encode_message(message: Tuple) -> bytes:
     return _HEADER.pack(len(blob)) + blob
 
 
-def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
-    chunks = []
-    remaining = count
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def recv_message(sock: socket.socket) -> Optional[Tuple]:
-    """Read one framed message from a blocking socket (None on EOF)."""
-    header = _recv_exact(sock, _HEADER.size)
-    if header is None:
-        return None
-    (length,) = _HEADER.unpack(header)
-    if length > _MAX_FRAME:
-        raise ValueError(f"frame length {length} exceeds limit")
-    blob = _recv_exact(sock, length)
-    if blob is None:
-        return None
-    return pickle.loads(blob)
-
-
 class MessageBuffer:
-    """Reassembles framed messages from a non-blocking byte stream."""
+    """The one decoder: reassembles framed messages from a byte stream."""
 
     def __init__(self):
         self._data = bytearray()
@@ -180,6 +149,17 @@ class MessageBuffer:
         blob = bytes(self._data[_HEADER.size:end])
         del self._data[:end]
         return pickle.loads(blob)
+
+    def receive(self, sock: socket.socket) -> Optional[Tuple]:
+        """The next message from blocking ``sock`` (None on EOF)."""
+        message = self.pop()
+        while message is None:
+            chunk = sock.recv(1 << 20)
+            if not chunk:
+                return None
+            self.feed(chunk)
+            message = self.pop()
+        return message
 
 
 @dataclass(eq=False)
@@ -451,8 +431,9 @@ class ClusterCoordinator:
             conn.launch_index = launch
             if launch is None:
                 self._counts["external_joins"] += 1
+            table = self._table
             self._queue_send(
-                conn, ("setup", conn.worker_id, self._table.policy)
+                conn, ("setup", table.policy, self._blobs, table.labels)
             )
             conn.ready = True
             self._dispatch(conn)
@@ -466,14 +447,16 @@ class ClusterCoordinator:
             outputs, failures, seconds = reply
             table = self._table
             frame = table.result(conn, seconds)
-            table.land_frame(frame, outputs, [
-                (slot, replace(
-                    failure, worker=conn.worker_id,
-                    redispatches=table.dispatches[failure.index] - 1,
-                    heartbeat_misses=table.misses[failure.index],
-                ))
-                for slot, failure in failures
-            ])
+            stamped = []
+            for slot, failure in failures:
+                index = frame[slot]  # the coordinator names the unit
+                stamped.append((slot, replace(
+                    failure, index=index, label=table.labels[index],
+                    worker=conn.worker_id,
+                    redispatches=table.dispatches[index] - 1,
+                    heartbeat_misses=table.misses[index],
+                )))
+            table.land_frame(frame, outputs, stamped)
             self._dispatch(conn)
         else:
             self._lose_worker(conn, "protocol error")
@@ -486,10 +469,10 @@ class ClusterCoordinator:
 
         A ``results`` message is taken only if it answers exactly the
         frame this connection was sent: one output per unit, and each
-        failure a :class:`UnitFailure` of the unit dispatched in its
-        slot (None there in ``outputs``), slots rising -- so no worker
-        can land a unit it was not dispatched, a unit twice, or an index
-        outside the plan.
+        failure a :class:`UnitFailure` in a slot of the frame (None
+        there in ``outputs``), slots rising -- so no worker can land a
+        unit it was not dispatched or a unit twice.  A failure is the
+        unit of its slot, whatever the record says.
         """
         frame = self._table.flight.get(conn)
         if len(message) != 4 or frame is None:
@@ -510,9 +493,6 @@ class ClusterCoordinator:
                 return None
             if not isinstance(record, UnitFailure) or outputs[slot] is not None:
                 return None
-            index = record.index
-            if type(index) is not int or index != frame[slot]:
-                return None
             previous = slot
         return outputs, failures, seconds
 
@@ -522,10 +502,7 @@ class ClusterCoordinator:
             return
         if self._first_frame_at is None:
             self._first_frame_at = time.monotonic()
-        labels = self._table.labels
-        self._queue_send(conn, ("frame", [
-            (index, self._blobs[index], labels[index]) for index in frame
-        ]))
+        self._queue_send(conn, ("frame", frame.start, frame.stop))
 
     # -- failure detection ---------------------------------------------
 
@@ -586,11 +563,11 @@ class WorkerSession:
         self.sock = sock
         self.faults = tuple(faults)
         self.launch_index = launch_index
-        self.worker_id = ""
         self._send_lock = threading.Lock()
         self._heartbeat_seconds = 0.5
         self._units_started = 0
         self._stop = threading.Event()
+        self._buffer = MessageBuffer()
 
     def _send(self, message: Tuple) -> None:
         payload = encode_message(message)
@@ -617,14 +594,14 @@ class WorkerSession:
             elif fault.kind == "delay":
                 time.sleep(fault.seconds)
 
-    def _starting(self, jobs: Sequence[WireJob]):
+    def _starting(self, blobs: Sequence[bytes]):
         """Yield a frame's ``(runner, payload)`` pairs decoded, counting
         each as it is started.
 
         Chaos triggers are ordinals of units *started*, so a scripted
         kill can fall in the middle of a frame.
         """
-        for _index, blob, _label in jobs:
+        for blob in blobs:
             self._units_started += 1
             self._apply_faults()
             yield pickle.loads(blob)
@@ -634,11 +611,10 @@ class WorkerSession:
             "pid": os.getpid(),
             "launch": self.launch_index,
         }))
-        message = recv_message(self.sock)
+        message = self._buffer.receive(self.sock)
         if message is None or message[0] != "setup":
             return 1
-        _, worker_id, policy = message
-        self.worker_id = worker_id
+        _, policy, blobs, labels = message
         self._heartbeat_seconds = policy.heartbeat_seconds
         heartbeat = threading.Thread(
             target=self._heartbeat_loop, daemon=True
@@ -646,22 +622,16 @@ class WorkerSession:
         heartbeat.start()
         try:
             while True:
-                message = recv_message(self.sock)
-                if message is None:
+                message = self._buffer.receive(self.sock)
+                if message is None or message[0] == "shutdown":
                     return 0
-                kind = message[0]
-                if kind == "shutdown":
-                    return 0
-                if kind != "frame":
+                if message[0] != "frame":
                     continue
-                jobs = message[1]
-                indices = [job[0] for job in jobs]
-                labels = [job[2] for job in jobs]
-                reply = _encode_results(
-                    _run_frame(indices, self._starting(jobs), labels, policy),
-                    indices, labels,
+                _, start, stop = message
+                reply = _serve_frame(
+                    range(start, stop), self._starting(blobs[start:stop]),
+                    labels, policy,
                     lambda reply: encode_message(("results", *reply)),
-                    self.worker_id,
                 )
                 with self._send_lock:
                     self.sock.sendall(reply)
@@ -687,7 +657,9 @@ def _connect_with_retry(
     pause = 0.05
     while True:
         try:
-            return socket.create_connection((host, port), timeout=5.0)
+            sock = socket.create_connection((host, port), timeout=5.0)
+            sock.settimeout(None)  # a worker may idle long between frames
+            return sock
         except OSError:
             if time.monotonic() >= deadline:
                 return None

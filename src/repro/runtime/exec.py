@@ -36,6 +36,8 @@ The reproducibility contract, shared by every caller:
    same bits, no pool.  The probe is one :mod:`pickle` pass over the
    whole plan before any unit runs, and the pool's only one: its
    forked children inherit the plan, and a frame names a range of it.
+   A cluster worker gets the probe's blobs once, when it joins, and
+   its frames name ranges the same way.
 4. **Failure handling cannot perturb results.**  A unit fails as a
    whole or not at all: an exception (or timeout) anywhere in a unit
    discards that attempt's entire output, and a retry re-runs the
@@ -48,10 +50,11 @@ The reproducibility contract, shared by every caller:
 5. **Worker loss cannot perturb results.**  On both fan-out backends
    a worker that dies (or, on the ``cluster`` backend, stops
    heartbeating) mid-frame is fenced, and each unit of its frame is
-   re-dispatched alone -- the *same* unit, into the same merge slot --
-   so a run that lost two workers is bitwise identical to one that
-   lost none.  Units that out-live ``FaultPolicy.max_dispatches``
-   workers flow into clause 4's :class:`UnitFailure` machinery.  Both
+   re-dispatched alone -- a range of one of the *same* plan, so the
+   same unit into the same merge slot -- and a run that lost two
+   workers is bitwise identical to one that lost none.  Units that
+   out-live ``FaultPolicy.max_dispatches`` workers flow into clause
+   4's :class:`UnitFailure` machinery.  Both
    backends drive one table for this,
    :class:`~repro.runtime.dispatch.Dispatcher`.
 
@@ -424,11 +427,12 @@ def _run_frame(
 ) -> Tuple[List[Any], Failures, float]:
     """Run a frame's units in order: the one attempt loop.
 
-    Every unit runs here, wherever it runs: a pool child, a cluster
-    worker, or in-process as a frame of one.  ``units`` are ``(runner,
-    payload)`` pairs, taken one at a time as each is started (the
-    cluster worker decodes and counts units for its chaos triggers so);
-    ``indices`` and ``labels`` line up with them.  The policy is read
+    Every unit runs here, wherever it runs: a pool child or a cluster
+    worker (through :func:`_serve_frame`), or in-process as a frame of
+    one.  ``units`` are ``(runner, payload)`` pairs, taken one at a
+    time as each is started (the cluster worker decodes and counts
+    units for its chaos triggers so); ``indices`` and ``labels`` line
+    up with them.  The policy is read
     once, and each unit gets its attempts, timeout and backoff exactly
     as if it had travelled alone; a unit that fails leaves its
     frame-mates untouched.  Returns ``(outputs, failures, seconds)``:
@@ -468,7 +472,6 @@ def _encode_results(
     indices: Sequence[int],
     labels: Sequence[str],
     encode: Callable[[Tuple], bytes],
-    worker: str = "",
 ) -> bytes:
     """``encode(reply)``, an output that will not pickle failing alone.
 
@@ -491,19 +494,31 @@ def _encode_results(
             outputs[slot] = None
             failed[slot] = _unit_failure(
                 indices[slot], labels[slot],
-                f"unit output could not be pickled: {exc!r}", 1, worker,
+                f"unit output could not be pickled: {exc!r}", 1,
             )
     return encode((outputs, sorted(failed.items()), seconds))
 
 
+def _serve_frame(
+    frame: range, units: Iterable, labels: Sequence[str],
+    policy: FaultPolicy, encode: Callable[[Tuple], bytes],
+) -> bytes:
+    """A worker's one job on either transport: run ``frame``, a range of
+    the plan (``units`` its ``(runner, payload)`` pairs, ``labels`` the
+    plan's), and encode the reply."""
+    names = labels[frame.start:frame.stop]
+    reply = _run_frame(frame, units, names, policy)
+    return _encode_results(reply, frame, names, encode)
+
+
 def _unit_failure(
-    index: int, label: str, error: str, attempts: int, worker: str = ""
+    index: int, label: str, error: str, attempts: int
 ) -> UnitFailure:
     """The record of a unit whose exception is being handled."""
     return UnitFailure(
         index=index, label=label, error=error,
         traceback=_normalize_traceback(traceback_module.format_exc()),
-        attempts=attempts, worker=worker,
+        attempts=attempts,
     )
 
 
@@ -589,10 +604,10 @@ def _pool_worker(
             a, b = _POOL_FRAME.unpack(pipe.recv_bytes())
         except (EOFError, OSError):  # closed; reset if with a reply unread
             return
-        indices, names = range(a, b), labels[a:b]
         units = zip(runners[a:b], payloads[a:b])
-        reply = _run_frame(indices, units, names, policy)
-        pipe.send_bytes(_encode_results(reply, indices, names, pickle.dumps))
+        pipe.send_bytes(_serve_frame(
+            range(a, b), units, labels, policy, pickle.dumps
+        ))
 
 
 def _flush_std_streams() -> None:

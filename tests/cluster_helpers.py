@@ -6,6 +6,11 @@ test ships to them must be importable by name on the worker's
 importable when the tests directory itself is on ``PYTHONPATH`` --
 the ``worker_path`` fixture in ``conftest.py`` arranges exactly
 that, and this module keeps the runners in one predictable place.
+
+The stub reads what the coordinator sends through the worker's own
+decoder (:class:`~repro.runtime.cluster.MessageBuffer`): a ``setup``
+that carries the whole plan (policy, unit blobs, labels), then frames
+that are ``("frame", start, stop)`` ranges of it.
 """
 
 import os
@@ -16,9 +21,9 @@ import time
 
 from repro.runtime.cluster import (
     ClusterCoordinator,
+    MessageBuffer,
     _Connection,
     encode_message,
-    recv_message,
 )
 from repro.runtime.exec import ExecutionPlan, FaultPolicy, WorkUnit
 
@@ -104,9 +109,10 @@ class CoordinatorStub:
     """
 
     def __init__(self, units=8, policy=None):
+        self.blobs = [pickle.dumps((double_unit, v)) for v in range(units)]
         self.coordinator = ClusterCoordinator(
             label="stub",
-            blobs=[pickle.dumps((double_unit, v)) for v in range(units)],
+            blobs=self.blobs,
             labels=[f"unit-{v}" for v in range(units)],
             policy=policy or FaultPolicy(on_error="skip"),
             workers=1,
@@ -115,6 +121,7 @@ class CoordinatorStub:
         self.coordinator._table.land = self.land
         self.landed = []
         self._conns = {}
+        self._buffers = {}
 
     def land(self, index, output, failure):
         self.landed.append((index, output, failure))
@@ -141,15 +148,16 @@ class CoordinatorStub:
         self.coordinator._connections[near.fileno()] = conn
         self.coordinator._selector.register(near, selectors.EVENT_READ, conn)
         self._conns[far] = conn
+        self._buffers[far] = MessageBuffer()
         self.say(far, ("hello", {"launch": None}))
-        setup = recv_message(far)
+        setup = self._buffers[far].receive(far)
         return far, setup, self.frame(far)
 
     def frame(self, far):
         """The unit indices of the next ``frame`` message sent to ``far``."""
-        kind, jobs = recv_message(far)
+        kind, start, stop = self._buffers[far].receive(far)
         assert kind == "frame"
-        return [index for index, _blob, _label in jobs]
+        return list(range(start, stop))
 
     def say(self, far, *messages):
         """Send ``messages`` as the worker and let the coordinator read."""

@@ -151,6 +151,24 @@ class TestFaultInjection:
         others = [ticks[agent] for agent in range(1, 20)]
         assert ticks[0] <= max(others)
 
+    def test_a_crash_stops_the_action_in_flight(self):
+        # Pull epidemic: every x is waiting on a state query at some
+        # point of its period.  Crash them all mid-period: a reply that
+        # lands afterwards must move nobody, and nobody alive is left
+        # in x to move.
+        sim = AgentSimulation(
+            synthesize(library.epidemic()), n=300,
+            initial={"x": 150, "y": 150}, seed=3,
+        )
+        sim.env.run(until=2.5)
+        victims = [a.id for a in sim.agents if a.state == "x"]
+        assert victims
+        sim.crash(victims)
+        before = dict(sim.transition_counts)
+        sim.env.run(until=10.0)
+        assert [sim.agents[i].state for i in victims] == ["x"] * len(victims)
+        assert sim.transition_counts == before
+
     def test_crashed_majority_blocks_epidemic(self):
         sim = AgentSimulation(
             synthesize(library.epidemic()), n=50,

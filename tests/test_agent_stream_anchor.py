@@ -109,7 +109,7 @@ GOLDENS = {
     "2.4": {
         "endemic": 2667711173,
         "endemic-crash-only": 3062637453,
-        "endemic-crash-recovery": 1158060129,
+        "endemic-crash-recovery": 2414687605,
         "endemic-lossy-drifting": 903671177,
         "endemic-massive-failure": 889817940,
         "lv": 2103656886,

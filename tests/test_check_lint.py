@@ -295,11 +295,11 @@ def test_src_repro_lints_clean():
 #: Every ``pickle.loads`` call under src/repro, by file and enclosing
 #: scope.  exec.py's one reads replies from the process's own forks
 #: (a frame going down is two packed integers);
-#: cluster.py's three read a socket (the HMAC handshake is to guard
-#: them).  Snapshots unpickle nothing.
+#: cluster.py's two read a socket, through its one decoder, and the
+#: unit blobs a worker got in its ``setup`` (the HMAC handshake is to
+#: guard them).  Snapshots unpickle nothing.
 ALLOWED_PICKLE_LOADS = {
     ("runtime/exec.py", "_run_pool"): 1,
-    ("runtime/cluster.py", "recv_message"): 1,
     ("runtime/cluster.py", "MessageBuffer.pop"): 1,
     ("runtime/cluster.py", "WorkerSession._starting"): 1,
 }

@@ -40,8 +40,8 @@ from repro.runtime.cluster import (
     ClusterDrained,
     MessageBuffer,
     WorkerSession,
+    _connect_with_retry,
     encode_message,
-    recv_message,
 )
 from repro.runtime.exec import UnitFailure, _encode_units
 
@@ -76,21 +76,35 @@ class TestFraming:
         try:
             message = ("results", [{"value": [1, 2, 3]}], [], 0.5)
             a.sendall(encode_message(message))
-            assert recv_message(b) == message
+            assert MessageBuffer().receive(b) == message
         finally:
             a.close()
             b.close()
 
-    def test_recv_none_on_eof(self):
+    def test_receive_none_on_eof(self):
         a, b = socket.socketpair()
         a.close()
         try:
-            assert recv_message(b) is None
+            assert MessageBuffer().receive(b) is None
+        finally:
+            b.close()
+
+    def test_receive_keeps_what_came_with_a_message(self):
+        # Two messages in one segment: the second waits in the buffer,
+        # and EOF is only reported once both are read.
+        a, b = socket.socketpair()
+        try:
+            messages = [("frame", 0, 4), ("shutdown",)]
+            a.sendall(b"".join(encode_message(m) for m in messages))
+            a.close()
+            buffer = MessageBuffer()
+            assert [buffer.receive(b) for _ in messages] == messages
+            assert buffer.receive(b) is None
         finally:
             b.close()
 
     def test_buffer_reassembles_byte_by_byte(self):
-        message = ("frame", [(7, b"payload-blob", "label")])
+        message = ("setup", None, [b"payload-blob"], ["label"])
         frame = encode_message(message)
         buffer = MessageBuffer()
         for i, byte in enumerate(frame):
@@ -115,11 +129,45 @@ class TestFraming:
             buffer.pop()
 
 
+def test_a_dialled_socket_waits_for_frames_without_a_deadline():
+    # The dial is bounded; the wait for the next frame is not, or a
+    # worker idle while others finish theirs would die of a timeout.
+    listener = socket.create_server(("127.0.0.1", 0))
+    try:
+        sock = _connect_with_retry(*listener.getsockname())
+        try:
+            assert sock.gettimeout() is None
+        finally:
+            sock.close()
+    finally:
+        listener.close()
+
+
 # ----------------------------------------------------------------------
 # WorkerSession over a socketpair (no subprocesses)
 # ----------------------------------------------------------------------
 def boom_runner(payload):
     raise RuntimeError(f"unit {payload} exploded")
+
+
+class ScriptedCoordinator:
+    """The coordinator's end of a socketpair, spoken for by a test."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.inbox = MessageBuffer()
+
+    def send(self, *messages):
+        self.sock.sendall(b"".join(encode_message(m) for m in messages))
+
+    def expect(self, kind, timeout=5.0):
+        """Read messages (skipping heartbeats) until ``kind`` arrives."""
+        self.sock.settimeout(timeout)
+        while True:
+            message = self.inbox.receive(self.sock)
+            assert message is not None, f"EOF while waiting for {kind!r}"
+            if message[0] == kind:
+                return message
 
 
 def start_session(sock, **kwargs):
@@ -134,79 +182,91 @@ def start_session(sock, **kwargs):
     return session, thread, box
 
 
-def expect(sock, kind, timeout=5.0):
-    """Read messages (skipping heartbeats) until ``kind`` arrives."""
-    sock.settimeout(timeout)
-    while True:
-        message = recv_message(sock)
-        assert message is not None, f"EOF while waiting for {kind!r}"
-        if message[0] == kind:
-            return message
-
-
-def job(index, runner, payload, label="u"):
-    return (index, pickle.dumps((runner, payload)), label)
-
-
-def setup_message(worker_id, policy=None):
-    return ("setup", worker_id, policy or FaultPolicy())
-
-
-def frame_message(*jobs):
-    return ("frame", list(jobs))
+def setup_message(units=(), policy=None):
+    """A ``setup`` carrying the plan ``units``: ``(runner, payload,
+    label)`` triples, pickled as ``exec._encode_units`` does."""
+    return (
+        "setup", policy or FaultPolicy(),
+        [pickle.dumps((runner, payload)) for runner, payload, _ in units],
+        [label for _, _, label in units],
+    )
 
 
 class TestWorkerSession:
     def test_hello_setup_unit_result_shutdown(self):
-        coord, worker = socket.socketpair()
+        near, worker = socket.socketpair()
+        coord = ScriptedCoordinator(near)
         try:
-            session, thread, box = start_session(worker, launch_index=4)
-            hello = expect(coord, "hello")
+            _, thread, box = start_session(worker, launch_index=4)
+            hello = coord.expect("hello")
             assert hello[1]["pid"] == os.getpid()
             assert hello[1]["launch"] == 4
-            coord.sendall(encode_message(setup_message("w9")))
-            coord.sendall(encode_message(
-                frame_message(job(0, helpers.double_unit, 21))
-            ))
-            _, outputs, failures, seconds = expect(coord, "results")
+            coord.send(
+                setup_message([(helpers.double_unit, 21, "u")]),
+                ("frame", 0, 1),
+            )
+            _, outputs, failures, seconds = coord.expect("results")
             assert (outputs, failures) == ([42], [])
             assert seconds >= 0.0
-            assert session.worker_id == "w9"
-            coord.sendall(encode_message(("shutdown",)))
+            coord.send(("shutdown",))
             thread.join(timeout=5)
             assert box["status"] == 0
         finally:
-            coord.close()
+            near.close()
+            worker.close()
+
+    def test_a_frame_is_any_range_of_the_plan(self):
+        near, worker = socket.socketpair()
+        coord = ScriptedCoordinator(near)
+        try:
+            _, thread, _ = start_session(worker)
+            coord.expect("hello")
+            coord.send(setup_message([
+                (helpers.double_unit, v, f"u{v}") for v in range(6)
+            ]))
+            for start, stop in [(2, 5), (0, 1), (5, 6), (2, 5)]:
+                coord.send(("frame", start, stop))
+                _, outputs, _, _ = coord.expect("results")
+                assert outputs == [2 * v for v in range(start, stop)]
+            coord.send(("shutdown",))
+            thread.join(timeout=5)
+        finally:
+            near.close()
             worker.close()
 
     def test_heartbeats_flow_between_units(self):
-        coord, worker = socket.socketpair()
+        near, worker = socket.socketpair()
+        coord = ScriptedCoordinator(near)
         try:
             _, thread, _ = start_session(worker)
-            expect(coord, "hello")
-            coord.sendall(encode_message(
-                setup_message("w0", FaultPolicy(heartbeat_seconds=0.02))
+            coord.expect("hello")
+            coord.send(setup_message(
+                policy=FaultPolicy(heartbeat_seconds=0.02)
             ))
-            assert expect(coord, "heartbeat") == ("heartbeat",)
-            coord.sendall(encode_message(("shutdown",)))
+            assert coord.expect("heartbeat") == ("heartbeat",)
+            coord.send(("shutdown",))
             thread.join(timeout=5)
         finally:
-            coord.close()
+            near.close()
             worker.close()
 
     def test_unit_failure_respects_the_policy(self):
-        coord, worker = socket.socketpair()
+        near, worker = socket.socketpair()
+        coord = ScriptedCoordinator(near)
         try:
             _, thread, _ = start_session(worker)
-            expect(coord, "hello")
+            coord.expect("hello")
             policy = FaultPolicy(on_error="skip", retries=0)
-            coord.sendall(encode_message(setup_message("w0", policy)))
-            coord.sendall(encode_message(frame_message(
-                job(1, helpers.double_unit, 4),
-                job(2, boom_runner, 5, label="bad"),
-                job(3, helpers.double_unit, 6),
-            )))
-            _, outputs, failures, _seconds = expect(coord, "results")
+            coord.send(
+                setup_message([
+                    (helpers.double_unit, 2, "first"),
+                    (helpers.double_unit, 4, "u"),
+                    (boom_runner, 5, "bad"),
+                    (helpers.double_unit, 6, "u"),
+                ], policy),
+                ("frame", 1, 4),
+            )
+            _, outputs, failures, _seconds = coord.expect("results")
             # The failure sits in its own slot; its frame-mates land.
             assert outputs == [8, None, 12]
             ((slot, failure),) = failures
@@ -215,43 +275,46 @@ class TestWorkerSession:
             assert failure.label == "bad"
             assert failure.attempts == 1
             assert "exploded" in failure.error
-            coord.sendall(encode_message(("shutdown",)))
+            coord.send(("shutdown",))
             thread.join(timeout=5)
         finally:
-            coord.close()
+            near.close()
             worker.close()
 
     def test_unpicklable_output_degrades_to_a_failure(self):
-        coord, worker = socket.socketpair()
+        near, worker = socket.socketpair()
+        coord = ScriptedCoordinator(near)
         try:
             _, thread, _ = start_session(worker)
-            expect(coord, "hello")
-            coord.sendall(encode_message(setup_message("w3")))
-            coord.sendall(encode_message(frame_message(
-                job(0, helpers.double_unit, 4),
-                job(1, helpers.make_unpicklable, 9, label="lambda-out"),
-            )))
-            _, outputs, failures, _seconds = expect(coord, "results")
+            coord.expect("hello")
+            coord.send(
+                setup_message([
+                    (helpers.double_unit, 4, "u"),
+                    (helpers.make_unpicklable, 9, "lambda-out"),
+                ]),
+                ("frame", 0, 2),
+            )
+            _, outputs, failures, _seconds = coord.expect("results")
             # Only the unit whose output will not pickle fails.
             assert outputs == [8, None]
             ((slot, failure),) = failures
             assert (slot, failure.index) == (1, 1)
             assert isinstance(failure, UnitFailure)
             assert "pickled" in failure.error
-            assert failure.worker == "w3"
-            coord.sendall(encode_message(("shutdown",)))
+            coord.send(("shutdown",))
             thread.join(timeout=5)
         finally:
-            coord.close()
+            near.close()
             worker.close()
 
     def test_coordinator_eof_ends_the_session_cleanly(self):
-        coord, worker = socket.socketpair()
+        near, worker = socket.socketpair()
+        coord = ScriptedCoordinator(near)
         try:
             _, thread, box = start_session(worker)
-            expect(coord, "hello")
-            coord.sendall(encode_message(setup_message("w0")))
-            coord.close()
+            coord.expect("hello")
+            coord.send(setup_message())
+            near.close()
             thread.join(timeout=5)
             assert box["status"] == 0
         finally:
@@ -269,12 +332,19 @@ def stub():
 
 
 class TestCoordinatorFrames:
-    def test_setup_carries_the_policy_and_frames_do_not(self, stub):
-        _far, setup, frame = stub.join()
-        kind, worker_id, policy = setup
-        assert (kind, worker_id) == ("setup", "w0")
+    def test_setup_carries_the_plan_and_frames_only_a_range(self, stub):
+        far, setup, frame = stub.join()
+        kind, policy, blobs, labels = setup
+        assert kind == "setup"
         assert policy == stub.table.policy
+        assert blobs == stub.blobs
+        assert labels == [f"unit-{v}" for v in range(8)]
         assert frame == [0]
+        # A worker that joins mid-plan gets the very same plan.
+        stub.say(far, ("results", [0], [], 0.0001))
+        _late, late_setup, late_frame = stub.join()
+        assert late_setup == ("setup", policy, stub.blobs, labels)
+        assert (stub.frame(far), late_frame) == ([1, 2], [3, 4])
 
     def test_results_land_and_the_next_frame_doubles(self, stub):
         far, _setup, frame = stub.join()
@@ -363,8 +433,6 @@ class TestHostileInput:
         ("results", [None], [(-1, failure_of(0))], 0.0),
         ("results", [None], [(True, failure_of(0))], 0.0),
         ("results", [None], [(0, failure_of(0))] * 2, 0.0),  # duplicate slot
-        ("results", [None], [(0, failure_of(1))], 0.0),  # not dispatched
-        ("results", [None], [(0, failure_of(99))], 0.0),  # outside the plan
         ("results", [0], [(0, failure_of(0))], 0.0),  # an output beside it
         ("result", 0, 0, None),                    # the old protocol
         ("unit", 0, b"", "", None),
@@ -382,21 +450,34 @@ class TestHostileInput:
         # The frame is back at the front for the next worker.
         assert stub.pending() == list(range(8))
 
-    def test_a_unit_in_flight_elsewhere_is_refused(self, stub):
+    @pytest.mark.parametrize("named", [1, 99, -1, "junk"])
+    def test_a_failure_is_the_unit_of_its_slot(self, stub, named):
+        # Whatever unit a failure record names -- one not dispatched,
+        # one outside the plan, not an index at all -- the coordinator
+        # names it from the frame it sent.
+        far, _setup, frame = stub.join()
+        assert frame == [0]
+        stub.say(far, ("results", [None], [(0, failure_of(named))], 0.0))
+        ((index, output, failure),) = stub.landed
+        assert (index, output) == (0, None)
+        assert (failure.index, failure.label) == (0, "unit-0")
+        assert (failure.worker, failure.redispatches) == ("w0", 0)
+        assert stub.coordinator.stats["workers_lost"] == 0
+
+    def test_a_unit_in_flight_elsewhere_cannot_be_failed(self, stub):
         honest, _setup, honest_frame = stub.join()
         liar, _setup, liar_frame = stub.join()
         assert (honest_frame, liar_frame) == ([0], [1])
-        # Outputs name no unit; a failure does, and this one names the
-        # honest worker's.
+        # A failure that names the honest worker's unit lands under the
+        # liar's own, and nothing lands for the honest worker's.
         stub.say(liar, ("results", [None], [(0, failure_of(0))], 0.0))
-        assert stub.landed == []
-        assert stub.coordinator.stats["workers_lost"] == 1
-        # The liar's own unit went straight back out; the honest
-        # worker's frame is still its own to answer.
-        assert stub.pending() == [1, 2, 3, 4, 5, 6, 7]
+        ((index, _output, failure),) = stub.landed
+        assert (index, failure.index, failure.label) == (1, 1, "unit-1")
+        assert failure.worker == "w1"
+        # The honest worker's frame is still its own to answer.
         stub.say(honest, ("results", [0], [], 0.030))
-        assert stub.landed == [(0, 0, None)]
-        assert stub.frame(honest) == [1]
+        assert stub.landed[1:] == [(0, 0, None)]
+        assert stub.coordinator.stats["workers_lost"] == 0
 
     def test_nothing_is_read_from_a_fenced_worker(self, stub):
         far, _setup, _frame = stub.join()

@@ -723,7 +723,7 @@ class TestEncodeResults:
         )
         reply = _encode_results(
             ([1, None, make_unpicklable(3), 4], [(1, failure)], 0.5),
-            [6, 7, 8, 9], ["a", "b", "c", "d"], pickle.dumps, worker="w2",
+            [6, 7, 8, 9], ["a", "b", "c", "d"], pickle.dumps,
         )
         outputs, failures, seconds = pickle.loads(reply)
         assert seconds == 0.5
@@ -732,7 +732,6 @@ class TestEncodeResults:
             (1, 7, "b"), (2, 8, "c"),
         ]
         assert "pickled" in failures[1][1].error
-        assert failures[1][1].worker == "w2"
 
 
 class TestPoolFrames:
