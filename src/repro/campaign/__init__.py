@@ -6,18 +6,19 @@ and the repository's benches each hand-roll one cell of that grid.
 This package makes the grid a first-class object:
 
 * :mod:`~repro.campaign.grid` -- :class:`CampaignSpec` (the declarative
-  grid) expands to :class:`CampaignPoint` parameter points, each with a
-  deterministic spawned seed; specs and results round-trip through
-  JSON.
+  grid) expands to :class:`~repro.experiment.RunPoint` parameter
+  points, each with a deterministic spawned seed; specs and results
+  round-trip through JSON.
 * :mod:`~repro.campaign.registry` -- named protocol builders (epidemic
   pull/push/push-pull, endemic replication, LV majority) and failure
   scenarios (massive failure, crash-recovery noise, Overnet-style
   churn) that campaigns reference by name; both registries are
   extensible at runtime.
-* :mod:`~repro.campaign.runner` -- executes each point on a
-  :class:`~repro.runtime.batch_engine.BatchRoundEngine` ensemble, fans
-  points out across worker processes, and records every seed so any
-  point can be replayed bit-for-bit later.
+* :mod:`~repro.campaign.runner` -- executes each point's ensemble
+  (:meth:`~repro.experiment.RunPoint.ensemble`, the path an
+  :class:`~repro.experiment.Experiment` runs), fans points out across
+  worker processes, and records every seed so any point can be
+  replayed bit-for-bit later.
 
 Command line::
 
@@ -29,7 +30,7 @@ Command line::
     python -m repro campaign --replay results.json
 """
 
-from .grid import CampaignPoint, CampaignSpec
+from .grid import CampaignSpec
 from .registry import (
     available_protocols,
     available_scenarios,
@@ -53,7 +54,6 @@ from .runner import (
 
 __all__ = [
     "CampaignSpec",
-    "CampaignPoint",
     "CampaignResult",
     "PointResult",
     "run_campaign",

@@ -3,9 +3,10 @@
 A :class:`CampaignSpec` is plain data -- the cross product of protocol
 names, group sizes, connection-loss rates and failure scenarios, plus
 the per-point trial count and horizon.  :meth:`CampaignSpec.expand`
-produces one :class:`CampaignPoint` per grid cell with a deterministic
-seed spawned from the campaign's base seed, so re-expanding the same
-spec always yields the same seeds and any point can be replayed later.
+produces one :class:`~repro.experiment.point.RunPoint` per grid cell
+with a deterministic seed spawned from the campaign's base seed, so
+re-expanding the same spec always yields the same seeds and any point
+can be replayed later.
 """
 
 from __future__ import annotations
@@ -16,64 +17,12 @@ from itertools import product
 from pathlib import Path
 from typing import Dict, List, TYPE_CHECKING, Union
 
+from ..experiment.point import RunPoint, _without_legacy_mode
 from ..runtime.rng import spawn_seeds
 from .registry import available_protocols, available_scenarios
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..experiment.protocol import Protocol
-
-
-def _without_legacy_mode(data: Dict) -> Dict:
-    """Drop the ``mode`` key that specs and points used to serialize.
-
-    Older spec files, result JSON, manifests and ``.npz``
-    ``point_json`` carry ``"mode": "batch"``, which selected the only
-    engine that remains.  Any other value named an engine that is
-    gone; running batch instead would change every number the file
-    promises, so it is an error.
-    """
-    if "mode" not in data:
-        return data
-    if data["mode"] != "batch":
-        raise ValueError(
-            f"campaign mode {data['mode']!r} is no longer supported (the "
-            f"lockstep mode was removed); for bit-identical seeded trials "
-            f"use `python -m repro run --engine serial`"
-        )
-    return {key: value for key, value in data.items() if key != "mode"}
-
-
-@dataclass(frozen=True)
-class CampaignPoint:
-    """One cell of a campaign grid: a fully-determined experiment."""
-
-    protocol: str
-    n: int
-    loss_rate: float
-    scenario: str
-    trials: int
-    periods: int
-    seed: int
-    stride: int = 1
-    #: Trial-axis sharding: the point's M trials split into this many
-    #: independently seeded sub-ensembles, which the campaign runner can
-    #: fan out across workers.  Part of the point's identity: replays
-    #: reproduce a sharded run bit for bit only with the same shard
-    #: count (shard seeds are spawned from (seed, shard domain)).
-    shards: int = 1
-
-    @property
-    def label(self) -> str:
-        return (
-            f"{self.protocol}/n={self.n}/f={self.loss_rate:g}/{self.scenario}"
-        )
-
-    def to_dict(self) -> Dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "CampaignPoint":
-        return cls(**_without_legacy_mode(data))
 
 
 @dataclass
@@ -103,6 +52,9 @@ class CampaignSpec:
     shards: int = 1
 
     def validate(self) -> None:
+        """Check the grid's axes.  Each value's own rules (group size,
+        loss rate, trials, periods, stride, shards) are the points',
+        checked as :meth:`expand` builds them."""
         if not self.protocols or not self.group_sizes \
                 or not self.loss_rates or not self.scenarios:
             raise ValueError("every grid axis needs at least one value")
@@ -133,21 +85,6 @@ class CampaignSpec:
             raise ValueError(
                 f"unknown scenarios {sorted(unknown)}; "
                 f"available: {available_scenarios()}"
-            )
-        if self.trials < 1 or self.periods < 1:
-            raise ValueError("trials and periods must be >= 1")
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
-        for n in self.group_sizes:
-            if n < 2:
-                raise ValueError(f"group sizes must be >= 2, got {n}")
-        for rate in self.loss_rates:
-            if not 0.0 <= rate < 1.0:
-                raise ValueError(f"loss rate must lie in [0, 1), got {rate}")
-        if not 1 <= self.shards <= self.trials:
-            raise ValueError(
-                f"shards must lie in [1, trials={self.trials}], "
-                f"got {self.shards}"
             )
 
     def _protocol_names(self) -> List[str]:
@@ -195,7 +132,7 @@ class CampaignSpec:
                 names.append(entry)
         return names
 
-    def expand(self) -> List[CampaignPoint]:
+    def expand(self) -> List[RunPoint]:
         """The grid cells, each with its spawned deterministic seed."""
         self.validate()
         cells = list(product(
@@ -204,7 +141,7 @@ class CampaignSpec:
         ))
         seeds = spawn_seeds(self.base_seed, len(cells))
         return [
-            CampaignPoint(
+            RunPoint(
                 protocol=protocol,
                 n=n,
                 loss_rate=loss_rate,

@@ -21,14 +21,14 @@ from ..runtime.rng import spawn_seeds
 from ..synthesis.protocol import ProtocolSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..experiment.point import RunPoint
     from ..experiment.protocol import Protocol
-    from .grid import CampaignPoint
 
 #: name -> builder(n) -> (spec, initial distribution)
 ProtocolBuilder = Callable[[int], Tuple[ProtocolSpec, Mapping[str, float]]]
 
 #: name -> builder(point, trial, seed) -> list of fresh hooks for one trial
-ScenarioBuilder = Callable[["CampaignPoint", int, int], List[Callable]]
+ScenarioBuilder = Callable[["RunPoint", int, int], List[Callable]]
 
 #: Entropy domain separating scenario streams from protocol streams.
 _SCENARIO_DOMAIN = 0x5C3A

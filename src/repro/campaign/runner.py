@@ -1,12 +1,12 @@
 """Campaign execution: grid points as ensemble units, fan-out, and replay.
 
-Each :class:`~repro.campaign.grid.CampaignPoint` is one
-:class:`~repro.runtime.parallel.EnsembleExecutor` ensemble on the batch
-tier -- the same executor an :class:`~repro.experiment.Experiment`
-runs -- so a point equals ``Experiment(..., seed=point.seed,
-workers=point.shards, scenario=point.scenario)`` bit for bit, scenario
-faults included.  Two axes of process-level parallelism compose on
-top:
+Each :class:`~repro.experiment.point.RunPoint` is one
+:class:`~repro.runtime.parallel.EnsembleExecutor` ensemble, built by
+:meth:`RunPoint.ensemble <repro.experiment.point.RunPoint.ensemble>` --
+the path an :class:`~repro.experiment.Experiment` runs -- so a point
+equals ``Experiment(..., seed=point.seed, workers=point.shards,
+scenario=point.scenario)`` bit for bit, scenario faults included.  Two
+axes of process-level parallelism compose on top:
 
 * independent grid *points* fan out across worker processes;
 * a single point with ``shards > 1`` splits its trial axis into that
@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..experiment.scenario import Scenario
+from ..experiment.point import RunPoint, _without_legacy_mode
 from ..runtime.exec import (
     ExecutionPlan,
     FaultPolicy,
@@ -49,10 +49,9 @@ from ..runtime.exec import (
     WorkUnit,
     run_plan,
 )
-from ..runtime.parallel import EnsembleExecutor, EnsembleResult, UnitOutput
+from ..runtime.parallel import EnsembleResult, UnitOutput
 from ..store import durable
-from .grid import CampaignPoint, CampaignSpec, _without_legacy_mode
-from .registry import resolve_protocol
+from .grid import CampaignSpec
 
 #: Quantiles reported in point summaries.
 SUMMARY_QUANTILES = (0.25, 0.5, 0.75)
@@ -67,7 +66,7 @@ TENSOR_DEFLATE_LEVEL = 1
 class PointResult:
     """Outcome of one campaign point: summaries plus replay provenance."""
 
-    point: CampaignPoint
+    point: RunPoint
     states: List[str]
     trial_seeds: List[int]
     final_counts: Dict[str, List[int]]
@@ -101,7 +100,7 @@ class PointResult:
     @classmethod
     def from_dict(cls, data: Dict) -> "PointResult":
         return cls(
-            point=CampaignPoint.from_dict(data["point"]),
+            point=RunPoint.from_dict(data["point"]),
             states=list(data["states"]),
             trial_seeds=list(data["trial_seeds"]),
             final_counts={k: list(v) for k, v in data["final_counts"].items()},
@@ -159,41 +158,6 @@ class CampaignResult:
         return cls.from_dict(json.loads(text))
 
 
-def _executor(point: CampaignPoint) -> EnsembleExecutor:
-    """A point's ensemble, its protocol resolved here and only here.
-
-    Work units carry the resolved spec, so no worker ever looks a
-    registry name up: whatever this process has registered -- at
-    runtime, as a closure -- runs on every backend.
-    """
-    resolved = resolve_protocol(point.protocol).resolve(point.n)
-    return EnsembleExecutor(
-        resolved.spec,
-        n=point.n,
-        trials=point.trials,
-        initial=resolved.initial,
-        seed=point.seed,
-        connection_failure_rate=point.loss_rate,
-        shards=point.shards,
-    )
-
-
-def _run_options(point: CampaignPoint) -> Dict:
-    """The :meth:`EnsembleExecutor.units` arguments of a point's units.
-
-    A CampaignPoint duck-types the experiment facade's RunContext, so
-    the scenario's seed family is rooted at the point's seed and
-    indexed by global trial -- an Experiment's faults, at any shard
-    count.
-    """
-    return dict(
-        periods=point.periods,
-        stride=point.stride,
-        track_transitions=False,
-        hook_factories=[Scenario.named(point.scenario).hook_factory(point)],
-    )
-
-
 def summarize_final_counts(series: np.ndarray) -> Dict[str, float]:
     """One state's final counts over the trial axis, as summary numbers.
 
@@ -215,7 +179,7 @@ def summarize_final_counts(series: np.ndarray) -> Dict[str, float]:
 
 
 def _point_result(
-    point: CampaignPoint, outcome: EnsembleResult, tensor: np.ndarray
+    point: RunPoint, outcome: EnsembleResult, tensor: np.ndarray
 ) -> PointResult:
     """Summarize a point's merged ensemble (``tensor`` is its counts).
 
@@ -249,9 +213,10 @@ def _point_result(
     )
 
 
-def run_point(point: CampaignPoint) -> PointResult:
+def run_point(point: RunPoint) -> PointResult:
     """Execute one campaign point (all of its units, in this process)."""
-    outcome = _executor(point).run(**_run_options(point))
+    executor, options = point.ensemble()
+    outcome = executor.run(**options)
     return _point_result(point, outcome, outcome.recorder.count_tensor())
 
 
@@ -342,7 +307,7 @@ def _created_stamp() -> str:
     return datetime.datetime.now(tz=datetime.timezone.utc).isoformat()
 
 
-def _pending_entry(index: int, point: CampaignPoint) -> Dict:
+def _pending_entry(index: int, point: RunPoint) -> Dict:
     """A planned-but-not-finished point's manifest entry."""
     return {
         "index": index,
@@ -480,7 +445,7 @@ def load_manifest(directory) -> Dict:
 
 
 def _restore_completed(
-    resume_dir: Path, spec: CampaignSpec, points: List[CampaignPoint]
+    resume_dir: Path, spec: CampaignSpec, points: List[RunPoint]
 ) -> Tuple[Dict[int, PointResult], Optional[str]]:
     """Load the completed points of a partial campaign manifest.
 
@@ -646,15 +611,15 @@ def run_campaign(
     # spec, never on ``workers`` -- which is what keeps pooled runs
     # bitwise equal to serial ones and replays, and what lets a resume
     # re-run exactly the units of the not-yet-completed points.
-    executors = {
-        index: _executor(point)
-        for index, point in enumerate(points) if index not in restored
-    }
+    executors = {}
     unit_points: List[int] = []
     units: List[WorkUnit] = []
-    for point_index, executor in executors.items():
-        point = points[point_index]
-        for unit in executor.units(**_run_options(point)):
+    for point_index, point in enumerate(points):
+        if point_index in restored:
+            continue
+        executor, options = point.ensemble()
+        executors[point_index] = executor
+        for unit in executor.units(**options):
             unit_points.append(point_index)
             units.append(replace(unit, label=f"{point.label} {unit.label}"))
 
@@ -736,7 +701,7 @@ def run_campaign(
 # ----------------------------------------------------------------------
 # Replay
 # ----------------------------------------------------------------------
-def replay_point(point: CampaignPoint) -> np.ndarray:
+def replay_point(point: RunPoint) -> np.ndarray:
     """Re-run a point and return its full ``(M, periods, S)`` count tensor.
 
     Campaign seeds are recorded in specs and results, so the same point
@@ -744,7 +709,8 @@ def replay_point(point: CampaignPoint) -> np.ndarray:
     trial rows follow the merged unit order, i.e. the recorded
     ``trial_seeds``.
     """
-    return _executor(point).run(**_run_options(point)).recorder.count_tensor()
+    executor, options = point.ensemble()
+    return executor.run(**options).recorder.count_tensor()
 
 
 def verify_replay(result: PointResult) -> bool:

@@ -7,6 +7,7 @@ import numpy as np
 
 from ..campaign import load_manifest
 from ..campaign.runner import summarize_final_counts
+from ..experiment import RunPoint
 from ..viz import format_table
 from .common import CliError, render_failure_provenance
 
@@ -33,14 +34,11 @@ def _print_message_check(point_json, counts, periods, states, measured):
     if point_json is None:
         return
     try:
-        point = json.loads(point_json)
-        protocol, n = point.get("protocol"), point.get("n")
-        if not protocol or not n:
-            return
+        point = RunPoint.from_dict(json.loads(point_json))
         from ..campaign.registry import resolve_protocol
         from ..check import message_model
 
-        spec = resolve_protocol(str(protocol)).resolve(int(n)).spec
+        spec = resolve_protocol(point.protocol).resolve(point.n).spec
         model = message_model(spec)
         mean, bound = model.predict_total(counts, periods, states=states)
     except Exception:

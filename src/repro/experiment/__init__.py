@@ -11,9 +11,12 @@ tier the runtime provides:
   hand-built spec (:meth:`Protocol.from_spec`).
 * :class:`~repro.experiment.scenario.Scenario` -- one fault-injection
   contract normalized across the engines' divergent hook conventions.
+* :class:`~repro.experiment.point.RunPoint` -- the one run record:
+  every field that fixes a run's numbers, checked when it is built; a
+  campaign cell and an experiment are both a point.
 * :class:`~repro.experiment.experiment.Experiment` -- the runner:
   selects the engine tier (serial for ``trials == 1``, batch
-  otherwise) and executes.
+  otherwise) into its point and executes it.
 * :class:`~repro.experiment.result.ExperimentResult` -- one result
   surface subsuming ``RunResult`` / ``BatchRunResult`` /
   ``BatchMetricsRecorder`` access: count tensors, reducers, transition
@@ -43,8 +46,9 @@ from .protocol import (
     load_equations,
     parse_param_directives,
 )
+from .point import RunPoint
 from .result import EquilibriumCheck, EquilibriumCheckRow, ExperimentResult
-from .scenario import RunContext, Scenario
+from .scenario import Scenario
 
 __all__ = [
     "Experiment",
@@ -52,7 +56,7 @@ __all__ = [
     "Protocol",
     "ResolvedProtocol",
     "Scenario",
-    "RunContext",
+    "RunPoint",
     "EquilibriumCheck",
     "EquilibriumCheckRow",
     "ENGINES",

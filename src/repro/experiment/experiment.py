@@ -34,26 +34,31 @@ seeded :class:`AgentSimulation` instances -- the asynchronous DES tier
 (arbitrary period phases, latency, drift) -- with the *same* spawned
 trial-seed family as the serial tier.
 
-Whatever the tier, the run is one
-:class:`~repro.runtime.parallel.EnsembleExecutor` plan: batch shards
-or single serial/agent trials are its work units, fanned across
-``workers`` processes under one fault policy and merged into one
-recorder.
+An experiment is a :class:`~repro.experiment.point.RunPoint` run with
+its own protocol handle and scenario: the constructor checks every
+field and picks the tier into :attr:`Experiment.point`, and
+:meth:`Experiment.run` takes the point's one path to its
+:class:`~repro.runtime.parallel.EnsembleExecutor` plan, the path a
+campaign point takes.  Batch shards or single serial/agent trials are
+its work units, fanned across ``workers`` processes under one fault
+policy and merged into one recorder.
 """
 
 from __future__ import annotations
 
 import secrets
 import time
+from dataclasses import replace
 from typing import Mapping, Optional, Union
 
 from ..runtime.exec import BACKENDS, FaultPolicy
-from ..runtime.parallel import TIERS, EnsembleExecutor
+from ..runtime.parallel import TIERS
 from ..runtime.planner import census_refusal
-from ..runtime.round_engine import _compile, initial_state_vector
+from ..runtime.round_engine import _compile
+from .point import RunPoint
 from .protocol import Protocol
 from .result import ExperimentResult
-from .scenario import RunContext, Scenario, ScenarioHookFactory
+from .scenario import Scenario, ScenarioHookFactory
 
 ENGINES = ("auto",) + TIERS
 
@@ -172,10 +177,6 @@ class Experiment:
             raise ValueError(
                 f"engine must be one of {ENGINES}, got {engine!r}"
             )
-        if trials < 1:
-            raise ValueError(f"trials must be >= 1, got {trials}")
-        if periods < 1:
-            raise ValueError(f"periods must be >= 1, got {periods}")
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if backend not in BACKENDS:
@@ -184,21 +185,9 @@ class Experiment:
             )
         self.backend = backend
         self.protocol = protocol
-        self.n = n
-        self.trials = trials
-        self.periods = periods
         self.scenario = Scenario.normalize(scenario)
-        # An unseeded run still gets a *concrete* root seed: protocol
-        # and scenario streams must derive from the same root (the
-        # scenario family is spawned from it), and recording it is the
-        # only way an unseeded run can be replayed afterwards.
-        self.seed = seed if seed is not None else secrets.randbits(63)
         self.engine = engine
-        self.loss_rate = loss_rate
-        self.stride = stride
         self.record_transitions = record_transitions
-        self.member_log_state = member_log_state
-        self.initial = dict(initial) if initial is not None else None
         self.workers = workers
         if check not in ("off", "warn", "strict"):
             raise ValueError(
@@ -208,7 +197,6 @@ class Experiment:
         #: (``repro.check``): warn on ERROR findings by default,
         #: ``"strict"`` raises, ``"off"`` skips.
         self.check = check
-        self._kept_factory: Optional[ScenarioHookFactory] = None
         # Constructing the policy up front validates on_error/retries/
         # unit_timeout with FaultPolicy's own error messages; a
         # fully-built policy (heartbeat tuning, dispatch budget) wins
@@ -221,48 +209,48 @@ class Experiment:
             )
         )
 
+        # An unseeded run still gets a *concrete* root seed: protocol
+        # and scenario streams must derive from the same root, and
+        # recording it is the only way an unseeded run can be replayed
+        # afterwards.
+        self.seed = seed if seed is not None else secrets.randbits(63)
+        tier = engine
+        if engine == "auto":
+            batch = trials > 1 and member_log_state is None
+            tier = "batch" if batch else "serial"
+        #: The run, every field checked: ``engine`` is the chosen tier.
+        self.point = RunPoint(
+            protocol.label, n, loss_rate,
+            self.scenario.label if self.scenario else "none",
+            trials, periods, self.seed, stride,
+            shards=min(workers, trials) if tier == "batch" else 1,
+            engine=tier, initial=initial, member_log_state=member_log_state,
+        )
+        self._hooks: Optional[ScenarioHookFactory] = (
+            self.scenario.hook_factory(self.point) if self.scenario else None
+        )
+        if engine == "auto" and tier == "batch" and self._needs_serial():
+            self.point = replace(self.point, engine="serial", shards=1)
+            if self._hooks is not None:
+                # Trial 0's hooks, built to ask, are the ones it runs.
+                self._hooks.point = self.point
+
     # ------------------------------------------------------------------
     # Engine selection
     # ------------------------------------------------------------------
     @property
     def chosen_engine(self) -> str:
         """The tier that will run: auto resolves to serial or batch."""
-        if self.engine != "auto":
-            return self.engine
-        if self.trials == 1 or self.member_log_state is not None:
-            return "serial"
-        spec = self.protocol.resolve(self.n).spec
+        return self.point.engine
+
+    def _needs_serial(self) -> bool:
+        """Whether the batch tier's census cannot run this experiment:
+        the spec is outside its one-coin-per-state model, or the
+        scenario's trial-0 hooks ask which hosts."""
+        spec = self.protocol.resolve(self.point.n).spec
         if census_refusal(_compile(spec), spec.states) is not None:
-            return "serial"
-        factory = self._hook_factory()
-        return "serial" if factory and factory.asks_hosts() else "batch"
-
-    def _hook_factory(self) -> Optional[ScenarioHookFactory]:
-        """The scenario's hook factory for this run, kept while the
-        scenario and context hold: the trial-0 hooks ``chosen_engine``
-        builds to probe are the ones trial 0 runs."""
-        if self.scenario is None:
-            return None
-        context = self.context()
-        kept = self._kept_factory
-        if kept is None or (kept.scenario, kept.context) != (
-            self.scenario, context
-        ):
-            kept = self._kept_factory = self.scenario.hook_factory(context)
-        return kept
-
-    def context(self) -> RunContext:
-        """The campaign-point-shaped description of this run."""
-        return RunContext(
-            protocol=self.protocol.label,
-            n=self.n,
-            loss_rate=self.loss_rate,
-            scenario=self.scenario.label if self.scenario else "none",
-            trials=self.trials,
-            periods=self.periods,
-            seed=self.seed,
-            stride=self.stride,
-        )
+            return True
+        return self._hooks is not None and self._hooks.asks_hosts()
 
     # ------------------------------------------------------------------
     # Forking off a live population (the service tier's what-if hook)
@@ -288,11 +276,6 @@ class Experiment:
         like?", using the ordinary batch fan-out underneath.
         """
         fork = live.fork_state()
-        if fork["n"] < 2:
-            raise ValueError(
-                f"live population too small to fork "
-                f"(alive={fork['n']}, need >= 2)"
-            )
         return cls(
             fork["protocol"],
             fork["n"],
@@ -316,31 +299,17 @@ class Experiment:
         agent trial) under this experiment's workers, backend and fault
         policy.
         """
-        resolved = self.protocol.resolve(self.n)
-        self.protocol.verify(self.n, mode=self.check)
-        initial = self.initial if self.initial is not None else resolved.initial
-        # A bad start is the caller's ValueError, not a failed work unit.
-        initial_state_vector(resolved.spec.states, self.n, initial)
-        engine_name = self.chosen_engine
+        self.protocol.verify(self.point.n, mode=self.check)
         started = time.perf_counter()
-        executor = EnsembleExecutor(
-            resolved.spec, n=self.n, trials=self.trials, initial=initial,
-            seed=self.seed, connection_failure_rate=self.loss_rate,
-            workers=self.workers, backend=self.backend, engine=engine_name,
-        )
-        outcome = executor.run(
-            self.periods,
-            stride=self.stride,
+        executor, options = self.point.ensemble(
+            self.protocol, [self._hooks] if self._hooks else [],
+            workers=self.workers, backend=self.backend,
             track_transitions=self.record_transitions,
-            member_log_state=self.member_log_state,
-            hook_factories=(
-                [self._hook_factory()] if self.scenario else ()
-            ),
-            fault_policy=self.fault_policy,
         )
+        outcome = executor.run(fault_policy=self.fault_policy, **options)
         return ExperimentResult(
-            spec=resolved.spec, n=self.n, trials=outcome.trials,
-            periods=self.periods, engine=engine_name,
+            spec=executor.spec, n=self.point.n, trials=outcome.trials,
+            periods=self.point.periods, engine=self.point.engine,
             trial_seeds=outcome.trial_seeds,
             elapsed_seconds=time.perf_counter() - started,
             protocol=self.protocol,
@@ -353,7 +322,7 @@ class Experiment:
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return (
-            f"Experiment({self.protocol.label!r}, n={self.n}, "
-            f"trials={self.trials}, periods={self.periods}, "
+            f"Experiment({self.protocol.label!r}, n={self.point.n}, "
+            f"trials={self.point.trials}, periods={self.point.periods}, "
             f"engine={self.engine!r})"
         )

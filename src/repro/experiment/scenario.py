@@ -6,7 +6,7 @@ takes a flat list of per-period hooks (``hook(engine)``), while
 factories* (``factory(trial) -> hook(view)``), and the campaign
 registry adds a third (``builder(point, trial, seed) -> hooks``).  A
 :class:`Scenario` normalizes all of them: it produces the per-trial
-hook list for a run context, with scenario randomness drawn from a
+hook list for a run point, with scenario randomness drawn from a
 seed family domain-separated from the engines' protocol streams and
 indexed by *global* trial.  Experiments and campaign points both run
 as :class:`~repro.runtime.parallel.EnsembleExecutor` units handed one
@@ -19,41 +19,15 @@ workers=K)`` is bitwise the point with ``shards=K``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
 
 from ..runtime.churn import ChurnReplayer
 
-#: A per-trial hook list builder: ``(context, trial, seed) -> hooks``.
-#: ``context`` duck-types a campaign point (``n``, ``trials``,
-#: ``periods``, ``seed``, ``loss_rate``, ``scenario``...).
-TrialHooksBuilder = Callable[[object, int, int], List[Callable]]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .point import RunPoint
 
-
-@dataclass(frozen=True)
-class RunContext:
-    """The campaign-point-shaped description of one experiment run.
-
-    Scenario builders (including every registry scenario) receive this
-    as their ``point`` argument; it carries exactly the fields they
-    read.  ``protocol`` and ``scenario`` are labels, not objects, so a
-    context is plain data.
-    """
-
-    protocol: str
-    n: int
-    loss_rate: float
-    scenario: str
-    trials: int
-    periods: int
-    seed: int
-    stride: int = 1
-
-    @property
-    def label(self) -> str:
-        return (
-            f"{self.protocol}/n={self.n}/f={self.loss_rate:g}/{self.scenario}"
-        )
+#: A per-trial hook list builder: ``(point, trial, seed) -> hooks``.
+TrialHooksBuilder = Callable[["RunPoint", int, int], List[Callable]]
 
 
 class Scenario:
@@ -62,7 +36,7 @@ class Scenario:
     Use :meth:`named` for registry scenarios (``massive-failure``,
     ``crash-recovery``, ``churn``, ...), :meth:`from_trial_hooks` for a
     quick per-trial factory, or construct directly with a full
-    ``(context, trial, seed) -> hooks`` builder.
+    ``(point, trial, seed) -> hooks`` builder.
     """
 
     def __init__(self, label: str, builder: TrialHooksBuilder):
@@ -124,17 +98,17 @@ class Scenario:
     # ------------------------------------------------------------------
     # Hook production
     # ------------------------------------------------------------------
-    def trial_seeds(self, context: RunContext) -> List[int]:
-        """The domain-separated scenario seed family for a context."""
+    def trial_seeds(self, point: RunPoint) -> List[int]:
+        """The domain-separated scenario seed family for a point."""
         from ..campaign.registry import scenario_seeds
 
-        return scenario_seeds(context.seed, context.trials)
+        return scenario_seeds(point.seed, point.trials)
 
-    def hooks_for(self, context: RunContext, trial: int, seed: int) -> List[Callable]:
+    def hooks_for(self, point: RunPoint, trial: int, seed: int) -> List[Callable]:
         """Fresh hooks for one trial (hooks are stateful; never reuse)."""
-        return list(self._builder(context, trial, seed))
+        return list(self._builder(point, trial, seed))
 
-    def hook_factory(self, context: RunContext) -> Callable[[int], Callable]:
+    def hook_factory(self, point: RunPoint) -> "ScenarioHookFactory":
         """An ensemble ``hook_factories`` entry for this scenario (any tier).
 
         Returns one composite hook per trial (``None`` for a trial the
@@ -145,7 +119,7 @@ class Scenario:
         ships it to pool workers whenever the underlying builder
         pickles (registry builders are module-level functions and do).
         """
-        return ScenarioHookFactory(self, context)
+        return ScenarioHookFactory(self, point)
 
 
 class _CompositeHook:
@@ -160,19 +134,19 @@ class _CompositeHook:
 
 
 class ScenarioHookFactory:
-    """Picklable per-trial hook factory for one scenario + context.
+    """Picklable per-trial hook factory for one scenario + point.
 
     Trial indices are *global* (0..trials-1): the scenario seed family
-    is derived once from the context, so the hooks a trial receives are
+    is derived once from the point, so the hooks a trial receives are
     identical whether the ensemble runs in one engine or sharded
     across processes by an executor handed this one factory -- an
     experiment's or a campaign point's.
     """
 
-    def __init__(self, scenario: Scenario, context: RunContext):
+    def __init__(self, scenario: Scenario, point: RunPoint):
         self.scenario = scenario
-        self.context = context
-        self._seeds = scenario.trial_seeds(context)
+        self.point = point
+        self._seeds = scenario.trial_seeds(point)
         # Hooks built before their trial asked (asks_hosts), handed out
         # once; they stay in this process (see __getstate__).
         self._ahead: Dict[int, List[Callable]] = {}
@@ -200,13 +174,13 @@ class ScenarioHookFactory:
         return _CompositeHook(hooks) if hooks else None
 
     def _build(self, trial: int) -> List[Callable]:
-        return self.scenario.hooks_for(self.context, trial, self._seeds[trial])
+        return self.scenario.hooks_for(self.point, trial, self._seeds[trial])
 
     def __getstate__(self):
         return {**self.__dict__, "_ahead": {}}
 
 
-def _hooks_of_factory(factory, context, trial: int, seed: int) -> List[Callable]:
+def _hooks_of_factory(factory, point, trial: int, seed: int) -> List[Callable]:
     """:meth:`Scenario.from_trial_hooks`'s builder: ``factory(trial)`` as a list."""
     hooks = factory(trial)
     if callable(hooks):

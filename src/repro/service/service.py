@@ -231,7 +231,7 @@ class ProtocolService:
             "forked_at_period": forked_at,
             "trials": trials,
             "periods": periods,
-            "n": experiment.n,
+            "n": experiment.point.n,
             "mean_final_counts": result.mean_final_counts(),
             "summary": result.summary(),
         }

@@ -7,9 +7,13 @@ Also wires two suite-wide policies:
   default (``-m 'not slow'`` gives a fast loop); ``heavy`` ones, the
   exhaustive searches, are deselected here unless a ``-m`` expression
   names them (``-m heavy``; CI's ``heavy`` job);
-* one hypothesis profile, ``derandomized``: the property suites draw
-  the same examples on every run and every machine, and have no
-  deadline (wall-clock deadlines are flaky on shared boxes).
+* two hypothesis profiles.  ``derandomized`` (loaded by default): the
+  property suites draw the same examples on every run and every
+  machine, have no deadline (wall-clock deadlines are flaky on shared
+  boxes), and a test that sets no ``max_examples`` draws 25.
+  ``heavy`` draws the same way, 200 examples each
+  (``pytest -m hypothesis --hypothesis-profile heavy``; CI's ``heavy``
+  job).
 """
 
 from __future__ import annotations
@@ -24,7 +28,11 @@ from repro.odes import library
 from repro.protocols.endemic import EndemicParams
 
 settings.register_profile(
-    "derandomized", deadline=None, derandomize=True, print_blob=True
+    "derandomized", deadline=None, derandomize=True, print_blob=True,
+    max_examples=25,
+)
+settings.register_profile(
+    "heavy", settings.get_profile("derandomized"), max_examples=200
 )
 settings.load_profile("derandomized")
 

@@ -959,7 +959,7 @@ class TestRunFixedCosts:
         experiment = Experiment(
             Protocol.named("endemic"), n=300, trials=4, periods=5, seed=1,
         )
-        context = experiment.context()
+        context = experiment.point
         assert [
             Scenario.named("none").hook_factory(context)(m) for m in range(4)
         ] == [None] * 4

@@ -23,7 +23,7 @@ import pytest
 
 from test_batch_engine import token_spec
 
-from repro.experiment import RunContext, Scenario
+from repro.experiment import RunPoint, Scenario
 from repro.protocols.endemic import EndemicParams, figure1_protocol
 from repro.protocols.epidemic import push_pull_protocol
 from repro.protocols.lv import lv_protocol
@@ -94,7 +94,7 @@ def test_massive_failure_stream_is_pinned():
     engine = BatchRoundEngine(
         factory(), n=n, trials=trials, initial=initial, seed=seed
     )
-    context = RunContext(
+    context = RunPoint(
         "endemic", n, 0.0, "massive-failure", trials, periods, seed
     )
     faults = Scenario.named("massive-failure").hook_factory(context)

@@ -2,12 +2,12 @@
 
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.campaign import (
-    CampaignPoint,
     CampaignResult,
     CampaignSpec,
     available_protocols,
@@ -20,7 +20,7 @@ from repro.campaign import (
     verify_replay,
 )
 from repro.__main__ import main as cli_main
-from repro.experiment import Experiment
+from repro.experiment import Experiment, RunPoint
 
 
 def tiny_spec(**overrides):
@@ -102,7 +102,46 @@ class TestJsonRoundTrip:
 
     def test_point_round_trip(self):
         point = tiny_spec().expand()[0]
-        assert CampaignPoint.from_dict(point.to_dict()) == point
+        assert RunPoint.from_dict(point.to_dict()) == point
+
+    def test_point_defaults_are_left_out(self):
+        """A batch point from the protocol's own start writes the nine
+        fields points always wrote; the others appear when set."""
+        point = tiny_spec().expand()[0]
+        assert list(point.to_dict()) == [
+            "protocol", "n", "loss_rate", "scenario", "trials", "periods",
+            "seed", "stride", "shards",
+        ]
+        serial = replace(
+            point, engine="serial", initial={"y": 30, "x": 270},
+            member_log_state="y",
+        )
+        data = serial.to_dict()
+        assert data["initial"] == {"x": 270, "y": 30}
+        assert data["engine"] == "serial"
+        assert RunPoint.from_dict(json.loads(json.dumps(data))) == serial
+        assert {serial: 1}[replace(serial, initial={"x": 270, "y": 30})]
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"bogus": 1}, r"unknown point field\(s\) \['bogus'\]"),
+        ({"n": "300"}, "n must be an integer, got '300'"),
+        ({"loss_rate": 2.0}, r"loss rate must lie in \[0, 1\), got 2.0"),
+        ({"stride": 0}, "stride must be >= 1, got 0"),
+        ({"shards": 5}, r"shards must lie in \[1, trials=4\], got 5"),
+        ({"engine": "auto"}, "engine must be one of"),
+        ({"initial": {"x": "a lot"}}, "initial must map states to numbers"),
+    ], ids=["unknown", "n", "loss_rate", "stride", "shards", "engine",
+            "initial"])
+    def test_point_from_dict_refuses_by_field(self, edit, message):
+        data = {**tiny_spec().expand()[0].to_dict(), **edit}
+        with pytest.raises(ValueError, match=message):
+            RunPoint.from_dict(data)
+
+    def test_point_from_dict_names_missing_fields(self):
+        data = tiny_spec().expand()[0].to_dict()
+        del data["seed"]
+        with pytest.raises(ValueError, match="invalid point: .*'seed'"):
+            RunPoint.from_dict(data)
 
 
 class TestRunPoint:
@@ -158,10 +197,10 @@ class TestReplay:
         old_spec = {**spec.to_dict(), "mode": "batch"}
         old_point = {**point.to_dict(), "mode": "batch"}
         assert CampaignSpec.from_dict(old_spec).to_dict() == spec.to_dict()
-        assert CampaignPoint.from_dict(old_point) == point
+        assert RunPoint.from_dict(old_point) == point
         for loader, data in (
             (CampaignSpec.from_dict, old_spec),
-            (CampaignPoint.from_dict, old_point),
+            (RunPoint.from_dict, old_point),
         ):
             with pytest.raises(ValueError, match="run --engine serial"):
                 loader({**data, "mode": "lockstep"})
@@ -303,6 +342,22 @@ class TestPointIsAnExperiment:
         for point in contract_spec(shards).expand():
             assert_point_is_experiment(
                 run_point(point), replay_point(point), experiment_for(point)
+            )
+
+    @pytest.mark.parametrize("engine", ["serial", "agent"])
+    def test_per_trial_tiers(self, engine):
+        """A point on the serial or agent tier is that tier's Experiment."""
+        for point in contract_spec(1).expand():
+            point = replace(point, engine=engine)
+            experiment = Experiment(
+                point.protocol, n=point.n, trials=point.trials,
+                periods=point.periods, seed=point.seed,
+                scenario=point.scenario, loss_rate=point.loss_rate,
+                stride=point.stride, engine=engine,
+                record_transitions=False, check="off",
+            ).run()
+            assert_point_is_experiment(
+                run_point(point), replay_point(point), experiment
             )
 
     @pytest.mark.parametrize("backend", ["pool", "cluster"])
@@ -472,7 +527,7 @@ class TestSaveTensors:
             # The manifest alone suffices to reload and replay a point:
             # no globbing of per-point npz metadata required.
             replayed = replay_point(
-                CampaignPoint.from_dict(stored["point"])
+                RunPoint.from_dict(stored["point"])
             )
             with np.load(tmp_path / stored["tensor_path"]) as data:
                 assert np.array_equal(data["counts"], replayed)
@@ -666,6 +721,24 @@ class TestCampaignCli:
             assert data["counts"].shape == (4, 11, 3)
         # The sharded run (and its tensor provenance) replays cleanly.
         assert cli_main(["campaign", "--replay", str(out_file)]) == 0
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda point: point.update(loss_rate=2.0),
+         "loss rate must lie in [0, 1), got 2.0"),
+        (lambda point: point.update(bogus=1),
+         "unknown point field(s) ['bogus']"),
+    ], ids=["loss-rate", "unknown-key"])
+    def test_replay_refuses_a_bad_point_by_name(
+        self, tmp_path, capsys, edit, message
+    ):
+        out_file = tmp_path / "results.json"
+        data = run_campaign(tiny_spec(periods=5)).to_dict()
+        edit(data["results"][0]["point"])
+        out_file.write_text(json.dumps(data))
+        assert cli_main(["campaign", "--replay", str(out_file)]) == 1
+        err = capsys.readouterr().err
+        assert f"invalid results file: {message}" in err
+        assert "Traceback" not in err
 
     def test_replay_rejects_save_tensors(self, tmp_path, capsys):
         out_file = tmp_path / "results.json"

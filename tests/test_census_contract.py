@@ -28,7 +28,7 @@ from test_batch_engine import token_spec
 from test_planner import push_spec
 
 from repro.campaign.registry import available_protocols, available_scenarios
-from repro.experiment import Experiment, Protocol, RunContext, Scenario
+from repro.experiment import Experiment, Protocol, RunPoint, Scenario
 from repro.protocols.baselines import StaticReplication
 from repro.protocols.endemic import EndemicParams, figure1_protocol
 from repro.runtime import (
@@ -102,7 +102,7 @@ def run_tier(tier, scenario, trials, periods, seed):
     same traces, for churn) whatever the engines' ``seed``; the serial
     tier picks hosts.
     """
-    context = RunContext("idle", N, 0.0, scenario, trials, periods, 5)
+    context = RunPoint("idle", N, 0.0, scenario, trials, periods, 5)
     factory = Scenario.named(scenario).hook_factory(context)
     tallies = np.zeros((trials, periods, 2), dtype=np.int64)
 
@@ -181,7 +181,7 @@ class TestFaultsAreCensusOperations:
         action: none has an axis of ``n`` hosts."""
         n, trials = 500, 4
         resolved = Protocol.named("endemic").resolve(n)
-        context = RunContext("endemic", n, 0.0, scenario, trials, 40, 93)
+        context = RunPoint("endemic", n, 0.0, scenario, trials, 40, 93)
         engine = BatchRoundEngine(
             resolved.spec, n=n, trials=trials, initial=resolved.initial,
             seed=93,

@@ -21,7 +21,6 @@ import pytest
 
 from repro.__main__ import main
 from repro.campaign import (
-    CampaignPoint,
     resolve_protocol,
     scenario_builder,
     scenario_seeds,
@@ -31,7 +30,7 @@ from repro.experiment import (
     Experiment,
     ExperimentResult,
     Protocol,
-    RunContext,
+    RunPoint,
     Scenario,
     parse_param_directives,
 )
@@ -195,7 +194,7 @@ class TestSerialBitIdentical:
         ).run()
         resolved = protocol.resolve(n)
         states = resolved.spec.states
-        point = CampaignPoint(
+        point = RunPoint(
             protocol=name, n=n, loss_rate=0.0, scenario=scenario or "none",
             trials=trials, periods=periods, seed=seed,
         )
@@ -287,7 +286,7 @@ class TestBatchTier:
 class TestScenarioContract:
     def test_named_scenario_matches_campaign_seeds(self):
         """Experiment and campaign share the scenario seed family."""
-        context = RunContext(
+        context = RunPoint(
             protocol="endemic", n=200, loss_rate=0.0,
             scenario="crash-recovery", trials=4, periods=20, seed=11,
         )
@@ -306,7 +305,7 @@ class TestScenarioContract:
             ).run()
 
         result = experiment(shards)
-        point = CampaignPoint(
+        point = RunPoint(
             protocol="endemic", n=300, loss_rate=0.0,
             scenario="crash-recovery", trials=4, periods=40, seed=7,
             shards=shards,
@@ -377,7 +376,7 @@ class TestFinalCounts:
         assert finals != {
             s: strided.counts(s)[:, -1].tolist() for s in strided.states
         }
-        point = CampaignPoint(
+        point = RunPoint(
             protocol="lv", n=300, loss_rate=0.0, scenario="none",
             trials=4, periods=25, seed=1, stride=10,
         )
@@ -472,7 +471,7 @@ class TestDeprecationShims:
         """Old builder-tuple consumers (run_point) still work, warning-free."""
         from repro.campaign import run_point
 
-        point = CampaignPoint(
+        point = RunPoint(
             protocol="epidemic-pull", n=100, loss_rate=0.0, scenario="none",
             trials=2, periods=5, seed=1,
         )
@@ -480,6 +479,50 @@ class TestDeprecationShims:
             warnings.simplefilter("error", DeprecationWarning)
             result = run_point(point)
         assert result.point is point
+
+
+#: Run input a work unit used to fail on, as ``(Experiment kwargs,
+#: repro run flags, message)``: each is refused when the Experiment is
+#: built, on every tier, and ``repro run`` prints the message.
+BAD_RUN_INPUT = [
+    ({"stride": 0}, ["--stride", "0"], "stride must be >= 1, got 0"),
+    ({"loss_rate": 1.5}, ["--loss-rate", "1.5"],
+     "loss rate must lie in [0, 1), got 1.5"),
+    ({"n": 1}, ["--n", "1"], "group size must be >= 2, got 1"),
+]
+
+
+class TestBadRunInput:
+    @pytest.mark.parametrize("engine", ENGINES[1:])
+    @pytest.mark.parametrize(
+        "bad, flags, message", BAD_RUN_INPUT, ids=["stride", "loss", "n"]
+    )
+    def test_refused_when_built(self, engine, bad, flags, message):
+        """Not a failed work unit: a retrying policy has nothing to
+        retry, because nothing was built to run."""
+        kwargs = dict(
+            n=300, trials=2, periods=5, seed=1, engine=engine,
+            on_error="retry", retries=3,
+        )
+        kwargs.update(bad)
+        with pytest.raises(ValueError) as refused:
+            Experiment("endemic", **kwargs)
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("engine", ENGINES[1:])
+    @pytest.mark.parametrize(
+        "bad, flags, message", BAD_RUN_INPUT, ids=["stride", "loss", "n"]
+    )
+    def test_cli_prints_the_message(self, engine, bad, flags, message,
+                                    capsys):
+        code = main([
+            "run", "endemic", "--trials", "2", "--periods", "5",
+            "--seed", "1", "--engine", engine, *flags,
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"invalid experiment: {message}" in err
+        assert "Traceback" not in err
 
 
 class TestRunCLI:

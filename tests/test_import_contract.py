@@ -105,16 +105,16 @@ JOURNEYS = {
     "registry campaign shard unit": """
         # What a pool or cluster worker executes for a campaign -- an
         # ensemble executor unit.
-        from repro.campaign.grid import CampaignPoint
-        from repro.campaign.runner import _executor, _run_options
+        from repro.experiment import RunPoint
 
         totals = {}
         for protocol in ("endemic", "lv"):
-            point = CampaignPoint(
+            point = RunPoint(
                 protocol=protocol, n=300, loss_rate=0.0,
                 scenario="none", trials=4, periods=10, seed=3, shards=2,
             )
-            unit = _executor(point).units(**_run_options(point))[0]
+            executor, options = point.ensemble()
+            unit = executor.units(**options)[0]
             output = unit.runner(unit.payload)
             totals[protocol] = output.final_counts.sum(axis=1).tolist()
         return dict(totals=totals)
@@ -171,7 +171,6 @@ JOURNEYS = {
         # plans, forks two workers, checkpoints.  Unit: what a worker
         # runs -- the resolved spec's ensemble.
         from repro.campaign import CampaignSpec, run_campaign
-        from repro.campaign.runner import _executor, _run_options
 
         spec = CampaignSpec(
             protocols=["examples/endemic.txt"], group_sizes=[300],
@@ -180,7 +179,8 @@ JOURNEYS = {
         campaign = run_campaign(spec, workers=2)
         parent = scipy_loaded()
         point = spec.expand()[0]
-        first = _executor(point).units(**_run_options(point))[0]
+        executor, options = point.ensemble()
+        first = executor.units(**options)[0]
         unit = first.runner(first.payload)
         return dict(
             parent=parent, points=len(campaign.results),

@@ -100,14 +100,13 @@ class TestShardLayout:
 
     def test_matches_campaign_discipline(self):
         """A campaign point's units are the executor's shards."""
-        from repro.campaign.grid import CampaignPoint
-        from repro.campaign.runner import _executor
+        from repro.experiment import RunPoint
 
-        point = CampaignPoint(
+        point = RunPoint(
             protocol="lv", n=200, loss_rate=0.0, scenario="none",
             trials=10, periods=5, seed=7, shards=3,
         )
-        assert _executor(point).layout == shard_layout(7, 10, 3)
+        assert point.ensemble()[0].layout == shard_layout(7, 10, 3)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -577,6 +577,28 @@ class TestResumeCli:
         ]) == 1
         assert "--trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda point: point.update(bogus=1),
+         "unknown point field(s) ['bogus']"),
+        (lambda point: point.update(n=str(point["n"])),
+         "n must be an integer, got '200'"),
+    ], ids=["unknown-key", "n-as-text"])
+    def test_cli_resume_refuses_a_bad_point_by_name(
+        self, tmp_path, capsys, edit, message
+    ):
+        """A manifest is input from outside: a point it records is
+        checked like any other, and refused naming the field."""
+        self._interrupt(tmp_path)
+        path = tmp_path / MANIFEST_NAME
+        manifest = json.loads(path.read_text())
+        done = [e for e in manifest["points"] if e["status"] == "done"]
+        edit(done[0]["result"]["point"])
+        path.write_text(json.dumps(manifest))
+        assert cli_main(["campaign", "--resume", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot resume: {message}" in err
+        assert "Traceback" not in err
+
     def test_cli_resume_requires_a_manifest(self, tmp_path, capsys):
         assert cli_main(["campaign", "--resume", str(tmp_path)]) == 1
         assert "manifest.json" in capsys.readouterr().err
