@@ -6,18 +6,19 @@ min/max) of the receptive and stasher counts over a 2000-period window
 is compared against the closed-form equilibrium (2): the two "tally
 very closely".
 
-Runs on the batch engine: each size is an M-trial
-:class:`~repro.runtime.batch_engine.BatchRoundEngine` ensemble and the
-window statistics pool all trials' observation windows
-(``measure_equilibrium_batch``), so the medians carry M times the
-paper's sample count at a fraction of the serial wall clock.
+Each size is one M-trial :class:`~repro.experiment.Experiment` on the
+batch engine, started at the closed-form equilibrium and graded by
+:meth:`~repro.experiment.ExperimentResult.equilibrium_check` over the
+last window of recorded periods: the window statistics pool all
+trials' observation windows, so the medians carry M times the paper's
+sample count at a fraction of the serial wall clock.
 """
 
 import pytest
 
 from bench_util import format_table, report, scaled
 
-from repro.analysis.mean_field import measure_equilibrium_batch
+from repro.experiment import Experiment, Protocol
 from repro.protocols.endemic import EndemicParams, figure1_protocol
 
 SIZES = (12_500, 25_000, 50_000, 100_000)
@@ -43,12 +44,14 @@ def run_cells():
     measurements = {}
     for size in SIZES:
         n = scaled(size, minimum=1_000)
-        measurements[size] = measure_equilibrium_batch(
-            spec, n, PARAMS.equilibrium_counts(n),
-            trials=TRIALS,
-            warmup_periods=warmup, window_periods=window,
-            seed=70 + size % 97, states=("x", "y"),
-        )
+        counts = PARAMS.equilibrium_counts(n)
+        result = Experiment(
+            Protocol.from_spec(spec, counts), n, trials=TRIALS,
+            periods=warmup + window, seed=70 + size % 97, engine="batch",
+            record_transitions=False,
+        ).run()
+        check = result.equilibrium_check(counts, window_periods=window)
+        measurements[size] = (n, {row.state: row for row in check.rows})
     return measurements
 
 
@@ -62,7 +65,7 @@ def test_fig7_analysis_accuracy(run_once):
     # and accuracy not degrading with N (mean-field gets better).
     failures = []
     fragile = []
-    for size, cells in measurements.items():
+    for size, (_, cells) in measurements.items():
         for state in ("x", "y"):
             cell = cells[state]
             if cell.analytic < MIN_ANALYTIC_COUNT:
@@ -84,7 +87,7 @@ def test_fig7_analysis_accuracy(run_once):
     if not fragile:
         errors = [
             (cells["y"].relative_error + cells["x"].relative_error) / 2
-            for cells in measurements.values()
+            for _, cells in measurements.values()
         ]
         if errors[-1] > errors[0] + 0.05:
             failures.append(
@@ -92,8 +95,7 @@ def test_fig7_analysis_accuracy(run_once):
             )
 
     rows = []
-    for size, cells in measurements.items():
-        n_actual = cells["x"].n
+    for size, (n_actual, cells) in measurements.items():
         for state, label in (("x", "#Rcptvs"), ("y", "#Stshrs")):
             cell = cells[state]
             rows.append((

@@ -4,8 +4,9 @@ must work without the `wheel` package, which PEP 660 requires).
 The dependency split is the one the import contract enforces
 (docs/architecture.md, "Import policy"): numpy is needed to run
 anything and scipy by mean-field integration and the fairness
-chi-square; sympy only by `repro.check`'s symbolic paths and networkx
-only by the overlay builders, each imported on first use.
+chi-square; sympy only by `repro check complexity` and `# param-range:`
+certificates, and networkx only by the overlay builders, each imported
+on first use.
 """
 from setuptools import find_packages, setup
 

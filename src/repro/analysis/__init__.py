@@ -32,11 +32,9 @@ from .linearize import (
     perturb,
 )
 from .mean_field import (
-    EquilibriumMeasurement,
     TrajectoryComparison,
     compare_trajectory,
     discrete_mean_field,
-    measure_equilibrium,
 )
 from .safety import (
     ExtinctionTrial,
@@ -80,13 +78,11 @@ __all__ = [
     "analyze_member_log",
     "attack_window_decay",
     "FairnessReport",
-    "measure_equilibrium",
     "compare_trajectory",
     "discrete_mean_field",
     "ttl_adjusted_rhs",
     "iterate_ttl_adjusted",
     "compare_ttl_models",
     "ttl_delivery_probability",
-    "EquilibriumMeasurement",
     "TrajectoryComparison",
 ]

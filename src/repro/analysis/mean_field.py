@@ -1,145 +1,23 @@
-"""Simulation-vs-analysis comparison harness (Figure 7 and Theorem 1).
+"""Simulation-vs-analysis comparison harness (Theorem 1).
 
-Two reusable measurements:
-
-* :func:`measure_equilibrium` -- run a protocol to (stochastic)
-  equilibrium and summarize a long observation window per state; the
-  Figure 7 experiment compares these medians/min/max against the
-  closed-form equilibrium across group sizes.
-* :func:`compare_trajectory` -- run a protocol from a given start and
-  compare the full simulated trajectory against the integrated source
-  equations (the empirical content of the Theorem 1/5 equivalence).
+:func:`compare_trajectory` runs a protocol from a given start and
+compares the full simulated trajectory against the integrated source
+equations (the empirical content of the Theorem 1/5 equivalence).
+Figure 7's finite-N equilibrium window is
+:meth:`repro.experiment.ExperimentResult.equilibrium_check`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
 from ..odes.integrate import integrate
-from ..runtime.batch_engine import BatchRoundEngine
-from ..runtime.metrics import BatchMetricsRecorder, WindowStats
+from ..runtime.metrics import BatchMetricsRecorder
 from ..runtime.round_engine import RoundEngine
 from ..synthesis.protocol import ProtocolSpec
-
-
-@dataclass(frozen=True)
-class EquilibriumMeasurement:
-    """One Figure 7 cell: measured window stats vs the analytic value."""
-
-    n: int
-    state: str
-    analytic: float
-    stats: WindowStats
-    #: Ensemble size behind the stats (1 for a single serial run).
-    trials: int = 1
-
-    @property
-    def relative_error(self) -> float:
-        """|median - analytic| / analytic (NaN when analytic is 0)."""
-        if self.analytic == 0:
-            return float("nan")
-        return abs(self.stats.median - self.analytic) / self.analytic
-
-    def row(self) -> Tuple:
-        return (
-            self.n,
-            self.state,
-            round(self.analytic, 2),
-            self.stats.median,
-            self.stats.minimum,
-            self.stats.maximum,
-            round(self.relative_error, 4),
-        )
-
-
-def measure_equilibrium(
-    spec: ProtocolSpec,
-    n: int,
-    analytic: Mapping[str, float],
-    *,
-    warmup_periods: int,
-    window_periods: int,
-    seed: Optional[int] = None,
-    initial: Optional[Mapping[str, float]] = None,
-    states: Optional[Iterable[str]] = None,
-) -> Dict[str, EquilibriumMeasurement]:
-    """Run to equilibrium; summarize each state over the window.
-
-    ``analytic`` maps state names to predicted equilibrium *counts*.
-    By default the simulation starts at the analytic equilibrium (as
-    the paper's experiments do); override with ``initial``.
-    """
-    start = dict(initial) if initial is not None else dict(analytic)
-    engine = RoundEngine(spec, n=n, initial=start, seed=seed)
-    recorder = BatchMetricsRecorder(spec.states, 1)
-    engine.run(warmup_periods, recorder=recorder)
-    engine.run(window_periods, recorder=recorder, record_initial=False)
-    observe = tuple(states) if states is not None else spec.states
-    out = {}
-    for state in observe:
-        out[state] = EquilibriumMeasurement(
-            n=n,
-            state=state,
-            analytic=float(analytic.get(state, 0.0)),
-            stats=recorder.window(state, start_period=warmup_periods + 1),
-        )
-    return out
-
-
-def measure_equilibrium_batch(
-    spec: ProtocolSpec,
-    n: int,
-    analytic: Mapping[str, float],
-    *,
-    trials: int,
-    warmup_periods: int,
-    window_periods: int,
-    seed: Optional[int] = None,
-    initial: Optional[Mapping[str, float]] = None,
-    states: Optional[Iterable[str]] = None,
-) -> Dict[str, EquilibriumMeasurement]:
-    """Batched :func:`measure_equilibrium`: M trials, pooled window stats.
-
-    Runs the M-trial ensemble as one
-    :class:`~repro.runtime.batch_engine.BatchRoundEngine` and summarizes
-    each state over the union of all trials' observation windows
-    (``M * window_periods`` samples), which both tightens the median
-    against ensemble noise and replaces the serial per-size loop the
-    Figure 7 bench used to run.
-    """
-    start = dict(initial) if initial is not None else dict(analytic)
-    engine = BatchRoundEngine(
-        spec, n=n, trials=trials, initial=start, seed=seed
-    )
-    # The warmup is burn-in: run it with a recorder that keeps nothing
-    # (stride past the horizon) instead of storing per-period tensors
-    # the window stats would only mask off.
-    engine.run(
-        warmup_periods,
-        recorder=BatchMetricsRecorder(
-            spec.states, trials, track_transitions=False,
-            stride=warmup_periods + 1,
-        ),
-        record_initial=False,
-    )
-    recorder = BatchMetricsRecorder(
-        spec.states, trials, track_transitions=False
-    )
-    engine.run(window_periods, recorder=recorder, record_initial=False)
-    observe = tuple(states) if states is not None else spec.states
-    out = {}
-    for state in observe:
-        out[state] = EquilibriumMeasurement(
-            n=n,
-            state=state,
-            analytic=float(analytic.get(state, 0.0)),
-            stats=recorder.window(state, warmup_periods + 1),
-            trials=trials,
-        )
-    return out
 
 
 @dataclass(frozen=True)

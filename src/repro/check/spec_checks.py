@@ -15,17 +15,17 @@ preconditions that used to be discovered at runtime (or not at all):
   construction; what can break is the *source system* (a ``+2xy``
   against a ``-xy``), which the spec then cannot realize faithfully.
   The check is the classifier's completeness test: all right-hand
-  sides must sum to zero symbolically.
+  sides must sum to zero symbolically
+  (:meth:`~repro.odes.system.EquationSystem.divergence`).
 * **reachability** -- the action graph must touch every declared
   state: isolated states, states whose equations have dynamics but
   whose actions never move them, unintended absorbing states, and
   actions that cannot do anything (zero bias, self-loop edges).
 * **mean-field consistency** -- for exact protocols, the spec's
   reconstructed :meth:`ProtocolSpec.mean_field_system` must match the
-  source system scaled by the normalizer, term for term.  With
-  ``symbolic=True`` the comparison runs through sympy (expand the
-  polynomial difference, require every coefficient to vanish);
-  otherwise the framework's own monomial-keyed comparison is used.
+  source system scaled by the normalizer, term for term
+  (:meth:`~repro.odes.system.EquationSystem.difference`); a mismatch
+  lists each variable's residual monomials.
 * **engine** -- the spec must lower to the engines' integer action
   form (``round_engine._compile``), which refuses more states than an
   int8 id can name, and is warned about when the batch tier's census
@@ -55,7 +55,7 @@ from ..odes import auto_rewrite, classify, find_equilibria, parse_system
 from ..odes.equilibria import MAX_EQUILIBRIUM_VARIABLES
 from ..odes.parser import ParseError
 from ..odes.system import EquationSystem
-from ..odes.term import Term
+from ..odes.term import COEFF_RTOL, Term
 from ..synthesis import synthesize
 from ..synthesis.actions import (
     Action,
@@ -232,14 +232,12 @@ def _check_conservation(
             "construction (1-for-1 edge moves); nothing further to check",
         ))
         return findings
-    residual = _divergence_residual(system)
+    residual = system.divergence()
     if residual:
-        rendered = " ".join(
-            f"{t.coefficient:+g}*{_monomial_str(t)}" for t in residual
-        )
         findings.append(Finding(
             Severity.ERROR, "conservation", "source system",
-            f"right-hand sides do not sum to zero (residual {rendered}): "
+            f"right-hand sides do not sum to zero (residual "
+            f"{_rendered(residual)}): "
             f"the actions' 1-for-1 population moves cannot realize a "
             f"non-conserving system; apply make_complete (Section 7) "
             f"first",
@@ -247,19 +245,13 @@ def _check_conservation(
     return findings
 
 
-def _divergence_residual(system: EquationSystem) -> List[Term]:
-    from ..odes.term import combine_like_terms
-
-    everything: List[Term] = []
-    for variable in system.variables:
-        everything.extend(system.equations[variable])
-    return list(combine_like_terms(everything))
-
-
-def _monomial_str(term: Term) -> str:
-    return "*".join(
-        v if e == 1 else f"{v}^{e}" for v, e in term.exponents
-    ) or "1"
+def _rendered(terms: Sequence[Term]) -> str:
+    """Residual terms as ``+0.03*x*y -0.1*z^2`` (a constant is ``*1``)."""
+    return " ".join(
+        f"{t.coefficient:+g}*"
+        + ("*".join(v if e == 1 else f"{v}^{e}" for v, e in t.exponents) or "1")
+        for t in terms
+    )
 
 
 def _check_graph(
@@ -364,10 +356,7 @@ def _check_graph(
 
 
 def _check_mean_field(
-    spec: ProtocolSpec,
-    system: Optional[EquationSystem],
-    symbolic: bool,
-    rtol: float,
+    spec: ProtocolSpec, system: Optional[EquationSystem], rtol: float
 ) -> List[Finding]:
     if system is None:
         return []
@@ -379,83 +368,18 @@ def _check_mean_field(
             "equivalence check does not apply",
         )]
     expected = system.simplified().scaled(spec.normalizer)
-    derived = spec.mean_field_system()
-    if symbolic:
-        mismatches = _sympy_mismatches(derived, expected, rtol=rtol)
-    else:
-        mismatches = (
-            [] if derived.equivalent_to(expected, rtol=rtol)
-            else ["numeric monomial-keyed comparison failed"]
-        )
-    if not mismatches:
+    residuals = spec.mean_field_system().difference(expected, rtol)
+    if not residuals:
         return []
+    mismatches = [
+        f"f_{variable}: residual {_rendered(terms)}"
+        for variable, terms in residuals.items()
+    ]
     return [Finding(
         Severity.ERROR, "mean-field", "spec",
         "the reconstructed mean-field system does not match "
         f"normalizer * source ({'; '.join(mismatches[:6])})",
     )]
-
-
-def _sympy_mismatches(
-    derived: EquationSystem, expected: EquationSystem, rtol: float
-) -> List[str]:
-    """Per-variable coefficient residuals of ``derived - expected``.
-
-    Builds both right-hand sides as sympy polynomials, expands the
-    difference, and requires every monomial coefficient to vanish
-    within ``rtol`` of the expected system's coefficient scale.
-    """
-    import sympy
-
-    symbols = {
-        v: sympy.Symbol(v, nonnegative=True)
-        for v in sorted(set(derived.variables) | set(expected.variables))
-    }
-
-    def as_expr(terms: Sequence[Term]) -> "sympy.Expr":
-        total = sympy.Integer(0)
-        for term in terms:
-            monomial = sympy.Integer(1)
-            for variable, exponent in term.exponents:
-                monomial *= symbols[variable] ** exponent
-            total += sympy.Float(term.coefficient) * monomial
-        return total
-
-    mismatches: List[str] = []
-    for variable in expected.variables:
-        lhs = as_expr(derived.equations.get(variable, ()))
-        rhs = as_expr(expected.equations.get(variable, ()))
-        difference = sympy.expand(lhs - rhs)
-        if difference == 0:
-            continue
-        scale = max(
-            [abs(t.coefficient) for t in expected.equations.get(variable, ())]
-            or [1.0]
-        )
-        poly = sympy.Poly(difference, *sorted(symbols.values(), key=str))
-        bad = [
-            (monomial, coefficient)
-            for monomial, coefficient in zip(poly.monoms(), poly.coeffs())
-            if abs(float(coefficient)) > rtol * scale + 1e-12
-        ]
-        if bad:
-            detail = ", ".join(
-                f"{float(c):+g}*"
-                + "*".join(
-                    f"{s}^{e}" if e > 1 else str(s)
-                    for s, e in zip(
-                        sorted(symbols.values(), key=str), monomial
-                    )
-                    if e
-                )
-                for monomial, c in bad[:4]
-            )
-            mismatches.append(f"f_{variable}: residual {detail}")
-    variables_only_derived = set(derived.variables) - set(expected.variables)
-    for variable in sorted(variables_only_derived):
-        if derived.equations.get(variable, ()):
-            mismatches.append(f"f_{variable}: not in source system")
-    return mismatches
 
 
 #: The labels with a zero eigenvalue, and what each one means.
@@ -515,15 +439,14 @@ def _check_equilibria(
 def _check_rules(
     spec: ProtocolSpec,
     reference: Optional[EquationSystem],
-    symbolic: bool = False,
-    rtol: float = 1e-9,
+    rtol: float = COEFF_RTOL,
 ) -> List[Finding]:
     """The rules that can produce ERROR findings."""
     findings: List[Finding] = []
     findings.extend(_check_mass(spec))
     findings.extend(_check_conservation(spec, reference))
     findings.extend(_check_graph(spec, reference))
-    findings.extend(_check_mean_field(spec, reference, symbolic, rtol))
+    findings.extend(_check_mean_field(spec, reference, rtol))
     findings.extend(_check_compiles(spec))
     return findings
 
@@ -532,20 +455,16 @@ def check_spec(
     spec: ProtocolSpec,
     system: Optional[EquationSystem] = None,
     *,
-    symbolic: bool = False,
-    rtol: float = 1e-9,
+    rtol: float = COEFF_RTOL,
 ) -> List[Finding]:
     """Run every static rule on one spec; return all findings.
 
     ``system`` overrides ``spec.source`` as the reference equation
     system (e.g. the pre-synthesis parse); the equilibrium rule falls
     back to the spec's reconstructed mean field when neither is given.
-    ``symbolic=True`` routes the mean-field equivalence through sympy
-    (the CLI and test default); the embedded warn-on-construction hook
-    keeps the cheap numeric path so ordinary runs never import sympy.
     """
     reference = system if system is not None else spec.source
-    return (_check_rules(spec, reference, symbolic, rtol)
+    return (_check_rules(spec, reference, rtol)
             + _check_equilibria(spec, reference))
 
 
@@ -599,7 +518,6 @@ def check_equations(
     failure_rate: float = 0.0,
     tokenize: bool = True,
     rewrite: bool = True,
-    symbolic: bool = True,
     name: Optional[str] = None,
 ) -> Tuple[Optional[ProtocolSpec], List[Finding]]:
     """Verify an equations text or file end to end.
@@ -646,11 +564,9 @@ def check_equations(
         ))
         return None, findings
 
-    residual = _divergence_residual(system)
+    residual = system.divergence()
     if residual:
-        rendered = " ".join(
-            f"{t.coefficient:+g}*{_monomial_str(t)}" for t in residual
-        )
+        rendered = _rendered(residual)
         if rewrite:
             findings.append(Finding(
                 Severity.WARNING, "conservation", label,
@@ -696,13 +612,12 @@ def check_equations(
             spec, states=spec.states + tuple(missing)
         )
 
-    findings.extend(check_spec(spec, system, symbolic=symbolic))
+    findings.extend(check_spec(spec, system))
     if ranges:
         findings.extend(_check_param_ranges(
             text, label=label, defaults=bound, ranges=ranges,
             pinned_p=p if p is not None else spec.normalizer,
             failure_rate=failure_rate, tokenize=tokenize, rewrite=rewrite,
-            symbolic=symbolic,
         ))
     return spec, findings
 
@@ -770,7 +685,6 @@ def _check_param_ranges(
     failure_rate: float,
     tokenize: bool,
     rewrite: bool,
-    symbolic: bool,
 ) -> List[Finding]:
     """Certify the mass precondition over the declared parameter box.
 
@@ -794,17 +708,15 @@ def _check_param_ranges(
         ))
         ranged = ranged[:MAX_RANGED_PARAMETERS]
 
-    multilinear = True
-    if symbolic:
-        try:
-            multilinear = _is_multilinear(text, ranged)
-        except Exception as exc:  # sympy missing or parse drift
-            multilinear = False
-            findings.append(Finding(
-                Severity.WARNING, "mass-range", label,
-                f"could not establish multilinearity symbolically "
-                f"({exc}); treating the box as non-multilinear",
-            ))
+    try:
+        multilinear = _is_multilinear(text, ranged)
+    except Exception as exc:  # sympy missing or parse drift
+        multilinear = False
+        findings.append(Finding(
+            Severity.WARNING, "mass-range", label,
+            f"could not establish multilinearity symbolically "
+            f"({exc}); treating the box as non-multilinear",
+        ))
 
     corners = list(itertools.product(
         *[(ranges[name][0], ranges[name][1]) for name in ranged]

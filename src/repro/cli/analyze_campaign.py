@@ -54,7 +54,13 @@ def _print_message_check(point_json, counts, periods, states, measured):
         return
     total = float(np.sum(np.asarray(measured)))
     variance = float(np.sum(bound))
-    if variance > 0:
+    if point.scenario != "none":
+        calibration = (
+            f"not compared: scenario {point.scenario!r} moves hosts "
+            f"between a recorded period and the next draws, which the "
+            f"charging model does not follow"
+        )
+    elif variance > 0:
         z = (total - predicted) / variance ** 0.5
         calibration = f"z = {z:+.2f}"
     else:

@@ -48,7 +48,7 @@ def run(args) -> int:
     for target, path in [(t, resolve_target(t)) for t in targets]:
         if path is None:
             spec = Protocol.named(target).resolve(args.n).spec
-            findings = check_spec(spec, symbolic=True)
+            findings = check_spec(spec)
         else:
             # Parse and synthesis failures come back as ERROR findings.
             _, findings = check_equations(

@@ -137,7 +137,7 @@ class ScenarioHookFactory:
     """Picklable per-trial hook factory for one scenario + point.
 
     Trial indices are *global* (0..trials-1): the scenario seed family
-    is derived once from the point, so the hooks a trial receives are
+    is derived from the point, so the hooks a trial receives are
     identical whether the ensemble runs in one engine or sharded
     across processes by an executor handed this one factory -- an
     experiment's or a campaign point's.
@@ -146,9 +146,12 @@ class ScenarioHookFactory:
     def __init__(self, scenario: Scenario, point: RunPoint):
         self.scenario = scenario
         self.point = point
-        self._seeds = scenario.trial_seeds(point)
-        # Hooks built before their trial asked (asks_hosts), handed out
-        # once; they stay in this process (see __getstate__).
+        # The seed family, derived by the first trial built in each
+        # process, and hooks built before their trial asked
+        # (asks_hosts), handed out once.  Neither is pickled (see
+        # __getstate__): a work unit's payload does not grow with the
+        # number of trials.
+        self._seeds: Optional[List[int]] = None
         self._ahead: Dict[int, List[Callable]] = {}
 
     def asks_hosts(self) -> bool:
@@ -174,10 +177,12 @@ class ScenarioHookFactory:
         return _CompositeHook(hooks) if hooks else None
 
     def _build(self, trial: int) -> List[Callable]:
+        if self._seeds is None:
+            self._seeds = self.scenario.trial_seeds(self.point)
         return self.scenario.hooks_for(self.point, trial, self._seeds[trial])
 
     def __getstate__(self):
-        return {**self.__dict__, "_ahead": {}}
+        return {**self.__dict__, "_seeds": None, "_ahead": {}}
 
 
 def _hooks_of_factory(factory, point, trial: int, seed: int) -> List[Callable]:

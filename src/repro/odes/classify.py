@@ -34,10 +34,6 @@ from .partition import PartitionResult, partition_terms
 from .system import EquationSystem
 from .term import Term
 
-#: Tolerance on the per-monomial coefficient sums when testing completeness.
-COMPLETENESS_ATOL = 1e-9
-
-
 def is_polynomial(system: EquationSystem) -> bool:
     """True for every representable system (terms are polynomial by type).
 
@@ -54,14 +50,12 @@ def is_polynomial(system: EquationSystem) -> bool:
 def is_complete(system: EquationSystem) -> bool:
     """True when ``sum_x f_x`` is identically zero.
 
-    Checked symbolically: all coefficients of each monomial, summed
-    across equations, must cancel.  This is exact (up to float
-    tolerance), unlike sampling the divergence at a few points.
+    Checked symbolically: each monomial's coefficients, summed across
+    equations, must cancel (:meth:`EquationSystem.divergence`).  This
+    is exact up to float tolerance, unlike sampling the divergence at a
+    few points.
     """
-    totals: dict = {}
-    for _, term in system.all_terms():
-        totals[term.monomial] = totals.get(term.monomial, 0.0) + term.coefficient
-    return all(abs(total) <= COMPLETENESS_ATOL for total in totals.values())
+    return not system.divergence()
 
 
 def is_restricted_polynomial(system: EquationSystem) -> bool:

@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .partition import PartitionResult, partition_terms
 from .system import EquationSystem, SystemError
-from .term import Term, combine_like_terms
+from .term import Term
 
 
 def _fresh_variable(existing: Sequence[str], base: str = "z") -> str:
@@ -54,22 +54,19 @@ def make_complete(system: EquationSystem, slack: Optional[str] = None) -> Equati
     """Complete a system by adding ``slack' = -sum_x f_x``.
 
     This is the paper's completion rewrite: introduce ``z`` not in X with
-    ``z = 1 - sum(x)`` and give it the balancing equation.  If the
-    system is already complete it is returned unchanged (simplified).
+    ``z = 1 - sum(x)`` and give it the balancing equation, the negated
+    :meth:`~EquationSystem.divergence`.  If the system is already
+    complete it is returned unchanged (simplified).
     """
-    from .classify import is_complete  # local import avoids a cycle
-
+    residual = system.divergence()
     system = system.simplified()
-    if is_complete(system):
+    if not residual:
         return system
     slack = slack or _fresh_variable(system.variables)
     if slack in system.variables:
         raise SystemError(f"slack variable {slack!r} already exists")
-    balancing: List[Term] = []
-    for var in system.variables:
-        balancing.extend(t.negated() for t in system.equations[var])
     equations = {v: system.equations[v] for v in system.variables}
-    equations[slack] = tuple(combine_like_terms(balancing))
+    equations[slack] = tuple(t.negated() for t in residual)
     return EquationSystem(
         tuple(system.variables) + (slack,), equations, name=system.name
     )

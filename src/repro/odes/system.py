@@ -19,7 +19,7 @@ from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from .term import COEFF_ATOL, Term, combine_like_terms
+from .term import COEFF_RTOL, Term, combine_like_terms
 
 
 class SystemError(ValueError):
@@ -230,26 +230,44 @@ class EquationSystem:
         return f"{self.name}:\n{self.render()}"
 
     # ------------------------------------------------------------------
-    # Equality helpers (structural, tolerance-aware)
+    # Polynomial verdicts (one residual, :func:`combine_like_terms`)
     # ------------------------------------------------------------------
-    def equivalent_to(self, other: "EquationSystem", rtol: float = 1e-9) -> bool:
-        """True when both systems have identical simplified term sets.
+    def divergence(self) -> Tuple[Term, ...]:
+        """``sum_x f_x`` as net terms: empty iff the system is complete.
 
-        Term order is ignored; coefficients are compared with relative
-        tolerance ``rtol``.
+        The completeness test, the completion rewrite's slack equation
+        and the spec checker's conservation rule all read this.
         """
-        if set(self.variables) != set(other.variables):
-            return False
-        a, b = self.simplified(), other.simplified()
-        for var in a.variables:
-            mine = {t.monomial: t.coefficient for t in a.equations[var]}
-            theirs = {t.monomial: t.coefficient for t in b.equations[var]}
-            if set(mine) != set(theirs):
-                return False
-            for key, coefficient in mine.items():
-                if not np.isclose(coefficient, theirs[key], rtol=rtol, atol=COEFF_ATOL):
-                    return False
-        return True
+        return combine_like_terms(term for _, term in self.all_terms())
+
+    def difference(
+        self, other: "EquationSystem", rtol: float = COEFF_RTOL
+    ) -> Dict[str, Tuple[Term, ...]]:
+        """Per variable, the net terms of ``f - g`` that do not cancel.
+
+        A variable only one side has counts as a zero right-hand side
+        on the other; variables whose residual is empty are left out.
+        """
+        out: Dict[str, Tuple[Term, ...]] = {}
+        for var in self.variables + tuple(
+            v for v in other.variables if v not in self.equations
+        ):
+            net = combine_like_terms(
+                (
+                    *self.equations.get(var, ()),
+                    *(t.negated() for t in other.equations.get(var, ())),
+                ),
+                rtol,
+            )
+            if net:
+                out[var] = net
+        return out
+
+    def equivalent_to(self, other: "EquationSystem", rtol: float = COEFF_RTOL) -> bool:
+        """True when both systems have the same variables and right-hand
+        sides (term order ignored, coefficients to relative ``rtol``)."""
+        same_variables = set(self.variables) == set(other.variables)
+        return same_variables and not self.difference(other, rtol)
 
 
 class CompiledSystem:

@@ -207,23 +207,30 @@ class Term:
         return self.render(leading=True)
 
 
-def combine_like_terms(terms: Iterable[Term]) -> Tuple[Term, ...]:
-    """Sum terms sharing a monomial and drop the ones that cancel.
+def combine_like_terms(
+    terms: Iterable[Term], rtol: float = COEFF_RTOL
+) -> Tuple[Term, ...]:
+    """Net coefficient per monomial, with the monomials that cancel dropped.
+
+    This is the one residual behind every polynomial verdict: a system
+    is complete when its right-hand sides' terms leave nothing
+    (:meth:`EquationSystem.divergence`), and two systems agree when
+    ``self - other`` leaves nothing (:meth:`EquationSystem.difference`).
+    One rule decides what cancels: a monomial's net is zero when
+    ``|net| <= rtol *`` the largest ``|coefficient|`` that summed into
+    it, so no verdict changes when every rate is rescaled.
 
     The result preserves first-appearance order of monomials, which
     keeps rendered equations readable and protocol synthesis stable.
     """
-    order: list[Tuple[Tuple[str, int], ...]] = []
     sums: Dict[Tuple[Tuple[str, int], ...], float] = {}
+    scales: Dict[Tuple[Tuple[str, int], ...], float] = {}
     for term in terms:
         key = term.monomial
-        if key not in sums:
-            sums[key] = 0.0
-            order.append(key)
-        sums[key] += term.coefficient
-    out = []
-    for key in order:
-        coefficient = sums[key]
-        if abs(coefficient) > COEFF_ATOL:
-            out.append(Term(coefficient, dict(key)))
-    return tuple(out)
+        sums[key] = sums.get(key, 0.0) + term.coefficient
+        scales[key] = max(scales.get(key, 0.0), abs(term.coefficient))
+    return tuple(
+        Term(total, dict(key))
+        for key, total in sums.items()
+        if abs(total) > rtol * scales[key]
+    )

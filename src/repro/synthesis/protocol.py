@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..odes.system import EquationSystem
-from ..odes.term import Term, combine_like_terms
+from ..odes.term import COEFF_RTOL, Term, combine_like_terms
 from .actions import (
     Action,
     AnyOfSampleAction,
@@ -183,7 +183,7 @@ class ProtocolSpec:
         equations = {s: combine_like_terms(flows[s]) for s in self.states}
         return EquationSystem(self.states, equations, name=f"{self.name}-mean-field")
 
-    def verify_equivalence(self, rtol: float = 1e-9) -> bool:
+    def verify_equivalence(self, rtol: float = COEFF_RTOL) -> bool:
         """Check mean-field reconstruction against the scaled source.
 
         Only meaningful for exact protocols with a source system.

@@ -49,7 +49,7 @@ def rules_of(findings, severity=None):
 @pytest.mark.parametrize("name", available_protocols())
 def test_registry_protocol_passes(name):
     spec = resolve_protocol(name).resolve(1000).spec
-    findings = check_spec(spec, symbolic=True)
+    findings = check_spec(spec)
     assert not error_findings(findings), render_findings(findings, name)
 
 
@@ -110,6 +110,32 @@ def test_nonconserving_warned_with_rewrite():
     spec, findings = check_equations(NONCONSERVING, rewrite=True)
     conservation = [f for f in findings if f.rule == "conservation"]
     assert conservation and conservation[0].severity == Severity.WARNING
+
+
+def test_rescaled_rates_keep_the_verdict():
+    # Rescaling time (every rate times 1e-9) changes no verdict: the
+    # rewrite adds the same slack state, and synthesis succeeds.
+    def verdict(factor):
+        text = f"x' = -{0.1 * factor!r}*x*y\ny' = {0.05 * factor!r}*x*y\n"
+        spec, findings = check_equations(text)
+        return spec.states, {(f.rule, f.severity) for f in findings}
+
+    states, rules = verdict(1.0)
+    assert states == ("x", "y", "z")
+    assert ("conservation", Severity.WARNING) in rules
+    assert not any(severity == Severity.ERROR for _, severity in rules)
+    assert verdict(1e-9) == (states, rules)
+
+
+def test_near_conserving_system_is_complete():
+    # A net of 5e-10 on a coefficient of 1 is float noise: complete,
+    # mappable as written, and no conservation finding anywhere.
+    text = ("x' = -x*y + 0.1*z\ny' = 1.0000000005*x*y - 0.2*y\n"
+            "z' = 0.2*y - 0.1*z\n")
+    spec, findings = check_equations(text)
+    assert spec.states == ("x", "y", "z")
+    assert "conservation" not in rules_of(findings)
+    assert not error_findings(findings)
 
 
 def test_nonconserving_source_on_spec():
@@ -207,13 +233,18 @@ def test_mean_field_mismatch_flagged_symbolically():
             for a in spec.actions[1:]
         ),
     )
-    findings = check_spec(tampered, symbolic=True)
+    findings = check_spec(tampered)
     assert "mean-field" in rules_of(error_findings(findings))
+    # Each variable's residual monomials, derived - expected: z's
+    # doubled sample into x leaves +0.03*x*z in f_x.
+    [finding] = [f for f in findings if f.rule == "mean-field"]
+    assert "f_x: residual +0.03*x*z;" in finding.message
+    assert "f_z: residual +0.03*x*y -0.03*x*z -0.03*y*z" in finding.message
 
 
 def test_mean_field_exact_passes_symbolically():
     spec = resolve_protocol("lv").resolve(100).spec
-    findings = check_spec(spec, symbolic=True)
+    findings = check_spec(spec)
     assert "mean-field" not in rules_of(error_findings(findings))
 
 

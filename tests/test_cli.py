@@ -149,6 +149,32 @@ class TestAnalyzeCampaign:
         assert "vs measured" in out
         assert "MISMATCH" not in out
 
+    @pytest.mark.parametrize("scenario, verdict", [
+        ("none", "(exact)"),
+        ("churn", "(not compared: scenario 'churn' moves hosts"),
+        ("massive-failure",
+         "(not compared: scenario 'massive-failure' moves hosts"),
+    ])
+    def test_scenario_messages_are_not_compared(
+        self, scenario, verdict, tmp_path, capsys
+    ):
+        # The deterministic charging model predicts from recorded
+        # counts; a scenario's host moves fall outside it.
+        tensors = tmp_path / "tensors"
+        assert main([
+            "campaign", "--protocol", "endemic", "--n", "200", "--trials",
+            "4", "--periods", "20", "--seed", "0", "--scenario", scenario,
+            "--save-tensors", str(tensors),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["analyze-campaign", str(tensors)]) == 0
+        [line] = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("messages:")
+        ]
+        assert verdict in line
+        assert "MISMATCH" not in line
+
     def test_missing_manifest(self, tmp_path, capsys):
         assert main(["analyze-campaign", str(tmp_path)]) == 1
         assert "manifest.json" in capsys.readouterr().err

@@ -14,6 +14,7 @@ The load-bearing guarantees:
 * the ``python -m repro run`` zero-to-aha path works end to end.
 """
 
+import pickle
 import warnings
 
 import numpy as np
@@ -356,6 +357,25 @@ class TestScenarioContract:
             Scenario.normalize(42)
 
 
+class TestScenarioUnits:
+    def test_unit_payload_does_not_grow_with_trials(self):
+        """A work unit carries its own trial, not every trial's
+        scenario seed: a plan's payload grows as M, not M^2."""
+
+        def payload_bytes(trials):
+            point = RunPoint(
+                protocol="endemic", n=300, loss_rate=0.0,
+                scenario="crash-recovery", trials=trials, periods=20,
+                seed=1, engine="serial",
+            )
+            executor, options = point.ensemble()
+            units = executor.units(**options)
+            return max(len(pickle.dumps(unit.payload)) for unit in units)
+
+        # A few bytes of slack: the trial index and count pickle wider.
+        assert payload_bytes(1000) <= payload_bytes(100) + 8
+
+
 class TestFinalCounts:
     def test_a_stride_that_skips_the_last_period(self):
         """Final counts are the state after the last period, not the
@@ -389,12 +409,30 @@ class TestFinalCounts:
 
 
 class TestEquilibriumCheck:
-    def test_endemic_equations_pass(self):
-        protocol = Protocol.from_equations(ENDEMIC_TEXT, name="endemic")
-        result = Experiment(
-            protocol, n=2000, trials=4, periods=120, seed=7
-        ).run()
-        check = result.equilibrium_check()
+    @pytest.mark.parametrize(
+        "figure7", [False, True], ids=["equations-file", "figure7-cell"]
+    )
+    def test_endemic_equations_pass(self, figure7, fig8_params):
+        if figure7:
+            # A Figure 7 cell: Figure 1's protocol started at the closed
+            # form, graded over the last 400 of 600 periods.
+            counts = fig8_params.equilibrium_counts(4000)
+            protocol = Protocol.from_spec(figure1_protocol(fig8_params), counts)
+            result = Experiment(
+                protocol, n=4000, trials=4, periods=600, seed=0,
+                engine="batch", record_transitions=False,
+            ).run()
+            check = result.equilibrium_check(counts, window_periods=400)
+            # The stasher band brackets the analysis, its median close.
+            stash = next(row for row in check.rows if row.state == "y")
+            assert stash.relative_error < 0.15
+            assert stash.stats.minimum <= stash.analytic <= stash.stats.maximum
+        else:
+            protocol = Protocol.from_equations(ENDEMIC_TEXT, name="endemic")
+            result = Experiment(
+                protocol, n=2000, trials=4, periods=120, seed=7
+            ).run()
+            check = result.equilibrium_check()
         assert check.status in ("PASS", "WARN")
         assert {row.state for row in check.rows} == {"x", "y", "z"}
         gated = [row for row in check.rows if row.gated]
@@ -411,6 +449,10 @@ class TestEquilibriumCheck:
             {"x": 5.0, "y": 5.0, "z": 490.0}, pass_tol=1e-9, warn_tol=2e-9
         )
         assert check.status == "FAIL"
+        # An analytic count of 0 has no relative error, and is not gated.
+        zero = result.equilibrium_check({"x": 0.0, "y": 5.0, "z": 495.0})
+        assert np.isnan(zero.rows[0].relative_error)
+        assert not zero.rows[0].gated
 
     def test_names_the_equilibrium_it_grades(self):
         result = Experiment(
@@ -464,6 +506,10 @@ class TestEquilibriumCheck:
         assert stats.median == float(np.median(pooled))
         assert stats.minimum == float(pooled.min())
         assert stats.maximum == float(pooled.max())
+        # The check grades that pooled window, over every trial.
+        check = result.equilibrium_check(window_periods=10)
+        assert check.trials == 4
+        assert next(r for r in check.rows if r.state == "z").stats == stats
 
 
 class TestDeprecationShims:

@@ -187,6 +187,16 @@ JOURNEYS = {
             totals=unit.final_counts.sum(axis=1).tolist(),
         )
     """,
+    "repro check spec lv": """
+        # An exact protocol's verdicts are the framework's own
+        # monomial-keyed residuals: sympy is for `# param-range:` files
+        # and `check complexity` only.
+        sys.argv = ["repro", "check", "spec", "lv"]
+        try:
+            runpy.run_module("repro", run_name="__main__", alter_sys=True)
+        except SystemExit as stop:
+            return dict(code=stop.code)
+    """,
     "integrate": """
         from repro.odes import integrate, library
 
@@ -390,6 +400,11 @@ class TestRunJourneysLoadNoScipy:
         assert out == {
             "code": 0, "scipy": [] if scipy_importable else ["scipy"],
         }
+
+    def test_check_spec_of_an_exact_protocol(self, journeys):
+        row = journeys["repro check spec lv"]
+        assert row["code"] == 0
+        assert "sympy" not in added(row)
 
     def test_service_start_and_equilibrium_query(self, journeys):
         row = journeys["service start and equilibrium query"]

@@ -1,63 +1,10 @@
 """Tests for the simulation-vs-analysis harness (repro.analysis.mean_field)."""
 
-import numpy as np
 import pytest
 
-from repro.analysis.mean_field import (
-    compare_trajectory,
-    measure_equilibrium,
-    measure_equilibrium_batch,
-)
+from repro.analysis.mean_field import compare_trajectory
 from repro.odes import library
-from repro.protocols.endemic import figure1_protocol
 from repro.synthesis import synthesize
-
-
-class TestEquilibriumMeasurement:
-    def test_figure7_cell(self, fig8_params):
-        n = 4000
-        spec = figure1_protocol(fig8_params)
-        measurements = measure_equilibrium(
-            spec, n, fig8_params.equilibrium_counts(n),
-            warmup_periods=200, window_periods=400, seed=0,
-        )
-        stash = measurements["y"]
-        assert stash.relative_error < 0.15
-        assert stash.stats.minimum <= stash.analytic <= stash.stats.maximum
-
-    def test_row_format(self, fig8_params):
-        n = 1000
-        spec = figure1_protocol(fig8_params)
-        measurements = measure_equilibrium(
-            spec, n, fig8_params.equilibrium_counts(n),
-            warmup_periods=50, window_periods=100, seed=1,
-        )
-        row = measurements["x"].row()
-        assert row[0] == n and row[1] == "x"
-
-    def test_zero_analytic_gives_nan_error(self):
-        spec = synthesize(library.epidemic())
-        measurements = measure_equilibrium(
-            spec, 500, {"x": 0.0, "y": 500},
-            warmup_periods=10, window_periods=10, seed=2,
-        )
-        assert np.isnan(measurements["x"].relative_error)
-
-    def test_batched_cell_pools_the_ensemble(self, fig8_params):
-        # The batched Figure 7 measurement summarizes M trials' windows
-        # at once; with the ensemble behind it the median error can only
-        # tighten, and the [min, max] band must still bracket the
-        # analysis.
-        n, trials = 4000, 4
-        spec = figure1_protocol(fig8_params)
-        measurements = measure_equilibrium_batch(
-            spec, n, fig8_params.equilibrium_counts(n),
-            trials=trials, warmup_periods=200, window_periods=400, seed=0,
-        )
-        stash = measurements["y"]
-        assert stash.trials == trials
-        assert stash.relative_error < 0.15
-        assert stash.stats.minimum <= stash.analytic <= stash.stats.maximum
 
 
 class TestTrajectoryComparison:

@@ -7,11 +7,14 @@ tests check the framework end to end: classification, rewriting,
 synthesis, mean-field reconstruction, and simulation conservation laws.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.check import ProtocolCheckWarning, verify_spec
 from repro.experiment import Experiment, Protocol
 from repro.odes import is_complete, make_complete, normalize, denormalize
 from repro.odes.parser import parse_system
@@ -24,7 +27,7 @@ from repro.runtime import (
     RoundEngine,
     spawn_seeds,
 )
-from repro.synthesis import synthesize
+from repro.synthesis import ProtocolSpec, synthesize
 
 VARIABLES = ("x", "y", "z", "w")
 
@@ -78,6 +81,30 @@ def pair_systems(draw, restricted=True):
         equations[source].append(Term(-coefficient, monomial))
         equations[target].append(Term(coefficient, monomial))
     return EquationSystem(variables, equations, name="random-pairs")
+
+
+@st.composite
+def nudged_systems(draw):
+    """A pair system, possibly with one coefficient nudged off balance.
+
+    The relative nudges straddle the verdicts' one tolerance (1e-9 of
+    the largest coefficient summed into a monomial): 1e-12 still
+    conserves, 1e-6 and 0.5 do not.
+    """
+    system = draw(pair_systems(restricted=False))
+    nudge = draw(st.sampled_from([0.0, 1e-12, 1e-6, 0.5]))
+    if nudge:
+        variable = draw(st.sampled_from(
+            [v for v in system.variables if system.equations[v]]
+        ))
+        terms = list(system.equations[variable])
+        index = draw(st.integers(min_value=0, max_value=len(terms) - 1))
+        terms[index] = terms[index].scaled(1.0 + nudge)
+        system = EquationSystem(
+            system.variables, {**system.equations, variable: terms},
+            name="nudged-pairs",
+        )
+    return system, nudge < 1e-9
 
 
 def render_system(system: EquationSystem) -> str:
@@ -143,6 +170,24 @@ class TestSystemInvariants:
     @given(system=pair_systems())
     def test_pair_systems_complete(self, system):
         assert is_complete(system)
+
+    @given(case=nudged_systems())
+    def test_conservation_verdicts_agree_and_are_scale_free(self, case):
+        """The classifier, the completion rewrite and the spec checker's
+        conservation rule give one verdict, at any time scale."""
+        system, conserves = case
+        probe = ProtocolSpec(
+            name="probe", states=system.variables, actions=(),
+            exact_mean_field=False,
+        )
+        for rates in (system, system.scaled(1e-9)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ProtocolCheckWarning)
+                findings = verify_spec(probe, rates)
+            flagged = any(f.rule == "conservation" for f in findings)
+            assert is_complete(rates) == conserves
+            assert (make_complete(rates).dimension == rates.dimension) == conserves
+            assert (not flagged) == conserves
 
     @given(system=pair_systems())
     def test_divergence_zero_on_simplex(self, system):
