@@ -65,7 +65,9 @@ class Equilibrium:
 
     def __post_init__(self) -> None:
         self.eigenvalues = np.linalg.eigvals(self.operator)
-        self.classification = classify_eigenvalues(self.eigenvalues)
+        self.classification = classify_eigenvalues(
+            self.eigenvalues / (self.system.max_coefficient() or 1.0)
+        )
 
     @property
     def stable(self) -> bool:
@@ -330,10 +332,11 @@ def find_equilibria(
     points, converged = _newton_roots(residual, jacobian, starts, tol)
 
     found: List[np.ndarray] = []
+    residual_tol = 1e-7 * (system.max_coefficient() or 1.0)
     for x in points[converged]:
         if np.any(x < -domain_tol):
             continue
-        if np.max(np.abs(system.rhs(x))) > 1e-7:
+        if np.max(np.abs(system.rhs(x))) > residual_tol:
             continue
         if complete and abs(np.sum(x) - 1.0) > 1e-6:
             continue

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from .system import EquationSystem
-from .term import COEFF_ATOL, COEFF_RTOL, Term
+from .term import COEFF_RTOL, Term
 
 import math
 
@@ -87,7 +87,7 @@ class PartitionResult:
 
 
 def _close(a: float, b: float) -> bool:
-    return math.isclose(a, b, rel_tol=COEFF_RTOL, abs_tol=COEFF_ATOL)
+    return math.isclose(a, b, rel_tol=COEFF_RTOL)
 
 
 def partition_terms(
@@ -164,15 +164,21 @@ def _match_with_splitting(
     negatives: List[Tuple[str, float]],
     result: PartitionResult,
 ) -> None:
-    """Greedy fractional matching (two-pointer over sorted mass lists)."""
+    """Greedy fractional matching (two-pointer over sorted mass lists).
+
+    A leftover mass is zero when it is within ``COEFF_RTOL`` of the
+    largest magnitude of the monomial, so the pairs do not change when
+    every rate is rescaled.
+    """
     pos = [(var, mag) for var, mag in positives]
     neg = [(var, mag) for var, mag in negatives]
+    tol = COEFF_RTOL * max(mag for _, mag in positives + negatives)
     i = j = 0
     while i < len(neg) and j < len(pos):
         neg_var, neg_mag = neg[i]
         pos_var, pos_mag = pos[j]
         piece = min(neg_mag, pos_mag)
-        if piece > COEFF_ATOL:
+        if piece > tol:
             result.pairs.append(
                 TermPair(neg_var, pos_var, Term(-piece, dict(monomial)))
             )
@@ -180,21 +186,21 @@ def _match_with_splitting(
                 result.used_splitting = True
         neg_mag -= piece
         pos_mag -= piece
-        if neg_mag <= COEFF_ATOL:
+        if neg_mag <= tol:
             i += 1
         else:
             neg[i] = (neg_var, neg_mag)
-        if pos_mag <= COEFF_ATOL:
+        if pos_mag <= tol:
             j += 1
         else:
             pos[j] = (pos_var, pos_mag)
     for k in range(i, len(neg)):
         var, mag = neg[k]
-        if mag > COEFF_ATOL:
+        if mag > tol:
             result.unmatched.append((var, Term(-mag, dict(monomial))))
     for k in range(j, len(pos)):
         var, mag = pos[k]
-        if mag > COEFF_ATOL:
+        if mag > tol:
             result.unmatched.append((var, Term(mag, dict(monomial))))
 
 

@@ -19,11 +19,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Tuple
 
-#: Relative tolerance used when comparing floating-point coefficients.
+#: Relative tolerance used when comparing floating-point coefficients,
+#: and when deciding whether one is zero: against the largest
+#: coefficient in play, so no verdict changes when every rate is
+#: rescaled.  There is no absolute floor.
 COEFF_RTOL = 1e-9
-
-#: Absolute tolerance used when deciding whether a coefficient is zero.
-COEFF_ATOL = 1e-12
 
 
 def _clean_exponents(exponents: Mapping[str, int]) -> Tuple[Tuple[str, int], ...]:
@@ -117,8 +117,14 @@ class Term:
         return not self.exponents
 
     def is_zero(self) -> bool:
-        """True when the coefficient is (numerically) zero."""
-        return abs(self.coefficient) <= COEFF_ATOL
+        """True when the coefficient is zero.
+
+        A term alone is the largest coefficient in play, and ``|c| <=
+        COEFF_RTOL * |c|`` only at ``c = 0``: a tiny rate is a rate.
+        What cancels among terms is decided against the largest of them
+        (:func:`combine_like_terms`).
+        """
+        return self.coefficient == 0.0
 
     def is_linear_in(self, name: str) -> bool:
         """True when the term is exactly ``c * name`` (a flipping term)."""
@@ -170,7 +176,7 @@ class Term:
     def cancels(self, other: "Term") -> bool:
         """True when ``self + other == 0`` (the paper's pairing criterion)."""
         return self.same_monomial(other) and math.isclose(
-            self.coefficient, -other.coefficient, rel_tol=COEFF_RTOL, abs_tol=COEFF_ATOL
+            self.coefficient, -other.coefficient, rel_tol=COEFF_RTOL
         )
 
     def expanded_variables(self) -> Tuple[str, ...]:

@@ -180,10 +180,11 @@ class ClusterCoordinator:
     """Runs one encoded plan over socket-connected worker processes.
 
     Instantiated by :func:`~repro.runtime.exec.run_plan` with the plan
-    already serialized (``blobs`` from ``_encode_units``); ``run``
-    drives the event loop in the calling thread and lands every unit
-    through the same ``land(index, output, failure)`` callback the
-    pool backend uses, so fault-policy semantics are identical.
+    already serialized (``blobs`` from ``_encode_units``);
+    ``run_frames`` drives the event loop in the calling thread and
+    lands every reply through the same ``land(start, outputs,
+    failures)`` callback the pool backend uses, so fault-policy
+    semantics are identical (``run`` lands unit by unit instead).
     """
 
     def __init__(
@@ -197,7 +198,7 @@ class ClusterCoordinator:
     ):
         self.label = label
         self._blobs = list(blobs)
-        #: The unit table; ``run`` hands it the landing callback.
+        #: The unit table; ``run_frames`` hands it the landing callback.
         self._table = Dispatcher(label, list(labels), policy, workers, None)
         self._chaos = chaos if chaos is not None else ChaosSchedule.from_env()
         self._host = os.environ.get(HOST_ENV, "127.0.0.1")
@@ -226,7 +227,18 @@ class ClusterCoordinator:
     # -- lifecycle -----------------------------------------------------
 
     def run(self, land: Callable[[int, Any, Optional[UnitFailure]], None]):
-        """Execute the plan, landing every unit through ``land``."""
+        """Execute the plan, landing every unit through ``land(index,
+        output, failure)``, for a caller that lands unit by unit."""
+        def land_frame(start: int, outputs: List[Any], failures: Failures):
+            failed = dict(failures)
+            for slot, output in enumerate(outputs):
+                land(start + slot, output, failed.get(slot))
+
+        self.run_frames(land_frame)
+
+    def run_frames(self, land: Callable[[int, List[Any], Failures], None]):
+        """Execute the plan, landing each reply whole through the
+        dispatcher's ``land(start, outputs, failures)``."""
         table = self._table
         table.land = land
         started = time.monotonic()
@@ -258,7 +270,10 @@ class ClusterCoordinator:
             if previous_sigterm is not None:
                 signal.signal(signal.SIGTERM, previous_sigterm)
         ended = time.monotonic()
-        table.log(ended - started, (self._first_frame_at or ended) - started)
+        table.log(
+            ended - started, (self._first_frame_at or ended) - started,
+            self._counts["spawned"],
+        )
         if table.landed < table.total:
             raise ClusterDrained(self.label, table.landed, table.total)
 

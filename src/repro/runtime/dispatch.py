@@ -7,9 +7,10 @@ its workers -- any hashable key it picks -- and tells this table what
 happened: a worker is idle (:meth:`Dispatcher.cut`), replied
 (:meth:`~Dispatcher.result`, :meth:`~Dispatcher.land_frame`) or is
 lost (:meth:`~Dispatcher.lose`); and it starts the workers
-:meth:`~Dispatcher.spawns` asks for.  The table does no I/O and reads
-no clock, so every interleaving of those inputs can be driven
-in-process against the contract's I/O automaton
+:meth:`~Dispatcher.spawns` asks for.  A reply lands whole, through the
+one landing callback ``land(start, outputs, failures)``.  The table
+does no I/O and reads no clock, so every interleaving of those inputs
+can be driven in-process against the contract's I/O automaton
 (``tests/dispatch_automaton.py``).
 """
 
@@ -38,6 +39,8 @@ _log = logging.getLogger("repro.runtime.exec")
 #: longer than the floor on their own therefore travel alone, forever.
 #: Both backends keep ONE frame in flight per worker: a spare one
 #: queued behind a 40 ms unit would wait while another worker idles.
+#: The floor is also the work a pool plan must show before a second
+#: child is forked: a plan done sooner would not get the fork back.
 _FRAME_FLOOR_SECONDS = 0.002
 _FRAME_CEILING_SECONDS = 0.020
 
@@ -69,7 +72,10 @@ class Dispatcher:
     ``cursor`` on.  A frame is a ``range``: fresh units go out
     ``size`` at a time, a lost unit alone -- so a unit that kills its
     worker takes no frame-mate down with it twice.  ``flight`` maps
-    each busy worker to the one frame it holds.
+    each busy worker to the one frame it holds.  ``land(start,
+    outputs, failures)`` lands a frame: ``outputs`` lines up with its
+    units from ``start`` on, and ``failures`` holds ``(slot,
+    UnitFailure)`` in slot order.
     """
 
     def __init__(
@@ -78,7 +84,7 @@ class Dispatcher:
         labels: Sequence[str],
         policy: FaultPolicy,
         workers: int,
-        land: Callable[[int, Any, Optional[UnitFailure]], None],
+        land: Callable[[int, List[Any], Failures], None],
     ):
         self.label, self.labels, self.policy = label, labels, policy
         self.land = land
@@ -152,12 +158,9 @@ class Dispatcher:
     def land_frame(
         self, frame: range, outputs: List[Any], failures: Failures
     ) -> None:
-        """Land a reply unit by unit, in slot order."""
+        """Land a reply whole."""
         self.landed += len(frame)
-        failed = dict(failures)
-        land, start = self.land, frame.start
-        for slot, output in enumerate(outputs):
-            land(start + slot, output, failed.get(slot))
+        self.land(frame.start, outputs, failures)
 
     def lose(self, worker: Hashable, reason: str, misses: int = 0) -> None:
         """The lost-worker rule: ``worker`` is fenced or gone.
@@ -166,8 +169,9 @@ class Dispatcher:
         order -- the same unit, so the same bits wherever it lands
         (clause 5) -- unless it has been dispatched
         ``FaultPolicy.max_dispatches`` times: then its loss is its own
-        fault, and it lands as a :class:`UnitFailure` carrying its
-        provenance, which follows ``on_error`` like any other.
+        fault, and it lands, as a frame of one, as a
+        :class:`UnitFailure` carrying its provenance, which follows
+        ``on_error`` like any other.
         """
         frame = self.flight.pop(worker, None)
         if frame is None:
@@ -187,8 +191,7 @@ class Dispatcher:
             frame.start, frame.stop - 1, len(requeue),
         )
         for index in exhausted:
-            self.landed += 1
-            self.land(index, None, UnitFailure(
+            failure = UnitFailure(
                 index=index, label=self.labels[index],
                 error=(
                     f"worker {self.last_worker[index]!r} lost ({reason}) "
@@ -198,7 +201,9 @@ class Dispatcher:
                 worker=self.last_worker[index],
                 redispatches=self.dispatches[index] - 1,
                 heartbeat_misses=self.misses[index],
-            ))
+            )
+            self.landed += 1
+            self.land(index, [None], [(0, failure)])
 
     def stalled(self, hint: str) -> RuntimeError:
         """The error of a plan whose workers are all gone for good."""
@@ -208,12 +213,14 @@ class Dispatcher:
             f"pending; {hint}"
         )
 
-    def log(self, seconds: float, start_seconds: float) -> None:
+    def log(self, seconds: float, start_seconds: float, started: int) -> None:
         """One debug line per fanned-out plan: how its units were
-        framed, and how long it took to its first frame sent."""
+        framed, how long it took to its first frame sent, and how many
+        workers it started."""
         _log.debug(
             "%s: %d units in %d frames (largest %d) on %d workers, %d "
-            "re-dispatched, %.3fs (start %.1f ms)",
+            "re-dispatched, %.3fs (start %.1f ms), started %d",
             self.label, self.landed, self.frames, self.largest,
             self.workers, self.redispatches, seconds, start_seconds * 1e3,
+            started,
         )

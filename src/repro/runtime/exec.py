@@ -588,7 +588,8 @@ def _pool_worker(
     columns: Tuple[List[Any], List[Any], List[str]],
     policy: FaultPolicy,
 ) -> None:
-    """A pool child: run the frames its pipe names until it closes.
+    """A pool child: say it is up, then run the frames its pipe names
+    until it closes.
 
     A frame is ``(start, stop)``, a range of the plan's ``columns``,
     which the child inherited at fork: no unit crosses the pipe going
@@ -599,6 +600,10 @@ def _pool_worker(
         # would hold the pipes open after the parent closed or died.
         parent_end.close()
     runners, payloads, labels = columns
+    try:
+        pipe.send_bytes(b"")  # up: from now on, a frame out shows work
+    except OSError:  # the plan ended while this child started
+        return
     while True:
         try:
             a, b = _POOL_FRAME.unpack(pipe.recv_bytes())
@@ -676,7 +681,7 @@ def _run_pool(
     columns: Tuple[List[Any], List[Any], List[str]],
     policy: FaultPolicy,
     workers: int,
-    land: Callable[[int, Any, Optional[UnitFailure]], None],
+    land: Callable[[int, List[Any], Failures], None],
 ) -> None:
     """Run the plan's columns on forked children, one pipe and one frame each.
 
@@ -686,15 +691,23 @@ def _run_pool(
     replies land here, in the calling thread.  A child is only sent a
     frame while it waits in ``recv_bytes``, so no helper thread is
     needed to move results of any size without deadlock.  A child that
-    hangs up is a lost worker.  No child outlives the plan, however it
-    ends: the ``finally`` reaps every one.
+    hangs up is a lost worker.  The first child is forked at once, and
+    the others :meth:`~repro.runtime.dispatch.Dispatcher.spawns` asks
+    for once the plan has shown a frame floor of work: the seconds its
+    replies reported, plus how long the frames out have been out.  A
+    frame shows work from when it was sent, or from its child's first
+    (empty) message if that came later, so a child's own start shows
+    none.  No child outlives the plan, however it ends: the
+    ``finally`` reaps every one.
     """
-    from repro.runtime.dispatch import Dispatcher
+    from repro.runtime.dispatch import _FRAME_FLOOR_SECONDS, Dispatcher
 
     table = Dispatcher(plan.label, columns[2], policy, workers, land)
     started = time.perf_counter()
     children: dict = {}  # the parent's end of each pipe -> its child
     gone: list = []  # children lost mid-plan
+    since: dict = {}  # per child up: when its frame began to show work
+    worked = 0.0  # the seconds the replies reported
 
     def fork() -> None:
         pipe, child_end = multiprocessing.connection.Pipe()
@@ -703,42 +716,71 @@ def _run_pool(
         )
         child_end.close()
 
+    def shown() -> float:
+        now = time.perf_counter()
+        return worked + sum(
+            now - since[pipe] for pipe in table.flight if pipe in since
+        )
+
+    def feed() -> None:
+        """Send every idle child its next frame."""
+        now = time.perf_counter()
+        for pipe, child in children.items():
+            frame = table.cut(pipe, f"pid {child.pid}")  # if idle
+            if frame is None:
+                continue
+            if pipe in since:
+                since[pipe] = now
+            try:
+                pipe.send_bytes(_POOL_FRAME.pack(frame.start, frame.stop))
+            except OSError:
+                pass  # already dead: the wait below reads its EOF
+
     try:
-        for _ in range(table.workers):
-            fork()
+        fork()  # the first child always starts
         start_seconds = time.perf_counter() - started
         landing: list = []  # (frame, outputs, failures) per reply
         while True:
-            for pipe, child in children.items():
-                frame = table.cut(pipe, f"pid {child.pid}")  # if idle
-                if frame is None:
-                    continue
-                try:
-                    pipe.send_bytes(_POOL_FRAME.pack(frame.start, frame.stop))
-                except OSError:
-                    pass  # already dead: the wait below reads its EOF
+            feed()
+            spawning = table.spawns(len(children), len(children) + len(gone))
+            if spawning and shown() < _FRAME_FLOOR_SECONDS:
+                spawning = max(0, 1 - len(children))  # the first alone
+            if spawning:
+                for _ in range(spawning):
+                    fork()
+                feed()
             for reply in landing:  # the children are busy again by now
                 table.land_frame(*reply)
             if table.finished():
                 break
             if not table.flight:
                 raise table.stalled("raise FaultPolicy.max_dispatches")
+            timeout = None
+            if since and table.spawns(
+                len(children), len(children) + len(gone)
+            ):  # one more starts once the plan shows a floor of work
+                timeout = max(0.0, _FRAME_FLOOR_SECONDS - shown())
             landing = []
-            for pipe in multiprocessing.connection.wait(list(table.flight)):
+            for pipe in multiprocessing.connection.wait(
+                list(table.flight), timeout
+            ):
                 try:
-                    reply = pickle.loads(pipe.recv_bytes())
+                    message = pipe.recv_bytes()
                 except (EOFError, OSError):  # it hung up: a lost worker
-                    reply = None
-                if reply is None:
+                    message = None
+                if message == b"":  # the child is up
+                    since[pipe] = time.perf_counter()
+                    continue
+                if message is None:
                     child = children.pop(pipe)
+                    since.pop(pipe, None)
                     pipe.close()
                     gone.append(child)
                     child.join(1.0)  # it is dying: wait for its exit code
                     table.lose(pipe, _died(child))
-                    if table.spawns(len(children), len(children) + len(gone)):
-                        fork()
                     continue
-                outputs, failures, seconds = reply
+                outputs, failures, seconds = pickle.loads(message)
+                worked += seconds
                 landing.append((table.result(pipe, seconds), outputs, failures))
     finally:
         for pipe, child in children.items():
@@ -750,7 +792,10 @@ def _run_pool(
             if child.exitcode is None:
                 child.kill()
                 child.join()
-    table.log(time.perf_counter() - started, start_seconds)
+    table.log(
+        time.perf_counter() - started, start_seconds,
+        len(children) + len(gone),
+    )
 
 
 def _died(child: _Child) -> str:
@@ -772,11 +817,13 @@ def run_plan(
 ) -> Any:
     """Execute every unit of ``plan`` and return its merged result.
 
-    ``workers > 1`` fans the units across that many processes (capped
-    at the unit count), several to a message when they are small (see
-    :mod:`repro.runtime.dispatch`); ``on_unit(index, output)`` fires as
-    each unit lands, in *completion* order -- streaming consumers use it
-    to free outputs early.  ``merge`` (when set) always receives outputs in
+    ``workers > 1`` fans the units across at most that many processes
+    (never more than the units), several to a message when they are
+    small (see :mod:`repro.runtime.dispatch`): ``workers`` is an upper
+    bound, and a pool plan that shows less than a frame floor of work
+    runs on one child.  ``on_unit(index, output)`` fires as each unit lands, in
+    *completion* order -- streaming consumers use it to free outputs
+    early.  ``merge`` (when set) always receives outputs in
     unit order.  Unpicklable plans degrade to a serial in-process run
     with a :class:`RuntimeWarning`; the results are bitwise identical
     either way, which is exactly the plan contract.
@@ -792,8 +839,8 @@ def run_plan(
 
     ``backend`` selects the executor (:data:`BACKENDS`).  ``"pool"``
     (default) is forked children on pipes; ``"cluster"`` runs a socket
-    coordinator that spawns ``workers`` worker *processes* which dial
-    in, heartbeat, and can join/leave mid-plan.  On both, a dead (or,
+    coordinator that spawns up to ``workers`` worker *processes* which
+    dial in, heartbeat, and can join/leave mid-plan.  On both, a dead (or,
     on the cluster, hung) worker's in-flight frame is re-dispatched to
     a survivor or a replacement, so results remain bitwise identical to
     an undisturbed run -- the plan contract, clause 5.  ``chaos``
@@ -833,19 +880,31 @@ def run_plan(
         [None] * len(units) if plan.merge is not None else None
     )
 
-    def land(index: int, output: Any, failure: Optional[UnitFailure]) -> None:
-        if failure is not None:
-            if policy.on_error != "skip":
-                raise UnitExecutionError(failure, plan.label)
-            if on_failure is not None:
-                on_failure(failure)
-            if outputs is not None:
-                outputs[index] = failure
-            return
-        if on_unit is not None:
-            on_unit(index, output)
+    skip = policy.on_error == "skip"
+
+    def land(start: int, frame: List[Any], failures: Failures) -> None:
+        """Land a frame: its outputs go into the merge list as one
+        slice, and the callbacks (if any) fire unit by unit, in slot
+        order, up to the first failure if that raises."""
         if outputs is not None:
-            outputs[index] = output
+            outputs[start:start + len(frame)] = frame
+        if failures:
+            failed = dict(failures)
+            for slot, output in enumerate(frame):
+                failure = failed.get(slot)
+                if failure is None:
+                    if on_unit is not None:
+                        on_unit(start + slot, output)
+                    continue
+                if not skip:
+                    raise UnitExecutionError(failure, plan.label)
+                if on_failure is not None:
+                    on_failure(failure)
+                if outputs is not None:
+                    outputs[start + slot] = failure
+        elif on_unit is not None:
+            for slot, output in enumerate(frame):
+                on_unit(start + slot, output)
 
     if cluster:
         from repro.runtime.cluster import ClusterCoordinator
@@ -853,17 +912,17 @@ def run_plan(
         ClusterCoordinator(
             label=plan.label, blobs=blobs, labels=labels, policy=policy,
             workers=workers, chaos=chaos,
-        ).run(land)
+        ).run_frames(land)
     elif fan_out:
         _run_pool(plan, (runners, payloads, labels), policy, workers, land)
     else:
         _refuse_unarmable_deadline(policy, plan.label)
         for index, unit in enumerate(zip(runners, payloads)):
             # A frame of one: each unit lands (and checkpoints) alone.
-            (output,), failed, _ = _run_frame(
+            frame, failed, _ = _run_frame(
                 (index,), (unit,), (labels[index],), policy
             )
-            land(index, output, failed[0][1] if failed else None)
+            land(index, frame, failed)
     if plan.merge is None:
         return None
     return plan.merge(outputs)

@@ -123,8 +123,10 @@ class CoordinatorStub:
         self._conns = {}
         self._buffers = {}
 
-    def land(self, index, output, failure):
-        self.landed.append((index, output, failure))
+    def land(self, start, outputs, failures):
+        failed = dict(failures)
+        for slot, output in enumerate(outputs):
+            self.landed.append((start + slot, output, failed.get(slot)))
 
     @property
     def table(self):

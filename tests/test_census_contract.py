@@ -589,17 +589,17 @@ class TestHypergeometricCollision:
     """Endemic: the anyof and the push both take hosts out of ``x``."""
 
     PARAMS = EndemicParams(alpha=0.01, gamma=0.1, b=2)
-    N, INITIAL, TRIALS = 200, {"x": 80, "y": 100, "z": 20}, 3000
+    N, INITIAL = 200, {"x": 80, "y": 100, "z": 20}
 
-    def one_period(self):
+    def one_period(self, trials):
         spec = figure1_protocol(self.PARAMS)
         batch = BatchRoundEngine(
-            spec, n=self.N, trials=self.TRIALS, initial=self.INITIAL,
+            spec, n=self.N, trials=trials, initial=self.INITIAL,
             seed=83,
         )
         moved = batch.step()[("x", "y")]
         serial_moved, serial_messages = [], []
-        for seed in range(self.TRIALS):
+        for seed in range(trials):
             engine = RoundEngine(
                 spec, n=self.N, initial=self.INITIAL, seed=seed
             )
@@ -607,8 +607,14 @@ class TestHypergeometricCollision:
             serial_messages.append(engine.total_messages)
         return batch, moved, np.array(serial_moved), serial_messages
 
-    def test_one_period_movers_match_the_serial_engine(self):
-        batch, moved, serial, messages = self.one_period()
+    # 100 trials still fail the overlap law replaced by ``take`` itself
+    # (no collisions: ~111 movers against the serial engine's ~73); the
+    # full-size row runs under ``heavy``.
+    @pytest.mark.parametrize("trials", [
+        100, pytest.param(3000, marks=pytest.mark.heavy),
+    ])
+    def test_one_period_movers_match_the_serial_engine(self, trials):
+        batch, moved, serial, messages = self.one_period(trials)
         # Without the at-most-one-move rule the two actions would move
         # ~60 + ~52 hosts; the overlap is a fifth of that.
         assert moved.mean() < 100
@@ -624,7 +630,7 @@ class TestHypergeometricCollision:
         # every y pushes twice, in both engines.
         assert set(messages) == {2 * 80 + 2 * 100}
         assert np.array_equal(
-            batch.total_messages, np.full(self.TRIALS, 2 * 80 + 2 * 100)
+            batch.total_messages, np.full(trials, 2 * 80 + 2 * 100)
         )
 
 

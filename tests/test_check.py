@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.__main__ import main
 from repro.campaign.registry import available_protocols, resolve_protocol
 from repro.check import (
     ProtocolCheckWarning,
@@ -125,6 +126,27 @@ def test_rescaled_rates_keep_the_verdict():
     assert ("conservation", Severity.WARNING) in rules
     assert not any(severity == Severity.ERROR for _, severity in rules)
     assert verdict(1e-9) == (states, rules)
+
+
+def test_rates_below_any_absolute_floor_keep_the_verdict(tmp_path, capsys):
+    # Its x1e13 twin in slower time: the same states, the same findings
+    # where they are, and the same exit code; only the spectral
+    # abscissa carries the time unit.
+    def verdict(rate):
+        text = f"x' = -{rate!r}*x*y\ny' = {rate!r}*x*y\n"
+        spec, findings = check_equations(text)
+        path = tmp_path / "rates.txt"
+        path.write_text(text)
+        code = main(["check", "spec", str(path)])
+        capsys.readouterr()
+        return spec.states, sorted(
+            (f.severity.name, f.rule, f.location) for f in findings
+        ), code
+
+    states, findings, code = verdict(1.0)
+    assert code == 0
+    assert ("INFO", "equilibrium", "equilibrium (x=0, y=1)") in findings
+    assert verdict(1e-13) == (states, findings, code)
 
 
 def test_near_conserving_system_is_complete():

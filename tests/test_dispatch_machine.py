@@ -78,11 +78,14 @@ class World:
 
     # -- the output actions --------------------------------------------
 
-    def land(self, index, output, failure):
-        assert index not in self.landings, f"unit {index} landed twice"
-        self.landings[index] = (output, failure)
-        self.step.append(("fail" if failure is not None and "dispatch(es)"
-                          in failure.error else "land", index))
+    def land(self, start, outputs, failures):
+        failed = dict(failures)
+        for slot, output in enumerate(outputs):
+            index, failure = start + slot, failed.get(slot)
+            assert index not in self.landings, f"unit {index} landed twice"
+            self.landings[index] = (output, failure)
+            self.step.append(("fail" if failure is not None and "dispatch(es)"
+                              in failure.error else "land", index))
 
     # -- the input actions ---------------------------------------------
 

@@ -613,6 +613,34 @@ def frame_log(caplog):
     return caplog
 
 
+class ReadClock:
+    """``time`` for ``exec`` whose clock moves 1 us per read, and no
+    other way: the seconds a plan shows are a count of its reads."""
+
+    sleep = staticmethod(time.sleep)
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        self.now += 1e-6
+        return self.now
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the pool children forked while it is in use."""
+    pids = []
+
+    class Counted(exec_module._Child):
+        def __init__(self, *args):
+            super().__init__(*args)  # a child never returns from it
+            pids.append(self.pid)
+
+    monkeypatch.setattr(exec_module, "_Child", Counted)
+    return pids
+
+
 class TestFrameSize:
     def test_a_full_fast_frame_doubles(self):
         assert _next_frame_size(1, 1, 0.0001) == 2
@@ -752,7 +780,7 @@ class TestPoolFrames:
         assert largest > 1
         assert frames < units
 
-    def test_sleeping_units_never_share_a_frame(self, frame_log):
+    def test_sleeping_units_never_share_a_frame(self, frame_log, forks):
         plan = ExecutionPlan(
             units=[WorkUnit(runner=mixed_unit, payload=(v, 0.03))
                    for v in range(8)],
@@ -760,8 +788,12 @@ class TestPoolFrames:
         )
         assert run_plan(plan, workers=2) == [2 * v for v in range(8)]
         assert framing(frame_log) == (8, 8, 1)
+        # Its first unit shows a frame floor of work: a second child.
+        assert len(forks) == 2
 
-    def test_trivial_units_travel_by_the_hundred(self, frame_log):
+    def test_trivial_units_travel_by_the_hundred(
+        self, frame_log, forks, monkeypatch
+    ):
         plan = ExecutionPlan(
             units=[WorkUnit(runner=abs, payload=-v) for v in range(4096)],
             merge=list,
@@ -771,6 +803,14 @@ class TestPoolFrames:
         assert units == 4096
         assert frames < 4096 // 8
         assert largest >= 64
+        # The whole plan shows less than a frame floor of work: a
+        # second child would not get its fork back.  Read on a clock
+        # that only the pool's own reads move, so that a busy host,
+        # which stalls a child for milliseconds, shows no work either.
+        forks.clear()
+        monkeypatch.setattr(exec_module, "time", ReadClock())
+        assert run_plan(plan, workers=2) == list(range(4096))
+        assert len(forks) == 1
 
     def test_serial_runs_log_no_framing(self, frame_log):
         run_plan(plan_of([1, 2, 3]))
@@ -853,12 +893,14 @@ class TestPoolFrames:
             v for v in range(600) if v != 300
         ]
 
-    def test_the_debug_line_says_what_starting_cost(self, frame_log):
+    def test_the_debug_line_says_what_starting_cost(self, frame_log, forks):
         run_plan(plan_of(list(range(64))), workers=2)
         (record,) = frame_log.records
-        *_, seconds, start_ms = record.args
+        *_, seconds, start_ms, started = record.args
         assert 0.0 < start_ms <= seconds * 1e3
+        assert started == len(forks) >= 1
         assert "start" in record.getMessage()
+        assert f"started {started}" in record.getMessage()
 
 
 def unpicklable_at_300(payload):

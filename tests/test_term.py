@@ -65,9 +65,12 @@ class TestIntrospection:
         assert not Term(-0.5, {"x": 2}).is_linear_in("x")
         assert not Term(-0.5, {"x": 1, "y": 1}).is_linear_in("x")
 
-    def test_is_zero_tolerance(self):
-        assert Term(1e-15, {"x": 1}).is_zero()
+    def test_is_zero_is_scale_free(self):
+        # A tiny rate is a rate: only a zero coefficient is zero.
+        assert Term(0.0, {"x": 1}).is_zero()
+        assert not Term(1e-15, {"x": 1}).is_zero()
         assert not Term(1e-9, {"x": 1}).is_zero()
+        assert Term(-1e-15, {"x": 1}).sign == -1
 
     def test_expanded_variables_lexicographic(self):
         term = Term(1.0, {"y": 1, "x": 2})
