@@ -220,7 +220,8 @@ class ClusterCoordinator:
         table = self._table
         return {
             **self._counts, "redispatches": table.redispatches,
-            "dispatches": sum(table.dispatches), "frames": table.frames,
+            "dispatches": table.cursor + table.redispatches,
+            "frames": table.frames, "spares": table.spares,
             "largest_frame": table.largest,
         }
 
@@ -435,7 +436,7 @@ class ClusterCoordinator:
         The bytes come from another process, so nothing about their
         shape is assumed: whatever is not one of the three worker
         messages, well formed, costs the worker its connection and
-        sends its frame back to the queue.
+        sends its frames back to the queue.
         """
         kind = message[0] if isinstance(message, tuple) and message else None
         if kind == "hello":
@@ -468,8 +469,8 @@ class ClusterCoordinator:
                 stamped.append((slot, replace(
                     failure, index=index, label=table.labels[index],
                     worker=conn.worker_id,
-                    redispatches=table.dispatches[index] - 1,
-                    heartbeat_misses=table.misses[index],
+                    redispatches=table.dispatches(index) - 1,
+                    heartbeat_misses=table.misses(index),
                 )))
             table.land_frame(frame, outputs, stamped)
             self._dispatch(conn)
@@ -479,11 +480,11 @@ class ClusterCoordinator:
     def _frame_reply(
         self, conn: _Connection, message: Tuple
     ) -> Optional[Tuple[List[Any], Failures, float]]:
-        """``(outputs, failures, seconds)`` of ``conn``'s in-flight
-        frame, or None.
+        """``(outputs, failures, seconds)`` of ``conn``'s oldest frame,
+        or None.
 
         A ``results`` message is taken only if it answers exactly the
-        frame this connection was sent: one output per unit, and each
+        oldest frame this connection holds: one output per unit, and each
         failure a :class:`UnitFailure` in a slot of the frame (None
         there in ``outputs``), slots rising -- so no worker can land a
         unit it was not dispatched or a unit twice.  A failure is the
@@ -512,12 +513,14 @@ class ClusterCoordinator:
         return outputs, failures, seconds
 
     def _dispatch(self, conn: _Connection) -> None:
-        frame = self._table.cut(conn, conn.worker_id) if conn.ready else None
-        if frame is None:
+        """Send ``conn`` the frames it may take: its next frame if it is
+        idle, a spare if it is busy."""
+        if not conn.ready:
             return
-        if self._first_frame_at is None:
-            self._first_frame_at = time.monotonic()
-        self._queue_send(conn, ("frame", frame.start, frame.stop))
+        while (frame := self._table.cut(conn, conn.worker_id)) is not None:
+            if self._first_frame_at is None:
+                self._first_frame_at = time.monotonic()
+            self._queue_send(conn, ("frame", frame.start, frame.stop))
 
     # -- failure detection ---------------------------------------------
 
@@ -536,7 +539,7 @@ class ClusterCoordinator:
     def _lose_worker(
         self, conn: _Connection, reason: str, misses: int = 0
     ) -> None:
-        """Fence a dead/hung worker; the table takes back its frame."""
+        """Fence a dead/hung worker; the table takes back its frames."""
         conn.fenced = True
         self._connections.pop(conn.sock.fileno(), None)
         with suppress(KeyError, ValueError):

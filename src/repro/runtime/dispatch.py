@@ -16,6 +16,7 @@ can be driven in-process against the contract's I/O automaton
 
 from __future__ import annotations
 
+import itertools
 import logging
 from collections import deque
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
@@ -37,8 +38,10 @@ _log = logging.getLogger("repro.runtime.exec")
 #: on its frame-mates before it is checkpointed, and how unevenly the
 #: last frames of a plan can split between workers.  Units that take
 #: longer than the floor on their own therefore travel alone, forever.
-#: Both backends keep ONE frame in flight per worker: a spare one
-#: queued behind a 40 ms unit would wait while another worker idles.
+#: A worker is given a spare frame behind the one it runs only while
+#: the last reply came back under the floor: a spare queued behind a
+#: 40 ms unit would wait while another worker idles, so units over the
+#: floor keep one frame in flight per worker.
 #: The floor is also the work a pool plan must show before a second
 #: child is forked: a plan done sooner would not get the fork back.
 _FRAME_FLOOR_SECONDS = 0.002
@@ -65,17 +68,21 @@ def _next_frame_size(size: int, units: int, seconds: float) -> int:
 class Dispatcher:
     """The unit table of one fanned-out plan.
 
-    Per unit, three flat columns: ``dispatches`` (workers it was sent
-    to), ``misses`` (heartbeat intervals the lost ones among them were
-    silent for) and ``last_worker`` (the name of the last).  Pending
-    units are the ``lost`` ones, in order, then every unit from
-    ``cursor`` on.  A frame is a ``range``: fresh units go out
-    ``size`` at a time, a lost unit alone -- so a unit that kills its
-    worker takes no frame-mate down with it twice.  ``flight`` maps
-    each busy worker to the one frame it holds.  ``land(start,
-    outputs, failures)`` lands a frame: ``outputs`` lines up with its
-    units from ``start`` on, and ``failures`` holds ``(slot,
-    UnitFailure)`` in slot order.
+    Pending units are the ``lost`` ones, in order, then every unit from
+    ``cursor`` on.  A frame is a ``range``: fresh units go out ``size``
+    at a time (a cut that would leave fewer than ``size`` behind takes
+    them too, so no runt frame costs a round trip), a lost unit alone
+    -- so a unit that kills its worker takes no frame-mate down with it
+    twice.  ``flight`` maps each busy worker to the frame it runs,
+    ``spare`` to the frame queued behind that one, if any, and
+    ``names`` to what the worker is called.  A unit below ``cursor``
+    went to one worker unless it was lost, so only a re-dispatched
+    unit has an entry in ``sends`` (the workers it went to), and only
+    a unit held by a fenced worker one in ``silences`` (the heartbeat
+    intervals it was silent for): :meth:`dispatches` and
+    :meth:`misses` read them.  ``land(start, outputs, failures)`` lands
+    a frame: ``outputs`` lines up with its units from ``start`` on, and
+    ``failures`` holds ``(slot, UnitFailure)`` in slot order.
     """
 
     def __init__(
@@ -94,15 +101,29 @@ class Dispatcher:
         #: a unit is allowed, and headroom for slow starters -- a unit
         #: that kills every worker cannot fork replacements forever.
         self.spawn_budget = self.workers * max(2, policy.max_dispatches) + 2
-        self.dispatches = [0] * total
-        self.misses = [0] * total
-        self.last_worker = [""] * total
+        self.sends: Dict[int, int] = {}
+        self.silences: Dict[int, int] = {}
         self.lost: deque = deque()
         self.cursor = 0
         self.flight: Dict[Hashable, range] = {}
+        self.spare: Dict[Hashable, range] = {}
+        self.names: Dict[Hashable, str] = {}
         self.size = 1
+        #: The last reply came back under the floor: a busy worker may
+        #: hold a spare frame.
+        self.quick = False
         self.landed = self.frames = self.largest = self.redispatches = 0
+        self.spares = 0
         self.draining = False
+
+    def dispatches(self, index: int) -> int:
+        """How many workers unit ``index`` was sent to."""
+        return self.sends.get(index, int(index < self.cursor))
+
+    def misses(self, index: int) -> int:
+        """How many heartbeat intervals the workers unit ``index`` was
+        lost with were silent for."""
+        return self.silences.get(index, 0)
 
     def pending(self) -> int:
         return len(self.lost) + self.total - self.cursor
@@ -123,36 +144,61 @@ class Dispatcher:
         )
 
     def cut(self, worker: Hashable, name: str) -> Optional[range]:
-        """The frame idle ``worker`` (called ``name``) carries next, or
-        None: it is busy, the plan is draining, or nothing is pending."""
-        if self.draining or worker in self.flight:
+        """The frame ``worker`` (called ``name``) takes next, or None.
+
+        An idle worker takes the next pending frame.  A busy one takes
+        a spare of fresh units behind a fresh frame, while it holds no
+        spare yet, no lost unit waits and the last reply came back
+        under the floor -- so a unit over the floor never waits behind
+        another.  None: the plan is draining, nothing is pending, or
+        the worker holds all it may.
+        """
+        if self.draining:
+            return None
+        running = self.flight.get(worker)
+        if running is not None and (
+            worker in self.spare or self.lost or not self.quick
+            or running.start in self.sends
+        ):
             return None
         if self.lost:
             index = self.lost.popleft()
             frame = range(index, index + 1)
-            self.dispatches[index] += 1
+            self.sends[index] = self.dispatches(index) + 1
             self.redispatches += 1
         elif self.cursor < self.total:
-            frame = range(
-                self.cursor, min(self.cursor + self.size, self.total)
-            )
-            self.cursor = frame.stop
-            self.dispatches[frame.start:frame.stop] = [1] * len(frame)
+            stop = self.cursor + self.size
+            if self.total - stop < self.size:
+                stop = self.total
+            frame = range(self.cursor, stop)
+            self.cursor = stop
         else:
             return None
-        self.last_worker[frame.start:frame.stop] = [name] * len(frame)
-        self.flight[worker] = frame
+        if running is None:
+            self.flight[worker] = frame
+            self.names[worker] = name
+        else:
+            self.spare[worker] = frame
+            self.spares += 1
         self.frames += 1
         self.largest = max(self.largest, len(frame))
         return frame
 
     def result(self, worker: Hashable, seconds: float) -> Optional[range]:
-        """Take ``worker``'s reply to its frame, which took ``seconds``:
-        the frame, to land, or None if it holds none -- a fenced
-        worker's late reply changes nothing."""
+        """Take ``worker``'s reply to its oldest frame, which took
+        ``seconds``: the frame, to land, or None if it holds none -- a
+        fenced worker's late reply changes nothing.  Its spare, if it
+        holds one, is the frame it runs now."""
         frame = self.flight.pop(worker, None)
-        if frame is not None:
-            self.size = _next_frame_size(self.size, len(frame), seconds)
+        if frame is None:
+            return None
+        self.size = _next_frame_size(self.size, len(frame), seconds)
+        self.quick = seconds < _FRAME_FLOOR_SECONDS
+        spare = self.spare.pop(worker, None)
+        if spare is None:
+            del self.names[worker]
+        else:
+            self.flight[worker] = spare
         return frame
 
     def land_frame(
@@ -165,42 +211,48 @@ class Dispatcher:
     def lose(self, worker: Hashable, reason: str, misses: int = 0) -> None:
         """The lost-worker rule: ``worker`` is fenced or gone.
 
-        Each unit of its frame goes back to the front of the queue, in
-        order -- the same unit, so the same bits wherever it lands
-        (clause 5) -- unless it has been dispatched
-        ``FaultPolicy.max_dispatches`` times: then its loss is its own
-        fault, and it lands, as a frame of one, as a
-        :class:`UnitFailure` carrying its provenance, which follows
-        ``on_error`` like any other.
+        Each unit of the frames it held, the one it ran and then its
+        spare, goes back to the front of the queue, in order -- the
+        same unit, so the same bits wherever it lands (clause 5) --
+        unless it has been dispatched ``FaultPolicy.max_dispatches``
+        times: then its loss is its own fault, and it lands, as a frame
+        of one, as a :class:`UnitFailure` carrying its provenance,
+        which follows ``on_error`` like any other.
         """
         frame = self.flight.pop(worker, None)
         if frame is None:
             return
+        spare = self.spare.pop(worker, None)
+        held = [frame] if spare is None else [frame, spare]
+        name = self.names.pop(worker)
         limit = self.policy.max_dispatches
         requeue, exhausted = [], []
-        for index in frame:
-            self.misses[index] += misses
-            if self.dispatches[index] < limit:
+        for index in itertools.chain(*held):
+            if misses:
+                self.silences[index] = self.misses(index) + misses
+            if self.dispatches(index) < limit:
                 requeue.append(index)
             else:
                 exhausted.append(index)
         self.lost.extendleft(reversed(requeue))
         _log.warning(
-            "%s: worker %r lost (%s) holding units %d-%d; %d requeued",
-            self.label, self.last_worker[frame.start], reason,
-            frame.start, frame.stop - 1, len(requeue),
+            "%s: worker %r lost (%s) holding units %d-%d"
+            + "".join(f" and {f.start}-{f.stop - 1}" for f in held[1:])
+            + "; %d requeued",
+            self.label, name, reason, frame.start, frame.stop - 1,
+            len(requeue),
         )
         for index in exhausted:
+            sent = self.dispatches(index)
             failure = UnitFailure(
                 index=index, label=self.labels[index],
                 error=(
-                    f"worker {self.last_worker[index]!r} lost ({reason}) "
-                    f"and unit exhausted its {limit} dispatch(es)"
+                    f"worker {name!r} lost ({reason}) and unit exhausted "
+                    f"its {limit} dispatch(es)"
                 ),
-                traceback="", attempts=self.dispatches[index],
-                worker=self.last_worker[index],
-                redispatches=self.dispatches[index] - 1,
-                heartbeat_misses=self.misses[index],
+                traceback="", attempts=sent, worker=name,
+                redispatches=sent - 1,
+                heartbeat_misses=self.misses(index),
             )
             self.landed += 1
             self.land(index, [None], [(0, failure)])
@@ -219,8 +271,9 @@ class Dispatcher:
         workers it started."""
         _log.debug(
             "%s: %d units in %d frames (largest %d) on %d workers, %d "
-            "re-dispatched, %.3fs (start %.1f ms), started %d",
+            "re-dispatched, %d spare(s), %.3fs (start %.1f ms), "
+            "started %d",
             self.label, self.landed, self.frames, self.largest,
-            self.workers, self.redispatches, seconds, start_seconds * 1e3,
-            started,
+            self.workers, self.redispatches, self.spares, seconds,
+            start_seconds * 1e3, started,
         )

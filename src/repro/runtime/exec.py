@@ -49,9 +49,10 @@ The reproducibility contract, shared by every caller:
    not pickle for the trip back included, on both backends.
 5. **Worker loss cannot perturb results.**  On both fan-out backends
    a worker that dies (or, on the ``cluster`` backend, stops
-   heartbeating) mid-frame is fenced, and each unit of its frame is
-   re-dispatched alone -- a range of one of the *same* plan, so the
-   same unit into the same merge slot -- and a run that lost two
+   heartbeating) mid-frame is fenced, and each unit of its frames (the
+   one it ran and any spare behind it) is re-dispatched alone -- a
+   range of one of the *same* plan, so the same unit into the same
+   merge slot -- and a run that lost two
    workers is bitwise identical to one that lost none.  Units that
    out-live ``FaultPolicy.max_dispatches`` workers flow into clause
    4's :class:`UnitFailure` machinery.  Both
@@ -683,20 +684,23 @@ def _run_pool(
     workers: int,
     land: Callable[[int, List[Any], Failures], None],
 ) -> None:
-    """Run the plan's columns on forked children, one pipe and one frame each.
+    """Run the plan's columns on forked children, one pipe each.
 
     The pipe transport of :class:`~repro.runtime.dispatch.Dispatcher`.
     Each child is a bare fork (:class:`_Child`) that inherits
     ``columns``, so a frame is only its ``(start, stop)`` range;
-    replies land here, in the calling thread.  A child is only sent a
-    frame while it waits in ``recv_bytes``, so no helper thread is
-    needed to move results of any size without deadlock.  A child that
-    hangs up is a lost worker.  The first child is forked at once, and
-    the others :meth:`~repro.runtime.dispatch.Dispatcher.spawns` asks
-    for once the plan has shown a frame floor of work: the seconds its
-    replies reported, plus how long the frames out have been out.  A
-    frame shows work from when it was sent, or from its child's first
-    (empty) message if that came later, so a child's own start shows
+    replies land here, in the calling thread, each answering its
+    child's oldest frame.  Going down, a pipe never holds more than a
+    child's two 16-byte frames, far under the pipe buffer, so a send
+    never blocks while the child writes a large reply up, and no helper
+    thread is needed to move results of any size without deadlock.  A
+    child that hangs up is a lost worker.  The first child is forked at
+    once, and the others :meth:`~repro.runtime.dispatch.Dispatcher.spawns`
+    asks for once the plan has shown a frame floor of work: the seconds its
+    replies reported, plus how long the frames running have been
+    running.  A frame runs from when it was sent to an idle child, or
+    from its child's first (empty) message if that came later, or, as
+    a spare, from the reply before it, so a child's own start shows
     none.  No child outlives the plan, however it ends: the
     ``finally`` reaps every one.
     """
@@ -706,7 +710,7 @@ def _run_pool(
     started = time.perf_counter()
     children: dict = {}  # the parent's end of each pipe -> its child
     gone: list = []  # children lost mid-plan
-    since: dict = {}  # per child up: when its frame began to show work
+    since: dict = {}  # per child up: when its running frame began
     worked = 0.0  # the seconds the replies reported
 
     def fork() -> None:
@@ -723,18 +727,17 @@ def _run_pool(
         )
 
     def feed() -> None:
-        """Send every idle child its next frame."""
+        """Send every child the frames it may take: an idle one its
+        next frame, a busy one a spare."""
         now = time.perf_counter()
         for pipe, child in children.items():
-            frame = table.cut(pipe, f"pid {child.pid}")  # if idle
-            if frame is None:
-                continue
-            if pipe in since:
-                since[pipe] = now
-            try:
-                pipe.send_bytes(_POOL_FRAME.pack(frame.start, frame.stop))
-            except OSError:
-                pass  # already dead: the wait below reads its EOF
+            if pipe in since and pipe not in table.flight:
+                since[pipe] = now  # what it is sent now runs from now
+            while (frame := table.cut(pipe, f"pid {child.pid}")) is not None:
+                try:
+                    pipe.send_bytes(_POOL_FRAME.pack(frame.start, frame.stop))
+                except OSError:
+                    pass  # already dead: the wait below reads its EOF
 
     try:
         fork()  # the first child always starts
@@ -782,6 +785,8 @@ def _run_pool(
                 outputs, failures, seconds = pickle.loads(message)
                 worked += seconds
                 landing.append((table.result(pipe, seconds), outputs, failures))
+                if pipe in table.flight:  # its spare runs from now
+                    since[pipe] = time.perf_counter()
     finally:
         for pipe, child in children.items():
             pipe.close()
@@ -841,7 +846,7 @@ def run_plan(
     (default) is forked children on pipes; ``"cluster"`` runs a socket
     coordinator that spawns up to ``workers`` worker *processes* which
     dial in, heartbeat, and can join/leave mid-plan.  On both, a dead (or,
-    on the cluster, hung) worker's in-flight frame is re-dispatched to
+    on the cluster, hung) worker's in-flight frames are re-dispatched to
     a survivor or a replacement, so results remain bitwise identical to
     an undisturbed run -- the plan contract, clause 5.  ``chaos``
     (cluster only) is a :class:`~repro.runtime.chaos.ChaosSchedule` of

@@ -10,12 +10,14 @@ says *what* may happen, never how a frame is chosen or sized.
 State
     per unit: ``pending | in flight | landed | failed`` and how many
     workers it was dispatched to; per worker: ``idle | busy | fenced |
-    gone`` and the frame a busy one holds; whether a drain began.
+    gone`` and the frames a busy one holds, oldest first -- the one it
+    runs and at most one spare behind it; whether a drain began.
 
 Inputs (what a transport observes)
-    ``join``, ``dispatch(w, frame)``, ``result(w)``, a heartbeat
-    ``miss(w)`` (the worker is fenced), ``death(w)`` (it is gone) and
-    ``drain``.
+    ``join``, ``dispatch(w, frame)`` (to an idle worker, or a spare to
+    one that holds a single frame), ``result(w)`` (its oldest frame), a
+    heartbeat ``miss(w)`` (the worker is fenced), ``death(w)`` (it is
+    gone) and ``drain``.
 
 Outputs
     ``land(i)`` -- unit ``i`` lands with its serial output, or with its
@@ -33,9 +35,10 @@ from typing import FrozenSet, List, Tuple
 PENDING, IN_FLIGHT, LANDED, FAILED = "pending", "in flight", "landed", "failed"
 IDLE, BUSY, FENCED, GONE = "idle", "busy", "fenced", "gone"
 
-#: ``(status, dispatches)`` per unit; ``(status, frame)`` per worker.
+#: ``(status, dispatches)`` per unit; ``(status, frames)`` per worker,
+#: the frames it holds oldest first.
 Unit = Tuple[str, int]
-Worker = Tuple[str, Tuple[int, ...]]
+Worker = Tuple[str, Tuple[Tuple[int, ...], ...]]
 #: What a step emits: ``("land", i)`` or ``("fail", i)``, in order.
 Outputs = List[Tuple[str, int]]
 
@@ -76,7 +79,9 @@ def join(state: State) -> State:
 
 
 def can_dispatch(state: State, worker: int) -> bool:
-    """Whether *some* frame may go to ``worker`` now (progress)."""
+    """Whether *some* frame must be able to go to ``worker`` now
+    (progress).  Only an idle worker is owed one: a spare is allowed,
+    never required."""
     return (
         not state.draining and state.workers[worker][0] == IDLE
         and any(
@@ -88,7 +93,11 @@ def can_dispatch(state: State, worker: int) -> bool:
 
 def dispatch(state: State, worker: int, frame: Tuple[int, ...]) -> State:
     _require(not state.draining, "a frame went out during a drain")
-    _require(state.workers[worker][0] == IDLE, f"worker {worker} is not idle")
+    status, held = state.workers[worker]
+    _require(
+        status == IDLE or (status == BUSY and len(held) == 1),
+        f"worker {worker} is {status} holding {len(held)} frame(s)",
+    )
     _require(len(frame) > 0, "an empty frame")
     units = state.units
     for index in frame:
@@ -101,19 +110,20 @@ def dispatch(state: State, worker: int, frame: Tuple[int, ...]) -> State:
         units = _set(units, index, (IN_FLIGHT, sent + 1))
     return replace(
         state, units=units,
-        workers=_set(state.workers, worker, (BUSY, tuple(frame))),
+        workers=_set(state.workers, worker, (BUSY, held + (tuple(frame),))),
     )
 
 
 def result(
     state: State, worker: int, raising: FrozenSet[int]
 ) -> Tuple[State, Outputs]:
-    """``worker`` replies.  A busy one's frame lands whole, each unit
-    with its own outcome; anyone else's reply is late and changes
-    nothing."""
-    status, frame = state.workers[worker]
+    """``worker`` replies.  A busy one's oldest frame lands whole, each
+    unit with its own outcome, and it runs its spare, if it holds one;
+    anyone else's reply is late and changes nothing."""
+    status, held = state.workers[worker]
     if status != BUSY:
         return state, []
+    frame, rest = held[0], held[1:]
     units = state.units
     outputs: Outputs = []
     for index in frame:
@@ -121,16 +131,16 @@ def result(
             FAILED if index in raising else LANDED, units[index][1]
         ))
         outputs.append(("land", index))
-    return replace(
-        state, units=units, workers=_set(state.workers, worker, (IDLE, ())),
-    ), outputs
+    return replace(state, units=units, workers=_set(
+        state.workers, worker, (BUSY, rest) if rest else (IDLE, ()),
+    )), outputs
 
 
 def lose(state: State, worker: int, to: str) -> Tuple[State, Outputs]:
-    """``worker`` is fenced (``to=FENCED``) or gone (``to=GONE``).  Its
-    frame's units are pending again, but for those that have used up
-    ``max_dispatches``: they fail."""
-    status, frame = state.workers[worker]
+    """``worker`` is fenced (``to=FENCED``) or gone (``to=GONE``).  The
+    units of its frames, in order, are pending again, but for those
+    that have used up ``max_dispatches``: they fail."""
+    status, held = state.workers[worker]
     _require(status != GONE, f"worker {worker} is already gone")
     _require(
         to == GONE or status in (IDLE, BUSY),
@@ -138,7 +148,7 @@ def lose(state: State, worker: int, to: str) -> Tuple[State, Outputs]:
     )
     units = state.units
     outputs: Outputs = []
-    for index in frame:
+    for index in sum(held, ()):
         sent = units[index][1]
         if sent < state.max_dispatches:
             units = _set(units, index, (PENDING, sent))
@@ -156,5 +166,5 @@ def drain(state: State) -> State:
 
 def canonical(state: State) -> tuple:
     """The state up to a renaming of workers: units as they are,
-    workers counted per ``(status, frame)``."""
+    workers counted per ``(status, frames)``."""
     return state.units, tuple(sorted(state.workers)), state.draining

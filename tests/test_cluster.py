@@ -344,7 +344,7 @@ class TestCoordinatorFrames:
         stub.say(far, ("results", [0], [], 0.0001))
         _late, late_setup, late_frame = stub.join()
         assert late_setup == ("setup", policy, stub.blobs, labels)
-        assert (stub.frame(far), late_frame) == ([1, 2], [3, 4])
+        assert (stub.frame(far), late_frame) == ([1, 2], [5, 6, 7])
 
     def test_results_land_and_the_next_frame_doubles(self, stub):
         far, _setup, frame = stub.join()
@@ -352,10 +352,11 @@ class TestCoordinatorFrames:
         assert stub.landed == [(0, 0, None)]
         assert stub.frame(far) == [1, 2]
         stub.say(far, ("results", [2, 4], [], 0.0001))
-        assert stub.frame(far) == [3, 4, 5, 6]
+        assert (stub.frame(far), stub.frame(far)) == ([3, 4], [5, 6, 7])
         stats = stub.coordinator.stats
-        assert (stats["frames"], stats["largest_frame"]) == (3, 4)
-        assert (stats["dispatches"], stats["redispatches"]) == (7, 0)
+        assert (stats["frames"], stats["largest_frame"]) == (4, 3)
+        assert (stats["dispatches"], stats["redispatches"]) == (8, 0)
+        assert stats["spares"] == 2
 
     def test_slow_units_never_share_a_frame(self, stub):
         far, _setup, frame = stub.join()
@@ -364,6 +365,7 @@ class TestCoordinatorFrames:
             stub.say(far, ("results", [2 * index], [], 0.030))
             frame = stub.frame(far)
         assert stub.coordinator.stats["largest_frame"] == 1
+        assert stub.coordinator.stats["spares"] == 0
 
     def test_a_lost_frame_is_requeued_whole_in_order(self, stub):
         stub.table.size = 4

@@ -14,7 +14,8 @@ After each step the simulation relation is checked:
 * a drain lets no frame out, and once nothing is in flight it leaves
   only whole landed units behind.
 
-A hypothesis state machine samples interleavings in tier-1; the
+A hypothesis state machine samples interleavings in tier-1, beside
+two small enumerations (the second the smallest with a spare); the
 ``heavy`` job enumerates every reachable state of 3 units x 3 workers.
 """
 
@@ -146,13 +147,24 @@ class World:
     def busy(self):
         return set(self.table.flight)
 
+    def held(self, worker):
+        """The frames ``worker`` holds, oldest first."""
+        table = self.table
+        return tuple(
+            tuple(frames[worker]) for frames in (table.flight, table.spare)
+            if worker in frames
+        )
+
     def abstraction(self):
         """The abstract state the concrete table stands for."""
         table = self.table
-        flying = [i for frame in table.flight.values() for i in frame]
+        flying = [
+            i for frames in (table.flight, table.spare)
+            for frame in frames.values() for i in frame
+        ]
         queued = list(table.lost) + list(range(table.cursor, table.total))
         units = []
-        for index, sent in enumerate(table.dispatches):
+        for index in range(table.total):
             # Exactly one place holds each unit: the queue, a worker's
             # frame, or the landings.
             where = [
@@ -164,10 +176,11 @@ class World:
                 ) for _ in range(found)
             ]
             assert len(where) == 1, f"unit {index} is in {where or 'no place'}"
-            units.append((where[0], sent))
+            units.append((where[0], table.dispatches(index)))
+        assert set(table.spare) <= set(table.flight)
         workers = tuple(
-            (spec.BUSY, tuple(self.table.flight[worker]))
-            if worker in self.table.flight else (status, ())
+            (spec.BUSY, self.held(worker))
+            if worker in table.flight else (status, ())
             for worker, status in enumerate(self.status)
         )
         return spec.State(
@@ -179,14 +192,18 @@ class World:
         table = self.table
         return (
             self.abstraction(), list(table.lost), table.cursor, table.size,
-            table.landed, list(table.misses), list(table.last_worker),
-            dict(table.flight), table.redispatches,
+            table.quick, table.landed, dict(table.sends),
+            dict(table.silences), dict(table.flight), dict(table.spare),
+            dict(table.names), table.redispatches, table.spares,
         )
 
     def check(self):
         table = self.table
         assert self.abstraction() == self.spec
-        assert max(table.dispatches) <= self.policy.max_dispatches
+        assert all(
+            table.dispatches(index) <= self.policy.max_dispatches
+            for index in range(table.total)
+        )
         assert table.finished() == self.spec.finished()
         assert table.landed == len(self.landings)
         for index, (output, failure) in self.landings.items():
@@ -217,7 +234,7 @@ class World:
             actions.append(("drain",))
         busy = self.busy()
         for worker, status in enumerate(self.status):
-            if status == spec.IDLE and worker not in busy:
+            if status == spec.IDLE and worker not in self.table.spare:
                 actions.append(("dispatch", worker))
             if worker in busy:
                 actions += [("result", worker, FAST), ("result", worker, SLOW)]
@@ -238,7 +255,7 @@ class World:
         table = self.table
         return (
             spec.canonical(self.spec), tuple(table.lost), table.cursor,
-            table.size, tuple(table.misses),
+            table.size, table.quick, tuple(sorted(table.silences.items())),
         )
 
 
@@ -312,6 +329,30 @@ def reachable(kinds, max_dispatches, max_workers):
 def test_every_interleaving_of_2_units_on_2_workers():
     # One of them raises; each may be lost twice.
     assert len(reachable(("ok", "raise"), 2, 2)) > 100
+
+
+def test_every_interleaving_of_3_units_on_2_workers_with_a_spare():
+    # The smallest plan in which a worker holds a spare: one worker
+    # replies fast while the other still runs unit 1, so unit 2 may
+    # queue behind it.  Each unit has one dispatch, so a lost spare
+    # fails at once.
+    seen = reachable(("ok", "raise", "ok"), 1, 2)
+    assert any(
+        len(frames) == 2
+        for (_units, workers, _draining), *_ in seen
+        for _status, frames in workers
+    )
+
+
+def test_a_redispatched_unit_runs_with_no_spare_behind_it():
+    # A lost unit travels alone so that, if it kills its worker again,
+    # it takes no frame-mate down with it: nor a spare.
+    world = World(["ok"] * 4, max_dispatches=2, workers=2)
+    for action in [("join",), ("join",), ("dispatch", 0), ("dispatch", 1),
+                   ("lose", 0, spec.GONE), ("result", 1, FAST),
+                   ("dispatch", 1), ("dispatch", 1)]:
+        world.apply(action)
+    assert (world.table.flight, world.table.spare) == ({1: range(0, 1)}, {})
 
 
 @pytest.mark.heavy

@@ -31,7 +31,7 @@ from repro.runtime import (
     WorkUnit,
     run_plan,
 )
-from repro.runtime.dispatch import _next_frame_size
+from repro.runtime.dispatch import Dispatcher, _next_frame_size
 from repro.runtime.exec import (
     UnitTimeout,
     _attempt_deadline,
@@ -641,6 +641,24 @@ def forks(monkeypatch):
     return pids
 
 
+@pytest.fixture
+def cuts(monkeypatch):
+    """Every frame a dispatcher cuts while it is in use, as ``(spare,
+    frame)``: ``spare`` says its worker was running another."""
+    seen = []
+    cut = Dispatcher.cut
+
+    def spied(table, worker, name):
+        spare = worker in table.flight
+        frame = cut(table, worker, name)
+        if frame is not None:
+            seen.append((spare, frame))
+        return frame
+
+    monkeypatch.setattr(Dispatcher, "cut", spied)
+    return seen
+
+
 class TestFrameSize:
     def test_a_full_fast_frame_doubles(self):
         assert _next_frame_size(1, 1, 0.0001) == 2
@@ -780,7 +798,9 @@ class TestPoolFrames:
         assert largest > 1
         assert frames < units
 
-    def test_sleeping_units_never_share_a_frame(self, frame_log, forks):
+    def test_sleeping_units_never_share_a_frame(
+        self, frame_log, forks, cuts
+    ):
         plan = ExecutionPlan(
             units=[WorkUnit(runner=mixed_unit, payload=(v, 0.03))
                    for v in range(8)],
@@ -788,6 +808,8 @@ class TestPoolFrames:
         )
         assert run_plan(plan, workers=2) == [2 * v for v in range(8)]
         assert framing(frame_log) == (8, 8, 1)
+        # ... nor wait behind one another: no child held a spare.
+        assert [spare for spare, _ in cuts] == [False] * 8
         # Its first unit shows a frame floor of work: a second child.
         assert len(forks) == 2
 
@@ -810,6 +832,21 @@ class TestPoolFrames:
         forks.clear()
         monkeypatch.setattr(exec_module, "time", ReadClock())
         assert run_plan(plan, workers=2) == list(range(4096))
+        assert len(forks) == 1
+
+    def test_no_runt_frame_ends_a_plan(self, forks, cuts, monkeypatch):
+        # The doubling ramp of 1, 2, 4, ... would leave one unit of a
+        # power-of-two plan behind, to cost a round trip of its own.
+        monkeypatch.setattr(exec_module, "time", ReadClock())
+        plan = ExecutionPlan(
+            units=[WorkUnit(runner=abs, payload=-v) for v in range(8192)],
+            merge=list,
+        )
+        assert run_plan(plan, workers=2) == list(range(8192))
+        sizes = [len(frame) for _, frame in cuts]
+        assert sum(sizes) == 8192 and 1 not in sizes[1:]
+        # Cheap frames went down behind the ones running.
+        assert any(spare for spare, _ in cuts)
         assert len(forks) == 1
 
     def test_serial_runs_log_no_framing(self, frame_log):
@@ -978,6 +1015,17 @@ class TestPoolTransport:
             merge=list,
         )
         assert run_plan(plan, workers=2) == run_plan(plan) == payloads
+
+    def test_spares_go_down_while_a_child_writes_a_large_reply(self, cuts):
+        # 256 KB up per unit and frames under the floor: a child writes
+        # one reply into a full pipe while its next frames come down.
+        payloads = [bytes([v]) * (1 << 18) for v in range(64)]
+        plan = ExecutionPlan(
+            units=[WorkUnit(runner=echo, payload=p) for p in payloads],
+            merge=list,
+        )
+        assert run_plan(plan, workers=2) == run_plan(plan) == payloads
+        assert any(spare for spare, _ in cuts)
 
     def test_the_parent_starts_no_thread(self):
         before = threading.active_count()
