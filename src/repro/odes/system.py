@@ -206,10 +206,6 @@ class EquationSystem:
         """Return the same system with a different label."""
         return EquationSystem(self.variables, self.equations, name=name)
 
-    def restricted_sum(self, values: Mapping[str, float]) -> float:
-        """Sum of variable values (should stay at 1 for complete systems)."""
-        return sum(values[v] for v in self.variables)
-
     # ------------------------------------------------------------------
     # Rendering
     # ------------------------------------------------------------------

@@ -148,10 +148,6 @@ class Term:
         """Return ``factor * self``."""
         return Term(self.coefficient * factor, dict(self.exponents))
 
-    def with_coefficient(self, coefficient: float) -> "Term":
-        """Return a term with the same monomial and a new coefficient."""
-        return Term(coefficient, dict(self.exponents))
-
     def times_variable(self, name: str, power: int = 1) -> "Term":
         """Return ``self * name**power`` (used by constant expansion)."""
         exps = dict(self.exponents)

@@ -88,10 +88,6 @@ class EndemicParams:
         z = (1.0 - x) / (1.0 + self.alpha / self.gamma)
         return {RECEPTIVE: x, STASH: y, AVERSE: z}
 
-    def trivial_equilibrium(self) -> Dict[str, float]:
-        """The all-receptive equilibrium (object lost)."""
-        return {RECEPTIVE: 1.0, STASH: 0.0, AVERSE: 0.0}
-
     def equilibrium_counts(self, n: int) -> Dict[str, float]:
         """Equilibrium in process counts for a group of size ``n``."""
         return {k: v * n for k, v in self.equilibrium().items()}

@@ -17,12 +17,8 @@ artifacts.
 
 Each period is one pass of :class:`~repro.runtime.planner.ActionPlanner`,
 the **census**: it draws *how many* hosts every action moves, per
-trial, from the period-start counts alone.  One broadcast multinomial
-splits every (trial, state) occupancy across that state's actions plus
-the no-op remainder, the exact peer-match law thins the splits, a push
-converts the distinct bins its surviving contacts hit, a tokenize
-delivers its tokens while unmoved members last, and the at-most-one-move
-rule is a hypergeometric overlap.  A run costs
+trial, from the period-start counts alone, through the count laws of
+:mod:`repro.runtime.laws`.  A run costs
 ``O(periods x M x S + push contacts)`` whatever ``N`` is.
 
 Faults are census operations too.  Hosts in one state are exchangeable,

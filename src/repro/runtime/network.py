@@ -81,9 +81,6 @@ class Network:
         """Detach an endpoint (crashed host): future contacts fail."""
         self._endpoints.pop(address, None)
 
-    def is_registered(self, address: int) -> bool:
-        return address in self._endpoints
-
     # ------------------------------------------------------------------
     # Contacts
     # ------------------------------------------------------------------

@@ -1,28 +1,17 @@
 """Per-period planning for the batch engine: how many hosts move.
 
-Every action of a :class:`~repro.synthesis.protocol.ProtocolSpec` is a
-biased coin flipped independently by each member of its actor state
-(a ``probability >= 1.0`` action is the coin that always lands heads).
-The paper's system model (Section 3) specifies one *multi-way* coin per
-actor per period: an actor in state ``s`` picks among ``s``'s actions
-with their respective probabilities or does nothing, so the number of
-actors firing each action is a **multinomial split** of the state's
-occupancy.  Hosts in one state are exchangeable, so the whole period is
-a step of the *census* Markov chain -- the ``(M, S)`` count matrix --
-the object mean-field analysis of population protocols is about
-(Bournez et al.; Chatzigiannakis & Spirakis) and that simulation of
-huge populations steps directly (Kosowski & Uznanski, "Population
-Protocols Are Fast").  :meth:`ActionPlanner.census` draws it: from the
-period-start counts alone, every action's new movers per trial, in
-declaration order, with count laws (table in docs/architecture.md):
-one broadcast multinomial over every (group, trial) -- a binomial when
-every coin has two sides; binomial condition thinning by the exact
-peer-match probability; for a push, the number of *distinct* bins hit
-by its surviving contacts thrown at the match state's members (drawn as
-positions); for a tokenize, the tokens capped by the unmoved
-token-state members; and the at-most-one-move rule as a hypergeometric
-overlap with the hosts that already left the state this period.  No
-host array exists, so its cost is independent of ``N``.
+The paper's system model (Section 3) gives each actor one *multi-way*
+coin per period: an actor in state ``s`` picks among ``s``'s actions
+with their respective probabilities or does nothing.  Hosts in one
+state are exchangeable, so the whole period is a step of the *census*
+Markov chain -- the ``(M, S)`` count matrix -- the object mean-field
+analysis of population protocols is about (Bournez et al.;
+Chatzigiannakis & Spirakis) and that simulation of huge populations
+steps directly (Kosowski & Uznanski).  :meth:`ActionPlanner.census`
+draws it from the period-start counts alone: every action's new movers
+per trial, in declaration order, through the count laws of
+:mod:`repro.runtime.laws`.  No host array exists, so its cost is
+independent of ``N``.
 
 Per-action marginals match the serial engine's -- ``Binomial(count,
 p * q)`` movers -- but actors fire *at most one* action of their state
@@ -42,7 +31,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .sampling import already_taken, distinct_throws, segment_ranks
+from .laws import (
+    BINOMIAL_SPLIT,
+    MULTINOMIAL_SPLIT,
+    OVERLAP,
+    PUSH,
+    RIDING_PUSH,
+    THINNING,
+    TOKEN_CAP,
+    TTL_BINOMIAL,
+    Law,
+)
+from .sampling import segment_ranks
 
 __all__ = ["ActionPlanner", "CensusError", "TrialMemberPools", "census_refusal"]
 
@@ -380,8 +380,9 @@ class _Step:
     #: An actor's own move that nothing overlaps and no later action of
     #: its state reads: its thinned heads are its movers.
     plain: bool = False
-    #: A full push whose contact binomial is drawn in the thinning call.
-    rides: bool = False
+    #: The laws (:mod:`repro.runtime.laws`) it draws each period, in the
+    #: order :meth:`ActionPlanner.census` draws them (a push's last).
+    laws: Tuple[Law, ...] = ()
 
 
 class ActionPlanner:
@@ -402,22 +403,18 @@ class ActionPlanner:
     * every other action joins its state's coin group, split by the
       multinomial and thinned by the count law (a ``probability >=
       1.0`` ``sample``/``anyof``/``tokenize`` is a group whose no-op
-      remainder is 0).  A group's probabilities sum to at most 1, and
-      no push looks for its own actor state: synthesized specs'
-      normalizing constant bounds each state's coin mass, and the batch
-      engine refuses a hand-built spec that does not fit
-      (:func:`census_refusal`) before it builds a planner.
+      remainder is 0).  The batch engine builds a planner only for a
+      spec that fits (:func:`census_refusal`).
 
     and lowers them, once, to a **period program** -- the thinning
     terms with kept views into the ``q`` buffer, the message-bearing
     cells, and one :class:`_Step` per action -- so that a period is its
     draws plus a fixed run of array operations (:meth:`describe` shows
-    the program; docs/experiment.md says what a period of it costs).
-    Lowering also picks the generator call each law is drawn by, from
-    the program alone: a split whose coins all have two sides is a
-    ``binomial``, and the first full push's contacts may be drawn in
-    the thinning call.  Either way the same bits are consumed in the
-    same order.
+    the program; docs/experiment.md says what a period of it costs),
+    each step holding the laws (:mod:`repro.runtime.laws`) it draws
+    through.  A two-sided split is the binomial split, and the first
+    full push's contacts may ride in the thinning call: either way the
+    same bits are consumed in the same order.
     """
 
     def __init__(
@@ -462,25 +459,29 @@ class ActionPlanner:
             [g.sid for g in self.coin_groups], dtype=np.int64
         )
         # Protocols whose coins are all flips or pushes skip the
-        # thinning draw statically.
-        self._thinning = any(
+        # thinning draw statically: None.
+        self._thinning: Optional[Law] = THINNING if any(
             a.kind in ("sample", "anyof", "tokenize")
             for g in self.coin_groups for a in g.actions
-        )
+        ) else None
         self._lower(width)
 
     def _lower(self, width: int) -> None:
         """Build the period program :meth:`census` runs."""
         #: A surviving contact lands on one given peer with this chance.
         self._contact = (1.0 - self._failure) / (self.n - 1)
-        #: When every group has one action each coin has two sides, and
-        #: numpy's two-category multinomial is one ``binomial`` per row,
-        #: row-major: a plain ``binomial`` over the ``(G, 1)`` heads
-        #: probabilities gives the same numbers and generator state.
-        #: (Contiguous: numpy checks a strided ``p`` in more calls.)
-        self._binomial_split = (
-            self._pvals[:, :, 0].copy() if width == 1 else None
-        )
+        #: The split law, its probabilities, and the index that cuts
+        #: its draw to the ``(G, M, width)`` heads.  numpy's
+        #: two-category multinomial is one ``binomial`` per row,
+        #: row-major, so two-sided coins draw by a plain (contiguous:
+        #: numpy checks a strided ``p`` in more calls) ``binomial``.
+        if width == 1:
+            self._split: Law = BINOMIAL_SPLIT
+            self._split_p = self._pvals[:, :, 0].copy()
+            self._split_cut: tuple = (Ellipsis, None)
+        else:  # the no-op side is the last column: dropped
+            self._split, self._split_p = MULTINOMIAL_SPLIT, self._pvals
+            self._split_cut = (Ellipsis, slice(None, -1))
         # The (G, M, A) thinning probabilities, rewritten in place each
         # period; cells of unconditioned actions and padding stay 1.0.
         # They head a flat buffer whose last M slots hold a riding
@@ -547,11 +548,11 @@ class ActionPlanner:
         # bits in the same order (a trial that fired nobody, ``n = 0``,
         # draws nothing in either).
         self._ride: Optional[_Step] = None
-        if self._thinning:
+        if self._thinning is not None:
             for step in self._steps:
                 action = step.action
                 if action.kind == "push" and step.cell is None:
-                    step.rides, self._ride = True, step
+                    self._ride = step
                     self._ride_n = np.empty(cells + self.trials, np.int64)
                     self._ride_heads = self._ride_n[:cells].reshape(shape)
                     #: Where the push's ``(M,)`` contacts and their
@@ -562,6 +563,19 @@ class ActionPlanner:
                     break
                 if action.kind in ("push", "tokenize") or step.overlaps:
                     break
+        # What each step draws, in census order: the objects the census
+        # draws through, which :meth:`describe` names.
+        for step in self._steps:
+            action = step.action
+            tokens = action.kind == "tokenize"
+            step.laws = tuple(law for law, drawn in (
+                (self._split, step.cell is not None),
+                (THINNING, step.q is not None),
+                (RIDING_PUSH if step is self._ride else PUSH,
+                 action.kind == "push"),
+                (TTL_BINOMIAL, tokens and action.ttl is not None),
+                (TOKEN_CAP, tokens),
+            ) if drawn)
 
     def _term(self, out: np.ndarray, action) -> Optional[np.ndarray]:
         """Lower one action's peer-match probability, kept in ``out``.
@@ -590,39 +604,19 @@ class ActionPlanner:
     def describe(self) -> List[Dict[str, object]]:
         """The period program as data: one row per compiled action.
 
-        ``laws`` names the draws the action takes each period, in the
-        order :meth:`census` makes them, by the generator call that
-        draws them, and ``overlap`` the earlier actions whose movers its
-        pick can land on -- empty when it can never reach the
-        hypergeometric.
+        ``laws`` names the laws the action draws each period
+        (:attr:`_Step.laws`), in the order :meth:`census` draws them,
+        and ``overlap`` the earlier actions whose movers its pick can
+        land on -- empty when it can never reach the hypergeometric.
         """
         steps = {step.action.index: step for step in self._steps}
-        split = (
-            "multinomial split" if self._binomial_split is None
-            else "binomial split"
-        )
         rows = []
         for index, action in enumerate(self._compiled):
-            step, laws = steps.get(index), []
-            if step is not None:
-                if step.cell is not None:
-                    laws.append(split)
-                if step.q is not None:
-                    laws.append("binomial thinning")
-                if step.rides:
-                    laws.append(
-                        "distinct-bin push (contacts in the thinning call)"
-                    )
-                elif action.kind == "push":
-                    laws.append("distinct-bin push")
-                if action.kind == "tokenize":
-                    if action.ttl is not None:
-                        laws.append("ttl binomial")
-                    laws.append("token cap")
+            step = steps.get(index)
             rows.append({
                 "index": index, "kind": action.kind,
                 "edge": (int(action.edge_from), int(action.target)),
-                "laws": tuple(laws),
+                "laws": tuple(law.name for law in step.laws) if step else (),
                 "overlap": step.overlaps if step is not None else (),
             })
         return rows
@@ -646,15 +640,10 @@ class ActionPlanner:
         per-trial peer-contact counts.
 
         *Proposals* come first -- the hosts each action would move on
-        its own: multinomial heads thinned by the peer-match binomial,
-        a push's distinct targets, a tokenize's fired tokens.  The
-        at-most-one-move rule then runs in declaration order on counts:
-        a proposal is a uniform subset of its source state, so the
-        number of proposed hosts that already left the state this
-        period is hypergeometric, and only the rest are new.  The picks
-        of one multinomial are disjoint by construction, so a coin
-        group's own earlier picks are excluded from that population --
-        and an action the program knows nothing else can overlap
+        its own -- and then the at-most-one-move rule, in declaration
+        order: the proposed hosts that already left the state this
+        period (``laws.OVERLAP``; a coin group's own earlier picks are
+        disjoint from it) are not new.  An action nothing can overlap
         (:attr:`_Step.plain`) moves its thinned heads as they are.
         """
         cols = counts0.T  # cols[s]: state s's (M,) column
@@ -691,12 +680,9 @@ class ActionPlanner:
         ride, hits = self._ride, None
         if self._pvals is not None:
             occupancy = cols.take(self._group_sids, axis=0)
-            if self._binomial_split is None:
-                heads = rng.multinomial(occupancy, self._pvals)[:, :, :-1]
-            else:
-                heads = rng.binomial(
-                    occupancy, self._binomial_split
-                )[:, :, None]
+            heads = self._split.draw(rng)(
+                occupancy, self._split_p
+            )[self._split_cut]
             if ride is not None:
                 # The thinning cells, then the riding push's contacts:
                 # ``Binomial(fired * fanout, min(c_match * contact, 1))``.
@@ -706,11 +692,11 @@ class ActionPlanner:
                 np.multiply(fired[action.index], action.fanout, out=contacts)
                 np.multiply(cols[action.edge_from], contact, out=push_q)
                 np.minimum(push_q, 1.0, out=push_q)
-                drawn = rng.binomial(self._ride_n, self._ride_p)
+                drawn = self._thinning.draw(rng)(self._ride_n, self._ride_p)
                 thinned = drawn[:self._q.size].reshape(self._q.shape)
                 hits = drawn[self._q.size:]
-            elif self._thinning:
-                thinned = rng.binomial(heads, self._q)
+            elif self._thinning is not None:
+                thinned = self._thinning.draw(rng)(heads, self._q)
             else:
                 thinned = heads
             for g, a, width in self._charges:
@@ -740,9 +726,17 @@ class ActionPlanner:
             members = cols[source]
             gone = left.get(source)
             if action.kind == "push":
-                take = self._push_targets(
-                    rng, action, take, members, hits if step.rides else None
-                )
+                # The push law, its last: ``K`` matched contacts, each
+                # hitting one of the ``members`` alive match-state hosts
+                # with ``q = (1 - f) * members / (n - 1)``, then the
+                # distinct bins among them.  A riding push's ``K`` came
+                # with the thinning call.
+                law, hit = step.laws[-1], hits
+                if step is not ride:
+                    q = members * contact  # >= 0: clipped from above only
+                    np.minimum(q, 1.0, out=q)
+                    hit = law.contacts(rng)(take * action.fanout, q)
+                take = law.draw(rng, members, hit)
             if action.kind == "tokenize":
                 unmoved = members if gone is None else members - gone
                 if action.ttl is not None:
@@ -750,11 +744,11 @@ class ActionPlanner:
                         unmoved, alive_counts,
                         out=np.zeros(self.trials), where=alive_counts > 0,
                     )
-                    take = rng.binomial(
+                    take = TTL_BINOMIAL.draw(rng)(
                         take, 1.0 - (1.0 - fraction) ** action.ttl
                     )
                 # Tokens route to unmoved members only; excess drops.
-                new = np.minimum(take, unmoved)
+                new = TOKEN_CAP.draw(take, unmoved)
             else:
                 new = take
                 if step.overlaps and gone is not None:
@@ -762,42 +756,10 @@ class ActionPlanner:
                     taken = gone
                     for a in step.own:
                         taken = taken - thinned[g, :, a]
-                    landed = already_taken(rng, taken, members - gone, take)
+                    landed = OVERLAP.draw(rng, taken, members - gone, take)
                     if landed is not None:
                         new = take - landed
             if new is proposal or np.count_nonzero(new):
                 left[source] = new if gone is None else gone + new
                 moves.append((action, new))
         return moves, messages
-
-    def _push_targets(
-        self,
-        rng: np.random.Generator,
-        action,
-        heads: np.ndarray,
-        members: np.ndarray,
-        hits: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """How many distinct match-state members a push's contacts hit.
-
-        A firing push actor's ``fanout`` contacts are iid uniform over
-        its ``n - 1`` peers, each independently surviving the
-        connection-failure coin; a contact *converts* its target iff
-        the target is an alive member of the match state (``members``
-        of them per trial; dead hosts keep their slot and fail the
-        check).  The match state is not the actor state
-        (:func:`census_refusal`), so every contact hits with the same
-        exact probability ``q = (1 - f) * c_match / (n - 1)``, and the
-        surviving matched contacts are ``K ~ Binomial(heads * fanout,
-        q)``, each landing on a uniform member: the movers are the
-        distinct bins among ``K`` uniform positions ``< c_match`` -- the
-        occupancy law, the serial engine's ``unique(targets[ok])``
-        without a host in sight.  A trial whose match state is empty
-        draws nothing at all.  A riding push (:attr:`_Step.rides`)
-        hands in ``hits``, ``K`` as the thinning call drew it.
-        """
-        if hits is None:
-            q = members * self._contact  # >= 0: clipped from above only
-            np.minimum(q, 1.0, out=q)
-            hits = rng.binomial(heads * action.fanout, q)
-        return distinct_throws(rng, members, hits)

@@ -321,9 +321,6 @@ class RunResult:
     def final_counts(self) -> Dict[str, int]:
         return self.engine.counts()
 
-    def final_fractions(self) -> Dict[str, float]:
-        return self.engine.fractions()
-
 
 class RoundEngine(HostFaults):
     """Synchronous-round simulator for one protocol instance.

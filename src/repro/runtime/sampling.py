@@ -172,11 +172,9 @@ def already_taken(
     rest: np.ndarray,
     take: np.ndarray,
 ) -> Optional[np.ndarray]:
-    """How many of ``take[s]`` uniform picks fall among ``taken[s]``.
-
-    The census pass's overlap law: of a uniform ``take``-subset of
-    ``taken + rest`` elements, ``Hypergeometric(taken, rest, take)``
-    are among the ``taken``, per segment.  Returns None, and draws
+    """How many of ``take[s]`` uniform picks fall among ``taken[s]``,
+    of ``taken[s] + rest[s]``: the census pass's overlap law
+    (``laws.OVERLAP``), per segment.  Returns None, and draws
     nothing, when nothing is taken (no segment has anything to land
     on) or no element can draw: one with ``take = 0``, or with ``taken
     = 0`` and a ``take`` below ten, returns 0 with the generator

@@ -189,17 +189,9 @@ class ProtocolService:
         if close and self.core.started and not self.core.closed:
             self.core.close()
 
-    async def run_to_completion(self) -> None:
-        """Wait for the loop to end on its own (``max_periods``)."""
-        await self.finished.wait()
-        await self.stop()
-
     # ------------------------------------------------------------------
     # Client surface (atomic: the core runs inside the event loop)
     # ------------------------------------------------------------------
-    async def submit(self, kind: str, data: Mapping[str, Any]) -> Dict[str, Any]:
-        return self.core.apply_event(kind, data).to_dict()
-
     async def query(
         self, op: str, params: Optional[Mapping[str, Any]] = None
     ) -> Dict[str, Any]:

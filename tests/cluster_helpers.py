@@ -16,6 +16,7 @@ that are ``("frame", start, stop)`` ranges of it.
 import os
 import pickle
 import selectors
+import signal
 import socket
 import time
 
@@ -36,6 +37,11 @@ def slow_double(payload):
     value, seconds = payload
     time.sleep(seconds)
     return value * 2
+
+
+def kill_self(payload):
+    """SIGKILL the process the unit runs in, every time."""
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
 def unit_pid(payload):

@@ -203,3 +203,45 @@ def assert_means_agree(
         f"{context or 'means'}: ensemble means {first.mean():.3f} vs "
         f"{second.mean():.3f}: z = {z:.2f} exceeds +/-{bound:.2f}"
     )
+
+
+def assert_pmf_fits(
+    outcomes: Sequence[int],
+    pmf: Sequence[float],
+    comparisons: int = 1,
+    context: str = "",
+) -> None:
+    """Assert iid draws follow ``pmf`` over ``0 .. len(pmf) - 1``.
+
+    A chi-squared goodness of fit at the family's level.  A draw where
+    ``pmf`` is 0 fails outright; cells are pooled, in order, until each
+    expects at least 5 draws (a tail left over joins the last cell), so
+    a point mass is checked by its support alone.
+    """
+    from scipy.special import chdtrc  # the chi-squared survival function
+
+    outcomes = np.asarray(outcomes, dtype=np.int64).ravel()
+    pmf = np.asarray(pmf, dtype=float).ravel()
+    inside = (outcomes >= 0) & (outcomes < pmf.size)
+    assert inside.all() and (pmf[outcomes] > 0.0).all(), (
+        f"{context or 'draws'}: a draw outside the pmf's support"
+    )
+    observed = np.bincount(outcomes, minlength=pmf.size)
+    cells, held = [], np.zeros(2)
+    for pair in zip(observed, pmf * outcomes.size):
+        held += pair
+        if held[1] >= 5.0:
+            cells.append(held)
+            held = np.zeros(2)
+    if cells:
+        cells[-1] = cells[-1] + held
+    if len(cells) < 2:
+        return
+    seen, expected = np.array(cells).T
+    statistic = float(((seen - expected) ** 2 / expected).sum())
+    p_value = float(chdtrc(len(cells) - 1, statistic))
+    assert p_value >= FAMILY_ALPHA / comparisons, (
+        f"{context or 'draws'}: chi-squared {statistic:.1f} on "
+        f"{len(cells) - 1} degrees of freedom over {outcomes.size} draws: "
+        f"p = {p_value:.2e} below {FAMILY_ALPHA / comparisons:.1e}"
+    )

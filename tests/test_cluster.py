@@ -591,6 +591,27 @@ class TestClusterRunPlan:
         assert merged[0] is failure
         assert merged[1:] == [2, 4]
 
+    @pytest.mark.heavy  # five worker interpreters: ~2 s
+    def test_a_spent_spawn_budget_stalls_the_plan(self, worker_path):
+        # One worker may be started 1 * 3 + 2 = 5 times.  Unit 0 kills
+        # launches 0-2 and is exhausted; unit 1 kills launches 3 and 4
+        # and still has a dispatch left, but no worker may start.
+        failures = []
+        with pytest.raises(RuntimeError, match="stalled") as stalled:
+            run_plan(
+                plan_of([0, 1], runner=helpers.kill_self), workers=1,
+                backend="cluster", on_failure=failures.append,
+                fault_policy=fast_policy(
+                    on_error="skip", retries=0, max_dispatches=3
+                ),
+            )
+        assert "spawn budget (5) spent, 1 unit(s) still pending" in str(
+            stalled.value
+        )
+        assert "raise FaultPolicy.max_dispatches" in str(stalled.value)
+        (failure,) = failures
+        assert (failure.index, failure.attempts) == (0, 3)
+
     def test_sigterm_drains_in_flight_units_then_raises(self, worker_path):
         landed = []
 

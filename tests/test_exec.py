@@ -18,6 +18,7 @@ import repro.runtime.exec as exec_module
 from cluster_helpers import (
     contract_unit,
     framing,
+    kill_self,
     make_unpicklable,
     mixed_plan,
     mixed_unit,
@@ -1136,6 +1137,34 @@ class TestWorkerLost:
         lost = [r for r in caplog.records if r.levelname == "WARNING"]
         assert len(lost) == 3
         assert all(r.name == "repro.runtime.exec" for r in lost)
+
+    def test_a_spent_spawn_budget_stalls_the_plan(self, caplog):
+        # Two workers may start 2 * 3 + 2 = 8 children, and three units
+        # that kill every child they reach take 9 to exhaust: the eighth
+        # dies holding a unit with a dispatch left, and no child may
+        # start to take it.  (The pool fans out from two workers on.)
+        plan = ExecutionPlan(
+            units=[WorkUnit(runner=kill_self, payload=v, label=f"u{v}")
+                   for v in range(3)],
+            merge=list, label="stalled-plan",
+        )
+        failures = []
+        with pytest.raises(RuntimeError, match="stalled") as stalled:
+            run_plan(
+                plan, workers=2, on_failure=failures.append,
+                fault_policy=FaultPolicy(
+                    on_error="skip", retries=0, max_dispatches=3
+                ),
+            )
+        assert str(stalled.value).startswith("stalled-plan: stalled")
+        assert "spawn budget (8) spent, 1 unit(s) still pending" in str(
+            stalled.value
+        )
+        assert "raise FaultPolicy.max_dispatches" in str(stalled.value)
+        assert len(failures) == 2
+        assert all(f.attempts == 3 for f in failures)
+        lost = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(lost) == 8
 
 
 # ----------------------------------------------------------------------
