@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from ..runtime.parallel import TIERS, EnsembleExecutor
-from ..runtime.round_engine import initial_state_vector
+from ..runtime.round_engine import check_group_size, initial_counts
 from .scenario import Scenario
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -86,8 +86,8 @@ class RunPoint:
             kind, noun = _KINDS.get(f.type, (object, ""))
             if noun and (isinstance(value, bool) or not isinstance(value, kind)):
                 raise ValueError(f"{f.name} must be {noun}, got {value!r}")
+        check_group_size(self.n)
         for broken, message in (
-            (self.n < 2, f"group size must be >= 2, got {self.n}"),
             (not 0.0 <= self.loss_rate < 1.0,
              f"loss rate must lie in [0, 1), got {self.loss_rate}"),
             (self.trials < 1, f"trials must be >= 1, got {self.trials}"),
@@ -174,7 +174,7 @@ class RunPoint:
             dict(self.initial) if self.initial is not None
             else resolved.initial
         )
-        initial_state_vector(resolved.spec.states, self.n, initial)
+        initial_counts(resolved.spec.states, self.n, initial)
         executor = EnsembleExecutor(
             resolved.spec, n=self.n, trials=self.trials, initial=initial,
             seed=self.seed, connection_failure_rate=self.loss_rate,

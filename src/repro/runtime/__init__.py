@@ -62,7 +62,12 @@ from .parallel import (
 )
 from .planner import ActionPlanner, CensusError
 from .rng import RandomSource, make_generator, sample_other, spawn_seeds
-from .round_engine import RoundEngine, RunResult, initial_state_vector
+from .round_engine import (
+    RoundEngine,
+    RunResult,
+    initial_counts,
+    initial_state_vector,
+)
 
 __all__ = [
     "RoundEngine",
@@ -88,6 +93,7 @@ __all__ = [
     "EnsembleResult",
     "shard_layout",
     "SHARD_DOMAIN",
+    "initial_counts",
     "initial_state_vector",
     "AgentSimulation",
     "Environment",

@@ -65,7 +65,7 @@ from ..synthesis.protocol import ProtocolSpec
 from .churn import GeneratedTrace
 from .metrics import BatchMetricsRecorder, Edge
 from .planner import ActionPlanner, CensusError, census_refusal
-from .round_engine import _compile, initial_state_vector
+from .round_engine import _compile, check_group_size, initial_counts
 from .rng import RandomSource, make_generator, spawn_seeds
 
 #: A per-trial hook factory: called with the trial index, returns a hook
@@ -249,7 +249,7 @@ class BatchRoundEngine:
         Number of independent trials M.
     initial:
         Initial distribution, counts or fractions (resolved identically
-        to :class:`RoundEngine` via ``initial_state_vector``); every
+        to :class:`RoundEngine` via ``initial_counts``); every
         trial starts from the same counts.
     seed:
         Root seed of the batch stream; :attr:`trial_seeds` labels the
@@ -270,8 +270,7 @@ class BatchRoundEngine:
         connection_failure_rate: float = 0.0,
         mode: str = "batch",
     ):
-        if n < 2:
-            raise ValueError(f"group size must be >= 2, got {n}")
+        check_group_size(n)
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
         if mode != "batch":
@@ -311,12 +310,10 @@ class BatchRoundEngine:
         # Per faulted trial: whether a churn replay (True) or a count
         # fault (False) moved its hosts first (BatchTrialView._moved_by).
         self._churned: Dict[int, bool] = {}
-        base = initial_state_vector(self.state_names, n, initial)
-        base_counts = np.bincount(
-            base, minlength=len(self.state_names)
-        ).astype(np.int64)
         # The census IS the state: (M, S) alive counts per state.
-        self._counts = np.tile(base_counts, (trials, 1))
+        self._counts = np.tile(
+            initial_counts(self.state_names, n, initial), (trials, 1)
+        )
         self._alive_counts = np.full(trials, n, dtype=np.int64)
         self._total_messages = np.zeros(trials, dtype=np.int64)
         refusal = census_refusal(self._compiled, spec.states)

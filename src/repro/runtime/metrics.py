@@ -15,6 +15,13 @@ the batch engine writes ``(M, S)`` rows, a serial or agent run writes
 ``(1, S)`` rows, and serial and agent ensembles are the per-trial
 recorders put together with :meth:`BatchMetricsRecorder.merge`, the
 merge the sharded batch executor uses.
+
+Every slab holds its counts as 32-bit integers (``_SLAB``): no tier
+runs a group past ``2**31 - 1`` hosts (the engines refuse one by
+name), so no count, alive population or mover count can exceed it, and
+:meth:`BatchMetricsRecorder.record` refuses a value that would wrap.
+The accessors widen on the way out and hand out C-contiguous int64
+copies, so no reader sees the narrower type.
 """
 
 from __future__ import annotations
@@ -25,6 +32,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 Edge = Tuple[str, str]
+
+#: The one dtype of every recorder slab: counts, alive and transitions.
+_SLAB = np.dtype(np.int32)
+_SLAB_MIN, _SLAB_MAX = int(np.iinfo(_SLAB).min), int(np.iinfo(_SLAB).max)
+#: The most hosts one group may have: the largest count a slab holds.
+GROUP_SIZE_LIMIT = _SLAB_MAX
 
 #: Bytes of counts a recorder's first slab holds when nobody said how
 #: many periods are coming; slabs double from there.  Capacity nobody
@@ -59,6 +72,22 @@ class WindowStats:
         )
 
 
+def _wraps(values: np.ndarray) -> bool:
+    """Whether any integer of ``values`` lies outside a slab's range."""
+    return values.size > 0 and (
+        values.min() < _SLAB_MIN or values.max() > _SLAB_MAX
+    )
+
+
+def _widened(view: np.ndarray) -> np.ndarray:
+    """A slab view as the C-contiguous int64 copy every accessor returns.
+
+    One pass: a transposed view's ``astype`` would keep its strides,
+    and the caller's next C-order use would copy it again.
+    """
+    return np.ascontiguousarray(view, dtype=np.int64)
+
+
 def trial_rows(
     states: Sequence[str],
     counts: Mapping[str, int],
@@ -90,7 +119,9 @@ class BatchMetricsRecorder:
     edge that ever carried a mover, cut to a run's length by
     :meth:`reserve` or else doubled -- so a recorded period is a few row
     writes, a merge one concatenate per slab, and a pickled recorder
-    its slabs cut to length.
+    its slabs cut to length.  The slabs are int32 (4 bytes per count,
+    28 bytes per trial-period for three states and three edges); every
+    accessor returns a C-contiguous int64 copy.
 
     Parameters
     ----------
@@ -129,8 +160,8 @@ class BatchMetricsRecorder:
         self.periods: List[int] = []
         # Rows past len(self.periods) are capacity, never read.
         self._shape = (trials, len(self.states))
-        self._counts = np.empty((0,) + self._shape, dtype=np.int64)
-        self._alive = np.empty((0, trials), dtype=np.int64)
+        self._counts = np.empty((0,) + self._shape, dtype=_SLAB)
+        self._alive = np.empty((0, trials), dtype=_SLAB)
         #: Per edge seen so far: its (capacity, M) movers, zero where
         #: a recorded period did not report the edge.
         self._transitions: Dict[Edge, np.ndarray] = {}
@@ -165,6 +196,7 @@ class BatchMetricsRecorder:
                 f"alive shape {alive.shape} dtype {alive.dtype}: need "
                 f"integers of shape {self._shape} and {self._shape[:1]}"
             )
+        rows = [counts, alive]
         for edge, moved in (transitions or {}).items():
             moved = np.asarray(moved)
             if moved.shape != self._shape[:1] or moved.dtype.kind not in "iu":
@@ -173,6 +205,22 @@ class BatchMetricsRecorder:
                     f"{moved.dtype}: need integers of shape "
                     f"{self._shape[:1]}"
                 )
+            rows.append(moved)
+        # ... and would wrap a value outside int32: one flat pass over
+        # every row (float64 where uint64 meets int64, exact for every
+        # value that fits), and the field is named only on failure.
+        if _wraps(np.concatenate(rows, axis=None)):
+            names = ["counts", "alive"]
+            names += [f"transitions {edge}" for edge in transitions or {}]
+            field, values = next(
+                (name, row) for name, row in zip(names, rows) if _wraps(row)
+            )
+            high = values.max()
+            raise ValueError(
+                f"{field} holds {high if high > _SLAB_MAX else values.min()}"
+                f", outside the recorder's {_SLAB} range "
+                f"[{_SLAB_MIN}, {_SLAB_MAX}]"
+            )
         if (self.member_log_state is not None and members is not None
                 and len(members) != self.trials):
             raise ValueError(
@@ -197,7 +245,7 @@ class BatchMetricsRecorder:
         """
         row = len(self.periods)
         if row == len(self._counts):
-            self._grow(2 * row or max(16, _FIRST_SLAB // counts.nbytes))
+            self._grow(2 * row or max(16, self._rows_in(_FIRST_SLAB)))
         self.periods.append(period)
         self._counts[row] = counts
         self._alive[row] = alive
@@ -208,7 +256,7 @@ class BatchMetricsRecorder:
                     slab = slabs[edge]
                 except KeyError:
                     slab = slabs[edge] = np.zeros(
-                        self._alive.shape, dtype=np.int64
+                        self._alive.shape, dtype=_SLAB
                     )
                 slab[row] = moved
         if self.member_log_state is not None and members is not None:
@@ -227,15 +275,18 @@ class BatchMetricsRecorder:
         a far-off horizon with an early ``stop`` maps no more than
         ``_RESERVE_CAP`` bytes of counts; past that the slabs double.
         """
-        row_bytes = 8 * self.trials * len(self.states)
-        capacity = len(self.periods) + min(rows, _RESERVE_CAP // row_bytes)
+        capacity = len(self.periods) + min(rows, self._rows_in(_RESERVE_CAP))
         if capacity > len(self._counts):
             self._grow(max(capacity, 2 * len(self._counts)))
+
+    def _rows_in(self, nbytes: int) -> int:
+        """How many periods of counts ``nbytes`` of slab hold."""
+        return nbytes // (_SLAB.itemsize * self.trials * len(self.states))
 
     def _grow(self, capacity: int) -> None:
         """Reallocate every slab with room for ``capacity`` periods."""
         def grown(slab: np.ndarray, fill) -> np.ndarray:
-            out = fill((capacity,) + slab.shape[1:], dtype=np.int64)
+            out = fill((capacity,) + slab.shape[1:], dtype=_SLAB)
             out[:len(self.periods)] = slab[:len(self.periods)]
             return out
 
@@ -307,7 +358,7 @@ class BatchMetricsRecorder:
         merged._alive = np.concatenate(
             [p._alive[:rows] for p in parts], axis=1
         )
-        zeros = [np.zeros((rows, p.trials), dtype=np.int64) for p in parts]
+        zeros = [np.zeros((rows, p.trials), dtype=_SLAB) for p in parts]
         for edge in dict.fromkeys(e for p in parts for e in p._transitions):
             merged._transitions[edge] = np.concatenate([
                 p._transitions[edge][:rows] if edge in p._transitions
@@ -331,16 +382,16 @@ class BatchMetricsRecorder:
 
     def count_tensor(self) -> np.ndarray:
         """All counts as one ``(M, periods, S)`` tensor (a copy)."""
-        return self._counts[:len(self.periods)].transpose(1, 0, 2).copy()
+        return _widened(self._counts[:len(self.periods)].transpose(1, 0, 2))
 
     def counts(self, state: str) -> np.ndarray:
         """Count series of one state, shape ``(M, periods)``."""
         index = self.states.index(state)
-        return self._counts[:len(self.periods), :, index].T.copy()
+        return _widened(self._counts[:len(self.periods), :, index].T)
 
     def alive_tensor(self) -> np.ndarray:
         """Alive population per trial and period, shape ``(M, periods)``."""
-        return self._alive[:len(self.periods)].T.copy()
+        return _widened(self._alive[:len(self.periods)].T)
 
     def fractions(self, state: str) -> np.ndarray:
         """Per-trial state fractions among alive, shape ``(M, periods)``."""
@@ -356,7 +407,7 @@ class BatchMetricsRecorder:
         slab = self._transitions.get(edge)
         if slab is None:
             return np.zeros((self.trials, rows), dtype=np.int64)
-        return slab[:rows].T.copy()
+        return _widened(slab[:rows].T)
 
     def trial_member_log(self, trial: int) -> List[Tuple[int, np.ndarray]]:
         """One trial's member log, as ``[(period, member ids), ...]``.
@@ -410,7 +461,7 @@ class BatchMetricsRecorder:
         """Counts at the most recent recorded period, shape ``(M, S)``."""
         if not self.periods:
             return np.zeros((self.trials, len(self.states)), dtype=np.int64)
-        return self._counts[len(self.periods) - 1].copy()
+        return _widened(self._counts[len(self.periods) - 1])
 
     def window(
         self, state: str, start_period: int, end_period: Optional[int] = None

@@ -60,7 +60,7 @@ from ..synthesis.actions import (
     TokenizeAction,
 )
 from ..synthesis.protocol import ProtocolSpec
-from .metrics import BatchMetricsRecorder, trial_rows
+from .metrics import GROUP_SIZE_LIMIT, BatchMetricsRecorder, trial_rows
 from .rng import (
     RandomSource,
     SnapshotError,
@@ -166,15 +166,15 @@ def _compile(spec: ProtocolSpec) -> List[_Compiled]:
     return compiled
 
 
-def initial_state_vector(
+def initial_counts(
     state_names: Sequence[str], n: int, initial: Mapping[str, float]
 ) -> np.ndarray:
-    """The unshuffled initial state assignment for one protocol group.
+    """How many of ``n`` hosts start in each state, as int64 ``(S,)``.
 
     Accepts counts (summing to ``n``) or fractions (summing to 1) and
-    applies largest-remainder rounding; shared by :class:`RoundEngine`
-    and :class:`~repro.runtime.batch_engine.BatchRoundEngine` so both
-    engines resolve an initial distribution to identical state counts.
+    applies largest-remainder rounding; shared by every tier so all of
+    them resolve an initial distribution to identical state counts.
+    Allocates nothing of size ``n``.
     """
     unknown = set(initial) - set(state_names)
     if unknown:
@@ -196,7 +196,36 @@ def initial_state_vector(
     fractional = values - np.floor(values)
     for index in np.argsort(-fractional)[:remainder]:
         counts[index] += 1
-    return np.repeat(np.arange(len(state_names), dtype=np.int8), counts)
+    return counts
+
+
+def initial_state_vector(
+    state_names: Sequence[str], n: int, initial: Mapping[str, float]
+) -> np.ndarray:
+    """The unshuffled initial state assignment for one protocol group.
+
+    :func:`initial_counts` as one state id per host, for the tiers that
+    track hosts (:class:`RoundEngine`, the agent tier).
+    """
+    return np.repeat(
+        np.arange(len(state_names), dtype=np.int8),
+        initial_counts(state_names, n, initial),
+    )
+
+
+def check_group_size(n: int) -> None:
+    """Refuse a group size no tier runs, before anything is allocated.
+
+    At least two hosts, and no more than an int32 recorder slab counts:
+    a larger group is refused by name, never wrapped.
+    """
+    if n < 2:
+        raise ValueError(f"group size must be >= 2, got {n}")
+    if n > GROUP_SIZE_LIMIT:
+        raise ValueError(
+            f"group size {n} exceeds {GROUP_SIZE_LIMIT}, the most hosts "
+            f"an int32 recorder slab counts"
+        )
 
 
 class HostFaults:
@@ -354,8 +383,7 @@ class RoundEngine(HostFaults):
         connection_failure_rate: float = 0.0,
         shuffle: bool = True,
     ):
-        if n < 2:
-            raise ValueError(f"group size must be >= 2, got {n}")
+        check_group_size(n)
         if not 0.0 <= connection_failure_rate < 1.0:
             raise ValueError(
                 f"connection failure rate must lie in [0, 1), got "

@@ -681,7 +681,7 @@ class TestRecorderSlabs:
 
         monkeypatch.setattr(metrics, "_FIRST_SLAB", 1 << 20)
         recorder = self.run(5)
-        assert len(recorder._counts) == (1 << 20) // (3 * 3 * 8)
+        assert len(recorder._counts) == (1 << 20) // (3 * 3 * 4)
         assert len(recorder._alive) == len(recorder._counts)
         recorder.check()
 
@@ -722,7 +722,7 @@ class TestRecorderSlabs:
     def test_a_far_horizon_is_not_mapped(self, monkeypatch):
         from repro.runtime import metrics
 
-        monkeypatch.setattr(metrics, "_RESERVE_CAP", 40 * 3 * 3 * 8)
+        monkeypatch.setattr(metrics, "_RESERVE_CAP", 40 * 3 * 3 * 4)
         params = EndemicParams(alpha=0.01, gamma=0.1, b=2)
         spec = figure1_protocol(params)
         engine = BatchRoundEngine(
@@ -895,6 +895,190 @@ class TestRecorderSlabs:
         for old, new in zip(before[1:5], after[1:5]):
             assert np.array_equal(old, new)
         assert before[5] == after[5]
+
+
+class TestInt32Slabs:
+    """The slabs hold 4 bytes a count; every reader still sees int64."""
+
+    def test_a_long_run_keeps_four_bytes_a_count(self):
+        params = EndemicParams(alpha=1e-6, gamma=1e-3, b=2)
+        spec = figure1_protocol(params)
+        engine = BatchRoundEngine(
+            spec, n=10_000, trials=32,
+            initial=params.equilibrium_counts(10_000), seed=23,
+        )
+        recorder = ListRecorder(spec.states, 32)
+        engine.run(8_000, recorder=recorder)
+        assert len(recorder.periods) == 8_001
+        assert recorder._counts.itemsize == 4
+        assert recorder._counts.dtype == recorder._alive.dtype == np.int32
+        assert recorder._transitions
+        assert all(s.dtype == np.int32 for s in recorder._transitions.values())
+        recorder.check()  # equal to the int64 lists, accessor by accessor
+        edge = recorder.edges_seen()[0]
+        for out in (
+            recorder.count_tensor(), recorder.counts("y"),
+            recorder.alive_tensor(), recorder.transition_tensor(edge),
+            recorder.transition_tensor(("nobody", "moved")),
+            recorder.last_counts(),
+        ):
+            assert out.dtype == np.int64 and out.flags.c_contiguous
+
+    def test_merge_and_pickle_keep_the_slab_dtype(self):
+        import pickle
+
+        params = EndemicParams(alpha=0.01, gamma=0.1, b=2)
+        spec = figure1_protocol(params)
+        parts = []
+        for seed in (1, 2):
+            recorder = BatchMetricsRecorder(spec.states, 3)
+            BatchRoundEngine(
+                spec, n=200, trials=3, initial=params.equilibrium_counts(200),
+                seed=seed,
+            ).run(50, recorder=recorder)
+            parts.append(pickle.loads(pickle.dumps(recorder)))
+        merged = BatchMetricsRecorder.merge(parts)
+        slabs = [merged._counts, merged._alive, *merged._transitions.values()]
+        assert all(slab.dtype == np.int32 for slab in slabs)
+        assert merged.count_tensor().dtype == np.int64
+        assert np.array_equal(
+            merged.count_tensor(),
+            np.concatenate([p.count_tensor() for p in parts]),
+        )
+
+    @pytest.mark.parametrize("field", ["counts", "alive", "transitions"])
+    @pytest.mark.parametrize("value", [2**40, 2**31, -(2**31) - 1])
+    def test_a_value_past_int32_is_refused_by_name(self, field, value):
+        recorder = BatchMetricsRecorder(("a", "b"), trials=3)
+        rows = {
+            "counts": np.full((3, 2), 5), "alive": np.full(3, 10),
+            "transitions": {("a", "b"): np.ones(3, dtype=np.int64)},
+        }
+        recorder.record(0, **rows)
+        if field == "transitions":
+            rows[field][("a", "b")][1] = value
+        else:
+            rows[field][-1] = value
+        name = "transitions \\('a', 'b'\\)" if field == "transitions" else field
+        with pytest.raises(
+            ValueError, match=f"^{name} holds {value}, outside .* int32"
+        ):
+            recorder.record(1, **rows)
+        assert recorder.periods == [0]
+        assert recorder.count_tensor().tolist() == [[[5, 5]]] * 3
+
+    def test_the_int32_extremes_read_back_exactly(self):
+        recorder = BatchMetricsRecorder(("a", "b"), trials=2)
+        top, bottom = 2**31 - 1, -(2**31)
+        counts = np.array([[top, 0], [bottom, 7]])
+        recorder.record(0, counts, np.array([top, 1], dtype=np.uint64),
+                        {("a", "b"): np.array([top, bottom])})
+        assert recorder.count_tensor()[:, 0].tolist() == counts.tolist()
+        assert recorder.alive_tensor().tolist() == [[top], [1]]
+        assert recorder.transition_tensor(("a", "b")).tolist() == [
+            [top], [bottom],
+        ]
+        # uint64 beside int64 is checked exactly too.
+        with pytest.raises(ValueError, match=f"^alive holds {2**63}, "):
+            recorder.record(1, counts, np.array([2**63, 1], dtype=np.uint64))
+        with pytest.raises(ValueError, match=f"^counts holds {top + 1}, "):
+            recorder.record(1, counts + 1, np.array([1, 1]))
+        assert recorder.periods == [0]
+
+    def test_the_first_slab_is_sized_by_the_slab_not_the_caller(
+        self, monkeypatch
+    ):
+        from repro.runtime import metrics
+
+        monkeypatch.setattr(metrics, "_FIRST_SLAB", 1 << 20)
+        lengths = []
+        for dtype in (np.int8, np.int32, np.int64):
+            recorder = BatchMetricsRecorder(("a", "b", "c"), trials=3)
+            recorder.record(
+                0, np.ones((3, 3), dtype=dtype), np.full(3, 3, dtype=dtype)
+            )
+            lengths.append(len(recorder._counts))
+        assert lengths == [(1 << 20) // (3 * 3 * 4)] * 3
+
+
+class TestGroupSizeCeiling:
+    """No engine runs a group its recorder's int32 slabs cannot count."""
+
+    @staticmethod
+    def traced_peak(build):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("engine", ["batch", "serial"])
+    def test_a_group_past_int32_is_refused_before_any_allocation(
+        self, engine
+    ):
+        from repro.runtime.metrics import GROUP_SIZE_LIMIT
+
+        params = EndemicParams(alpha=0.01, gamma=0.1, b=2)
+        spec, n = figure1_protocol(params), GROUP_SIZE_LIMIT + 1
+        fractions = {"x": 0.5, "y": 0.3, "z": 0.2}
+
+        def build():
+            with pytest.raises(
+                ValueError, match=f"group size {n} exceeds {n - 1}"
+            ):
+                if engine == "batch":
+                    BatchRoundEngine(spec, n=n, trials=2, initial=fractions)
+                else:
+                    RoundEngine(spec, n=n, initial=fractions)
+
+        assert self.traced_peak(build) < 1 << 20
+
+    def test_a_point_past_int32_is_refused_when_built(self):
+        from repro.experiment.point import RunPoint
+
+        with pytest.raises(ValueError, match="group size 2147483648 exceeds"):
+            RunPoint("endemic", 2**31, 0.0, "none", 2, 5, 1)
+        RunPoint("endemic", 2**31 - 1, 0.0, "none", 2, 5, 1)
+
+    def test_a_billion_hosts_allocate_nothing_per_host(self):
+        params = EndemicParams(alpha=0.01, gamma=0.1, b=2)
+        spec = figure1_protocol(params)
+        fractions = {"x": 0.5, "y": 0.3, "z": 0.2}
+        BatchRoundEngine(spec, n=1_000, trials=4, initial=fractions)  # warm
+        built = []
+
+        def build():
+            built.append(BatchRoundEngine(
+                spec, n=10**9, trials=4, initial=fractions, seed=5,
+            ))
+
+        assert self.traced_peak(build) < 1 << 20
+        engine = built[0]
+        assert engine.counts_matrix().tolist() == [
+            [5 * 10**8, 3 * 10**8, 2 * 10**8]
+        ] * 4
+        assert np.array_equal(engine.alive_counts(), np.full(4, 10**9))
+
+    @pytest.mark.parametrize("n, initial", [
+        (10, {"x": 0.5, "y": 0.3, "z": 0.2}),
+        (7, {"x": 1 / 3, "y": 1 / 3, "z": 1 / 3}),
+        (1_001, {"x": 0.25, "z": 0.75}),
+        (200, {"x": 120, "y": 60, "z": 20}),
+        (13, {"y": 1.0}),
+    ])
+    def test_initial_counts_are_the_host_vectors_census(self, n, initial):
+        from repro.runtime import initial_counts, initial_state_vector
+
+        states = ("x", "y", "z")
+        counts = initial_counts(states, n, initial)
+        assert counts.dtype == np.int64 and counts.sum() == n
+        assert np.array_equal(
+            counts,
+            np.bincount(initial_state_vector(states, n, initial), minlength=3),
+        )
 
 
 class TestBatchRunResult:

@@ -569,7 +569,7 @@ class TestProgramIsData:
 # What a period costs, counted in calls
 # ----------------------------------------------------------------------
 PROFILE = """
-import cProfile, json, pstats, sys
+import collections, cProfile, json, pstats, sys, zlib
 
 from repro.experiment import Protocol
 from repro.protocols.endemic import EndemicParams, figure1_protocol
@@ -588,24 +588,57 @@ cases = {
         figure1_protocol(registry), registry.equilibrium_counts(N)
     ),
 }
-calls = {}
+
+
+class CountingGenerator:
+    # Forwards to the engine's generator, counting each method call.
+    def __init__(self, rng):
+        self.rng, self.calls = rng, collections.Counter()
+
+    def __getattr__(self, name):
+        attr = getattr(self.rng, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return attr(*args, **kwargs)
+        return counted
+
+
+def crc(result):
+    return zlib.crc32(result.recorder.count_tensor().tobytes())
+
+
+calls, generator = {}, {}
 for name, protocol in cases.items():
     resolved = protocol.resolve(N)
-    engine = BatchRoundEngine(
-        resolved.spec, n=N, trials=TRIALS, initial=resolved.initial, seed=3
-    )
+
+    def engine():
+        return BatchRoundEngine(
+            resolved.spec, n=N, trials=TRIALS, initial=resolved.initial,
+            seed=3,
+        )
+
+    plain = engine()
     profile = cProfile.Profile()
     profile.enable()
-    engine.run(PERIODS)
+    result = plain.run(PERIODS)
     profile.disable()
     calls[name] = pstats.Stats(profile).total_calls / PERIODS
-print(json.dumps(calls))
+    proxied = engine()
+    proxied._rng = counter = CountingGenerator(proxied._rng)
+    proxied_crc = crc(proxied.run(PERIODS))
+    generator[name] = dict(
+        calls=dict(counter.calls), crc=[crc(result), proxied_crc],
+    )
+print(json.dumps(dict(profiled=calls, generator=generator)))
 """
 
 
 @pytest.fixture(scope="module")
-def profiled_calls() -> Dict[str, float]:
-    """Profiled calls per period of a count-only ``engine.run``.
+def period_costs() -> Dict[str, dict]:
+    """What a count-only ``engine.run`` of each case calls, two ways.
 
     In a fresh interpreter, so the count is the engine's alone: no
     profiler, thread or patch another test left in this one can add to
@@ -619,6 +652,28 @@ def profiled_calls() -> Dict[str, float]:
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
+
+
+@pytest.fixture(scope="module")
+def profiled_calls(period_costs) -> Dict[str, float]:
+    """Profiled calls per period."""
+    return period_costs["profiled"]
+
+
+#: numpy "major.minor" -> case -> generator method calls in 200 periods.
+#: A draw's value decides whether a sparse overlap or a few throws are
+#: drawn one scalar call each, so the counts follow the streams
+#: (tests/test_batch_stream_anchor.py keys its goldens the same way).
+GENERATOR_CALLS = {
+    "2.4": {
+        "dense": {"binomial": 400},
+        "sparse": {"binomial": 400, "integers": 22},
+        "lv": {"binomial": 200, "multinomial": 200},
+        "figure1-equilibrium": {
+            "binomial": 400, "hypergeometric": 795, "integers": 693,
+        },
+    },
+}
 
 
 class TestPeriodCallBudget:
@@ -644,3 +699,23 @@ class TestPeriodCallBudget:
     ])
     def test_calls_per_period(self, profiled_calls, case, bound):
         assert profiled_calls[case] <= bound, profiled_calls
+
+    @pytest.mark.parametrize("case", [
+        "dense", "sparse", "lv", "figure1-equilibrium",
+    ])
+    def test_generator_calls_per_period(self, period_costs, case):
+        """The draws themselves, which cProfile cannot see.
+
+        On Python 3.11 ``cProfile`` records no method of a Cython
+        ``Generator``, so the budget above counts numpy's argument
+        checks around the draws, not the draws.  Here a proxy around
+        the engine's own generator counts every method called on it,
+        and the proxied run must record the same count tensor.
+        """
+        version = ".".join(np.__version__.split(".")[:2])
+        counted = period_costs["generator"][case]
+        plain_crc, proxied_crc = counted["crc"]
+        assert proxied_crc == plain_crc
+        if version not in GENERATOR_CALLS:
+            pytest.skip(f"no generator-call goldens for numpy {version}")
+        assert counted["calls"] == GENERATOR_CALLS[version][case]
