@@ -46,12 +46,7 @@ from .safety import (
     measure_extinction,
     replicas_for_extinction_probability,
 )
-from .tokens import (
-    compare_ttl_models,
-    iterate_ttl_adjusted,
-    ttl_adjusted_rhs,
-    ttl_delivery_probability,
-)
+from .tokens import compare_ttl_models
 from .stability import endemic_stability
 
 __all__ = [
@@ -80,9 +75,6 @@ __all__ = [
     "FairnessReport",
     "compare_trajectory",
     "discrete_mean_field",
-    "ttl_adjusted_rhs",
-    "iterate_ttl_adjusted",
     "compare_ttl_models",
-    "ttl_delivery_probability",
     "TrajectoryComparison",
 ]

@@ -1,9 +1,11 @@
 """Simulation-vs-analysis comparison harness (Theorem 1).
 
 :func:`compare_trajectory` runs a protocol from a given start and
-compares the full simulated trajectory against the integrated source
-equations (the empirical content of the Theorem 1/5 equivalence).
-Figure 7's finite-N equilibrium window is
+compares the full simulated trajectory against a deterministic
+reference: the integrated source equations (the empirical content of
+the Theorem 1/5 equivalence), or the exact infinite-N round map
+:func:`discrete_mean_field`, the round the engines execute.  Figure
+7's finite-N equilibrium window is
 :meth:`repro.experiment.ExperimentResult.equilibrium_check`.
 """
 
@@ -16,7 +18,8 @@ import numpy as np
 
 from ..odes.integrate import integrate
 from ..runtime.metrics import BatchMetricsRecorder
-from ..runtime.round_engine import RoundEngine
+from ..runtime.planner import ActionPlanner, CensusError, census_refusal
+from ..runtime.round_engine import RoundEngine, _compile
 from ..synthesis.protocol import ProtocolSpec
 
 
@@ -48,26 +51,35 @@ def discrete_mean_field(
     spec: ProtocolSpec,
     initial_fractions: Mapping[str, float],
     periods: int,
+    connection_failure_rate: float = 0.0,
 ) -> Dict[str, np.ndarray]:
-    """Iterate the protocol's first-order (Euler) per-period map.
+    """Iterate the protocol's exact infinite-N round map.
 
-    The map is ``X_{n+1} = X_n + g(X_n)`` where ``g`` is the per-period
-    effective mean field (``p * f`` for exact protocols): one Euler step
-    of the source ODE per period.  It is *not* the synchronous round's
-    expectation, which has collision terms this map drops (a pull of
-    fan-out ``b`` hits with ``1 - (1 - q)^b``, not ``b q``), so it is
-    first-order accurate in ``p`` only: on the registry's
-    ``epidemic-push-pull`` from ``(0.99, 0.01)`` it reads x = 0.752,
-    0.380 and -0.091 at periods 3-5, where the engines stay in
-    ``[0, 1]``.  It converges to the source ODE as ``p`` shrinks.  The
-    exact infinite-N round map that replaces it is ROADMAP item 15.
+    One period is :meth:`ActionPlanner.limit
+    <repro.runtime.planner.ActionPlanner.limit>`: the census's period
+    program with each count law's ``N -> infinity`` mean, so collisions
+    are in it (a pull of fan-out ``b`` hits with ``1 - (1 - q)^b``, a
+    push's targets are distinct, a host moves once a period).  On a
+    synthesized exact spec it is ``x + p f(x)``, one Euler step of the
+    source ODE; on a fan-out variant it is what the engines' ensemble
+    means converge to as ``N`` grows.  ``connection_failure_rate`` is
+    the network's, as every engine takes it.  A spec the census refuses
+    (:func:`~repro.runtime.planner.census_refusal`) has no map: it
+    raises :class:`~repro.runtime.planner.CensusError`.
     """
-    system = spec.mean_field_system(effective=True)
+    compiled = _compile(spec)
+    refusal = census_refusal(compiled, spec.states)
+    if refusal is not None:
+        raise CensusError(refusal)
+    # The map reads no count: any group size lowers the same program.
+    planner = ActionPlanner(compiled, 1, 2, connection_failure_rate)
     state = np.array([float(initial_fractions[s]) for s in spec.states])
     out = np.empty((periods + 1, len(spec.states)))
     out[0] = state
     for step in range(1, periods + 1):
-        state = state + system.rhs(state)
+        for action, moved in planner.limit(state.tolist()):
+            state[action.edge_from] -= moved
+            state[action.target] += moved
         out[step] = state
     return {s: out[:, i] for i, s in enumerate(spec.states)}
 
@@ -87,12 +99,11 @@ def compare_trajectory(
 
     ``reference="ode"`` integrates the protocol's *source system*
     scaled by the normalizer (one period = ``p`` time units) -- the
-    paper's continuous-time analysis.  ``reference="discrete"``
-    iterates the first-order per-period map :func:`discrete_mean_field`
-    instead, one Euler step of that ODE per period: it drops the
-    round's collision terms, so it is no closer to the engines than
-    the ODE is to O(p), and far off when ``p`` is of order one (the
-    epidemic protocols).  An exact round map is ROADMAP item 15.
+    paper's continuous-time analysis, which a period approximates to
+    O(p).  ``reference="discrete"`` iterates the exact infinite-N round
+    map :func:`discrete_mean_field` on this run's
+    ``connection_failure_rate`` instead: the real round, which the
+    simulation tracks to O(1/sqrt(N)) whatever ``p`` is.
 
     This function is the workhorse of the EQUIV bench and the
     property-based equivalence tests.
@@ -133,7 +144,9 @@ def compare_trajectory(
             )
             predicted[state] = ode_values * n
     else:
-        series = discrete_mean_field(spec, fractions0, periods)
+        series = discrete_mean_field(
+            spec, fractions0, periods, connection_failure_rate
+        )
         for state in spec.states:
             predicted[state] = series[state][times] * n
     for state in spec.states:

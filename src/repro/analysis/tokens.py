@@ -4,107 +4,31 @@ The paper's Tokenizing technique needs a way to route a generated token
 to a process in the required state.  The membership-oracle variant is
 exact; the random-walk alternative gives each token an integer TTL, so
 a token dies unrouted with probability ``(1 - x)^ttl`` where ``x`` is
-the fraction of processes in the token state.  The paper notes that
-"the behavior of the protocol may be different from the original
-equation system.  However, the new behavior can still be analyzed by
-modifying the original equation system with multiplicative terms in
-tokenized actions that account for the likelihood of the generated
-token being effective."
+the fraction of processes it may move.  The paper notes that "the
+behavior of the protocol may be different from the original equation
+system.  However, the new behavior can still be analyzed by modifying
+the original equation system with multiplicative terms in tokenized
+actions that account for the likelihood of the generated token being
+effective."
 
-This module implements exactly that modified analysis: the adjusted
-right-hand side multiplies every tokenized flow by the delivery
-probability ``1 - (1 - x)^ttl``.  The adjusted field is no longer
-polynomial (so it cannot itself be synthesized), but it can be
-integrated and compared against simulation -- which the ABLATE-3 bench
-and the token tests do.
+The round map (:func:`repro.analysis.mean_field.discrete_mean_field`)
+is that modified analysis: its token step delivers with the ttl
+binomial's ``p``, :func:`repro.runtime.laws.ttl_reach`.  The modified
+field is no longer polynomial (so it cannot itself be synthesized), but
+it can be iterated and compared against simulation -- which the
+ABLATE-3 bench and the token tests do.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from dataclasses import replace
+from typing import Dict, Mapping
 
 import numpy as np
 
-from ..odes.system import EquationSystem
-from ..synthesis.actions import TokenizeAction, transition_edges
-from ..synthesis.protocol import ProtocolSpec, _first_order_term
-
-
-def ttl_delivery_probability(fraction: float, ttl: Optional[int]) -> float:
-    """P(a token finds a target): ``1 - (1 - x)^ttl`` (oracle: 1)."""
-    if ttl is None:
-        return 1.0 if fraction > 0 else 0.0
-    return 1.0 - (1.0 - min(max(fraction, 0.0), 1.0)) ** ttl
-
-
-def ttl_adjusted_rhs(spec: ProtocolSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """The Section 6 modified mean field, as a per-period map increment.
-
-    Returns ``g(state) -> delta`` where ``state`` is the fraction
-    vector in ``spec.states`` order and ``delta`` the expected
-    per-period change.  Non-token actions contribute their usual
-    first-order rates; tokenized actions are scaled by the TTL delivery
-    probability evaluated at the current token-state fraction.
-    """
-    from ..synthesis.actions import SampleAction
-
-    index = {name: i for i, name in enumerate(spec.states)}
-    compiled: List[Tuple[float, Dict[int, int], Dict[int, int],
-                         Optional[Tuple[int, Optional[int]]]]] = []
-    for action in spec.actions:
-        term = _first_order_term(action)
-        coefficient = term.coefficient
-        # Mirror the failure-compensation discount of
-        # ProtocolSpec.mean_field_system(effective=True).
-        if spec.failure_rate > 0.0 and isinstance(
-            action, (SampleAction, TokenizeAction)
-        ):
-            coefficient *= (1.0 - spec.failure_rate) ** len(action.required_states)
-        exponents = {index[name]: power for name, power in term.exponents}
-        flows: Dict[int, int] = {}
-        for src, dst in transition_edges(action):
-            flows[index[src]] = flows.get(index[src], 0) - 1
-            flows[index[dst]] = flows.get(index[dst], 0) + 1
-        token_info = None
-        if isinstance(action, TokenizeAction):
-            token_info = (index[action.token_state], action.ttl)
-        compiled.append((coefficient, exponents, flows, token_info))
-
-    def g(state: np.ndarray) -> np.ndarray:
-        delta = np.zeros(len(spec.states))
-        for coefficient, exponents, flows, token_info in compiled:
-            rate = coefficient
-            for var_index, power in exponents.items():
-                rate *= state[var_index] ** power
-            if token_info is not None:
-                token_index, ttl = token_info
-                rate *= ttl_delivery_probability(state[token_index], ttl)
-            for var_index, sign in flows.items():
-                delta[var_index] += sign * rate
-        return delta
-
-    return g
-
-
-def iterate_ttl_adjusted(
-    spec: ProtocolSpec,
-    initial_fractions: Mapping[str, float],
-    periods: int,
-) -> Dict[str, np.ndarray]:
-    """Iterate the TTL-adjusted discrete map over ``periods`` rounds.
-
-    The analogue of
-    :func:`repro.analysis.mean_field.discrete_mean_field` with the
-    Section 6 token-effectiveness correction applied.
-    """
-    g = ttl_adjusted_rhs(spec)
-    state = np.array([float(initial_fractions[s]) for s in spec.states])
-    out = np.empty((periods + 1, len(spec.states)))
-    out[0] = state
-    for step in range(1, periods + 1):
-        state = np.clip(state + g(state), 0.0, 1.0)
-        out[step] = state
-    return {s: out[:, i] for i, s in enumerate(spec.states)}
+from ..synthesis.actions import TokenizeAction
+from ..synthesis.protocol import ProtocolSpec
+from .mean_field import discrete_mean_field
 
 
 def compare_ttl_models(
@@ -114,22 +38,24 @@ def compare_ttl_models(
 ) -> Dict[str, float]:
     """RMS error of the simulation against adjusted vs unadjusted models.
 
-    Returns ``{"adjusted": err, "unadjusted": err}`` -- for a TTL
-    protocol the adjusted model should win, demonstrating the paper's
-    claim that the deviation is analyzable.
+    Returns ``{"adjusted": err, "unadjusted": err}``: the round map of
+    ``spec``, and of ``spec`` with oracle routing (every tokenize
+    ``ttl=None``).  For a TTL protocol the adjusted model should win,
+    demonstrating the paper's claim that the deviation is analyzable.
     """
-    from .mean_field import discrete_mean_field
-
+    oracle = replace(spec, actions=tuple(
+        replace(a, ttl=None) if isinstance(a, TokenizeAction) else a
+        for a in spec.actions
+    ))
     some_series = next(iter(simulated_fractions.values()))
     periods = len(some_series) - 1
-    adjusted = iterate_ttl_adjusted(spec, initial_fractions, periods)
-    unadjusted = discrete_mean_field(spec, initial_fractions, periods)
 
-    def rms(model: Mapping[str, np.ndarray]) -> float:
+    def rms(model: ProtocolSpec) -> float:
+        series = discrete_mean_field(model, initial_fractions, periods)
         worst = 0.0
-        for state, series in simulated_fractions.items():
-            diff = np.asarray(series) - model[state][: len(series)]
+        for state, simulated in simulated_fractions.items():
+            diff = np.asarray(simulated) - series[state][: len(simulated)]
             worst = max(worst, float(np.sqrt(np.mean(diff**2))))
         return worst
 
-    return {"adjusted": rms(adjusted), "unadjusted": rms(unadjusted)}
+    return {"adjusted": rms(spec), "unadjusted": rms(oracle)}

@@ -38,7 +38,7 @@ from .membership import FullMembership, PartialMembership
 from .metrics import BatchMetricsRecorder, trial_rows
 from .network import LatencyModel, Network
 from .rng import RandomSource
-from .round_engine import HostFaults, initial_state_vector
+from .round_engine import HostFaults, check_group_size, initial_state_vector
 
 
 class AgentSimulation(HostFaults):
@@ -79,8 +79,7 @@ class AgentSimulation(HostFaults):
         clock_drift_std: float = 0.0,
         membership: Optional[PartialMembership] = None,
     ):
-        if n < 2:
-            raise ValueError(f"need at least 2 processes, got {n}")
+        check_group_size(n)
         self.spec = spec
         self.state_names = spec.states
         self.n = n

@@ -15,7 +15,12 @@ draws.  Each object holds:
   the token cap is ``np.minimum``;
 * ``pmf(*params)`` and ``mean(*params)`` -- the exact law at finite
   ``N`` of one element of the draw (``pmf`` over the outcomes ``0, 1,
-  ...``), the reference the tests hold draws to.
+  ...``), the reference the tests hold draws to;
+* ``limit(*params)`` -- the ``N -> infinity`` mean, the counts scaled
+  by ``N`` (:meth:`ActionPlanner.limit
+  <repro.runtime.planner.ActionPlanner.limit>` composes them into the
+  round map).  Every law's mean is homogeneous of degree 1 in its
+  counts, so its limit is its ``mean``, except the push's.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .sampling import already_taken, distinct_throws
 __all__ = [
     "BINOMIAL_SPLIT", "LAWS", "Law", "MULTINOMIAL_SPLIT", "OVERLAP",
     "PUSH", "RIDING_PUSH", "THINNING", "TOKEN_CAP", "TTL_BINOMIAL",
+    "ttl_reach",
 ]
 
 
@@ -38,11 +44,11 @@ class Law:
     """One count law of the period program (see the module docstring);
     ``contacts(rng)`` draws a push's hits, and is None elsewhere."""
 
-    __slots__ = ("name", "draw", "pmf", "mean", "contacts")
+    __slots__ = ("name", "draw", "pmf", "mean", "limit", "contacts")
 
-    def __init__(self, name, draw, pmf, mean, contacts=None):
+    def __init__(self, name, draw, pmf, mean, contacts=None, limit=None):
         self.name, self.draw, self.contacts = name, draw, contacts
-        self.pmf, self.mean = pmf, mean
+        self.pmf, self.mean, self.limit = pmf, mean, limit or mean
 
 
 def _binomial_pmf(n: int, p: float) -> np.ndarray:
@@ -106,6 +112,19 @@ def _push_mean(bins: int, contacts: int, q: float) -> float:
     return bins * (1.0 - (1.0 - q / bins) ** contacts) if bins else 0.0
 
 
+def _push_limit(bins: float, contacts: float, q: float) -> float:
+    """``bins`` and ``contacts`` grow with ``N``: a bin's hits are
+    Poisson with mean ``hits / bins``, ``hits = contacts * q``."""
+    return bins * (1.0 - math.exp(-contacts * q / bins)) if bins else 0.0
+
+
+def ttl_reach(fraction, ttl: int):
+    """The ttl binomial's ``p``, ``1 - (1 - fraction) ** ttl``: a token
+    walks up to ``ttl`` uniform hops and is delivered at the first that
+    lands on a host it may move, ``fraction`` of the alive ones."""
+    return 1.0 - (1.0 - fraction) ** ttl
+
+
 def _cap_pmf(tokens: int, unmoved: int) -> np.ndarray:
     """``min(tokens, unmoved)``: tokens route to unmoved members only,
     and the excess drops.  No bits are drawn."""
@@ -136,7 +155,7 @@ def _overlap_mean(taken: int, rest: int, take: int) -> float:
 
 _binomial = attrgetter("binomial")
 _BINOMIAL = (_binomial, _binomial_pmf, _binomial_mean)
-_PUSH = (distinct_throws, _push_pmf, _push_mean, _binomial)
+_PUSH = (distinct_throws, _push_pmf, _push_mean, _binomial, _push_limit)
 
 BINOMIAL_SPLIT = Law("binomial split", *_BINOMIAL)
 MULTINOMIAL_SPLIT = Law(

@@ -11,7 +11,8 @@ steps directly (Kosowski & Uznanski).  :meth:`ActionPlanner.census`
 draws it from the period-start counts alone: every action's new movers
 per trial, in declaration order, through the count laws of
 :mod:`repro.runtime.laws`.  No host array exists, so its cost is
-independent of ``N``.
+independent of ``N``.  :meth:`ActionPlanner.limit` is the same period
+at ``N -> infinity``: the exact round map.
 
 Per-action marginals match the serial engine's -- ``Binomial(count,
 p * q)`` movers -- but actors fire *at most one* action of their state
@@ -26,6 +27,7 @@ tier runs it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -41,6 +43,7 @@ from .laws import (
     TOKEN_CAP,
     TTL_BINOMIAL,
     Law,
+    ttl_reach,
 )
 from .sampling import segment_ranks
 
@@ -374,9 +377,10 @@ class _Step:
     #: Earlier actions whose movers this pick can land on: a different
     #: draw leaving the same state.  Empty: it never draws an overlap.
     overlaps: Tuple[int, ...] = ()
-    #: Where its peer-match probabilities are kept (a view into the
-    #: planner's ``q`` buffer for a cell), if it has a condition to thin.
-    q: Optional[np.ndarray] = None
+    #: Its thinning term of the planner's ``_terms`` (the view into the
+    #: ``q`` buffer its peer-match probabilities are kept in first), if
+    #: it has a condition to thin.
+    term: Optional[tuple] = None
     #: An actor's own move that nothing overlaps and no later action of
     #: its state reads: its thinned heads are its movers.
     plain: bool = False
@@ -513,7 +517,7 @@ class ActionPlanner:
             ):
                 steps[index] = step = _Step(
                     action, cell=(g, a),
-                    q=self._term(self._q[g, :, a], action),
+                    term=self._term(self._q[g, :, a], action),
                 )
                 if action.messages_per_period:
                     self._charges.append((g, a, action.messages_per_period))
@@ -570,14 +574,14 @@ class ActionPlanner:
             tokens = action.kind == "tokenize"
             step.laws = tuple(law for law, drawn in (
                 (self._split, step.cell is not None),
-                (THINNING, step.q is not None),
+                (THINNING, step.term is not None),
                 (RIDING_PUSH if step is self._ride else PUSH,
                  action.kind == "push"),
                 (TTL_BINOMIAL, tokens and action.ttl is not None),
                 (TOKEN_CAP, tokens),
             ) if drawn)
 
-    def _term(self, out: np.ndarray, action) -> Optional[np.ndarray]:
+    def _term(self, out: np.ndarray, action) -> Optional[tuple]:
         """Lower one action's peer-match probability, kept in ``out``.
 
         Exact, not mean-field: peers are drawn uniformly from the
@@ -599,7 +603,7 @@ class ActionPlanner:
         self._terms.append(
             (out, [(s, s == action.actor) for s in states], fanout)
         )
-        return out
+        return self._terms[-1]
 
     def describe(self) -> List[Dict[str, object]]:
         """The period program as data: one row per compiled action.
@@ -745,7 +749,7 @@ class ActionPlanner:
                         out=np.zeros(self.trials), where=alive_counts > 0,
                     )
                     take = TTL_BINOMIAL.draw(rng)(
-                        take, 1.0 - (1.0 - fraction) ** action.ttl
+                        take, ttl_reach(fraction, action.ttl)
                     )
                 # Tokens route to unmoved members only; excess drops.
                 new = TOKEN_CAP.draw(take, unmoved)
@@ -763,3 +767,57 @@ class ActionPlanner:
                 left[source] = new if gone is None else gone + new
                 moves.append((action, new))
         return moves, messages
+
+    # ------------------------------------------------------------------
+    # The N -> infinity round: the census's mean
+    # ------------------------------------------------------------------
+    def limit(self, x: Sequence[float]) -> List[Tuple[object, float]]:
+        """Every action's movers in the ``N -> infinity`` limit.
+
+        ``x`` holds each state's period-start alive fraction.  Returns
+        ``(action, moved)`` pairs in declaration order, ``moved`` the
+        fraction of the hosts leaving ``action.edge_from`` for
+        ``action.target``.  It walks the program as :meth:`census`
+        does, taking each law's ``limit`` where the census draws it:
+        counts are fractions here, so a contact finds a state with its
+        fraction times ``1 - f``, and the actor's own ``-1`` vanishes.
+        Iterated, it is the exact infinite-N round map
+        (:func:`repro.analysis.mean_field.discrete_mean_field`).
+        """
+        contact, alive = 1.0 - self._failure, sum(x)
+        thinned: Dict[Tuple[int, int], float] = {}
+        left: Dict[int, float] = {}  # source state -> moved so far
+        moves: List[Tuple[object, float]] = []
+        for step in self._steps:
+            action, source = step.action, step.action.edge_from
+            take = x[action.actor]
+            if step.cell is not None:
+                g, a = step.cell
+                take = self._split.limit(take, self._split_p[g, 0])
+                if np.ndim(take):  # the multinomial's sides
+                    take = take[a]
+                if step.term is not None:
+                    _, factors, fanout = step.term
+                    q = math.prod(x[state] * contact for state, _ in factors)
+                    if fanout:
+                        q = 1.0 - (1.0 - q) ** fanout
+                    take = THINNING.limit(take, q)
+                thinned[step.cell] = take
+            members, gone = x[source], left.get(source, 0.0)
+            if action.kind == "push":
+                hit = min(members * contact, 1.0)
+                take = step.laws[-1].limit(members, take * action.fanout, hit)
+            if action.kind == "tokenize":
+                unmoved = members - gone
+                if action.ttl is not None:
+                    share = unmoved / alive if alive else 0.0
+                    take = TTL_BINOMIAL.limit(take, ttl_reach(share, action.ttl))
+                new = TOKEN_CAP.limit(take, unmoved)
+            else:
+                new = take
+                if step.overlaps and gone:
+                    taken = gone - sum(thinned[g, a] for a in step.own)
+                    new = take - OVERLAP.limit(taken, members - gone, take)
+            left[source] = gone + new
+            moves.append((action, new))
+        return moves

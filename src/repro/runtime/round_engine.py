@@ -60,6 +60,7 @@ from ..synthesis.actions import (
     TokenizeAction,
 )
 from ..synthesis.protocol import ProtocolSpec
+from .laws import ttl_reach
 from .metrics import GROUP_SIZE_LIMIT, BatchMetricsRecorder, trial_rows
 from .rng import (
     RandomSource,
@@ -620,7 +621,7 @@ class RoundEngine(HostFaults):
         if action.ttl is not None:
             alive_total = int(np.count_nonzero(alive))
             fraction = len(pool) / alive_total if alive_total else 0.0
-            reach = 1.0 - (1.0 - fraction) ** action.ttl
+            reach = ttl_reach(fraction, action.ttl)
             token_count = self._rng.binomial(token_count, reach)
             if token_count == 0:
                 return np.empty(0, dtype=np.int64), action.edge_from

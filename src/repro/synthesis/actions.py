@@ -20,8 +20,8 @@ is currently in ``actor_state``.  The common semantics:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from ..odes.term import Term
 
@@ -68,14 +68,6 @@ class Action:
     def describe(self) -> str:  # pragma: no cover - overridden
         raise NotImplementedError
 
-    def mean_rate(self, fractions: Mapping[str, float]) -> float:
-        """Expected fraction of processes firing this action per period.
-
-        This is the mean-field contribution used to reconstruct the
-        modeled ODE from the protocol (the equivalence self-check).
-        """
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class FlipAction(Action):
@@ -90,9 +82,6 @@ class FlipAction(Action):
             f"[{self.actor_state}] flip coin (heads prob {self.probability:g}); "
             f"on heads -> {self.target_state}"
         )
-
-    def mean_rate(self, fractions: Mapping[str, float]) -> float:
-        return self.probability * fractions[self.actor_state]
 
 
 @dataclass(frozen=True)
@@ -122,12 +111,6 @@ class SampleAction(Action):
     @property
     def messages_per_period(self) -> int:
         return len(self.required_states)
-
-    def mean_rate(self, fractions: Mapping[str, float]) -> float:
-        rate = self.probability * fractions[self.actor_state]
-        for state in self.required_states:
-            rate *= fractions[state]
-        return rate
 
 
 @dataclass(frozen=True)
@@ -162,10 +145,6 @@ class AnyOfSampleAction(Action):
     def messages_per_period(self) -> int:
         return self.fanout
 
-    def mean_rate(self, fractions: Mapping[str, float]) -> float:
-        miss = (1.0 - fractions[self.match_state]) ** self.fanout
-        return self.probability * fractions[self.actor_state] * (1.0 - miss)
-
 
 @dataclass(frozen=True)
 class PushAction(Action):
@@ -198,16 +177,6 @@ class PushAction(Action):
     @property
     def messages_per_period(self) -> int:
         return self.fanout
-
-    def mean_rate(self, fractions: Mapping[str, float]) -> float:
-        # Expected converted targets per period, as a fraction of N:
-        # actors * fanout * P(target in match_state), first order.
-        return (
-            self.probability
-            * fractions[self.actor_state]
-            * self.fanout
-            * fractions[self.match_state]
-        )
 
 
 @dataclass(frozen=True)
@@ -252,16 +221,6 @@ class TokenizeAction(Action):
     def messages_per_period(self) -> int:
         # Sampling messages; token forwarding counted separately by engines.
         return len(self.required_states)
-
-    def mean_rate(self, fractions: Mapping[str, float]) -> float:
-        rate = self.probability * fractions[self.actor_state]
-        for state in self.required_states:
-            rate *= fractions[state]
-        if self.ttl is not None:
-            rate *= 1.0 - (1.0 - fractions[self.token_state]) ** self.ttl
-        # Oracle delivery: succeeds whenever any target exists; in mean
-        # field (fractions > 0) that is probability ~1.
-        return rate
 
 
 def transition_edges(action: Action) -> Tuple[Tuple[str, str], ...]:

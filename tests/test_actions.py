@@ -1,7 +1,11 @@
 """Tests for protocol actions (repro.synthesis.actions)."""
 
+import math
+
 import pytest
 
+from repro.analysis.mean_field import discrete_mean_field
+from repro.synthesis import ProtocolSpec
 from repro.synthesis.actions import (
     AnyOfSampleAction,
     FlipAction,
@@ -41,35 +45,48 @@ class TestValidation:
         TokenizeAction("w", 0.5, "u", token_state="z", ttl=None)
 
 
-class TestMeanRates:
+def movers(action, fractions):
+    """The round map's movers of ``action`` alone at ``fractions``: one
+    period's loss of its source state."""
+    spec = ProtocolSpec(
+        name="one-action", states=tuple(fractions), actions=(action,)
+    )
+    series = discrete_mean_field(spec, fractions, periods=1)
+    (source, _), = transition_edges(action)
+    return series[source][0] - series[source][1]
+
+
+class TestRoundMapMovers:
     def test_flip_rate(self):
         action = FlipAction("x", 0.25, "y")
-        assert action.mean_rate({"x": 0.4, "y": 0.6}) == pytest.approx(0.1)
+        assert movers(action, {"x": 0.4, "y": 0.6}) == pytest.approx(0.1)
 
     def test_sample_rate_multiplies_required(self):
         action = SampleAction(
             "x", 0.5, "y", required_states=("x", "y", "y")
         )
-        rate = action.mean_rate({"x": 0.5, "y": 0.2})
+        rate = movers(action, {"x": 0.5, "y": 0.2})
         assert rate == pytest.approx(0.5 * 0.5 * 0.5 * 0.2 * 0.2)
 
     def test_anyof_rate_small_match(self):
         action = AnyOfSampleAction("x", 1.0, "y", match_state="y", fanout=2)
         # 1 - (1-y)^2 with y = 0.01: ~ 2y.
-        rate = action.mean_rate({"x": 1.0, "y": 0.01})
+        rate = movers(action, {"x": 1.0, "y": 0.01})
         assert rate == pytest.approx(1 - 0.99**2)
 
-    def test_push_rate_first_order(self):
+    def test_push_rate_distinct_targets(self):
+        # 3y contacts per receptive host land Poisson: x (1 - e^-3y),
+        # not the first-order 3xy = 0.06.
         action = PushAction("y", 1.0, "y", match_state="x", fanout=3)
-        assert action.mean_rate({"x": 0.2, "y": 0.1}) == pytest.approx(
-            0.1 * 3 * 0.2
+        assert movers(action, {"x": 0.2, "y": 0.1}) == pytest.approx(
+            0.2 * (1 - math.exp(-0.3))
         )
 
     def test_tokenize_oracle_rate(self):
         action = TokenizeAction(
             "w", 0.5, "u", required_states=(), token_state="z"
         )
-        assert action.mean_rate({"w": 0.4, "z": 0.2, "u": 0.4}) == pytest.approx(
+        assert movers(action, {"w": 0.4, "z": 0.2, "u": 0.4}) == pytest.approx(
             0.2
         )
 
@@ -77,9 +94,9 @@ class TestMeanRates:
         oracle = TokenizeAction("w", 0.5, "u", token_state="z", ttl=None)
         walk = TokenizeAction("w", 0.5, "u", token_state="z", ttl=2)
         fractions = {"w": 0.4, "z": 0.3, "u": 0.3}
-        assert walk.mean_rate(fractions) < oracle.mean_rate(fractions)
-        assert walk.mean_rate(fractions) == pytest.approx(
-            oracle.mean_rate(fractions) * (1 - 0.7**2)
+        assert movers(walk, fractions) < movers(oracle, fractions)
+        assert movers(walk, fractions) == pytest.approx(
+            movers(oracle, fractions) * (1 - 0.7**2)
         )
 
 

@@ -1,13 +1,35 @@
 """Tests for the asynchronous agent simulator (repro.runtime.agent_sim)."""
 
+import re
 from collections import Counter
 
 import pytest
 
 from repro.odes import library
 from repro.protocols.endemic import EndemicParams, figure1_protocol
-from repro.runtime import AgentSimulation
+from repro.runtime import AgentSimulation, agent_sim
+from repro.runtime.metrics import GROUP_SIZE_LIMIT
 from repro.synthesis import ProtocolSpec, SampleAction, synthesize
+
+
+class TestGroupSize:
+    @pytest.mark.parametrize("n, message", [
+        (1, "group size must be >= 2, got 1"),
+        (GROUP_SIZE_LIMIT + 1,
+         f"group size {GROUP_SIZE_LIMIT + 1} exceeds {GROUP_SIZE_LIMIT}"),
+    ])
+    def test_refused_before_any_host_is_built(self, n, message, monkeypatch):
+        # Every tier's check (round_engine.check_group_size), made
+        # before the event kernel, the network or an agent exists.
+        def built(*args, **kwargs):
+            raise AssertionError("the simulation was built")
+
+        monkeypatch.setattr(agent_sim, "Environment", built)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AgentSimulation(
+                synthesize(library.epidemic()), n=n,
+                initial={"x": 0.5, "y": 0.5},
+            )
 
 
 class TestBasicRuns:

@@ -187,6 +187,18 @@ JOURNEYS = {
             totals=unit.final_counts.sum(axis=1).tolist(),
         )
     """,
+    "round map": """
+        # The exact infinite-N round map of a registry protocol: the
+        # period program's laws, numpy only.
+        from repro.analysis.mean_field import discrete_mean_field
+        from repro.campaign.registry import protocol_builder
+
+        spec, initial = protocol_builder("epidemic-push-pull")(1000)
+        series = discrete_mean_field(
+            spec, {s: c / 1000 for s, c in initial.items()}, periods=6
+        )
+        return dict(x=series["x"].tolist())
+    """,
     "repro check spec lv": """
         # An exact protocol's verdicts are the framework's own
         # monomial-keyed residuals: sympy is for `# param-range:` files
@@ -400,6 +412,12 @@ class TestRunJourneysLoadNoScipy:
         assert out == {
             "code": 0, "scipy": [] if scipy_importable else ["scipy"],
         }
+
+    def test_round_map(self, journeys):
+        row = journeys["round map"]
+        assert (row["scipy"], "sympy" in row["after"]) == ([], False)
+        # x' = x^2 e^-(1 - x): the pull misses, and no push lands.
+        assert row["x"][6] == pytest.approx(0.0067, abs=1e-4)
 
     def test_check_spec_of_an_exact_protocol(self, journeys):
         row = journeys["repro check spec lv"]

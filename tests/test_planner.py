@@ -545,7 +545,8 @@ class TestPlannerStatics:
             np.random.default_rng(0), counts0, counts0.sum(axis=1)
         )
         (step,) = planner._steps
-        assert step.q == pytest.approx([41 / 100, 0.0])
+        q, _, _ = step.term
+        assert q == pytest.approx([41 / 100, 0.0])
 
 
 # ----------------------------------------------------------------------

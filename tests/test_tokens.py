@@ -1,18 +1,15 @@
-"""Tests for the TTL-adjusted token analysis (repro.analysis.tokens)."""
+"""Tests for the TTL-adjusted token analysis (repro.analysis.tokens)
+and the round map's token step it reads."""
 
 import numpy as np
 import pytest
 
 from repro.analysis.mean_field import discrete_mean_field
-from repro.analysis.tokens import (
-    compare_ttl_models,
-    iterate_ttl_adjusted,
-    ttl_adjusted_rhs,
-    ttl_delivery_probability,
-)
+from repro.analysis.tokens import compare_ttl_models
 from repro.odes.system import build_system
 from repro.runtime import BatchMetricsRecorder, RoundEngine
-from repro.synthesis import synthesize
+from repro.runtime.laws import ttl_reach
+from repro.synthesis import ProtocolSpec, TokenizeAction, synthesize
 
 
 def token_system():
@@ -28,57 +25,71 @@ def token_system():
     )
 
 
+def one_period(spec, point, connection_failure_rate=0.0):
+    """The round map's one-period change at ``point`` (state order)."""
+    series = discrete_mean_field(
+        spec, dict(zip(spec.states, point)), 1, connection_failure_rate
+    )
+    return np.array([series[s][1] - series[s][0] for s in spec.states])
+
+
 class TestDeliveryProbability:
     def test_oracle(self):
-        assert ttl_delivery_probability(0.5, None) == 1.0
-        assert ttl_delivery_probability(0.0, None) == 0.0
+        # Oracle routing delivers every token (0.5 w = 0.2) while its
+        # state has unmoved members, at most one each, and none when
+        # the state is empty.
+        spec = ProtocolSpec(
+            name="oracle", states=("w", "z", "u"),
+            actions=(TokenizeAction("w", 0.5, "u", token_state="z"),),
+        )
+        assert one_period(spec, [0.4, 0.3, 0.3])[1] == pytest.approx(-0.2)
+        assert one_period(spec, [0.4, 0.1, 0.5])[1] == pytest.approx(-0.1)
+        assert one_period(spec, [0.4, 0.0, 0.6])[1] == 0.0
 
     def test_ttl_formula(self):
-        assert ttl_delivery_probability(0.3, 2) == pytest.approx(1 - 0.7**2)
+        assert ttl_reach(0.3, 2) == pytest.approx(1 - 0.7**2)
 
     def test_monotone_in_ttl(self):
-        probs = [ttl_delivery_probability(0.2, ttl) for ttl in (1, 2, 5, 20)]
+        probs = [ttl_reach(0.2, ttl) for ttl in (1, 2, 5, 20)]
         assert probs == sorted(probs)
         assert probs[-1] <= 1.0
-
-    def test_clipped_inputs(self):
-        assert ttl_delivery_probability(1.5, 3) == 1.0
-        assert ttl_delivery_probability(-0.5, 3) == 0.0
 
 
 class TestAdjustedField:
     def test_oracle_matches_mean_field_map(self):
         spec = synthesize(token_system())
-        g = ttl_adjusted_rhs(spec)
         system = spec.mean_field_system(effective=True)
         for point in ([0.5, 0.25, 0.25], [0.2, 0.4, 0.4]):
             state = np.array(point)
-            assert g(state) == pytest.approx(system.rhs(state))
+            assert one_period(spec, point) == pytest.approx(system.rhs(state))
 
     def test_ttl_reduces_token_flow(self):
         oracle = synthesize(token_system())
         walk = synthesize(token_system(), token_ttl=1)
-        state = np.array([0.5, 0.25, 0.25])
-        delta_oracle = ttl_adjusted_rhs(oracle)(state)
-        delta_walk = ttl_adjusted_rhs(walk)(state)
+        point = [0.5, 0.25, 0.25]
+        delta_oracle = one_period(oracle, point)
+        delta_walk = one_period(walk, point)
         # The tokenized flow (z -> x) shrinks: z loses less, x gains less.
         assert delta_walk[2] > delta_oracle[2]
 
     def test_iterate_stays_in_simplex(self):
         spec = synthesize(token_system(), token_ttl=2)
-        series = iterate_ttl_adjusted(
+        series = discrete_mean_field(
             spec, {"x": 0.5, "y": 0.25, "z": 0.25}, periods=200
         )
         for values in series.values():
             assert (values >= -1e-12).all() and (values <= 1 + 1e-12).all()
 
     def test_failure_compensation_mirrored(self):
+        # The compensated coins on a network losing f of the contacts
+        # realize the effective field.
         f = 0.3
         spec = synthesize(token_system(), failure_rate=f)
-        g = ttl_adjusted_rhs(spec)
         system = spec.mean_field_system(effective=True)
-        state = np.array([0.4, 0.3, 0.3])
-        assert g(state) == pytest.approx(system.rhs(state))
+        point = [0.4, 0.3, 0.3]
+        assert one_period(spec, point, f) == pytest.approx(
+            system.rhs(np.array(point))
+        )
 
 
 class TestAgainstSimulation:
