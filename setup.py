@@ -2,11 +2,11 @@
 must work without the `wheel` package, which PEP 660 requires).
 
 The dependency split is the one the import contract enforces
-(docs/architecture.md, "Import policy"): numpy is needed to run
-anything and scipy by mean-field integration and the fairness
-chi-square; sympy only by `repro check complexity` and `# param-range:`
-certificates, and networkx only by the overlay builders, each imported
-on first use.
+(docs/architecture.md, "Import policy"): numpy is all that running
+anything needs; sympy is needed only by `repro check complexity` and
+`# param-range:` certificates, and networkx only by the overlay
+builders, each imported on first use; scipy only by the tests, as an
+oracle.
 """
 from setuptools import find_packages, setup
 
@@ -14,6 +14,6 @@ setup(
     name="repro",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    install_requires=["numpy", "scipy"],
-    extras_require={"check": ["sympy"], "overlay": ["networkx"]},
+    install_requires=["numpy"],
+    extras_require={"check": ["sympy"], "overlay": ["networkx"], "test": ["scipy"]},
 )

@@ -98,6 +98,22 @@ def _runs_per_host(member_log: MemberLog) -> Dict[int, List[int]]:
     return runs
 
 
+def chi_square_sf(statistic: float, dof: int) -> float:
+    """``P(X >= statistic)`` for ``X`` chi-square with integer ``dof``.
+
+    The closed form of the regularised upper incomplete gamma
+    ``Q(dof/2, statistic/2)``: a finite Poisson sum, plus ``erfc`` for
+    odd ``dof``.
+    """
+    y, odd = statistic / 2.0, dof % 2
+    term = math.exp(-y) * (2.0 * math.sqrt(y / math.pi) if odd else 1.0)
+    total = math.erfc(math.sqrt(y)) if odd else 0.0
+    for i in range(dof // 2):
+        total += term
+        term *= y / (i + 1 + 0.5 * odd)
+    return total
+
+
 def analyze_member_log(
     member_log: MemberLog,
     n_hosts: int,
@@ -148,9 +164,9 @@ def analyze_member_log(
         dtype=float,
     )
     if total_stints > 0:
-        from scipy import stats  # on first use: docs/architecture.md
-
-        _, pvalue = stats.chisquare(bucket_counts)
+        expected = bucket_counts.mean()
+        statistic = float(((bucket_counts - expected) ** 2 / expected).sum())
+        pvalue = chi_square_sf(statistic, buckets - 1)
     else:
         pvalue = float("nan")
 

@@ -42,7 +42,10 @@ def run(args) -> int:
         if not initial:
             dim = system.dimension
             initial = {v: 1.0 / dim for v in system.variables}
-        trajectory = integrate(system, initial, t_end=args.t_end)
+        try:
+            trajectory = integrate(system, initial, t_end=args.t_end)
+        except (ValueError, RuntimeError) as exc:  # bad start or horizon, or a blow-up
+            raise CliError(f"{args.equations}: --trajectory: {exc}")
         print()
         print(render_series(
             trajectory.times,

@@ -20,7 +20,7 @@ the mathematical side:
 
 from .classify import TaxonomyReport, classify, is_complete, is_completely_partitionable, is_polynomial, is_restricted_polynomial
 from .equilibria import Equilibrium, classify_point, find_equilibria
-from .integrate import Trajectory, integrate, integrate_to_equilibrium
+from .integrate import Trajectory, integrate
 from .parser import ParseError, parse_system
 from .partition import PartitionResult, TermPair, partition_terms
 from .phase import FIGURE2_STARTS, FIGURE4_STARTS, PhasePortrait, phase_portrait
@@ -67,7 +67,6 @@ __all__ = [
     "split_for_partition",
     "auto_rewrite",
     "integrate",
-    "integrate_to_equilibrium",
     "Trajectory",
     "find_equilibria",
     "classify_point",

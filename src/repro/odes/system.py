@@ -15,7 +15,7 @@ competition system (6)/(7).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -133,14 +133,6 @@ class EquationSystem:
         return np.array(
             [sum(t.evaluate(values) for t in self.equations[v]) for v in self.variables]
         )
-
-    def rhs_function(self) -> Callable[[float, np.ndarray], np.ndarray]:
-        """Return a ``f(t, y)`` callable suitable for scipy solvers."""
-
-        def f(_t: float, y: np.ndarray) -> np.ndarray:
-            return self.rhs(y)
-
-        return f
 
     def jacobian(self, state: Sequence[float]) -> np.ndarray:
         """Analytic Jacobian matrix ``J[i][j] = d f_i / d x_j``.

@@ -117,6 +117,27 @@ class TestAnalyze:
         assert code == 0
         assert "trajectory" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "equations, flags, cause",
+        [
+            ("x' = x^2\n", ["--initial", "x=1"], "step size underflowed"),
+            ("x' = x^2\n", ["--t-end", "0"], "t_end must be positive"),
+            (None, ["--initial", "x=0.5"], "missing variables ['y', 'z']"),
+        ],
+        ids=["blow-up", "zero horizon", "partial start"],
+    )
+    def test_trajectory_refusals_are_exit_1(
+        self, equations, flags, cause, equations_file, tmp_path, capsys
+    ):
+        if equations is not None:
+            equations_file = tmp_path / "blow-up.txt"
+            equations_file.write_text(equations)
+        code = main([
+            "analyze", str(equations_file), *PARAMS, "--trajectory", *flags,
+        ])
+        assert code == 1
+        assert cause in capsys.readouterr().err
+
 
 class TestAnalyzeCampaign:
     def run_campaign_with_tensors(self, tmp_path):

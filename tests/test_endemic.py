@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.odes import integrate_to_equilibrium
+from repro.odes import integrate
 from repro.protocols.endemic import (
     AVERSE,
     RECEPTIVE,
@@ -47,8 +47,8 @@ class TestParams:
         assert np.max(np.abs(system.rhs(system.state_vector(eq)))) < 1e-12
 
     def test_ode_converges_to_equilibrium(self, fig2_params):
-        trajectory = integrate_to_equilibrium(
-            fig2_params.system(), {"x": 0.9, "y": 0.1, "z": 0.0}
+        trajectory = integrate(
+            fig2_params.system(), {"x": 0.9, "y": 0.1, "z": 0.0}, 1000.0
         )
         for state, value in fig2_params.equilibrium().items():
             assert trajectory.final[state] == pytest.approx(value, rel=1e-3)

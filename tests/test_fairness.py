@@ -8,6 +8,7 @@ import pytest
 from repro.analysis.fairness import (
     analyze_member_log,
     attack_window_decay,
+    chi_square_sf,
     jain_index,
 )
 from repro.protocols.endemic import STASH, figure1_protocol
@@ -25,6 +26,25 @@ def fig8_log():
     recorder = BatchMetricsRecorder(spec.states, 1, member_log_state=STASH)
     engine.run(1000, recorder=recorder)
     return recorder.trial_member_log(0)
+
+
+class TestChiSquareSurvival:
+    def test_known_answers(self):
+        # dof 2: e^(-x/2); dof 1: erfc(sqrt(x/2)); and the whole mass at 0.
+        assert chi_square_sf(3.0, 2) == pytest.approx(math.exp(-1.5), rel=1e-15)
+        assert chi_square_sf(3.0, 1) == pytest.approx(
+            math.erfc(math.sqrt(1.5)), rel=1e-15
+        )
+        assert [chi_square_sf(0.0, dof) for dof in (1, 2, 7)] == [1.0] * 3
+
+    def test_matches_chdtrc(self):
+        chdtrc = pytest.importorskip("scipy.special").chdtrc
+        dof, x = np.meshgrid(
+            np.arange(1, 41),
+            np.concatenate([[1e-9, 1e-3], np.linspace(0.1, 200.0, 61)]),
+        )
+        ours = [chi_square_sf(float(a), int(k)) for a, k in zip(x.flat, dof.flat)]
+        np.testing.assert_allclose(ours, chdtrc(dof, x).ravel(), rtol=1e-12, atol=0)
 
 
 class TestJainIndex:

@@ -1,19 +1,20 @@
 """The import contract: a ``repro`` process imports what it runs.
 
-``scipy.stats``/``scipy.integrate``, ``networkx`` and ``sympy`` are
-imported by the first function that needs them (see "Import policy" in
-docs/architecture.md), never by ``import repro``.  The pytest process
-has long since loaded all of them, so the journeys run in one fresh
-interpreter, in an order where loading is cumulative -- start-up paths,
-then run journeys, then each first call -- and each reports the
-deferred modules loaded before and after it as JSON: a statement about
-*what* loads, which a timing could only hint at.
+``networkx`` and ``sympy`` are imported by the first function that
+needs them (see "Import policy" in docs/architecture.md), never by
+``import repro``.  The pytest process has long since loaded both, so
+the journeys run in one fresh interpreter, in an order where loading is
+cumulative -- start-up paths, then run journeys, then each first call
+-- and each reports the deferred modules loaded before and after it as
+JSON: a statement about *what* loads, which a timing could only hint at.
 
-The second half pins the run journeys: the equilibrium solve is numpy
-only, so an equations-file run -- library, CLI, service or campaign --
-never loads scipy at all, and works where scipy cannot be imported.
+The second half pins the run journeys: ``src/repro`` imports no scipy
+(the equilibrium solve, the integrator and the chi-square are numpy and
+the stdlib), so no journey loads it, and every journey gives the same
+answer in a second interpreter where scipy cannot be imported.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -25,12 +26,8 @@ import pytest
 
 REPO = Path(__file__).resolve().parents[1]
 
-#: What no start-up path may load (scipy.linalg / scipy.sparse ride in
-#: with scipy.optimize, so they catch an indirect import too).
-DEFERRED = (
-    "scipy.optimize", "scipy.stats", "scipy.integrate", "scipy.linalg",
-    "scipy.sparse", "networkx", "sympy",
-)
+#: What no start-up path may load.
+DEFERRED = ("networkx", "sympy")
 
 PRELUDE = f"""
 import json, sys
@@ -42,12 +39,17 @@ def report(**fields):
     print(json.dumps(fields))
 
 def scipy_loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    # A None entry is a blocked import, not a loaded module.
+    return sorted(
+        m for m, module in sys.modules.items()
+        if m.split(".")[0] == "scipy" and module is not None
+    )
 """
 
 
 def fresh(body: str) -> dict:
-    """Run ``body`` in a new interpreter; its last stdout line is JSON."""
+    """Run ``body`` after PRELUDE in a new interpreter; its last stdout
+    line is JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
     done = subprocess.run(
@@ -209,6 +211,13 @@ JOURNEYS = {
         except SystemExit as stop:
             return dict(code=stop.code)
     """,
+    "analyze --trajectory": """
+        sys.argv = ["repro", "analyze", "examples/endemic.txt", "--trajectory"]
+        try:
+            runpy.run_module("repro", run_name="__main__", alter_sys=True)
+        except SystemExit as stop:
+            return dict(code=stop.code)
+    """,
     "integrate": """
         from repro.odes import integrate, library
 
@@ -272,6 +281,14 @@ def journeys():
     return fresh(f"JOURNEYS = {JOURNEYS!r}\n" + RUNNER)["rows"]
 
 
+@pytest.fixture(scope="module")
+def journeys_without_scipy():
+    """The same, in an interpreter where ``import scipy`` fails."""
+    return fresh(
+        f"sys.modules['scipy'] = None\nJOURNEYS = {JOURNEYS!r}\n" + RUNNER
+    )["rows"]
+
+
 def added(row) -> list:
     """The deferred modules a journey loaded itself."""
     return [m for m in row["after"] if m not in row["before"]]
@@ -316,27 +333,6 @@ class TestStartLoadsNoDeferredModule:
 # Each deferred module is loaded by its own first call
 # ----------------------------------------------------------------------
 class TestFirstCallLoadsItsModule:
-    def test_integrate_loads_scipy_integrate(self, journeys):
-        row = journeys["integrate"]
-        assert row["before"] == []
-        assert "scipy.integrate" in row["after"]
-        assert not {"scipy.stats", "networkx", "sympy"} & set(row["after"])
-        assert added(row) == [
-            "scipy.optimize", "scipy.integrate", "scipy.linalg",
-            "scipy.sparse",
-        ]
-        # y' = y(1-y): the closed form tests/test_integrate.py checks.
-        assert row["y"] == pytest.approx(1 / (1 + 99 * 2.718281828459045 ** -10), rel=1e-5)
-
-    def test_fairness_chi_square_loads_scipy_stats(self, journeys):
-        row = journeys["fairness chi-square"]
-        assert "scipy.stats" not in row["before"]
-        assert "scipy.stats" in row["after"]
-        assert not {"networkx", "sympy"} & set(row["after"])
-        assert added(row) == ["scipy.stats"]
-        # The value the module-level import produced at the parent commit.
-        assert row["pvalue"] == pytest.approx(0.8628095479158755, rel=1e-12)
-
     def test_overlay_loads_networkx(self, journeys):
         row = journeys["overlay"]
         if row.get("skipped"):
@@ -387,31 +383,51 @@ class TestRunJourneysLoadNoScipy:
         assert row["gated"] == ["x", "y", "z"]
         assert row["lines"] >= 5
 
-    @pytest.mark.parametrize("scipy_importable", [True, False])
-    def test_quickstart_cli(self, scipy_importable, journeys):
-        # `python -m repro run examples/endemic.txt`, also on a box
-        # whose scipy is missing or broken (a fresh interpreter of its
-        # own: the journeys' one has imported everything already).
-        if scipy_importable:
-            row = journeys["quickstart cli"]
-            out = {"code": row["code"], "scipy": row["scipy"]}
-        else:
-            out = fresh("""
-                import runpy
-                sys.modules["scipy"] = None
-                sys.argv = ["repro", "run", "examples/endemic.txt", "--n",
-                            "2000", "--trials", "4", "--periods", "100",
-                            "--seed", "5"]
-                try:
-                    runpy.run_module("repro", run_name="__main__", alter_sys=True)
-                except SystemExit as stop:
-                    code = stop.code
-                print()
-                report(code=code, scipy=scipy_loaded())
-            """)
-        assert out == {
-            "code": 0, "scipy": [] if scipy_importable else ["scipy"],
-        }
+    def test_quickstart_cli(self, journeys):
+        # `python -m repro run examples/endemic.txt`
+        row = journeys["quickstart cli"]
+        assert (row["code"], row["scipy"]) == (0, [])
+
+    def test_analyze_trajectory(self, journeys):
+        row = journeys["analyze --trajectory"]
+        assert (row["code"], row["scipy"]) == (0, [])
+
+    def test_integrate(self, journeys):
+        row = journeys["integrate"]
+        assert row["scipy"] == []
+        # y' = y(1-y): the closed form tests/test_integrate.py checks.
+        assert row["y"] == pytest.approx(1 / (1 + 99 * 2.718281828459045 ** -10), rel=1e-5)
+
+    def test_fairness_chi_square(self, journeys):
+        row = journeys["fairness chi-square"]
+        assert row["scipy"] == []
+        # The value scipy.stats.chisquare gave at the parent commit.
+        assert row["pvalue"] == pytest.approx(0.8628095479158755, rel=1e-12)
+
+    @pytest.mark.parametrize("name", list(JOURNEYS))
+    def test_every_journey_runs_where_scipy_cannot_be_imported(
+        self, name, journeys, journeys_without_scipy
+    ):
+        assert journeys_without_scipy[name] == journeys[name]
+
+    def test_no_module_imports_scipy(self):
+        found = []
+        for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+            source = path.read_text()
+            if "scipy" not in source:  # nothing to parse for
+                continue
+            for node in ast.walk(ast.parse(source)):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                found += [
+                    f"{path.relative_to(REPO)}:{node.lineno}"
+                    for name in names if name.split(".")[0] == "scipy"
+                ]
+        assert found == []
 
     def test_round_map(self, journeys):
         row = journeys["round map"]

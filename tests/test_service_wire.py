@@ -379,8 +379,7 @@ def segmented_streams(draw):
 
 
 class TestSegmentation:
-    @settings(max_examples=30, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(drawn=segmented_streams())
     def test_any_split_answers_as_one_byte_at_a_time(self, drawn):
         stream, segments = drawn

@@ -57,10 +57,6 @@ class TestNumerics:
         rhs = epidemic_system.rhs([0.5, 0.5])
         assert rhs == pytest.approx([-0.25, 0.25])
 
-    def test_rhs_function_signature(self, epidemic_system):
-        f = epidemic_system.rhs_function()
-        assert f(0.0, np.array([0.5, 0.5])) == pytest.approx([-0.25, 0.25])
-
     def test_rhs_wrong_length(self, epidemic_system):
         with pytest.raises(SystemError):
             epidemic_system.rhs([0.5])
